@@ -97,11 +97,16 @@ func (f *Flat) CheckWidth(n int) error {
 // dependency and measures about 2x faster on batched prediction. It is
 // exactly equivalent to `x[ft] <= thr → left` for every non-NaN input:
 // thr is always finite and never -0.0 (thresholds are midpoints of two
-// distinct finite training values), so thr-x is +0.0 (left, matching <=)
-// on equality, negative iff x > thr, and the correct infinity when x is
-// ±Inf. A NaN feature walks an unspecified but deterministic child (the
-// comparison form always goes right); both Flat entry points share this
-// step, so flat results are self-consistent on any input.
+// distinct training values, and tree's split finder places one only where
+// that midpoint is finite — a training matrix may hold ±Inf and NaN cells,
+// a fitted tree never holds such a threshold), so thr-x is +0.0 (left,
+// matching <=) on equality, negative iff x > thr, and the correct infinity
+// when x is ±Inf. A NaN feature walks an unspecified but deterministic
+// child (the comparison form, which is also what the fit itself uses to
+// place a NaN training cell, always goes right); both Flat entry points
+// share this step, so flat results are self-consistent on any input. The
+// fit side of NaN handling — a total presort order, NaN after +Inf — is
+// documented on tree.Presorted.
 func flatStep(thr float64, xf float64, l, r int32) int32 {
 	mask := int32(int64(math.Float64bits(thr-xf)) >> 63) // 0 or -1
 	return (l &^ mask) | (r & mask)

@@ -16,6 +16,7 @@ package gbt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/tree"
@@ -173,61 +174,97 @@ func fitNewton(X [][]float64, n int, init float64, loss lossFuncs, cfg Config) (
 // the current per-row predictions f (which it advances in place). The loop is
 // shared by the scratch fitters and Model.Extend; cfg.LearningRate must equal
 // m.LR, since Predict applies one shrinkage factor to every tree.
+//
+// X does not change between rounds, only the targets do, so its columns are
+// sorted once (tree.Presort) and every round grows from that order. Row
+// subsampling draws a different matrix each round and goes through tree.Fit.
 func boostRounds(m *Model, X [][]float64, n int, f []float64, loss lossFuncs, cfg Config, rng *stats.RNG) error {
 	g := make([]float64, n)
 	h := make([]float64, n)
 	negG := make([]float64, n)
+	var sorted *tree.Presorted // nil when rows are subsampled
+	var leaves []int32         // per row: ordinal of its leaf in the round's tree
+	if cfg.Subsample > 0 && cfg.Subsample < 1 {
+		leaves = make([]int32, n)
+	} else {
+		var err error
+		if sorted, err = tree.Presort(X); err != nil {
+			return err
+		}
+		leaves = sorted.Leaves()
+	}
+	// Per leaf (a tree on n rows has at most n); leafG ends a round holding
+	// the leaf's value.
+	leafG, leafH := make([]float64, n), make([]float64, n)
+	m.Trees = slices.Grow(m.Trees, cfg.NumTrees)
 	for round := 0; round < cfg.NumTrees; round++ {
 		loss(f, g, h)
 		for i := range g {
 			negG[i] = -g[i]
 		}
-		// Row subsampling.
-		trainX := X
-		trainT := negG
 		var rows []int
-		if cfg.Subsample > 0 && cfg.Subsample < 1 {
+		if sorted == nil {
 			k := int(cfg.Subsample*float64(n) + 0.5)
 			if k < 1 {
 				k = 1
 			}
 			rows = rng.Sample(n, k)
-			trainX = make([][]float64, k)
-			trainT = make([]float64, k)
-			for j, r := range rows {
-				trainX[j] = X[r]
-				trainT[j] = negG[r]
-			}
 		}
 		tcfg := cfg.Tree
 		if tcfg.RNG == nil && tcfg.FeatureFrac > 0 && tcfg.FeatureFrac < 1 {
 			tcfg.RNG = rng.Split()
 		}
-		tr, err := tree.Fit(trainX, trainT, nil, tcfg)
+		var tr *tree.Regressor
+		var err error
+		if sorted != nil {
+			tr, err = sorted.Grow(negG, nil, tcfg)
+		} else {
+			tr, err = fitRows(X, negG, rows, tcfg, leaves)
+		}
 		if err != nil {
 			return err
 		}
-		// Newton leaf refit over the FULL data: value_j = -G_j/(H_j+lambda).
-		leafG := map[int]float64{}
-		leafH := map[int]float64{}
-		for i := 0; i < n; i++ {
-			leaf := tr.LeafIndex(X[i])
+		// Newton leaf refit over the FULL data: value_j = -G_j/(H_j+lambda),
+		// G and H summed in ascending row order.
+		clear(leafG)
+		clear(leafH)
+		for i, leaf := range leaves {
 			leafG[leaf] += g[i]
 			leafH[leaf] += h[i]
 		}
 		tr.AdjustLeaves(func(leaf int, old float64) float64 {
-			G, H := leafG[leaf], leafH[leaf]
-			if H+cfg.Lambda <= 0 {
-				return 0
+			v := -leafG[leaf] / (leafH[leaf] + cfg.Lambda)
+			if leafH[leaf]+cfg.Lambda <= 0 {
+				v = 0
 			}
-			return -G / (H + cfg.Lambda)
+			leafG[leaf] = v
+			return v
 		})
-		for i := 0; i < n; i++ {
-			f[i] += cfg.LearningRate * tr.Predict(X[i])
+		for i, leaf := range leaves {
+			f[i] += cfg.LearningRate * leafG[leaf]
 		}
 		m.Trees = append(m.Trees, tr)
 	}
 	return nil
+}
+
+// fitRows fits a tree on the sampled rows of X with targets t, and fills
+// leaves with the leaf ordinal of every row of X, sampled or not.
+func fitRows(X [][]float64, t []float64, rows []int, cfg tree.Config, leaves []int32) (*tree.Regressor, error) {
+	trainX := make([][]float64, len(rows))
+	trainT := make([]float64, len(rows))
+	for j, r := range rows {
+		trainX[j] = X[r]
+		trainT[j] = t[r]
+	}
+	tr, err := tree.Fit(trainX, trainT, nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i, x := range X {
+		leaves[i] = int32(tr.LeafIndex(x))
+	}
+	return tr, nil
 }
 
 // Extend continues boosting from an existing squared-error ensemble: it fits

@@ -359,3 +359,36 @@ func TestExtendRejectsLogistic(t *testing.T) {
 		t.Fatal("extending a logistic ensemble should fail")
 	}
 }
+
+// TestFitAllocationsBoundedPerTree gates the fit's allocation count: one
+// FitRegressor allocates a fixed set of buffers for the whole fit plus the
+// fitted tree itself (its struct and its node table) per round — however
+// many rows the matrix has and however many nodes the trees grow. A split
+// finder that sorts, allocates per node, or keeps per-round maps fails it.
+func TestFitAllocationsBoundedPerTree(t *testing.T) {
+	const perFit, perTree = 24, 2
+	for _, tc := range []struct{ rows, depth, trees int }{
+		{100, 3, 50},
+		{100, 3, 10},
+		{3000, 7, 50},
+	} {
+		X, y := makeRegressionData(tc.rows, 0.3, 11)
+		cfg := DefaultConfig()
+		cfg.NumTrees = tc.trees
+		cfg.Tree.MaxDepth = tc.depth
+		nodes := 0
+		got := testing.AllocsPerRun(3, func() {
+			m, err := FitRegressor(X, y, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = m.Trees[len(m.Trees)-1].NumNodes()
+		})
+		if limit := float64(perFit + perTree*tc.trees); got > limit {
+			t.Errorf("%d rows, depth %d, %d trees (last has %d nodes): %.0f allocations, limit %.0f",
+				tc.rows, tc.depth, tc.trees, nodes, got, limit)
+		} else {
+			t.Logf("%d rows, depth %d, %d trees (last has %d nodes): %.0f allocations", tc.rows, tc.depth, tc.trees, nodes, got)
+		}
+	}
+}

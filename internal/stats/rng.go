@@ -8,7 +8,10 @@
 // the generators recommended by O'Neill (2014).
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RNG is a deterministic pseudo-random number generator. The zero value is
 // not valid; construct with NewRNG.
@@ -210,11 +213,17 @@ func (r *RNG) ShuffleFloat64(p []float64) {
 // Sample returns k distinct indices drawn uniformly from [0, n) without
 // replacement. It panics if k > n.
 func (r *RNG) Sample(n, k int) []int {
+	return slices.Clone(r.SampleInto(make([]int, n), k))
+}
+
+// SampleInto is Sample(len(idx), k) in a caller-owned buffer: it overwrites
+// idx and returns its first k elements, consuming the same draws as Sample.
+func (r *RNG) SampleInto(idx []int, k int) []int {
+	n := len(idx)
 	if k > n {
 		panic("stats: Sample requires k <= n")
 	}
 	// Partial Fisher-Yates over an index array.
-	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -222,9 +231,7 @@ func (r *RNG) Sample(n, k int) []int {
 		j := i + r.Intn(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	out := make([]int, k)
-	copy(out, idx[:k])
-	return out
+	return idx[:k]
 }
 
 // Bootstrap returns n indices drawn uniformly from [0, n) with replacement.

@@ -1,0 +1,326 @@
+package tree
+
+import (
+	"fmt"
+	"math"
+	"slices"
+)
+
+// Presorted is a training matrix prepared for exact greedy split finding: a
+// column-major copy plus, per feature, the row order ascending by value.
+// Sorting happens here, once; growing a tree never sorts. A node is a
+// contiguous range [lo,hi) shared by the index-order list and every
+// feature-order list, finding its best split is one linear prefix-sum scan
+// of that range per feature, and splitting it is a stable partition of each
+// list, which keeps both halves in order for the children.
+//
+// The order is total: ascending by value, NaN after +Inf, ties (and NaNs)
+// by row index. A threshold is the midpoint of two neighbouring values and
+// is only placed where that midpoint is finite, so never next to a NaN or
+// an infinity; growth and Predict both send a NaN cell right (x <= threshold
+// is false), +Inf right and -Inf left. A matrix with NaN or ±Inf cells
+// therefore fits deterministically, and every threshold of a fitted tree is
+// finite (gbt.Flat's arithmetic child select relies on that).
+//
+// The targets and weights are arguments of Grow, so boosting rounds — which
+// change only the targets — share one Presorted. Grow reuses the value's
+// working buffers: a Presorted must not be used from two goroutines at once.
+type Presorted struct {
+	n, d  int
+	cols  []float64 // column-major: cols[j*n+i] = X[i][j]
+	order []int32   // order[j*n:(j+1)*n]: rows ascending by feature j
+
+	// Working state of the tree being grown.
+	lists   []int32 // a copy of order, then the index-order list; permuted by splits
+	scratch []int32 // right-hand rows of the list being partitioned
+	left    []uint8 // per row: 1 if it goes left at the split being applied
+	leaves  []int32 // per row: ordinal of the leaf it ended in
+	nodes   []node
+	feats   []int // candidate features of the node being split
+	nleaves int32
+
+	y, w []float64
+	cfg  Config
+}
+
+// Presort copies X column-major and sorts each feature's rows. It returns
+// an error for an empty matrix and ErrRaggedRows when rows differ in width.
+func Presort(X [][]float64) (*Presorted, error) {
+	if len(X) == 0 {
+		return nil, fmt.Errorf("tree: empty training set")
+	}
+	n, d := len(X), len(X[0])
+	for i, row := range X {
+		if len(row) != d {
+			return nil, fmt.Errorf("%w: row %d has %d columns, row 0 has %d", ErrRaggedRows, i, len(row), d)
+		}
+	}
+	p := &Presorted{
+		n: n, d: d,
+		cols:    make([]float64, d*n),
+		order:   make([]int32, d*n),
+		lists:   make([]int32, (d+1)*n),
+		scratch: make([]int32, n),
+		left:    make([]uint8, n),
+		leaves:  make([]int32, n),
+		feats:   make([]int, d),
+	}
+	for i, row := range X {
+		for j, v := range row {
+			p.cols[j*n+i] = v
+		}
+	}
+	keys, rows := make([]uint64, 2*n), make([]int32, 2*n)
+	for j := 0; j < d; j++ {
+		sortRows(p.cols[j*n:(j+1)*n], p.order[j*n:(j+1)*n], keys, rows)
+	}
+	return p, nil
+}
+
+// sortRows fills ord with the rows of col in the order Presorted documents:
+// a stable merge sort of the rows holding numbers, which leaves ties in row
+// order, then the NaN rows. keys and rows are merge space, twice as long as
+// col. On a small matrix this sort is most of a single tree's fit and the
+// time goes to mispredicted comparisons, so it is written out: floats become
+// integer keys of the same order (-0 and +0 the same key), and the merge
+// picks its element with a mask, not a branch.
+func sortRows(col []float64, ord []int32, keys []uint64, rows []int32) {
+	n := 0
+	for i, v := range col {
+		if v == v {
+			k := math.Float64bits(v + 0) // -0 + 0 is +0
+			if k>>63 != 0 {
+				k = ^k
+			} else {
+				k |= 1 << 63
+			}
+			keys[n], rows[n] = k, int32(i)
+			n++
+		}
+	}
+	nan := n
+	for i, v := range col {
+		if v != v {
+			ord[nan] = int32(i)
+			nan++
+		}
+	}
+	sk, sr := keys[:n], rows[:n]
+	dk, dr := keys[len(col):len(col)+n], rows[len(col):len(col)+n]
+	const run = 8 // insertion-sorted runs, then merged pairwise
+	for lo := 0; lo < n; lo += run {
+		for i := lo + 1; i < min(lo+run, n); i++ {
+			k, r, at := sk[i], sr[i], i
+			for ; at > lo && sk[at-1] > k; at-- {
+				sk[at], sr[at] = sk[at-1], sr[at-1]
+			}
+			sk[at], sr[at] = k, r
+		}
+	}
+	for width := run; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			a, b, at := lo, mid, lo
+			for a < mid && b < hi {
+				ka, kb, ra, rb := sk[a], sk[b], sr[a], sr[b]
+				takeA := 0
+				if ka <= kb {
+					takeA = 1
+				}
+				mask := uint64(-int64(takeA))
+				dk[at] = kb ^ (ka^kb)&mask
+				dr[at] = rb ^ (ra^rb)&int32(mask)
+				at++
+				a += takeA
+				b += 1 - takeA
+			}
+			for ; a < mid; a, at = a+1, at+1 {
+				dk[at], dr[at] = sk[a], sr[a]
+			}
+			for ; b < hi; b, at = b+1, at+1 {
+				dk[at], dr[at] = sk[b], sr[b]
+			}
+		}
+		sk, dk, sr, dr = dk, sk, dr, sr
+	}
+	copy(ord, sr)
+}
+
+// Grow grows a regression tree on the presorted matrix with targets y and
+// optional per-row weights w (nil for uniform). It returns ErrBadConfig
+// when cfg cannot drive growth.
+func (p *Presorted) Grow(y, w []float64, cfg Config) (*Regressor, error) {
+	if len(y) != p.n {
+		return nil, fmt.Errorf("tree: %d targets for %d rows", len(y), p.n)
+	}
+	if w != nil && len(w) != p.n {
+		return nil, fmt.Errorf("tree: %d weights for %d rows", len(w), p.n)
+	}
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	p.y, p.w, p.cfg = y, w, cfg
+	if p.nodes == nil {
+		// A tree has at most 2n-1 nodes (every leaf holds a row) and at
+		// most 2^(MaxDepth+1)-1; sizing the table once keeps a fit's
+		// allocation count independent of how many nodes its trees grow.
+		most := 2*p.n - 1
+		if cfg.MaxDepth < 30 && 1<<(cfg.MaxDepth+1)-1 < most {
+			most = 1<<(cfg.MaxDepth+1) - 1
+		}
+		p.nodes = make([]node, 0, most)
+	}
+	p.nodes, p.nleaves = p.nodes[:0], 0
+	idx := p.lists[p.d*p.n:]
+	copy(p.lists, p.order)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	for j := range p.feats {
+		p.feats[j] = j
+	}
+	p.grow(0, p.n, 0)
+	return &Regressor{nodes: slices.Clone(p.nodes), ncols: p.d}, nil
+}
+
+// Leaves returns, for each training row, the ordinal (as AdjustLeaves and
+// LeafIndex count leaves) of the leaf the last Grow put it in. The slice is
+// overwritten by the next Grow.
+func (p *Presorted) Leaves() []int32 { return p.leaves }
+
+// grow builds the subtree over rows [lo,hi) of every list and returns its
+// node index. Nodes are numbered in preorder, leaves in the order they close.
+func (p *Presorted) grow(lo, hi, depth int) int32 {
+	idx := p.lists[p.d*p.n+lo : p.d*p.n+hi]
+	sumW, sumWY := 0.0, 0.0
+	if p.w == nil {
+		sumW = float64(len(idx))
+		for _, i := range idx {
+			sumWY += p.y[i]
+		}
+	} else {
+		for _, i := range idx {
+			sumW += p.w[i]
+			sumWY += p.w[i] * p.y[i]
+		}
+	}
+	mean := 0.0
+	if sumW > 0 {
+		mean = sumWY / sumW
+	}
+	id := int32(len(p.nodes))
+	p.nodes = append(p.nodes, node{feature: -1, value: mean})
+
+	nl := 0
+	feat, thr, ok := 0, 0.0, false
+	if depth < p.cfg.MaxDepth && len(idx) >= p.cfg.MinSplit {
+		feat, thr, ok = p.bestSplit(lo, hi, sumW, sumWY)
+	}
+	if ok {
+		col := p.cols[feat*p.n : (feat+1)*p.n]
+		for _, i := range idx {
+			l := uint8(0)
+			if col[i] <= thr {
+				l = 1
+			}
+			p.left[i] = l
+			nl += int(l)
+		}
+		// The midpoint of two adjacent floats can round onto the upper one,
+		// so the sides are counted by the comparison Predict will make.
+		ok = nl >= p.cfg.MinLeaf && len(idx)-nl >= p.cfg.MinLeaf
+	}
+	if !ok {
+		for _, i := range idx {
+			p.leaves[i] = p.nleaves
+		}
+		p.nleaves++
+		return id
+	}
+
+	// Children that cannot split need only their index-order list.
+	if depth+1 < p.cfg.MaxDepth && (nl >= p.cfg.MinSplit || len(idx)-nl >= p.cfg.MinSplit) {
+		for j := 0; j < p.d; j++ {
+			p.partition(p.lists[j*p.n+lo : j*p.n+hi])
+		}
+	}
+	p.partition(idx)
+	l := p.grow(lo, lo+nl, depth+1)
+	r := p.grow(lo+nl, hi, depth+1)
+	nd := &p.nodes[id]
+	nd.feature, nd.threshold, nd.left, nd.right = feat, thr, l, r
+	return id
+}
+
+// partition moves the rows marked left to the front of list, keeping the
+// order within each side. Which side a row takes is a coin toss to the branch
+// predictor, so every row is stored to both sides and only the side it
+// belongs to advances (the left cursor never passes the read position).
+func (p *Presorted) partition(list []int32) {
+	nl, nr := 0, 0
+	for _, i := range list {
+		l := int(p.left[i])
+		list[nl] = i
+		p.scratch[nr] = i
+		nl += l
+		nr += 1 - l
+	}
+	copy(list[nl:], p.scratch[:nr])
+}
+
+// bestSplit scans candidate features for the split of rows [lo,hi)
+// minimizing weighted SSE.
+func (p *Presorted) bestSplit(lo, hi int, totW, totWY float64) (feat int, thr float64, ok bool) {
+	features := p.feats
+	if p.cfg.FeatureFrac > 0 && p.cfg.FeatureFrac < 1 { // normalize checked the RNG
+		k := int(p.cfg.FeatureFrac*float64(p.d) + 0.5)
+		if k < 1 {
+			k = 1
+		}
+		features = p.cfg.RNG.SampleInto(p.feats, k)
+	}
+
+	m, minLeaf := hi-lo, p.cfg.MinLeaf
+	y, w := p.y, p.w
+	bestGain := 1e-12
+	parent := totWY * totWY / totW
+	for _, j := range features {
+		col, ord := p.cols[j*p.n:(j+1)*p.n], p.lists[j*p.n+lo:j*p.n+hi]
+		// Prefix sums over the sorted order.
+		leftW, leftWY := 0.0, 0.0
+		next := col[ord[0]]
+		for k := 0; k < m-1; k++ {
+			i := ord[k]
+			if w == nil {
+				leftW++
+				leftWY += y[i]
+			} else {
+				leftW += w[i]
+				leftWY += w[i] * y[i]
+			}
+			x := next
+			next = col[ord[k+1]]
+			if x == next {
+				continue
+			}
+			if k+1 < minLeaf || m-k-1 < minLeaf {
+				continue
+			}
+			rightW := totW - leftW
+			rightWY := totWY - leftWY
+			if leftW <= 0 || rightW <= 0 {
+				continue
+			}
+			// Gain = sum(w y)^2/W reduction relative to parent.
+			gain := leftWY*leftWY/leftW + rightWY*rightWY/rightW - parent
+			if gain > bestGain {
+				mid := (x + next) / 2
+				if math.IsNaN(mid) || math.IsInf(mid, 0) {
+					continue // a NaN or infinite neighbour, or a sum that overflows
+				}
+				bestGain, feat, thr, ok = gain, j, mid, true
+			}
+		}
+	}
+	return feat, thr, ok
+}

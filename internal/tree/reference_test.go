@@ -1,0 +1,259 @@
+package tree
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// refFit is the sort-per-node Fit this package shipped before the presorted
+// split finder, moved here verbatim (only Fit is renamed) as the oracle the
+// presorted finder is compared against, node table for node table.
+func refFit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, error) {
+	if len(X) == 0 {
+		return nil, fmt.Errorf("tree: empty training set")
+	}
+	if len(y) != len(X) {
+		return nil, fmt.Errorf("tree: %d targets for %d rows", len(y), len(X))
+	}
+	if w != nil && len(w) != len(X) {
+		return nil, fmt.Errorf("tree: %d weights for %d rows", len(w), len(X))
+	}
+	ncols := len(X[0])
+	for i, row := range X {
+		if len(row) != ncols {
+			return nil, fmt.Errorf("%w: row %d has %d columns, row 0 has %d", ErrRaggedRows, i, len(row), ncols)
+		}
+	}
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	t := &Regressor{ncols: ncols}
+	idx := make([]int, len(X))
+	for i := range idx {
+		idx[i] = i
+	}
+	b := &builder{X: X, y: y, w: w, cfg: cfg, tree: t}
+	b.grow(idx, 0)
+	return t, nil
+}
+
+type builder struct {
+	X    [][]float64
+	y    []float64
+	w    []float64
+	cfg  Config
+	tree *Regressor
+}
+
+func (b *builder) weight(i int) float64 {
+	if b.w == nil {
+		return 1
+	}
+	return b.w[i]
+}
+
+// grow recursively builds the subtree over idx and returns its node index.
+func (b *builder) grow(idx []int, depth int) int32 {
+	sumW, sumWY := 0.0, 0.0
+	for _, i := range idx {
+		wi := b.weight(i)
+		sumW += wi
+		sumWY += wi * b.y[i]
+	}
+	mean := 0.0
+	if sumW > 0 {
+		mean = sumWY / sumW
+	}
+	id := int32(len(b.tree.nodes))
+	b.tree.nodes = append(b.tree.nodes, node{feature: -1, value: mean})
+
+	if depth >= b.cfg.MaxDepth || len(idx) < b.cfg.MinSplit {
+		return id
+	}
+	feat, thr, ok := b.bestSplit(idx, sumW, sumWY)
+	if !ok {
+		return id
+	}
+	var left, right []int
+	for _, i := range idx {
+		if b.X[i][feat] <= thr {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
+		return id
+	}
+	l := b.grow(left, depth+1)
+	r := b.grow(right, depth+1)
+	n := &b.tree.nodes[id]
+	n.feature = feat
+	n.threshold = thr
+	n.left = l
+	n.right = r
+	return id
+}
+
+// bestSplit scans candidate features for the split minimizing weighted SSE.
+func (b *builder) bestSplit(idx []int, totW, totWY float64) (feat int, thr float64, ok bool) {
+	ncols := b.tree.ncols
+	features := make([]int, ncols)
+	for j := range features {
+		features[j] = j
+	}
+	if b.cfg.FeatureFrac > 0 && b.cfg.FeatureFrac < 1 && b.cfg.RNG != nil {
+		k := int(b.cfg.FeatureFrac*float64(ncols) + 0.5)
+		if k < 1 {
+			k = 1
+		}
+		features = b.cfg.RNG.Sample(ncols, k)
+	}
+
+	bestGain := 1e-12
+	type pair struct {
+		x, y, w float64
+	}
+	buf := make([]pair, len(idx))
+	for _, j := range features {
+		for k, i := range idx {
+			buf[k] = pair{x: b.X[i][j], y: b.y[i], w: b.weight(i)}
+		}
+		sort.Slice(buf, func(a, c int) bool { return buf[a].x < buf[c].x })
+		// Prefix sums over the sorted order.
+		leftW, leftWY := 0.0, 0.0
+		for k := 0; k < len(buf)-1; k++ {
+			leftW += buf[k].w
+			leftWY += buf[k].w * buf[k].y
+			if buf[k].x == buf[k+1].x {
+				continue
+			}
+			if k+1 < b.cfg.MinLeaf || len(buf)-k-1 < b.cfg.MinLeaf {
+				continue
+			}
+			rightW := totW - leftW
+			rightWY := totWY - leftWY
+			if leftW <= 0 || rightW <= 0 {
+				continue
+			}
+			// Gain = sum(w y)^2/W reduction relative to parent.
+			gain := leftWY*leftWY/leftW + rightWY*rightWY/rightW - totWY*totWY/totW
+			if gain > bestGain {
+				bestGain = gain
+				feat = j
+				thr = (buf[k].x + buf[k+1].x) / 2
+				ok = true
+			}
+		}
+	}
+	return feat, thr, ok
+}
+
+// diffCase draws one seeded training problem for the differential test:
+// continuous columns, columns quantised to 3/10/100 levels (ties inside
+// every node), constant and duplicated columns, nil and non-nil weights,
+// and growth limits from "split everything" to "can never split".
+//
+// A copied column is copied whole. Two different columns that cut a node
+// into the same two row sets, with different ties below the cut, have gains
+// equal in exact arithmetic; the reference's unstable sort.Slice and the
+// presorted row order add the tied rows up in different orders, so which
+// column wins is rounding noise on both sides and cannot be compared. A
+// whole copy ties bit for bit instead, and pins "the first feature wins".
+func diffCase(seed uint64) (X [][]float64, y, w []float64, cfg Config) {
+	rng := stats.NewRNG(seed)
+	n := 2 + rng.Intn(260)
+	d := 1 + rng.Intn(8)
+	kinds, src := make([]int, d), make([]int, d)
+	for j := range kinds {
+		kinds[j], src[j] = rng.Intn(7), rng.Intn(j+1)
+	}
+	X = make([][]float64, n)
+	y = make([]float64, n)
+	for i := range X {
+		row := make([]float64, d)
+		for j := range row {
+			switch kinds[j] {
+			case 0, 1:
+				row[j] = rng.Normal(0, float64(1+j))
+			case 2:
+				row[j] = math.Floor(rng.Float64() * 3)
+			case 3:
+				row[j] = math.Floor(rng.Float64()*10) / 10
+			case 4:
+				row[j] = math.Floor(rng.Float64()*100) / 7
+			case 5:
+				row[j] = 1.5
+			case 6:
+				row[j] = row[src[j]] // a copy of an earlier column (of itself: all zero)
+			}
+		}
+		X[i] = row
+		y[i] = 2*row[0] - row[d-1] + rng.Normal(0, 0.5)
+	}
+	if seed%4 == 0 { // whole-number targets: prefix sums are exact, gains tie exactly
+		for i := range y {
+			y[i] = math.Round(y[i])
+		}
+	}
+	if seed%2 == 1 {
+		w = make([]float64, n)
+		for i := range w {
+			w[i] = rng.Float64() * 3
+			if rng.Bernoulli(0.05) {
+				w[i] = 0
+			}
+		}
+	}
+	cfg = Config{
+		MaxDepth: rng.Intn(7), // 0 normalizes to the default
+		MinLeaf:  []int{0, 1, 2, 5, n / 2, n}[rng.Intn(6)],
+		MinSplit: []int{0, 2, 10, n, n + 1}[rng.Intn(5)],
+	}
+	if seed%3 == 0 {
+		cfg.FeatureFrac = []float64{0.3, 0.5, 0.9, 1}[rng.Intn(4)]
+	}
+	return X, y, w, cfg
+}
+
+// TestFitMatchesSortPerNodeReference is the differential oracle: over seeded
+// matrices the presorted finder must grow the reference's tree node for node
+// (same features, thresholds, values and child indices), and with feature
+// subsampling must consume the same RNG draws in the same order.
+func TestFitMatchesSortPerNodeReference(t *testing.T) {
+	const cases = 600
+	split := 0
+	for seed := uint64(1); seed <= cases; seed++ {
+		X, y, w, cfg := diffCase(seed)
+		refCfg, gotCfg := cfg, cfg
+		if cfg.FeatureFrac > 0 {
+			refCfg.RNG, gotCfg.RNG = stats.NewRNG(seed), stats.NewRNG(seed)
+		}
+		want, err := refFit(X, y, w, refCfg)
+		if err != nil {
+			t.Fatalf("seed %d: reference: %v", seed, err)
+		}
+		got, err := Fit(X, y, w, gotCfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("seed %d (n=%d d=%d cfg=%+v): trees differ\nreference %+v\npresorted %+v",
+				seed, len(X), len(X[0]), cfg, want.nodes, got.nodes)
+		}
+		if cfg.FeatureFrac > 0 && refCfg.RNG.Uint64() != gotCfg.RNG.Uint64() {
+			t.Errorf("seed %d: feature subsampling consumed different RNG draws", seed)
+		}
+		if want.NumNodes() > 1 {
+			split++
+		}
+	}
+	if split < 300 {
+		t.Errorf("only %d of %d cases grew a split: the comparison has gone vacuous", split, cases)
+	}
+}

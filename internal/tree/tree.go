@@ -1,6 +1,9 @@
 // Package tree implements CART-style regression trees used as the base
 // learner for gradient boosting (package gbt). Splits minimize within-node
-// squared error; growth is bounded by depth and minimum leaf size.
+// squared error; growth is bounded by depth and minimum leaf size. Split
+// finding is the exact greedy algorithm over presorted features: Presort
+// sorts each feature of a training matrix once, and any number of trees
+// grow from that order without sorting again (see Presorted).
 //
 // A fitted Regressor is not a pointer-chasing structure: nodes live in a
 // single index-based slice (children are int32 indices into it), so a
@@ -13,7 +16,6 @@ package tree
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -31,7 +33,9 @@ var (
 
 // Config controls tree growth.
 type Config struct {
-	// MaxDepth bounds tree depth; a depth-0 tree is a single leaf.
+	// MaxDepth bounds tree depth (a lone leaf has depth 0). Zero or negative
+	// selects the default of 3, so a single-leaf tree cannot be requested
+	// here; growth stops early on MinSplit/MinLeaf instead.
 	MaxDepth int
 	// MinLeaf is the minimum number of samples in each leaf.
 	MinLeaf int
@@ -86,146 +90,14 @@ type Regressor struct {
 // Fit grows a regression tree on X, y (optionally with per-sample weights;
 // pass nil for uniform). It returns an error for empty or mismatched input:
 // ErrRaggedRows when rows differ in width, ErrBadConfig when cfg cannot
-// drive growth.
+// drive growth. Fit is Presort followed by one Grow; callers growing many
+// trees on one matrix (gbt's boosting rounds) presort once themselves.
 func Fit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, error) {
-	if len(X) == 0 {
-		return nil, fmt.Errorf("tree: empty training set")
-	}
-	if len(y) != len(X) {
-		return nil, fmt.Errorf("tree: %d targets for %d rows", len(y), len(X))
-	}
-	if w != nil && len(w) != len(X) {
-		return nil, fmt.Errorf("tree: %d weights for %d rows", len(w), len(X))
-	}
-	ncols := len(X[0])
-	for i, row := range X {
-		if len(row) != ncols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, row 0 has %d", ErrRaggedRows, i, len(row), ncols)
-		}
-	}
-	if err := cfg.normalize(); err != nil {
+	p, err := Presort(X)
+	if err != nil {
 		return nil, err
 	}
-	t := &Regressor{ncols: ncols}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	b := &builder{X: X, y: y, w: w, cfg: cfg, tree: t}
-	b.grow(idx, 0)
-	return t, nil
-}
-
-type builder struct {
-	X    [][]float64
-	y    []float64
-	w    []float64
-	cfg  Config
-	tree *Regressor
-}
-
-func (b *builder) weight(i int) float64 {
-	if b.w == nil {
-		return 1
-	}
-	return b.w[i]
-}
-
-// grow recursively builds the subtree over idx and returns its node index.
-func (b *builder) grow(idx []int, depth int) int32 {
-	sumW, sumWY := 0.0, 0.0
-	for _, i := range idx {
-		wi := b.weight(i)
-		sumW += wi
-		sumWY += wi * b.y[i]
-	}
-	mean := 0.0
-	if sumW > 0 {
-		mean = sumWY / sumW
-	}
-	id := int32(len(b.tree.nodes))
-	b.tree.nodes = append(b.tree.nodes, node{feature: -1, value: mean})
-
-	if depth >= b.cfg.MaxDepth || len(idx) < b.cfg.MinSplit {
-		return id
-	}
-	feat, thr, ok := b.bestSplit(idx, sumW, sumWY)
-	if !ok {
-		return id
-	}
-	var left, right []int
-	for _, i := range idx {
-		if b.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
-		return id
-	}
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
-	n := &b.tree.nodes[id]
-	n.feature = feat
-	n.threshold = thr
-	n.left = l
-	n.right = r
-	return id
-}
-
-// bestSplit scans candidate features for the split minimizing weighted SSE.
-func (b *builder) bestSplit(idx []int, totW, totWY float64) (feat int, thr float64, ok bool) {
-	ncols := b.tree.ncols
-	features := make([]int, ncols)
-	for j := range features {
-		features[j] = j
-	}
-	if b.cfg.FeatureFrac > 0 && b.cfg.FeatureFrac < 1 && b.cfg.RNG != nil {
-		k := int(b.cfg.FeatureFrac*float64(ncols) + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		features = b.cfg.RNG.Sample(ncols, k)
-	}
-
-	bestGain := 1e-12
-	type pair struct {
-		x, y, w float64
-	}
-	buf := make([]pair, len(idx))
-	for _, j := range features {
-		for k, i := range idx {
-			buf[k] = pair{x: b.X[i][j], y: b.y[i], w: b.weight(i)}
-		}
-		sort.Slice(buf, func(a, c int) bool { return buf[a].x < buf[c].x })
-		// Prefix sums over the sorted order.
-		leftW, leftWY := 0.0, 0.0
-		for k := 0; k < len(buf)-1; k++ {
-			leftW += buf[k].w
-			leftWY += buf[k].w * buf[k].y
-			if buf[k].x == buf[k+1].x {
-				continue
-			}
-			if k+1 < b.cfg.MinLeaf || len(buf)-k-1 < b.cfg.MinLeaf {
-				continue
-			}
-			rightW := totW - leftW
-			rightWY := totWY - leftWY
-			if leftW <= 0 || rightW <= 0 {
-				continue
-			}
-			// Gain = sum(w y)^2/W reduction relative to parent.
-			gain := leftWY*leftWY/leftW + rightWY*rightWY/rightW - totWY*totWY/totW
-			if gain > bestGain {
-				bestGain = gain
-				feat = j
-				thr = (buf[k].x + buf[k+1].x) / 2
-				ok = true
-			}
-		}
-	}
-	return feat, thr, ok
+	return p.Grow(y, w, cfg)
 }
 
 // Predict returns the tree's prediction for x. x must have at least

@@ -3,6 +3,7 @@ package tree
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -325,5 +326,88 @@ func TestAppendSoAMatchesPredict(t *testing.T) {
 	}
 	if s.Len() != total {
 		t.Fatalf("SoA holds %d nodes, trees total %d", s.Len(), total)
+	}
+}
+
+// TestPresortOrderIsTotal: a feature's rows sort ascending by value with NaN
+// after +Inf and ties (including -0 against +0, and NaN against NaN) in row
+// order — an order on every float, which `<` alone is not.
+func TestPresortOrderIsTotal(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	col := []float64{nan, 1, inf, -inf, 1, math.Copysign(0, -1), 0, nan, 0.5, -2, inf}
+	X := make([][]float64, len(col))
+	for i, v := range col {
+		X[i] = []float64{v}
+	}
+	p, err := Presort(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int32{3, 9, 5, 6, 8, 1, 4, 2, 10, 0, 7}
+	if !reflect.DeepEqual(p.order, want) {
+		t.Fatalf("row order %v, want %v", p.order, want)
+	}
+}
+
+// TestFitWithNaNAndInfCells: wire admits NaN and ±Inf features and they reach
+// the fit. Such a matrix must fit to the same tree every time, place only
+// finite thresholds, and put each training row in the leaf Predict finds for
+// it (NaN and +Inf right, -Inf left).
+func TestFitWithNaNAndInfCells(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := stats.NewRNG(seed)
+		n, d := 40+rng.Intn(200), 2+rng.Intn(5)
+		X := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range X {
+			X[i] = make([]float64, d)
+			for j := range X[i] {
+				switch u := rng.Float64(); {
+				case j == d-1 || u < 0.10: // the last column is all NaN
+					X[i][j] = math.NaN()
+				case u < 0.15:
+					X[i][j] = math.Inf(1)
+				case u < 0.20:
+					X[i][j] = math.Inf(-1)
+				case u < 0.25:
+					X[i][j] = math.MaxFloat64 // midpoints with it overflow
+				default:
+					X[i][j] = math.Floor(rng.Normal(0, 3))
+				}
+			}
+			y[i] = rng.Normal(0, 1)
+			if v := X[i][0]; v == v {
+				y[i] += math.Max(-5, math.Min(5, v))
+			}
+		}
+		cfg := Config{MaxDepth: 6, MinLeaf: 2, MinSplit: 4}
+		p, err := Presort(X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := p.Grow(y, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, leaf := range p.Leaves() {
+			if got := a.LeafIndex(X[i]); got != int(leaf) {
+				t.Fatalf("seed %d: row %d grown into leaf %d, Predict walks to leaf %d", seed, i, leaf, got)
+			}
+		}
+		b, err := Fit(X, y, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: two fits of one matrix differ", seed)
+		}
+		if a.NumNodes() < 3 {
+			t.Fatalf("seed %d: no split found among the finite cells", seed)
+		}
+		for _, nd := range a.nodes {
+			if nd.feature >= 0 && (math.IsNaN(nd.threshold) || math.IsInf(nd.threshold, 0)) {
+				t.Fatalf("seed %d: split on feature %d at threshold %v", seed, nd.feature, nd.threshold)
+			}
+		}
 	}
 }
