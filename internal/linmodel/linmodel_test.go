@@ -112,6 +112,62 @@ func TestLogisticErrors(t *testing.T) {
 	if _, err := FitLogistic([][]float64{{1}}, []float64{1, 0}, DefaultLogisticConfig()); err == nil {
 		t.Fatal("expected error for length mismatch")
 	}
+	// Inputs that used to panic (ragged or zero-width rows) or train on
+	// silently (labels outside {0, 1}) are errors.
+	for name, c := range map[string]struct {
+		X [][]float64
+		y []float64
+	}{
+		"short row":      {[][]float64{{1, 2}, {3}, {4, 5}}, []float64{1, 0, 1}},
+		"long row":       {[][]float64{{1, 2}, {3, 4, 5}}, []float64{1, 0}},
+		"zero-width":     {[][]float64{{}, {}}, []float64{1, 0}},
+		"label 2":        {[][]float64{{1}, {2}}, []float64{2, 0}},
+		"label -1":       {[][]float64{{1}, {2}}, []float64{1, -1}},
+		"fraction label": {[][]float64{{1}, {2}}, []float64{0.5, 0}},
+		"NaN label":      {[][]float64{{1}, {2}}, []float64{math.NaN(), 1}},
+	} {
+		for _, balanced := range []bool{false, true} {
+			cfg := DefaultLogisticConfig()
+			cfg.Balanced = balanced
+			if m, err := FitLogistic(c.X, c.y, cfg); err == nil {
+				t.Errorf("%s (balanced %v): fitted %+v, want an error", name, balanced, m)
+			}
+		}
+	}
+	cfg := DefaultLogisticConfig()
+	if _, err := FitLogisticFlat([]float64{1, 2, 3}, 2, []float64{1, 0}, cfg, nil); err == nil {
+		t.Error("expected error for a flat matrix that is not rows x columns")
+	}
+	if _, err := FitLogisticFlat(nil, 0, []float64{1, 0}, cfg, nil); err == nil {
+		t.Error("expected error for zero columns")
+	}
+	if _, err := FitLogisticFlat(nil, 3, nil, cfg, nil); err == nil {
+		t.Error("expected error for an empty flat training set")
+	}
+}
+
+// TestFitLogisticAllocations: with caller-owned scratch a fit allocates the
+// model it returns (the struct, W, Mean, Std) and nothing that grows with
+// the row count; the loop it replaced made n + 6 allocations.
+func TestFitLogisticAllocations(t *testing.T) {
+	cfg := DefaultLogisticConfig()
+	cfg.Balanced = true
+	cfg.Iters = 5
+	for _, n := range []int{40, 400} {
+		const d = 15
+		X, y := caseData(stats.NewRNG(uint64(n)), n, d, 1)
+		flat := flatten(X)
+		var scratch LogisticScratch
+		fit := func() {
+			if _, err := FitLogisticFlat(flat, d, y, cfg, &scratch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fit() // sizes the scratch
+		if allocs := testing.AllocsPerRun(10, fit); allocs > 4 {
+			t.Errorf("%d rows: %v allocations per fit with reused scratch, want <= 4", n, allocs)
+		}
+	}
 }
 
 func TestRidgeRecoversCoefficients(t *testing.T) {

@@ -82,8 +82,12 @@ func DefaultConfig() Config {
 // DefaultWarmRounds is the serving layer's warm-refit tuning: enough rounds
 // per checkpoint for the extended ensemble to track the drifting finished-set
 // distribution (seed-trace F1 within a small epsilon of scratch refits —
-// test-enforced in internal/serve) at roughly a third of the trees, and so a
-// third of the fit cost, of a scratch refit.
+// test-enforced in internal/serve) at a third of a scratch fit's trees. That
+// is half of h_t's cost, not a third of the refit's: on the benchmark's mean
+// view (109 rows x 15 columns, bench --trace 1) a 16-tree extension is 0.52 ms
+// against 1.09 ms for the 50-tree scratch fit, and the propensity fit both
+// modes share is about 1 ms on top of either, so a warm refit costs roughly
+// 0.7 of a scratch one (0.71 at 300 tasks, BENCH_serve_refit.json).
 const DefaultWarmRounds = 16
 
 // DefaultWarmConfig returns DefaultConfig with warm-started refits enabled
@@ -108,6 +112,16 @@ type Model struct {
 	h  *gbt.Model         // latency predictor
 	hc *gbt.Flat          // h compiled into the flat SoA engine; replaced with h
 	g  *linmodel.Logistic // propensity model
+
+	// prop holds fitPropensity's reusable buffers: the log-feature training
+	// matrix (row-major), its labels, and the logistic fit's scratch. Only a
+	// refit touches it, and a model is refitted by one goroutine at a time; a
+	// shallow copy published for queries shares the buffers but never reads
+	// them.
+	prop struct {
+		x, y []float64
+		fit  linmodel.LogisticScratch
+	}
 
 	// warmFits / scratchFits count how the latency model was refitted
 	// (Extend vs FitRegressor); serving telemetry reads them via RefitCounts.
@@ -259,24 +273,46 @@ func (m *Model) checkTrain(finX [][]float64, finY []float64) error {
 }
 
 // fitPropensity refits g_t on the finished-vs-running split; both refit
-// strategies share it (the logistic fit is cheap either way).
+// strategies share it, and it is no small part of either: on the benchmark's
+// mean view its 200 gradient steps take about 1 ms, two thirds of a warm
+// refit and half of a scratch one (h_t: 0.52 ms to extend, 1.09 ms to fit).
+// The log-feature matrix, its labels and the fit's working memory live in
+// m.prop and are reused, so from the second refit on only the fitted model is
+// allocated.
 func (m *Model) fitPropensity(finX, runX [][]float64) error {
 	if len(runX) == 0 {
 		// Nothing running: keep the previous propensity model if any; a nil
 		// g makes Predict fall back to w = 1.
 		return nil
 	}
-	X := make([][]float64, 0, len(finX)+len(runX))
-	y := make([]float64, 0, len(finX)+len(runX))
-	for _, x := range finX {
-		X = append(X, logFeatures(x))
-		y = append(y, 1) // finished class
+	n, d := len(finX)+len(runX), len(finX[0])
+	s := &m.prop
+	if cap(s.x) < n*d {
+		s.x = make([]float64, n*d)
 	}
-	for _, x := range runX {
-		X = append(X, logFeatures(x))
-		y = append(y, 0)
+	if cap(s.y) < n {
+		s.y = make([]float64, n)
 	}
-	g, err := linmodel.FitLogistic(X, y, m.cfg.Logistic)
+	s.x, s.y = s.x[:n*d], s.y[:n]
+	i := 0
+	fill := func(rows [][]float64, label float64) error {
+		for _, x := range rows {
+			if len(x) != d {
+				return fmt.Errorf("nurd: fitting propensity model: row with %d features among rows of %d", len(x), d)
+			}
+			logFeaturesInto(x, s.x[i*d:(i+1)*d])
+			s.y[i] = label
+			i++
+		}
+		return nil
+	}
+	if err := fill(finX, 1); err != nil { // finished class
+		return err
+	}
+	if err := fill(runX, 0); err != nil {
+		return err
+	}
+	g, err := linmodel.FitLogisticFlat(s.x, d, s.y, m.cfg.Logistic, &s.fit)
 	if err != nil {
 		return fmt.Errorf("nurd: fitting propensity model: %w", err)
 	}

@@ -437,3 +437,55 @@ func TestPredictRejectsNarrowRows(t *testing.T) {
 		t.Fatalf("PredictBatch on narrow row: err = %v, want gbt.ErrRowWidth", err)
 	}
 }
+
+// TestRefitPropensityAllocations: from the second Refit of one model on, the
+// propensity half of a refit reuses the model's buffers — it allocates the
+// fitted logistic model and nothing per row (the [][]float64 path made two
+// slices per row: its log features and their standardised copy) — and the
+// refit as a whole allocates no more for four times the rows than the
+// latency fit's own row-independent bookkeeping.
+func TestRefitPropensityAllocations(t *testing.T) {
+	refitAllocs := func(nFin, nRun int) float64 {
+		fin, run, finY := split(nFin, nRun, 15, 1, 21)
+		m := New(DefaultWarmConfig())
+		if err := m.Init(fin, run); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Refit(fin, finY, run); err != nil { // sizes the buffers
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(5, func() {
+			if err := m.fitPropensity(fin, run); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 4 {
+			t.Errorf("%d+%d rows: %v allocations per propensity refit, want <= 4", nFin, nRun, a)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := m.Refit(fin, finY, run); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := refitAllocs(60, 40), refitAllocs(240, 160)
+	t.Logf("allocations per warm Refit: %v at 100 rows, %v at 400", small, large)
+	if large > small+60 { // two per row would be +600
+		t.Errorf("Refit allocations grow with rows: %v at 100 rows, %v at 400", small, large)
+	}
+}
+
+// A running row of the wrong width used to panic inside the logistic fit's
+// dot product; it is an error now.
+func TestRefitRejectsRaggedRunningRows(t *testing.T) {
+	fin, run, finY := split(60, 20, 4, 1, 23)
+	m := New(DefaultConfig())
+	if err := m.Init(fin, run); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]float64{{1, 2, 3}, {1, 2, 3, 4, 5}, {}} {
+		ragged := append(append([][]float64{}, run[:7]...), bad)
+		if err := m.Refit(fin, finY, ragged); err == nil {
+			t.Errorf("running row of width %d among rows of 4: no error", len(bad))
+		}
+	}
+}

@@ -48,7 +48,7 @@ func FitElkanNoto(labeledX, unlabeledX [][]float64, seed uint64) (*ElkanNoto, er
 	cfg := linmodel.DefaultLogisticConfig()
 	clf, err := linmodel.FitLogistic(X, y, cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pu: fitting the labeled-vs-unlabeled classifier: %w", err)
 	}
 	// c = E[g(x) | x labeled], estimated on a labeled holdout (here the
 	// labeled set itself; with trace-scale data a separate holdout changes

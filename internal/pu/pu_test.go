@@ -61,6 +61,11 @@ func TestElkanNotoErrors(t *testing.T) {
 	if _, err := FitElkanNoto([][]float64{{1}}, nil, 1); err == nil {
 		t.Fatal("expected error with empty unlabeled set")
 	}
+	// Labeled and unlabeled rows of different widths used to panic in the
+	// logistic fit.
+	if _, err := FitElkanNoto([][]float64{{1, 2}, {3, 4}}, [][]float64{{1, 2}, {3}}, 1); err == nil {
+		t.Fatal("expected error with ragged rows")
+	}
 }
 
 func TestBaggingSeparates(t *testing.T) {
