@@ -623,22 +623,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // baseline prices the durability guarantee; the acceptance bar for the WAL
 // is staying within 25% of the baseline.
 func BenchmarkServeThroughputWAL(b *testing.B) {
-	benchServeThroughputWAL(b, serve.WALOptions{SyncEvery: 2 * time.Millisecond, Streams: 8})
-}
-
-// BenchmarkServeThroughputWALBatched is the same durable stream through the
-// batched cross-stream commit path (cmd/nurdserve -wal-commit-batch): each
-// group-commit window stages every dirty stream's tail into one shared
-// commit file and fsyncs once, so the 8-stream fan-out no longer multiplies
-// fsyncs. The extra metrics are the tentpole's measured claim: fsyncs/window
-// (commit fsyncs plus amortized absorb fsyncs per window; the per-stream
-// writer pays streams/window instead) and the per-window dirty-stream
-// fan-out it decoupled from.
-func BenchmarkServeThroughputWALBatched(b *testing.B) {
-	benchServeThroughputWAL(b, serve.WALOptions{SyncEvery: 2 * time.Millisecond, Streams: 8, CommitBatch: true})
-}
-
-func benchServeThroughputWAL(b *testing.B, walOpts serve.WALOptions) {
 	const numJobs = 4
 	gen, err := trace.NewGenerator(trace.DefaultGoogleConfig(benchSeed))
 	if err != nil {
@@ -661,7 +645,8 @@ func benchServeThroughputWAL(b *testing.B, walOpts serve.WALOptions) {
 		b.StopTimer()
 		dir := b.TempDir()
 		b.StartTimer()
-		sv, wal, _, err := serve.Recover(dir, benchServeConfig(), walOpts)
+		sv, wal, _, err := serve.Recover(dir, benchServeConfig(),
+			serve.WALOptions{SyncEvery: 2 * time.Millisecond, Streams: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -687,10 +672,6 @@ func benchServeThroughputWAL(b *testing.B, walOpts serve.WALOptions) {
 	b.StopTimer()
 	b.ReportMetric(float64(totalEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(float64(lastWAL.Bytes)/float64(lastWAL.Appends), "wal-bytes/event")
-	if lastWAL.CommitBatched && lastWAL.CommitWindows > 0 {
-		b.ReportMetric(float64(lastWAL.Syncs)/float64(lastWAL.CommitWindows), "fsyncs/window")
-		b.ReportMetric(float64(lastWAL.CommitRecords)/float64(lastWAL.CommitWindows), "streams/window")
-	}
 }
 
 // BenchmarkWALRecovery measures point-in-time recovery against WAL length:
@@ -760,110 +741,6 @@ func BenchmarkWALRecovery(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "replayed-events/s")
 	b.ReportMetric(walBytes/1024, "wal-KiB")
-}
-
-// BenchmarkWALRecoveryBatched measures recovery over the batched-commit
-// layout at its worst: the writer crashed with live commit files and
-// segments never hardened by an absorb, so every iteration pays the full
-// reconciliation (patch segments from the commit image, re-materialize them
-// durably, remove the commit files) before the k-way replay. The crashed
-// directory image is kept in memory and re-materialized per iteration,
-// because the first recovery repairs it in place.
-func BenchmarkWALRecoveryBatched(b *testing.B) {
-	const numJobs = 4
-	gen, err := trace.NewGenerator(trace.DefaultGoogleConfig(benchSeed))
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := gen.Jobs(numJobs)
-	dir := b.TempDir()
-	// SyncEvery an hour: windows come only from the explicit per-job Sync
-	// calls, so the commit files deterministically cover the whole log.
-	sv, wal, _, err := serve.Recover(dir, benchServeConfig(),
-		serve.WALOptions{SyncEvery: time.Hour, Streams: 8, CommitBatch: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := 0
-	for i, j := range jobs {
-		sim, err := simulator.New(j, simulator.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sv.StartJob(serve.SpecFor(sim, benchSeed+uint64(i)), nil); err != nil {
-			b.Fatal(err)
-		}
-		evs := serve.JobEvents(j, sim)
-		if err := sv.IngestBatch(evs); err != nil {
-			b.Fatal(err)
-		}
-		if err := wal.Sync(); err != nil {
-			b.Fatal(err)
-		}
-		records += 1 + len(evs)
-	}
-	walBytes := float64(sv.Stats().WAL.Bytes)
-	// Capture the live image before Close: Close's absorb hardens the
-	// segments and removes the commit files, which is exactly the state this
-	// benchmark must NOT recover from.
-	image := map[string][]byte{}
-	commitFiles := 0
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, e := range ents {
-		data, err := os.ReadFile(dir + "/" + e.Name())
-		if err != nil {
-			b.Fatal(err)
-		}
-		image[e.Name()] = data
-		if strings.HasPrefix(e.Name(), "commit-") {
-			commitFiles++
-		}
-	}
-	if commitFiles == 0 {
-		b.Fatal("no live commit files to recover through")
-	}
-	if err := wal.Close(); err != nil {
-		b.Fatal(err)
-	}
-	restore := func() {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range ents {
-			os.Remove(dir + "/" + e.Name())
-		}
-		for name, data := range image {
-			if err := os.WriteFile(dir+"/"+name, data, 0o644); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		restore()
-		b.StartTimer()
-		sv2, wal2, rst, err := serve.Recover(dir, benchServeConfig(), serve.WALOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if int(rst.NextLSN)-1 != records {
-			b.Fatalf("recovered %d records, want %d", rst.NextLSN-1, records)
-		}
-		if rst.CommitFiles != commitFiles {
-			b.Fatalf("reconciled %d commit files, %d were live", rst.CommitFiles, commitFiles)
-		}
-		wal2.Close()
-		_ = sv2
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "replayed-events/s")
-	b.ReportMetric(walBytes/1024, "wal-KiB")
-	b.ReportMetric(float64(commitFiles), "commit-files")
 }
 
 // BenchmarkSchedulerMitigated measures the event-driven mitigation scheduler

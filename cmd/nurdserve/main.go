@@ -17,23 +17,24 @@
 // acknowledged, and on start the server automatically recovers from the
 // newest snapshot plus the log (point-in-time recovery). The log is
 // sharded — each registry shard's jobs append to their own segment stream
-// (-wal-streams; 0 follows the shard count) — and checkpoints itself on a
+// (-wal-streams; 0 follows the shard count, capped at GOMAXPROCS) — and checkpoints itself on a
 // time and/or size policy (-wal-checkpoint-every / -wal-checkpoint-bytes),
 // so the retained log and recovery time stay bounded without operator
-// action. -wal-commit-batch switches durability to the batched group
-// commit: each fsync window stages every dirty stream's tail into one
-// shared commit file and syncs only that, so flush cost stays O(1) in the
-// stream count; recovery understands both layouts either way. A -replay after a recovery resumes the dump exactly where the
-// crashed process stopped — kill -9 mid-replay, rerun the same command,
-// and no event is lost or applied twice. That resume math requires the
-// dump to be the only mutation source, so with -wal the -listen front end
-// opens only after the replay drains. The dir must already exist and be
-// writable.
+// action. Durability is per-stream group commit: every -wal-sync window
+// fsyncs each stream that took appends. A -replay after a recovery resumes
+// the dump exactly where the crashed process stopped — kill -9 mid-replay,
+// rerun the same command, and no event is lost or applied twice (a
+// directory still holding the commit-*.seg files of the removed batched
+// writer recovers too, and is a plain per-stream layout afterwards). That
+// resume math requires the dump to be the only mutation source, so with
+// -wal the -listen front end opens only after the replay drains. The dir
+// must already exist and be writable.
 //
-// -wal-verify <dir> replays a WAL directory's structure offline — either
-// layout, including directories written before the per-shard upgrade — and
-// prints the recoverable LSN per shard plus the snapshot it would restore
-// from, without starting a server or writing a byte.
+// -wal-verify <dir> replays a WAL directory's structure offline — the
+// per-shard layout and the two read-only legacy ones (single-stream
+// segments from before the per-shard upgrade, commit files a batched writer
+// left) — and prints the recoverable LSN per shard plus the snapshot it
+// would restore from, without starting a server or writing a byte.
 //
 // -refit-mode selects the checkpoint refit strategy for every job this
 // process registers: scratch (retrain from zero — bit-identical to the
@@ -98,11 +99,10 @@ func main() {
 		hold      = flag.Duration("hold", 0, "with -listen and -replay: keep serving this long after the replay drains")
 		walDir    = flag.String("wal", "", "write-ahead log directory (must exist); enables durable serving with automatic recovery on start")
 		syncEvery = flag.Duration("wal-sync", 2*time.Millisecond, "WAL group-commit fsync interval (0 = fsync every append)")
-		walStream = flag.Int("wal-streams", 0, "per-shard WAL segment streams (0 = the server's shard count)")
+		walStream = flag.Int("wal-streams", 0, "per-shard WAL segment streams (0 = the server's shard count, capped at GOMAXPROCS)")
 		ckptEvery = flag.Duration("wal-checkpoint-every", time.Minute, "automatic WAL checkpoint period (0 disables the time trigger)")
 		ckptBytes = flag.Int64("wal-checkpoint-bytes", 64<<20, "automatic WAL checkpoint once this many bytes were appended since the last one (0 disables the size trigger)")
-		walBatch  = flag.Bool("wal-commit-batch", false, "batched cross-stream group commit: fsync one shared commit file per window instead of every dirty stream's segment (with -wal-streams 0 the fan-out then follows the shard count, not GOMAXPROCS)")
-		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure (either fsync layout, including commit files a batched writer left) and print the recoverable LSN per shard, then exit (no server is started)")
+		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure (per-shard, legacy single-stream, or with commit files the removed batched writer left) and print the recoverable LSN per shard, then exit (no server is started)")
 		refitMode = flag.String("refit-mode", "scratch", "checkpoint refit strategy: scratch (bit-identical to the offline Table 3 path) or warm (warm-started incremental boosting, several times cheaper per refit)")
 		refitWork = flag.Int("refit-workers", 0, "background refit workers per shard (0 = default); model fits run on these, off the ingest path")
 
@@ -124,7 +124,6 @@ func main() {
 		Streams:         *walStream,
 		CheckpointEvery: *ckptEvery,
 		CheckpointBytes: *ckptBytes,
-		CommitBatch:     *walBatch,
 	}
 	scfg := servingConfig{
 		shards: *shards, refitMode: mode, refitWorkers: *refitWork,

@@ -80,7 +80,6 @@ func TestFlatBitIdenticalProperty(t *testing.T) {
 		cfg.NumTrees = 5 + rng.Intn(20)
 		cfg.Seed = seed
 		if rng.Float64() < 0.5 {
-			cfg.Subsample = 0.7
 			cfg.Tree.FeatureFrac = 0.8
 		}
 

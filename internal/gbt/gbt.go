@@ -28,13 +28,11 @@ type Config struct {
 	NumTrees int
 	// LearningRate shrinks each tree's contribution.
 	LearningRate float64
-	// Subsample, if in (0,1), fits each tree on a random row subset.
-	Subsample float64
 	// Lambda is the L2 regularization added to leaf Hessians.
 	Lambda float64
 	// Tree holds the base-learner growth parameters.
 	Tree tree.Config
-	// Seed drives row/column subsampling.
+	// Seed drives column subsampling (Tree.FeatureFrac).
 	Seed uint64
 }
 
@@ -44,7 +42,6 @@ func DefaultConfig() Config {
 	return Config{
 		NumTrees:     50,
 		LearningRate: 0.1,
-		Subsample:    1.0,
 		Lambda:       1.0,
 		Tree:         tree.Config{MaxDepth: 3, MinLeaf: 3, MinSplit: 6},
 	}
@@ -176,23 +173,16 @@ func fitNewton(X [][]float64, n int, init float64, loss lossFuncs, cfg Config) (
 // m.LR, since Predict applies one shrinkage factor to every tree.
 //
 // X does not change between rounds, only the targets do, so its columns are
-// sorted once (tree.Presort) and every round grows from that order. Row
-// subsampling draws a different matrix each round and goes through tree.Fit.
+// sorted once (tree.Presort) and every round grows from that order.
 func boostRounds(m *Model, X [][]float64, n int, f []float64, loss lossFuncs, cfg Config, rng *stats.RNG) error {
 	g := make([]float64, n)
 	h := make([]float64, n)
 	negG := make([]float64, n)
-	var sorted *tree.Presorted // nil when rows are subsampled
-	var leaves []int32         // per row: ordinal of its leaf in the round's tree
-	if cfg.Subsample > 0 && cfg.Subsample < 1 {
-		leaves = make([]int32, n)
-	} else {
-		var err error
-		if sorted, err = tree.Presort(X); err != nil {
-			return err
-		}
-		leaves = sorted.Leaves()
+	sorted, err := tree.Presort(X)
+	if err != nil {
+		return err
 	}
+	leaves := sorted.Leaves() // per row: ordinal of its leaf in the round's tree
 	// Per leaf (a tree on n rows has at most n); leafG ends a round holding
 	// the leaf's value.
 	leafG, leafH := make([]float64, n), make([]float64, n)
@@ -202,25 +192,11 @@ func boostRounds(m *Model, X [][]float64, n int, f []float64, loss lossFuncs, cf
 		for i := range g {
 			negG[i] = -g[i]
 		}
-		var rows []int
-		if sorted == nil {
-			k := int(cfg.Subsample*float64(n) + 0.5)
-			if k < 1 {
-				k = 1
-			}
-			rows = rng.Sample(n, k)
-		}
 		tcfg := cfg.Tree
 		if tcfg.RNG == nil && tcfg.FeatureFrac > 0 && tcfg.FeatureFrac < 1 {
 			tcfg.RNG = rng.Split()
 		}
-		var tr *tree.Regressor
-		var err error
-		if sorted != nil {
-			tr, err = sorted.Grow(negG, nil, tcfg)
-		} else {
-			tr, err = fitRows(X, negG, rows, tcfg, leaves)
-		}
+		tr, err := sorted.Grow(negG, nil, tcfg)
 		if err != nil {
 			return err
 		}
@@ -248,25 +224,6 @@ func boostRounds(m *Model, X [][]float64, n int, f []float64, loss lossFuncs, cf
 	return nil
 }
 
-// fitRows fits a tree on the sampled rows of X with targets t, and fills
-// leaves with the leaf ordinal of every row of X, sampled or not.
-func fitRows(X [][]float64, t []float64, rows []int, cfg tree.Config, leaves []int32) (*tree.Regressor, error) {
-	trainX := make([][]float64, len(rows))
-	trainT := make([]float64, len(rows))
-	for j, r := range rows {
-		trainX[j] = X[r]
-		trainT[j] = t[r]
-	}
-	tr, err := tree.Fit(trainX, trainT, nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, x := range X {
-		leaves[i] = int32(tr.LeafIndex(x))
-	}
-	return tr, nil
-}
-
 // Extend continues boosting from an existing squared-error ensemble: it fits
 // `rounds` additional trees against the residuals of m's predictions on the
 // (possibly updated) training set and returns a new Model — m itself is never
@@ -275,7 +232,7 @@ func fitRows(X [][]float64, t []float64, rows []int, cfg tree.Config, leaves []i
 // copy. The result is deterministic given the same previous model, data, and
 // cfg.Seed (the extension RNG is derived from the seed and the current
 // ensemble size, so successive extensions of one model draw distinct but
-// reproducible subsample streams).
+// reproducible column-sample streams).
 //
 // Extend is the warm-start primitive behind incremental checkpoint refits
 // (nurd.Model.Refit): refitting 10-20 rounds on top of the previous

@@ -61,23 +61,10 @@ func TestRegressorMoreTreesHelp(t *testing.T) {
 	}
 }
 
-func TestRegressorSubsample(t *testing.T) {
-	X, y := makeRegressionData(300, 0.2, 3)
-	cfg := DefaultConfig()
-	cfg.Subsample = 0.7
-	m, err := FitRegressor(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mse(m, X, y); got > stats.Variance(y)*0.3 {
-		t.Fatalf("subsampled model failed to learn: MSE %v", got)
-	}
-}
-
 func TestRegressorDeterministic(t *testing.T) {
 	X, y := makeRegressionData(200, 0.1, 4)
 	cfg := DefaultConfig()
-	cfg.Subsample = 0.8
+	cfg.Tree.FeatureFrac = 0.5
 	cfg.Seed = 99
 	a, err := FitRegressor(X, y, cfg)
 	if err != nil {
@@ -225,12 +212,11 @@ func TestPredictBatch(t *testing.T) {
 	}
 }
 
-// extendConfig exercises every stochastic component of the extension path
-// (row subsampling and column subsampling both draw from the derived RNG), so
-// the determinism property below is meaningful.
+// extendConfig exercises the stochastic component of the extension path
+// (column subsampling draws from the derived RNG), so the determinism
+// property below is meaningful.
 func extendConfig(seed uint64) Config {
 	cfg := DefaultConfig()
-	cfg.Subsample = 0.8
 	cfg.Tree.FeatureFrac = 0.5
 	cfg.Seed = seed
 	return cfg

@@ -144,10 +144,6 @@ func (s Stats) String() string {
 	if s.WAL != nil {
 		base += fmt.Sprintf(" wal_streams=%d wal_segments=%d wal_next_lsn=%d wal_pending=%dB wal_checkpoints=%d",
 			s.WAL.Streams, s.WAL.Segments, s.WAL.NextLSN, s.WAL.PendingBytes, s.WAL.Checkpoints)
-		if s.WAL.CommitBatched {
-			base += fmt.Sprintf(" wal_commit_windows=%d wal_commit_records=%d wal_commit_files=%d wal_syncs=%d",
-				s.WAL.CommitWindows, s.WAL.CommitRecords, s.WAL.CommitFiles, s.WAL.Syncs)
-		}
 	}
 	return base
 }

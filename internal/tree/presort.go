@@ -183,8 +183,8 @@ func (p *Presorted) Grow(y, w []float64, cfg Config) (*Regressor, error) {
 	return &Regressor{nodes: slices.Clone(p.nodes), ncols: p.d}, nil
 }
 
-// Leaves returns, for each training row, the ordinal (as AdjustLeaves and
-// LeafIndex count leaves) of the leaf the last Grow put it in. The slice is
+// Leaves returns, for each training row, the ordinal (as AdjustLeaves
+// counts leaves) of the leaf the last Grow put it in. The slice is
 // overwritten by the next Grow.
 func (p *Presorted) Leaves() []int32 { return p.leaves }
 

@@ -235,28 +235,3 @@ func (t *Regressor) ScaleLeaves(c float64) {
 		}
 	}
 }
-
-// LeafIndex returns the ordinal (in node-array order) of the leaf x falls
-// into, for use with AdjustLeaves.
-func (t *Regressor) LeafIndex(x []float64) int {
-	// Map node index -> leaf ordinal.
-	target := int32(0)
-	for {
-		n := &t.nodes[target]
-		if n.feature < 0 {
-			break
-		}
-		if x[n.feature] <= n.threshold {
-			target = n.left
-		} else {
-			target = n.right
-		}
-	}
-	leaf := 0
-	for i := int32(0); i < target; i++ {
-		if t.nodes[i].feature < 0 {
-			leaf++
-		}
-	}
-	return leaf
-}

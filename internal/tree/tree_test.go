@@ -148,6 +148,32 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
+// leafIndex walks x down t and returns the ordinal (in node-array order, as
+// AdjustLeaves counts) of the leaf it lands in: the oracle for
+// Presorted.Leaves and AdjustLeaves' numbering.
+func leafIndex(t *Regressor, x []float64) int {
+	// Map node index -> leaf ordinal.
+	target := int32(0)
+	for {
+		n := &t.nodes[target]
+		if n.feature < 0 {
+			break
+		}
+		if x[n.feature] <= n.threshold {
+			target = n.left
+		} else {
+			target = n.right
+		}
+	}
+	leaf := 0
+	for i := int32(0); i < target; i++ {
+		if t.nodes[i].feature < 0 {
+			leaf++
+		}
+	}
+	return leaf
+}
+
 func TestLeafIndexConsistentWithAdjust(t *testing.T) {
 	rng := stats.NewRNG(4)
 	var X [][]float64
@@ -161,12 +187,12 @@ func TestLeafIndexConsistentWithAdjust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tag each leaf with its ordinal, then check LeafIndex agrees with the
+	// Tag each leaf with its ordinal, then check leafIndex agrees with the
 	// value found by Predict.
 	tr.AdjustLeaves(func(leaf int, v float64) float64 { return float64(leaf) })
 	for i := 0; i < 50; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
-		if got, want := tr.LeafIndex(x), int(tr.Predict(x)); got != want {
+		if got, want := leafIndex(tr, x), int(tr.Predict(x)); got != want {
 			t.Fatalf("LeafIndex %d != tagged leaf %d", got, want)
 		}
 	}
@@ -390,7 +416,7 @@ func TestFitWithNaNAndInfCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, leaf := range p.Leaves() {
-			if got := a.LeafIndex(X[i]); got != int(leaf) {
+			if got := leafIndex(a, X[i]); got != int(leaf) {
 				t.Fatalf("seed %d: row %d grown into leaf %d, Predict walks to leaf %d", seed, i, leaf, got)
 			}
 		}

@@ -1,21 +1,13 @@
 package wal
 
-// commit.go is the batched cross-stream group commit (Options.CommitBatch).
-//
-// The per-stream-fsync design pays one fsync per dirty stream per
-// group-commit window, so the useful stream fan-out is capped at the CPU
-// count: past it, extra streams buy no append parallelism and only
-// multiply flush load on the log device. Batching inverts the cost: each
-// window captures every dirty stream's unsynced tail bytes, frames them as
-// wire.FrameCommitBatch records — (shard, segment stamp, offset, bytes) —
-// appends them to one shared commit file (commit-<stamp>.seg), and fsyncs
-// that single file. The commit file is the durability point; the
-// per-stream segment files are only the layout, their bytes sitting in the
-// OS page cache until an absorb pass hardens them with a segment fsync.
-// Absorb runs where fsyncs are cheap or mandatory anyway — rotation,
-// checkpoints, idle flush ticks, Close — and then unlinks the commit files
-// its segment fsyncs made redundant, strictly in that order, so at no
-// instant does an acknowledged byte exist only in a removed file.
+// commit.go reads the one on-disk layout this package no longer writes:
+// the batched cross-stream group commit. That writer (deleted; it never
+// measured ahead of per-stream fsync) staged every dirty stream's unsynced
+// tail into one shared commit file per window — wire.FrameCommitBatch
+// records of (shard, segment stamp, offset, bytes) in commit-<stamp>.seg —
+// and fsynced only that file, leaving the per-stream segments in the page
+// cache until a later pass hardened them. A directory it crashed in can
+// therefore hold acknowledged bytes that exist only in a commit file.
 //
 // Recovery reconciles before it scans: surviving commit files are replayed
 // in stamp order and their extents patched over each target segment's
@@ -23,12 +15,12 @@ package wal
 // corrupt batch record ends the trustable patch sequence exactly like a
 // torn frame ends a segment; an extent starting beyond a target's current
 // length marks that target's hole (its hardened prefix ended earlier) and
-// later patches for it are skipped; a missing target was retired by a
-// checkpoint and its stale patches are skipped whole. With repair set the
-// patched targets are rewritten durably (temp file, fsync, rename, dir
-// sync) and the commit files removed — a recovered directory is always a
-// plain per-stream layout, so any writer generation reopens it — while
-// Verify patches a read-only overlay and never writes a byte.
+// later patches for it are skipped; a target absent from the directory was
+// retired by a checkpoint and its stale patches are skipped whole. With
+// repair set the patched targets are rewritten durably (temp file, fsync,
+// rename, dir sync) and the commit files removed — a recovered directory
+// is always a plain per-stream layout — while Verify patches a read-only
+// overlay and never writes a byte.
 
 import (
 	"repro/internal/wire"
@@ -37,190 +29,8 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
-	"time"
+	"slices"
 )
-
-// committer is the shared commit-file writer behind WAL.cw. Its mutex is
-// the commit lock: it orders before every stream's syncMu/mu (commitFlush
-// and absorb acquire it first, then walk the streams), which is why the
-// batched append path drops its stream lock before flushing.
-type committer struct {
-	w *WAL
-
-	mu      sync.Mutex
-	f       File    // open commit file; nil until a window stages bytes
-	written int64   // bytes in the open commit file
-	files   []Entry // live commit files, ascending stamp
-	batch   []byte  // framed-window scratch, reused under mu
-	enc     []byte  // payload scratch, reused under mu
-
-	// Counters are atomics so Stats never blocks behind an in-flight
-	// commit fsync.
-	windows   atomic.Uint64
-	records   atomic.Uint64
-	bytes     atomic.Uint64
-	syncs     atomic.Uint64
-	liveFiles atomic.Int64
-}
-
-// commitFlush stages every dirty stream's tail into the shared commit file
-// and fsyncs it once — the group-commit window's single data fsync,
-// regardless of how many streams are dirty. Returns how many batch records
-// were staged; 0 means nothing was dirty and no fsync happened.
-func (c *committer) commitFlush() (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.w
-	if err := w.Err(); err != nil {
-		return 0, err
-	}
-	batch := c.batch[:0]
-	n := 0
-	for _, s := range w.streams {
-		s.mu.Lock()
-		if s.f != nil && len(s.tail) > 0 {
-			// Framing copies the tail out under s.mu, so the batch never
-			// aliases the stream's buffer — appends and absorbs may reuse it
-			// the moment the lock drops.
-			e := wire.Enc{B: c.enc[:0]}
-			wire.AppendCommitBatchPayload(&e, s.shard, s.stamp,
-				uint64(s.written)-uint64(len(s.tail)), s.tail)
-			c.enc = e.B[:0]
-			batch = wire.AppendFrame(batch, wire.FrameCommitBatch, e.B)
-			n++
-			// Cleared at capture, not after the fsync: the bytes are
-			// durable the moment the sync below returns, and if it fails
-			// the WAL wedges — the optimistic clear can never leak an
-			// unsynced byte into an acknowledgment.
-			s.tail = s.tail[:0]
-			s.pending = 0
-			s.pendingSince = time.Time{}
-		}
-		s.mu.Unlock()
-	}
-	c.batch = batch[:0]
-	if n == 0 {
-		return 0, nil
-	}
-	if c.f == nil {
-		if err := c.createLocked(); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := c.f.Write(batch); err != nil {
-		return 0, w.failWith(fmt.Errorf("serve/wal: commit append: %w", err))
-	}
-	if err := c.f.Sync(); err != nil {
-		return 0, w.failWith(fmt.Errorf("serve/wal: commit sync: %w", err))
-	}
-	c.written += int64(len(batch))
-	c.syncs.Add(1)
-	c.windows.Add(1)
-	c.records.Add(uint64(n))
-	c.bytes.Add(uint64(len(batch)))
-	if c.written >= w.opts.SegmentBytes {
-		// Rotate by the segment threshold; the absorbed predecessors are
-		// unlinked by the next absorb pass, so commit files never
-		// accumulate past what the absorb cadence retains.
-		if err := c.closeLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
-}
-
-// createLocked opens a fresh commit file, named by the global sequence.
-// Staged bytes exist only after appends, and appends advance the sequence,
-// so successive commit files get strictly increasing stamps. As with
-// segments, the directory entry is made durable before any batch record
-// lands in the file.
-func (c *committer) createLocked() error {
-	w := c.w
-	stamp := w.seq.Load()
-	name := CommitName(stamp)
-	f, err := w.opts.FS.Create(filepath.Join(w.dir, name))
-	if err != nil {
-		return w.failWith(fmt.Errorf("serve/wal: create commit file: %w", err))
-	}
-	if err := w.opts.FS.SyncDir(w.dir); err != nil {
-		f.Close()
-		return w.failWith(fmt.Errorf("serve/wal: sync dir: %w", err))
-	}
-	hdr := wire.AppendHeader(nil)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return w.failWith(fmt.Errorf("serve/wal: commit header: %w", err))
-	}
-	c.f = f
-	c.written = int64(len(hdr))
-	c.files = append(c.files, Entry{Name: name, Seq: stamp})
-	c.liveFiles.Store(int64(len(c.files)))
-	return nil
-}
-
-func (c *committer) closeLocked() error {
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
-	if err != nil {
-		return c.w.failWith(fmt.Errorf("serve/wal: commit close: %w", err))
-	}
-	return nil
-}
-
-// closeFile closes the open commit file handle without absorbing (Close's
-// final sweep, after an append racing shutdown may have reopened one).
-func (c *committer) closeFile() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closeLocked()
-}
-
-// absorb hardens every stream's open segment (one fsync per dirty-layout
-// stream) and then unlinks the commit files those fsyncs made redundant.
-// The order is the correctness: every segment fsync completes before any
-// commit file is removed, so at no instant does an acknowledged byte exist
-// only in a removed file. Rotation, checkpoints, idle flush ticks, and
-// Close all funnel here; under steady append load the WAL never pays
-// absorb's per-stream fsyncs — they happen when the device is quiet.
-func (c *committer) absorb() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil && len(c.files) == 0 {
-		// Nothing staged since the last absorb: every written byte is
-		// either hardened already or still pending its first flush.
-		return nil
-	}
-	w := c.w
-	for _, s := range w.streams {
-		s.syncMu.Lock()
-		s.mu.Lock()
-		err := s.absorbLocked()
-		s.mu.Unlock()
-		s.syncMu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	if err := c.closeLocked(); err != nil {
-		return err
-	}
-	for len(c.files) > 0 {
-		if err := w.opts.FS.Remove(filepath.Join(w.dir, c.files[0].Name)); err != nil {
-			// Not a wedge: a stranded commit file only makes the next
-			// recovery re-apply patches already hardened in the segments.
-			c.liveFiles.Store(int64(len(c.files)))
-			return fmt.Errorf("serve/wal: remove commit file: %w", err)
-		}
-		c.files = c.files[1:]
-	}
-	c.liveFiles.Store(0)
-	return nil
-}
 
 // reconcileCommitFiles replays dir's commit files (ascending stamp) and
 // patches each target segment's image so the scan that follows reads the
@@ -229,13 +39,14 @@ func (c *committer) absorb() error {
 // the commit files removed, so the original FS is returned over a
 // directory that is once again a plain per-stream layout; without repair
 // (Verify) the patches live in a read-only overlay and the directory is
-// untouched. A directory with no commit files passes through unchanged —
-// the per-stream-fsync upgrade path costs nothing.
+// untouched. A directory with no commit files — every directory a current
+// writer produces — passes through unchanged at the cost of one listing.
 func reconcileCommitFiles(fs FS, dir string, repair bool, rst *RecoveryStats) (FS, error) {
-	files, err := ListSorted(fs, dir, CommitPrefix, SegSuffix)
+	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return fs, fmt.Errorf("serve: recover: wal dir %s: %w", dir, err)
 	}
+	files := sortedEntries(names, CommitPrefix, SegSuffix)
 	if len(files) == 0 {
 		return fs, nil
 	}
@@ -255,13 +66,19 @@ func reconcileCommitFiles(fs FS, dir string, repair bool, rst *RecoveryStats) (F
 		}
 		t := &target{name: name}
 		targets[name] = t
-		rc, err := fs.Open(filepath.Join(dir, name))
-		if err != nil {
-			// Segment creation makes the directory entry durable before any
-			// commit record can reference the segment, so absence means a
+		if !slices.Contains(names, name) {
+			// Segment creation made the directory entry durable before any
+			// commit record could reference the segment, so absence means a
 			// checkpoint retired it after its bytes hardened.
 			t.missing = true
 			return t, nil
+		}
+		// The segment exists, so failing to open it is an I/O error, not a
+		// retirement: skipping its patches here would let repair remove the
+		// commit files and with them the only copy of acknowledged bytes.
+		rc, err := fs.Open(filepath.Join(dir, name))
+		if err != nil {
+			return nil, fmt.Errorf("serve: recover: %s: %w", name, err)
 		}
 		defer rc.Close()
 		b, err := io.ReadAll(rc)

@@ -1,31 +1,29 @@
 package wal_test
 
-// commit_test.go covers the batched cross-stream group commit
-// (WALOptions.CommitBatch): the O(1)-fsync-per-window contract, the
-// torture sweeps specific to the commit-file layout (crashes at commit
-// file byte prefixes, power loss between commit-fsync and absorb, bit
-// flips in batch records), the per-stream <-> batched upgrade and
-// downgrade paths, the read-only Verify reconciliation, and the /stats
-// surface. The two Sync-machinery regression tests (error joining across
-// failing streams, the flusher exiting once the log wedges) live here too
-// because their fixtures share the fault-injecting filesystems.
+// commit_test.go covers the reader of the batched cross-stream commit
+// layout. Nothing writes that layout any more, so the suites run over two
+// golden directories a batched writer crashed in (testdata/batched, see its
+// README): recovery under the only writer, the read-only Verify
+// reconciliation, and torture sweeps over the golden commit file (byte
+// prefixes, bit flips, segments cut by a power loss). The two
+// Sync-machinery regression tests (error joining across failing streams,
+// the flusher exiting once the log wedges) live here too because their
+// fixtures share the fault-injecting filesystems.
 
 import (
 	. "repro/internal/serve"
-	"repro/internal/servehttp"
 	walpkg "repro/internal/wal"
 	"repro/internal/wal/waltest"
 	"repro/internal/wire"
 
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
+	"os"
 	"path/filepath"
-	"runtime"
+	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -162,702 +160,448 @@ func (f *wedgeFile) Sync() error {
 
 // TestWALFlushLoopExitsWhenWedged: once the first flush failure wedges the
 // log, the background flusher must stop ticking instead of hammering the
-// dead device with a doomed fsync every SyncEvery. The per-stream subtest
-// carries the real regression — a live per-stream loop attempts stream
-// fsyncs every tick, while a wedged batched commitFlush early-returns
-// before touching a file either way.
+// dead device with a doomed fsync every SyncEvery.
 func TestWALFlushLoopExitsWhenWedged(t *testing.T) {
-	const tick = 2 * time.Millisecond
-	for _, tc := range []struct {
-		name  string
-		batch bool
-	}{
-		{"per-stream", false},
-		{"batched", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := &wedgeFS{WALFS: waltest.NewMemFS()}
-			sv, wal, _, err := Recover("wal", cheapCfg(1),
-				WALOptions{Streams: 1, SyncEvery: tick, CommitBatch: tc.batch, FS: fs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sv.StartJob(commitSpec(1), nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: 1, TaskID: 0, Time: 1}); err != nil {
-				t.Fatal(err)
-			}
-			fs.broken.Store(true)
-			// Keep the stream dirty with heartbeats until a flusher tick hits
-			// the broken device and the wedge latches.
-			deadline := time.Now().Add(5 * time.Second)
-			for tm := 2.0; ; tm++ {
-				err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 0,
-					Time: tm, Features: []float64{tm}})
-				if errors.Is(err, ErrWALFailed) {
-					break
-				}
-				if err != nil {
-					t.Fatalf("pre-wedge ingest: %v", err)
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("flusher never wedged the log")
-				}
-				time.Sleep(tick)
-			}
-			// Drain any tick already in flight, then require silence: a
-			// flusher that kept running would attempt ~50 more fsyncs.
-			time.Sleep(5 * tick)
-			before := fs.syncs.Load()
-			time.Sleep(50 * tick)
-			if after := fs.syncs.Load(); after != before {
-				t.Fatalf("wedged log saw %d fsync attempts after the wedge settled; the flusher is still ticking", after-before)
-			}
-			wal.Close()
-		})
-	}
-}
-
-// --- the O(1) fsync contract ---
-
-// TestWALBatchedCommitOneFsyncPerWindow is the tentpole's measurable
-// claim, pinned at GOMAXPROCS=1 where the old coupling bit hardest: a
-// group-commit window over 8 dirty streams costs 8 fsyncs per-stream and
-// exactly 1 batched — and the default stream fan-out tracks the shard
-// count under batching instead of being capped at the CPU count.
-func TestWALBatchedCommitOneFsyncPerWindow(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ids := jobIDsCoveringStreams(8)
-	for _, tc := range []struct {
-		name      string
-		batch     bool
-		wantDelta uint64
-	}{
-		{"per-stream", false, 8},
-		{"batched", true, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sv, wal, _, err := Recover("wal", cheapCfg(8),
-				WALOptions{Streams: 8, SyncEvery: time.Hour, CommitBatch: tc.batch, FS: waltest.NewMemFS()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer wal.Close()
-			syncDelta := func(dirty string) uint64 {
-				t.Helper()
-				before := wal.Stats().Syncs
-				if err := wal.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				delta := wal.Stats().Syncs - before
-				if delta != tc.wantDelta {
-					t.Fatalf("window with %s dirty: %d fsyncs, want %d", dirty, delta, tc.wantDelta)
-				}
-				return delta
-			}
-			// Window 1: one spec per stream — all 8 streams dirty.
-			for _, id := range ids {
-				if err := sv.StartJob(commitSpec(id), nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			syncDelta("8 streams (specs)")
-			// Window 2: one event per stream — all 8 dirty again.
-			for _, id := range ids {
-				if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: id, TaskID: 0, Time: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			syncDelta("8 streams (events)")
-			if tc.batch {
-				st := wal.Stats()
-				if !st.CommitBatched {
-					t.Error("Stats.CommitBatched is false on a batched writer")
-				}
-				if st.CommitWindows != 2 || st.CommitRecords != 16 {
-					t.Errorf("windows=%d records=%d, want 2 and 16 (8 streams x 2 windows)",
-						st.CommitWindows, st.CommitRecords)
-				}
-			}
-		})
-	}
-
-	// Default fan-out: unset Streams resolves to the shard count under
-	// batching, but stays capped at GOMAXPROCS (pinned to 1 above) when
-	// every dirty stream pays its own fsync.
-	for _, tc := range []struct {
-		batch bool
-		want  int
-	}{
-		{true, 8},
-		{false, 1},
-	} {
-		_, wal, _, err := Recover("wal", cheapCfg(8),
-			WALOptions{CommitBatch: tc.batch, FS: waltest.NewMemFS()})
+	// Per-stream is the only mode left; the subtest keeps the name this case
+	// has always run under.
+	t.Run("per-stream", func(t *testing.T) {
+		const tick = 2 * time.Millisecond
+		fs := &wedgeFS{WALFS: waltest.NewMemFS()}
+		sv, wal, _, err := Recover("wal", cheapCfg(1),
+			WALOptions{Streams: 1, SyncEvery: tick, FS: fs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := wal.Streams(); got != tc.want {
-			t.Errorf("CommitBatch=%v, 8 shards, GOMAXPROCS=1: default fan-out %d, want %d",
-				tc.batch, got, tc.want)
+		if err := sv.StartJob(commitSpec(1), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: 1, TaskID: 0, Time: 1}); err != nil {
+			t.Fatal(err)
+		}
+		fs.broken.Store(true)
+		// Keep the stream dirty with heartbeats until a flusher tick hits
+		// the broken device and the wedge latches.
+		deadline := time.Now().Add(5 * time.Second)
+		for tm := 2.0; ; tm++ {
+			err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 0,
+				Time: tm, Features: []float64{tm}})
+			if errors.Is(err, ErrWALFailed) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("pre-wedge ingest: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("flusher never wedged the log")
+			}
+			time.Sleep(tick)
+		}
+		// Drain any tick already in flight, then require silence: a
+		// flusher that kept running would attempt ~50 more fsyncs.
+		time.Sleep(5 * tick)
+		before := fs.syncs.Load()
+		time.Sleep(50 * tick)
+		if after := fs.syncs.Load(); after != before {
+			t.Fatalf("wedged log saw %d fsync attempts after the wedge settled; the flusher is still ticking", after-before)
 		}
 		wal.Close()
-	}
+	})
 }
 
-// --- torture sweeps over the batched layout ---
+// --- the golden crashed-batched directories ---
 
-// TestWALTortureBatchedEveryFrameBoundary is the boundary sweep of the
-// batched writer: crash at sampled write boundaries (segment appends,
-// commit batches, snapshot frames), recover, resume, and require the
-// per-stream acceptance bar unchanged — plus the batched-only invariant
-// that a recovered-and-closed directory is always a plain per-stream
-// layout (repair materializes patches and removes the commit files).
-func TestWALTortureBatchedEveryFrameBoundary(t *testing.T) {
-	feed, specs := tortureFeed(t, 20, 137)
-	opts := WALOptions{SegmentBytes: 16 << 10, Streams: 4, CommitBatch: true}
-	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 4, 0)
+// goldenSyncStride is how often the batched writer that produced the golden
+// directories was synced: one commit window per 8 mutations, so the feed's
+// last len(feed)%8 mutations were acknowledged but never reached the commit
+// file.
+const goldenSyncStride = 8
 
-	// Sanity: batching is pure durability mechanics — the run must match a
-	// WAL-less server bit for bit.
+// goldenFeed decodes testdata/batched/feed.wire — the exact feed the golden
+// writer was driven with — and replays it into a WAL-less server for the
+// never-crashed reference state.
+func goldenFeed(t testing.TB) ([]tortureMutation, []JobSpec, tortureState) {
+	t.Helper()
+	f, err := os.Open("testdata/batched/feed.wire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var feed []tortureMutation
+	var specs []JobSpec
+	for wr := wire.NewReader(f); ; {
+		sp, ev, err := wr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp != nil {
+			specs = append(specs, *sp)
+		}
+		feed = append(feed, tortureMutation{spec: sp, ev: ev})
+	}
 	plain := NewServer(tortureCfg(2))
 	for i := range feed {
 		if err := feed[i].apply(plain); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d := ref.diff(captureState(t, plain, specs)); d != "" {
-		t.Fatalf("batched WAL run diverges from WAL-less run: %s", d)
-	}
-
-	stride := 5
-	if testing.Short() || raceEnabled {
-		stride = 17
-	}
-	crashes := make([]int64, 0, len(fs.Journal))
-	var off int64
-	for _, op := range fs.Journal {
-		if op.Kind == waltest.OpWrite {
-			off += int64(len(op.Data))
-			crashes = append(crashes, off)
-		}
-	}
-	for i := 0; i < len(crashes); i += stride {
-		x := crashes[i]
-		crashed := waltest.FSAt(fs.Journal, x, false)
-		got, rst := recoverAndResume(t, crashed, feed, specs, opts)
-		want := expectedLSN(boundaries, x)
-		if rst.NextLSN < want {
-			t.Fatalf("crash at byte %d: recovered LSN %d < %d — an acknowledged mutation was lost (%v)",
-				x, rst.NextLSN, want, rst)
-		}
-		if rst.NextLSN > want+1 {
-			t.Fatalf("crash at byte %d: recovered LSN %d, acked %d — phantom records invented (%v)",
-				x, rst.NextLSN, want, rst)
-		}
-		if d := ref.diff(got); d != "" {
-			t.Fatalf("crash at byte %d (recovery %v): %s", x, rst, d)
-		}
-		// recoverAndResume closed its WAL; repair plus Close's absorb must
-		// leave no commit file behind.
-		if names := commitFileNames(crashed); len(names) != 0 {
-			t.Fatalf("crash at byte %d: %v survive recovery and close; repaired directories must be plain per-stream layout",
-				x, names)
-		}
-	}
+	return feed, specs, captureState(t, plain, specs)
 }
 
-// TestWALTortureBatchedCommitPrefixes crashes at every sampled byte prefix
-// of the commit-file appends themselves — the adversarial case the commit
-// file introduces, where the window's batch is partially persisted. The
-// recovered LSN must sit between the last completed commit fsync's floor
-// (no durable window lost) and the written prefix (no phantom records),
-// and the resumed run must stay bit-identical.
-func TestWALTortureBatchedCommitPrefixes(t *testing.T) {
-	feed, specs := tortureFeed(t, 12, 163)
-	const syncStride = 8
-	opts := WALOptions{SegmentBytes: 16 << 10, SyncEvery: time.Hour, Streams: 4, CommitBatch: true}
-	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 0, syncStride)
-
-	// Durability floors: at each commit-file fsync, every mutation written
-	// before it was staged in some completed window (the harness is
-	// single-threaded, so capture -> write -> sync never interleaves a
-	// mutation), hence durable from then on — even after an absorb later
-	// migrates the bytes into segment files and removes the commit file.
-	type syncFloor struct {
-		off int64
-		lsn uint64
+// goldenImage loads one golden directory (testdata/batched/<name>) into a
+// fresh in-memory filesystem as the WAL directory "wal". "crash" is the
+// process-crash image (every written byte survives: full segments beside the
+// commit file); "powerloss" cut each never-fsynced segment to nothing, so
+// the synced windows live only in the commit file.
+func goldenImage(t testing.TB, name string) *waltest.MemFS {
+	t.Helper()
+	dir := filepath.Join("testdata/batched", name)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var floors []syncFloor
-	type prefixCand struct {
-		op  int   // journal index of the commit-file write
-		off int64 // cumulative written bytes before it
-		k   int   // persisted prefix length of the write
-	}
-	var cands []prefixCand
-	var off int64
-	for i, op := range fs.Journal {
-		isCommit := strings.HasPrefix(filepath.Base(op.Name), walpkg.CommitPrefix)
-		switch op.Kind {
-		case waltest.OpWrite:
-			if isCommit {
-				for k := 1; k <= len(op.Data); k++ {
-					cands = append(cands, prefixCand{op: i, off: off, k: k})
-				}
-			}
-			off += int64(len(op.Data))
-		case waltest.OpSync:
-			if isCommit {
-				floors = append(floors, syncFloor{off: off, lsn: expectedLSN(boundaries, off)})
-			}
-		}
-	}
-	if len(floors) == 0 || len(cands) == 0 {
-		t.Fatalf("run produced %d commit fsyncs and %d prefix candidates; the batched path never engaged", len(floors), len(cands))
-	}
-
-	stride := len(cands)/1000 + 1
-	if testing.Short() || raceEnabled {
-		stride = len(cands)/60 + 1
-	}
-	commitFiles := 0
-	for i := 0; i < len(cands); i += stride {
-		c := cands[i]
-		// Power loss at the candidate write, with the first k bytes of the
-		// in-flight batch persisted anyway — the torn commit tail.
-		crashed := waltest.FSAt(fs.Journal, c.off, true)
-		wop := fs.Journal[c.op]
-		crashed.Files[wop.Name] = append(crashed.Files[wop.Name], wop.Data[:c.k]...)
-		crashed.Synced[wop.Name] = len(crashed.Files[wop.Name])
-		got, rst := recoverAndResume(t, crashed, feed, specs, opts)
-		commitFiles += rst.CommitFiles
-		lower := uint64(1)
-		for _, fl := range floors {
-			if fl.off <= c.off && fl.lsn > lower {
-				lower = fl.lsn
-			}
-		}
-		if rst.NextLSN < lower {
-			t.Fatalf("commit prefix %d+%dB: recovered LSN %d < %d — a completed commit window was lost (%v)",
-				c.off, c.k, rst.NextLSN, lower, rst)
-		}
-		if upper := expectedLSN(boundaries, c.off); rst.NextLSN > upper {
-			t.Fatalf("commit prefix %d+%dB: recovered LSN %d beyond the written prefix %d (%v)",
-				c.off, c.k, rst.NextLSN, upper, rst)
-		}
-		if d := ref.diff(got); d != "" {
-			t.Fatalf("commit prefix %d+%dB (recovery %v): %s", c.off, c.k, rst, d)
-		}
-	}
-	if commitFiles == 0 {
-		t.Error("no sweep point recovered through a commit file; the reconciliation path went unexercised")
-	}
-}
-
-// TestWALTortureBatchedPowerLoss is the power-loss model over the batched
-// writer with periodic checkpoints, so crash points land before, between,
-// and after the commit fsync and the absorb that hardens segments: only
-// unsynced windows may be lost, never more than one, and the re-fed run
-// stays bit-identical.
-func TestWALTortureBatchedPowerLoss(t *testing.T) {
-	feed, specs := tortureFeed(t, 20, 139)
-	const syncStride = 16
-	opts := WALOptions{SegmentBytes: 16 << 10, SyncEvery: time.Hour, Streams: 4, CommitBatch: true}
-	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 3, syncStride)
-
-	rng := rand.New(rand.NewSource(139))
-	total := fs.TotalWritten()
-	points := 100
-	if testing.Short() || raceEnabled {
-		points = 20
-	}
-	for i := 0; i < points; i++ {
-		x := 1 + rng.Int63n(total-1)
-		got, rst := recoverAndResume(t, waltest.FSAt(fs.Journal, x, true), feed, specs, opts)
-		durable := expectedLSN(boundaries, x)
-		if rst.NextLSN > durable {
-			t.Fatalf("power loss at byte %d: recovered LSN %d beyond the written prefix %d (%v)",
-				x, rst.NextLSN, durable, rst)
-		}
-		if durable-rst.NextLSN > syncStride+1 {
-			t.Fatalf("power loss at byte %d: lost %d mutations, more than one %d-wide commit window",
-				x, durable-rst.NextLSN, syncStride)
-		}
-		if d := ref.diff(got); d != "" {
-			t.Fatalf("power loss at byte %d (recovery %v): %s", x, rst, d)
-		}
-	}
-}
-
-// TestWALTortureBatchedBitFlips corrupts single bits under the batched
-// layout. A flip in a batch record fails its CRC and ends the trustable
-// patch sequence — reconciliation must fall back to the durable prefix,
-// never patch garbage. A flip in a segment file inside a commit-covered
-// extent is *healed*: reconciliation rewrites the extent from the commit
-// image. Either way the re-fed run must converge bit-identically.
-func TestWALTortureBatchedBitFlips(t *testing.T) {
-	feed, specs := tortureFeed(t, 20, 149)
-	// A large segment threshold suppresses rotation (and so absorb; no
-	// checkpoints either), keeping every commit file alive to the end —
-	// under power loss the never-fsynced segments truncate to nothing and
-	// every durable byte lives only in the commit files.
-	const syncStride = 8
-	opts := WALOptions{SegmentBytes: 1 << 20, SyncEvery: time.Hour, Streams: 4, CommitBatch: true}
-	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 0, syncStride)
-	// Cut one byte short of the end: Close's absorb (segment fsyncs,
-	// commit-file removes) sits past the last write, and FSAt only stops
-	// replaying metadata when a write exceeds the cut.
-	cut := boundaries[len(boundaries)-1] - 1
-
-	base := waltest.FSAt(fs.Journal, cut, true)
-	commitNames := commitFileNames(base)
-	if len(commitNames) == 0 {
-		t.Fatal("no live commit files at end of run; the flip sweep has nothing to corrupt")
-	}
-
-	flips := 80
-	segFlips := 60
-	if testing.Short() || raceEnabled {
-		flips, segFlips = 20, 15
-	}
-	rng := rand.New(rand.NewSource(149))
-	for i := 0; i < flips; i++ {
-		crashed := waltest.FSAt(fs.Journal, cut, true)
-		name := commitNames[rng.Intn(len(commitNames))]
-		b := crashed.Files[name]
-		if len(b) == 0 {
-			continue
-		}
-		pos := rng.Intn(len(b))
-		b[pos] ^= 1 << uint(rng.Intn(8))
-		got, rst := recoverAndResume(t, crashed, feed, specs, opts)
-		if rst.NextLSN > uint64(len(feed))+1 {
-			t.Fatalf("flip in %s at %d: recovered LSN %d beyond the %d-mutation feed", name, pos, rst.NextLSN, len(feed))
-		}
-		if d := ref.diff(got); d != "" {
-			t.Fatalf("flip in %s at %d (recovery %v): %s", name, pos, rst, d)
-		}
-	}
-
-	// Segment flips under the process-crash model (all written bytes
-	// survive): commit extents overwrite the flipped byte wherever a window
-	// staged it, so most flips recover the full feed; a flip in the
-	// unstaged tail truncates there like any torn frame.
-	var segNames []string
-	crashed0 := waltest.FSAt(fs.Journal, cut, false)
-	for name := range crashed0.Files {
-		if strings.HasPrefix(filepath.Base(name), walpkg.SegPrefix) &&
-			strings.HasSuffix(name, walpkg.SegSuffix) {
-			segNames = append(segNames, name)
-		}
-	}
-	sort.Strings(segNames)
-	for i := 0; i < segFlips; i++ {
-		crashed := waltest.FSAt(fs.Journal, cut, false)
-		name := segNames[rng.Intn(len(segNames))]
-		b := crashed.Files[name]
-		if len(b) == 0 {
-			continue
-		}
-		pos := rng.Intn(len(b))
-		b[pos] ^= 1 << uint(rng.Intn(8))
-		got, rst := recoverAndResume(t, crashed, feed, specs, opts)
-		if rst.NextLSN > uint64(len(feed))+1 {
-			t.Fatalf("segment flip in %s at %d: recovered LSN %d beyond the %d-mutation feed", name, pos, rst.NextLSN, len(feed))
-		}
-		if d := ref.diff(got); d != "" {
-			t.Fatalf("segment flip in %s at %d (recovery %v): %s", name, pos, rst, d)
-		}
-	}
-}
-
-// --- upgrade and downgrade between layouts ---
-
-// TestWALUpgradePerStreamToBatched recovers a directory written by the
-// per-stream-fsync writer with the batched writer enabled, finishes the
-// feed, and requires bit-identical state — then recovers the resulting
-// (checkpointed, absorbed) directory with the per-stream writer again.
-// Both generations must be able to open what the other leaves behind.
-func TestWALUpgradePerStreamToBatched(t *testing.T) {
-	feed, specs := tortureFeed(t, 20, 151)
-	plain := NewServer(tortureCfg(2))
-	for i := range feed {
-		if err := feed[i].apply(plain); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref := captureState(t, plain, specs)
-
-	half := len(feed) / 2
 	fs := waltest.NewMemFS()
-	optsPS := WALOptions{SegmentBytes: 16 << 10, Streams: 4, FS: fs}
-	sv1, wal1, _, err := Recover("wal", tortureCfg(4), optsPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < half; i++ {
-		if err := feed[i].apply(sv1); err != nil {
-			t.Fatalf("per-stream mutation %d: %v", i, err)
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
+		fs.Files["wal/"+e.Name()] = b
+		fs.Synced["wal/"+e.Name()] = len(b)
 	}
-	wal1.Close()
+	if len(commitFileNames(fs)) == 0 {
+		t.Fatalf("golden image %s holds no commit file", name)
+	}
+	return fs
+}
 
-	optsB := optsPS
-	optsB.CommitBatch = true
-	sv2, wal2, rst, err := Recover("wal", tortureCfg(4), optsB)
-	if err != nil {
-		t.Fatalf("batched recovery of per-stream dir: %v (%v)", err, rst)
+// goldenLSN is the exact position each image recovers to: the process crash
+// kept every mutation, the power loss only the synced windows.
+func goldenLSN(name string, feedLen int) uint64 {
+	if name == "powerloss" {
+		return uint64(feedLen/goldenSyncStride*goldenSyncStride) + 1
 	}
-	if int(rst.NextLSN)-1 != half {
-		t.Fatalf("per-stream dir recovered %d mutations under the batched writer, want %d", rst.NextLSN-1, half)
-	}
-	if rst.CommitFiles != 0 {
-		t.Fatalf("per-stream dir reported %d commit files", rst.CommitFiles)
-	}
-	for i := half; i < len(feed); i++ {
-		if err := feed[i].apply(sv2); err != nil {
-			t.Fatalf("batched mutation %d: %v", i, err)
+	return uint64(feedLen) + 1
+}
+
+var (
+	goldenImages = []string{"crash", "powerloss"}
+	goldenOpts   = WALOptions{SegmentBytes: 1 << 20, Streams: 4}
+)
+
+// TestWALDowngradeBatchedToPerStream recovers both golden directories with
+// the per-stream writer: recovery's repair re-materializes the segments from
+// the commit image and removes the commit files, the recovered position is
+// exact, and the resumed run is bit-identical to the never-crashed one.
+func TestWALDowngradeBatchedToPerStream(t *testing.T) {
+	feed, specs, ref := goldenFeed(t)
+	for _, name := range goldenImages {
+		crashed := goldenImage(t, name)
+		live := len(commitFileNames(crashed))
+		got, rst := recoverAndResume(t, crashed, feed, specs, goldenOpts)
+		if rst.CommitFiles != live {
+			t.Errorf("%s: recovery reconciled %d commit files, %d were live", name, rst.CommitFiles, live)
 		}
-	}
-	if _, _, err := sv2.CheckpointWAL(); err != nil {
-		t.Fatal(err)
-	}
-	if d := ref.diff(captureState(t, sv2, specs)); d != "" {
-		t.Fatalf("upgraded run diverges: %s", d)
-	}
-	wal2.Close()
-	if names := commitFileNames(fs); len(names) != 0 {
-		t.Fatalf("checkpointed+closed batched dir still holds %v", names)
-	}
-
-	// Downgrade the clean directory: the per-stream writer reopens it and
-	// the state is still bit-identical (nothing left to resume).
-	got, rst3 := recoverAndResume(t, fs, feed, specs, optsPS)
-	if d := ref.diff(got); d != "" {
-		t.Fatalf("per-stream recovery of the upgraded dir (%v): %s", rst3, d)
+		if want := goldenLSN(name, len(feed)); rst.NextLSN != want {
+			t.Fatalf("%s: recovered LSN %d, want %d (%v)", name, rst.NextLSN, want, rst)
+		}
+		if d := ref.diff(got); d != "" {
+			t.Fatalf("%s: recovery (%v): %s", name, rst, d)
+		}
+		if names := commitFileNames(crashed); len(names) != 0 {
+			t.Fatalf("%s: commit files %v survive recovery; repair must remove them", name, names)
+		}
 	}
 }
 
-// TestWALDowngradeBatchedToPerStream crashes a batched writer with live
-// commit files and recovers with the per-stream writer: recovery's repair
-// re-materializes the segments from the commit image and removes the
-// commit files, so the old generation reads a directory it fully
-// understands — including under power loss.
-func TestWALDowngradeBatchedToPerStream(t *testing.T) {
-	feed, specs := tortureFeed(t, 20, 157)
-	const syncStride = 8
-	optsB := WALOptions{SegmentBytes: 1 << 20, SyncEvery: time.Hour, Streams: 4, CommitBatch: true}
-	fs, ref, boundaries := tortureRun(t, feed, specs, optsB, 0, syncStride)
-	cut := boundaries[len(boundaries)-1] - 1 // before Close's absorb; see bit-flip sweep
+// unreadableFS fails Open for one existing file, the way a transient I/O
+// error would.
+type unreadableFS struct {
+	WALFS
+	name string
+}
 
-	optsPS := WALOptions{SegmentBytes: 1 << 20, Streams: 4}
-	crashed := waltest.FSAt(fs.Journal, cut, false)
-	live := len(commitFileNames(crashed))
-	if live == 0 {
-		t.Fatal("no live commit files at the crash point")
+func (fs unreadableFS) Open(name string) (io.ReadCloser, error) {
+	if filepath.Base(name) == fs.name {
+		return nil, fmt.Errorf("injected: open %s: input/output error", fs.name)
 	}
-	got, rst := recoverAndResume(t, crashed, feed, specs, optsPS)
-	if rst.CommitFiles != live {
-		t.Errorf("per-stream recovery reconciled %d commit files, %d were live", rst.CommitFiles, live)
-	}
-	// The cut clipped one byte off the final mutation's segment append; the
-	// torn frame may cost exactly that one unacked-boundary record.
-	if rst.NextLSN < uint64(len(feed)) {
-		t.Fatalf("per-stream recovery of batched dir reached LSN %d of %d mutations (%v)", rst.NextLSN, len(feed), rst)
-	}
-	if d := ref.diff(got); d != "" {
-		t.Fatalf("downgrade recovery (%v): %s", rst, d)
-	}
-	if names := commitFileNames(crashed); len(names) != 0 {
-		t.Fatalf("commit files %v survive a per-stream recovery; repair must remove them", names)
-	}
+	return fs.WALFS.Open(name)
+}
 
-	// Power-loss points recovered by the old generation: the group-commit
-	// window bound holds across the downgrade too.
-	rng := rand.New(rand.NewSource(157))
-	for i := 0; i < 10; i++ {
-		x := 1 + rng.Int63n(cut-1)
-		got, rst := recoverAndResume(t, waltest.FSAt(fs.Journal, x, true), feed, specs, optsPS)
-		durable := expectedLSN(boundaries, x)
-		if rst.NextLSN > durable {
-			t.Fatalf("downgrade power loss at byte %d: recovered LSN %d beyond the written prefix %d (%v)",
-				x, rst.NextLSN, durable, rst)
-		}
-		if durable-rst.NextLSN > syncStride+1 {
-			t.Fatalf("downgrade power loss at byte %d: lost %d mutations, more than one %d-wide window",
-				x, durable-rst.NextLSN, syncStride)
-		}
-		if d := ref.diff(got); d != "" {
-			t.Fatalf("downgrade power loss at byte %d (recovery %v): %s", x, rst, d)
-		}
+// TestRecoverKeepsCommitFilesWhenTargetUnreadable: a target segment that is
+// in the directory but cannot be opened is an I/O error, not a
+// checkpoint-retired segment — treating it as retired skips its patches, and
+// repair then removes the commit files holding the only durable copy of its
+// acknowledged bytes. Recover must fail with the commit files intact, and
+// succeed in full once the fault clears.
+func TestRecoverKeepsCommitFilesWhenTargetUnreadable(t *testing.T) {
+	feed, _, _ := goldenFeed(t)
+	crashed := goldenImage(t, "powerloss")
+	seg := filepath.Base(segFileNames(crashed)[0])
+	live := commitFileNames(crashed)
+	opts := goldenOpts
+	opts.FS = unreadableFS{WALFS: crashed, name: seg}
+	if _, wal, rst, err := Recover("wal", tortureCfg(2), opts); err == nil {
+		wal.Close()
+		t.Fatalf("recovery over an unreadable commit target %s succeeded (%v)", seg, rst)
+	}
+	if got := commitFileNames(crashed); !reflect.DeepEqual(got, live) {
+		t.Fatalf("failed recovery left commit files %v, had %v — acknowledged bytes discarded", got, live)
+	}
+	opts.FS = crashed
+	_, wal, rst, err := Recover("wal", tortureCfg(2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	if want := goldenLSN("powerloss", len(feed)); rst.NextLSN != want {
+		t.Fatalf("recovery after the fault cleared reached LSN %d, want %d (%v)", rst.NextLSN, want, rst)
 	}
 }
 
 // --- read-only verification ---
 
-// TestVerifyWALBatchedReadOnly: -wal-verify on a crashed batched directory
-// where every durable byte lives only in the commit file (segments never
-// fsynced, power loss truncated them to nothing) must report the exact
-// recoverable LSN through a read-only reconciliation overlay — no write,
-// no repair — and agree with what Recover then actually rebuilds.
+// TestVerifyWALBatchedReadOnly: -wal-verify on the golden directories — in
+// the power-loss one every durable byte lives only in the commit file — must
+// report the exact recoverable LSN through a read-only reconciliation
+// overlay (no write, no repair) and agree with what Recover then rebuilds.
 func TestVerifyWALBatchedReadOnly(t *testing.T) {
-	specs, streams := walWorkload(t, 4, 103)
-	fs := waltest.NewMemFS()
-	opts := WALOptions{SegmentBytes: 1 << 20, SyncEvery: time.Hour, Streams: 4, CommitBatch: true, FS: fs}
-	sv, wal, _, err := Recover("wal", cheapCfg(4), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	for i := range specs {
-		if err := sv.StartJob(specs[i], nil); err != nil {
-			t.Fatal(err)
+	feed, _, _ := goldenFeed(t)
+	for _, name := range goldenImages {
+		crashed := goldenImage(t, name)
+		snapshot := make(map[string][]byte, len(crashed.Files))
+		for file, b := range crashed.Files {
+			snapshot[file] = append([]byte(nil), b...)
 		}
-		if err := sv.IngestBatch(streams[i]); err != nil {
-			t.Fatal(err)
+		rep, err := VerifyWAL("wal", WALOptions{Streams: 4, FS: crashed})
+		if err != nil {
+			t.Fatalf("%s: verify: %v", name, err)
 		}
-		events += len(streams[i])
-		if err := wal.Sync(); err != nil {
-			t.Fatal(err)
+		if rep.CommitFiles == 0 || rep.CommitRecords == 0 {
+			t.Fatalf("%s: verify saw %d commit files, %d batch records; the directory holds both", name, rep.CommitFiles, rep.CommitRecords)
 		}
-	}
-	// Acknowledged but never synced: the group-commit contract loses these
-	// four registrations at power loss, and Verify must say so.
-	for i := 0; i < 4; i++ {
-		if err := sv.StartJob(commitSpec(9001+uint64(i)), nil); err != nil {
-			t.Fatal(err)
+		if want := goldenLSN(name, len(feed)); rep.NextLSN != want {
+			t.Fatalf("%s: verify reports recoverable LSN %d, want %d", name, rep.NextLSN, want)
 		}
-	}
-	crashed := waltest.FSAt(fs.Journal, fs.TotalWritten(), true)
-	wal.Close()
+		if !strings.Contains(rep.String(), "commit files:") {
+			t.Errorf("%s: report omits the commit-file line:\n%s", name, rep.String())
+		}
+		if len(snapshot) != len(crashed.Files) {
+			t.Fatalf("%s: verify changed the file set: %d files, was %d", name, len(crashed.Files), len(snapshot))
+		}
+		for file, want := range snapshot {
+			if got, ok := crashed.Files[file]; !ok || !bytes.Equal(got, want) {
+				t.Fatalf("%s: verify modified %s", name, file)
+			}
+		}
+		if len(crashed.Journal) != 0 {
+			t.Fatalf("%s: verify wrote to the filesystem: %d ops journaled", name, len(crashed.Journal))
+		}
 
-	snapshot := make(map[string][]byte, len(crashed.Files))
-	for name, b := range crashed.Files {
-		snapshot[name] = append([]byte(nil), b...)
-	}
-	rep, err := VerifyWAL("wal", WALOptions{Streams: 4, FS: crashed})
-	if err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	if rep.CommitFiles == 0 || rep.CommitRecords == 0 {
-		t.Fatalf("verify saw %d commit files, %d batch records; the crashed dir holds both", rep.CommitFiles, rep.CommitRecords)
-	}
-	wantLSN := uint64(1 + len(specs) + events)
-	if rep.NextLSN != wantLSN {
-		t.Fatalf("verify reports recoverable LSN %d, want %d (synced specs+events only)", rep.NextLSN, wantLSN)
-	}
-	if !strings.Contains(rep.String(), "commit files:") {
-		t.Errorf("report omits the commit-file line:\n%s", rep.String())
-	}
-	if len(snapshot) != len(crashed.Files) {
-		t.Fatalf("verify changed the file set: %d files, was %d", len(crashed.Files), len(snapshot))
-	}
-	for name, want := range snapshot {
-		if got, ok := crashed.Files[name]; !ok || !bytes.Equal(got, want) {
-			t.Fatalf("verify modified %s", name)
+		// The report must match what a real recovery finds.
+		opts := goldenOpts
+		opts.FS = crashed
+		_, wal, rst, err := Recover("wal", tortureCfg(4), opts)
+		if err != nil {
+			t.Fatalf("%s: recover after verify: %v (%v)", name, err, rst)
 		}
-	}
-	if len(crashed.Journal) != 0 {
-		t.Fatalf("verify wrote to the filesystem: %d ops journaled", len(crashed.Journal))
-	}
-
-	// The report must match what a real recovery finds.
-	_, wal2, rst, err := Recover("wal", cheapCfg(4),
-		WALOptions{SegmentBytes: 1 << 20, SyncEvery: time.Hour, Streams: 4, CommitBatch: true, FS: crashed})
-	if err != nil {
-		t.Fatalf("recover after verify: %v (%v)", err, rst)
-	}
-	defer wal2.Close()
-	if rst.NextLSN != rep.NextLSN || rst.CommitFiles != rep.CommitFiles {
-		t.Errorf("recovery found LSN %d / %d commit files, verify predicted %d / %d",
-			rst.NextLSN, rst.CommitFiles, rep.NextLSN, rep.CommitFiles)
+		wal.Close()
+		if rst.NextLSN != rep.NextLSN || rst.CommitFiles != rep.CommitFiles {
+			t.Errorf("%s: recovery found LSN %d / %d commit files, verify predicted %d / %d",
+				name, rst.NextLSN, rst.CommitFiles, rep.NextLSN, rep.CommitFiles)
+		}
 	}
 }
 
-// --- observability ---
+// --- torture sweeps over the golden commit file ---
 
-// TestWALBatchedStatsSurface pins the /stats JSON names and the Stats
-// string for the commit counters: present (and advancing) exactly when the
-// batched writer runs, absent otherwise.
-func TestWALBatchedStatsSurface(t *testing.T) {
-	fetchStats := func(t *testing.T, h http.Handler) map[string]any {
-		t.Helper()
-		srv := httptest.NewServer(h)
-		defer srv.Close()
-		resp, err := http.Get(srv.URL + "/stats")
+// commitFramePrefix walks a commit file frame by frame and returns, for each
+// complete frame, the byte offset it ends at and how many segment records
+// the file has staged up to there — the most a byte prefix ending at or
+// after that offset can make recoverable when the segments hold nothing.
+func commitFramePrefix(t testing.TB, commit []byte) (ends []int, records []int) {
+	t.Helper()
+	off, recs := wire.HeaderLen, 0
+	for off < len(commit) {
+		kind, payload, n, err := wire.DecodeFrame(commit[off:])
+		if err != nil || kind != wire.FrameCommitBatch {
+			t.Fatalf("golden commit file: frame at %d: kind %d, %v", off, kind, err)
+		}
+		cb, err := wire.DecodeCommitBatchPayload(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var m map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
+		data := cb.Data
+		if cb.Off == 0 {
+			data = data[wire.HeaderLen:] // the extent opens its segment
 		}
-		return m
+		for len(data) > 0 {
+			k, _, m, err := wire.DecodeFrame(data)
+			if err != nil {
+				t.Fatalf("golden commit file: extent at %d holds a partial frame: %v", off, err)
+			}
+			if k == wire.FrameRecord {
+				recs++
+			}
+			data = data[m:]
+		}
+		off += n
+		ends = append(ends, off)
+		records = append(records, recs)
 	}
-	specs, streams := walWorkload(t, 2, 211)
+	return ends, records
+}
 
-	t.Run("batched", func(t *testing.T) {
-		sv, wal, _, err := Recover(t.TempDir(), cheapCfg(2),
-			WALOptions{Streams: 2, SyncEvery: time.Hour, CommitBatch: true})
-		if err != nil {
-			t.Fatal(err)
+// TestWALTortureBatchedCommitPrefixes recovers the power-loss directory with
+// its commit file cut at sampled byte prefixes — every frame boundary, the
+// bytes either side, and a stride in between. The segments hold nothing, so
+// the recovered LSN can never pass the records the surviving prefix staged,
+// never shrinks as the prefix grows, and the resumed run stays
+// bit-identical.
+func TestWALTortureBatchedCommitPrefixes(t *testing.T) {
+	feed, specs, ref := goldenFeed(t)
+	base := goldenImage(t, "powerloss")
+	name := commitFileNames(base)[0]
+	commit := base.Files[name]
+	ends, records := commitFramePrefix(t, commit)
+
+	stride := len(commit)/400 + 1
+	if testing.Short() || raceEnabled {
+		stride = len(commit)/60 + 1
+	}
+	cuts := map[int]bool{0: true, len(commit): true}
+	for k := 0; k < len(commit); k += stride {
+		cuts[k] = true
+	}
+	for _, e := range ends {
+		cuts[e-1], cuts[e] = true, true
+		if e+1 <= len(commit) {
+			cuts[e+1] = true
 		}
-		defer wal.Close()
-		for i := range specs {
-			if err := sv.StartJob(specs[i], nil); err != nil {
-				t.Fatal(err)
+	}
+	sorted := make([]int, 0, len(cuts))
+	for k := range cuts {
+		sorted = append(sorted, k)
+	}
+	sort.Ints(sorted)
+
+	prev := uint64(1)
+	for _, k := range sorted {
+		crashed := goldenImage(t, "powerloss")
+		crashed.Files[name] = crashed.Files[name][:k]
+		crashed.Synced[name] = k
+		got, rst := recoverAndResume(t, crashed, feed, specs, goldenOpts)
+		staged := 0
+		if i := sort.SearchInts(ends, k+1); i > 0 { // complete frames: ends[j] <= k
+			staged = records[i-1]
+		}
+		if rst.NextLSN-1 > uint64(staged) {
+			t.Fatalf("commit prefix %dB: recovered LSN %d, but the prefix staged only %d records (%v)",
+				k, rst.NextLSN, staged, rst)
+		}
+		if rst.NextLSN < prev {
+			t.Fatalf("commit prefix %dB: recovered LSN %d, a shorter prefix reached %d (%v)", k, rst.NextLSN, prev, rst)
+		}
+		prev = rst.NextLSN
+		if d := ref.diff(got); d != "" {
+			t.Fatalf("commit prefix %dB (recovery %v): %s", k, rst, d)
+		}
+	}
+	if want := goldenLSN("powerloss", len(feed)); prev != want {
+		t.Fatalf("whole commit file recovered LSN %d, want %d", prev, want)
+	}
+}
+
+// TestWALTortureBatchedPowerLoss is the power-loss model over the golden
+// process-crash directory: the batched writer never fsynced a segment, so a
+// power loss may keep any prefix of each — while the commit file, fsynced at
+// every window, survives whole. Only the unsynced tail may be lost, no
+// phantom record may appear, and the re-fed run stays bit-identical.
+func TestWALTortureBatchedPowerLoss(t *testing.T) {
+	feed, specs, ref := goldenFeed(t)
+	synced := goldenLSN("powerloss", len(feed))
+	rng := rand.New(rand.NewSource(139))
+	points := 100
+	if testing.Short() || raceEnabled {
+		points = 20
+	}
+	for i := 0; i < points; i++ {
+		crashed := goldenImage(t, "crash")
+		cuts := ""
+		for _, file := range segFileNames(crashed) {
+			k := rng.Intn(len(crashed.Files[file]) + 1)
+			crashed.Files[file] = crashed.Files[file][:k]
+			crashed.Synced[file] = k
+			cuts += fmt.Sprintf(" %s@%d", filepath.Base(file), k)
+		}
+		got, rst := recoverAndResume(t, crashed, feed, specs, goldenOpts)
+		if rst.NextLSN < synced {
+			t.Fatalf("power loss (%s): recovered LSN %d < %d — a completed commit window was lost (%v)",
+				cuts, rst.NextLSN, synced, rst)
+		}
+		if rst.NextLSN > uint64(len(feed))+1 {
+			t.Fatalf("power loss (%s): recovered LSN %d beyond the %d-mutation feed (%v)", cuts, rst.NextLSN, len(feed), rst)
+		}
+		if d := ref.diff(got); d != "" {
+			t.Fatalf("power loss (%s) (recovery %v): %s", cuts, rst, d)
+		}
+	}
+}
+
+// segFileNames lists fs's per-shard segment files, sorted for deterministic
+// random selection.
+func segFileNames(fs *waltest.MemFS) []string {
+	var names []string
+	for name := range fs.Files {
+		if _, _, ok := walpkg.ParseShardSeg(filepath.Base(name)); ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestWALTortureBatchedBitFlips corrupts single bits of the golden
+// directories. A flip in a batch record fails its CRC and ends the trustable
+// patch sequence — reconciliation must fall back to the durable prefix,
+// never patch garbage. A flip in a segment file inside a commit-covered
+// extent is *healed*: reconciliation rewrites the extent from the commit
+// image. Either way the re-fed run must converge bit-identically.
+func TestWALTortureBatchedBitFlips(t *testing.T) {
+	feed, specs, ref := goldenFeed(t)
+	flips := 80
+	if testing.Short() || raceEnabled {
+		flips = 20
+	}
+	rng := rand.New(rand.NewSource(149))
+	for _, tc := range []struct {
+		image string
+		files func(*waltest.MemFS) []string
+	}{
+		// Every durable byte lives only in the commit file being corrupted.
+		{"powerloss", commitFileNames},
+		// Full segments beside it: a stopped patch sequence costs nothing.
+		{"crash", commitFileNames},
+		// Commit extents overwrite the flipped byte wherever a window staged
+		// it; a flip in the unstaged tail truncates there like any torn frame.
+		{"crash", segFileNames},
+	} {
+		for i := 0; i < flips; i++ {
+			crashed := goldenImage(t, tc.image)
+			names := tc.files(crashed)
+			name := names[rng.Intn(len(names))]
+			b := crashed.Files[name]
+			pos := rng.Intn(len(b))
+			b[pos] ^= 1 << uint(rng.Intn(8))
+			got, rst := recoverAndResume(t, crashed, feed, specs, goldenOpts)
+			if rst.NextLSN > uint64(len(feed))+1 {
+				t.Fatalf("%s: flip in %s at %d: recovered LSN %d beyond the %d-mutation feed", tc.image, name, pos, rst.NextLSN, len(feed))
+			}
+			if d := ref.diff(got); d != "" {
+				t.Fatalf("%s: flip in %s at %d (recovery %v): %s", tc.image, name, pos, rst, d)
 			}
 		}
-		if err := sv.IngestBatch(streams[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := wal.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		w, ok := fetchStats(t, servehttp.NewHandler(sv))["WAL"].(map[string]any)
-		if !ok {
-			t.Fatal("stats carry no WAL object")
-		}
-		if got, _ := w["commit_batched"].(bool); !got {
-			t.Errorf("commit_batched = %v, want true", w["commit_batched"])
-		}
-		if got, _ := w["commit_windows"].(float64); got != 1 {
-			t.Errorf("commit_windows = %v, want 1", w["commit_windows"])
-		}
-		for _, key := range []string{"commit_records", "commit_bytes"} {
-			if got, _ := w[key].(float64); got <= 0 {
-				t.Errorf("%s = %v, want > 0", key, w[key])
-			}
-		}
-		if got, _ := w["commit_files"].(float64); got != 1 {
-			t.Errorf("commit_files = %v, want 1", w["commit_files"])
-		}
-		// The O(1) claim as operators see it: one window, one data fsync.
-		if got, _ := w["syncs"].(float64); got != 1 {
-			t.Errorf("syncs = %v, want 1 (one commit fsync for the whole window)", w["syncs"])
-		}
-		if s := sv.Stats().String(); !strings.Contains(s, "wal_commit_windows=1") {
-			t.Errorf("Stats string omits commit counters: %s", s)
-		}
-	})
-
-	t.Run("per-stream omits commit keys", func(t *testing.T) {
-		sv, wal, _, err := Recover(t.TempDir(), cheapCfg(2), WALOptions{Streams: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer wal.Close()
-		if err := sv.StartJob(specs[0], nil); err != nil {
-			t.Fatal(err)
-		}
-		w, ok := fetchStats(t, servehttp.NewHandler(sv))["WAL"].(map[string]any)
-		if !ok {
-			t.Fatal("stats carry no WAL object")
-		}
-		if _, present := w["commit_batched"]; present {
-			t.Errorf("per-stream writer exposes commit_batched: %v", w)
-		}
-	})
+	}
 }

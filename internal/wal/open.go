@@ -123,16 +123,6 @@ func (w *WAL) Checkpoint(write func(io.Writer) (uint64, error)) (string, int, er
 	if err != nil {
 		return path, retired, fmt.Errorf("serve: checkpoint: retire: %w", err)
 	}
-	if w.cw != nil {
-		// Absorb at checkpoint time: the streams' segment fsyncs ride the
-		// checkpoint's I/O burst, and dropping the commit files here keeps
-		// them from pinning patches against history the retire above just
-		// removed. A failed absorb strands at most redundant files — the
-		// next recovery skips patches whose targets are gone.
-		if err := w.cw.absorb(); err != nil {
-			return path, retired, fmt.Errorf("serve: checkpoint: absorb: %w", err)
-		}
-	}
 	return path, retired, nil
 }
 

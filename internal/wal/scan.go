@@ -34,12 +34,13 @@ package wal
 // group-commit window (the loss the SyncEvery contract already admits) and
 // leaving them would collide with the LSNs the reopened log assigns next.
 //
-// A third on-disk shape comes from the batched commit path
-// (Options.CommitBatch): segment files may lag the commit files that
-// actually acknowledged the last windows. reconcileCommitFiles
-// (commit.go) runs before everything above and patches the segments back
-// to what the commit fsyncs guaranteed, so the scan itself never needs to
-// know which writer produced the directory.
+// A third on-disk shape is read-only legacy: a batched-commit writer (since
+// deleted) fsynced shared commit files instead of segments, so a directory
+// it crashed in can hold segments that lag the commit files which actually
+// acknowledged the last windows. reconcileCommitFiles (commit.go) runs
+// before everything above and patches the segments back to what the commit
+// fsyncs guaranteed, so the scan itself never needs to know which writer
+// produced the directory.
 
 import (
 	"repro/internal/wire"
@@ -70,7 +71,7 @@ type RecoveryStats struct {
 	// depended on, so they are discarded exactly as the group-commit
 	// contract allows.
 	RecordsTrimmed int
-	// CommitFiles counts the batched group-commit files
+	// CommitFiles counts the legacy batched group-commit files
 	// (commit-<stamp>.seg) found in the directory, and CommitRecords the
 	// batch records replayed from them to re-materialize segment bytes
 	// before the scan. Both are 0 for a per-stream-fsync directory.
@@ -122,22 +123,20 @@ type shardGroup struct {
 // every record at or above the contiguity cursor to visit (records below it
 // are counted as skipped). It validates legacy chains by segment base and
 // per-shard chains by wire.FrameSegHeader links and fails typed ErrGap on
-// holes in synced history. Directories left by a batched-commit writer
-// are reconciled first: surviving commit files re-materialize the segment
-// bytes their fsyncs acknowledged. With repair set (Recover), the
+// holes in synced history. Directories left by the old batched-commit
+// writer are reconciled first: surviving commit files re-materialize the
+// segment bytes their fsyncs acknowledged. With repair set (Recover), the
 // cross-stream orphans a power loss can leave beyond the first missing LSN
-// are physically trimmed and the commit files are absorbed and removed;
+// are physically trimmed and the commit files are consumed and removed;
 // without it (Verify) the directory is only read.
 func ScanDir(fs FS, dir string, floor uint64, repair bool, rst *RecoveryStats,
 	visit func(lsn uint64, kind wire.FrameKind, payload []byte) error) (Scan, error) {
 	var scan Scan
 
-	// A batched-commit writer may have left commit files whose fsyncs — not
-	// the segments' — acknowledged the last windows. Re-materialize the
-	// segment bytes they guarantee before anything reads a segment: with
-	// repair the directory itself is patched back to a plain per-stream
-	// layout, otherwise (Verify) the patches live in a read-only overlay
-	// the rest of this scan reads through.
+	// Re-materialize what legacy commit files guarantee before anything
+	// reads a segment: with repair the directory itself is patched back to
+	// a plain per-stream layout, otherwise (Verify) the patches live in a
+	// read-only overlay the rest of this scan reads through.
 	fs, err := reconcileCommitFiles(fs, dir, repair, rst)
 	if err != nil {
 		return scan, err

@@ -61,11 +61,12 @@ type VerifyReport struct {
 	// the orphans).
 	TornTail bool
 	Hole     bool
-	// CommitFiles counts batched group-commit files (commit-<stamp>.seg)
-	// found in the directory; CommitRecords the batch records reconciled
-	// from them. Non-zero means a batched-commit writer crashed here and
-	// the figures above were computed over the reconciled image — Recover
-	// would materialize it; Verify leaves the directory untouched.
+	// CommitFiles counts legacy batched group-commit files
+	// (commit-<stamp>.seg) found in the directory; CommitRecords the batch
+	// records reconciled from them. Non-zero means the old batched-commit
+	// writer crashed here and the figures above were computed over the
+	// reconciled image — Recover would materialize it; Verify leaves the
+	// directory untouched.
 	CommitFiles, CommitRecords int
 }
 

@@ -153,13 +153,11 @@ type Options struct {
 	// the OS before they are acknowledged).
 	SyncEvery time.Duration
 	// Streams is how many per-shard segment streams appends fan across.
-	// 0 means the recovering server's shard count, additionally capped at
-	// GOMAXPROCS (and MaxStreams): only that many appends can contend at
-	// once, while every stream dirty inside a group-commit window costs its
-	// own fsync — fanning out past the CPU count buys no parallelism and
-	// multiplies flush load on the log device. The count is a concurrency
-	// knob, not state: records carry global LSNs, so a directory written at
-	// one stream count recovers at any other.
+	// 0 means the recovering server's shard count, capped at GOMAXPROCS (and
+	// MaxStreams): only that many appends can contend at once, and every
+	// stream dirty inside a group-commit window costs its own fsync. The
+	// count is a concurrency knob, not state: records carry global LSNs, so
+	// a directory written at one stream count recovers at any other.
 	Streams int
 	// CheckpointEvery arms the automatic checkpoint policy's wall-clock
 	// trigger: a background goroutine stamps a snapshot into the WAL
@@ -171,18 +169,6 @@ type Options struct {
 	// the previous checkpoint, bounding both recovery time and retained log
 	// size under sustained traffic. 0 disables the size trigger.
 	CheckpointBytes int64
-	// CommitBatch enables the batched cross-stream commit path: each
-	// group-commit window stages every dirty stream's unsynced tail as
-	// CRC-framed records in one shared commit file (commit-<stamp>.seg) and
-	// fsyncs that single file — one data fsync per window no matter how many
-	// streams are dirty. The per-stream segment files become layout only,
-	// hardened lazily (rotation, checkpoints, idle windows, Close) by an
-	// absorb pass that fsyncs them and drops the commit files they made
-	// redundant; recovery re-materializes any segment bytes a crash took
-	// with the page cache from the surviving commit files. With batching the
-	// default stream fan-out tracks the shard count instead of GOMAXPROCS —
-	// extra streams no longer multiply fsyncs.
-	CommitBatch bool
 	// FS overrides the filesystem (fault injection in tests). nil = OS.
 	FS FS
 }
@@ -213,14 +199,8 @@ func (o Options) streamCount(shards int) int {
 	n := o.Streams
 	if n <= 0 {
 		n = shards
-		// Per-stream fsync couples useful fan-out to the CPU count (each
-		// dirty stream costs its own fsync per window); the batched commit
-		// path pays one fsync per window regardless, so it tracks the shard
-		// count directly.
-		if !o.CommitBatch {
-			if p := runtime.GOMAXPROCS(0); n > p {
-				n = p
-			}
+		if p := runtime.GOMAXPROCS(0); n > p {
+			n = p
 		}
 	}
 	if n < 1 {
@@ -271,21 +251,6 @@ type Stats struct {
 	Syncs        uint64        `json:"syncs"`
 	PendingBytes int64         `json:"pending_bytes"`
 	FsyncLag     time.Duration `json:"fsync_lag_ns"`
-	// CommitBatched reports the batched cross-stream commit path is active
-	// (Options.CommitBatch): Syncs then counts one commit-file fsync per
-	// group-commit window plus the segment-hardening fsyncs of absorb
-	// passes, instead of one fsync per dirty stream per window.
-	CommitBatched bool `json:"commit_batched,omitempty"`
-	// CommitWindows counts group-commit windows made durable through the
-	// shared commit file; CommitRecords the staged batch records (one per
-	// dirty stream per window) and CommitBytes their framed size, so
-	// CommitRecords/CommitWindows is the measured per-window fan-out that a
-	// per-stream-fsync writer would have paid in fsyncs. CommitFiles is the
-	// live commit files not yet absorbed into their segments.
-	CommitWindows uint64 `json:"commit_windows,omitempty"`
-	CommitRecords uint64 `json:"commit_records,omitempty"`
-	CommitBytes   uint64 `json:"commit_bytes,omitempty"`
-	CommitFiles   int    `json:"commit_files,omitempty"`
 	// RetiredSegments counts segments removed by checkpoints.
 	RetiredSegments uint64 `json:"retired_segments"`
 	// Checkpoints counts completed checkpoints (automatic or explicit);
@@ -310,10 +275,6 @@ type WAL struct {
 	seq atomic.Uint64
 
 	streams []*walStream
-
-	// cw is the batched cross-stream committer (Options.CommitBatch); nil
-	// means every dirty stream fsyncs its own segment.
-	cw *committer
 
 	// ro holds read-only segment groups recovery handed over: legacy
 	// single-stream segments (key legacyGroup) and streams of shard indices
@@ -388,15 +349,6 @@ type walStream struct {
 	syncs        uint64
 	buf          []byte // record payload scratch, reused under mu
 	frameBuf     []byte // frame scratch, reused under mu
-
-	// Batched-commit bookkeeping (nil/0 in per-stream-fsync mode). tail
-	// retains the open segment's bytes not yet staged into a commit file —
-	// the capture copies it out, so its backing array never escapes mu —
-	// and hardened is the segment length already made durable by a segment
-	// fsync (absorb); bytes between hardened and written-minus-tail are
-	// durable only through the commit file.
-	tail     []byte
-	hardened int64
 }
 
 // segment / snapshot file naming inside the WAL directory.
@@ -421,10 +373,10 @@ func SegName(shard int, stamp uint64) string {
 
 func SnapName(lsn uint64) string { return fmt.Sprintf("%s%016x%s", SnapPrefix, lsn, SnapSuffix) }
 
-// CommitName names a batched group-commit file: commit-<stamp>.seg. The
-// prefix keeps it invisible to segment and snapshot listings (both parse
-// by their own prefixes), so a per-stream-fsync reader never trips over
-// one left behind by a crash of a batched writer.
+// CommitName names a batched group-commit file: commit-<stamp>.seg, the
+// read-only legacy layout recovery reconciles (commit.go); nothing writes
+// one any more. The prefix keeps it invisible to segment and snapshot
+// listings (both parse by their own prefixes).
 func CommitName(stamp uint64) string {
 	return fmt.Sprintf("%s%016x%s", CommitPrefix, stamp, SegSuffix)
 }
@@ -470,6 +422,11 @@ func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sortedEntries(names, prefix, suffix), nil
+}
+
+// sortedEntries is ListSorted over an already-read directory listing.
+func sortedEntries(names []string, prefix, suffix string) []Entry {
 	var out []Entry
 	for _, n := range names {
 		if seq, ok := ParseSeq(n, prefix, suffix); ok {
@@ -477,7 +434,7 @@ func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out, nil
+	return out
 }
 
 // ListShardSegs groups dir's per-shard segments by shard, each group in
@@ -541,9 +498,6 @@ func newWAL(dir string, seq uint64, streams int, streamLast map[int]uint64,
 	w.inflight = make([]atomic.Uint64, streams)
 	for i := range w.streams {
 		w.streams[i] = &walStream{w: w, shard: i, lastLSN: streamLast[i], segs: streamSegs[i]}
-	}
-	if opts.CommitBatch {
-		w.cw = &committer{w: w}
 	}
 	if opts.SyncEvery > 0 {
 		w.bg.Add(1)
@@ -741,15 +695,6 @@ func (s *walStream) createSegmentLocked() error {
 	if s.pendingSince.IsZero() {
 		s.pendingSince = time.Now()
 	}
-	// Batched mode: the header bytes are segment content like any record —
-	// a recovery that re-materializes this segment from the commit file
-	// needs them — so they enter the tail exactly as appends do. Rotation
-	// absorbed the previous segment, so the tail is empty here and never
-	// spans segments: one (stamp, offset) pair describes it.
-	s.hardened = 0
-	if w.cw != nil {
-		s.tail = append(s.tail[:0], hdr...)
-	}
 	// A recovered header-only segment (created, then crashed before its
 	// first record) can share this stamp: Create truncated that file, so
 	// replace its inventory entry instead of double-listing the name.
@@ -761,17 +706,10 @@ func (s *walStream) createSegmentLocked() error {
 }
 
 // rotateLocked syncs and closes the open segment and starts a new one.
-// In batched mode the sync is an absorb — the closing segment's bytes
-// harden into the layout, so the tail never spans segments and the closed
-// file needs nothing from any commit file. Called with both s.syncMu and
-// s.mu held; only called after at least one record was appended, so
-// successive stamps are strictly increasing.
+// Called with both s.syncMu and s.mu held; only called after at least one
+// record was appended, so successive stamps are strictly increasing.
 func (s *walStream) rotateLocked() error {
-	if s.w.cw != nil {
-		if err := s.absorbLocked(); err != nil {
-			return err
-		}
-	} else if err := s.syncLocked(); err != nil {
+	if err := s.syncLocked(); err != nil {
 		return err
 	}
 	if err := s.f.Close(); err != nil {
@@ -842,10 +780,7 @@ func (w *WAL) append(jobID uint64, kind wire.FrameKind, encode func(*wire.Enc) e
 	}
 	s.appends++
 	s.bytes += uint64(len(frame))
-	if w.cw != nil {
-		s.tail = append(s.tail, frame...)
-	}
-	if w.opts.SyncEvery == 0 && w.cw == nil {
+	if w.opts.SyncEvery == 0 {
 		// Full-durability mode: the record must be synced before anyone —
 		// this stream or a sibling waiting on the watermark — treats it as
 		// complete.
@@ -854,24 +789,6 @@ func (w *WAL) append(jobID uint64, kind wire.FrameKind, encode func(*wire.Enc) e
 		}
 	}
 	w.inflight[s.shard].Store(0)
-	if w.opts.SyncEvery == 0 && w.cw != nil {
-		// Full-durability batched mode: the record is written, so the
-		// inflight slot cleared above — sync ordering comes from the commit
-		// lock, not the watermark. A capture takes every stream's mu, so
-		// any record with a lower LSN was written before this flush's
-		// capture reached its stream and is covered by this (or an earlier)
-		// commit fsync; a flush that returns nil therefore proves every LSN
-		// up to this one durable. The commit lock orders before stream
-		// locks, so drop s.mu first — whoever wins the lock fsyncs every
-		// tail staged so far, and racing appends get their group commit for
-		// free.
-		s.mu.Unlock()
-		_, err := w.cw.commitFlush()
-		s.mu.Lock()
-		if err != nil {
-			return 0, err
-		}
-	}
 	if s.written >= w.opts.SegmentBytes {
 		// Rotation fsyncs and closes the file, which must serialize with an
 		// in-flight group-commit flush — and syncMu orders before mu, so
@@ -945,26 +862,6 @@ func (s *walStream) syncLocked() error {
 	return nil
 }
 
-// absorbLocked hardens the open segment into the layout: one segment
-// fsync makes every written byte durable in the segment file itself,
-// independent of any commit file — after it, this stream's extents in the
-// commit files are redundant (recovery re-materializes identical bytes).
-// Batched mode only; called with s.syncMu and s.mu held.
-func (s *walStream) absorbLocked() error {
-	if s.f == nil || s.hardened >= s.written {
-		return nil
-	}
-	if err := s.f.Sync(); err != nil {
-		return s.w.failWith(fmt.Errorf("serve/wal: absorb sync: %w", err))
-	}
-	s.syncs++
-	s.hardened = s.written
-	s.tail = s.tail[:0]
-	s.pending = 0
-	s.pendingSince = time.Time{}
-	return nil
-}
-
 // flush is the group-commit fsync of one stream. The fsync itself runs
 // under syncMu only — mu is held just to capture and update bookkeeping —
 // so appends to the stream proceed while their group commit is in flight.
@@ -1005,16 +902,11 @@ func (s *walStream) dirty() bool {
 }
 
 // Sync makes every acknowledged append durable (the group-commit flush).
-// Batched mode stages all dirty tails into the shared commit file and
-// fsyncs once; per-stream mode fsyncs the dirty streams concurrently, so
-// group commit pays one fsync latency (but still one fsync per dirty
-// stream). Per-stream failures are joined: a multi-stream flush failure
-// reports every stream's error, not just the first.
+// The dirty streams fsync concurrently, so group commit pays one fsync
+// latency (but still one fsync per dirty stream). Per-stream failures are
+// joined: a multi-stream flush failure reports every stream's error, not
+// just the first.
 func (w *WAL) Sync() error {
-	if w.cw != nil {
-		_, err := w.cw.commitFlush()
-		return err
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(w.streams))
 	for i, s := range w.streams {
@@ -1047,18 +939,7 @@ func (w *WAL) flushLoop() {
 				// a finished goroutine.
 				return
 			}
-			if c := w.cw; c != nil {
-				if n, err := c.commitFlush(); err == nil && n == 0 {
-					// An idle window: no tail was staged, so spend the quiet
-					// tick hardening commit-file bytes into their segments
-					// and dropping the commit files — recovery then has
-					// nothing to re-materialize and the directory stays a
-					// plain per-stream layout while traffic is away.
-					c.absorb()
-				}
-			} else {
-				w.Sync()
-			}
+			w.Sync()
 		}
 	}
 }
@@ -1110,17 +991,6 @@ func (w *WAL) Stats() Stats {
 		st.Segments += len(g.segs)
 	}
 	w.roMu.Unlock()
-	if c := w.cw; c != nil {
-		st.CommitBatched = true
-		st.CommitWindows = c.windows.Load()
-		st.CommitRecords = c.records.Load()
-		st.CommitBytes = c.bytes.Load()
-		st.CommitFiles = int(c.liveFiles.Load())
-		// Syncs stays the total data-fsync count either way: per-stream
-		// segment fsyncs plus (batched) commit-file fsyncs, so the
-		// O(1)-per-window claim is checkable from this one counter.
-		st.Syncs += c.syncs.Load()
-	}
 	if !oldest.IsZero() {
 		st.FsyncLag = time.Since(oldest)
 	}
@@ -1197,15 +1067,6 @@ func (w *WAL) Close() error {
 	close(w.stop)
 	w.bg.Wait()
 	var first error
-	if w.cw != nil {
-		// Harden every stream and drop the commit files: a cleanly closed
-		// batched WAL leaves a plain per-stream directory, so any writer —
-		// batched or not, newer or older — reopens it without a
-		// reconciliation step.
-		if err := w.cw.absorb(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, s := range w.streams {
 		s.syncMu.Lock()
 		s.mu.Lock()
@@ -1219,14 +1080,6 @@ func (w *WAL) Close() error {
 		s.mu.Unlock()
 		s.syncMu.Unlock()
 		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if w.cw != nil {
-		// An append racing Close can have flushed a fresh commit file after
-		// the absorb above; its records are durable and recovery replays
-		// them — only the handle needs closing.
-		if err := w.cw.closeFile(); err != nil && first == nil {
 			first = err
 		}
 	}

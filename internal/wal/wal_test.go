@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -530,13 +531,14 @@ func TestReplayFromSkips(t *testing.T) {
 	}
 }
 
-// FuzzWALRecover feeds arbitrary bytes to the recovery path as a lone WAL
-// segment — planted under the per-shard layout or the legacy single-stream
-// layout, selected by the first input byte, so both replay paths stay
-// fuzzed. The invariants: never panic; recover a prefix or fail typed;
-// never double-apply (the budget counters always equal the recovered job
-// set); and the recovered LSN never exceeds the number of frames the
-// segment could possibly hold.
+// FuzzWALRecover feeds arbitrary bytes to the recovery path, planted by the
+// first input byte mod 3: as a lone WAL segment under the per-shard layout
+// (0) or the legacy single-stream layout (1), or as a batched-commit file
+// beside the tiny real segment (2) — so both replay paths and the
+// commit-file reconciliation stay fuzzed. The invariants: never panic;
+// recover a prefix or fail typed; never double-apply (the budget counters
+// always equal the recovered job set); and the recovered LSN never exceeds
+// the number of frames the bytes present could possibly hold.
 func FuzzWALRecover(f *testing.F) {
 	// Seed with a *tiny* real segment covering every record kind (spec,
 	// events, finish, drop), built over the in-memory filesystem. Small
@@ -598,26 +600,66 @@ func FuzzWALRecover(f *testing.F) {
 		}
 		return out
 	}()
+	// A hand-framed commit file against that segment (shard 0, stamp 1):
+	// an in-range extent re-staging the segment's second half, stale patches
+	// for a target no directory entry names (checkpoint-retired), an extent
+	// beginning past the target's length (its hole), and a torn tail.
+	commitSeed := func() []byte {
+		half := wire.HeaderLen
+		for half < len(seed)/2 {
+			_, _, n, err := wire.DecodeFrame(seed[half:])
+			if err != nil {
+				f.Fatal(err)
+			}
+			half += n
+		}
+		out := AppendHeader(nil)
+		for _, x := range []struct {
+			shard      int
+			stamp, off uint64
+			data       []byte
+		}{
+			{0, 1, uint64(half), seed[half:]},
+			{3, 7, 0, seed[:half]},
+			{0, 1, uint64(len(seed)) + 100, seed[half:]},
+		} {
+			var e wire.Enc
+			wire.AppendCommitBatchPayload(&e, x.shard, x.stamp, x.off, x.data)
+			out = wire.AppendFrame(out, wire.FrameCommitBatch, e.B)
+		}
+		return append(out, out[wire.HeaderLen:wire.HeaderLen+11]...)
+	}()
+	addSeeds := func(layout byte, s []byte) {
+		sel := append([]byte{layout}, s...)
+		f.Add(sel)
+		f.Add(sel[:1+len(s)/2])
+		mut := append([]byte(nil), sel...)
+		mut[1+len(s)/3] ^= 0x20
+		f.Add(mut)
+	}
 	for _, s := range [][]byte{seed, legacySeed} {
 		for _, layout := range []byte{0, 1} {
-			sel := append([]byte{layout}, s...)
-			f.Add(sel)
-			f.Add(sel[:1+len(s)/2])
-			mut := append([]byte(nil), sel...)
-			mut[1+len(s)/3] ^= 0x20
-			f.Add(mut)
+			addSeeds(layout, s)
 		}
 	}
+	addSeeds(2, commitSeed)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// An in-memory filesystem keeps each exec free of disk syscalls.
 		fs := waltest.NewMemFS()
 		name := "wal/" + walpkg.SegName(0, 1)
-		if len(data) > 0 && data[0]&1 == 1 {
-			name = "wal/" + walpkg.LegacySegName(1)
-		}
+		present := 0 // bytes in the directory besides the input
 		if len(data) > 0 {
+			switch data[0] % 3 {
+			case 1:
+				name = "wal/" + walpkg.LegacySegName(1)
+			case 2:
+				fs.Files[name] = append([]byte(nil), seed...)
+				fs.Synced[name] = len(seed)
+				present = len(seed)
+				name = "wal/" + walpkg.CommitName(1)
+			}
 			data = data[1:]
 		}
 		fs.Files[name] = append([]byte(nil), data...)
@@ -634,8 +676,8 @@ func FuzzWALRecover(f *testing.F) {
 			return
 		}
 		defer wal.Close()
-		if rst.NextLSN-1 > uint64(len(data)/5+1) {
-			t.Fatalf("recovered %d records from %d bytes", rst.NextLSN-1, len(data))
+		if rst.NextLSN-1 > uint64((present+len(data))/5+1) {
+			t.Fatalf("recovered %d records from %d bytes", rst.NextLSN-1, present+len(data))
 		}
 		// No double-apply: budget counters must equal the recovered job set.
 		ids := sv.JobIDs()
@@ -773,6 +815,18 @@ func TestWALStreamsSpread(t *testing.T) {
 		if !reflect.DeepEqual(vs, refVerdicts[i]) {
 			t.Errorf("job %d: verdicts diverge after cross-fan-out recovery", specs[i].JobID)
 		}
+	}
+
+	// Unset, the fan-out follows the shard count but stops at GOMAXPROCS:
+	// every dirty stream costs its own fsync per window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, wal3, _, err := Recover("wal", cheapCfg(8), WALOptions{FS: waltest.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal3.Close()
+	if got := wal3.Streams(); got != 1 {
+		t.Errorf("8 shards at GOMAXPROCS=1: default fan-out %d, want 1", got)
 	}
 }
 

@@ -101,9 +101,10 @@ const (
 	// (commit-<stamp>.seg), the durability point of the batched cross-stream
 	// group commit: the target stream's shard index, the target segment's
 	// name stamp, the byte offset inside that segment, and the segment bytes
-	// verbatim. One commit-file fsync covers every dirty stream's tail;
+	// verbatim. One commit-file fsync covered every dirty stream's tail;
 	// recovery re-materializes lost segment bytes from these records before
-	// replay.
+	// replay. Read-only legacy: the batched writer is gone, the log still
+	// recovers directories it left.
 	FrameCommitBatch FrameKind = 10
 )
 
