@@ -106,16 +106,48 @@ func (c *Cluster) Ingest(e serve.Event) error {
 	return c.node(e.JobID).Ingest(e)
 }
 
-// IngestBatch routes each event in order. Per-job event order is preserved
-// (a job's events all land on one node, in call order), which is the only
-// order the protocol defines.
-func (c *Cluster) IngestBatch(events []serve.Event) error {
-	for i := range events {
-		if err := c.Ingest(events[i]); err != nil {
-			return fmt.Errorf("cluster: event %d: %w", i, err)
+// StageJob registers the job on its owning node without waiting for that
+// node's write-ahead log; Commit is the acknowledgment.
+func (c *Cluster) StageJob(spec serve.JobSpec, pred simulator.Predictor) error {
+	return c.node(spec.JobID).StageJob(spec, pred)
+}
+
+// StageEvent routes one event to its job's node without waiting for that
+// node's write-ahead log; Commit is the acknowledgment.
+func (c *Cluster) StageEvent(e serve.Event) error {
+	return c.node(e.JobID).StageEvent(e)
+}
+
+// Commit forwards the acknowledgment barrier to every node. A node with
+// nothing staged answers after one scan of its streams' slots, so the nodes
+// a batch did not touch cost it no write.
+func (c *Cluster) Commit() error {
+	var first error
+	for _, sv := range c.nodes {
+		if err := sv.Commit(); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
+}
+
+// IngestBatch routes each event in order, stopping at the first error, and
+// commits what it applied once, on the nodes' write-ahead logs, before it
+// returns either way. Per-job event order is preserved (a job's events all
+// land on one node, in call order), which is the only order the protocol
+// defines.
+func (c *Cluster) IngestBatch(events []serve.Event) error {
+	var err error
+	for i := range events {
+		if err = c.StageEvent(events[i]); err != nil {
+			err = fmt.Errorf("cluster: event %d: %w", i, err)
+			break
+		}
+	}
+	if cerr := c.Commit(); cerr != nil {
+		return cerr
+	}
+	return err
 }
 
 // FinishJob closes the job's stream on its owning node.

@@ -8,6 +8,9 @@ package cluster_test
 // scenario, the baseline every perf claim in the repository cites.
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sort"
 	"testing"
@@ -217,25 +220,59 @@ func (nopPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 // recovers every node's jobs onto the same nodes with identical verdicts —
 // ring stability is what makes per-node logs recoverable.
 func TestClusterWALRecovery(t *testing.T) {
+	t.Run("per-event", func(t *testing.T) { testClusterWALRecovery(t, false) })
+	// The same feed as one POST /ingest body: the front stages every frame
+	// on its owning node and the one commit reaches all three logs.
+	t.Run("one-body", func(t *testing.T) { testClusterWALRecovery(t, true) })
+}
+
+func testClusterWALRecovery(t *testing.T, oneBody bool) {
 	fs := waltest.NewMemFS()
 	cfg := serve.Config{Shards: 1, NewPredictor: func(serve.JobSpec) simulator.Predictor { return flagAllPredictor{} }}
 	cl, _, err := cluster.Recover("croot", 3, cfg, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var specs []serve.JobSpec
+	var events []serve.Event
 	for id := uint64(1); id <= 12; id++ {
-		spec := serve.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 3,
-			TauStra: 10, Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id}
-		if err := cl.StartJob(spec, nil); err != nil {
+		specs = append(specs, serve.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 3,
+			TauStra: 10, Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id})
+		for task := 0; task < 3; task++ {
+			events = append(events, serve.Event{Kind: serve.EventTaskStart, JobID: id, TaskID: task, Time: 1})
+		}
+		events = append(events, serve.Event{Kind: serve.EventTaskFinish, JobID: id, TaskID: 0, Time: 3, Latency: 2})
+	}
+	if oneBody {
+		var body bytes.Buffer
+		if err := serve.WriteDump(&body, specs, events); err != nil {
 			t.Fatal(err)
 		}
-		for task := 0; task < 3; task++ {
-			if err := cl.Ingest(serve.Event{Kind: serve.EventTaskStart, JobID: id, TaskID: task, Time: 1}); err != nil {
+		rec := httptest.NewRecorder()
+		servehttp.NewHandler(cl).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", &body))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /ingest: %d %s", rec.Code, rec.Body)
+		}
+		// One stream per node: a segment header and one write of records.
+		writes := 0
+		for _, op := range fs.Journal {
+			if op.Kind == waltest.OpWrite {
+				writes++
+			}
+		}
+		if writes != 2*cl.NumNodes() {
+			t.Errorf("one body over %d nodes cost %d writes, want %d", cl.NumNodes(), writes, 2*cl.NumNodes())
+		}
+	} else {
+		for _, sp := range specs {
+			if err := cl.StartJob(sp, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := cl.Ingest(serve.Event{Kind: serve.EventTaskFinish, JobID: id, TaskID: 0, Time: 3, Latency: 2}); err != nil {
-			t.Fatal(err)
+		for _, ev := range events {
+			if err := cl.Ingest(ev); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	want := map[uint64][]serve.TaskVerdict{}
@@ -258,8 +295,8 @@ func TestClusterWALRecovery(t *testing.T) {
 	for _, st := range stats {
 		recovered += uint64(st.RecordsApplied)
 	}
-	if recovered == 0 {
-		t.Fatal("no WAL records recovered — the per-node logs were never written")
+	if want := uint64(len(specs) + len(events)); recovered != want {
+		t.Fatalf("recovered %d WAL records of the %d acknowledged — a node's log was not written", recovered, want)
 	}
 	if got := revived.JobIDs(); len(got) != 12 {
 		t.Fatalf("recovered %d jobs, want 12", len(got))

@@ -309,10 +309,47 @@ func (sv *Server) JobIDs() []uint64 {
 	return ids
 }
 
+// commit makes the WAL record staged at lsn — and every record staged
+// before it — acknowledgeable. lsn 0 (no WAL, or nothing logged) is a no-op.
+func (sv *Server) commit(lsn uint64) error {
+	if lsn == 0 {
+		return nil
+	}
+	return sv.wal.Commit(lsn)
+}
+
+// Commit is the acknowledgment barrier for StageJob and StageEvent: it
+// returns once every mutation staged before the call, by any caller, is in
+// the write-ahead log. A front end that stages a request body frame by
+// frame calls it once, before it writes any reply. Without a WAL it is a
+// no-op.
+func (sv *Server) Commit() error {
+	if sv.wal == nil {
+		return nil
+	}
+	return sv.wal.CommitAll()
+}
+
 // StartJob registers a job. pred supplies the job's predictor; nil uses the
 // server's Config.NewPredictor factory. The spec fills in unset monitoring
 // defaults (10 checkpoints, 4% warmup, p90 quantile) before validation.
 func (sv *Server) StartJob(spec JobSpec, pred simulator.Predictor) error {
+	lsn, err := sv.stageJob(spec, pred)
+	if err != nil {
+		return err
+	}
+	return sv.commit(lsn)
+}
+
+// StageJob is StartJob minus the wait for the write-ahead log: the job is
+// registered and its record staged, and the caller must not acknowledge it
+// until Commit returns.
+func (sv *Server) StageJob(spec JobSpec, pred simulator.Predictor) error {
+	_, err := sv.stageJob(spec, pred)
+	return err
+}
+
+func (sv *Server) stageJob(spec JobSpec, pred simulator.Predictor) (uint64, error) {
 	if spec.Checkpoints == 0 {
 		spec.Checkpoints = simulator.DefaultConfig().Checkpoints
 	}
@@ -329,43 +366,63 @@ func (sv *Server) StartJob(spec JobSpec, pred simulator.Predictor) error {
 		spec.RefitMode = sv.cfg.RefitMode
 	}
 	if err := spec.Validate(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := sv.reserve(spec.NumTasks); err != nil {
-		return fmt.Errorf("serve: job %d: %w", spec.JobID, err)
+		return 0, fmt.Errorf("serve: job %d: %w", spec.JobID, err)
 	}
 	if pred == nil {
 		pred = sv.cfg.NewPredictor(spec)
 	}
 	if pred == nil {
 		sv.release(spec.NumTasks)
-		return fmt.Errorf("serve: job %d: nil predictor", spec.JobID)
+		return 0, fmt.Errorf("serve: job %d: nil predictor", spec.JobID)
 	}
-	if err := sv.reg.shardFor(spec.JobID).startJob(spec, pred); err != nil {
+	lsn, err := sv.reg.shardFor(spec.JobID).startJob(spec, pred)
+	if err != nil {
 		sv.release(spec.NumTasks)
-		return err
+		return 0, err
 	}
-	return nil
+	return lsn, nil
 }
 
 // Ingest applies one lifecycle event. Events of one job must arrive in
 // non-decreasing Time order; different jobs' events may be ingested
-// concurrently from many goroutines.
+// concurrently from many goroutines. With a WAL attached the event's
+// record is written before Ingest returns.
 func (sv *Server) Ingest(e Event) error {
-	return sv.reg.shardFor(e.JobID).ingest(e)
+	lsn, err := sv.reg.shardFor(e.JobID).ingest(e)
+	if err != nil {
+		return err
+	}
+	return sv.commit(lsn)
+}
+
+// StageEvent is Ingest minus the wait for the write-ahead log: the event is
+// applied and its record staged, and the caller must not acknowledge it
+// until Commit returns.
+func (sv *Server) StageEvent(e Event) error {
+	_, err := sv.reg.shardFor(e.JobID).ingest(e)
+	return err
 }
 
 // IngestBatch applies a batch of events in order, stopping at the first
-// error. Heartbeats shed under overload (ErrShed) are skipped, not errors:
-// shedding is policy, and aborting the batch would turn one coalesced
-// observation into the loss of every event after it.
+// error, and commits what it applied to the write-ahead log once, before it
+// returns either way. Heartbeats shed under overload (ErrShed) are skipped,
+// not errors: shedding is policy, and aborting the batch would turn one
+// coalesced observation into the loss of every event after it.
 func (sv *Server) IngestBatch(events []Event) error {
+	var err error
 	for i := range events {
-		if err := sv.Ingest(events[i]); err != nil && !errors.Is(err, ErrShed) {
-			return fmt.Errorf("event %d: %w", i, err)
+		if ierr := sv.StageEvent(events[i]); ierr != nil && !errors.Is(ierr, ErrShed) {
+			err = fmt.Errorf("event %d: %w", i, ierr)
+			break
 		}
 	}
-	return nil
+	if cerr := sv.Commit(); cerr != nil {
+		return cerr
+	}
+	return err
 }
 
 // FinishJob closes a job's stream at the given time, firing every remaining
@@ -377,12 +434,12 @@ func (sv *Server) FinishJob(jobID uint64, t float64) error {
 // DropJob discards a finished job's state and releases its registration
 // budget.
 func (sv *Server) DropJob(jobID uint64) error {
-	numTasks, err := sv.reg.shardFor(jobID).dropJob(jobID)
+	numTasks, lsn, err := sv.reg.shardFor(jobID).dropJob(jobID)
 	if err != nil {
 		return err
 	}
 	sv.release(numTasks)
-	return nil
+	return sv.commit(lsn)
 }
 
 // Query answers a batched per-task straggler query against the job's

@@ -34,13 +34,15 @@ type shard struct {
 	// here, so model fits never run on the ingest path (see refit.go).
 	pool *refitPool
 
-	// wal, when non-nil, receives one record per accepted mutation, written
-	// before the owning lock (s.mu for start/drop, the job's mu for events)
-	// is released — the ordering that makes log replay reproduce the live
-	// apply order. The log is sharded like the registry: an append takes
-	// only the job's own stream lock (job/shard lock before stream lock,
-	// never the reverse), so logging here never serializes against other
-	// shards' traffic. Set once by Server.attachWAL before any traffic.
+	// wal, when non-nil, receives one record per accepted mutation, staged
+	// (given its LSN and its place in its stream) before the owning lock
+	// (s.mu for start/drop, the job's mu for events) is released — the
+	// ordering that makes log replay reproduce the live apply order. The
+	// write itself is the Server's commit, after the lock is gone. The log
+	// is sharded like the registry: a stage takes only the job's own stream
+	// lock (job/shard lock before stream lock, never the reverse), so
+	// logging here never serializes against other shards' traffic. Set once
+	// by Server.attachWAL before any traffic.
 	wal *WAL
 
 	// sem is the bounded ingest admission queue (nil = unbounded): every
@@ -102,32 +104,34 @@ func (s *shard) lookup(jobID uint64) (*jobState, bool) {
 	return j, ok
 }
 
-// startJob registers a job on this shard, logging the registration before
-// the shard lock is released so no event of this job can reach the WAL
-// ahead of its spec.
-func (s *shard) startJob(spec JobSpec, pred simulator.Predictor) error {
+// startJob registers a job on this shard, staging the registration's WAL
+// record before the shard lock is released so no event of this job can
+// reach the WAL ahead of its spec. It returns the record's LSN (0 without a
+// WAL); the caller commits it before acknowledging.
+func (s *shard) startJob(spec JobSpec, pred simulator.Predictor) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.jobs[spec.JobID]; ok {
-		return fmt.Errorf("serve: job %d already registered", spec.JobID)
+		return 0, fmt.Errorf("serve: job %d already registered", spec.JobID)
 	}
 	j := newJobState(spec, pred)
 	j.pool = s.pool
 	j.staleEnabled = s.degradedAfter > 0
 	if s.wal != nil {
-		lsn, err := s.wal.AppendSpec(&spec)
+		lsn, err := s.wal.StageSpec(&spec)
 		if err != nil {
-			return fmt.Errorf("serve: job %d: %w", spec.JobID, err)
+			return 0, fmt.Errorf("serve: job %d: %w", spec.JobID, err)
 		}
 		j.lsn = lsn
 	}
 	s.jobs[spec.JobID] = j
-	return nil
+	return j.lsn, nil
 }
 
 // ingest applies one event to its job, then folds the job's counter deltas
-// into the shard.
-func (s *shard) ingest(e Event) error {
+// into the shard. It returns the LSN of the event's staged WAL record (0
+// when nothing was logged); the caller commits it before acknowledging.
+func (s *shard) ingest(e Event) (uint64, error) {
 	if s.sem != nil {
 		select {
 		case s.sem <- struct{}{}:
@@ -139,7 +143,7 @@ func (s *shard) ingest(e Event) error {
 			// for a slot instead: backpressure, never loss.
 			if e.Kind == EventHeartbeat {
 				s.shedHeartbeats.Add(1)
-				return fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrShed)
+				return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrShed)
 			}
 			s.ingestWaits.Add(1)
 			s.sem <- struct{}{}
@@ -148,14 +152,14 @@ func (s *shard) ingest(e Event) error {
 	}
 	j, ok := s.lookup(e.JobID)
 	if !ok {
-		return fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
+		return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
 	}
 	// Reject events the wire format could not round-trip *before* touching
 	// any state. Only the in-process path can produce them (the decoder
 	// bounds features already), and applying such an event while refusing
 	// to log it would fork the live state from the recoverable state.
 	if len(e.Features) > wire.MaxWireFeatures {
-		return fmt.Errorf("serve: event %s for job %d: %d features exceed the wire cap %d",
+		return 0, fmt.Errorf("serve: event %s for job %d: %d features exceed the wire cap %d",
 			e.Kind, e.JobID, len(e.Features), wire.MaxWireFeatures)
 	}
 	j.mu.Lock()
@@ -164,7 +168,7 @@ func (s *shard) ingest(e Event) error {
 		// already in the WAL, so this event must not be applied or counted
 		// — recovery could never reproduce it.
 		j.mu.Unlock()
-		return fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
+		return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
 	}
 	termBefore, refitsBefore, durBefore, wasDone := j.terminated, j.refits, j.refitDur, j.done
 	droppedBefore := j.dropped
@@ -181,14 +185,14 @@ func (s *shard) ingest(e Event) error {
 		j.dropped++
 	}
 	// Accepted mutations (clean applies and benign drops, which still move
-	// counters) are logged before the job lock is released, so the WAL's
-	// per-job record order is exactly the apply order. A failed append
+	// counters) are staged before the job lock is released, so the WAL's
+	// per-job record order is exactly the apply order. A failed stage
 	// surfaces as the ingest error: the mutation is applied in memory but
-	// not durable, so it must not be acknowledged.
+	// will never be durable, so it must not be acknowledged.
+	var lsn uint64
 	var walErr error
 	if s.wal != nil && accepted {
-		var lsn uint64
-		if lsn, walErr = s.wal.AppendEvent(&e); walErr == nil {
+		if lsn, walErr = s.wal.StageEvent(&e); walErr == nil {
 			j.lsn = lsn
 		}
 	}
@@ -223,9 +227,9 @@ func (s *shard) ingest(e Event) error {
 		s.finished.Add(1)
 	}
 	if dropped || err == nil {
-		return walErr
+		return lsn, walErr
 	}
-	return err
+	return 0, err
 }
 
 // atomicMax raises v to at least x.
@@ -292,32 +296,33 @@ func (s *shard) report(jobID uint64) (*JobReport, error) {
 
 // dropJob removes a completed job's state (memory reclamation for
 // long-running servers), reporting its task count so the Server can release
-// the job's registration budget. It refuses to drop a live job. The drop
-// record is logged and the job marked defunct under the job lock, so a
-// concurrent ingest that already looked the job up either logs its event
-// strictly before the drop record or observes defunct and rejects — WAL
-// order always matches acknowledgment order.
-func (s *shard) dropJob(jobID uint64) (int, error) {
+// the job's registration budget, and the LSN of the staged drop record for
+// the Server to commit. It refuses to drop a live job. The drop record is
+// staged and the job marked defunct under the job lock, so a concurrent
+// ingest that already looked the job up either stages its event strictly
+// before the drop record or observes defunct and rejects — WAL order always
+// matches apply order.
+func (s *shard) dropJob(jobID uint64) (numTasks int, lsn uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[jobID]
 	if !ok {
-		return 0, fmt.Errorf("serve: drop of job %d: %w", jobID, ErrUnknownJob)
+		return 0, 0, fmt.Errorf("serve: drop of job %d: %w", jobID, ErrUnknownJob)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.done {
-		return 0, fmt.Errorf("serve: job %d still streaming; finish it before dropping", jobID)
+		return 0, 0, fmt.Errorf("serve: job %d still streaming; finish it before dropping", jobID)
 	}
 	if s.wal != nil {
-		if _, err := s.wal.AppendDrop(jobID); err != nil {
-			return 0, fmt.Errorf("serve: drop of job %d: %w", jobID, err)
+		if lsn, err = s.wal.StageDrop(jobID); err != nil {
+			return 0, 0, fmt.Errorf("serve: drop of job %d: %w", jobID, err)
 		}
 	}
 	j.defunct = true
 	delete(s.jobs, jobID)
 	s.finished.Add(-1)
-	return j.spec.NumTasks, nil
+	return j.spec.NumTasks, lsn, nil
 }
 
 // jobIDs lists this shard's registered jobs.

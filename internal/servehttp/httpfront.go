@@ -14,6 +14,10 @@ package servehttp
 //	                Specs register jobs through the server's predictor
 //	                factory; events stream in body order. Responds with
 //	                JSON counts; on error, the counts applied before it.
+//	                Either reply is written only after everything the body
+//	                applied is in the write-ahead log: frames are staged as
+//	                they decode and committed once, one log write per
+//	                stream the body touched.
 //	GET  /query     ?job=ID&tasks=0,1,2 — batched verdicts as JSON.
 //	GET  /report    ?job=ID — the job's JobReport as JSON.
 //	GET  /stats     server-wide Stats as JSON. Servers running with a WAL
@@ -62,6 +66,12 @@ import (
 type Backend interface {
 	StartJob(spec serve.JobSpec, pred simulator.Predictor) error
 	Ingest(e serve.Event) error
+	// StageJob and StageEvent are StartJob and Ingest minus the wait for
+	// the write-ahead log; nothing they applied may be acknowledged until
+	// Commit returns. POST /ingest stages a whole body and commits once.
+	StageJob(spec serve.JobSpec, pred simulator.Predictor) error
+	StageEvent(e serve.Event) error
+	Commit() error
 	Query(jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error)
 	Report(jobID uint64) (*serve.JobReport, error)
 	Stats() serve.Stats
@@ -227,50 +237,62 @@ func (f *front) ingest(w http.ResponseWriter, r *http.Request) {
 	// one the server did not retain, so a steady heartbeat stream ingests
 	// without per-event heap allocation.
 	var ev serve.Event
+	var err error
+	var decodeErr bool
 	for {
-		sp, err := wr.NextInto(&ev)
-		if err == io.EOF {
-			writeJSON(w, http.StatusOK, res)
-			return
+		var sp *serve.JobSpec
+		if sp, err = wr.NextInto(&ev); err != nil {
+			decodeErr = err != io.EOF
+			break
 		}
-		decodeErr := err != nil
-		if err == nil {
-			if sp != nil {
-				f.charge(client, false)
-				if err = f.sv.StartJob(*sp, nil); err == nil {
-					res.Specs++
-					continue
-				}
-			} else {
-				if ev.Kind == serve.EventHeartbeat {
-					if !f.charge(client, true) {
-						res.Shed++
-						serve.RecycleAfterIngest(&ev, serve.ErrShed) // never ingested
-						continue
-					}
-				} else {
-					f.charge(client, false)
-				}
-				err = f.sv.Ingest(ev)
-				serve.RecycleAfterIngest(&ev, err)
-				if errors.Is(err, serve.ErrShed) {
-					// Shed by the shard's ingest queue: counted, batch
-					// continues. Shedding is the overload policy working,
-					// not a failure.
-					res.Shed++
-					continue
-				}
-				if err == nil {
-					res.Events++
-					continue
-				}
+		if sp != nil {
+			f.charge(client, false)
+			if err = f.sv.StageJob(*sp, nil); err != nil {
+				break
 			}
+			res.Specs++
+			continue
 		}
-		code := errCode(err, decodeErr)
-		res.Error = errBody(code, err)
-		writeErrJSON(w, code, f.retryHint(code), res)
+		if ev.Kind == serve.EventHeartbeat {
+			if !f.charge(client, true) {
+				res.Shed++
+				serve.RecycleAfterIngest(&ev, serve.ErrShed) // never ingested
+				continue
+			}
+		} else {
+			f.charge(client, false)
+		}
+		err = f.sv.StageEvent(ev)
+		serve.RecycleAfterIngest(&ev, err)
+		if errors.Is(err, serve.ErrShed) {
+			// Shed by the shard's ingest queue: counted, batch continues.
+			// Shedding is the overload policy working, not a failure.
+			res.Shed++
+			continue
+		}
+		if err != nil {
+			break
+		}
+		res.Events++
+	}
+	// One acknowledgment per body, so one log write per stream it touched:
+	// whatever the frames above applied is committed before any reply, the
+	// 200 and the mid-body error (which reports the counts applied before
+	// it) alike. A log that cannot take the write outranks either; a body
+	// that applied nothing has nothing to acknowledge and keeps its own
+	// answer.
+	if res.Specs+res.Events > 0 {
+		if cerr := f.sv.Commit(); cerr != nil {
+			err, decodeErr = cerr, false
+		}
+	}
+	if err == io.EOF {
+		writeJSON(w, http.StatusOK, res)
 		return
 	}
+	code := errCode(err, decodeErr)
+	res.Error = errBody(code, err)
+	writeErrJSON(w, code, f.retryHint(code), res)
 }
 
 // charge pays one rate-limit token for a frame (no-op without a limiter).

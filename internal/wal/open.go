@@ -84,6 +84,14 @@ func (w *WAL) Checkpoint(write func(io.Writer) (uint64, error)) (string, int, er
 	}
 	floor, err := write(f)
 	if err == nil {
+		// Every record the snapshot reflects was staged before its job's
+		// section was serialized. It must be in the log before the snapshot
+		// can be recovered from: a snapshot ahead of the log would hand the
+		// LSNs of records a crash lost to the next mutations, which replay
+		// would then skip as already reflected.
+		err = w.CommitAll()
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {

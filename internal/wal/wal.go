@@ -2,9 +2,10 @@ package wal
 
 // wal.go is the serving layer's write-ahead log: every accepted mutation —
 // StartJob, Ingest (including the benignly dropped late events, which still
-// move counters), FinishJob, DropJob — is appended as one CRC-framed wire
-// record to a rotating segment file before the owning lock is released, so
-// a crash between snapshots loses nothing that was acknowledged.
+// move counters), FinishJob, DropJob — is given its LSN as one CRC-framed
+// wire record of a rotating segment file before the owning lock is
+// released, and is in that file before it is acknowledged, so a crash
+// between snapshots loses nothing that was acknowledged.
 //
 // The log is sharded: each registry shard's jobs append to their own
 // rotating segment stream (wal-<shard>-<stamp>.seg), so an append contends
@@ -18,19 +19,34 @@ package wal
 // implicit LSNs from a wire.FrameLSNMark header) recover unchanged; new appends
 // always land in per-shard streams.
 //
-// Durability model: a record is written to its segment file (one Write
-// call, i.e. into the OS page cache) before the mutation is acknowledged,
-// so an acknowledged mutation survives a process crash. Because sibling
-// streams interleave the LSN sequence, acknowledgment additionally waits
-// for the commit watermark — every lower LSN written (and, with SyncEvery
-// == 0, synced) — so a crash can never leave a hole in the log *below* an
-// acknowledged record; the hole a crash can leave holds only
-// unacknowledged records, which is exactly what recovery truncates. fsync
-// is group-committed: with Options.SyncEvery == 0 every append syncs
-// before it returns (full power-loss durability, slowest); with SyncEvery
-// > 0 a background flusher syncs all streams at that interval, so at most
-// one interval of acknowledged records is exposed to power loss. Rotation
-// and Close always sync.
+// Durability model: acknowledged means written, below the watermark. A
+// record is first staged — framed, given its LSN, appended to its stream's
+// buffer — and nothing about it is promised yet. Commit (append.go) writes
+// every stream's staged frames with one Write call each, i.e. into the OS
+// page cache, and the mutation is acknowledged only after that, so an
+// acknowledged mutation survives a process crash. A request body's records
+// are staged one by one and committed once, before the reply; a single
+// in-process mutation is the one-record case of the same path. Because
+// sibling streams interleave the LSN sequence, acknowledgment additionally
+// waits for the commit watermark — every lower LSN written (and, with
+// SyncEvery == 0, synced) — so a crash can never leave a hole in the log
+// *below* an acknowledged record; the hole a crash can leave holds only
+// unacknowledged records, which is exactly what recovery truncates.
+//
+// What is staged is already applied in memory, so a query can see a
+// mutation before it is in the OS; a crash in that window loses it,
+// unacknowledged — the standing the received half of a half-sent body
+// always had. A stream's stage is bounded by stageLimit, not by the body,
+// and rotation stays per record, so a directory's bytes do not depend on
+// how its records were batched. A checkpoint commits everything staged
+// before its snapshot becomes visible, so no snapshot ever reflects a
+// record the log could still lose.
+//
+// fsync is group-committed: with Options.SyncEvery == 0 every commit syncs
+// the streams it wrote before it returns (full power-loss durability,
+// slowest); with SyncEvery > 0 a background flusher syncs all streams at
+// that interval, so at most one interval of acknowledged records is exposed
+// to power loss. Sync, rotation and Close write what is staged, then sync.
 //
 // Checkpointing is automatic: Options.CheckpointEvery (wall clock) and
 // CheckpointBytes (appended bytes since the last checkpoint) arm a
@@ -47,13 +63,8 @@ import (
 
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,73 +83,6 @@ var ErrFailed = errors.New("serve/wal: failed")
 // segments. Recovery refuses to silently skip the hole.
 var ErrGap = errors.New("serve/wal: gap in log")
 
-// File is the writable half of a WAL segment.
-type File interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
-// FS is the filesystem surface the WAL and its recovery need. Paths are
-// regular slash-joined file paths; ReadDir returns base names. The default
-// is the operating system (osFS); tests inject fault-carrying fakes.
-type FS interface {
-	// Create opens name for writing, truncating any existing file.
-	Create(name string) (File, error)
-	// Open opens name for reading.
-	Open(name string) (io.ReadCloser, error)
-	// ReadDir lists the base names inside dir.
-	ReadDir(dir string) ([]string, error)
-	// Rename atomically moves oldname to newname.
-	Rename(oldname, newname string) error
-	// Remove deletes name.
-	Remove(name string) error
-	// SyncDir makes dir's entries (creates, renames, removes) durable.
-	// File data fsyncs alone do not cover the directory entry: without
-	// this a power loss can forget a freshly rotated segment or a
-	// checkpoint rename whose *contents* were already synced.
-	SyncDir(dir string) error
-}
-
-// OSFS is the production filesystem (the WithDefaults fallback), exported
-// so tests and tools can list a real directory with the package's naming
-// helpers.
-var OSFS FS = osFS{}
-
-// osFS is the production FS.
-type osFS struct{}
-
-func (osFS) Create(name string) (File, error) { return os.Create(name) }
-func (osFS) Open(name string) (io.ReadCloser, error) {
-	return os.Open(name)
-}
-func (osFS) ReadDir(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	return names, nil
-}
-func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
-func (osFS) Remove(name string) error             { return os.Remove(name) }
-func (osFS) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // Options sizes a WAL.
 type Options struct {
 	// SegmentBytes is the per-stream rotation threshold: once a stream's
@@ -146,10 +90,10 @@ type Options struct {
 	// a fresh segment. 0 means the 4 MiB default; segments bound both the
 	// replay unit and how much log a checkpoint can retire at once.
 	SegmentBytes int64
-	// SyncEvery is the group-commit fsync interval. 0 syncs every append
+	// SyncEvery is the group-commit fsync interval. 0 syncs every commit
 	// (full power-loss durability); > 0 runs a background flusher at that
 	// interval, exposing at most one interval of acknowledged records to
-	// power loss (a process crash loses nothing either way — appends reach
+	// power loss (a process crash loses nothing either way — records reach
 	// the OS before they are acknowledged).
 	SyncEvery time.Duration
 	// Streams is how many per-shard segment streams appends fan across.
@@ -246,8 +190,9 @@ type Stats struct {
 	Appends uint64 `json:"appends"`
 	Bytes   uint64 `json:"bytes"`
 	// Syncs counts fsync calls; PendingBytes is the group-commit backlog
-	// (bytes appended since the last sync) and FsyncLag the age of its
-	// oldest byte — together the window a power loss could lose.
+	// (bytes written since the last sync; staged bytes are not yet
+	// acknowledged and do not count) and FsyncLag the age of its oldest
+	// byte — together the window a power loss could lose.
 	Syncs        uint64        `json:"syncs"`
 	PendingBytes int64         `json:"pending_bytes"`
 	FsyncLag     time.Duration `json:"fsync_lag_ns"`
@@ -287,19 +232,20 @@ type WAL struct {
 
 	// failed latches the first write error of any stream; every later
 	// append on every stream returns it (one wedged stream wedges the
-	// server's durability guarantee as a whole). Atomic so the hot append
+	// server's durability guarantee as a whole). Atomic so the stage
 	// path reads it without a shared lock.
 	failed atomic.Pointer[error]
 
-	// inflight publishes, per stream, the LSN currently being appended
-	// (0: none; inflightClaim: an LSN is being assigned right now). The
-	// commit watermark derived from it — the highest LSN below which every
-	// record's write has completed — gates acknowledgment: an append
-	// returns only once the watermark covers its LSN, so no mutation is
-	// ever acknowledged while a lower LSN is still unwritten in a sibling
-	// stream. Without this, a process crash could leave a hole *below* an
-	// acknowledged record, and recovery's hole truncation would discard
-	// acknowledged data.
+	// inflight publishes, per stream, its lowest staged-but-unwritten LSN
+	// (0: nothing staged; inflightClaim: a first LSN is being assigned right
+	// now). The slot is held from the stage until the write (and, with
+	// SyncEvery == 0, the fsync) completes. The commit watermark derived
+	// from it — the highest LSN below which every record's write has
+	// completed — gates acknowledgment: Commit returns only once the
+	// watermark covers its LSN, so no mutation is ever acknowledged while a
+	// lower LSN is still unwritten in a sibling stream. Without this, a
+	// process crash could leave a hole *below* an acknowledged record, and
+	// recovery's hole truncation would discard acknowledged data.
 	inflight []atomic.Uint64
 
 	closed atomic.Bool
@@ -325,12 +271,13 @@ type WAL struct {
 	ckptMu sync.Mutex
 }
 
-// walStream is one per-shard segment stream. mu covers the open segment
-// and the stream's counters; the hot append path takes exactly this one
-// lock. syncMu serializes the operations that may fsync or close the open
-// file (group-commit flush, rotation, Close) with each other, so the flush
-// can run its fsync *outside* mu — appends keep flowing into the segment
-// while its group commit is in flight. Lock order: syncMu before mu.
+// walStream is one per-shard segment stream. mu covers the open segment,
+// the staged frames and the stream's counters; staging a record takes
+// exactly this one lock. syncMu serializes the operations that may fsync or
+// close the open file (group-commit flush, rotation, Close) with each
+// other, so the flush can run its fsync *outside* mu — stages keep flowing
+// into the stream while its group commit is in flight. Lock order: syncMu
+// before mu.
 type walStream struct {
 	w     *WAL
 	shard int
@@ -339,126 +286,16 @@ type walStream struct {
 	mu           sync.Mutex
 	f            File   // open segment; nil until the first append (lazy)
 	stamp        uint64 // open segment's name stamp
-	lastLSN      uint64 // last LSN appended to this stream (recovered or live)
+	lastLSN      uint64 // last LSN staged to this stream (recovered or live)
 	written      int64  // bytes in the open segment
-	pending      int64  // bytes appended since the last sync
+	pending      int64  // bytes written since the last sync
 	pendingSince time.Time
 	segs         []Entry // live segments of this stream, ascending stamp
 	appends      uint64
 	bytes        uint64
 	syncs        uint64
 	buf          []byte // record payload scratch, reused under mu
-	frameBuf     []byte // frame scratch, reused under mu
-}
-
-// segment / snapshot file naming inside the WAL directory.
-const (
-	SegPrefix    = "wal-"
-	SegSuffix    = ".seg"
-	SnapPrefix   = "snap-"
-	SnapSuffix   = ".snap"
-	CommitPrefix = "commit-"
-	TmpSuffix    = ".tmp"
-)
-
-// LegacySegName is the legacy single-stream segment name (wal-<base>.seg); new
-// segments are named by SegName. Both parse distinctly: the legacy hex
-// field is exactly 16 digits, the per-shard form carries a 4-digit shard.
-func LegacySegName(base uint64) string { return fmt.Sprintf("%s%016x%s", SegPrefix, base, SegSuffix) }
-
-// SegName names a per-shard segment: wal-<shard>-<stamp>.seg.
-func SegName(shard int, stamp uint64) string {
-	return fmt.Sprintf("%s%04x-%016x%s", SegPrefix, shard, stamp, SegSuffix)
-}
-
-func SnapName(lsn uint64) string { return fmt.Sprintf("%s%016x%s", SnapPrefix, lsn, SnapSuffix) }
-
-// CommitName names a batched group-commit file: commit-<stamp>.seg, the
-// read-only legacy layout recovery reconciles (commit.go); nothing writes
-// one any more. The prefix keeps it invisible to segment and snapshot
-// listings (both parse by their own prefixes).
-func CommitName(stamp uint64) string {
-	return fmt.Sprintf("%s%016x%s", CommitPrefix, stamp, SegSuffix)
-}
-
-func ParseSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	hex := name[len(prefix) : len(name)-len(suffix)]
-	if len(hex) != 16 {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(hex, 16, 64)
-	return v, err == nil
-}
-
-// ParseShardSeg parses a per-shard segment name (wal-<shard>-<stamp>.seg).
-func ParseShardSeg(name string) (shard int, stamp uint64, ok bool) {
-	if !strings.HasPrefix(name, SegPrefix) || !strings.HasSuffix(name, SegSuffix) {
-		return 0, 0, false
-	}
-	mid := name[len(SegPrefix) : len(name)-len(SegSuffix)]
-	if len(mid) != 4+1+16 || mid[4] != '-' {
-		return 0, 0, false
-	}
-	s, err := strconv.ParseUint(mid[:4], 16, 16)
-	if err != nil {
-		return 0, 0, false
-	}
-	v, err := strconv.ParseUint(mid[5:], 16, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return int(s), v, true
-}
-
-// ListSorted returns the (name, sequence) pairs in dir matching
-// prefix/suffix, in ascending sequence order. Per-shard segment names do
-// not match the legacy segment pattern (their hex field is 21 characters),
-// so listing legacy segments never picks them up, and vice versa.
-func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	return sortedEntries(names, prefix, suffix), nil
-}
-
-// sortedEntries is ListSorted over an already-read directory listing.
-func sortedEntries(names []string, prefix, suffix string) []Entry {
-	var out []Entry
-	for _, n := range names {
-		if seq, ok := ParseSeq(n, prefix, suffix); ok {
-			out = append(out, Entry{Name: n, Seq: seq})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
-}
-
-// ListShardSegs groups dir's per-shard segments by shard, each group in
-// ascending stamp order.
-func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	groups := make(map[int][]Entry)
-	for _, n := range names {
-		if shard, stamp, ok := ParseShardSeg(n); ok {
-			groups[shard] = append(groups[shard], Entry{Name: n, Seq: stamp})
-		}
-	}
-	for _, segs := range groups {
-		sort.Slice(segs, func(a, b int) bool { return segs[a].Seq < segs[b].Seq })
-	}
-	return groups, nil
-}
-
-type Entry struct {
-	Name string
-	Seq  uint64
+	staged       []byte // framed records not yet written, reused under mu
 }
 
 // roSegGroup is a read-only segment group: its files are retained only
@@ -579,8 +416,8 @@ func (w *WAL) checkpointDone(floor uint64) {
 	w.ckptArmed.Store(false)
 }
 
-// err reports the latched failure, if any. Lock-free: the hot append path
-// calls this once per record.
+// Err reports the latched failure, if any. Lock-free: the stage path calls
+// this once per record.
 func (w *WAL) Err() error {
 	if p := w.failed.Load(); p != nil {
 		return *p
@@ -605,53 +442,6 @@ func (w *WAL) failWith(err error) error {
 	wrapped := fmt.Errorf("%w: %v", ErrFailed, err)
 	w.failed.CompareAndSwap(nil, &wrapped)
 	return wrapped
-}
-
-// inflightClaim marks a stream that has started assigning an LSN but not
-// yet published it; watermark readers retry while they see it.
-const inflightClaim = ^uint64(0)
-
-// watermark returns the highest LSN below which every assigned record's
-// write has completed: the global next-LSN minus any still-in-flight
-// appends. A record at or below the watermark can be acknowledged — no
-// lower LSN can be missing from the log on a process crash.
-func (w *WAL) watermark() uint64 {
-retry:
-	for {
-		wm := w.seq.Load() - 1
-		for i := range w.inflight {
-			switch v := w.inflight[i].Load(); {
-			case v == inflightClaim:
-				continue retry // mid-assignment; the claim window is two atomic ops
-			case v != 0 && v-1 < wm:
-				wm = v - 1
-			}
-		}
-		return wm
-	}
-}
-
-// WaitDurable blocks until the watermark covers lsn (every lower LSN
-// written) or the log wedges. The wait is normally zero — out-of-order
-// completion needs a sibling stream preempted inside its microseconds-long
-// write — so a brief spin beats parking.
-func (w *WAL) WaitDurable(lsn uint64) error {
-	for i := 0; ; i++ {
-		if w.watermark() >= lsn {
-			return nil
-		}
-		if err := w.Err(); err != nil {
-			// A lower record's write failed and will never complete; this
-			// record is in the log but must not be acknowledged (recovery
-			// truncates at the hole the failed write left).
-			return err
-		}
-		if i < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
 }
 
 // streamFor routes a job to its stream: the same splitmix64 reduction the
@@ -705,10 +495,14 @@ func (s *walStream) createSegmentLocked() error {
 	return nil
 }
 
-// rotateLocked syncs and closes the open segment and starts a new one.
-// Called with both s.syncMu and s.mu held; only called after at least one
-// record was appended, so successive stamps are strictly increasing.
+// rotateLocked writes what is staged, syncs and closes the open segment and
+// starts a new one. Called with both s.syncMu and s.mu held; only called
+// after at least one record was staged, so successive stamps are strictly
+// increasing.
 func (s *walStream) rotateLocked() error {
+	if err := s.writeStagedLocked(); err != nil {
+		return err
+	}
 	if err := s.syncLocked(); err != nil {
 		return err
 	}
@@ -717,136 +511,6 @@ func (s *walStream) rotateLocked() error {
 	}
 	s.f = nil
 	return s.createSegmentLocked()
-}
-
-// recordPad reserves the wire.FrameRecord prefix (lsn u64 + wrapped kind u8) at
-// the front of the payload scratch so the inner payload encodes in place.
-var recordPad [9]byte
-
-// append frames payload as a kind record of jobID's stream, writes it, and
-// returns the record's global LSN. The write reaches the OS before append
-// returns — the caller may acknowledge the mutation once this succeeds. An
-// encode error aborts before any byte is written or an LSN consumed: a
-// record that cannot round-trip must never reach the log, where it would
-// poison every future recovery.
-func (w *WAL) append(jobID uint64, kind wire.FrameKind, encode func(*wire.Enc) error) (uint64, error) {
-	s := w.streamFor(jobID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if w.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := w.Err(); err != nil {
-		return 0, err
-	}
-	e := wire.Enc{B: append(s.buf[:0], recordPad[:]...)}
-	err := encode(&e)
-	s.buf = e.B[:0] // retain the (possibly grown) payload scratch
-	if err != nil {
-		return 0, err
-	}
-	if s.f == nil {
-		if err := s.createSegmentLocked(); err != nil {
-			return 0, err
-		}
-	}
-	// The LSN is assigned only after the record is known encodable and the
-	// segment open: a consumed-but-unwritten LSN would read as a hole to
-	// every future recovery. The assignment publishes through the inflight
-	// slot (claim, assign, publish) so the commit watermark never skips
-	// over a record whose write has not finished — and on a write or sync
-	// failure the slot is deliberately left holding the LSN: the hole is
-	// permanent, the watermark sticks below it, and no later record on any
-	// stream is ever acknowledged past it.
-	w.inflight[s.shard].Store(inflightClaim)
-	lsn := w.seq.Add(1) - 1
-	w.inflight[s.shard].Store(lsn)
-	for i := 0; i < 8; i++ {
-		e.B[i] = byte(lsn >> (8 * i))
-	}
-	e.B[8] = byte(kind)
-	// Separate persistent scratch for the frame: once both arrays have
-	// grown to the workload's record size, the hot path stops allocating.
-	frame := wire.AppendFrame(s.frameBuf[:0], wire.FrameRecord, e.B)
-	s.frameBuf = frame[:0]
-	if _, err := s.f.Write(frame); err != nil {
-		return 0, w.fail(fmt.Errorf("serve/wal: append: %w", err))
-	}
-	s.lastLSN = lsn
-	s.written += int64(len(frame))
-	s.pending += int64(len(frame))
-	if s.pendingSince.IsZero() {
-		s.pendingSince = time.Now()
-	}
-	s.appends++
-	s.bytes += uint64(len(frame))
-	if w.opts.SyncEvery == 0 {
-		// Full-durability mode: the record must be synced before anyone —
-		// this stream or a sibling waiting on the watermark — treats it as
-		// complete.
-		if err := s.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	w.inflight[s.shard].Store(0)
-	if s.written >= w.opts.SegmentBytes {
-		// Rotation fsyncs and closes the file, which must serialize with an
-		// in-flight group-commit flush — and syncMu orders before mu, so
-		// drop and reacquire. The re-checks cover whatever the window let
-		// through (another append rotating first, Close closing the file);
-		// the record above is already durable in the old segment either way.
-		s.mu.Unlock()
-		s.syncMu.Lock()
-		s.mu.Lock()
-		if s.f != nil && s.written >= w.opts.SegmentBytes {
-			if err := s.rotateLocked(); err != nil {
-				s.syncMu.Unlock()
-				return 0, err
-			}
-		}
-		s.syncMu.Unlock()
-	}
-	w.noteAppended(int64(len(frame)))
-	// Acknowledge only once every lower LSN is written: a sibling stream
-	// may have been preempted inside an earlier record's write, and acking
-	// past that in-flight record would let a crash produce a hole *below*
-	// acknowledged data — which recovery's hole truncation would then
-	// discard.
-	if err := w.WaitDurable(lsn); err != nil {
-		return 0, err
-	}
-	return lsn, nil
-}
-
-// appendSpec logs an accepted StartJob (the defaulted, validated spec).
-func (w *WAL) AppendSpec(sp *wire.JobSpec) (uint64, error) {
-	return w.append(sp.JobID, wire.FrameSpec, func(e *wire.Enc) error { return wire.AppendSpecPayload(e, sp) })
-}
-
-// appendEvent logs an accepted Ingest. Job-finish events compact to a
-// wire.FrameFinish record; everything else is a full event frame.
-func (w *WAL) AppendEvent(ev *wire.Event) (uint64, error) {
-	if ev.Kind == wire.EventJobFinish {
-		return w.append(ev.JobID, wire.FrameFinish, func(e *wire.Enc) error {
-			wire.AppendFinishPayload(e, ev.JobID, ev.Time)
-			return nil
-		})
-	}
-	return w.append(ev.JobID, wire.FrameEvent, func(e *wire.Enc) error {
-		if len(ev.Features) > wire.MaxWireFeatures {
-			return fmt.Errorf("serve/wal: %d features exceed %d", len(ev.Features), wire.MaxWireFeatures)
-		}
-		wire.AppendEventPayload(e, ev)
-		return nil
-	})
-}
-
-// appendDrop logs an accepted DropJob.
-func (w *WAL) AppendDrop(jobID uint64) (uint64, error) {
-	return w.append(jobID, wire.FrameDrop, func(e *wire.Enc) error {
-		wire.AppendDropPayload(e, jobID)
-		return nil
-	})
 }
 
 func (s *walStream) syncLocked() error {
@@ -862,17 +526,22 @@ func (s *walStream) syncLocked() error {
 	return nil
 }
 
-// flush is the group-commit fsync of one stream. The fsync itself runs
-// under syncMu only — mu is held just to capture and update bookkeeping —
-// so appends to the stream proceed while their group commit is in flight.
-// Bytes appended after the capture stay pending (the fsync may or may not
-// have covered them; the next flush settles it).
+// flush is the group-commit fsync of one stream, staged frames written
+// first. The fsync itself runs under syncMu only — mu is held just to write
+// the stage and to capture and update bookkeeping — so stages to the stream
+// proceed while their group commit is in flight. Bytes written after the
+// capture stay pending (the fsync may or may not have covered them; the
+// next flush settles it).
 func (s *walStream) flush() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	s.mu.Lock()
+	err := s.writeStagedLocked()
 	f, captured := s.f, s.pending
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if f == nil || captured == 0 {
 		return nil
 	}
@@ -894,14 +563,14 @@ func (s *walStream) flush() error {
 	return nil
 }
 
-// dirty reports whether the stream has unsynced bytes.
+// dirty reports whether the stream has staged or unsynced bytes.
 func (s *walStream) dirty() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f != nil && s.pending > 0
+	return len(s.staged) > 0 || (s.f != nil && s.pending > 0)
 }
 
-// Sync makes every acknowledged append durable (the group-commit flush).
+// Sync makes every record staged so far durable (the group-commit flush).
 // The dirty streams fsync concurrently, so group commit pays one fsync
 // latency (but still one fsync per dirty stream). Per-stream failures are
 // joined: a multi-stream flush failure reports every stream's error, not
@@ -1058,8 +727,8 @@ func retireGroup(w *WAL, segs *[]Entry, end, floor uint64, open *walStream) (int
 	return removed, nil
 }
 
-// Close syncs and closes the log. Appends after Close fail with
-// ErrClosed.
+// Close writes what is staged, then syncs and closes the log. Appends after
+// Close fail with ErrClosed.
 func (w *WAL) Close() error {
 	if !w.closed.CompareAndSwap(false, true) {
 		return nil
@@ -1070,7 +739,10 @@ func (w *WAL) Close() error {
 	for _, s := range w.streams {
 		s.syncMu.Lock()
 		s.mu.Lock()
-		err := s.syncLocked()
+		err := s.writeStagedLocked()
+		if err == nil {
+			err = s.syncLocked()
+		}
 		if s.f != nil {
 			if cerr := s.f.Close(); err == nil {
 				err = cerr
