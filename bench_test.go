@@ -25,9 +25,12 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/sched"
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/simulator"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 const (
@@ -489,18 +492,10 @@ func benchServeConfig() serve.Config {
 
 func BenchmarkServeThroughput(b *testing.B) {
 	const numJobs = 4
-	gen, err := trace.NewGenerator(trace.DefaultGoogleConfig(benchSeed))
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := gen.Jobs(numJobs)
-	sims := make([]*simulator.Sim, numJobs)
-	streams := make([][]serve.Event, numJobs)
+	jobs, sims := servetest.Jobs(b, trace.DefaultGoogleConfig(benchSeed), numJobs)
+	streams := make([][]wire.Event, numJobs)
 	totalEvents := 0
 	for i, j := range jobs {
-		if sims[i], err = simulator.New(j, simulator.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
 		streams[i] = serve.JobEvents(j, sims[i])
 		totalEvents += len(streams[i])
 	}
@@ -541,7 +536,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	spec := serve.SpecFor(sim, benchSeed)
 	events := serve.JobEvents(job, sim)
 	var dump bytes.Buffer
-	if err := serve.WriteDump(&dump, []serve.JobSpec{spec}, events); err != nil {
+	if err := wire.WriteDump(&dump, []wire.JobSpec{spec}, events); err != nil {
 		b.Fatal(err)
 	}
 	enc := dump.Bytes()
@@ -550,10 +545,10 @@ func BenchmarkWireCodec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		buf.Grow(len(enc))
-		if err := serve.WriteDump(&buf, []serve.JobSpec{spec}, events); err != nil {
+		if err := wire.WriteDump(&buf, []wire.JobSpec{spec}, events); err != nil {
 			b.Fatal(err)
 		}
-		wr := serve.NewWireReader(bytes.NewReader(buf.Bytes()))
+		wr := wire.NewReader(bytes.NewReader(buf.Bytes()))
 		n := 0
 		for {
 			_, _, err := wr.Next()
@@ -579,21 +574,13 @@ func BenchmarkWireCodec(b *testing.B) {
 // the snapshot size.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	const numJobs = 4
-	gen, err := trace.NewGenerator(trace.DefaultGoogleConfig(benchSeed))
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := gen.Jobs(numJobs)
+	jobs, sims := servetest.Jobs(b, trace.DefaultGoogleConfig(benchSeed), numJobs)
 	sv := serve.NewServer(serve.DefaultConfig())
 	for i, j := range jobs {
-		sim, err := simulator.New(j, simulator.DefaultConfig())
-		if err != nil {
+		if err := sv.StartJob(serve.SpecFor(sims[i], benchSeed+uint64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
-		if err := sv.StartJob(serve.SpecFor(sim, benchSeed+uint64(i)), nil); err != nil {
-			b.Fatal(err)
-		}
-		if err := sv.IngestBatch(serve.JobEvents(j, sim)); err != nil {
+		if err := sv.IngestBatch(serve.JobEvents(j, sims[i])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -624,29 +611,21 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // is staying within 25% of the baseline.
 func BenchmarkServeThroughputWAL(b *testing.B) {
 	const numJobs = 4
-	gen, err := trace.NewGenerator(trace.DefaultGoogleConfig(benchSeed))
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := gen.Jobs(numJobs)
-	sims := make([]*simulator.Sim, numJobs)
-	streams := make([][]serve.Event, numJobs)
+	jobs, sims := servetest.Jobs(b, trace.DefaultGoogleConfig(benchSeed), numJobs)
+	streams := make([][]wire.Event, numJobs)
 	totalEvents := 0
 	for i, j := range jobs {
-		if sims[i], err = simulator.New(j, simulator.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
 		streams[i] = serve.JobEvents(j, sims[i])
 		totalEvents += len(streams[i])
 	}
 	b.ResetTimer()
-	var lastWAL serve.WALStats
+	var lastWAL wal.Stats
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := b.TempDir()
 		b.StartTimer()
-		sv, wal, _, err := serve.Recover(dir, benchServeConfig(),
-			serve.WALOptions{SyncEvery: 2 * time.Millisecond, Streams: 8})
+		sv, wlog, _, err := serve.Recover(dir, benchServeConfig(),
+			wal.Options{SyncEvery: 2 * time.Millisecond, Streams: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -664,7 +643,7 @@ func BenchmarkServeThroughputWAL(b *testing.B) {
 			}(ji)
 		}
 		wg.Wait()
-		if err := wal.Close(); err != nil {
+		if err := wlog.Close(); err != nil {
 			b.Fatal(err)
 		}
 		lastWAL = *sv.Stats().WAL
@@ -680,39 +659,31 @@ func BenchmarkServeThroughputWAL(b *testing.B) {
 // recovered events/s and the log size.
 func BenchmarkWALRecovery(b *testing.B) {
 	const numJobs = 4
-	gen, err := trace.NewGenerator(trace.DefaultGoogleConfig(benchSeed))
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := gen.Jobs(numJobs)
+	jobs, sims := servetest.Jobs(b, trace.DefaultGoogleConfig(benchSeed), numJobs)
 	dir := b.TempDir()
-	sv, wal, _, err := serve.Recover(dir, benchServeConfig(),
-		serve.WALOptions{SyncEvery: 2 * time.Millisecond})
+	sv, wlog, _, err := serve.Recover(dir, benchServeConfig(),
+		wal.Options{SyncEvery: 2 * time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}
 	records := 0
 	for i, j := range jobs {
-		sim, err := simulator.New(j, simulator.DefaultConfig())
-		if err != nil {
+		if err := sv.StartJob(serve.SpecFor(sims[i], benchSeed+uint64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
-		if err := sv.StartJob(serve.SpecFor(sim, benchSeed+uint64(i)), nil); err != nil {
-			b.Fatal(err)
-		}
-		evs := serve.JobEvents(j, sim)
+		evs := serve.JobEvents(j, sims[i])
 		if err := sv.IngestBatch(evs); err != nil {
 			b.Fatal(err)
 		}
 		records += 1 + len(evs)
 	}
 	walBytes := float64(sv.Stats().WAL.Bytes)
-	if err := wal.Close(); err != nil {
+	if err := wlog.Close(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sv2, wal2, rst, err := serve.Recover(dir, benchServeConfig(), serve.WALOptions{})
+		sv2, wal2, rst, err := serve.Recover(dir, benchServeConfig(), wal.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func main() {
 		// Overload knobs for the in-process server (ignored with -url).
 		ingestQueue = flag.Int("ingest-queue", 0, "per-shard ingest queue bound for the in-process server (0 = default, negative = unbounded)")
 		refitQueue  = flag.Int("refit-queue", 0, "per-shard refit queue bound (0 = default, negative = unbounded)")
-		clientRate  = flag.Float64("client-rate", 0, "per-client token-bucket refill, events/s (0 = no rate limiting)")
+		clientRate  = flag.Float64("client-rate", 0, "per-client token-bucket refill, frames/s (0 = no rate limiting)")
 		clientBurst = flag.Int("client-burst", 0, "per-client token-bucket burst (0 = derived from -client-rate)")
 		degraded    = flag.Duration("degraded-after", 0, "serve stale verdicts when a job lock is not free within this (0 = always wait)")
 

@@ -81,15 +81,19 @@ import (
 	"repro/internal/servehttp"
 	"repro/internal/simulator"
 	"repro/internal/trace"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 func main() {
+	// The server-shape flags bind straight into the serve.Config every mode
+	// builds its server from (-shards 0 means default inside NewServer).
+	cfg := serve.DefaultConfig()
 	var (
 		traceName = flag.String("trace", "google", "trace flavor: google|alibaba")
 		jobs      = flag.Int("jobs", 20, "number of jobs to stream concurrently")
 		seed      = flag.Uint64("seed", 42, "master RNG seed (matches nurdbench)")
 		workers   = flag.Int("workers", 8, "concurrent ingest workers (jobs are partitioned across them)")
-		shards    = flag.Int("shards", 0, "server shards (0 = default)")
 		rate      = flag.Float64("rate", 0, "target ingest rate in events/s across all workers (0 = unthrottled)")
 		tolerance = flag.Float64("tolerance", 1e-9, "max tolerated per-job |served F1 - offline F1|")
 		listen    = flag.String("listen", "", "HTTP listen address for the wire front end (e.g. :8080); empty = load-driver mode")
@@ -104,39 +108,34 @@ func main() {
 		ckptBytes = flag.Int64("wal-checkpoint-bytes", 64<<20, "automatic WAL checkpoint once this many bytes were appended since the last one (0 disables the size trigger)")
 		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure (per-shard, legacy single-stream, or with commit files the removed batched writer left) and print the recoverable LSN per shard, then exit (no server is started)")
 		refitMode = flag.String("refit-mode", "scratch", "checkpoint refit strategy: scratch (bit-identical to the offline Table 3 path) or warm (warm-started incremental boosting, several times cheaper per refit)")
-		refitWork = flag.Int("refit-workers", 0, "background refit workers per shard (0 = default); model fits run on these, off the ingest path")
-
-		// Overload-control knobs (see the README's "Overload behavior").
-		ingQueue = flag.Int("ingest-queue", 0, "per-shard ingest queue bound; heartbeats shed (429-class) when full, label-bearing events wait (0 = default, negative = unbounded)")
-		refQueue = flag.Int("refit-queue", 0, "per-shard refit queue bound; saturated fits run inline on the ingest path (0 = default, negative = unbounded)")
-		cliRate  = flag.Float64("client-rate", 0, "per-client token-bucket refill in frames/s on the HTTP front (0 = no rate limiting)")
-		cliBurst = flag.Int("client-burst", 0, "per-client token-bucket burst (0 = derived from -client-rate)")
-		degAfter = flag.Duration("degraded-after", 0, "serve stale flagged verdicts when a job lock is not free within this (0 = queries always wait)")
 	)
+	flag.IntVar(&cfg.Shards, "shards", 0, "server shards (0 = default)")
+	flag.IntVar(&cfg.RefitWorkers, "refit-workers", 0, "background refit workers per shard (0 = default); model fits run on these, off the ingest path")
+	// Overload-control knobs (see the README's "Overload behavior").
+	flag.IntVar(&cfg.IngestQueue, "ingest-queue", 0, "per-shard ingest queue bound; heartbeats shed (429-class) when full, label-bearing events wait (0 = default, negative = unbounded)")
+	flag.IntVar(&cfg.RefitQueue, "refit-queue", 0, "per-shard refit queue bound; saturated fits run inline on the ingest path (0 = default, negative = unbounded)")
+	flag.Float64Var(&cfg.ClientRate, "client-rate", 0, "per-client token-bucket refill in frames/s on the HTTP front (0 = no rate limiting)")
+	flag.IntVar(&cfg.ClientBurst, "client-burst", 0, "per-client token-bucket burst (0 = derived from -client-rate)")
+	flag.DurationVar(&cfg.DegradedAfter, "degraded-after", 0, "serve stale flagged verdicts when a job lock is not free within this (0 = queries always wait)")
 	flag.Parse()
-	mode, err := serve.ParseRefitMode(*refitMode)
-	if err != nil {
+	var err error
+	if cfg.RefitMode, err = wire.ParseRefitMode(*refitMode); err != nil {
 		fmt.Fprintln(os.Stderr, "nurdserve:", err)
 		os.Exit(1)
 	}
-	wopts := serve.WALOptions{
+	wopts := wal.Options{
 		SyncEvery:       *syncEvery,
 		Streams:         *walStream,
 		CheckpointEvery: *ckptEvery,
 		CheckpointBytes: *ckptBytes,
 	}
-	scfg := servingConfig{
-		shards: *shards, refitMode: mode, refitWorkers: *refitWork,
-		ingestQueue: *ingQueue, refitQueue: *refQueue,
-		clientRate: *cliRate, clientBurst: *cliBurst, degradedAfter: *degAfter,
-	}
 	switch {
 	case *walVerify != "":
 		err = runWALVerify(*walVerify, os.Stdout)
 	case *listen != "" || *replay != "" || *walDir != "" || *nodes > 1:
-		err = serveMode(*listen, *replay, *nodes, scfg, *speedup, *hold, *walDir, wopts)
+		err = serveMode(*listen, *replay, *nodes, cfg, *speedup, *hold, *walDir, wopts)
 	default:
-		err = run(*traceName, *jobs, *seed, *workers, scfg, *rate, *tolerance)
+		err = run(*traceName, *jobs, *seed, *workers, cfg, *rate, *tolerance)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nurdserve:", err)
@@ -154,38 +153,12 @@ func runWALVerify(dir string, w io.Writer) error {
 	} else if !info.IsDir() {
 		return fmt.Errorf("wal-verify %s: not a directory", dir)
 	}
-	rep, err := serve.VerifyWAL(dir, serve.WALOptions{})
+	rep, err := wal.Verify(dir, wal.Options{})
 	if err != nil {
 		return fmt.Errorf("wal-verify %s: %w", dir, err)
 	}
 	fmt.Fprintf(w, "%s\n", rep)
 	return nil
-}
-
-// servingConfig carries the CLI's server-shape flags.
-type servingConfig struct {
-	shards        int
-	refitMode     serve.RefitMode
-	refitWorkers  int
-	ingestQueue   int
-	refitQueue    int
-	clientRate    float64
-	clientBurst   int
-	degradedAfter time.Duration
-}
-
-func (sc servingConfig) apply(cfg serve.Config) serve.Config {
-	if sc.shards > 0 {
-		cfg.Shards = sc.shards
-	}
-	cfg.RefitMode = sc.refitMode
-	cfg.RefitWorkers = sc.refitWorkers
-	cfg.IngestQueue = sc.ingestQueue
-	cfg.RefitQueue = sc.refitQueue
-	cfg.ClientRate = sc.clientRate
-	cfg.ClientBurst = sc.clientBurst
-	cfg.DegradedAfter = sc.degradedAfter
-	return cfg
 }
 
 // setupServer builds the serving instance: a plain in-memory server, or —
@@ -196,21 +169,20 @@ func (sc servingConfig) apply(cfg serve.Config) serve.Config {
 // dir, unwritable dir) is testable without a live listener. The refit mode
 // only shapes *new* registrations: recovered jobs refit with the mode their
 // specs recorded, whatever the flag says today.
-func setupServer(walDir string, scfg servingConfig, wopts serve.WALOptions) (*serve.Server, *serve.WAL, serve.RecoveryStats, error) {
-	cfg := scfg.apply(serve.DefaultConfig())
+func setupServer(walDir string, cfg serve.Config, wopts wal.Options) (*serve.Server, *wal.WAL, wal.RecoveryStats, error) {
 	if walDir == "" {
-		return serve.NewServer(cfg), nil, serve.RecoveryStats{}, nil
+		return serve.NewServer(cfg), nil, wal.RecoveryStats{}, nil
 	}
 	if info, err := os.Stat(walDir); err != nil {
-		return nil, nil, serve.RecoveryStats{}, fmt.Errorf("wal dir %s: %w (create it first)", walDir, err)
+		return nil, nil, wal.RecoveryStats{}, fmt.Errorf("wal dir %s: %w (create it first)", walDir, err)
 	} else if !info.IsDir() {
-		return nil, nil, serve.RecoveryStats{}, fmt.Errorf("wal dir %s: not a directory", walDir)
+		return nil, nil, wal.RecoveryStats{}, fmt.Errorf("wal dir %s: not a directory", walDir)
 	}
-	sv, wal, rst, err := serve.Recover(walDir, cfg, wopts)
+	sv, wlog, rst, err := serve.Recover(walDir, cfg, wopts)
 	if err != nil {
 		return nil, nil, rst, fmt.Errorf("wal recovery from %s: %w", walDir, err)
 	}
-	return sv, wal, rst, nil
+	return sv, wlog, rst, nil
 }
 
 // backend is the serving surface serveMode drives: the HTTP front's
@@ -228,10 +200,10 @@ type backend interface {
 // server is an in-process consistent-hash cluster: each job's whole stream
 // lands on one of nodes serve.Servers (each with its own WAL subdirectory
 // under -wal), and /query, /report and /stats scatter-gather across them.
-func serveMode(listen, replay string, nodes int, scfg servingConfig, speedup float64, hold time.Duration, walDir string, wopts serve.WALOptions) error {
+func serveMode(listen, replay string, nodes int, cfg serve.Config, speedup float64, hold time.Duration, walDir string, wopts wal.Options) error {
 	var (
 		sv        backend
-		wal       *serve.WAL
+		wlog      *wal.WAL
 		cl        *cluster.Cluster
 		recovered int
 	)
@@ -247,7 +219,7 @@ func serveMode(listen, replay string, nodes int, scfg servingConfig, speedup flo
 					return err
 				}
 			}
-			c, rsts, err := cluster.Recover(walDir, nodes, scfg.apply(serve.DefaultConfig()), wopts)
+			c, rsts, err := cluster.Recover(walDir, nodes, cfg, wopts)
 			if err != nil {
 				return err
 			}
@@ -258,23 +230,23 @@ func serveMode(listen, replay string, nodes int, scfg servingConfig, speedup flo
 			fmt.Fprintf(os.Stderr, "nurdserve: wal %s: %d nodes recovered %d mutations\n", walDir, nodes, recovered)
 			cl, sv = c, c
 		} else {
-			c := cluster.New(nodes, scfg.apply(serve.DefaultConfig()))
+			c := cluster.New(nodes, cfg)
 			cl, sv = c, c
 		}
 		fmt.Fprintf(os.Stderr, "nurdserve: %d-node cluster (%d virtual points/node)\n", nodes, cluster.VNodesPerNode)
 	} else {
-		single, w, rst, err := setupServer(walDir, scfg, wopts)
+		single, w, rst, err := setupServer(walDir, cfg, wopts)
 		if err != nil {
 			return err
 		}
-		sv, wal = single, w
-		if wal != nil {
-			defer wal.Close()
+		sv, wlog = single, w
+		if wlog != nil {
+			defer wlog.Close()
 			recovered = int(rst.NextLSN) - 1
 			fmt.Fprintf(os.Stderr, "nurdserve: wal %s: recovered %d mutations (%v)\n", walDir, recovered, rst)
 		}
 	}
-	durable := wal != nil || (cl != nil && walDir != "")
+	durable := wlog != nil || (cl != nil && walDir != "")
 
 	// With a WAL, resuming a -replay after a crash maps the recovered LSN
 	// back to a dump position — which is only exact if the dump was the
@@ -336,7 +308,7 @@ func serveMode(listen, replay string, nodes int, scfg servingConfig, speedup flo
 		fmt.Printf("replayed %d jobs, %d events in %s (%.0f events/s, max pacing lag %s)\n",
 			st.Specs, st.Events, st.Wall.Round(time.Millisecond), st.Rate(),
 			st.MaxLag.Round(time.Millisecond))
-		if wal != nil {
+		if wlog != nil {
 			path, retired, err := sv.(*serve.Server).CheckpointWAL()
 			if err != nil {
 				return err
@@ -378,7 +350,7 @@ func serveMode(listen, replay string, nodes int, scfg servingConfig, speedup flo
 	return nil
 }
 
-func run(traceName string, numJobs int, seed uint64, workers int, scfg servingConfig, rate, tolerance float64) error {
+func run(traceName string, numJobs int, seed uint64, workers int, cfg serve.Config, rate, tolerance float64) error {
 	if numJobs < 1 {
 		return fmt.Errorf("need >= 1 job, got %d", numJobs)
 	}
@@ -423,9 +395,9 @@ func run(traceName string, numJobs int, seed uint64, workers int, scfg servingCo
 	// the bit-identical cross-check holds for both strategies (warm vs the
 	// scratch Table 3 path is a separate, epsilon-bounded comparison — see
 	// internal/serve's tests).
-	specFor := func(ji int) serve.JobSpec {
+	specFor := func(ji int) wire.JobSpec {
 		spec := serve.SpecFor(sims[ji], seedFor(ji))
-		spec.RefitMode = scfg.refitMode
+		spec.RefitMode = cfg.RefitMode
 		return spec
 	}
 	newPred := func(ji int) simulator.Predictor {
@@ -433,7 +405,7 @@ func run(traceName string, numJobs int, seed uint64, workers int, scfg servingCo
 	}
 
 	fmt.Fprintf(os.Stderr, "offline reference: %d %s jobs through the %s-refit NURD path...\n",
-		numJobs, traceName, scfg.refitMode)
+		numJobs, traceName, cfg.RefitMode)
 	offline := make([]*simulator.Result, numJobs)
 	{
 		// Per-job replays are independent; fan them across cores like
@@ -462,14 +434,13 @@ func run(traceName string, numJobs int, seed uint64, workers int, scfg servingCo
 		}
 	}
 
-	streams := make([][]serve.Event, numJobs)
+	streams := make([][]wire.Event, numJobs)
 	totalEvents := 0
 	for ji := range jobs {
 		streams[ji] = serve.JobEvents(jobs[ji], sims[ji])
 		totalEvents += len(streams[ji])
 	}
 
-	cfg := scfg.apply(serve.DefaultConfig())
 	sv := serve.NewServer(cfg)
 	for ji := range jobs {
 		if err := sv.StartJob(specFor(ji), newPred(ji)); err != nil {
@@ -481,9 +452,9 @@ func run(traceName string, numJobs int, seed uint64, workers int, scfg servingCo
 	// jobs' streams into one time-ordered feed (per-job order preserved)
 	// and ingests it, so the server sees interleaved traffic from all
 	// workers at once.
-	feeds := make([][]serve.Event, workers)
+	feeds := make([][]wire.Event, workers)
 	for w := 0; w < workers; w++ {
-		var own [][]serve.Event
+		var own [][]wire.Event
 		for ji := w; ji < numJobs; ji += workers {
 			own = append(own, streams[ji])
 		}
@@ -512,7 +483,7 @@ func run(traceName string, numJobs int, seed uint64, workers int, scfg servingCo
 	}
 
 	fmt.Printf("=== nurdserve — online streaming vs offline NURD (%s, seed %d, %s refits) ===\n",
-		traceName, seed, scfg.refitMode)
+		traceName, seed, cfg.RefitMode)
 	fmt.Printf("%5s %8s %6s %6s %10s %10s %10s %7s %10s\n",
 		"job", "profile", "tasks", "strag", "offlineF1", "servedF1", "|dF1|", "refits", "refit-mean")
 	var servedRates, offlineRates []metrics.Rates
@@ -556,7 +527,7 @@ func run(traceName string, numJobs int, seed uint64, workers int, scfg servingCo
 
 // ingest feeds one worker's merged stream, throttled to rate events/s when
 // rate > 0.
-func ingest(sv *serve.Server, feed []serve.Event, rate float64) error {
+func ingest(sv *serve.Server, feed []wire.Event, rate float64) error {
 	const chunk = 256
 	start := time.Now()
 	for i, e := range feed {

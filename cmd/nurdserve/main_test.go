@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // TestSetupServerWALValidation is the -wal flag contract: bad directories
@@ -58,7 +60,7 @@ func TestSetupServerWALValidation(t *testing.T) {
 			if tc.name == "read-only dir" && (runtime.GOOS == "windows" || os.Geteuid() == 0) {
 				t.Skip("permission bits not enforced for this user/platform")
 			}
-			sv, wal, _, err := setupServer(tc.dir(t), servingConfig{shards: 2}, serve.WALOptions{SyncEvery: time.Millisecond})
+			sv, wlog, _, err := setupServer(tc.dir(t), serve.Config{Shards: 2}, wal.Options{SyncEvery: time.Millisecond})
 			if tc.wantErr != "" {
 				if err == nil {
 					t.Fatalf("setupServer succeeded, want error containing %q", tc.wantErr)
@@ -71,13 +73,13 @@ func TestSetupServerWALValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sv == nil || wal == nil {
+			if sv == nil || wlog == nil {
 				t.Fatal("setupServer returned no server/WAL for a valid dir")
 			}
-			if sv.WAL() != wal {
+			if sv.WAL() != wlog {
 				t.Error("WAL not attached to the server")
 			}
-			wal.Close()
+			wlog.Close()
 		})
 	}
 }
@@ -90,21 +92,21 @@ func TestSetupServerWALValidation(t *testing.T) {
 // clean errors.
 func TestRunWALVerify(t *testing.T) {
 	dir := t.TempDir()
-	sv, wal, _, err := serve.Recover(dir, serve.DefaultConfig(), serve.WALOptions{
+	sv, wlog, _, err := serve.Recover(dir, serve.DefaultConfig(), wal.Options{
 		Streams: 3, SegmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutations := 0
 	for job := uint64(1); job <= 6; job++ {
-		spec := serve.JobSpec{JobID: job, Schema: []string{"cpu"}, NumTasks: 4,
+		spec := wire.JobSpec{JobID: job, Schema: []string{"cpu"}, NumTasks: 4,
 			TauStra: 10, Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: job}
 		if err := sv.StartJob(spec, nil); err != nil {
 			t.Fatal(err)
 		}
 		mutations++
 		for tid := 0; tid < 4; tid++ {
-			if err := sv.Ingest(serve.Event{Kind: serve.EventTaskStart, JobID: job,
+			if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: job,
 				TaskID: tid, Time: float64(tid)}); err != nil {
 				t.Fatal(err)
 			}
@@ -114,12 +116,12 @@ func TestRunWALVerify(t *testing.T) {
 	if _, _, err := sv.CheckpointWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Ingest(serve.Event{Kind: serve.EventTaskFinish, JobID: 1, TaskID: 0,
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskFinish, JobID: 1, TaskID: 0,
 		Time: 50, Latency: 50}); err != nil {
 		t.Fatal(err)
 	}
 	mutations++
-	wal.Close()
+	wlog.Close()
 	// A torn tail: half a frame of garbage on one stream's newest segment,
 	// as a crash mid-write leaves it.
 	ents, err := os.ReadDir(dir)
@@ -162,7 +164,7 @@ func TestRunWALVerify(t *testing.T) {
 	}
 
 	// The verifier's recoverable LSN is a promise Recover must keep.
-	sv2, wal2, rst, err := serve.Recover(dir, serve.DefaultConfig(), serve.WALOptions{})
+	sv2, wal2, rst, err := serve.Recover(dir, serve.DefaultConfig(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +192,12 @@ func itoa(n int) string { return strconv.Itoa(n) }
 // TestSetupServerWithoutWAL: load-driver and plain serve modes get an
 // ordinary in-memory server, no log.
 func TestSetupServerWithoutWAL(t *testing.T) {
-	sv, wal, rst, err := setupServer("", servingConfig{shards: 4, refitMode: serve.RefitWarm}, serve.WALOptions{})
+	sv, wlog, rst, err := setupServer("", serve.Config{Shards: 4, RefitMode: wire.RefitWarm}, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wal != nil || rst.NextLSN != 0 {
-		t.Errorf("no -wal: got wal=%v recovery=%v", wal, rst)
+	if wlog != nil || rst.NextLSN != 0 {
+		t.Errorf("no -wal: got wal=%v recovery=%v", wlog, rst)
 	}
 	if sv.WAL() != nil {
 		t.Error("server has a WAL attached without -wal")

@@ -27,6 +27,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/simulator"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -168,8 +169,8 @@ func runWire(mode string, jobs int, out string, seed uint64, far float64) error 
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	specs := make([]serve.JobSpec, jobs)
-	streams := make([][]serve.Event, jobs)
+	specs := make([]wire.JobSpec, jobs)
+	streams := make([][]wire.Event, jobs)
 	totalTasks := 0
 	for i := 0; i < jobs; i++ {
 		job := gen.Next()
@@ -187,10 +188,10 @@ func runWire(mode string, jobs int, out string, seed uint64, far float64) error 
 	if err != nil {
 		return err
 	}
-	// WireWriter issues one Write per frame; buffer the file so a large
+	// wire.Writer issues one Write per frame; buffer the file so a large
 	// dump is not one ~60-byte syscall per event.
 	bw := bufio.NewWriter(f)
-	if err := serve.WriteDump(bw, specs, events); err != nil {
+	if err := wire.WriteDump(bw, specs, events); err != nil {
 		f.Close()
 		return err
 	}

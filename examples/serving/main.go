@@ -38,6 +38,8 @@ import (
 	"repro/internal/servehttp"
 	"repro/internal/simulator"
 	"repro/internal/trace"
+	"repro/internal/wal"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -178,8 +180,8 @@ func main() {
 	}
 	defer os.RemoveAll(walDir)
 	warmCfg := serve.DefaultConfig()
-	warmCfg.RefitMode = serve.RefitWarm
-	durable, wal, _, err := serve.Recover(walDir, warmCfg, serve.WALOptions{
+	warmCfg.RefitMode = wire.RefitWarm
+	durable, wlog, _, err := serve.Recover(walDir, warmCfg, wal.Options{
 		SyncEvery: 2 * time.Millisecond, // group-commit fsync window
 		// Checkpoints are automatic: a background policy stamps a snapshot
 		// into the directory and retires covered segments on a wall-clock
@@ -191,8 +193,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = wal // deliberately never closed — the "crash" below abandons it
-	var feed []serve.Event
+	_ = wlog // deliberately never closed — the "crash" below abandons it
+	var feed []wire.Event
 	for i := range jobs {
 		if err := durable.StartJob(serve.SpecFor(sims[i], uint64(i)), nil); err != nil {
 			log.Fatal(err)
@@ -240,7 +242,7 @@ func main() {
 
 	// Recovery reads the mode from the recorded specs — the config here
 	// deliberately says nothing about warm refits.
-	revived, wal2, rst, err := serve.Recover(walDir, serve.DefaultConfig(), serve.WALOptions{})
+	revived, wal2, rst, err := serve.Recover(walDir, serve.DefaultConfig(), wal.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -351,7 +353,7 @@ func main() {
 	ocfg := serve.DefaultConfig()
 	ocfg.ClientRate = 300 // frames/s per client — far below what the lanes offer
 	ocfg.DegradedAfter = 2 * time.Millisecond
-	osv, owal, _, err := serve.Recover(owalDir, ocfg, serve.WALOptions{SyncEvery: 2 * time.Millisecond})
+	osv, owal, _, err := serve.Recover(owalDir, ocfg, wal.Options{SyncEvery: 2 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -375,7 +377,7 @@ func main() {
 	overFront.Close()
 	osv = nil // kill -9, again: the WAL directory is all that survives
 
-	shedRevived, wal3, orst, err := serve.Recover(owalDir, serve.DefaultConfig(), serve.WALOptions{})
+	shedRevived, wal3, orst, err := serve.Recover(owalDir, serve.DefaultConfig(), wal.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/simulator"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Cluster routes jobs across a fixed set of in-process nodes.
@@ -51,12 +52,12 @@ func NodeDir(root string, i int) string {
 // appending to) their own WAL directory under root: root/node-000,
 // root/node-001, ... Missing directories start empty, like serve.Recover.
 // The returned stats are per node, in node order.
-func Recover(root string, n int, cfg serve.Config, opts wal.Options) (*Cluster, []serve.RecoveryStats, error) {
+func Recover(root string, n int, cfg serve.Config, opts wal.Options) (*Cluster, []wal.RecoveryStats, error) {
 	if n < 1 {
 		return nil, nil, errors.New("cluster: need at least one node")
 	}
 	c := &Cluster{cfg: cfg, ring: NewRing(n), nodes: make([]*serve.Server, n), wals: make([]*wal.WAL, n)}
-	stats := make([]serve.RecoveryStats, n)
+	stats := make([]wal.RecoveryStats, n)
 	for i := range c.nodes {
 		sv, w, rst, err := serve.Recover(NodeDir(root, i), cfg, opts)
 		if err != nil {
@@ -97,24 +98,24 @@ func (c *Cluster) NodeFor(jobID uint64) int { return c.ring.Node(jobID) }
 func (c *Cluster) node(jobID uint64) *serve.Server { return c.nodes[c.ring.Node(jobID)] }
 
 // StartJob registers the job on its owning node.
-func (c *Cluster) StartJob(spec serve.JobSpec, pred simulator.Predictor) error {
+func (c *Cluster) StartJob(spec wire.JobSpec, pred simulator.Predictor) error {
 	return c.node(spec.JobID).StartJob(spec, pred)
 }
 
 // Ingest routes one event to its job's node.
-func (c *Cluster) Ingest(e serve.Event) error {
+func (c *Cluster) Ingest(e wire.Event) error {
 	return c.node(e.JobID).Ingest(e)
 }
 
 // StageJob registers the job on its owning node without waiting for that
 // node's write-ahead log; Commit is the acknowledgment.
-func (c *Cluster) StageJob(spec serve.JobSpec, pred simulator.Predictor) error {
+func (c *Cluster) StageJob(spec wire.JobSpec, pred simulator.Predictor) error {
 	return c.node(spec.JobID).StageJob(spec, pred)
 }
 
 // StageEvent routes one event to its job's node without waiting for that
 // node's write-ahead log; Commit is the acknowledgment.
-func (c *Cluster) StageEvent(e serve.Event) error {
+func (c *Cluster) StageEvent(e wire.Event) error {
 	return c.node(e.JobID).StageEvent(e)
 }
 
@@ -131,23 +132,13 @@ func (c *Cluster) Commit() error {
 	return first
 }
 
-// IngestBatch routes each event in order, stopping at the first error, and
-// commits what it applied once, on the nodes' write-ahead logs, before it
-// returns either way. Per-job event order is preserved (a job's events all
-// land on one node, in call order), which is the only order the protocol
-// defines.
-func (c *Cluster) IngestBatch(events []serve.Event) error {
-	var err error
-	for i := range events {
-		if err = c.StageEvent(events[i]); err != nil {
-			err = fmt.Errorf("cluster: event %d: %w", i, err)
-			break
-		}
-	}
-	if cerr := c.Commit(); cerr != nil {
-		return cerr
-	}
-	return err
+// IngestBatch routes each event in order through serve.StageBatch — the same
+// loop, and so the same shed and stop rules, as a single node — and commits
+// what it applied once, on the nodes' write-ahead logs, before it returns
+// either way. Per-job event order is preserved (a job's events all land on
+// one node, in call order), which is the only order the protocol defines.
+func (c *Cluster) IngestBatch(events []wire.Event) error {
+	return serve.StageBatch(events, c.StageEvent, c.Commit)
 }
 
 // FinishJob closes the job's stream on its owning node.

@@ -17,10 +17,12 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/servehttp"
 	"repro/internal/simulator"
 	"repro/internal/wal"
 	"repro/internal/wal/waltest"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -63,7 +65,7 @@ func feed(t testing.TB, b servehttp.Backend, wl *workload.Workload) {
 
 // deterministicReport strips wall-clock refit timings from a JobReport.
 type deterministicReport struct {
-	Spec                          serve.JobSpec
+	Spec                          wire.JobSpec
 	Done, Failed                  bool
 	Checkpoint                    int
 	Started, Finished, Terminated int
@@ -171,15 +173,15 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 // TestClusterRouting pins placement mechanics: a job's events land on the
 // node the ring names — and only there.
 func TestClusterRouting(t *testing.T) {
-	cfg := serve.Config{Shards: 1, NewPredictor: func(serve.JobSpec) simulator.Predictor { return nopPredictor{} }}
+	cfg := serve.Config{Shards: 1, NewPredictor: func(wire.JobSpec) simulator.Predictor { return servetest.Nop{} }}
 	cl := cluster.New(4, cfg)
 	for id := uint64(1); id <= 40; id++ {
-		spec := serve.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 2,
+		spec := wire.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 2,
 			TauStra: 10, Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id}
 		if err := cl.StartJob(spec, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Ingest(serve.Event{Kind: serve.EventTaskStart, JobID: id, TaskID: 0, Time: 1}); err != nil {
+		if err := cl.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,15 +208,6 @@ func TestClusterRouting(t *testing.T) {
 	}
 }
 
-// nopPredictor flags nothing.
-type nopPredictor struct{}
-
-func (nopPredictor) Name() string { return "nop" }
-func (nopPredictor) Reset()       {}
-func (nopPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
-	return make([]bool, len(cp.RunningIDs)), nil
-}
-
 // TestClusterWALRecovery: each node journals to its own WAL directory, and
 // a crashed cluster (nothing closed) rebuilt over the same directories
 // recovers every node's jobs onto the same nodes with identical verdicts —
@@ -228,24 +221,24 @@ func TestClusterWALRecovery(t *testing.T) {
 
 func testClusterWALRecovery(t *testing.T, oneBody bool) {
 	fs := waltest.NewMemFS()
-	cfg := serve.Config{Shards: 1, NewPredictor: func(serve.JobSpec) simulator.Predictor { return flagAllPredictor{} }}
+	cfg := servetest.CheapConfig(1)
 	cl, _, err := cluster.Recover("croot", 3, cfg, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []serve.JobSpec
-	var events []serve.Event
+	var specs []wire.JobSpec
+	var events []wire.Event
 	for id := uint64(1); id <= 12; id++ {
-		specs = append(specs, serve.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 3,
+		specs = append(specs, wire.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 3,
 			TauStra: 10, Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id})
 		for task := 0; task < 3; task++ {
-			events = append(events, serve.Event{Kind: serve.EventTaskStart, JobID: id, TaskID: task, Time: 1})
+			events = append(events, wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: task, Time: 1})
 		}
-		events = append(events, serve.Event{Kind: serve.EventTaskFinish, JobID: id, TaskID: 0, Time: 3, Latency: 2})
+		events = append(events, wire.Event{Kind: wire.EventTaskFinish, JobID: id, TaskID: 0, Time: 3, Latency: 2})
 	}
 	if oneBody {
 		var body bytes.Buffer
-		if err := serve.WriteDump(&body, specs, events); err != nil {
+		if err := wire.WriteDump(&body, specs, events); err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
@@ -314,17 +307,4 @@ func testClusterWALRecovery(t *testing.T, oneBody bool) {
 			t.Fatalf("job %d not on its ring node after recovery: %v", id, err)
 		}
 	}
-}
-
-// flagAllPredictor flags every running task (deterministic, model-free).
-type flagAllPredictor struct{}
-
-func (flagAllPredictor) Name() string { return "flag-all" }
-func (flagAllPredictor) Reset()       {}
-func (flagAllPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
-	out := make([]bool, len(cp.RunningIDs))
-	for i := range out {
-		out[i] = true
-	}
-	return out, nil
 }

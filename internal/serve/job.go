@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,8 @@ import (
 
 	"repro/internal/nurd"
 	"repro/internal/simulator"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // taskState tracks one task of a streamed job.
@@ -16,7 +19,7 @@ type taskState struct {
 	start    float64
 	features []float64 // latest heartbeat observation
 	// pooled marks features as drawn from the ingest observation pool
-	// (Event.Pooled provenance, see pool.go); only such slices may be
+	// (Event.Pooled provenance, see wire/pool.go); only such slices may be
 	// recycled when a newer heartbeat replaces them.
 	pooled bool
 	// captured marks features as aliased into a checkpoint view (snapshot
@@ -34,7 +37,7 @@ type taskState struct {
 // only this job's events and queries, never its shard-mates'.
 type jobState struct {
 	mu   sync.Mutex
-	spec JobSpec
+	spec wire.JobSpec
 	pred simulator.Predictor
 
 	tasks  []taskState // indexed by TaskID
@@ -115,7 +118,7 @@ type jobState struct {
 	stale        atomic.Pointer[staleView]
 }
 
-func newJobState(spec JobSpec, pred simulator.Predictor) *jobState {
+func newJobState(spec wire.JobSpec, pred simulator.Predictor) *jobState {
 	pred.Reset()
 	return &jobState{
 		spec:   spec,
@@ -140,7 +143,7 @@ func newJobState(spec JobSpec, pred simulator.Predictor) *jobState {
 // firing, which only terminates tasks; termination-dependent *drop*
 // decisions stay in the apply phase below, after boundaries fire, exactly
 // as the offline protocol orders them.
-func (j *jobState) handle(e Event) error {
+func (j *jobState) handle(e wire.Event) error {
 	if j.done {
 		if j.failed {
 			// The job was closed by a predictor failure, not by the caller;
@@ -151,18 +154,18 @@ func (j *jobState) handle(e Event) error {
 		return fmt.Errorf("serve: job %d: event %s after job-finish", j.spec.JobID, e.Kind)
 	}
 	var ts *taskState
-	if e.Kind != EventJobFinish {
+	if e.Kind != wire.EventJobFinish {
 		if e.TaskID < 0 || e.TaskID >= len(j.tasks) {
 			return fmt.Errorf("serve: job %d: task %d out of range [0,%d)",
 				j.spec.JobID, e.TaskID, len(j.tasks))
 		}
 		ts = &j.tasks[e.TaskID]
 		switch e.Kind {
-		case EventTaskStart:
+		case wire.EventTaskStart:
 			if ts.started {
 				return fmt.Errorf("serve: job %d: duplicate start for task %d", j.spec.JobID, e.TaskID)
 			}
-		case EventHeartbeat:
+		case wire.EventHeartbeat:
 			if !ts.started {
 				return fmt.Errorf("serve: job %d: heartbeat for unstarted task %d", j.spec.JobID, e.TaskID)
 			}
@@ -170,7 +173,7 @@ func (j *jobState) handle(e Event) error {
 				return fmt.Errorf("serve: job %d task %d: %d features for schema of %d",
 					j.spec.JobID, e.TaskID, len(e.Features), len(j.spec.Schema))
 			}
-		case EventTaskFinish:
+		case wire.EventTaskFinish:
 			if !ts.started {
 				return fmt.Errorf("serve: job %d: finish for unstarted task %d", j.spec.JobID, e.TaskID)
 			}
@@ -198,7 +201,7 @@ func (j *jobState) handle(e Event) error {
 	}
 	j.clock = t
 
-	if e.Kind == EventJobFinish {
+	if e.Kind == wire.EventJobFinish {
 		for !j.done && j.nextCP <= j.spec.Checkpoints {
 			j.fireCheckpoint()
 		}
@@ -215,11 +218,11 @@ func (j *jobState) handle(e Event) error {
 		return nil
 	}
 	switch e.Kind {
-	case EventTaskStart:
+	case wire.EventTaskStart:
 		ts.started = true
 		ts.start = e.Time
 		j.started++
-	case EventHeartbeat:
+	case wire.EventHeartbeat:
 		if ts.terminated {
 			// The monitoring pipeline may lag a termination (including one
 			// a boundary above just issued); late observations for killed
@@ -237,12 +240,12 @@ func (j *jobState) handle(e Event) error {
 		// happens under the job lock, after any WAL append or query that
 		// read it, so a never-captured slice provably has no readers left.
 		if ts.pooled && !ts.captured && ts.features != nil {
-			putObservation(ts.features)
+			wire.PutObservation(ts.features)
 		}
 		ts.features = e.Features
 		ts.pooled = e.Pooled
 		ts.captured = false
-	case EventTaskFinish:
+	case wire.EventTaskFinish:
 		if ts.terminated {
 			return errDropped
 		}
@@ -256,6 +259,25 @@ func (j *jobState) handle(e Event) error {
 // errDropped marks a benignly ignored event (late heartbeat/finish for a
 // terminated task); shards count these instead of surfacing them.
 var errDropped = fmt.Errorf("serve: event dropped")
+
+// RecycleAfterIngest settles ownership of ev's feature slice after the
+// Ingest that consumed it returned err. The pooled slice is recycled when
+// the server did not retain it: heartbeats hand their slice to the task
+// state on success (and on WAL append failures, the one rejection that
+// retains the in-memory observation), every other kind never retains
+// features, and a rejected event of any kind was never stored. Either way
+// ev is stripped of the slice and its pool tag, so a reused loop Event can
+// never carry a stale reference into a later recycle decision. Exported
+// for the wire front ends (internal/servehttp) that drive pooled decode.
+func RecycleAfterIngest(ev *wire.Event, err error) {
+	retained := ev.Kind == wire.EventHeartbeat && (err == nil ||
+		errors.Is(err, wal.ErrFailed) || errors.Is(err, wal.ErrClosed))
+	if ev.Pooled && ev.Features != nil && !retained {
+		wire.PutObservation(ev.Features)
+	}
+	ev.Features = nil
+	ev.Pooled = false
+}
 
 // snapshot materializes the current checkpoint view of the job, shaped
 // exactly like simulator.At: tasks in ID order, finished iff completion is

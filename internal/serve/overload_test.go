@@ -17,13 +17,15 @@ import (
 	"time"
 
 	"repro/internal/simulator"
+	"repro/internal/wal"
 	"repro/internal/wal/waltest"
+	"repro/internal/wire"
 )
 
 // cheapCfg is a 1-predictor config for protocol tests where model quality
 // is irrelevant (flagAll is defined in serve_test.go).
 func cheapCfg(shards int) Config {
-	return Config{Shards: shards, NewPredictor: func(JobSpec) simulator.Predictor { return &flagAll{} }}
+	return Config{Shards: shards, NewPredictor: func(wire.JobSpec) simulator.Predictor { return &flagAll{} }}
 }
 
 // TestShedPriorityOrder: with the ingest queue full, a heartbeat is shed
@@ -35,13 +37,13 @@ func TestShedPriorityOrder(t *testing.T) {
 	if err := sv.StartJob(pipelineSpec(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: 1, TaskID: 0, Time: 0}); err != nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: 1, TaskID: 0, Time: 0}); err != nil {
 		t.Fatal(err)
 	}
 	s := sv.reg.shardFor(1)
 	s.sem <- struct{}{} // occupy the only queue slot
 
-	err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 0, Time: 1, Features: []float64{1, 1}})
+	err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 0, Time: 1, Features: []float64{1, 1}})
 	if !errors.Is(err, ErrShed) {
 		t.Fatalf("heartbeat at a full queue: got %v, want ErrShed", err)
 	}
@@ -49,7 +51,7 @@ func TestShedPriorityOrder(t *testing.T) {
 	// The finish must wait, not shed: it blocks until the slot frees.
 	finished := make(chan error, 1)
 	go func() {
-		finished <- sv.Ingest(Event{Kind: EventTaskFinish, JobID: 1, TaskID: 0, Time: 2, Latency: 2})
+		finished <- sv.Ingest(wire.Event{Kind: wire.EventTaskFinish, JobID: 1, TaskID: 0, Time: 2, Latency: 2})
 	}()
 	select {
 	case err := <-finished:
@@ -84,30 +86,30 @@ func TestShedLeavesNoWALTrace(t *testing.T) {
 	fs := waltest.NewMemFS()
 	cfg := cheapCfg(1)
 	cfg.IngestQueue = 1
-	sv, _, _, err := Recover("wal", cfg, WALOptions{FS: fs})
+	sv, _, _, err := Recover("wal", cfg, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{JobID: 1, Schema: []string{"cpu"}, NumTasks: 4, TauStra: 10,
+	spec := wire.JobSpec{JobID: 1, Schema: []string{"cpu"}, NumTasks: 4, TauStra: 10,
 		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 1}
 	if err := sv.StartJob(spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: 1, TaskID: 0, Time: 1}); err != nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: 1, TaskID: 0, Time: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	s := sv.reg.shardFor(1)
 	s.sem <- struct{}{}
 	for i := 0; i < 3; i++ {
-		err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 0,
+		err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 0,
 			Time: float64(2 + i), Features: []float64{1}})
 		if !errors.Is(err, ErrShed) {
 			t.Fatalf("heartbeat %d: got %v, want ErrShed", i, err)
 		}
 	}
 	<-s.sem
-	if err := sv.Ingest(Event{Kind: EventTaskFinish, JobID: 1, TaskID: 0, Time: 6, Latency: 5}); err != nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskFinish, JobID: 1, TaskID: 0, Time: 6, Latency: 5}); err != nil {
 		t.Fatal(err)
 	}
 	probe := []int{0, 1, 2, 3}
@@ -119,7 +121,7 @@ func TestShedLeavesNoWALTrace(t *testing.T) {
 
 	// Crash (the WAL is deliberately not closed) and recover from the
 	// directory alone: spec + start + finish = 3 mutations, no more.
-	revived, wal2, rst, err := Recover("wal", cheapCfg(1), WALOptions{FS: fs})
+	revived, wal2, rst, err := Recover("wal", cheapCfg(1), wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestRefitQueueSaturationInline(t *testing.T) {
 	closed := make(chan struct{})
 	close(closed)
 	cfg := Config{Shards: 1, RefitWorkers: 1, RefitQueue: 1,
-		NewPredictor: func(sp JobSpec) simulator.Predictor {
+		NewPredictor: func(sp wire.JobSpec) simulator.Predictor {
 			if sp.JobID == 1 {
 				return &gatedPredictor{gate: gate1} // stalls the only worker
 			}
@@ -164,7 +166,7 @@ func TestRefitQueueSaturationInline(t *testing.T) {
 	pool := sv.reg.shardFor(1).pool
 	cross := func(id uint64, tm float64) {
 		t.Helper()
-		if err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: id, TaskID: 2, Time: tm,
+		if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: id, TaskID: 2, Time: tm,
 			Features: []float64{2, 1}}); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +215,7 @@ func degradedServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	pipelineWarmup(t, sv, 1, 2)
-	if err := sv.Ingest(Event{Kind: EventJobFinish, JobID: 1, Time: 100}); err != nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventJobFinish, JobID: 1, Time: 100}); err != nil {
 		t.Fatal(err)
 	}
 	return sv
@@ -318,24 +320,24 @@ func TestStaleViewSurvivesWALRecovery(t *testing.T) {
 	fs := waltest.NewMemFS()
 	cfg := cheapCfg(1)
 	cfg.DegradedAfter = time.Millisecond
-	sv, _, _, err := Recover("wal", cfg, WALOptions{FS: fs})
+	sv, _, _, err := Recover("wal", cfg, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{JobID: 1, Schema: []string{"cpu"}, NumTasks: 4, TauStra: 10,
+	spec := wire.JobSpec{JobID: 1, Schema: []string{"cpu"}, NumTasks: 4, TauStra: 10,
 		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 1}
 	if err := sv.StartJob(spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: 1, TaskID: i, Time: 0}); err != nil {
+		if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: 1, TaskID: i, Time: 0}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: i, Time: 1, Features: []float64{1}}); err != nil {
+		if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: i, Time: 1, Features: []float64{1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sv.Ingest(Event{Kind: EventJobFinish, JobID: 1, Time: 100}); err != nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventJobFinish, JobID: 1, Time: 100}); err != nil {
 		t.Fatal(err)
 	}
 	probe := []int{0, 1, 2, 3}
@@ -347,7 +349,7 @@ func TestStaleViewSurvivesWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	revived, wal2, _, err := Recover("wal", cfg, WALOptions{FS: fs})
+	revived, wal2, _, err := Recover("wal", cfg, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,4 +389,60 @@ func TestRetryHintTracksLoad(t *testing.T) {
 		t.Fatalf("half-queue hint %d, want strictly between 1 and %d", got, MaxRetryHintSeconds)
 	}
 	<-s.sem
+}
+
+// TestStageBatchSkipsShedStopsAtError drives the one batch loop (behind both
+// Server.IngestBatch and cluster.Cluster.IngestBatch) through a fake stager
+// that sheds the heartbeat at index k and fails for real at index m > k:
+// every event after k up to m must still be staged, the loop must stop at
+// m, and commit must run exactly once whether or not the batch errored. A
+// loop that breaks on ErrShed stages only 0..k and fails the staged-set
+// check: that is N-node ≢ 1-node under shedding.
+func TestStageBatchSkipsShedStopsAtError(t *testing.T) {
+	const n, k, m = 8, 2, 5
+	events := make([]wire.Event, n)
+	for i := range events {
+		events[i] = wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: i}
+	}
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name      string
+		failAt    int // -1: no real error
+		commitErr error
+		wantTasks []int
+		wantErr   error
+	}{
+		{"shed then error", m, nil, []int{0, 1, 2, 3, 4, 5}, boom},
+		{"shed only", -1, nil, []int{0, 1, 2, 3, 4, 5, 6, 7}, nil},
+		{"commit error wins", m, wal.ErrFailed, []int{0, 1, 2, 3, 4, 5}, wal.ErrFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var staged []int
+			commits := 0
+			err := StageBatch(events,
+				func(e wire.Event) error {
+					staged = append(staged, e.TaskID)
+					switch e.TaskID {
+					case k:
+						return ErrShed
+					case tc.failAt:
+						return boom
+					}
+					return nil
+				},
+				func() error { commits++; return tc.commitErr })
+			if !reflect.DeepEqual(staged, tc.wantTasks) {
+				t.Errorf("staged events %v, want %v", staged, tc.wantTasks)
+			}
+			if commits != 1 {
+				t.Errorf("commit ran %d times, want exactly 1", commits)
+			}
+			if !errors.Is(err, tc.wantErr) {
+				t.Errorf("got error %v, want %v", err, tc.wantErr)
+			}
+			if errors.Is(err, ErrShed) {
+				t.Errorf("a shed heartbeat surfaced as the batch's error: %v", err)
+			}
+		})
+	}
 }

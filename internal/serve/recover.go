@@ -11,14 +11,14 @@ import (
 // Recover rebuilds a server from dir (point-in-time recovery: newest valid
 // snapshot + WAL replay), reopens the log for appending at the recovered
 // position, and attaches it, so the returned server logs every subsequent
-// mutation (and, when WALOptions arms the checkpoint policy, checkpoints
+// mutation (and, when wal.Options arms the checkpoint policy, checkpoints
 // itself). dir must exist; a fresh empty directory recovers to an empty
 // server (first boot). cfg follows NewServer's defaulting and must carry a
 // predictor factory equivalent to the crashed server's (see
 // Config.NewPredictor). The caller owns Close on the returned WAL.
-func Recover(dir string, cfg Config, opts WALOptions) (*Server, *WAL, RecoveryStats, error) {
+func Recover(dir string, cfg Config, opts wal.Options) (*Server, *wal.WAL, wal.RecoveryStats, error) {
 	opts = opts.WithDefaults()
-	var rst RecoveryStats
+	var rst wal.RecoveryStats
 
 	snaps, err := wal.Snapshots(opts.FS, dir)
 	if err != nil {
@@ -76,7 +76,7 @@ func Recover(dir string, cfg Config, opts WALOptions) (*Server, *WAL, RecoverySt
 // Recovery is single-threaded, so the jobState resolved once per record
 // stays valid across the apply (only a wire.FrameDrop removes it, and that is
 // the record being applied).
-func applyWALRecord(sv *Server, kind wire.FrameKind, payload []byte, lsn, floor uint64, rst *RecoveryStats) error {
+func applyWALRecord(sv *Server, kind wire.FrameKind, payload []byte, lsn, floor uint64, rst *wal.RecoveryStats) error {
 	if lsn < floor {
 		rst.RecordsSkipped++
 		return nil
@@ -93,7 +93,7 @@ func applyWALRecord(sv *Server, kind wire.FrameKind, payload []byte, lsn, floor 
 				return nil
 			}
 			return fmt.Errorf("%w: job %d re-registered at LSN %d while live since LSN %d",
-				ErrCorrupt, sp.JobID, lsn, j.lsn)
+				wire.ErrCorrupt, sp.JobID, lsn, j.lsn)
 		}
 		if err := sv.StartJob(sp, nil); err != nil {
 			return err
@@ -104,12 +104,12 @@ func applyWALRecord(sv *Server, kind wire.FrameKind, payload []byte, lsn, floor 
 		rst.RecordsApplied++
 		return nil
 	case wire.FrameEvent, wire.FrameFinish:
-		var ev Event
+		var ev wire.Event
 		var err error
 		if kind == wire.FrameEvent {
 			ev, err = wire.DecodeEventPayload(payload)
 		} else {
-			ev.Kind = EventJobFinish
+			ev.Kind = wire.EventJobFinish
 			ev.JobID, ev.Time, err = wire.DecodeFinishPayload(payload)
 		}
 		if err != nil {
@@ -153,7 +153,7 @@ func applyWALRecord(sv *Server, kind wire.FrameKind, payload []byte, lsn, floor 
 		rst.RecordsApplied++
 		return nil
 	default:
-		return fmt.Errorf("%w: frame kind %d in a WAL segment", ErrCorrupt, kind)
+		return fmt.Errorf("%w: frame kind %d in a WAL segment", wire.ErrCorrupt, kind)
 	}
 }
 
@@ -161,7 +161,7 @@ func applyWALRecord(sv *Server, kind wire.FrameKind, payload []byte, lsn, floor 
 // with its floor LSN) and retires every WAL segment wholly below the
 // floor, per stream; the file mechanics (temp file, rename, pruning to two
 // kept generations, retirement) are wal.Checkpoint's. The automatic
-// checkpoint policy (WALOptions.CheckpointEvery / CheckpointBytes) calls
+// checkpoint policy (wal.Options.CheckpointEvery / CheckpointBytes) calls
 // this on its triggers; explicit calls remain available and serialize with
 // it. Returns the snapshot path and how many segments were retired.
 func (sv *Server) CheckpointWAL() (string, int, error) {

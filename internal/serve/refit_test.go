@@ -12,13 +12,14 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/simulator"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // pipelineSpec is a hand-built job whose checkpoint boundaries sit at known
 // times (Horizon 100, 10 checkpoints -> boundaries at 10, 20, ...), so tests
 // can place events precisely before or after a boundary crossing.
-func pipelineSpec(id uint64) JobSpec {
-	return JobSpec{
+func pipelineSpec(id uint64) wire.JobSpec {
+	return wire.JobSpec{
 		JobID: id, Schema: []string{"a", "b"}, NumTasks: 8, TauStra: 50,
 		StragglerQuantile: 0.9, Horizon: 100, Checkpoints: 10, WarmFrac: 0.1,
 	}
@@ -30,16 +31,16 @@ func pipelineWarmup(t *testing.T, sv *Server, id uint64, nFinish int) {
 	t.Helper()
 	spec := pipelineSpec(id)
 	for i := 0; i < spec.NumTasks; i++ {
-		if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: id, TaskID: i, Time: 0}); err != nil {
+		if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: i, Time: 0}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: id, TaskID: i, Time: 1,
+		if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: id, TaskID: i, Time: 1,
 			Features: []float64{float64(i), 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < nFinish; i++ {
-		if err := sv.Ingest(Event{Kind: EventTaskFinish, JobID: id, TaskID: i, Time: 2, Latency: 2}); err != nil {
+		if err := sv.Ingest(wire.Event{Kind: wire.EventTaskFinish, JobID: id, TaskID: i, Time: 2, Latency: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func (p *gatedPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 // latency at each boundary.)
 func TestIngestNotBlockedByInflightRefit(t *testing.T) {
 	gate := make(chan struct{})
-	cfg := Config{Shards: 1, NewPredictor: func(JobSpec) simulator.Predictor {
+	cfg := Config{Shards: 1, NewPredictor: func(wire.JobSpec) simulator.Predictor {
 		return &gatedPredictor{gate: gate}
 	}}
 	sv := NewServer(cfg)
@@ -77,7 +78,7 @@ func TestIngestNotBlockedByInflightRefit(t *testing.T) {
 	pipelineWarmup(t, sv, 1, 2)
 	// Cross the first boundary: the view is captured and its fit starts on a
 	// worker, where it stalls on the gate.
-	if err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 2, Time: 11,
+	if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 2, Time: 11,
 		Features: []float64{2, 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestIngestNotBlockedByInflightRefit(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 2000; i++ {
-			e := Event{Kind: EventHeartbeat, JobID: 1, TaskID: i % 8, Time: 12,
+			e := wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: i % 8, Time: 12,
 				Features: []float64{float64(i), 1}}
 			if err := sv.Ingest(e); err != nil {
 				done <- err
@@ -158,14 +159,14 @@ func TestIngestNotBlockedByInflightRefit(t *testing.T) {
 // a fit's verdicts are applied when the next boundary crossing arrives — a
 // position defined by the event stream — not when the fit happens to finish.
 func TestRefitAppliesAtNextBoundary(t *testing.T) {
-	sv := NewServer(Config{Shards: 1, NewPredictor: func(JobSpec) simulator.Predictor { return &flagAll{} }})
+	sv := NewServer(Config{Shards: 1, NewPredictor: func(wire.JobSpec) simulator.Predictor { return &flagAll{} }})
 	if err := sv.StartJob(pipelineSpec(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	pipelineWarmup(t, sv, 1, 2)
 	// Cross boundary 1: flagAll's verdicts (terminate everything running)
 	// are computed in the background but must not land yet.
-	if err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 2, Time: 11,
+	if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 2, Time: 11,
 		Features: []float64{2, 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestRefitAppliesAtNextBoundary(t *testing.T) {
 	}
 	// Cross boundary 2: the stored verdicts land first, so the 6 tasks that
 	// were running at boundary 1 are terminated with FlaggedAt = 1.
-	if err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 3, Time: 21,
+	if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 3, Time: 21,
 		Features: []float64{3, 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestRefitAppliesAtNextBoundary(t *testing.T) {
 
 // offlineWarmNURD builds the warm-mode predictor serve's default factory
 // would, for offline reference replays.
-func offlineWarmNURD(spec JobSpec) *predictor.NURDPredictor {
+func offlineWarmNURD(spec wire.JobSpec) *predictor.NURDPredictor {
 	cfg := nurd.DefaultWarmConfig()
 	cfg.Seed = spec.Seed
 	return predictor.NewNURDWith("NURD-warm", cfg, predictor.ConfirmFor(spec.Schema))
@@ -225,7 +226,7 @@ func offlineWarmNURD(spec JobSpec) *predictor.NURDPredictor {
 func TestWarmServingMatchesOfflineWarm(t *testing.T) {
 	const n = 3
 	jobs, sims := smallJobs(t, n, 53)
-	sv := NewServer(Config{Shards: 2, RefitMode: RefitWarm})
+	sv := NewServer(Config{Shards: 2, RefitMode: wire.RefitWarm})
 	for i := range jobs {
 		s, _ := nurdSeed(t, 53, i)
 		spec := SpecFor(sims[i], s)
@@ -235,7 +236,7 @@ func TestWarmServingMatchesOfflineWarm(t *testing.T) {
 		if err := sv.IngestBatch(JobEvents(jobs[i], sims[i])); err != nil {
 			t.Fatal(err)
 		}
-		spec.RefitMode = RefitWarm
+		spec.RefitMode = wire.RefitWarm
 		off, err := simulator.Evaluate(sims[i], offlineWarmNURD(spec))
 		if err != nil {
 			t.Fatal(err)
@@ -272,7 +273,7 @@ func TestWarmF1WithinEpsilonOfScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := SpecFor(sims[i], s)
-		spec.RefitMode = RefitWarm
+		spec.RefitMode = wire.RefitWarm
 		warm, err := simulator.Evaluate(sims[i], offlineWarmNURD(spec))
 		if err != nil {
 			t.Fatal(err)
@@ -426,7 +427,7 @@ func (p *panicking) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 // not kill the process — the panic converts into the existing fail-the-job
 // path, and other jobs keep serving.
 func TestPredictorPanicContained(t *testing.T) {
-	sv := NewServer(Config{Shards: 1, NewPredictor: func(sp JobSpec) simulator.Predictor {
+	sv := NewServer(Config{Shards: 1, NewPredictor: func(sp wire.JobSpec) simulator.Predictor {
 		if sp.JobID == 1 {
 			return &panicking{}
 		}
@@ -440,7 +441,7 @@ func TestPredictorPanicContained(t *testing.T) {
 	}
 	for _, id := range []uint64{1, 2} {
 		for _, tm := range []float64{11, 21, 31} {
-			if err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: id, TaskID: 3, Time: tm,
+			if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: id, TaskID: 3, Time: tm,
 				Features: []float64{3, 1}}); err != nil {
 				t.Fatal(err)
 			}

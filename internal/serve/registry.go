@@ -1,5 +1,7 @@
 package serve
 
+import "repro/internal/wire"
+
 // registry routes jobs to shards by hashed job ID. The shard array is
 // immutable after construction, so routing itself is lock-free; each shard
 // serializes only its own jobs.
@@ -22,7 +24,7 @@ func newRegistry(n int, sc shardConfig) *registry {
 // (trace generators, schedulers), so they are mixed through a splitmix64
 // finalizer before reduction to spread neighboring IDs across shards.
 func (r *registry) shardFor(jobID uint64) *shard {
-	return r.shards[mix64(jobID)%uint64(len(r.shards))]
+	return r.shards[wire.Mix64(jobID)%uint64(len(r.shards))]
 }
 
 // each visits every shard.

@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/wire"
+)
 
 // TestShardRoutingDistribution pins the load-spreading property the Shards
 // doc comment promises: over 10k job IDs — sequential (the common
@@ -41,7 +45,7 @@ func TestShardRoutingDistribution(t *testing.T) {
 func TestMix64Injectivity(t *testing.T) {
 	seen := make(map[uint64]uint64, 10_000)
 	for i := uint64(0); i < 10_000; i++ {
-		h := mix64(i)
+		h := wire.Mix64(i)
 		if prev, ok := seen[h]; ok {
 			t.Fatalf("mix64 collision: %d and %d both hash to %#x", prev, i, h)
 		}

@@ -301,7 +301,7 @@ func TestEventValidation(t *testing.T) {
 	jobs, sims := smallJobs(t, 1, 17)
 	job, sim := jobs[0], sims[0]
 	sv := NewServer(Config{Shards: 2})
-	if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: job.ID, TaskID: 0}); err == nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: job.ID, TaskID: 0}); err == nil {
 		t.Error("event for unregistered job should fail")
 	}
 	if err := sv.StartJob(SpecFor(sim, 1), &flagAll{}); err != nil {
@@ -312,60 +312,60 @@ func TestEventValidation(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		e    Event
+		e    wire.Event
 	}{
-		{"heartbeat before start", Event{Kind: EventHeartbeat, JobID: job.ID, TaskID: 0, Features: make([]float64, len(job.Schema))}},
-		{"finish before start", Event{Kind: EventTaskFinish, JobID: job.ID, TaskID: 0}},
-		{"task out of range", Event{Kind: EventTaskStart, JobID: job.ID, TaskID: job.NumTasks()}},
-		{"negative task", Event{Kind: EventTaskStart, JobID: job.ID, TaskID: -1}},
+		{"heartbeat before start", wire.Event{Kind: wire.EventHeartbeat, JobID: job.ID, TaskID: 0, Features: make([]float64, len(job.Schema))}},
+		{"finish before start", wire.Event{Kind: wire.EventTaskFinish, JobID: job.ID, TaskID: 0}},
+		{"task out of range", wire.Event{Kind: wire.EventTaskStart, JobID: job.ID, TaskID: job.NumTasks()}},
+		{"negative task", wire.Event{Kind: wire.EventTaskStart, JobID: job.ID, TaskID: -1}},
 	}
 	for _, c := range cases {
 		if err := sv.Ingest(c.e); err == nil {
 			t.Errorf("%s: want error", c.name)
 		}
 	}
-	if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: job.ID, TaskID: 0}); err != nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: job.ID, TaskID: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: job.ID, TaskID: 0}); err == nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: job.ID, TaskID: 0}); err == nil {
 		t.Error("duplicate task start should fail")
 	}
-	if err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: job.ID, TaskID: 0, Features: []float64{1}}); err == nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: job.ID, TaskID: 0, Features: []float64{1}}); err == nil {
 		t.Error("schema-mismatched heartbeat should fail")
 	}
-	if err := sv.Ingest(Event{Kind: EventTaskFinish, JobID: job.ID, TaskID: 0, Latency: 1}); err != nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskFinish, JobID: job.ID, TaskID: 0, Latency: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Ingest(Event{Kind: EventTaskFinish, JobID: job.ID, TaskID: 0, Latency: 1}); err == nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskFinish, JobID: job.ID, TaskID: 0, Latency: 1}); err == nil {
 		t.Error("duplicate finish should fail")
 	}
 	if err := sv.FinishJob(job.ID, job.Makespan()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: job.ID, TaskID: 1}); err == nil {
+	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: job.ID, TaskID: 1}); err == nil {
 		t.Error("event after job-finish should fail")
 	}
 }
 
 func TestSpecValidation(t *testing.T) {
 	sv := NewServer(DefaultConfig())
-	base := JobSpec{JobID: 1, Schema: []string{"a"}, NumTasks: 10, TauStra: 5, Horizon: 100}
-	bad := []func(*JobSpec){
-		func(s *JobSpec) { s.NumTasks = 0 },
-		func(s *JobSpec) { s.NumTasks = wire.MaxSnapTasks + 1 },
+	base := wire.JobSpec{JobID: 1, Schema: []string{"a"}, NumTasks: 10, TauStra: 5, Horizon: 100}
+	bad := []func(*wire.JobSpec){
+		func(s *wire.JobSpec) { s.NumTasks = 0 },
+		func(s *wire.JobSpec) { s.NumTasks = wire.MaxSnapTasks + 1 },
 		// Within the count cap but too many tasks for one snapshot frame.
-		func(s *JobSpec) { s.NumTasks = 1 << 20 },
+		func(s *wire.JobSpec) { s.NumTasks = 1 << 20 },
 		// Fits a snapshot frame, but tasks x checkpoints exceeds the
 		// history-retention cap.
-		func(s *JobSpec) { s.NumTasks = 400000; s.Checkpoints = 10 },
-		func(s *JobSpec) { s.Schema = nil },
-		func(s *JobSpec) { s.Schema = make([]string, wire.MaxSchemaCols+1) },
-		func(s *JobSpec) { s.Schema = []string{strings.Repeat("x", wire.MaxSchemaName+1)} },
-		func(s *JobSpec) { s.TauStra = 0 },
-		func(s *JobSpec) { s.Horizon = -1 },
-		func(s *JobSpec) { s.Checkpoints = -1 },
-		func(s *JobSpec) { s.Checkpoints = wire.MaxSnapCheckpoints + 1 },
-		func(s *JobSpec) { s.WarmFrac = 0.9 },
+		func(s *wire.JobSpec) { s.NumTasks = 400000; s.Checkpoints = 10 },
+		func(s *wire.JobSpec) { s.Schema = nil },
+		func(s *wire.JobSpec) { s.Schema = make([]string, wire.MaxSchemaCols+1) },
+		func(s *wire.JobSpec) { s.Schema = []string{strings.Repeat("x", wire.MaxSchemaName+1)} },
+		func(s *wire.JobSpec) { s.TauStra = 0 },
+		func(s *wire.JobSpec) { s.Horizon = -1 },
+		func(s *wire.JobSpec) { s.Checkpoints = -1 },
+		func(s *wire.JobSpec) { s.Checkpoints = wire.MaxSnapCheckpoints + 1 },
+		func(s *wire.JobSpec) { s.WarmFrac = 0.9 },
 	}
 	for i, mut := range bad {
 		s := base
@@ -385,8 +385,8 @@ func TestSpecValidation(t *testing.T) {
 // it.
 func TestServerBudget(t *testing.T) {
 	sv := NewServer(Config{Shards: 2, MaxJobs: 2, MaxTasks: 30})
-	spec := func(id uint64, tasks int) JobSpec {
-		return JobSpec{JobID: id, Schema: []string{"a"}, NumTasks: tasks, TauStra: 5, Horizon: 100}
+	spec := func(id uint64, tasks int) wire.JobSpec {
+		return wire.JobSpec{JobID: id, Schema: []string{"a"}, NumTasks: tasks, TauStra: 5, Horizon: 100}
 	}
 	if err := sv.StartJob(spec(1, 10), &flagAll{}); err != nil {
 		t.Fatal(err)
@@ -519,7 +519,7 @@ func TestConcurrentManyJobs(t *testing.T) {
 		events := JobEvents(jobs[i], sims[i])
 		totalEvents += len(events)
 		wg.Add(1)
-		go func(i int, events []Event) {
+		go func(i int, events []wire.Event) {
 			defer wg.Done()
 			for _, e := range events {
 				if err := sv.Ingest(e); err != nil {

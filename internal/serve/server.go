@@ -11,6 +11,8 @@ import (
 	"repro/internal/nurd"
 	"repro/internal/predictor"
 	"repro/internal/simulator"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // ErrOverloaded reports a registration rejected because the server's
@@ -44,7 +46,7 @@ type Config struct {
 	// taken at one shard count restores cleanly at another. Servers
 	// recovered with a write-ahead log fan durability the same way: by
 	// default the WAL runs one segment stream per shard (capped at
-	// GOMAXPROCS — see WALOptions.Streams), routed by the same hash, so a
+	// GOMAXPROCS — see wal.Options.Streams), routed by the same hash, so a
 	// job's appends take only its own shard's stream lock.
 	Shards int
 	// NewPredictor builds a predictor for jobs registered without an
@@ -59,7 +61,7 @@ type Config struct {
 	// checkpoint views, it must issue the same verdicts (true of every
 	// predictor in this repository — model fits draw from a fresh
 	// spec-seeded RNG per refit).
-	NewPredictor func(spec JobSpec) simulator.Predictor
+	NewPredictor func(spec wire.JobSpec) simulator.Predictor
 	// MaxJobs bounds the number of concurrently registered (not yet
 	// dropped) jobs; registrations beyond it fail with ErrOverloaded.
 	// 0 means DefaultMaxJobs; negative means unlimited.
@@ -79,7 +81,7 @@ type Config struct {
 	// seed-trace accuracy within a small epsilon of scratch). The resolved
 	// mode travels with the spec through the WAL and snapshots, so recovery
 	// replays refits identically whatever this field says at restore time.
-	RefitMode RefitMode
+	RefitMode wire.RefitMode
 	// RefitWorkers bounds each shard's background refit worker pool
 	// (default 2). Model fits always run on these workers, off the ingest
 	// path: a checkpoint crossing captures the training view and enqueues
@@ -130,10 +132,10 @@ func DefaultConfig() Config {
 // Specs registered in RefitWarm mode get the warm-refit configuration, so
 // restores rebuild warm-mode jobs with warm-mode fits (the mode travels with
 // the spec through snapshots and the WAL).
-func NewNURDPredictor(spec JobSpec) simulator.Predictor {
+func NewNURDPredictor(spec wire.JobSpec) simulator.Predictor {
 	cfg := nurd.DefaultConfig()
 	name := "NURD"
-	if spec.RefitMode == RefitWarm {
+	if spec.RefitMode == wire.RefitWarm {
 		cfg = nurd.DefaultWarmConfig()
 		name = "NURD-warm"
 	}
@@ -151,9 +153,10 @@ type Server struct {
 	reg *registry
 
 	// wal, when non-nil, durably logs every accepted mutation so the server
-	// can be rebuilt between snapshots (see wal.go / Recover). Attached once
-	// by attachWAL before the server takes traffic.
-	wal *WAL
+	// can be rebuilt between snapshots (see recover.go / Recover, and
+	// package wal). Attached once by attachWAL before the server takes
+	// traffic.
+	wal *wal.WAL
 
 	// Registration budget, checked against cfg.MaxJobs / cfg.MaxTasks:
 	// the number of registered (not dropped) jobs and their summed
@@ -176,8 +179,8 @@ func NewServer(cfg Config) *Server {
 	if cfg.MaxTasks == 0 {
 		cfg.MaxTasks = DefaultMaxTasks
 	}
-	if cfg.RefitMode == RefitModeDefault {
-		cfg.RefitMode = RefitScratch
+	if cfg.RefitMode == wire.RefitModeDefault {
+		cfg.RefitMode = wire.RefitScratch
 	}
 	if cfg.RefitWorkers < 1 {
 		cfg.RefitWorkers = 2
@@ -271,7 +274,7 @@ func (sv *Server) release(numTasks int) {
 // automatic checkpoint policy when its options request one. It must run
 // before the server takes any traffic (Recover, the only caller, does);
 // attaching to a live server would race the shards' lock-free wal reads.
-func (sv *Server) attachWAL(w *WAL) {
+func (sv *Server) attachWAL(w *wal.WAL) {
 	sv.wal = w
 	sv.reg.each(func(s *shard) { s.wal = w })
 	w.StartAutoCheckpoint(func() error {
@@ -282,7 +285,7 @@ func (sv *Server) attachWAL(w *WAL) {
 
 // WAL returns the attached write-ahead log, nil when the server runs
 // without one.
-func (sv *Server) WAL() *WAL { return sv.wal }
+func (sv *Server) WAL() *wal.WAL { return sv.wal }
 
 // NumShards reports the shard count.
 func (sv *Server) NumShards() int { return len(sv.reg.shards) }
@@ -333,7 +336,7 @@ func (sv *Server) Commit() error {
 // StartJob registers a job. pred supplies the job's predictor; nil uses the
 // server's Config.NewPredictor factory. The spec fills in unset monitoring
 // defaults (10 checkpoints, 4% warmup, p90 quantile) before validation.
-func (sv *Server) StartJob(spec JobSpec, pred simulator.Predictor) error {
+func (sv *Server) StartJob(spec wire.JobSpec, pred simulator.Predictor) error {
 	lsn, err := sv.stageJob(spec, pred)
 	if err != nil {
 		return err
@@ -344,12 +347,12 @@ func (sv *Server) StartJob(spec JobSpec, pred simulator.Predictor) error {
 // StageJob is StartJob minus the wait for the write-ahead log: the job is
 // registered and its record staged, and the caller must not acknowledge it
 // until Commit returns.
-func (sv *Server) StageJob(spec JobSpec, pred simulator.Predictor) error {
+func (sv *Server) StageJob(spec wire.JobSpec, pred simulator.Predictor) error {
 	_, err := sv.stageJob(spec, pred)
 	return err
 }
 
-func (sv *Server) stageJob(spec JobSpec, pred simulator.Predictor) (uint64, error) {
+func (sv *Server) stageJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, error) {
 	if spec.Checkpoints == 0 {
 		spec.Checkpoints = simulator.DefaultConfig().Checkpoints
 	}
@@ -362,7 +365,7 @@ func (sv *Server) stageJob(spec JobSpec, pred simulator.Predictor) (uint64, erro
 	// Resolve the refit mode before validation, logging, or snapshotting:
 	// durable state always carries a concrete strategy, so recovery refits
 	// exactly as the live server did regardless of its own configuration.
-	if spec.RefitMode == RefitModeDefault {
+	if spec.RefitMode == wire.RefitModeDefault {
 		spec.RefitMode = sv.cfg.RefitMode
 	}
 	if err := spec.Validate(); err != nil {
@@ -390,7 +393,7 @@ func (sv *Server) stageJob(spec JobSpec, pred simulator.Predictor) (uint64, erro
 // non-decreasing Time order; different jobs' events may be ingested
 // concurrently from many goroutines. With a WAL attached the event's
 // record is written before Ingest returns.
-func (sv *Server) Ingest(e Event) error {
+func (sv *Server) Ingest(e wire.Event) error {
 	lsn, err := sv.reg.shardFor(e.JobID).ingest(e)
 	if err != nil {
 		return err
@@ -401,25 +404,34 @@ func (sv *Server) Ingest(e Event) error {
 // StageEvent is Ingest minus the wait for the write-ahead log: the event is
 // applied and its record staged, and the caller must not acknowledge it
 // until Commit returns.
-func (sv *Server) StageEvent(e Event) error {
+func (sv *Server) StageEvent(e wire.Event) error {
 	_, err := sv.reg.shardFor(e.JobID).ingest(e)
 	return err
 }
 
 // IngestBatch applies a batch of events in order, stopping at the first
 // error, and commits what it applied to the write-ahead log once, before it
-// returns either way. Heartbeats shed under overload (ErrShed) are skipped,
-// not errors: shedding is policy, and aborting the batch would turn one
-// coalesced observation into the loss of every event after it.
-func (sv *Server) IngestBatch(events []Event) error {
+// returns either way (see StageBatch for the shed rule).
+func (sv *Server) IngestBatch(events []wire.Event) error {
+	return StageBatch(events, sv.StageEvent, sv.Commit)
+}
+
+// StageBatch is the one batch loop, shared by Server.IngestBatch and
+// cluster.Cluster.IngestBatch so that N-node ≡ 1-node holds under shedding
+// too: it stages each event in order, stops at the first error, and calls
+// commit exactly once before it returns either way; a commit error wins.
+// Heartbeats shed under overload (ErrShed) are skipped, not errors:
+// shedding is policy, and aborting the batch would turn one coalesced
+// observation into the loss of every event after it.
+func StageBatch(events []wire.Event, stage func(wire.Event) error, commit func() error) error {
 	var err error
 	for i := range events {
-		if ierr := sv.StageEvent(events[i]); ierr != nil && !errors.Is(ierr, ErrShed) {
-			err = fmt.Errorf("event %d: %w", i, ierr)
+		if serr := stage(events[i]); serr != nil && !errors.Is(serr, ErrShed) {
+			err = fmt.Errorf("event %d: %w", i, serr)
 			break
 		}
 	}
-	if cerr := sv.Commit(); cerr != nil {
+	if cerr := commit(); cerr != nil {
 		return cerr
 	}
 	return err
@@ -428,7 +440,7 @@ func (sv *Server) IngestBatch(events []Event) error {
 // FinishJob closes a job's stream at the given time, firing every remaining
 // checkpoint boundary.
 func (sv *Server) FinishJob(jobID uint64, t float64) error {
-	return sv.Ingest(Event{Kind: EventJobFinish, JobID: jobID, Time: t})
+	return sv.Ingest(wire.Event{Kind: wire.EventJobFinish, JobID: jobID, Time: t})
 }
 
 // DropJob discards a finished job's state and releases its registration

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"repro/internal/wire"
-
 	"errors"
 	"fmt"
 	"sync"
@@ -10,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/simulator"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // ErrUnknownJob reports an operation referencing a job ID with no
@@ -43,7 +43,7 @@ type shard struct {
 	// lock (job/shard lock before stream lock, never the reverse), so
 	// logging here never serializes against other shards' traffic. Set once
 	// by Server.attachWAL before any traffic.
-	wal *WAL
+	wal *wal.WAL
 
 	// sem is the bounded ingest admission queue (nil = unbounded): every
 	// ingest holds one slot for its duration. When full, heartbeats are
@@ -108,7 +108,7 @@ func (s *shard) lookup(jobID uint64) (*jobState, bool) {
 // record before the shard lock is released so no event of this job can
 // reach the WAL ahead of its spec. It returns the record's LSN (0 without a
 // WAL); the caller commits it before acknowledging.
-func (s *shard) startJob(spec JobSpec, pred simulator.Predictor) (uint64, error) {
+func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.jobs[spec.JobID]; ok {
@@ -131,7 +131,7 @@ func (s *shard) startJob(spec JobSpec, pred simulator.Predictor) (uint64, error)
 // ingest applies one event to its job, then folds the job's counter deltas
 // into the shard. It returns the LSN of the event's staged WAL record (0
 // when nothing was logged); the caller commits it before acknowledging.
-func (s *shard) ingest(e Event) (uint64, error) {
+func (s *shard) ingest(e wire.Event) (uint64, error) {
 	if s.sem != nil {
 		select {
 		case s.sem <- struct{}{}:
@@ -141,7 +141,7 @@ func (s *shard) ingest(e Event) (uint64, error) {
 			// logged) so recovery replays exactly the accepted stream.
 			// Everything else carries labels or protocol structure and waits
 			// for a slot instead: backpressure, never loss.
-			if e.Kind == EventHeartbeat {
+			if e.Kind == wire.EventHeartbeat {
 				s.shedHeartbeats.Add(1)
 				return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrShed)
 			}

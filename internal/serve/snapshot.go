@@ -1,10 +1,11 @@
 package serve
 
 // snapshot.go makes a Server's in-memory serving state durable. A snapshot
-// is a wire stream (wire.go) of per-job sections: one wire.FrameSnapJob carrying
-// the job's spec, counters, and full per-task state (including the
-// terminated set), followed by one wire.FrameSnapCheckpoint per gated checkpoint
-// boundary the job's predictor has seen.
+// is a wire stream (package wire) of per-job sections: one
+// wire.FrameSnapJob carrying the job's spec, counters, and full per-task
+// state (including the terminated set), followed by one
+// wire.FrameSnapCheckpoint per gated checkpoint boundary the job's predictor
+// has seen.
 //
 // Restore rebuilds each job's predictor through Config.NewPredictor and
 // replays the recorded checkpoint views through it in order. Every model
@@ -16,13 +17,12 @@ package serve
 // server that never died (see TestSnapshotRestoreEquivalence).
 
 import (
-	"repro/internal/wire"
-
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/simulator"
+	"repro/internal/wire"
 )
 
 // snapshot task-state flag bits.
@@ -70,7 +70,7 @@ func (sv *Server) snapshotWithFloor(w io.Writer) (uint64, error) {
 	// valid stream that restores to an empty server, not a decode error.
 	var e wire.Enc
 	wire.AppendLSNMarkPayload(&e, floor)
-	if _, err := w.Write(wire.AppendFrame(AppendHeader(nil), wire.FrameLSNMark, e.B)); err != nil {
+	if _, err := w.Write(wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, e.B)); err != nil {
 		return floor, err
 	}
 	var buf, payload []byte
@@ -230,7 +230,7 @@ func decodeSnapJob(p []byte) (*jobState, int, error) {
 		return nil, 0, d.Err()
 	}
 	if err := sp.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: %v", wire.ErrCorrupt, err)
 	}
 	j := &jobState{
 		spec: sp,
@@ -257,7 +257,7 @@ func decodeSnapJob(p []byte) (*jobState, int, error) {
 	ntasks := d.Count(wire.MaxSnapTasks, "tasks")
 	if d.Err() == nil && ntasks != sp.NumTasks {
 		return nil, 0, fmt.Errorf("%w: job %d: %d serialized tasks for a %d-task spec",
-			ErrCorrupt, sp.JobID, ntasks, sp.NumTasks)
+			wire.ErrCorrupt, sp.JobID, ntasks, sp.NumTasks)
 	}
 	j.tasks = make([]taskState, ntasks)
 	for i := 0; i < ntasks && d.Err() == nil; i++ {
@@ -276,7 +276,7 @@ func decodeSnapJob(p []byte) (*jobState, int, error) {
 			// a predictor dimension error checkpoints later.
 			if d.Err() == nil && len(ts.features) != len(sp.Schema) {
 				return nil, 0, fmt.Errorf("%w: job %d task %d: %d features for schema of %d",
-					ErrCorrupt, sp.JobID, i, len(ts.features), len(sp.Schema))
+					wire.ErrCorrupt, sp.JobID, i, len(ts.features), len(sp.Schema))
 			}
 		}
 	}
@@ -286,11 +286,11 @@ func decodeSnapJob(p []byte) (*jobState, int, error) {
 	}
 	if j.nextCP < 1 || j.nextCP > sp.Checkpoints+1 {
 		return nil, 0, fmt.Errorf("%w: job %d: next checkpoint %d outside [1,%d]",
-			ErrCorrupt, sp.JobID, j.nextCP, sp.Checkpoints+1)
+			wire.ErrCorrupt, sp.JobID, j.nextCP, sp.Checkpoints+1)
 	}
 	if j.checkpoint < 0 || j.checkpoint > sp.Checkpoints {
 		return nil, 0, fmt.Errorf("%w: job %d: last checkpoint %d outside [0,%d]",
-			ErrCorrupt, sp.JobID, j.checkpoint, sp.Checkpoints)
+			wire.ErrCorrupt, sp.JobID, j.checkpoint, sp.Checkpoints)
 	}
 	// Counters fold into unsigned shard totals at install time; a hostile
 	// negative value would wrap Stats to ~1.8e19, so reject it here.
@@ -306,11 +306,11 @@ func decodeSnapJob(p []byte) (*jobState, int, error) {
 	} {
 		if c.v < 0 || c.v > c.max {
 			return nil, 0, fmt.Errorf("%w: job %d: %s count %d outside [0,%d]",
-				ErrCorrupt, sp.JobID, c.name, c.v, c.max)
+				wire.ErrCorrupt, sp.JobID, c.name, c.v, c.max)
 		}
 	}
 	if j.refitDur < 0 || j.refitMax < 0 {
-		return nil, 0, fmt.Errorf("%w: job %d: negative refit duration", ErrCorrupt, sp.JobID)
+		return nil, 0, fmt.Errorf("%w: job %d: negative refit duration", wire.ErrCorrupt, sp.JobID)
 	}
 	// The refit pipeline's invariant: every retained view is either applied
 	// (counted in refits) or the single captured-but-pending one a snapshot
@@ -318,7 +318,7 @@ func decodeSnapJob(p []byte) (*jobState, int, error) {
 	// server produced.
 	if pending := ncps - j.refits; pending < 0 || pending > 1 || (pending == 1 && j.done) {
 		return nil, 0, fmt.Errorf("%w: job %d: %d retained checkpoints for %d applied refits (done=%v)",
-			ErrCorrupt, sp.JobID, ncps, j.refits, j.done)
+			wire.ErrCorrupt, sp.JobID, ncps, j.refits, j.done)
 	}
 	return j, ncps, nil
 }
@@ -343,7 +343,7 @@ func RestoreServer(r io.Reader, cfg Config) (*Server, error) {
 // Recover uses to position the log replay.
 func restoreServer(r io.Reader, cfg Config) (*Server, uint64, error) {
 	sv := NewServer(cfg)
-	wr := NewWireReader(r)
+	wr := wire.NewReader(r)
 	var floor uint64
 	first := true
 	for {
@@ -363,7 +363,7 @@ func restoreServer(r io.Reader, cfg Config) (*Server, uint64, error) {
 		}
 		first = false
 		if kind != wire.FrameSnapJob {
-			return nil, 0, fmt.Errorf("serve: restore: %w: frame kind %d where a snapshot job section was expected", ErrCorrupt, kind)
+			return nil, 0, fmt.Errorf("serve: restore: %w: frame kind %d where a snapshot job section was expected", wire.ErrCorrupt, kind)
 		}
 		j, ncps, err := decodeSnapJob(payload)
 		if err != nil {
@@ -384,7 +384,7 @@ func restoreServer(r io.Reader, cfg Config) (*Server, uint64, error) {
 			}
 			if kind != wire.FrameSnapCheckpoint {
 				return nil, 0, fmt.Errorf("serve: restore job %d: %w: frame kind %d where checkpoint %d/%d was expected",
-					j.spec.JobID, ErrCorrupt, kind, i+1, ncps)
+					j.spec.JobID, wire.ErrCorrupt, kind, i+1, ncps)
 			}
 			if j.history[i], err = decodeCheckpointPayload(payload); err != nil {
 				return nil, 0, fmt.Errorf("serve: restore job %d: checkpoint %d/%d: %w", j.spec.JobID, i+1, ncps, err)

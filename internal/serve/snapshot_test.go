@@ -23,7 +23,7 @@ func allTaskIDs(n int) []int {
 // reportCore strips the wall-clock timing fields from a JobReport, leaving
 // exactly the deterministic outcome of a serving run.
 type reportCore struct {
-	Spec                          JobSpec
+	Spec                          wire.JobSpec
 	Done, Failed                  bool
 	Checkpoint                    int
 	Started, Finished, Terminated int
@@ -51,7 +51,7 @@ func coreOf(r *JobReport) reportCore {
 // extended-ensemble chain replays bit-identically from recorded views. The
 // restore config deliberately omits the mode — the snapshot's specs carry it.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
-	for _, mode := range []RefitMode{RefitScratch, RefitWarm} {
+	for _, mode := range []wire.RefitMode{wire.RefitScratch, wire.RefitWarm} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
@@ -60,11 +60,11 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
-func testSnapshotRestoreEquivalence(t *testing.T, mode RefitMode) {
+func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 	const n = 3
 	jobs, sims := smallJobs(t, n, 31)
-	specs := make([]JobSpec, n)
-	streams := make([][]Event, n)
+	specs := make([]wire.JobSpec, n)
+	streams := make([][]wire.Event, n)
 	for i := range jobs {
 		s, _ := nurdSeed(t, 31, i)
 		specs[i] = SpecFor(sims[i], s)
@@ -308,20 +308,20 @@ func TestRestoreRejectsBadStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := RestoreServer(bytes.NewReader(snap.Bytes()[:snap.Len()-3]), DefaultConfig()); !errors.Is(err, ErrTruncated) {
+	if _, err := RestoreServer(bytes.NewReader(snap.Bytes()[:snap.Len()-3]), DefaultConfig()); !errors.Is(err, wire.ErrTruncated) {
 		t.Errorf("truncated snapshot: %v (want ErrTruncated)", err)
 	}
-	if _, err := RestoreServer(bytes.NewReader(nil), DefaultConfig()); !errors.Is(err, ErrTruncated) {
+	if _, err := RestoreServer(bytes.NewReader(nil), DefaultConfig()); !errors.Is(err, wire.ErrTruncated) {
 		t.Errorf("empty stream: %v (want ErrTruncated)", err)
 	}
 	var dump bytes.Buffer
-	if err := WriteDump(&dump, []JobSpec{SpecFor(sims[0], 1)}, nil); err != nil {
+	if err := wire.WriteDump(&dump, []wire.JobSpec{SpecFor(sims[0], 1)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreServer(bytes.NewReader(dump.Bytes()), DefaultConfig()); !errors.Is(err, ErrCorrupt) {
+	if _, err := RestoreServer(bytes.NewReader(dump.Bytes()), DefaultConfig()); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("spec/event stream as snapshot: %v (want ErrCorrupt)", err)
 	}
-	if _, err := RestoreServer(bytes.NewReader([]byte("not a snapshot at all")), DefaultConfig()); !errors.Is(err, ErrBadMagic) {
+	if _, err := RestoreServer(bytes.NewReader([]byte("not a snapshot at all")), DefaultConfig()); !errors.Is(err, wire.ErrBadMagic) {
 		t.Errorf("garbage: %v (want ErrBadMagic)", err)
 	}
 
@@ -329,11 +329,11 @@ func TestRestoreRejectsBadStreams(t *testing.T) {
 	// rejected before it can wrap the shard's unsigned totals.
 	hostile := newJobState(SpecFor(sims[0], 1), &flagAll{})
 	hostile.terminated = -1
-	badSnap, err := appendSnapJobFrame(AppendHeader(nil), hostile)
+	badSnap, err := appendSnapJobFrame(wire.AppendHeader(nil), hostile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreServer(bytes.NewReader(badSnap), DefaultConfig()); !errors.Is(err, ErrCorrupt) {
+	if _, err := RestoreServer(bytes.NewReader(badSnap), DefaultConfig()); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("negative terminated counter: %v (want ErrCorrupt)", err)
 	}
 
@@ -342,11 +342,11 @@ func TestRestoreRejectsBadStreams(t *testing.T) {
 	wide := newJobState(SpecFor(sims[0], 1), &flagAll{})
 	wide.tasks[0].started = true
 	wide.tasks[0].features = []float64{1, 2, 3, 4}
-	wideSnap, err := appendSnapJobFrame(AppendHeader(nil), wide)
+	wideSnap, err := appendSnapJobFrame(wire.AppendHeader(nil), wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreServer(bytes.NewReader(wideSnap), DefaultConfig()); !errors.Is(err, ErrCorrupt) {
+	if _, err := RestoreServer(bytes.NewReader(wideSnap), DefaultConfig()); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("schema-mismatched features: %v (want ErrCorrupt)", err)
 	}
 
@@ -385,7 +385,7 @@ func (w *stallingWriter) Write(p []byte) (int, error) {
 // block the job's ingest path.
 func TestSnapshotStalledWriterDoesNotBlockIngest(t *testing.T) {
 	jobs, sims := smallJobs(t, 1, 61)
-	cfg := Config{Shards: 1, NewPredictor: func(JobSpec) simulator.Predictor { return &flagAll{} }}
+	cfg := Config{Shards: 1, NewPredictor: func(wire.JobSpec) simulator.Predictor { return &flagAll{} }}
 	sv := NewServer(cfg)
 	events := JobEvents(jobs[0], sims[0])
 	if err := sv.StartJob(SpecFor(sims[0], 1), nil); err != nil {
@@ -423,7 +423,7 @@ func TestSnapshotStalledWriterDoesNotBlockIngest(t *testing.T) {
 // flag-all predictor via a custom factory).
 func TestSnapshotMidStreamIsIngestable(t *testing.T) {
 	jobs, sims := smallJobs(t, 1, 43)
-	cfg := Config{Shards: 1, NewPredictor: func(JobSpec) simulator.Predictor { return &flagAll{} }}
+	cfg := Config{Shards: 1, NewPredictor: func(wire.JobSpec) simulator.Predictor { return &flagAll{} }}
 	sv := NewServer(cfg)
 	events := JobEvents(jobs[0], sims[0])
 	if err := sv.StartJob(SpecFor(sims[0], 1), nil); err != nil {

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/nurd"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // TaskVerdict answers one task of a batched query.
@@ -41,7 +43,7 @@ type TaskVerdict struct {
 // JobReport summarizes one job's serving run.
 type JobReport struct {
 	// Spec echoes the registration.
-	Spec JobSpec
+	Spec wire.JobSpec
 	// Done reports the stream has closed (JobFinish seen or predictor
 	// failure); Failed distinguishes the latter.
 	Done   bool
@@ -125,7 +127,7 @@ type Stats struct {
 	// WAL carries the write-ahead log's counters (segments, per-shard
 	// streams, next LSN, group-commit backlog, checkpoints) when the server
 	// runs with one; nil otherwise.
-	WAL *WALStats `json:"WAL,omitempty"`
+	WAL *wal.Stats `json:"WAL,omitempty"`
 }
 
 // RefitMean returns the average refit latency across all jobs.

@@ -5,14 +5,15 @@ import (
 
 	"repro/internal/simulator"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // SpecFor derives a JobSpec from a prepared offline replay: the monitoring
 // schedule and thresholds a control plane would know at submission. seed
 // seeds the job's predictor when the server constructs one.
-func SpecFor(sim *simulator.Sim, seed uint64) JobSpec {
+func SpecFor(sim *simulator.Sim, seed uint64) wire.JobSpec {
 	job := sim.Job
-	return JobSpec{
+	return wire.JobSpec{
 		JobID:             job.ID,
 		Schema:            job.Schema,
 		NumTasks:          job.NumTasks(),
@@ -31,22 +32,22 @@ func SpecFor(sim *simulator.Sim, seed uint64) JobSpec {
 // tick, a finish per task, and a closing job-finish. Replaying the result
 // through a Server reproduces simulator.Evaluate's checkpoint views
 // exactly.
-func JobEvents(job *trace.Job, sim *simulator.Sim) []Event {
+func JobEvents(job *trace.Job, sim *simulator.Sim) []wire.Event {
 	T := sim.Cfg.Checkpoints
-	events := make([]Event, 0, job.NumTasks()*(T+2))
+	events := make([]wire.Event, 0, job.NumTasks()*(T+2))
 	for i := range job.Tasks {
 		t := &job.Tasks[i]
 		events = append(events,
-			Event{Kind: EventTaskStart, JobID: job.ID, TaskID: t.ID, Time: t.Start},
-			Event{Kind: EventTaskFinish, JobID: job.ID, TaskID: t.ID, Time: t.Start + t.Latency, Latency: t.Latency},
+			wire.Event{Kind: wire.EventTaskStart, JobID: job.ID, TaskID: t.ID, Time: t.Start},
+			wire.Event{Kind: wire.EventTaskFinish, JobID: job.ID, TaskID: t.ID, Time: t.Start + t.Latency, Latency: t.Latency},
 		)
 		for k := 1; k <= T; k++ {
 			tau := sim.TauRun(k)
 			if t.Start > tau {
 				continue // not yet dispatched at this tick
 			}
-			events = append(events, Event{
-				Kind:     EventHeartbeat,
+			events = append(events, wire.Event{
+				Kind:     wire.EventHeartbeat,
 				JobID:    job.ID,
 				TaskID:   t.ID,
 				Time:     tau,
@@ -62,7 +63,7 @@ func JobEvents(job *trace.Job, sim *simulator.Sim) []Event {
 	if last := sim.TauRun(T); last > closeAt {
 		closeAt = last
 	}
-	events = append(events, Event{Kind: EventJobFinish, JobID: job.ID, Time: closeAt})
+	events = append(events, wire.Event{Kind: wire.EventJobFinish, JobID: job.ID, Time: closeAt})
 	sortEvents(events)
 	return events
 }
@@ -70,7 +71,7 @@ func JobEvents(job *trace.Job, sim *simulator.Sim) []Event {
 // sortEvents orders a stream by time with a deterministic lifecycle
 // tie-break: at equal timestamps a task's start precedes its observations,
 // observations precede completions, and job-finish comes last.
-func sortEvents(events []Event) {
+func sortEvents(events []wire.Event) {
 	sort.SliceStable(events, func(a, b int) bool {
 		ea, eb := &events[a], &events[b]
 		if ea.Time != eb.Time {
@@ -86,13 +87,13 @@ func sortEvents(events []Event) {
 	})
 }
 
-func kindOrder(k EventKind) int {
+func kindOrder(k wire.EventKind) int {
 	switch k {
-	case EventTaskStart:
+	case wire.EventTaskStart:
 		return 0
-	case EventHeartbeat:
+	case wire.EventHeartbeat:
 		return 1
-	case EventTaskFinish:
+	case wire.EventTaskFinish:
 		return 2
 	default: // EventJobFinish
 		return 3
@@ -101,12 +102,12 @@ func kindOrder(k EventKind) int {
 
 // MergeStreams interleaves several jobs' streams into one global
 // time-ordered feed, the traffic shape a shared serving deployment sees.
-func MergeStreams(streams ...[]Event) []Event {
+func MergeStreams(streams ...[]wire.Event) []wire.Event {
 	total := 0
 	for _, s := range streams {
 		total += len(s)
 	}
-	merged := make([]Event, 0, total)
+	merged := make([]wire.Event, 0, total)
 	for _, s := range streams {
 		merged = append(merged, s...)
 	}

@@ -1,7 +1,7 @@
 package servehttp
 
 // httpfront.go is the network ingestion front end: a plain net/http handler
-// that speaks the wire format (wire.go) on the write path and JSON on the
+// that speaks the wire format (package wire) on the write path and JSON on the
 // read path, so external monitoring pipelines can feed a serve.Server over TCP
 // and operators can query it with curl. The handler is stateless — every
 // route delegates straight to the serve.Server, whose sharded registry already
@@ -31,7 +31,7 @@ package servehttp
 // events or queries for unregistered jobs are 404 (serve.ErrUnknownJob);
 // registrations beyond the server's job/task budget, and requests refused
 // by per-client rate limiting (Config.ClientRate), are 429; a wedged or
-// closed write-ahead log is 503 (serve.ErrWALFailed/serve.ErrWALClosed — retry after
+// closed write-ahead log is 503 (wal.ErrFailed/wal.ErrClosed — retry after
 // the operator intervenes). 429 and 503 responses carry a Retry-After
 // header (seconds) — 429 hints are load-aware (serve.Server.RetryHint tracks
 // queue occupancy; rate-limit refusals hint the client's own bucket
@@ -47,9 +47,6 @@ package servehttp
 // /stats and the process's own stderr instead).
 
 import (
-	"repro/internal/serve"
-	"repro/internal/simulator"
-
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -57,6 +54,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"repro/internal/serve"
+	"repro/internal/simulator"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Backend is the serving surface the HTTP front (and the replay drivers)
@@ -64,13 +66,13 @@ import (
 // reads. *serve.Server implements it for one node; *cluster.Cluster routes
 // the same calls across many. The front stays transport-only either way.
 type Backend interface {
-	StartJob(spec serve.JobSpec, pred simulator.Predictor) error
-	Ingest(e serve.Event) error
+	StartJob(spec wire.JobSpec, pred simulator.Predictor) error
+	Ingest(e wire.Event) error
 	// StageJob and StageEvent are StartJob and Ingest minus the wait for
 	// the write-ahead log; nothing they applied may be acknowledged until
 	// Commit returns. POST /ingest stages a whole body and commits once.
-	StageJob(spec serve.JobSpec, pred simulator.Predictor) error
-	StageEvent(e serve.Event) error
+	StageJob(spec wire.JobSpec, pred simulator.Predictor) error
+	StageEvent(e wire.Event) error
 	Commit() error
 	Query(jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error)
 	Report(jobID uint64) (*serve.JobReport, error)
@@ -191,15 +193,15 @@ func errCode(err error, decodeErr bool) int {
 		return http.StatusNotFound
 	case errors.Is(err, serve.ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, serve.ErrWALFailed), errors.Is(err, serve.ErrWALClosed):
+	case errors.Is(err, wal.ErrFailed), errors.Is(err, wal.ErrClosed):
 		// A wedged write-ahead log is a server-side outage (disk full,
 		// I/O error, shutdown), not a client fault: 503 tells pipelines
 		// to retry/alert instead of discarding the batch as malformed.
 		return http.StatusServiceUnavailable
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, serve.ErrBadMagic), errors.Is(err, serve.ErrVersion),
-		errors.Is(err, serve.ErrTruncated), errors.Is(err, serve.ErrCorrupt):
+	case errors.Is(err, wire.ErrBadMagic), errors.Is(err, wire.ErrVersion),
+		errors.Is(err, wire.ErrTruncated), errors.Is(err, wire.ErrCorrupt):
 		return http.StatusBadRequest
 	case decodeErr:
 		return http.StatusBadRequest
@@ -230,17 +232,17 @@ func (f *front) ingest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	wr := serve.NewWireReader(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	wr := wire.NewReader(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	var res IngestResult
-	// One serve.Event reused across the batch; NextInto draws its feature slices
+	// One wire.Event reused across the batch; NextInto draws its feature slices
 	// from the ingest observation pool and serve.RecycleAfterIngest returns each
 	// one the server did not retain, so a steady heartbeat stream ingests
 	// without per-event heap allocation.
-	var ev serve.Event
+	var ev wire.Event
 	var err error
 	var decodeErr bool
 	for {
-		var sp *serve.JobSpec
+		var sp *wire.JobSpec
 		if sp, err = wr.NextInto(&ev); err != nil {
 			decodeErr = err != io.EOF
 			break
@@ -253,7 +255,7 @@ func (f *front) ingest(w http.ResponseWriter, r *http.Request) {
 			res.Specs++
 			continue
 		}
-		if ev.Kind == serve.EventHeartbeat {
+		if ev.Kind == wire.EventHeartbeat {
 			if !f.charge(client, true) {
 				res.Shed++
 				serve.RecycleAfterIngest(&ev, serve.ErrShed) // never ingested

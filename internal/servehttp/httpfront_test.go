@@ -13,15 +13,18 @@ import (
 	"sync"
 	"testing"
 
-	. "repro/internal/serve"
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
+	"repro/internal/wal"
 	"repro/internal/wal/waltest"
+	"repro/internal/wire"
 )
 
 // wireBody assembles one ingest request body.
-func wireBody(t testing.TB, specs []JobSpec, events []Event) *bytes.Reader {
+func wireBody(t testing.TB, specs []wire.JobSpec, events []wire.Event) *bytes.Reader {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteDump(&buf, specs, events); err != nil {
+	if err := wire.WriteDump(&buf, specs, events); err != nil {
 		t.Fatal(err)
 	}
 	return bytes.NewReader(buf.Bytes())
@@ -59,16 +62,16 @@ func getJSON(t testing.TB, ts *httptest.Server, path string, out any) *http.Resp
 // TestHTTPFront covers the full request surface: batch ingest, query,
 // report, stats, snapshot, and every documented error path.
 func TestHTTPFront(t *testing.T) {
-	jobs, sims := smallJobs(t, 1, 61)
+	jobs, sims := servetest.SmallJobs(t, 1, 61)
 	job, sim := jobs[0], sims[0]
-	spec := SpecFor(sim, 5)
-	events := JobEvents(job, sim)
-	sv := NewServer(Config{Shards: 2})
+	spec := serve.SpecFor(sim, 5)
+	events := serve.JobEvents(job, sim)
+	sv := serve.NewServer(serve.Config{Shards: 2})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
 
 	// Batch ingest: registration plus the full stream in one body.
-	resp, res := postIngest(t, ts, wireBody(t, []JobSpec{spec}, events))
+	resp, res := postIngest(t, ts, wireBody(t, []wire.JobSpec{spec}, events))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: %s (%s)", resp.Status, res.Error)
 	}
@@ -77,7 +80,7 @@ func TestHTTPFront(t *testing.T) {
 	}
 
 	// Query: verdicts for the first three tasks plus one out of range.
-	var vs []TaskVerdict
+	var vs []serve.TaskVerdict
 	if resp := getJSON(t, ts, fmt.Sprintf("/query?job=%d&tasks=0,1,2,-1", job.ID), &vs); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %s", resp.Status)
 	}
@@ -96,7 +99,7 @@ func TestHTTPFront(t *testing.T) {
 	}
 
 	// Report.
-	var rep JobReport
+	var rep serve.JobReport
 	if resp := getJSON(t, ts, fmt.Sprintf("/report?job=%d", job.ID), &rep); resp.StatusCode != http.StatusOK {
 		t.Fatalf("report: %s", resp.Status)
 	}
@@ -105,7 +108,7 @@ func TestHTTPFront(t *testing.T) {
 	}
 
 	// Stats.
-	var st Stats
+	var st serve.Stats
 	if resp := getJSON(t, ts, "/stats", &st); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: %s", resp.Status)
 	}
@@ -123,7 +126,7 @@ func TestHTTPFront(t *testing.T) {
 	if err != nil || sresp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: %s, %v", sresp.Status, err)
 	}
-	restored, err := RestoreServer(bytes.NewReader(snap), Config{Shards: 2})
+	restored, err := serve.RestoreServer(bytes.NewReader(snap), serve.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +143,12 @@ func TestHTTPFront(t *testing.T) {
 // malformed bodies and parameters, 404 for unknown jobs, 422 for protocol
 // violations.
 func TestHTTPErrors(t *testing.T) {
-	_, sims := smallJobs(t, 1, 67)
-	spec := SpecFor(sims[0], 5)
-	sv := NewServer(Config{Shards: 2})
+	_, sims := servetest.SmallJobs(t, 1, 67)
+	spec := serve.SpecFor(sims[0], 5)
+	sv := serve.NewServer(serve.Config{Shards: 2})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
-	if _, res := postIngest(t, ts, wireBody(t, []JobSpec{spec}, nil)); res.Error != "" {
+	if _, res := postIngest(t, ts, wireBody(t, []wire.JobSpec{spec}, nil)); res.Error != "" {
 		t.Fatalf("registering: %s", res.Error)
 	}
 
@@ -182,7 +185,7 @@ func TestHTTPErrors(t *testing.T) {
 
 	// Truncated body: a valid prefix cut mid-frame.
 	var buf bytes.Buffer
-	if err := WriteDump(&buf, nil, []Event{{Kind: EventTaskStart, JobID: spec.JobID, TaskID: 0}}); err != nil {
+	if err := wire.WriteDump(&buf, nil, []wire.Event{{Kind: wire.EventTaskStart, JobID: spec.JobID, TaskID: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	resp, res = postIngest(t, ts, bytes.NewReader(buf.Bytes()[:buf.Len()-2]))
@@ -191,9 +194,9 @@ func TestHTTPErrors(t *testing.T) {
 	}
 
 	// Events for an unregistered job: 404, with prior frames applied.
-	resp, res = postIngest(t, ts, wireBody(t, nil, []Event{
-		{Kind: EventTaskStart, JobID: spec.JobID, TaskID: 0},
-		{Kind: EventTaskStart, JobID: 999999, TaskID: 0},
+	resp, res = postIngest(t, ts, wireBody(t, nil, []wire.Event{
+		{Kind: wire.EventTaskStart, JobID: spec.JobID, TaskID: 0},
+		{Kind: wire.EventTaskStart, JobID: 999999, TaskID: 0},
 	}))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d (%s), want 404", resp.StatusCode, res.Error)
@@ -203,12 +206,12 @@ func TestHTTPErrors(t *testing.T) {
 	}
 
 	// Protocol violations: duplicate registration, schema mismatch.
-	resp, _ = postIngest(t, ts, wireBody(t, []JobSpec{spec}, nil))
+	resp, _ = postIngest(t, ts, wireBody(t, []wire.JobSpec{spec}, nil))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("duplicate registration: status %d, want 422", resp.StatusCode)
 	}
-	resp, _ = postIngest(t, ts, wireBody(t, nil, []Event{
-		{Kind: EventHeartbeat, JobID: spec.JobID, TaskID: 0, Time: 1, Features: []float64{1}},
+	resp, _ = postIngest(t, ts, wireBody(t, nil, []wire.Event{
+		{Kind: wire.EventHeartbeat, JobID: spec.JobID, TaskID: 0, Time: 1, Features: []float64{1}},
 	}))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("schema mismatch: status %d, want 422", resp.StatusCode)
@@ -218,10 +221,10 @@ func TestHTTPErrors(t *testing.T) {
 // TestHTTPBudget: registrations beyond the server's job/task budget map to
 // 429, and the response reports how many specs were applied before it.
 func TestHTTPBudget(t *testing.T) {
-	sv := NewServer(Config{Shards: 1, MaxJobs: 1})
+	sv := serve.NewServer(serve.Config{Shards: 1, MaxJobs: 1})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
-	specs := []JobSpec{
+	specs := []wire.JobSpec{
 		{JobID: 1, Schema: []string{"a"}, NumTasks: 4, TauStra: 5, Horizon: 100},
 		{JobID: 2, Schema: []string{"a"}, NumTasks: 4, TauStra: 5, Horizon: 100},
 	}
@@ -239,17 +242,17 @@ func TestHTTPBudget(t *testing.T) {
 // query and stats clients hammer the read paths. Run under -race in CI.
 func TestHTTPConcurrentClients(t *testing.T) {
 	const n = 8
-	jobs, sims := smallJobs(t, n, 71)
-	sv := NewServer(Config{Shards: 2}) // small shard count forces sharing
+	jobs, sims := servetest.SmallJobs(t, n, 71)
+	sv := serve.NewServer(serve.Config{Shards: 2}) // small shard count forces sharing
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
 
 	// Register every job up front (one request each) so the concurrent
 	// query traffic below can never legitimately see an unknown job.
-	specs := make([]JobSpec, n)
+	specs := make([]wire.JobSpec, n)
 	for i := range jobs {
-		specs[i] = SpecFor(sims[i], uint64(i))
-		if resp, res := postIngest(t, ts, wireBody(t, []JobSpec{specs[i]}, nil)); resp.StatusCode != http.StatusOK {
+		specs[i] = serve.SpecFor(sims[i], uint64(i))
+		if resp, res := postIngest(t, ts, wireBody(t, []wire.JobSpec{specs[i]}, nil)); resp.StatusCode != http.StatusOK {
 			t.Fatalf("job %d register: %s (%s)", specs[i].JobID, resp.Status, res.Error)
 		}
 	}
@@ -257,9 +260,9 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := range jobs {
 		spec := specs[i]
-		events := JobEvents(jobs[i], sims[i])
+		events := serve.JobEvents(jobs[i], sims[i])
 		wg.Add(1)
-		go func(spec JobSpec, events []Event) {
+		go func(spec wire.JobSpec, events []wire.Event) {
 			defer wg.Done()
 			// The job's stream in four chunked requests.
 			for c := 0; c < 4; c++ {
@@ -349,12 +352,12 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 // net/http contract for a hard close) — never call WriteHeader again, and
 // never append error text to the partial wire stream.
 func TestSnapshotMidStreamAbort(t *testing.T) {
-	jobs, sims := smallJobs(t, 1, 83)
-	sv := NewServer(Config{Shards: 1})
-	if err := sv.StartJob(SpecFor(sims[0], 3), nil); err != nil {
+	jobs, sims := servetest.SmallJobs(t, 1, 83)
+	sv := serve.NewServer(serve.Config{Shards: 1})
+	if err := sv.StartJob(serve.SpecFor(sims[0], 3), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(JobEvents(jobs[0], sims[0])); err != nil {
+	if err := sv.IngestBatch(serve.JobEvents(jobs[0], sims[0])); err != nil {
 		t.Fatal(err)
 	}
 	var full bytes.Buffer
@@ -404,7 +407,7 @@ func TestSnapshotMidStreamAbort(t *testing.T) {
 		t.Errorf("clean snapshot altered the stream (statuses %v, %d vs %d bytes)",
 			fw.statuses, fw.buf.Len(), full.Len())
 	}
-	if _, err := RestoreServer(bytes.NewReader(fw.buf.Bytes()), Config{Shards: 1}); err != nil {
+	if _, err := serve.RestoreServer(bytes.NewReader(fw.buf.Bytes()), serve.Config{Shards: 1}); err != nil {
 		t.Errorf("streamed snapshot does not restore: %v", err)
 	}
 }
@@ -415,12 +418,12 @@ func TestSnapshotMidStreamAbort(t *testing.T) {
 // responses (404 here) keep the typed detail the caller needs.
 func TestServerFaultBodiesRedacted(t *testing.T) {
 	fs := waltest.NewMemFS()
-	sv, wal, _, err := Recover("wal", cheapCfg(1), WALOptions{FS: fs})
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
-	spec := JobSpec{JobID: 7, Schema: []string{"cpu"}, NumTasks: 2, TauStra: 10,
+	defer wlog.Close()
+	spec := wire.JobSpec{JobID: 7, Schema: []string{"cpu"}, NumTasks: 2, TauStra: 10,
 		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 7}
 	if err := sv.StartJob(spec, nil); err != nil {
 		t.Fatal(err)
@@ -429,8 +432,8 @@ func TestServerFaultBodiesRedacted(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
 
-	resp, res := postIngest(t, ts, wireBody(t, nil, []Event{
-		{Kind: EventTaskStart, JobID: 7, TaskID: 0, Time: 1}}))
+	resp, res := postIngest(t, ts, wireBody(t, nil, []wire.Event{
+		{Kind: wire.EventTaskStart, JobID: 7, TaskID: 0, Time: 1}}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("ingest against a wedged WAL: %s (%s)", resp.Status, res.Error)
 	}
@@ -444,15 +447,15 @@ func TestServerFaultBodiesRedacted(t *testing.T) {
 	}
 
 	// Client faults keep their diagnostic detail.
-	resp, res = postIngest(t, ts, wireBody(t, nil, []Event{
-		{Kind: EventTaskStart, JobID: 999, TaskID: 0, Time: 1}}))
+	resp, res = postIngest(t, ts, wireBody(t, nil, []wire.Event{
+		{Kind: wire.EventTaskStart, JobID: 999, TaskID: 0, Time: 1}}))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("ingest for an unknown job: %s", resp.Status)
 	}
 	if !strings.Contains(res.Error, "unknown job") {
 		t.Errorf("404 body lost its typed detail: %q", res.Error)
 	}
-	var out []TaskVerdict
+	var out []serve.TaskVerdict
 	if resp := getJSON(t, ts, "/query?job=999&tasks=0", &out); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("query for an unknown job: %s", resp.Status)
 	}
@@ -463,10 +466,10 @@ func TestServerFaultBodiesRedacted(t *testing.T) {
 // read paths alike. Without the header, RFC-compliant retry loops default to
 // immediate retry and amplify the very overload the 429 reports.
 func TestHTTP429RetryAfter(t *testing.T) {
-	sv := NewServer(Config{Shards: 1, MaxJobs: 1})
+	sv := serve.NewServer(serve.Config{Shards: 1, MaxJobs: 1})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
-	specs := []JobSpec{
+	specs := []wire.JobSpec{
 		{JobID: 1, Schema: []string{"a"}, NumTasks: 4, TauStra: 5, Horizon: 100},
 		{JobID: 2, Schema: []string{"a"}, NumTasks: 4, TauStra: 5, Horizon: 100},
 	}

@@ -15,8 +15,13 @@ import (
 	"strconv"
 	"testing"
 
-	. "repro/internal/serve"
+	"repro/internal/experiments"
+	"repro/internal/predictor"
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
+	"repro/internal/wal"
 	"repro/internal/wal/waltest"
+	"repro/internal/wire"
 )
 
 // ingestAs posts a wire batch under a client identity.
@@ -45,25 +50,25 @@ func ingestAs(t *testing.T, ts *httptest.Server, client string, body io.Reader) 
 // mid-batch an empty bucket sheds only heartbeats, other frames run the
 // bucket into debt, and clients are limited independently.
 func TestRateLimitPerClient(t *testing.T) {
-	sv := NewServer(Config{Shards: 1, ClientRate: 5, ClientBurst: 5})
+	sv := serve.NewServer(serve.Config{Shards: 1, ClientRate: 5, ClientBurst: 5})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
 
-	spec := pipelineSpec(1)
-	var events []Event
+	spec := servetest.PipelineSpec(1)
+	var events []wire.Event
 	for i := 0; i < spec.NumTasks; i++ {
-		events = append(events, Event{Kind: EventTaskStart, JobID: 1, TaskID: i, Time: 0})
+		events = append(events, wire.Event{Kind: wire.EventTaskStart, JobID: 1, TaskID: i, Time: 0})
 	}
 	for k := 0; k < 3; k++ {
 		for i := 0; i < spec.NumTasks; i++ {
-			events = append(events, Event{Kind: EventHeartbeat, JobID: 1, TaskID: i,
+			events = append(events, wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: i,
 				Time: float64(k + 1), Features: []float64{float64(i), 1}})
 		}
 	}
 	// Burst 5 cannot cover 1 spec + 8 starts + 24 heartbeats: the spec and
 	// every start are non-sheddable (debt), the heartbeats past the budget
 	// are shed mid-batch.
-	resp, res := ingestAs(t, ts, "a", wireBody(t, []JobSpec{spec}, events))
+	resp, res := ingestAs(t, ts, "a", wireBody(t, []wire.JobSpec{spec}, events))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first request: %s (%s)", resp.Status, res.Error)
 	}
@@ -76,8 +81,8 @@ func TestRateLimitPerClient(t *testing.T) {
 
 	// The bucket is now deep in debt: the next request is refused
 	// atomically with a load-aware hint.
-	resp, res = ingestAs(t, ts, "a", wireBody(t, nil, []Event{
-		{Kind: EventTaskFinish, JobID: 1, TaskID: 0, Time: 5, Latency: 5}}))
+	resp, res = ingestAs(t, ts, "a", wireBody(t, nil, []wire.Event{
+		{Kind: wire.EventTaskFinish, JobID: 1, TaskID: 0, Time: 5, Latency: 5}}))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget client: %s, want 429", resp.Status)
 	}
@@ -85,13 +90,13 @@ func TestRateLimitPerClient(t *testing.T) {
 		t.Fatalf("429 applied something: %+v (refusal must be atomic)", res)
 	}
 	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 || ra > MaxRetryHintSeconds {
-		t.Fatalf("429 Retry-After %q, want integer in [1,%d]", resp.Header.Get("Retry-After"), MaxRetryHintSeconds)
+	if err != nil || ra < 1 || ra > serve.MaxRetryHintSeconds {
+		t.Fatalf("429 Retry-After %q, want integer in [1,%d]", resp.Header.Get("Retry-After"), serve.MaxRetryHintSeconds)
 	}
 
 	// A different client has its own bucket.
-	resp, res = ingestAs(t, ts, "b", wireBody(t, nil, []Event{
-		{Kind: EventTaskFinish, JobID: 1, TaskID: 0, Time: 5, Latency: 5}}))
+	resp, res = ingestAs(t, ts, "b", wireBody(t, nil, []wire.Event{
+		{Kind: wire.EventTaskFinish, JobID: 1, TaskID: 0, Time: 5, Latency: 5}}))
 	if resp.StatusCode != http.StatusOK || res.Events != 1 {
 		t.Fatalf("independent client refused: %s %+v", resp.Status, res)
 	}
@@ -102,7 +107,7 @@ func TestRateLimitPerClient(t *testing.T) {
 		t.Fatal(err2)
 	}
 	defer sresp.Body.Close()
-	var st Stats
+	var st serve.Stats
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +122,12 @@ func TestRateLimitPerClient(t *testing.T) {
 // the 503 hint is the fixed, longer outage constant.
 func TestRetryAfterClasses(t *testing.T) {
 	fs := waltest.NewMemFS()
-	sv, wal, _, err := Recover("wal", cheapCfg(1), WALOptions{FS: fs})
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
-	spec := JobSpec{JobID: 7, Schema: []string{"cpu"}, NumTasks: 2, TauStra: 10,
+	defer wlog.Close()
+	spec := wire.JobSpec{JobID: 7, Schema: []string{"cpu"}, NumTasks: 2, TauStra: 10,
 		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 7}
 	if err := sv.StartJob(spec, nil); err != nil {
 		t.Fatal(err)
@@ -130,8 +135,8 @@ func TestRetryAfterClasses(t *testing.T) {
 	fs.SetBudget(fs.TotalWritten()) // wedge the WAL
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
-	resp, _ := postIngest(t, ts, wireBody(t, nil, []Event{
-		{Kind: EventTaskStart, JobID: 7, TaskID: 0, Time: 1}}))
+	resp, _ := postIngest(t, ts, wireBody(t, nil, []wire.Event{
+		{Kind: wire.EventTaskStart, JobID: 7, TaskID: 0, Time: 1}}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("wedged WAL: %s, want 503", resp.Status)
 	}
@@ -140,18 +145,30 @@ func TestRetryAfterClasses(t *testing.T) {
 	}
 }
 
+// nurdSeed applies experiments.Run's per-(job, method) seed derivation to
+// the NURD row, so the serving path builds the very same predictor the
+// offline Table 3 pass would.
+func nurdSeed(t testing.TB, base uint64, ji int) (uint64, predictor.Factory) {
+	t.Helper()
+	mi, fac, ok := predictor.FindFactory("NURD")
+	if !ok {
+		t.Fatal("NURD factory not found")
+	}
+	return experiments.UnitSeed(base, ji, mi), fac
+}
+
 // TestStatsHTTPRefitFields covers the /stats JSON surface of the pipeline:
 // the new fields are present, and on a drained server the gauges are zero
 // while the warm/scratch split accounts for every refit.
 func TestStatsHTTPRefitFields(t *testing.T) {
-	jobs, sims := smallJobs(t, 2, 83)
-	sv := NewServer(Config{Shards: 2, RefitMode: RefitWarm})
+	jobs, sims := servetest.SmallJobs(t, 2, 83)
+	sv := serve.NewServer(serve.Config{Shards: 2, RefitMode: wire.RefitWarm})
 	for i := range jobs {
 		s, _ := nurdSeed(t, 83, i)
-		if err := sv.StartJob(SpecFor(sims[i], s), nil); err != nil {
+		if err := sv.StartJob(serve.SpecFor(sims[i], s), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.IngestBatch(JobEvents(jobs[i], sims[i])); err != nil {
+		if err := sv.IngestBatch(serve.JobEvents(jobs[i], sims[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +218,7 @@ func TestStatsHTTPRefitFields(t *testing.T) {
 		if int(rep.WarmFits+rep.ScratchFits) > rep.Refits {
 			t.Errorf("job %d: warm %d + scratch %d exceeds refits %d", i, rep.WarmFits, rep.ScratchFits, rep.Refits)
 		}
-		if rep.Spec.RefitMode != RefitWarm {
+		if rep.Spec.RefitMode != wire.RefitWarm {
 			t.Errorf("job %d: spec mode %v, want warm (stamped from server config)", i, rep.Spec.RefitMode)
 		}
 	}

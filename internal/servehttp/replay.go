@@ -1,7 +1,7 @@
 package servehttp
 
 // replay.go is the file/replay ingestion backend: recorded trace dumps —
-// wire streams of serve.JobSpec registrations followed by their jobs' merged,
+// wire streams of wire.JobSpec registrations followed by their jobs' merged,
 // time-ordered event feeds (cmd/tracegen -format wire emits them) — are
 // streamed back into a serve.Server at a configurable multiple of recorded time,
 // either through in-process Ingest calls or through a serve.Server's HTTP front
@@ -11,14 +11,15 @@ package servehttp
 // speedup (test-enforced by TestReplayDeterminism).
 
 import (
-	"repro/internal/serve"
-
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // ReplayStats summarizes one replay pass.
@@ -128,13 +129,13 @@ func Replay(sv Backend, r io.Reader, speedup float64) (ReplayStats, error) {
 // exactly one WAL record).
 func ReplayFrom(sv Backend, r io.Reader, speedup float64, skip int) (ReplayStats, error) {
 	var st ReplayStats
-	wr := serve.NewWireReader(r)
+	wr := wire.NewReader(r)
 	start := time.Now()
 	pc := pacer{speedup: speedup}
-	// Pooled decode, as in the HTTP ingest loop: one serve.Event reused across
+	// Pooled decode, as in the HTTP ingest loop: one wire.Event reused across
 	// the dump, feature slices drawn from (and, when not retained,
 	// returned to) the ingest observation pool.
-	var ev serve.Event
+	var ev wire.Event
 	for {
 		sp, err := wr.NextInto(&ev)
 		if err == io.EOF {
@@ -197,8 +198,8 @@ func ReplayHTTPFrom(client *http.Client, baseURL string, r io.Reader, speedup fl
 		batch = 1024
 	}
 	var st ReplayStats
-	wr := serve.NewWireReader(r)
-	body := serve.AppendHeader(nil)
+	wr := wire.NewReader(r)
+	body := wire.AppendHeader(nil)
 	// Queued-but-unacknowledged elements are tracked separately and folded
 	// into st only when their flush succeeds, so the returned stats never
 	// over-report what the front end actually applied.
@@ -219,14 +220,14 @@ func ReplayHTTPFrom(client *http.Client, baseURL string, r io.Reader, speedup fl
 		st.Specs += qSpecs
 		st.Events += qEvents
 		qSpecs, qEvents = 0, 0
-		body = serve.AppendHeader(body[:0])
+		body = wire.AppendHeader(body[:0])
 		return nil
 	}
 	start := time.Now()
 	pc := pacer{speedup: speedup}
 	// Pooled decode: events are re-encoded into the request body (copied),
 	// never retained, so every observation goes straight back to the pool.
-	var ev serve.Event
+	var ev wire.Event
 	for {
 		sp, err := wr.NextInto(&ev)
 		if err == io.EOF {
@@ -246,7 +247,7 @@ func ReplayHTTPFrom(client *http.Client, baseURL string, r io.Reader, speedup fl
 			continue
 		}
 		if sp != nil {
-			if body, err = serve.EncodeSpec(body, *sp); err != nil {
+			if body, err = wire.EncodeSpec(body, *sp); err != nil {
 				return st, err
 			}
 			qSpecs++
@@ -259,7 +260,7 @@ func ReplayHTTPFrom(client *http.Client, baseURL string, r io.Reader, speedup fl
 				}
 				pc.sleep(ahead)
 			}
-			body, err = serve.EncodeEvent(body, ev)
+			body, err = wire.EncodeEvent(body, ev)
 			serve.RecycleAfterIngest(&ev, errSkipped)
 			if err != nil {
 				return st, err

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
-	. "repro/internal/serve"
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
+	"repro/internal/wire"
 )
 
 // scaledWorkload shrinks a real trace job's virtual timeline by factor c so
@@ -17,18 +19,18 @@ import (
 // latency, horizon, and latency threshold scales together, which preserves
 // the protocol structure exactly (checkpoint gating, straggler sets,
 // feature vectors are untouched).
-func scaledWorkload(t testing.TB, n int, seed uint64, c float64) ([]JobSpec, []Event) {
+func scaledWorkload(t testing.TB, n int, seed uint64, c float64) ([]wire.JobSpec, []wire.Event) {
 	t.Helper()
-	jobs, sims := smallJobs(t, n, seed)
-	specs := make([]JobSpec, n)
-	streams := make([][]Event, n)
+	jobs, sims := servetest.SmallJobs(t, n, seed)
+	specs := make([]wire.JobSpec, n)
+	streams := make([][]wire.Event, n)
 	for i := range jobs {
-		sp := SpecFor(sims[i], uint64(100+i))
+		sp := serve.SpecFor(sims[i], uint64(100+i))
 		sp.TauStra *= c
 		sp.Horizon *= c
 		specs[i] = sp
-		evs := JobEvents(jobs[i], sims[i])
-		scaled := make([]Event, len(evs))
+		evs := serve.JobEvents(jobs[i], sims[i])
+		scaled := make([]wire.Event, len(evs))
 		for k, e := range evs {
 			e.Time *= c
 			e.Latency *= c
@@ -36,16 +38,16 @@ func scaledWorkload(t testing.TB, n int, seed uint64, c float64) ([]JobSpec, []E
 		}
 		streams[i] = scaled
 	}
-	return specs, MergeStreams(streams...)
+	return specs, serve.MergeStreams(streams...)
 }
 
-func replayDump(t testing.TB, specs []JobSpec, events []Event, speedup float64) *Server {
+func replayDump(t testing.TB, specs []wire.JobSpec, events []wire.Event, speedup float64) *serve.Server {
 	t.Helper()
 	var dump bytes.Buffer
-	if err := WriteDump(&dump, specs, events); err != nil {
+	if err := wire.WriteDump(&dump, specs, events); err != nil {
 		t.Fatal(err)
 	}
-	sv := NewServer(Config{Shards: 2})
+	sv := serve.NewServer(serve.Config{Shards: 2})
 	st, err := Replay(sv, bytes.NewReader(dump.Bytes()), speedup)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +66,7 @@ func replayDump(t testing.TB, specs []JobSpec, events []Event, speedup float64) 
 func TestReplayDeterminism(t *testing.T) {
 	// ~60ms of virtual time per job at 1x.
 	specs, events := scaledWorkload(t, 2, 47, 0.0005)
-	servers := map[string]*Server{}
+	servers := map[string]*serve.Server{}
 	for name, speedup := range map[string]float64{"1x": 1, "1000x": 1000, "unthrottled": 0} {
 		servers[name] = replayDump(t, specs, events, speedup)
 	}
@@ -82,15 +84,15 @@ func TestReplayDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(coreOf(want), coreOf(got)) {
+			if !reflect.DeepEqual(servetest.CoreOf(want), servetest.CoreOf(got)) {
 				t.Errorf("job %d: %s replay diverges from 1x:\n 1x  %+v\n %s %+v",
-					sp.JobID, name, coreOf(want), name, coreOf(got))
+					sp.JobID, name, servetest.CoreOf(want), name, servetest.CoreOf(got))
 			}
-			wantV, err := ref.Query(sp.JobID, allTaskIDs(sp.NumTasks))
+			wantV, err := ref.Query(sp.JobID, servetest.AllTaskIDs(sp.NumTasks))
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotV, err := sv.Query(sp.JobID, allTaskIDs(sp.NumTasks))
+			gotV, err := sv.Query(sp.JobID, servetest.AllTaskIDs(sp.NumTasks))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,10 +112,10 @@ func TestReplayHTTPMatchesInProcess(t *testing.T) {
 	direct := replayDump(t, specs, events, 0)
 
 	var dump bytes.Buffer
-	if err := WriteDump(&dump, specs, events); err != nil {
+	if err := wire.WriteDump(&dump, specs, events); err != nil {
 		t.Fatal(err)
 	}
-	sv := NewServer(Config{Shards: 2})
+	sv := serve.NewServer(serve.Config{Shards: 2})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
 	// Small batches force many requests; a tiny speedup exercises the
@@ -134,7 +136,7 @@ func TestReplayHTTPMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(coreOf(want), coreOf(got)) {
+		if !reflect.DeepEqual(servetest.CoreOf(want), servetest.CoreOf(got)) {
 			t.Errorf("job %d: http replay diverges from in-process replay", sp.JobID)
 		}
 	}
@@ -148,28 +150,28 @@ func TestReplayHTTPMatchesInProcess(t *testing.T) {
 func TestReplayErrors(t *testing.T) {
 	specs, events := scaledWorkload(t, 1, 59, 0.001)
 	var dump bytes.Buffer
-	if err := WriteDump(&dump, specs, events); err != nil {
+	if err := wire.WriteDump(&dump, specs, events); err != nil {
 		t.Fatal(err)
 	}
 
 	// Events for a job whose spec frame was dropped: unknown job.
 	var noSpec bytes.Buffer
-	if err := WriteDump(&noSpec, nil, events); err != nil {
+	if err := wire.WriteDump(&noSpec, nil, events); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(NewServer(Config{Shards: 1}), bytes.NewReader(noSpec.Bytes()), 0); err == nil {
+	if _, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(noSpec.Bytes()), 0); err == nil {
 		t.Error("replay of a dump without specs should fail on the first event")
 	}
 
 	// A flipped payload byte: checksum failure.
 	mut := append([]byte(nil), dump.Bytes()...)
 	mut[len(mut)/2] ^= 0x01
-	if _, err := Replay(NewServer(Config{Shards: 1}), bytes.NewReader(mut), 0); err == nil {
+	if _, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(mut), 0); err == nil {
 		t.Error("replay of a corrupted dump should fail")
 	}
 
 	// ReplayHTTP against a front end returning errors must surface them.
-	sv := NewServer(Config{Shards: 1})
+	sv := serve.NewServer(serve.Config{Shards: 1})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
 	if _, err := ReplayHTTP(ts.Client(), ts.URL, bytes.NewReader(noSpec.Bytes()), 0, 64); err == nil {
@@ -183,7 +185,7 @@ func TestReplayErrors(t *testing.T) {
 func TestReplayHTTPStatsOnFlushFailure(t *testing.T) {
 	specs, events := scaledWorkload(t, 1, 67, 0.001)
 	var dump bytes.Buffer
-	if err := WriteDump(&dump, specs, events); err != nil {
+	if err := wire.WriteDump(&dump, specs, events); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -211,13 +213,13 @@ func TestReplayPacingSchedule(t *testing.T) {
 	}
 	specs, events := scaledWorkload(t, 2, 47, 0.0005)
 	var dump bytes.Buffer
-	if err := WriteDump(&dump, specs, events); err != nil {
+	if err := wire.WriteDump(&dump, specs, events); err != nil {
 		t.Fatal(err)
 	}
 	span := events[len(events)-1].Time - events[0].Time
 	// Pick the speedup so the schedule spans ~400ms of wall clock.
 	speedup := span / 0.4
-	sv := NewServer(Config{Shards: 2})
+	sv := serve.NewServer(serve.Config{Shards: 2})
 	st, err := Replay(sv, bytes.NewReader(dump.Bytes()), speedup)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +241,7 @@ func TestReplayPacingSchedule(t *testing.T) {
 	}
 
 	// Unpaced replay never engages the schedule: no lag is recorded.
-	st0, err := Replay(NewServer(Config{Shards: 2}), bytes.NewReader(dump.Bytes()), 0)
+	st0, err := Replay(serve.NewServer(serve.Config{Shards: 2}), bytes.NewReader(dump.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +274,10 @@ func TestReplayStatsRate(t *testing.T) {
 
 	// An empty dump (header only) replays to zero events in ~zero wall time.
 	var empty bytes.Buffer
-	if err := WriteDump(&empty, nil, nil); err != nil {
+	if err := wire.WriteDump(&empty, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Replay(NewServer(Config{Shards: 1}), bytes.NewReader(empty.Bytes()), 1000)
+	st, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(empty.Bytes()), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +288,10 @@ func TestReplayStatsRate(t *testing.T) {
 	// A single-event dump: one spec, the stream's first event.
 	specs, events := scaledWorkload(t, 1, 59, 0.001)
 	var one bytes.Buffer
-	if err := WriteDump(&one, specs, events[:1]); err != nil {
+	if err := wire.WriteDump(&one, specs, events[:1]); err != nil {
 		t.Fatal(err)
 	}
-	st, err = Replay(NewServer(Config{Shards: 1}), bytes.NewReader(one.Bytes()), 1000)
+	st, err = Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(one.Bytes()), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,13 +311,13 @@ func TestReplayStatsRate(t *testing.T) {
 // with freshly allocated events. Reports and verdicts must be identical:
 // pooling moves allocations, never bytes.
 func TestPooledReplayMatchesDirectIngest(t *testing.T) {
-	jobs, sims := smallJobs(t, 2, 137)
-	var specs []JobSpec
-	var streams [][]Event
+	jobs, sims := servetest.SmallJobs(t, 2, 137)
+	var specs []wire.JobSpec
+	var streams [][]wire.Event
 	for i := range jobs {
-		sp := SpecFor(sims[i], uint64(700+i))
+		sp := serve.SpecFor(sims[i], uint64(700+i))
 		specs = append(specs, sp)
-		evs := JobEvents(jobs[i], sims[i])
+		evs := serve.JobEvents(jobs[i], sims[i])
 		for k := range evs {
 			evs[k].JobID = sp.JobID
 		}
@@ -323,12 +325,12 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 		// one: same task, same tick, slightly later time, perturbed copy of
 		// the features. The later observation replaces the earlier in both
 		// servers; only the pooled server recycles the replaced slice.
-		var dense []Event
+		var dense []wire.Event
 		for _, e := range evs {
 			dense = append(dense, e)
 			// No extras on the final tick: they would sort after the
 			// job-finish event, which rejects the stream.
-			if e.Kind != EventHeartbeat || e.Features == nil || e.Tick >= sp.Checkpoints {
+			if e.Kind != wire.EventHeartbeat || e.Features == nil || e.Tick >= sp.Checkpoints {
 				continue
 			}
 			extra := e
@@ -341,18 +343,18 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 		}
 		streams = append(streams, dense)
 	}
-	events := MergeStreams(streams...)
+	events := serve.MergeStreams(streams...)
 
 	var dump bytes.Buffer
-	if err := WriteDump(&dump, specs, events); err != nil {
+	if err := wire.WriteDump(&dump, specs, events); err != nil {
 		t.Fatal(err)
 	}
-	pooledSv := NewServer(Config{Shards: 2})
+	pooledSv := serve.NewServer(serve.Config{Shards: 2})
 	if _, err := Replay(pooledSv, bytes.NewReader(dump.Bytes()), 0); err != nil {
 		t.Fatal(err)
 	}
 
-	directSv := NewServer(Config{Shards: 2})
+	directSv := serve.NewServer(serve.Config{Shards: 2})
 	for _, sp := range specs {
 		if err := directSv.StartJob(sp, nil); err != nil {
 			t.Fatal(err)
@@ -360,7 +362,7 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 	}
 	// IngestBatch events carry caller-allocated slices (pooled tag unset);
 	// clone the features so the two servers share no memory at all.
-	fresh := make([]Event, len(events))
+	fresh := make([]wire.Event, len(events))
 	for i, e := range events {
 		if e.Features != nil {
 			e.Features = append([]float64(nil), e.Features...)
@@ -380,15 +382,15 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(coreOf(want), coreOf(got)) {
+		if !reflect.DeepEqual(servetest.CoreOf(want), servetest.CoreOf(got)) {
 			t.Fatalf("job %d: pooled replay diverges from direct ingest:\n direct %+v\n pooled %+v",
-				sp.JobID, coreOf(want), coreOf(got))
+				sp.JobID, servetest.CoreOf(want), servetest.CoreOf(got))
 		}
-		wantV, err := directSv.Query(sp.JobID, allTaskIDs(sp.NumTasks))
+		wantV, err := directSv.Query(sp.JobID, servetest.AllTaskIDs(sp.NumTasks))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotV, err := pooledSv.Query(sp.JobID, allTaskIDs(sp.NumTasks))
+		gotV, err := pooledSv.Query(sp.JobID, servetest.AllTaskIDs(sp.NumTasks))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,12 +9,6 @@ package wal_test
 // acknowledgment may and may not depend on of another's half-sent body.
 
 import (
-	. "repro/internal/serve"
-	"repro/internal/servehttp"
-	walpkg "repro/internal/wal"
-	"repro/internal/wal/waltest"
-	"repro/internal/wire"
-
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -27,6 +21,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
+	"repro/internal/servehttp"
+	"repro/internal/wal"
+	"repro/internal/wal/waltest"
+	"repro/internal/wire"
 )
 
 // feedBodies cuts the feed into consecutive request bodies of at most n
@@ -36,8 +37,8 @@ func feedBodies(t testing.TB, feed []tortureMutation, n int) (bodies [][]byte, s
 	t.Helper()
 	for len(feed) > 0 {
 		k := min(n, len(feed))
-		var specs []JobSpec
-		var events []Event
+		var specs []wire.JobSpec
+		var events []wire.Event
 		for _, mu := range feed[:k] {
 			if mu.spec != nil {
 				specs = append(specs, *mu.spec)
@@ -46,7 +47,7 @@ func feedBodies(t testing.TB, feed []tortureMutation, n int) (bodies [][]byte, s
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteDump(&buf, specs, events); err != nil {
+		if err := wire.WriteDump(&buf, specs, events); err != nil {
 			t.Fatal(err)
 		}
 		bodies, sizes = append(bodies, buf.Bytes()), append(sizes, k)
@@ -81,7 +82,7 @@ func mustPost(t testing.TB, h http.Handler, body []byte, frames int) {
 func segOps(fs *waltest.MemFS, from, kind int) int {
 	n := 0
 	for _, op := range fs.Journal[from:] {
-		if op.Kind == kind && strings.Contains(op.Name, "/"+walpkg.SegPrefix) {
+		if op.Kind == kind && strings.Contains(op.Name, "/"+wal.SegPrefix) {
 			n++
 		}
 	}
@@ -98,19 +99,19 @@ func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 	feed, _ := tortureFeed(t, 20, 137)
 	for _, tc := range []struct {
 		name   string
-		opts   WALOptions
+		opts   wal.Options
 		frames int
 	}{
 		// Rotation inside bodies: a 256-frame body spans several segments.
-		{"rotating", WALOptions{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 256},
+		{"rotating", wal.Options{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 256},
 		// One stream, no rotation: a body outgrows the stage cap instead.
-		{"capped", WALOptions{SegmentBytes: 8 << 20, Streams: 1, SyncEvery: time.Hour}, 1024},
+		{"capped", wal.Options{SegmentBytes: 8 << 20, Streams: 1, SyncEvery: time.Hour}, 1024},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			byEvent := waltest.NewMemFS()
 			opts := tc.opts
 			opts.FS = byEvent
-			sv, log, _, err := Recover("wal", tortureCfg(4), opts)
+			sv, log, _, err := serve.Recover("wal", tortureCfg(4), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +126,7 @@ func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 
 			byBody := waltest.NewMemFS()
 			opts.FS = byBody
-			sv, log, _, err = Recover("wal", tortureCfg(4), opts)
+			sv, log, _, err = serve.Recover("wal", tortureCfg(4), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +158,7 @@ func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 			// write when it fills; every stageLimit bytes at most one early
 			// write; the rest is one write per body per stream.
 			creates := segOps(byBody, 0, waltest.OpCreate)
-			bound := len(bodies)*tc.opts.Streams + 2*creates + total/walpkg.StageLimit
+			bound := len(bodies)*tc.opts.Streams + 2*creates + total/wal.StageLimit
 			writes, perEvent := segOps(byBody, 0, waltest.OpWrite), segOps(byEvent, 0, waltest.OpWrite)
 			if writes > bound {
 				t.Errorf("%d bodies cost %d segment writes, bound %d", len(bodies), writes, bound)
@@ -178,37 +179,37 @@ func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 // as S writes and, with SyncEvery 0, S fsyncs — not one of each per frame.
 func TestOneBodyOneWritePerStream(t *testing.T) {
 	fs := waltest.NewMemFS()
-	sv, log, _, err := Recover("wal", cheapCfg(4), WALOptions{Streams: 4, FS: fs})
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(4), wal.Options{Streams: 4, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
 	h := servehttp.NewHandler(sv)
 	ids := jobIDsCoveringStreams(4)
-	var specs []JobSpec
+	var specs []wire.JobSpec
 	for _, id := range ids {
 		sp := commitSpec(id)
 		sp.NumTasks = 64
 		specs = append(specs, sp)
 	}
 	var reg bytes.Buffer
-	if err := WriteDump(&reg, specs, nil); err != nil {
+	if err := wire.WriteDump(&reg, specs, nil); err != nil {
 		t.Fatal(err)
 	}
 	mustPost(t, h, reg.Bytes(), len(specs)) // opens all four segments
 
-	starts := func(ids []uint64, from, to int) []Event {
-		var evs []Event
+	starts := func(ids []uint64, from, to int) []wire.Event {
+		var evs []wire.Event
 		for task := from; task < to; task++ {
 			for _, id := range ids {
-				evs = append(evs, Event{Kind: EventTaskStart, JobID: id, TaskID: task, Time: float64(task)})
+				evs = append(evs, wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: task, Time: float64(task)})
 			}
 		}
 		return evs
 	}
 	var body bytes.Buffer
 	evs := starts(ids[:3], 0, 32)
-	if err := WriteDump(&body, nil, evs); err != nil {
+	if err := wire.WriteDump(&body, nil, evs); err != nil {
 		t.Fatal(err)
 	}
 	mark := len(fs.Journal)
@@ -227,9 +228,9 @@ func TestOneBodyOneWritePerStream(t *testing.T) {
 
 	// A body that fails half way still commits what it applied before the
 	// error reply: the counts it reports are in the log.
-	evs = append(starts(ids[:1], 32, 40), Event{Kind: EventTaskStart, JobID: 1 << 40, TaskID: 0, Time: 1})
+	evs = append(starts(ids[:1], 32, 40), wire.Event{Kind: wire.EventTaskStart, JobID: 1 << 40, TaskID: 0, Time: 1})
 	body.Reset()
-	if err := WriteDump(&body, nil, evs); err != nil {
+	if err := wire.WriteDump(&body, nil, evs); err != nil {
 		t.Fatal(err)
 	}
 	before := log.NextLSN()
@@ -247,9 +248,9 @@ func TestOneBodyOneWritePerStream(t *testing.T) {
 func recordsOnFS(t testing.TB, fs *waltest.MemFS) int {
 	t.Helper()
 	n := 0
-	var rst RecoveryStats
+	var rst wal.RecoveryStats
 	image := waltest.FSAt(fs.Journal, fs.TotalWritten(), false)
-	if _, err := walpkg.ScanDir(image, "wal", 0, false, &rst, func(uint64, wire.FrameKind, []byte) error {
+	if _, err := wal.ScanDir(image, "wal", 0, false, &rst, func(uint64, wire.FrameKind, []byte) error {
 		n++
 		return nil
 	}); err != nil {
@@ -272,11 +273,11 @@ type bodyAck struct {
 // every ckptEvery bodies and an explicit Sync every syncEvery (0: never).
 // It returns the journaling filesystem, the reference state, every body's
 // acknowledgment and every completed Sync as (offset, mutations covered).
-func bodyRun(t testing.TB, feed []tortureMutation, specs []JobSpec, opts WALOptions, frames, ckptEvery, syncEvery int) (*waltest.MemFS, tortureState, []bodyAck, []bodyAck) {
+func bodyRun(t testing.TB, feed []tortureMutation, specs []wire.JobSpec, opts wal.Options, frames, ckptEvery, syncEvery int) (*waltest.MemFS, tortureState, []bodyAck, []bodyAck) {
 	t.Helper()
 	fs := waltest.NewMemFS()
 	opts.FS = fs
-	sv, log, _, err := Recover("wal", tortureCfg(4), opts)
+	sv, log, _, err := serve.Recover("wal", tortureCfg(4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func bodyCrashPoints(fs *waltest.MemFS, rng *rand.Rand, perWrite int) []int64 {
 		if op.Kind != waltest.OpWrite {
 			continue
 		}
-		if n := int64(len(op.Data)); n > 512 && strings.Contains(op.Name, "/"+walpkg.SegPrefix) {
+		if n := int64(len(op.Data)); n > 512 && strings.Contains(op.Name, "/"+wal.SegPrefix) {
 			for k := 0; k < perWrite; k++ {
 				points = append(points, off+1+rng.Int63n(n-1))
 			}
@@ -355,13 +356,13 @@ func TestWALTortureBodies(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name      string
-		opts      WALOptions
+		opts      wal.Options
 		syncEvery int
 		powerLoss bool
 	}{
-		{"crash", WALOptions{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 0, false},
-		{"powerloss-sync0", WALOptions{SegmentBytes: 16 << 10, Streams: 4}, 0, true},
-		{"powerloss-group", WALOptions{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 3, true},
+		{"crash", wal.Options{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 0, false},
+		{"powerloss-sync0", wal.Options{SegmentBytes: 16 << 10, Streams: 4}, 0, true},
+		{"powerloss-group", wal.Options{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			feed, specs := tortureFeed(t, 20, 139)
@@ -404,7 +405,7 @@ func TestWALTortureBodies(t *testing.T) {
 // would leave a hole below B's acknowledged LSN.
 func TestCommitWritesSiblingsLowerStage(t *testing.T) {
 	fs := waltest.NewMemFS()
-	sv, log, _, err := Recover("wal", cheapCfg(2), WALOptions{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestCommitWritesSiblingsLowerStage(t *testing.T) {
 // stalled — B commits A's staged prefix itself instead of waiting for A.
 func TestStalledUploadDoesNotDelaySibling(t *testing.T) {
 	fs := waltest.NewMemFS()
-	sv, log, _, err := Recover("wal", cheapCfg(2), WALOptions{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,13 +446,13 @@ func TestStalledUploadDoesNotDelaySibling(t *testing.T) {
 	half := func(id uint64) (first, rest []byte) {
 		sp := commitSpec(id)
 		var a, b bytes.Buffer
-		if err := WriteDump(&a, []JobSpec{sp}, []Event{{Kind: EventTaskStart, JobID: id, TaskID: 0, Time: 1}}); err != nil {
+		if err := wire.WriteDump(&a, []wire.JobSpec{sp}, []wire.Event{{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteDump(&b, nil, []Event{{Kind: EventTaskStart, JobID: id, TaskID: 1, Time: 2}}); err != nil {
+		if err := wire.WriteDump(&b, nil, []wire.Event{{Kind: wire.EventTaskStart, JobID: id, TaskID: 1, Time: 2}}); err != nil {
 			t.Fatal(err)
 		}
-		return a.Bytes(), b.Bytes()[len(AppendHeader(nil)):] // one stream: header once
+		return a.Bytes(), b.Bytes()[len(wire.AppendHeader(nil)):] // one stream: header once
 	}
 
 	aFirst, aRest := half(ids[0])
@@ -518,8 +519,8 @@ func TestStalledUploadDoesNotDelaySibling(t *testing.T) {
 // second time, and replay would skip the new owners as already reflected.
 func TestCheckpointCommitsStagedFirst(t *testing.T) {
 	fs := waltest.NewMemFS()
-	opts := WALOptions{Streams: 2, SyncEvery: time.Hour, FS: fs}
-	sv, log, _, err := Recover("wal", cheapCfg(2), opts)
+	opts := wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs}
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +530,7 @@ func TestCheckpointCommitsStagedFirst(t *testing.T) {
 		if err := sv.StageJob(commitSpec(id), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.StageEvent(Event{Kind: EventTaskStart, JobID: id, TaskID: 0, Time: 1}); err != nil {
+		if err := sv.StageEvent(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -540,7 +541,7 @@ func TestCheckpointCommitsStagedFirst(t *testing.T) {
 		t.Fatalf("checkpoint left %d of the 4 records it reflects on the filesystem", got)
 	}
 	opts.FS = waltest.FSAt(fs.Journal, fs.TotalWritten(), false) // the process dies here
-	sv2, log2, rst, err := Recover("wal", cheapCfg(2), opts)
+	sv2, log2, rst, err := serve.Recover("wal", servetest.CheapConfig(2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,8 +561,8 @@ func TestCheckpointCommitsStagedFirst(t *testing.T) {
 // acknowledged mutation back from recovery. Run under -race.
 func TestStageCommitConcurrent(t *testing.T) {
 	fs := waltest.NewMemFS()
-	opts := WALOptions{SegmentBytes: 8 << 10, Streams: 2, SyncEvery: time.Millisecond, FS: fs}
-	sv, log, _, err := Recover("wal", cheapCfg(4), opts)
+	opts := wal.Options{SegmentBytes: 8 << 10, Streams: 2, SyncEvery: time.Millisecond, FS: fs}
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +605,7 @@ func TestStageCommitConcurrent(t *testing.T) {
 				for len(evs) > 0 {
 					n := min(64, len(evs))
 					var body bytes.Buffer
-					if err := WriteDump(&body, nil, evs[:n]); err != nil {
+					if err := wire.WriteDump(&body, nil, evs[:n]); err != nil {
 						errs <- err
 						return
 					}
@@ -657,7 +658,7 @@ func TestStageCommitConcurrent(t *testing.T) {
 		t.Fatalf("Close wrote %d bytes after every mutation was acknowledged", fs.TotalWritten()-written)
 	}
 	opts.FS = waltest.FSAt(fs.Journal, written, false)
-	sv2, log2, rst, err := Recover("wal", cheapCfg(4), opts)
+	sv2, log2, rst, err := serve.Recover("wal", servetest.CheapConfig(4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,7 +672,7 @@ func TestStageCommitConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(coreOf(got), coreOf(want)) {
+		if !reflect.DeepEqual(servetest.CoreOf(got), servetest.CoreOf(want)) {
 			t.Errorf("job %d: recovered report differs from the live one", specs[i].JobID)
 		}
 	}

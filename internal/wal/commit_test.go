@@ -11,11 +11,6 @@ package wal_test
 // fixtures share the fault-injecting filesystems.
 
 import (
-	. "repro/internal/serve"
-	walpkg "repro/internal/wal"
-	"repro/internal/wal/waltest"
-	"repro/internal/wire"
-
 	"bytes"
 	"errors"
 	"fmt"
@@ -29,13 +24,19 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
+	"repro/internal/wal"
+	"repro/internal/wal/waltest"
+	"repro/internal/wire"
 )
 
 // commitSpec builds a minimal valid job spec for tests that drive the WAL
 // directly with hand-picked job IDs (stream routing is wire.Mix64(id) %
 // streams, so the IDs select their streams).
-func commitSpec(id uint64) JobSpec {
-	return JobSpec{JobID: id, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
+func commitSpec(id uint64) wire.JobSpec {
+	return wire.JobSpec{JobID: id, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
 		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id}
 }
 
@@ -57,7 +58,7 @@ func jobIDsCoveringStreams(n int) []uint64 {
 func commitFileNames(fs *waltest.MemFS) []string {
 	var names []string
 	for name := range fs.Files {
-		if strings.HasPrefix(filepath.Base(name), walpkg.CommitPrefix) {
+		if strings.HasPrefix(filepath.Base(name), wal.CommitPrefix) {
 			names = append(names, name)
 		}
 	}
@@ -72,23 +73,23 @@ func commitFileNames(fs *waltest.MemFS) []string {
 // The writability probe (wal-probe.tmp) and snapshot/commit files pass
 // through untouched.
 type failSyncFS struct {
-	WALFS
+	wal.FS
 }
 
-func (fs *failSyncFS) Create(name string) (WALFile, error) {
-	f, err := fs.WALFS.Create(name)
+func (fs *failSyncFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
 	if err != nil {
 		return nil, err
 	}
 	base := filepath.Base(name)
-	if strings.HasPrefix(base, walpkg.SegPrefix) && strings.HasSuffix(base, walpkg.SegSuffix) {
-		return failSyncFile{WALFile: f, name: base}, nil
+	if strings.HasPrefix(base, wal.SegPrefix) && strings.HasSuffix(base, wal.SegSuffix) {
+		return failSyncFile{File: f, name: base}, nil
 	}
 	return f, nil
 }
 
 type failSyncFile struct {
-	WALFile
+	wal.File
 	name string
 }
 
@@ -101,8 +102,8 @@ func (f failSyncFile) Sync() error {
 // first latched one — operators diagnosing a dying device need to see
 // which streams it took down.
 func TestWALSyncJoinsStreamErrors(t *testing.T) {
-	fs := &failSyncFS{WALFS: waltest.NewMemFS()}
-	sv, wal, _, err := Recover("wal", cheapCfg(2), WALOptions{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	fs := &failSyncFS{FS: waltest.NewMemFS()}
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,12 @@ func TestWALSyncJoinsStreamErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err = wal.Sync()
+	err = wlog.Sync()
 	if err == nil {
 		t.Fatal("Sync with two failing streams returned nil")
 	}
-	if !errors.Is(err, ErrWALFailed) {
-		t.Errorf("Sync error is not ErrWALFailed: %v", err)
+	if !errors.Is(err, wal.ErrFailed) {
+		t.Errorf("Sync error is not wal.ErrFailed: %v", err)
 	}
 	msg := err.Error()
 	for _, stream := range []string{"wal-0000-", "wal-0001-"} {
@@ -124,7 +125,7 @@ func TestWALSyncJoinsStreamErrors(t *testing.T) {
 			t.Errorf("joined Sync error omits stream %s*: %q", stream, msg)
 		}
 	}
-	wal.Close() // wedged close may error; it must not panic
+	wlog.Close() // wedged close may error; it must not panic
 }
 
 // --- flusher lifecycle on a wedged log ---
@@ -132,21 +133,21 @@ func TestWALSyncJoinsStreamErrors(t *testing.T) {
 // wedgeFS counts every fsync attempt and can be switched to fail them
 // all, modeling a log device that dies under a running server.
 type wedgeFS struct {
-	WALFS
+	wal.FS
 	syncs  atomic.Int32
 	broken atomic.Bool
 }
 
-func (fs *wedgeFS) Create(name string) (WALFile, error) {
-	f, err := fs.WALFS.Create(name)
+func (fs *wedgeFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	return &wedgeFile{WALFile: f, fs: fs}, nil
+	return &wedgeFile{File: f, fs: fs}, nil
 }
 
 type wedgeFile struct {
-	WALFile
+	wal.File
 	fs *wedgeFS
 }
 
@@ -155,7 +156,7 @@ func (f *wedgeFile) Sync() error {
 	if f.fs.broken.Load() {
 		return fmt.Errorf("injected: log device gone")
 	}
-	return f.WALFile.Sync()
+	return f.File.Sync()
 }
 
 // TestWALFlushLoopExitsWhenWedged: once the first flush failure wedges the
@@ -166,16 +167,16 @@ func TestWALFlushLoopExitsWhenWedged(t *testing.T) {
 	// has always run under.
 	t.Run("per-stream", func(t *testing.T) {
 		const tick = 2 * time.Millisecond
-		fs := &wedgeFS{WALFS: waltest.NewMemFS()}
-		sv, wal, _, err := Recover("wal", cheapCfg(1),
-			WALOptions{Streams: 1, SyncEvery: tick, FS: fs})
+		fs := &wedgeFS{FS: waltest.NewMemFS()}
+		sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1),
+			wal.Options{Streams: 1, SyncEvery: tick, FS: fs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sv.StartJob(commitSpec(1), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: 1, TaskID: 0, Time: 1}); err != nil {
+		if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: 1, TaskID: 0, Time: 1}); err != nil {
 			t.Fatal(err)
 		}
 		fs.broken.Store(true)
@@ -183,9 +184,9 @@ func TestWALFlushLoopExitsWhenWedged(t *testing.T) {
 		// the broken device and the wedge latches.
 		deadline := time.Now().Add(5 * time.Second)
 		for tm := 2.0; ; tm++ {
-			err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 0,
+			err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 0,
 				Time: tm, Features: []float64{tm}})
-			if errors.Is(err, ErrWALFailed) {
+			if errors.Is(err, wal.ErrFailed) {
 				break
 			}
 			if err != nil {
@@ -204,7 +205,7 @@ func TestWALFlushLoopExitsWhenWedged(t *testing.T) {
 		if after := fs.syncs.Load(); after != before {
 			t.Fatalf("wedged log saw %d fsync attempts after the wedge settled; the flusher is still ticking", after-before)
 		}
-		wal.Close()
+		wlog.Close()
 	})
 }
 
@@ -219,7 +220,7 @@ const goldenSyncStride = 8
 // goldenFeed decodes testdata/batched/feed.wire — the exact feed the golden
 // writer was driven with — and replays it into a WAL-less server for the
 // never-crashed reference state.
-func goldenFeed(t testing.TB) ([]tortureMutation, []JobSpec, tortureState) {
+func goldenFeed(t testing.TB) ([]tortureMutation, []wire.JobSpec, tortureState) {
 	t.Helper()
 	f, err := os.Open("testdata/batched/feed.wire")
 	if err != nil {
@@ -227,7 +228,7 @@ func goldenFeed(t testing.TB) ([]tortureMutation, []JobSpec, tortureState) {
 	}
 	defer f.Close()
 	var feed []tortureMutation
-	var specs []JobSpec
+	var specs []wire.JobSpec
 	for wr := wire.NewReader(f); ; {
 		sp, ev, err := wr.Next()
 		if err == io.EOF {
@@ -241,7 +242,7 @@ func goldenFeed(t testing.TB) ([]tortureMutation, []JobSpec, tortureState) {
 		}
 		feed = append(feed, tortureMutation{spec: sp, ev: ev})
 	}
-	plain := NewServer(tortureCfg(2))
+	plain := serve.NewServer(tortureCfg(2))
 	for i := range feed {
 		if err := feed[i].apply(plain); err != nil {
 			t.Fatal(err)
@@ -288,7 +289,7 @@ func goldenLSN(name string, feedLen int) uint64 {
 
 var (
 	goldenImages = []string{"crash", "powerloss"}
-	goldenOpts   = WALOptions{SegmentBytes: 1 << 20, Streams: 4}
+	goldenOpts   = wal.Options{SegmentBytes: 1 << 20, Streams: 4}
 )
 
 // TestWALDowngradeBatchedToPerStream recovers both golden directories with
@@ -319,7 +320,7 @@ func TestWALDowngradeBatchedToPerStream(t *testing.T) {
 // unreadableFS fails Open for one existing file, the way a transient I/O
 // error would.
 type unreadableFS struct {
-	WALFS
+	wal.FS
 	name string
 }
 
@@ -327,7 +328,7 @@ func (fs unreadableFS) Open(name string) (io.ReadCloser, error) {
 	if filepath.Base(name) == fs.name {
 		return nil, fmt.Errorf("injected: open %s: input/output error", fs.name)
 	}
-	return fs.WALFS.Open(name)
+	return fs.FS.Open(name)
 }
 
 // TestRecoverKeepsCommitFilesWhenTargetUnreadable: a target segment that is
@@ -342,20 +343,20 @@ func TestRecoverKeepsCommitFilesWhenTargetUnreadable(t *testing.T) {
 	seg := filepath.Base(segFileNames(crashed)[0])
 	live := commitFileNames(crashed)
 	opts := goldenOpts
-	opts.FS = unreadableFS{WALFS: crashed, name: seg}
-	if _, wal, rst, err := Recover("wal", tortureCfg(2), opts); err == nil {
-		wal.Close()
+	opts.FS = unreadableFS{FS: crashed, name: seg}
+	if _, wlog, rst, err := serve.Recover("wal", tortureCfg(2), opts); err == nil {
+		wlog.Close()
 		t.Fatalf("recovery over an unreadable commit target %s succeeded (%v)", seg, rst)
 	}
 	if got := commitFileNames(crashed); !reflect.DeepEqual(got, live) {
 		t.Fatalf("failed recovery left commit files %v, had %v — acknowledged bytes discarded", got, live)
 	}
 	opts.FS = crashed
-	_, wal, rst, err := Recover("wal", tortureCfg(2), opts)
+	_, wlog, rst, err := serve.Recover("wal", tortureCfg(2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
+	defer wlog.Close()
 	if want := goldenLSN("powerloss", len(feed)); rst.NextLSN != want {
 		t.Fatalf("recovery after the fault cleared reached LSN %d, want %d (%v)", rst.NextLSN, want, rst)
 	}
@@ -375,7 +376,7 @@ func TestVerifyWALBatchedReadOnly(t *testing.T) {
 		for file, b := range crashed.Files {
 			snapshot[file] = append([]byte(nil), b...)
 		}
-		rep, err := VerifyWAL("wal", WALOptions{Streams: 4, FS: crashed})
+		rep, err := wal.Verify("wal", wal.Options{Streams: 4, FS: crashed})
 		if err != nil {
 			t.Fatalf("%s: verify: %v", name, err)
 		}
@@ -403,11 +404,11 @@ func TestVerifyWALBatchedReadOnly(t *testing.T) {
 		// The report must match what a real recovery finds.
 		opts := goldenOpts
 		opts.FS = crashed
-		_, wal, rst, err := Recover("wal", tortureCfg(4), opts)
+		_, wlog, rst, err := serve.Recover("wal", tortureCfg(4), opts)
 		if err != nil {
 			t.Fatalf("%s: recover after verify: %v (%v)", name, err, rst)
 		}
-		wal.Close()
+		wlog.Close()
 		if rst.NextLSN != rep.NextLSN || rst.CommitFiles != rep.CommitFiles {
 			t.Errorf("%s: recovery found LSN %d / %d commit files, verify predicted %d / %d",
 				name, rst.NextLSN, rst.CommitFiles, rep.NextLSN, rep.CommitFiles)
@@ -555,7 +556,7 @@ func TestWALTortureBatchedPowerLoss(t *testing.T) {
 func segFileNames(fs *waltest.MemFS) []string {
 	var names []string
 	for name := range fs.Files {
-		if _, _, ok := walpkg.ParseShardSeg(filepath.Base(name)); ok {
+		if _, _, ok := wal.ParseShardSeg(filepath.Base(name)); ok {
 			names = append(names, name)
 		}
 	}

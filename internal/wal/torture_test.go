@@ -13,11 +13,6 @@ package wal_test
 // crash instant without re-driving the server thousands of times.
 
 import (
-	. "repro/internal/serve"
-	walpkg "repro/internal/wal"
-	"repro/internal/wal/waltest"
-	"repro/internal/wire"
-
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -26,8 +21,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/simulator"
 	"repro/internal/trace"
+	"repro/internal/wal"
+	"repro/internal/wal/waltest"
+	"repro/internal/wire"
 )
 
 // --- deterministic torture workload ---
@@ -48,8 +48,8 @@ func (p *torturePred) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 	return out, nil
 }
 
-func tortureCfg(shards int) Config {
-	return Config{Shards: shards, NewPredictor: func(sp JobSpec) simulator.Predictor {
+func tortureCfg(shards int) serve.Config {
+	return serve.Config{Shards: shards, NewPredictor: func(sp wire.JobSpec) simulator.Predictor {
 		return &torturePred{salt: sp.Seed ^ sp.JobID}
 	}}
 }
@@ -57,11 +57,11 @@ func tortureCfg(shards int) Config {
 // tortureMutation is one element of the recorded feed: exactly one WAL
 // record when accepted, so mutation i corresponds to LSN i+1.
 type tortureMutation struct {
-	spec *JobSpec
-	ev   *Event
+	spec *wire.JobSpec
+	ev   *wire.Event
 }
 
-func (mu *tortureMutation) apply(sv *Server) error {
+func (mu *tortureMutation) apply(sv *serve.Server) error {
 	if mu.spec != nil {
 		return sv.StartJob(*mu.spec, nil)
 	}
@@ -71,21 +71,21 @@ func (mu *tortureMutation) apply(sv *Server) error {
 // tortureFeed builds a >= numJobs-job feed of small jobs: every spec first,
 // then the jobs' merged, time-ordered event streams (heartbeats, finishes,
 // per-job closes) — the same shape a recorded replay delivers.
-func tortureFeed(t testing.TB, numJobs int, seed uint64) ([]tortureMutation, []JobSpec) {
+func tortureFeed(t testing.TB, numJobs int, seed uint64) ([]tortureMutation, []wire.JobSpec) {
 	t.Helper()
 	// Small jobs keep the full every-crash-point sweep tractable: ~20 jobs
 	// x ~6 tasks x ~10 heartbeats is a couple thousand mutations, and the
 	// sweep is quadratic in feed length.
 	cfg := trace.DefaultGoogleConfig(seed)
 	cfg.MinTasks, cfg.MaxTasks = 10, 14
-	jobs, sims := testJobs(t, cfg, numJobs)
-	specs := make([]JobSpec, numJobs)
-	streams := make([][]Event, numJobs)
+	jobs, sims := servetest.Jobs(t, cfg, numJobs)
+	specs := make([]wire.JobSpec, numJobs)
+	streams := make([][]wire.Event, numJobs)
 	for i := range jobs {
-		specs[i] = SpecFor(sims[i], seed+uint64(i))
-		streams[i] = JobEvents(jobs[i], sims[i])
+		specs[i] = serve.SpecFor(sims[i], seed+uint64(i))
+		streams[i] = serve.JobEvents(jobs[i], sims[i])
 	}
-	merged := MergeStreams(streams...)
+	merged := serve.MergeStreams(streams...)
 	feed := make([]tortureMutation, 0, len(specs)+len(merged))
 	for i := range specs {
 		feed = append(feed, tortureMutation{spec: &specs[i]})
@@ -99,19 +99,19 @@ func tortureFeed(t testing.TB, numJobs int, seed uint64) ([]tortureMutation, []J
 // tortureState is the deterministic outcome of a run: everything the
 // acceptance bar says must be bit-identical after crash recovery.
 type tortureState struct {
-	verdicts map[uint64][]TaskVerdict
-	reports  map[uint64]reportCore
-	stats    Stats
+	verdicts map[uint64][]serve.TaskVerdict
+	reports  map[uint64]servetest.ReportCore
+	stats    serve.Stats
 }
 
-func captureState(t testing.TB, sv *Server, specs []JobSpec) tortureState {
+func captureState(t testing.TB, sv *serve.Server, specs []wire.JobSpec) tortureState {
 	t.Helper()
 	st := tortureState{
-		verdicts: make(map[uint64][]TaskVerdict, len(specs)),
-		reports:  make(map[uint64]reportCore, len(specs)),
+		verdicts: make(map[uint64][]serve.TaskVerdict, len(specs)),
+		reports:  make(map[uint64]servetest.ReportCore, len(specs)),
 	}
 	for i := range specs {
-		vs, err := sv.Query(specs[i].JobID, allTaskIDs(specs[i].NumTasks))
+		vs, err := sv.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func captureState(t testing.TB, sv *Server, specs []JobSpec) tortureState {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.reports[specs[i].JobID] = coreOf(rep)
+		st.reports[specs[i].JobID] = servetest.CoreOf(rep)
 	}
 	st.stats = sv.Stats()
 	// Wall-clock refit timings, the live worker-pool gauges (a worker
@@ -155,11 +155,11 @@ func (a tortureState) diff(b tortureState) string {
 // Returns the filesystem (with its journal), the reference state, and the
 // cumulative write offset after each accepted mutation — the frame
 // boundaries of the crash sweep.
-func tortureRun(t testing.TB, feed []tortureMutation, specs []JobSpec, opts WALOptions, checkpoints int, syncStride int) (*waltest.MemFS, tortureState, []int64) {
+func tortureRun(t testing.TB, feed []tortureMutation, specs []wire.JobSpec, opts wal.Options, checkpoints int, syncStride int) (*waltest.MemFS, tortureState, []int64) {
 	t.Helper()
 	fs := waltest.NewMemFS()
 	opts.FS = fs
-	sv, wal, _, err := Recover("wal", tortureCfg(4), opts)
+	sv, wlog, _, err := serve.Recover("wal", tortureCfg(4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,26 +179,26 @@ func tortureRun(t testing.TB, feed []tortureMutation, specs []JobSpec, opts WALO
 			}
 		}
 		if syncStride > 0 && (i+1)%syncStride == 0 {
-			if err := wal.Sync(); err != nil {
+			if err := wlog.Sync(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	ref := captureState(t, sv, specs)
-	wal.Close()
+	wlog.Close()
 	return fs, ref, boundaries
 }
 
 // recoverAndResume rebuilds from fs, resumes the feed at the recovered
 // LSN, and returns the final state plus the recovery stats.
-func recoverAndResume(t testing.TB, fs *waltest.MemFS, feed []tortureMutation, specs []JobSpec, opts WALOptions) (tortureState, RecoveryStats) {
+func recoverAndResume(t testing.TB, fs *waltest.MemFS, feed []tortureMutation, specs []wire.JobSpec, opts wal.Options) (tortureState, wal.RecoveryStats) {
 	t.Helper()
 	opts.FS = fs
-	sv, wal, rst, err := Recover("wal", tortureCfg(3), opts)
+	sv, wlog, rst, err := serve.Recover("wal", tortureCfg(3), opts)
 	if err != nil {
 		t.Fatalf("recover: %v (stats %v)", err, rst)
 	}
-	defer wal.Close()
+	defer wlog.Close()
 	applied := int(rst.NextLSN) - 1
 	if applied > len(feed) {
 		t.Fatalf("recovered %d mutations, fed only %d", applied, len(feed))
@@ -227,12 +227,12 @@ func expectedLSN(boundaries []int64, x int64) uint64 {
 // durable prefix).
 func TestWALTortureEveryFrameBoundary(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 97)
-	opts := WALOptions{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
 	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 4, 0)
 
 	// Sanity: the WAL run itself must match a WAL-less run — logging is
 	// pure observation.
-	plain := NewServer(tortureCfg(2))
+	plain := serve.NewServer(tortureCfg(2))
 	for i := range feed {
 		if err := feed[i].apply(plain); err != nil {
 			t.Fatal(err)
@@ -287,7 +287,7 @@ func TestWALTortureEveryFrameBoundary(t *testing.T) {
 // mutation and the resumed run is bit-identical.
 func TestWALTortureMidFrame(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 101)
-	opts := WALOptions{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
 	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 3, 0)
 	total := fs.TotalWritten()
 	rng := rand.New(rand.NewSource(101))
@@ -316,7 +316,7 @@ func TestWALTortureBitFlips(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 103)
 	// No checkpoints: segments from LSN 1 stay, so a flip anywhere in the
 	// log exercises mid-history truncation without losing snapshot cover.
-	opts := WALOptions{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
 	fs, ref, _ := tortureRun(t, feed, specs, opts, 0, 0)
 	rng := rand.New(rand.NewSource(103))
 	flips := 120
@@ -325,7 +325,7 @@ func TestWALTortureBitFlips(t *testing.T) {
 	}
 	var segNames []string
 	for name := range fs.Files {
-		if strings.Contains(name, walpkg.SegPrefix) {
+		if strings.Contains(name, wal.SegPrefix) {
 			segNames = append(segNames, name)
 		}
 	}
@@ -361,7 +361,7 @@ func TestWALTorturePowerLoss(t *testing.T) {
 	// flusher from ever ticking mid-run, so the journal's sync positions
 	// stay deterministic.
 	const syncStride = 16
-	opts := WALOptions{SegmentBytes: 16 << 10, SyncEvery: time.Hour, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10, SyncEvery: time.Hour, Streams: 4}
 	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 3, syncStride)
 
 	// Synced LSN at each journal position: scan sync ops.
@@ -392,11 +392,11 @@ func TestWALTorturePowerLoss(t *testing.T) {
 
 // TestWALTortureLiveCrash exercises the in-process failure path the offline
 // sweeps cannot: the running server hits the write error itself, mid-
-// traffic, and must surface ErrWALFailed on the unacknowledged mutation
+// traffic, and must surface wal.ErrFailed on the unacknowledged mutation
 // while everything acknowledged survives recovery.
 func TestWALTortureLiveCrash(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 109)
-	opts := WALOptions{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
 	_, ref, _ := tortureRun(t, feed, specs, opts, 0, 0)
 
 	rng := rand.New(rand.NewSource(109))
@@ -404,7 +404,7 @@ func TestWALTortureLiveCrash(t *testing.T) {
 		fs := waltest.NewMemFS()
 		o := opts
 		o.FS = fs
-		sv, wal, _, err := Recover("wal", tortureCfg(2), o)
+		sv, wlog, _, err := serve.Recover("wal", tortureCfg(2), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,7 +416,7 @@ func TestWALTortureLiveCrash(t *testing.T) {
 			}
 			acked++
 		}
-		wal.Close() // post-crash close must not panic
+		wlog.Close() // post-crash close must not panic
 		if acked == len(feed) {
 			continue // budget outlived the feed
 		}
@@ -444,18 +444,18 @@ func TestWALBudgetAfterRecovery(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		rng := rand.New(rand.NewSource(int64(200 + round)))
 		fs := waltest.NewMemFS()
-		opts := WALOptions{SegmentBytes: 8 << 10, Streams: 4, FS: fs}
+		opts := wal.Options{SegmentBytes: 8 << 10, Streams: 4, FS: fs}
 		cfg := tortureCfg(2)
 		cfg.MaxJobs = 6
 		cfg.MaxTasks = 200
-		sv, wal, _, err := Recover("wal", cfg, opts)
+		sv, wlog, _, err := serve.Recover("wal", cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nextID := uint64(1)
 		live := map[uint64]int{} // id -> len(events applied)
-		spec := func(id uint64) JobSpec {
-			return JobSpec{JobID: id, Schema: []string{"a", "b"}, NumTasks: 4 + int(id%7),
+		spec := func(id uint64) wire.JobSpec {
+			return wire.JobSpec{JobID: id, Schema: []string{"a", "b"}, NumTasks: 4 + int(id%7),
 				TauStra: 10, Horizon: 100, Checkpoints: 4, WarmFrac: 0.2, Seed: id}
 		}
 		for op := 0; op < 300; op++ {
@@ -473,16 +473,16 @@ func TestWALBudgetAfterRecovery(t *testing.T) {
 					if n > 2*sp.NumTasks {
 						continue // stream already closed
 					}
-					var e Event
+					var e wire.Event
 					switch {
 					case n < sp.NumTasks:
-						e = Event{Kind: EventTaskStart, JobID: id, TaskID: n, Time: float64(n)}
+						e = wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: n, Time: float64(n)}
 					case n < 2*sp.NumTasks:
 						tid := n - sp.NumTasks
-						e = Event{Kind: EventTaskFinish, JobID: id, TaskID: tid,
+						e = wire.Event{Kind: wire.EventTaskFinish, JobID: id, TaskID: tid,
 							Time: float64(sp.NumTasks + tid), Latency: float64(5 + tid)}
 					default:
-						e = Event{Kind: EventJobFinish, JobID: id, Time: 1000}
+						e = wire.Event{Kind: wire.EventJobFinish, JobID: id, Time: 1000}
 					}
 					if err := sv.Ingest(e); err != nil {
 						t.Fatalf("round %d op %d: %v", round, op, err)
@@ -507,11 +507,11 @@ func TestWALBudgetAfterRecovery(t *testing.T) {
 				}
 			}
 		}
-		wal.Close()
+		wlog.Close()
 
 		crash := rng.Int63n(fs.TotalWritten()) + 1
-		opts2 := WALOptions{SegmentBytes: 8 << 10, Streams: 4, FS: waltest.FSAt(fs.Journal, crash, false)}
-		sv2, wal2, rst, err := Recover("wal", cfg, opts2)
+		opts2 := wal.Options{SegmentBytes: 8 << 10, Streams: 4, FS: waltest.FSAt(fs.Journal, crash, false)}
+		sv2, wal2, rst, err := serve.Recover("wal", cfg, opts2)
 		if err != nil {
 			t.Fatalf("round %d: recover at byte %d: %v", round, crash, err)
 		}
@@ -549,7 +549,7 @@ type legacyWAL struct {
 	fs       *waltest.MemFS
 	dir      string
 	segBytes int64
-	f        walpkg.File
+	f        wal.File
 	seq      uint64 // next LSN
 	written  int64
 }
@@ -567,14 +567,14 @@ func (lw *legacyWAL) rotate() {
 			lw.t.Fatal(err)
 		}
 	}
-	f, err := lw.fs.Create(lw.dir + "/" + walpkg.LegacySegName(lw.seq))
+	f, err := lw.fs.Create(lw.dir + "/" + wal.LegacySegName(lw.seq))
 	if err != nil {
 		lw.t.Fatal(err)
 	}
 	lw.f = f
 	var e wire.Enc
 	wire.AppendLSNMarkPayload(&e, lw.seq)
-	hdr := wire.AppendFrame(AppendHeader(nil), wire.FrameLSNMark, e.B)
+	hdr := wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, e.B)
 	if _, err := lw.f.Write(hdr); err != nil {
 		lw.t.Fatal(err)
 	}
@@ -593,7 +593,7 @@ func (lw *legacyWAL) append(mu tortureMutation) {
 		if err := wire.AppendSpecPayload(&e, mu.spec); err != nil {
 			lw.t.Fatal(err)
 		}
-	case mu.ev.Kind == EventJobFinish:
+	case mu.ev.Kind == wire.EventJobFinish:
 		kind = wire.FrameFinish
 		wire.AppendFinishPayload(&e, mu.ev.JobID, mu.ev.Time)
 	default:
@@ -620,7 +620,7 @@ func (lw *legacyWAL) append(mu tortureMutation) {
 // run — with the exact durable-prefix LSN accounting the old recovery gave.
 func TestWALUpgradeFromSingleStream(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 113)
-	plain := NewServer(tortureCfg(2))
+	plain := serve.NewServer(tortureCfg(2))
 	for i := range feed {
 		if err := feed[i].apply(plain); err != nil {
 			t.Fatal(err)
@@ -648,7 +648,7 @@ func TestWALUpgradeFromSingleStream(t *testing.T) {
 			crashes = append(crashes, off)
 		}
 	}
-	opts := WALOptions{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
 	for i := 0; i < len(crashes); i += stride {
 		x := crashes[i]
 		got, rst := recoverAndResume(t, waltest.FSAt(fs.Journal, x, false), feed, specs, opts)
@@ -673,8 +673,8 @@ func TestWALUpgradeFromSingleStream(t *testing.T) {
 	for i := 0; i < half; i++ {
 		lwHalf.append(feed[i])
 	}
-	opts2 := WALOptions{SegmentBytes: 16 << 10, Streams: 4, FS: fsHalf}
-	sv, wal, rst, err := Recover("wal", tortureCfg(3), opts2)
+	opts2 := wal.Options{SegmentBytes: 16 << 10, Streams: 4, FS: fsHalf}
+	sv, wlog, rst, err := serve.Recover("wal", tortureCfg(3), opts2)
 	if err != nil {
 		t.Fatalf("recover half legacy dir: %v (%v)", err, rst)
 	}
@@ -689,7 +689,7 @@ func TestWALUpgradeFromSingleStream(t *testing.T) {
 	legacyLeft := func() int {
 		n := 0
 		for name := range fsHalf.Files {
-			if _, ok := walpkg.ParseSeq(strings.TrimPrefix(name, "wal/"), walpkg.SegPrefix, walpkg.SegSuffix); ok {
+			if _, ok := wal.ParseSeq(strings.TrimPrefix(name, "wal/"), wal.SegPrefix, wal.SegSuffix); ok {
 				n++
 			}
 		}
@@ -709,7 +709,7 @@ func TestWALUpgradeFromSingleStream(t *testing.T) {
 	if n := legacyLeft(); n != 0 {
 		t.Errorf("%d legacy segments survive a full checkpoint; upgraded servers would hoard them", n)
 	}
-	wal.Close()
+	wlog.Close()
 	got2, rst2 := recoverAndResume(t, fsHalf, feed, specs, opts2)
 	if d := ref.diff(got2); d != "" {
 		t.Fatalf("mixed-generation recovery (%v): %s", rst2, d)
@@ -725,8 +725,8 @@ func TestWALUpgradeFromSingleStream(t *testing.T) {
 func TestWALTortureAutoCheckpoint(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 127)
 	fs := waltest.NewMemFS()
-	opts := WALOptions{SegmentBytes: 16 << 10, CheckpointBytes: 64 << 10, Streams: 4, FS: fs}
-	sv, wal, _, err := Recover("wal", tortureCfg(4), opts)
+	opts := wal.Options{SegmentBytes: 16 << 10, CheckpointBytes: 64 << 10, Streams: 4, FS: fs}
+	sv, wlog, _, err := serve.Recover("wal", tortureCfg(4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,19 +741,19 @@ func TestWALTortureAutoCheckpoint(t *testing.T) {
 	// land, then stop it (Close waits the policy out) and check it really
 	// checkpointed on its own.
 	deadline := time.Now().Add(5 * time.Second)
-	for wal.Stats().Checkpoints == 0 && time.Now().Before(deadline) {
+	for wlog.Stats().Checkpoints == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	st := wal.Stats()
+	st := wlog.Stats()
 	ref := captureState(t, sv, specs)
-	wal.Close()
+	wlog.Close()
 	if st.Checkpoints == 0 {
 		t.Fatal("size-triggered policy never checkpointed")
 	}
 	if st.RetiredSegments == 0 {
 		t.Error("automatic checkpoints retired no segments")
 	}
-	snaps, err := walpkg.ListSorted(fs, "wal", walpkg.SnapPrefix, walpkg.SnapSuffix)
+	snaps, err := wal.ListSorted(fs, "wal", wal.SnapPrefix, wal.SnapSuffix)
 	if err != nil || len(snaps) == 0 || len(snaps) > 2 {
 		t.Fatalf("automatic checkpoints left %d snapshot generations (want 1-2): %v", len(snaps), err)
 	}
@@ -772,7 +772,7 @@ func TestWALTortureAutoCheckpoint(t *testing.T) {
 	}
 	// Crash-sweep options leave the policy off: the sweep's reference is
 	// the recorded feed, and recovery itself must not depend on the policy.
-	sweepOpts := WALOptions{SegmentBytes: 16 << 10, Streams: 4}
+	sweepOpts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
 	for i := 0; i < len(crashes); i += stride {
 		x := crashes[i]
 		got, rst := recoverAndResume(t, waltest.FSAt(fs.Journal, x, false), feed, specs, sweepOpts)
@@ -806,7 +806,7 @@ func TestWALTortureCrossStreamPowerLoss(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 131)
 	// SyncEvery an hour: only rotation syncs make bytes power-loss
 	// durable, maximizing cross-stream skew. No explicit Sync calls.
-	opts := WALOptions{SegmentBytes: 8 << 10, SyncEvery: time.Hour, Streams: 4}
+	opts := wal.Options{SegmentBytes: 8 << 10, SyncEvery: time.Hour, Streams: 4}
 	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 0, 0)
 	total := fs.TotalWritten()
 	rng := rand.New(rand.NewSource(131))
@@ -837,13 +837,13 @@ func TestWALTortureCrossStreamPowerLoss(t *testing.T) {
 	// trims), then recover the *trimmed* directory again without re-feeding
 	// and require the same state and LSN.
 	crashed := waltest.FSAt(fs.Journal, total*2/3, true)
-	sv1, wal1, rst1, err := Recover("wal", tortureCfg(2), WALOptions{SegmentBytes: 8 << 10, Streams: 4, FS: crashed})
+	sv1, wal1, rst1, err := serve.Recover("wal", tortureCfg(2), wal.Options{SegmentBytes: 8 << 10, Streams: 4, FS: crashed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids1 := sv1.JobIDs()
 	wal1.Close()
-	sv2, wal2, rst2, err := Recover("wal", tortureCfg(3), WALOptions{SegmentBytes: 8 << 10, Streams: 4, FS: crashed})
+	sv2, wal2, rst2, err := serve.Recover("wal", tortureCfg(3), wal.Options{SegmentBytes: 8 << 10, Streams: 4, FS: crashed})
 	if err != nil {
 		t.Fatalf("second recovery of a trimmed directory: %v", err)
 	}

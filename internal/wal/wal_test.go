@@ -1,12 +1,6 @@
 package wal_test
 
 import (
-	. "repro/internal/serve"
-	"repro/internal/servehttp"
-	walpkg "repro/internal/wal"
-	"repro/internal/wal/waltest"
-	"repro/internal/wire"
-
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -23,26 +17,24 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/simulator"
+	"repro/internal/serve"
+	"repro/internal/serve/servetest"
+	"repro/internal/servehttp"
+	"repro/internal/wal"
+	"repro/internal/wal/waltest"
+	"repro/internal/wire"
 )
-
-// cheapCfg builds a server Config with the trivially cheap flag-all
-// predictor factory, so WAL tests exercise logging and recovery without
-// paying for model refits.
-func cheapCfg(shards int) Config {
-	return Config{Shards: shards, NewPredictor: func(JobSpec) simulator.Predictor { return &flagAll{} }}
-}
 
 // walWorkload returns a small registered workload: specs plus each job's
 // full event stream, and the sims for ground truth.
-func walWorkload(t testing.TB, n int, seed uint64) ([]JobSpec, [][]Event) {
+func walWorkload(t testing.TB, n int, seed uint64) ([]wire.JobSpec, [][]wire.Event) {
 	t.Helper()
-	jobs, sims := smallJobs(t, n, seed)
-	specs := make([]JobSpec, n)
-	streams := make([][]Event, n)
+	jobs, sims := servetest.SmallJobs(t, n, seed)
+	specs := make([]wire.JobSpec, n)
+	streams := make([][]wire.Event, n)
 	for i := range jobs {
-		specs[i] = SpecFor(sims[i], seed+uint64(i))
-		streams[i] = JobEvents(jobs[i], sims[i])
+		specs[i] = serve.SpecFor(sims[i], seed+uint64(i))
+		streams[i] = serve.JobEvents(jobs[i], sims[i])
 	}
 	return specs, streams
 }
@@ -54,7 +46,7 @@ func TestWALLogsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	specs, streams := walWorkload(t, 2, 53)
 
-	sv, wal, rst, err := Recover(dir, cheapCfg(2), WALOptions{})
+	sv, wlog, rst, err := serve.Recover(dir, servetest.CheapConfig(2), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,19 +64,19 @@ func TestWALLogsAndRecovers(t *testing.T) {
 		}
 		want += len(streams[i])
 	}
-	if got := wal.NextLSN(); got != uint64(want)+1 {
+	if got := wlog.NextLSN(); got != uint64(want)+1 {
 		t.Fatalf("NextLSN %d after %d mutations", got, want)
 	}
 	refStats := sv.Stats()
-	refVerdicts := make([][]TaskVerdict, len(specs))
+	refVerdicts := make([][]serve.TaskVerdict, len(specs))
 	for i := range specs {
-		refVerdicts[i], _ = sv.Query(specs[i].JobID, allTaskIDs(specs[i].NumTasks))
+		refVerdicts[i], _ = sv.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
 	}
-	if err := wal.Close(); err != nil {
+	if err := wlog.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	sv2, wal2, rst2, err := Recover(dir, cheapCfg(3), WALOptions{})
+	sv2, wal2, rst2, err := serve.Recover(dir, servetest.CheapConfig(3), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +85,7 @@ func TestWALLogsAndRecovers(t *testing.T) {
 		t.Fatalf("recovery %v, want %d applied", rst2, want)
 	}
 	for i := range specs {
-		vs, err := sv2.Query(specs[i].JobID, allTaskIDs(specs[i].NumTasks))
+		vs, err := sv2.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +109,8 @@ func TestWALLogsAndRecovers(t *testing.T) {
 	// mark serve's drop path sets under the job lock) and must never
 	// consume an LSN — nothing may be acknowledged after its job's drop
 	// record is already logged.
-	late := Event{Kind: EventHeartbeat, JobID: specs[0].JobID, Tick: 1, Features: []float64{1}}
-	if err := sv2.Ingest(late); !errors.Is(err, ErrUnknownJob) {
+	late := wire.Event{Kind: wire.EventHeartbeat, JobID: specs[0].JobID, Tick: 1, Features: []float64{1}}
+	if err := sv2.Ingest(late); !errors.Is(err, serve.ErrUnknownJob) {
 		t.Errorf("ingest after drop: err %v, want ErrUnknownJob", err)
 	}
 	if got := wal2.NextLSN(); got != uint64(want)+2 {
@@ -133,7 +125,7 @@ func TestWALLogsAndRecovers(t *testing.T) {
 func TestCheckpointWALRetires(t *testing.T) {
 	dir := t.TempDir()
 	specs, streams := walWorkload(t, 2, 59)
-	sv, wal, _, err := Recover(dir, cheapCfg(1), WALOptions{SegmentBytes: 4 << 10})
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +137,7 @@ func TestCheckpointWALRetires(t *testing.T) {
 	if err := sv.IngestBatch(streams[0]); err != nil {
 		t.Fatal(err)
 	}
-	if st := wal.Stats(); st.Segments < 2 {
+	if st := wlog.Stats(); st.Segments < 2 {
 		t.Fatalf("4 KiB segments did not rotate: %+v", st)
 	}
 	path1, _, err := sv.CheckpointWAL()
@@ -182,11 +174,11 @@ func TestCheckpointWALRetires(t *testing.T) {
 	if _, err := os.Stat(path1); err == nil {
 		t.Error("third checkpoint kept three snapshot generations")
 	}
-	refVerdicts, _ := sv.Query(specs[1].JobID, allTaskIDs(specs[1].NumTasks))
-	tail := wal.NextLSN()
-	wal.Close()
+	refVerdicts, _ := sv.Query(specs[1].JobID, servetest.AllTaskIDs(specs[1].NumTasks))
+	tail := wlog.NextLSN()
+	wlog.Close()
 
-	sv2, wal2, rst, err := Recover(dir, cheapCfg(2), WALOptions{SegmentBytes: 4 << 10})
+	sv2, wal2, rst, err := serve.Recover(dir, servetest.CheapConfig(2), wal.Options{SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +189,7 @@ func TestCheckpointWALRetires(t *testing.T) {
 	if rst.NextLSN != tail {
 		t.Errorf("recovered NextLSN %d, want %d", rst.NextLSN, tail)
 	}
-	vs, err := sv2.Query(specs[1].JobID, allTaskIDs(specs[1].NumTasks))
+	vs, err := sv2.Query(specs[1].JobID, servetest.AllTaskIDs(specs[1].NumTasks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +207,7 @@ func TestCheckpointWALRetires(t *testing.T) {
 	if err := os.WriteFile(path3, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sv3, wal3, rst3, err := Recover(dir, cheapCfg(1), WALOptions{SegmentBytes: 4 << 10})
+	sv3, wal3, rst3, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +215,7 @@ func TestCheckpointWALRetires(t *testing.T) {
 	if rst3.SnapshotPath != path2 {
 		t.Errorf("fallback recovered from %q, want %s", rst3.SnapshotPath, path2)
 	}
-	vs3, err := sv3.Query(specs[1].JobID, allTaskIDs(specs[1].NumTasks))
+	vs3, err := sv3.Query(specs[1].JobID, servetest.AllTaskIDs(specs[1].NumTasks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +227,13 @@ func TestCheckpointWALRetires(t *testing.T) {
 // TestRecoverErrors pins the operator-facing failure modes: a missing
 // directory and a log with a hole both fail with clean typed errors.
 func TestRecoverErrors(t *testing.T) {
-	if _, _, _, err := Recover(filepath.Join(t.TempDir(), "absent"), cheapCfg(1), WALOptions{}); err == nil {
+	if _, _, _, err := serve.Recover(filepath.Join(t.TempDir(), "absent"), servetest.CheapConfig(1), wal.Options{}); err == nil {
 		t.Error("recover from a missing directory succeeded")
 	}
 
 	dir := t.TempDir()
 	specs, streams := walWorkload(t, 1, 67)
-	sv, wal, _, err := Recover(dir, cheapCfg(1), WALOptions{SegmentBytes: 2 << 10})
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{SegmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,16 +243,16 @@ func TestRecoverErrors(t *testing.T) {
 	if err := sv.IngestBatch(streams[0]); err != nil {
 		t.Fatal(err)
 	}
-	wal.Close()
-	groups, err := walpkg.ListShardSegs(walpkg.OSFS, dir)
+	wlog.Close()
+	groups, err := wal.ListShardSegs(wal.OSFS, dir)
 	if err != nil || len(groups[0]) < 3 {
 		t.Fatalf("want >= 3 segments in stream 0 for the gap test, have %d (%v)", len(groups[0]), err)
 	}
 	if err := os.Remove(filepath.Join(dir, groups[0][1].Name)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Recover(dir, cheapCfg(1), WALOptions{}); !errors.Is(err, ErrWALGap) {
-		t.Errorf("recovery across a deleted segment: %v (want ErrWALGap)", err)
+	if _, _, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{}); !errors.Is(err, wal.ErrGap) {
+		t.Errorf("recovery across a deleted segment: %v (want wal.ErrGap)", err)
 	}
 }
 
@@ -270,11 +262,11 @@ func TestRecoverErrors(t *testing.T) {
 func TestWALStatsHTTP(t *testing.T) {
 	dir := t.TempDir()
 	specs, streams := walWorkload(t, 1, 71)
-	sv, wal, _, err := Recover(dir, cheapCfg(1), WALOptions{})
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
+	defer wlog.Close()
 
 	fetch := func(t *testing.T, h http.Handler) map[string]any {
 		t.Helper()
@@ -295,13 +287,13 @@ func TestWALStatsHTTP(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		prep    func(t *testing.T)
-		sv      *Server
+		sv      *serve.Server
 		wantWAL bool
-		check   func(t *testing.T, wal map[string]any)
+		check   func(t *testing.T, wlog map[string]any)
 	}{
 		{
 			name:    "no WAL, no wal object",
-			sv:      NewServer(cheapCfg(1)),
+			sv:      serve.NewServer(servetest.CheapConfig(1)),
 			wantWAL: false,
 		},
 		{
@@ -410,28 +402,28 @@ func TestWALStatsHTTP(t *testing.T) {
 func TestWALGroupCommitLag(t *testing.T) {
 	dir := t.TempDir()
 	specs, streams := walWorkload(t, 1, 73)
-	sv, wal, _, err := Recover(dir, cheapCfg(1), WALOptions{SyncEvery: time.Hour})
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{SyncEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
+	defer wlog.Close()
 	if err := sv.StartJob(specs[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.IngestBatch(streams[0][:10]); err != nil {
 		t.Fatal(err)
 	}
-	st := wal.Stats()
+	st := wlog.Stats()
 	if st.PendingBytes == 0 {
 		t.Error("group commit shows no pending bytes after unsynced appends")
 	}
 	if st.FsyncLag <= 0 {
 		t.Error("group commit shows no fsync lag after unsynced appends")
 	}
-	if err := wal.Sync(); err != nil {
+	if err := wlog.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := wal.Stats(); st.PendingBytes != 0 || st.FsyncLag != 0 {
+	if st := wlog.Stats(); st.PendingBytes != 0 || st.FsyncLag != 0 {
 		t.Errorf("backlog not drained by Sync: %+v", st)
 	}
 }
@@ -443,19 +435,19 @@ func TestWALGroupCommitLag(t *testing.T) {
 func TestIngestRejectsUnloggableEvent(t *testing.T) {
 	dir := t.TempDir()
 	specs, streams := walWorkload(t, 1, 89)
-	sv, wal, _, err := Recover(dir, cheapCfg(1), WALOptions{})
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
+	defer wlog.Close()
 	if err := sv.StartJob(specs[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.IngestBatch(streams[0][:4]); err != nil {
 		t.Fatal(err)
 	}
-	before, lsnBefore := sv.Stats(), wal.NextLSN()
-	huge := Event{Kind: EventHeartbeat, JobID: specs[0].JobID, TaskID: 0, Time: 1e9,
+	before, lsnBefore := sv.Stats(), wlog.NextLSN()
+	huge := wire.Event{Kind: wire.EventHeartbeat, JobID: specs[0].JobID, TaskID: 0, Time: 1e9,
 		Features: make([]float64, wire.MaxWireFeatures+1)}
 	if err := sv.Ingest(huge); err == nil {
 		t.Fatal("oversized-features event was accepted")
@@ -465,7 +457,7 @@ func TestIngestRejectsUnloggableEvent(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("rejected event changed stats:\n before %v\n after  %v", before, after)
 	}
-	if got := wal.NextLSN(); got != lsnBefore {
+	if got := wlog.NextLSN(); got != lsnBefore {
 		t.Errorf("rejected event consumed LSN %d", got-1)
 	}
 }
@@ -474,15 +466,15 @@ func TestIngestRejectsUnloggableEvent(t *testing.T) {
 // the mutations the WAL already holds — the nurdserve -wal -replay path.
 func TestReplayFromSkips(t *testing.T) {
 	specs, streams := walWorkload(t, 2, 79)
-	var all []Event
-	all = append(all, MergeStreams(streams...)...)
+	var all []wire.Event
+	all = append(all, serve.MergeStreams(streams...)...)
 	var dump bytes.Buffer
-	if err := WriteDump(&dump, specs, all); err != nil {
+	if err := wire.WriteDump(&dump, specs, all); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reference: the whole dump into a fresh server.
-	ref := NewServer(cheapCfg(1))
+	ref := serve.NewServer(servetest.CheapConfig(1))
 	if _, err := servehttp.Replay(ref, bytes.NewReader(dump.Bytes()), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +482,7 @@ func TestReplayFromSkips(t *testing.T) {
 	// Interrupted: half the dump under a WAL, crash, recover, resume with
 	// servehttp.ReplayFrom at the recovered position.
 	dir := t.TempDir()
-	sv, wal, _, err := Recover(dir, cheapCfg(1), WALOptions{})
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,8 +495,8 @@ func TestReplayFromSkips(t *testing.T) {
 	if err := sv.IngestBatch(all[:half-len(specs)]); err != nil {
 		t.Fatal(err)
 	}
-	wal.Close()
-	sv2, wal2, rst, err := Recover(dir, cheapCfg(1), WALOptions{})
+	wlog.Close()
+	sv2, wal2, rst, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,8 +512,8 @@ func TestReplayFromSkips(t *testing.T) {
 		t.Errorf("resumed replay applied %d specs / %d events", st.Specs, st.Events)
 	}
 	for i := range specs {
-		want, _ := ref.Query(specs[i].JobID, allTaskIDs(specs[i].NumTasks))
-		got, err := sv2.Query(specs[i].JobID, allTaskIDs(specs[i].NumTasks))
+		want, _ := ref.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
+		got, err := sv2.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,20 +538,20 @@ func FuzzWALRecover(f *testing.F) {
 	// executions, so a kilobyte seed keeps the fuzz loop productive where a
 	// full trace job's 45 KB segment would stall it.
 	seedFS := waltest.NewMemFS()
-	sv, wal, _, err := Recover("wal", cheapCfg(1), WALOptions{FS: seedFS})
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{FS: seedFS})
 	if err != nil {
 		f.Fatal(err)
 	}
-	sp := JobSpec{JobID: 1, Schema: []string{"cpu", "mem"}, NumTasks: 3, TauStra: 10,
+	sp := wire.JobSpec{JobID: 1, Schema: []string{"cpu", "mem"}, NumTasks: 3, TauStra: 10,
 		StragglerQuantile: 0.9, Horizon: 10, Checkpoints: 4, WarmFrac: 0.2, Seed: 7}
 	if err := sv.StartJob(sp, nil); err != nil {
 		f.Fatal(err)
 	}
 	for tid := 0; tid < sp.NumTasks; tid++ {
-		evs := []Event{
-			{Kind: EventTaskStart, JobID: 1, TaskID: tid, Time: float64(tid)},
-			{Kind: EventHeartbeat, JobID: 1, TaskID: tid, Time: float64(tid) + 0.5, Tick: 1, Features: []float64{1, 2}},
-			{Kind: EventTaskFinish, JobID: 1, TaskID: tid, Time: float64(tid) + 3, Latency: 3},
+		evs := []wire.Event{
+			{Kind: wire.EventTaskStart, JobID: 1, TaskID: tid, Time: float64(tid)},
+			{Kind: wire.EventHeartbeat, JobID: 1, TaskID: tid, Time: float64(tid) + 0.5, Tick: 1, Features: []float64{1, 2}},
+			{Kind: wire.EventTaskFinish, JobID: 1, TaskID: tid, Time: float64(tid) + 3, Latency: 3},
 		}
 		if err := sv.IngestBatch(evs); err != nil {
 			f.Fatal(err)
@@ -571,8 +563,8 @@ func FuzzWALRecover(f *testing.F) {
 	if err := sv.DropJob(1); err != nil {
 		f.Fatal(err)
 	}
-	wal.Close()
-	seed := seedFS.Files["wal/"+walpkg.SegName(0, 1)]
+	wlog.Close()
+	seed := seedFS.Files["wal/"+wal.SegName(0, 1)]
 	if len(seed) == 0 {
 		f.Fatal("no seed segment bytes")
 	}
@@ -581,7 +573,7 @@ func FuzzWALRecover(f *testing.F) {
 	legacySeed := func() []byte {
 		var e wire.Enc
 		wire.AppendLSNMarkPayload(&e, 1)
-		out := wire.AppendFrame(AppendHeader(nil), wire.FrameLSNMark, e.B)
+		out := wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, e.B)
 		rest := seed[wire.HeaderLen:]
 		for len(rest) > 0 {
 			kind, payload, n, err := wire.DecodeFrame(rest)
@@ -613,7 +605,7 @@ func FuzzWALRecover(f *testing.F) {
 			}
 			half += n
 		}
-		out := AppendHeader(nil)
+		out := wire.AppendHeader(nil)
 		for _, x := range []struct {
 			shard      int
 			stamp, off uint64
@@ -648,17 +640,17 @@ func FuzzWALRecover(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// An in-memory filesystem keeps each exec free of disk syscalls.
 		fs := waltest.NewMemFS()
-		name := "wal/" + walpkg.SegName(0, 1)
+		name := "wal/" + wal.SegName(0, 1)
 		present := 0 // bytes in the directory besides the input
 		if len(data) > 0 {
 			switch data[0] % 3 {
 			case 1:
-				name = "wal/" + walpkg.LegacySegName(1)
+				name = "wal/" + wal.LegacySegName(1)
 			case 2:
 				fs.Files[name] = append([]byte(nil), seed...)
 				fs.Synced[name] = len(seed)
 				present = len(seed)
-				name = "wal/" + walpkg.CommitName(1)
+				name = "wal/" + wal.CommitName(1)
 			}
 			data = data[1:]
 		}
@@ -666,16 +658,16 @@ func FuzzWALRecover(f *testing.F) {
 		fs.Synced[name] = len(data)
 		// A tight task budget keeps hostile-but-valid spec frames from
 		// allocating real memory; rejections surface as typed errors.
-		cfg := cheapCfg(1)
+		cfg := servetest.CheapConfig(1)
 		cfg.MaxTasks = 1 << 12
-		sv, wal, rst, err := Recover("wal", cfg, WALOptions{FS: fs})
+		sv, wlog, rst, err := serve.Recover("wal", cfg, wal.Options{FS: fs})
 		if err != nil {
 			if !strings.Contains(err.Error(), "serve") {
 				t.Fatalf("untyped recovery error: %v", err)
 			}
 			return
 		}
-		defer wal.Close()
+		defer wlog.Close()
 		if rst.NextLSN-1 > uint64((present+len(data))/5+1) {
 			t.Fatalf("recovered %d records from %d bytes", rst.NextLSN-1, present+len(data))
 		}
@@ -704,7 +696,7 @@ func FuzzWALRecover(f *testing.F) {
 func TestWALAutoCheckpointTimer(t *testing.T) {
 	dir := t.TempDir()
 	specs, streams := walWorkload(t, 1, 91)
-	sv, wal, _, err := Recover(dir, cheapCfg(1), WALOptions{CheckpointEvery: 2 * time.Millisecond})
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{CheckpointEvery: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,19 +707,19 @@ func TestWALAutoCheckpointTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for wal.Stats().Checkpoints == 0 && time.Now().Before(deadline) {
+	for wlog.Stats().Checkpoints == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if wal.Stats().Checkpoints == 0 {
+	if wlog.Stats().Checkpoints == 0 {
 		t.Fatal("timer-triggered policy never checkpointed")
 	}
-	refVerdicts, _ := sv.Query(specs[0].JobID, allTaskIDs(specs[0].NumTasks))
-	wal.Close()
-	snaps, err := walpkg.ListSorted(walpkg.OSFS, dir, walpkg.SnapPrefix, walpkg.SnapSuffix)
+	refVerdicts, _ := sv.Query(specs[0].JobID, servetest.AllTaskIDs(specs[0].NumTasks))
+	wlog.Close()
+	snaps, err := wal.ListSorted(wal.OSFS, dir, wal.SnapPrefix, wal.SnapSuffix)
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("no snapshot files after automatic checkpoints (%v)", err)
 	}
-	sv2, wal2, rst, err := Recover(dir, cheapCfg(2), WALOptions{})
+	sv2, wal2, rst, err := serve.Recover(dir, servetest.CheapConfig(2), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -735,7 +727,7 @@ func TestWALAutoCheckpointTimer(t *testing.T) {
 	if rst.SnapshotPath == "" {
 		t.Error("recovery ignored the automatic checkpoints")
 	}
-	vs, err := sv2.Query(specs[0].JobID, allTaskIDs(specs[0].NumTasks))
+	vs, err := sv2.Query(specs[0].JobID, servetest.AllTaskIDs(specs[0].NumTasks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,11 +744,11 @@ func TestWALAutoCheckpointTimer(t *testing.T) {
 func TestWALStreamsSpread(t *testing.T) {
 	dir := t.TempDir()
 	specs, streams := walWorkload(t, 4, 97)
-	sv, wal, _, err := Recover(dir, cheapCfg(4), WALOptions{Streams: 4})
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(4), wal.Options{Streams: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := wal.Streams(); got != 4 {
+	if got := wlog.Streams(); got != 4 {
 		t.Fatalf("Streams() = %d, want 4", got)
 	}
 	want := 0
@@ -769,7 +761,7 @@ func TestWALStreamsSpread(t *testing.T) {
 		}
 		want += 1 + len(streams[i])
 	}
-	st := wal.Stats()
+	st := wlog.Stats()
 	if st.NextLSN != uint64(want)+1 || st.Appends != uint64(want) {
 		t.Fatalf("aggregate stats %+v after %d mutations", st, want)
 	}
@@ -788,15 +780,15 @@ func TestWALStreamsSpread(t *testing.T) {
 	if active < 2 {
 		t.Errorf("only %d of 4 streams took appends for 4 jobs; the fan-out is not spreading", active)
 	}
-	refVerdicts := make([][]TaskVerdict, len(specs))
+	refVerdicts := make([][]serve.TaskVerdict, len(specs))
 	for i := range specs {
-		refVerdicts[i], _ = sv.Query(specs[i].JobID, allTaskIDs(specs[i].NumTasks))
+		refVerdicts[i], _ = sv.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
 	}
-	wal.Close()
+	wlog.Close()
 
 	// Recover at a different stream count: global LSNs make the on-disk
 	// fan-out irrelevant to correctness.
-	sv2, wal2, rst, err := Recover(dir, cheapCfg(2), WALOptions{Streams: 2})
+	sv2, wal2, rst, err := serve.Recover(dir, servetest.CheapConfig(2), wal.Options{Streams: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +800,7 @@ func TestWALStreamsSpread(t *testing.T) {
 		t.Errorf("recovery reports %d streams, want 2", rst.Streams)
 	}
 	for i := range specs {
-		vs, err := sv2.Query(specs[i].JobID, allTaskIDs(specs[i].NumTasks))
+		vs, err := sv2.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -820,7 +812,7 @@ func TestWALStreamsSpread(t *testing.T) {
 	// Unset, the fan-out follows the shard count but stops at GOMAXPROCS:
 	// every dirty stream costs its own fsync per window.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	_, wal3, _, err := Recover("wal", cheapCfg(8), WALOptions{FS: waltest.NewMemFS()})
+	_, wal3, _, err := serve.Recover("wal", servetest.CheapConfig(8), wal.Options{FS: waltest.NewMemFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -833,13 +825,13 @@ func TestWALStreamsSpread(t *testing.T) {
 // TestVerifyWALReadOnly pins the offline verifier's contract from inside
 // the package: over a power-lost per-shard directory with a cross-stream
 // hole it must report the hole and the exact LSN Recover would land on,
-// while writing absolutely nothing — Recover repairs (trims), VerifyWAL
+// while writing absolutely nothing — Recover repairs (trims), wal.Verify
 // only looks.
 func TestVerifyWALReadOnly(t *testing.T) {
 	specs, streams := walWorkload(t, 4, 101)
 	fs := waltest.NewMemFS()
-	opts := WALOptions{SegmentBytes: 1 << 10, SyncEvery: time.Hour, Streams: 4, FS: fs}
-	sv, wal, _, err := Recover("wal", cheapCfg(4), opts)
+	opts := wal.Options{SegmentBytes: 1 << 10, SyncEvery: time.Hour, Streams: 4, FS: fs}
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -859,19 +851,19 @@ func TestVerifyWALReadOnly(t *testing.T) {
 	// durable, and those happened at different LSNs per stream, so the
 	// power loss below leaves a cross-stream hole.
 	for job := uint64(1000); job < 1024; job++ {
-		sp := JobSpec{JobID: job, Schema: []string{"cpu"}, NumTasks: 4, TauStra: 10,
+		sp := wire.JobSpec{JobID: job, Schema: []string{"cpu"}, NumTasks: 4, TauStra: 10,
 			Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: job}
 		if err := sv.StartJob(sp, nil); err != nil {
 			t.Fatal(err)
 		}
 		for tid := 0; tid < 4; tid++ {
-			if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: job, TaskID: tid,
+			if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: job, TaskID: tid,
 				Time: float64(tid)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	_ = wal // abandoned: the crash below is the end of this process image
+	_ = wlog // abandoned: the crash below is the end of this process image
 
 	// Power loss dropping unsynced tails at each stream's last rotation:
 	// the classic cross-stream skew.
@@ -884,15 +876,15 @@ func TestVerifyWALReadOnly(t *testing.T) {
 		return out
 	}
 	before := snapshotFiles(crashed)
-	rep, err := VerifyWAL("wal", WALOptions{FS: crashed})
+	rep, err := wal.Verify("wal", wal.Options{FS: crashed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before, snapshotFiles(crashed)) {
-		t.Fatal("VerifyWAL modified the directory")
+		t.Fatal("wal.Verify modified the directory")
 	}
 	if len(crashed.Journal) != 0 {
-		t.Fatalf("VerifyWAL performed %d write operations", len(crashed.Journal))
+		t.Fatalf("wal.Verify performed %d write operations", len(crashed.Journal))
 	}
 	if rep.SnapshotPath == "" || rep.Records == 0 || len(rep.Streams) == 0 {
 		t.Fatalf("empty verify report: %+v", rep)
@@ -906,25 +898,25 @@ func TestVerifyWALReadOnly(t *testing.T) {
 
 	// The verifier's promise: Recover lands exactly on rep.NextLSN; if the
 	// verifier saw a hole, recovery trims what the verifier left alone.
-	sv2, wal2, rst, err := Recover("wal", cheapCfg(2), WALOptions{FS: crashed})
+	sv2, wal2, rst, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{FS: crashed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal2.Close()
 	_ = sv2
 	if rst.NextLSN != rep.NextLSN {
-		t.Errorf("Recover reached LSN %d, VerifyWAL promised %d", rst.NextLSN, rep.NextLSN)
+		t.Errorf("Recover reached LSN %d, wal.Verify promised %d", rst.NextLSN, rep.NextLSN)
 	}
 	if rep.Hole != (rst.RecordsTrimmed > 0) {
 		t.Errorf("verifier hole=%v but recovery trimmed %d records", rep.Hole, rst.RecordsTrimmed)
 	}
 }
 
-// gateFS wraps a WALFS so a test can stall one file's record write — the
+// gateFS wraps a wal.FS so a test can stall one file's record write — the
 // shape of a goroutine preempted (or an I/O path stuck) inside write(2).
 // The stalled writer announces itself on arrived before parking on gate.
 type gateFS struct {
-	WALFS
+	wal.FS
 	gate    chan struct{} // the gated write blocks until this closes
 	arrived chan struct{}
 	match   func(name string) bool
@@ -932,16 +924,16 @@ type gateFS struct {
 }
 
 type gatedFile struct {
-	WALFile
+	wal.File
 	fs *gateFS
 }
 
-func (g *gateFS) Create(name string) (WALFile, error) {
-	f, err := g.WALFS.Create(name)
+func (g *gateFS) Create(name string) (wal.File, error) {
+	f, err := g.FS.Create(name)
 	if err != nil || !g.match(name) {
 		return f, err
 	}
-	return &gatedFile{WALFile: f, fs: g}, nil
+	return &gatedFile{File: f, fs: g}, nil
 }
 
 func (f *gatedFile) Write(p []byte) (int, error) {
@@ -955,7 +947,7 @@ func (f *gatedFile) Write(p []byte) (int, error) {
 		}
 		<-f.fs.gate
 	}
-	return f.WALFile.Write(p)
+	return f.File.Write(p)
 }
 
 // TestWALAckWaitsForLowerLSNs is the commit-watermark regression test: an
@@ -982,17 +974,17 @@ func TestWALAckWaitsForLowerLSNs(t *testing.T) {
 		}
 	}
 	streamA := fmt.Sprintf("wal/wal-%04x-", wire.Mix64(jobA)%2)
-	fs := &gateFS{WALFS: mem, gate: gate, arrived: make(chan struct{}, 1),
+	fs := &gateFS{FS: mem, gate: gate, arrived: make(chan struct{}, 1),
 		match: func(name string) bool { return strings.HasPrefix(name, streamA) }}
-	sv, wal, _, err := Recover("wal", cheapCfg(2), WALOptions{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
+	defer wlog.Close()
 	defer release() // must open the gate before Close can drain stream A
 
-	spec := func(id uint64) JobSpec {
-		return JobSpec{JobID: id, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
+	spec := func(id uint64) wire.JobSpec {
+		return wire.JobSpec{JobID: id, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
 			Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id}
 	}
 	// Stream A's registration claims the lower LSN and parks inside its
@@ -1027,15 +1019,15 @@ func TestWALAckWaitsForLowerLSNs(t *testing.T) {
 			t.Fatal("append never acknowledged after the gate opened")
 		}
 	}
-	if got := wal.NextLSN(); got != 3 {
+	if got := wlog.NextLSN(); got != 3 {
 		t.Fatalf("NextLSN %d after two registrations, want 3", got)
 	}
 }
 
 // roFS simulates an unwritable WAL directory: reads work, creates fail.
-type roFS struct{ WALFS }
+type roFS struct{ wal.FS }
 
-func (roFS) Create(string) (WALFile, error) {
+func (roFS) Create(string) (wal.File, error) {
 	return nil, fmt.Errorf("read-only filesystem")
 }
 
@@ -1046,18 +1038,18 @@ func (roFS) Create(string) (WALFile, error) {
 func TestRecoverUnwritableDir(t *testing.T) {
 	mem := waltest.NewMemFS()
 	// A valid existing log that recovery can read.
-	sv, wal, _, err := Recover("wal", cheapCfg(1), WALOptions{FS: mem})
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := JobSpec{JobID: 3, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
+	sp := wire.JobSpec{JobID: 3, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
 		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 3}
 	if err := sv.StartJob(sp, nil); err != nil {
 		t.Fatal(err)
 	}
-	wal.Close()
+	wlog.Close()
 
-	_, _, _, err = Recover("wal", cheapCfg(1), WALOptions{FS: roFS{mem}})
+	_, _, _, err = serve.Recover("wal", servetest.CheapConfig(1), wal.Options{FS: roFS{mem}})
 	if err == nil {
 		t.Fatal("recovery over an unwritable directory succeeded; the first mutation would 503 instead")
 	}

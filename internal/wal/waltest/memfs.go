@@ -32,7 +32,7 @@ type Op struct {
 	Data       []byte
 }
 
-// MemFS implements WALFS in memory. While recording it journals every
+// MemFS implements wal.FS in memory. While recording it journals every
 // operation; SetBudget arms the crash: once the cumulative written bytes
 // reach the budget, the write fails mid-call (a partial write, like a
 // process killed inside write(2)) and every later operation fails too.

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/servehttp"
+	"repro/internal/wire"
 )
 
 // Options shape one load run.
@@ -310,7 +311,7 @@ func buildLane(items []*Item, opts Options) ([]request, error) {
 	cur := -1 // index into reqs of the open batch, -1 when none
 	for _, it := range items {
 		if it.Malformed() {
-			body, err := AppendItemWire(serve.AppendHeader(nil), it, true)
+			body, err := AppendItemWire(wire.AppendHeader(nil), it, true)
 			if err != nil {
 				return nil, err
 			}
@@ -319,7 +320,7 @@ func buildLane(items []*Item, opts Options) ([]request, error) {
 			continue
 		}
 		if cur < 0 || reqs[cur].frames >= opts.MaxBatch || it.At-reqs[cur].due > opts.Window {
-			reqs = append(reqs, request{due: it.At, body: serve.AppendHeader(nil)})
+			reqs = append(reqs, request{due: it.At, body: wire.AppendHeader(nil)})
 			cur = len(reqs) - 1
 		}
 		var err error

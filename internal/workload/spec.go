@@ -6,7 +6,7 @@
 // straggler-cause mix, and a malformed-frame injection rate for hostile runs.
 //
 // Synthesize expands a spec into a fully deterministic send timeline of wire
-// elements (serve.JobSpec registrations and lifecycle Events, each stamped with
+// elements (wire.JobSpec registrations and lifecycle Events, each stamped with
 // an absolute virtual send time), and the open-loop driver in loadgen.go fires
 // that timeline at a serving front end on its absolute schedule — late sends
 // are recorded as queue delay, never rescheduled, so the reported latency

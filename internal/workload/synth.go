@@ -21,6 +21,7 @@ import (
 	"repro/internal/simulator"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Item is one schedulable wire element of a synthesized workload.
@@ -33,8 +34,8 @@ type Item struct {
 	// are independent.
 	Client int
 	// Spec or Event is set, never both.
-	Spec  *serve.JobSpec
-	Event *serve.Event
+	Spec  *wire.JobSpec
+	Event *wire.Event
 	// CorruptXOR, when nonzero, marks a hostile frame: after wire-encoding,
 	// the payload byte at offset CorruptPos (mod payload length) is XORed
 	// with it, breaking the frame CRC deterministically.
@@ -309,9 +310,9 @@ func AppendItemWire(dst []byte, it *Item, hostile bool) ([]byte, error) {
 	base := len(dst)
 	var err error
 	if it.Spec != nil {
-		dst, err = serve.EncodeSpec(dst, *it.Spec)
+		dst, err = wire.EncodeSpec(dst, *it.Spec)
 	} else {
-		dst, err = serve.EncodeEvent(dst, *it.Event)
+		dst, err = wire.EncodeEvent(dst, *it.Event)
 	}
 	if err != nil {
 		return dst, err
@@ -336,7 +337,7 @@ func AppendItemWire(dst []byte, it *Item, hostile bool) ([]byte, error) {
 // them; such a dump is for determinism checks and front-end hardening tests,
 // not for replay.
 func (wl *Workload) WriteWire(w io.Writer, hostile bool) error {
-	buf := serve.AppendHeader(nil)
+	buf := wire.AppendHeader(nil)
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/servehttp"
+	"repro/internal/wire"
 )
 
 // synthWire synthesizes the named builtin and renders its full hostile wire
@@ -158,11 +159,11 @@ func TestHostileWireRejected(t *testing.T) {
 	good, bad := 0, 0
 	for i := range wl.Items {
 		it := &wl.Items[i]
-		frame, err := AppendItemWire(serve.AppendHeader(nil), it, true)
+		frame, err := AppendItemWire(wire.AppendHeader(nil), it, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd := serve.NewWireReader(bytes.NewReader(frame))
+		rd := wire.NewReader(bytes.NewReader(frame))
 		_, _, err = rd.Next()
 		if it.Malformed() {
 			if err == nil {

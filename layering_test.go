@@ -13,9 +13,21 @@ package repro
 // up into its fronts (servehttp, cluster). Without this test the layering
 // would be aspirational — one convenient import away from a cycle the
 // refactor existed to remove.
+//
+// The diagram is also the import list a reader sees: every name has one
+// home. servehttp and cluster (and cmd/, examples/, the tests) import wire
+// and wal directly for what lives there — wire.Event, wire.JobSpec,
+// wal.Options, wal.ErrFailed — and serve for the node core only; serve
+// re-exports nothing from the layers below it, and no test dot-imports it
+// to make old unqualified names resolve (TestOneHomePerName).
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,5 +93,63 @@ func TestLayeringWaltestBelowServe(t *testing.T) {
 	deps := transitiveDeps(t, "repro/internal/wal/waltest")
 	if deps["repro/internal/serve"] {
 		t.Error("internal/wal/waltest depends on internal/serve")
+	}
+}
+
+// TestOneHomePerName keeps serve from growing a second name for anything
+// wire or wal owns — no alias type, no package-level var or const that is
+// just a wire.X / wal.X — and keeps tests from dot-importing serve, the
+// other way a name ends up reachable without saying where it lives.
+func TestOneHomePerName(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		isTest := strings.HasSuffix(path, "_test.go")
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
+			!isTest && filepath.ToSlash(filepath.Dir(path)) != "internal/serve" {
+			return err
+		}
+		mode := parser.Mode(0)
+		if isTest {
+			mode = parser.ImportsOnly // so only the import check below can fire
+		}
+		f, err := parser.ParseFile(fset, path, nil, mode)
+		if err != nil {
+			return err
+		}
+		checked++
+		for _, im := range f.Imports {
+			if im.Name != nil && im.Name.Name == "." && im.Path.Value == `"repro/internal/serve"` {
+				t.Errorf("%s dot-imports internal/serve; qualify serve.X and name wire/wal for the rest", path)
+			}
+		}
+		for _, decl := range f.Decls { // package level only: a local is not a second name for callers
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Assign.IsValid() {
+						t.Errorf("%s: alias type %s; name the owning package at the use site", fset.Position(sp.Pos()), sp.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for i, v := range sp.Values {
+						sel, _ := v.(*ast.SelectorExpr)
+						if sel == nil {
+							continue
+						}
+						if pkg, ok := sel.X.(*ast.Ident); ok && (pkg.Name == "wire" || pkg.Name == "wal") {
+							t.Errorf("%s: %s re-exports %s.%s; use it from its home package", fset.Position(v.Pos()), sp.Names[i].Name, pkg.Name, sel.Sel.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil || checked == 0 {
+		t.Fatalf("checked %d files under internal/ (err %v)", checked, err)
 	}
 }
