@@ -153,7 +153,12 @@ func (c *Cluster) DropJob(jobID uint64) error {
 
 // Query answers a batched verdict query from the job's owning node.
 func (c *Cluster) Query(jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error) {
-	return c.node(jobID).Query(jobID, taskIDs)
+	return c.QueryAppend(nil, jobID, taskIDs)
+}
+
+// QueryAppend is Query appending into dst (see serve.Server.QueryAppend).
+func (c *Cluster) QueryAppend(dst []serve.TaskVerdict, jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error) {
+	return c.node(jobID).QueryAppend(dst, jobID, taskIDs)
 }
 
 // IsStraggler asks the job's owning node for one task's verdict.

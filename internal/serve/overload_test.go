@@ -279,6 +279,47 @@ func TestDegradedQueryServesStale(t *testing.T) {
 	}
 }
 
+// TestQueryAppendReusedDstDoesNotAliasStaleView: the degraded arm copies
+// verdicts out of the published view into the caller's slab, so a caller
+// that scribbles over its reused dst (the HTTP front clears its slab before
+// pooling it) cannot change what the next degraded query answers.
+func TestQueryAppendReusedDstDoesNotAliasStaleView(t *testing.T) {
+	sv := degradedServer(t, Config{Shards: 1, DegradedAfter: time.Millisecond})
+	j := jobOf(sv, 1)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	probe := []int{0, 1, 5, 99}
+	dst, err := sv.QueryAppend(make([]TaskVerdict, 0, 2), 1, probe) // grows past its capacity
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]TaskVerdict(nil), dst...)
+	for i := range dst {
+		if !dst[i].Stale {
+			t.Fatalf("verdict %d under a held lock is not stale: %+v", i, dst[i])
+		}
+		dst[i] = TaskVerdict{TaskID: -7, Known: !dst[i].Known, AsOfCheckpoint: -1}
+	}
+	got, err := sv.QueryAppend(dst[:0], 1, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &dst[0] {
+		t.Error("QueryAppend reallocated a dst that had room")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("degraded answer changed after the caller mutated its dst:\n want %+v\n  got %+v", want, got)
+	}
+	// Appending keeps what the caller already holds.
+	both, err := sv.QueryAppend(got, 1, probe[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(both, append(append([]TaskVerdict(nil), want...), want[:2]...)) {
+		t.Fatalf("QueryAppend onto a non-empty dst: %+v", both)
+	}
+}
+
 // TestStaleViewSurvivesSnapshotRestore: the degraded-query view is never
 // serialized — a restored server recomputes it from durable state, so
 // degraded answers (staleness flags included) survive snapshot/restore.

@@ -64,12 +64,15 @@ type refitTask struct {
 }
 
 // run executes the fit and delivers the result (always exactly one send).
+func (t refitTask) run() { t.ch <- t.fit() }
+
+// fit executes the fit and returns its outcome without delivering it.
 // A panicking predictor is contained to its own job: before the pipeline,
 // Predict ran on the ingesting goroutine where a panic could at least be
 // recovered by the transport; on a detached pool worker it would kill the
 // whole multi-tenant process, so it is converted into the existing
 // fail-the-job error path instead.
-func (t refitTask) run() {
+func (t refitTask) fit() refitResult {
 	var warm0, scratch0 uint64
 	if rc, ok := t.pred.(refitCounter); ok {
 		warm0, scratch0 = rc.RefitCounts()
@@ -81,7 +84,7 @@ func (t refitTask) run() {
 		w, s := rc.RefitCounts()
 		res.warm, res.scratch = w-warm0, s-scratch0
 	}
-	t.ch <- res
+	return res
 }
 
 func (t refitTask) predict() (verdicts []bool, err error) {
@@ -166,10 +169,14 @@ func (p *refitPool) work() {
 		p.queue = p.queue[1:]
 		p.inflight++
 		p.mu.Unlock()
-		t.run()
+		res := t.fit()
+		// The gauge drops before the result is delivered: whoever receives
+		// it (and then reads Stats on a drained server) must never see this
+		// fit still counted. The fit itself ran wholly inside inflight > 0.
 		p.mu.Lock()
 		p.inflight--
 		p.mu.Unlock()
+		t.ch <- res
 	}
 }
 

@@ -465,3 +465,37 @@ func TestPredictorPanicContained(t *testing.T) {
 		t.Errorf("shard-mate of a panicking job misbehaved: %+v", rep2)
 	}
 }
+
+// TestRefitGaugesDropBeforeDelivery: whoever receives a fit's result must
+// find the pool's gauges already without it — a drained server's /stats
+// reads RefitInflight=0 — and while the fit runs it is counted. The worker
+// used to decrement inflight after the send, so the receiver could win the
+// race and read 1.
+func TestRefitGaugesDropBeforeDelivery(t *testing.T) {
+	p := newRefitPool(1, 0)
+	cp := &simulator.Checkpoint{}
+	for i := 0; i < 2000; i++ {
+		ch := make(chan refitResult, 1)
+		if !p.enqueue(refitTask{pred: &flagAll{}, cp: cp, ch: ch}) {
+			t.Fatal("unbounded queue refused a fit")
+		}
+		<-ch
+		if q, in := p.depths(); q != 0 || in != 0 {
+			t.Fatalf("fit %d delivered with queue=%d inflight=%d still counted", i, q, in)
+		}
+	}
+	gated := &gatedPredictor{gate: make(chan struct{})}
+	ch := make(chan refitResult, 1)
+	p.enqueue(refitTask{pred: gated, cp: cp, ch: ch})
+	for {
+		if q, in := p.depths(); q == 0 && in == 1 {
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(gated.gate)
+	<-ch
+	if _, in := p.depths(); in != 0 {
+		t.Fatalf("gated fit delivered with inflight=%d", in)
+	}
+}

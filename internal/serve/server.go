@@ -457,7 +457,17 @@ func (sv *Server) DropJob(jobID uint64) error {
 // Query answers a batched per-task straggler query against the job's
 // current models and tau_stra threshold.
 func (sv *Server) Query(jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
-	return sv.reg.shardFor(jobID).query(jobID, taskIDs)
+	return sv.QueryAppend(nil, jobID, taskIDs)
+}
+
+// QueryAppend is Query into caller-owned storage: it appends one verdict
+// per task ID to dst and returns the extended slice, so a caller that
+// queries in a loop (the HTTP front) reuses one slab instead of allocating
+// a pointer-bearing slice per call. The appended verdicts are copies — no
+// later server activity changes them — but a non-nil Prediction is shared
+// read-only with the server's degraded-query view; treat it as immutable.
+func (sv *Server) QueryAppend(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
+	return sv.reg.shardFor(jobID).query(dst, jobID, taskIDs)
 }
 
 // IsStraggler answers a single-task query.

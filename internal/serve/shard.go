@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,45 +243,45 @@ func atomicMax(v *atomic.Int64, x int64) {
 	}
 }
 
-// query answers a batch of per-task verdicts for one job. With degraded
-// queries enabled, a query that cannot take the job lock within
-// degradedAfter is answered from the job's stale published view (last
-// applied generation, Stale-flagged) instead of queueing behind whatever
-// holds the lock — a refit drain, an ingest burst — so query latency stays
-// bounded under overload. Jobs with no published view yet (no refit has
-// applied) fall through to the blocking path: there is nothing stale to
-// serve, and pre-warmup locks are never held long.
-func (s *shard) query(jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
+// query appends a batch of per-task verdicts for one job to dst and returns
+// the extended slice; the verdicts are copies, so a caller may reuse dst
+// across calls. With degraded queries enabled, a query that cannot take the
+// job lock within degradedAfter is answered from the job's stale published
+// view (last applied generation, Stale-flagged) instead of queueing behind
+// whatever holds the lock — a refit drain, an ingest burst — so query
+// latency stays bounded under overload. Jobs with no published view yet (no
+// refit has applied) fall through to the blocking path: there is nothing
+// stale to serve, and pre-warmup locks are never held long.
+func (s *shard) query(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 	j, ok := s.lookup(jobID)
 	if !ok {
-		return nil, fmt.Errorf("serve: query for job %d: %w", jobID, ErrUnknownJob)
+		return dst, fmt.Errorf("serve: query for job %d: %w", jobID, ErrUnknownJob)
 	}
+	dst = slices.Grow(dst, len(taskIDs))
 	if s.degradedAfter > 0 && !lockWithin(&j.mu, s.degradedAfter) {
 		if sv := j.stale.Load(); sv != nil {
-			out := make([]TaskVerdict, len(taskIDs))
-			for i, id := range taskIDs {
+			for _, id := range taskIDs {
 				if id >= 0 && id < len(sv.verdicts) {
-					out[i] = sv.verdicts[id]
+					dst = append(dst, sv.verdicts[id])
 				} else {
-					out[i] = TaskVerdict{TaskID: id, Stale: true, AsOfCheckpoint: sv.checkpoint}
+					dst = append(dst, TaskVerdict{TaskID: id, Stale: true, AsOfCheckpoint: sv.checkpoint})
 				}
 			}
 			s.degraded.Add(uint64(len(taskIDs)))
 			s.queries.Add(uint64(len(taskIDs)))
-			return out, nil
+			return dst, nil
 		}
 		j.mu.Lock()
 	} else if s.degradedAfter <= 0 {
 		j.mu.Lock()
 	}
-	out := make([]TaskVerdict, len(taskIDs))
-	for i, id := range taskIDs {
-		out[i] = j.verdict(id)
+	for _, id := range taskIDs {
+		dst = append(dst, j.verdict(id))
 	}
 	j.queries += uint64(len(taskIDs))
 	j.mu.Unlock()
 	s.queries.Add(uint64(len(taskIDs)))
-	return out, nil
+	return dst, nil
 }
 
 // report summarizes one job.

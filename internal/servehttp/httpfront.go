@@ -18,7 +18,9 @@ package servehttp
 //	                applied is in the write-ahead log: frames are staged as
 //	                they decode and committed once, one log write per
 //	                stream the body touched.
-//	GET  /query     ?job=ID&tasks=0,1,2 — batched verdicts as JSON.
+//	GET  /query     ?job=ID&tasks=0,1,2 — batched verdicts as JSON, the
+//	                hot read: pooled scratch and a hand-written encoder
+//	                (verdictjson.go) in place of encoding/json.
 //	GET  /report    ?job=ID — the job's JobReport as JSON.
 //	GET  /stats     server-wide Stats as JSON. Servers running with a WAL
 //	                include a "WAL" object (segments, next_lsn, appends,
@@ -44,16 +46,21 @@ package servehttp
 // Client-fault (4xx) bodies carry the typed error detail; server-fault
 // (5xx) bodies are redacted to a generic message so internal paths and
 // wrapped diagnostics never reach remote clients (operators read them via
-// /stats and the process's own stderr instead).
+// /stats and the process's own stderr instead). Every JSON body is encoded
+// before its status line is written, so a value with no JSON form (a NaN or
+// infinite float) is a 500, never a 200 with nothing after the header.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/serve"
 	"repro/internal/simulator"
@@ -74,7 +81,10 @@ type Backend interface {
 	StageJob(spec wire.JobSpec, pred simulator.Predictor) error
 	StageEvent(e wire.Event) error
 	Commit() error
-	Query(jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error)
+	// QueryAppend appends one verdict per task ID to dst and returns the
+	// extended slice. GET /query hands it a pooled slab, so the verdicts
+	// must be copies the backend never touches again.
+	QueryAppend(dst []serve.TaskVerdict, jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error)
 	Report(jobID uint64) (*serve.JobReport, error)
 	Stats() serve.Stats
 	RetryHint() int
@@ -134,10 +144,33 @@ type front struct {
 	limits *clientLimiter
 }
 
+// writeJSON answers code with v's JSON encoding. The body is encoded before
+// the status line is written, so a value with no JSON form (a NaN gauge) is
+// a 500 with the redacted body rather than a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeEncodeError answers a body that could not be encoded: the redacted
+// 500 every server fault gets (an IngestResult always encodes).
+func writeEncodeError(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	writeJSON(w, code, IngestResult{Error: errBody(code, err)})
+}
+
+// writeBody is the one place a JSON response leaves the front, already
+// encoded: header, status, one Write.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	// A failed Write means the client is gone: the status is already out
+	// and nobody is left to tell, so returning is the only thing to do.
+	_, _ = w.Write(body)
 }
 
 // writeErrJSON is writeJSON for failure responses. Throttling (429) and
@@ -307,8 +340,8 @@ func (f *front) charge(client string, sheddable bool) bool {
 }
 
 // jobParam parses the mandatory ?job= query parameter.
-func jobParam(r *http.Request) (uint64, error) {
-	raw := r.URL.Query().Get("job")
+func jobParam(q url.Values) (uint64, error) {
+	raw := q.Get("job")
 	if raw == "" {
 		return 0, fmt.Errorf("missing job parameter")
 	}
@@ -319,37 +352,74 @@ func jobParam(r *http.Request) (uint64, error) {
 	return id, nil
 }
 
+// queryScratch is one GET /query call's working storage — the parsed task
+// IDs, the verdict slab the backend appends into and the encoded body —
+// pooled so a steady-state call allocates nothing that grows with the task
+// count.
+type queryScratch struct {
+	ids []int
+	vs  []serve.TaskVerdict
+	out []byte
+}
+
+var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// maxPooledQueryTasks bounds the scratch the pool keeps (about 64 KiB of
+// body at ~110 bytes a verdict, twice that when each carries a Prediction;
+// ids and slab are smaller and grow with the same count): one huge tasks=
+// list is served and then garbage, not pinned.
+const maxPooledQueryTasks = 512
+
+// release returns sc to the pool once the response has been written.
+func (sc *queryScratch) release() {
+	if cap(sc.ids) > maxPooledQueryTasks {
+		return
+	}
+	// The slab's Prediction pointers would otherwise keep a dropped job's
+	// predictions reachable for as long as the pool keeps sc.
+	clear(sc.vs)
+	queryScratchPool.Put(sc)
+}
+
 func (f *front) query(w http.ResponseWriter, r *http.Request) {
-	id, err := jobParam(r)
+	q := r.URL.Query()
+	id, err := jobParam(q)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, IngestResult{Error: err.Error()})
 		return
 	}
-	rawTasks := r.URL.Query().Get("tasks")
+	rawTasks := q.Get("tasks")
 	if rawTasks == "" {
 		writeJSON(w, http.StatusBadRequest, IngestResult{Error: "missing tasks parameter"})
 		return
 	}
-	var ids []int
-	for _, s := range strings.Split(rawTasks, ",") {
+	sc := queryScratchPool.Get().(*queryScratch)
+	defer sc.release()
+	sc.ids = sc.ids[:0]
+	for rest, more := rawTasks, true; more; {
+		var s string
+		s, rest, more = strings.Cut(rest, ",")
 		tid, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, IngestResult{Error: fmt.Sprintf("bad task id %q", s)})
 			return
 		}
-		ids = append(ids, tid)
+		sc.ids = append(sc.ids, tid)
 	}
-	vs, err := f.sv.Query(id, ids)
-	if err != nil {
+	if sc.vs, err = f.sv.QueryAppend(sc.vs[:0], id, sc.ids); err != nil {
 		code := errCode(err, false)
 		writeErrJSON(w, code, f.retryHint(code), IngestResult{Error: errBody(code, err)})
 		return
 	}
-	writeJSON(w, http.StatusOK, vs)
+	if sc.out, err = appendVerdicts(sc.out[:0], sc.vs); err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, sc.out)
 }
 
 func (f *front) report(w http.ResponseWriter, r *http.Request) {
-	id, err := jobParam(r)
+	id, err := jobParam(r.URL.Query())
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, IngestResult{Error: err.Error()})
 		return

@@ -1,0 +1,98 @@
+package servehttp
+
+// verdictjson.go is GET /query's response encoder: the one JSON shape hot
+// enough (one verdict per running task per call, early and often) that
+// encoding/json's reflection walk was most of the handler. appendVerdicts
+// emits, byte for byte, what json.NewEncoder(w).Encode(vs) emits for a
+// []serve.TaskVerdict — TestAppendVerdictsMatchesEncodingJSON and
+// FuzzAppendVerdicts hold it to that oracle (and count the two structs'
+// fields), so a field added to serve.TaskVerdict or nurd.Prediction fails
+// there until it is added here.
+// Every other body (/report, /stats, errors) stays on encoding/json.
+
+import (
+	"fmt"
+	"math"
+	"strconv"
+
+	"repro/internal/serve"
+)
+
+// appendVerdicts appends the JSON encoding of vs and a trailing newline to
+// dst. A NaN or infinite Prediction cell has no JSON form: the error names
+// it and the returned slice is dst with a partial encoding the caller must
+// not send.
+func appendVerdicts(dst []byte, vs []serve.TaskVerdict) ([]byte, error) {
+	if vs == nil {
+		return append(dst, "null\n"...), nil
+	}
+	dst = append(dst, '[')
+	for i := range vs {
+		v := &vs[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"TaskID":`...)
+		dst = strconv.AppendInt(dst, int64(v.TaskID), 10)
+		dst = append(dst, `,"Known":`...)
+		dst = strconv.AppendBool(dst, v.Known)
+		dst = append(dst, `,"Finished":`...)
+		dst = strconv.AppendBool(dst, v.Finished)
+		dst = append(dst, `,"Flagged":`...)
+		dst = strconv.AppendBool(dst, v.Flagged)
+		dst = append(dst, `,"FlaggedAt":`...)
+		dst = strconv.AppendInt(dst, int64(v.FlaggedAt), 10)
+		if p := v.Prediction; p == nil {
+			dst = append(dst, `,"Prediction":null`...)
+		} else {
+			for _, c := range [...]struct {
+				key string
+				f   float64
+			}{
+				{`,"Prediction":{"Latency":`, p.Latency},
+				{`,"Propensity":`, p.Propensity},
+				{`,"Weight":`, p.Weight},
+				{`,"Adjusted":`, p.Adjusted},
+			} {
+				dst = append(dst, c.key...)
+				var err error
+				if dst, err = appendFloat(dst, c.f); err != nil {
+					return dst, fmt.Errorf("servehttp: verdict for task %d: %w", v.TaskID, err)
+				}
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, `,"Straggler":`...)
+		dst = strconv.AppendBool(dst, v.Straggler)
+		if v.Stale {
+			dst = append(dst, `,"Stale":true`...)
+		}
+		if v.AsOfCheckpoint != 0 {
+			dst = append(dst, `,"AsOfCheckpoint":`...)
+			dst = strconv.AppendInt(dst, int64(v.AsOfCheckpoint), 10)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]\n"...), nil
+}
+
+// appendFloat appends f under encoding/json's float64 rule (the ES6
+// number-to-string conversion): shortest round-trip digits, 'f' form unless
+// the magnitude is below 1e-6 or at least 1e21, then 'e' form with a
+// two-digit negative exponent's leading zero dropped (e-09 → e-9). NaN and
+// ±Inf have no JSON form and are an error there and here.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, fmt.Errorf("unsupported JSON number %v", f)
+	}
+	abs := math.Abs(f)
+	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
+		return strconv.AppendFloat(dst, f, 'f', -1, 64), nil
+	}
+	dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+	if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
