@@ -144,6 +144,15 @@ func TestLogisticErrors(t *testing.T) {
 	if _, err := FitLogisticFlat(nil, 3, nil, cfg, nil); err == nil {
 		t.Error("expected error for an empty flat training set")
 	}
+	// The loss-skipping certificate is a convexity argument; a negative ridge
+	// penalty breaks it, and a NaN one compares false with everything.
+	for _, l2 := range []float64{-1e-3, math.Inf(-1), math.NaN()} {
+		cfg := DefaultLogisticConfig()
+		cfg.L2 = l2
+		if m, err := FitLogistic([][]float64{{1}, {2}}, []float64{1, 0}, cfg); err == nil {
+			t.Errorf("L2 %v: fitted %+v, want an error", l2, m)
+		}
+	}
 }
 
 // TestFitLogisticAllocations: with caller-owned scratch a fit allocates the

@@ -6,6 +6,7 @@
 package linmodel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -25,7 +26,8 @@ type LogisticConfig struct {
 	// it is a guard, not a schedule: counted over the benchmark corpus
 	// (warm_ingest and scratch_ingest, propensity fits of ~110 rows x 15
 	// columns) it stopped none of 4 500 fits — every one ran all Iters steps,
-	// and the loss backtrack never fired.
+	// and the loss backtrack never fired, which is why FitLogisticFlat
+	// evaluates the loss only on the steps where it cannot prove that.
 	Tol float64
 	// Balanced, when true, weights each class by n/(2*n_class) so a skewed
 	// split does not dominate the intercept.
@@ -54,6 +56,14 @@ type LogisticScratch struct {
 	sw []float64 // per-row sample weight
 	e  []float64 // per-row logit, overwritten by the weighted residual
 	gw []float64 // weight gradient
+
+	wPrev []float64 // the weights one step back, the far end of the certificate's chord
+
+	// How the last fit's gradient steps settled the backtrack comparison
+	// (steps stopped by Tol settle nothing and count nowhere).
+	certified    int // the loss was not evaluated: a rise was ruled out
+	computed     int // the loss was evaluated and compared as the reference does
+	materialised int // computed steps that first had to evaluate the previous step's skipped loss
 }
 
 // grow returns buf resized to n elements, reallocating only when it is too
@@ -95,11 +105,15 @@ func FitLogistic(X [][]float64, y []float64, cfg LogisticConfig) (*Logistic, err
 //
 // Each gradient step makes three passes over the standardized matrix — the
 // logits four rows at a time (four independent accumulator chains instead of
-// one), one Exp per row feeding both the probability and the loss, then the
-// gradient four rows per sweep of gw — and every accumulator still sees the
-// same operations in the same order as a row-at-a-time loop, so the fitted
-// bits do not depend on the blocking (reference_test.go keeps that loop as
-// the oracle).
+// one), one Exp per row for the probability, then the gradient four rows per
+// sweep of gw — and every accumulator still sees the same operations in the
+// same order as a row-at-a-time loop, so the fitted bits do not depend on the
+// blocking (reference_test.go keeps that loop as the oracle).
+//
+// The loss is not part of a step. Its only use is the backtrack comparison
+// "did it rise since the previous step", and a convexity certificate settles
+// that without evaluating it on all but a handful of steps; see the comment
+// at the certificate for the inequality and the rounding bound it is held to.
 func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratch *LogisticScratch) (*Logistic, error) {
 	n := len(y)
 	if n == 0 {
@@ -110,6 +124,11 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 	}
 	if len(X) != n*d {
 		return nil, fmt.Errorf("linmodel: %d values for %d rows of %d columns", len(X), n, d)
+	}
+	// Not cfg.L2 < 0: NaN must fail too. The certificate below needs the
+	// ridge term convex.
+	if !(cfg.L2 >= 0) {
+		return nil, fmt.Errorf("linmodel: L2 penalty %v is negative or NaN", cfg.L2)
 	}
 	n1 := 0.0
 	for i, v := range y {
@@ -157,10 +176,11 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 	}
 	scratch.z, scratch.sw = grow(scratch.z, n*d), grow(scratch.sw, n)
 	scratch.e, scratch.gw = grow(scratch.e, n), grow(scratch.gw, d)
+	scratch.wPrev = grow(scratch.wPrev, d)
 	Z, sw, e := scratch.z, scratch.sw, scratch.e
 	// Re-sliced so the compiler sees len(gw) == d, as it does for w and the
 	// row slices below, and drops the inner loops' bounds checks.
-	gw := scratch.gw[:d]
+	gw, wPrev := scratch.gw[:d], scratch.wPrev[:d]
 	for i := 0; i < n; i++ {
 		row, zrow := X[i*d:i*d+d], Z[i*d:i*d+d]
 		for j := range zrow {
@@ -168,24 +188,36 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 		}
 	}
 
-	// Sample weights: 1, or the two balanced class weights.
+	// Sample weights: 1, or the two balanced class weights — positive either
+	// way, which the certificate relies on. absZ = sum_i sw[i]*sum_j |Z[i][j]|
+	// is the scale of the logits' own rounding error (see the margin).
 	w0, w1 := 1.0, 1.0
 	if n0 := nf - n1; cfg.Balanced && n0 > 0 && n1 > 0 {
 		w0, w1 = nf/(2*n0), nf/(2*n1)
 	}
-	totW := 0.0
+	totW, absZ := 0.0, 0.0
 	for i, v := range y {
 		sw[i] = w0
 		if v == 1 {
 			sw[i] = w1
 		}
 		totW += sw[i]
+		rowAbs := 0.0
+		for _, v := range Z[i*d : i*d+d] {
+			rowAbs += math.Abs(v)
+		}
+		absZ += sw[i] * rowAbs
 	}
 
 	w := make([]float64, d)
 	b := 0.0
 	lr := cfg.LR
-	prevLoss := math.Inf(1)
+	// prevLoss is the reference's variable of that name whenever prevKnown;
+	// otherwise the previous step was certified and its loss, should a later
+	// step need it, is lossAt(wPrev, bPrev). magPrev is that step's mag.
+	prevLoss, prevKnown := math.Inf(1), true
+	bPrev, magPrev := 0.0, 0.0
+	scratch.certified, scratch.computed, scratch.materialised = 0, 0, 0
 	for it := 0; it < cfg.Iters; it++ {
 		// Pass A: e[i] = z_i = (sum_j w[j]*Z[i][j], j ascending from 0) + b.
 		i := 0
@@ -210,31 +242,25 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 			e[i] = s + b
 		}
 
-		// Pass B: probability, loss and residual per row, one Exp for both.
-		// The branches are those of sigmoid (z >= 0) and of the stable
-		// log-sum-exp (z > 0); they differ only at z == 0, which keeps its
-		// own Exp(z).
+		// Pass B: probability and residual per row (the branches are those of
+		// sigmoid, written out because a call per row is not inlined), and
+		// mag = sum_i sw[i]*(1+2|z_i|), which bounds the sum of the
+		// magnitudes of the loss's terms at these logits.
 		gb := 0.0
-		loss := 0.0
+		mag := 0.0
 		for i, z := range e {
-			var p, lse float64
+			var p float64
 			if z >= 0 {
 				ex := math.Exp(-z)
 				p = 1 / (1 + ex)
-				if z > 0 {
-					lse = z + math.Log1p(ex)
-				} else {
-					lse = math.Log1p(math.Exp(z))
-				}
 			} else {
 				ex := math.Exp(z)
 				p = ex / (1 + ex)
-				lse = math.Log1p(ex)
 			}
 			r := (p - y[i]) * sw[i]
 			e[i] = r
 			gb += r
-			loss += sw[i] * (lse - y[i]*z)
+			mag += sw[i] * (1 + 2*math.Abs(z))
 		}
 
 		// Pass C: gw[j] = sum_i e[i]*Z[i][j], i ascending from 0, each gw[j]
@@ -263,9 +289,57 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 			}
 		}
 
+		// The certificate. The loss the backtrack tracks is
+		//
+		//	L(w,b) = sum_i sw[i]*l_i(z_i) + L2/2*|w|^2,  l_i(z) = log(1+e^z) - y[i]*z,
+		//
+		// which is not the function being descended: the step below follows
+		// grad(data)/totW + L2*w, while grad L = grad(data) + L2*w (in terms of
+		// the step direction g, totW*g - (totW-1)*L2*w) and dL/db = totW*gb.
+		// gw and gb hold grad(data) at this point, before the division. L is
+		// convex — sw >= 0 by construction above, L2 >= 0 by validation — so
+		//
+		//	L(w_prev, b_prev) - L(w, b) >= c = <grad L(w,b), (w_prev,b_prev) - (w,b)>,
+		//
+		// and once c exceeds everything rounding can have done to the two
+		// losses as the reference would compute them, and to c, "loss >
+		// prevLoss" is false without evaluating either. With u = 2^-53, the
+		// first-order bounds, each proportional to mag + magPrev where
+		//
+		//	mag = sum_i sw[i]*(1+2|z_i|) + L2/2*|w|^2 + max_j|w[j]|*absZ + |b|*totW:
+		//
+		//   - a computed loss given its computed logits, (n+d+8)u per loss:
+		//     a term sw*(lse - y*z) carries Exp and Log1p (under 1 ulp each),
+		//     the z + log1p add and the lse - y*z cancellation, at most
+		//     5u*sw*(1+2|z|) absolute whatever cancels; the n+d additions,
+		//     ridge terms included, add gamma_(n+d) times the sum of the
+		//     terms' magnitudes, itself at most the first two parts of mag;
+		//   - the computed logits against the exact <w,Z_i>+b the inequality
+		//     is about, (d+1)u: |l_i'| <= 1, so a loss moves by at most
+		//     sum_i sw[i]*gamma_(d+1)*(sum_j|w[j]*Z[i][j]| + |b|), the last
+		//     two parts of mag;
+		//   - c itself, (n+7)u for the gradient entries (the sigmoid within
+		//     4u, the residual's two roundings, gamma_n for the sum) and
+		//     3(d+5)u for the products and the sum over j, against
+		//     |w_prev - w| <= |w_prev| + |w|.
+		//
+		// (2n+5d+31)u in all; the margin takes 8(n+d+8)u, at least 1.6 times
+		// that, for the second-order terms and mag's own rounding. Anything
+		// non-finite — c, or a mag poisoned by a NaN or infinite logit or
+		// weight — fails the test and takes the computing arm.
+		c, ridge, wmax := gb*(bPrev-b), 0.0, 0.0
+		for j, wj := range w {
+			c += (gw[j] + cfg.L2*wj) * (wPrev[j] - wj)
+			ridge += wj * wj
+			if a := math.Abs(wj); a > wmax { // a NaN weight is caught by ridge and c
+				wmax = a
+			}
+		}
+		mag += 0.5*cfg.L2*ridge + wmax*absZ + math.Abs(b)*totW
+		margin := float64(n+d+8) * 0x1p-50 * (mag + magPrev)
+
 		for j := 0; j < d; j++ {
 			gw[j] = gw[j]/totW + cfg.L2*w[j]
-			loss += 0.5 * cfg.L2 * w[j] * w[j]
 		}
 		gb /= totW
 		gnorm := math.Abs(gb)
@@ -275,14 +349,28 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 		if gnorm < cfg.Tol {
 			break
 		}
-		// Crude backtracking: if loss went up, halve the step and continue.
-		if loss > prevLoss {
-			lr *= 0.5
-			if lr < 1e-6 {
-				break
+		// The first step compares with +Inf, which no loss exceeds.
+		if it == 0 || certifies(c, margin) {
+			scratch.certified++
+			prevKnown = false
+		} else {
+			if !prevKnown {
+				prevLoss = lossAt(Z, y, sw, wPrev, bPrev, cfg.L2)
+				scratch.materialised++
 			}
+			loss := lossAt(Z, y, sw, w, b, cfg.L2)
+			scratch.computed++
+			// Crude backtracking: if loss went up, halve the step and continue.
+			if loss > prevLoss {
+				lr *= 0.5
+				if lr < 1e-6 {
+					break
+				}
+			}
+			prevLoss, prevKnown = loss, true
 		}
-		prevLoss = loss
+		copy(wPrev, w)
+		bPrev, magPrev = b, mag
 		for j := 0; j < d; j++ {
 			w[j] -= lr * gw[j]
 		}
@@ -291,7 +379,57 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 	return &Logistic{W: w, B: b, Mean: mean, Std: std}, nil
 }
 
-// Prob returns P(y=1|x).
+// certifies reports whether a certificate value c, held to the rounding
+// margin, proves the loss did not rise. A NaN on either side compares false;
+// an infinite margin admits nothing; an infinite c is a sum that overflowed
+// on the way and says nothing about the real one.
+func certifies(c, margin float64) bool {
+	return c > margin && c <= math.MaxFloat64
+}
+
+// lossAt evaluates the tracked loss at (w, b) with the operations of the
+// row-at-a-time reference in its order: each logit one chain over j plus b,
+// rows ascending, the ridge terms added after the last row.
+func lossAt(Z, y, sw, w []float64, b, l2 float64) float64 {
+	d := len(w)
+	loss := 0.0
+	for i, yi := range y {
+		r := Z[i*d:][:d]
+		s := 0.0
+		for j, wj := range w {
+			s += wj * r[j]
+		}
+		z := s + b
+		// log(1+e^z), computed stably.
+		var lse float64
+		if z > 0 {
+			lse = z + math.Log1p(math.Exp(-z))
+		} else {
+			lse = math.Log1p(math.Exp(z))
+		}
+		loss += sw[i] * (lse - yi*z)
+	}
+	for _, wj := range w {
+		loss += 0.5 * l2 * wj * wj
+	}
+	return loss
+}
+
+// ErrRowWidth reports a feature row with fewer columns than the model has
+// weights. Width-checked entry points (Logistic.CheckWidth,
+// nurd.Model.Predict) return it instead of letting Prob index past the row.
+var ErrRowWidth = errors.New("linmodel: row narrower than the model's weights")
+
+// CheckWidth returns ErrRowWidth (wrapped with the widths) when rows of n
+// columns are too narrow for Prob.
+func (m *Logistic) CheckWidth(n int) error {
+	if n < len(m.W) {
+		return fmt.Errorf("%w: %d columns, need at least %d", ErrRowWidth, n, len(m.W))
+	}
+	return nil
+}
+
+// Prob returns P(y=1|x). x must have at least len(W) columns (CheckWidth).
 func (m *Logistic) Prob(x []float64) float64 {
 	z := m.B
 	for j := range m.W {

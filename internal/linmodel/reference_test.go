@@ -3,6 +3,7 @@ package linmodel
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -360,10 +361,197 @@ func TestFitLogisticMatchesReference(t *testing.T) {
 	}
 }
 
+// plateauCases is the case list of the loss-skipping certificate, apart from
+// fitCases because pin_test.go hashes that list as it stands. Tol 0 and
+// thousands of steps run each fit until the loss stops falling in floating
+// point: from there a step's gain is smaller than the rounding of the two
+// losses, the certificate cannot hold, and whether the computed loss rose is
+// decided by that rounding — which the kernel has to reproduce, not bound.
+// Row counts reach 20 000 because the bound grows with n; step counts shrink
+// as rows get dearer, and the 20 000-row fits keep only the settings that
+// reach the plateau (or the lr floor) inside them, so the family stays within
+// a few seconds.
+func plateauCases() []fitCase {
+	var cases []fitCase
+	rng := stats.NewRNG(20261003)
+	add := func(n, d int, l2, lr float64) {
+		X, y := caseData(rng, n, d, 0.5)
+		cfg := LogisticConfig{L2: l2, LR: lr, Tol: 0, Balanced: len(cases)%2 == 1}
+		// About 15 ms a case at 40+4d ns per row per step, reference and
+		// kernel together.
+		cfg.Iters = min(max(15_000_000/(n*(40+4*d)), 80), 4000)
+		cases = append(cases, fitCase{fmt.Sprintf("plateau/%dx%d/l2=%v/lr=%v", n, d, l2, lr), X, y, cfg})
+	}
+	for _, d := range []int{1, 3, 15} {
+		for _, n := range []int{5, 17, 110, 1000} {
+			for _, l2 := range []float64{0, 1e-3, 1, 10} {
+				for _, lr := range []float64{0.5, 1, 3} {
+					add(n, d, l2, lr)
+				}
+			}
+		}
+		add(20000, d, 1e-3, 0.5)
+		add(20000, d, 1, 0.8)
+		add(20000, d, 10, 0.1)
+		add(20000, d, 10, 3)
+	}
+	return cases
+}
+
+// nonFiniteCases drive NaN and infinities through the training loop: cells
+// the wire format admits, a step size that overflows the weights, a ridge
+// penalty that makes 0*Inf of the first gradient. From the first non-finite
+// step on, the certificate's test is false and every loss is evaluated.
+// (These inputs fit to NaN, at the parent as here; the point is that they do
+// so by the same route, bit for bit.)
+func nonFiniteCases() []fitCase {
+	var cases []fitCase
+	rng := stats.NewRNG(20261004)
+	def := DefaultLogisticConfig()
+	for _, cell := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, n := range []int{6, 41} {
+			X, y := caseData(rng, n, 4, 0.5)
+			X[n/2][1] = cell
+			cfg := def
+			cfg.Balanced = n > 10
+			cases = append(cases, fitCase{fmt.Sprintf("nonfinite/cell=%v/%d", cell, n), X, y, cfg})
+		}
+	}
+	for _, lr := range []float64{1e300, math.MaxFloat64, math.Inf(1)} {
+		X, y := caseData(rng, 23, 5, 0.5)
+		cfg := def
+		cfg.LR = lr
+		cases = append(cases, fitCase{fmt.Sprintf("nonfinite/lr=%v", lr), X, y, cfg})
+	}
+	X, y := caseData(rng, 12, 3, 0.5)
+	cfg := def
+	cfg.L2 = math.Inf(1)
+	cases = append(cases, fitCase{"nonfinite/l2=+Inf", X, y, cfg})
+	return cases
+}
+
+// TestFitLogisticCertificate holds the loss-skipping loop to the reference
+// where skipping is hardest — plateaus, where the comparison is decided by
+// rounding, and non-finite arithmetic, where no bound holds — and checks, from
+// the step counts the scratch reports, that both arms and the hand-over
+// between them were really taken.
+func TestFitLogisticCertificate(t *testing.T) {
+	var scratch LogisticScratch
+	// run fits c both ways, compares the bits, and reports the reference's
+	// trace and whether its fit is finite.
+	run := func(c fitCase) (refTrace, bool) {
+		t.Helper()
+		want, tr, err := refFitLogistic(c.X, c.y, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		got, err := FitLogisticFlat(flatten(c.X), len(c.X[0]), c.y, c.cfg, &scratch)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !sameBits(got.W, want.W) || math.Float64bits(got.B) != math.Float64bits(want.B) ||
+			!sameBits(got.Mean, want.Mean) || !sameBits(got.Std, want.Std) {
+			t.Errorf("%s: fit differs from the reference\n got W=%v B=%v\nwant W=%v B=%v", c.name, got.W, got.B, want.W, want.B)
+		}
+		// A backtrack is a decision only an evaluated loss can take.
+		if scratch.computed < tr.backtracks {
+			t.Errorf("%s: %d losses evaluated, the reference backtracked %d times", c.name, scratch.computed, tr.backtracks)
+		}
+		if scratch.materialised > scratch.computed {
+			t.Errorf("%s: %d previous losses materialised on %d computing steps", c.name, scratch.materialised, scratch.computed)
+		}
+		finite := !math.IsNaN(want.B) && !math.IsInf(want.B, 0)
+		for _, v := range want.W {
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		return tr, finite
+	}
+
+	var backtracks, lrBreaks, noRise, materialised, certified, computed int
+	for _, c := range plateauCases() {
+		tr, finite := run(c)
+		if !finite {
+			t.Errorf("%s: reference fit is not finite", c.name)
+		}
+		backtracks += tr.backtracks
+		if tr.lrBreak {
+			lrBreaks++
+		}
+		noRise += scratch.computed - tr.backtracks
+		materialised += scratch.materialised
+		certified += scratch.certified
+		computed += scratch.computed
+	}
+	t.Logf("plateau: %d reference backtracks (%d fits ended at the lr floor), %d certified steps, %d computing steps of which %d saw no rise and %d materialised the previous loss",
+		backtracks, lrBreaks, certified, computed, noRise, materialised)
+	if backtracks < 1000 {
+		t.Errorf("%d reference backtracks over the plateau family, want at least 1000", backtracks)
+	}
+	if noRise < 1 {
+		t.Errorf("no step on which the certificate failed and the loss did not rise")
+	}
+	if materialised < 1 {
+		t.Errorf("no step that had to materialise a skipped previous loss")
+	}
+	if certified < 1000 {
+		t.Errorf("%d certified steps over the plateau family, want at least 1000", certified)
+	}
+
+	for _, c := range nonFiniteCases() {
+		if _, finite := run(c); finite {
+			t.Errorf("%s: reference fit is finite", c.name)
+		}
+		// Each of these leaves the reals on its second step at the latest,
+		// and nothing certifies a step after that.
+		if scratch.certified != 1 || scratch.computed != c.cfg.Iters-1 {
+			t.Errorf("%s: %d steps certified and %d computed, want 1 and %d", c.name, scratch.certified, scratch.computed, c.cfg.Iters-1)
+		}
+	}
+
+	// What the certificate is for: on the propensity fit's own shapes it
+	// settles all but a handful of steps.
+	shapes := 0
+	for _, c := range fitCases() {
+		if !strings.Contains(c.name, "/propensity/") {
+			continue
+		}
+		shapes++
+		run(c)
+		if steps := scratch.certified + scratch.computed; scratch.certified*100 < steps*99 {
+			t.Errorf("%s: %d of %d steps certified, want at least 99%%", c.name, scratch.certified, steps)
+		}
+	}
+	if shapes != 3 {
+		t.Errorf("%d propensity shapes in fitCases, want 3", shapes)
+	}
+}
+
+// TestCertifiesOnlyFiniteNumbers: the margin's magnitude dominates every term
+// of c (|c| <= 3*(mag+magPrev)), so no training input reaches an infinite c
+// beside a finite margin short of the last binade; the rule is pinned here.
+func TestCertifiesOnlyFiniteNumbers(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		c, margin float64
+		want      bool
+	}{
+		{2, 1, true}, {math.MaxFloat64, 1, true},
+		{1, 1, false}, {0, 0, false}, {-1, 0, false}, {-inf, 0, false},
+		{inf, 1, false}, {inf, inf, false}, {nan, 0, false},
+		{1, nan, false}, {1, inf, false}, {inf, nan, false},
+	} {
+		if got := certifies(c.c, c.margin); got != c.want {
+			t.Errorf("certifies(%v, %v) = %v, want %v", c.c, c.margin, got, c.want)
+		}
+	}
+}
+
 // BenchmarkFitLogistic times one propensity-shaped fit (balanced, default
 // config: all 200 steps run) and reports the cost per row per gradient step,
-// the unit of README "Performance"'s budget table. The reference/ cases run
-// the replaced loop on the same data, so kernel and parent read side by side:
+// the unit of README "Performance"'s budget table, beside how many times the
+// fit evaluated the loss (the reference does on every step). The reference/
+// cases run the replaced loop on the same data, so kernel and parent read
+// side by side:
 //
 //	go test ./internal/linmodel -run '^$' -bench FitLogistic
 func BenchmarkFitLogistic(b *testing.B) {
@@ -383,6 +571,7 @@ func BenchmarkFitLogistic(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowIters, "ns/row-iter")
+			b.ReportMetric(float64(scratch.computed+scratch.materialised), "loss-evals/fit")
 		})
 		b.Run(fmt.Sprintf("reference/%dx%d", n, d), func(b *testing.B) {
 			b.ReportAllocs()

@@ -86,8 +86,8 @@ func DefaultConfig() Config {
 // is half of h_t's cost, not a third of the refit's: on the benchmark's mean
 // view (109 rows x 15 columns, bench --trace 1) a 16-tree extension is 0.52 ms
 // against 1.09 ms for the 50-tree scratch fit, and the propensity fit both
-// modes share is about 1 ms on top of either, so a warm refit costs roughly
-// 0.7 of a scratch one (0.71 at 300 tasks, BENCH_serve_refit.json).
+// modes share is about 0.5 ms on top of either, so a warm refit costs roughly
+// two thirds of a scratch one (0.64 at 300 tasks, BENCH_serve_refit.json).
 const DefaultWarmRounds = 16
 
 // DefaultWarmConfig returns DefaultConfig with warm-started refits enabled
@@ -274,8 +274,9 @@ func (m *Model) checkTrain(finX [][]float64, finY []float64) error {
 
 // fitPropensity refits g_t on the finished-vs-running split; both refit
 // strategies share it, and it is no small part of either: on the benchmark's
-// mean view its 200 gradient steps take about 1 ms, two thirds of a warm
-// refit and half of a scratch one (h_t: 0.52 ms to extend, 1.09 ms to fit).
+// mean view its 200 gradient steps take about 0.5 ms (23 ns per row per
+// step), half of a warm refit and a third of a scratch one (h_t: 0.52 ms to
+// extend, 1.09 ms to fit).
 // The log-feature matrix, its labels and the fit's working memory live in
 // m.prop and are reused, so from the second refit on only the fitted model is
 // allocated.
@@ -333,20 +334,38 @@ type Prediction struct {
 }
 
 // Predict evaluates one running task (Algorithm 1 lines 13-16) through the
-// compiled flat engine. Rows narrower than the ensemble's max split feature
-// return a typed error (errors.Is gbt.ErrRowWidth) instead of panicking.
+// compiled flat engine. A row too narrow for either model returns a typed
+// error before any model is evaluated instead of panicking inside one:
+// errors.Is gbt.ErrRowWidth below the ensemble's max split feature,
+// linmodel.ErrRowWidth below g_t's width.
 func (m *Model) Predict(x []float64) (Prediction, error) {
 	if m.h == nil {
 		return Prediction{}, fmt.Errorf("nurd: Predict called before Update")
 	}
-	if err := m.hc.CheckWidth(len(x)); err != nil {
+	if err := m.checkWidth(len(x)); err != nil {
 		return Prediction{}, fmt.Errorf("nurd: %w", err)
 	}
 	p := Prediction{Latency: m.hc.Predict(x), Propensity: 1}
 	if m.g != nil {
-		p.Propensity = m.g.Prob(logFeatures(x))
+		// The trace schemas are at most 15 columns wide, so the log-feature
+		// row of a verdict lives on the stack; wider rows fall back to make.
+		var buf [16]float64
+		p.Propensity = m.g.Prob(logFeaturesInto(x, buf[:0]))
 	}
 	return m.finishPrediction(p), nil
+}
+
+// checkWidth rejects rows of n columns that h_t's trees or g_t's weights
+// would index past. The trees may split on few columns, so a row they accept
+// can still be too narrow for g_t, which reads every column it was fitted on.
+func (m *Model) checkWidth(n int) error {
+	if err := m.hc.CheckWidth(n); err != nil {
+		return err
+	}
+	if m.g != nil {
+		return m.g.CheckWidth(n)
+	}
+	return nil
 }
 
 // finishPrediction applies the shared calibration/clipping tail of
@@ -386,7 +405,7 @@ func (m *Model) PredictBatch(X [][]float64, scratch *PredictScratch) ([]Predicti
 		return nil, fmt.Errorf("nurd: Predict called before Update")
 	}
 	for i, x := range X {
-		if err := m.hc.CheckWidth(len(x)); err != nil {
+		if err := m.checkWidth(len(x)); err != nil {
 			return nil, fmt.Errorf("nurd: row %d: %w", i, err)
 		}
 	}
@@ -409,18 +428,13 @@ func (m *Model) PredictBatch(X [][]float64, scratch *PredictScratch) ([]Predicti
 	return out, nil
 }
 
-// logFeatures maps each non-negative monitored feature through log1p so
+// logFeaturesInto maps each non-negative monitored feature through log1p so
 // the logistic propensity model sees heavy-tailed usage metrics (IO time,
 // CPI, disk) on a scale where its linear boundary can separate the bulk
 // from shifted tasks. Tree models are invariant to monotone transforms, so
 // only g_t uses it. Negative values (none in the trace schemas) pass
-// through untouched.
-func logFeatures(x []float64) []float64 {
-	return logFeaturesInto(x, nil)
-}
-
-// logFeaturesInto is logFeatures with a reusable output buffer (grown when
-// too small), for allocation-free batched prediction.
+// through untouched. out is a reusable output buffer, grown when too small,
+// so fitting and prediction allocate no row per task.
 func logFeaturesInto(x, out []float64) []float64 {
 	if cap(out) < len(x) {
 		out = make([]float64, len(x))

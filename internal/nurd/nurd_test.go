@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/gbt"
+	"repro/internal/linmodel"
 	"repro/internal/stats"
 )
 
@@ -218,8 +219,8 @@ func TestLogFeaturesMonotoneProperty(t *testing.T) {
 			return true
 		}
 		a, b = math.Abs(a), math.Abs(b)
-		la := logFeatures([]float64{a})[0]
-		lb := logFeatures([]float64{b})[0]
+		la := logFeaturesInto([]float64{a}, nil)[0]
+		lb := logFeaturesInto([]float64{b}, nil)[0]
 		if a < b {
 			return la <= lb
 		}
@@ -486,6 +487,85 @@ func TestRefitRejectsRaggedRunningRows(t *testing.T) {
 		ragged := append(append([][]float64{}, run[:7]...), bad)
 		if err := m.Refit(fin, finY, ragged); err == nil {
 			t.Errorf("running row of width %d among rows of 4: no error", len(bad))
+		}
+	}
+}
+
+// A row wide enough for h_t's trees but narrower than g_t used to index out
+// of range inside linmodel.Logistic.Prob (the width check looked at the
+// ensemble's largest split feature only); both entry points return a typed
+// error now, before either model is evaluated.
+func TestPredictRejectsRowsNarrowerThanPropensity(t *testing.T) {
+	// Finished rows vary in column 0 only, so that is all the trees can split
+	// on; g_t is fitted on all four columns.
+	fin, run, finY := split(80, 30, 4, 1, 29)
+	for i, row := range fin {
+		row[1], row[2], row[3] = 1, 1, 1
+		finY[i] = 10 * row[0]
+	}
+	m := New(DefaultConfig())
+	if err := m.Init(fin, run); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update(fin, finY, run); err != nil {
+		t.Fatal(err)
+	}
+	if mf := m.Compiled().MaxFeature(); mf != 0 {
+		t.Fatalf("ensemble splits up to column %d, want column 0 only", mf)
+	}
+	if _, err := m.Predict(run[0]); err != nil {
+		t.Fatalf("full-width row: %v", err)
+	}
+	for _, narrow := range [][]float64{{1, 2}, {1, 2, 3}} {
+		if _, err := m.Predict(narrow); !errors.Is(err, linmodel.ErrRowWidth) {
+			t.Errorf("Predict on a %d-column row: err = %v, want linmodel.ErrRowWidth", len(narrow), err)
+		}
+		if _, err := m.PredictBatch([][]float64{run[0], narrow}, nil); !errors.Is(err, linmodel.ErrRowWidth) {
+			t.Errorf("PredictBatch with a %d-column row: err = %v, want linmodel.ErrRowWidth", len(narrow), err)
+		}
+		if _, err := m.IsStraggler(narrow, 1); err == nil {
+			t.Errorf("IsStraggler on a %d-column row: no error", len(narrow))
+		}
+	}
+	// Below the trees' own width the ensemble's error still comes first.
+	if _, err := m.Predict(nil); !errors.Is(err, gbt.ErrRowWidth) {
+		t.Errorf("Predict on an empty row: err = %v, want gbt.ErrRowWidth", err)
+	}
+}
+
+// TestPredictDoesNotAllocate: a verdict's log-feature row lives on Predict's
+// stack at the trace schemas' widths, and rows too wide for it still predict
+// the same as the batch path, which never used it.
+func TestPredictDoesNotAllocate(t *testing.T) {
+	for _, d := range []int{15, 16, 17} {
+		fin, run, finY := split(60, 20, d, 1, 31)
+		m := New(DefaultConfig())
+		if err := m.Init(fin, run); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Update(fin, finY, run); err != nil {
+			t.Fatal(err)
+		}
+		batch, err := m.PredictBatch(run, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range run {
+			if p, err := m.Predict(x); err != nil || p != batch[i] {
+				t.Fatalf("%d columns, row %d: Predict = %+v, %v; batch %+v", d, i, p, err, batch[i])
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := m.Predict(run[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := 0.0
+		if d > 16 {
+			want = 1
+		}
+		if allocs != want {
+			t.Errorf("%d columns: %v allocations per Predict, want %v", d, allocs, want)
 		}
 	}
 }
