@@ -279,12 +279,36 @@ func RecycleAfterIngest(ev *wire.Event, err error) {
 	ev.Pooled = false
 }
 
-// snapshot materializes the current checkpoint view of the job, shaped
-// exactly like simulator.At: tasks in ID order, finished iff completion is
-// at or before the horizon, terminated tasks excluded, and per-task features
-// as most recently observed. Tasks that have started but never heartbeat
-// are invisible — monitoring has not observed them yet.
-func (j *jobState) snapshot(k int) *simulator.Checkpoint {
+// inView reports whether task ts has a row in the checkpoint view at horizon
+// tau, and on which side, exactly as simulator.At decides it: finished iff
+// completion is at or before the horizon, terminated tasks excluded, and
+// tasks that have started but never heartbeat invisible — monitoring has not
+// observed them yet.
+func (ts *taskState) inView(tau float64) (in, finished bool) {
+	if !ts.started || ts.terminated || ts.start > tau || ts.features == nil {
+		return false, false
+	}
+	return true, ts.finished && ts.start+ts.latency <= tau
+}
+
+// viewCounts sizes checkpoint k's view without building it: the warm gate
+// needs only the two counts, and snapshot allocates from them.
+func (j *jobState) viewCounts(k int) (finished, running int) {
+	tau := j.spec.TauRun(k)
+	for id := range j.tasks {
+		if in, fin := j.tasks[id].inView(tau); fin {
+			finished++
+		} else if in {
+			running++
+		}
+	}
+	return finished, running
+}
+
+// snapshot materializes checkpoint k's view of the job — tasks in ID order,
+// per-task features as most recently observed — into slices sized by
+// viewCounts' result for the same k.
+func (j *jobState) snapshot(k, finished, running int) *simulator.Checkpoint {
 	tau := j.spec.TauRun(k)
 	cp := &simulator.Checkpoint{
 		Index:             k,
@@ -292,17 +316,28 @@ func (j *jobState) snapshot(k int) *simulator.Checkpoint {
 		TauRun:            tau,
 		TauStra:           j.spec.TauStra,
 		StragglerQuantile: j.spec.StragglerQuantile,
+		RunningIDs:        make([]int, 0, running),
+		RunningX:          make([][]float64, 0, running),
+		RunningElapsed:    make([]float64, 0, running),
+	}
+	if finished > 0 {
+		// A negative WarmFrac opens the gate with nothing finished; that side
+		// then stays nil, which is what a restored view decodes to.
+		cp.FinishedIDs = make([]int, 0, finished)
+		cp.FinishedX = make([][]float64, 0, finished)
+		cp.FinishedY = make([]float64, 0, finished)
 	}
 	for id := range j.tasks {
 		ts := &j.tasks[id]
-		if !ts.started || ts.terminated || ts.start > tau || ts.features == nil {
+		in, fin := ts.inView(tau)
+		if !in {
 			continue
 		}
 		// Either branch aliases ts.features into the view, which outlives
 		// the observation (history retains views for replay): the slice is
 		// now permanently ineligible for pool recycling.
 		ts.captured = true
-		if ts.finished && ts.start+ts.latency <= tau {
+		if fin {
 			cp.FinishedIDs = append(cp.FinishedIDs, id)
 			cp.FinishedX = append(cp.FinishedX, ts.features)
 			cp.FinishedY = append(cp.FinishedY, ts.latency)
@@ -335,10 +370,13 @@ func (j *jobState) fireCheckpoint() {
 	k := j.nextCP
 	j.nextCP++
 	j.checkpoint = k
-	cp := j.snapshot(k)
-	if len(cp.FinishedIDs) < j.warm || len(cp.RunningIDs) == 0 {
+	// The warm gate reads the counts alone: a boundary it turns away builds
+	// no view and marks no observation captured, so those stay recyclable.
+	finished, running := j.viewCounts(k)
+	if finished < j.warm || running == 0 {
 		return
 	}
+	cp := j.snapshot(k, finished, running)
 	j.history = append(j.history, cp)
 	j.startRefit(cp, k)
 }

@@ -570,3 +570,74 @@ func TestConcurrentManyJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestUngatedBoundaryCapturesNothing: a boundary the warm gate turns away
+// hands the predictor nothing, so it must also keep nothing — no view in
+// history, no observation marked captured — and the pooled slice a task held
+// across it goes back to the pool when the next heartbeat replaces it. A
+// gated boundary still captures what it shows the predictor.
+func TestUngatedBoundaryCapturesNothing(t *testing.T) {
+	spec := wire.JobSpec{JobID: 1, Schema: []string{"a", "b"}, NumTasks: 4, TauStra: 50,
+		StragglerQuantile: 0.9, Horizon: 100, Checkpoints: 10, WarmFrac: 0.25, Seed: 1}
+	// sync.Pool drops a quarter of its Puts under the race detector, so the
+	// recycle is looked for over a few fresh jobs; without the detector the
+	// first finds it.
+	for attempt := 1; ; attempt++ {
+		rec := &recorder{}
+		j := newJobState(spec, rec)
+		feed := func(e wire.Event) {
+			t.Helper()
+			e.JobID = spec.JobID
+			if err := j.handle(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := []float64{1, 2} // as the pooled decode path would have drawn it
+		for id := 0; id < 3; id++ {
+			feed(wire.Event{Kind: wire.EventTaskStart, TaskID: id, Time: 0})
+		}
+		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 0, Time: 5, Tick: 1, Features: held, Pooled: true})
+		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 1, Time: 6, Tick: 1, Features: []float64{0, 0}, Pooled: true})
+
+		// Time 15 crosses boundary 1 (tau 10) with two running rows and
+		// nothing finished: below the warm count of 2. The same heartbeat
+		// then replaces task 0's observation.
+		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 0, Time: 15, Tick: 2, Features: []float64{3, 4}, Pooled: true})
+		if j.checkpoint != 1 || len(rec.cps) != 0 || len(j.history) != 0 {
+			t.Fatalf("boundary 1: checkpoint %d, %d views shown, %d kept; want 1, 0, 0", j.checkpoint, len(rec.cps), len(j.history))
+		}
+		for id := range j.tasks {
+			if j.tasks[id].captured {
+				t.Fatalf("task %d captured by a boundary that built no view", id)
+			}
+		}
+		recycled := wire.GetObservation(2)
+		if &recycled[0] != &held[0] {
+			if attempt < 20 {
+				continue
+			}
+			t.Fatal("the observation replaced after an ungated boundary never came back from the pool")
+		}
+
+		// Boundary 2 (tau 20) sees two finished rows and one running: gated.
+		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 1, Time: 16, Tick: 2, Features: []float64{5, 6}, Pooled: true})
+		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 2, Time: 16, Tick: 2, Features: []float64{7, 8}, Pooled: true})
+		feed(wire.Event{Kind: wire.EventTaskFinish, TaskID: 1, Time: 17, Latency: 17})
+		feed(wire.Event{Kind: wire.EventTaskFinish, TaskID: 2, Time: 18, Latency: 18})
+		feed(wire.Event{Kind: wire.EventTaskStart, TaskID: 3, Time: 25})
+		if len(rec.cps) != 1 || len(j.history) != 1 {
+			t.Fatalf("boundary 2: %d views shown, %d kept; want 1, 1", len(rec.cps), len(j.history))
+		}
+		cp := rec.cps[0]
+		if len(cp.FinishedIDs) != 2 || cap(cp.FinishedX) != 2 || len(cp.RunningIDs) != 1 || cap(cp.RunningElapsed) != 1 {
+			t.Errorf("boundary 2 view: %d finished (cap %d), %d running (cap %d); want each slice sized exactly",
+				len(cp.FinishedIDs), cap(cp.FinishedX), len(cp.RunningIDs), cap(cp.RunningElapsed))
+		}
+		for id := 0; id < 3; id++ {
+			if !j.tasks[id].captured {
+				t.Errorf("task %d is in a kept view but not marked captured", id)
+			}
+		}
+		return
+	}
+}

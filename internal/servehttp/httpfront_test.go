@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -493,5 +494,106 @@ func TestHTTP429RetryAfter(t *testing.T) {
 	}
 	if got := resp2.Header.Get("Retry-After"); got != "" {
 		t.Errorf("200 response carries Retry-After %q", got)
+	}
+}
+
+// TestIngestHandlerAllocs: a 256-frame heartbeat body through the handler
+// into a WAL-backed server costs one allocation per event — the observation
+// the server keeps (or, when a replaced one is recycled, the pool's box for
+// it) — plus a per-body constant: the reader and its buffer, the body limit,
+// the JSON answer, the commit's write. Frame reads, event decode, apply and
+// WAL staging put nothing on the heap.
+//
+// Measured: 1.04 per event (266 a body). The parent paid 3.05: the frame
+// reader's escaping header array and the WAL's escaping encoder state on
+// every event on top.
+func TestIngestHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{FS: waltest.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	const tasks, frames = 16, 256
+	spec := wire.JobSpec{JobID: 7, Schema: make([]string, 15), NumTasks: tasks, TauStra: 10,
+		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 7}
+	for i := range spec.Schema {
+		spec.Schema[i] = "c" + strconv.Itoa(i)
+	}
+	if err := sv.StartJob(spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	body := wire.AppendHeader(nil)
+	for id := 0; id < tasks; id++ {
+		if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: 7, TaskID: id, Time: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < frames; i++ {
+		hb := wire.Event{Kind: wire.EventHeartbeat, JobID: 7, TaskID: i % tasks, Time: 2, Tick: 1, Features: make([]float64, 15)}
+		if body, err = wire.EncodeEvent(body, hb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := NewHandler(sv)
+	var rd bytes.Reader
+	w := &memWriter{hdr: http.Header{}}
+	post := func() {
+		rd.Reset(body)
+		w.reset()
+		h.ServeHTTP(w, &http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/ingest"},
+			Body: io.NopCloser(&rd), ContentLength: int64(len(body))})
+	}
+	post()
+	if want := fmt.Sprintf(`{"specs":0,"events":%d}`, frames); w.code != http.StatusOK || strings.TrimSpace(w.buf.String()) != want {
+		t.Fatalf("ingest answered %d %s, want 200 %s", w.code, w.buf.String(), want)
+	}
+	perEvent := testing.AllocsPerRun(50, post) / frames
+	if perEvent > 1.25 {
+		t.Errorf("%.2f allocations per ingested event, want <= 1.25", perEvent)
+	}
+	t.Logf("%.2f allocations per ingested event", perEvent)
+}
+
+// TestIngestBodyLimitIs413: the body limit's own error travels through the
+// frame reader unchanged — whether it strikes inside a frame or arrives with
+// the last bytes of one — so errCode still answers 413, not the 400 a
+// truncated stream gets.
+func TestIngestBodyLimitIs413(t *testing.T) {
+	var events []wire.Event
+	for i := 0; i < 8; i++ {
+		events = append(events, wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: i, Features: []float64{1, 2}})
+	}
+	var buf bytes.Buffer
+	if err := wire.WriteDump(&buf, nil, events); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	frame := (len(body) - wire.HeaderLen) / len(events)
+	for _, tc := range []struct {
+		name       string
+		limit      int
+		wantFrames int
+	}{
+		{"inside the header", wire.HeaderLen - 2, 0},
+		{"inside a frame", wire.HeaderLen + 3*frame + 7, 3},
+		{"on a frame boundary", wire.HeaderLen + 5*frame, 5},
+	} {
+		wr := wire.NewReader(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), int64(tc.limit)))
+		var ev wire.Event
+		n := 0
+		var err error
+		for ; err == nil; n++ {
+			_, err = wr.NextInto(&ev)
+			serve.RecycleAfterIngest(&ev, serve.ErrShed)
+		}
+		if n--; n != tc.wantFrames {
+			t.Errorf("limit %s: %d frames before the error, want %d", tc.name, n, tc.wantFrames)
+		}
+		if code := errCode(err, true); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("limit %s: %v answers %d, want 413", tc.name, err, code)
+		}
 	}
 }

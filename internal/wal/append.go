@@ -75,12 +75,14 @@ func (w *WAL) WaitDurable(lsn uint64) error {
 // the front of the payload scratch so the inner payload encodes in place.
 var recordPad [9]byte
 
-// stage frames payload as a kind record of jobID's stream, appends the
-// frame to the stream's staged bytes, and returns the record's global LSN.
-// Nothing is acknowledgeable until Commit(lsn) returns. An encode error
-// aborts before an LSN is consumed: a record that cannot round-trip must
-// never reach the log, where it would poison every future recovery.
-func (w *WAL) stage(jobID uint64, kind wire.FrameKind, encode func(*wire.Enc) error) (uint64, error) {
+// stage encodes one record of jobID's stream — kind says which: a
+// FrameSpec from sp, a FrameEvent or FrameFinish from ev, a FrameDrop from
+// jobID alone — appends its frame to the stream's staged bytes, and returns
+// the record's global LSN. Nothing is acknowledgeable until Commit(lsn)
+// returns. An encode error aborts before an LSN is consumed: a record that
+// cannot round-trip must never reach the log, where it would poison every
+// future recovery.
+func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wire.Event) (uint64, error) {
 	s := w.streamFor(jobID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -90,8 +92,23 @@ func (w *WAL) stage(jobID uint64, kind wire.FrameKind, encode func(*wire.Enc) er
 	if err := w.Err(); err != nil {
 		return 0, err
 	}
+	// e stays on the stack: every encoder it is handed to is a plain call.
 	e := wire.Enc{B: append(s.buf[:0], recordPad[:]...)}
-	err := encode(&e)
+	var err error
+	switch kind {
+	case wire.FrameSpec:
+		err = wire.AppendSpecPayload(&e, sp)
+	case wire.FrameEvent:
+		if len(ev.Features) > wire.MaxWireFeatures {
+			err = fmt.Errorf("serve/wal: %d features exceed %d", len(ev.Features), wire.MaxWireFeatures)
+		} else {
+			wire.AppendEventPayload(&e, ev)
+		}
+	case wire.FrameFinish:
+		wire.AppendFinishPayload(&e, jobID, ev.Time)
+	case wire.FrameDrop:
+		wire.AppendDropPayload(&e, jobID)
+	}
 	s.buf = e.B[:0] // retain the (possibly grown) payload scratch
 	if err != nil {
 		return 0, err
@@ -238,33 +255,22 @@ func (w *WAL) committed(lsn uint64, err error) (uint64, error) {
 
 // StageSpec stages an accepted StartJob (the defaulted, validated spec).
 func (w *WAL) StageSpec(sp *wire.JobSpec) (uint64, error) {
-	return w.stage(sp.JobID, wire.FrameSpec, func(e *wire.Enc) error { return wire.AppendSpecPayload(e, sp) })
+	return w.stage(sp.JobID, wire.FrameSpec, sp, nil)
 }
 
 // StageEvent stages an accepted Ingest. Job-finish events compact to a
 // wire.FrameFinish record; everything else is a full event frame.
 func (w *WAL) StageEvent(ev *wire.Event) (uint64, error) {
+	kind := wire.FrameEvent
 	if ev.Kind == wire.EventJobFinish {
-		return w.stage(ev.JobID, wire.FrameFinish, func(e *wire.Enc) error {
-			wire.AppendFinishPayload(e, ev.JobID, ev.Time)
-			return nil
-		})
+		kind = wire.FrameFinish
 	}
-	return w.stage(ev.JobID, wire.FrameEvent, func(e *wire.Enc) error {
-		if len(ev.Features) > wire.MaxWireFeatures {
-			return fmt.Errorf("serve/wal: %d features exceed %d", len(ev.Features), wire.MaxWireFeatures)
-		}
-		wire.AppendEventPayload(e, ev)
-		return nil
-	})
+	return w.stage(ev.JobID, kind, nil, ev)
 }
 
 // StageDrop stages an accepted DropJob.
 func (w *WAL) StageDrop(jobID uint64) (uint64, error) {
-	return w.stage(jobID, wire.FrameDrop, func(e *wire.Enc) error {
-		wire.AppendDropPayload(e, jobID)
-		return nil
-	})
+	return w.stage(jobID, wire.FrameDrop, nil, nil)
 }
 
 // AppendSpec logs an accepted StartJob: StageSpec, then Commit.

@@ -677,3 +677,40 @@ func TestStageCommitConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestStageEventDoesNotAllocate: in steady state — the stream's segment
+// open, its payload scratch and staged buffer grown — staging a record puts
+// nothing on the heap: the encoder state stays on stage's stack and the
+// event is read through the caller's pointer. (At the parent each record
+// cost the escaping encoder the closure-taking stage handed its callback.)
+func TestStageEventDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, log, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{Streams: 1, SyncEvery: time.Hour, FS: waltest.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	hb := wire.Event{Kind: wire.EventHeartbeat, JobID: 9, TaskID: 3, Time: 12, Tick: 1, Features: make([]float64, 15)}
+	fin := wire.Event{Kind: wire.EventJobFinish, JobID: 9, Time: 99}
+	const runs = 300 // 300 heartbeat records stay below the early-write limit
+	for i := 0; i < runs+1; i++ {
+		if _, err := log.StageEvent(&hb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range []*wire.Event{&hb, &fin} {
+		if err := log.CommitAll(); err != nil { // empties the staged buffer, keeps its capacity
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := log.StageEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("staging a %s record: %.0f allocations, want 0", ev.Kind, allocs)
+		}
+	}
+}

@@ -21,12 +21,13 @@ package wire
 // harness checks.
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the current wire-format version. Readers reject streams
@@ -293,15 +294,31 @@ func (d *Dec) Finish() error {
 
 // --- payload encodings ---
 
-func AppendEventPayload(e *Enc, ev *Event) {
-	e.U8(uint8(ev.Kind))
-	e.U64(ev.JobID)
-	e.I64(int64(ev.TaskID))
-	e.F64(ev.Time)
-	e.I64(int64(ev.Tick))
-	e.F64(ev.Latency)
-	e.Floats(ev.Features)
+// eventHeadLen is the fixed prefix of an event payload: kind u8, then JobID,
+// TaskID, Time, Tick and Latency at 8 bytes each, then the u32 feature count.
+// The payload's remainder is exactly 8 bytes per feature.
+const eventHeadLen = 1 + 5*8 + 4
+
+// appendEventPayload appends ev's payload to dst, growing it once.
+func appendEventPayload(dst []byte, ev *Event) []byte {
+	at, n := len(dst), eventHeadLen+8*len(ev.Features)
+	dst = slices.Grow(dst, n)[:at+n]
+	b := dst[at:]
+	b[0] = uint8(ev.Kind)
+	binary.LittleEndian.PutUint64(b[1:], ev.JobID)
+	binary.LittleEndian.PutUint64(b[9:], uint64(ev.TaskID))
+	binary.LittleEndian.PutUint64(b[17:], math.Float64bits(ev.Time))
+	binary.LittleEndian.PutUint64(b[25:], uint64(ev.Tick))
+	binary.LittleEndian.PutUint64(b[33:], math.Float64bits(ev.Latency))
+	binary.LittleEndian.PutUint32(b[41:], uint32(len(ev.Features)))
+	b = b[eventHeadLen:]
+	for i, f := range ev.Features {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
+	}
+	return dst
 }
+
+func AppendEventPayload(e *Enc, ev *Event) { e.B = appendEventPayload(e.B, ev) }
 
 func DecodeEventPayload(p []byte) (Event, error) {
 	var ev Event
@@ -312,31 +329,53 @@ func DecodeEventPayload(p []byte) (Event, error) {
 // DecodeEventInto decodes an event payload into *ev. With pooled set the
 // feature slice is drawn from the ingest observation pool and the event is
 // tagged for recycling (see pool.go); otherwise it is allocated fresh.
+// Every check runs before the slice is drawn, so a failed decode leaves *ev
+// zero and holds nothing from the pool.
+//
+// The payload is fixed-layout, so it decodes with two length checks and
+// straight-line loads instead of a Dec walk; the error classes and their
+// precedence are the walk's (the test file keeps it as the oracle): an empty
+// payload is truncated, an unknown kind is corrupt whatever follows it, a
+// short head is truncated, an oversized count is corrupt before a short body
+// is truncated, and bytes past the last feature are corrupt.
 func DecodeEventInto(p []byte, ev *Event, pooled bool) error {
-	d := Dec{B: p}
 	*ev = Event{}
-	k := d.U8()
-	if d.err == nil && k > uint8(EventJobFinish) {
-		return fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, k)
+	if len(p) > 0 && p[0] > uint8(EventJobFinish) {
+		return fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, p[0])
 	}
-	ev.Kind = EventKind(k)
-	ev.JobID = d.U64()
-	ev.TaskID = int(d.I64())
-	ev.Time = d.F64()
-	ev.Tick = int(d.I64())
-	ev.Latency = d.F64()
-	if n := d.Count(MaxWireFeatures, "features"); n > 0 && d.Need(8*n) {
-		if pooled {
-			ev.Features = GetObservation(n)
-			ev.Pooled = true
-		} else {
-			ev.Features = make([]float64, n)
-		}
-		for i := range ev.Features {
-			ev.Features[i] = d.F64()
-		}
+	if len(p) < eventHeadLen {
+		return fmt.Errorf("%w: %d payload bytes for a %d-byte event head", ErrTruncated, len(p), eventHeadLen)
 	}
-	return d.Finish()
+	n := int(binary.LittleEndian.Uint32(p[41:]))
+	if n > MaxWireFeatures {
+		return fmt.Errorf("%w: features count %d exceeds %d", ErrCorrupt, n, MaxWireFeatures)
+	}
+	body := p[eventHeadLen:]
+	if len(body) < 8*n {
+		return fmt.Errorf("%w: need %d payload bytes, have %d", ErrTruncated, 8*n, len(body))
+	}
+	if len(body) > 8*n {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(body)-8*n)
+	}
+	ev.Kind = EventKind(p[0])
+	ev.JobID = binary.LittleEndian.Uint64(p[1:])
+	ev.TaskID = int(int64(binary.LittleEndian.Uint64(p[9:])))
+	ev.Time = math.Float64frombits(binary.LittleEndian.Uint64(p[17:]))
+	ev.Tick = int(int64(binary.LittleEndian.Uint64(p[25:])))
+	ev.Latency = math.Float64frombits(binary.LittleEndian.Uint64(p[33:]))
+	if n == 0 {
+		return nil
+	}
+	if pooled {
+		ev.Features = GetObservation(n)
+		ev.Pooled = true
+	} else {
+		ev.Features = make([]float64, n)
+	}
+	for i := range ev.Features {
+		ev.Features[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	return nil
 }
 
 func AppendSpecPayload(e *Enc, sp *JobSpec) error {
@@ -543,14 +582,23 @@ func DecodeDropPayload(p []byte) (uint64, error) {
 
 // --- framing ---
 
+// openFrame appends a frame header whose length sealFrame fills in, so the
+// payload can be built behind it in dst and checksummed where it lies.
+func openFrame(dst []byte, kind FrameKind) []byte {
+	return append(dst, uint8(kind), 0, 0, 0, 0)
+}
+
+// sealFrame completes the frame opened at dst[start:]: everything appended
+// since openFrame is its payload.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+5:]
+	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
 // AppendFrame wraps a payload in the frame envelope.
 func AppendFrame(dst []byte, kind FrameKind, payload []byte) []byte {
-	e := Enc{B: dst}
-	e.U8(uint8(kind))
-	e.U32(uint32(len(payload)))
-	e.B = append(e.B, payload...)
-	e.U32(crc32.ChecksumIEEE(payload))
-	return e.B
+	return sealFrame(append(openFrame(dst, kind), payload...), len(dst))
 }
 
 // DecodeFrame parses one frame from the front of b, returning its kind,
@@ -584,18 +632,16 @@ func EncodeEvent(dst []byte, ev Event) ([]byte, error) {
 	if len(ev.Features) > MaxWireFeatures {
 		return dst, fmt.Errorf("serve/wire: %d features exceed %d", len(ev.Features), MaxWireFeatures)
 	}
-	var e Enc
-	AppendEventPayload(&e, &ev)
-	return AppendFrame(dst, FrameEvent, e.B), nil
+	return sealFrame(appendEventPayload(openFrame(dst, FrameEvent), &ev), len(dst)), nil
 }
 
 // EncodeSpec appends sp to dst as one complete frame.
 func EncodeSpec(dst []byte, sp JobSpec) ([]byte, error) {
-	var e Enc
+	e := Enc{B: openFrame(dst, FrameSpec)}
 	if err := AppendSpecPayload(&e, &sp); err != nil {
 		return dst, err
 	}
-	return AppendFrame(dst, FrameSpec, e.B), nil
+	return sealFrame(e.B, len(dst)), nil
 }
 
 // AppendHeader appends the stream header (magic + version) to dst.
@@ -683,76 +729,114 @@ func AppendCheckedFrame(dst []byte, kind FrameKind, payload []byte) ([]byte, err
 	return AppendFrame(dst, kind, payload), nil
 }
 
-// Reader consumes a wire stream. The header is validated before the
-// first frame is returned.
+// readerBufLen is a Reader's initial buffer: a few dozen heartbeat frames
+// per Read. A frame that does not fit grows it (see fill).
+const readerBufLen = 4096
+
+// Reader consumes a wire stream. The header is validated before the first
+// frame is returned.
+//
+// The Reader owns one buffer, refilled from the source one Read at a time,
+// and hands out each frame's payload where it lies in that buffer: a payload
+// (NextFrame's, or anything aliasing it) is valid exactly until the next
+// call on the Reader. Next and NextInto copy what they keep — decoded specs
+// and feature slices never alias the buffer. A call returns the moment the
+// frame it needs is complete and never reads ahead of need, so frames
+// already received are never held back by a source that has stalled.
 type Reader struct {
-	r       *bufio.Reader
-	headed  bool
-	scratch []byte
+	r      io.Reader
+	buf    []byte // buf[pos:end] is read but not yet consumed
+	pos    int
+	end    int
+	err    error // the source's error, reported once buf[pos:end] runs short
+	headed bool
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: r, buf: make([]byte, readerBufLen)}
+}
+
+// fill reads until at least need unconsumed bytes are buffered, or returns
+// the source's error with fewer (bytes that arrived with an error count
+// first). The caller has bounded need: the buffer grows to whatever it asks.
+func (wr *Reader) fill(need int) error {
+	for empty := 0; wr.end-wr.pos < need; {
+		if wr.err != nil {
+			return wr.err
+		}
+		if wr.pos > 0 || len(wr.buf) < need {
+			// Move the partial frame to the front — of a larger buffer if the
+			// whole one cannot fit — so the Read below has the most room.
+			to := wr.buf
+			if len(to) < need {
+				to = make([]byte, max(need, 2*len(to)))
+			}
+			wr.end = copy(to, wr.buf[wr.pos:wr.end])
+			wr.buf, wr.pos = to, 0
+		}
+		n, err := wr.r.Read(wr.buf[wr.end:])
+		wr.end += n
+		wr.err = err
+		if n > 0 || err != nil {
+			empty = 0
+		} else if empty++; empty == 100 {
+			wr.err = io.ErrNoProgress
+		}
+	}
+	return nil
 }
 
 func (wr *Reader) readHeader() error {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(wr.r, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+	if err := wr.fill(HeaderLen); err != nil {
+		if err == io.EOF {
 			return fmt.Errorf("%w: stream header", ErrTruncated)
 		}
 		return err
 	}
-	if _, err := DecodeHeader(hdr[:]); err != nil {
+	if _, err := DecodeHeader(wr.buf[wr.pos:wr.end]); err != nil {
 		return err
 	}
+	wr.pos += HeaderLen
 	wr.headed = true
 	return nil
 }
 
-// next returns the next raw frame. io.EOF marks a clean end of stream (a
-// frame boundary); a cut mid-frame is ErrTruncated. Frame validation (kind,
-// length, checksum) is DecodeFrame's — this only sizes and fills the read
-// buffer, so the streaming and byte-slice decode paths cannot diverge.
+// NextFrame returns the next raw frame. io.EOF marks a clean end of stream
+// (a frame boundary); a cut mid-frame is ErrTruncated; any other error of
+// the source is returned as it came. Frame validation (kind, length,
+// checksum) is DecodeFrame's — this only sizes and fills the buffer, so the
+// streaming and byte-slice decode paths cannot diverge.
 func (wr *Reader) NextFrame() (FrameKind, []byte, error) {
 	if !wr.headed {
 		if err := wr.readHeader(); err != nil {
 			return 0, nil, err
 		}
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(wr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
+	if err := wr.fill(5); err != nil {
+		if err == io.EOF && wr.end > wr.pos {
 			return 0, nil, fmt.Errorf("%w: frame header", ErrTruncated)
 		}
 		return 0, nil, err
 	}
 	// The length cap must hold before the buffer is sized — the one check
 	// that cannot be deferred to DecodeFrame.
-	n := uint32(hdr[1]) | uint32(hdr[2])<<8 | uint32(hdr[3])<<16 | uint32(hdr[4])<<24
+	n := binary.LittleEndian.Uint32(wr.buf[wr.pos+1:])
 	if n > MaxFramePayload {
 		return 0, nil, fmt.Errorf("%w: frame payload of %d bytes exceeds %d", ErrCorrupt, n, MaxFramePayload)
 	}
 	total := 5 + int(n) + 4
-	if cap(wr.scratch) < total {
-		wr.scratch = make([]byte, total)
-	}
-	frame := wr.scratch[:total]
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(wr.r, frame[5:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+	if err := wr.fill(total); err != nil {
+		if err == io.EOF {
 			return 0, nil, fmt.Errorf("%w: frame body", ErrTruncated)
 		}
 		return 0, nil, err
 	}
-	kind, payload, _, err := DecodeFrame(frame)
+	kind, payload, _, err := DecodeFrame(wr.buf[wr.pos : wr.pos+total])
 	if err != nil {
 		return 0, nil, err
 	}
+	wr.pos += total
 	return kind, payload, nil
 }
 
@@ -773,8 +857,7 @@ func (wr *Reader) Next() (*JobSpec, *Event, error) {
 		}
 		return &sp, nil, nil
 	case FrameEvent:
-		// DecodeEventPayload allocates the feature slice fresh (it never
-		// aliases the reader's scratch buffer), so the Event is safe to hand
+		// The feature slice is allocated fresh, so the Event is safe to hand
 		// to a Server, which retains Features as the task's observation.
 		// NextInto is the pooled variant for ingest loops.
 		ev, err := DecodeEventPayload(payload)
@@ -791,12 +874,10 @@ func (wr *Reader) Next() (*JobSpec, *Event, error) {
 // decode into the caller's Event (reused across iterations) with the
 // feature slice drawn from the ingest observation pool instead of the heap;
 // spec elements are returned exactly as Next returns them, and (sp != nil)
-// distinguishes the two. The decoded feature slice still never aliases the
-// reader's scratch buffer, so the Event remains safe to hand to a Server —
-// but because it is pool-tagged, the caller MUST settle its ownership
-// before the next NextInto call: pass it to Ingest and then
-// recycleAfterIngest (the in-package ingest loops), or recycle it directly
-// when it is not ingested.
+// distinguishes the two. Because the Event is pool-tagged, the caller MUST
+// settle its ownership before the next NextInto call: pass it to Ingest and
+// then serve.RecycleAfterIngest (the ingest loops), or recycle it directly
+// when it is not ingested. On an error *ev is zero and holds no pooled slice.
 func (wr *Reader) NextInto(ev *Event) (*JobSpec, error) {
 	kind, payload, err := wr.NextFrame()
 	if err != nil {
@@ -810,17 +891,7 @@ func (wr *Reader) NextInto(ev *Event) (*JobSpec, error) {
 		}
 		return &sp, nil
 	case FrameEvent:
-		if err := DecodeEventInto(payload, ev, true); err != nil {
-			// A payload that fails validation after the feature draw (e.g.
-			// trailing bytes) must not strand the pooled slice on an event
-			// the caller will discard.
-			if ev.Pooled && ev.Features != nil {
-				PutObservation(ev.Features)
-			}
-			*ev = Event{}
-			return nil, err
-		}
-		return nil, nil
+		return nil, DecodeEventInto(payload, ev, true)
 	default:
 		return nil, fmt.Errorf("%w: frame kind %d in a spec/event stream", ErrCorrupt, kind)
 	}

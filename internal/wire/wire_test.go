@@ -310,6 +310,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Event payloads: the decoder agrees with the Dec walk on any bytes.
+		checkEventDecode(t, data)
+
 		// Stream layer: must terminate with EOF or an error, no panics.
 		if n, err := decodeAll(data); err == nil && n > 0 && len(data) < HeaderLen {
 			t.Fatalf("decoded %d elements from %d bytes", n, len(data))
@@ -335,6 +338,7 @@ func FuzzWireDecode(f *testing.F) {
 				}
 			}
 		case FrameEvent:
+			checkEventDecode(t, payload)
 			if ev, err := DecodeEventPayload(payload); err == nil {
 				re, err := EncodeEvent(nil, ev)
 				if err != nil {
