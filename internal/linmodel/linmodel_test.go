@@ -166,16 +166,18 @@ func TestFitLogisticAllocations(t *testing.T) {
 		const d = 15
 		X, y := caseData(stats.NewRNG(uint64(n)), n, d, 1)
 		flat := flatten(X)
-		var scratch LogisticScratch
-		fit := func() {
-			if _, err := FitLogisticFlat(flat, d, y, cfg, &scratch); err != nil {
-				t.Fatal(err)
+		withEachKernel(func(kernel string) {
+			var scratch LogisticScratch
+			fit := func() {
+				if _, err := FitLogisticFlat(flat, d, y, cfg, &scratch); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		fit() // sizes the scratch
-		if allocs := testing.AllocsPerRun(10, fit); allocs > 4 {
-			t.Errorf("%d rows: %v allocations per fit with reused scratch, want <= 4", n, allocs)
-		}
+			fit() // sizes the scratch
+			if allocs := testing.AllocsPerRun(10, fit); allocs > 4 {
+				t.Errorf("%d rows (%s): %v allocations per fit with reused scratch, want <= 4", n, kernel, allocs)
+			}
+		})
 	}
 }
 

@@ -57,6 +57,10 @@ type LogisticScratch struct {
 	e  []float64 // per-row logit, overwritten by the weighted residual
 	gw []float64 // weight gradient
 
+	// The AVX2 kernel's copies of z (see layoutAVX2).
+	zc []float64 // column-major, rows padded to a multiple of 16
+	zp []float64 // row-major, columns padded to a multiple of 16
+
 	wPrev []float64 // the weights one step back, the far end of the certificate's chord
 
 	// How the last fit's gradient steps settled the backtrack comparison
@@ -103,12 +107,16 @@ func FitLogistic(X [][]float64, y []float64, cfg LogisticConfig) (*Logistic, err
 // that refits repeatedly allocates only the returned model; scratch may be
 // nil for a one-shot call.
 //
-// Each gradient step makes three passes over the standardized matrix — the
-// logits four rows at a time (four independent accumulator chains instead of
-// one), one Exp per row for the probability, then the gradient four rows per
-// sweep of gw — and every accumulator still sees the same operations in the
-// same order as a row-at-a-time loop, so the fitted bits do not depend on the
-// blocking (reference_test.go keeps that loop as the oracle).
+// Each gradient step makes three passes over the standardized matrix: (A) the
+// logits, (B) one Exp per row for the probability and the weighted residual,
+// (C) the gradient. Every accumulator sees the same operations in the same
+// order as a row-at-a-time loop, so the fitted bits do not depend on how the
+// passes are blocked (reference_test.go keeps that loop as the oracle). Two
+// kernels run them, chosen once at package init: on amd64 with AVX2 and FMA,
+// kernel_amd64.s, four float64 lanes per instruction — A across rows of a
+// column-major copy, B across rows with Exp's FMA branch copied lane for lane,
+// C across columns of a padded row-major copy; everywhere else the Go loops
+// below (logits, residuals, gradient).
 //
 // The loss is not part of a step. Its only use is the backtrack comparison
 // "did it rise since the previous step", and a convexity certificate settles
@@ -177,16 +185,20 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 	scratch.z, scratch.sw = grow(scratch.z, n*d), grow(scratch.sw, n)
 	scratch.e, scratch.gw = grow(scratch.e, n), grow(scratch.gw, d)
 	scratch.wPrev = grow(scratch.wPrev, d)
-	Z, sw, e := scratch.z, scratch.sw, scratch.e
-	// Re-sliced so the compiler sees len(gw) == d, as it does for w and the
-	// row slices below, and drops the inner loops' bounds checks.
-	gw, wPrev := scratch.gw[:d], scratch.wPrev[:d]
+	Z, sw := scratch.z, scratch.sw
 	for i := 0; i < n; i++ {
 		row, zrow := X[i*d:i*d+d], Z[i*d:i*d+d]
 		for j := range zrow {
 			zrow[j] = (row[j] - mean[j]) / std[j]
 		}
 	}
+	vec := useAVX2
+	if vec {
+		scratch.layoutAVX2(n, d)
+	}
+	// Re-sliced so the compiler sees len(gw) == d, as it does for w, and
+	// drops the loops' bounds checks.
+	e, gw, wPrev := scratch.e[:n], scratch.gw[:d], scratch.wPrev[:d]
 
 	// Sample weights: 1, or the two balanced class weights — positive either
 	// way, which the certificate relies on. absZ = sum_i sw[i]*sum_j |Z[i][j]|
@@ -219,74 +231,16 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 	bPrev, magPrev := 0.0, 0.0
 	scratch.certified, scratch.computed, scratch.materialised = 0, 0, 0
 	for it := 0; it < cfg.Iters; it++ {
-		// Pass A: e[i] = z_i = (sum_j w[j]*Z[i][j], j ascending from 0) + b.
-		i := 0
-		for ; i+4 <= n; i += 4 {
-			rows := Z[i*d : i*d+4*d]
-			r0, r1, r2, r3 := rows[:d], rows[d:][:d], rows[2*d:][:d], rows[3*d:][:d]
-			var s0, s1, s2, s3 float64
-			for j, wj := range w {
-				s0 += wj * r0[j]
-				s1 += wj * r1[j]
-				s2 += wj * r2[j]
-				s3 += wj * r3[j]
-			}
-			e[i], e[i+1], e[i+2], e[i+3] = s0+b, s1+b, s2+b, s3+b
-		}
-		for ; i < n; i++ {
-			r := Z[i*d:][:d]
-			s := 0.0
-			for j, wj := range w {
-				s += wj * r[j]
-			}
-			e[i] = s + b
-		}
-
-		// Pass B: probability and residual per row (the branches are those of
-		// sigmoid, written out because a call per row is not inlined), and
-		// mag = sum_i sw[i]*(1+2|z_i|), which bounds the sum of the
-		// magnitudes of the loss's terms at these logits.
-		gb := 0.0
-		mag := 0.0
-		for i, z := range e {
-			var p float64
-			if z >= 0 {
-				ex := math.Exp(-z)
-				p = 1 / (1 + ex)
-			} else {
-				ex := math.Exp(z)
-				p = ex / (1 + ex)
-			}
-			r := (p - y[i]) * sw[i]
-			e[i] = r
-			gb += r
-			mag += sw[i] * (1 + 2*math.Abs(z))
-		}
-
-		// Pass C: gw[j] = sum_i e[i]*Z[i][j], i ascending from 0, each gw[j]
-		// loaded and stored once per four rows.
-		for j := range gw {
-			gw[j] = 0
-		}
-		i = 0
-		for ; i+4 <= n; i += 4 {
-			rows := Z[i*d : i*d+4*d]
-			r0, r1, r2, r3 := rows[:d], rows[d:][:d], rows[2*d:][:d], rows[3*d:][:d]
-			e0, e1, e2, e3 := e[i], e[i+1], e[i+2], e[i+3]
-			for j, g := range gw {
-				g += e0 * r0[j]
-				g += e1 * r1[j]
-				g += e2 * r2[j]
-				g += e3 * r3[j]
-				gw[j] = g
-			}
-		}
-		for ; i < n; i++ {
-			r := Z[i*d:][:d]
-			ei := e[i]
-			for j := range gw {
-				gw[j] += ei * r[j]
-			}
+		// e becomes the weighted residuals, gw and gb the raw gradient sums;
+		// mag = sum_i sw[i]*(1+2|z_i|) bounds the sum of the magnitudes of
+		// the loss's terms at these logits.
+		var gb, mag float64
+		if vec {
+			gb, mag = scratch.passesAVX2(w, b, y)
+		} else {
+			logits(e, Z, w, b)
+			gb, mag = residuals(e, y, sw, 0, 0)
+			gradient(gw, Z, e)
 		}
 
 		// The certificate. The loss the backtrack tracks is
@@ -379,6 +333,85 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 	return &Logistic{W: w, B: b, Mean: mean, Std: std}, nil
 }
 
+// logits is pass A in Go: e[i] = z_i = (sum_j w[j]*Z[i][j], j ascending from
+// 0) + b, four rows at a time on four independent chains.
+func logits(e, Z, w []float64, b float64) {
+	d, n := len(w), len(e)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		rows := Z[i*d : i*d+4*d]
+		r0, r1, r2, r3 := rows[:d], rows[d:][:d], rows[2*d:][:d], rows[3*d:][:d]
+		var s0, s1, s2, s3 float64
+		for j, wj := range w {
+			s0 += wj * r0[j]
+			s1 += wj * r1[j]
+			s2 += wj * r2[j]
+			s3 += wj * r3[j]
+		}
+		e[i], e[i+1], e[i+2], e[i+3] = s0+b, s1+b, s2+b, s3+b
+	}
+	for ; i < n; i++ {
+		r := Z[i*d:][:d]
+		s := 0.0
+		for j, wj := range w {
+			s += wj * r[j]
+		}
+		e[i] = s + b
+	}
+}
+
+// residuals is pass B in Go: the probability and weighted residual per row of
+// e, in place (the branches are those of sigmoid, written out because a call
+// per row is not inlined), with gb and mag advanced by each row's residual
+// and sw[i]*(1+2|z_i|) in row order. The AVX2 kernel hands it the blocks its
+// Exp does not cover.
+func residuals(e, y, sw []float64, gb, mag float64) (float64, float64) {
+	for i, z := range e {
+		var p float64
+		if z >= 0 {
+			ex := math.Exp(-z)
+			p = 1 / (1 + ex)
+		} else {
+			ex := math.Exp(z)
+			p = ex / (1 + ex)
+		}
+		r := (p - y[i]) * sw[i]
+		e[i] = r
+		gb += r
+		mag += sw[i] * (1 + 2*math.Abs(z))
+	}
+	return gb, mag
+}
+
+// gradient is pass C in Go: gw[j] = sum_i e[i]*Z[i][j], i ascending from 0,
+// each gw[j] loaded and stored once per four rows.
+func gradient(gw, Z, e []float64) {
+	d, n := len(gw), len(e)
+	for j := range gw {
+		gw[j] = 0
+	}
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		rows := Z[i*d : i*d+4*d]
+		r0, r1, r2, r3 := rows[:d], rows[d:][:d], rows[2*d:][:d], rows[3*d:][:d]
+		e0, e1, e2, e3 := e[i], e[i+1], e[i+2], e[i+3]
+		for j, g := range gw {
+			g += e0 * r0[j]
+			g += e1 * r1[j]
+			g += e2 * r2[j]
+			g += e3 * r3[j]
+			gw[j] = g
+		}
+	}
+	for ; i < n; i++ {
+		r := Z[i*d:][:d]
+		ei := e[i]
+		for j := range gw {
+			gw[j] += ei * r[j]
+		}
+	}
+}
+
 // certifies reports whether a certificate value c, held to the rounding
 // margin, proves the loss did not rise. A NaN on either side compares false;
 // an infinite margin admits nothing; an infinite c is a sum that overflowed
@@ -436,15 +469,6 @@ func (m *Logistic) Prob(x []float64) float64 {
 		z += m.W[j] * (x[j] - m.Mean[j]) / m.Std[j]
 	}
 	return sigmoid(z)
-}
-
-// ProbBatch returns P(y=1|x) for each row.
-func (m *Logistic) ProbBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = m.Prob(x)
-	}
-	return out
 }
 
 func sigmoid(z float64) float64 {

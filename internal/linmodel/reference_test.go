@@ -282,6 +282,20 @@ func flatten(X [][]float64) []float64 {
 	return flat
 }
 
+// withEachKernel calls f once per FitLogisticFlat kernel this machine runs —
+// the Go loops, then the AVX2 kernel where the CPU has it — with that kernel
+// selected, and restores the selection.
+func withEachKernel(f func(kernel string)) {
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	useAVX2 = false
+	f("go")
+	if haveAVX2 {
+		useAVX2 = true
+		f("avx2")
+	}
+}
+
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -321,23 +335,26 @@ func TestFitLogisticMatchesReference(t *testing.T) {
 		if tr.maxAbsZ > 746 { // Exp(-746) == 0
 			underflowed++
 		}
-		got, err := FitLogistic(c.X, c.y, c.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		// The same fit through the flat entry point with one scratch reused
-		// across every case, shapes growing and shrinking.
-		reused, err := FitLogisticFlat(flatten(c.X), len(c.X[0]), c.y, c.cfg, &scratch)
-		if err != nil {
-			t.Fatalf("%s: flat: %v", c.name, err)
-		}
-		for _, m := range []*Logistic{got, reused} {
-			if !sameBits(m.W, want.W) || math.Float64bits(m.B) != math.Float64bits(want.B) ||
-				!sameBits(m.Mean, want.Mean) || !sameBits(m.Std, want.Std) {
-				t.Errorf("%s: fit differs from the reference\n got W=%v B=%v\nwant W=%v B=%v",
-					c.name, m.W, m.B, want.W, want.B)
+		withEachKernel(func(kernel string) {
+			got, err := FitLogistic(c.X, c.y, c.cfg)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", c.name, kernel, err)
 			}
-		}
+			// The same fit through the flat entry point with one scratch
+			// reused across every case and both kernels, shapes growing and
+			// shrinking.
+			reused, err := FitLogisticFlat(flatten(c.X), len(c.X[0]), c.y, c.cfg, &scratch)
+			if err != nil {
+				t.Fatalf("%s (%s): flat: %v", c.name, kernel, err)
+			}
+			for _, m := range []*Logistic{got, reused} {
+				if !sameBits(m.W, want.W) || math.Float64bits(m.B) != math.Float64bits(want.B) ||
+					!sameBits(m.Mean, want.Mean) || !sameBits(m.Std, want.Std) {
+					t.Errorf("%s (%s): fit differs from the reference\n got W=%v B=%v\nwant W=%v B=%v",
+						c.name, kernel, m.W, m.B, want.W, want.B)
+				}
+			}
+		})
 		for _, v := range append(append([]float64{want.B}, want.W...), want.Std...) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Errorf("%s: reference fit is not finite: W=%v B=%v", c.name, want.W, want.B)
@@ -437,22 +454,32 @@ func nonFiniteCases() []fitCase {
 // between them were really taken.
 func TestFitLogisticCertificate(t *testing.T) {
 	var scratch LogisticScratch
-	// run fits c both ways, compares the bits, and reports the reference's
-	// trace and whether its fit is finite.
+	// run fits c the reference way and with every kernel, compares the bits,
+	// and reports the reference's trace and whether its fit is finite. The
+	// kernels' step counts, left in scratch, must agree: their mag sums are
+	// the same bits, so the certificate decides every step alike.
 	run := func(c fitCase) (refTrace, bool) {
 		t.Helper()
 		want, tr, err := refFitLogistic(c.X, c.y, c.cfg)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		got, err := FitLogisticFlat(flatten(c.X), len(c.X[0]), c.y, c.cfg, &scratch)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !sameBits(got.W, want.W) || math.Float64bits(got.B) != math.Float64bits(want.B) ||
-			!sameBits(got.Mean, want.Mean) || !sameBits(got.Std, want.Std) {
-			t.Errorf("%s: fit differs from the reference\n got W=%v B=%v\nwant W=%v B=%v", c.name, got.W, got.B, want.W, want.B)
-		}
+		counts := [3]int{-1}
+		withEachKernel(func(kernel string) {
+			got, err := FitLogisticFlat(flatten(c.X), len(c.X[0]), c.y, c.cfg, &scratch)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", c.name, kernel, err)
+			}
+			if !sameBits(got.W, want.W) || math.Float64bits(got.B) != math.Float64bits(want.B) ||
+				!sameBits(got.Mean, want.Mean) || !sameBits(got.Std, want.Std) {
+				t.Errorf("%s (%s): fit differs from the reference\n got W=%v B=%v\nwant W=%v B=%v", c.name, kernel, got.W, got.B, want.W, want.B)
+			}
+			got3 := [3]int{scratch.certified, scratch.computed, scratch.materialised}
+			if counts[0] >= 0 && got3 != counts {
+				t.Errorf("%s (%s): certified/computed/materialised %v, the Go loops %v", c.name, kernel, got3, counts)
+			}
+			counts = got3
+		})
 		// A backtrack is a decision only an evaluated loss can take.
 		if scratch.computed < tr.backtracks {
 			t.Errorf("%s: %d losses evaluated, the reference backtracked %d times", c.name, scratch.computed, tr.backtracks)
@@ -549,9 +576,9 @@ func TestCertifiesOnlyFiniteNumbers(t *testing.T) {
 // BenchmarkFitLogistic times one propensity-shaped fit (balanced, default
 // config: all 200 steps run) and reports the cost per row per gradient step,
 // the unit of README "Performance"'s budget table, beside how many times the
-// fit evaluated the loss (the reference does on every step). The reference/
-// cases run the replaced loop on the same data, so kernel and parent read
-// side by side:
+// fit evaluated the loss (the reference does on every step), once per kernel
+// the machine runs (go/, avx2/). The reference/ cases run the replaced loop on
+// the same data, so the kernels and the parent read side by side:
 //
 //	go test ./internal/linmodel -run '^$' -bench FitLogistic
 func BenchmarkFitLogistic(b *testing.B) {
@@ -562,16 +589,18 @@ func BenchmarkFitLogistic(b *testing.B) {
 		X, y := caseData(stats.NewRNG(uint64(n)), n, d, 1)
 		flat := flatten(X)
 		rowIters := float64(n * cfg.Iters)
-		b.Run(fmt.Sprintf("%dx%d", n, d), func(b *testing.B) {
-			var scratch LogisticScratch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := FitLogisticFlat(flat, d, y, cfg, &scratch); err != nil {
-					b.Fatal(err)
+		withEachKernel(func(kernel string) {
+			b.Run(fmt.Sprintf("%s/%dx%d", kernel, n, d), func(b *testing.B) {
+				var scratch LogisticScratch
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := FitLogisticFlat(flat, d, y, cfg, &scratch); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowIters, "ns/row-iter")
-			b.ReportMetric(float64(scratch.computed+scratch.materialised), "loss-evals/fit")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowIters, "ns/row-iter")
+				b.ReportMetric(float64(scratch.computed+scratch.materialised), "loss-evals/fit")
+			})
 		})
 		b.Run(fmt.Sprintf("reference/%dx%d", n, d), func(b *testing.B) {
 			b.ReportAllocs()

@@ -84,10 +84,11 @@ func DefaultConfig() Config {
 // distribution (seed-trace F1 within a small epsilon of scratch refits —
 // test-enforced in internal/serve) at a third of a scratch fit's trees. That
 // is half of h_t's cost, not a third of the refit's: on the benchmark's mean
-// view (109 rows x 15 columns, bench --trace 1) a 16-tree extension is 0.52 ms
-// against 1.09 ms for the 50-tree scratch fit, and the propensity fit both
-// modes share is about 0.5 ms on top of either, so a warm refit costs roughly
-// two thirds of a scratch one (0.64 at 300 tasks, BENCH_serve_refit.json).
+// view (109 rows x 15 columns, bench --trace 1) a 16-tree extension is 0.47 ms
+// against 1.0 ms for the 50-tree scratch fit, and the propensity fit both
+// modes share is about 0.18 ms on top of either (linmodel's AVX2 kernel; about
+// 0.5 ms on its Go loops), so a warm refit costs a little over half a scratch
+// one (0.56 at 300 tasks, BENCH_serve_refit.json).
 const DefaultWarmRounds = 16
 
 // DefaultWarmConfig returns DefaultConfig with warm-started refits enabled
@@ -273,10 +274,10 @@ func (m *Model) checkTrain(finX [][]float64, finY []float64) error {
 }
 
 // fitPropensity refits g_t on the finished-vs-running split; both refit
-// strategies share it, and it is no small part of either: on the benchmark's
-// mean view its 200 gradient steps take about 0.5 ms (23 ns per row per
-// step), half of a warm refit and a third of a scratch one (h_t: 0.52 ms to
-// extend, 1.09 ms to fit).
+// strategies share it: on the benchmark's mean view its 200 gradient steps
+// take about 0.16 ms with linmodel's AVX2 kernel (7.3 ns per row per step;
+// 21 ns on its Go loops), a quarter of a warm refit and a seventh of a
+// scratch one (h_t: 0.47 ms to extend, 1.0 ms to fit).
 // The log-feature matrix, its labels and the fit's working memory live in
 // m.prop and are reused, so from the second refit on only the fitted model is
 // allocated.

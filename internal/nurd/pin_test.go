@@ -10,7 +10,7 @@ import (
 )
 
 // pinJob is a seeded 15-feature job shaped like the benchmark's: heavy-tailed
-// non-negative usage columns (which logFeatures compresses) beside roughly
+// non-negative usage columns (which logFeaturesInto compresses) beside roughly
 // normal ones, finished tasks first, the still-running ones drifting upward.
 func pinJob() (fin [][]float64, finY []float64, run [][]float64) {
 	rng := stats.NewRNG(20260928)
