@@ -64,7 +64,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,131 +81,6 @@ var ErrFailed = errors.New("serve/wal: failed")
 // snapshot floor and the retained log — externally deleted or misplaced
 // segments. Recovery refuses to silently skip the hole.
 var ErrGap = errors.New("serve/wal: gap in log")
-
-// Options sizes a WAL.
-type Options struct {
-	// SegmentBytes is the per-stream rotation threshold: once a stream's
-	// open segment holds at least this many bytes the next append lands in
-	// a fresh segment. 0 means the 4 MiB default; segments bound both the
-	// replay unit and how much log a checkpoint can retire at once.
-	SegmentBytes int64
-	// SyncEvery is the group-commit fsync interval. 0 syncs every commit
-	// (full power-loss durability); > 0 runs a background flusher at that
-	// interval, exposing at most one interval of acknowledged records to
-	// power loss (a process crash loses nothing either way — records reach
-	// the OS before they are acknowledged).
-	SyncEvery time.Duration
-	// Streams is how many per-shard segment streams appends fan across.
-	// 0 means the recovering server's shard count, capped at GOMAXPROCS (and
-	// MaxStreams): only that many appends can contend at once, and every
-	// stream dirty inside a group-commit window costs its own fsync. The
-	// count is a concurrency knob, not state: records carry global LSNs, so
-	// a directory written at one stream count recovers at any other.
-	Streams int
-	// CheckpointEvery arms the automatic checkpoint policy's wall-clock
-	// trigger: a background goroutine stamps a snapshot into the WAL
-	// directory (exactly like Server.CheckpointWAL) at this period.
-	// 0 disables the timer.
-	CheckpointEvery time.Duration
-	// CheckpointBytes arms the automatic checkpoint policy's size trigger:
-	// a checkpoint is taken once this many bytes have been appended since
-	// the previous checkpoint, bounding both recovery time and retained log
-	// size under sustained traffic. 0 disables the size trigger.
-	CheckpointBytes int64
-	// FS overrides the filesystem (fault injection in tests). nil = OS.
-	FS FS
-}
-
-// DefaultSegmentBytes is the segment rotation threshold when
-// Options.SegmentBytes is 0.
-const DefaultSegmentBytes = 4 << 20
-
-// MaxStreams caps the per-shard stream fan-out (file handles, segment
-// churn). Shard counts above it share streams, which is only a contention
-// matter, never a correctness one.
-const MaxStreams = 64
-
-func (o Options) WithDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.FS == nil {
-		o.FS = osFS{}
-	}
-	return o
-}
-
-// streamCount resolves the fan-out: the explicit option, or the recovering
-// server's shard count capped at GOMAXPROCS (see Options.Streams for
-// why), always within [1, MaxStreams].
-func (o Options) streamCount(shards int) int {
-	n := o.Streams
-	if n <= 0 {
-		n = shards
-		if p := runtime.GOMAXPROCS(0); n > p {
-			n = p
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxStreams {
-		n = MaxStreams
-	}
-	return n
-}
-
-// StreamStats reports one per-shard stream's counters.
-type StreamStats struct {
-	// Shard is the stream index (appends route by wire.Mix64(jobID) % streams).
-	Shard int `json:"shard"`
-	// Segments counts the stream's live segment files.
-	Segments int `json:"segments"`
-	// LastLSN is the last log sequence number appended to this stream
-	// (0: none yet).
-	LastLSN uint64 `json:"last_lsn"`
-	// Appends counts records appended to this stream by this process;
-	// Bytes their framed size.
-	Appends uint64 `json:"appends"`
-	Bytes   uint64 `json:"bytes"`
-	// Syncs counts fsync calls; PendingBytes the group-commit backlog.
-	Syncs        uint64 `json:"syncs"`
-	PendingBytes int64  `json:"pending_bytes"`
-}
-
-// Stats reports a WAL's counters; /stats serves them as the "wal"
-// object.
-type Stats struct {
-	// Segments counts live segment files across all streams (including any
-	// legacy single-stream segments retained from before an upgrade).
-	Segments int `json:"segments"`
-	// Streams is the per-shard stream fan-out of this writer.
-	Streams int `json:"streams"`
-	// NextLSN is the next log sequence number to be assigned; NextLSN-1
-	// records have been appended over the log's lifetime.
-	NextLSN uint64 `json:"next_lsn"`
-	// Appends counts records appended by this process; Bytes their framed
-	// size.
-	Appends uint64 `json:"appends"`
-	Bytes   uint64 `json:"bytes"`
-	// Syncs counts fsync calls; PendingBytes is the group-commit backlog
-	// (bytes written since the last sync; staged bytes are not yet
-	// acknowledged and do not count) and FsyncLag the age of its oldest
-	// byte — together the window a power loss could lose.
-	Syncs        uint64        `json:"syncs"`
-	PendingBytes int64         `json:"pending_bytes"`
-	FsyncLag     time.Duration `json:"fsync_lag_ns"`
-	// RetiredSegments counts segments removed by checkpoints.
-	RetiredSegments uint64 `json:"retired_segments"`
-	// Checkpoints counts completed checkpoints (automatic or explicit);
-	// CheckpointFailures the attempts that errored (the policy retries on
-	// its next trigger).
-	Checkpoints        uint64 `json:"checkpoints"`
-	CheckpointFailures uint64 `json:"checkpoint_failures"`
-	// PerStream breaks the counters down by stream so operators can spot a
-	// hot shard's durability lag.
-	PerStream []StreamStats `json:"per_stream,omitempty"`
-}
 
 // WAL is an append-only, sharded log of serving mutations. Appends are
 // internal (the Server calls them under its own locks); operators interact
@@ -298,17 +172,6 @@ type walStream struct {
 	staged       []byte // framed records not yet written, reused under mu
 }
 
-// roSegGroup is a read-only segment group: its files are retained only
-// until a checkpoint floor covers them. end is the group's last record LSN
-// (0 when the group holds no records).
-type roSegGroup struct {
-	segs []Entry
-	end  uint64
-}
-
-// legacyGroup keys the old single-stream segments in WAL.ro.
-const legacyGroup = -1
-
 // newWAL builds the writer Recover attaches: the global sequence resumes at
 // seq, per-stream tails at streamLast (recovery's per-stream last retained
 // LSNs), and read-only groups (legacy single-stream segments, out-of-range
@@ -341,79 +204,6 @@ func newWAL(dir string, seq uint64, streams int, streamLast map[int]uint64,
 		go w.flushLoop()
 	}
 	return w
-}
-
-// StartAutoCheckpoint arms the background checkpoint policy. run is the
-// owner's checkpoint procedure (the serving node's CheckpointWAL); the WAL
-// only decides *when* to fire it — the layering keeps this package ignorant
-// of what a checkpoint contains. Called by the owner before taking traffic.
-func (w *WAL) StartAutoCheckpoint(run func() error) {
-	if w.opts.CheckpointEvery <= 0 && w.opts.CheckpointBytes <= 0 {
-		return
-	}
-	w.bg.Add(1)
-	go w.checkpointLoop(run)
-}
-
-func (w *WAL) checkpointLoop(run func() error) {
-	defer w.bg.Done()
-	var tick <-chan time.Time
-	if w.opts.CheckpointEvery > 0 {
-		t := time.NewTicker(w.opts.CheckpointEvery)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-tick:
-		case <-w.ckptCh:
-		}
-		// An idle server has nothing new to cover: re-snapshotting the same
-		// state every tick would burn full-registry serialization and disk
-		// I/O for a snapshot with an identical floor. (Explicit
-		// CheckpointWAL calls are not gated — an operator asking for a
-		// checkpoint gets one.)
-		if w.seq.Load() == w.ckptFloor.Load() {
-			continue
-		}
-		// Errors do not wedge the policy: a full disk at checkpoint time
-		// leaves the log intact, and the next trigger retries — the timer
-		// on its next tick, the size trigger after another CheckpointBytes
-		// of appends (resetting the accumulator doubles as backoff, so a
-		// persistently failing disk is not hammered once per append). The
-		// failure counter surfaces the condition in /stats.
-		if err := run(); err != nil {
-			w.ckptFails.Add(1)
-			w.sinceCkpt.Store(0)
-			w.ckptArmed.Store(false)
-		}
-	}
-}
-
-// noteAppended feeds the size trigger: once CheckpointBytes have
-// accumulated since the last checkpoint, poke the policy goroutine (at most
-// one outstanding poke; checkpointDone rearms).
-func (w *WAL) noteAppended(n int64) {
-	if w.opts.CheckpointBytes <= 0 {
-		return
-	}
-	if w.sinceCkpt.Add(n) >= w.opts.CheckpointBytes && w.ckptArmed.CompareAndSwap(false, true) {
-		select {
-		case w.ckptCh <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// checkpointDone resets the size trigger after a checkpoint completed at
-// floor.
-func (w *WAL) checkpointDone(floor uint64) {
-	w.ckpts.Add(1)
-	w.ckptFloor.Store(floor)
-	w.sinceCkpt.Store(0)
-	w.ckptArmed.Store(false)
 }
 
 // Err reports the latched failure, if any. Lock-free: the stage path calls
@@ -621,111 +411,6 @@ func (w *WAL) Dir() string { return w.dir }
 
 // Streams reports the per-shard stream fan-out.
 func (w *WAL) Streams() int { return len(w.streams) }
-
-// Stats reports the WAL's counters.
-func (w *WAL) Stats() Stats {
-	st := Stats{
-		Streams:            len(w.streams),
-		NextLSN:            w.seq.Load(),
-		RetiredSegments:    w.retired.Load(),
-		Checkpoints:        w.ckpts.Load(),
-		CheckpointFailures: w.ckptFails.Load(),
-	}
-	var oldest time.Time
-	for _, s := range w.streams {
-		s.mu.Lock()
-		ss := StreamStats{
-			Shard:        s.shard,
-			Segments:     len(s.segs),
-			LastLSN:      s.lastLSN,
-			Appends:      s.appends,
-			Bytes:        s.bytes,
-			Syncs:        s.syncs,
-			PendingBytes: s.pending,
-		}
-		since := s.pendingSince
-		s.mu.Unlock()
-		st.Segments += ss.Segments
-		st.Appends += ss.Appends
-		st.Bytes += ss.Bytes
-		st.Syncs += ss.Syncs
-		st.PendingBytes += ss.PendingBytes
-		if !since.IsZero() && (oldest.IsZero() || since.Before(oldest)) {
-			oldest = since
-		}
-		st.PerStream = append(st.PerStream, ss)
-	}
-	w.roMu.Lock()
-	for _, g := range w.ro {
-		st.Segments += len(g.segs)
-	}
-	w.roMu.Unlock()
-	if !oldest.IsZero() {
-		st.FsyncLag = time.Since(oldest)
-	}
-	return st
-}
-
-// RetireBelow removes segments every record of which is below floor (their
-// contents are covered by a durable snapshot stamped at floor). A stream
-// segment's records end before its successor's stamp, so a segment retires
-// once a successor exists with stamp at or below the floor; open segments
-// and each stream's newest segment never retire (without a successor the
-// newest segment's extent is unknown). Read-only groups — legacy
-// single-stream segments (by base LSN) and out-of-range shard streams —
-// retire by the same successor rule, with each group's final segment
-// retiring once the group end recovery recorded is covered. Returns how
-// many segments were deleted.
-func (w *WAL) RetireBelow(floor uint64) (int, error) {
-	removed := 0
-	for _, s := range w.streams {
-		s.mu.Lock()
-		n, err := retireGroup(w, &s.segs, 0, floor, s)
-		s.mu.Unlock()
-		removed += n
-		if err != nil {
-			return removed, err
-		}
-	}
-	w.roMu.Lock()
-	defer w.roMu.Unlock()
-	for _, g := range w.ro {
-		n, err := retireGroup(w, &g.segs, g.end, floor, nil)
-		removed += n
-		if err != nil {
-			return removed, err
-		}
-	}
-	return removed, nil
-}
-
-// retireGroup removes the retirable prefix of one segment group: entries
-// whose successor's sequence is at or below floor, plus — when the group's
-// end LSN is known — a final entry wholly below the floor. open, when
-// non-nil, protects the stream's open segment. The caller holds the lock
-// covering segs.
-func retireGroup(w *WAL, segs *[]Entry, end, floor uint64, open *walStream) (int, error) {
-	removed := 0
-	for len(*segs) > 0 {
-		seg := (*segs)[0]
-		covered := false
-		if len(*segs) > 1 {
-			covered = (*segs)[1].Seq <= floor
-		} else {
-			covered = end > 0 && end < floor
-		}
-		if !covered || (open != nil && open.f != nil && seg.Seq == open.stamp) {
-			break
-		}
-		if err := w.opts.FS.Remove(filepath.Join(w.dir, seg.Name)); err != nil {
-			return removed, err
-		}
-		*segs = (*segs)[1:]
-		removed++
-		w.retired.Add(1)
-	}
-	return removed, nil
-}
 
 // Close writes what is staged, then syncs and closes the log. Appends after
 // Close fail with ErrClosed.
