@@ -23,18 +23,14 @@
 // action. Durability is per-stream group commit: every -wal-sync window
 // fsyncs each stream that took appends. A -replay after a recovery resumes
 // the dump exactly where the crashed process stopped — kill -9 mid-replay,
-// rerun the same command, and no event is lost or applied twice (a
-// directory still holding the commit-*.seg files of the removed batched
-// writer recovers too, and is a plain per-stream layout afterwards). That
+// rerun the same command, and no event is lost or applied twice. That
 // resume math requires the dump to be the only mutation source, so with
 // -wal the -listen front end opens only after the replay drains. The dir
 // must already exist and be writable.
 //
-// -wal-verify <dir> replays a WAL directory's structure offline — the
-// per-shard layout and the two read-only legacy ones (single-stream
-// segments from before the per-shard upgrade, commit files a batched writer
-// left) — and prints the recoverable LSN per shard plus the snapshot it
-// would restore from, without starting a server or writing a byte.
+// -wal-verify <dir> replays a WAL directory's structure offline and prints
+// the recoverable LSN per shard plus the snapshot it would restore from,
+// without starting a server or writing a byte.
 //
 // -refit-mode selects the checkpoint refit strategy for every job this
 // process registers: scratch (retrain from zero — bit-identical to the
@@ -106,7 +102,7 @@ func main() {
 		walStream = flag.Int("wal-streams", 0, "per-shard WAL segment streams (0 = the server's shard count, capped at GOMAXPROCS)")
 		ckptEvery = flag.Duration("wal-checkpoint-every", time.Minute, "automatic WAL checkpoint period (0 disables the time trigger)")
 		ckptBytes = flag.Int64("wal-checkpoint-bytes", 64<<20, "automatic WAL checkpoint once this many bytes were appended since the last one (0 disables the size trigger)")
-		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure (per-shard, legacy single-stream, or with commit files the removed batched writer left) and print the recoverable LSN per shard, then exit (no server is started)")
+		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure and print the recoverable LSN per shard, then exit (no server is started)")
 		refitMode = flag.String("refit-mode", "scratch", "checkpoint refit strategy: scratch (bit-identical to the offline Table 3 path) or warm (warm-started incremental boosting, several times cheaper per refit)")
 	)
 	flag.IntVar(&cfg.Shards, "shards", 0, "server shards (0 = default)")
@@ -144,9 +140,9 @@ func main() {
 }
 
 // runWALVerify prints the offline verifier's report for dir: the newest
-// structurally valid snapshot, the per-shard (and legacy) stream states,
-// and the LSN a recovery would resume at — without starting a server or
-// writing to the directory.
+// structurally valid snapshot, the per-shard stream states, and the LSN a
+// recovery would resume at — without starting a server or writing to the
+// directory.
 func runWALVerify(dir string, w io.Writer) error {
 	if info, err := os.Stat(dir); err != nil {
 		return fmt.Errorf("wal-verify %s: %w", dir, err)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,18 +84,12 @@ func (osFS) SyncDir(dir string) error {
 
 // segment / snapshot file naming inside the WAL directory.
 const (
-	SegPrefix    = "wal-"
-	SegSuffix    = ".seg"
-	SnapPrefix   = "snap-"
-	SnapSuffix   = ".snap"
-	CommitPrefix = "commit-"
-	TmpSuffix    = ".tmp"
+	SegPrefix  = "wal-"
+	SegSuffix  = ".seg"
+	SnapPrefix = "snap-"
+	SnapSuffix = ".snap"
+	TmpSuffix  = ".tmp"
 )
-
-// LegacySegName is the legacy single-stream segment name (wal-<base>.seg); new
-// segments are named by SegName. Both parse distinctly: the legacy hex
-// field is exactly 16 digits, the per-shard form carries a 4-digit shard.
-func LegacySegName(base uint64) string { return fmt.Sprintf("%s%016x%s", SegPrefix, base, SegSuffix) }
 
 // SegName names a per-shard segment: wal-<shard>-<stamp>.seg.
 func SegName(shard int, stamp uint64) string {
@@ -102,14 +97,6 @@ func SegName(shard int, stamp uint64) string {
 }
 
 func SnapName(lsn uint64) string { return fmt.Sprintf("%s%016x%s", SnapPrefix, lsn, SnapSuffix) }
-
-// CommitName names a batched group-commit file: commit-<stamp>.seg, the
-// read-only legacy layout recovery reconciles (commit.go); nothing writes
-// one any more. The prefix keeps it invisible to segment and snapshot
-// listings (both parse by their own prefixes).
-func CommitName(stamp uint64) string {
-	return fmt.Sprintf("%s%016x%s", CommitPrefix, stamp, SegSuffix)
-}
 
 func ParseSeq(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
@@ -144,19 +131,12 @@ func ParseShardSeg(name string) (shard int, stamp uint64, ok bool) {
 }
 
 // ListSorted returns the (name, sequence) pairs in dir matching
-// prefix/suffix, in ascending sequence order. Per-shard segment names do
-// not match the legacy segment pattern (their hex field is 21 characters),
-// so listing legacy segments never picks them up, and vice versa.
+// prefix/suffix, in ascending sequence order.
 func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	return sortedEntries(names, prefix, suffix), nil
-}
-
-// sortedEntries is ListSorted over an already-read directory listing.
-func sortedEntries(names []string, prefix, suffix string) []Entry {
 	var out []Entry
 	for _, n := range names {
 		if seq, ok := ParseSeq(n, prefix, suffix); ok {
@@ -164,11 +144,15 @@ func sortedEntries(names []string, prefix, suffix string) []Entry {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
+	return out, nil
 }
 
 // ListShardSegs groups dir's per-shard segments by shard, each group in
-// ascending stamp order.
+// ascending stamp order. Any other *.seg name is a log layout this package
+// does not read (an old single-stream wal-<lsn>.seg, a batched-commit
+// commit-<stamp>.seg): the listing fails naming it rather than recover
+// around history it cannot see. Other names are not the log's and are
+// ignored.
 func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -178,6 +162,8 @@ func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
 	for _, n := range names {
 		if shard, stamp, ok := ParseShardSeg(n); ok {
 			groups[shard] = append(groups[shard], Entry{Name: n, Seq: stamp})
+		} else if strings.HasSuffix(n, SegSuffix) {
+			return nil, fmt.Errorf("%s is not a per-shard segment (wal-<shard>-<stamp>.seg), the only log layout this build reads", n)
 		}
 	}
 	for _, segs := range groups {
@@ -189,4 +175,32 @@ func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
 type Entry struct {
 	Name string
 	Seq  uint64
+}
+
+// writeFileDurable replaces dir/name with b: write a temp file, fsync it,
+// rename it over, sync the directory. A crash at any point leaves either
+// the old file or the new one, never a mix.
+func writeFileDurable(fs FS, dir, name string, b []byte) error {
+	path := filepath.Join(dir, name)
+	tmp := path + TmpSuffix
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	if err := fs.Rename(tmp, path); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	return fs.SyncDir(dir)
 }

@@ -39,9 +39,6 @@ func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 	}
 	streams := opts.streamCount(shards)
 	ro := make(map[int]*roSegGroup)
-	if len(s.legacySegs) > 0 {
-		ro[legacyGroup] = &roSegGroup{segs: s.legacySegs, end: s.legacyEnd}
-	}
 	streamSegs := make(map[int][]Entry)
 	streamLast := make(map[int]uint64)
 	for shard, g := range s.groups {

@@ -1,5 +1,8 @@
 package wal
 
+// options.go is the log's configuration and its counters: Options with its
+// defaults and stream fan-out, and the Stats /stats serves.
+
 import (
 	"runtime"
 	"time"
@@ -99,8 +102,8 @@ type StreamStats struct {
 // Stats reports a WAL's counters; /stats serves them as the "wal"
 // object.
 type Stats struct {
-	// Segments counts live segment files across all streams (including any
-	// legacy single-stream segments retained from before an upgrade).
+	// Segments counts live segment files across all streams, including the
+	// read-only streams beyond the fan-out that recovery handed over.
 	Segments int `json:"segments"`
 	// Streams is the per-shard stream fan-out of this writer.
 	Streams int `json:"streams"`

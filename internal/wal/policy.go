@@ -1,5 +1,8 @@
 package wal
 
+// policy.go is the automatic checkpoint policy: the timer and size triggers
+// that decide when the owner's checkpoint runs.
+
 import (
 	"time"
 )

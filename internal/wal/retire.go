@@ -1,30 +1,30 @@
 package wal
 
+// retire.go deletes the log a checkpoint's snapshot covers: each stream's
+// segments, and the read-only groups recovery handed over.
+
 import (
 	"path/filepath"
 )
 
-// roSegGroup is a read-only segment group: its files are retained only
-// until a checkpoint floor covers them. end is the group's last record LSN
-// (0 when the group holds no records).
+// roSegGroup is a read-only segment group: the stream of a shard index at
+// or beyond the writer's fan-out (a directory written at a higher stream
+// count). Its files are retained only until a checkpoint floor covers them.
+// end is the group's last record LSN (0 when the group holds no records).
 type roSegGroup struct {
 	segs []Entry
 	end  uint64
 }
-
-// legacyGroup keys the old single-stream segments in WAL.ro.
-const legacyGroup = -1
 
 // RetireBelow removes segments every record of which is below floor (their
 // contents are covered by a durable snapshot stamped at floor). A stream
 // segment's records end before its successor's stamp, so a segment retires
 // once a successor exists with stamp at or below the floor; open segments
 // and each stream's newest segment never retire (without a successor the
-// newest segment's extent is unknown). Read-only groups — legacy
-// single-stream segments (by base LSN) and out-of-range shard streams —
-// retire by the same successor rule, with each group's final segment
-// retiring once the group end recovery recorded is covered. Returns how
-// many segments were deleted.
+// newest segment's extent is unknown). Read-only groups (out-of-range shard
+// streams) retire by the same successor rule, with each group's final
+// segment retiring once the group end recovery recorded is covered. Returns
+// how many segments were deleted.
 func (w *WAL) RetireBelow(floor uint64) (int, error) {
 	removed := 0
 	for _, s := range w.streams {

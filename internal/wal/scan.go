@@ -1,21 +1,20 @@
 package wal
 
-// walrecover.go rebuilds a Server from a WAL directory: the newest valid
-// snapshot file (snap-<lsn>.snap, written by Server.CheckpointWAL or the
-// automatic checkpoint policy) restored through RestoreServer, then every
-// WAL record replayed in global LSN order.
+// scan.go reads a WAL directory back: ScanDir replays every retained record
+// in global LSN order — for serve.Recover, after it restored the newest
+// valid snapshot (snap-<lsn>.snap), and for Verify — and hands the reopened
+// writer the segment inventory it takes over.
 //
-// The log has two on-disk generations. Legacy single-stream segments
-// (wal-<base>.seg) carry implicit LSNs — each opens with a wire.FrameLSNMark
-// declaring its first record's LSN and record i has LSN base+i — and are
-// replayed first, exactly as the pre-sharding code did, so old directories
-// recover unchanged. Per-shard segments (wal-<shard>-<stamp>.seg) carry
-// explicit per-record LSNs (wire.FrameRecord) because the shard streams
-// interleave the global sequence; recovery reads each shard's stream
-// through a cursor (validating the per-segment chain links in its
-// wire.FrameSegHeader frames) and k-way merges the cursors by LSN, so records
-// apply in exactly the order the live server acknowledged them — budget
-// admission, per-job ordering, and counter evolution replay faithfully.
+// The log has one on-disk layout. Per-shard segments
+// (wal-<shard>-<stamp>.seg) carry explicit per-record LSNs
+// (wire.FrameRecord) because the shard streams interleave the global
+// sequence; recovery reads each shard's stream through a cursor (validating
+// the per-segment chain links in its wire.FrameSegHeader frames) and k-way
+// merges the cursors by LSN, so records apply in exactly the order the live
+// server acknowledged them — budget admission, per-job ordering, and counter
+// evolution replay faithfully. Any other *.seg file (the single-stream or
+// batched-commit layout of an earlier writer) fails the scan with its name
+// before a byte is read or trimmed.
 //
 // Replay is exact, not best-effort — each record's LSN is compared against
 // the snapshot's floor and the target job's recorded LSN, so a record is
@@ -33,14 +32,6 @@ package wal
 // are physically trimmed from their segments — they were inside the
 // group-commit window (the loss the SyncEvery contract already admits) and
 // leaving them would collide with the LSNs the reopened log assigns next.
-//
-// A third on-disk shape is read-only legacy: a batched-commit writer (since
-// deleted) fsynced shared commit files instead of segments, so a directory
-// it crashed in can hold segments that lag the commit files which actually
-// acknowledged the last windows. reconcileCommitFiles (commit.go) runs
-// before everything above and patches the segments back to what the commit
-// fsyncs guaranteed, so the scan itself never needs to know which writer
-// produced the directory.
 
 import (
 	"repro/internal/wire"
@@ -71,11 +62,6 @@ type RecoveryStats struct {
 	// depended on, so they are discarded exactly as the group-commit
 	// contract allows.
 	RecordsTrimmed int
-	// CommitFiles counts the legacy batched group-commit files
-	// (commit-<stamp>.seg) found in the directory, and CommitRecords the
-	// batch records replayed from them to re-materialize segment bytes
-	// before the scan. Both are 0 for a per-stream-fsync directory.
-	CommitFiles, CommitRecords int
 	// TornTail reports that replay stopped at a torn or corrupt frame — the
 	// expected signature of a crash mid-append; everything acknowledged
 	// before it was recovered.
@@ -90,26 +76,18 @@ func (r RecoveryStats) String() string {
 	if r.SnapshotPath != "" {
 		snap = fmt.Sprintf("%s (floor %d)", filepath.Base(r.SnapshotPath), r.SnapshotLSN)
 	}
-	commit := ""
-	if r.CommitFiles > 0 {
-		commit = fmt.Sprintf(", %d commit files (%d batch records reconciled)", r.CommitFiles, r.CommitRecords)
-	}
-	return fmt.Sprintf("snapshot %s, %d segments, %d streams, %d applied, %d skipped, %d orphaned, %d trimmed%s, torn=%v, next LSN %d",
+	return fmt.Sprintf("snapshot %s, %d segments, %d streams, %d applied, %d skipped, %d orphaned, %d trimmed, torn=%v, next LSN %d",
 		snap, r.SegmentsScanned, r.Streams, r.RecordsApplied, r.RecordsSkipped, r.RecordsOrphaned,
-		r.RecordsTrimmed, commit, r.TornTail, r.NextLSN)
+		r.RecordsTrimmed, r.TornTail, r.NextLSN)
 }
 
 // Scan is what scanning a WAL directory yields: the contiguous end of
 // the durable history and the surviving segment inventory the reopened
 // writer takes over.
 type Scan struct {
-	next       uint64 // one past the last contiguously recovered record
-	legacySegs []Entry
-	legacyEnd  uint64 // last legacy record LSN (0: none)
-	legacyRecs int
-	legacyTorn bool
-	groups     map[int]*shardGroup
-	hole       bool // a cross-stream hole stopped the merge at next
+	next   uint64 // one past the last contiguously recovered record
+	groups map[int]*shardGroup
+	hole   bool // a cross-stream hole stopped the merge at next
 }
 
 type shardGroup struct {
@@ -121,83 +99,28 @@ type shardGroup struct {
 
 // ScanDir replays dir's whole retained log in global LSN order, feeding
 // every record at or above the contiguity cursor to visit (records below it
-// are counted as skipped). It validates legacy chains by segment base and
-// per-shard chains by wire.FrameSegHeader links and fails typed ErrGap on
-// holes in synced history. Directories left by the old batched-commit
-// writer are reconciled first: surviving commit files re-materialize the
-// segment bytes their fsyncs acknowledged. With repair set (Recover), the
+// are counted as skipped). It validates each stream's chain by its
+// wire.FrameSegHeader links and fails typed ErrGap on holes in synced
+// history; a *.seg file that is not a per-shard segment fails it, naming
+// the file, before any segment is read. With repair set (Recover), the
 // cross-stream orphans a power loss can leave beyond the first missing LSN
-// are physically trimmed and the commit files are consumed and removed;
-// without it (Verify) the directory is only read.
+// are physically trimmed; without it (Verify) the directory is only read.
 func ScanDir(fs FS, dir string, floor uint64, repair bool, rst *RecoveryStats,
 	visit func(lsn uint64, kind wire.FrameKind, payload []byte) error) (Scan, error) {
 	var scan Scan
-
-	// Re-materialize what legacy commit files guarantee before anything
-	// reads a segment: with repair the directory itself is patched back to
-	// a plain per-stream layout, otherwise (Verify) the patches live in a
-	// read-only overlay the rest of this scan reads through.
-	fs, err := reconcileCommitFiles(fs, dir, repair, rst)
-	if err != nil {
-		return scan, err
-	}
-
-	legacy, err := ListSorted(fs, dir, SegPrefix, SegSuffix)
-	if err != nil {
-		return scan, fmt.Errorf("serve: recover: wal dir %s: %w", dir, err)
-	}
 	groups, err := ListShardSegs(fs, dir)
 	if err != nil {
 		return scan, fmt.Errorf("serve: recover: wal dir %s: %w", dir, err)
 	}
 
-	// Phase 1 — legacy single-stream segments, replayed in base order with
-	// implicit LSNs. cursor is the next LSN the recovered state still
-	// needs; records below it are skipped (already reflected), and a
-	// segment starting beyond it is a hole in history.
+	// cursor is the next LSN the recovered state still needs: records below
+	// it are skipped (already reflected). It also bounds each stream's first
+	// retained segment's chain link: a predecessor may legitimately be gone
+	// only if everything it held is covered by the snapshot.
 	cursor := floor
 	if cursor < 1 {
 		cursor = 1
 	}
-	for _, seg := range legacy {
-		if seg.Seq > cursor {
-			return scan, fmt.Errorf(
-				"serve: recover: %w: segment %s starts at LSN %d but records from %d are missing",
-				ErrGap, seg.Name, seg.Seq, cursor)
-		}
-		end, torn, err := walkLegacySegment(fs, filepath.Join(dir, seg.Name), seg.Seq,
-			func(lsn uint64, kind wire.FrameKind, payload []byte) error {
-				scan.legacyRecs++
-				if lsn < cursor {
-					rst.RecordsSkipped++ // shadowed by an earlier segment's replay
-					return nil
-				}
-				return visit(lsn, kind, payload)
-			})
-		rst.SegmentsScanned++
-		if err != nil {
-			return scan, err
-		}
-		if end > cursor {
-			cursor = end
-		}
-		if torn {
-			rst.TornTail = true
-			scan.legacyTorn = true
-		}
-	}
-	scan.legacySegs = legacy
-	if cursor > 1 && len(legacy) > 0 {
-		scan.legacyEnd = cursor - 1
-	}
-
-	// Phase 2 — per-shard streams, merged by explicit LSN. All legacy
-	// records precede all per-shard records (the upgrade switches layouts
-	// at a single boot), so the merge picks up exactly where phase 1
-	// stopped. coveredBelow bounds the first retained segment's chain link:
-	// a predecessor may legitimately be gone only if everything it held is
-	// covered by the snapshot or the legacy log.
-	coveredBelow := cursor
 	scan.groups = make(map[int]*shardGroup)
 	var cursors []*shardCursor
 	defer func() {
@@ -207,10 +130,7 @@ func ScanDir(fs FS, dir string, floor uint64, repair bool, rst *RecoveryStats,
 	}()
 	for shard, segs := range groups {
 		scan.groups[shard] = &shardGroup{segs: segs}
-		if len(segs) == 0 {
-			continue
-		}
-		c := &shardCursor{fs: fs, dir: dir, shard: shard, segs: segs, coveredBelow: coveredBelow}
+		c := &shardCursor{fs: fs, dir: dir, shard: shard, segs: segs, coveredBelow: cursor}
 		if err := c.advance(); err != nil {
 			return scan, err
 		}
@@ -485,8 +405,7 @@ func countSegmentRecords(fs FS, dir string, seg Entry) int {
 // trimSegment rewrites seg without its records at or above cut (a no-op if
 // it has none).
 func trimSegment(fs FS, dir string, seg Entry, cut uint64) (int, error) {
-	path := filepath.Join(dir, seg.Name)
-	rc, err := fs.Open(path)
+	rc, err := fs.Open(filepath.Join(dir, seg.Name))
 	if err != nil {
 		return 0, err
 	}
@@ -524,72 +443,5 @@ func trimSegment(fs FS, dir string, seg Entry, cut uint64) (int, error) {
 	if dropped == 0 {
 		return 0, nil
 	}
-	tmp := path + TmpSuffix
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return dropped, err
-	}
-	if _, err = f.Write(keep); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fs.Remove(tmp)
-		return dropped, err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return dropped, err
-	}
-	return dropped, fs.SyncDir(dir)
-}
-
-// walkLegacySegment walks one legacy single-stream segment: base is the LSN
-// the file name claims for the first record (cross-checked against the
-// segment's wire.FrameLSNMark header), and record i of the segment visits with
-// LSN base+i. Returns the LSN one past the last decodable record and
-// whether the segment ended in a torn/corrupt frame instead of a clean EOF.
-func walkLegacySegment(fs FS, path string, base uint64,
-	visit func(lsn uint64, kind wire.FrameKind, payload []byte) error) (uint64, bool, error) {
-	rc, err := fs.Open(path)
-	if err != nil {
-		return base, false, fmt.Errorf("serve: recover: %w", err)
-	}
-	defer rc.Close()
-	wr := wire.NewReader(rc)
-	lsn := base
-	first := true
-	for {
-		kind, payload, err := wr.NextFrame()
-		if err == io.EOF {
-			return lsn, false, nil
-		}
-		if isTornErr(err) {
-			// The tail a crash leaves: a partially written frame, or a
-			// partially written segment header. Everything before it is
-			// recovered; nothing after it is trusted.
-			return lsn, true, nil
-		}
-		if err != nil {
-			return lsn, false, fmt.Errorf("serve: recover: %s: %w", filepath.Base(path), err)
-		}
-		if first {
-			first = false
-			declared, err := wire.DecodeLSNMarkPayload(payload)
-			if kind != wire.FrameLSNMark || err != nil || declared != base {
-				// A segment that does not open with its own base LSN cannot
-				// be placed in the sequence; treat it as wholly torn.
-				return lsn, true, nil
-			}
-			continue
-		}
-		recLSN := lsn
-		lsn++
-		if err := visit(recLSN, kind, payload); err != nil {
-			return recLSN, false, fmt.Errorf("serve: recover: %s: record at LSN %d: %w",
-				filepath.Base(path), recLSN, err)
-		}
-	}
+	return dropped, writeFileDurable(fs, dir, seg.Name, keep)
 }

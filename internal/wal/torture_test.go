@@ -534,185 +534,6 @@ func TestWALBudgetAfterRecovery(t *testing.T) {
 	}
 }
 
-// --- upgrade path: old single-stream directories under the new recovery ---
-
-// legacyWAL writes the pre-sharding single-stream WAL layout byte for byte:
-// wal-<base>.seg segments opening with a wire.FrameLSNMark base header, records
-// as bare frames with implicit LSNs (record i of a segment is base+i), and
-// rotation at the byte threshold. The torture upgrade sweep uses it to
-// manufacture the directories old deployments leave behind.
-type legacyWAL struct {
-	t        testing.TB
-	fs       *waltest.MemFS
-	dir      string
-	segBytes int64
-	f        wal.File
-	seq      uint64 // next LSN
-	written  int64
-}
-
-func newLegacyWAL(t testing.TB, fs *waltest.MemFS, dir string, segBytes int64) *legacyWAL {
-	lw := &legacyWAL{t: t, fs: fs, dir: dir, segBytes: segBytes, seq: 1}
-	lw.rotate()
-	return lw
-}
-
-func (lw *legacyWAL) rotate() {
-	lw.t.Helper()
-	if lw.f != nil {
-		if err := lw.f.Sync(); err != nil {
-			lw.t.Fatal(err)
-		}
-	}
-	f, err := lw.fs.Create(lw.dir + "/" + wal.LegacySegName(lw.seq))
-	if err != nil {
-		lw.t.Fatal(err)
-	}
-	lw.f = f
-	var e wire.Enc
-	wire.AppendLSNMarkPayload(&e, lw.seq)
-	hdr := wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, e.B)
-	if _, err := lw.f.Write(hdr); err != nil {
-		lw.t.Fatal(err)
-	}
-	lw.written = int64(len(hdr))
-}
-
-// append logs one mutation exactly as the old writer did (job-finish events
-// compact to wire.FrameFinish) and syncs it, consuming one LSN.
-func (lw *legacyWAL) append(mu tortureMutation) {
-	lw.t.Helper()
-	var e wire.Enc
-	kind := wire.FrameEvent
-	switch {
-	case mu.spec != nil:
-		kind = wire.FrameSpec
-		if err := wire.AppendSpecPayload(&e, mu.spec); err != nil {
-			lw.t.Fatal(err)
-		}
-	case mu.ev.Kind == wire.EventJobFinish:
-		kind = wire.FrameFinish
-		wire.AppendFinishPayload(&e, mu.ev.JobID, mu.ev.Time)
-	default:
-		wire.AppendEventPayload(&e, mu.ev)
-	}
-	frame := wire.AppendFrame(nil, kind, e.B)
-	if _, err := lw.f.Write(frame); err != nil {
-		lw.t.Fatal(err)
-	}
-	if err := lw.f.Sync(); err != nil {
-		lw.t.Fatal(err)
-	}
-	lw.seq++
-	lw.written += int64(len(frame))
-	if lw.written >= lw.segBytes {
-		lw.rotate()
-	}
-}
-
-// TestWALUpgradeFromSingleStream is the upgrade acceptance sweep: a
-// directory written by the old single-stream layout, crashed at sampled
-// byte offsets, must recover through the new per-shard code bit-identically
-// — same verdicts, F1 surrogate (reports), and stats as the uninterrupted
-// run — with the exact durable-prefix LSN accounting the old recovery gave.
-func TestWALUpgradeFromSingleStream(t *testing.T) {
-	feed, specs := tortureFeed(t, 20, 113)
-	plain := serve.NewServer(tortureCfg(2))
-	for i := range feed {
-		if err := feed[i].apply(plain); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref := captureState(t, plain, specs)
-
-	fs := waltest.NewMemFS()
-	lw := newLegacyWAL(t, fs, "wal", 16<<10)
-	boundaries := make([]int64, 0, len(feed))
-	for i := range feed {
-		lw.append(feed[i])
-		boundaries = append(boundaries, fs.TotalWritten())
-	}
-
-	stride := 7
-	if testing.Short() || raceEnabled {
-		stride = 41
-	}
-	crashes := make([]int64, 0, len(fs.Journal))
-	var off int64
-	for _, op := range fs.Journal {
-		if op.Kind == waltest.OpWrite {
-			off += int64(len(op.Data))
-			crashes = append(crashes, off)
-		}
-	}
-	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
-	for i := 0; i < len(crashes); i += stride {
-		x := crashes[i]
-		got, rst := recoverAndResume(t, waltest.FSAt(fs.Journal, x, false), feed, specs, opts)
-		want := expectedLSN(boundaries, x)
-		if rst.NextLSN < want || rst.NextLSN > want+1 {
-			t.Fatalf("upgrade crash at byte %d: recovered LSN %d, want %d or %d (%v)",
-				x, rst.NextLSN, want, want+1, rst)
-		}
-		if d := ref.diff(got); d != "" {
-			t.Fatalf("upgrade crash at byte %d (recovery %v): %s", x, rst, d)
-		}
-	}
-
-	// Mixed-generation lifecycle: recover a half-written legacy directory,
-	// keep feeding through the per-shard writer (old and new segments now
-	// coexist), checkpoint, and prove (a) another recovery is still
-	// bit-identical and (b) the checkpoint retired the legacy segments —
-	// their extent is known, so an upgraded server does not hoard them.
-	half := len(feed) / 2
-	fsHalf := waltest.NewMemFS()
-	lwHalf := newLegacyWAL(t, fsHalf, "wal", 16<<10)
-	for i := 0; i < half; i++ {
-		lwHalf.append(feed[i])
-	}
-	opts2 := wal.Options{SegmentBytes: 16 << 10, Streams: 4, FS: fsHalf}
-	sv, wlog, rst, err := serve.Recover("wal", tortureCfg(3), opts2)
-	if err != nil {
-		t.Fatalf("recover half legacy dir: %v (%v)", err, rst)
-	}
-	if int(rst.NextLSN)-1 != half {
-		t.Fatalf("half legacy dir recovered %d mutations, want %d", rst.NextLSN-1, half)
-	}
-	for i := half; i < len(feed); i++ {
-		if err := feed[i].apply(sv); err != nil {
-			t.Fatalf("mixed-dir mutation %d: %v", i, err)
-		}
-	}
-	legacyLeft := func() int {
-		n := 0
-		for name := range fsHalf.Files {
-			if _, ok := wal.ParseSeq(strings.TrimPrefix(name, "wal/"), wal.SegPrefix, wal.SegSuffix); ok {
-				n++
-			}
-		}
-		return n
-	}
-	if legacyLeft() == 0 {
-		t.Fatal("mixed dir lost its legacy segments before any checkpoint")
-	}
-	// Two checkpoints: the first keeps the previous generation's chain (no
-	// older snapshot exists, so everything below its own floor may retire);
-	// the second pins that retirement reached the legacy generation.
-	for i := 0; i < 2; i++ {
-		if _, _, err := sv.CheckpointWAL(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := legacyLeft(); n != 0 {
-		t.Errorf("%d legacy segments survive a full checkpoint; upgraded servers would hoard them", n)
-	}
-	wlog.Close()
-	got2, rst2 := recoverAndResume(t, fsHalf, feed, specs, opts2)
-	if d := ref.diff(got2); d != "" {
-		t.Fatalf("mixed-generation recovery (%v): %s", rst2, d)
-	}
-}
-
 // TestWALTortureAutoCheckpoint runs the feed with the automatic checkpoint
 // policy armed (size trigger) instead of explicit CheckpointWAL calls: the
 // policy goroutine snapshots and retires segments concurrently with live

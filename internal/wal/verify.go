@@ -1,8 +1,8 @@
 package wal
 
-// walverify.go is the offline WAL inspector behind `nurdserve -wal-verify`:
-// it walks a WAL directory — single-stream or per-shard layout, or the
-// mixed state an upgrade leaves — exactly the way Recover would, and
+// verify.go is the offline WAL inspector behind `nurdserve -wal-verify`:
+// it walks a WAL directory's per-shard streams exactly the way Recover
+// would — refusing, as Recover does, a *.seg file of any other layout — and
 // reports the recoverable LSN per shard and overall without building a
 // server, replaying any mutation into predictors, or writing a byte.
 // Operators use it to answer "how much of this log survives?" before (or
@@ -20,8 +20,7 @@ import (
 
 // VerifyStream summarizes one segment stream of a verified directory.
 type VerifyStream struct {
-	// Shard is the stream index; LegacyStream (-1) marks the old
-	// single-stream log retained from before a per-shard upgrade.
+	// Shard is the stream index.
 	Shard int
 	// Segments counts the stream's segment files; Records the decodable
 	// records the merge consumed from them.
@@ -34,10 +33,6 @@ type VerifyStream struct {
 	Torn bool
 }
 
-// LegacyStream is the VerifyStream.Shard value of the old single-stream
-// log.
-const LegacyStream = -1
-
 // VerifyReport is Verify's result.
 type VerifyReport struct {
 	// SnapshotPath is the newest snapshot whose frames all decode (""
@@ -47,7 +42,7 @@ type VerifyReport struct {
 	// predict without a predictor factory.
 	SnapshotPath string
 	SnapshotLSN  uint64
-	// Streams lists the directory's segment streams, legacy first.
+	// Streams lists the directory's segment streams in shard order.
 	Streams []VerifyStream
 	// Records counts decodable WAL records across all streams; Segments
 	// the segment files scanned.
@@ -61,13 +56,6 @@ type VerifyReport struct {
 	// the orphans).
 	TornTail bool
 	Hole     bool
-	// CommitFiles counts legacy batched group-commit files
-	// (commit-<stamp>.seg) found in the directory; CommitRecords the batch
-	// records reconciled from them. Non-zero means the old batched-commit
-	// writer crashed here and the figures above were computed over the
-	// reconciled image — Recover would materialize it; Verify leaves the
-	// directory untouched.
-	CommitFiles, CommitRecords int
 }
 
 // String renders the report the way `nurdserve -wal-verify` prints it.
@@ -79,20 +67,12 @@ func (r VerifyReport) String() string {
 		out = fmt.Sprintf("snapshot: %s (floor %d)\n", filepath.Base(r.SnapshotPath), r.SnapshotLSN)
 	}
 	for _, s := range r.Streams {
-		name := fmt.Sprintf("shard %4d", s.Shard)
-		if s.Shard == LegacyStream {
-			name = "legacy    "
-		}
 		torn := ""
 		if s.Torn {
 			torn = ", torn tail"
 		}
-		out += fmt.Sprintf("%s: %d segments, %d records, last LSN %d%s\n",
-			name, s.Segments, s.Records, s.LastLSN, torn)
-	}
-	if r.CommitFiles > 0 {
-		out += fmt.Sprintf("commit files: %d (%d batch records; batched-commit layout, reconciled read-only)\n",
-			r.CommitFiles, r.CommitRecords)
+		out += fmt.Sprintf("shard %4d: %d segments, %d records, last LSN %d%s\n",
+			s.Shard, s.Segments, s.Records, s.LastLSN, torn)
 	}
 	hole := ""
 	if r.Hole {
@@ -106,8 +86,8 @@ func (r VerifyReport) String() string {
 // it frame-checks the newest structurally valid snapshot for the floor,
 // walks every retained segment stream with the same chain and torn-tail
 // rules Recover applies, and reports the recoverable LSN per stream and
-// overall. Typed failures (ErrGap on missing mid-history segments)
-// surface exactly as a recovery would surface them. The directory is never
+// overall. Failures (ErrGap on missing mid-history segments, a *.seg file
+// of another layout) surface exactly as a recovery would surface them. The directory is never
 // written.
 func Verify(dir string, opts Options) (VerifyReport, error) {
 	opts = opts.WithDefaults()
@@ -135,18 +115,6 @@ func Verify(dir string, opts Options) (VerifyReport, error) {
 	rep.Segments = rst.SegmentsScanned
 	rep.TornTail = rst.TornTail
 	rep.Hole = scan.hole
-	rep.CommitFiles = rst.CommitFiles
-	rep.CommitRecords = rst.CommitRecords
-	if len(scan.legacySegs) > 0 {
-		rep.Streams = append(rep.Streams, VerifyStream{
-			Shard:    LegacyStream,
-			Segments: len(scan.legacySegs),
-			Records:  scan.legacyRecs,
-			LastLSN:  scan.legacyEnd,
-			Torn:     scan.legacyTorn,
-		})
-		rep.Records += scan.legacyRecs
-	}
 	shards := make([]int, 0, len(scan.groups))
 	for shard := range scan.groups {
 		shards = append(shards, shard)

@@ -14,10 +14,8 @@ package wal
 // atomic counter), and because per-shard streams interleave that sequence,
 // every record carries its LSN explicitly (wire.FrameRecord); each segment opens
 // with a wire.FrameSegHeader declaring its name stamp and the stream's previous
-// end LSN, the chain link recovery uses to detect missing segments.
-// Directories written by the old single-stream layout (wal-<base>.seg,
-// implicit LSNs from a wire.FrameLSNMark header) recover unchanged; new appends
-// always land in per-shard streams.
+// end LSN, the chain link recovery uses to detect missing segments. This
+// is the only layout the package reads or writes.
 //
 // Durability model: acknowledged means written, below the watermark. A
 // record is first staged — framed, given its LSN, appended to its stream's
@@ -95,12 +93,12 @@ type WAL struct {
 
 	streams []*walStream
 
-	// ro holds read-only segment groups recovery handed over: legacy
-	// single-stream segments (key legacyGroup) and streams of shard indices
-	// beyond the configured fan-out (a directory written at a higher stream
-	// count). They are never appended to; checkpoints retire them once
-	// covered. Each group records its last LSN (learned by recovery) so its
-	// final segment — whose extent no successor bounds — can retire too.
+	// ro holds the read-only segment groups recovery handed over, keyed by
+	// shard: streams of shard indices beyond the configured fan-out (a
+	// directory written at a higher stream count). They are never appended
+	// to; checkpoints retire them once covered. Each group records its last
+	// LSN (learned by recovery) so its final segment — whose extent no
+	// successor bounds — can retire too.
 	roMu sync.Mutex
 	ro   map[int]*roSegGroup
 
@@ -174,17 +172,14 @@ type walStream struct {
 
 // newWAL builds the writer Recover attaches: the global sequence resumes at
 // seq, per-stream tails at streamLast (recovery's per-stream last retained
-// LSNs), and read-only groups (legacy single-stream segments, out-of-range
-// shard streams) are carried for retirement. No segment is created until a
-// stream's first append (recovery never appends to a possibly-torn tail,
-// and idle streams leave no empty files).
+// LSNs), and read-only groups (out-of-range shard streams) are carried for
+// retirement. No segment is created until a stream's first append (recovery
+// never appends to a possibly-torn tail, and idle streams leave no empty
+// files).
 func newWAL(dir string, seq uint64, streams int, streamLast map[int]uint64,
 	streamSegs map[int][]Entry, ro map[int]*roSegGroup, opts Options) *WAL {
 	if seq < 1 {
 		seq = 1
-	}
-	if ro == nil {
-		ro = make(map[int]*roSegGroup)
 	}
 	w := &WAL{
 		dir:    dir,

@@ -225,7 +225,9 @@ func TestCheckpointWALRetires(t *testing.T) {
 }
 
 // TestRecoverErrors pins the operator-facing failure modes: a missing
-// directory and a log with a hole both fail with clean typed errors.
+// directory and a log with a hole both fail with clean typed errors, and a
+// *.seg file of a layout this build does not read fails Recover and Verify
+// by name without either touching the directory.
 func TestRecoverErrors(t *testing.T) {
 	if _, _, _, err := serve.Recover(filepath.Join(t.TempDir(), "absent"), servetest.CheapConfig(1), wal.Options{}); err == nil {
 		t.Error("recover from a missing directory succeeded")
@@ -253,6 +255,54 @@ func TestRecoverErrors(t *testing.T) {
 	}
 	if _, _, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{}); !errors.Is(err, wal.ErrGap) {
 		t.Errorf("recovery across a deleted segment: %v (want wal.ErrGap)", err)
+	}
+
+	// An earlier writer's single-stream segment (an LSN-mark header) and
+	// batched-commit file (a bare stream header), each beside a valid log.
+	var mark wire.Enc
+	wire.AppendLSNMarkPayload(&mark, 1)
+	image := func(dir string) map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(ents))
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	for name, b := range map[string][]byte{
+		"wal-0000000000000001.seg":    wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, mark.B),
+		"commit-0000000000000001.seg": wire.AppendHeader(nil),
+	} {
+		dir := t.TempDir()
+		sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.StartJob(specs[0], nil); err != nil {
+			t.Fatal(err)
+		}
+		wlog.Close()
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := image(dir)
+		_, _, _, err = serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
+		if err == nil || !strings.Contains(err.Error(), "serve") || !strings.Contains(err.Error(), name) {
+			t.Errorf("recovery beside %s: %v (want an error naming it)", name, err)
+		}
+		if _, err := wal.Verify(dir, wal.Options{}); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("verify beside %s: %v (want an error naming it)", name, err)
+		}
+		if !reflect.DeepEqual(before, image(dir)) {
+			t.Errorf("recovery or verify beside %s changed the directory", name)
+		}
 	}
 }
 
@@ -523,14 +573,11 @@ func TestReplayFromSkips(t *testing.T) {
 	}
 }
 
-// FuzzWALRecover feeds arbitrary bytes to the recovery path, planted by the
-// first input byte mod 3: as a lone WAL segment under the per-shard layout
-// (0) or the legacy single-stream layout (1), or as a batched-commit file
-// beside the tiny real segment (2) — so both replay paths and the
-// commit-file reconciliation stay fuzzed. The invariants: never panic;
+// FuzzWALRecover feeds arbitrary bytes to the recovery path as the lone
+// per-shard segment of a WAL directory. The invariants: never panic;
 // recover a prefix or fail typed; never double-apply (the budget counters
 // always equal the recovered job set); and the recovered LSN never exceeds
-// the number of frames the bytes present could possibly hold.
+// the number of frames the input could possibly hold.
 func FuzzWALRecover(f *testing.F) {
 	// Seed with a *tiny* real segment covering every record kind (spec,
 	// events, finish, drop), built over the in-memory filesystem. Small
@@ -568,8 +615,10 @@ func FuzzWALRecover(f *testing.F) {
 	if len(seed) == 0 {
 		f.Fatal("no seed segment bytes")
 	}
-	// The same records in legacy form: implicit LSNs under an LSN-mark
-	// header, derived by unwrapping each wire.FrameRecord envelope.
+	// The same records as bare frames with implicit LSNs under an LSN-mark
+	// header (an earlier writer's single-stream layout): planted as a
+	// per-shard segment they are hostile input, an LSN mark where the
+	// segment header belongs.
 	legacySeed := func() []byte {
 		var e wire.Enc
 		wire.AppendLSNMarkPayload(&e, 1)
@@ -592,68 +641,29 @@ func FuzzWALRecover(f *testing.F) {
 		}
 		return out
 	}()
-	// A hand-framed commit file against that segment (shard 0, stamp 1):
-	// an in-range extent re-staging the segment's second half, stale patches
-	// for a target no directory entry names (checkpoint-retired), an extent
-	// beginning past the target's length (its hole), and a torn tail.
-	commitSeed := func() []byte {
-		half := wire.HeaderLen
-		for half < len(seed)/2 {
-			_, _, n, err := wire.DecodeFrame(seed[half:])
-			if err != nil {
-				f.Fatal(err)
-			}
-			half += n
-		}
-		out := wire.AppendHeader(nil)
-		for _, x := range []struct {
-			shard      int
-			stamp, off uint64
-			data       []byte
-		}{
-			{0, 1, uint64(half), seed[half:]},
-			{3, 7, 0, seed[:half]},
-			{0, 1, uint64(len(seed)) + 100, seed[half:]},
-		} {
-			var e wire.Enc
-			wire.AppendCommitBatchPayload(&e, x.shard, x.stamp, x.off, x.data)
-			out = wire.AppendFrame(out, wire.FrameCommitBatch, e.B)
-		}
-		return append(out, out[wire.HeaderLen:wire.HeaderLen+11]...)
-	}()
-	addSeeds := func(layout byte, s []byte) {
-		sel := append([]byte{layout}, s...)
-		f.Add(sel)
-		f.Add(sel[:1+len(s)/2])
-		mut := append([]byte(nil), sel...)
-		mut[1+len(s)/3] ^= 0x20
+	for _, s := range [][]byte{seed, legacySeed} {
+		f.Add(s)
+		f.Add(s[:len(s)/2])
+		mut := append([]byte(nil), s...)
+		mut[len(s)/3] ^= 0x20
 		f.Add(mut)
 	}
-	for _, s := range [][]byte{seed, legacySeed} {
-		for _, layout := range []byte{0, 1} {
-			addSeeds(layout, s)
+	// The real segment cut at each frame boundary: the torn tails a crash
+	// leaves.
+	for off := wire.HeaderLen; off < len(seed); {
+		f.Add(seed[:off])
+		_, _, n, err := wire.DecodeFrame(seed[off:])
+		if err != nil {
+			f.Fatal(err)
 		}
+		off += n
 	}
-	addSeeds(2, commitSeed)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// An in-memory filesystem keeps each exec free of disk syscalls.
 		fs := waltest.NewMemFS()
 		name := "wal/" + wal.SegName(0, 1)
-		present := 0 // bytes in the directory besides the input
-		if len(data) > 0 {
-			switch data[0] % 3 {
-			case 1:
-				name = "wal/" + wal.LegacySegName(1)
-			case 2:
-				fs.Files[name] = append([]byte(nil), seed...)
-				fs.Synced[name] = len(seed)
-				present = len(seed)
-				name = "wal/" + wal.CommitName(1)
-			}
-			data = data[1:]
-		}
 		fs.Files[name] = append([]byte(nil), data...)
 		fs.Synced[name] = len(data)
 		// A tight task budget keeps hostile-but-valid spec frames from
@@ -668,8 +678,8 @@ func FuzzWALRecover(f *testing.F) {
 			return
 		}
 		defer wlog.Close()
-		if rst.NextLSN-1 > uint64((present+len(data))/5+1) {
-			t.Fatalf("recovered %d records from %d bytes", rst.NextLSN-1, present+len(data))
+		if rst.NextLSN-1 > uint64(len(data)/5+1) {
+			t.Fatalf("recovered %d records from %d bytes", rst.NextLSN-1, len(data))
 		}
 		// No double-apply: budget counters must equal the recovered job set.
 		ids := sv.JobIDs()
@@ -1056,4 +1066,168 @@ func TestRecoverUnwritableDir(t *testing.T) {
 	if !strings.Contains(err.Error(), "not writable") {
 		t.Errorf("unwritable-dir error %q does not say so", err)
 	}
+}
+
+// commitSpec builds a minimal valid job spec for tests that drive the WAL
+// directly with hand-picked job IDs (stream routing is wire.Mix64(id) %
+// streams, so the IDs select their streams).
+func commitSpec(id uint64) wire.JobSpec {
+	return wire.JobSpec{JobID: id, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
+		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id}
+}
+
+// jobIDsCoveringStreams returns n job IDs routing to n distinct streams.
+func jobIDsCoveringStreams(n int) []uint64 {
+	ids := make([]uint64, 0, n)
+	seen := make(map[uint64]bool, n)
+	for id := uint64(1); len(ids) < n; id++ {
+		if sh := wire.Mix64(id) % uint64(n); !seen[sh] {
+			seen[sh] = true
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// --- Sync error aggregation across streams ---
+
+// failSyncFS makes every segment file's fsync fail with an error naming
+// the file, so a multi-stream Sync failure is distinguishable per stream.
+// The writability probe (wal-probe.tmp) and snapshot files pass through
+// untouched.
+type failSyncFS struct {
+	wal.FS
+}
+
+func (fs *failSyncFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	base := filepath.Base(name)
+	if strings.HasPrefix(base, wal.SegPrefix) && strings.HasSuffix(base, wal.SegSuffix) {
+		return failSyncFile{File: f, name: base}, nil
+	}
+	return f, nil
+}
+
+type failSyncFile struct {
+	wal.File
+	name string
+}
+
+func (f failSyncFile) Sync() error {
+	return fmt.Errorf("injected sync failure on %s", f.name)
+}
+
+// TestWALSyncJoinsStreamErrors: when several streams' flushes fail in one
+// group commit, Sync must report every stream's own failure, not just the
+// first latched one — operators diagnosing a dying device need to see
+// which streams it took down.
+func TestWALSyncJoinsStreamErrors(t *testing.T) {
+	fs := &failSyncFS{FS: waltest.NewMemFS()}
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range jobIDsCoveringStreams(2) {
+		if err := sv.StartJob(commitSpec(id), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = wlog.Sync()
+	if err == nil {
+		t.Fatal("Sync with two failing streams returned nil")
+	}
+	if !errors.Is(err, wal.ErrFailed) {
+		t.Errorf("Sync error is not wal.ErrFailed: %v", err)
+	}
+	msg := err.Error()
+	for _, stream := range []string{"wal-0000-", "wal-0001-"} {
+		if !strings.Contains(msg, stream) {
+			t.Errorf("joined Sync error omits stream %s*: %q", stream, msg)
+		}
+	}
+	wlog.Close() // wedged close may error; it must not panic
+}
+
+// --- flusher lifecycle on a wedged log ---
+
+// wedgeFS counts every fsync attempt and can be switched to fail them
+// all, modeling a log device that dies under a running server.
+type wedgeFS struct {
+	wal.FS
+	syncs  atomic.Int32
+	broken atomic.Bool
+}
+
+func (fs *wedgeFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &wedgeFile{File: f, fs: fs}, nil
+}
+
+type wedgeFile struct {
+	wal.File
+	fs *wedgeFS
+}
+
+func (f *wedgeFile) Sync() error {
+	f.fs.syncs.Add(1)
+	if f.fs.broken.Load() {
+		return fmt.Errorf("injected: log device gone")
+	}
+	return f.File.Sync()
+}
+
+// TestWALFlushLoopExitsWhenWedged: once the first flush failure wedges the
+// log, the background flusher must stop ticking instead of hammering the
+// dead device with a doomed fsync every SyncEvery.
+func TestWALFlushLoopExitsWhenWedged(t *testing.T) {
+	// Per-stream is the only mode; the subtest keeps the name this case has
+	// always run under.
+	t.Run("per-stream", func(t *testing.T) {
+		const tick = 2 * time.Millisecond
+		fs := &wedgeFS{FS: waltest.NewMemFS()}
+		sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1),
+			wal.Options{Streams: 1, SyncEvery: tick, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.StartJob(commitSpec(1), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: 1, TaskID: 0, Time: 1}); err != nil {
+			t.Fatal(err)
+		}
+		fs.broken.Store(true)
+		// Keep the stream dirty with heartbeats until a flusher tick hits
+		// the broken device and the wedge latches.
+		deadline := time.Now().Add(5 * time.Second)
+		for tm := 2.0; ; tm++ {
+			err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 0,
+				Time: tm, Features: []float64{tm}})
+			if errors.Is(err, wal.ErrFailed) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("pre-wedge ingest: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("flusher never wedged the log")
+			}
+			time.Sleep(tick)
+		}
+		// Drain any tick already in flight, then require silence: a
+		// flusher that kept running would attempt ~50 more fsyncs.
+		time.Sleep(5 * tick)
+		before := fs.syncs.Load()
+		time.Sleep(50 * tick)
+		if after := fs.syncs.Load(); after != before {
+			t.Fatalf("wedged log saw %d fsync attempts after the wedge settled; the flusher is still ticking", after-before)
+		}
+		wlog.Close()
+	})
 }

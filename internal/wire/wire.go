@@ -49,12 +49,6 @@ import (
 // snapshots for recovery to replay refits identically), and the FrameSnapJob
 // payload carries the job's warm/scratch fit counters. v2 streams are
 // rejected with a typed ErrVersion, not misdecoded.
-//
-// The batched group-commit release added FrameCommitBatch without a version
-// bump, by the same rule as FrameRecord/FrameSegHeader: the kind appears
-// only inside commit-*.seg files in WAL directories, never in dumps, ingest
-// bodies, or snapshots, so every externally visible stream still decodes
-// under v3.
 const Version uint16 = 3
 
 // wireMagic opens every wire stream.
@@ -78,9 +72,8 @@ const (
 	// training snapshot the job's predictor saw at a fired boundary).
 	FrameSnapCheckpoint FrameKind = 4
 	// FrameLSNMark carries a log sequence number. As the first frame of a
-	// WAL segment it declares the LSN of the segment's first record; as the
-	// first frame of a snapshot it stamps the snapshot's floor — every WAL
-	// record below it is already reflected in the snapshot.
+	// snapshot it stamps the snapshot's floor — every WAL record below it is
+	// already reflected in the snapshot.
 	FrameLSNMark FrameKind = 5
 	// FrameFinish is the compact WAL record of a job-finish mutation
 	// (FinishJob or an EventJobFinish ingest): job ID plus close time.
@@ -90,23 +83,15 @@ const (
 	// FrameRecord is the record envelope of per-shard WAL segments: an
 	// explicit log sequence number plus the wrapped record (one of
 	// FrameSpec/FrameEvent/FrameFinish/FrameDrop). Per-shard streams
-	// interleave the global LSN sequence, so unlike single-stream segments a
-	// record's LSN cannot be derived from its offset and travels with it.
+	// interleave the global LSN sequence, so a record's LSN cannot be derived
+	// from its offset and travels with it.
 	FrameRecord FrameKind = 8
 	// FrameSegHeader opens a per-shard WAL segment: the segment's name stamp,
 	// the last LSN this shard's stream held before the segment (the chain
 	// link recovery uses to detect missing segments), the shard index, and
 	// the stream count the writer fanned across.
 	FrameSegHeader FrameKind = 9
-	// FrameCommitBatch is one staged extent inside a WAL commit file
-	// (commit-<stamp>.seg), the durability point of the batched cross-stream
-	// group commit: the target stream's shard index, the target segment's
-	// name stamp, the byte offset inside that segment, and the segment bytes
-	// verbatim. One commit-file fsync covered every dirty stream's tail;
-	// recovery re-materializes lost segment bytes from these records before
-	// replay. Read-only legacy: the batched writer is gone, the log still
-	// recovers directories it left.
-	FrameCommitBatch FrameKind = 10
+	// Kind 10 was a deleted WAL commit-file frame: never reuse it.
 )
 
 // Typed decode errors, errors.Is-matchable through every wrapping layer.
@@ -521,41 +506,6 @@ func DecodeSegHeaderPayload(p []byte) (SegHeader, error) {
 	return h, d.Finish()
 }
 
-// AppendCommitBatchPayload / DecodeCommitBatchPayload carry one staged
-// extent of a batched group commit (FrameCommitBatch): the target stream's
-// shard index, the target segment's name stamp, the byte offset inside that
-// segment where the extent begins, and the segment bytes verbatim. The
-// returned Data aliases p.
-func AppendCommitBatchPayload(e *Enc, shard int, stamp, off uint64, data []byte) {
-	e.U32(uint32(shard))
-	e.U64(stamp)
-	e.U64(off)
-	e.B = append(e.B, data...)
-}
-
-type CommitBatch struct {
-	Shard      int
-	Stamp, Off uint64
-	Data       []byte
-}
-
-func DecodeCommitBatchPayload(p []byte) (CommitBatch, error) {
-	if len(p) < 20 {
-		return CommitBatch{}, fmt.Errorf("%w: %d bytes for a 20-byte commit-batch prefix", ErrTruncated, len(p))
-	}
-	d := Dec{B: p[:20]}
-	b := CommitBatch{Shard: int(d.U32()), Stamp: d.U64(), Off: d.U64(), Data: p[20:]}
-	if err := d.Finish(); err != nil {
-		return CommitBatch{}, err
-	}
-	// Segment names carry the shard as 4 hex digits; a wider index cannot
-	// name a file and is corruption by fiat.
-	if b.Shard >= 1<<16 {
-		return CommitBatch{}, fmt.Errorf("%w: commit-batch shard %d exceeds the segment name space", ErrCorrupt, b.Shard)
-	}
-	return b, nil
-}
-
 // AppendFinishPayload / DecodeFinishPayload carry a job-finish WAL record
 // (FrameFinish): the job and the close timestamp.
 func AppendFinishPayload(e *Enc, jobID uint64, t float64) {
@@ -608,7 +558,7 @@ func DecodeFrame(b []byte) (FrameKind, []byte, int, error) {
 		return 0, nil, 0, fmt.Errorf("%w: %d bytes for a 5-byte frame header", ErrTruncated, len(b))
 	}
 	kind := FrameKind(b[0])
-	if kind < FrameSpec || kind > FrameCommitBatch {
+	if kind < FrameSpec || kind > FrameSegHeader {
 		return 0, nil, 0, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, b[0])
 	}
 	n := uint32(b[1]) | uint32(b[2])<<8 | uint32(b[3])<<16 | uint32(b[4])<<24

@@ -26,6 +26,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -151,5 +152,34 @@ func TestOneHomePerName(t *testing.T) {
 	})
 	if err != nil || checked == 0 {
 		t.Fatalf("checked %d files under internal/ (err %v)", checked, err)
+	}
+}
+
+// TestCIStepNamesParse guards ci.yml against the defect that once made it
+// invalid YAML and so silently disabled every CI gate: a plain (unquoted)
+// step name holding ": " or opening with a YAML indicator character. The
+// check is by hand because the module has no YAML package.
+func TestCIStepNamesParse(t *testing.T) {
+	b, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	for i, line := range strings.Split(string(b), "\n") {
+		v, ok := strings.CutPrefix(strings.TrimSpace(line), "- name:")
+		if !ok {
+			continue
+		}
+		steps++
+		v = strings.TrimSpace(v)
+		if len(v) >= 2 && (v[0] == '"' || v[0] == '\'') && v[len(v)-1] == v[0] {
+			continue
+		}
+		if v == "" || strings.Contains(v, ": ") || strings.HasSuffix(v, ":") || strings.ContainsRune("-?:,[]{}#&*!|>'\"%@`", rune(v[0])) {
+			t.Errorf("ci.yml:%d: step name %q is not a valid plain YAML scalar; quote it", i+1, v)
+		}
+	}
+	if steps == 0 {
+		t.Fatal("ci.yml lists no steps")
 	}
 }
