@@ -69,7 +69,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/predictor"
@@ -93,7 +92,6 @@ func main() {
 		rate      = flag.Float64("rate", 0, "target ingest rate in events/s across all workers (0 = unthrottled)")
 		tolerance = flag.Float64("tolerance", 1e-9, "max tolerated per-job |served F1 - offline F1|")
 		listen    = flag.String("listen", "", "HTTP listen address for the wire front end (e.g. :8080); empty = load-driver mode")
-		nodes     = flag.Int("nodes", 1, "in-process cluster size: jobs are routed across this many serve nodes by a consistent-hash ring (1 = single node; with -wal each node logs to its own subdirectory)")
 		replay    = flag.String("replay", "", "wire-format trace dump to replay (tracegen -format wire)")
 		speedup   = flag.Float64("speedup", 0, "replay pacing as a multiple of recorded time (0 = as fast as possible)")
 		hold      = flag.Duration("hold", 0, "with -listen and -replay: keep serving this long after the replay drains")
@@ -128,8 +126,8 @@ func main() {
 	switch {
 	case *walVerify != "":
 		err = runWALVerify(*walVerify, os.Stdout)
-	case *listen != "" || *replay != "" || *walDir != "" || *nodes > 1:
-		err = serveMode(*listen, *replay, *nodes, cfg, *speedup, *hold, *walDir, wopts)
+	case *listen != "" || *replay != "" || *walDir != "":
+		err = serveMode(*listen, *replay, cfg, *speedup, *hold, *walDir, wopts)
 	default:
 		err = run(*traceName, *jobs, *seed, *workers, cfg, *rate, *tolerance)
 	}
@@ -181,68 +179,20 @@ func setupServer(walDir string, cfg serve.Config, wopts wal.Options) (*serve.Ser
 	return sv, wlog, rst, nil
 }
 
-// backend is the serving surface serveMode drives: the HTTP front's
-// Backend plus the operator-facing reads. Both the single-node
-// *serve.Server and the multi-node *cluster.Cluster satisfy it.
-type backend interface {
-	servehttp.Backend
-	NumShards() int
-	JobIDs() []uint64
-}
-
 // serveMode runs the durable wire-facing server: an HTTP front end, a
 // dump replay, or both (dump streamed through the front end), optionally
-// on top of a write-ahead log with automatic recovery. With nodes > 1 the
-// server is an in-process consistent-hash cluster: each job's whole stream
-// lands on one of nodes serve.Servers (each with its own WAL subdirectory
-// under -wal), and /query, /report and /stats scatter-gather across them.
-func serveMode(listen, replay string, nodes int, cfg serve.Config, speedup float64, hold time.Duration, walDir string, wopts wal.Options) error {
-	var (
-		sv        backend
-		wlog      *wal.WAL
-		cl        *cluster.Cluster
-		recovered int
-	)
-	if nodes > 1 {
-		if walDir != "" {
-			if info, err := os.Stat(walDir); err != nil {
-				return fmt.Errorf("wal dir %s: %w (create it first)", walDir, err)
-			} else if !info.IsDir() {
-				return fmt.Errorf("wal dir %s: not a directory", walDir)
-			}
-			for i := 0; i < nodes; i++ {
-				if err := os.MkdirAll(cluster.NodeDir(walDir, i), 0o777); err != nil {
-					return err
-				}
-			}
-			c, rsts, err := cluster.Recover(walDir, nodes, cfg, wopts)
-			if err != nil {
-				return err
-			}
-			defer c.Close()
-			for _, rst := range rsts {
-				recovered += int(rst.NextLSN) - 1
-			}
-			fmt.Fprintf(os.Stderr, "nurdserve: wal %s: %d nodes recovered %d mutations\n", walDir, nodes, recovered)
-			cl, sv = c, c
-		} else {
-			c := cluster.New(nodes, cfg)
-			cl, sv = c, c
-		}
-		fmt.Fprintf(os.Stderr, "nurdserve: %d-node cluster (%d virtual points/node)\n", nodes, cluster.VNodesPerNode)
-	} else {
-		single, w, rst, err := setupServer(walDir, cfg, wopts)
-		if err != nil {
-			return err
-		}
-		sv, wlog = single, w
-		if wlog != nil {
-			defer wlog.Close()
-			recovered = int(rst.NextLSN) - 1
-			fmt.Fprintf(os.Stderr, "nurdserve: wal %s: recovered %d mutations (%v)\n", walDir, recovered, rst)
-		}
+// on top of a write-ahead log with automatic recovery.
+func serveMode(listen, replay string, cfg serve.Config, speedup float64, hold time.Duration, walDir string, wopts wal.Options) error {
+	sv, wlog, rst, err := setupServer(walDir, cfg, wopts)
+	if err != nil {
+		return err
 	}
-	durable := wlog != nil || (cl != nil && walDir != "")
+	recovered := 0
+	if wlog != nil {
+		defer wlog.Close()
+		recovered = int(rst.NextLSN) - 1
+		fmt.Fprintf(os.Stderr, "nurdserve: wal %s: recovered %d mutations (%v)\n", walDir, recovered, rst)
+	}
 
 	// With a WAL, resuming a -replay after a crash maps the recovered LSN
 	// back to a dump position — which is only exact if the dump was the
@@ -270,7 +220,7 @@ func serveMode(listen, replay string, nodes int, cfg serve.Config, speedup float
 			srv.Close()
 		}
 	}()
-	if !durable || replay == "" {
+	if wlog == nil || replay == "" {
 		if err := startListener(); err != nil {
 			return err
 		}
@@ -305,17 +255,11 @@ func serveMode(listen, replay string, nodes int, cfg serve.Config, speedup float
 			st.Specs, st.Events, st.Wall.Round(time.Millisecond), st.Rate(),
 			st.MaxLag.Round(time.Millisecond))
 		if wlog != nil {
-			path, retired, err := sv.(*serve.Server).CheckpointWAL()
+			path, retired, err := sv.CheckpointWAL()
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "nurdserve: checkpointed to %s (%d segments retired)\n", path, retired)
-		} else if cl != nil && durable {
-			paths, err := cl.CheckpointWAL()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "nurdserve: checkpointed %d node snapshots\n", len(paths))
 		}
 		fmt.Printf("%8s %6s %6s %6s %6s %7s %10s %5s\n",
 			"job", "cp", "start", "finis", "term", "refits", "refit-mean", "done")

@@ -52,6 +52,17 @@ func TestSetupServerWALValidation(t *testing.T) {
 			wantErr: "recovery",
 		},
 		{
+			name: "multi-node layout",
+			dir: func(t *testing.T) string {
+				p := t.TempDir()
+				if err := os.Mkdir(filepath.Join(p, "node-000"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			},
+			wantErr: "node-000 is a per-node directory",
+		},
+		{
 			name: "writable dir",
 			dir:  func(t *testing.T) string { return t.TempDir() },
 		},
@@ -201,5 +212,51 @@ func TestSetupServerWithoutWAL(t *testing.T) {
 	}
 	if sv.WAL() != nil {
 		t.Error("server has a WAL attached without -wal")
+	}
+}
+
+// TestServeModeWALReplayCheckpoints: -wal with -replay recovers, replays the
+// dump in-process, and checkpoints the server's log once the replay drains.
+// A rerun of the same command finds every element already logged and
+// applies nothing twice.
+func TestServeModeWALReplayCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	var specs []wire.JobSpec
+	var events []wire.Event
+	for job := uint64(1); job <= 3; job++ {
+		specs = append(specs, wire.JobSpec{JobID: job, Schema: []string{"cpu"}, NumTasks: 4,
+			TauStra: 10, Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: job})
+		for tid := 0; tid < 4; tid++ {
+			events = append(events, wire.Event{Kind: wire.EventTaskStart, JobID: job,
+				TaskID: tid, Time: float64(tid)})
+		}
+	}
+	dump := filepath.Join(t.TempDir(), "dump.wire")
+	f, err := os.Create(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteDump(f, specs, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wopts := wal.Options{SyncEvery: time.Millisecond}
+	for run := 0; run < 2; run++ {
+		if err := serveMode("", dump, serve.Config{Shards: 2}, 0, 0, dir, wopts); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+	_, wlog, rst, err := serve.Recover(dir, serve.Config{Shards: 2}, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	if rst.SnapshotPath == "" {
+		t.Error("no checkpoint snapshot after a -wal -replay run")
+	}
+	if want := uint64(len(specs) + len(events) + 1); rst.NextLSN != want {
+		t.Errorf("recovered to LSN %d after two runs, want %d (each element logged once)", rst.NextLSN, want)
 	}
 }

@@ -4,11 +4,10 @@
 // per-job reports and server-wide stats at the end, snapshot the server and
 // restore it into a fresh process image that answers the same queries
 // identically — then run the same jobs under a write-ahead log, kill the
-// server halfway, and recover it with zero acknowledged events lost —
-// load-test the HTTP front end with named workload scenarios through the
+// server halfway, and recover it with zero acknowledged events lost — and
+// finally load-test the HTTP front end with named workload scenarios through the
 // open-loop percentile harness, including a hostile malformed-frame
-// injection run — and finally scale out across a 3-node consistent-hash
-// cluster whose front end aggregates /stats over every node.
+// injection run.
 //
 // The serving stack is four one-way layers, each its own package:
 //
@@ -16,14 +15,12 @@
 //	internal/wal        write-ahead log: segments, recovery, torture-tested
 //	internal/serve      the node core: sharded registry, refits, snapshots
 //	internal/servehttp  HTTP front + replay, over any Backend
-//	internal/cluster    consistent-hash coordinator over N serve.Servers
 //
 //	go run ./examples/serving
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -33,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/servehttp"
 	"repro/internal/simulator"
@@ -404,81 +400,4 @@ func main() {
 	}
 	fmt.Printf("overload-and-recover: %v; shed left no WAL trace — %d/%d jobs' verdicts identical after recovery\n",
 		orst, identical, len(preShed))
-
-	// 10. Scale out: the same HTTP front over a 3-node cluster. cluster.New
-	// builds N ordinary serve.Servers behind one servehttp.Backend — a
-	// consistent-hash ring (64 virtual points per node, a pure function of
-	// the node count) routes every job-scoped call to its owner node, while
-	// /stats scatters to every node and gathers one aggregate. Placement is
-	// deterministic across restarts, which is what lets each node recover
-	// its own WAL directory. The same deployment via the CLI:
-	//
-	//	nurdserve -listen :8080 -nodes 3 -wal /var/lib/nurd
-	cws, _ := workload.Builtin("smoke")
-	cwl, err := workload.Synthesize(cws)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cl := cluster.New(3, serve.DefaultConfig())
-	singleNode := serve.NewServer(serve.DefaultConfig())
-	for i := range cwl.Items {
-		it := &cwl.Items[i]
-		if it.Spec != nil {
-			if err := cl.StartJob(*it.Spec, nil); err != nil {
-				log.Fatal(err)
-			}
-			err = singleNode.StartJob(*it.Spec, nil)
-		} else {
-			if err := cl.Ingest(*it.Event); err != nil {
-				log.Fatal(err)
-			}
-			err = singleNode.Ingest(*it.Event)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// GET /stats on a cluster front answers with the aggregate: job and
-	// event totals summed across every node, one view for the whole
-	// deployment — exactly what `curl :8080/stats` shows under -nodes 3.
-	clFront := httptest.NewServer(servehttp.NewHandler(cl))
-	defer clFront.Close()
-	var agg struct {
-		Jobs   int    `json:"jobs"`
-		Events uint64 `json:"events"`
-		Refits int    `json:"refits"`
-	}
-	resp, err := clFront.Client().Get(clFront.URL + "/stats")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("cluster /stats (aggregated over 3 nodes): %d jobs, %d events, %d refits\n",
-		agg.Jobs, agg.Events, agg.Refits)
-	for i, ns := range cl.NodeStats() {
-		fmt.Printf("  node %d: %d jobs, %d events\n", i, ns.Jobs, ns.Events)
-	}
-
-	// The cluster is a placement layer and nothing else: the same workload
-	// on a single node produces bit-identical per-job F1 (the ring decides
-	// WHERE a job runs, never WHAT its serving run computes).
-	matched := 0
-	for id, truth := range cwl.Truth {
-		crep, err := cl.Report(id)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srep, err := singleNode.Report(id)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if crep.Confusion(truth).F1() == srep.Confusion(truth).F1() {
-			matched++
-		}
-	}
-	fmt.Printf("cluster vs single node: %d/%d jobs with bit-identical F1\n", matched, len(cwl.Truth))
 }

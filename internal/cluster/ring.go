@@ -1,18 +1,14 @@
-// Package cluster is the in-process coordinator tier above the single-node
-// serving core: a consistent-hash ring routes every job-scoped operation
-// (StartJob, Ingest, Query, Report) to one of N serve.Servers by job ID,
-// while job-agnostic reads (Stats, JobIDs) scatter to every node and gather
-// an aggregate. Nodes are ordinary serve.Servers — each may carry its own
-// write-ahead log directory — so everything the single-node layer
-// guarantees (recovery equivalence, overload policy, refit determinism)
-// holds per node, and the coordinator adds only placement.
+// Package cluster is a deterministic job→node placement function: a
+// consistent-hash ring that maps a job ID to one of n nodes. There is no
+// in-tree router behind it — the serving stack is one node, whose shards
+// and per-shard WAL streams already spread a job population — so its one
+// in-tree caller is the benchmark, which times a lookup
+// (cluster.ring_node_ns).
 //
-// Placement is deterministic: the ring is built from the node count alone,
-// with VNodesPerNode virtual points per node derived from the same
-// splitmix64 finalizer (wire.Mix64) the registry uses for shard placement.
-// Same node count, same ring — across process restarts, a job always lands
-// on the same node, which is what lets each node recover its own WAL and
-// the cluster reassemble exactly the pre-crash assignment.
+// The ring is built from the node count alone, with VNodesPerNode virtual
+// points per node derived from the same splitmix64 finalizer (wire.Mix64)
+// the registry uses for shard placement. Same node count, same ring: a job
+// lands on the same node across process restarts.
 package cluster
 
 import (

@@ -6,11 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// TestRingBalance pins the coordinator's load-spread claim: with 64 virtual
-// points per node, the busiest node's job share stays under 1.6x the
-// idlest's for every cluster size the scale-out design targets (3–16
-// nodes). Jobs are sequential IDs — the common allocation pattern — mixed
-// onto the ring exactly as Cluster routes them.
+// TestRingBalance pins the ring's load-spread claim: with 64 virtual points
+// per node, the busiest node's job share stays under 1.6x the idlest's for
+// every node count from 3 to 16. Jobs are sequential IDs — the common
+// allocation pattern — mixed onto the ring exactly as Node places them.
 func TestRingBalance(t *testing.T) {
 	const jobs = 200000
 	for n := 3; n <= 16; n++ {
@@ -37,10 +36,9 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingPlacementStable pins recoverability: the ring is a pure function
-// of the node count, so a restarted process (a fresh NewRing) places every
-// job on the same node — each node's WAL directory recovers into the node
-// that wrote it.
+// TestRingPlacementStable: the ring is a pure function of the node count,
+// so a restarted process (a fresh NewRing) places every job on the same
+// node.
 func TestRingPlacementStable(t *testing.T) {
 	for _, n := range []int{1, 3, 5, 8, 16} {
 		a, b := NewRing(n), NewRing(n)
@@ -81,8 +79,7 @@ func TestRingCoversHashSpace(t *testing.T) {
 	}
 }
 
-// TestRingSingleNode: a 1-node ring routes everything to node 0 (the
-// degenerate cluster equals a single server).
+// TestRingSingleNode: a 1-node ring routes everything to node 0.
 func TestRingSingleNode(t *testing.T) {
 	r := NewRing(1)
 	for id := uint64(0); id < 1000; id++ {

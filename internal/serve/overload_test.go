@@ -432,13 +432,13 @@ func TestRetryHintTracksLoad(t *testing.T) {
 	<-s.sem
 }
 
-// TestStageBatchSkipsShedStopsAtError drives the one batch loop (behind both
-// Server.IngestBatch and cluster.Cluster.IngestBatch) through a fake stager
-// that sheds the heartbeat at index k and fails for real at index m > k:
-// every event after k up to m must still be staged, the loop must stop at
-// m, and commit must run exactly once whether or not the batch errored. A
-// loop that breaks on ErrShed stages only 0..k and fails the staged-set
-// check: that is N-node ≢ 1-node under shedding.
+// TestStageBatchSkipsShedStopsAtError drives the one batch loop behind
+// Server.IngestBatch through a fake stager that sheds the heartbeat at
+// index k and fails for real at index m > k: every event after k up to m
+// must still be staged, the loop must stop at m, and commit must run
+// exactly once whether or not the batch errored. A loop that breaks on
+// ErrShed stages only 0..k and fails the staged-set check: one shed
+// heartbeat would silently drop every event after it.
 func TestStageBatchSkipsShedStopsAtError(t *testing.T) {
 	const n, k, m = 8, 2, 5
 	events := make([]wire.Event, n)

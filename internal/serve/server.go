@@ -416,10 +416,11 @@ func (sv *Server) IngestBatch(events []wire.Event) error {
 	return StageBatch(events, sv.StageEvent, sv.Commit)
 }
 
-// StageBatch is the one batch loop, shared by Server.IngestBatch and
-// cluster.Cluster.IngestBatch so that N-node ≡ 1-node holds under shedding
-// too: it stages each event in order, stops at the first error, and calls
-// commit exactly once before it returns either way; a commit error wins.
+// StageBatch is the one batch loop behind Server.IngestBatch, taking the
+// stage and commit steps as functions so its tests can drive it through a
+// fake stager: it stages each event in order, stops at the first error, and
+// calls commit exactly once before it returns either way; a commit error
+// wins.
 // Heartbeats shed under overload (ErrShed) are skipped, not errors:
 // shedding is policy, and aborting the batch would turn one coalesced
 // observation into the loss of every event after it.

@@ -3,7 +3,7 @@
 // replays, model-free predictors, a cheap server Config, and the
 // timing-free core of a JobReport that the bit-identity tests compare. It
 // is the one copy for every package that tests serve from outside
-// (internal/wal, internal/servehttp, internal/cluster).
+// (internal/wal, internal/servehttp).
 //
 // Package serve's own white-box tests keep their own copy of these
 // helpers: they are `package serve`, and importing servetest — which

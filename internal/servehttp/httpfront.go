@@ -69,9 +69,8 @@ import (
 )
 
 // Backend is the serving surface the HTTP front (and the replay drivers)
-// consume: exactly the job-scoped operations plus the cluster-aggregatable
-// reads. *serve.Server implements it for one node; *cluster.Cluster routes
-// the same calls across many. The front stays transport-only either way.
+// consume. *serve.Server implements it; tests substitute fakes through it,
+// so the front stays transport-only.
 type Backend interface {
 	StartJob(spec wire.JobSpec, pred simulator.Predictor) error
 	Ingest(e wire.Event) error
@@ -89,12 +88,7 @@ type Backend interface {
 	Stats() serve.Stats
 	RetryHint() int
 	Config() serve.Config
-}
-
-// snapshotter is the optional single-stream snapshot surface: single-node
-// backends expose it and GET /snapshot streams it; a cluster's snapshots
-// are per node (cluster.Cluster.Snapshot), so its front answers 501.
-type snapshotter interface {
+	// Snapshot streams the backend's whole state; GET /snapshot serves it.
 	Snapshot(w io.Writer) error
 }
 
@@ -119,8 +113,7 @@ type IngestResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// NewHandler exposes a backend — a single *serve.Server or a
-// *cluster.Cluster — over HTTP. See the package comment at the top of
+// NewHandler exposes a backend over HTTP. See the package comment at the top of
 // httpfront.go for routes and error mapping.
 func NewHandler(sv Backend) http.Handler {
 	f := &front{sv: sv}
@@ -461,18 +454,9 @@ func (sw *snapshotWriter) Write(p []byte) (int, error) {
 }
 
 func (f *front) snapshot(w http.ResponseWriter, r *http.Request) {
-	snap, ok := f.sv.(snapshotter)
-	if !ok {
-		// A cluster front: snapshots are per node, not one stream. 501
-		// (not 404) tells the caller the route exists but this backend
-		// cannot serve it.
-		writeJSON(w, http.StatusNotImplemented,
-			IngestResult{Error: "snapshot is per node on a cluster front; snapshot each node's WAL directory instead"})
-		return
-	}
 	w.Header().Set("Content-Type", wireContentType)
 	sw := &snapshotWriter{w: w}
-	if err := snap.Snapshot(sw); err == nil {
+	if err := f.sv.Snapshot(sw); err == nil {
 		return
 	} else if !sw.wrote {
 		// Clean failure: nothing reached the wire, so a real status code

@@ -30,7 +30,7 @@ type FS interface {
 	Create(name string) (File, error)
 	// Open opens name for reading.
 	Open(name string) (io.ReadCloser, error)
-	// ReadDir lists the base names inside dir.
+	// ReadDir lists the base names inside dir, subdirectories included.
 	ReadDir(dir string) ([]string, error)
 	// Rename atomically moves oldname to newname.
 	Rename(oldname, newname string) error
@@ -60,11 +60,9 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
 	}
 	return names, nil
 }
@@ -148,11 +146,12 @@ func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 }
 
 // ListShardSegs groups dir's per-shard segments by shard, each group in
-// ascending stamp order. Any other *.seg name is a log layout this package
-// does not read (an old single-stream wal-<lsn>.seg, a batched-commit
-// commit-<stamp>.seg): the listing fails naming it rather than recover
-// around history it cannot see. Other names are not the log's and are
-// ignored.
+// ascending stamp order. Any other *.seg name, or a node-<digits> entry, is
+// a log layout this package does not read (an old single-stream
+// wal-<lsn>.seg, a batched-commit commit-<stamp>.seg, the multi-node
+// layout's per-node subdirectory): the listing fails naming it rather than
+// recover around history it cannot see. Other names are not the log's and
+// are ignored.
 func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -164,12 +163,29 @@ func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
 			groups[shard] = append(groups[shard], Entry{Name: n, Seq: stamp})
 		} else if strings.HasSuffix(n, SegSuffix) {
 			return nil, fmt.Errorf("%s is not a per-shard segment (wal-<shard>-<stamp>.seg), the only log layout this build reads", n)
+		} else if isNodeSubdir(n) {
+			return nil, fmt.Errorf("%s is a per-node directory of the multi-node layout, which this build no longer reads; recover it as its own -wal directory", n)
 		}
 	}
 	for _, segs := range groups {
 		sort.Slice(segs, func(a, b int) bool { return segs[a].Seq < segs[b].Seq })
 	}
 	return groups, nil
+}
+
+// isNodeSubdir reports whether name is node-<3 or more digits>, the per-node
+// subdirectory the multi-node server wrote under its WAL root.
+func isNodeSubdir(name string) bool {
+	digits, ok := strings.CutPrefix(name, "node-")
+	if !ok || len(digits) < 3 {
+		return false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 type Entry struct {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -303,6 +304,58 @@ func TestRecoverErrors(t *testing.T) {
 		if !reflect.DeepEqual(before, image(dir)) {
 			t.Errorf("recovery or verify beside %s changed the directory", name)
 		}
+	}
+}
+
+// TestRecoverRefusesNodeLayout: a WAL root written by the multi-node server
+// holds only node-000/, node-001/, … each with its own log. Recovering the
+// root must fail naming the subdirectory — not start an empty server that
+// appends beside the logged jobs — and Verify must agree, with the tree
+// left byte-identical.
+func TestRecoverRefusesNodeLayout(t *testing.T) {
+	root := t.TempDir()
+	specs, _ := walWorkload(t, 1, 73)
+	node := filepath.Join(root, "node-000")
+	if err := os.Mkdir(node, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sv, wlog, _, err := serve.Recover(node, servetest.CheapConfig(1), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.StartJob(specs[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	wlog.Close()
+
+	image := func() map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := image()
+	if len(before) == 0 {
+		t.Fatal("node-000 holds no segment")
+	}
+	_, _, _, err = serve.Recover(root, servetest.CheapConfig(1), wal.Options{})
+	if err == nil || !strings.Contains(err.Error(), "node-000") || !strings.Contains(err.Error(), "no longer reads") {
+		t.Errorf("recovery of a multi-node root: %v (want an error naming node-000)", err)
+	}
+	if _, err := wal.Verify(root, wal.Options{}); err == nil || !strings.Contains(err.Error(), "node-000") {
+		t.Errorf("verify of a multi-node root: %v (want an error naming node-000)", err)
+	}
+	if !reflect.DeepEqual(before, image()) {
+		t.Error("recovery or verify of a multi-node root changed the tree")
 	}
 }
 

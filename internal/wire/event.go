@@ -3,7 +3,7 @@
 // types that travel in it (Event, JobSpec, RefitMode) and the ingest
 // observation pool the pooled decode path draws from. It imports no other
 // internal package — everything above (WAL segments, the serving node, the
-// HTTP front, the cluster tier) speaks this format, and the layering test
+// HTTP front) speaks this format, and the layering test
 // pins the independence.
 package wire
 

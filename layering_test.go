@@ -6,20 +6,21 @@ package repro
 // lower layer ever grows an edge to a higher one. The one-way order is
 //
 //	wire  <-  wal  <-  serve  <-  servehttp
-//	                   serve  <-  cluster
+//	wire  <-  cluster
 //
 // wire (the frame codec) imports no sibling internal package at all; wal
 // (storage) may see only wire; serve (the node core) must not reach back
-// up into its fronts (servehttp, cluster). Without this test the layering
-// would be aspirational — one convenient import away from a cycle the
-// refactor existed to remove.
+// up into its front (servehttp). cluster is a leaf beside the stack, not a
+// tier of it: the job→node ring, built on wire.Mix64 alone, with no server
+// behind it. Without this test the layering would be aspirational — one
+// convenient import away from a cycle the refactor existed to remove.
 //
 // The diagram is also the import list a reader sees: every name has one
-// home. servehttp and cluster (and cmd/, examples/, the tests) import wire
-// and wal directly for what lives there — wire.Event, wire.JobSpec,
-// wal.Options, wal.ErrFailed — and serve for the node core only; serve
-// re-exports nothing from the layers below it, and no test dot-imports it
-// to make old unqualified names resolve (TestOneHomePerName).
+// home. servehttp (and cmd/, examples/, the tests) import wire and wal
+// directly for what lives there — wire.Event, wire.JobSpec, wal.Options,
+// wal.ErrFailed — and serve for the node core only; serve re-exports
+// nothing from the layers below it, and no test dot-imports it to make old
+// unqualified names resolve (TestOneHomePerName).
 
 import (
 	"go/ast"
@@ -84,6 +85,16 @@ func TestLayeringServeBelowFronts(t *testing.T) {
 	for _, forbidden := range []string{"repro/internal/servehttp", "repro/internal/cluster"} {
 		if deps[forbidden] {
 			t.Errorf("internal/serve depends on %s; the node core must not reach up into its fronts", forbidden)
+		}
+	}
+}
+
+// TestLayeringClusterIsALeaf keeps the ring from growing back into a
+// serving tier: its only repro/ dependency is the hash it places with.
+func TestLayeringClusterIsALeaf(t *testing.T) {
+	for dep := range transitiveDeps(t, "repro/internal/cluster") {
+		if strings.HasPrefix(dep, "repro/") && dep != "repro/internal/cluster" && dep != "repro/internal/wire" {
+			t.Errorf("internal/cluster depends on %s; the ring may import only internal/wire", dep)
 		}
 	}
 }
