@@ -36,6 +36,10 @@ type Config struct {
 	Seed uint64
 }
 
+// defaultTree is the base learner's growth: DefaultConfig's, and what
+// normalize substitutes for an unset Tree.
+var defaultTree = tree.Config{MaxDepth: 3, MinLeaf: 3, MinSplit: 6}
+
 // DefaultConfig returns the boosting parameters used across the evaluation
 // (small trees, moderate shrinkage — tuned once as in paper §6).
 func DefaultConfig() Config {
@@ -43,7 +47,7 @@ func DefaultConfig() Config {
 		NumTrees:     50,
 		LearningRate: 0.1,
 		Lambda:       1.0,
-		Tree:         tree.Config{MaxDepth: 3, MinLeaf: 3, MinSplit: 6},
+		Tree:         defaultTree,
 	}
 }
 
@@ -58,7 +62,7 @@ func (c *Config) normalize() {
 		c.Lambda = 0
 	}
 	if c.Tree.MaxDepth <= 0 {
-		c.Tree = tree.Config{MaxDepth: 3, MinLeaf: 3, MinSplit: 6}
+		c.Tree = defaultTree
 	}
 }
 
@@ -272,8 +276,8 @@ func (m *Model) Extend(X [][]float64, y []float64, rounds int, cfg Config) (*Mod
 	// The initial residual pass predicts every training row through the
 	// inherited ensemble — the dominant cost of a warm refit. Compile once
 	// and walk task-major; bit-identical to per-row out.Predict. Rows are
-	// width-checked first: this pass runs before tree.Fit's own ragged-row
-	// validation gets a chance to reject bad input.
+	// width-checked first: this pass runs before boostRounds' tree.Presort
+	// gets a chance to reject ragged rows.
 	flat := out.Compile()
 	for i, x := range X {
 		if err := flat.CheckWidth(len(x)); err != nil {

@@ -257,3 +257,92 @@ func TestFitMatchesSortPerNodeReference(t *testing.T) {
 		t.Errorf("only %d of %d cases grew a split: the comparison has gone vacuous", split, cases)
 	}
 }
+
+// TestGrowMatchesReferenceAtExtremeTargets runs the differential oracle
+// where the uniform scan's division-free bound is nearest to being wrong:
+// targets whose squared prefix sums underflow or overflow (alone, or beside
+// ordinary ones), whole-number targets whose gains tie exactly, a NaN or
+// infinite target, and MinLeaf from 1 to half the rows.
+func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
+	scale := func(s float64) func([]float64) {
+		return func(y []float64) {
+			for i := range y {
+				y[i] *= s
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		apply func(y []float64)
+		split bool // whether some tree must split, so the case is not vacuous
+	}{
+		{"1e-150", scale(1e-150), false},
+		{"1e-160", scale(1e-160), false},
+		{"1e150", scale(1e150), true},
+		{"1e153", scale(1e153), true}, // the longer prefix sums' squares overflow
+		{"1e155", scale(1e155), false},
+		{"centred 1e155", func(y []float64) { // a finite parent beside +Inf gains
+			mean := 0.0
+			for _, v := range y {
+				mean += v / float64(len(y))
+			}
+			for i := range y {
+				y[i] = (y[i] - mean) * 1e155
+			}
+		}, true},
+		{"whole", func(y []float64) {
+			for i := range y {
+				y[i] = math.Round(y[i])
+			}
+		}, true},
+		{"negatives 1e-160", func(y []float64) { // subnormal squares beside normal ones
+			for i := range y {
+				if y[i] < 0 {
+					y[i] *= 1e-160
+				}
+			}
+		}, true},
+		{"NaN", func(y []float64) { y[len(y)/3] = math.NaN() }, false},
+		{"+Inf", func(y []float64) { y[len(y)/2] = math.Inf(1) }, false},
+		{"-Inf", func(y []float64) { y[0] = math.Inf(-1) }, false},
+	} {
+		split := 0
+		for seed := uint64(1); seed <= 40; seed++ {
+			X, y, _, _ := diffCase(seed)
+			tc.apply(y)
+			n := len(X)
+			for _, minLeaf := range []int{1, 3, n / 2} {
+				cfg := Config{MaxDepth: 4, MinLeaf: minLeaf}
+				want, err := refFit(X, y, nil, cfg)
+				if err != nil {
+					t.Fatalf("%s seed %d: reference: %v", tc.name, seed, err)
+				}
+				got, err := Fit(X, y, nil, cfg)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+				}
+				if !reflect.DeepEqual(nodeBits(want), nodeBits(got)) {
+					t.Errorf("%s seed %d (n=%d MinLeaf=%d): trees differ\nreference %+v\npresorted %+v",
+						tc.name, seed, n, minLeaf, want.nodes, got.nodes)
+				}
+				if want.NumNodes() > 1 {
+					split++
+				}
+			}
+		}
+		if tc.split && split == 0 {
+			t.Errorf("%s: no case grew a split: the comparison has gone vacuous", tc.name)
+		}
+		t.Logf("%s: %d of 120 trees split", tc.name, split)
+	}
+}
+
+// nodeBits is t's node table with every float as its bits, so that two
+// tables with NaN leaf values compare equal under reflect.DeepEqual.
+func nodeBits(t *Regressor) [][5]uint64 {
+	out := make([][5]uint64, len(t.nodes))
+	for i, nd := range t.nodes {
+		out[i] = [5]uint64{uint64(nd.feature), math.Float64bits(nd.threshold), math.Float64bits(nd.value), uint64(nd.left), uint64(nd.right)}
+	}
+	return out
+}

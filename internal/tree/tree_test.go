@@ -437,3 +437,85 @@ func TestFitWithNaNAndInfCells(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGrow times the split search at the shape NURD serves: a 110-row,
+// 15-feature view (a mean checkpoint's finished tasks), gbt's tree config,
+// and 50 rounds of fresh targets grown from one Presorted, as one
+// FitRegressor does. An op is the 50 trees; ns/candidate divides the time by
+// the (feature, cut) pairs the trees' nodes offer the split rule, those
+// MinLeaf allows, so it prices one candidate without the presort that
+// tree.fit_us_per_tree also pays.
+func BenchmarkGrow(b *testing.B) {
+	const n, d, rounds = 110, 15, 50
+	cfg := Config{MaxDepth: 3, MinLeaf: 3, MinSplit: 6}
+	rng := stats.NewRNG(7)
+	X := make([][]float64, n)
+	for i := range X {
+		X[i] = make([]float64, d)
+		for j := range X[i] {
+			X[i][j] = rng.Normal(0, 1)
+			if j%3 == 2 {
+				X[i][j] = math.Floor(4 * rng.Float64()) // ties, as in the served counters
+			}
+		}
+	}
+	ys := make([][]float64, rounds)
+	for r := range ys {
+		ys[r] = make([]float64, n)
+		for i, x := range X {
+			ys[r][i] = math.Pow(0.9, float64(r))*(2*x[0]-x[1]+x[2]) + rng.Normal(0, 0.5)
+		}
+	}
+	p, err := Presort(X)
+	if err != nil {
+		b.Fatal(err)
+	}
+	candidates := 0
+	for _, y := range ys {
+		t, err := p.Grow(y, nil, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		candidates += searchedCandidates(t, X, cfg)
+	}
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for _, y := range ys {
+			if _, err := p.Grow(y, nil, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*candidates), "ns/candidate")
+}
+
+// searchedCandidates counts the (feature, cut) pairs that growing t on X
+// offered the split rule: every node growth searched, a node at depth below
+// MaxDepth with at least MinSplit rows, offers d·(m-2·MinLeaf+1).
+func searchedCandidates(t *Regressor, X [][]float64, cfg Config) int {
+	if err := cfg.normalize(); err != nil {
+		panic(err)
+	}
+	rows, depth := make([]int, len(t.nodes)), make([]int, len(t.nodes))
+	for _, x := range X {
+		for i, dep := int32(0), 0; ; dep++ {
+			rows[i], depth[i] = rows[i]+1, dep
+			nd := t.nodes[i]
+			if nd.feature < 0 {
+				break
+			}
+			if x[nd.feature] <= nd.threshold {
+				i = nd.left
+			} else {
+				i = nd.right
+			}
+		}
+	}
+	total := 0
+	for i, m := range rows {
+		if depth[i] < cfg.MaxDepth && m >= cfg.MinSplit {
+			total += t.ncols * max(0, m-2*cfg.MinLeaf+1)
+		}
+	}
+	return total
+}
