@@ -52,21 +52,17 @@ func main() {
 		url        = flag.String("url", "", "target front end base URL; empty = spin up an in-process server per run")
 		shards     = flag.Int("shards", 0, "shards for the in-process server (0 = default)")
 		out        = flag.String("out", "", "write the JSON report here (- = stdout); default stdout")
-		batch      = flag.Int("batch", 0, "max frames coalesced into one request (0 = default)")
-		window     = flag.Float64("window", 0, "max virtual seconds one request may span (0 = default)")
 		maxRateGap = flag.Float64("max-rate-gap", 0, "self-check: exit nonzero when |offered-achieved|/offered exceeds this (0 = no check)")
 
 		// Overload knobs for the in-process server (ignored with -url).
-		ingestQueue = flag.Int("ingest-queue", 0, "per-shard ingest queue bound for the in-process server (0 = default, negative = unbounded)")
-		refitQueue  = flag.Int("refit-queue", 0, "per-shard refit queue bound (0 = default, negative = unbounded)")
-		clientRate  = flag.Float64("client-rate", 0, "per-client token-bucket refill, frames/s (0 = no rate limiting)")
-		clientBurst = flag.Int("client-burst", 0, "per-client token-bucket burst (0 = derived from -client-rate)")
+		ingestQueue = flag.Int("ingest-queue", 0, "per-shard ingest queue bound for the in-process server (< 1 = default)")
+		refitQueue  = flag.Int("refit-queue", 0, "per-shard refit queue bound (< 1 = default)")
+		clientRate  = flag.Float64("client-rate", 0, "per-client token-bucket refill, frames/s, burst 2x (0 = no rate limiting)")
 		degraded    = flag.Duration("degraded-after", 0, "serve stale verdicts when a job lock is not free within this (0 = always wait)")
 
-		// Query prober and retry policy.
-		queryRate  = flag.Float64("query-rate", 0, "open-loop query probes per virtual second (0 = no prober)")
-		queryTasks = flag.Int("query-tasks", 0, "task IDs per probe (0 = default)")
-		retry429   = flag.Bool("retry429", true, "resend whole-request 429 rejections after their Retry-After hint")
+		// Open-loop query prober. Whole-request 429s are always resent
+		// after their Retry-After hint (capped).
+		queryRate = flag.Float64("query-rate", 0, "open-loop query probes per virtual second (0 = no prober)")
 
 		// The dual-run overload gate.
 		overCheck = flag.Float64("overload-check", 0, "run the scenario twice — healthy baseline, then starved with the overload knobs — and exit nonzero unless the starved run sheds, loses nothing, and keeps query p99 within this multiple of baseline (0 = off)")
@@ -79,16 +75,12 @@ func main() {
 		IngestQueue:   *ingestQueue,
 		RefitQueue:    *refitQueue,
 		ClientRate:    *clientRate,
-		ClientBurst:   *clientBurst,
 		DegradedAfter: *degraded,
 	}
 	opts := workload.Options{
-		Speedup:    *speedup,
-		MaxBatch:   *batch,
-		Window:     *window,
-		QueryRate:  *queryRate,
-		QueryTasks: *queryTasks,
-		Retry429:   *retry429,
+		Speedup:   *speedup,
+		QueryRate: *queryRate,
+		Retry429:  true,
 	}
 	err := run(runArgs{
 		scenario: *scenario, all: *all, list: *list, url: *url, out: *out,

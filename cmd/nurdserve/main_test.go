@@ -200,8 +200,22 @@ func TestRunWALVerify(t *testing.T) {
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
-// TestSetupServerWithoutWAL: load-driver and plain serve modes get an
-// ordinary in-memory server, no log.
+// TestServeModeNeedsAMode: with no -listen, -replay or -wal there is nothing
+// to serve, and the error names the modes instead of exiting silently.
+func TestServeModeNeedsAMode(t *testing.T) {
+	err := serveMode("", "", serve.Config{Shards: 1}, 0, 0, "", wal.Options{})
+	if err == nil {
+		t.Fatal("serveMode with no mode succeeded")
+	}
+	for _, flag := range []string{"-listen", "-replay", "-wal", "-wal-verify"} {
+		if !strings.Contains(err.Error(), flag) {
+			t.Errorf("error %q does not name %s", err, flag)
+		}
+	}
+}
+
+// TestSetupServerWithoutWAL: serving without -wal gets an ordinary
+// in-memory server, no log.
 func TestSetupServerWithoutWAL(t *testing.T) {
 	sv, wlog, rst, err := setupServer("", serve.Config{Shards: 4, RefitMode: wire.RefitWarm}, wal.Options{})
 	if err != nil {

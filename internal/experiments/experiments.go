@@ -82,8 +82,8 @@ type Evaluation struct {
 // UnitSeed derives the predictor seed for one (job, method) evaluation unit
 // from the master seed; ji and mi are the job's and method's indices in the
 // evaluation. Exported so out-of-harness replays of a single method (the
-// serving load driver, equivalence tests) can reproduce the exact predictor
-// a full Run would construct.
+// serving equivalence tests) can reproduce the exact predictor a full Run
+// would construct.
 func UnitSeed(seed uint64, ji, mi int) uint64 {
 	return seed + uint64(ji)*1013904223 + uint64(mi)*2654435761
 }

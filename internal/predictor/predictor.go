@@ -73,8 +73,8 @@ func AllFactories() []Factory {
 // FindFactory returns the index and factory of the named Table 3 method
 // within AllFactories. The index matters beyond lookup: experiments.Run
 // derives each (job, method) seed from the method's position in the factory
-// list, so callers that replay a single method outside Run (cmd/nurdserve,
-// the serving tests) need the same index to reproduce identical predictors.
+// list, so callers that replay a single method outside Run (the serving
+// tests) need the same index to reproduce identical predictors.
 func FindFactory(name string) (int, Factory, bool) {
 	for i, f := range AllFactories() {
 		if f.Name == name {

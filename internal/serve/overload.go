@@ -101,7 +101,7 @@ type OverloadStats struct {
 	IngestWaits uint64
 	// IngestQueueDepth is a live gauge: admitted ingest calls currently
 	// holding queue slots, summed across shards. IngestQueueBound is the
-	// per-shard bound (0 = unbounded).
+	// per-shard bound.
 	IngestQueueDepth int
 	IngestQueueBound int
 	// RateLimited counts ingest requests refused atomically at request
@@ -116,8 +116,7 @@ type OverloadStats struct {
 	// Config.DegradedAfter.
 	DegradedQueries uint64
 	// InlineRefits counts fits run on the ingest path because the shard's
-	// refit queue was at its bound; RefitQueueBound is that bound
-	// (0 = unbounded).
+	// refit queue was at its bound; RefitQueueBound is that bound.
 	InlineRefits    uint64
 	RefitQueueBound int
 	// RetryHintSeconds is the current load-derived Retry-After hint

@@ -149,15 +149,15 @@ func TestRefitQueueSaturationInline(t *testing.T) {
 	gate1 := make(chan struct{})
 	closed := make(chan struct{})
 	close(closed)
-	cfg := Config{Shards: 1, RefitWorkers: 1, RefitQueue: 1,
+	cfg := Config{Shards: 1, RefitQueue: 1,
 		NewPredictor: func(sp wire.JobSpec) simulator.Predictor {
-			if sp.JobID == 1 {
-				return &gatedPredictor{gate: gate1} // stalls the only worker
+			if sp.JobID <= refitWorkers {
+				return &gatedPredictor{gate: gate1} // stalls a worker
 			}
 			return &gatedPredictor{gate: closed} // instant
 		}}
 	sv := NewServer(cfg)
-	for id := uint64(1); id <= 3; id++ {
+	for id := uint64(1); id <= refitWorkers+2; id++ {
 		if err := sv.StartJob(pipelineSpec(id), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -171,38 +171,42 @@ func TestRefitQueueSaturationInline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Job 1 crosses its first boundary: the fit starts on the single worker
-	// and stalls on the gate. Wait until it is executing (not queued).
-	cross(1, 11)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if q, infl := pool.depths(); q == 0 && infl == 1 {
-			break
+	// Jobs 1 and 2 cross their first boundary: their fits start on the
+	// shard's two workers and stall on the gate. Each must be executing
+	// (not queued) before the next crossing, or it would fill the queue.
+	for id := uint64(1); id <= refitWorkers; id++ {
+		cross(id, 11)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if q, infl := pool.depths(); q == 0 && infl == int(id) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d's fit never reached a worker", id)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("job 1's fit never reached the worker")
-		}
-		time.Sleep(time.Millisecond)
 	}
-	// Job 2's fit queues behind it (bound 1: the queue is now full); job
-	// 3's enqueue is refused and the fit runs inline, synchronously, on
+	// Job 3's fit queues behind them (bound 1: the queue is now full); job
+	// 4's enqueue is refused and the fit runs inline, synchronously, on
 	// this goroutine.
-	cross(2, 11)
-	cross(3, 11)
+	queued, inline := uint64(refitWorkers+1), uint64(refitWorkers+2)
+	cross(queued, 11)
+	cross(inline, 11)
 	if got := sv.Stats().Overload.InlineRefits; got != 1 {
 		t.Fatalf("inline_refits=%d after a saturated enqueue, want 1", got)
 	}
-	// The inline fit's outcome applies at job 3's next boundary, exactly
+	// The inline fit's outcome applies at job 4's next boundary, exactly
 	// like a pooled one.
-	cross(3, 21)
-	rep, err := sv.Report(3)
+	cross(inline, 21)
+	rep, err := sv.Report(inline)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Generation != 1 {
-		t.Fatalf("job 3 generation=%d after its inline fit applied, want 1", rep.Generation)
+		t.Fatalf("job %d generation=%d after its inline fit applied, want 1", inline, rep.Generation)
 	}
-	close(gate1) // release the stalled worker before the server drains
+	close(gate1) // release the stalled workers before the server drains
 }
 
 // degradedServer builds a 1-shard server with degraded queries enabled and
@@ -430,6 +434,28 @@ func TestRetryHintTracksLoad(t *testing.T) {
 		t.Fatalf("half-queue hint %d, want strictly between 1 and %d", got, MaxRetryHintSeconds)
 	}
 	<-s.sem
+}
+
+// TestNonPositiveBoundsMeanDefault: a bound below 1 — zero or negative —
+// resolves to its default, in the resolved Config and in /stats. A
+// negative queue bound once switched shedding off silently and reported a
+// bound of 0.
+func TestNonPositiveBoundsMeanDefault(t *testing.T) {
+	for _, v := range []int{0, -1} {
+		sv := NewServer(Config{Shards: 1, IngestQueue: v, RefitQueue: v, MaxJobs: v, MaxTasks: v})
+		cfg := sv.Config()
+		if cfg.IngestQueue != DefaultIngestQueue || cfg.RefitQueue != DefaultRefitQueue ||
+			cfg.MaxJobs != DefaultMaxJobs || cfg.MaxTasks != DefaultMaxTasks {
+			t.Errorf("bounds %d: resolved ingest=%d refit=%d jobs=%d tasks=%d, want %d/%d/%d/%d", v,
+				cfg.IngestQueue, cfg.RefitQueue, cfg.MaxJobs, cfg.MaxTasks,
+				DefaultIngestQueue, DefaultRefitQueue, DefaultMaxJobs, DefaultMaxTasks)
+		}
+		over := sv.Stats().Overload
+		if over.IngestQueueBound != DefaultIngestQueue || over.RefitQueueBound != DefaultRefitQueue {
+			t.Errorf("bounds %d: stats report ingest=%d refit=%d, want %d/%d", v,
+				over.IngestQueueBound, over.RefitQueueBound, DefaultIngestQueue, DefaultRefitQueue)
+		}
+	}
 }
 
 // TestStageBatchSkipsShedStopsAtError drives the one batch loop behind

@@ -109,8 +109,7 @@ type refitPool struct {
 	mu       sync.Mutex
 	queue    []refitTask
 	workers  int
-	max      int
-	maxQueue int // queue bound; 0 = unbounded
+	maxQueue int // queue bound, at least 1
 	inflight int
 
 	// lag counts captured-but-unapplied refits across the shard's jobs (the
@@ -124,14 +123,12 @@ type refitPool struct {
 	inlineFits            atomic.Uint64
 }
 
-func newRefitPool(max, maxQueue int) *refitPool {
-	if max < 1 {
-		max = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	return &refitPool{max: max, maxQueue: maxQueue}
+// refitWorkers bounds each shard's refit pool: up to two fits of one
+// shard's jobs run at once, so a server runs at most 2 × Shards.
+const refitWorkers = 2
+
+func newRefitPool(maxQueue int) *refitPool {
+	return &refitPool{maxQueue: maxQueue}
 }
 
 // enqueue queues one fit and ensures a worker will pick it up, unless the
@@ -141,12 +138,12 @@ func newRefitPool(max, maxQueue int) *refitPool {
 // its first is applied) plus the inline fallback, not from queue waits.
 func (p *refitPool) enqueue(t refitTask) bool {
 	p.mu.Lock()
-	if p.maxQueue > 0 && len(p.queue) >= p.maxQueue {
+	if len(p.queue) >= p.maxQueue {
 		p.mu.Unlock()
 		return false
 	}
 	p.queue = append(p.queue, t)
-	if p.workers < p.max {
+	if p.workers < refitWorkers {
 		p.workers++
 		go p.work()
 	}

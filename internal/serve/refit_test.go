@@ -379,7 +379,7 @@ func TestSnapshotRestoreWithPendingRefit(t *testing.T) {
 func TestConcurrentRefitsAcrossJobs(t *testing.T) {
 	const n = 8
 	jobs, sims := smallJobs(t, n, 59)
-	sv := NewServer(Config{Shards: 2, RefitWorkers: 1})
+	sv := NewServer(Config{Shards: 2})
 	var wg sync.WaitGroup
 	for i := range jobs {
 		s, _ := nurdSeed(t, 59, i)
@@ -472,12 +472,12 @@ func TestPredictorPanicContained(t *testing.T) {
 // used to decrement inflight after the send, so the receiver could win the
 // race and read 1.
 func TestRefitGaugesDropBeforeDelivery(t *testing.T) {
-	p := newRefitPool(1, 0)
+	p := newRefitPool(1)
 	cp := &simulator.Checkpoint{}
 	for i := 0; i < 2000; i++ {
 		ch := make(chan refitResult, 1)
 		if !p.enqueue(refitTask{pred: &flagAll{}, cp: cp, ch: ch}) {
-			t.Fatal("unbounded queue refused a fit")
+			t.Fatal("drained queue refused a fit")
 		}
 		<-ch
 		if q, in := p.depths(); q != 0 || in != 0 {

@@ -9,13 +9,12 @@ type registry struct {
 	shards []*shard
 }
 
-func newRegistry(n int, sc shardConfig) *registry {
-	if n < 1 {
-		n = 1
-	}
-	r := &registry{shards: make([]*shard, n)}
+// newRegistry builds cfg.Shards shards from a resolved Config (NewServer's:
+// every bound already at least 1).
+func newRegistry(cfg Config) *registry {
+	r := &registry{shards: make([]*shard, cfg.Shards)}
 	for i := range r.shards {
-		r.shards[i] = newShard(sc)
+		r.shards[i] = newShard(cfg)
 	}
 	return r
 }

@@ -20,7 +20,7 @@ func TestShardRoutingDistribution(t *testing.T) {
 		"high-bits":  func(i uint64) uint64 { return i << 40 },
 	}
 	for _, shards := range []int{4, 16, 64} {
-		reg := newRegistry(shards, shardConfig{refitWorkers: 1})
+		reg := NewServer(Config{Shards: shards}).reg
 		for name, gen := range populations {
 			counts := make(map[*shard]int, shards)
 			for i := uint64(0); i < ids; i++ {

@@ -64,14 +64,13 @@ type Config struct {
 	NewPredictor func(spec wire.JobSpec) simulator.Predictor
 	// MaxJobs bounds the number of concurrently registered (not yet
 	// dropped) jobs; registrations beyond it fail with ErrOverloaded.
-	// 0 means DefaultMaxJobs; negative means unlimited.
+	// Values below 1 mean DefaultMaxJobs.
 	MaxJobs int
 	// MaxTasks bounds the summed NumTasks of registered jobs — the
 	// server's eagerly allocated task-state footprint. Registrations that
-	// would exceed it fail with ErrOverloaded. 0 means DefaultMaxTasks;
-	// negative means unlimited. Restores obey the same budget, so a
-	// snapshot of a server with a raised cap needs that cap at restore
-	// time too.
+	// would exceed it fail with ErrOverloaded. Values below 1 mean
+	// DefaultMaxTasks. Restores obey the same budget, so a snapshot of a
+	// server with a raised cap needs that cap at restore time too.
 	MaxTasks int
 	// RefitMode is the default refit strategy stamped into specs registered
 	// with RefitModeDefault: RefitScratch (the paper's Table 3 path,
@@ -82,33 +81,25 @@ type Config struct {
 	// mode travels with the spec through the WAL and snapshots, so recovery
 	// replays refits identically whatever this field says at restore time.
 	RefitMode wire.RefitMode
-	// RefitWorkers bounds each shard's background refit worker pool
-	// (default 2). Model fits always run on these workers, off the ingest
-	// path: a checkpoint crossing captures the training view and enqueues
-	// it, and the fit's outcome is applied at the next boundary crossing —
-	// see refit.go for the pipeline's determinism contract.
-	RefitWorkers int
 
 	// IngestQueue bounds each shard's concurrently admitted ingest calls.
 	// At the bound, heartbeats are shed (ErrShed — they carry refreshable
 	// observations, not labels) and every other event class waits for a
-	// slot. 0 means DefaultIngestQueue; negative means unbounded (the
-	// pre-overload-control behavior). See overload.go for the shedding
-	// policy and its recovery-equivalence argument.
+	// slot. Values below 1 mean DefaultIngestQueue. See overload.go for the
+	// shedding policy and its recovery-equivalence argument.
 	IngestQueue int
 	// RefitQueue bounds each shard's refit pool queue by count. At the
 	// bound a new fit runs inline on the ingesting goroutine (counted in
-	// OverloadStats.InlineRefits) instead of growing the queue. 0 means
-	// DefaultRefitQueue; negative means unbounded.
+	// OverloadStats.InlineRefits) instead of growing the queue. Values
+	// below 1 mean DefaultRefitQueue.
 	RefitQueue int
 	// ClientRate, when positive, arms per-client token-bucket rate
 	// limiting on the HTTP front end: each ingest frame costs one token,
-	// refilled at ClientRate tokens/s up to ClientBurst (default
-	// 2*ClientRate). Clients are identified by the X-Nurd-Client header,
-	// falling back to the remote host. Only the HTTP front enforces this —
-	// in-process callers are trusted. 0 disables.
-	ClientRate  float64
-	ClientBurst int
+	// refilled at ClientRate tokens/s up to a burst of 2*ClientRate.
+	// Clients are identified by the X-Nurd-Client header, falling back to
+	// the remote host. Only the HTTP front enforces this — in-process
+	// callers are trusted. 0 disables.
+	ClientRate float64
 	// DegradedAfter, when positive, enables degraded queries: a query that
 	// cannot take the job lock within this duration is answered from the
 	// last published generation's precomputed verdicts, flagged Stale,
@@ -173,53 +164,38 @@ func NewServer(cfg Config) *Server {
 	if cfg.NewPredictor == nil {
 		cfg.NewPredictor = NewNURDPredictor
 	}
-	if cfg.MaxJobs == 0 {
-		cfg.MaxJobs = DefaultMaxJobs
-	}
-	if cfg.MaxTasks == 0 {
-		cfg.MaxTasks = DefaultMaxTasks
-	}
+	orDefault(&cfg.MaxJobs, DefaultMaxJobs)
+	orDefault(&cfg.MaxTasks, DefaultMaxTasks)
+	orDefault(&cfg.IngestQueue, DefaultIngestQueue)
+	orDefault(&cfg.RefitQueue, DefaultRefitQueue)
 	if cfg.RefitMode == wire.RefitModeDefault {
 		cfg.RefitMode = wire.RefitScratch
 	}
-	if cfg.RefitWorkers < 1 {
-		cfg.RefitWorkers = 2
+	return &Server{cfg: cfg, reg: newRegistry(cfg)}
+}
+
+// orDefault replaces a bound below 1 with its default.
+func orDefault(v *int, def int) {
+	if *v < 1 {
+		*v = def
 	}
-	if cfg.IngestQueue == 0 {
-		cfg.IngestQueue = DefaultIngestQueue
-	}
-	if cfg.RefitQueue == 0 {
-		cfg.RefitQueue = DefaultRefitQueue
-	}
-	sc := shardConfig{refitWorkers: cfg.RefitWorkers, degradedAfter: cfg.DegradedAfter}
-	if cfg.IngestQueue > 0 {
-		sc.ingestQueue = cfg.IngestQueue
-	}
-	if cfg.RefitQueue > 0 {
-		sc.refitQueue = cfg.RefitQueue
-	}
-	return &Server{cfg: cfg, reg: newRegistry(cfg.Shards, sc)}
 }
 
 // RetryHint derives the transient back-off hint (seconds) attached to 429
 // responses from live load: 1s when queues are idle, rising toward
 // MaxRetryHintSeconds as the fullest shard's ingest or refit queue
-// approaches its bound. Unbounded queues contribute nothing. Outage (503)
-// responses use the fixed, longer RetryAfterOutageSeconds instead — a
-// wedged WAL clears on operator timescales, not queue-drain timescales.
+// approaches its bound. Outage (503) responses use the fixed, longer
+// RetryAfterOutageSeconds instead — a wedged WAL clears on operator
+// timescales, not queue-drain timescales.
 func (sv *Server) RetryHint() int {
 	var occ float64
 	sv.reg.each(func(s *shard) {
-		if s.sem != nil {
-			if o := float64(len(s.sem)) / float64(cap(s.sem)); o > occ {
-				occ = o
-			}
+		if o := float64(len(s.sem)) / float64(cap(s.sem)); o > occ {
+			occ = o
 		}
-		if bound := s.pool.maxQueue; bound > 0 {
-			q, _ := s.pool.depths()
-			if o := float64(q) / float64(bound); o > occ {
-				occ = o
-			}
+		q, _ := s.pool.depths()
+		if o := float64(q) / float64(s.pool.maxQueue); o > occ {
+			occ = o
 		}
 	})
 	if occ > 1 {
@@ -250,12 +226,11 @@ func (sv *Server) reserve(numTasks int) error {
 	return nil
 }
 
-// admit atomically raises c by n unless that would push it past max
-// (non-positive max means unlimited).
+// admit atomically raises c by n unless that would push it past max.
 func admit(c *atomic.Int64, n, max int64) bool {
 	for {
 		cur := c.Load()
-		if max > 0 && cur+n > max {
+		if cur+n > max {
 			return false
 		}
 		if c.CompareAndSwap(cur, cur+n) {
@@ -490,12 +465,8 @@ func (sv *Server) Report(jobID uint64) (*JobReport, error) {
 func (sv *Server) Stats() Stats {
 	var st Stats
 	sv.reg.each(func(s *shard) { s.addStats(&st) })
-	if sv.cfg.IngestQueue > 0 {
-		st.Overload.IngestQueueBound = sv.cfg.IngestQueue
-	}
-	if sv.cfg.RefitQueue > 0 {
-		st.Overload.RefitQueueBound = sv.cfg.RefitQueue
-	}
+	st.Overload.IngestQueueBound = sv.cfg.IngestQueue
+	st.Overload.RefitQueueBound = sv.cfg.RefitQueue
 	st.Overload.RetryHintSeconds = sv.RetryHint()
 	if sv.wal != nil {
 		w := sv.wal.Stats()

@@ -46,12 +46,12 @@ type shard struct {
 	// by Server.attachWAL before any traffic.
 	wal *wal.WAL
 
-	// sem is the bounded ingest admission queue (nil = unbounded): every
-	// ingest holds one slot for its duration. When full, heartbeats are
-	// shed before any state is touched (see overload.go) and every other
-	// event class blocks for a slot. degradedAfter, when positive, bounds
-	// how long a query waits for a job lock before answering from the
-	// stale published view.
+	// sem is the bounded ingest admission queue: every ingest holds one
+	// slot for its duration. When full, heartbeats are shed before any
+	// state is touched (see overload.go) and every other event class
+	// blocks for a slot. degradedAfter, when positive, bounds how long a
+	// query waits for a job lock before answering from the stale published
+	// view.
 	sem           chan struct{}
 	degradedAfter time.Duration
 
@@ -76,25 +76,14 @@ type shard struct {
 	degraded       atomic.Uint64
 }
 
-// shardConfig carries the per-shard knobs from Config (normalized: zero
-// values mean the feature is off/unbounded, never "use a default").
-type shardConfig struct {
-	refitWorkers  int
-	refitQueue    int           // refit queue bound; 0 = unbounded
-	ingestQueue   int           // ingest admission bound; 0 = unbounded
-	degradedAfter time.Duration // degraded-query lock patience; 0 = disabled
-}
-
-func newShard(sc shardConfig) *shard {
-	s := &shard{
+// newShard builds one shard from a resolved Config (NewServer's).
+func newShard(cfg Config) *shard {
+	return &shard{
 		jobs:          make(map[uint64]*jobState),
-		pool:          newRefitPool(sc.refitWorkers, sc.refitQueue),
-		degradedAfter: sc.degradedAfter,
+		pool:          newRefitPool(cfg.RefitQueue),
+		sem:           make(chan struct{}, cfg.IngestQueue),
+		degradedAfter: cfg.DegradedAfter,
 	}
-	if sc.ingestQueue > 0 {
-		s.sem = make(chan struct{}, sc.ingestQueue)
-	}
-	return s
 }
 
 // lookup fetches a job under the shard lock.
@@ -133,24 +122,22 @@ func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, e
 // into the shard. It returns the LSN of the event's staged WAL record (0
 // when nothing was logged); the caller commits it before acknowledging.
 func (s *shard) ingest(e wire.Event) (uint64, error) {
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			// Queue full. Shed heartbeats before touching any state — a shed
-			// event must leave no trace (not applied, not counted, not
-			// logged) so recovery replays exactly the accepted stream.
-			// Everything else carries labels or protocol structure and waits
-			// for a slot instead: backpressure, never loss.
-			if e.Kind == wire.EventHeartbeat {
-				s.shedHeartbeats.Add(1)
-				return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrShed)
-			}
-			s.ingestWaits.Add(1)
-			s.sem <- struct{}{}
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		// Queue full. Shed heartbeats before touching any state — a shed
+		// event must leave no trace (not applied, not counted, not logged)
+		// so recovery replays exactly the accepted stream. Everything else
+		// carries labels or protocol structure and waits for a slot
+		// instead: backpressure, never loss.
+		if e.Kind == wire.EventHeartbeat {
+			s.shedHeartbeats.Add(1)
+			return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrShed)
 		}
-		defer func() { <-s.sem }()
+		s.ingestWaits.Add(1)
+		s.sem <- struct{}{}
 	}
+	defer func() { <-s.sem }()
 	j, ok := s.lookup(e.JobID)
 	if !ok {
 		return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
@@ -409,7 +396,5 @@ func (s *shard) addStats(st *Stats) {
 	st.Overload.IngestWaits += s.ingestWaits.Load()
 	st.Overload.DegradedQueries += s.degraded.Load()
 	st.Overload.InlineRefits += s.pool.inlineFits.Load()
-	if s.sem != nil {
-		st.Overload.IngestQueueDepth += len(s.sem)
-	}
+	st.Overload.IngestQueueDepth += len(s.sem)
 }

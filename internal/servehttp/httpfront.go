@@ -118,7 +118,7 @@ type IngestResult struct {
 func NewHandler(sv Backend) http.Handler {
 	f := &front{sv: sv}
 	if sv.Config().ClientRate > 0 {
-		f.limits = newClientLimiter(sv.Config().ClientRate, sv.Config().ClientBurst)
+		f.limits = newClientLimiter(sv.Config().ClientRate)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ingest", f.ingest)

@@ -24,9 +24,9 @@ const maxRateClients = 4096
 
 // clientLimiter is the HTTP front's per-client token-bucket rate limiter.
 // Each ingest frame costs one token; buckets refill at rate tokens/s up to
-// burst. The enforcement point is REQUEST START: a client whose bucket
-// cannot pay at least one token is refused atomically (429, nothing
-// applied), which is what keeps retries safe. Mid-batch, an empty bucket
+// a burst of 2*rate (at least one token). The enforcement point is REQUEST
+// START: a client whose bucket cannot pay at least one token is refused
+// atomically (429, nothing applied), which is what keeps retries safe. Mid-batch, an empty bucket
 // sheds heartbeats and lets every other frame run the bucket negative — the
 // debt is settled at the next request-start check, never by rejecting a
 // half-applied batch.
@@ -48,14 +48,11 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-func newClientLimiter(rate float64, burst int) *clientLimiter {
-	b := float64(burst)
+func newClientLimiter(rate float64) *clientLimiter {
+	b := 2 * rate
 	if b < 1 {
 		// A burst below one token could never admit a single frame.
-		b = 2 * rate
-		if b < 1 {
-			b = 1
-		}
+		b = 1
 	}
 	return &clientLimiter{rate: rate, burst: b, buckets: make(map[string]*tokenBucket), now: time.Now}
 }

@@ -50,7 +50,8 @@ func ingestAs(t *testing.T, ts *httptest.Server, client string, body io.Reader) 
 // mid-batch an empty bucket sheds only heartbeats, other frames run the
 // bucket into debt, and clients are limited independently.
 func TestRateLimitPerClient(t *testing.T) {
-	sv := serve.NewServer(serve.Config{Shards: 1, ClientRate: 5, ClientBurst: 5})
+	// Rate 2/s, so burst 2×rate = 4 tokens.
+	sv := serve.NewServer(serve.Config{Shards: 1, ClientRate: 2})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
 
@@ -65,9 +66,9 @@ func TestRateLimitPerClient(t *testing.T) {
 				Time: float64(k + 1), Features: []float64{float64(i), 1}})
 		}
 	}
-	// Burst 5 cannot cover 1 spec + 8 starts + 24 heartbeats: the spec and
-	// every start are non-sheddable (debt), the heartbeats past the budget
-	// are shed mid-batch.
+	// Burst 4 cannot cover 1 spec + 8 starts + 24 heartbeats: the spec and
+	// every start are non-sheddable (debt of 5 tokens, 3 s of refill), the
+	// heartbeats past the budget are shed mid-batch.
 	resp, res := ingestAs(t, ts, "a", wireBody(t, []wire.JobSpec{spec}, events))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first request: %s (%s)", resp.Status, res.Error)
@@ -76,7 +77,7 @@ func TestRateLimitPerClient(t *testing.T) {
 		t.Fatalf("specs=%d events=%d, want 1/%d (starts are never shed)", res.Specs, res.Events, spec.NumTasks)
 	}
 	if res.Shed < 20 {
-		t.Fatalf("shed=%d heartbeats mid-batch, want >=20 (burst 5)", res.Shed)
+		t.Fatalf("shed=%d heartbeats mid-batch, want >=20 (burst 4)", res.Shed)
 	}
 
 	// The bucket is now deep in debt: the next request is refused

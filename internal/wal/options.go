@@ -8,7 +8,11 @@ import (
 	"time"
 )
 
-// Options sizes a WAL.
+// Options sizes a WAL. Every field has a caller that sets it off its zero
+// value: SegmentBytes, Streams and FS are the torture suites' only handles
+// on rotation, fan-out and faults; SyncEvery is set by the benchmark and by
+// nurdserve's -wal-sync; CheckpointEvery and CheckpointBytes are a
+// deployment's recovery-time policy.
 type Options struct {
 	// SegmentBytes is the per-stream rotation threshold: once a stream's
 	// open segment holds at least this many bytes the next append lands in

@@ -52,19 +52,24 @@ type Options struct {
 	// Requires a Target that implements QueryTarget; silently off
 	// otherwise.
 	QueryRate float64
-	// QueryTasks is how many task IDs one probe queries (default 4).
-	QueryTasks int
 	// Retry429 resends a request refused with a whole-request 429 (nothing
 	// applied — rate-limit or budget refusals are atomic), honoring its
-	// Retry-After hint up to RetryCap per attempt and RetryMax attempts.
+	// Retry-After hint up to retryCap per attempt and retryMax attempts.
 	// The waits land in the request's open-loop latency, so retried
 	// overload shows up as tail latency, exactly as a client would feel
 	// it. Partially applied 429s (the budget tripping mid-batch) are never
 	// retried: resending would double-apply the prefix.
 	Retry429 bool
-	RetryMax int           // default 3
-	RetryCap time.Duration // default 1s
 }
+
+const (
+	// queryTasks is how many task IDs one probe queries.
+	queryTasks = 4
+	// retryMax and retryCap bound Retry429's resends: attempts per request,
+	// and the longest Retry-After wait honored per attempt.
+	retryMax = 3
+	retryCap = time.Second
+)
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -76,15 +81,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Window <= 0 {
 		out.Window = 0.05
-	}
-	if out.QueryTasks <= 0 {
-		out.QueryTasks = 4
-	}
-	if out.RetryMax <= 0 {
-		out.RetryMax = 3
-	}
-	if out.RetryCap <= 0 {
-		out.RetryCap = time.Second
 	}
 	return out
 }
@@ -439,8 +435,8 @@ func Run(wl *Workload, tgt Target, opts Options) (*Report, error) {
 				for attempt := 0; opts.Retry429 && err == nil &&
 					res.Status == http.StatusTooManyRequests &&
 					res.Specs == 0 && res.Events == 0 && res.Shed == 0 &&
-					attempt < opts.RetryMax; attempt++ {
-					wait := retryWait(res.RetryAfter, opts.RetryCap)
+					attempt < retryMax; attempt++ {
+					wait := retryWait(res.RetryAfter, retryCap)
 					time.Sleep(wait)
 					ls.retries++
 					res, err = tgt.Post(client, req.body)
@@ -614,7 +610,7 @@ func runProber(wl *Workload, qt QueryTarget, opts Options, start time.Time, qs *
 		}
 		pj := jobs[rr%hi]
 		rr++
-		n := opts.QueryTasks
+		n := queryTasks
 		if n > pj.ntasks {
 			n = pj.ntasks
 		}
