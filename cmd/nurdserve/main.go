@@ -1,9 +1,11 @@
-// Command nurdserve runs the durable wire-facing server. -listen starts the
-// HTTP front end (POST /ingest, GET /query, /report, /stats, /snapshot), and
-// -replay streams a recorded trace dump (cmd/tracegen -format wire) into the
-// server — over HTTP when -listen is set (the full network path: dump bytes
-// through POST /ingest), in-process otherwise — at -speedup times recorded
-// speed. cmd/nurdload is the load driver; the served-vs-offline F1
+// Command nurdserve runs the durable wire-facing server. -replay loads a
+// recorded trace dump (cmd/tracegen -format wire) into the server in-process,
+// as fast as it ingests, and prints a per-job table; -listen then opens the
+// HTTP front end (POST /ingest, GET /query, /report, /stats, /snapshot) and
+// serves until killed. The listener opens only after a -replay drains, so the
+// dump is the only mutation source while it loads. A dump is itself a valid
+// POST /ingest body, so a running server loads one with a single request;
+// cmd/nurdload is the paced, open-loop load driver; the served-vs-offline F1
 // equivalence is pinned by internal/serve's tests.
 //
 // -wal <dir> makes the server durable between snapshots: every accepted
@@ -17,10 +19,9 @@
 // action. Durability is per-stream group commit: every -wal-sync window
 // fsyncs each stream that took appends. A -replay after a recovery resumes
 // the dump exactly where the crashed process stopped — kill -9 mid-replay,
-// rerun the same command, and no event is lost or applied twice. That
-// resume math requires the dump to be the only mutation source, so with
-// -wal the -listen front end opens only after the replay drains. The dir
-// must already exist and be writable.
+// rerun the same command, and no event is lost or applied twice (the resume
+// math is why the dump must be the only mutation source while it loads).
+// The dir must already exist and be writable.
 //
 // -wal-verify <dir> replays a WAL directory's structure offline and prints
 // the recoverable LSN per shard plus the snapshot it would restore from,
@@ -39,8 +40,8 @@
 //
 //	nurdserve -listen :8080                       # serve external traffic
 //	nurdserve -listen :8080 -refit-mode warm      # warm-started refits
-//	nurdserve -listen :0 -replay google-8.wire    # serve a recorded trace
-//	nurdserve -replay google-8.wire -speedup 1000 # in-process replay
+//	nurdserve -listen :0 -replay google-8.wire    # load a dump, then serve it
+//	nurdserve -replay google-8.wire               # load a dump, print, exit
 //	nurdserve -wal /var/lib/nurd -listen :8080    # durable serving
 //	nurdserve -wal ./wal -replay google-8.wire    # crash-resumable replay
 //	nurdserve -wal-verify /var/lib/nurd           # offline log inspection
@@ -68,9 +69,7 @@ func main() {
 	cfg := serve.DefaultConfig()
 	var (
 		listen    = flag.String("listen", "", "HTTP listen address for the wire front end (e.g. :8080)")
-		replay    = flag.String("replay", "", "wire-format trace dump to replay (tracegen -format wire)")
-		speedup   = flag.Float64("speedup", 0, "replay pacing as a multiple of recorded time (0 = as fast as possible)")
-		hold      = flag.Duration("hold", 0, "with -listen and -replay: keep serving this long after the replay drains")
+		replay    = flag.String("replay", "", "wire-format trace dump to load in-process before -listen opens (tracegen -format wire)")
 		walDir    = flag.String("wal", "", "write-ahead log directory (must exist); enables durable serving with automatic recovery on start")
 		syncEvery = flag.Duration("wal-sync", 2*time.Millisecond, "WAL group-commit fsync interval (0 = fsync every append)")
 		ckptEvery = flag.Duration("wal-checkpoint-every", time.Minute, "automatic WAL checkpoint period (0 disables the time trigger)")
@@ -98,7 +97,7 @@ func main() {
 	if *walVerify != "" {
 		err = runWALVerify(*walVerify, os.Stdout)
 	} else {
-		err = serveMode(*listen, *replay, cfg, *speedup, *hold, *walDir, wopts)
+		err = serveMode(*listen, *replay, cfg, *walDir, wopts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nurdserve:", err)
@@ -148,10 +147,10 @@ func setupServer(walDir string, cfg serve.Config, wopts wal.Options) (*serve.Ser
 	return sv, wlog, rst, nil
 }
 
-// serveMode runs the durable wire-facing server: an HTTP front end, a
-// dump replay, or both (dump streamed through the front end), optionally
-// on top of a write-ahead log with automatic recovery.
-func serveMode(listen, replay string, cfg serve.Config, speedup float64, hold time.Duration, walDir string, wopts wal.Options) error {
+// serveMode runs the durable wire-facing server: it recovers from the
+// write-ahead log when walDir is set, loads the replay dump in-process, and
+// then, with listen set, serves the HTTP front end until killed.
+func serveMode(listen, replay string, cfg serve.Config, walDir string, wopts wal.Options) error {
 	if listen == "" && replay == "" && walDir == "" {
 		return errors.New("nothing to do: pass -listen, -replay, -wal or -wal-verify (cmd/nurdload drives load)")
 	}
@@ -159,105 +158,66 @@ func serveMode(listen, replay string, cfg serve.Config, speedup float64, hold ti
 	if err != nil {
 		return err
 	}
+	// Each accepted dump element is one WAL record, so the recovered LSN says
+	// how much of the dump the log already holds.
 	recovered := 0
 	if wlog != nil {
 		defer wlog.Close()
 		recovered = int(rst.NextLSN) - 1
 		fmt.Fprintf(os.Stderr, "nurdserve: wal %s: recovered %d mutations (%v)\n", walDir, recovered, rst)
 	}
-
-	// With a WAL, resuming a -replay after a crash maps the recovered LSN
-	// back to a dump position — which is only exact if the dump was the
-	// sole source of mutations. So under -wal the listener opens after the
-	// replay drains; external traffic before that could consume LSNs the
-	// resume math would then wrongly charge to the dump.
-	var base string
-	var srv *http.Server
-	startListener := func() error {
-		if listen == "" || srv != nil {
-			return nil
-		}
-		ln, err := net.Listen("tcp", listen)
-		if err != nil {
+	if replay != "" {
+		if err := loadDump(sv, replay, recovered); err != nil {
 			return err
 		}
-		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "nurdserve: serving %d shards on %s\n", sv.NumShards(), base)
-		srv = &http.Server{Handler: servehttp.NewHandler(sv)}
-		go srv.Serve(ln)
+	}
+	if listen == "" {
 		return nil
 	}
-	defer func() {
-		if srv != nil {
-			srv.Close()
-		}
-	}()
-	if wlog == nil || replay == "" {
-		if err := startListener(); err != nil {
-			return err
-		}
-	} else if listen != "" {
-		fmt.Fprintf(os.Stderr, "nurdserve: wal enabled: listener opens after the replay drains (crash-resume needs the dump to be the only mutation source)\n")
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(os.Stderr, "nurdserve: serving %d shards on http://%s\n", sv.NumShards(), ln.Addr())
+	return http.Serve(ln, servehttp.NewHandler(sv))
+}
 
-	if replay != "" {
-		f, err := os.Open(replay)
+// loadDump replays the dump at path into sv, skipping the first skip
+// elements, checkpoints the server's WAL (if any) once the replay drains,
+// and prints the replay rate, a per-job table and the server stats.
+func loadDump(sv *serve.Server, path string, skip int) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if skip > 0 {
+		fmt.Fprintf(os.Stderr, "nurdserve: resuming replay at element %d (the WAL already holds the rest)\n", skip)
+	}
+	st, err := servehttp.Replay(sv, f, skip)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("replayed %d jobs, %d events in %s (%.0f events/s)\n",
+		st.Specs, st.Events, st.Wall.Round(time.Millisecond), st.Rate())
+	if sv.WAL() != nil {
+		snap, retired, err := sv.CheckpointWAL()
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if recovered > 0 {
-			fmt.Fprintf(os.Stderr, "nurdserve: resuming replay at element %d (the WAL already holds the rest)\n", recovered)
-		}
-		var st servehttp.ReplayStats
-		if base != "" {
-			// Only reachable without -wal (the listener is deferred until
-			// the replay drains otherwise), so there is never anything to
-			// skip on this path; crash-resume replays run in-process.
-			fmt.Fprintf(os.Stderr, "nurdserve: replaying %s through POST %s/ingest (speedup %g)\n", replay, base, speedup)
-			st, err = servehttp.ReplayHTTP(nil, base, f, speedup, 2048)
-		} else {
-			fmt.Fprintf(os.Stderr, "nurdserve: replaying %s in-process (speedup %g)\n", replay, speedup)
-			st, err = servehttp.ReplayFrom(sv, f, speedup, recovered)
-		}
+		fmt.Fprintf(os.Stderr, "nurdserve: checkpointed to %s (%d segments retired)\n", snap, retired)
+	}
+	fmt.Printf("%8s %6s %6s %6s %6s %7s %10s %5s\n",
+		"job", "cp", "start", "finis", "term", "refits", "refit-mean", "done")
+	for _, id := range sv.JobIDs() {
+		rep, err := sv.Report(id)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("replayed %d jobs, %d events in %s (%.0f events/s, max pacing lag %s)\n",
-			st.Specs, st.Events, st.Wall.Round(time.Millisecond), st.Rate(),
-			st.MaxLag.Round(time.Millisecond))
-		if wlog != nil {
-			path, retired, err := sv.CheckpointWAL()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "nurdserve: checkpointed to %s (%d segments retired)\n", path, retired)
-		}
-		fmt.Printf("%8s %6s %6s %6s %6s %7s %10s %5s\n",
-			"job", "cp", "start", "finis", "term", "refits", "refit-mean", "done")
-		for _, id := range sv.JobIDs() {
-			rep, err := sv.Report(id)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%8d %6d %6d %6d %6d %7d %10s %5v\n",
-				id, rep.Checkpoint, rep.Started, rep.Finished, rep.Terminated,
-				rep.Refits, rep.RefitMean().Round(time.Microsecond), rep.Done)
-		}
-		fmt.Println("server:", sv.Stats())
+		fmt.Printf("%8d %6d %6d %6d %6d %7d %10s %5v\n",
+			id, rep.Checkpoint, rep.Started, rep.Finished, rep.Terminated,
+			rep.Refits, rep.RefitMean().Round(time.Microsecond), rep.Done)
 	}
-
-	if listen != "" {
-		if err := startListener(); err != nil { // deferred under -wal -replay
-			return err
-		}
-		if replay == "" {
-			select {} // serve external traffic until killed
-		}
-		if hold > 0 {
-			fmt.Fprintf(os.Stderr, "nurdserve: holding %s for external queries\n", hold)
-			time.Sleep(hold)
-		}
-	}
+	fmt.Println("server:", sv.Stats())
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -203,7 +204,7 @@ func itoa(n int) string { return strconv.Itoa(n) }
 // TestServeModeNeedsAMode: with no -listen, -replay or -wal there is nothing
 // to serve, and the error names the modes instead of exiting silently.
 func TestServeModeNeedsAMode(t *testing.T) {
-	err := serveMode("", "", serve.Config{Shards: 1}, 0, 0, "", wal.Options{})
+	err := serveMode("", "", serve.Config{Shards: 1}, "", wal.Options{})
 	if err == nil {
 		t.Fatal("serveMode with no mode succeeded")
 	}
@@ -229,12 +230,10 @@ func TestSetupServerWithoutWAL(t *testing.T) {
 	}
 }
 
-// TestServeModeWALReplayCheckpoints: -wal with -replay recovers, replays the
-// dump in-process, and checkpoints the server's log once the replay drains.
-// A rerun of the same command finds every element already logged and
-// applies nothing twice.
-func TestServeModeWALReplayCheckpoints(t *testing.T) {
-	dir := t.TempDir()
+// writeDump writes a small three-job wire dump (specs, then task starts) to
+// a temporary file and returns its path and element count.
+func writeDump(t *testing.T) (string, int) {
+	t.Helper()
 	var specs []wire.JobSpec
 	var events []wire.Event
 	for job := uint64(1); job <= 3; job++ {
@@ -256,9 +255,19 @@ func TestServeModeWALReplayCheckpoints(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dump, len(specs) + len(events)
+}
+
+// TestServeModeWALReplayCheckpoints: -wal with -replay recovers, replays the
+// dump in-process, and checkpoints the server's log once the replay drains.
+// A rerun of the same command finds every element already logged and
+// applies nothing twice.
+func TestServeModeWALReplayCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	dump, elements := writeDump(t)
 	wopts := wal.Options{SyncEvery: time.Millisecond}
 	for run := 0; run < 2; run++ {
-		if err := serveMode("", dump, serve.Config{Shards: 2}, 0, 0, dir, wopts); err != nil {
+		if err := serveMode("", dump, serve.Config{Shards: 2}, dir, wopts); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 	}
@@ -270,7 +279,34 @@ func TestServeModeWALReplayCheckpoints(t *testing.T) {
 	if rst.SnapshotPath == "" {
 		t.Error("no checkpoint snapshot after a -wal -replay run")
 	}
-	if want := uint64(len(specs) + len(events) + 1); rst.NextLSN != want {
+	if want := uint64(elements + 1); rst.NextLSN != want {
 		t.Errorf("recovered to LSN %d after two runs, want %d (each element logged once)", rst.NextLSN, want)
+	}
+}
+
+// TestServeModeReplaysBeforeListening: with -listen and -replay the dump
+// loads first and the listener opens after it drains. An address already in
+// use fails the listen, and by then the whole dump is in the log and
+// checkpointed.
+func TestServeModeReplaysBeforeListening(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	dir := t.TempDir()
+	dump, elements := writeDump(t)
+	wopts := wal.Options{SyncEvery: time.Millisecond}
+	if err := serveMode(busy.Addr().String(), dump, serve.Config{Shards: 2}, dir, wopts); err == nil {
+		t.Fatal("serveMode listened on an address already in use")
+	}
+	_, wlog, rst, err := serve.Recover(dir, serve.Config{Shards: 2}, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	if rst.SnapshotPath == "" || rst.NextLSN != uint64(elements+1) {
+		t.Errorf("before the listen failed: snapshot %q, next LSN %d; want a checkpoint and LSN %d",
+			rst.SnapshotPath, rst.NextLSN, elements+1)
 	}
 }

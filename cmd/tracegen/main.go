@@ -1,7 +1,8 @@
 // Command tracegen emits synthetic trace jobs: as CSV files for inspection
 // or for feeding cmd/nurdrun, or as a wire-format serving dump (-format
-// wire) that cmd/nurdserve -replay can stream back through the online
-// serving path, in-process or over HTTP. With -scenario it instead expands a
+// wire) that cmd/nurdserve -replay loads back through the online serving
+// path (or that a running server takes as one POST /ingest body). With
+// -scenario it instead expands a
 // workload scenario (a built-in name or a JSON spec file, see
 // internal/workload) into its clean wire dump — the same deterministic
 // traffic cmd/nurdload fires, minus the hostile-injection overlay, ready for

@@ -68,8 +68,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Backend is the serving surface the HTTP front (and the replay drivers)
-// consume. *serve.Server implements it; tests substitute fakes through it,
+// Backend is the serving surface the HTTP front (and Replay) consume. *serve.Server implements it; tests substitute fakes through it,
 // so the front stays transport-only.
 type Backend interface {
 	StartJob(spec wire.JobSpec, pred simulator.Predictor) error

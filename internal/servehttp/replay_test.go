@@ -2,6 +2,7 @@ package servehttp
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,41 +15,31 @@ import (
 	"repro/internal/wire"
 )
 
-// scaledWorkload shrinks a real trace job's virtual timeline by factor c so
-// that real-time (1x) replay completes in test time: every timestamp,
-// latency, horizon, and latency threshold scales together, which preserves
-// the protocol structure exactly (checkpoint gating, straggler sets,
-// feature vectors are untouched).
-func scaledWorkload(t testing.TB, n int, seed uint64, c float64) ([]wire.JobSpec, []wire.Event) {
+// jobDump encodes n small trace jobs as a wire dump: every job's spec, then
+// the jobs' merged, time-ordered event feeds.
+func jobDump(t testing.TB, n int, seed uint64) ([]wire.JobSpec, []wire.Event, []byte) {
 	t.Helper()
 	jobs, sims := servetest.SmallJobs(t, n, seed)
 	specs := make([]wire.JobSpec, n)
 	streams := make([][]wire.Event, n)
 	for i := range jobs {
-		sp := serve.SpecFor(sims[i], uint64(100+i))
-		sp.TauStra *= c
-		sp.Horizon *= c
-		specs[i] = sp
-		evs := serve.JobEvents(jobs[i], sims[i])
-		scaled := make([]wire.Event, len(evs))
-		for k, e := range evs {
-			e.Time *= c
-			e.Latency *= c
-			scaled[k] = e
-		}
-		streams[i] = scaled
+		specs[i] = serve.SpecFor(sims[i], uint64(100+i))
+		streams[i] = serve.JobEvents(jobs[i], sims[i])
 	}
-	return specs, serve.MergeStreams(streams...)
-}
-
-func replayDump(t testing.TB, specs []wire.JobSpec, events []wire.Event, speedup float64) *serve.Server {
-	t.Helper()
+	events := serve.MergeStreams(streams...)
 	var dump bytes.Buffer
 	if err := wire.WriteDump(&dump, specs, events); err != nil {
 		t.Fatal(err)
 	}
-	sv := serve.NewServer(serve.Config{Shards: 2})
-	st, err := Replay(sv, bytes.NewReader(dump.Bytes()), speedup)
+	return specs, events, dump.Bytes()
+}
+
+// replayInto replays dump into a fresh server with the given shard count and
+// requires every element to be applied.
+func replayInto(t testing.TB, shards int, specs []wire.JobSpec, events []wire.Event, dump []byte) *serve.Server {
+	t.Helper()
+	sv := serve.NewServer(serve.Config{Shards: shards})
+	st, err := Replay(sv, bytes.NewReader(dump), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,100 +50,83 @@ func replayDump(t testing.TB, specs []wire.JobSpec, events []wire.Event, speedup
 	return sv
 }
 
-// TestReplayDeterminism is the pacing-independence claim: the serving clock
-// is virtual, so the same dump replayed in real time (1x) and at 1000x
-// yields identical final JobReports — speedup moves wall-clock pacing only,
-// never outcomes.
-func TestReplayDeterminism(t *testing.T) {
-	// ~60ms of virtual time per job at 1x.
-	specs, events := scaledWorkload(t, 2, 47, 0.0005)
-	servers := map[string]*serve.Server{}
-	for name, speedup := range map[string]float64{"1x": 1, "1000x": 1000, "unthrottled": 0} {
-		servers[name] = replayDump(t, specs, events, speedup)
-	}
-	ref := servers["1x"]
-	for name, sv := range servers {
-		if name == "1x" {
-			continue
+// sameOutcome requires two servers to hold identical final reports and
+// verdicts for every job in specs.
+func sameOutcome(t *testing.T, name string, want, got *serve.Server, specs []wire.JobSpec) {
+	t.Helper()
+	for _, sp := range specs {
+		wantR, err := want.Report(sp.JobID)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, sp := range specs {
-			want, err := ref.Report(sp.JobID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sv.Report(sp.JobID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(servetest.CoreOf(want), servetest.CoreOf(got)) {
-				t.Errorf("job %d: %s replay diverges from 1x:\n 1x  %+v\n %s %+v",
-					sp.JobID, name, servetest.CoreOf(want), name, servetest.CoreOf(got))
-			}
-			wantV, err := ref.Query(sp.JobID, servetest.AllTaskIDs(sp.NumTasks))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotV, err := sv.Query(sp.JobID, servetest.AllTaskIDs(sp.NumTasks))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(wantV, gotV) {
-				t.Errorf("job %d: %s replay verdicts diverge from 1x", sp.JobID, name)
-			}
+		gotR, err := got.Report(sp.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(servetest.CoreOf(wantR), servetest.CoreOf(gotR)) {
+			t.Errorf("job %d: %s diverges:\n want %+v\n got  %+v",
+				sp.JobID, name, servetest.CoreOf(wantR), servetest.CoreOf(gotR))
+		}
+		wantV, err := want.Query(sp.JobID, servetest.AllTaskIDs(sp.NumTasks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotV, err := got.Query(sp.JobID, servetest.AllTaskIDs(sp.NumTasks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantV, gotV) {
+			t.Errorf("job %d: %s verdicts diverge", sp.JobID, name)
 		}
 	}
 }
 
-// TestReplayHTTPMatchesInProcess streams one dump twice — once through
-// in-process Ingest calls, once through POST /ingest batches against a live
-// front end — and requires identical outcomes: the HTTP wire path adds
-// transport, not behavior.
-func TestReplayHTTPMatchesInProcess(t *testing.T) {
-	specs, events := scaledWorkload(t, 2, 53, 0.0005)
-	direct := replayDump(t, specs, events, 0)
+// TestReplayDeterminism: the serving clock is virtual, so one dump replayed
+// into servers of different shard counts, and replayed twice into the same
+// shape, yields identical final reports and verdicts.
+func TestReplayDeterminism(t *testing.T) {
+	specs, events, dump := jobDump(t, 2, 47)
+	ref := replayInto(t, 2, specs, events, dump)
+	sameOutcome(t, "second 2-shard replay", ref, replayInto(t, 2, specs, events, dump), specs)
+	sameOutcome(t, "1-shard replay", ref, replayInto(t, 1, specs, events, dump), specs)
+	sameOutcome(t, "7-shard replay", ref, replayInto(t, 7, specs, events, dump), specs)
+}
 
-	var dump bytes.Buffer
-	if err := wire.WriteDump(&dump, specs, events); err != nil {
-		t.Fatal(err)
-	}
+// TestDumpAsIngestBodyMatchesReplay: a dump file is a valid POST /ingest
+// body, so a remote server loads one in a single request (curl
+// --data-binary @dump.wire .../ingest) and ends exactly where an in-process
+// Replay does — the front adds transport, not behavior.
+func TestDumpAsIngestBodyMatchesReplay(t *testing.T) {
+	specs, events, dump := jobDump(t, 2, 53)
+	direct := replayInto(t, 2, specs, events, dump)
+
 	sv := serve.NewServer(serve.Config{Shards: 2})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
-	// Small batches force many requests; a tiny speedup exercises the
-	// flush-before-sleep path as well.
-	st, err := ReplayHTTP(ts.Client(), ts.URL, bytes.NewReader(dump.Bytes()), 1000, 257)
+	resp, err := ts.Client().Post(ts.URL+"/ingest", wireContentType, bytes.NewReader(dump))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Specs != len(specs) || st.Events != len(events) {
-		t.Fatalf("http replay applied %d/%d, want %d/%d", st.Specs, st.Events, len(specs), len(events))
+	var res IngestResult
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, sp := range specs {
-		want, err := direct.Report(sp.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sv.Report(sp.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(servetest.CoreOf(want), servetest.CoreOf(got)) {
-			t.Errorf("job %d: http replay diverges from in-process replay", sp.JobID)
-		}
+	if resp.StatusCode != http.StatusOK || res.Specs != len(specs) || res.Events != len(events) || res.Shed != 0 {
+		t.Fatalf("POST /ingest of the dump: %s %+v, want 200 with %d specs / %d events",
+			resp.Status, res, len(specs), len(events))
 	}
+	sameOutcome(t, "dump POSTed to /ingest", direct, sv, specs)
 	if got, want := sv.Stats().Events, direct.Stats().Events; got != want {
-		t.Errorf("http replay ingested %d events, in-process %d", got, want)
+		t.Errorf("POST /ingest ingested %d events, in-process replay %d", got, want)
 	}
 }
 
 // TestReplayErrors: corrupt dumps and protocol violations abort the replay
 // with a useful error instead of wedging or panicking.
 func TestReplayErrors(t *testing.T) {
-	specs, events := scaledWorkload(t, 1, 59, 0.001)
-	var dump bytes.Buffer
-	if err := wire.WriteDump(&dump, specs, events); err != nil {
-		t.Fatal(err)
-	}
+	_, events, dump := jobDump(t, 1, 59)
 
 	// Events for a job whose spec frame was dropped: unknown job.
 	var noSpec bytes.Buffer
@@ -164,89 +138,10 @@ func TestReplayErrors(t *testing.T) {
 	}
 
 	// A flipped payload byte: checksum failure.
-	mut := append([]byte(nil), dump.Bytes()...)
+	mut := append([]byte(nil), dump...)
 	mut[len(mut)/2] ^= 0x01
 	if _, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(mut), 0); err == nil {
 		t.Error("replay of a corrupted dump should fail")
-	}
-
-	// ReplayHTTP against a front end returning errors must surface them.
-	sv := serve.NewServer(serve.Config{Shards: 1})
-	ts := httptest.NewServer(NewHandler(sv))
-	defer ts.Close()
-	if _, err := ReplayHTTP(ts.Client(), ts.URL, bytes.NewReader(noSpec.Bytes()), 0, 64); err == nil {
-		t.Error("http replay of a spec-less dump should fail")
-	}
-}
-
-// TestReplayHTTPStatsOnFlushFailure: ReplayStats count only elements whose
-// batch the front end acknowledged — a failed flush must not fold its queued
-// elements into the totals.
-func TestReplayHTTPStatsOnFlushFailure(t *testing.T) {
-	specs, events := scaledWorkload(t, 1, 67, 0.001)
-	var dump bytes.Buffer
-	if err := wire.WriteDump(&dump, specs, events); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "synthetic outage", http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-	st, err := ReplayHTTP(ts.Client(), ts.URL, bytes.NewReader(dump.Bytes()), 0, 8)
-	if err == nil {
-		t.Fatal("replay against a failing front end should error")
-	}
-	if st.Specs != 0 || st.Events != 0 {
-		t.Errorf("stats count unacknowledged elements: %d specs, %d events", st.Specs, st.Events)
-	}
-}
-
-// TestReplayPacingSchedule is the pacing-drift regression: the pacer derives
-// every due time from one fixed origin, so per-event sleep overshoot must not
-// accumulate. A chained relative-sleep implementation (sleep the inter-event
-// gap, each sleep overshooting by the timer granularity) fails this test —
-// with hundreds of events, milliseconds of per-event overshoot stack into a
-// wall time far past the schedule; the absolute schedule self-corrects.
-func TestReplayPacingSchedule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paced replay sleeps on the wall clock")
-	}
-	specs, events := scaledWorkload(t, 2, 47, 0.0005)
-	var dump bytes.Buffer
-	if err := wire.WriteDump(&dump, specs, events); err != nil {
-		t.Fatal(err)
-	}
-	span := events[len(events)-1].Time - events[0].Time
-	// Pick the speedup so the schedule spans ~400ms of wall clock.
-	speedup := span / 0.4
-	sv := serve.NewServer(serve.Config{Shards: 2})
-	st, err := Replay(sv, bytes.NewReader(dump.Bytes()), speedup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := time.Duration(span / speedup * float64(time.Second))
-	// The last event is due exactly at `want`; the 1ms scheduling tolerance
-	// lets the replay land slightly early. Drift shows up as overshoot, so
-	// the upper bound is the one doing the regression work: per-event sleep
-	// overshoot of even 0.5ms across len(events) paced events would blow
-	// well past 25% of the schedule.
-	if st.Wall < want-50*time.Millisecond {
-		t.Errorf("paced replay finished in %v, schedule spans %v", st.Wall, want)
-	}
-	if lim := want + want/4 + 100*time.Millisecond; st.Wall > lim {
-		t.Errorf("paced replay took %v for a %v schedule (%d events): pacing drift", st.Wall, want, len(events))
-	}
-	if st.MaxLag < 0 {
-		t.Errorf("MaxLag = %v, want >= 0", st.MaxLag)
-	}
-
-	// Unpaced replay never engages the schedule: no lag is recorded.
-	st0, err := Replay(serve.NewServer(serve.Config{Shards: 2}), bytes.NewReader(dump.Bytes()), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st0.MaxLag != 0 {
-		t.Errorf("unpaced replay recorded MaxLag %v, want 0", st0.MaxLag)
 	}
 }
 
@@ -277,7 +172,7 @@ func TestReplayStatsRate(t *testing.T) {
 	if err := wire.WriteDump(&empty, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(empty.Bytes()), 1000)
+	st, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(empty.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,12 +181,12 @@ func TestReplayStatsRate(t *testing.T) {
 	}
 
 	// A single-event dump: one spec, the stream's first event.
-	specs, events := scaledWorkload(t, 1, 59, 0.001)
+	specs, events, _ := jobDump(t, 1, 59)
 	var one bytes.Buffer
 	if err := wire.WriteDump(&one, specs, events[:1]); err != nil {
 		t.Fatal(err)
 	}
-	st, err = Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(one.Bytes()), 1000)
+	st, err = Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(one.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -583,7 +583,7 @@ func TestReplayFromSkips(t *testing.T) {
 	}
 
 	// Interrupted: half the dump under a WAL, crash, recover, resume with
-	// servehttp.ReplayFrom at the recovered position.
+	// servehttp.Replay skipping to the recovered position.
 	dir := t.TempDir()
 	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
 	if err != nil {
@@ -607,7 +607,7 @@ func TestReplayFromSkips(t *testing.T) {
 	if got := int(rst.NextLSN) - 1; got != half {
 		t.Fatalf("recovered %d mutations, want %d", got, half)
 	}
-	st, err := servehttp.ReplayFrom(sv2, bytes.NewReader(dump.Bytes()), 0, int(rst.NextLSN)-1)
+	st, err := servehttp.Replay(sv2, bytes.NewReader(dump.Bytes()), int(rst.NextLSN)-1)
 	if err != nil {
 		t.Fatal(err)
 	}

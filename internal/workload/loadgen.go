@@ -416,9 +416,10 @@ func Run(wl *Workload, tgt Target, opts Options) (*Report, error) {
 			for i := range reqs {
 				req := &reqs[i]
 				due := start.Add(time.Duration(req.due / opts.Speedup * float64(time.Second)))
-				// Absolute schedule: sleep until due (1ms tolerance, like
-				// the replay pacer); when late, fire immediately — the
-				// lateness is queue delay, never a reschedule.
+				// Absolute schedule: sleep until due (1ms tolerance: a
+				// shorter sleep costs more in timer overhead than it buys);
+				// when late, fire immediately — the lateness is queue
+				// delay, never a reschedule.
 				if ahead := time.Until(due); ahead > time.Millisecond {
 					time.Sleep(ahead)
 				}
