@@ -625,7 +625,7 @@ func BenchmarkServeThroughputWAL(b *testing.B) {
 		dir := b.TempDir()
 		b.StartTimer()
 		sv, wlog, _, err := serve.Recover(dir, benchServeConfig(),
-			wal.Options{SyncEvery: 2 * time.Millisecond, Streams: 8})
+			wal.Options{SyncEvery: 2 * time.Millisecond})
 		if err != nil {
 			b.Fatal(err)
 		}

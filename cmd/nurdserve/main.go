@@ -11,21 +11,21 @@
 // -wal <dir> makes the server durable between snapshots: every accepted
 // mutation is appended to a write-ahead log in dir before it is
 // acknowledged, and on start the server automatically recovers from the
-// newest snapshot plus the log (point-in-time recovery). The log is
-// sharded — each registry shard's jobs append to their own segment stream
-// (one per shard, capped at GOMAXPROCS) — and checkpoints itself on a
-// time and/or size policy (-wal-checkpoint-every / -wal-checkpoint-bytes),
-// so the retained log and recovery time stay bounded without operator
-// action. Durability is per-stream group commit: every -wal-sync window
-// fsyncs each stream that took appends. A -replay after a recovery resumes
-// the dump exactly where the crashed process stopped — kill -9 mid-replay,
-// rerun the same command, and no event is lost or applied twice (the resume
-// math is why the dump must be the only mutation source while it loads).
-// The dir must already exist and be writable.
+// newest snapshot plus the log (point-in-time recovery). The log is one
+// stream of rotating segment files and checkpoints itself on a time and/or
+// size policy (-wal-checkpoint-every / -wal-checkpoint-bytes), so the
+// retained log and recovery time stay bounded without operator action.
+// Durability is group commit: every -wal-sync window fsyncs what was
+// written, and -wal-sync 0 makes each acknowledgment wait for an fsync that
+// covers it. A -replay after a recovery resumes the dump exactly where the
+// crashed process stopped — kill -9 mid-replay, rerun the same command, and
+// no event is lost or applied twice (the resume math is why the dump must
+// be the only mutation source while it loads). The dir must already exist
+// and be writable.
 //
 // -wal-verify <dir> replays a WAL directory's structure offline and prints
-// the recoverable LSN per shard plus the snapshot it would restore from,
-// without starting a server or writing a byte.
+// the log's segment and record counts, the recoverable LSN and the snapshot
+// it would restore from, without starting a server or writing a byte.
 //
 // -refit-mode selects the checkpoint refit strategy for every job this
 // process registers: scratch (retrain from zero — bit-identical to the
@@ -74,7 +74,7 @@ func main() {
 		syncEvery = flag.Duration("wal-sync", 2*time.Millisecond, "WAL group-commit fsync interval (0 = fsync every append)")
 		ckptEvery = flag.Duration("wal-checkpoint-every", time.Minute, "automatic WAL checkpoint period (0 disables the time trigger)")
 		ckptBytes = flag.Int64("wal-checkpoint-bytes", 64<<20, "automatic WAL checkpoint once this many bytes were appended since the last one (0 disables the size trigger)")
-		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure and print the recoverable LSN per shard, then exit (no server is started)")
+		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure and print the recoverable LSN, then exit (no server is started)")
 		refitMode = flag.String("refit-mode", "scratch", "checkpoint refit strategy: scratch (bit-identical to the offline Table 3 path) or warm (warm-started incremental boosting, several times cheaper per refit)")
 	)
 	flag.IntVar(&cfg.Shards, "shards", 0, "server shards (0 = default)")
@@ -106,8 +106,8 @@ func main() {
 }
 
 // runWALVerify prints the offline verifier's report for dir: the newest
-// structurally valid snapshot, the per-shard stream states, and the LSN a
-// recovery would resume at — without starting a server or writing to the
+// structurally valid snapshot, the log's segment and record counts, and the
+// LSN a recovery would resume at — without starting a server or writing to the
 // directory.
 func runWALVerify(dir string, w io.Writer) error {
 	if info, err := os.Stat(dir); err != nil {
@@ -125,8 +125,8 @@ func runWALVerify(dir string, w io.Writer) error {
 
 // setupServer builds the serving instance: a plain in-memory server, or —
 // when walDir is set — one recovered from walDir's newest snapshot plus
-// write-ahead log and wired to keep logging (per-shard segment streams,
-// automatic checkpoints per wopts). Callers own Close on the returned WAL
+// write-ahead log and wired to keep logging (automatic checkpoints per
+// wopts). Callers own Close on the returned WAL
 // (nil without -wal). Split from serveMode so flag validation (missing
 // dir, unwritable dir) is testable without a live listener. The refit mode
 // only shapes *new* registrations: recovered jobs refit with the mode their

@@ -97,15 +97,15 @@ func TestSetupServerWALValidation(t *testing.T) {
 }
 
 // TestRunWALVerify is the -wal-verify contract: over a directory a crashed
-// server left behind — per-shard segments, a checkpoint snapshot, and a
-// torn tail appended to one stream — the offline verifier prints the
-// recoverable LSN per shard and overall, agrees with what Recover then
-// actually recovers, and never modifies the directory. Bad paths produce
-// clean errors.
+// server left behind — rotated segments, a checkpoint snapshot, and a torn
+// tail appended to the newest segment — the offline verifier prints the
+// log's counts and the recoverable LSN, agrees with what Recover then
+// actually recovers, and never modifies the directory. Bad paths, and a
+// directory of the retired multi-stream layout, produce clean errors.
 func TestRunWALVerify(t *testing.T) {
 	dir := t.TempDir()
 	sv, wlog, _, err := serve.Recover(dir, serve.DefaultConfig(), wal.Options{
-		Streams: 3, SegmentBytes: 2 << 10})
+		SegmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestRunWALVerify(t *testing.T) {
 	}
 	mutations++
 	wlog.Close()
-	// A torn tail: half a frame of garbage on one stream's newest segment,
-	// as a crash mid-write leaves it.
+	// A torn tail: half a frame of garbage on the newest segment, as a
+	// crash mid-write leaves it.
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestRunWALVerify(t *testing.T) {
 	wantLSN := mutations + 1
 	for _, want := range []string{
 		"snapshot: snap-",
-		"shard ",
+		"log: ",
 		"torn tail",
 		"recoverable LSN: " + itoa(wantLSN),
 	} {
@@ -196,6 +196,42 @@ func TestRunWALVerify(t *testing.T) {
 	}
 	if err := runWALVerify(file, io.Discard); err == nil {
 		t.Error("verify of a non-directory succeeded")
+	}
+
+	// A directory the two-stream writer left: the second stream's segment
+	// fails the verifier by name, and nothing in the directory changes.
+	two := t.TempDir()
+	src := filepath.Join("..", "..", "internal", "wal", "testdata", "two-stream")
+	ents, err = os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(two, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before[e.Name()] = string(b)
+	}
+	if err := runWALVerify(two, io.Discard); err == nil || !strings.Contains(err.Error(), "wal-0001-0000000000000001.seg") {
+		t.Errorf("verify of a two-stream directory: %v (want an error naming its second stream's segment)", err)
+	}
+	after, err := os.ReadDir(two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range after {
+		b, err := os.ReadFile(filepath.Join(two, e.Name()))
+		if err != nil || before[e.Name()] != string(b) {
+			t.Errorf("verify of a two-stream directory changed %s (%v)", e.Name(), err)
+		}
+	}
+	if len(after) != len(before) {
+		t.Errorf("verify of a two-stream directory left %d files, had %d", len(after), len(before))
 	}
 }
 

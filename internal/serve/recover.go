@@ -61,7 +61,6 @@ func Recover(dir string, cfg Config, opts wal.Options) (*Server, *wal.WAL, wal.R
 	if err != nil {
 		return nil, nil, rst, err
 	}
-	rst.Streams = w.Streams()
 	sv.attachWAL(w)
 	return sv, w, rst, nil
 }
@@ -159,7 +158,7 @@ func applyWALRecord(sv *Server, kind wire.FrameKind, payload []byte, lsn, floor 
 
 // CheckpointWAL writes a durable snapshot into the WAL directory (stamped
 // with its floor LSN) and retires every WAL segment wholly below the
-// floor, per stream; the file mechanics (temp file, rename, pruning to two
+// floor; the file mechanics (temp file, rename, pruning to two
 // kept generations, retirement) are wal.Checkpoint's. The automatic
 // checkpoint policy (wal.Options.CheckpointEvery / CheckpointBytes) calls
 // this on its triggers; explicit calls remain available and serialize with
@@ -169,8 +168,8 @@ func (sv *Server) CheckpointWAL() (string, int, error) {
 	if w == nil {
 		return "", 0, fmt.Errorf("serve: checkpoint: no WAL attached")
 	}
-	// The snapshot runs outside the stream mutexes (it takes job locks;
-	// appends take job locks before a stream's — holding both would
+	// The snapshot runs outside the log's mutexes (it takes job locks;
+	// appends take job locks before the log's — holding both would
 	// deadlock against ingest); wal.Checkpoint serializes whole
 	// checkpoints against each other.
 	return w.Checkpoint(func(f io.Writer) (uint64, error) {

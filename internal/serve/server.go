@@ -43,11 +43,7 @@ type Config struct {
 	// shard receives more than about its fair share (the distribution is
 	// test-enforced at <2x the mean over 10k sequential IDs). The count is
 	// a concurrency knob only — it does not affect results, and a snapshot
-	// taken at one shard count restores cleanly at another. Servers
-	// recovered with a write-ahead log fan durability the same way: by
-	// default the WAL runs one segment stream per shard (capped at
-	// GOMAXPROCS — see wal.Options.Streams), routed by the same hash, so a
-	// job's appends take only its own shard's stream lock.
+	// taken at one shard count restores cleanly at another.
 	Shards int
 	// NewPredictor builds a predictor for jobs registered without an
 	// explicit one. The default constructs the paper's NURD configuration

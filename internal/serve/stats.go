@@ -124,9 +124,9 @@ type Stats struct {
 	// queue depths and bounds, rate-limit rejections, degraded-query count,
 	// and the current load-derived Retry-After hint (see overload.go).
 	Overload OverloadStats
-	// WAL carries the write-ahead log's counters (segments, per-shard
-	// streams, next LSN, group-commit backlog, checkpoints) when the server
-	// runs with one; nil otherwise.
+	// WAL carries the write-ahead log's counters (segments, next LSN,
+	// group-commit backlog, checkpoints) when the server runs with one; nil
+	// otherwise.
 	WAL *wal.Stats `json:"WAL,omitempty"`
 }
 
@@ -144,8 +144,8 @@ func (s Stats) String() string {
 		s.Jobs, s.ActiveJobs, s.Events, s.DroppedEvents, s.Refits, s.RefitMean(), s.RefitMax, s.RefitLag, s.WarmFits, s.ScratchFits, s.Terminations, s.Queries)
 	base += " " + s.Overload.String()
 	if s.WAL != nil {
-		base += fmt.Sprintf(" wal_streams=%d wal_segments=%d wal_next_lsn=%d wal_pending=%dB wal_checkpoints=%d",
-			s.WAL.Streams, s.WAL.Segments, s.WAL.NextLSN, s.WAL.PendingBytes, s.WAL.Checkpoints)
+		base += fmt.Sprintf(" wal_segments=%d wal_next_lsn=%d wal_pending=%dB wal_checkpoints=%d",
+			s.WAL.Segments, s.WAL.NextLSN, s.WAL.PendingBytes, s.WAL.Checkpoints)
 	}
 	return base
 }

@@ -1,91 +1,40 @@
 package wal
 
 // append.go is the log's write path, in two halves. Stage encodes a record,
-// assigns its LSN and appends the frame to the owning stream's buffer — no
-// system call. Commit writes every stream still holding a staged record at
-// or below an LSN (one Write per stream) and waits for the commit watermark
-// to cover it. A caller acknowledges only after Commit; the single-record
-// Append* calls are stage-one-then-commit, so there is one write path
-// whether a record travels alone or as one of a request body's hundreds.
+// assigns its LSN and appends the frame to the staged buffer — no system
+// call. Commit writes what is staged through an LSN (one Write) and, with
+// SyncEvery == 0, waits for an fsync that covers it. A caller acknowledges
+// only after Commit; the single-record Append* calls are
+// stage-one-then-commit, so there is one write path whether a record
+// travels alone or as one of a request body's hundreds.
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// stageLimit bounds a stream's staged bytes: a stage that reaches it is
-// written on the spot, so what a stream holds in memory is set by this
-// constant, not by the size of the request body being staged. On the write-
-// size curve (README "Performance") the per-record cost of a write is flat
-// well before 64 KiB, so the early write costs nothing measurable.
+// stageLimit bounds the staged bytes: a stage that reaches it is written on
+// the spot (without an fsync), so what the log holds in memory is set by
+// this constant, not by the size of the request body being staged. On the
+// write-size curve (README "Performance") the per-record cost of a write is
+// flat well before 64 KiB, so the early write costs nothing measurable.
 const stageLimit = 64 << 10
-
-// inflightClaim marks a stream that has started assigning an LSN but not
-// yet published it; watermark readers retry while they see it.
-const inflightClaim = ^uint64(0)
-
-// watermark returns the highest LSN below which every assigned record's
-// write has completed: the global next-LSN minus any stream's staged,
-// still-unwritten records. A record at or below the watermark can be
-// acknowledged — no lower LSN can be missing from the log on a process
-// crash.
-func (w *WAL) watermark() uint64 {
-retry:
-	for {
-		wm := w.seq.Load() - 1
-		for i := range w.inflight {
-			switch v := w.inflight[i].Load(); {
-			case v == inflightClaim:
-				continue retry // mid-assignment; the claim window is two atomic ops
-			case v != 0 && v-1 < wm:
-				wm = v - 1
-			}
-		}
-		return wm
-	}
-}
-
-// WaitDurable blocks until the watermark covers lsn (every lower LSN
-// written) or the log wedges. After Commit's own writes the wait is
-// normally zero — what is left is a sibling stream preempted inside its
-// microseconds-long write — so a brief spin beats parking.
-func (w *WAL) WaitDurable(lsn uint64) error {
-	for i := 0; ; i++ {
-		if w.watermark() >= lsn {
-			return nil
-		}
-		if err := w.Err(); err != nil {
-			// A lower record's write failed and will never complete; this
-			// record is in the log but must not be acknowledged (recovery
-			// truncates at the hole the failed write left).
-			return err
-		}
-		if i < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
-}
 
 // recordPad reserves the wire.FrameRecord prefix (lsn u64 + wrapped kind u8) at
 // the front of the payload scratch so the inner payload encodes in place.
 var recordPad [9]byte
 
-// stage encodes one record of jobID's stream — kind says which: a
-// FrameSpec from sp, a FrameEvent or FrameFinish from ev, a FrameDrop from
-// jobID alone — appends its frame to the stream's staged bytes, and returns
-// the record's global LSN. Nothing is acknowledgeable until Commit(lsn)
-// returns. An encode error aborts before an LSN is consumed: a record that
-// cannot round-trip must never reach the log, where it would poison every
-// future recovery.
+// stage encodes one record of jobID's — kind says which: a FrameSpec from
+// sp, a FrameEvent or FrameFinish from ev, a FrameDrop from jobID alone —
+// appends its frame to the staged bytes, and returns the record's LSN.
+// Nothing is acknowledgeable until Commit(lsn) returns. An encode error
+// aborts before an LSN is consumed: a record that cannot round-trip must
+// never reach the log, where it would poison every future recovery.
 func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wire.Event) (uint64, error) {
-	s := w.streamFor(jobID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -93,7 +42,7 @@ func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wir
 		return 0, err
 	}
 	// e stays on the stack: every encoder it is handed to is a plain call.
-	e := wire.Enc{B: append(s.buf[:0], recordPad[:]...)}
+	e := wire.Enc{B: append(w.buf[:0], recordPad[:]...)}
 	var err error
 	switch kind {
 	case wire.FrameSpec:
@@ -109,45 +58,32 @@ func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wir
 	case wire.FrameDrop:
 		wire.AppendDropPayload(&e, jobID)
 	}
-	s.buf = e.B[:0] // retain the (possibly grown) payload scratch
+	w.buf = e.B[:0] // retain the (possibly grown) payload scratch
 	if err != nil {
 		return 0, err
 	}
-	if s.f == nil {
-		if err := s.createSegmentLocked(); err != nil {
+	if w.f == nil {
+		if err := w.createSegmentLocked(); err != nil {
 			return 0, err
 		}
 	}
 	// The LSN is assigned only after the record is known encodable and the
 	// segment open: a consumed-but-unwritten LSN would read as a hole to
-	// every future recovery. The stream's inflight slot holds its lowest
-	// staged-unwritten LSN, so only the first record of a stage publishes
-	// (claim, assign, publish); later ones sit above a slot that already
-	// caps the watermark below them. On a write or sync failure the slot is
-	// deliberately left holding the LSN: the hole is permanent, the
-	// watermark sticks below it, and no later record on any stream is ever
-	// acknowledged past it.
-	first := len(s.staged) == 0
-	if first {
-		w.inflight[s.shard].Store(inflightClaim)
-	}
+	// every future recovery.
 	lsn := w.seq.Add(1) - 1
-	if first {
-		w.inflight[s.shard].Store(lsn)
-	}
 	for i := 0; i < 8; i++ {
 		e.B[i] = byte(lsn >> (8 * i))
 	}
 	e.B[8] = byte(kind)
-	before := len(s.staged)
-	s.staged = wire.AppendFrame(s.staged, wire.FrameRecord, e.B)
-	n := len(s.staged) - before
-	s.lastLSN = lsn
-	s.appends++
-	s.bytes += uint64(n)
+	before := len(w.staged)
+	w.staged = wire.AppendFrame(w.staged, wire.FrameRecord, e.B)
+	n := len(w.staged) - before
+	w.lastLSN = lsn
+	w.appends++
+	w.bytes += uint64(n)
 	w.noteAppended(int64(n))
 	switch {
-	case s.written+int64(len(s.staged)) >= w.opts.SegmentBytes:
+	case w.segBytes+int64(len(w.staged)) >= w.opts.SegmentBytes:
 		// Rotation is per record, staged or not: the record that carries the
 		// segment past its threshold forces the stage out and rotates, so
 		// what a segment holds never depends on how records were batched.
@@ -155,15 +91,15 @@ func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wir
 		// in-flight group-commit flush — and syncMu orders before mu, so
 		// drop and reacquire. The re-check covers whatever the window let
 		// through (another stage rotating first, Close closing the file).
-		s.mu.Unlock()
-		s.syncMu.Lock()
-		s.mu.Lock()
-		if s.f != nil && s.written+int64(len(s.staged)) >= w.opts.SegmentBytes {
-			err = s.rotateLocked()
+		w.mu.Unlock()
+		w.syncMu.Lock()
+		w.mu.Lock()
+		if w.f != nil && w.segBytes+int64(len(w.staged)) >= w.opts.SegmentBytes {
+			err = w.rotateLocked()
 		}
-		s.syncMu.Unlock()
-	case len(s.staged) >= stageLimit:
-		err = s.writeStagedLocked()
+		w.syncMu.Unlock()
+	case len(w.staged) >= stageLimit:
+		err = w.writeStagedLocked()
 	}
 	if err != nil {
 		return 0, err
@@ -171,70 +107,54 @@ func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wir
 	return lsn, nil
 }
 
-// writeStagedLocked writes the stream's staged frames as one Write and,
-// once they are in the file (and, with SyncEvery == 0, synced), releases
-// the stream's hold on the watermark. Called with s.mu held. A wedged log
-// writes nothing more: the failed stream's file may end in a torn frame,
-// and bytes appended behind it could never be read back.
-func (s *walStream) writeStagedLocked() error {
-	if len(s.staged) == 0 {
+// writeStagedLocked writes the staged frames as one Write, advancing the
+// written-through LSN. Called with mu held; it never fsyncs. A wedged log
+// writes nothing more: the failed file may end in a torn frame, and bytes
+// appended behind it could never be read back.
+func (w *WAL) writeStagedLocked() error {
+	if len(w.staged) == 0 {
 		return nil
 	}
-	w := s.w
 	if err := w.Err(); err != nil {
 		return err
 	}
-	if _, err := s.f.Write(s.staged); err != nil {
+	if _, err := w.f.Write(w.staged); err != nil {
 		return w.fail(fmt.Errorf("serve/wal: append: %w", err))
 	}
-	n := int64(len(s.staged))
-	s.staged = s.staged[:0]
-	s.written += n
-	s.pending += n
-	if s.pendingSince.IsZero() {
-		s.pendingSince = time.Now()
+	n := int64(len(w.staged))
+	w.staged = w.staged[:0]
+	w.segBytes += n
+	w.pending += n
+	if w.pendingSince.IsZero() {
+		w.pendingSince = time.Now()
 	}
-	if w.opts.SyncEvery == 0 {
-		// Full-durability mode: the records must be synced before anyone —
-		// this stream or a sibling waiting on the watermark — treats them as
-		// complete.
-		if err := s.syncLocked(); err != nil {
-			return err
-		}
-	}
-	w.inflight[s.shard].Store(0)
+	w.writtenLSN = w.lastLSN
 	return nil
 }
 
 // Commit makes every record staged at or below lsn acknowledgeable: it
-// writes each stream whose lowest staged LSN is at or below lsn — not only
-// the streams the caller staged into — and then waits for the watermark.
-// Writing the siblings itself is what keeps the wait short: a lower LSN
-// staged by another caller (a client still uploading the rest of its body,
-// say) is in memory, so this caller puts it in the file instead of waiting
-// for that caller's own commit.
+// writes the stage unless an earlier write already carried lsn — whoever
+// staged it: a lower LSN staged by another caller (a client still uploading
+// the rest of its body, say) is in memory, so this caller puts it in the
+// file instead of waiting for that caller's own commit. With SyncEvery == 0
+// it then returns only once an fsync covering lsn has returned; a commit an
+// earlier fsync already covered returns without one.
 func (w *WAL) Commit(lsn uint64) error {
-	for i, s := range w.streams {
-		if v := w.inflight[i].Load(); v == 0 || (v != inflightClaim && v > lsn) {
-			continue
-		}
-		// The slot only changes under s.mu, so the re-read is exact; a stage
-		// caught mid-claim has published by the time the lock is ours.
-		s.mu.Lock()
-		var err error
-		if v := w.inflight[i].Load(); v != 0 && v <= lsn {
-			err = s.writeStagedLocked()
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	w.mu.Lock()
+	var err error
+	if w.writtenLSN < lsn {
+		err = w.writeStagedLocked()
 	}
-	// Acknowledge only once every lower LSN is written: a sibling stream may
-	// be inside its own write of an earlier record, and acking past that
-	// would let a crash produce a hole *below* acknowledged data — which
-	// recovery's hole truncation would then discard.
-	return w.WaitDurable(lsn)
+	w.mu.Unlock()
+	if err != nil || w.opts.SyncEvery > 0 {
+		return err
+	}
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	if w.syncedLSN >= lsn {
+		return nil
+	}
+	return w.flushLocked()
 }
 
 // CommitAll is Commit up to the last LSN assigned so far: a barrier for
@@ -242,7 +162,7 @@ func (w *WAL) Commit(lsn uint64) error {
 func (w *WAL) CommitAll() error { return w.Commit(w.seq.Load() - 1) }
 
 // committed turns a stage result into an append result: the record is in
-// the file, below the watermark, before the LSN is returned.
+// the file (and, with SyncEvery == 0, synced) before the LSN is returned.
 func (w *WAL) committed(lsn uint64, err error) (uint64, error) {
 	if err == nil {
 		err = w.Commit(lsn)

@@ -93,8 +93,8 @@ func segOps(fs *waltest.MemFS, from, kind int) int {
 // oracle: one single-feeder feed through per-event Ingest and through
 // request bodies must leave the same files with the same bytes — segment
 // cuts, stamps and chain links included — while the body-fed log pays at
-// most one write per body per stream, plus what rotation and the
-// early-write cap force.
+// most one write per body, plus what rotation and the early-write cap
+// force.
 func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 	feed, _ := tortureFeed(t, 20, 137)
 	for _, tc := range []struct {
@@ -103,9 +103,9 @@ func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 		frames int
 	}{
 		// Rotation inside bodies: a 256-frame body spans several segments.
-		{"rotating", wal.Options{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 256},
-		// One stream, no rotation: a body outgrows the stage cap instead.
-		{"capped", wal.Options{SegmentBytes: 8 << 20, Streams: 1, SyncEvery: time.Hour}, 1024},
+		{"rotating", wal.Options{SegmentBytes: 16 << 10, SyncEvery: time.Hour}, 256},
+		// No rotation: a body outgrows the stage cap instead.
+		{"capped", wal.Options{SegmentBytes: 8 << 20, SyncEvery: time.Hour}, 1024},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			byEvent := waltest.NewMemFS()
@@ -156,9 +156,9 @@ func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 
 			// Every segment costs its header write and at most one forced
 			// write when it fills; every stageLimit bytes at most one early
-			// write; the rest is one write per body per stream.
+			// write; the rest is one write per body.
 			creates := segOps(byBody, 0, waltest.OpCreate)
-			bound := len(bodies)*tc.opts.Streams + 2*creates + total/wal.StageLimit
+			bound := len(bodies) + 2*creates + total/wal.StageLimit
 			writes, perEvent := segOps(byBody, 0, waltest.OpWrite), segOps(byEvent, 0, waltest.OpWrite)
 			if writes > bound {
 				t.Errorf("%d bodies cost %d segment writes, bound %d", len(bodies), writes, bound)
@@ -174,18 +174,18 @@ func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 	}
 }
 
-// TestOneBodyOneWritePerStream pins the count the change exists for: a body
-// (or an IngestBatch) whose frames land on S streams reaches the filesystem
-// as S writes and, with SyncEvery 0, S fsyncs — not one of each per frame.
+// TestOneBodyOneWritePerStream pins the count the staged path exists for: a
+// body (or an IngestBatch) reaches the log's one stream as one write and,
+// with SyncEvery 0, one fsync — not one of each per frame, nor per job.
 func TestOneBodyOneWritePerStream(t *testing.T) {
 	fs := waltest.NewMemFS()
-	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(4), wal.Options{Streams: 4, FS: fs})
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(4), wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
 	h := servehttp.NewHandler(sv)
-	ids := jobIDsCoveringStreams(4)
+	ids := []uint64{1, 2, 3, 4}
 	var specs []wire.JobSpec
 	for _, id := range ids {
 		sp := commitSpec(id)
@@ -196,7 +196,7 @@ func TestOneBodyOneWritePerStream(t *testing.T) {
 	if err := wire.WriteDump(&reg, specs, nil); err != nil {
 		t.Fatal(err)
 	}
-	mustPost(t, h, reg.Bytes(), len(specs)) // opens all four segments
+	mustPost(t, h, reg.Bytes(), len(specs)) // opens the segment
 
 	starts := func(ids []uint64, from, to int) []wire.Event {
 		var evs []wire.Event
@@ -214,16 +214,16 @@ func TestOneBodyOneWritePerStream(t *testing.T) {
 	}
 	mark := len(fs.Journal)
 	mustPost(t, h, body.Bytes(), len(evs))
-	if w, s := segOps(fs, mark, waltest.OpWrite), segOps(fs, mark, waltest.OpSync); w != 3 || s != 3 {
-		t.Errorf("a %d-frame body on 3 streams cost %d writes and %d fsyncs, want 3 and 3", len(evs), w, s)
+	if w, s := segOps(fs, mark, waltest.OpWrite), segOps(fs, mark, waltest.OpSync); w != 1 || s != 1 {
+		t.Errorf("a %d-frame body of 3 jobs cost %d writes and %d fsyncs, want 1 and 1", len(evs), w, s)
 	}
 
 	mark = len(fs.Journal)
 	if err := sv.IngestBatch(starts(ids[1:], 32, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if w, s := segOps(fs, mark, waltest.OpWrite), segOps(fs, mark, waltest.OpSync); w != 3 || s != 3 {
-		t.Errorf("an IngestBatch on 3 streams cost %d writes and %d fsyncs, want 3 and 3", w, s)
+	if w, s := segOps(fs, mark, waltest.OpWrite), segOps(fs, mark, waltest.OpSync); w != 1 || s != 1 {
+		t.Errorf("an IngestBatch of 3 jobs cost %d writes and %d fsyncs, want 1 and 1", w, s)
 	}
 
 	// A body that fails half way still commits what it applied before the
@@ -360,9 +360,9 @@ func TestWALTortureBodies(t *testing.T) {
 		syncEvery int
 		powerLoss bool
 	}{
-		{"crash", wal.Options{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 0, false},
-		{"powerloss-sync0", wal.Options{SegmentBytes: 16 << 10, Streams: 4}, 0, true},
-		{"powerloss-group", wal.Options{SegmentBytes: 16 << 10, Streams: 4, SyncEvery: time.Hour}, 3, true},
+		{"crash", wal.Options{SegmentBytes: 16 << 10, SyncEvery: time.Hour}, 0, false},
+		{"powerloss-sync0", wal.Options{SegmentBytes: 16 << 10}, 0, true},
+		{"powerloss-group", wal.Options{SegmentBytes: 16 << 10, SyncEvery: time.Hour}, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			feed, specs := tortureFeed(t, 20, 139)
@@ -398,19 +398,19 @@ func TestWALTortureBodies(t *testing.T) {
 
 // --- two clients ---
 
-// TestCommitWritesSiblingsLowerStage: client A has staged a record on one
-// stream and not committed (it is still uploading); client B then stages a
-// higher LSN on a sibling stream and commits. When B is acknowledged A's
-// record must already be on the filesystem — B wrote it — or a crash now
-// would leave a hole below B's acknowledged LSN.
+// TestCommitWritesSiblingsLowerStage: client A has staged a record and not
+// committed (it is still uploading); client B then stages a higher LSN and
+// commits. When B is acknowledged A's record must already be on the
+// filesystem — B wrote it — or a crash now would leave a hole below B's
+// acknowledged LSN.
 func TestCommitWritesSiblingsLowerStage(t *testing.T) {
 	fs := waltest.NewMemFS()
-	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{SyncEvery: time.Hour, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	ids := jobIDsCoveringStreams(2)
+	ids := []uint64{1, 2}
 	if err := sv.StageJob(commitSpec(ids[0]), nil); err != nil { // A: LSN 1, staged
 		t.Fatal(err)
 	}
@@ -426,8 +426,8 @@ func TestCommitWritesSiblingsLowerStage(t *testing.T) {
 	if err := sv.Commit(); err != nil { // A's own commit finds nothing left to write
 		t.Fatal(err)
 	}
-	if w := segOps(fs, 0, waltest.OpWrite); w != 4 {
-		t.Errorf("%d segment writes for two headers and two records, want 4", w)
+	if w := segOps(fs, 0, waltest.OpWrite); w != 2 {
+		t.Errorf("%d segment writes for the header and one write of both records, want 2", w)
 	}
 }
 
@@ -436,13 +436,13 @@ func TestCommitWritesSiblingsLowerStage(t *testing.T) {
 // stalled — B commits A's staged prefix itself instead of waiting for A.
 func TestStalledUploadDoesNotDelaySibling(t *testing.T) {
 	fs := waltest.NewMemFS()
-	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{SyncEvery: time.Hour, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
 	h := servehttp.NewHandler(sv)
-	ids := jobIDsCoveringStreams(2)
+	ids := []uint64{1, 2}
 	half := func(id uint64) (first, rest []byte) {
 		sp := commitSpec(id)
 		var a, b bytes.Buffer
@@ -519,14 +519,13 @@ func TestStalledUploadDoesNotDelaySibling(t *testing.T) {
 // second time, and replay would skip the new owners as already reflected.
 func TestCheckpointCommitsStagedFirst(t *testing.T) {
 	fs := waltest.NewMemFS()
-	opts := wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs}
+	opts := wal.Options{SyncEvery: time.Hour, FS: fs}
 	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	ids := jobIDsCoveringStreams(2)
-	for _, id := range ids { // staged, never committed by their client
+	for _, id := range []uint64{1, 2} { // staged, never committed by their client
 		if err := sv.StageJob(commitSpec(id), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -555,13 +554,13 @@ func TestCheckpointCommitsStagedFirst(t *testing.T) {
 }
 
 // TestStageCommitConcurrent drives the staged path from every kind of
-// caller at once — request bodies, IngestBatch, single Ingest — over few
-// streams and small segments, with the group-commit flusher, explicit
+// caller at once — request bodies, IngestBatch, single Ingest — over small
+// segments, with the group-commit flusher, explicit
 // Syncs and checkpoints running beside them, and requires every
 // acknowledged mutation back from recovery. Run under -race.
 func TestStageCommitConcurrent(t *testing.T) {
 	fs := waltest.NewMemFS()
-	opts := wal.Options{SegmentBytes: 8 << 10, Streams: 2, SyncEvery: time.Millisecond, FS: fs}
+	opts := wal.Options{SegmentBytes: 8 << 10, SyncEvery: time.Millisecond, FS: fs}
 	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(4), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -678,8 +677,8 @@ func TestStageCommitConcurrent(t *testing.T) {
 	}
 }
 
-// TestStageEventDoesNotAllocate: in steady state — the stream's segment
-// open, its payload scratch and staged buffer grown — staging a record puts
+// TestStageEventDoesNotAllocate: in steady state — the segment open, the
+// payload scratch and staged buffer grown — staging a record puts
 // nothing on the heap: the encoder state stays on stage's stack and the
 // event is read through the caller's pointer. (At the parent each record
 // cost the escaping encoder the closure-taking stage handed its callback.)
@@ -687,7 +686,7 @@ func TestStageEventDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	_, log, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{Streams: 1, SyncEvery: time.Hour, FS: waltest.NewMemFS()})
+	_, log, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{SyncEvery: time.Hour, FS: waltest.NewMemFS()})
 	if err != nil {
 		t.Fatal(err)
 	}

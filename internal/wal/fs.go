@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,9 +88,10 @@ const (
 	TmpSuffix  = ".tmp"
 )
 
-// SegName names a per-shard segment: wal-<shard>-<stamp>.seg.
-func SegName(shard int, stamp uint64) string {
-	return fmt.Sprintf("%s%04x-%016x%s", SegPrefix, shard, stamp, SegSuffix)
+// SegName names a log segment: wal-0000-<stamp>.seg. The 0000 is the stream
+// index of the retired multi-stream layout, whose stream 0 this layout is.
+func SegName(stamp uint64) string {
+	return fmt.Sprintf("%s%04x-%016x%s", SegPrefix, 0, stamp, SegSuffix)
 }
 
 func SnapName(lsn uint64) string { return fmt.Sprintf("%s%016x%s", SnapPrefix, lsn, SnapSuffix) }
@@ -108,8 +108,8 @@ func ParseSeq(name, prefix, suffix string) (uint64, bool) {
 	return v, err == nil
 }
 
-// ParseShardSeg parses a per-shard segment name (wal-<shard>-<stamp>.seg).
-func ParseShardSeg(name string) (shard int, stamp uint64, ok bool) {
+// parseSeg parses a segment name, wal-<stream>-<stamp>.seg.
+func parseSeg(name string) (stream int, stamp uint64, ok bool) {
 	if !strings.HasPrefix(name, SegPrefix) || !strings.HasSuffix(name, SegSuffix) {
 		return 0, 0, false
 	}
@@ -145,32 +145,34 @@ func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 	return out, nil
 }
 
-// ListShardSegs groups dir's per-shard segments by shard, each group in
-// ascending stamp order. Any other *.seg name, or a node-<digits> entry, is
-// a log layout this package does not read (an old single-stream
-// wal-<lsn>.seg, a batched-commit commit-<stamp>.seg, the multi-node
-// layout's per-node subdirectory): the listing fails naming it rather than
-// recover around history it cannot see. Other names are not the log's and
-// are ignored.
-func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
+// ListSegs lists dir's log segments in ascending stamp order. Any entry of
+// a log layout this package does not read fails the listing, naming it,
+// rather than recover around history it cannot see: a segment of any
+// stream but 0 (the multi-stream layout), any other *.seg name (an old
+// single-stream wal-<lsn>.seg, a batched-commit commit-<stamp>.seg), or a
+// node-<digits> entry (the multi-node layout's per-node subdirectory).
+// Other names are not the log's and are ignored.
+func ListSegs(fs FS, dir string) ([]Entry, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[int][]Entry)
+	var segs []Entry
 	for _, n := range names {
-		if shard, stamp, ok := ParseShardSeg(n); ok {
-			groups[shard] = append(groups[shard], Entry{Name: n, Seq: stamp})
-		} else if strings.HasSuffix(n, SegSuffix) {
-			return nil, fmt.Errorf("%s is not a per-shard segment (wal-<shard>-<stamp>.seg), the only log layout this build reads", n)
-		} else if isNodeSubdir(n) {
+		stream, stamp, ok := parseSeg(n)
+		switch {
+		case ok && stream == 0:
+			segs = append(segs, Entry{Name: n, Seq: stamp})
+		case ok:
+			return nil, fmt.Errorf("%s is a segment of stream %d of the multi-stream layout, which this build no longer reads; it reads one stream, wal-0000-<stamp>.seg", n, stream)
+		case strings.HasSuffix(n, SegSuffix):
+			return nil, fmt.Errorf("%s is not a log segment (wal-0000-<stamp>.seg), the only log layout this build reads", n)
+		case isNodeSubdir(n):
 			return nil, fmt.Errorf("%s is a per-node directory of the multi-node layout, which this build no longer reads; recover it as its own -wal directory", n)
 		}
 	}
-	for _, segs := range groups {
-		sort.Slice(segs, func(a, b int) bool { return segs[a].Seq < segs[b].Seq })
-	}
-	return groups, nil
+	sort.Slice(segs, func(a, b int) bool { return segs[a].Seq < segs[b].Seq })
+	return segs, nil
 }
 
 // isNodeSubdir reports whether name is node-<3 or more digits>, the per-node
@@ -191,32 +193,4 @@ func isNodeSubdir(name string) bool {
 type Entry struct {
 	Name string
 	Seq  uint64
-}
-
-// writeFileDurable replaces dir/name with b: write a temp file, fsync it,
-// rename it over, sync the directory. A crash at any point leaves either
-// the old file or the new one, never a mix.
-func writeFileDurable(fs FS, dir, name string, b []byte) error {
-	path := filepath.Join(dir, name)
-	tmp := path + TmpSuffix
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	return fs.SyncDir(dir)
 }

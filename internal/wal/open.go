@@ -4,10 +4,10 @@ package wal
 // storage layer. A recovering node scans its directory (ScanDir), applies
 // the records through its own visitor, then hands the Scan back to Open to
 // reopen the log for appending at exactly the recovered position. The node
-// never touches segment naming, stream resolution, or read-only group
-// assembly — those are this package's business — and the checkpoint
-// machinery (temp file, rename, prune, retire) lives behind Checkpoint, so
-// the node contributes only the snapshot bytes and their floor LSN.
+// never touches segment naming or the segment inventory — those are this
+// package's business — and the checkpoint machinery (temp file, rename,
+// prune, retire) lives behind Checkpoint, so the node contributes only the
+// snapshot bytes and their floor LSN.
 
 import (
 	"fmt"
@@ -20,14 +20,13 @@ import (
 func (s Scan) NextLSN() uint64 { return s.next }
 
 // Open reopens dir for appending at the position s recovered. shards is
-// the owning server's registry shard count; the stream fan-out is resolved
-// from it via Options.Streams exactly as the scanned directory requires
-// (streams found on disk beyond the resolved fan-out stay readable as
-// frozen read-only groups and are retired by checkpoints like any other
-// history). Open probes that dir is writable — segment files are created
-// lazily on each stream's first append, and an unwritable directory must
-// fail at startup with a clear error, not wedge the first mutation after
-// the server is already serving.
+// unused since the log became one stream; it stays because the benchmark
+// module calls Open with it. Open probes that dir is writable — segment
+// files are created lazily on the first append, and an unwritable directory
+// must fail at startup with a clear error, not wedge the first mutation
+// after the server is already serving. No segment is created here either:
+// recovery never appends to a possibly-torn tail, and an idle log leaves no
+// empty file.
 func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 	opts = opts.WithDefaults()
 	probe := filepath.Join(dir, "wal-probe"+TmpSuffix)
@@ -37,19 +36,25 @@ func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 		f.Close()
 		opts.FS.Remove(probe)
 	}
-	streams := opts.streamCount(shards)
-	ro := make(map[int]*roSegGroup)
-	streamSegs := make(map[int][]Entry)
-	streamLast := make(map[int]uint64)
-	for shard, g := range s.groups {
-		if shard < streams {
-			streamSegs[shard] = g.segs
-			streamLast[shard] = g.last
-		} else {
-			ro[shard] = &roSegGroup{segs: g.segs, end: g.last}
-		}
+	// Everything below the recovered position is on disk already: a commit
+	// of a lower LSN has nothing to write or sync.
+	next := max(s.next, 1)
+	w := &WAL{
+		dir:        dir,
+		opts:       opts,
+		lastLSN:    s.last,
+		writtenLSN: next - 1,
+		syncedLSN:  next - 1,
+		segs:       s.segs,
+		ckptCh:     make(chan struct{}, 1),
+		stop:       make(chan struct{}),
 	}
-	return newWAL(dir, s.next, streams, streamLast, streamSegs, ro, opts), nil
+	w.seq.Store(next)
+	if opts.SyncEvery > 0 {
+		w.bg.Add(1)
+		go w.flushLoop()
+	}
+	return w, nil
 }
 
 // Checkpoint writes one durable snapshot into the WAL directory and
@@ -67,8 +72,8 @@ func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 // were retired.
 func (w *WAL) Checkpoint(write func(io.Writer) (uint64, error)) (string, int, error) {
 	fs, dir := w.opts.FS, w.dir
-	// The snapshot itself runs outside the stream mutexes (it takes job
-	// locks; appends take job locks before a stream's — holding both here
+	// The snapshot itself runs outside the log's mutexes (it takes job
+	// locks; appends take job locks before the log's — holding both here
 	// would deadlock against ingest). ckptMu serializes whole checkpoints,
 	// so an automatic and an explicit call can never interleave writes into
 	// one temp file or race the prune/retire bookkeeping.

@@ -224,7 +224,7 @@ func expectedLSN(boundaries []int64, x int64) uint64 {
 // durable prefix).
 func TestWALTortureEveryFrameBoundary(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 97)
-	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10}
 	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 4, 0)
 
 	// Sanity: the WAL run itself must match a WAL-less run — logging is
@@ -284,7 +284,7 @@ func TestWALTortureEveryFrameBoundary(t *testing.T) {
 // mutation and the resumed run is bit-identical.
 func TestWALTortureMidFrame(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 101)
-	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10}
 	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 3, 0)
 	total := fs.TotalWritten()
 	rng := rand.New(rand.NewSource(101))
@@ -313,7 +313,7 @@ func TestWALTortureBitFlips(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 103)
 	// No checkpoints: segments from LSN 1 stay, so a flip anywhere in the
 	// log exercises mid-history truncation without losing snapshot cover.
-	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10}
 	fs, ref, _ := tortureRun(t, feed, specs, opts, 0, 0)
 	rng := rand.New(rand.NewSource(103))
 	flips := 120
@@ -358,7 +358,7 @@ func TestWALTorturePowerLoss(t *testing.T) {
 	// flusher from ever ticking mid-run, so the journal's sync positions
 	// stay deterministic.
 	const syncStride = 16
-	opts := wal.Options{SegmentBytes: 16 << 10, SyncEvery: time.Hour, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10, SyncEvery: time.Hour}
 	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 3, syncStride)
 
 	// Synced LSN at each journal position: scan sync ops.
@@ -393,7 +393,7 @@ func TestWALTorturePowerLoss(t *testing.T) {
 // while everything acknowledged survives recovery.
 func TestWALTortureLiveCrash(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 109)
-	opts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
+	opts := wal.Options{SegmentBytes: 16 << 10}
 	_, ref, _ := tortureRun(t, feed, specs, opts, 0, 0)
 
 	rng := rand.New(rand.NewSource(109))
@@ -441,7 +441,7 @@ func TestWALBudgetAfterRecovery(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		rng := rand.New(rand.NewSource(int64(200 + round)))
 		fs := waltest.NewMemFS()
-		opts := wal.Options{SegmentBytes: 8 << 10, Streams: 4, FS: fs}
+		opts := wal.Options{SegmentBytes: 8 << 10, FS: fs}
 		cfg := tortureCfg(2)
 		cfg.MaxJobs = 6
 		cfg.MaxTasks = 200
@@ -507,7 +507,7 @@ func TestWALBudgetAfterRecovery(t *testing.T) {
 		wlog.Close()
 
 		crash := rng.Int63n(fs.TotalWritten()) + 1
-		opts2 := wal.Options{SegmentBytes: 8 << 10, Streams: 4, FS: waltest.FSAt(fs.Journal, crash, false)}
+		opts2 := wal.Options{SegmentBytes: 8 << 10, FS: waltest.FSAt(fs.Journal, crash, false)}
 		sv2, wal2, rst, err := serve.Recover("wal", cfg, opts2)
 		if err != nil {
 			t.Fatalf("round %d: recover at byte %d: %v", round, crash, err)
@@ -543,7 +543,7 @@ func TestWALBudgetAfterRecovery(t *testing.T) {
 func TestWALTortureAutoCheckpoint(t *testing.T) {
 	feed, specs := tortureFeed(t, 20, 127)
 	fs := waltest.NewMemFS()
-	opts := wal.Options{SegmentBytes: 16 << 10, CheckpointBytes: 64 << 10, Streams: 4, FS: fs}
+	opts := wal.Options{SegmentBytes: 16 << 10, CheckpointBytes: 64 << 10, FS: fs}
 	sv, wlog, _, err := serve.Recover("wal", tortureCfg(4), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -593,7 +593,7 @@ func TestWALTortureAutoCheckpoint(t *testing.T) {
 	}
 	// Crash-sweep options leave the policy off: the sweep's reference is
 	// the recorded feed, and recovery itself must not depend on the policy.
-	sweepOpts := wal.Options{SegmentBytes: 16 << 10, Streams: 4}
+	sweepOpts := wal.Options{SegmentBytes: 16 << 10}
 	for i := 0; i < len(crashes); i += stride {
 		x := crashes[i]
 		got, rst := recoverAndResume(t, waltest.FSAt(fs.Journal, x, false), feed, specs, sweepOpts)
@@ -615,67 +615,47 @@ func TestWALTortureAutoCheckpoint(t *testing.T) {
 	}
 }
 
-// TestWALTortureCrossStreamPowerLoss exercises the failure shape only a
-// sharded log has: streams fsync at different moments (rotation syncs
-// here), so dropping every unsynced byte leaves the streams cut at
-// *different* LSNs — one stream keeps records whose cross-stream
-// predecessors died. Recovery must truncate at the first hole, physically
-// trim the orphans, and the re-fed run must still be bit-identical. The
-// trimmed directory must also recover identically a second time
-// (idempotent repair).
-func TestWALTortureCrossStreamPowerLoss(t *testing.T) {
-	feed, specs := tortureFeed(t, 20, 131)
-	// SyncEvery an hour: only rotation syncs make bytes power-loss
-	// durable, maximizing cross-stream skew. No explicit Sync calls.
-	opts := wal.Options{SegmentBytes: 8 << 10, SyncEvery: time.Hour, Streams: 4}
-	fs, ref, boundaries := tortureRun(t, feed, specs, opts, 0, 0)
+// TestWALTortureRecoverTwice: a log that recovered past a torn tail and
+// went on logging must recover again. The torn segment stays in the
+// directory ahead of the segments the resumed writer opened, and their
+// chain link names the last record before the tear. Crash at sampled
+// offsets, recover, finish the feed, close, then recover once more without
+// re-feeding: the second recovery must hold the whole feed and the
+// reference state.
+func TestWALTortureRecoverTwice(t *testing.T) {
+	feed, specs := tortureFeed(t, 20, 113)
+	opts := wal.Options{SegmentBytes: 16 << 10, SyncEvery: time.Hour}
+	fs, ref, _ := tortureRun(t, feed, specs, opts, 2, 0)
 	total := fs.TotalWritten()
-	rng := rand.New(rand.NewSource(131))
-	points := 60
+	rng := rand.New(rand.NewSource(113))
+	points := 40
 	if testing.Short() || raceEnabled {
-		points = 15
+		points = 10
 	}
-	trimmedTotal := 0
+	torn := 0
 	for i := 0; i < points; i++ {
 		x := 1 + rng.Int63n(total-1)
-		crashed := waltest.FSAt(fs.Journal, x, true)
-		got, rst := recoverAndResume(t, crashed, feed, specs, opts)
-		durable := expectedLSN(boundaries, x)
-		if rst.NextLSN > durable {
-			t.Fatalf("power loss at byte %d: recovered LSN %d beyond the written prefix %d (%v)",
-				x, rst.NextLSN, durable, rst)
+		crashed := waltest.FSAt(fs.Journal, x, false)
+		_, rst := recoverAndResume(t, crashed, feed, specs, opts) // closes its log: crashed now holds the resumed run
+		if rst.TornTail {
+			torn++
+		}
+		o := opts
+		o.FS = crashed
+		sv, wlog, rst2, err := serve.Recover("wal", tortureCfg(2), o)
+		if err != nil {
+			t.Fatalf("crash at byte %d, then recovery %v: second recovery: %v", x, rst, err)
+		}
+		got := captureState(t, sv, specs)
+		wlog.Close()
+		if int(rst2.NextLSN)-1 != len(feed) {
+			t.Fatalf("crash at byte %d: second recovery holds %d of %d mutations (%v)", x, rst2.NextLSN-1, len(feed), rst2)
 		}
 		if d := ref.diff(got); d != "" {
-			t.Fatalf("power loss at byte %d (recovery %v): %s", x, rst, d)
+			t.Fatalf("crash at byte %d (second recovery %v): %s", x, rst2, d)
 		}
-		trimmedTotal += rst.RecordsTrimmed
 	}
-	if trimmedTotal == 0 {
-		t.Error("no sweep point trimmed a cross-stream orphan; the hole path went unexercised")
-	}
-
-	// Idempotent repair: recover the final power-lost image once (which
-	// trims), then recover the *trimmed* directory again without re-feeding
-	// and require the same state and LSN.
-	crashed := waltest.FSAt(fs.Journal, total*2/3, true)
-	sv1, wal1, rst1, err := serve.Recover("wal", tortureCfg(2), wal.Options{SegmentBytes: 8 << 10, Streams: 4, FS: crashed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids1 := sv1.JobIDs()
-	wal1.Close()
-	sv2, wal2, rst2, err := serve.Recover("wal", tortureCfg(3), wal.Options{SegmentBytes: 8 << 10, Streams: 4, FS: crashed})
-	if err != nil {
-		t.Fatalf("second recovery of a trimmed directory: %v", err)
-	}
-	defer wal2.Close()
-	if rst2.NextLSN != rst1.NextLSN {
-		t.Errorf("trimmed directory recovers to LSN %d, then %d — repair is not idempotent", rst1.NextLSN, rst2.NextLSN)
-	}
-	if rst2.RecordsTrimmed != 0 {
-		t.Errorf("second recovery trimmed %d more records from an already-repaired directory", rst2.RecordsTrimmed)
-	}
-	if !reflect.DeepEqual(ids1, sv2.JobIDs()) {
-		t.Error("trimmed directory recovers different job sets across passes")
+	if torn == 0 {
+		t.Error("no sweep point left a torn tail; the recovered-past-a-tear path went unexercised")
 	}
 }

@@ -1,13 +1,12 @@
 package wal
 
 // verify.go is the offline WAL inspector behind `nurdserve -wal-verify`:
-// it walks a WAL directory's per-shard streams exactly the way Recover
-// would — refusing, as Recover does, a *.seg file of any other layout — and
-// reports the recoverable LSN per shard and overall without building a
-// server, replaying any mutation into predictors, or writing a byte.
-// Operators use it to answer "how much of this log survives?" before (or
-// instead of) a recovery, and to spot torn tails, cross-stream holes, and
-// missing segments on cold storage.
+// it walks a WAL directory's log exactly the way Recover would — refusing,
+// as Recover does, a *.seg file of any other layout — and reports the
+// recoverable LSN without building a server, replaying any mutation into
+// predictors, or writing a byte. Operators use it to answer "how much of
+// this log survives?" before (or instead of) a recovery, and to spot torn
+// tails and missing segments on cold storage.
 
 import (
 	"repro/internal/wire"
@@ -15,23 +14,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 )
-
-// VerifyStream summarizes one segment stream of a verified directory.
-type VerifyStream struct {
-	// Shard is the stream index.
-	Shard int
-	// Segments counts the stream's segment files; Records the decodable
-	// records the merge consumed from them.
-	Segments int
-	Records  int
-	// LastLSN is the stream's newest consumed record (0: none).
-	LastLSN uint64
-	// Torn reports the stream's final segment ended in a torn or corrupt
-	// frame — the expected signature of a crash mid-append.
-	Torn bool
-}
 
 // VerifyReport is Verify's result.
 type VerifyReport struct {
@@ -42,20 +25,16 @@ type VerifyReport struct {
 	// predict without a predictor factory.
 	SnapshotPath string
 	SnapshotLSN  uint64
-	// Streams lists the directory's segment streams in shard order.
-	Streams []VerifyStream
-	// Records counts decodable WAL records across all streams; Segments
-	// the segment files scanned.
-	Records, Segments int
+	// Segments counts the segment files scanned; Records the decodable
+	// records read from them; LastLSN the newest of those (0: none).
+	Segments, Records int
+	LastLSN           uint64
 	// NextLSN is the recoverable position: Recover on this directory would
 	// rebuild NextLSN-1 mutations and assign NextLSN next.
 	NextLSN uint64
-	// TornTail reports a torn frame anywhere; Hole that the streams
-	// diverge after NextLSN-1 (a power loss dropped an unsynced tail from
-	// one stream while a sibling kept later records — Recover would trim
-	// the orphans).
+	// TornTail reports that the log ends in a torn or corrupt frame — the
+	// expected signature of a crash mid-append.
 	TornTail bool
-	Hole     bool
 }
 
 // String renders the report the way `nurdserve -wal-verify` prints it.
@@ -66,29 +45,21 @@ func (r VerifyReport) String() string {
 	} else {
 		out = fmt.Sprintf("snapshot: %s (floor %d)\n", filepath.Base(r.SnapshotPath), r.SnapshotLSN)
 	}
-	for _, s := range r.Streams {
-		torn := ""
-		if s.Torn {
-			torn = ", torn tail"
-		}
-		out += fmt.Sprintf("shard %4d: %d segments, %d records, last LSN %d%s\n",
-			s.Shard, s.Segments, s.Records, s.LastLSN, torn)
+	torn := ""
+	if r.TornTail {
+		torn = ", torn tail"
 	}
-	hole := ""
-	if r.Hole {
-		hole = " (cross-stream hole beyond it; recovery trims the orphans)"
-	}
-	out += fmt.Sprintf("recoverable LSN: %d (%d mutations)%s", r.NextLSN, r.NextLSN-1, hole)
+	out += fmt.Sprintf("log: %d segments, %d records, last LSN %d%s\n", r.Segments, r.Records, r.LastLSN, torn)
+	out += fmt.Sprintf("recoverable LSN: %d (%d mutations)", r.NextLSN, r.NextLSN-1)
 	return out
 }
 
 // Verify inspects the WAL directory at dir without starting a server:
 // it frame-checks the newest structurally valid snapshot for the floor,
-// walks every retained segment stream with the same chain and torn-tail
-// rules Recover applies, and reports the recoverable LSN per stream and
-// overall. Failures (ErrGap on missing mid-history segments, a *.seg file
-// of another layout) surface exactly as a recovery would surface them. The directory is never
-// written.
+// walks the retained log with the same chain and torn-tail rules Recover
+// applies, and reports the recoverable LSN. Failures (ErrGap on missing
+// history, a *.seg file of another layout) surface exactly as a recovery
+// would surface them. The directory is never written.
 func Verify(dir string, opts Options) (VerifyReport, error) {
 	opts = opts.WithDefaults()
 	fs := opts.FS
@@ -113,24 +84,11 @@ func Verify(dir string, opts Options) (VerifyReport, error) {
 	}
 	rep.NextLSN = scan.next
 	rep.Segments = rst.SegmentsScanned
+	rep.Records = scan.records
+	if scan.records > 0 {
+		rep.LastLSN = scan.last
+	}
 	rep.TornTail = rst.TornTail
-	rep.Hole = scan.hole
-	shards := make([]int, 0, len(scan.groups))
-	for shard := range scan.groups {
-		shards = append(shards, shard)
-	}
-	sort.Ints(shards)
-	for _, shard := range shards {
-		g := scan.groups[shard]
-		rep.Streams = append(rep.Streams, VerifyStream{
-			Shard:    shard,
-			Segments: len(g.segs),
-			Records:  g.recs,
-			LastLSN:  g.last,
-			Torn:     g.torn,
-		})
-		rep.Records += g.recs
-	}
 	return rep, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -225,10 +224,51 @@ func TestCheckpointWALRetires(t *testing.T) {
 	}
 }
 
+// copyDir copies the flat directory src into a fresh temporary directory
+// and returns its path, so a test can recover a checked-in log without
+// touching the original.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// dirImage maps every file in the flat directory dir to its bytes.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
 // TestRecoverErrors pins the operator-facing failure modes: a missing
 // directory and a log with a hole both fail with clean typed errors, and a
-// *.seg file of a layout this build does not read fails Recover and Verify
-// by name without either touching the directory.
+// *.seg file of a layout this build does not read — including a second
+// stream's segment in a directory the multi-stream writer left — fails
+// Recover and Verify by name without either touching the directory.
 func TestRecoverErrors(t *testing.T) {
 	if _, _, _, err := serve.Recover(filepath.Join(t.TempDir(), "absent"), servetest.CheapConfig(1), wal.Options{}); err == nil {
 		t.Error("recover from a missing directory succeeded")
@@ -247,11 +287,11 @@ func TestRecoverErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	wlog.Close()
-	groups, err := wal.ListShardSegs(wal.OSFS, dir)
-	if err != nil || len(groups[0]) < 3 {
-		t.Fatalf("want >= 3 segments in stream 0 for the gap test, have %d (%v)", len(groups[0]), err)
+	segs, err := wal.ListSegs(wal.OSFS, dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want >= 3 segments for the gap test, have %d (%v)", len(segs), err)
 	}
-	if err := os.Remove(filepath.Join(dir, groups[0][1].Name)); err != nil {
+	if err := os.Remove(filepath.Join(dir, segs[1].Name)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{}); !errors.Is(err, wal.ErrGap) {
@@ -259,50 +299,127 @@ func TestRecoverErrors(t *testing.T) {
 	}
 
 	// An earlier writer's single-stream segment (an LSN-mark header) and
-	// batched-commit file (a bare stream header), each beside a valid log.
+	// batched-commit file (a bare stream header), each beside a valid log;
+	// and a directory the two-stream writer left (testdata/two-stream),
+	// whose second stream's segment names it.
 	var mark wire.Enc
 	wire.AppendLSNMarkPayload(&mark, 1)
-	image := func(dir string) map[string]string {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := make(map[string]string, len(ents))
-		for _, e := range ents {
-			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[e.Name()] = string(b)
-		}
-		return files
-	}
-	for name, b := range map[string][]byte{
-		"wal-0000000000000001.seg":    wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, mark.B),
-		"commit-0000000000000001.seg": wire.AppendHeader(nil),
+	for _, tc := range []struct {
+		name string
+		dir  func() string
+	}{
+		{"wal-0000000000000001.seg", func() string {
+			return besideValidLog(t, specs[0], "wal-0000000000000001.seg",
+				wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, mark.B))
+		}},
+		{"commit-0000000000000001.seg", func() string {
+			return besideValidLog(t, specs[0], "commit-0000000000000001.seg", wire.AppendHeader(nil))
+		}},
+		{"wal-0001-0000000000000001.seg", func() string { return copyDir(t, filepath.Join("testdata", "two-stream")) }},
 	} {
-		dir := t.TempDir()
-		sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
+		dir := tc.dir()
+		before := dirImage(t, dir)
+		_, _, _, err = serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
+		if err == nil || !strings.Contains(err.Error(), "serve") || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("recovery beside %s: %v (want an error naming it)", tc.name, err)
+		}
+		if _, err := wal.Verify(dir, wal.Options{}); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("verify beside %s: %v (want an error naming it)", tc.name, err)
+		}
+		if !reflect.DeepEqual(before, dirImage(t, dir)) {
+			t.Errorf("recovery or verify beside %s changed the directory", tc.name)
+		}
+	}
+}
+
+// besideValidLog returns a fresh directory holding a valid log of one
+// registration plus the file name with bytes b.
+func besideValidLog(t *testing.T, sp wire.JobSpec, name string, b []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.StartJob(sp, nil); err != nil {
+		t.Fatal(err)
+	}
+	wlog.Close()
+	if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// upgradeGolden is what the build before the log collapsed to one stream
+// read from testdata/one-stream (a snapshot plus a log tail it wrote at one
+// stream): the recovery's and the verifier's counts, and every job's
+// verdicts and report after recovery. testdata/one-stream.golden.json holds
+// its JSON.
+type upgradeGolden struct {
+	Recovery struct {
+		SnapshotLSN, NextLSN                 uint64
+		Segments, Applied, Skipped, Orphaned int
+		TornTail                             bool
+	}
+	Verify struct {
+		SnapshotLSN, NextLSN uint64
+		Segments, Records    int
+		TornTail             bool
+	}
+	Jobs []struct {
+		ID       uint64
+		Verdicts []serve.TaskVerdict
+		Report   servetest.ReportCore
+	}
+}
+
+// TestRecoverOneStreamDirectoryUnchanged is the upgrade pin: a directory the
+// multi-stream build wrote at one stream recovers, and verifies, to exactly
+// the counts, verdicts and reports that build read from it.
+func TestRecoverOneStreamDirectoryUnchanged(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "one-stream.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want upgradeGolden
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := copyDir(t, filepath.Join("testdata", "one-stream"))
+	var got upgradeGolden
+	rep, err := wal.Verify(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Verify.SnapshotLSN, got.Verify.NextLSN = rep.SnapshotLSN, rep.NextLSN
+	got.Verify.Segments, got.Verify.Records, got.Verify.TornTail = rep.Segments, rep.Records, rep.TornTail
+	sv, wlog, rst, err := serve.Recover(dir, tortureCfg(3), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	got.Recovery.SnapshotLSN, got.Recovery.NextLSN = rst.SnapshotLSN, rst.NextLSN
+	got.Recovery.Segments, got.Recovery.Applied = rst.SegmentsScanned, rst.RecordsApplied
+	got.Recovery.Skipped, got.Recovery.Orphaned, got.Recovery.TornTail = rst.RecordsSkipped, rst.RecordsOrphaned, rst.TornTail
+	if got.Recovery != want.Recovery || got.Verify != want.Verify {
+		t.Fatalf("counts diverge from the writing build's:\n got  %+v %+v\n want %+v %+v",
+			got.Recovery, got.Verify, want.Recovery, want.Verify)
+	}
+	if len(want.Jobs) == 0 {
+		t.Fatal("golden holds no jobs")
+	}
+	for _, job := range want.Jobs {
+		r, err := sv.Report(job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.StartJob(specs[0], nil); err != nil {
-			t.Fatal(err)
-		}
-		wlog.Close()
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := image(dir)
-		_, _, _, err = serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
-		if err == nil || !strings.Contains(err.Error(), "serve") || !strings.Contains(err.Error(), name) {
-			t.Errorf("recovery beside %s: %v (want an error naming it)", name, err)
-		}
-		if _, err := wal.Verify(dir, wal.Options{}); err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("verify beside %s: %v (want an error naming it)", name, err)
-		}
-		if !reflect.DeepEqual(before, image(dir)) {
-			t.Errorf("recovery or verify beside %s changed the directory", name)
+		// Compare through JSON, the form the golden was written in.
+		vs, _ := sv.Query(job.ID, servetest.AllTaskIDs(r.Spec.NumTasks))
+		gotJSON, _ := json.Marshal([]any{vs, servetest.CoreOf(r)})
+		wantJSON, _ := json.Marshal([]any{job.Verdicts, job.Report})
+		if string(gotJSON) != string(wantJSON) {
+			t.Errorf("job %d: recovered verdicts or report diverge from the writing build's", job.ID)
 		}
 	}
 }
@@ -407,13 +524,10 @@ func TestWALStatsHTTP(t *testing.T) {
 				if got := w["next_lsn"].(float64); got != 1 {
 					t.Errorf("next_lsn = %v, want 1", got)
 				}
-				// Segment files are created lazily on each stream's first
-				// append; a fresh log holds none.
+				// Segment files are created lazily on the first append; a
+				// fresh log holds none.
 				if got := w["segments"].(float64); got != 0 {
 					t.Errorf("segments = %v, want 0", got)
-				}
-				if got := w["streams"].(float64); got != 1 {
-					t.Errorf("streams = %v, want 1", got)
 				}
 			},
 		},
@@ -460,25 +574,18 @@ func TestWALStatsHTTP(t *testing.T) {
 			sv:      sv,
 			wantWAL: true,
 			check: func(t *testing.T, w map[string]any) {
-				for _, key := range []string{"segments", "streams", "next_lsn", "appends",
+				for _, key := range []string{"segments", "next_lsn", "appends",
 					"bytes", "syncs", "pending_bytes", "fsync_lag_ns", "retired_segments",
-					"checkpoints", "checkpoint_failures", "per_stream"} {
+					"checkpoints", "checkpoint_failures"} {
 					if _, ok := w[key]; !ok {
 						t.Errorf("stats missing %q", key)
 					}
 				}
+				if len(w) != 10 {
+					t.Errorf("stats carry %d keys, want the 10 above: %v", len(w), w)
+				}
 				if got := w["checkpoints"].(float64); got != 1 {
 					t.Errorf("checkpoints = %v, want 1", got)
-				}
-				streams, ok := w["per_stream"].([]any)
-				if !ok || len(streams) != 1 {
-					t.Fatalf("per_stream = %v, want one stream object", w["per_stream"])
-				}
-				for _, key := range []string{"shard", "segments", "last_lsn", "appends",
-					"bytes", "syncs", "pending_bytes"} {
-					if _, ok := streams[0].(map[string]any)[key]; !ok {
-						t.Errorf("per_stream object missing %q", key)
-					}
 				}
 			},
 		},
@@ -627,7 +734,7 @@ func TestReplayFromSkips(t *testing.T) {
 }
 
 // FuzzWALRecover feeds arbitrary bytes to the recovery path as the lone
-// per-shard segment of a WAL directory. The invariants: never panic;
+// segment of a WAL directory. The invariants: never panic;
 // recover a prefix or fail typed; never double-apply (the budget counters
 // always equal the recovered job set); and the recovered LSN never exceeds
 // the number of frames the input could possibly hold.
@@ -664,14 +771,14 @@ func FuzzWALRecover(f *testing.F) {
 		f.Fatal(err)
 	}
 	wlog.Close()
-	seed := seedFS.Files["wal/"+wal.SegName(0, 1)]
+	seed := seedFS.Files["wal/"+wal.SegName(1)]
 	if len(seed) == 0 {
 		f.Fatal("no seed segment bytes")
 	}
 	// The same records as bare frames with implicit LSNs under an LSN-mark
 	// header (an earlier writer's single-stream layout): planted as a
-	// per-shard segment they are hostile input, an LSN mark where the
-	// segment header belongs.
+	// segment they are hostile input, an LSN mark where the segment header
+	// belongs.
 	legacySeed := func() []byte {
 		var e wire.Enc
 		wire.AppendLSNMarkPayload(&e, 1)
@@ -716,7 +823,7 @@ func FuzzWALRecover(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// An in-memory filesystem keeps each exec free of disk syscalls.
 		fs := waltest.NewMemFS()
-		name := "wal/" + wal.SegName(0, 1)
+		name := "wal/" + wal.SegName(1)
 		fs.Files[name] = append([]byte(nil), data...)
 		fs.Synced[name] = len(data)
 		// A tight task budget keeps hostile-but-valid spec frames from
@@ -799,101 +906,13 @@ func TestWALAutoCheckpointTimer(t *testing.T) {
 	}
 }
 
-// TestWALStreamsSpread pins the sharded hot path: with several streams,
-// concurrent jobs land on different segment streams (per-stream stats show
-// it), the per-stream counters sum to the aggregate, and recovery at a
-// *different* stream count is still exact — the fan-out is a concurrency
-// knob, not state.
-func TestWALStreamsSpread(t *testing.T) {
-	dir := t.TempDir()
-	specs, streams := walWorkload(t, 4, 97)
-	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(4), wal.Options{Streams: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wlog.Streams(); got != 4 {
-		t.Fatalf("Streams() = %d, want 4", got)
-	}
-	want := 0
-	for i := range specs {
-		if err := sv.StartJob(specs[i], nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := sv.IngestBatch(streams[i]); err != nil {
-			t.Fatal(err)
-		}
-		want += 1 + len(streams[i])
-	}
-	st := wlog.Stats()
-	if st.NextLSN != uint64(want)+1 || st.Appends != uint64(want) {
-		t.Fatalf("aggregate stats %+v after %d mutations", st, want)
-	}
-	var sumAppends, sumBytes uint64
-	active := 0
-	for _, ss := range st.PerStream {
-		sumAppends += ss.Appends
-		sumBytes += ss.Bytes
-		if ss.Appends > 0 {
-			active++
-		}
-	}
-	if sumAppends != st.Appends || sumBytes != st.Bytes {
-		t.Errorf("per-stream sums %d/%d diverge from aggregates %d/%d", sumAppends, sumBytes, st.Appends, st.Bytes)
-	}
-	if active < 2 {
-		t.Errorf("only %d of 4 streams took appends for 4 jobs; the fan-out is not spreading", active)
-	}
-	refVerdicts := make([][]serve.TaskVerdict, len(specs))
-	for i := range specs {
-		refVerdicts[i], _ = sv.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
-	}
-	wlog.Close()
-
-	// Recover at a different stream count: global LSNs make the on-disk
-	// fan-out irrelevant to correctness.
-	sv2, wal2, rst, err := serve.Recover(dir, servetest.CheapConfig(2), wal.Options{Streams: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if int(rst.NextLSN)-1 != want {
-		t.Fatalf("recovered %d mutations at a narrower fan-out, want %d", rst.NextLSN-1, want)
-	}
-	if rst.Streams != 2 {
-		t.Errorf("recovery reports %d streams, want 2", rst.Streams)
-	}
-	for i := range specs {
-		vs, err := sv2.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(vs, refVerdicts[i]) {
-			t.Errorf("job %d: verdicts diverge after cross-fan-out recovery", specs[i].JobID)
-		}
-	}
-
-	// Unset, the fan-out follows the shard count but stops at GOMAXPROCS:
-	// every dirty stream costs its own fsync per window.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	_, wal3, _, err := serve.Recover("wal", servetest.CheapConfig(8), wal.Options{FS: waltest.NewMemFS()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal3.Close()
-	if got := wal3.Streams(); got != 1 {
-		t.Errorf("8 shards at GOMAXPROCS=1: default fan-out %d, want 1", got)
-	}
-}
-
 // TestVerifyWALReadOnly pins the offline verifier's contract from inside
-// the package: over a power-lost per-shard directory with a cross-stream
-// hole it must report the hole and the exact LSN Recover would land on,
-// while writing absolutely nothing — Recover repairs (trims), wal.Verify
-// only looks.
+// the package: over a power-lost directory it must report the exact LSN
+// Recover would land on, while writing absolutely nothing.
 func TestVerifyWALReadOnly(t *testing.T) {
 	specs, streams := walWorkload(t, 4, 101)
 	fs := waltest.NewMemFS()
-	opts := wal.Options{SegmentBytes: 1 << 10, SyncEvery: time.Hour, Streams: 4, FS: fs}
+	opts := wal.Options{SegmentBytes: 1 << 10, SyncEvery: time.Hour, FS: fs}
 	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(4), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -909,10 +928,9 @@ func TestVerifyWALReadOnly(t *testing.T) {
 	if _, _, err := sv.CheckpointWAL(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-checkpoint traffic across several streams, then abandon the WAL
-	// without Close (a crash): only rotation syncs made bytes power-loss
-	// durable, and those happened at different LSNs per stream, so the
-	// power loss below leaves a cross-stream hole.
+	// Post-checkpoint traffic, then abandon the WAL without Close (a
+	// crash): only rotation syncs made bytes power-loss durable, so the
+	// power loss below cuts the log back to the last rotation.
 	for job := uint64(1000); job < 1024; job++ {
 		sp := wire.JobSpec{JobID: job, Schema: []string{"cpu"}, NumTasks: 4, TauStra: 10,
 			Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: job}
@@ -926,10 +944,8 @@ func TestVerifyWALReadOnly(t *testing.T) {
 			}
 		}
 	}
-	_ = wlog // abandoned: the crash below is the end of this process image
+	// wlog is abandoned: the crash below is the end of this process image.
 
-	// Power loss dropping unsynced tails at each stream's last rotation:
-	// the classic cross-stream skew.
 	crashed := waltest.FSAt(fs.Journal, fs.TotalWritten(), true)
 	snapshotFiles := func(m *waltest.MemFS) map[string]string {
 		out := make(map[string]string, len(m.Files))
@@ -949,29 +965,24 @@ func TestVerifyWALReadOnly(t *testing.T) {
 	if len(crashed.Journal) != 0 {
 		t.Fatalf("wal.Verify performed %d write operations", len(crashed.Journal))
 	}
-	if rep.SnapshotPath == "" || rep.Records == 0 || len(rep.Streams) == 0 {
+	if rep.SnapshotPath == "" || rep.Records == 0 || rep.LastLSN == 0 {
 		t.Fatalf("empty verify report: %+v", rep)
 	}
-	if !rep.Hole {
-		t.Error("power loss across independently synced streams left no hole; the report's hole path went unexercised")
+	if rep.NextLSN >= wlog.NextLSN() {
+		t.Errorf("power loss of an hour-long group-commit window lost nothing: recoverable LSN %d, %d assigned", rep.NextLSN, wlog.NextLSN()-1)
 	}
-	if s := rep.String(); !strings.Contains(s, "recoverable LSN") || !strings.Contains(s, "shard") {
+	if s := rep.String(); !strings.Contains(s, "recoverable LSN") || !strings.Contains(s, "log: ") {
 		t.Errorf("report rendering incomplete:\n%s", s)
 	}
 
-	// The verifier's promise: Recover lands exactly on rep.NextLSN; if the
-	// verifier saw a hole, recovery trims what the verifier left alone.
-	sv2, wal2, rst, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{FS: crashed})
+	// The verifier's promise: Recover lands exactly on rep.NextLSN.
+	_, wal2, rst, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{FS: crashed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal2.Close()
-	_ = sv2
 	if rst.NextLSN != rep.NextLSN {
 		t.Errorf("Recover reached LSN %d, wal.Verify promised %d", rst.NextLSN, rep.NextLSN)
-	}
-	if rep.Hole != (rst.RecordsTrimmed > 0) {
-		t.Errorf("verifier hole=%v but recovery trimmed %d records", rep.Hole, rst.RecordsTrimmed)
 	}
 }
 
@@ -1013,14 +1024,12 @@ func (f *gatedFile) Write(p []byte) (int, error) {
 	return f.File.Write(p)
 }
 
-// TestWALAckWaitsForLowerLSNs is the commit-watermark regression test: an
-// append on one stream must not be acknowledged while a lower LSN on a
-// sibling stream is still inside its write — otherwise a process crash in
-// that window leaves a hole below acknowledged data, and recovery's hole
-// truncation would discard an acknowledged mutation. The gated filesystem
-// freezes stream A inside its record write (LSN already claimed); the
-// sibling append on stream B (a higher LSN) must stay unacknowledged until
-// A's write completes.
+// TestWALAckWaitsForLowerLSNs: an append must not be acknowledged while a
+// lower LSN is still inside its write — otherwise a process crash in that
+// window leaves a hole below acknowledged data. The gated filesystem
+// freezes job A's registration inside its record write (LSN already
+// claimed); job B's registration (a higher LSN) must stay unacknowledged
+// until A's write completes.
 func TestWALAckWaitsForLowerLSNs(t *testing.T) {
 	mem := waltest.NewMemFS()
 	gate := make(chan struct{})
@@ -1039,7 +1048,7 @@ func TestWALAckWaitsForLowerLSNs(t *testing.T) {
 	streamA := fmt.Sprintf("wal/wal-%04x-", wire.Mix64(jobA)%2)
 	fs := &gateFS{FS: mem, gate: gate, arrived: make(chan struct{}, 1),
 		match: func(name string) bool { return strings.HasPrefix(name, streamA) }}
-	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{SyncEvery: time.Hour, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1122,86 +1131,168 @@ func TestRecoverUnwritableDir(t *testing.T) {
 }
 
 // commitSpec builds a minimal valid job spec for tests that drive the WAL
-// directly with hand-picked job IDs (stream routing is wire.Mix64(id) %
-// streams, so the IDs select their streams).
+// directly with hand-picked job IDs.
 func commitSpec(id uint64) wire.JobSpec {
 	return wire.JobSpec{JobID: id, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
 		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id}
 }
 
-// jobIDsCoveringStreams returns n job IDs routing to n distinct streams.
-func jobIDsCoveringStreams(n int) []uint64 {
-	ids := make([]uint64, 0, n)
-	seen := make(map[uint64]bool, n)
-	for id := uint64(1); len(ids) < n; id++ {
-		if sh := wire.Mix64(id) % uint64(n); !seen[sh] {
-			seen[sh] = true
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
+// --- the shared fsync at SyncEvery 0 ---
 
-// --- Sync error aggregation across streams ---
-
-// failSyncFS makes every segment file's fsync fail with an error naming
-// the file, so a multi-stream Sync failure is distinguishable per stream.
-// The writability probe (wal-probe.tmp) and snapshot files pass through
-// untouched.
-type failSyncFS struct {
+// syncGateFS parks the first fsync of a segment file until gate closes
+// (announcing itself on arrived), and records, as each fsync returns, how
+// many segment bytes had been written when it began: what a completed fsync
+// is known to cover.
+type syncGateFS struct {
 	wal.FS
+	gate, arrived chan struct{}
+
+	mu      sync.Mutex
+	written int // segment bytes written so far
+	durable int // segment bytes covered by a returned fsync
+	syncs   int
 }
 
-func (fs *failSyncFS) Create(name string) (wal.File, error) {
-	f, err := fs.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	base := filepath.Base(name)
-	if strings.HasPrefix(base, wal.SegPrefix) && strings.HasSuffix(base, wal.SegSuffix) {
-		return failSyncFile{File: f, name: base}, nil
-	}
-	return f, nil
-}
-
-type failSyncFile struct {
+type syncGateFile struct {
 	wal.File
-	name string
+	fs *syncGateFS
 }
 
-func (f failSyncFile) Sync() error {
-	return fmt.Errorf("injected sync failure on %s", f.name)
+func (g *syncGateFS) Create(name string) (wal.File, error) {
+	f, err := g.FS.Create(name)
+	if err != nil || !strings.HasSuffix(name, wal.SegSuffix) {
+		return f, err
+	}
+	return &syncGateFile{File: f, fs: g}, nil
 }
 
-// TestWALSyncJoinsStreamErrors: when several streams' flushes fail in one
-// group commit, Sync must report every stream's own failure, not just the
-// first latched one — operators diagnosing a dying device need to see
-// which streams it took down.
-func TestWALSyncJoinsStreamErrors(t *testing.T) {
-	fs := &failSyncFS{FS: waltest.NewMemFS()}
-	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{Streams: 2, SyncEvery: time.Hour, FS: fs})
+func (f *syncGateFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.fs.mu.Lock()
+	f.fs.written += n
+	f.fs.mu.Unlock()
+	return n, err
+}
+
+func (f *syncGateFile) Sync() error {
+	g := f.fs
+	g.mu.Lock()
+	g.syncs++
+	first, covered := g.syncs == 1, g.written
+	g.mu.Unlock()
+	if first {
+		g.arrived <- struct{}{}
+		<-g.gate
+	}
+	err := f.File.Sync()
+	g.mu.Lock()
+	g.durable = max(g.durable, covered)
+	g.mu.Unlock()
+	return err
+}
+
+// TestWALCommitsShareFsync: at SyncEvery 0 the first commit parks inside
+// its fsync while K more commits write their records behind it. When the
+// gate opens, the K+1 commits must have cost at most two fsyncs — the
+// parked one and one covering every record queued behind it — and no
+// commit may return before an fsync that covers its bytes has returned.
+func TestWALCommitsShareFsync(t *testing.T) {
+	const k = 8
+	mem := waltest.NewMemFS()
+	g := &syncGateFS{FS: mem, gate: make(chan struct{}), arrived: make(chan struct{}, 1)}
+	_, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{FS: g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range jobIDsCoveringStreams(2) {
-		if err := sv.StartJob(commitSpec(id), nil); err != nil {
+	var once sync.Once
+	release := func() { once.Do(func() { close(g.gate) }) }
+	defer wlog.Close()
+	defer release() // must open the gate before Close can take the parked fsync's lock
+	type ack struct {
+		lsn     uint64
+		durable int
+		err     error
+	}
+	acks := make(chan ack, k+1)
+	commit := func(task int) {
+		ev := wire.Event{Kind: wire.EventTaskStart, JobID: 1, TaskID: task, Time: float64(task)}
+		lsn, err := wlog.AppendEvent(&ev)
+		g.mu.Lock()
+		durable := g.durable
+		g.mu.Unlock()
+		acks <- ack{lsn, durable, err}
+	}
+	go commit(0)
+	select {
+	case <-g.arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first commit never reached its fsync")
+	}
+	g.mu.Lock()
+	header := g.written - int(wlog.Stats().Bytes) // the segment header, written before any record
+	g.mu.Unlock()
+	for task := 1; task <= k; task++ {
+		go commit(task)
+	}
+	// Every record must be written, its commit queued behind the parked
+	// fsync, before the gate opens.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		st := wlog.Stats()
+		g.mu.Lock()
+		written := g.written
+		g.mu.Unlock()
+		if st.Appends == k+1 && written-header == int(st.Bytes) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d commits staged, %d of %d record bytes written", st.Appends, written-header, st.Bytes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case a := <-acks:
+		t.Fatalf("commit of LSN %d returned (err %v) while the only fsync was parked", a.lsn, a.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+
+	got := make([]ack, 0, k+1)
+	for i := 0; i <= k; i++ {
+		select {
+		case a := <-acks:
+			if a.err != nil {
+				t.Fatal(a.err)
+			}
+			got = append(got, a)
+		case <-time.After(5 * time.Second):
+			t.Fatal("a commit never returned after the gate opened")
+		}
+	}
+	if syncs := wlog.Stats().Syncs; syncs > 2 {
+		t.Errorf("%d commits cost %d fsyncs, want at most 2", k+1, syncs)
+	}
+	// Where each record ends in the segment.
+	seg := mem.Files["wal/"+wal.SegName(1)]
+	end := make(map[uint64]int)
+	for off := wire.HeaderLen; off < len(seg); {
+		kind, payload, n, err := wire.DecodeFrame(seg[off:])
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	err = wlog.Sync()
-	if err == nil {
-		t.Fatal("Sync with two failing streams returned nil")
-	}
-	if !errors.Is(err, wal.ErrFailed) {
-		t.Errorf("Sync error is not wal.ErrFailed: %v", err)
-	}
-	msg := err.Error()
-	for _, stream := range []string{"wal-0000-", "wal-0001-"} {
-		if !strings.Contains(msg, stream) {
-			t.Errorf("joined Sync error omits stream %s*: %q", stream, msg)
+		off += n
+		if kind == wire.FrameRecord {
+			lsn, _, _, err := wire.DecodeRecordPayload(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end[lsn] = off
 		}
 	}
-	wlog.Close() // wedged close may error; it must not panic
+	for _, a := range got {
+		if e, ok := end[a.lsn]; !ok || e > a.durable {
+			t.Errorf("commit of LSN %d returned with %d bytes covered by a returned fsync; its record ends at %d", a.lsn, a.durable, e)
+		}
+	}
 }
 
 // --- flusher lifecycle on a wedged log ---
@@ -1239,13 +1330,12 @@ func (f *wedgeFile) Sync() error {
 // log, the background flusher must stop ticking instead of hammering the
 // dead device with a doomed fsync every SyncEvery.
 func TestWALFlushLoopExitsWhenWedged(t *testing.T) {
-	// Per-stream is the only mode; the subtest keeps the name this case has
-	// always run under.
+	// The subtest keeps the name this case has always run under.
 	t.Run("per-stream", func(t *testing.T) {
 		const tick = 2 * time.Millisecond
 		fs := &wedgeFS{FS: waltest.NewMemFS()}
 		sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1),
-			wal.Options{Streams: 1, SyncEvery: tick, FS: fs})
+			wal.Options{SyncEvery: tick, FS: fs})
 		if err != nil {
 			t.Fatal(err)
 		}
