@@ -1,6 +1,7 @@
-// Command nurdrun replays one trace CSV (see cmd/tracegen) through NURD and
-// prints the online prediction log: per checkpoint, which tasks were newly
-// flagged, plus the final confusion statistics.
+// Command nurdrun replays one trace CSV (see cmd/tracegen) through the
+// Table 3 NURD and prints the online prediction log: per checkpoint, which
+// tasks were newly flagged, plus the final confusion statistics. It is the
+// one path that runs NURD on a job read from disk.
 //
 // Usage:
 //
@@ -10,8 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/metrics"
 	"repro/internal/predictor"
 	"repro/internal/simulator"
 	"repro/internal/trace"
@@ -28,13 +31,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*path, *seed, *ckpt); err != nil {
+	if err := run(os.Stdout, *path, *seed, *ckpt); err != nil {
 		fmt.Fprintln(os.Stderr, "nurdrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, seed uint64, checkpoints int) error {
+// run replays the job at path through the Table 3 NURD: the same factory
+// experiments.Run uses, so the confirmation requirement follows the job's
+// schema (1 on the 4-feature Alibaba schema, 2 on Google's).
+func run(w io.Writer, path string, seed uint64, checkpoints int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -50,10 +56,14 @@ func run(path string, seed uint64, checkpoints int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("job: %d tasks, tau_stra (p90 latency) = %.2f, %d true stragglers\n",
+	fmt.Fprintf(w, "job: %d tasks, tau_stra (p90 latency) = %.2f, %d true stragglers\n",
 		job.NumTasks(), sim.TauStra(), sim.NumStragglers())
 
-	p := predictor.NewNURD(seed)
+	_, fac, ok := predictor.FindFactory("NURD")
+	if !ok {
+		return fmt.Errorf("NURD factory not found")
+	}
+	p := fac.New(sim, seed)
 	res, err := simulator.Evaluate(sim, p)
 	if err != nil {
 		return err
@@ -69,21 +79,26 @@ func run(path string, seed uint64, checkpoints int) error {
 		if len(flagged) == 0 {
 			continue
 		}
-		fmt.Printf("checkpoint %2d (t=%.1f): flagged %d task(s):", k, float64(k)/float64(checkpoints), len(flagged))
+		fmt.Fprintf(w, "checkpoint %2d (t=%.1f): flagged %d task(s):", k, float64(k)/float64(checkpoints), len(flagged))
 		for _, id := range flagged {
 			mark := "FP"
 			if truth[id] {
 				mark = "TP"
 			}
-			fmt.Printf(" %d(%s)", id, mark)
+			fmt.Fprintf(w, " %d(%s)", id, mark)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	c := res.Final
-	fmt.Printf("final: TPR=%.2f FPR=%.2f FNR=%.2f F1=%.2f (%s)\n",
-		c.TPR(), c.FPR(), c.FNR(), c.F1(), c.String())
-	if m := p.Model(); m != nil {
-		fmt.Printf("rho=%.3f delta=%.3f\n", m.Rho(), m.Delta())
+	fmt.Fprintln(w, finalLine(res.Final))
+	if np, ok := p.(*predictor.NURDPredictor); ok && np.Model() != nil {
+		m := np.Model()
+		fmt.Fprintf(w, "rho=%.3f delta=%.3f\n", m.Rho(), m.Delta())
 	}
 	return nil
+}
+
+// finalLine renders the end-of-job confusion statistics.
+func finalLine(c metrics.Confusion) string {
+	return fmt.Sprintf("final: TPR=%.2f FPR=%.2f FNR=%.2f F1=%.2f (%s)",
+		c.TPR(), c.FPR(), c.FNR(), c.F1(), c.String())
 }

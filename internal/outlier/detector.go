@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/dataset"
+	"repro/internal/vecmath"
 )
 
 // Detector is an unsupervised anomaly scorer. Implementations standardize
@@ -52,21 +52,22 @@ func Threshold(trainScores []float64, contamination float64) float64 {
 }
 
 // scaledFit is the shared standardization helper: detectors embed it and
-// call fitScaler in Fit, then transform queries consistently.
+// call fitScaler in Fit, then transform queries with the training column
+// statistics.
 type scaledFit struct {
-	scaler *dataset.Scaler
+	mean, std []float64
 }
 
 func (s *scaledFit) fitScaler(X [][]float64) error {
 	if len(X) == 0 {
 		return fmt.Errorf("outlier: empty training set")
 	}
-	s.scaler = dataset.FitScaler(X)
+	s.mean, s.std = vecmath.ColumnStats(X)
 	return nil
 }
 
 func (s *scaledFit) transform(X [][]float64) [][]float64 {
-	return s.scaler.Transform(X)
+	return vecmath.Standardize(X, s.mean, s.std)
 }
 
 // All returns one instance of every detector in the paper's Table 3 order,

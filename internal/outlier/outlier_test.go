@@ -1,6 +1,7 @@
 package outlier
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -196,6 +197,22 @@ func TestThresholdQuantile(t *testing.T) {
 func TestThresholdEmpty(t *testing.T) {
 	if thr := Threshold(nil, 0.1); thr != 0 {
 		t.Fatalf("empty threshold %v", thr)
+	}
+}
+
+func TestScaler(t *testing.T) {
+	X := [][]float64{{0, 100}, {10, 100}, {20, 100}}
+	var s scaledFit
+	if err := s.fitScaler(X); err != nil {
+		t.Fatal(err)
+	}
+	Z := s.transform(X)
+	if math.Abs(Z[0][0]+Z[2][0]) > 1e-12 {
+		t.Fatalf("transform not centered: %v", Z)
+	}
+	row := s.transform([][]float64{{10, 100}})[0]
+	if math.Abs(row[0]) > 1e-12 || math.Abs(row[1]) > 1e-12 {
+		t.Fatalf("row transform %v", row)
 	}
 }
 

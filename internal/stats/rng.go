@@ -202,14 +202,6 @@ func (r *RNG) Shuffle(p []int) {
 	}
 }
 
-// ShuffleFloat64 permutes the slice in place.
-func (r *RNG) ShuffleFloat64(p []float64) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
 // Sample returns k distinct indices drawn uniformly from [0, n) without
 // replacement. It panics if k > n.
 func (r *RNG) Sample(n, k int) []int {

@@ -162,15 +162,6 @@ func Standardize(X [][]float64, mean, std []float64) [][]float64 {
 	return out
 }
 
-// StandardizeRow standardizes one vector in place-free form.
-func StandardizeRow(x, mean, std []float64) []float64 {
-	r := make([]float64, len(x))
-	for j := range x {
-		r[j] = (x[j] - mean[j]) / std[j]
-	}
-	return r
-}
-
 // Covariance returns the d x d sample covariance matrix of the rows of X
 // (denominator n, population form; callers that need n-1 can rescale).
 func Covariance(X [][]float64) [][]float64 {

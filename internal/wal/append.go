@@ -199,6 +199,3 @@ func (w *WAL) AppendSpec(sp *wire.JobSpec) (uint64, error) { return w.committed(
 // AppendEvent logs an accepted Ingest: StageEvent, then Commit. The record
 // is in its segment file when this returns.
 func (w *WAL) AppendEvent(ev *wire.Event) (uint64, error) { return w.committed(w.StageEvent(ev)) }
-
-// AppendDrop logs an accepted DropJob: StageDrop, then Commit.
-func (w *WAL) AppendDrop(jobID uint64) (uint64, error) { return w.committed(w.StageDrop(jobID)) }

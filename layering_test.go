@@ -30,6 +30,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -192,5 +193,46 @@ func TestCIStepNamesParse(t *testing.T) {
 	}
 	if steps == 0 {
 		t.Fatal("ci.yml lists no steps")
+	}
+}
+
+// TestLayoutTableNamesEveryPackage keeps README's Layout table a complete
+// map of internal/: every package `go list` reports, bar the two test
+// helpers, is named exactly once, and the table names nothing else.
+func TestLayoutTableNamesEveryPackage(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(b), "\n## Layout\n")
+	if !ok {
+		t.Fatal("README.md has no \"## Layout\" section")
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	named := map[string]int{}
+	pkgRef := regexp.MustCompile("`(internal/[a-z/]+)`")
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue // prose under the table may mention the helpers
+		}
+		for _, m := range pkgRef.FindAllStringSubmatch(line, -1) {
+			named["repro/"+m[1]]++
+		}
+	}
+	out, err := exec.Command("go", "list", "./internal/...").Output()
+	if err != nil {
+		t.Fatalf("go list ./internal/...: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "repro/internal/wal/waltest" || pkg == "repro/internal/serve/servetest" {
+			continue
+		}
+		if named[pkg] != 1 {
+			t.Errorf("README Layout table names %s %d times, want once", pkg, named[pkg])
+		}
+		delete(named, pkg)
+	}
+	for pkg := range named {
+		t.Errorf("README Layout table names %s, which go list does not report", pkg)
 	}
 }
