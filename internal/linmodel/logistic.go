@@ -16,28 +16,20 @@ import (
 
 // LogisticConfig controls logistic-regression training.
 type LogisticConfig struct {
-	// L2 is the ridge penalty on weights (not the intercept).
+	// L2 is the ridge penalty on the standardized weights (not the
+	// intercept).
 	L2 float64
-	// LR is the initial gradient-descent step size.
-	LR float64
-	// Iters is the number of full-batch gradient steps.
-	Iters int
-	// Tol stops early when the gradient norm falls below it. At the defaults
-	// it is a guard, not a schedule: counted over the benchmark corpus
-	// (warm_ingest and scratch_ingest, propensity fits of ~110 rows x 15
-	// columns) it stopped none of 4 500 fits — every one ran all Iters steps,
-	// and the loss backtrack never fired, which is why FitLogisticFlat
-	// evaluates the loss only on the steps where it cannot prove that.
-	Tol float64
 	// Balanced, when true, weights each class by n/(2*n_class) so a skewed
 	// split does not dominate the intercept.
 	Balanced bool
 }
 
 // DefaultLogisticConfig returns settings adequate for the low-dimensional
-// feature spaces in the traces (d <= 15).
+// feature spaces in the traces (d <= 15): PU-EN's penalty. NURD's g_t
+// converges to a better propensity model under a larger one
+// (nurd.DefaultConfig).
 func DefaultLogisticConfig() LogisticConfig {
-	return LogisticConfig{L2: 1e-3, LR: 0.5, Iters: 200, Tol: 1e-6}
+	return LogisticConfig{L2: 1e-3}
 }
 
 // Logistic is a fitted logistic-regression model over standardized inputs.
@@ -52,23 +44,26 @@ type Logistic struct {
 // its zero value is ready to use. Not safe for concurrent use — each fitting
 // caller (e.g. a nurd.Model refitting its propensity model) owns its own.
 type LogisticScratch struct {
-	z  []float64 // standardized training matrix, row-major
-	sw []float64 // per-row sample weight
-	e  []float64 // per-row logit, overwritten by the weighted residual
-	gw []float64 // weight gradient
+	z   []float64 // standardized training matrix plus a column of ones, row-major
+	sw  []float64 // per-row sample weight
+	h   []float64 // Hessian, upper triangle; its lower triangle holds the Cholesky factor
+	g   []float64 // gradient
+	dir []float64 // Newton direction
+	at  []float64 // accepted iterate (w, then b)
+	x   []float64 // trial iterate
 
-	// The AVX2 kernel's copies of z (see layoutAVX2).
-	zc []float64 // column-major, rows padded to a multiple of 16
-	zp []float64 // row-major, columns padded to a multiple of 16
-
-	wPrev []float64 // the weights one step back, the far end of the certificate's chord
-
-	// How the last fit's gradient steps settled the backtrack comparison
-	// (steps stopped by Tol settle nothing and count nowhere).
-	certified    int // the loss was not evaluated: a rise was ruled out
-	computed     int // the loss was evaluated and compared as the reference does
-	materialised int // computed steps that first had to evaluate the previous step's skipped loss
+	// What the last fit took: passes over the data, and Newton directions
+	// solved (one per accepted step, plus the one a capped fit abandons).
+	passes, iters int
 }
+
+// The Newton fit's stop rule and cap: it returns once every component of the
+// penalised gradient is at most gradTol in magnitude, or after maxPasses
+// passes over the data, accepted and halved steps alike.
+const (
+	gradTol   = 1e-10
+	maxPasses = 100
+)
 
 // grow returns buf resized to n elements, reallocating only when it is too
 // small; the contents are unspecified.
@@ -79,9 +74,9 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// FitLogistic trains P(y=1|x) with full-batch gradient descent with simple
-// backtracking on the step size. y must be 0/1. Features are standardized
-// internally; callers pass raw features.
+// FitLogistic trains P(y=1|x) by damped Newton iterations (see
+// FitLogisticFlat). y must be 0/1. Features are standardized internally;
+// callers pass raw features.
 func FitLogistic(X [][]float64, y []float64, cfg LogisticConfig) (*Logistic, error) {
 	n := len(X)
 	if n == 0 {
@@ -107,21 +102,16 @@ func FitLogistic(X [][]float64, y []float64, cfg LogisticConfig) (*Logistic, err
 // that refits repeatedly allocates only the returned model; scratch may be
 // nil for a one-shot call.
 //
-// Each gradient step makes three passes over the standardized matrix: (A) the
-// logits, (B) one Exp per row for the probability and the weighted residual,
-// (C) the gradient. Every accumulator sees the same operations in the same
-// order as a row-at-a-time loop, so the fitted bits do not depend on how the
-// passes are blocked (reference_test.go keeps that loop as the oracle). Two
-// kernels run them, chosen once at package init: on amd64 with AVX2 and FMA,
-// kernel_amd64.s, four float64 lanes per instruction — A across rows of a
-// column-major copy, B across rows with Exp's FMA branch copied lane for lane,
-// C across columns of a padded row-major copy; everywhere else the Go loops
-// below (logits, residuals, gradient).
+// The fit minimises
 //
-// The loss is not part of a step. Its only use is the backtrack comparison
-// "did it rise since the previous step", and a convexity certificate settles
-// that without evaluating it on all but a handful of steps; see the comment
-// at the certificate for the inequality and the rounding bound it is held to.
+//	F(w, b) = sum_i sw[i]*l_i(z_i) / totW + L2/2*|w|^2,   l_i(z) = log(1+e^z) - y[i]*z,
+//
+// over the standardized rows (z_i = <w, Z_i> + b, the intercept
+// unpenalised) by Newton's method (IRLS). Each pass over the data evaluates
+// F, its gradient and its (d+1)^2 Hessian at one point; a Cholesky solve
+// gives the Newton direction from the last accepted point, and a trial
+// whose loss rose by more than rounding halves the step. The fit stops at
+// the gradTol / maxPasses rule above.
 func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratch *LogisticScratch) (*Logistic, error) {
 	n := len(y)
 	if n == 0 {
@@ -133,10 +123,10 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 	if len(X) != n*d {
 		return nil, fmt.Errorf("linmodel: %d values for %d rows of %d columns", len(X), n, d)
 	}
-	// Not cfg.L2 < 0: NaN must fail too. The certificate below needs the
-	// ridge term convex.
-	if !(cfg.L2 >= 0) {
-		return nil, fmt.Errorf("linmodel: L2 penalty %v is negative or NaN", cfg.L2)
+	// Not cfg.L2 < 0: NaN must fail too. A convex objective, and so a
+	// positive semi-definite Hessian, needs a finite non-negative penalty.
+	if !(cfg.L2 >= 0 && cfg.L2 <= math.MaxFloat64) {
+		return nil, fmt.Errorf("linmodel: L2 penalty %v is negative or not finite", cfg.L2)
 	}
 	n1 := 0.0
 	for i, v := range y {
@@ -145,15 +135,10 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 		}
 		n1 += v
 	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 200
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 0.5
-	}
 	if scratch == nil {
 		scratch = &LogisticScratch{}
 	}
+	s := scratch
 	nf := float64(n)
 
 	// Column statistics and the standardized copy, the operations of
@@ -182,270 +167,162 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 			std[j] = 1
 		}
 	}
-	scratch.z, scratch.sw = grow(scratch.z, n*d), grow(scratch.sw, n)
-	scratch.e, scratch.gw = grow(scratch.e, n), grow(scratch.gw, d)
-	scratch.wPrev = grow(scratch.wPrev, d)
-	Z, sw := scratch.z, scratch.sw
+	// The intercept is one more weight, on a column of ones.
+	m := d + 1
+	s.z, s.sw, s.h = grow(s.z, n*m), grow(s.sw, n), grow(s.h, m*m)
+	s.g, s.dir, s.at, s.x = grow(s.g, m), grow(s.dir, m), grow(s.at, m), grow(s.x, m)
 	for i := 0; i < n; i++ {
-		row, zrow := X[i*d:i*d+d], Z[i*d:i*d+d]
-		for j := range zrow {
+		row, zrow := X[i*d:i*d+d], s.z[i*m:i*m+m]
+		for j := range row {
 			zrow[j] = (row[j] - mean[j]) / std[j]
 		}
+		zrow[d] = 1
 	}
-	vec := useAVX2
-	if vec {
-		scratch.layoutAVX2(n, d)
-	}
-	// Re-sliced so the compiler sees len(gw) == d, as it does for w, and
-	// drops the loops' bounds checks.
-	e, gw, wPrev := scratch.e[:n], scratch.gw[:d], scratch.wPrev[:d]
 
-	// Sample weights: 1, or the two balanced class weights — positive either
-	// way, which the certificate relies on. absZ = sum_i sw[i]*sum_j |Z[i][j]|
-	// is the scale of the logits' own rounding error (see the margin).
+	// Sample weights: 1, or the two balanced class weights.
 	w0, w1 := 1.0, 1.0
 	if n0 := nf - n1; cfg.Balanced && n0 > 0 && n1 > 0 {
 		w0, w1 = nf/(2*n0), nf/(2*n1)
 	}
-	totW, absZ := 0.0, 0.0
+	totW := 0.0
 	for i, v := range y {
-		sw[i] = w0
+		s.sw[i] = w0
 		if v == 1 {
-			sw[i] = w1
+			s.sw[i] = w1
 		}
-		totW += sw[i]
-		rowAbs := 0.0
-		for _, v := range Z[i*d : i*d+d] {
-			rowAbs += math.Abs(v)
-		}
-		absZ += sw[i] * rowAbs
+		totW += s.sw[i]
 	}
 
-	w := make([]float64, d)
-	b := 0.0
-	lr := cfg.LR
-	// prevLoss is the reference's variable of that name whenever prevKnown;
-	// otherwise the previous step was certified and its loss, should a later
-	// step need it, is lossAt(wPrev, bPrev). magPrev is that step's mag.
-	prevLoss, prevKnown := math.Inf(1), true
-	bPrev, magPrev := 0.0, 0.0
-	scratch.certified, scratch.computed, scratch.materialised = 0, 0, 0
-	for it := 0; it < cfg.Iters; it++ {
-		// e becomes the weighted residuals, gw and gb the raw gradient sums;
-		// mag = sum_i sw[i]*(1+2|z_i|) bounds the sum of the magnitudes of
-		// the loss's terms at these logits.
-		var gb, mag float64
-		if vec {
-			gb, mag = scratch.passesAVX2(w, b, y)
-		} else {
-			logits(e, Z, w, b)
-			gb, mag = residuals(e, y, sw, 0, 0)
-			gradient(gw, Z, e)
-		}
-
-		// The certificate. The loss the backtrack tracks is
-		//
-		//	L(w,b) = sum_i sw[i]*l_i(z_i) + L2/2*|w|^2,  l_i(z) = log(1+e^z) - y[i]*z,
-		//
-		// which is not the function being descended: the step below follows
-		// grad(data)/totW + L2*w, while grad L = grad(data) + L2*w (in terms of
-		// the step direction g, totW*g - (totW-1)*L2*w) and dL/db = totW*gb.
-		// gw and gb hold grad(data) at this point, before the division. L is
-		// convex — sw >= 0 by construction above, L2 >= 0 by validation — so
-		//
-		//	L(w_prev, b_prev) - L(w, b) >= c = <grad L(w,b), (w_prev,b_prev) - (w,b)>,
-		//
-		// and once c exceeds everything rounding can have done to the two
-		// losses as the reference would compute them, and to c, "loss >
-		// prevLoss" is false without evaluating either. With u = 2^-53, the
-		// first-order bounds, each proportional to mag + magPrev where
-		//
-		//	mag = sum_i sw[i]*(1+2|z_i|) + L2/2*|w|^2 + max_j|w[j]|*absZ + |b|*totW:
-		//
-		//   - a computed loss given its computed logits, (n+d+8)u per loss:
-		//     a term sw*(lse - y*z) carries Exp and Log1p (under 1 ulp each),
-		//     the z + log1p add and the lse - y*z cancellation, at most
-		//     5u*sw*(1+2|z|) absolute whatever cancels; the n+d additions,
-		//     ridge terms included, add gamma_(n+d) times the sum of the
-		//     terms' magnitudes, itself at most the first two parts of mag;
-		//   - the computed logits against the exact <w,Z_i>+b the inequality
-		//     is about, (d+1)u: |l_i'| <= 1, so a loss moves by at most
-		//     sum_i sw[i]*gamma_(d+1)*(sum_j|w[j]*Z[i][j]| + |b|), the last
-		//     two parts of mag;
-		//   - c itself, (n+7)u for the gradient entries (the sigmoid within
-		//     4u, the residual's two roundings, gamma_n for the sum) and
-		//     3(d+5)u for the products and the sum over j, against
-		//     |w_prev - w| <= |w_prev| + |w|.
-		//
-		// (2n+5d+31)u in all; the margin takes 8(n+d+8)u, at least 1.6 times
-		// that, for the second-order terms and mag's own rounding. Anything
-		// non-finite — c, or a mag poisoned by a NaN or infinite logit or
-		// weight — fails the test and takes the computing arm.
-		c, ridge, wmax := gb*(bPrev-b), 0.0, 0.0
-		for j, wj := range w {
-			c += (gw[j] + cfg.L2*wj) * (wPrev[j] - wj)
-			ridge += wj * wj
-			if a := math.Abs(wj); a > wmax { // a NaN weight is caught by ridge and c
-				wmax = a
+	at, x, dir := s.at, s.x, s.dir
+	clear(at)
+	loss := s.pass(at, y, cfg.L2, totW)
+	s.passes, s.iters = 1, 0
+	for s.passes < maxPasses && !converged(s.g) {
+		s.newtonDir()
+		s.iters++
+		// A loss within rounding of the accepted one is no rise: near the
+		// optimum the step's gain is smaller than that rounding.
+		for step := 1.0; s.passes < maxPasses; step /= 2 {
+			for j := range x {
+				x[j] = at[j] - step*dir[j]
+			}
+			trial := s.pass(x, y, cfg.L2, totW)
+			s.passes++
+			if !(trial > loss+0x1p-40*loss) {
+				copy(at, x)
+				loss = trial
+				break
 			}
 		}
-		mag += 0.5*cfg.L2*ridge + wmax*absZ + math.Abs(b)*totW
-		margin := float64(n+d+8) * 0x1p-50 * (mag + magPrev)
-
-		for j := 0; j < d; j++ {
-			gw[j] = gw[j]/totW + cfg.L2*w[j]
-		}
-		gb /= totW
-		gnorm := math.Abs(gb)
-		for j := 0; j < d; j++ {
-			gnorm += math.Abs(gw[j])
-		}
-		if gnorm < cfg.Tol {
-			break
-		}
-		// The first step compares with +Inf, which no loss exceeds.
-		if it == 0 || certifies(c, margin) {
-			scratch.certified++
-			prevKnown = false
-		} else {
-			if !prevKnown {
-				prevLoss = lossAt(Z, y, sw, wPrev, bPrev, cfg.L2)
-				scratch.materialised++
-			}
-			loss := lossAt(Z, y, sw, w, b, cfg.L2)
-			scratch.computed++
-			// Crude backtracking: if loss went up, halve the step and continue.
-			if loss > prevLoss {
-				lr *= 0.5
-				if lr < 1e-6 {
-					break
-				}
-			}
-			prevLoss, prevKnown = loss, true
-		}
-		copy(wPrev, w)
-		bPrev, magPrev = b, mag
-		for j := 0; j < d; j++ {
-			w[j] -= lr * gw[j]
-		}
-		b -= lr * gb
 	}
-	return &Logistic{W: w, B: b, Mean: mean, Std: std}, nil
+	return &Logistic{W: append([]float64(nil), at[:d]...), B: at[d], Mean: mean, Std: std}, nil
 }
 
-// logits is pass A in Go: e[i] = z_i = (sum_j w[j]*Z[i][j], j ascending from
-// 0) + b, four rows at a time on four independent chains.
-func logits(e, Z, w []float64, b float64) {
-	d, n := len(w), len(e)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		rows := Z[i*d : i*d+4*d]
-		r0, r1, r2, r3 := rows[:d], rows[d:][:d], rows[2*d:][:d], rows[3*d:][:d]
-		var s0, s1, s2, s3 float64
-		for j, wj := range w {
-			s0 += wj * r0[j]
-			s1 += wj * r1[j]
-			s2 += wj * r2[j]
-			s3 += wj * r3[j]
-		}
-		e[i], e[i+1], e[i+2], e[i+3] = s0+b, s1+b, s2+b, s3+b
-	}
-	for ; i < n; i++ {
-		r := Z[i*d:][:d]
-		s := 0.0
-		for j, wj := range w {
-			s += wj * r[j]
-		}
-		e[i] = s + b
-	}
-}
-
-// residuals is pass B in Go: the probability and weighted residual per row of
-// e, in place (the branches are those of sigmoid, written out because a call
-// per row is not inlined), with gb and mag advanced by each row's residual
-// and sw[i]*(1+2|z_i|) in row order. The AVX2 kernel hands it the blocks its
-// Exp does not cover.
-func residuals(e, y, sw []float64, gb, mag float64) (float64, float64) {
-	for i, z := range e {
-		var p float64
-		if z >= 0 {
-			ex := math.Exp(-z)
-			p = 1 / (1 + ex)
-		} else {
-			ex := math.Exp(z)
-			p = ex / (1 + ex)
-		}
-		r := (p - y[i]) * sw[i]
-		e[i] = r
-		gb += r
-		mag += sw[i] * (1 + 2*math.Abs(z))
-	}
-	return gb, mag
-}
-
-// gradient is pass C in Go: gw[j] = sum_i e[i]*Z[i][j], i ascending from 0,
-// each gw[j] loaded and stored once per four rows.
-func gradient(gw, Z, e []float64) {
-	d, n := len(gw), len(e)
-	for j := range gw {
-		gw[j] = 0
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		rows := Z[i*d : i*d+4*d]
-		r0, r1, r2, r3 := rows[:d], rows[d:][:d], rows[2*d:][:d], rows[3*d:][:d]
-		e0, e1, e2, e3 := e[i], e[i+1], e[i+2], e[i+3]
-		for j, g := range gw {
-			g += e0 * r0[j]
-			g += e1 * r1[j]
-			g += e2 * r2[j]
-			g += e3 * r3[j]
-			gw[j] = g
-		}
-	}
-	for ; i < n; i++ {
-		r := Z[i*d:][:d]
-		ei := e[i]
-		for j := range gw {
-			gw[j] += ei * r[j]
-		}
-	}
-}
-
-// certifies reports whether a certificate value c, held to the rounding
-// margin, proves the loss did not rise. A NaN on either side compares false;
-// an infinite margin admits nothing; an infinite c is a sum that overflowed
-// on the way and says nothing about the real one.
-func certifies(c, margin float64) bool {
-	return c > margin && c <= math.MaxFloat64
-}
-
-// lossAt evaluates the tracked loss at (w, b) with the operations of the
-// row-at-a-time reference in its order: each logit one chain over j plus b,
-// rows ascending, the ridge terms added after the last row.
-func lossAt(Z, y, sw, w []float64, b, l2 float64) float64 {
-	d := len(w)
+// pass evaluates F at theta = (w, b) over the rows of s.z, returns it, and
+// leaves the gradient in s.g and the Hessian's upper triangle in s.h.
+func (s *LogisticScratch) pass(theta, y []float64, l2, totW float64) float64 {
+	m := len(theta)
+	h, g := s.h[:m*m], s.g[:m]
+	clear(h)
+	clear(g)
 	loss := 0.0
 	for i, yi := range y {
-		r := Z[i*d:][:d]
-		s := 0.0
-		for j, wj := range w {
-			s += wj * r[j]
+		zr := s.z[i*m:][:m]
+		z := 0.0
+		for j, t := range theta {
+			z += t * zr[j]
 		}
-		z := s + b
-		// log(1+e^z), computed stably.
-		var lse float64
-		if z > 0 {
-			lse = z + math.Log1p(math.Exp(-z))
+		// The probability, the loss term and the curvature p(1-p), all
+		// from one e = Exp(-|z|).
+		e := math.Exp(-math.Abs(z))
+		q := 1 / (1 + e)
+		p, lse := q, math.Log1p(e)
+		if z < 0 {
+			p = e * q
 		} else {
-			lse = math.Log1p(math.Exp(z))
+			lse += z
 		}
-		loss += sw[i] * (lse - yi*z)
+		sw := s.sw[i]
+		loss += sw * (lse - yi*z)
+		r, v := sw*(p-yi), sw*e*q*q
+		for j, a := range zr {
+			g[j] += r * a
+			va := v * a
+			zk := zr[j:]
+			hr := h[j*m+j:][:len(zk)]
+			for k, c := range zk {
+				hr[k] += va * c
+			}
+		}
 	}
-	for _, wj := range w {
-		loss += 0.5 * l2 * wj * wj
+	ridge := 0.0
+	for j := 0; j < m; j++ {
+		for k := j; k < m; k++ {
+			h[j*m+k] /= totW
+		}
+		g[j] /= totW
+		if j < m-1 {
+			h[j*m+j] += l2
+			g[j] += l2 * theta[j]
+			ridge += theta[j] * theta[j]
+		}
 	}
-	return loss
+	return loss/totW + 0.5*l2*ridge
+}
+
+// newtonDir sets s.dir to H^-1 g, factoring the Hessian in s.h (upper
+// triangle) into its lower triangle by Cholesky. A pivot that rounding
+// leaves at or near zero is a direction the data do not determine (a
+// constant or duplicated column with no penalty); an infinite pivot zeroes
+// its row of the factor and its component of the direction, leaving it out
+// of this step. A NaN passes through and poisons the fit, as NaN input does.
+func (s *LogisticScratch) newtonDir() {
+	m := len(s.g)
+	h, g, dir := s.h[:m*m], s.g, s.dir[:m]
+	for j := 0; j < m; j++ {
+		row := h[j*m : j*m+j]
+		piv := h[j*m+j]
+		for _, l := range row {
+			piv -= l * l
+		}
+		if piv <= 0x1p-40*h[j*m+j] {
+			piv = math.Inf(1)
+		}
+		piv = math.Sqrt(piv)
+		h[j*m+j] = piv
+		for i := j + 1; i < m; i++ {
+			v := h[j*m+i]
+			for k, l := range row {
+				v -= h[i*m+k] * l
+			}
+			h[i*m+j] = v / piv
+		}
+	}
+	for i := 0; i < m; i++ {
+		v := g[i]
+		for k, l := range h[i*m : i*m+i] {
+			v -= l * dir[k]
+		}
+		dir[i] = v / h[i*m+i]
+	}
+	for i := m - 1; i >= 0; i-- {
+		v := dir[i]
+		for k := i + 1; k < m; k++ {
+			v -= h[k*m+i] * dir[k]
+		}
+		dir[i] = v / h[i*m+i]
+	}
+}
+
+// converged reports whether every gradient component is within gradTol of
+// zero; a NaN is not.
+func converged(g []float64) bool {
+	for _, v := range g {
+		if !(math.Abs(v) <= gradTol) {
+			return false
+		}
+	}
+	return true
 }
 
 // ErrRowWidth reports a feature row with fewer columns than the model has

@@ -67,6 +67,10 @@ func DefaultConfig() Config {
 	// its (0,1] semantics throughout the job (Cepeda et al. 2003 estimate
 	// propensity scores the same way under rare exposure).
 	lcfg.Balanced = true
+	// The penalty the offline sweep picks for the converged fit: it
+	// maximises the smaller of the Google and Alibaba gains in mean NURD F1
+	// (README, "The propensity fit").
+	lcfg.L2 = 3e-2
 	return Config{
 		// Delta scale; see Init for how it maps onto the paper's Eq. 3
 		// under balanced propensity scores.
@@ -84,11 +88,11 @@ func DefaultConfig() Config {
 // distribution (seed-trace F1 within a small epsilon of scratch refits —
 // test-enforced in internal/serve) at a third of a scratch fit's trees. That
 // is half of h_t's cost, not a third of the refit's: on the benchmark's mean
-// view (109 rows x 15 columns, bench --trace 1) a 16-tree extension is 0.47 ms
-// against 1.0 ms for the 50-tree scratch fit, and the propensity fit both
-// modes share is about 0.18 ms on top of either (linmodel's AVX2 kernel; about
-// 0.5 ms on its Go loops), so a warm refit costs a little over half a scratch
-// one (0.56 at 300 tasks, BENCH_serve_refit.json).
+// view (~110 rows x 15 columns, bench --trace 1) a 16-tree extension is
+// 0.34 ms against 0.65 ms for the 50-tree scratch fit, and the propensity fit
+// both modes share is about 0.2 ms on top of either (six Newton iterations),
+// so a warm refit costs a little over half a scratch one (0.57 at 300 tasks,
+// BENCH_serve_refit.json).
 const DefaultWarmRounds = 16
 
 // DefaultWarmConfig returns DefaultConfig with warm-started refits enabled
@@ -274,10 +278,9 @@ func (m *Model) checkTrain(finX [][]float64, finY []float64) error {
 }
 
 // fitPropensity refits g_t on the finished-vs-running split; both refit
-// strategies share it: on the benchmark's mean view its 200 gradient steps
-// take about 0.16 ms with linmodel's AVX2 kernel (7.3 ns per row per step;
-// 21 ns on its Go loops), a quarter of a warm refit and a seventh of a
-// scratch one (h_t: 0.47 ms to extend, 1.0 ms to fit).
+// strategies share it: on the benchmark's mean view its six Newton
+// iterations take about 0.2 ms (go test ./internal/linmodel -bench
+// FitLogistic), beside h_t's 0.34 ms to extend and 0.65 ms to fit.
 // The log-feature matrix, its labels and the fit's working memory live in
 // m.prop and are reused, so from the second refit on only the fitted model is
 // allocated.

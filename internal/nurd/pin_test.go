@@ -40,10 +40,11 @@ func pinJob() (fin [][]float64, finY []float64, run [][]float64) {
 // TestRefitPredictionBitsPinned pins every Prediction field of every running
 // task, bit for bit, across a five-checkpoint Refit sequence (the finished
 // set growing, the running set shrinking) in the scratch and in the warm
-// configuration, to the values the [][]float64 propensity fit produced
-// (hashes recorded on the commit before the flat kernel replaced it). The
-// reused propensity buffers shrink and grow across the sequence, so a stale
-// row or label left in them would move a hash.
+// configuration, to the values of the Newton propensity fit at DefaultConfig's
+// penalty (hashes recorded when the fit began converging instead of stopping
+// after 200 gradient steps). The reused propensity buffers shrink and grow
+// across the sequence, so a stale row or label left in them would move a
+// hash.
 func TestRefitPredictionBitsPinned(t *testing.T) {
 	fin, finY, run := pinJob()
 	for _, c := range []struct {
@@ -51,8 +52,8 @@ func TestRefitPredictionBitsPinned(t *testing.T) {
 		cfg  Config
 		want uint64
 	}{
-		{"scratch", DefaultConfig(), 0xd3d7ee7732b82e70},
-		{"warm", DefaultWarmConfig(), 0xe8980d9b60aa75e2},
+		{"scratch", DefaultConfig(), 0x9dce239020a74391},
+		{"warm", DefaultWarmConfig(), 0xb20ed167e64c80a1},
 	} {
 		c.cfg.Seed = 7
 		m := New(c.cfg)

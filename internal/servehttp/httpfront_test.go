@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -216,6 +217,18 @@ func TestHTTPErrors(t *testing.T) {
 	}))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("schema mismatch: status %d, want 422", resp.StatusCode)
+	}
+
+	// A spec with a NaN threshold or an infinite horizon is refused, so no
+	// job is registered whose every report would fail.
+	bad := spec
+	bad.JobID, bad.TauStra, bad.Horizon = 77, math.NaN(), math.Inf(1)
+	resp, res = postIngest(t, ts, wireBody(t, []wire.JobSpec{bad}, nil))
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(res.Error, "TauStra") {
+		t.Errorf("NaN TauStra: status %d (%s), want 422 naming TauStra", resp.StatusCode, res.Error)
+	}
+	if got := get("/report?job=77"); got != http.StatusNotFound {
+		t.Errorf("report of the refused job: status %d, want 404", got)
 	}
 }
 

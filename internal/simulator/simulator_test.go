@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -32,6 +33,18 @@ func TestNewValidatesConfig(t *testing.T) {
 	bad.StragglerQuantile = 1.0
 	if _, err := New(job, bad); err == nil {
 		t.Fatal("expected quantile error")
+	}
+	// NaN compares false with every bound, so it must fail the range tests
+	// rather than reach the quantile lookups.
+	bad = DefaultConfig()
+	bad.WarmFrac = math.NaN()
+	if _, err := New(job, bad); err == nil {
+		t.Fatal("expected warmfrac error for NaN")
+	}
+	bad = DefaultConfig()
+	bad.StragglerQuantile = math.NaN()
+	if _, err := New(job, bad); err == nil {
+		t.Fatal("expected quantile error for NaN")
 	}
 	if _, err := New(&trace.Job{}, DefaultConfig()); err == nil {
 		t.Fatal("expected empty-job error")

@@ -7,7 +7,10 @@
 // pins the independence.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // EventKind discriminates task lifecycle events.
 type EventKind uint8
@@ -174,11 +177,16 @@ func (sp *JobSpec) Validate() error {
 			return fmt.Errorf("serve: job %d: schema column name of %d bytes above the serving cap %d", sp.JobID, len(c), MaxSchemaName)
 		}
 	}
-	if sp.TauStra <= 0 {
-		return fmt.Errorf("serve: job %d: TauStra must be positive, got %v", sp.JobID, sp.TauStra)
+	// Each float test is written so that NaN fails it: NaN compares false
+	// with everything, so `x <= 0` would admit one.
+	if !(sp.TauStra > 0 && sp.TauStra <= math.MaxFloat64) {
+		return fmt.Errorf("serve: job %d: TauStra must be positive and finite, got %v", sp.JobID, sp.TauStra)
 	}
-	if sp.Horizon <= 0 {
-		return fmt.Errorf("serve: job %d: Horizon must be positive, got %v", sp.JobID, sp.Horizon)
+	if !(sp.StragglerQuantile > 0 && sp.StragglerQuantile < 1) {
+		return fmt.Errorf("serve: job %d: StragglerQuantile must be in (0, 1), got %v", sp.JobID, sp.StragglerQuantile)
+	}
+	if !(sp.Horizon > 0 && sp.Horizon <= math.MaxFloat64) {
+		return fmt.Errorf("serve: job %d: Horizon must be positive and finite, got %v", sp.JobID, sp.Horizon)
 	}
 	if sp.Checkpoints < 1 {
 		return fmt.Errorf("serve: job %d: need >= 1 checkpoint, got %d", sp.JobID, sp.Checkpoints)
@@ -186,7 +194,7 @@ func (sp *JobSpec) Validate() error {
 	if sp.Checkpoints > MaxSnapCheckpoints {
 		return fmt.Errorf("serve: job %d: Checkpoints %d above the serving cap %d", sp.JobID, sp.Checkpoints, MaxSnapCheckpoints)
 	}
-	if sp.WarmFrac <= 0 || sp.WarmFrac >= 0.5 {
+	if !(sp.WarmFrac > 0 && sp.WarmFrac < 0.5) {
 		return fmt.Errorf("serve: job %d: WarmFrac must be in (0, 0.5), got %v", sp.JobID, sp.WarmFrac)
 	}
 	if sp.RefitMode > RefitWarm {
