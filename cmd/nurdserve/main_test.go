@@ -142,7 +142,7 @@ func TestRunWALVerify(t *testing.T) {
 	}
 	var victim string
 	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg") {
+		if strings.HasPrefix(e.Name(), wal.SegPrefix) && strings.HasSuffix(e.Name(), wal.SegSuffix) {
 			victim = filepath.Join(dir, e.Name())
 		}
 	}
@@ -198,7 +198,7 @@ func TestRunWALVerify(t *testing.T) {
 		t.Error("verify of a non-directory succeeded")
 	}
 
-	// A directory the two-stream writer left: the second stream's segment
+	// A directory the two-stream writer left: its first segment
 	// fails the verifier by name, and nothing in the directory changes.
 	two := t.TempDir()
 	src := filepath.Join("..", "..", "internal", "wal", "testdata", "two-stream")
@@ -217,8 +217,8 @@ func TestRunWALVerify(t *testing.T) {
 		}
 		before[e.Name()] = string(b)
 	}
-	if err := runWALVerify(two, io.Discard); err == nil || !strings.Contains(err.Error(), "wal-0001-0000000000000001.seg") {
-		t.Errorf("verify of a two-stream directory: %v (want an error naming its second stream's segment)", err)
+	if err := runWALVerify(two, io.Discard); err == nil || !strings.Contains(err.Error(), "wal-0000-0000000000000003.seg") {
+		t.Errorf("verify of a two-stream directory: %v (want an error naming its first segment)", err)
 	}
 	after, err := os.ReadDir(two)
 	if err != nil {

@@ -154,10 +154,8 @@ func main() {
 	// 7. Kill and recover — this time with warm-started refits. Snapshots
 	// alone lose everything since the last one; a write-ahead log closes
 	// that window — every accepted mutation is durable before it is
-	// acknowledged. The log is sharded like the registry: each shard's jobs
-	// append to their own segment stream (wal-<shard>-*.seg), so durability
-	// scales with the ingest path instead of serializing it behind one
-	// mutex. RefitMode: RefitWarm makes every job's checkpoint refit extend
+	// acknowledged. The log is one stream of segments (log-<stamp>.seg),
+	// each holding the same spec and event frames a dump does. RefitMode: RefitWarm makes every job's checkpoint refit extend
 	// the previous checkpoint's ensemble instead of retraining from scratch
 	// (~2.3x cheaper per refit); the mode is stamped into each job's spec,
 	// so it rides the WAL and snapshots into recovery — the revived server
@@ -166,10 +164,9 @@ func main() {
 	// Run the same jobs on a server backed by a WAL directory, "kill" it
 	// halfway through the streams (drop the process image; the directory is
 	// all that survives), then point Recover at the directory: it restores
-	// the newest snapshot, merges the per-shard logs back into
-	// acknowledgment order, and reports exactly how many mutations the dead
-	// server had acknowledged, so the feed resumes without losing or
-	// double-applying a single event.
+	// the newest snapshot, replays the log past it, and reports exactly
+	// how many mutations the dead server had acknowledged, so the feed
+	// resumes without losing or double-applying a single event.
 	walDir, err := os.MkdirTemp("", "nurd-wal-*")
 	if err != nil {
 		log.Fatal(err)

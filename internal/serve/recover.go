@@ -102,15 +102,8 @@ func applyWALRecord(sv *Server, kind wire.FrameKind, payload []byte, lsn, floor 
 		}
 		rst.RecordsApplied++
 		return nil
-	case wire.FrameEvent, wire.FrameFinish:
-		var ev wire.Event
-		var err error
-		if kind == wire.FrameEvent {
-			ev, err = wire.DecodeEventPayload(payload)
-		} else {
-			ev.Kind = wire.EventJobFinish
-			ev.JobID, ev.Time, err = wire.DecodeFinishPayload(payload)
-		}
+	case wire.FrameEvent:
+		ev, err := wire.DecodeEventPayload(payload)
 		if err != nil {
 			return err
 		}

@@ -1,14 +1,16 @@
 package wal
 
-// append.go is the log's write path, in two halves. Stage encodes a record,
-// assigns its LSN and appends the frame to the staged buffer — no system
-// call. Commit writes what is staged through an LSN (one Write) and, with
-// SyncEvery == 0, waits for an fsync that covers it. A caller acknowledges
-// only after Commit; the single-record Append* calls are
+// append.go is the log's write path, in two halves. Stage encodes a record
+// as the wire frame a dump would carry (wire.EncodeSpec, wire.EncodeEvent,
+// a FrameDrop) straight onto the staged buffer and assigns its LSN — no
+// system call. Commit writes what is staged through an LSN (one Write)
+// and, with SyncEvery == 0, waits for an fsync that covers it. A caller
+// acknowledges only after Commit; the single-record Append* calls are
 // stage-one-then-commit, so there is one write path whether a record
 // travels alone or as one of a request body's hundreds.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -22,17 +24,16 @@ import (
 // flat well before 64 KiB, so the early write costs nothing measurable.
 const stageLimit = 64 << 10
 
-// recordPad reserves the wire.FrameRecord prefix (lsn u64 + wrapped kind u8) at
-// the front of the payload scratch so the inner payload encodes in place.
-var recordPad [9]byte
-
-// stage encodes one record of jobID's — kind says which: a FrameSpec from
-// sp, a FrameEvent or FrameFinish from ev, a FrameDrop from jobID alone —
-// appends its frame to the staged bytes, and returns the record's LSN.
-// Nothing is acknowledgeable until Commit(lsn) returns. An encode error
-// aborts before an LSN is consumed: a record that cannot round-trip must
-// never reach the log, where it would poison every future recovery.
-func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wire.Event) (uint64, error) {
+// stage appends one record's frame to the staged bytes — a FrameSpec from
+// sp, a FrameEvent from ev, a FrameDrop of jobID — and returns the record's
+// LSN. Nothing is acknowledgeable until Commit(lsn) returns. The frame
+// carries no LSN: recovery derives it as the segment's stamp plus the
+// frame's ordinal, which holds because LSNs are assigned and frames staged
+// in one order under mu, and a segment is stamped with the LSN its first
+// record gets. An encode error aborts before an LSN is consumed: a record
+// that cannot round-trip must never reach the log, where it would poison
+// every future recovery.
+func (w *WAL) stage(sp *wire.JobSpec, ev *wire.Event, jobID uint64) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed.Load() {
@@ -41,29 +42,24 @@ func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wir
 	if err := w.Err(); err != nil {
 		return 0, err
 	}
-	// e stays on the stack: every encoder it is handed to is a plain call.
-	e := wire.Enc{B: append(w.buf[:0], recordPad[:]...)}
+	before := len(w.staged)
 	var err error
-	switch kind {
-	case wire.FrameSpec:
-		err = wire.AppendSpecPayload(&e, sp)
-	case wire.FrameEvent:
-		if len(ev.Features) > wire.MaxWireFeatures {
-			err = fmt.Errorf("serve/wal: %d features exceed %d", len(ev.Features), wire.MaxWireFeatures)
-		} else {
-			wire.AppendEventPayload(&e, ev)
-		}
-	case wire.FrameFinish:
-		wire.AppendFinishPayload(&e, jobID, ev.Time)
-	case wire.FrameDrop:
-		wire.AppendDropPayload(&e, jobID)
+	switch {
+	case sp != nil:
+		w.staged, err = wire.EncodeSpec(w.staged, *sp)
+	case ev != nil:
+		w.staged, err = wire.EncodeEvent(w.staged, *ev)
+	default:
+		var p [8]byte
+		binary.LittleEndian.PutUint64(p[:], jobID)
+		w.staged = wire.AppendFrame(w.staged, wire.FrameDrop, p[:])
 	}
-	w.buf = e.B[:0] // retain the (possibly grown) payload scratch
 	if err != nil {
 		return 0, err
 	}
 	if w.f == nil {
 		if err := w.createSegmentLocked(); err != nil {
+			w.staged = w.staged[:before]
 			return 0, err
 		}
 	}
@@ -71,12 +67,6 @@ func (w *WAL) stage(jobID uint64, kind wire.FrameKind, sp *wire.JobSpec, ev *wir
 	// segment open: a consumed-but-unwritten LSN would read as a hole to
 	// every future recovery.
 	lsn := w.seq.Add(1) - 1
-	for i := 0; i < 8; i++ {
-		e.B[i] = byte(lsn >> (8 * i))
-	}
-	e.B[8] = byte(kind)
-	before := len(w.staged)
-	w.staged = wire.AppendFrame(w.staged, wire.FrameRecord, e.B)
 	n := len(w.staged) - before
 	w.lastLSN = lsn
 	w.appends++
@@ -174,24 +164,14 @@ func (w *WAL) committed(lsn uint64, err error) (uint64, error) {
 }
 
 // StageSpec stages an accepted StartJob (the defaulted, validated spec).
-func (w *WAL) StageSpec(sp *wire.JobSpec) (uint64, error) {
-	return w.stage(sp.JobID, wire.FrameSpec, sp, nil)
-}
+func (w *WAL) StageSpec(sp *wire.JobSpec) (uint64, error) { return w.stage(sp, nil, 0) }
 
-// StageEvent stages an accepted Ingest. Job-finish events compact to a
-// wire.FrameFinish record; everything else is a full event frame.
-func (w *WAL) StageEvent(ev *wire.Event) (uint64, error) {
-	kind := wire.FrameEvent
-	if ev.Kind == wire.EventJobFinish {
-		kind = wire.FrameFinish
-	}
-	return w.stage(ev.JobID, kind, nil, ev)
-}
+// StageEvent stages an accepted Ingest, job finishes included, as the event
+// frame it arrived as.
+func (w *WAL) StageEvent(ev *wire.Event) (uint64, error) { return w.stage(nil, ev, 0) }
 
 // StageDrop stages an accepted DropJob.
-func (w *WAL) StageDrop(jobID uint64) (uint64, error) {
-	return w.stage(jobID, wire.FrameDrop, nil, nil)
-}
+func (w *WAL) StageDrop(jobID uint64) (uint64, error) { return w.stage(nil, nil, jobID) }
 
 // AppendSpec logs an accepted StartJob: StageSpec, then Commit.
 func (w *WAL) AppendSpec(sp *wire.JobSpec) (uint64, error) { return w.committed(w.StageSpec(sp)) }

@@ -81,18 +81,15 @@ func (osFS) SyncDir(dir string) error {
 
 // segment / snapshot file naming inside the WAL directory.
 const (
-	SegPrefix  = "wal-"
+	SegPrefix  = "log-"
 	SegSuffix  = ".seg"
 	SnapPrefix = "snap-"
 	SnapSuffix = ".snap"
 	TmpSuffix  = ".tmp"
 )
 
-// SegName names a log segment: wal-0000-<stamp>.seg. The 0000 is the stream
-// index of the retired multi-stream layout, whose stream 0 this layout is.
-func SegName(stamp uint64) string {
-	return fmt.Sprintf("%s%04x-%016x%s", SegPrefix, 0, stamp, SegSuffix)
-}
+// SegName names a log segment: log-<stamp>.seg.
+func SegName(stamp uint64) string { return fmt.Sprintf("%s%016x%s", SegPrefix, stamp, SegSuffix) }
 
 func SnapName(lsn uint64) string { return fmt.Sprintf("%s%016x%s", SnapPrefix, lsn, SnapSuffix) }
 
@@ -106,26 +103,6 @@ func ParseSeq(name, prefix, suffix string) (uint64, bool) {
 	}
 	v, err := strconv.ParseUint(hex, 16, 64)
 	return v, err == nil
-}
-
-// parseSeg parses a segment name, wal-<stream>-<stamp>.seg.
-func parseSeg(name string) (stream int, stamp uint64, ok bool) {
-	if !strings.HasPrefix(name, SegPrefix) || !strings.HasSuffix(name, SegSuffix) {
-		return 0, 0, false
-	}
-	mid := name[len(SegPrefix) : len(name)-len(SegSuffix)]
-	if len(mid) != 4+1+16 || mid[4] != '-' {
-		return 0, 0, false
-	}
-	s, err := strconv.ParseUint(mid[:4], 16, 16)
-	if err != nil {
-		return 0, 0, false
-	}
-	v, err := strconv.ParseUint(mid[5:], 16, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return int(s), v, true
 }
 
 // ListSorted returns the (name, sequence) pairs in dir matching
@@ -147,11 +124,11 @@ func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 
 // ListSegs lists dir's log segments in ascending stamp order. Any entry of
 // a log layout this package does not read fails the listing, naming it,
-// rather than recover around history it cannot see: a segment of any
-// stream but 0 (the multi-stream layout), any other *.seg name (an old
-// single-stream wal-<lsn>.seg, a batched-commit commit-<stamp>.seg), or a
-// node-<digits> entry (the multi-node layout's per-node subdirectory).
-// Other names are not the log's and are ignored.
+// rather than recover around history it cannot see: any *.seg name but
+// log-<stamp>.seg (an earlier writer's wal-0000-<stamp>.seg, wal-<k>-*.seg,
+// wal-<lsn>.seg or commit-<stamp>.seg), or a node-<digits> entry (the
+// multi-node layout's per-node subdirectory). Other names are not the log's
+// and are ignored.
 func ListSegs(fs FS, dir string) ([]Entry, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -159,14 +136,12 @@ func ListSegs(fs FS, dir string) ([]Entry, error) {
 	}
 	var segs []Entry
 	for _, n := range names {
-		stream, stamp, ok := parseSeg(n)
+		stamp, ok := ParseSeq(n, SegPrefix, SegSuffix)
 		switch {
-		case ok && stream == 0:
-			segs = append(segs, Entry{Name: n, Seq: stamp})
 		case ok:
-			return nil, fmt.Errorf("%s is a segment of stream %d of the multi-stream layout, which this build no longer reads; it reads one stream, wal-0000-<stamp>.seg", n, stream)
+			segs = append(segs, Entry{Name: n, Seq: stamp})
 		case strings.HasSuffix(n, SegSuffix):
-			return nil, fmt.Errorf("%s is not a log segment (wal-0000-<stamp>.seg), the only log layout this build reads", n)
+			return nil, fmt.Errorf("%s is a segment of an earlier log layout, which this build no longer reads; it reads log-<stamp>.seg", n)
 		case isNodeSubdir(n):
 			return nil, fmt.Errorf("%s is a per-node directory of the multi-node layout, which this build no longer reads; recover it as its own -wal directory", n)
 		}

@@ -5,14 +5,21 @@ package wal
 // snapshot (snap-<lsn>.snap), and for Verify — and hands the reopened
 // writer the segment inventory it takes over.
 //
-// The log is one stream of segments (wal-0000-<stamp>.seg) read in stamp
-// order by one pass. Each segment's wire.FrameSegHeader names the LSN the log
+// The log is one stream of segments (log-<stamp>.seg) read in stamp order
+// by one pass. Each segment's wire.FrameSegHeader names the LSN the log
 // ended at before it, and must match where the previous segment's readable
 // records ended (or, for the first retained segment, lie below the snapshot
 // floor), so a missing or damaged segment fails typed with ErrGap rather
-// than silently skipping history. Any other *.seg file — a segment of
-// another stream, or the single-stream or batched-commit layout of an
-// earlier writer — fails the scan with its name before a byte is read.
+// than silently skipping history. Any other *.seg file — every earlier
+// writer's layout — fails the scan with its name before a byte is read.
+//
+// Records carry no LSN: the k-th record of a segment has LSN stamp+k (the
+// writer stamps a segment with the LSN its first record gets, and assigns
+// LSNs in the order it appends frames). So the order and hole checks are
+// per segment: the stamp must follow the chain end and must not skip past
+// the next LSN the recovered state needs. The records below the snapshot
+// floor may jump (a power loss can take a log tail the snapshot already
+// covers), but a hole above it is lost history and fails ErrGap.
 //
 // Replay is exact, not best-effort — each record's LSN is compared against
 // the snapshot's floor and the target job's recorded LSN, so a record is
@@ -21,10 +28,6 @@ package wal
 // the tail a crash legitimately leaves, and nothing beyond it is applied;
 // earlier in the log it is a tail an earlier recovery already cut, which
 // the next segment's chain link proves by naming the last record before it.
-// LSNs must rise through the log, and none may skip past the next LSN the
-// recovered state needs: the records below the snapshot floor may jump (a
-// power loss can take a log tail the snapshot already covers), but a hole
-// above it is lost history and fails ErrGap.
 
 import (
 	"repro/internal/wire"
@@ -137,8 +140,8 @@ func (s *Scan) segment(wr *wire.Reader, seg Entry, chained *bool, cut error, rst
 	if err != nil {
 		return err, nil
 	}
-	if h.Stamp != seg.Seq || h.Shard != 0 {
-		return fmt.Errorf("segment header (stamp %d, stream %d) does not match its name", h.Stamp, h.Shard), nil
+	if h.Stamp != seg.Seq {
+		return fmt.Errorf("segment header stamp %d does not match its name", h.Stamp), nil
 	}
 	switch {
 	case *chained && h.PrevEnd != s.last:
@@ -151,10 +154,12 @@ func (s *Scan) segment(wr *wire.Reader, seg Entry, chained *bool, cut error, rst
 	case !*chained && h.PrevEnd >= s.next:
 		return nil, gapf("first retained segment %s chains to LSN %d, beyond the covered history below %d — earlier segments are missing",
 			seg.Name, h.PrevEnd, s.next)
+	case h.Stamp <= h.PrevEnd || h.Stamp > s.next:
+		return nil, gapf("segment %s starts at LSN %d after LSN %d, with LSN %d the next one needed", seg.Name, h.Stamp, h.PrevEnd, s.next)
 	}
 	*chained = true
 	s.last = h.PrevEnd
-	for {
+	for lsn := h.Stamp; ; lsn++ {
 		kind, payload, err := wr.NextFrame()
 		if err == io.EOF {
 			return nil, nil
@@ -165,20 +170,15 @@ func (s *Scan) segment(wr *wire.Reader, seg Entry, chained *bool, cut error, rst
 		if err != nil {
 			return nil, fmt.Errorf("serve: recover: %s: %w", seg.Name, err)
 		}
-		if kind != wire.FrameRecord {
+		// The frame CRC covers the payload, not the kind byte: a kind turned
+		// into another record kind reaches visit, whose payload decode fails.
+		if kind != wire.FrameSpec && kind != wire.FrameEvent && kind != wire.FrameDrop {
 			return fmt.Errorf("frame kind %d where a record was expected", kind), nil
-		}
-		lsn, inner, innerPayload, err := wire.DecodeRecordPayload(payload)
-		if err != nil {
-			return err, nil
-		}
-		if lsn <= s.last || lsn < seg.Seq || lsn > s.next {
-			return nil, gapf("segment %s: record LSN %d follows LSN %d, with LSN %d the next one needed", seg.Name, lsn, s.last, s.next)
 		}
 		if lsn < s.next {
 			rst.RecordsSkipped++
 		} else {
-			if err := visit(lsn, inner, innerPayload); err != nil {
+			if err := visit(lsn, kind, payload); err != nil {
 				return nil, err
 			}
 			s.next = lsn + 1

@@ -7,13 +7,14 @@ package wal
 // released, and is in that file before it is acknowledged, so a crash
 // between snapshots loses nothing that was acknowledged.
 //
-// The log is one stream of rotating segment files, wal-0000-<stamp>.seg (the
-// 0000 is the stream index an earlier multi-stream writer put in the name;
-// it stays so that every directory written at one stream recovers
-// unchanged). Every record carries its LSN explicitly (wire.FrameRecord), and
-// each segment opens with a wire.FrameSegHeader declaring its name stamp and
-// the LSN the log ended at before it, the chain link recovery uses to detect
-// missing segments. This is the only layout the package reads or writes.
+// The log is one stream of rotating segment files, log-<stamp>.seg, and a
+// segment is a dump: the wire stream header, a wire.FrameSegHeader, then the
+// same FrameSpec/FrameEvent/FrameDrop frames a trace dump or an /ingest body
+// carries. The header declares the segment's stamp — the LSN of
+// its first record — and the LSN the log ended at before it, the chain link
+// recovery uses to detect missing segments. No record carries its LSN: the
+// k-th record of a segment has LSN stamp+k. This is the only layout the
+// package reads or writes.
 //
 // Durability model: acknowledged means written. A record is first staged —
 // framed, given its LSN, appended to the staged buffer — and nothing about
@@ -119,7 +120,6 @@ type WAL struct {
 	appends      uint64
 	bytes        uint64
 	syncs        uint64
-	buf          []byte // record payload scratch, reused under mu
 	staged       []byte // framed records not yet written, reused under mu
 
 	// Automatic checkpoint policy state. sinceCkpt accumulates appended
@@ -177,11 +177,10 @@ func (w *WAL) createSegmentLocked() error {
 		f.Close()
 		return w.fail(fmt.Errorf("serve/wal: sync dir: %w", err))
 	}
-	// A fresh buffer, not the payload scratch: lazy creation runs mid-append
-	// with the record payload already encoded into w.buf. Shard 0 of 1 is
-	// what a one-stream writer always stamped.
+	// Written straight to the file, ahead of the record whose stage opened
+	// the segment (it is staged, not yet written).
 	var e wire.Enc
-	wire.AppendSegHeaderPayload(&e, stamp, w.lastLSN, 0, 1)
+	wire.AppendSegHeaderPayload(&e, stamp, w.lastLSN)
 	hdr := wire.AppendFrame(wire.AppendHeader(nil), wire.FrameSegHeader, e.B)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()

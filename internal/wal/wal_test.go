@@ -266,9 +266,9 @@ func dirImage(t *testing.T, dir string) map[string]string {
 
 // TestRecoverErrors pins the operator-facing failure modes: a missing
 // directory and a log with a hole both fail with clean typed errors, and a
-// *.seg file of a layout this build does not read — including a second
-// stream's segment in a directory the multi-stream writer left — fails
-// Recover and Verify by name without either touching the directory.
+// *.seg file of a layout this build does not read — every earlier writer's,
+// the envelope-record wal-0000-<stamp>.seg included — fails Recover and
+// Verify by name without either touching the directory.
 func TestRecoverErrors(t *testing.T) {
 	if _, _, _, err := serve.Recover(filepath.Join(t.TempDir(), "absent"), servetest.CheapConfig(1), wal.Options{}); err == nil {
 		t.Error("recover from a missing directory succeeded")
@@ -300,8 +300,9 @@ func TestRecoverErrors(t *testing.T) {
 
 	// An earlier writer's single-stream segment (an LSN-mark header) and
 	// batched-commit file (a bare stream header), each beside a valid log;
-	// and a directory the two-stream writer left (testdata/two-stream),
-	// whose second stream's segment names it.
+	// a directory the two-stream writer left (testdata/two-stream); and one
+	// the envelope-record writer left at one stream (testdata/one-stream, a
+	// snapshot plus a log tail), each failing on its first segment.
 	var mark wire.Enc
 	wire.AppendLSNMarkPayload(&mark, 1)
 	for _, tc := range []struct {
@@ -315,7 +316,8 @@ func TestRecoverErrors(t *testing.T) {
 		{"commit-0000000000000001.seg", func() string {
 			return besideValidLog(t, specs[0], "commit-0000000000000001.seg", wire.AppendHeader(nil))
 		}},
-		{"wal-0001-0000000000000001.seg", func() string { return copyDir(t, filepath.Join("testdata", "two-stream")) }},
+		{"wal-0000-0000000000000003.seg", func() string { return copyDir(t, filepath.Join("testdata", "two-stream")) }},
+		{"wal-0000-00000000000000a6.seg", func() string { return copyDir(t, filepath.Join("testdata", "one-stream")) }},
 	} {
 		dir := tc.dir()
 		before := dirImage(t, dir)
@@ -349,79 +351,6 @@ func besideValidLog(t *testing.T, sp wire.JobSpec, name string, b []byte) string
 		t.Fatal(err)
 	}
 	return dir
-}
-
-// upgradeGolden is what the build before the log collapsed to one stream
-// read from testdata/one-stream (a snapshot plus a log tail it wrote at one
-// stream): the recovery's and the verifier's counts, and every job's
-// verdicts and report after recovery. testdata/one-stream.golden.json holds
-// its JSON.
-type upgradeGolden struct {
-	Recovery struct {
-		SnapshotLSN, NextLSN                 uint64
-		Segments, Applied, Skipped, Orphaned int
-		TornTail                             bool
-	}
-	Verify struct {
-		SnapshotLSN, NextLSN uint64
-		Segments, Records    int
-		TornTail             bool
-	}
-	Jobs []struct {
-		ID       uint64
-		Verdicts []serve.TaskVerdict
-		Report   servetest.ReportCore
-	}
-}
-
-// TestRecoverOneStreamDirectoryUnchanged is the upgrade pin: a directory the
-// multi-stream build wrote at one stream recovers, and verifies, to exactly
-// the counts, verdicts and reports that build read from it.
-func TestRecoverOneStreamDirectoryUnchanged(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "one-stream.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want upgradeGolden
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
-	dir := copyDir(t, filepath.Join("testdata", "one-stream"))
-	var got upgradeGolden
-	rep, err := wal.Verify(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Verify.SnapshotLSN, got.Verify.NextLSN = rep.SnapshotLSN, rep.NextLSN
-	got.Verify.Segments, got.Verify.Records, got.Verify.TornTail = rep.Segments, rep.Records, rep.TornTail
-	sv, wlog, rst, err := serve.Recover(dir, tortureCfg(3), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wlog.Close()
-	got.Recovery.SnapshotLSN, got.Recovery.NextLSN = rst.SnapshotLSN, rst.NextLSN
-	got.Recovery.Segments, got.Recovery.Applied = rst.SegmentsScanned, rst.RecordsApplied
-	got.Recovery.Skipped, got.Recovery.Orphaned, got.Recovery.TornTail = rst.RecordsSkipped, rst.RecordsOrphaned, rst.TornTail
-	if got.Recovery != want.Recovery || got.Verify != want.Verify {
-		t.Fatalf("counts diverge from the writing build's:\n got  %+v %+v\n want %+v %+v",
-			got.Recovery, got.Verify, want.Recovery, want.Verify)
-	}
-	if len(want.Jobs) == 0 {
-		t.Fatal("golden holds no jobs")
-	}
-	for _, job := range want.Jobs {
-		r, err := sv.Report(job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Compare through JSON, the form the golden was written in.
-		vs, _ := sv.Query(job.ID, servetest.AllTaskIDs(r.Spec.NumTasks))
-		gotJSON, _ := json.Marshal([]any{vs, servetest.CoreOf(r)})
-		wantJSON, _ := json.Marshal([]any{job.Verdicts, job.Report})
-		if string(gotJSON) != string(wantJSON) {
-			t.Errorf("job %d: recovered verdicts or report diverge from the writing build's", job.ID)
-		}
-	}
 }
 
 // TestRecoverRefusesNodeLayout: a WAL root written by the multi-node server
@@ -775,33 +704,31 @@ func FuzzWALRecover(f *testing.F) {
 	if len(seed) == 0 {
 		f.Fatal("no seed segment bytes")
 	}
-	// The same records as bare frames with implicit LSNs under an LSN-mark
-	// header (an earlier writer's single-stream layout): planted as a
-	// segment they are hostile input, an LSN mark where the segment header
-	// belongs.
-	legacySeed := func() []byte {
-		var e wire.Enc
-		wire.AppendLSNMarkPayload(&e, 1)
-		out := wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, e.B)
-		rest := seed[wire.HeaderLen:]
-		for len(rest) > 0 {
-			kind, payload, n, err := wire.DecodeFrame(rest)
-			if err != nil {
-				f.Fatal(err)
-			}
-			rest = rest[n:]
-			if kind != wire.FrameRecord {
-				continue
-			}
-			_, inner, innerPayload, err := wire.DecodeRecordPayload(payload)
-			if err != nil {
-				f.Fatal(err)
-			}
-			out = wire.AppendFrame(out, inner, innerPayload)
+	// The same records in earlier writers' layouts, hostile input when
+	// planted as a segment: under an LSN-mark header (the single-stream
+	// layout: an LSN mark where the segment header belongs), and wrapped in
+	// the retired kind-8 envelope (explicit LSN, then the record's kind).
+	var mark wire.Enc
+	wire.AppendLSNMarkPayload(&mark, 1)
+	markSeed := wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, mark.B)
+	var envelopeSeed []byte
+	for off, lsn := wire.HeaderLen, uint64(0); off < len(seed); lsn++ {
+		kind, payload, n, err := wire.DecodeFrame(seed[off:])
+		if err != nil {
+			f.Fatal(err)
 		}
-		return out
-	}()
-	for _, s := range [][]byte{seed, legacySeed} {
+		if lsn == 0 { // the segment header
+			markSeed = append(markSeed, seed[off+n:]...)
+			envelopeSeed = append(wire.AppendHeader(nil), seed[off:off+n]...)
+		} else {
+			var e wire.Enc
+			e.U64(lsn)
+			e.U8(uint8(kind))
+			envelopeSeed = wire.AppendFrame(envelopeSeed, 8, append(e.B, payload...))
+		}
+		off += n
+	}
+	for _, s := range [][]byte{seed, markSeed, envelopeSeed} {
 		f.Add(s)
 		f.Add(s[:len(s)/2])
 		mut := append([]byte(nil), s...)
@@ -1035,19 +962,9 @@ func TestWALAckWaitsForLowerLSNs(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
-	// Job IDs landing on distinct streams of a 2-stream WAL.
-	jobA, jobB := uint64(0), uint64(0)
-	for id := uint64(1); jobA == 0 || jobB == 0; id++ {
-		if wire.Mix64(id)%2 == 0 && jobA == 0 {
-			jobA = id
-		}
-		if wire.Mix64(id)%2 == 1 && jobB == 0 {
-			jobB = id
-		}
-	}
-	streamA := fmt.Sprintf("wal/wal-%04x-", wire.Mix64(jobA)%2)
+	jobA, jobB := uint64(1), uint64(2)
 	fs := &gateFS{FS: mem, gate: gate, arrived: make(chan struct{}, 1),
-		match: func(name string) bool { return strings.HasPrefix(name, streamA) }}
+		match: func(name string) bool { return strings.HasPrefix(name, "wal/"+wal.SegPrefix) }}
 	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{SyncEvery: time.Hour, FS: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -1271,22 +1188,18 @@ func TestWALCommitsShareFsync(t *testing.T) {
 	if syncs := wlog.Stats().Syncs; syncs > 2 {
 		t.Errorf("%d commits cost %d fsyncs, want at most 2", k+1, syncs)
 	}
-	// Where each record ends in the segment.
+	// Where each record ends in the segment: stamped 1, it holds the
+	// segment header (entered as LSN 0, which is never assigned), then LSN
+	// 1, 2, … in order.
 	seg := mem.Files["wal/"+wal.SegName(1)]
 	end := make(map[uint64]int)
-	for off := wire.HeaderLen; off < len(seg); {
-		kind, payload, n, err := wire.DecodeFrame(seg[off:])
+	for off, lsn := wire.HeaderLen, uint64(0); off < len(seg); lsn++ {
+		_, _, n, err := wire.DecodeFrame(seg[off:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		off += n
-		if kind == wire.FrameRecord {
-			lsn, _, _, err := wire.DecodeRecordPayload(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			end[lsn] = off
-		}
+		end[lsn] = off
 	}
 	for _, a := range got {
 		if e, ok := end[a.lsn]; !ok || e > a.durable {

@@ -33,22 +33,25 @@ import (
 // Version is the current wire-format version. Readers reject streams
 // written by any other version (no silent cross-version decoding).
 //
-// v2 (the WAL release): streams may carry FrameLSNMark / FrameFinish /
-// FrameDrop frames, snapshots open with an LSN-mark floor stamp, and the
+// v2 (the WAL release): streams may carry FrameLSNMark and WAL record
+// frames, snapshots open with an LSN-mark floor stamp, and the
 // FrameSnapJob payload carries the job's last-logged LSN. v1 snapshots and
 // dumps are rejected with a typed ErrVersion, not misdecoded.
-//
-// The per-shard WAL release added FrameRecord / FrameSegHeader without a
-// version bump: the new kinds appear only inside wal-<shard>-*.seg files,
-// never in dumps, ingest bodies, or snapshots, so every stream an external
-// peer can see still decodes under v2. (A v2 binary pointed at a per-shard
-// WAL directory rejects it as corrupt instead of misreading it.)
 //
 // v3 (the async-refit release): the JobSpec payload carries the job's
 // RefitMode (scratch vs warm-started refits — it must survive the WAL and
 // snapshots for recovery to replay refits identically), and the FrameSnapJob
 // payload carries the job's warm/scratch fit counters. v2 streams are
 // rejected with a typed ErrVersion, not misdecoded.
+//
+// The dump-shaped WAL release changed the log without a version bump: a
+// log-<stamp>.seg segment is a dump with a FrameSegHeader after the stream
+// header, and the FrameSpec/FrameEvent/FrameDrop frames that follow are
+// byte for byte the frames a dump or an ingest body carries — no LSN of
+// their own (a record's LSN is the segment's stamp plus its ordinal), and a
+// job finish logged as the FrameEvent it arrived as. The kinds it retired
+// appeared only inside the earlier writers' wal-*.seg files, which recovery
+// refuses by name, so every stream a peer can see still decodes under v3.
 const Version uint16 = 3
 
 // wireMagic opens every wire stream.
@@ -75,24 +78,20 @@ const (
 	// snapshot it stamps the snapshot's floor — every WAL record below it is
 	// already reflected in the snapshot.
 	FrameLSNMark FrameKind = 5
-	// FrameFinish is the compact WAL record of a job-finish mutation
-	// (FinishJob or an EventJobFinish ingest): job ID plus close time.
-	FrameFinish FrameKind = 6
 	// FrameDrop is the WAL record of a DropJob mutation.
 	FrameDrop FrameKind = 7
-	// FrameRecord is the record envelope of per-shard WAL segments: an
-	// explicit log sequence number plus the wrapped record (one of
-	// FrameSpec/FrameEvent/FrameFinish/FrameDrop). Per-shard streams
-	// interleave the global LSN sequence, so a record's LSN cannot be derived
-	// from its offset and travels with it.
-	FrameRecord FrameKind = 8
-	// FrameSegHeader opens a per-shard WAL segment: the segment's name stamp,
-	// the last LSN this shard's stream held before the segment (the chain
-	// link recovery uses to detect missing segments), the shard index, and
-	// the stream count the writer fanned across.
+	// FrameSegHeader opens a WAL segment: the segment's name stamp (the LSN
+	// of its first record) and the last LSN the log held before the segment
+	// (the chain link recovery uses to detect missing segments).
 	FrameSegHeader FrameKind = 9
-	// Kind 10 was a deleted WAL commit-file frame: never reuse it.
+	// Kinds 6 (a compact job-finish WAL record), 8 (a WAL record envelope
+	// with an explicit LSN) and 10 (a WAL commit-file frame) are retired:
+	// they decode as corrupt and are never reused.
 )
+
+// frameKinds has bit k set for every live frame kind k.
+const frameKinds = 1<<FrameSpec | 1<<FrameEvent | 1<<FrameSnapJob | 1<<FrameSnapCheckpoint |
+	1<<FrameLSNMark | 1<<FrameDrop | 1<<FrameSegHeader
 
 // Typed decode errors, errors.Is-matchable through every wrapping layer.
 var (
@@ -453,71 +452,21 @@ func DecodeLSNMarkPayload(p []byte) (uint64, error) {
 	return lsn, d.Finish()
 }
 
-// AppendRecordPayload / DecodeRecordPayload carry one per-shard WAL record
-// (FrameRecord): the record's global LSN, the wrapped record kind, and the
-// wrapped record's payload verbatim. The returned inner payload aliases p.
-func AppendRecordPayload(e *Enc, lsn uint64, kind FrameKind, inner []byte) {
-	e.U64(lsn)
-	e.U8(uint8(kind))
-	e.B = append(e.B, inner...)
-}
-
-func DecodeRecordPayload(p []byte) (uint64, FrameKind, []byte, error) {
-	if len(p) < 9 {
-		return 0, 0, nil, fmt.Errorf("%w: %d bytes for a 9-byte record prefix", ErrTruncated, len(p))
-	}
-	d := Dec{B: p[:9]}
-	lsn := d.U64()
-	kind := FrameKind(d.U8())
-	if err := d.Finish(); err != nil {
-		return 0, 0, nil, err
-	}
-	if kind < FrameSpec || kind > FrameDrop {
-		return 0, 0, nil, fmt.Errorf("%w: frame kind %d wrapped in a WAL record", ErrCorrupt, kind)
-	}
-	return lsn, kind, p[9:], nil
-}
-
 // AppendSegHeaderPayload / DecodeSegHeaderPayload carry the opening frame of
-// a per-shard WAL segment (FrameSegHeader): the segment's stamp (every
-// record inside has an LSN at or above it, and the file name repeats it),
-// the last LSN the stream held before this segment (0 for a stream's first
-// segment ever), the shard index, and the writer's stream count.
-func AppendSegHeaderPayload(e *Enc, stamp, prevEnd uint64, shard, streams int) {
+// a WAL segment (FrameSegHeader): the segment's stamp (the LSN of its first
+// record; the file name repeats it) and the last LSN the log held before
+// this segment (0 for the log's first segment ever).
+func AppendSegHeaderPayload(e *Enc, stamp, prevEnd uint64) {
 	e.U64(stamp)
 	e.U64(prevEnd)
-	e.U32(uint32(shard))
-	e.U32(uint32(streams))
 }
 
-type SegHeader struct {
-	Stamp, PrevEnd uint64
-	Shard, Streams int
-}
+type SegHeader struct{ Stamp, PrevEnd uint64 }
 
 func DecodeSegHeaderPayload(p []byte) (SegHeader, error) {
 	d := Dec{B: p}
-	h := SegHeader{
-		Stamp:   d.U64(),
-		PrevEnd: d.U64(),
-		Shard:   int(d.U32()),
-		Streams: int(d.U32()),
-	}
+	h := SegHeader{Stamp: d.U64(), PrevEnd: d.U64()}
 	return h, d.Finish()
-}
-
-// AppendFinishPayload / DecodeFinishPayload carry a job-finish WAL record
-// (FrameFinish): the job and the close timestamp.
-func AppendFinishPayload(e *Enc, jobID uint64, t float64) {
-	e.U64(jobID)
-	e.F64(t)
-}
-
-func DecodeFinishPayload(p []byte) (uint64, float64, error) {
-	d := Dec{B: p}
-	jobID := d.U64()
-	t := d.F64()
-	return jobID, t, d.Finish()
 }
 
 // AppendDropPayload / DecodeDropPayload carry a DropJob WAL record
@@ -558,7 +507,7 @@ func DecodeFrame(b []byte) (FrameKind, []byte, int, error) {
 		return 0, nil, 0, fmt.Errorf("%w: %d bytes for a 5-byte frame header", ErrTruncated, len(b))
 	}
 	kind := FrameKind(b[0])
-	if kind < FrameSpec || kind > FrameSegHeader {
+	if kind > FrameSegHeader || frameKinds&(1<<kind) == 0 {
 		return 0, nil, 0, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, b[0])
 	}
 	n := uint32(b[1]) | uint32(b[2])<<8 | uint32(b[3])<<16 | uint32(b[4])<<24

@@ -226,11 +226,14 @@ func TestWireVersionSkew(t *testing.T) {
 	}
 }
 
-// TestWireRetiredKind: frame kind 10 (a deleted WAL commit-file frame) is
-// an unknown kind like any other, even under a valid checksum.
+// TestWireRetiredKind: the retired frame kinds — 6 (compact job-finish WAL
+// record), 8 (WAL record envelope) and 10 (WAL commit-file frame) — are
+// unknown kinds like any other, even under a valid checksum.
 func TestWireRetiredKind(t *testing.T) {
-	if _, _, _, err := DecodeFrame(AppendFrame(nil, 10, []byte{1, 2, 3})); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("kind 10: %v (want ErrCorrupt)", err)
+	for _, kind := range []FrameKind{6, 8, 10} {
+		if _, _, _, err := DecodeFrame(AppendFrame(nil, kind, []byte{1, 2, 3})); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("kind %d: %v (want ErrCorrupt)", kind, err)
+		}
 	}
 }
 
@@ -364,14 +367,6 @@ func FuzzWireDecode(f *testing.F) {
 					t.Fatalf("LSN mark re-encode diverges from input")
 				}
 			}
-		case FrameFinish:
-			if jobID, at, err := DecodeFinishPayload(payload); err == nil {
-				var e Enc
-				AppendFinishPayload(&e, jobID, at)
-				if !bytes.Equal(AppendFrame(nil, kind, e.B), data[:n]) {
-					t.Fatalf("finish record re-encode diverges from input")
-				}
-			}
 		case FrameDrop:
 			if jobID, err := DecodeDropPayload(payload); err == nil {
 				var e Enc
@@ -380,18 +375,10 @@ func FuzzWireDecode(f *testing.F) {
 					t.Fatalf("drop record re-encode diverges from input")
 				}
 			}
-		case FrameRecord:
-			if lsn, inner, innerPayload, err := DecodeRecordPayload(payload); err == nil {
-				var e Enc
-				AppendRecordPayload(&e, lsn, inner, innerPayload)
-				if !bytes.Equal(AppendFrame(nil, kind, e.B), data[:n]) {
-					t.Fatalf("WAL record re-encode diverges from input")
-				}
-			}
 		case FrameSegHeader:
 			if h, err := DecodeSegHeaderPayload(payload); err == nil {
 				var e Enc
-				AppendSegHeaderPayload(&e, h.Stamp, h.PrevEnd, h.Shard, h.Streams)
+				AppendSegHeaderPayload(&e, h.Stamp, h.PrevEnd)
 				if !bytes.Equal(AppendFrame(nil, kind, e.B), data[:n]) {
 					t.Fatalf("segment header re-encode diverges from input")
 				}
