@@ -1,91 +1,66 @@
 // Command nurdload is the open-loop latency-percentile load harness: it
 // expands a workload scenario (internal/workload) into its deterministic
-// send timeline and fires it at a serving front end on the timeline's
-// ABSOLUTE schedule, regardless of response latency. Late sends are recorded
-// as queue delay — never rescheduled — so the reported percentiles include
-// every millisecond a real client would have waited (no coordinated
-// omission).
+// send timeline and fires it at a running serving front end on the
+// timeline's ABSOLUTE schedule, regardless of response latency. Late sends
+// are recorded as queue delay — never rescheduled — so the reported
+// percentiles include every millisecond a real client would have waited (no
+// coordinated omission).
 //
-// By default the harness spins up its own in-process server on a loopback
-// listener, so a scenario run is fully self-contained; -url points it at an
-// external front end instead. The in-process server takes the same overload
-// knobs the real binary does (-ingest-queue, -refit-queue, -client-rate,
-// -degraded-after), so shedding behavior is measurable without deploying
-// anything.
+// nurdload is only the client: -url names a front end started elsewhere
+// (nurdserve -listen), configured by that server's own flags. Every scenario
+// numbers its jobs 1..N, so each run needs a fresh server — a second run on
+// the same one is refused as duplicate registrations, and any unexpected
+// error fails the run (exit 1).
 //
 // Usage:
 //
-//	nurdload -list                                     # scenario catalog
-//	nurdload -scenario steady -speedup 8               # one scenario, human summary + JSON
-//	nurdload -scenario examples/scenarios/burst.json   # from a spec file
-//	nurdload -all -out BENCH_loadgen.json              # the four-scenario bench suite
-//	nurdload -scenario smoke -speedup 4 -max-rate-gap 0.2   # CI self-check (exit 1 on breach)
-//	nurdload -scenario hostile -url http://127.0.0.1:8080   # external target
+//	nurdserve -listen 127.0.0.1:8080 &
+//	nurdload -list                                                       # scenario catalog
+//	nurdload -scenario steady -speedup 8 -url http://127.0.0.1:8080      # human summary + JSON
+//	nurdload -scenario examples/scenarios/burst.json -url http://127.0.0.1:8080
+//	nurdload -scenario smoke -speedup 4 -max-rate-gap 0.2 -url http://127.0.0.1:8080   # CI self-check
 //
-// Overload proof (two runs of the same scenario — a healthy baseline, then
-// a deliberately starved server — gated on the ratio between them):
+// Overload proof (the same scenario against a healthy baseline server, then
+// a deliberately starved one, gated on the ratio between them; the query
+// prober's rate comes from the scenario's query_rate):
 //
-//	nurdload -scenario overload -speedup 6 -shards 1 -ingest-queue 1 \
-//	    -degraded-after 2ms -query-rate 25 -overload-check 100 -f1-eps 0.1
+//	nurdserve -listen 127.0.0.1:8081 -shards 1 &
+//	nurdserve -listen 127.0.0.1:8082 -shards 1 -client-rate 600 -ingest-queue 1 \
+//	    -refit-queue 1 -degraded-after 2ms &
+//	nurdload -scenario overload -speedup 6 -baseline-url http://127.0.0.1:8081 \
+//	    -url http://127.0.0.1:8082 -overload-check 100 -f1-eps 0.1
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 
 	"repro/internal/serve"
-	"repro/internal/servehttp"
 	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		scenario   = flag.String("scenario", "", "workload scenario: built-in name or JSON spec file")
-		all        = flag.Bool("all", false, "run the four-scenario bench suite (steady, diurnal, burst, hostile), each against a fresh server")
-		list       = flag.Bool("list", false, "list built-in scenarios and exit")
-		speedup    = flag.Float64("speedup", 8, "compress virtual time onto the wall clock by this factor")
-		url        = flag.String("url", "", "target front end base URL; empty = spin up an in-process server per run")
-		shards     = flag.Int("shards", 0, "shards for the in-process server (0 = default)")
-		out        = flag.String("out", "", "write the JSON report here (- = stdout); default stdout")
-		maxRateGap = flag.Float64("max-rate-gap", 0, "self-check: exit nonzero when |offered-achieved|/offered exceeds this (0 = no check)")
-
-		// Overload knobs for the in-process server (ignored with -url).
-		ingestQueue = flag.Int("ingest-queue", 0, "per-shard ingest queue bound for the in-process server (< 1 = default)")
-		refitQueue  = flag.Int("refit-queue", 0, "per-shard refit queue bound (< 1 = default)")
-		clientRate  = flag.Float64("client-rate", 0, "per-client token-bucket refill, frames/s, burst 2x (0 = no rate limiting)")
-		degraded    = flag.Duration("degraded-after", 0, "serve stale verdicts when a job lock is not free within this (0 = always wait)")
-
-		// Open-loop query prober. Whole-request 429s are always resent
-		// after their Retry-After hint (capped).
-		queryRate = flag.Float64("query-rate", 0, "open-loop query probes per virtual second (0 = no prober)")
-
-		// The dual-run overload gate.
-		overCheck = flag.Float64("overload-check", 0, "run the scenario twice — healthy baseline, then starved with the overload knobs — and exit nonzero unless the starved run sheds, loses nothing, and keeps query p99 within this multiple of baseline (0 = off)")
-		f1Eps     = flag.Float64("f1-eps", 0, "with -overload-check: max allowed macro-F1 drop vs baseline over jobs both runs completed (0 = skip the accuracy gate)")
+		scenario    = flag.String("scenario", "", "workload scenario: built-in name or JSON spec file")
+		list        = flag.Bool("list", false, "list built-in scenarios and exit")
+		url         = flag.String("url", "", "base URL of the running front end to drive (required; with -overload-check, the starved server)")
+		baselineURL = flag.String("baseline-url", "", "with -overload-check: base URL of the healthy baseline server")
+		out         = flag.String("out", "", "write the JSON report here (- = stdout); default stdout")
+		speedup     = flag.Float64("speedup", 8, "compress virtual time onto the wall clock by this factor")
+		maxRateGap  = flag.Float64("max-rate-gap", 0, "self-check: exit nonzero when |offered-achieved|/offered exceeds this (0 = no check)")
+		overCheck   = flag.Float64("overload-check", 0, "drive -baseline-url, then -url, and exit nonzero unless the -url run sheds, loses nothing, and keeps query p99 within this multiple of baseline (0 = off)")
+		f1Eps       = flag.Float64("f1-eps", 0, "with -overload-check: max allowed macro-F1 drop vs baseline over jobs both runs completed (0 = skip the accuracy gate)")
 	)
 	flag.Parse()
 
-	cfg := serve.Config{
-		Shards:        *shards,
-		IngestQueue:   *ingestQueue,
-		RefitQueue:    *refitQueue,
-		ClientRate:    *clientRate,
-		DegradedAfter: *degraded,
-	}
-	opts := workload.Options{
-		Speedup:   *speedup,
-		QueryRate: *queryRate,
-		Retry429:  true,
-	}
 	err := run(runArgs{
-		scenario: *scenario, all: *all, list: *list, url: *url, out: *out,
-		maxRateGap: *maxRateGap, overCheck: *overCheck, f1Eps: *f1Eps,
-		cfg: cfg, opts: opts,
+		scenario: *scenario, list: *list, url: *url, baselineURL: *baselineURL, out: *out,
+		speedup: *speedup, maxRateGap: *maxRateGap, overCheck: *overCheck, f1Eps: *f1Eps,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nurdload:", err)
@@ -94,14 +69,14 @@ func main() {
 }
 
 type runArgs struct {
-	scenario   string
-	all, list  bool
-	url, out   string
-	maxRateGap float64
-	overCheck  float64
-	f1Eps      float64
-	cfg        serve.Config
-	opts       workload.Options
+	scenario         string
+	list             bool
+	url, baselineURL string
+	out              string
+	speedup          float64
+	maxRateGap       float64
+	overCheck        float64
+	f1Eps            float64
 }
 
 func run(a runArgs) error {
@@ -112,117 +87,87 @@ func run(a runArgs) error {
 		}
 		return nil
 	}
-	if a.overCheck > 0 {
-		if a.scenario == "" || a.all {
-			return fmt.Errorf("-overload-check needs exactly one -scenario")
-		}
-		if a.url != "" {
-			return fmt.Errorf("-overload-check drives two fresh in-process servers; it cannot target -url")
-		}
-		return runOverloadCheck(a)
-	}
-	var names []string
+	a.url, a.baselineURL = strings.TrimSuffix(a.url, "/"), strings.TrimSuffix(a.baselineURL, "/")
 	switch {
-	case a.all && a.scenario != "":
-		return fmt.Errorf("-all and -scenario are mutually exclusive")
-	case a.all:
-		names = workload.BenchScenarioNames()
-	case a.scenario != "":
-		names = []string{a.scenario}
-	default:
-		return fmt.Errorf("need -scenario <name|file>, -all, or -list")
+	case a.scenario == "":
+		return fmt.Errorf("need -scenario <name|file> or -list")
+	case a.url == "":
+		return fmt.Errorf("need -url: nurdload drives a running front end (start one with nurdserve -listen)")
+	case a.overCheck > 0 && a.baselineURL == "":
+		return fmt.Errorf("-overload-check needs -baseline-url, a healthy server, besides the starved -url")
+	case a.overCheck > 0 && a.baselineURL == a.url:
+		return fmt.Errorf("-baseline-url and -url are equal: the overload check needs two servers (a second run on one server re-registers its jobs)")
+	case a.overCheck <= 0 && a.baselineURL != "":
+		return fmt.Errorf("-baseline-url is only used by -overload-check")
 	}
 
-	var reports []*workload.Report
-	for _, name := range names {
-		res, err := runOne(name, a.url, a.cfg, a.opts, false)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, res.Report.String())
-		reports = append(reports, res.Report)
-	}
-
-	var payload any = reports[0]
-	if len(reports) > 1 {
-		payload = map[string]any{"reports": reports}
-	}
-	if err := writeOut(a.out, payload); err != nil {
+	ws, err := workload.LoadSpec(a.scenario)
+	if err != nil {
 		return err
 	}
+	wl, err := workload.Synthesize(ws)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "scenario %s: %d jobs, %d events, %d malformed over %.1f virtual s\n",
+		ws.Name, wl.Jobs, wl.Events, wl.Malformed, wl.Span)
+	opts := workload.Options{Speedup: a.speedup, Retry429: true}
+	if a.overCheck > 0 {
+		return runOverloadCheck(a, wl, opts)
+	}
 
-	if a.maxRateGap > 0 {
-		for _, rep := range reports {
-			if gap := abs(rep.RateGap); gap > a.maxRateGap {
-				return fmt.Errorf("scenario %s: rate gap %.1f%% exceeds the %.1f%% budget (offered %.0f ev/s, achieved %.0f ev/s)",
-					rep.Scenario, 100*rep.RateGap, 100*a.maxRateGap, rep.OfferedRate, rep.AchievedRate)
-			}
-			if rep.Errors > 0 {
-				return fmt.Errorf("scenario %s: %d unexpected errors, first: %s", rep.Scenario, rep.Errors, rep.FirstError)
-			}
-		}
+	rep, err := workload.Run(wl, &workload.HTTPTarget{BaseURL: a.url}, opts)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(os.Stderr, rep.String())
+	if err := writeOut(a.out, rep); err != nil {
+		return err
+	}
+	if rep.Errors > 0 {
+		return fmt.Errorf("scenario %s: %d unexpected errors, first: %s", rep.Scenario, rep.Errors, rep.FirstError)
+	}
+	if a.maxRateGap > 0 && math.Abs(rep.RateGap) > a.maxRateGap {
+		return fmt.Errorf("scenario %s: rate gap %.1f%% exceeds the %.1f%% budget (offered %.0f ev/s, achieved %.0f ev/s)",
+			rep.Scenario, 100*rep.RateGap, 100*a.maxRateGap, rep.OfferedRate, rep.AchievedRate)
 	}
 	return nil
 }
 
-// runResult bundles one run's client-side report with the server's own view
-// of it: the /stats overload taxonomy and (when scored) per-job accuracy.
+// runResult bundles one overload-check run's client-side report with the
+// server's own view of it: the /stats overload taxonomy and per-job accuracy.
 type runResult struct {
-	Report *workload.Report
-	Stats  *serve.Stats
-	Scores map[uint64]workload.JobScore
+	Name     string
+	Report   *workload.Report
+	Stats    *serve.Stats
+	StatsErr error
+	Scores   map[uint64]workload.JobScore
 }
 
-// runOne synthesizes and drives a single scenario. Without -url every
-// scenario gets a fresh in-process server, so runs never contaminate each
-// other's job budgets or stats. score additionally fetches every completed
-// job's report and scores it against the workload's ground truth.
-func runOne(name, url string, cfg serve.Config, opts workload.Options, score bool) (*runResult, error) {
-	ws, err := workload.LoadSpec(name)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := workload.Synthesize(ws)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "scenario %s: %d jobs, %d events, %d malformed over %.1f virtual s\n",
-		ws.Name, wl.Jobs, wl.Events, wl.Malformed, wl.Span)
-
-	tgt := &workload.HTTPTarget{BaseURL: strings.TrimSuffix(url, "/")}
-	if url == "" {
-		sv := serve.NewServer(cfg)
-		ts := httptest.NewUnstartedServer(servehttp.NewHandler(sv))
-		ts.Start()
-		defer ts.Close()
-		tgt.BaseURL = ts.URL
-		tgt.Client = ts.Client()
-	} else {
-		tgt.Client = http.DefaultClient
-	}
+// runScored drives the workload against the front end at url, then fetches
+// its /stats and scores every completed job against the workload's ground
+// truth.
+func runScored(name string, wl *workload.Workload, url string, opts workload.Options) (*runResult, error) {
+	fmt.Fprintf(os.Stderr, "== %s (%s) ==\n", name, url)
+	tgt := &workload.HTTPTarget{BaseURL: url}
 	rep, err := workload.Run(wl, tgt, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &runResult{Report: rep}
-	res.Stats, err = fetchStats(tgt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "warning: /stats unavailable: %v\n", err)
-	}
-	if score {
-		res.Scores, err = workload.ScoreJobs(tgt, wl)
-		if err != nil {
-			return nil, err
-		}
+	fmt.Fprintln(os.Stderr, rep.String())
+	res := &runResult{Name: name, Report: rep}
+	res.Stats, res.StatsErr = fetchStats(url)
+	if res.Scores, err = workload.ScoreJobs(tgt, wl); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
 // fetchStats pulls the server-side overload taxonomy after a run; the
-// harness gates on it (shed counters, shed-finish invariant) in addition to
-// its own client-side accounting.
-func fetchStats(tgt *workload.HTTPTarget) (*serve.Stats, error) {
-	resp, err := tgt.Client.Get(tgt.BaseURL + "/stats")
+// overload gate checks it (the shed-finish invariant) in addition to the
+// harness's own client-side accounting.
+func fetchStats(url string) (*serve.Stats, error) {
+	resp, err := http.Get(url + "/stats")
 	if err != nil {
 		return nil, err
 	}
@@ -252,30 +197,22 @@ type overloadVerdict struct {
 	P99Ratio float64 `json:"query_p99_ratio"`
 }
 
-// runOverloadCheck is the dual-run overload proof: the same scenario against
-// a healthy default server (baseline) and against a server starved by the
-// command-line overload knobs. The gate asserts the starved run actually
-// shed, lost nothing it acknowledged, never shed a finish, kept query p99
-// within -overload-check times baseline, and (with -f1-eps) stayed within
-// epsilon of baseline accuracy on the jobs both runs completed.
-func runOverloadCheck(a runArgs) error {
-	if a.opts.QueryRate <= 0 {
-		// The whole point is the query-latency bound; probe by default.
-		a.opts.QueryRate = 25
-	}
-	baseCfg := serve.Config{Shards: a.cfg.Shards}
-	fmt.Fprintln(os.Stderr, "== baseline (default server) ==")
-	base, err := runOne(a.scenario, "", baseCfg, a.opts, true)
+// runOverloadCheck is the dual-run overload proof: the same workload against
+// a healthy server (-baseline-url) and against a starved one (-url). The gate
+// asserts the starved run actually shed, lost nothing it acknowledged,
+// never shed a finish (per both servers' /stats, which must answer), kept
+// query p99 within -overload-check times baseline, and (with -f1-eps)
+// stayed within epsilon of baseline accuracy on the jobs both runs
+// completed.
+func runOverloadCheck(a runArgs, wl *workload.Workload, opts workload.Options) error {
+	base, err := runScored("baseline", wl, a.baselineURL, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(os.Stderr, base.Report.String())
-	fmt.Fprintln(os.Stderr, "== overload (starved server) ==")
-	over, err := runOne(a.scenario, "", a.cfg, a.opts, true)
+	over, err := runScored("overload", wl, a.url, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(os.Stderr, over.Report.String())
 
 	common := workload.CommonJobs(base.Scores, over.Scores)
 	v := overloadVerdict{
@@ -300,28 +237,28 @@ func runOverloadCheck(a runArgs) error {
 	failf := func(format string, args ...any) {
 		fails = append(fails, fmt.Sprintf(format, args...))
 	}
-	if base.Report.Errors > 0 {
-		failf("baseline: %d unexpected errors, first: %s", base.Report.Errors, base.Report.FirstError)
-	}
 	if base.Report.ShedEvents > 0 {
-		failf("baseline shed %d events — the healthy run must not shed (is the default config starved?)", base.Report.ShedEvents)
-	}
-	if over.Report.Errors > 0 {
-		failf("overload: %d unexpected errors, first: %s", over.Report.Errors, over.Report.FirstError)
+		failf("baseline shed %d events — the healthy run must not shed (is the -baseline-url server starved?)", base.Report.ShedEvents)
 	}
 	if over.Report.ShedEvents == 0 {
-		failf("overload run shed nothing — the knobs did not starve the server, so the run proves nothing")
+		failf("overload run shed nothing — the -url server was not starved, so the run proves nothing")
 	}
 	for _, r := range []*runResult{base, over} {
-		if r.Report.LostEvents > 0 {
-			failf("scenario %s: %d events acknowledged-but-lost (2xx remainder must be zero)", r.Report.Scenario, r.Report.LostEvents)
+		if r.Report.Errors > 0 {
+			failf("%s: %d unexpected errors, first: %s", r.Name, r.Report.Errors, r.Report.FirstError)
 		}
-		if r.Stats != nil && r.Stats.Overload.ShedFinishes > 0 {
-			failf("server shed %d finishes — finishes carry labels and must never be shed", r.Stats.Overload.ShedFinishes)
+		if r.Report.LostEvents > 0 {
+			failf("%s: %d events acknowledged-but-lost (2xx remainder must be zero)", r.Name, r.Report.LostEvents)
+		}
+		switch {
+		case r.StatsErr != nil:
+			failf("%s: /stats unavailable, so the shed-finish invariant is unchecked: %v", r.Name, r.StatsErr)
+		case r.Stats.Overload.ShedFinishes > 0:
+			failf("%s: server shed %d finishes — finishes carry labels and must never be shed", r.Name, r.Stats.Overload.ShedFinishes)
 		}
 	}
 	if over.Report.Queries == 0 {
-		failf("overload run answered no query probes — nothing to bound")
+		failf("overload run answered no query probes — nothing to bound (does the scenario set query_rate?)")
 	}
 	if v.P99Ratio > a.overCheck {
 		failf("query p99 under overload is %.1fx baseline (%.2fms vs %.2fms, floor 1ms) — budget %.1fx",
@@ -358,11 +295,4 @@ func writeOut(out string, payload any) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 	return nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

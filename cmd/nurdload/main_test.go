@@ -1,25 +1,35 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/serve"
+	"repro/internal/servehttp"
+	"repro/internal/workload"
 )
 
 // TestRunArgumentRules pins run's documented exit-1 rules: each bad
-// combination fails with a message naming the problem, before any server
-// starts or any traffic is sent.
+// combination fails with a message naming the problem, before any traffic
+// is sent.
 func TestRunArgumentRules(t *testing.T) {
+	const a, b = "http://127.0.0.1:1", "http://127.0.0.1:2"
 	for _, tc := range []struct {
 		name    string
 		args    runArgs
 		wantErr string
 	}{
 		{"no arguments", runArgs{}, "need -scenario"},
-		{"-all with -scenario", runArgs{all: true, scenario: "smoke"}, "mutually exclusive"},
-		{"-overload-check without -scenario", runArgs{overCheck: 100}, "exactly one -scenario"},
-		{"-overload-check with -all", runArgs{overCheck: 100, all: true, scenario: "overload"}, "exactly one -scenario"},
-		{"-overload-check with -url", runArgs{overCheck: 100, scenario: "overload", url: "http://127.0.0.1:1"}, "cannot target -url"},
-		{"unknown scenario", runArgs{scenario: "no-such-scenario"}, "neither a built-in scenario"},
+		{"missing -url", runArgs{scenario: "smoke"}, "need -url"},
+		{"-overload-check without -scenario", runArgs{overCheck: 100, url: a, baselineURL: b}, "need -scenario"},
+		{"-overload-check without -baseline-url", runArgs{overCheck: 100, scenario: "overload", url: a}, "needs -baseline-url"},
+		{"equal URLs", runArgs{overCheck: 100, scenario: "overload", url: a, baselineURL: a + "/"}, "are equal"},
+		{"-baseline-url without -overload-check", runArgs{scenario: "smoke", url: a, baselineURL: b}, "only used by -overload-check"},
+		{"unknown scenario", runArgs{scenario: "no-such-scenario", url: a}, "neither a built-in scenario"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(tc.args)
@@ -37,5 +47,83 @@ func TestRunArgumentRules(t *testing.T) {
 func TestRunList(t *testing.T) {
 	if err := run(runArgs{list: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// frontEnd starts an HTTP front end over a fresh server built from cfg.
+func frontEnd(t *testing.T, cfg serve.Config) (*serve.Server, string) {
+	t.Helper()
+	sv := serve.NewServer(cfg)
+	ts := httptest.NewServer(servehttp.NewHandler(sv))
+	t.Cleanup(ts.Close)
+	return sv, ts.URL
+}
+
+// TestRunFailsOnUnexpectedErrors: a plain run (no -max-rate-gap) against a
+// server that already holds the scenario's jobs must exit 1, not report
+// its duplicate-registration 422s and succeed.
+func TestRunFailsOnUnexpectedErrors(t *testing.T) {
+	ws, _ := workload.Builtin("smoke")
+	wl, err := workload.Synthesize(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, url := frontEnd(t, serve.Config{})
+	for i := range wl.Items {
+		if sp := wl.Items[i].Spec; sp != nil {
+			if err := sv.StartJob(*sp, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	err = run(runArgs{scenario: "smoke", url: url, speedup: 20, out: filepath.Join(t.TempDir(), "r.json")})
+	if err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("run against a server holding the scenario's jobs: got %v, want an error naming the duplicate registration", err)
+	}
+}
+
+// TestOverloadCheckNeedsStats: under -overload-check a front end whose
+// /stats does not answer fails the gate instead of skipping the
+// shed-finish check.
+func TestOverloadCheckNeedsStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("open-loop runs sleep on the wall clock")
+	}
+	_, base := frontEnd(t, serve.Config{Shards: 1})
+	mux := http.NewServeMux()
+	mux.Handle("/", servehttp.NewHandler(serve.NewServer(serve.Config{Shards: 1})))
+	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "gone", http.StatusInternalServerError)
+	})
+	noStats := httptest.NewServer(mux)
+	defer noStats.Close()
+	err := run(runArgs{scenario: "smoke", speedup: 20, baselineURL: base, url: noStats.URL,
+		overCheck: 1e9, out: filepath.Join(t.TempDir(), "v.json")})
+	if err == nil || !strings.Contains(err.Error(), "overload: /stats unavailable") {
+		t.Fatalf("got %v, want a gate failure naming the overload server's /stats", err)
+	}
+}
+
+// TestOverloadCheckGate drives the overload proof end to end against two
+// front ends configured like CI's two nurdserve processes: it passes when
+// the -url server is starved, and fails with "shed nothing" when both are
+// healthy.
+func TestOverloadCheckGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("open-loop runs sleep on the wall clock")
+	}
+	healthy := serve.Config{Shards: 1}
+	starved := serve.Config{Shards: 1, ClientRate: 600, IngestQueue: 1, RefitQueue: 1, DegradedAfter: 2 * time.Millisecond}
+	check := func(urlCfg serve.Config) error {
+		_, base := frontEnd(t, healthy)
+		_, url := frontEnd(t, urlCfg)
+		return run(runArgs{scenario: "overload", speedup: 6, baselineURL: base, url: url,
+			overCheck: 100, f1Eps: 0.1, out: filepath.Join(t.TempDir(), "v.json")})
+	}
+	if err := check(starved); err != nil {
+		t.Fatalf("starved -url server: %v", err)
+	}
+	if err := check(healthy); err == nil || !strings.Contains(err.Error(), "shed nothing") {
+		t.Fatalf("two healthy servers: got %v, want a gate failure saying the run shed nothing", err)
 	}
 }

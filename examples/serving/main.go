@@ -284,9 +284,11 @@ func main() {
 	// machine. The driver is OPEN LOOP — every request's due time is fixed
 	// before the clock starts, late sends are recorded as queue delay instead
 	// of being rescheduled — so the percentiles below include every
-	// millisecond a real client would have waited. The same run via the CLI:
+	// millisecond a real client would have waited. The same run via the CLI,
+	// against a server of its own:
 	//
-	//	nurdload -scenario smoke -speedup 4
+	//	nurdserve -listen 127.0.0.1:8080 &
+	//	nurdload -scenario smoke -speedup 4 -url http://127.0.0.1:8080
 	ws, _ := workload.Builtin("smoke")
 	wl, err := workload.Synthesize(ws)
 	if err != nil {
@@ -353,7 +355,7 @@ func main() {
 	_ = owal // abandoned below — the crash takes the process image with it
 	overFront := httptest.NewServer(servehttp.NewHandler(osv))
 	orep, err := workload.Run(owl, &workload.HTTPTarget{Client: overFront.Client(), BaseURL: overFront.URL},
-		workload.Options{Speedup: 6, QueryRate: 20, Retry429: true})
+		workload.Options{Speedup: 6, Retry429: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,13 +45,6 @@ type Options struct {
 	// elements further apart are sent in separate requests so batching
 	// cannot smear the arrival schedule.
 	Window float64
-	// QueryRate, when positive, runs an open-loop query prober alongside
-	// the ingest lanes: verdict queries at this rate (per virtual second,
-	// so the wall rate scales with Speedup) round-robin across the jobs
-	// registered so far, measured from due time like every other request.
-	// Requires a Target that implements QueryTarget; silently off
-	// otherwise.
-	QueryRate float64
 	// Retry429 resends a request refused with a whole-request 429 (nothing
 	// applied — rate-limit or budget refusals are atomic), honoring its
 	// Retry-After hint up to retryCap per attempt and retryMax attempts.
@@ -271,7 +264,8 @@ type Report struct {
 	ThrottledEvents int `json:"throttled_events"`
 	LostEvents      int `json:"lost_events"`
 
-	// Query-prober results (zero unless Options.QueryRate is set).
+	// Query-prober results (zero unless the scenario sets QueryRate and
+	// the target implements QueryTarget).
 	// QueryMisses are 404s — probes that raced their job's (possibly
 	// lagging) registration; StaleQueries counts degraded-mode answers
 	// (any verdict flagged Stale).
@@ -398,7 +392,7 @@ func Run(wl *Workload, tgt Target, opts Options) (*Report, error) {
 	var qs queryStats
 	start := time.Now()
 	var wg sync.WaitGroup
-	if opts.QueryRate > 0 {
+	if wl.Spec.QueryRate > 0 {
 		if qt, ok := tgt.(QueryTarget); ok {
 			wg.Add(1)
 			go func() {
@@ -579,11 +573,12 @@ type queryStats struct {
 }
 
 // runProber is the open-loop query lane: verdict probes on a fixed
-// due-time schedule (QueryRate per virtual second), round-robin over the
-// jobs whose registration is due by each probe's time, measured from due
-// time exactly like ingest requests. Under overload this is the lane that
-// must stay fast: queries take no ingest-queue slot and, in degraded mode,
-// not even the job lock.
+// due-time schedule (the scenario's QueryRate per virtual second, so the
+// wall rate scales with Speedup), round-robin over the jobs whose
+// registration is due by each probe's time, measured from due time exactly
+// like ingest requests. Under overload this is the lane that must stay
+// fast: queries take no ingest-queue slot and, in degraded mode, not even
+// the job lock.
 func runProber(wl *Workload, qt QueryTarget, opts Options, start time.Time, qs *queryStats) {
 	type probeJob struct {
 		at     float64
@@ -599,7 +594,7 @@ func runProber(wl *Workload, qt QueryTarget, opts Options, start time.Time, qs *
 	if len(jobs) == 0 {
 		return
 	}
-	period := 1 / opts.QueryRate
+	period := 1 / wl.Spec.QueryRate
 	hi, rr := 0, 0
 	for due := jobs[0].at + period; due <= wl.Span; due += period {
 		wallDue := start.Add(time.Duration(due / opts.Speedup * float64(time.Second)))

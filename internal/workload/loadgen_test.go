@@ -250,6 +250,7 @@ func TestLoadgenShedTaxonomy(t *testing.T) {
 		t.Skip("open-loop run sleeps on the wall clock")
 	}
 	ws, _ := Builtin("smoke")
+	ws.QueryRate = 10
 	wl, err := Synthesize(ws)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestLoadgenShedTaxonomy(t *testing.T) {
 	ts := httptest.NewServer(servehttp.NewHandler(sv))
 	defer ts.Close()
 	tgt := &HTTPTarget{Client: ts.Client(), BaseURL: ts.URL}
-	rep, err := Run(wl, tgt, Options{Speedup: 4, Retry429: true, QueryRate: 10})
+	rep, err := Run(wl, tgt, Options{Speedup: 4, Retry429: true})
 	if err != nil {
 		t.Fatal(err)
 	}

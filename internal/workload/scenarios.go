@@ -33,13 +33,6 @@ func ScenarioNames() []string {
 	return out
 }
 
-// BenchScenarioNames is the four-scenario suite BENCH_loadgen.json records
-// ("smoke" is a CI-sized variant of steady and "overload" a CI-sized
-// shedding stressor; neither is part of the bench suite).
-func BenchScenarioNames() []string {
-	return []string{"steady", "diurnal", "burst", "hostile"}
-}
-
 // Builtin returns a fresh copy of the named built-in scenario.
 func Builtin(name string) (*WorkloadSpec, bool) {
 	f, ok := builtinScenarios[name]
@@ -181,9 +174,9 @@ func hostileScenario() *WorkloadSpec {
 // simultaneous ingest streams than a deliberately under-provisioned server
 // (one shard, a tiny ingest queue) can admit, forcing the shedding policy to
 // act continuously: heartbeats shed, finishes wait, and a query prober
-// (nurdload -query-rate) measures whether verdict latency stays bounded
-// while the ingest side saturates. CI-sized like smoke — seconds, not
-// minutes, on shared runners.
+// (QueryRate, 25 probes per virtual second) measures whether verdict
+// latency stays bounded while the ingest side saturates. CI-sized like
+// smoke — seconds, not minutes, on shared runners.
 func overloadScenario() *WorkloadSpec {
 	clients := make([]ClientSpec, 6)
 	for i := range clients {
@@ -196,11 +189,12 @@ func overloadScenario() *WorkloadSpec {
 		}
 	}
 	return &WorkloadSpec{
-		Name:     "overload",
-		Seed:     42,
-		Duration: 10,
-		Trace:    "google",
-		Clients:  clients,
+		Name:      "overload",
+		Seed:      42,
+		Duration:  10,
+		Trace:     "google",
+		Clients:   clients,
+		QueryRate: 25,
 	}
 }
 

@@ -45,6 +45,11 @@ type WorkloadSpec struct {
 	// delivered in order (one monitoring pipeline per client); distinct
 	// clients are driven concurrently.
 	Clients []ClientSpec `json:"clients"`
+	// QueryRate, when positive, runs an open-loop query prober beside the
+	// ingest lanes during a load run: verdict queries at this rate per
+	// virtual second, round-robin across the jobs registered so far. It
+	// shapes the run, not the traffic: Synthesize never reads it.
+	QueryRate float64 `json:"query_rate,omitempty"`
 }
 
 // ClientSpec declares one traffic source inside a scenario.
@@ -232,6 +237,9 @@ func (ws *WorkloadSpec) Validate() error {
 	}
 	if len(ws.Clients) == 0 {
 		return fmt.Errorf("workload: %s: need at least one client", ws.Name)
+	}
+	if ws.QueryRate < 0 {
+		return fmt.Errorf("workload: %s: query_rate must be >= 0, got %v", ws.Name, ws.QueryRate)
 	}
 	for ci := range ws.Clients {
 		c := &ws.Clients[ci]

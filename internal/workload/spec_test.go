@@ -67,6 +67,7 @@ func TestSpecValidation(t *testing.T) {
 		}, "burst_factor"},
 		{"bad dist", func(ws *WorkloadSpec) { ws.Clients[0].JobTasks = DistSpec{Dist: "weibull", Value: 3} }, "dist"},
 		{"malformed rate range", func(ws *WorkloadSpec) { ws.Clients[0].MalformedRate = 1.5 }, "malformed_rate"},
+		{"negative query rate", func(ws *WorkloadSpec) { ws.QueryRate = -1 }, "query_rate"},
 		{"curve amp blowup", func(ws *WorkloadSpec) {
 			ws.Clients[0].Arrival.Curve = []RateComponent{{Period: 10, Amp: 5}}
 		}, "amp"},

@@ -50,6 +50,27 @@ func TestSynthesizeDeterminism(t *testing.T) {
 	}
 }
 
+// TestSynthesizeIgnoresQueryRate: the prober rate shapes a load run, not
+// its traffic, so no builtin's wire stream depends on it.
+func TestSynthesizeIgnoresQueryRate(t *testing.T) {
+	for _, name := range ScenarioNames() {
+		_, want := synthWire(t, name)
+		ws, _ := Builtin(name)
+		ws.QueryRate += 7
+		wl, err := Synthesize(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := wl.WriteWire(&got, true); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: query_rate changed the synthesized wire stream", name)
+		}
+	}
+}
+
 // TestSynthesizeSeedSensitivity: a different seed must actually change the
 // stream (guards against a seed that is read but never used).
 func TestSynthesizeSeedSensitivity(t *testing.T) {

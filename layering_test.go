@@ -100,6 +100,21 @@ func TestLayeringClusterIsALeaf(t *testing.T) {
 	}
 }
 
+// TestNurdloadIsOnlyAClient keeps the load driver from hosting a server of
+// its own again: its non-test code may talk HTTP to a running front end but
+// may not import the front end or an in-process test server.
+func TestNurdloadIsOnlyAClient(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, "repro/cmd/nurdload").Output()
+	if err != nil {
+		t.Fatalf("go list repro/cmd/nurdload: %v", err)
+	}
+	for _, imp := range strings.Fields(string(out)) {
+		if imp == "repro/internal/servehttp" || imp == "net/http/httptest" {
+			t.Errorf("cmd/nurdload imports %s; it drives a server started elsewhere (nurdserve -listen)", imp)
+		}
+	}
+}
+
 func TestLayeringWaltestBelowServe(t *testing.T) {
 	// The crash-injection test filesystem is part of the storage layer's
 	// toolkit: usable from every layer's tests without dragging serve in.
