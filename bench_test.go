@@ -569,13 +569,17 @@ func BenchmarkWireCodec(b *testing.B) {
 }
 
 // BenchmarkSnapshotRestore measures the durability round-trip: snapshotting
-// a live server carrying several streamed jobs and restoring it (which
-// refits every per-job model from the recorded checkpoint history). Reports
-// the snapshot size.
+// a WAL-backed server carrying several streamed jobs (a checkpoint plus a
+// copy of its base) and restoring it (which replays the stream, refitting
+// every per-job model). Reports the snapshot size.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	const numJobs = 4
 	jobs, sims := servetest.Jobs(b, trace.DefaultGoogleConfig(benchSeed), numJobs)
-	sv := serve.NewServer(serve.DefaultConfig())
+	sv, wlog, _, err := serve.Recover(b.TempDir(), serve.DefaultConfig(), wal.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer wlog.Close()
 	for i, j := range jobs {
 		if err := sv.StartJob(serve.SpecFor(sims[i], benchSeed+uint64(i)), nil); err != nil {
 			b.Fatal(err)

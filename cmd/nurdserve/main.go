@@ -8,13 +8,18 @@
 // cmd/nurdload is the paced, open-loop load driver; the served-vs-offline F1
 // equivalence is pinned by internal/serve's tests.
 //
-// -wal <dir> makes the server durable between snapshots: every accepted
-// mutation is appended to a write-ahead log in dir before it is
-// acknowledged, and on start the server automatically recovers from the
-// newest snapshot plus the log (point-in-time recovery). The log is one
-// stream of rotating segment files and checkpoints itself on a time and/or
-// size policy (-wal-checkpoint-every / -wal-checkpoint-bytes), so the
-// retained log and recovery time stay bounded without operator action.
+// -wal <dir> makes the server durable: every accepted mutation is appended
+// to a write-ahead log in dir before it is acknowledged, and on start the
+// server automatically recovers by replaying the newest checkpoint base and
+// then the log past its floor. The log is one stream of rotating segment
+// files and checkpoints itself on a time and/or size policy
+// (-wal-checkpoint-every / -wal-checkpoint-bytes): a checkpoint compacts the
+// log into base-<floor>.dump, a plain dump of every live job's spec and
+// event frames, so the retained log and recovery time stay bounded without
+// operator action. GET /snapshot streams such a base (it is itself a dump
+// -replay loads), so it needs -wal: without one it answers 409. Counters
+// the log does not carry — queries served, refit wall times — start from
+// zero after a recovery.
 // Durability is group commit: every -wal-sync window fsyncs what was
 // written, and -wal-sync 0 makes each acknowledgment wait for an fsync that
 // covers it. A -replay after a recovery resumes the dump exactly where the
@@ -24,8 +29,10 @@
 // and be writable.
 //
 // -wal-verify <dir> replays a WAL directory's structure offline and prints
-// the log's segment and record counts, the recoverable LSN and the snapshot
-// it would restore from, without starting a server or writing a byte.
+// the base it would replay, the log's segment and record counts and the
+// recoverable LSN, without starting a server or writing a byte. A directory
+// holding a file of a retired layout (a snap-*.snap snapshot, an earlier
+// writer's *.seg) fails it, and recovery, naming the file.
 //
 // -refit-mode selects the checkpoint refit strategy for every job this
 // process registers: scratch (retrain from zero — bit-identical to the
@@ -106,7 +113,7 @@ func main() {
 }
 
 // runWALVerify prints the offline verifier's report for dir: the newest
-// structurally valid snapshot, the log's segment and record counts, and the
+// structurally valid base, the log's segment and record counts, and the
 // LSN a recovery would resume at — without starting a server or writing to the
 // directory.
 func runWALVerify(dir string, w io.Writer) error {
@@ -124,7 +131,7 @@ func runWALVerify(dir string, w io.Writer) error {
 }
 
 // setupServer builds the serving instance: a plain in-memory server, or —
-// when walDir is set — one recovered from walDir's newest snapshot plus
+// when walDir is set — one recovered from walDir's newest base plus
 // write-ahead log and wired to keep logging (automatic checkpoints per
 // wopts). Callers own Close on the returned WAL
 // (nil without -wal). Split from serveMode so flag validation (missing

@@ -97,7 +97,7 @@ func TestSetupServerWALValidation(t *testing.T) {
 }
 
 // TestRunWALVerify is the -wal-verify contract: over a directory a crashed
-// server left behind — rotated segments, a checkpoint snapshot, and a torn
+// server left behind — rotated segments, a checkpoint base, and a torn
 // tail appended to the newest segment — the offline verifier prints the
 // log's counts and the recoverable LSN, agrees with what Recover then
 // actually recovers, and never modifies the directory. Bad paths, and a
@@ -165,7 +165,7 @@ func TestRunWALVerify(t *testing.T) {
 	got := out.String()
 	wantLSN := mutations + 1
 	for _, want := range []string{
-		"snapshot: snap-",
+		"base: base-",
 		"log: ",
 		"torn tail",
 		"recoverable LSN: " + itoa(wantLSN),

@@ -1,19 +1,20 @@
 // Serving walkthrough: run the online straggler-prediction service on a
 // handful of concurrent jobs — register jobs, stream their task lifecycle
 // events from separate goroutines, query running tasks mid-flight, read the
-// per-job reports and server-wide stats at the end, snapshot the server and
-// restore it into a fresh process image that answers the same queries
-// identically — then run the same jobs under a write-ahead log, kill the
-// server halfway, and recover it with zero acknowledged events lost — and
+// per-job reports and server-wide stats at the end, snapshot the server (the
+// compacted base of its write-ahead log) and restore it into a fresh process
+// image that answers the same queries identically — then run the same jobs
+// with warm refits, kill the server halfway, and recover it with zero
+// acknowledged events lost — and
 // finally load-test the HTTP front end with named workload scenarios through the
 // open-loop percentile harness, including a hostile malformed-frame
 // injection run.
 //
 // The serving stack is four one-way layers, each its own package:
 //
-//	internal/wire       frame codec (dumps, WAL records, snapshots)
-//	internal/wal        write-ahead log: segments, recovery, torture-tested
-//	internal/serve      the node core: sharded registry, refits, snapshots
+//	internal/wire       frame codec (dumps, WAL segments, checkpoint bases)
+//	internal/wal        write-ahead log: segments, compaction, recovery
+//	internal/serve      the node core: sharded registry, refits, recovery
 //	internal/servehttp  HTTP front + replay, over any Backend
 //
 //	go run ./examples/serving
@@ -57,8 +58,19 @@ func main() {
 
 	// 2. One server for all of them. The default configuration shards jobs
 	// across the available cores and builds each job a NURD predictor from
-	// its spec (seed, schema-dependent confirmation rule).
-	sv := serve.NewServer(serve.DefaultConfig())
+	// its spec (seed, schema-dependent confirmation rule). It logs every
+	// accepted mutation to a write-ahead log in a scratch directory, which
+	// is what step 6 snapshots.
+	logDir, err := os.MkdirTemp("", "nurd-serving-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(logDir)
+	sv, svLog, _, err := serve.Recover(logDir, serve.DefaultConfig(), wal.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer svLog.Close()
 	for i := range jobs {
 		spec := serve.SpecFor(sims[i], uint64(i)) // control-plane metadata + predictor seed
 		if err := sv.StartJob(spec, nil); err != nil {
@@ -128,9 +140,10 @@ func main() {
 
 	// 6. Durability: snapshot the whole server to a byte stream (a file, an
 	// object store, GET /snapshot over the HTTP front end) and restore it
-	// into a brand-new server — per-job models are refit from the recorded
-	// checkpoint history, so the restored server answers queries exactly as
-	// the original does.
+	// into a brand-new server. A snapshot is the log compacted into one wire
+	// dump — every live job's spec and accepted events — and restoring
+	// replays it, refitting every model at the boundary it was fit at, so
+	// the restored server answers queries exactly as the original does.
 	var snap bytes.Buffer
 	if err := sv.Snapshot(&snap); err != nil {
 		log.Fatal(err)
@@ -151,20 +164,19 @@ func main() {
 	fmt.Printf("snapshot: %d bytes; restored verdicts identical: %v\n",
 		snap.Len(), reflect.DeepEqual(want, got))
 
-	// 7. Kill and recover — this time with warm-started refits. Snapshots
-	// alone lose everything since the last one; a write-ahead log closes
-	// that window — every accepted mutation is durable before it is
-	// acknowledged. The log is one stream of segments (log-<stamp>.seg),
-	// each holding the same spec and event frames a dump does. RefitMode: RefitWarm makes every job's checkpoint refit extend
+	// 7. Kill and recover — this time with warm-started refits. Every
+	// accepted mutation is durable before it is acknowledged. The log is one
+	// stream of segments (log-<stamp>.seg), each holding the same spec and
+	// event frames a dump does. RefitMode: RefitWarm makes every job's checkpoint refit extend
 	// the previous checkpoint's ensemble instead of retraining from scratch
 	// (~2.3x cheaper per refit); the mode is stamped into each job's spec,
-	// so it rides the WAL and snapshots into recovery — the revived server
+	// so it rides the WAL into recovery — the revived server
 	// rebuilds the same warm-refit chain without being told.
 	//
 	// Run the same jobs on a server backed by a WAL directory, "kill" it
 	// halfway through the streams (drop the process image; the directory is
-	// all that survives), then point Recover at the directory: it restores
-	// the newest snapshot, replays the log past it, and reports exactly
+	// all that survives), then point Recover at the directory: it replays
+	// the newest checkpoint base, then the log past it, and reports exactly
 	// how many mutations the dead server had acknowledged, so the feed
 	// resumes without losing or double-applying a single event.
 	walDir, err := os.MkdirTemp("", "nurd-wal-*")
@@ -176,8 +188,8 @@ func main() {
 	warmCfg.RefitMode = wire.RefitWarm
 	durable, wlog, _, err := serve.Recover(walDir, warmCfg, wal.Options{
 		SyncEvery: 2 * time.Millisecond, // group-commit fsync window
-		// Checkpoints are automatic: a background policy stamps a snapshot
-		// into the directory and retires covered segments on a wall-clock
+		// Checkpoints are automatic: a background policy compacts the log
+		// into a new base and retires covered segments on a wall-clock
 		// period and/or after so many appended bytes — no operator has to
 		// remember to call CheckpointWAL.
 		CheckpointEvery: 200 * time.Millisecond,
@@ -204,7 +216,7 @@ func main() {
 	}
 	// An explicit checkpoint still works (it serializes with the automatic
 	// policy); here it guarantees the crash below lands after at least one
-	// snapshot, so recovery replays only the tail.
+	// base, so recovery replays that base and then only the tail.
 	if _, _, err := durable.CheckpointWAL(); err != nil {
 		log.Fatal(err)
 	}

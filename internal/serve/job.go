@@ -23,8 +23,9 @@ type taskState struct {
 	// recycled when a newer heartbeat replaces them.
 	pooled bool
 	// captured marks features as aliased into a checkpoint view (snapshot
-	// appends the slice to FinishedX/RunningX). Captured slices feed the
-	// job's refit history for its whole lifetime and are never recycled.
+	// appends the slice to FinishedX/RunningX). A captured slice is never
+	// recycled: the view's fit reads it on a refit worker after the job lock
+	// is released.
 	captured   bool
 	finished   bool
 	latency    float64
@@ -54,26 +55,10 @@ type jobState struct {
 	refitMax   time.Duration
 	checkpoint int // last checkpoint fired
 
-	// history retains every gated checkpoint view handed to the predictor,
-	// in firing order. Snapshot serializes it and RestoreServer replays it
-	// through a freshly built predictor: model fits are deterministic given
-	// their training views (fresh seeded RNG per fit), so the replayed
-	// predictor lands in bit-identical state. Bounded by spec.Checkpoints
-	// entries; feature slices are shared with task state, never copied or
-	// mutated. Entries are immutable once appended — Snapshot relies on
-	// this to encode checkpoint frames outside the job lock.
-	history []*simulator.Checkpoint
-
-	// events / dropped / queries count this job's own traffic so that a
-	// restored server's Stats carry over (folded into the owning shard's
-	// counters at install time).
-	events, dropped, queries uint64
-
-	// lsn is the log sequence number of the last WAL record affecting this
-	// job (its registration, or its latest accepted event), 0 when the
-	// server runs without a WAL. Snapshots carry it so recovery can skip
-	// exactly the WAL records a mid-traffic snapshot already reflects.
-	lsn uint64
+	// reclassified counts accepted finishes a later kill order turned into
+	// drops (see applyRefit); the owning shard folds the delta into its
+	// dropped-event counter.
+	reclassified uint64
 
 	// defunct marks a job DropJob has removed. An ingest that looked the
 	// job up just before the drop must observe it (under j.mu) and reject
@@ -83,20 +68,22 @@ type jobState struct {
 	defunct bool
 
 	// pool is the owning shard's refit worker pool, set when the job is
-	// registered or installed. Nil only for bare jobStates in unit tests,
+	// registered. Nil only for bare jobStates in unit tests,
 	// which then fit synchronously inline (capture, fit, and apply at the
 	// same boundary — the pre-pipeline behavior).
 	pool *refitPool
 
 	// refitCh is non-nil while a captured checkpoint view's fit is pending
-	// (queued or executing); pendingAt is that view's checkpoint index. The
-	// result is received and applied under j.mu at the next boundary
-	// crossing (or the job-finish drain) — see refit.go for why application
-	// waits for a stream-defined position instead of the fit's completion.
-	// At most one refit is ever in flight per job, which is also what makes
-	// handing the predictor to the worker without a lock safe.
-	refitCh   chan refitResult
-	pendingAt int
+	// (queued or executing); pending is that view. The result is received
+	// and applied under j.mu at the next boundary crossing (or the
+	// job-finish drain) — see refit.go for why application waits for a
+	// stream-defined position instead of the fit's completion. At most one
+	// refit is ever in flight per job, which is also what makes handing the
+	// predictor to the worker without a lock safe. The pending view is the
+	// only one a job keeps: a job's state is a function of its accepted
+	// stream, so recovery replays the stream instead of stored views.
+	refitCh chan refitResult
+	pending *simulator.Checkpoint
 
 	// pub is the published model: a shallow copy of the predictor's
 	// nurd.Model taken when a refit's outcome is applied. Queries read pub,
@@ -105,8 +92,7 @@ type jobState struct {
 	// the generation (== refits) in JobReport.
 	pub *nurd.Model
 
-	// warmFits / scratchFits split refits by fit strategy (serialized in
-	// snapshots so restored servers keep reporting cumulative counts).
+	// warmFits / scratchFits split refits by fit strategy.
 	warmFits, scratchFits uint64
 
 	// stale is the degraded-query view: every task's verdict as of the last
@@ -322,7 +308,7 @@ func (j *jobState) snapshot(k, finished, running int) *simulator.Checkpoint {
 	}
 	if finished > 0 {
 		// A negative WarmFrac opens the gate with nothing finished; that side
-		// then stays nil, which is what a restored view decodes to.
+		// then stays nil.
 		cp.FinishedIDs = make([]int, 0, finished)
 		cp.FinishedX = make([][]float64, 0, finished)
 		cp.FinishedY = make([]float64, 0, finished)
@@ -333,9 +319,9 @@ func (j *jobState) snapshot(k, finished, running int) *simulator.Checkpoint {
 		if !in {
 			continue
 		}
-		// Either branch aliases ts.features into the view, which outlives
-		// the observation (history retains views for replay): the slice is
-		// now permanently ineligible for pool recycling.
+		// Either branch aliases ts.features into the view, which the fit
+		// reads off the job lock: the slice is now permanently ineligible
+		// for pool recycling.
 		ts.captured = true
 		if fin {
 			cp.FinishedIDs = append(cp.FinishedIDs, id)
@@ -376,9 +362,7 @@ func (j *jobState) fireCheckpoint() {
 	if finished < j.warm || running == 0 {
 		return
 	}
-	cp := j.snapshot(k, finished, running)
-	j.history = append(j.history, cp)
-	j.startRefit(cp, k)
+	j.startRefit(j.snapshot(k, finished, running))
 }
 
 // startRefit hands a captured view to the refit pipeline. The caller holds
@@ -386,10 +370,10 @@ func (j *jobState) fireCheckpoint() {
 // and the worker takes exclusive ownership of it until the result lands.
 // Bare jobStates without a pool (unit tests) fit inline, which applies the
 // verdicts at the same boundary — the pre-pipeline synchronous behavior.
-func (j *jobState) startRefit(cp *simulator.Checkpoint, k int) {
+func (j *jobState) startRefit(cp *simulator.Checkpoint) {
 	ch := make(chan refitResult, 1)
 	j.refitCh = ch
-	j.pendingAt = k
+	j.pending = cp
 	t := refitTask{pred: j.pred, cp: cp, ch: ch}
 	if j.pool == nil {
 		t.run()
@@ -423,8 +407,8 @@ func (j *jobState) applyRefit() {
 		return
 	}
 	res := <-j.refitCh
-	j.refitCh = nil
-	k := j.pendingAt
+	cp := j.pending
+	j.refitCh, j.pending = nil, nil
 	if j.pool != nil {
 		j.pool.lag.Add(-1)
 		j.pool.warmFits.Add(res.warm)
@@ -437,7 +421,6 @@ func (j *jobState) applyRefit() {
 	}
 	j.warmFits += res.warm
 	j.scratchFits += res.scratch
-	cp := j.history[len(j.history)-1]
 	if res.err != nil || len(res.verdicts) != len(cp.RunningIDs) {
 		j.done = true
 		j.failed = true
@@ -463,10 +446,10 @@ func (j *jobState) applyRefit() {
 			// either way).
 			ts.finished = false
 			j.finished--
-			j.dropped++
+			j.reclassified++
 		}
 		ts.terminated = true
-		ts.flaggedAt = k
+		ts.flaggedAt = cp.Index
 		j.terminated++
 	}
 	j.publish()

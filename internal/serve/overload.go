@@ -156,7 +156,7 @@ func lockWithin(mu *sync.Mutex, d time.Duration) bool {
 }
 
 // staleView is a job's precomputed degraded-query answer: every task's
-// verdict as of the last applied refit (or install), swapped in atomically
+// verdict as of the last applied refit, swapped in atomically
 // so the degraded path reads it without any lock. Built only when
 // Config.DegradedAfter enables degraded queries.
 type staleView struct {

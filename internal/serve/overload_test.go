@@ -210,11 +210,11 @@ func TestRefitQueueSaturationInline(t *testing.T) {
 }
 
 // degradedServer builds a 1-shard server with degraded queries enabled and
-// one fully closed job (the close refreshes the stale view), returning the
-// server and its jobState for lock-holding tests.
+// one fully closed job (the close refreshes the stale view), logging to a
+// write-ahead log so it can be snapshotted.
 func degradedServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	sv := NewServer(cfg)
+	sv := durable(t, cfg)
 	if err := sv.StartJob(pipelineSpec(1), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestQueryAppendReusedDstDoesNotAliasStaleView(t *testing.T) {
 }
 
 // TestStaleViewSurvivesSnapshotRestore: the degraded-query view is never
-// serialized — a restored server recomputes it from durable state, so
+// serialized — a restored server rebuilds it by replaying the stream, so
 // degraded answers (staleness flags included) survive snapshot/restore.
 func TestStaleViewSurvivesSnapshotRestore(t *testing.T) {
 	cfg := Config{Shards: 1, DegradedAfter: time.Millisecond}

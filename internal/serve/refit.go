@@ -18,9 +18,9 @@ package serve
 // model generation) happens at a position defined by the event stream, never
 // by worker scheduling. That determinism is the property the rest of the
 // system leans on — scratch-mode serving stays bit-identical to the offline
-// Table 3 NURD path, WAL replay reproduces the live run, and a snapshot taken
-// with a fit in flight restores to a server that behaves identically (the
-// pending view is re-enqueued and lands at the same boundary).
+// Table 3 NURD path, and replaying the accepted stream — WAL recovery, a
+// snapshot restore — reproduces the live run, a fit in flight at the cut
+// included (the replay captures the same view at the same boundary).
 //
 // Between boundaries, queries serve the last *published* model generation — a
 // shallow copy swapped in at apply time — so an inflight background fit never

@@ -292,7 +292,8 @@ func TestWarmF1WithinEpsilonOfScratch(t *testing.T) {
 // TestSnapshotRestoreWithPendingRefit cuts a stream immediately after a
 // boundary crossing — when a captured view's fit is pending — snapshots,
 // restores, and checks the revived server carries the pending refit (same
-// generation, PendingRefits 1) and converges to the uninterrupted outcome.
+// generation, PendingRefits 1: the replay crosses the same boundary) and
+// converges to the uninterrupted outcome.
 func TestSnapshotRestoreWithPendingRefit(t *testing.T) {
 	jobs, sims := smallJobs(t, 1, 67)
 	job, sim := jobs[0], sims[0]
@@ -304,7 +305,7 @@ func TestSnapshotRestoreWithPendingRefit(t *testing.T) {
 	// stop at the first point where the report shows a captured-but-
 	// unapplied refit.
 	build := func() (*Server, int) {
-		sv := NewServer(Config{Shards: 1})
+		sv := durable(t, Config{Shards: 1})
 		if err := sv.StartJob(spec, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -353,11 +353,6 @@ func TestSpecValidation(t *testing.T) {
 	bad := []func(*wire.JobSpec){
 		func(s *wire.JobSpec) { s.NumTasks = 0 },
 		func(s *wire.JobSpec) { s.NumTasks = wire.MaxSnapTasks + 1 },
-		// Within the count cap but too many tasks for one snapshot frame.
-		func(s *wire.JobSpec) { s.NumTasks = 1 << 20 },
-		// Fits a snapshot frame, but tasks x checkpoints exceeds the
-		// history-retention cap.
-		func(s *wire.JobSpec) { s.NumTasks = 400000; s.Checkpoints = 10 },
 		func(s *wire.JobSpec) { s.Schema = nil },
 		func(s *wire.JobSpec) { s.Schema = make([]string, wire.MaxSchemaCols+1) },
 		func(s *wire.JobSpec) { s.Schema = []string{strings.Repeat("x", wire.MaxSchemaName+1)} },
@@ -572,8 +567,8 @@ func TestConcurrentManyJobs(t *testing.T) {
 }
 
 // TestUngatedBoundaryCapturesNothing: a boundary the warm gate turns away
-// hands the predictor nothing, so it must also keep nothing — no view in
-// history, no observation marked captured — and the pooled slice a task held
+// hands the predictor nothing, so it must also keep nothing — no pending
+// view, no observation marked captured — and the pooled slice a task held
 // across it goes back to the pool when the next heartbeat replaces it. A
 // gated boundary still captures what it shows the predictor.
 func TestUngatedBoundaryCapturesNothing(t *testing.T) {
@@ -603,8 +598,8 @@ func TestUngatedBoundaryCapturesNothing(t *testing.T) {
 		// nothing finished: below the warm count of 2. The same heartbeat
 		// then replaces task 0's observation.
 		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 0, Time: 15, Tick: 2, Features: []float64{3, 4}, Pooled: true})
-		if j.checkpoint != 1 || len(rec.cps) != 0 || len(j.history) != 0 {
-			t.Fatalf("boundary 1: checkpoint %d, %d views shown, %d kept; want 1, 0, 0", j.checkpoint, len(rec.cps), len(j.history))
+		if j.checkpoint != 1 || len(rec.cps) != 0 || j.pending != nil {
+			t.Fatalf("boundary 1: checkpoint %d, %d views shown, pending %v; want 1, 0, none", j.checkpoint, len(rec.cps), j.pending != nil)
 		}
 		for id := range j.tasks {
 			if j.tasks[id].captured {
@@ -625,8 +620,10 @@ func TestUngatedBoundaryCapturesNothing(t *testing.T) {
 		feed(wire.Event{Kind: wire.EventTaskFinish, TaskID: 1, Time: 17, Latency: 17})
 		feed(wire.Event{Kind: wire.EventTaskFinish, TaskID: 2, Time: 18, Latency: 18})
 		feed(wire.Event{Kind: wire.EventTaskStart, TaskID: 3, Time: 25})
-		if len(rec.cps) != 1 || len(j.history) != 1 {
-			t.Fatalf("boundary 2: %d views shown, %d kept; want 1, 1", len(rec.cps), len(j.history))
+		// The pool-less job fits inline and applies at once: the view is
+		// shown and, applied, no longer kept.
+		if len(rec.cps) != 1 || j.pending != nil {
+			t.Fatalf("boundary 2: %d views shown, pending %v; want 1, none", len(rec.cps), j.pending != nil)
 		}
 		cp := rec.cps[0]
 		if len(cp.FinishedIDs) != 2 || cap(cp.FinishedX) != 2 || len(cp.RunningIDs) != 1 || cap(cp.RunningElapsed) != 1 {

@@ -49,10 +49,11 @@ type Config struct {
 	// explicit one. The default constructs the paper's NURD configuration
 	// seeded from the JobSpec, with the per-dataset confirmation rule.
 	//
-	// RestoreServer also rebuilds every job's predictor through this
-	// factory (snapshots carry training history, not model internals), so
-	// a deployment that passes explicit predictors to StartJob must supply
-	// an equivalent factory here for restores to be faithful. The factory
+	// RestoreServer and Recover also rebuild every job's predictor through
+	// this factory (a snapshot carries the accepted stream, not model
+	// internals), so a deployment that passes explicit predictors to
+	// StartJob must supply an equivalent factory here for restores to be
+	// faithful. The factory
 	// must be deterministic: given the same spec and the same sequence of
 	// checkpoint views, it must issue the same verdicts (true of every
 	// predictor in this repository — model fits draw from a fresh
@@ -74,7 +75,7 @@ type Config struct {
 	// (warm-started incremental boosting — each checkpoint extends the
 	// previous checkpoint's ensemble, several times cheaper per refit with
 	// seed-trace accuracy within a small epsilon of scratch). The resolved
-	// mode travels with the spec through the WAL and snapshots, so recovery
+	// mode travels with the spec through the WAL, so recovery
 	// replays refits identically whatever this field says at restore time.
 	RefitMode wire.RefitMode
 
@@ -118,7 +119,7 @@ func DefaultConfig() Config {
 // NURD with the spec's seed and the per-dataset confirmation requirement.
 // Specs registered in RefitWarm mode get the warm-refit configuration, so
 // restores rebuild warm-mode jobs with warm-mode fits (the mode travels with
-// the spec through snapshots and the WAL).
+// the spec through the WAL).
 func NewNURDPredictor(spec wire.JobSpec) simulator.Predictor {
 	cfg := nurd.DefaultConfig()
 	name := "NURD"
@@ -140,7 +141,7 @@ type Server struct {
 	reg *registry
 
 	// wal, when non-nil, durably logs every accepted mutation so the server
-	// can be rebuilt between snapshots (see recover.go / Recover, and
+	// can be rebuilt from its directory (see recover.go / Recover, and
 	// package wal). Attached once by attachWAL before the server takes
 	// traffic.
 	wal *wal.WAL
@@ -241,17 +242,12 @@ func (sv *Server) release(numTasks int) {
 	sv.tasks.Add(int64(-numTasks))
 }
 
-// attachWAL wires w into the server and every shard, and arms the WAL's
-// automatic checkpoint policy when its options request one. It must run
-// before the server takes any traffic (Recover, the only caller, does);
-// attaching to a live server would race the shards' lock-free wal reads.
+// attachWAL wires w into the server and every shard. It must run before
+// the server takes any traffic (Recover, the only caller, does); attaching
+// to a live server would race the shards' lock-free wal reads.
 func (sv *Server) attachWAL(w *wal.WAL) {
 	sv.wal = w
 	sv.reg.each(func(s *shard) { s.wal = w })
-	w.StartAutoCheckpoint(func() error {
-		_, _, err := sv.CheckpointWAL()
-		return err
-	})
 }
 
 // WAL returns the attached write-ahead log, nil when the server runs
@@ -333,7 +329,7 @@ func (sv *Server) stageJob(spec wire.JobSpec, pred simulator.Predictor) (uint64,
 	if spec.StragglerQuantile == 0 {
 		spec.StragglerQuantile = simulator.DefaultConfig().StragglerQuantile
 	}
-	// Resolve the refit mode before validation, logging, or snapshotting:
+	// Resolve the refit mode before validation or logging:
 	// durable state always carries a concrete strategy, so recovery refits
 	// exactly as the live server did regardless of its own configuration.
 	if spec.RefitMode == wire.RefitModeDefault {

@@ -107,15 +107,15 @@ func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, e
 	j := newJobState(spec, pred)
 	j.pool = s.pool
 	j.staleEnabled = s.degradedAfter > 0
+	var lsn uint64
 	if s.wal != nil {
-		lsn, err := s.wal.StageSpec(&spec)
-		if err != nil {
+		var err error
+		if lsn, err = s.wal.StageSpec(&spec); err != nil {
 			return 0, fmt.Errorf("serve: job %d: %w", spec.JobID, err)
 		}
-		j.lsn = lsn
 	}
 	s.jobs[spec.JobID] = j
-	return j.lsn, nil
+	return lsn, nil
 }
 
 // ingest applies one event to its job, then folds the job's counter deltas
@@ -159,19 +159,13 @@ func (s *shard) ingest(e wire.Event) (uint64, error) {
 		return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
 	}
 	termBefore, refitsBefore, durBefore, wasDone := j.terminated, j.refits, j.refitDur, j.done
-	droppedBefore := j.dropped
+	reclassifiedBefore := j.reclassified
 	err := j.handle(e)
 	dropped := errors.Is(err, errDropped)
+	// Rejected events leave no trace, counters included: handle validates
+	// before mutating, so an erroring ingest is invisible to the WAL and
+	// must be invisible to Stats too.
 	accepted := err == nil || dropped
-	if accepted {
-		// Rejected events leave no trace, counters included: handle
-		// validates before mutating, so an erroring ingest is invisible to
-		// the WAL and must be invisible to Stats too.
-		j.events++
-	}
-	if dropped {
-		j.dropped++
-	}
 	// Accepted mutations (clean applies and benign drops, which still move
 	// counters) are staged before the job lock is released, so the WAL's
 	// per-job record order is exactly the apply order. A failed stage
@@ -180,17 +174,18 @@ func (s *shard) ingest(e wire.Event) (uint64, error) {
 	var lsn uint64
 	var walErr error
 	if s.wal != nil && accepted {
-		if lsn, walErr = s.wal.StageEvent(&e); walErr == nil {
-			j.lsn = lsn
-		}
+		lsn, walErr = s.wal.StageEvent(&e)
 	}
 	termDelta := j.terminated - termBefore
 	refitDelta := j.refits - refitsBefore
 	durDelta := j.refitDur - durBefore
-	// Delta, not a boolean: applying a refit inside handle can reclassify
-	// earlier-accepted finishes of freshly terminated tasks as drops, on top
-	// of the event's own benign drop.
-	droppedDelta := j.dropped - droppedBefore
+	// Applying a refit inside handle can reclassify earlier-accepted
+	// finishes of freshly terminated tasks as drops, on top of the event's
+	// own benign drop.
+	droppedDelta := j.reclassified - reclassifiedBefore
+	if dropped {
+		droppedDelta++
+	}
 	maxDur := j.refitMax
 	nowDone := j.done
 	j.mu.Unlock()
@@ -265,7 +260,6 @@ func (s *shard) query(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVer
 	for _, id := range taskIDs {
 		dst = append(dst, j.verdict(id))
 	}
-	j.queries += uint64(len(taskIDs))
 	j.mu.Unlock()
 	s.queries.Add(uint64(len(taskIDs)))
 	return dst, nil
@@ -322,51 +316,6 @@ func (s *shard) jobIDs() []uint64 {
 		ids = append(ids, id)
 	}
 	return ids
-}
-
-// install registers a restored job and folds the traffic counters it
-// carried through the snapshot into the shard's, so Stats after
-// RestoreServer report the same cumulative activity the snapshotted server
-// did (minus any jobs dropped before the snapshot, whose contributions die
-// with their state).
-func (s *shard) install(j *jobState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[j.spec.JobID]; ok {
-		return fmt.Errorf("serve: restore: job %d already registered", j.spec.JobID)
-	}
-	j.pool = s.pool
-	j.staleEnabled = s.degradedAfter > 0
-	// Rebuild the degraded-query view from the restored published model:
-	// staleness flags survive snapshot/restore and WAL recovery because the
-	// view is recomputed from durable state (generation, tasks, published
-	// model), never persisted itself.
-	j.mu.Lock()
-	j.refreshStale()
-	j.mu.Unlock()
-	s.pool.warmFits.Add(j.warmFits)
-	s.pool.scratchFits.Add(j.scratchFits)
-	// A snapshot taken with a refit in flight recorded one more captured
-	// view than applied refits; resume that fit through the pipeline so the
-	// restored job behaves exactly as the live one did — the verdicts land
-	// at the same boundary the live server would have applied them at.
-	if n := len(j.history); n == j.refits+1 {
-		j.startRefit(j.history[n-1], j.history[n-1].Index)
-	}
-	s.jobs[j.spec.JobID] = j
-	s.events.Add(j.events)
-	s.dropped.Add(j.dropped)
-	s.queries.Add(j.queries)
-	s.terminations.Add(uint64(j.terminated))
-	if j.refits > 0 {
-		s.refits.Add(uint64(j.refits))
-		s.refitDur.Add(int64(j.refitDur))
-		atomicMax(&s.refitMax, int64(j.refitMax))
-	}
-	if j.done {
-		s.finished.Add(1)
-	}
-	return nil
 }
 
 // addStats accumulates this shard's counters into st.

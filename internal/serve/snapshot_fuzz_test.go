@@ -1,12 +1,10 @@
 package serve
 
-// FuzzSnapshotRestore covers the decode surface that stayed in serve when
-// the frame codec moved to internal/wire: the snapshot payload decoders
-// (decodeSnapJob, decodeCheckpointPayload) and the whole-stream
-// RestoreServer path. The invariants mirror wire's FuzzWireDecode — no
-// panic on any input, and an accepted checkpoint payload re-encodes to
-// exactly the consumed bytes — plus restore's own contract: a server or an
-// error, never a half-built registry.
+// FuzzSnapshotRestore covers RestoreServer's decode surface: a snapshot is a
+// wire dump, and every frame of it goes through the one spec/event/drop
+// applier recovery uses. The invariants: no panic on any input, and restore
+// yields a server or an error, never a half-built registry whose budget
+// disagrees with its jobs.
 
 import (
 	"bytes"
@@ -16,19 +14,32 @@ import (
 )
 
 func FuzzSnapshotRestore(f *testing.F) {
-	// The cheap flag-all predictor keeps each exec's restore at decode cost:
-	// checkpoint history and frame layout are identical to a NURD server's
-	// (the serving core records history, not the model), so the decoders see
-	// the same bytes without paying a model refit per fuzz input.
-	jobs, sims := smallJobs(f, 2, 53)
-	sv := NewServer(cheapCfg(2))
-	for i := range jobs {
-		if err := sv.StartJob(SpecFor(sims[i], uint64(i+1)), nil); err != nil {
+	// Tiny seed: two three-task jobs, the first dropped, under the cheap
+	// flag-all predictor, so each exec costs a decode and a few applies, and
+	// minimizing a mutation takes few executions.
+	sv := durable(f, cheapCfg(2))
+	for id := uint64(1); id <= 2; id++ {
+		sp := wire.JobSpec{JobID: id, Schema: []string{"cpu", "mem"}, NumTasks: 3, TauStra: 10,
+			StragglerQuantile: 0.9, Horizon: 10, Checkpoints: 4, WarmFrac: 0.2, Seed: id}
+		if err := sv.StartJob(sp, nil); err != nil {
 			f.Fatal(err)
 		}
-		if err := sv.IngestBatch(JobEvents(jobs[i], sims[i])); err != nil {
+		for tid := 0; tid < sp.NumTasks; tid++ {
+			evs := []wire.Event{
+				{Kind: wire.EventTaskStart, JobID: id, TaskID: tid, Time: float64(tid)},
+				{Kind: wire.EventHeartbeat, JobID: id, TaskID: tid, Time: float64(tid) + 0.5, Tick: 1, Features: []float64{1, 2}},
+				{Kind: wire.EventTaskFinish, JobID: id, TaskID: tid, Time: float64(tid) + 3, Latency: 3},
+			}
+			if err := sv.IngestBatch(evs); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := sv.FinishJob(id, 20); err != nil {
 			f.Fatal(err)
 		}
+	}
+	if err := sv.DropJob(1); err != nil {
+		f.Fatal(err)
 	}
 	var snap bytes.Buffer
 	if err := sv.Snapshot(&snap); err != nil {
@@ -37,32 +48,25 @@ func FuzzSnapshotRestore(f *testing.F) {
 	enc := snap.Bytes()
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])
-	f.Add(enc[wire.HeaderLen:])
+	f.Add(enc[len(enc)/3:])
 	mut := append([]byte(nil), enc...)
 	mut[len(mut)/2] ^= 0x40
 	f.Add(mut)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Stream layer: restore terminates with a server or an error.
-		if sv, err := RestoreServer(bytes.NewReader(data), cheapCfg(1)); err == nil && sv == nil {
-			t.Fatal("RestoreServer returned nil server with nil error")
-		}
-
-		// Frame layer: canonical re-encode when a snapshot payload decodes.
-		kind, payload, n, err := wire.DecodeFrame(data)
+		cfg := cheapCfg(1)
+		cfg.MaxTasks = 1 << 12 // hostile-but-valid specs fail typed, not by allocating
+		restored, err := RestoreServer(bytes.NewReader(data), cfg)
 		if err != nil {
 			return
 		}
-		switch kind {
-		case wire.FrameSnapCheckpoint:
-			if cp, err := decodeCheckpointPayload(payload); err == nil {
-				if re := appendCheckpointPayload(nil, cp); !bytes.Equal(wire.AppendFrame(nil, kind, re), data[:n]) {
-					t.Fatalf("checkpoint re-encode diverges from input")
-				}
-			}
-		case wire.FrameSnapJob:
-			_, _, _ = decodeSnapJob(payload) // must not panic
+		if restored == nil {
+			t.Fatal("RestoreServer returned nil server with nil error")
+		}
+		jobs, _ := restored.Budget()
+		if got := len(restored.JobIDs()); jobs != int64(got) {
+			t.Fatalf("job budget %d, %d jobs registered", jobs, got)
 		}
 	})
 }

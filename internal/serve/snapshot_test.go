@@ -8,8 +8,22 @@ import (
 	"time"
 
 	"repro/internal/simulator"
+	"repro/internal/wal"
+	"repro/internal/wal/waltest"
 	"repro/internal/wire"
 )
+
+// durable builds an empty server logging to a write-ahead log on an
+// in-memory filesystem: a snapshot is that log's compacted base.
+func durable(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	sv, w, _, err := Recover("wal", cfg, wal.Options{FS: waltest.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return sv
+}
 
 // allTaskIDs returns 0..n-1 plus one out-of-range probe.
 func allTaskIDs(n int) []int {
@@ -46,10 +60,10 @@ func coreOf(r *JobReport) reportCore {
 // that never died. Mid-crash queries are also checked: immediately after
 // restore, the revived server answers exactly as the dying one did. Runs in
 // both refit modes: the async pipeline makes the halfway cut routinely land
-// with a refit in flight (the pending view travels through the snapshot and
-// resumes on the restored server), and warm mode additionally proves the
-// extended-ensemble chain replays bit-identically from recorded views. The
-// restore config deliberately omits the mode — the snapshot's specs carry it.
+// with a refit in flight (replaying the stream leaves the same fit pending
+// on the restored server), and warm mode additionally proves the
+// extended-ensemble chain replays bit-identically. The restore config
+// deliberately omits the mode — the snapshot's specs carry it.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	for _, mode := range []wire.RefitMode{wire.RefitScratch, wire.RefitWarm} {
 		mode := mode
@@ -91,7 +105,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 	}
 
 	// The interrupted run: half the stream, snapshot, crash.
-	svB := NewServer(Config{Shards: 4})
+	svB := durable(t, Config{Shards: 4})
 	start(svB)
 	for i := range streams {
 		if err := svB.IngestBatch(streams[i][:len(streams[i])/2]); err != nil {
@@ -182,8 +196,8 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 		}
 	}
 
-	// Cumulative traffic counters carried through the snapshot: the
-	// restored server's totals equal the uninterrupted server's.
+	// Cumulative traffic counters rebuilt by the replay: the restored
+	// server's totals equal the uninterrupted server's.
 	stA, stC := svA.Stats(), svC.Stats()
 	if stA.Events != stC.Events || stA.DroppedEvents != stC.DroppedEvents ||
 		stA.Terminations != stC.Terminations || stA.Refits != stC.Refits ||
@@ -194,11 +208,11 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 
 // TestSnapshotOfFinishedServer covers the simpler durability case: a
 // snapshot taken after all streams closed restores to a server whose
-// reports and verdicts match, and which is itself snapshottable again
-// (snapshot-of-restore round-trips).
+// reports and verdicts match, and a durable server that loads it snapshots
+// to the same bytes (snapshot-of-restore round-trips).
 func TestSnapshotOfFinishedServer(t *testing.T) {
 	jobs, sims := smallJobs(t, 2, 37)
-	sv := NewServer(Config{Shards: 2})
+	sv := durable(t, Config{Shards: 2})
 	for i := range jobs {
 		s, _ := nurdSeed(t, 37, i)
 		if err := sv.StartJob(SpecFor(sims[i], s), nil); err != nil {
@@ -234,15 +248,18 @@ func TestSnapshotOfFinishedServer(t *testing.T) {
 			t.Errorf("job %d: restored verdicts diverge", i)
 		}
 	}
-	// The restored server is itself durable: snapshot it again and the
-	// stream restores once more (no state is lost in the round-trip).
-	var snap2 bytes.Buffer
-	if err := restored.Snapshot(&snap2); err != nil {
+	// The snapshot is itself a durable stream: a logging server that loads
+	// it snapshots to the same bytes (no state is lost in the round-trip).
+	again := durable(t, Config{Shards: 5})
+	if err := again.replay(bytes.NewReader(snap1.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	again, err := RestoreServer(bytes.NewReader(snap2.Bytes()), Config{Shards: 5})
-	if err != nil {
+	var snap2 bytes.Buffer
+	if err := again.Snapshot(&snap2); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(snap1.Bytes(), snap2.Bytes()) {
+		t.Errorf("second-generation snapshot: %d bytes differ from the first's %d", snap2.Len(), snap1.Len())
 	}
 	if got, want := again.Stats().Events, sv.Stats().Events; got != want {
 		t.Errorf("second-generation restore counts %d events, want %d", got, want)
@@ -254,7 +271,7 @@ func TestSnapshotOfFinishedServer(t *testing.T) {
 // is rejected with ErrOverloaded instead of over-committing memory.
 func TestRestoreObeysBudget(t *testing.T) {
 	_, sims := smallJobs(t, 2, 71)
-	sv := NewServer(Config{Shards: 1})
+	sv := durable(t, Config{Shards: 1})
 	for i := range sims {
 		if err := sv.StartJob(SpecFor(sims[i], uint64(i+1)), nil); err != nil {
 			t.Fatal(err)
@@ -273,10 +290,14 @@ func TestRestoreObeysBudget(t *testing.T) {
 }
 
 // TestSnapshotEmptyServer: a job-less server snapshots to a valid stream
-// that restores to a job-less server.
+// that restores to a job-less server, and a server without a write-ahead
+// log has no snapshot to give (ErrNoWAL).
 func TestSnapshotEmptyServer(t *testing.T) {
+	if err := NewServer(Config{Shards: 2}).Snapshot(&bytes.Buffer{}); !errors.Is(err, ErrNoWAL) {
+		t.Errorf("snapshot without a WAL: %v (want ErrNoWAL)", err)
+	}
 	var snap bytes.Buffer
-	if err := NewServer(Config{Shards: 2}).Snapshot(&snap); err != nil {
+	if err := durable(t, Config{Shards: 2}).Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Len() == 0 {
@@ -292,11 +313,11 @@ func TestSnapshotEmptyServer(t *testing.T) {
 }
 
 // TestRestoreRejectsBadStreams: restore must fail loudly on truncated
-// snapshots, event streams (the other stream type), and garbage — never
-// construct a half-restored server.
+// snapshots, WAL-only frames, streams no server accepted, and garbage —
+// never construct a half-restored server.
 func TestRestoreRejectsBadStreams(t *testing.T) {
 	jobs, sims := smallJobs(t, 1, 41)
-	sv := NewServer(Config{Shards: 1})
+	sv := durable(t, Config{Shards: 1})
 	if err := sv.StartJob(SpecFor(sims[0], 1), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -314,54 +335,51 @@ func TestRestoreRejectsBadStreams(t *testing.T) {
 	if _, err := RestoreServer(bytes.NewReader(nil), DefaultConfig()); !errors.Is(err, wire.ErrTruncated) {
 		t.Errorf("empty stream: %v (want ErrTruncated)", err)
 	}
-	var dump bytes.Buffer
-	if err := wire.WriteDump(&dump, []wire.JobSpec{SpecFor(sims[0], 1)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreServer(bytes.NewReader(dump.Bytes()), DefaultConfig()); !errors.Is(err, wire.ErrCorrupt) {
-		t.Errorf("spec/event stream as snapshot: %v (want ErrCorrupt)", err)
+	var seg wire.Enc
+	wire.AppendSegHeaderPayload(&seg, 1, 0)
+	segStream := wire.AppendFrame(wire.AppendHeader(nil), wire.FrameSegHeader, seg.B)
+	if _, err := RestoreServer(bytes.NewReader(segStream), DefaultConfig()); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("segment header as snapshot: %v (want ErrCorrupt)", err)
 	}
 	if _, err := RestoreServer(bytes.NewReader([]byte("not a snapshot at all")), DefaultConfig()); !errors.Is(err, wire.ErrBadMagic) {
 		t.Errorf("garbage: %v (want ErrBadMagic)", err)
 	}
 
-	// Hostile counters: a snapshot claiming negative terminations must be
-	// rejected before it can wrap the shard's unsigned totals.
-	hostile := newJobState(SpecFor(sims[0], 1), &flagAll{})
-	hostile.terminated = -1
-	badSnap, err := appendSnapJobFrame(wire.AppendHeader(nil), hostile)
-	if err != nil {
+	// An event for a job the stream never registered is not a stream a
+	// server accepted.
+	var orphan bytes.Buffer
+	if err := wire.WriteDump(&orphan, nil, JobEvents(jobs[0], sims[0])[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreServer(bytes.NewReader(badSnap), DefaultConfig()); !errors.Is(err, wire.ErrCorrupt) {
-		t.Errorf("negative terminated counter: %v (want ErrCorrupt)", err)
+	if _, err := RestoreServer(bytes.NewReader(orphan.Bytes()), DefaultConfig()); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("event without its spec: %v (want ErrUnknownJob)", err)
 	}
 
-	// A task feature vector wider than the schema must be rejected at
-	// restore, not surface checkpoints later as a predictor dimension error.
-	wide := newJobState(SpecFor(sims[0], 1), &flagAll{})
-	wide.tasks[0].started = true
-	wide.tasks[0].features = []float64{1, 2, 3, 4}
-	wideSnap, err := appendSnapJobFrame(wire.AppendHeader(nil), wide)
-	if err != nil {
+	// A heartbeat wider than the schema fails at restore, not checkpoints
+	// later as a predictor dimension error.
+	spec := SpecFor(sims[0], 1)
+	wide := []wire.Event{
+		{Kind: wire.EventTaskStart, JobID: spec.JobID, TaskID: 0},
+		{Kind: wire.EventHeartbeat, JobID: spec.JobID, TaskID: 0, Time: 1, Tick: 1, Features: make([]float64, len(spec.Schema)+1)},
+	}
+	var wideDump bytes.Buffer
+	if err := wire.WriteDump(&wideDump, []wire.JobSpec{spec}, wide); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreServer(bytes.NewReader(wideSnap), DefaultConfig()); !errors.Is(err, wire.ErrCorrupt) {
-		t.Errorf("schema-mismatched features: %v (want ErrCorrupt)", err)
+	if _, err := RestoreServer(bytes.NewReader(wideDump.Bytes()), DefaultConfig()); err == nil {
+		t.Error("schema-mismatched features restored silently")
 	}
 
-	// Restoring the same snapshot twice into one reader sequence works, but
-	// two copies of the same job in one stream must be rejected.
+	// Two copies of the same job in one stream must be rejected.
 	doubled := append(append([]byte(nil), snap.Bytes()...), snap.Bytes()[wire.HeaderLen:]...)
 	if _, err := RestoreServer(bytes.NewReader(doubled), DefaultConfig()); err == nil {
-		t.Error("snapshot with a duplicated job section restored silently")
+		t.Error("snapshot with a duplicated job restored silently")
 	}
 }
 
-// stallingWriter accepts its first write (the stream header), closes
-// entered on the second, and blocks every later write on gate until it is
-// closed — a stand-in for a stalled GET /snapshot client under TCP
-// backpressure.
+// stallingWriter closes entered on its first write and blocks it, and every
+// later one, on gate until gate is closed — a stand-in for a stalled GET
+// /snapshot client under TCP backpressure.
 type stallingWriter struct {
 	writes  int
 	entered chan struct{}
@@ -370,23 +388,21 @@ type stallingWriter struct {
 
 func (w *stallingWriter) Write(p []byte) (int, error) {
 	w.writes++
-	if w.writes == 2 {
+	if w.writes == 1 {
 		close(w.entered)
 	}
-	if w.writes > 1 {
-		<-w.gate
-	}
+	<-w.gate
 	return len(p), nil
 }
 
 // TestSnapshotStalledWriterDoesNotBlockIngest pins the locking discipline of
-// Snapshot: job sections are buffered under the job lock but written with it
-// released, so a snapshot destination that stalls indefinitely must not
-// block the job's ingest path.
+// Snapshot: it streams the log's base without holding any job lock, so a
+// snapshot destination that stalls indefinitely must not block the job's
+// ingest path.
 func TestSnapshotStalledWriterDoesNotBlockIngest(t *testing.T) {
 	jobs, sims := smallJobs(t, 1, 61)
 	cfg := Config{Shards: 1, NewPredictor: func(wire.JobSpec) simulator.Predictor { return &flagAll{} }}
-	sv := NewServer(cfg)
+	sv := durable(t, cfg)
 	events := JobEvents(jobs[0], sims[0])
 	if err := sv.StartJob(SpecFor(sims[0], 1), nil); err != nil {
 		t.Fatal(err)
@@ -398,7 +414,7 @@ func TestSnapshotStalledWriterDoesNotBlockIngest(t *testing.T) {
 	w := &stallingWriter{entered: make(chan struct{}), gate: make(chan struct{})}
 	snapDone := make(chan error, 1)
 	go func() { snapDone <- sv.Snapshot(w) }()
-	<-w.entered // the job frame is buffered and the job lock released
+	<-w.entered // the checkpoint is taken and its base is being streamed
 
 	ingested := make(chan error, 1)
 	go func() { ingested <- sv.IngestBatch(events[len(events)/2:]) }()
@@ -424,7 +440,7 @@ func TestSnapshotStalledWriterDoesNotBlockIngest(t *testing.T) {
 func TestSnapshotMidStreamIsIngestable(t *testing.T) {
 	jobs, sims := smallJobs(t, 1, 43)
 	cfg := Config{Shards: 1, NewPredictor: func(wire.JobSpec) simulator.Predictor { return &flagAll{} }}
-	sv := NewServer(cfg)
+	sv := durable(t, cfg)
 	events := JobEvents(jobs[0], sims[0])
 	if err := sv.StartJob(SpecFor(sims[0], 1), nil); err != nil {
 		t.Fatal(err)

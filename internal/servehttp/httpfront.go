@@ -26,8 +26,11 @@ package servehttp
 //	                include a "WAL" object (segments, next_lsn, appends,
 //	                pending_bytes, fsync_lag_ns, retired_segments) so
 //	                operators can watch durability lag alongside traffic.
-//	GET  /snapshot  the server's full snapshot as a binary wire stream
-//	                (restorable with RestoreServer).
+//	GET  /snapshot  a checkpoint's base as a binary wire stream: a dump of
+//	                every live job's spec and event frames, loadable by
+//	                RestoreServer, nurdserve -replay or POST /ingest.
+//	                Needs a write-ahead log: a server without one (no
+//	                -wal) answers 409.
 //
 // Error mapping: malformed wire bodies and unparseable parameters are 400;
 // events or queries for unregistered jobs are 404 (serve.ErrUnknownJob);
@@ -87,7 +90,8 @@ type Backend interface {
 	Stats() serve.Stats
 	RetryHint() int
 	Config() serve.Config
-	// Snapshot streams the backend's whole state; GET /snapshot serves it.
+	// Snapshot streams the backend's durable image (serve.ErrNoWAL without
+	// a write-ahead log); GET /snapshot serves it.
 	Snapshot(w io.Writer) error
 }
 
@@ -459,8 +463,13 @@ func (f *front) snapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	} else if !sw.wrote {
 		// Clean failure: nothing reached the wire, so a real status code
-		// still can.
-		http.Error(w, errBody(http.StatusInternalServerError, err), http.StatusInternalServerError)
+		// still can. A server without a WAL has no snapshot to give (409,
+		// naming -wal); anything else is the server's fault.
+		code := http.StatusInternalServerError
+		if errors.Is(err, serve.ErrNoWAL) {
+			code = http.StatusConflict
+		}
+		http.Error(w, errBody(code, err), code)
 	} else {
 		// Bytes are already on the wire under an implicit 200. http.Error
 		// here would both log a superfluous WriteHeader and append error

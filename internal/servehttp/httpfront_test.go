@@ -61,6 +61,18 @@ func getJSON(t testing.TB, ts *httptest.Server, path string, out any) *http.Resp
 	return resp
 }
 
+// durable builds an empty server logging to a write-ahead log on an
+// in-memory filesystem: GET /snapshot streams that log's compacted base.
+func durable(t testing.TB, cfg serve.Config) *serve.Server {
+	t.Helper()
+	sv, w, _, err := serve.Recover("wal", cfg, wal.Options{FS: waltest.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return sv
+}
+
 // TestHTTPFront covers the full request surface: batch ingest, query,
 // report, stats, snapshot, and every documented error path.
 func TestHTTPFront(t *testing.T) {
@@ -68,7 +80,7 @@ func TestHTTPFront(t *testing.T) {
 	job, sim := jobs[0], sims[0]
 	spec := serve.SpecFor(sim, 5)
 	events := serve.JobEvents(job, sim)
-	sv := serve.NewServer(serve.Config{Shards: 2})
+	sv := durable(t, serve.Config{Shards: 2})
 	ts := httptest.NewServer(NewHandler(sv))
 	defer ts.Close()
 
@@ -172,11 +184,23 @@ func TestHTTPErrors(t *testing.T) {
 		{"query unknown job", get("/query?job=424242&tasks=0"), http.StatusNotFound},
 		{"report without job", get("/report"), http.StatusBadRequest},
 		{"report unknown job", get("/report?job=424242"), http.StatusNotFound},
+		{"snapshot without a WAL", get("/snapshot"), http.StatusConflict},
 	}
 	for _, c := range cases {
 		if c.got != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, c.got, c.want)
 		}
+	}
+
+	// The 409 says what the snapshot needs.
+	sresp, err := ts.Client().Get(ts.URL + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	if !strings.Contains(string(body), "-wal") {
+		t.Errorf("snapshot without a WAL: body %q does not name -wal", body)
 	}
 
 	// Malformed body: not a wire stream at all.
@@ -367,7 +391,7 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 // never append error text to the partial wire stream.
 func TestSnapshotMidStreamAbort(t *testing.T) {
 	jobs, sims := servetest.SmallJobs(t, 1, 83)
-	sv := serve.NewServer(serve.Config{Shards: 1})
+	sv := durable(t, serve.Config{Shards: 1})
 	if err := sv.StartJob(serve.SpecFor(sims[0], 3), nil); err != nil {
 		t.Fatal(err)
 	}

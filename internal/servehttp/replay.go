@@ -45,7 +45,7 @@ func (st ReplayStats) Rate() float64 {
 // Replay streams a recorded dump from r into sv. Spec frames register jobs
 // (through the server's predictor factory); event frames are ingested in
 // dump order. The first skip elements (specs and events combined, in dump
-// order) are decoded but not applied: a server recovered from snapshot+WAL
+// order) are decoded but not applied: a server recovered from its WAL
 // reports how many mutations it already holds (RecoveryStats.NextLSN-1), and
 // passing that as skip continues the same dump without double-applying a
 // single element (each accepted dump element is exactly one WAL record). The

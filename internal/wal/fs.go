@@ -79,19 +79,23 @@ func (osFS) SyncDir(dir string) error {
 	return err
 }
 
-// segment / snapshot file naming inside the WAL directory.
+// File naming inside the WAL directory: log segments, and the base each
+// checkpoint writes — the compacted log below its floor, a plain wire dump
+// of spec and event frames (GET /snapshot streams it; nurdserve -replay
+// loads it). SnapPrefix and SnapSuffix name the base.
 const (
 	SegPrefix  = "log-"
 	SegSuffix  = ".seg"
-	SnapPrefix = "snap-"
-	SnapSuffix = ".snap"
+	SnapPrefix = "base-"
+	SnapSuffix = ".dump"
 	TmpSuffix  = ".tmp"
 )
 
 // SegName names a log segment: log-<stamp>.seg.
 func SegName(stamp uint64) string { return fmt.Sprintf("%s%016x%s", SegPrefix, stamp, SegSuffix) }
 
-func SnapName(lsn uint64) string { return fmt.Sprintf("%s%016x%s", SnapPrefix, lsn, SnapSuffix) }
+// SnapName names a checkpoint's base: base-<floor>.dump.
+func SnapName(floor uint64) string { return fmt.Sprintf("%s%016x%s", SnapPrefix, floor, SnapSuffix) }
 
 func ParseSeq(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
@@ -112,6 +116,10 @@ func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
+	return matching(names, prefix, suffix), nil
+}
+
+func matching(names []string, prefix, suffix string) []Entry {
 	var out []Entry
 	for _, n := range names {
 		if seq, ok := ParseSeq(n, prefix, suffix); ok {
@@ -119,35 +127,51 @@ func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out, nil
+	return out
 }
 
-// ListSegs lists dir's log segments in ascending stamp order. Any entry of
-// a log layout this package does not read fails the listing, naming it,
-// rather than recover around history it cannot see: any *.seg name but
-// log-<stamp>.seg (an earlier writer's wal-0000-<stamp>.seg, wal-<k>-*.seg,
-// wal-<lsn>.seg or commit-<stamp>.seg), or a node-<digits> entry (the
-// multi-node layout's per-node subdirectory). Other names are not the log's
-// and are ignored.
-func ListSegs(fs FS, dir string) ([]Entry, error) {
+// ListSegs lists dir's log segments in ascending stamp order. A directory
+// holding an entry of a layout this package does not read fails the
+// listing, naming it (see refuseRetired).
+func ListSegs(fs FS, dir string) ([]Entry, error) { return listChecked(fs, dir, SegPrefix, SegSuffix) }
+
+// Snapshots lists dir's checkpoint bases in ascending floor order, failing
+// as ListSegs does.
+func Snapshots(fs FS, dir string) ([]Entry, error) {
+	return listChecked(fs, dir, SnapPrefix, SnapSuffix)
+}
+
+func listChecked(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var segs []Entry
+	if err := refuseRetired(names); err != nil {
+		return nil, err
+	}
+	return matching(names, prefix, suffix), nil
+}
+
+// refuseRetired fails on the first entry of a layout this build does not
+// read, naming it, rather than recover around history it cannot see: any
+// *.seg name but log-<stamp>.seg (an earlier writer's wal-0000-<stamp>.seg,
+// wal-<k>-*.seg, wal-<lsn>.seg or commit-<stamp>.seg), a snap-*.snap file
+// of the retired snapshot format, or a node-<digits> entry (the multi-node
+// layout's per-node subdirectory). Other names are not the log's and are
+// ignored.
+func refuseRetired(names []string) error {
 	for _, n := range names {
-		stamp, ok := ParseSeq(n, SegPrefix, SegSuffix)
+		_, ok := ParseSeq(n, SegPrefix, SegSuffix)
 		switch {
-		case ok:
-			segs = append(segs, Entry{Name: n, Seq: stamp})
-		case strings.HasSuffix(n, SegSuffix):
-			return nil, fmt.Errorf("%s is a segment of an earlier log layout, which this build no longer reads; it reads log-<stamp>.seg", n)
+		case !ok && strings.HasSuffix(n, SegSuffix):
+			return fmt.Errorf("%s is a segment of an earlier log layout, which this build no longer reads; it reads log-<stamp>.seg", n)
+		case strings.HasPrefix(n, "snap-") && strings.HasSuffix(n, ".snap"):
+			return fmt.Errorf("%s is a snapshot of the retired snapshot format, which this build no longer reads; it reads base-<floor>.dump", n)
 		case isNodeSubdir(n):
-			return nil, fmt.Errorf("%s is a per-node directory of the multi-node layout, which this build no longer reads; recover it as its own -wal directory", n)
+			return fmt.Errorf("%s is a per-node directory of the multi-node layout, which this build no longer reads; recover it as its own -wal directory", n)
 		}
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].Seq < segs[b].Seq })
-	return segs, nil
+	return nil
 }
 
 // isNodeSubdir reports whether name is node-<3 or more digits>, the per-node

@@ -1,10 +1,10 @@
 package wal_test
 
 // golden_test.go pins what a recovery reads from a directory this build
-// wrote: testdata/log holds the log and snapshots of one seeded op sequence
-// (request bodies, single mutations, an early FinishJob, a DropJob, a
-// checkpoint, and a torn tail), and testdata/log.golden.json what recovering
-// and verifying it yields. A format change that reads old directories
+// wrote: testdata/log holds the log and bases of one seeded op sequence
+// (request bodies, single mutations, an early FinishJob, a DropJob, two
+// checkpoints, and a torn tail), and testdata/log.golden.json what
+// recovering and verifying it yields. A format change that reads old directories
 // differently fails here; `go test ./internal/wal -run TestRecoverLogDirectory
 // -update` rewrites both from writeLogDir.
 
@@ -27,9 +27,9 @@ var update = flag.Bool("update", false, "rewrite testdata/log and testdata/log.g
 // recovered job's verdicts and report.
 type logGolden struct {
 	Recovery struct {
-		SnapshotLSN, NextLSN                 uint64
-		Segments, Applied, Skipped, Orphaned int
-		TornTail                             bool
+		SnapshotLSN, NextLSN       uint64
+		Segments, Applied, Skipped int
+		TornTail                   bool
 	}
 	Verify struct {
 		SnapshotLSN, NextLSN uint64
@@ -49,8 +49,9 @@ type logJob struct {
 // writeLogDir runs the seeded op sequence behind testdata/log into the
 // empty directory dir: the first third of a 5-job feed as 32-frame request
 // bodies; job 1 finished early by FinishJob and dropped (its later events
-// are left out); a checkpoint; the second third as single mutations; the
-// rest as bodies again. The log is closed, then its newest segment loses
+// are left out); a checkpoint; the second third as single mutations; a
+// second checkpoint, which keeps the first base and the log above its floor
+// as the fallback; the rest as bodies again. The log is closed, then its newest segment loses
 // its last 5 bytes — a torn tail inside the final record.
 func writeLogDir(t testing.TB, dir string) {
 	feed, specs := tortureFeed(t, 5, 211)
@@ -97,6 +98,9 @@ func writeLogDir(t testing.TB, dir string) {
 			t.Fatal(err)
 		}
 	}
+	if _, _, err := sv.CheckpointWAL(); err != nil {
+		t.Fatal(err)
+	}
 	post(feed[2*third:])
 	if err := wlog.Close(); err != nil {
 		t.Fatal(err)
@@ -131,7 +135,7 @@ func readLogDir(t testing.TB, dir string) logGolden {
 	defer wlog.Close()
 	got.Recovery.SnapshotLSN, got.Recovery.NextLSN = rst.SnapshotLSN, rst.NextLSN
 	got.Recovery.Segments, got.Recovery.Applied = rst.SegmentsScanned, rst.RecordsApplied
-	got.Recovery.Skipped, got.Recovery.Orphaned, got.Recovery.TornTail = rst.RecordsSkipped, rst.RecordsOrphaned, rst.TornTail
+	got.Recovery.Skipped, got.Recovery.TornTail = rst.RecordsSkipped, rst.TornTail
 	for _, id := range sv.JobIDs() {
 		r, err := sv.Report(id)
 		if err != nil {
@@ -183,6 +187,6 @@ func TestRecoverLogDirectoryUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !g.Recovery.TornTail || g.Recovery.Applied == 0 || g.Recovery.Skipped == 0 || g.Recovery.SnapshotLSN == 0 || len(g.Jobs) != 4 {
-		t.Errorf("golden no longer covers a torn tail, skipped and applied records, a snapshot and one dropped job of five: %+v", g.Recovery)
+		t.Errorf("golden no longer covers a torn tail, skipped and applied records, a base and one dropped job of five: %+v", g.Recovery)
 	}
 }

@@ -1,7 +1,8 @@
 package wal_test
 
 // lsn_test.go pins the log's record format from both ends: a log written by
-// replaying a dump is that dump's frames (TestLogIsItsDump), and the LSN a
+// replaying a dump is that dump's frames, and so is the base a checkpoint
+// compacts it into (TestLogIsItsDump), and the LSN a
 // record is read back at — its segment's stamp plus its ordinal — is the LSN
 // the write call returned for it, across rotation, torn tails, header-only
 // segments and the power-loss jump (TestDerivedLSNsMatchIssued).
@@ -27,7 +28,9 @@ import (
 // an empty WAL directory. With each segment's stream header and segment
 // header stripped, the log is the dump: its event frames byte for byte, and
 // its spec frames as StartJob registered them (Checkpoints, WarmFrac,
-// StragglerQuantile and RefitMode defaulted).
+// StragglerQuantile and RefitMode defaulted). A checkpoint's base is the same
+// frames behind one stream header, and replaying it through servehttp.Replay
+// rebuilds the never-crashed server's reports and verdicts.
 func TestLogIsItsDump(t *testing.T) {
 	specs, streams := walWorkload(t, 3, 151)
 	// A dump may leave the monitoring parameters to StartJob's defaults.
@@ -45,9 +48,6 @@ func TestLogIsItsDump(t *testing.T) {
 	}
 	st, err := servehttp.Replay(sv, bytes.NewReader(dump.Bytes()), 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wlog.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if st.Specs != len(specs) || st.Shed != 0 {
@@ -76,6 +76,15 @@ func TestLogIsItsDump(t *testing.T) {
 			t.Fatalf("%s opens with frame kind %d (%v), not its segment header", seg.Name, kind, err)
 		}
 		log = append(log, b[off+n:]...)
+	}
+
+	base, _, err := sv.CheckpointWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := captureState(t, sv, specs)
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	var want []byte
@@ -117,6 +126,22 @@ func TestLogIsItsDump(t *testing.T) {
 		}
 		t.Fatalf("the log (%d bytes past its segment headers) differs from the defaulted dump (%d bytes) at byte %d",
 			len(log), len(want), at)
+	}
+
+	b, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, append(wire.AppendHeader(nil), want...)) {
+		t.Fatalf("the base %s (%d bytes) is not the log's frames behind a stream header (%d bytes)",
+			filepath.Base(base), len(b), wire.HeaderLen+len(want))
+	}
+	restored := serve.NewServer(servetest.CheapConfig(3))
+	if _, err := servehttp.Replay(restored, bytes.NewReader(b), 0); err != nil {
+		t.Fatal(err)
+	}
+	if d := ref.diff(captureState(t, restored, specs)); d != "" {
+		t.Fatalf("the base replayed through servehttp.Replay: %s", d)
 	}
 }
 

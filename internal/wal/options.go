@@ -26,9 +26,9 @@ type Options struct {
 	// either way — records reach the OS before they are acknowledged).
 	SyncEvery time.Duration
 	// CheckpointEvery arms the automatic checkpoint policy's wall-clock
-	// trigger: a background goroutine stamps a snapshot into the WAL
-	// directory (exactly like Server.CheckpointWAL) at this period.
-	// 0 disables the timer.
+	// trigger: a background goroutine compacts the log into a new base
+	// (exactly like Server.CheckpointWAL) at this period. 0 disables the
+	// timer.
 	CheckpointEvery time.Duration
 	// CheckpointBytes arms the automatic checkpoint policy's size trigger:
 	// a checkpoint is taken once this many bytes have been appended since

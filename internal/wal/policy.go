@@ -1,25 +1,16 @@
 package wal
 
 // policy.go is the automatic checkpoint policy: the timer and size triggers
-// that decide when the owner's checkpoint runs.
+// that decide when the log checkpoints itself.
 
 import (
 	"time"
 )
 
-// StartAutoCheckpoint arms the background checkpoint policy. run is the
-// owner's checkpoint procedure (the serving node's CheckpointWAL); the WAL
-// only decides *when* to fire it — the layering keeps this package ignorant
-// of what a checkpoint contains. Called by the owner before taking traffic.
-func (w *WAL) StartAutoCheckpoint(run func() error) {
-	if w.opts.CheckpointEvery <= 0 && w.opts.CheckpointBytes <= 0 {
-		return
-	}
-	w.bg.Add(1)
-	go w.checkpointLoop(run)
-}
-
-func (w *WAL) checkpointLoop(run func() error) {
+// checkpointLoop is the automatic checkpoint policy, started by Open when
+// Options arms a trigger: it fires Checkpoint on the timer and when the size
+// trigger pokes it, until Close.
+func (w *WAL) checkpointLoop() {
 	defer w.bg.Done()
 	var tick <-chan time.Time
 	if w.opts.CheckpointEvery > 0 {
@@ -34,11 +25,8 @@ func (w *WAL) checkpointLoop(run func() error) {
 		case <-tick:
 		case <-w.ckptCh:
 		}
-		// An idle server has nothing new to cover: re-snapshotting the same
-		// state every tick would burn full-registry serialization and disk
-		// I/O for a snapshot with an identical floor. (Explicit
-		// CheckpointWAL calls are not gated — an operator asking for a
-		// checkpoint gets one.)
+		// An idle log has nothing new to cover: a checkpoint would cut at
+		// the same floor and return the same base.
 		if w.seq.Load() == w.ckptFloor.Load() {
 			continue
 		}
@@ -48,7 +36,7 @@ func (w *WAL) checkpointLoop(run func() error) {
 		// of appends (resetting the accumulator doubles as backoff, so a
 		// persistently failing disk is not hammered once per append). The
 		// failure counter surfaces the condition in /stats.
-		if err := run(); err != nil {
+		if _, _, err := w.Checkpoint(); err != nil {
 			w.ckptFails.Add(1)
 			w.sinceCkpt.Store(0)
 			w.ckptArmed.Store(false)

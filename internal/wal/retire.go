@@ -1,18 +1,17 @@
 package wal
 
-// retire.go deletes the log a checkpoint's snapshot covers.
+// retire.go deletes the log a checkpoint's base covers.
 
 import (
 	"path/filepath"
 )
 
 // RetireBelow removes segments every record of which is below floor (their
-// contents are covered by a durable snapshot stamped at floor). A segment's
-// records end before its successor's stamp, so a segment retires once a
-// successor exists with stamp at or below the floor; the newest segment
-// (the open one, or the one the next append opens after) never retires,
-// since without a successor its extent is unknown. Returns how many
-// segments were deleted.
+// contents are covered by a durable base at floor). A segment's records end
+// before its successor's stamp, so a segment retires once a successor exists
+// with stamp at or below the floor; the newest segment (the open one, or the
+// one the next append opens after) never retires, since without a successor
+// its extent is unknown. Returns how many segments were deleted.
 func (w *WAL) RetireBelow(floor uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -1,29 +1,29 @@
 package wal
 
 // scan.go reads a WAL directory back: ScanDir replays every retained record
-// in LSN order — for serve.Recover, after it restored the newest valid
-// snapshot (snap-<lsn>.snap), and for Verify — and hands the reopened
-// writer the segment inventory it takes over.
+// in LSN order — for serve.Recover, after it replayed the newest valid base
+// (base-<floor>.dump), for Verify, and for a checkpoint's compaction — and
+// hands the reopened writer the segment inventory it takes over.
 //
 // The log is one stream of segments (log-<stamp>.seg) read in stamp order
 // by one pass. Each segment's wire.FrameSegHeader names the LSN the log
 // ended at before it, and must match where the previous segment's readable
-// records ended (or, for the first retained segment, lie below the snapshot
+// records ended (or, for the first retained segment, lie below the base's
 // floor), so a missing or damaged segment fails typed with ErrGap rather
 // than silently skipping history. Any other *.seg file — every earlier
-// writer's layout — fails the scan with its name before a byte is read.
+// writer's layout — and any snap-*.snap file of the retired snapshot format
+// fail the scan with their name before a byte is read.
 //
 // Records carry no LSN: the k-th record of a segment has LSN stamp+k (the
 // writer stamps a segment with the LSN its first record gets, and assigns
 // LSNs in the order it appends frames). So the order and hole checks are
 // per segment: the stamp must follow the chain end and must not skip past
-// the next LSN the recovered state needs. The records below the snapshot
-// floor may jump (a power loss can take a log tail the snapshot already
+// the next LSN the recovered state needs. The records below the base's
+// floor may jump (a power loss can take a log tail the base already
 // covers), but a hole above it is lost history and fails ErrGap.
 //
-// Replay is exact, not best-effort — each record's LSN is compared against
-// the snapshot's floor and the target job's recorded LSN, so a record is
-// applied exactly once no matter where the snapshot cut fell. A segment
+// Replay is exact, not best-effort: a record below the floor is in the base
+// and is skipped, every record at or above it is visited once. A segment
 // stops at its first torn or corrupt frame: at the end of the log that is
 // the tail a crash legitimately leaves, and nothing beyond it is applied;
 // earlier in the log it is a tail an earlier recovery already cut, which
@@ -40,17 +40,15 @@ import (
 
 // RecoveryStats summarizes a Recover pass.
 type RecoveryStats struct {
-	// SnapshotPath is the snapshot file the recovery restored from ("" when
-	// it started empty); SnapshotLSN its floor stamp.
+	// SnapshotPath is the checkpoint base the recovery replayed first (""
+	// when it started empty); SnapshotLSN its floor.
 	SnapshotPath string
 	SnapshotLSN  uint64
 	// SegmentsScanned counts WAL segment files read during replay.
 	SegmentsScanned int
-	// RecordsApplied / RecordsSkipped count replayed WAL records: applied
-	// mutations vs records already reflected in the snapshot.
-	// RecordsOrphaned counts records for jobs that no longer exist (their
-	// drop landed before the snapshot cut).
-	RecordsApplied, RecordsSkipped, RecordsOrphaned int
+	// RecordsApplied / RecordsSkipped count the log records past the base:
+	// applied mutations vs records below its floor, which the base holds.
+	RecordsApplied, RecordsSkipped int
 	// TornTail reports that replay stopped at a torn or corrupt frame — the
 	// expected signature of a crash mid-append; everything acknowledged
 	// before it was recovered.
@@ -65,13 +63,14 @@ func (r RecoveryStats) String() string {
 	if r.SnapshotPath != "" {
 		snap = fmt.Sprintf("%s (floor %d)", filepath.Base(r.SnapshotPath), r.SnapshotLSN)
 	}
-	return fmt.Sprintf("snapshot %s, %d segments, %d applied, %d skipped, %d orphaned, torn=%v, next LSN %d",
-		snap, r.SegmentsScanned, r.RecordsApplied, r.RecordsSkipped, r.RecordsOrphaned, r.TornTail, r.NextLSN)
+	return fmt.Sprintf("base %s, %d segments, %d applied, %d skipped, torn=%v, next LSN %d",
+		snap, r.SegmentsScanned, r.RecordsApplied, r.RecordsSkipped, r.TornTail, r.NextLSN)
 }
 
 // Scan is what scanning a WAL directory yields: the end of the durable
 // history and the segment inventory the reopened writer takes over.
 type Scan struct {
+	floor   uint64  // the floor of the base the scan continues (0: none)
 	next    uint64  // one past the last recovered record
 	last    uint64  // where the log's chain ends: its last record, else the last header's link
 	segs    []Entry // the retained segments, ascending stamp
@@ -81,7 +80,7 @@ type Scan struct {
 // ScanDir replays dir's whole retained log in LSN order, feeding every
 // record at or above floor to visit (records below it are counted as
 // skipped). It fails typed ErrGap on history missing above the floor, and
-// a *.seg file of any other layout fails it, naming the file, before any
+// an entry of a retired layout fails it, naming the file, before any
 // segment is read. The directory is only read. repair is unused since the
 // log became one stream (there is nothing left to trim); it stays because
 // the benchmark module calls ScanDir with it.
@@ -91,9 +90,15 @@ func ScanDir(fs FS, dir string, floor uint64, repair bool, rst *RecoveryStats,
 	if err != nil {
 		return Scan{}, fmt.Errorf("serve: recover: wal dir %s: %w", dir, err)
 	}
-	scan := Scan{next: max(floor, 1), segs: segs}
+	return scanSegs(fs, dir, segs, floor, rst, visit)
+}
+
+// scanSegs is ScanDir over a given segment list.
+func scanSegs(fs FS, dir string, segs []Entry, floor uint64, rst *RecoveryStats,
+	visit func(lsn uint64, kind wire.FrameKind, payload []byte) error) (Scan, error) {
+	scan := Scan{floor: floor, next: max(floor, 1), segs: segs}
 	// chained: scan.last is known — some segment header was read. Until then
-	// the first retained segment may chain to anything the snapshot covers.
+	// the first retained segment may chain to anything the base covers.
 	chained := false
 	var cut error // why the previous segment ended early, for the chain error
 	for i, seg := range segs {

@@ -2,7 +2,7 @@ package wal
 
 // verify.go is the offline WAL inspector behind `nurdserve -wal-verify`:
 // it walks a WAL directory's log exactly the way Recover would — refusing,
-// as Recover does, a *.seg file of any other layout — and reports the
+// as Recover does, an entry of a retired layout — and reports the
 // recoverable LSN without building a server, replaying any mutation into
 // predictors, or writing a byte. Operators use it to answer "how much of
 // this log survives?" before (or instead of) a recovery, and to spot torn
@@ -12,16 +12,15 @@ import (
 	"repro/internal/wire"
 
 	"fmt"
-	"io"
 	"path/filepath"
 )
 
 // VerifyReport is Verify's result.
 type VerifyReport struct {
-	// SnapshotPath is the newest snapshot whose frames all decode (""
-	// without one); SnapshotLSN its floor stamp. Verification is
-	// structural: a frame-clean snapshot that fails semantic restore would
-	// make Recover fall back a generation, which this offline pass cannot
+	// SnapshotPath is the newest base whose frames all decode as spec and
+	// event frames ("" without one); SnapshotLSN its floor. Verification is
+	// structural: a frame-clean base that fails to replay would make
+	// Recover fall back a generation, which this offline pass cannot
 	// predict without a predictor factory.
 	SnapshotPath string
 	SnapshotLSN  uint64
@@ -41,9 +40,9 @@ type VerifyReport struct {
 func (r VerifyReport) String() string {
 	out := ""
 	if r.SnapshotPath == "" {
-		out = "snapshot: none (full-log replay)\n"
+		out = "base: none (full-log replay)\n"
 	} else {
-		out = fmt.Sprintf("snapshot: %s (floor %d)\n", filepath.Base(r.SnapshotPath), r.SnapshotLSN)
+		out = fmt.Sprintf("base: %s (floor %d)\n", filepath.Base(r.SnapshotPath), r.SnapshotLSN)
 	}
 	torn := ""
 	if r.TornTail {
@@ -55,24 +54,24 @@ func (r VerifyReport) String() string {
 }
 
 // Verify inspects the WAL directory at dir without starting a server:
-// it frame-checks the newest structurally valid snapshot for the floor,
-// walks the retained log with the same chain and torn-tail rules Recover
-// applies, and reports the recoverable LSN. Failures (ErrGap on missing
-// history, a *.seg file of another layout) surface exactly as a recovery
-// would surface them. The directory is never written.
+// it frame-checks the bases for the newest structurally valid one, walks
+// the retained log past its floor with the same chain and torn-tail rules
+// Recover applies, and reports the recoverable LSN. Failures (ErrGap on
+// missing history, an entry of a retired layout) surface exactly as a
+// recovery would surface them. The directory is never written.
 func Verify(dir string, opts Options) (VerifyReport, error) {
 	opts = opts.WithDefaults()
 	fs := opts.FS
 	var rep VerifyReport
 
-	snaps, err := ListSorted(fs, dir, SnapPrefix, SnapSuffix)
+	bases, err := Snapshots(fs, dir)
 	if err != nil {
 		return rep, fmt.Errorf("serve: wal-verify: %s: %w", dir, err)
 	}
-	for i := len(snaps) - 1; i >= 0 && rep.SnapshotPath == ""; i-- {
-		path := filepath.Join(dir, snaps[i].Name)
-		if floor, ok := snapshotFloor(fs, path); ok {
-			rep.SnapshotPath, rep.SnapshotLSN = path, floor
+	for i := len(bases) - 1; i >= 0 && rep.SnapshotPath == ""; i-- {
+		path := filepath.Join(dir, bases[i].Name)
+		if validBase(fs, path) {
+			rep.SnapshotPath, rep.SnapshotLSN = path, bases[i].Seq
 		}
 	}
 
@@ -92,33 +91,18 @@ func Verify(dir string, opts Options) (VerifyReport, error) {
 	return rep, nil
 }
 
-// snapshotFloor frame-scans one snapshot file: every frame must decode
-// (length, checksum) and the first must be the wire.FrameLSNMark floor stamp.
-func snapshotFloor(fs FS, path string) (uint64, bool) {
+// validBase reports whether every frame of the base at path decodes (length,
+// checksum) as a spec or event frame, up to a clean end of stream.
+func validBase(fs FS, path string) bool {
 	rc, err := fs.Open(path)
 	if err != nil {
-		return 0, false
+		return false
 	}
 	defer rc.Close()
-	wr := wire.NewReader(rc)
-	var floor uint64
-	first := true
-	for {
-		kind, payload, err := wr.NextFrame()
-		if err == io.EOF {
-			return floor, !first
+	return eachFrame(rc, func(kind wire.FrameKind, _ []byte) error {
+		if kind != wire.FrameSpec && kind != wire.FrameEvent {
+			return wire.ErrCorrupt
 		}
-		if err != nil {
-			return 0, false
-		}
-		if first {
-			if kind != wire.FrameLSNMark {
-				return 0, false
-			}
-			if floor, err = wire.DecodeLSNMarkPayload(payload); err != nil {
-				return 0, false
-			}
-			first = false
-		}
-	}
+		return nil
+	}) == nil
 }

@@ -5,7 +5,7 @@ package wal
 // move counters), FinishJob, DropJob — is given its LSN as one CRC-framed
 // wire record of a rotating segment file before the owning lock is
 // released, and is in that file before it is acknowledged, so a crash
-// between snapshots loses nothing that was acknowledged.
+// between checkpoints loses nothing that was acknowledged.
 //
 // The log is one stream of rotating segment files, log-<stamp>.seg, and a
 // segment is a dump: the wire stream header, a wire.FrameSegHeader, then the
@@ -32,9 +32,9 @@ package wal
 // unacknowledged — the standing the received half of a half-sent body
 // always had. The stage is bounded by stageLimit, not by the body, and
 // rotation stays per record, so a directory's bytes do not depend on how
-// its records were batched. A checkpoint commits everything staged before
-// its snapshot becomes visible, so no snapshot ever reflects a record the
-// log could still lose.
+// its records were batched. A checkpoint writes and syncs everything staged
+// before it fixes its floor, so no base ever holds a record the log could
+// still lose.
 //
 // Power loss is Options.SyncEvery's business. With SyncEvery == 0 a commit
 // returns only once an fsync that started after its write has returned. The
@@ -46,11 +46,14 @@ package wal
 // is exposed to power loss. Plain writes never fsync; Sync, rotation and
 // Close write what is staged, then fsync.
 //
-// Checkpointing is automatic: Options.CheckpointEvery (wall clock) and
-// CheckpointBytes (appended bytes since the last checkpoint) arm a
-// background policy that stamps a snapshot into the directory and retires
-// covered segments — Server.CheckpointWAL remains for explicit control, but
-// operators no longer have to remember to call it.
+// A checkpoint compacts the log: the segments below a floor, together with
+// the previous checkpoint's base, become one base-<floor>.dump — a plain
+// wire dump of the spec and event frames of every job not dropped below the
+// floor — and the covered segments retire (open.go). It reads the log, never
+// the server, so it takes no job lock. Checkpointing is automatic:
+// Options.CheckpointEvery (wall clock) and CheckpointBytes (appended bytes
+// since the last checkpoint) arm a background policy; Server.CheckpointWAL
+// remains for explicit control.
 //
 // The filesystem is abstracted behind FS so the crash-injection torture
 // harness can kill the log at every byte offset; production code uses the
@@ -72,13 +75,12 @@ var ErrClosed = errors.New("serve/wal: closed")
 
 // ErrFailed reports an append after a previous write error: the log is
 // wedged (likely mid-crash or out of disk) and the server must be treated
-// as failed — recover from snapshot + WAL instead of continuing.
+// as failed — recover from the directory instead of continuing.
 var ErrFailed = errors.New("serve/wal: failed")
 
-// ErrGap reports a recovery that found history missing between the
-// snapshot floor and the retained log — externally deleted or misplaced
-// segments, or records out of LSN order. Recovery refuses to silently skip
-// the hole.
+// ErrGap reports a recovery that found history missing between the base's
+// floor and the retained log — externally deleted or misplaced segments, or
+// records out of LSN order. Recovery refuses to silently skip the hole.
 var ErrGap = errors.New("serve/wal: gap in log")
 
 // WAL is an append-only log of serving mutations. Appends are internal (the
@@ -89,7 +91,7 @@ type WAL struct {
 	opts Options
 
 	// seq is the next LSN to assign. It only advances under mu; reading it
-	// (NextLSN, the snapshot floor) needs no lock.
+	// (NextLSN) needs no lock.
 	seq atomic.Uint64
 
 	// failed latches the first write or fsync error; every later append
@@ -136,10 +138,12 @@ type WAL struct {
 	stop chan struct{}
 	bg   sync.WaitGroup
 
-	// ckptMu serializes whole checkpoints (automatic or explicit) — the
-	// snapshot itself runs outside mu (it takes job locks, which appends
-	// hold before mu), so checkpoints need their own exclusion.
+	// ckptMu serializes whole checkpoints (automatic or explicit): the
+	// compaction runs outside mu, so appends go on while it reads the
+	// closed segments. base is the floor of the newest base the log
+	// continues (0: none), under ckptMu.
 	ckptMu sync.Mutex
+	base   uint64
 }
 
 // Err reports the latched failure, if any. Lock-free: the stage path calls

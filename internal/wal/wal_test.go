@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -224,6 +227,172 @@ func TestCheckpointWALRetires(t *testing.T) {
 	}
 }
 
+// TestCheckpointCompactsDrops pins what a base holds: the spec and event
+// frames of every job without a later drop, in log order. Job 1 runs,
+// finishes and is dropped, then its ID is registered again; job 2 stays.
+// The first base holds job 1's second life and job 2; a second checkpoint
+// compacts that base plus the log above its floor, in which job 2 is
+// dropped, into a base of job 1's second life alone — which recovers, and
+// restores, to the never-crashed server's verdicts and reports (the dropped
+// jobs' event counts go with them).
+func TestCheckpointCompactsDrops(t *testing.T) {
+	fs := waltest.NewMemFS()
+	sv, wlog, _, err := serve.Recover("wal", tortureCfg(2), wal.Options{SegmentBytes: 1 << 10, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	spec := func(id, seed uint64) wire.JobSpec {
+		return wire.JobSpec{JobID: id, Schema: []string{"a"}, NumTasks: 3, TauStra: 10,
+			Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: seed}
+	}
+	run := func(sp wire.JobSpec, finish bool) {
+		t.Helper()
+		if err := sv.StartJob(sp, nil); err != nil {
+			t.Fatal(err)
+		}
+		for tid := 0; tid < sp.NumTasks; tid++ {
+			evs := []wire.Event{
+				{Kind: wire.EventTaskStart, JobID: sp.JobID, TaskID: tid, Time: float64(tid)},
+				{Kind: wire.EventHeartbeat, JobID: sp.JobID, TaskID: tid, Time: 20, Tick: 1, Features: []float64{float64(tid)}},
+			}
+			if err := sv.IngestBatch(evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if finish {
+			if err := sv.FinishJob(sp.JobID, 100); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	jobsIn := func(path string) map[uint64]int {
+		t.Helper()
+		b := fs.Files[path]
+		frames := map[uint64]int{}
+		for off := wire.HeaderLen; off < len(b); {
+			kind, payload, n, err := wire.DecodeFrame(b[off:])
+			if err != nil {
+				t.Fatalf("%s at byte %d: %v", path, off, err)
+			}
+			if kind != wire.FrameSpec && kind != wire.FrameEvent {
+				t.Fatalf("%s holds frame kind %d", path, kind)
+			}
+			id, err := wire.FrameJobID(kind, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[id]++
+			off += n
+		}
+		return frames
+	}
+
+	run(spec(1, 7), true)
+	if err := sv.DropJob(1); err != nil {
+		t.Fatal(err)
+	}
+	run(spec(1, 8), false)
+	run(spec(2, 9), true)
+	first, _, err := sv.CheckpointWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each unfinished life is a spec plus two events per task.
+	if got, want := jobsIn(first), map[uint64]int{1: 7, 2: 8}; !reflect.DeepEqual(got, want) {
+		t.Errorf("first base: frames per job %v, want %v", got, want)
+	}
+
+	if err := sv.DropJob(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.FinishJob(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := sv.CheckpointWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := jobsIn(second), map[uint64]int{1: 8}; !reflect.DeepEqual(got, want) {
+		t.Errorf("second base: frames per job %v, want %v", got, want)
+	}
+	if _, ok := fs.Files[first]; !ok {
+		t.Errorf("the base %s the second was compacted from was pruned", first)
+	}
+	ref := captureState(t, sv, []wire.JobSpec{spec(1, 8)})
+
+	sv2, wal2, rst, err := serve.Recover("wal", tortureCfg(3), wal.Options{FS: waltest.FSAt(fs.Journal, fs.TotalWritten(), false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	if rst.SnapshotPath != second || rst.RecordsApplied != 0 {
+		t.Errorf("recovery %v, want the second base and nothing past it", rst)
+	}
+	restored, err := serve.RestoreServer(bytes.NewReader(fs.Files[second]), tortureCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*serve.Server{"recovered": sv2, "restored": restored} {
+		st := captureState(t, got, []wire.JobSpec{spec(1, 8)})
+		if !reflect.DeepEqual(st.reports, ref.reports) || !reflect.DeepEqual(st.verdicts, ref.verdicts) {
+			t.Errorf("%s from the second base: reports %+v, want %+v", name, st.reports, ref.reports)
+		}
+	}
+}
+
+// TestCheckpointLeaksNothing: compaction opens the previous base and the
+// segments below its floor, and a snapshot opens the new base. A full
+// cycle on the real filesystem — Recover, traffic, checkpoints, a
+// snapshot, Close — must leave the process's open file descriptors and
+// goroutines where they were (refit workers exit once idle, so the count is
+// polled with a deadline). GC is off meanwhile: a leaked *os.File's
+// finalizer would otherwise close it and hide the leak.
+func TestCheckpointLeaksNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	fd0, g0 := fds(), runtime.NumGoroutine()
+	specs, streams := walWorkload(t, 3, 131)
+	sv, wlog, _, err := serve.Recover(t.TempDir(), servetest.CheapConfig(2),
+		wal.Options{SegmentBytes: 4 << 10, SyncEvery: time.Millisecond, CheckpointBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if err := sv.StartJob(specs[i], nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.IngestBatch(streams[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sv.CheckpointWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := wlog.Stats(); st.Checkpoints < 3 || st.RetiredSegments == 0 {
+		t.Fatalf("want >= 3 checkpoints retiring segments: %+v", st)
+	}
+	if err := sv.Snapshot(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for (fds() > fd0 || runtime.NumGoroutine() > g0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if fd, g := fds(), runtime.NumGoroutine(); fd > fd0 || g > g0 {
+		t.Errorf("after Close: %d open files (baseline %d), %d goroutines (baseline %d)", fd, fd0, g, g0)
+	}
+}
+
 // copyDir copies the flat directory src into a fresh temporary directory
 // and returns its path, so a test can recover a checked-in log without
 // touching the original.
@@ -298,26 +467,30 @@ func TestRecoverErrors(t *testing.T) {
 		t.Errorf("recovery across a deleted segment: %v (want wal.ErrGap)", err)
 	}
 
-	// An earlier writer's single-stream segment (an LSN-mark header) and
-	// batched-commit file (a bare stream header), each beside a valid log;
-	// a directory the two-stream writer left (testdata/two-stream); and one
+	// An earlier writer's single-stream segment (an LSN-mark header, the
+	// retired kind 5) and batched-commit file (a bare stream header), and a
+	// snapshot of the retired snapshot format, each beside a valid log; a
+	// directory the two-stream writer left (testdata/two-stream); and one
 	// the envelope-record writer left at one stream (testdata/one-stream, a
-	// snapshot plus a log tail), each failing on its first segment.
+	// snapshot plus a log tail), each failing on its first retired entry.
 	var mark wire.Enc
-	wire.AppendLSNMarkPayload(&mark, 1)
+	mark.U64(1)
+	markSeg := wire.AppendFrame(wire.AppendHeader(nil), 5, mark.B)
 	for _, tc := range []struct {
 		name string
 		dir  func() string
 	}{
 		{"wal-0000000000000001.seg", func() string {
-			return besideValidLog(t, specs[0], "wal-0000000000000001.seg",
-				wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, mark.B))
+			return besideValidLog(t, specs[0], "wal-0000000000000001.seg", markSeg)
 		}},
 		{"commit-0000000000000001.seg", func() string {
 			return besideValidLog(t, specs[0], "commit-0000000000000001.seg", wire.AppendHeader(nil))
 		}},
+		{"snap-00000000000000cb.snap", func() string {
+			return besideValidLog(t, specs[0], "snap-00000000000000cb.snap", markSeg)
+		}},
 		{"wal-0000-0000000000000003.seg", func() string { return copyDir(t, filepath.Join("testdata", "two-stream")) }},
-		{"wal-0000-00000000000000a6.seg", func() string { return copyDir(t, filepath.Join("testdata", "one-stream")) }},
+		{"snap-00000000000000af.snap", func() string { return copyDir(t, filepath.Join("testdata", "one-stream")) }},
 	} {
 		dir := tc.dir()
 		before := dirImage(t, dir)
@@ -663,10 +836,11 @@ func TestReplayFromSkips(t *testing.T) {
 }
 
 // FuzzWALRecover feeds arbitrary bytes to the recovery path as the lone
-// segment of a WAL directory. The invariants: never panic;
-// recover a prefix or fail typed; never double-apply (the budget counters
-// always equal the recovered job set); and the recovered LSN never exceeds
-// the number of frames the input could possibly hold.
+// segment of a WAL directory, or (asBase) as the checkpoint base beside a
+// real segment. The invariants: never panic; recover a prefix or fail typed;
+// never double-apply (the budget counters always equal the recovered job
+// set); and the recovered LSN never exceeds the number of frames the input
+// (with the real segment) could possibly hold.
 func FuzzWALRecover(f *testing.F) {
 	// Seed with a *tiny* real segment covering every record kind (spec,
 	// events, finish, drop), built over the in-memory filesystem. Small
@@ -693,6 +867,13 @@ func FuzzWALRecover(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	// A checkpoint before the finish and the drop: the directory then holds
+	// a base, and the segment goes on past its floor.
+	basePath, _, err := sv.CheckpointWAL()
+	if err != nil {
+		f.Fatal(err)
+	}
+	baseName := "wal/" + filepath.Base(basePath)
 	if err := sv.FinishJob(1, 20); err != nil {
 		f.Fatal(err)
 	}
@@ -701,16 +882,26 @@ func FuzzWALRecover(f *testing.F) {
 	}
 	wlog.Close()
 	seed := seedFS.Files["wal/"+wal.SegName(1)]
-	if len(seed) == 0 {
-		f.Fatal("no seed segment bytes")
+	base := seedFS.Files[baseName]
+	if len(seed) == 0 || len(base) == 0 {
+		f.Fatal("no seed segment or base bytes")
+	}
+	seedRecords := 0
+	for off := wire.HeaderLen; off < len(seed); seedRecords++ {
+		_, _, n, err := wire.DecodeFrame(seed[off:])
+		if err != nil {
+			f.Fatal(err)
+		}
+		off += n
 	}
 	// The same records in earlier writers' layouts, hostile input when
 	// planted as a segment: under an LSN-mark header (the single-stream
-	// layout: an LSN mark where the segment header belongs), and wrapped in
-	// the retired kind-8 envelope (explicit LSN, then the record's kind).
+	// layout: the retired kind 5 where the segment header belongs), and
+	// wrapped in the retired kind-8 envelope (explicit LSN, then the
+	// record's kind).
 	var mark wire.Enc
-	wire.AppendLSNMarkPayload(&mark, 1)
-	markSeed := wire.AppendFrame(wire.AppendHeader(nil), wire.FrameLSNMark, mark.B)
+	mark.U64(1)
+	markSeed := wire.AppendFrame(wire.AppendHeader(nil), 5, mark.B)
 	var envelopeSeed []byte
 	for off, lsn := wire.HeaderLen, uint64(0); off < len(seed); lsn++ {
 		kind, payload, n, err := wire.DecodeFrame(seed[off:])
@@ -729,28 +920,40 @@ func FuzzWALRecover(f *testing.F) {
 		off += n
 	}
 	for _, s := range [][]byte{seed, markSeed, envelopeSeed} {
-		f.Add(s)
-		f.Add(s[:len(s)/2])
+		f.Add(s, false)
+		f.Add(s[:len(s)/2], false)
 		mut := append([]byte(nil), s...)
 		mut[len(s)/3] ^= 0x20
-		f.Add(mut)
+		f.Add(mut, false)
 	}
 	// The real segment cut at each frame boundary: the torn tails a crash
 	// leaves.
 	for off := wire.HeaderLen; off < len(seed); {
-		f.Add(seed[:off])
+		f.Add(seed[:off], false)
 		_, _, n, err := wire.DecodeFrame(seed[off:])
 		if err != nil {
 			f.Fatal(err)
 		}
 		off += n
 	}
-	f.Add([]byte{})
+	f.Add([]byte{}, false)
+	// The real base, cut and flipped: a damaged base falls back to a
+	// full-log replay of the segment beside it.
+	f.Add(base, true)
+	f.Add(base[:len(base)/2], true)
+	mut := append([]byte(nil), base...)
+	mut[len(base)/3] ^= 0x20
+	f.Add(mut, true)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, asBase bool) {
 		// An in-memory filesystem keeps each exec free of disk syscalls.
 		fs := waltest.NewMemFS()
-		name := "wal/" + wal.SegName(1)
+		name, maxRecords := "wal/"+wal.SegName(1), uint64(len(data)/5+1)
+		if asBase {
+			name, maxRecords = baseName, uint64(seedRecords)
+			fs.Files["wal/"+wal.SegName(1)] = append([]byte(nil), seed...)
+			fs.Synced["wal/"+wal.SegName(1)] = len(seed)
+		}
 		fs.Files[name] = append([]byte(nil), data...)
 		fs.Synced[name] = len(data)
 		// A tight task budget keeps hostile-but-valid spec frames from
@@ -765,8 +968,8 @@ func FuzzWALRecover(f *testing.F) {
 			return
 		}
 		defer wlog.Close()
-		if rst.NextLSN-1 > uint64(len(data)/5+1) {
-			t.Fatalf("recovered %d records from %d bytes", rst.NextLSN-1, len(data))
+		if rst.NextLSN-1 > maxRecords {
+			t.Fatalf("recovered %d records from %d bytes (base %v)", rst.NextLSN-1, len(data), asBase)
 		}
 		// No double-apply: budget counters must equal the recovered job set.
 		ids := sv.JobIDs()

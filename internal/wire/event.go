@@ -119,52 +119,20 @@ type JobSpec struct {
 	// RefitMode selects the job's checkpoint refit strategy (scratch vs
 	// warm-started incremental boosting; see refit.go). RefitModeDefault is
 	// resolved to the server's Config.RefitMode at registration, so the mode
-	// recorded in the WAL and in snapshots is always concrete and recovery
-	// replays refits identically.
+	// recorded in the WAL is always concrete and recovery replays refits
+	// identically.
 	RefitMode RefitMode
 }
-
-// maxJobRows bounds NumTasks*Checkpoints, the worst-case number of training
-// rows one job can retain across its checkpoint history (every gated
-// boundary keeps its view — rows for each then-unfinished task — for
-// snapshot/restore replay). ~60 B/row puts the per-job retention ceiling
-// around 60 MB; real workloads (hundreds of tasks, ~10 checkpoints) sit
-// orders of magnitude below it.
-const maxJobRows = 1 << 20
 
 // Validate checks the spec's invariants.
 func (sp *JobSpec) Validate() error {
 	if sp.NumTasks <= 0 {
 		return fmt.Errorf("serve: job %d: NumTasks must be positive, got %d", sp.JobID, sp.NumTasks)
 	}
-	// The upper bounds match the wire format's snapshot caps: a job that
-	// validates is always serializable (task state sized by NumTasks,
-	// retained history bounded by Checkpoints), and a registration cannot
-	// demand an arbitrarily large task-slice allocation.
+	// The upper bound is the wire decoder's: a registration cannot demand
+	// an arbitrarily large task-slice allocation.
 	if sp.NumTasks > MaxSnapTasks {
 		return fmt.Errorf("serve: job %d: NumTasks %d above the serving cap %d", sp.JobID, sp.NumTasks, MaxSnapTasks)
-	}
-	// Serializability needs more than the count caps: the job's snapshot
-	// frame must fit MaxFramePayload. Each task encodes to at most
-	// 29+8*len(Schema) bytes (flags, start, latency, flaggedAt, feature
-	// count, features); checkpoint rows are strictly smaller (20+8*cols),
-	// so this one bound covers every frame the job can ever emit. The 4 KiB
-	// slack generously covers the fixed spec and counter fields.
-	perTask := int64(29 + 8*len(sp.Schema))
-	overhead := int64(4096)
-	for _, c := range sp.Schema {
-		overhead += int64(2 + len(c))
-	}
-	if int64(sp.NumTasks)*perTask+overhead > MaxFramePayload {
-		return fmt.Errorf("serve: job %d: %d tasks with a %d-column schema cannot fit a %d-byte snapshot frame",
-			sp.JobID, sp.NumTasks, len(sp.Schema), MaxFramePayload)
-	}
-	// Bound worst-case history retention too: without this, one validated
-	// job near the frame-fit cap could pair a huge task count with tens of
-	// thousands of checkpoints and retain gigabytes of views.
-	if int64(sp.NumTasks)*int64(sp.Checkpoints) > maxJobRows {
-		return fmt.Errorf("serve: job %d: %d tasks x %d checkpoints retains up to %d history rows, above the cap %d",
-			sp.JobID, sp.NumTasks, sp.Checkpoints, int64(sp.NumTasks)*int64(sp.Checkpoints), maxJobRows)
 	}
 	if len(sp.Schema) == 0 {
 		return fmt.Errorf("serve: job %d: empty schema", sp.JobID)

@@ -19,11 +19,10 @@ import "sync"
 //
 // Provenance is tracked end to end: only slices tagged pooled (set by the
 // pooled decode path alone) are ever recycled, and a pooled slice aliased
-// into a checkpoint's history view (taskState.captured) is permanently off
-// limits — checkpoint views feed refits and reports long after the task
-// moved on. Everything else — snapshots, queries, WAL encoding — copies or
-// finishes reading under the job lock before the replacement that would
-// recycle the slice can run.
+// into a checkpoint view (taskState.captured) is permanently off limits —
+// the view's fit reads it on a refit worker, off the job lock. Everything
+// else — queries, WAL encoding — copies or finishes reading under the job
+// lock before the replacement that would recycle the slice can run.
 
 // MaxPooledObs bounds the capacity of slices kept by the pool so one
 // oversized (yet wire-legal) frame cannot pin large buffers for the

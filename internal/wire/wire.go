@@ -2,8 +2,9 @@ package wire
 
 // wire.go is the serving layer's durable binary format: a versioned,
 // length-prefixed, checksummed frame stream carrying JobSpec registrations
-// and lifecycle Events (trace dumps, the HTTP ingest body) as well as the
-// snapshot sections Server.Snapshot emits. The format is designed for
+// and lifecycle Events — trace dumps, the HTTP ingest body, the write-ahead
+// log's segments and the compacted base a checkpoint writes (which is also
+// what Server.Snapshot streams). The format is designed for
 // hostile inputs — every decoder bounds its allocations before making them,
 // validates counts against the remaining payload, and returns typed errors
 // (never panics), so the same code path serves fuzzing, corrupt dumps, and
@@ -33,16 +34,13 @@ import (
 // Version is the current wire-format version. Readers reject streams
 // written by any other version (no silent cross-version decoding).
 //
-// v2 (the WAL release): streams may carry FrameLSNMark and WAL record
-// frames, snapshots open with an LSN-mark floor stamp, and the
-// FrameSnapJob payload carries the job's last-logged LSN. v1 snapshots and
-// dumps are rejected with a typed ErrVersion, not misdecoded.
+// v2 (the WAL release): streams may carry WAL record frames. v1 dumps are
+// rejected with a typed ErrVersion, not misdecoded.
 //
 // v3 (the async-refit release): the JobSpec payload carries the job's
-// RefitMode (scratch vs warm-started refits — it must survive the WAL and
-// snapshots for recovery to replay refits identically), and the FrameSnapJob
-// payload carries the job's warm/scratch fit counters. v2 streams are
-// rejected with a typed ErrVersion, not misdecoded.
+// RefitMode (scratch vs warm-started refits — it must survive the WAL for
+// recovery to replay refits identically). v2 streams are rejected with a
+// typed ErrVersion, not misdecoded.
 //
 // The dump-shaped WAL release changed the log without a version bump: a
 // log-<stamp>.seg segment is a dump with a FrameSegHeader after the stream
@@ -52,6 +50,11 @@ import (
 // job finish logged as the FrameEvent it arrived as. The kinds it retired
 // appeared only inside the earlier writers' wal-*.seg files, which recovery
 // refuses by name, so every stream a peer can see still decodes under v3.
+//
+// The compacted-checkpoint release retired the snapshot format the same way:
+// a checkpoint's base is a plain dump of spec and event frames, and the
+// snapshot kinds lived only in snap-*.snap files, which recovery refuses by
+// name.
 const Version uint16 = 3
 
 // wireMagic opens every wire stream.
@@ -68,30 +71,20 @@ const (
 	FrameSpec FrameKind = 1
 	// FrameEvent carries one lifecycle Event.
 	FrameEvent FrameKind = 2
-	// FrameSnapJob opens one job's snapshot section: spec, counters, task
-	// states, and the number of FrameSnapCheckpoint frames that follow.
-	FrameSnapJob FrameKind = 3
-	// FrameSnapCheckpoint carries one retained checkpoint view (the exact
-	// training snapshot the job's predictor saw at a fired boundary).
-	FrameSnapCheckpoint FrameKind = 4
-	// FrameLSNMark carries a log sequence number. As the first frame of a
-	// snapshot it stamps the snapshot's floor — every WAL record below it is
-	// already reflected in the snapshot.
-	FrameLSNMark FrameKind = 5
 	// FrameDrop is the WAL record of a DropJob mutation.
 	FrameDrop FrameKind = 7
 	// FrameSegHeader opens a WAL segment: the segment's name stamp (the LSN
 	// of its first record) and the last LSN the log held before the segment
 	// (the chain link recovery uses to detect missing segments).
 	FrameSegHeader FrameKind = 9
-	// Kinds 6 (a compact job-finish WAL record), 8 (a WAL record envelope
-	// with an explicit LSN) and 10 (a WAL commit-file frame) are retired:
-	// they decode as corrupt and are never reused.
+	// Kinds 3 and 4 (a snapshot's job section and checkpoint view), 5 (a
+	// snapshot's floor LSN mark), 6 (a compact job-finish WAL record), 8 (a
+	// WAL record envelope with an explicit LSN) and 10 (a WAL commit-file
+	// frame) are retired: they decode as corrupt and are never reused.
 )
 
 // frameKinds has bit k set for every live frame kind k.
-const frameKinds = 1<<FrameSpec | 1<<FrameEvent | 1<<FrameSnapJob | 1<<FrameSnapCheckpoint |
-	1<<FrameLSNMark | 1<<FrameDrop | 1<<FrameSegHeader
+const frameKinds = 1<<FrameSpec | 1<<FrameEvent | 1<<FrameDrop | 1<<FrameSegHeader
 
 // Typed decode errors, errors.Is-matchable through every wrapping layer.
 var (
@@ -118,7 +111,6 @@ const (
 	MaxSchemaName      = 1 << 10
 	MaxSnapTasks       = 1 << 22
 	MaxSnapCheckpoints = 1 << 16
-	MaxSnapRows        = 1 << 22
 )
 
 // --- primitive encoder ---
@@ -362,7 +354,7 @@ func DecodeEventInto(p []byte, ev *Event, pooled bool) error {
 	return nil
 }
 
-func AppendSpecPayload(e *Enc, sp *JobSpec) error {
+func appendSpecPayload(e *Enc, sp *JobSpec) error {
 	if len(sp.Schema) > MaxSchemaCols {
 		return fmt.Errorf("serve/wire: schema of %d columns exceeds %d", len(sp.Schema), MaxSchemaCols)
 	}
@@ -396,9 +388,9 @@ func AppendSpecPayload(e *Enc, sp *JobSpec) error {
 	return nil
 }
 
-// DecodeSpec consumes one JobSpec (the exact field order AppendSpecPayload
-// writes) from d; snapshot job sections embed the same prefix.
-func DecodeSpec(d *Dec) JobSpec {
+// decodeSpec consumes one JobSpec (the exact field order appendSpecPayload
+// writes) from d.
+func decodeSpec(d *Dec) JobSpec {
 	var sp JobSpec
 	sp.JobID = d.U64()
 	if n := d.Count(MaxSchemaCols, "schema"); n > 0 {
@@ -410,8 +402,7 @@ func DecodeSpec(d *Dec) JobSpec {
 	// NumTasks sizes a per-job task-state slice the moment the spec reaches
 	// StartJob, so an unbounded value here is an allocation bomb: a ~60-byte
 	// hostile frame POSTed to /ingest must not be able to demand gigabytes.
-	// Bound it (and Checkpoints, which sizes restore-time history) before the
-	// spec leaves the wire layer. Checkpoints 0 is legal on the wire —
+	// Bound it (and Checkpoints) before the spec leaves the wire layer. Checkpoints 0 is legal on the wire —
 	// StartJob fills in the monitoring defaults.
 	nt := d.I64()
 	if d.err == nil && (nt < 1 || nt > MaxSnapTasks) {
@@ -438,18 +429,8 @@ func DecodeSpec(d *Dec) JobSpec {
 
 func DecodeSpecPayload(p []byte) (JobSpec, error) {
 	d := Dec{B: p}
-	sp := DecodeSpec(&d)
+	sp := decodeSpec(&d)
 	return sp, d.Finish()
-}
-
-// AppendLSNMarkPayload / DecodeLSNMarkPayload carry a bare log sequence
-// number (FrameLSNMark).
-func AppendLSNMarkPayload(e *Enc, lsn uint64) { e.U64(lsn) }
-
-func DecodeLSNMarkPayload(p []byte) (uint64, error) {
-	d := Dec{B: p}
-	lsn := d.U64()
-	return lsn, d.Finish()
 }
 
 // AppendSegHeaderPayload / DecodeSegHeaderPayload carry the opening frame of
@@ -477,6 +458,24 @@ func DecodeDropPayload(p []byte) (uint64, error) {
 	d := Dec{B: p}
 	jobID := d.U64()
 	return jobID, d.Finish()
+}
+
+// FrameJobID returns the job a spec, event or drop frame belongs to, read
+// from the fixed field that names it without decoding the rest: the log's
+// compaction sorts frames by job, not by content.
+func FrameJobID(kind FrameKind, p []byte) (uint64, error) {
+	off := 0
+	switch kind {
+	case FrameSpec, FrameDrop:
+	case FrameEvent:
+		off = 1 // the event kind byte comes first
+	default:
+		return 0, fmt.Errorf("%w: frame kind %d names no job", ErrCorrupt, kind)
+	}
+	if len(p) < off+8 {
+		return 0, fmt.Errorf("%w: %d payload bytes before the job ID", ErrTruncated, len(p))
+	}
+	return binary.LittleEndian.Uint64(p[off:]), nil
 }
 
 // --- framing ---
@@ -537,7 +536,7 @@ func EncodeEvent(dst []byte, ev Event) ([]byte, error) {
 // EncodeSpec appends sp to dst as one complete frame.
 func EncodeSpec(dst []byte, sp JobSpec) ([]byte, error) {
 	e := Enc{B: openFrame(dst, FrameSpec)}
-	if err := AppendSpecPayload(&e, &sp); err != nil {
+	if err := appendSpecPayload(&e, &sp); err != nil {
 		return dst, err
 	}
 	return sealFrame(e.B, len(dst)), nil
@@ -614,18 +613,6 @@ func (ww *Writer) WriteEvent(ev Event) error {
 		return err
 	}
 	return ww.writeBuf()
-}
-
-// AppendCheckedFrame appends a raw frame (snapshot sections) to dst. The
-// payload cap is enforced on the write side too: a frame the decoder would
-// reject as corrupt must fail loudly here, at snapshot time, not at restore
-// time.
-func AppendCheckedFrame(dst []byte, kind FrameKind, payload []byte) ([]byte, error) {
-	if len(payload) > MaxFramePayload {
-		return dst, fmt.Errorf("serve/wire: frame payload of %d bytes exceeds %d — "+
-			"the job is too large for a single snapshot frame", len(payload), MaxFramePayload)
-	}
-	return AppendFrame(dst, kind, payload), nil
 }
 
 // readerBufLen is a Reader's initial buffer: a few dozen heartbeat frames
@@ -741,8 +728,8 @@ func (wr *Reader) NextFrame() (FrameKind, []byte, error) {
 
 // Next returns the next element of a spec/event stream (a trace dump or an
 // ingest body): exactly one of the two results is non-nil. io.EOF marks a
-// clean end of stream. Snapshot frames are a different stream type and are
-// rejected here (use RestoreServer for those).
+// clean end of stream. WAL-only frames (drops, segment headers) are rejected
+// here; serve.RestoreServer applies drops too.
 func (wr *Reader) Next() (*JobSpec, *Event, error) {
 	kind, payload, err := wr.NextFrame()
 	if err != nil {

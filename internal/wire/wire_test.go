@@ -226,11 +226,12 @@ func TestWireVersionSkew(t *testing.T) {
 	}
 }
 
-// TestWireRetiredKind: the retired frame kinds — 6 (compact job-finish WAL
-// record), 8 (WAL record envelope) and 10 (WAL commit-file frame) — are
-// unknown kinds like any other, even under a valid checksum.
+// TestWireRetiredKind: the retired frame kinds — 3 and 4 (snapshot job
+// section and checkpoint view), 5 (snapshot LSN mark), 6 (compact
+// job-finish WAL record), 8 (WAL record envelope) and 10 (WAL commit-file
+// frame) — are unknown kinds like any other, even under a valid checksum.
 func TestWireRetiredKind(t *testing.T) {
-	for _, kind := range []FrameKind{6, 8, 10} {
+	for _, kind := range []FrameKind{3, 4, 5, 6, 8, 10} {
 		if _, _, _, err := DecodeFrame(AppendFrame(nil, kind, []byte{1, 2, 3})); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("kind %d: %v (want ErrCorrupt)", kind, err)
 		}
@@ -357,14 +358,6 @@ func FuzzWireDecode(f *testing.F) {
 				}
 				if !bytes.Equal(re, data[:n]) {
 					t.Fatalf("event re-encode diverges from input")
-				}
-			}
-		case FrameLSNMark:
-			if lsn, err := DecodeLSNMarkPayload(payload); err == nil {
-				var e Enc
-				AppendLSNMarkPayload(&e, lsn)
-				if !bytes.Equal(AppendFrame(nil, kind, e.B), data[:n]) {
-					t.Fatalf("LSN mark re-encode diverges from input")
 				}
 			}
 		case FrameDrop:
