@@ -361,7 +361,7 @@ func (sv *Server) stageJob(spec wire.JobSpec, pred simulator.Predictor) (uint64,
 // concurrently from many goroutines. With a WAL attached the event's
 // record is written before Ingest returns.
 func (sv *Server) Ingest(e wire.Event) error {
-	lsn, err := sv.reg.shardFor(e.JobID).ingest(e)
+	lsn, err := sv.reg.shardFor(e.JobID).ingest(e, nil)
 	if err != nil {
 		return err
 	}
@@ -370,9 +370,11 @@ func (sv *Server) Ingest(e wire.Event) error {
 
 // StageEvent is Ingest minus the wait for the write-ahead log: the event is
 // applied and its record staged, and the caller must not acknowledge it
-// until Commit returns.
-func (sv *Server) StageEvent(e wire.Event) error {
-	_, err := sv.reg.shardFor(e.JobID).ingest(e)
+// until Commit returns. b, when non-nil, is the Body the event belongs to:
+// the event is logged as the frame b's reader last decoded when that frame
+// is the event's, and a run of one job's events looks the job up once.
+func (sv *Server) StageEvent(e wire.Event, b *Body) error {
+	_, err := sv.reg.shardFor(e.JobID).ingest(e, b)
 	return err
 }
 
@@ -380,7 +382,8 @@ func (sv *Server) StageEvent(e wire.Event) error {
 // error, and commits what it applied to the write-ahead log once, before it
 // returns either way (see StageBatch for the shed rule).
 func (sv *Server) IngestBatch(events []wire.Event) error {
-	return StageBatch(events, sv.StageEvent, sv.Commit)
+	var b Body
+	return StageBatch(events, func(e wire.Event) error { return sv.StageEvent(e, &b) }, sv.Commit)
 }
 
 // StageBatch is the one batch loop behind Server.IngestBatch, taking the

@@ -21,11 +21,12 @@ var ErrUnknownJob = errors.New("unknown job")
 
 // shard owns a disjoint subset of the jobs. The shard mutex guards only the
 // job map; counters are atomics and each job's state has its own lock, so
-// the hot ingest path takes the shard lock exactly once (for lookup) and a
-// slow model refit in one job never stalls ingest or queries for its
-// shard-mates — there is no global lock anywhere, and no long-held one
-// either. Lock order is always shard.mu before jobState.mu, and the shard
-// lock is never held across a predictor call.
+// the hot ingest path takes the shard lock at most once (for lookup, which
+// a Body's run of one job's events skips) and a slow model refit in one job
+// never stalls ingest or queries for its shard-mates — there is no global
+// lock anywhere, and no long-held one either. Lock order is always shard.mu
+// before jobState.mu, and the shard lock is never held across a predictor
+// call.
 type shard struct {
 	mu   sync.Mutex
 	jobs map[uint64]*jobState
@@ -118,10 +119,71 @@ func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, e
 	return lsn, nil
 }
 
+// Body is what one feeder's consecutive StageEvent calls share — a POST
+// /ingest body's, a replayed dump's, an IngestBatch's. It keeps two things:
+//
+//   - the wire.Reader the events decode from, when there is one, so an
+//     event's log record is the frame it arrived as (wire.Reader.FrameOf),
+//     copied, not encoded and checksummed a second time;
+//   - the job the previous event went to, so a run of one job's events
+//     looks the job up once, not once per event. The job lock re-validates
+//     it: a job DropJob has since removed is defunct, and the event falls
+//     back to the registry, which knows the job's new registration or
+//     answers ErrUnknownJob.
+//
+// The zero Body has no reader: its events are encoded. A Body is one
+// goroutine's, for one Server.
+type Body struct {
+	rd  *wire.Reader
+	job *jobState
+}
+
+// NewBody returns the Body of a stream of events decoded from rd, each
+// staged before the next is read.
+func NewBody(rd *wire.Reader) *Body { return &Body{rd: rd} }
+
+// frameOf returns e's frame as received, or nil when e is to be encoded.
+func (b *Body) frameOf(e *wire.Event) []byte {
+	if b == nil || b.rd == nil {
+		return nil
+	}
+	return b.rd.FrameOf(e)
+}
+
+// lockJob returns jobID's job with its lock held, or false when the job is
+// not registered (or was dropped before its lock was taken). b, when
+// non-nil, supplies the job the previous event went to and remembers this
+// one.
+func (s *shard) lockJob(jobID uint64, b *Body) (*jobState, bool) {
+	if b != nil && b.job != nil && b.job.spec.JobID == jobID {
+		b.job.mu.Lock()
+		if !b.job.defunct {
+			return b.job, true
+		}
+		b.job.mu.Unlock()
+	}
+	j, ok := s.lookup(jobID)
+	if !ok {
+		return nil, false
+	}
+	j.mu.Lock()
+	if j.defunct {
+		// Dropped between our lookup and taking the job lock: the drop is
+		// already in the WAL, so this event must not be applied or counted
+		// — recovery could never reproduce it.
+		j.mu.Unlock()
+		return nil, false
+	}
+	if b != nil {
+		b.job = j
+	}
+	return j, true
+}
+
 // ingest applies one event to its job, then folds the job's counter deltas
 // into the shard. It returns the LSN of the event's staged WAL record (0
 // when nothing was logged); the caller commits it before acknowledging.
-func (s *shard) ingest(e wire.Event) (uint64, error) {
+func (s *shard) ingest(e wire.Event, b *Body) (uint64, error) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -138,7 +200,7 @@ func (s *shard) ingest(e wire.Event) (uint64, error) {
 		s.sem <- struct{}{}
 	}
 	defer func() { <-s.sem }()
-	j, ok := s.lookup(e.JobID)
+	j, ok := s.lockJob(e.JobID, b)
 	if !ok {
 		return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
 	}
@@ -147,16 +209,9 @@ func (s *shard) ingest(e wire.Event) (uint64, error) {
 	// bounds features already), and applying such an event while refusing
 	// to log it would fork the live state from the recoverable state.
 	if len(e.Features) > wire.MaxWireFeatures {
+		j.mu.Unlock()
 		return 0, fmt.Errorf("serve: event %s for job %d: %d features exceed the wire cap %d",
 			e.Kind, e.JobID, len(e.Features), wire.MaxWireFeatures)
-	}
-	j.mu.Lock()
-	if j.defunct {
-		// Dropped between our lookup and taking the job lock: the drop is
-		// already in the WAL, so this event must not be applied or counted
-		// — recovery could never reproduce it.
-		j.mu.Unlock()
-		return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
 	}
 	termBefore, refitsBefore, durBefore, wasDone := j.terminated, j.refits, j.refitDur, j.done
 	reclassifiedBefore := j.reclassified
@@ -174,7 +229,7 @@ func (s *shard) ingest(e wire.Event) (uint64, error) {
 	var lsn uint64
 	var walErr error
 	if s.wal != nil && accepted {
-		lsn, walErr = s.wal.StageEvent(&e)
+		lsn, walErr = s.wal.StageEvent(&e, b.frameOf(&e)...)
 	}
 	termDelta := j.terminated - termBefore
 	refitDelta := j.refits - refitsBefore

@@ -17,7 +17,8 @@ package servehttp
 //	                Either reply is written only after everything the body
 //	                applied is in the write-ahead log: frames are staged as
 //	                they decode and committed once, one log write per
-//	                stream the body touched.
+//	                stream the body touched. An event's log record is the
+//	                frame as it arrived, CRC included, checked once.
 //	GET  /query     ?job=ID&tasks=0,1,2 — batched verdicts as JSON, the
 //	                hot read: pooled scratch and a hand-written encoder
 //	                (verdictjson.go) in place of encoding/json.
@@ -75,12 +76,13 @@ import (
 // so the front stays transport-only.
 type Backend interface {
 	StartJob(spec wire.JobSpec, pred simulator.Predictor) error
-	Ingest(e wire.Event) error
-	// StageJob and StageEvent are StartJob and Ingest minus the wait for
-	// the write-ahead log; nothing they applied may be acknowledged until
-	// Commit returns. POST /ingest stages a whole body and commits once.
+	// StageJob and StageEvent are StartJob and serve.Server.Ingest minus
+	// the wait for the write-ahead log; nothing they applied may be
+	// acknowledged until Commit returns. POST /ingest stages a whole body
+	// and commits once, Replay commits each event; both stage every event
+	// of a stream through the stream's serve.Body.
 	StageJob(spec wire.JobSpec, pred simulator.Predictor) error
-	StageEvent(e wire.Event) error
+	StageEvent(e wire.Event, b *serve.Body) error
 	Commit() error
 	// QueryAppend appends one verdict per task ID to dst and returns the
 	// extended slice. GET /query hands it a pooled slab, so the verdicts
@@ -262,6 +264,7 @@ func (f *front) ingest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	wr := wire.NewReader(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	body := serve.NewBody(wr)
 	var res IngestResult
 	// One wire.Event reused across the batch; NextInto draws its feature slices
 	// from the ingest observation pool and serve.RecycleAfterIngest returns each
@@ -293,7 +296,7 @@ func (f *front) ingest(w http.ResponseWriter, r *http.Request) {
 		} else {
 			f.charge(client, false)
 		}
-		err = f.sv.StageEvent(ev)
+		err = f.sv.StageEvent(ev, body)
 		serve.RecycleAfterIngest(&ev, err)
 		if errors.Is(err, serve.ErrShed) {
 			// Shed by the shard's ingest queue: counted, batch continues.

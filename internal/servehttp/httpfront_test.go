@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 	"repro/internal/serve/servetest"
@@ -631,6 +632,79 @@ func TestIngestBodyLimitIs413(t *testing.T) {
 		}
 		if code := errCode(err, true); code != http.StatusRequestEntityTooLarge {
 			t.Errorf("limit %s: %v answers %d, want 413", tc.name, err, code)
+		}
+	}
+}
+
+// TestIngestBodyAcrossDrop streams one body whose frames of job J straddle
+// a DropJob(J): the body's staging state remembers J's registration
+// between frames, and must not outlive it. Re-registered in between, the
+// later frame applies to the new registration (200); dropped alone, it is
+// an unknown job (404), as it would be in a body of its own.
+func TestIngestBodyAcrossDrop(t *testing.T) {
+	const id = 3
+	spec := wire.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 2, TauStra: 10,
+		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 1}
+	for _, restart := range []bool{true, false} {
+		sv := serve.NewServer(servetest.CheapConfig(2))
+		if err := sv.StartJob(spec, nil); err != nil {
+			t.Fatal(err)
+		}
+		pr, pw := io.Pipe()
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			NewHandler(sv).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", pr))
+		}()
+		ww := wire.NewWriter(pw)
+		for _, ev := range []wire.Event{
+			{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1},
+			{Kind: wire.EventJobFinish, JobID: id, Time: 2},
+		} {
+			if err := ww.WriteEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The reader never reads ahead of a frame, so once both frames are
+		// applied the handler waits on the pipe for the next one.
+		for deadline := time.Now().Add(10 * time.Second); sv.Stats().Events < 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the body's first frames were never applied")
+			}
+		}
+		if err := sv.DropJob(id); err != nil {
+			t.Fatal(err)
+		}
+		if restart {
+			if err := sv.StartJob(spec, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ww.WriteEvent(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 1, Time: 3}); err != nil {
+			t.Fatal(err)
+		}
+		pw.Close()
+		<-done
+		var res IngestResult
+		if err := json.NewDecoder(rec.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		if !restart {
+			if rec.Code != http.StatusNotFound || res.Events != 2 {
+				t.Fatalf("frame after DropJob: %d %+v, want 404 after 2 events", rec.Code, res)
+			}
+			continue
+		}
+		if rec.Code != http.StatusOK || res.Events != 3 {
+			t.Fatalf("frame after DropJob and StartJob: %d %+v, want 200 with 3 events", rec.Code, res)
+		}
+		rep, err := sv.Report(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Done || rep.Started != 1 {
+			t.Fatalf("new registration: done %v, %d started", rep.Done, rep.Started)
 		}
 	}
 }

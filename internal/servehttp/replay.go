@@ -59,6 +59,7 @@ func Replay(sv Backend, r io.Reader, skip int) (ReplayStats, error) {
 	// the dump, feature slices drawn from (and, when not retained,
 	// returned to) the ingest observation pool.
 	var ev wire.Event
+	body := serve.NewBody(wr)
 	for {
 		sp, err := wr.NextInto(&ev)
 		if err == io.EOF {
@@ -80,7 +81,11 @@ func Replay(sv Backend, r io.Reader, skip int) (ReplayStats, error) {
 			st.Specs++
 			continue
 		}
-		err = sv.Ingest(ev)
+		// Ingest's contract, one event at a time, staged through the dump's
+		// Body so its log record is the frame read from the dump.
+		if err = sv.StageEvent(ev, body); err == nil {
+			err = sv.Commit()
+		}
 		serve.RecycleAfterIngest(&ev, err)
 		if err != nil {
 			if errors.Is(err, serve.ErrShed) {

@@ -1,11 +1,15 @@
 package wal
 
-// append.go is the log's write path, in two halves. Stage encodes a record
-// as the wire frame a dump would carry (wire.EncodeSpec, wire.EncodeEvent,
-// a FrameDrop) straight onto the staged buffer and assigns its LSN — no
-// system call. Commit writes what is staged through an LSN (one Write)
-// and, with SyncEvery == 0, waits for an fsync that covers it. A caller
-// acknowledges only after Commit; the single-record Append* calls are
+// append.go is the log's write path, in two halves. Stage puts a record on
+// the staged buffer as the wire frame a dump would carry and assigns its
+// LSN — no system call. An event that arrived as a frame (an /ingest body,
+// a replayed dump) is logged as that frame, copied as received: the reader
+// checked its CRC, and the format is canonical, so encoding the event again
+// would give the same bytes at the price of a second CRC. Every other
+// record is encoded there (wire.EncodeSpec, wire.EncodeEvent, a FrameDrop).
+// Commit writes what is staged through an LSN (one Write) and, with
+// SyncEvery == 0, waits for an fsync that covers it. A caller acknowledges
+// only after Commit; the single-record Append* calls are
 // stage-one-then-commit, so there is one write path whether a record
 // travels alone or as one of a request body's hundreds.
 
@@ -25,7 +29,8 @@ import (
 const stageLimit = 64 << 10
 
 // stage appends one record's frame to the staged bytes — a FrameSpec from
-// sp, a FrameEvent from ev, a FrameDrop of jobID — and returns the record's
+// sp, a FrameEvent from ev (frame itself when the caller has ev's frame as
+// received), a FrameDrop of jobID — and returns the record's
 // LSN. Nothing is acknowledgeable until Commit(lsn) returns. The frame
 // carries no LSN: recovery derives it as the segment's stamp plus the
 // frame's ordinal, which holds because LSNs are assigned and frames staged
@@ -33,7 +38,7 @@ const stageLimit = 64 << 10
 // record gets. An encode error aborts before an LSN is consumed: a record
 // that cannot round-trip must never reach the log, where it would poison
 // every future recovery.
-func (w *WAL) stage(sp *wire.JobSpec, ev *wire.Event, jobID uint64) (uint64, error) {
+func (w *WAL) stage(sp *wire.JobSpec, ev *wire.Event, frame []byte, jobID uint64) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed.Load() {
@@ -47,6 +52,8 @@ func (w *WAL) stage(sp *wire.JobSpec, ev *wire.Event, jobID uint64) (uint64, err
 	switch {
 	case sp != nil:
 		w.staged, err = wire.EncodeSpec(w.staged, *sp)
+	case frame != nil:
+		w.staged = append(w.staged, frame...)
 	case ev != nil:
 		w.staged, err = wire.EncodeEvent(w.staged, *ev)
 	default:
@@ -164,14 +171,18 @@ func (w *WAL) committed(lsn uint64, err error) (uint64, error) {
 }
 
 // StageSpec stages an accepted StartJob (the defaulted, validated spec).
-func (w *WAL) StageSpec(sp *wire.JobSpec) (uint64, error) { return w.stage(sp, nil, 0) }
+func (w *WAL) StageSpec(sp *wire.JobSpec) (uint64, error) { return w.stage(sp, nil, nil, 0) }
 
 // StageEvent stages an accepted Ingest, job finishes included, as the event
-// frame it arrived as.
-func (w *WAL) StageEvent(ev *wire.Event) (uint64, error) { return w.stage(nil, ev, 0) }
+// frame it arrived as. A caller that holds that frame — header, payload and
+// CRC, as wire.Reader.FrameOf returns it for ev — passes it, and it is
+// logged as it is; without one, ev is encoded.
+func (w *WAL) StageEvent(ev *wire.Event, frame ...byte) (uint64, error) {
+	return w.stage(nil, ev, frame, 0)
+}
 
 // StageDrop stages an accepted DropJob.
-func (w *WAL) StageDrop(jobID uint64) (uint64, error) { return w.stage(nil, nil, jobID) }
+func (w *WAL) StageDrop(jobID uint64) (uint64, error) { return w.stage(nil, nil, nil, jobID) }
 
 // AppendSpec logs an accepted StartJob: StageSpec, then Commit.
 func (w *WAL) AppendSpec(sp *wire.JobSpec) (uint64, error) { return w.committed(w.StageSpec(sp)) }

@@ -529,7 +529,7 @@ func TestCheckpointCommitsStagedFirst(t *testing.T) {
 		if err := sv.StageJob(commitSpec(id), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.StageEvent(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1}); err != nil {
+		if err := sv.StageEvent(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

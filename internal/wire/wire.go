@@ -624,17 +624,19 @@ const readerBufLen = 4096
 //
 // The Reader owns one buffer, refilled from the source one Read at a time,
 // and hands out each frame's payload where it lies in that buffer: a payload
-// (NextFrame's, or anything aliasing it) is valid exactly until the next
-// call on the Reader. Next and NextInto copy what they keep — decoded specs
-// and feature slices never alias the buffer. A call returns the moment the
-// frame it needs is complete and never reads ahead of need, so frames
-// already received are never held back by a source that has stalled.
+// (NextFrame's, or anything aliasing it, FrameOf's frame included) is valid
+// exactly until the next call on the Reader. Next and NextInto copy what
+// they keep — decoded specs and feature slices never alias the buffer. A
+// call returns the moment the frame it needs is complete and never reads
+// ahead of need, so frames already received are never held back by a
+// source that has stalled.
 type Reader struct {
 	r      io.Reader
 	buf    []byte // buf[pos:end] is read but not yet consumed
 	pos    int
 	end    int
-	err    error // the source's error, reported once buf[pos:end] runs short
+	err    error  // the source's error, reported once buf[pos:end] runs short
+	last   []byte // the frame the last call returned, header to CRC; nil after an error
 	headed bool
 }
 
@@ -694,6 +696,7 @@ func (wr *Reader) readHeader() error {
 // checksum) is DecodeFrame's — this only sizes and fills the buffer, so the
 // streaming and byte-slice decode paths cannot diverge.
 func (wr *Reader) NextFrame() (FrameKind, []byte, error) {
+	wr.last = nil
 	if !wr.headed {
 		if err := wr.readHeader(); err != nil {
 			return 0, nil, err
@@ -718,12 +721,35 @@ func (wr *Reader) NextFrame() (FrameKind, []byte, error) {
 		}
 		return 0, nil, err
 	}
-	kind, payload, _, err := DecodeFrame(wr.buf[wr.pos : wr.pos+total])
+	frame := wr.buf[wr.pos : wr.pos+total]
+	kind, payload, _, err := DecodeFrame(frame)
 	if err != nil {
 		return 0, nil, err
 	}
 	wr.pos += total
+	wr.last = frame
 	return kind, payload, nil
+}
+
+// FrameOf returns the frame the last call on the Reader decoded, header
+// through CRC, when it can be ev's: an event frame of ev's encoded length
+// whose event kind and job are ev's. Otherwise it returns nil. The frame
+// aliases the Reader's buffer and is valid until the next call on the
+// Reader.
+//
+// The format is canonical (encode(decode(b)) == b, which FuzzWireDecode
+// checks), so for an event the last call decoded and nobody has changed
+// since, the frame is byte for byte EncodeEvent's: the write-ahead log
+// keeps it as the event's record instead of encoding and checksumming the
+// event again. The checks catch an event that was not decoded from this
+// frame at all; a decoded event must not be changed before it is logged.
+func (wr *Reader) FrameOf(ev *Event) []byte {
+	f := wr.last
+	if len(f) != 5+eventHeadLen+8*len(ev.Features)+4 || FrameKind(f[0]) != FrameEvent ||
+		EventKind(f[5]) != ev.Kind || binary.LittleEndian.Uint64(f[6:]) != ev.JobID {
+		return nil
+	}
+	return f
 }
 
 // Next returns the next element of a spec/event stream (a trace dump or an

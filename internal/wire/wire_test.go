@@ -302,9 +302,99 @@ func TestWireHostileCounts(t *testing.T) {
 	}
 }
 
+// checkLoggedFrames reads data the way an ingest loop does and holds, for
+// every event the reader accepts, the frame FrameOf hands the log equal to
+// EncodeEvent of the decoded event: logging the frame as received is
+// encoding skipped, never a different record.
+func checkLoggedFrames(t *testing.T, data []byte) {
+	wr := NewReader(bytes.NewReader(data))
+	var ev Event
+	for {
+		sp, err := wr.NextInto(&ev)
+		if err != nil {
+			if wr.FrameOf(&ev) != nil {
+				t.Fatalf("FrameOf offers a frame after the error %v", err)
+			}
+			return
+		}
+		if sp != nil {
+			if wr.FrameOf(&Event{JobID: sp.JobID}) != nil {
+				t.Fatalf("FrameOf offers a spec frame as an event's")
+			}
+			continue
+		}
+		frame := wr.FrameOf(&ev)
+		if frame == nil {
+			t.Fatalf("FrameOf offers no frame for the event it decoded: %+v", ev)
+		}
+		plain := ev
+		plain.Pooled = false
+		want, err := EncodeEvent(nil, plain)
+		if err != nil {
+			t.Fatalf("re-encoding decoded event: %v", err)
+		}
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("frame as received diverges from its event's encoding:\n got %x\nwant %x", frame, want)
+		}
+		if ev.Pooled {
+			PutObservation(ev.Features)
+		}
+		ev = Event{}
+	}
+}
+
+// edgeBitEvents carries the float bit patterns the wire admits but a
+// trace generator never draws: NaNs with payloads and either sign,
+// negative zero, subnormals and infinities.
+func edgeBitEvents() []Event {
+	nanPay := math.Float64frombits(0x7ff8_0000_dead_beef)
+	sNaN := math.Float64frombits(0x7ff0_0000_0000_0001)
+	negNaN := math.Float64frombits(0xfff8_0000_0000_0042)
+	negZero := math.Copysign(0, -1)
+	return []Event{
+		{Kind: EventTaskStart, JobID: 3, TaskID: 1, Time: negZero},
+		{Kind: EventHeartbeat, JobID: 3, TaskID: 1, Time: nanPay, Tick: -1,
+			Features: []float64{sNaN, negNaN, negZero, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1)}},
+		{Kind: EventTaskFinish, JobID: 3, TaskID: 1, Time: math.Inf(1), Latency: sNaN},
+		{Kind: EventJobFinish, JobID: 3, Time: math.Float64frombits(0x000f_ffff_ffff_ffff)},
+	}
+}
+
+// TestFrameOf pins what the log may take as an event's record: the frame
+// the last call decoded, and only when its kind, length and job are the
+// event's.
+func TestFrameOf(t *testing.T) {
+	specs, events := goldenElements()
+	events = append(events, edgeBitEvents()...)
+	checkLoggedFrames(t, encodeStream(t, specs, events))
+
+	wr := NewReader(bytes.NewReader(encodeStream(t, nil, events[1:2])))
+	var ev Event
+	if _, err := wr.NextInto(&ev); err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string]Event{
+		"another job":           {Kind: ev.Kind, JobID: ev.JobID + 1, Features: ev.Features},
+		"another feature count": {Kind: ev.Kind, JobID: ev.JobID, Features: ev.Features[1:]},
+		"another event kind":    {Kind: EventTaskStart, JobID: ev.JobID, Features: ev.Features},
+	} {
+		if wr.FrameOf(&other) != nil {
+			t.Errorf("%s: FrameOf offers the decoded event's frame", name)
+		}
+	}
+	if _, err := wr.NextInto(&ev); err != io.EOF {
+		t.Fatalf("end of stream: %v", err)
+	}
+	if wr.FrameOf(&ev) != nil {
+		t.Error("FrameOf offers a frame after io.EOF")
+	}
+}
+
 // FuzzWireDecode feeds arbitrary bytes through both decode layers. The
-// invariants: no panic ever; and when a frame does decode, re-encoding it
-// reproduces the consumed bytes exactly (canonical encoding).
+// invariants: no panic ever; when a frame does decode, re-encoding it
+// reproduces the consumed bytes exactly (canonical encoding); and every
+// event frame a stream reader accepts is the frame FrameOf hands the log,
+// equal to the encoding of the event it decoded to.
 func FuzzWireDecode(f *testing.F) {
 	specs, events := goldenElements()
 	var buf bytes.Buffer
@@ -313,6 +403,11 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	enc := buf.Bytes()
 	f.Add(enc)
+	var edge bytes.Buffer
+	if err := WriteDump(&edge, nil, edgeBitEvents()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(edge.Bytes())
 	f.Add(enc[:len(enc)/2])
 	f.Add(enc[HeaderLen:])
 	mut := append([]byte(nil), enc...)
@@ -329,6 +424,7 @@ func FuzzWireDecode(f *testing.F) {
 		if n, err := decodeAll(data); err == nil && n > 0 && len(data) < HeaderLen {
 			t.Fatalf("decoded %d elements from %d bytes", n, len(data))
 		}
+		checkLoggedFrames(t, data)
 
 		// Frame layer: canonical re-encode on success.
 		kind, payload, n, err := DecodeFrame(data)
