@@ -13,12 +13,14 @@ package serve
 //	                          an empty bucket sheds heartbeats and lets
 //	                          everything else run the bucket negative, so
 //	                          a partially applied batch is never rejected.
-//	ingest queue (per shard)  a bounded admission semaphore. When full,
-//	                          heartbeats are shed (ErrShed) before any
-//	                          state is touched; starts, finishes, and
+//	ingest queue (per shard)  a bounded occupancy counter (admission):
+//	                          one compare-and-swap admits an event. When
+//	                          full, heartbeats are shed (ErrShed) before
+//	                          any state is touched; starts, finishes, and
 //	                          job-finishes are never shed — they carry
 //	                          labels and protocol structure — and instead
-//	                          wait for a slot (backpressure).
+//	                          wait in line, each handed the next freed
+//	                          slot (backpressure).
 //	refit queue (per shard)   bounded by count. At the bound a new fit
 //	                          runs inline on the ingesting goroutine
 //	                          (counted, and applied at the same stream
@@ -48,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -130,6 +133,76 @@ func (o OverloadStats) String() string {
 		o.ShedHeartbeats, o.ShedFinishes, o.IngestWaits, o.IngestQueueDepth, o.IngestQueueBound,
 		o.RateLimited, o.RateShedHeartbeats, o.DegradedQueries, o.InlineRefits, o.RetryHintSeconds)
 }
+
+// admission is a shard's bounded ingest queue. n counts the calls holding a
+// slot plus the callers waiting for one, so min(n, bound) slots are held and
+// max(n-bound, 0) callers wait. Admitting an event is a compare-and-swap
+// that refuses at the bound; releasing is one Add(-1). Only the full-queue
+// path takes mu: a waiter takes a ticket there, and a release that finds
+// one waiting — n was above the bound — hands its slot on instead of
+// freeing it, so n stays at the bound, tryAcquire keeps refusing a
+// heartbeat that arrives meanwhile, and the waiters are admitted in ticket
+// order.
+type admission struct {
+	n     atomic.Int64
+	bound int64
+
+	mu     sync.Mutex
+	wake   sync.Cond // L is &mu
+	ticket uint64    // tickets handed to waiters
+	served uint64    // slots handed on: ticket t is admitted once served > t
+}
+
+func newAdmission(bound int) *admission {
+	a := &admission{bound: int64(bound)}
+	a.wake.L = &a.mu
+	return a
+}
+
+// tryAcquire takes a slot if one is free, without waiting.
+func (a *admission) tryAcquire() bool {
+	for {
+		n := a.n.Load()
+		if n >= a.bound {
+			return false
+		}
+		if a.n.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// acquire takes a slot, waiting behind every earlier waiter for one.
+func (a *admission) acquire() {
+	if a.n.Add(1) <= a.bound {
+		return
+	}
+	a.mu.Lock()
+	t := a.ticket
+	a.ticket++
+	for a.served <= t {
+		a.wake.Wait()
+	}
+	a.mu.Unlock()
+}
+
+// release gives up a slot: to the first waiter when there is one. A waiter
+// takes its ticket and enters Wait in one hold of mu, so the cond's wake
+// order is ticket order, and the one Signal wakes exactly the ticket this
+// release serves (or nobody, when that waiter has not taken its ticket yet
+// and will find it served).
+func (a *admission) release() {
+	if a.n.Add(-1) < a.bound {
+		return
+	}
+	a.mu.Lock()
+	a.served++
+	a.wake.Signal()
+	a.mu.Unlock()
+}
+
+// depth is the number of slots held.
+func (a *admission) depth() int { return int(min(a.n.Load(), a.bound)) }
 
 // lockWithin tries to take mu, giving up after d. It spins on TryLock with
 // short sleeps rather than arming a timer per query: d is a few

@@ -28,6 +28,11 @@ func cheapCfg(shards int) Config {
 	return Config{Shards: shards, NewPredictor: func(wire.JobSpec) simulator.Predictor { return &flagAll{} }}
 }
 
+// occupy holds one of s's ingest-queue slots, waiting for it like a
+// finish; free gives it back.
+func occupy(s *shard) { s.queue.acquire() }
+func free(s *shard)   { s.queue.release() }
+
 // TestShedPriorityOrder: with the ingest queue full, a heartbeat is shed
 // immediately (ErrShed, before any state is touched) while a finish — which
 // carries a ground-truth label — waits for a slot instead. ShedFinishes
@@ -41,7 +46,7 @@ func TestShedPriorityOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sv.reg.shardFor(1)
-	s.sem <- struct{}{} // occupy the only queue slot
+	occupy(s) // occupy the only queue slot
 
 	err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 0, Time: 1, Features: []float64{1, 1}})
 	if !errors.Is(err, ErrShed) {
@@ -58,7 +63,7 @@ func TestShedPriorityOrder(t *testing.T) {
 		t.Fatalf("finish completed with the queue full (err=%v); it must wait", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	<-s.sem // free the slot
+	free(s) // free the slot
 	select {
 	case err := <-finished:
 		if err != nil {
@@ -100,7 +105,7 @@ func TestShedLeavesNoWALTrace(t *testing.T) {
 	}
 
 	s := sv.reg.shardFor(1)
-	s.sem <- struct{}{}
+	occupy(s)
 	for i := 0; i < 3; i++ {
 		err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 0,
 			Time: float64(2 + i), Features: []float64{1}})
@@ -108,7 +113,7 @@ func TestShedLeavesNoWALTrace(t *testing.T) {
 			t.Fatalf("heartbeat %d: got %v, want ErrShed", i, err)
 		}
 	}
-	<-s.sem
+	free(s)
 	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskFinish, JobID: 1, TaskID: 0, Time: 6, Latency: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -424,16 +429,16 @@ func TestRetryHintTracksLoad(t *testing.T) {
 		t.Fatalf("idle hint %d, want 1", got)
 	}
 	s := sv.reg.shardFor(1)
-	s.sem <- struct{}{}
-	s.sem <- struct{}{}
+	occupy(s)
+	occupy(s)
 	if got := sv.RetryHint(); got != MaxRetryHintSeconds {
 		t.Fatalf("full-queue hint %d, want %d", got, MaxRetryHintSeconds)
 	}
-	<-s.sem
+	free(s)
 	if got := sv.RetryHint(); got <= 1 || got >= MaxRetryHintSeconds {
 		t.Fatalf("half-queue hint %d, want strictly between 1 and %d", got, MaxRetryHintSeconds)
 	}
-	<-s.sem
+	free(s)
 }
 
 // TestNonPositiveBoundsMeanDefault: a bound below 1 — zero or negative —

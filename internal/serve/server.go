@@ -187,7 +187,7 @@ func orDefault(v *int, def int) {
 func (sv *Server) RetryHint() int {
 	var occ float64
 	sv.reg.each(func(s *shard) {
-		if o := float64(len(s.sem)) / float64(cap(s.sem)); o > occ {
+		if o := float64(s.queue.depth()) / float64(s.queue.bound); o > occ {
 			occ = o
 		}
 		q, _ := s.pool.depths()

@@ -37,23 +37,23 @@ type shard struct {
 	pool *refitPool
 
 	// wal, when non-nil, receives one record per accepted mutation, staged
-	// (given its LSN and its place in its stream) before the owning lock
-	// (s.mu for start/drop, the job's mu for events) is released — the
-	// ordering that makes log replay reproduce the live apply order. The
-	// write itself is the Server's commit, after the lock is gone. The log
-	// is sharded like the registry: a stage takes only the job's own stream
-	// lock (job/shard lock before stream lock, never the reverse), so
-	// logging here never serializes against other shards' traffic. Set once
-	// by Server.attachWAL before any traffic.
+	// (given its LSN and its place in the log) before the owning lock (s.mu
+	// for start/drop, the job's mu for events) is released — the ordering
+	// that makes log replay reproduce the live apply order. The write itself
+	// is the Server's commit, after the lock is gone. The log is one stream
+	// shared by every shard: a stage takes the log's one lock, inside the
+	// job or shard lock and never the reverse, and holds it only to copy
+	// the record onto the stage and count its LSN. Set once by
+	// Server.attachWAL before any traffic.
 	wal *wal.WAL
 
-	// sem is the bounded ingest admission queue: every ingest holds one
+	// queue is the bounded ingest admission queue: every ingest holds one
 	// slot for its duration. When full, heartbeats are shed before any
 	// state is touched (see overload.go) and every other event class
-	// blocks for a slot. degradedAfter, when positive, bounds how long a
+	// waits for a slot. degradedAfter, when positive, bounds how long a
 	// query waits for a job lock before answering from the stale published
 	// view.
-	sem           chan struct{}
+	queue         *admission
 	degradedAfter time.Duration
 
 	// Counters accumulate as events happen (not derived from live jobs) so
@@ -82,7 +82,7 @@ func newShard(cfg Config) *shard {
 	return &shard{
 		jobs:          make(map[uint64]*jobState),
 		pool:          newRefitPool(cfg.RefitQueue),
-		sem:           make(chan struct{}, cfg.IngestQueue),
+		queue:         newAdmission(cfg.IngestQueue),
 		degradedAfter: cfg.DegradedAfter,
 	}
 }
@@ -184,9 +184,7 @@ func (s *shard) lockJob(jobID uint64, b *Body) (*jobState, bool) {
 // into the shard. It returns the LSN of the event's staged WAL record (0
 // when nothing was logged); the caller commits it before acknowledging.
 func (s *shard) ingest(e wire.Event, b *Body) (uint64, error) {
-	select {
-	case s.sem <- struct{}{}:
-	default:
+	if !s.queue.tryAcquire() {
 		// Queue full. Shed heartbeats before touching any state — a shed
 		// event must leave no trace (not applied, not counted, not logged)
 		// so recovery replays exactly the accepted stream. Everything else
@@ -197,9 +195,9 @@ func (s *shard) ingest(e wire.Event, b *Body) (uint64, error) {
 			return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrShed)
 		}
 		s.ingestWaits.Add(1)
-		s.sem <- struct{}{}
+		s.queue.acquire()
 	}
-	defer func() { <-s.sem }()
+	defer s.queue.release()
 	j, ok := s.lockJob(e.JobID, b)
 	if !ok {
 		return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
@@ -400,5 +398,5 @@ func (s *shard) addStats(st *Stats) {
 	st.Overload.IngestWaits += s.ingestWaits.Load()
 	st.Overload.DegradedQueries += s.degraded.Load()
 	st.Overload.InlineRefits += s.pool.inlineFits.Load()
-	st.Overload.IngestQueueDepth += len(s.sem)
+	st.Overload.IngestQueueDepth += s.queue.depth()
 }

@@ -73,7 +73,8 @@ func (w *WAL) stage(sp *wire.JobSpec, ev *wire.Event, frame []byte, jobID uint64
 	// The LSN is assigned only after the record is known encodable and the
 	// segment open: a consumed-but-unwritten LSN would read as a hole to
 	// every future recovery.
-	lsn := w.seq.Add(1) - 1
+	lsn := w.seq
+	w.seq++
 	n := len(w.staged) - before
 	w.lastLSN = lsn
 	w.appends++
@@ -156,7 +157,7 @@ func (w *WAL) Commit(lsn uint64) error {
 
 // CommitAll is Commit up to the last LSN assigned so far: a barrier for
 // callers that staged without keeping their LSNs.
-func (w *WAL) CommitAll() error { return w.Commit(w.seq.Load() - 1) }
+func (w *WAL) CommitAll() error { return w.Commit(w.NextLSN() - 1) }
 
 // committed turns a stage result into an append result: the record is in
 // the file (and, with SyncEvery == 0, synced) before the LSN is returned.

@@ -5,13 +5,16 @@ package wal_test
 // compacts it into (TestLogIsItsDump), and the LSN a
 // record is read back at — its segment's stamp plus its ordinal — is the LSN
 // the write call returned for it, across rotation, torn tails, header-only
-// segments and the power-loss jump (TestDerivedLSNsMatchIssued).
+// segments and the power-loss jump (TestDerivedLSNsMatchIssued); the
+// counter that issues them reads monotone while stagers run
+// (TestLSNCounterUnderConcurrency).
 
 import (
 	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -397,4 +400,109 @@ func TestDerivedLSNsMatchIssued(t *testing.T) {
 		t.Fatalf("the resumed log's segment is stamped %d, not at the floor %d", stamp, floor)
 	}
 	l.check(t, img5, floor)
+}
+
+// TestLSNCounterUnderConcurrency: stagers of every record kind run beside
+// rotation, checkpoints and the group-commit flusher while readers watch
+// the LSN counter through NextLSN, Stats().NextLSN and CommitAll. Each
+// reader sees a monotone sequence that never passes the records staged,
+// and after Close the log's NextLSN is the one recovery lands on. Meant
+// for -race.
+func TestLSNCounterUnderConcurrency(t *testing.T) {
+	fs := waltest.NewMemFS()
+	opts := wal.Options{SegmentBytes: 4 << 10, SyncEvery: time.Millisecond, FS: fs}
+	cfg := servetest.CheapConfig(2)
+	_, wlog, _, err := serve.Recover("wal", cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, streams := walWorkload(t, 4, 157)
+	total := 0
+	for i := range specs {
+		total += 2 + len(streams[i]) // spec, events, drop
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(specs))
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			stage := func(lsn uint64, err error) bool {
+				if err == nil && i%2 == 0 {
+					err = wlog.Commit(lsn)
+				}
+				if err != nil {
+					errs <- err
+				}
+				return err == nil
+			}
+			if !stage(wlog.StageSpec(&specs[i])) {
+				return
+			}
+			for k := range streams[i] {
+				if !stage(wlog.StageEvent(&streams[i][k])) {
+					return
+				}
+			}
+			stage(wlog.StageDrop(specs[i].JobID))
+		}(i)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for name, read := range map[string]func() (uint64, error){
+		"NextLSN": func() (uint64, error) { return wlog.NextLSN(), nil },
+		"Stats":   func() (uint64, error) { return wlog.Stats().NextLSN, nil },
+		"CommitAll": func() (uint64, error) {
+			err := wlog.CommitAll()
+			return wlog.NextLSN(), err
+		},
+		"Checkpoint": func() (uint64, error) {
+			_, _, err := wlog.Checkpoint()
+			return wlog.NextLSN(), err
+		},
+	} {
+		readers.Add(1)
+		go func(name string, read func() (uint64, error)) {
+			defer readers.Done()
+			var last uint64
+			for {
+				lsn, err := read()
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				if lsn < last || lsn > uint64(total)+1 {
+					t.Errorf("%s read %d after %d (%d records in all)", name, lsn, last, total)
+					return
+				}
+				last = lsn
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(name, read)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := wlog.NextLSN(); got != uint64(total)+1 {
+		t.Fatalf("NextLSN %d after %d records", got, total)
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, wlog2, rst, err := serve.Recover("wal", cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog2.Close()
+	if rst.NextLSN != wlog.NextLSN() || wlog2.NextLSN() != rst.NextLSN {
+		t.Fatalf("closed log's NextLSN %d, recovered %d, reopened %d", wlog.NextLSN(), rst.NextLSN, wlog2.NextLSN())
+	}
 }

@@ -47,6 +47,7 @@ func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 	w := &WAL{
 		dir:        dir,
 		opts:       opts,
+		seq:        next,
 		lastLSN:    s.last,
 		writtenLSN: next - 1,
 		syncedLSN:  next - 1,
@@ -55,7 +56,6 @@ func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 		ckptCh:     make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 	}
-	w.seq.Store(next)
 	if opts.SyncEvery > 0 {
 		w.bg.Add(1)
 		go w.flushLoop()
@@ -150,7 +150,7 @@ func (w *WAL) cut() (uint64, []Entry, error) {
 	if w.closed.Load() {
 		return 0, nil, ErrClosed
 	}
-	floor := w.seq.Load()
+	floor := w.NextLSN()
 	if err := w.Commit(floor - 1); err != nil {
 		return 0, nil, err
 	}

@@ -84,12 +84,12 @@ type Stats struct {
 // Stats reports the WAL's counters.
 func (w *WAL) Stats() Stats {
 	st := Stats{
-		NextLSN:            w.seq.Load(),
 		RetiredSegments:    w.retired.Load(),
 		Checkpoints:        w.ckpts.Load(),
 		CheckpointFailures: w.ckptFails.Load(),
 	}
 	w.mu.Lock()
+	st.NextLSN = w.seq
 	st.Segments = len(w.segs)
 	st.Appends, st.Bytes, st.Syncs = w.appends, w.bytes, w.syncs
 	st.PendingBytes = w.pending

@@ -27,7 +27,7 @@ func (w *WAL) checkpointLoop() {
 		}
 		// An idle log has nothing new to cover: a checkpoint would cut at
 		// the same floor and return the same base.
-		if w.seq.Load() == w.ckptFloor.Load() {
+		if w.NextLSN() == w.ckptFloor.Load() {
 			continue
 		}
 		// Errors do not wedge the policy: a full disk at checkpoint time

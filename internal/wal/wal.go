@@ -90,10 +90,6 @@ type WAL struct {
 	dir  string
 	opts Options
 
-	// seq is the next LSN to assign. It only advances under mu; reading it
-	// (NextLSN) needs no lock.
-	seq atomic.Uint64
-
 	// failed latches the first write or fsync error; every later append
 	// returns it. Atomic so the stage path reads it without a lock.
 	failed atomic.Pointer[error]
@@ -108,9 +104,13 @@ type WAL struct {
 	syncMu    sync.Mutex
 	syncedLSN uint64
 
-	// mu covers the open segment, the staged frames and the counters;
-	// staging a record takes exactly this one lock.
+	// mu covers the LSN counter, the open segment, the staged frames and
+	// the other counters; staging a record takes exactly this one lock.
+	// seq, the next LSN to assign, is a plain integer: only stage advances
+	// it, under mu, and NextLSN, Stats, CommitAll, the checkpoint's cut and
+	// its policy read it under mu too.
 	mu           sync.Mutex
+	seq          uint64
 	f            File   // open segment; nil until the first append (lazy)
 	stamp        uint64 // open segment's name stamp
 	lastLSN      uint64 // last LSN staged (recovered or live): the next segment header's chain link
@@ -168,7 +168,7 @@ func (w *WAL) fail(err error) error {
 // createSegmentLocked opens a fresh segment: name stamp from the sequence,
 // header chaining to the last LSN staged. Called with mu held.
 func (w *WAL) createSegmentLocked() error {
-	stamp := w.seq.Load()
+	stamp := w.seq
 	name := filepath.Join(w.dir, SegName(stamp))
 	f, err := w.opts.FS.Create(name)
 	if err != nil {
@@ -309,7 +309,11 @@ func (w *WAL) flushLoop() {
 }
 
 // NextLSN returns the next log sequence number to be assigned.
-func (w *WAL) NextLSN() uint64 { return w.seq.Load() }
+func (w *WAL) NextLSN() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.seq
+}
 
 // Dir returns the WAL directory.
 func (w *WAL) Dir() string { return w.dir }
