@@ -490,15 +490,26 @@ func benchServeConfig() serve.Config {
 	return cfg
 }
 
+// benchBodies encodes each job's event stream as one ingest body, returning
+// the bodies and their total event count.
+func benchBodies(b *testing.B, jobs []*trace.Job, sims []*simulator.Sim) ([][]byte, int) {
+	bodies := make([][]byte, len(jobs))
+	total := 0
+	for i, j := range jobs {
+		events := serve.JobEvents(j, sims[i])
+		var body bytes.Buffer
+		if err := wire.WriteDump(&body, nil, events); err != nil {
+			b.Fatal(err)
+		}
+		bodies[i], total = body.Bytes(), total+len(events)
+	}
+	return bodies, total
+}
+
 func BenchmarkServeThroughput(b *testing.B) {
 	const numJobs = 4
 	jobs, sims := servetest.Jobs(b, trace.DefaultGoogleConfig(benchSeed), numJobs)
-	streams := make([][]wire.Event, numJobs)
-	totalEvents := 0
-	for i, j := range jobs {
-		streams[i] = serve.JobEvents(j, sims[i])
-		totalEvents += len(streams[i])
-	}
+	bodies, totalEvents := benchBodies(b, jobs, sims)
 	b.ResetTimer()
 	var lastServer *serve.Server
 	for i := 0; i < b.N; i++ {
@@ -511,7 +522,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 			wg.Add(1)
 			go func(ji int) {
 				defer wg.Done()
-				if err := sv.IngestBatch(streams[ji]); err != nil {
+				if _, err := sv.Feed(wire.NewReader(bytes.NewReader(bodies[ji])), nil); err != nil {
 					b.Error(err)
 				}
 			}(ji)
@@ -549,15 +560,20 @@ func BenchmarkWireCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		wr := wire.NewReader(bytes.NewReader(buf.Bytes()))
+		var ev wire.Event
 		n := 0
 		for {
-			_, _, err := wr.Next()
+			_, err := wr.NextInto(&ev)
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				b.Fatal(err)
 			}
+			if ev.Features != nil {
+				wire.PutObservation(ev.Features)
+			}
+			ev = wire.Event{}
 			n++
 		}
 		if n != len(events)+1 {
@@ -584,7 +600,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err := sv.StartJob(serve.SpecFor(sims[i], benchSeed+uint64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
-		if err := sv.IngestBatch(serve.JobEvents(j, sims[i])); err != nil {
+		if err := servetest.IngestBatch(sv, serve.JobEvents(j, sims[i])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -616,12 +632,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 func BenchmarkServeThroughputWAL(b *testing.B) {
 	const numJobs = 4
 	jobs, sims := servetest.Jobs(b, trace.DefaultGoogleConfig(benchSeed), numJobs)
-	streams := make([][]wire.Event, numJobs)
-	totalEvents := 0
-	for i, j := range jobs {
-		streams[i] = serve.JobEvents(j, sims[i])
-		totalEvents += len(streams[i])
-	}
+	bodies, totalEvents := benchBodies(b, jobs, sims)
 	b.ResetTimer()
 	var lastWAL wal.Stats
 	for i := 0; i < b.N; i++ {
@@ -641,7 +652,7 @@ func BenchmarkServeThroughputWAL(b *testing.B) {
 			wg.Add(1)
 			go func(ji int) {
 				defer wg.Done()
-				if err := sv.IngestBatch(streams[ji]); err != nil {
+				if _, err := sv.Feed(wire.NewReader(bytes.NewReader(bodies[ji])), nil); err != nil {
 					b.Error(err)
 				}
 			}(ji)
@@ -676,7 +687,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		evs := serve.JobEvents(j, sims[i])
-		if err := sv.IngestBatch(evs); err != nil {
+		if err := servetest.IngestBatch(sv, evs); err != nil {
 			b.Fatal(err)
 		}
 		records += 1 + len(evs)

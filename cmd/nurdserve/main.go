@@ -189,8 +189,48 @@ func serveMode(listen, replay string, cfg serve.Config, walDir string, wopts wal
 	return http.Serve(ln, servehttp.NewHandler(sv))
 }
 
+// replayStats summarizes one -replay pass: what Feed applied, and how long
+// it took.
+type replayStats struct {
+	serve.Fed
+	Wall time.Duration
+}
+
+// Rate returns the achieved ingest rate in events per second: 0 for an
+// empty replay or a non-positive wall time (never Inf or NaN).
+func (st replayStats) Rate() float64 {
+	if st.Wall <= 0 || st.Events == 0 {
+		return 0
+	}
+	return float64(st.Events) / st.Wall.Seconds()
+}
+
+// feedDump feeds the dump r to sv, past its first skip frames. A server
+// recovered from its WAL holds RecoveryStats.NextLSN-1 mutations, and each
+// accepted dump frame is one log record, so passing that as skip continues
+// the same dump without applying any frame twice. The rest of the dump is
+// one Feed, committed once at its end; the log writes what it has staged
+// whenever the stage reaches its cap, so memory does not grow with the dump.
+func feedDump(sv *serve.Server, r io.Reader, skip int) (replayStats, error) {
+	start := time.Now()
+	rd := wire.NewReader(r)
+	// A frame that fails to read here fails again as Feed's first read,
+	// which reports it.
+	for ; skip > 0; skip-- {
+		if _, _, err := rd.NextFrame(); err != nil {
+			break
+		}
+	}
+	fed, err := sv.Feed(rd, nil)
+	st := replayStats{Fed: fed, Wall: time.Since(start)}
+	if err != nil {
+		return st, fmt.Errorf("serve: replay: %w", err)
+	}
+	return st, nil
+}
+
 // loadDump replays the dump at path into sv, skipping the first skip
-// elements, checkpoints the server's WAL (if any) once the replay drains,
+// frames, checkpoints the server's WAL (if any) once the replay drains,
 // and prints the replay rate, a per-job table and the server stats.
 func loadDump(sv *serve.Server, path string, skip int) error {
 	f, err := os.Open(path)
@@ -201,7 +241,7 @@ func loadDump(sv *serve.Server, path string, skip int) error {
 	if skip > 0 {
 		fmt.Fprintf(os.Stderr, "nurdserve: resuming replay at element %d (the WAL already holds the rest)\n", skip)
 	}
-	st, err := servehttp.Replay(sv, f, skip)
+	st, err := feedDump(sv, f, skip)
 	if err != nil {
 		return err
 	}

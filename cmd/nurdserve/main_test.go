@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -344,5 +348,127 @@ func TestServeModeReplaysBeforeListening(t *testing.T) {
 	if rst.SnapshotPath == "" || rst.NextLSN != uint64(elements+1) {
 		t.Errorf("before the listen failed: snapshot %q, next LSN %d; want a checkpoint and LSN %d",
 			rst.SnapshotPath, rst.NextLSN, elements+1)
+	}
+}
+
+// TestReplayFromSkips: a dump replayed into a recovered server resumes past
+// the mutations the WAL already holds — the nurdserve -wal -replay path.
+func TestReplayFromSkips(t *testing.T) {
+	jobs, sims := servetest.SmallJobs(t, 2, 79)
+	specs := make([]wire.JobSpec, len(jobs))
+	streams := make([][]wire.Event, len(jobs))
+	for i := range jobs {
+		specs[i] = serve.SpecFor(sims[i], 79+uint64(i))
+		streams[i] = serve.JobEvents(jobs[i], sims[i])
+	}
+	var all []wire.Event
+	all = append(all, serve.MergeStreams(streams...)...)
+	var dump bytes.Buffer
+	if err := wire.WriteDump(&dump, specs, all); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reference: the whole dump into a fresh server.
+	ref := serve.NewServer(servetest.CheapConfig(1))
+	if _, err := feedDump(ref, bytes.NewReader(dump.Bytes()), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Interrupted: half the dump under a WAL, crash, recover, resume with
+	// feedDump skipping to the recovered position.
+	dir := t.TempDir()
+	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(specs) + len(all)/2
+	for i := range specs {
+		if err := sv.StartJob(specs[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := servetest.IngestBatch(sv, all[:half-len(specs)]); err != nil {
+		t.Fatal(err)
+	}
+	wlog.Close()
+	sv2, wal2, rst, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	if got := int(rst.NextLSN) - 1; got != half {
+		t.Fatalf("recovered %d mutations, want %d", got, half)
+	}
+	st, err := feedDump(sv2, bytes.NewReader(dump.Bytes()), int(rst.NextLSN)-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Specs != 0 || st.Events != len(all)-(half-len(specs)) {
+		t.Errorf("resumed replay applied %d specs / %d events", st.Specs, st.Events)
+	}
+	for i := range specs {
+		want, _ := ref.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
+		got, err := sv2.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d: resumed-replay verdicts diverge from uninterrupted replay", specs[i].JobID)
+		}
+	}
+}
+
+// TestReplayStatsRate pins the Rate guard: empty dumps, single-event dumps,
+// and degenerate wall times must yield a finite rate — never Inf or NaN.
+func TestReplayStatsRate(t *testing.T) {
+	// Constructed degenerate stats.
+	for _, tc := range []struct {
+		st   replayStats
+		want float64
+	}{
+		{replayStats{Fed: serve.Fed{Events: 10}, Wall: 0}, 0},
+		{replayStats{Fed: serve.Fed{Events: 10}, Wall: -time.Second}, 0},
+		{replayStats{Fed: serve.Fed{Events: 0}, Wall: time.Second}, 0},
+		{replayStats{Fed: serve.Fed{Events: 10}, Wall: 2 * time.Second}, 5},
+	} {
+		got := tc.st.Rate()
+		if math.IsInf(got, 0) || math.IsNaN(got) {
+			t.Fatalf("Rate(%+v) = %v: not finite", tc.st, got)
+		}
+		if got != tc.want {
+			t.Errorf("Rate(%+v) = %v, want %v", tc.st, got, tc.want)
+		}
+	}
+
+	// An empty dump (header only) replays to zero events in ~zero wall time.
+	var empty bytes.Buffer
+	if err := wire.WriteDump(&empty, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := feedDump(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(empty.Bytes()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := st.Rate(); r != 0 || math.IsNaN(r) {
+		t.Errorf("empty dump Rate() = %v, want 0", r)
+	}
+
+	// A single-event dump: one spec, the stream's first event.
+	jobs, sims := servetest.SmallJobs(t, 1, 59)
+	specs := []wire.JobSpec{serve.SpecFor(sims[0], 100)}
+	events := serve.JobEvents(jobs[0], sims[0])
+	var one bytes.Buffer
+	if err := wire.WriteDump(&one, specs, events[:1]); err != nil {
+		t.Fatal(err)
+	}
+	st, err = feedDump(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(one.Bytes()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Events != 1 {
+		t.Fatalf("single-event dump applied %d events", st.Events)
+	}
+	if r := st.Rate(); math.IsInf(r, 0) || math.IsNaN(r) || r < 0 {
+		t.Errorf("single-event dump Rate() = %v: not a finite non-negative rate", r)
 	}
 }

@@ -14,8 +14,9 @@
 //
 //	internal/wire       frame codec (dumps, WAL segments, checkpoint bases)
 //	internal/wal        write-ahead log: segments, compaction, recovery
-//	internal/serve      the node core: sharded registry, refits, recovery
-//	internal/servehttp  HTTP front + replay, over any Backend
+//	internal/serve      the node core: sharded registry, refits, recovery,
+//	                    and Feed, the one loop every wire stream goes through
+//	internal/servehttp  HTTP front: POST /ingest is Feed plus the reply
 //
 //	go run ./examples/serving
 package main

@@ -1,6 +1,6 @@
 package serve
 
-// body_test.go covers what a Body carries from one event to the next: the
+// body_test.go covers what a body carries from one event to the next: the
 // frame its reader decoded, which is logged as received, and the job the
 // previous event went to. The cached job must never outlive its
 // registration — a drop between two events of one job sends the next one
@@ -19,13 +19,20 @@ import (
 	"repro/internal/wire"
 )
 
+// stageEvent stages e through b as Feed's step does, leaving the commit to
+// the caller.
+func stageEvent(sv *Server, e wire.Event, b *body) error {
+	_, err := sv.reg.shardFor(e.JobID).ingest(e, b)
+	return err
+}
+
 func bodySpec(id uint64) wire.JobSpec {
 	return wire.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 2, TauStra: 10,
 		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id}
 }
 
 // TestBodyRunCacheFollowsDropAndRestart: the events of job J staged through
-// one Body straddle a DropJob(J). With J registered again in between, the
+// one body straddle a DropJob(J). With J registered again in between, the
 // later events apply to the new registration; without, they are refused
 // as an unknown job, exactly as a fresh lookup refuses them.
 func TestBodyRunCacheFollowsDropAndRestart(t *testing.T) {
@@ -35,18 +42,18 @@ func TestBodyRunCacheFollowsDropAndRestart(t *testing.T) {
 		if err := sv.StartJob(bodySpec(id), nil); err != nil {
 			t.Fatal(err)
 		}
-		var b Body
+		var b body
 		for _, e := range []wire.Event{
 			{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1},
 			{Kind: wire.EventJobFinish, JobID: id, Time: 2},
 		} {
-			if err := sv.StageEvent(e, &b); err != nil {
+			if err := stageEvent(sv, e, &b); err != nil {
 				t.Fatal(err)
 			}
 		}
 		old := b.job
 		if old == nil || old.spec.JobID != id {
-			t.Fatalf("the Body did not keep job %d after staging its events", id)
+			t.Fatalf("the body did not keep job %d after staging its events", id)
 		}
 		if err := sv.DropJob(id); err != nil {
 			t.Fatal(err)
@@ -56,7 +63,7 @@ func TestBodyRunCacheFollowsDropAndRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		err := sv.StageEvent(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 1, Time: 3}, &b)
+		err := stageEvent(sv, wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 1, Time: 3}, &b)
 		if !restart {
 			if !errors.Is(err, ErrUnknownJob) {
 				t.Fatalf("event after DropJob: %v, want ErrUnknownJob", err)
@@ -74,12 +81,12 @@ func TestBodyRunCacheFollowsDropAndRestart(t *testing.T) {
 			t.Fatalf("new registration: done %v, %d started; the event went to the dropped job", rep.Done, rep.Started)
 		}
 		if b.job == old {
-			t.Fatal("the Body still holds the dropped registration")
+			t.Fatal("the body still holds the dropped registration")
 		}
 	}
 }
 
-// TestBodyLogsTheFrameAsReceived: an event staged through a Body with a
+// TestBodyLogsTheFrameAsReceived: an event staged through a body with a
 // reader is logged as the frame the reader decoded it from, not encoded
 // again — which shows only when the event was changed after decoding,
 // something the contract forbids — and an event whose length or job is
@@ -103,7 +110,7 @@ func TestBodyLogsTheFrameAsReceived(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := wire.NewReader(&dump)
-	b := NewBody(rd)
+	b := &body{rd: rd}
 	var logged, absent [][]byte
 	for i, tc := range []struct {
 		change func(*wire.Event)
@@ -131,11 +138,11 @@ func TestBodyLogsTheFrameAsReceived(t *testing.T) {
 		} else {
 			logged, absent = append(logged, enc), append(absent, frame)
 		}
-		if err := sv.StageEvent(ev, b); err != nil {
+		if err := stageEvent(sv, ev, b); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
 	}
-	if err := sv.Commit(); err != nil {
+	if err := sv.wal.CommitAll(); err != nil {
 		t.Fatal(err)
 	}
 	var seg []byte
@@ -157,7 +164,7 @@ func TestBodyLogsTheFrameAsReceived(t *testing.T) {
 }
 
 // TestBodyRunCacheConcurrentDropper races one feeder staging job J's
-// events through one Body against a dropper that drops and re-registers J
+// events through one body against a dropper that drops and re-registers J
 // whenever it has finished. Every event the feeder saw accepted must have
 // gone to a live registration, in log order: the live counters equal the
 // accepted count, and recovery from the log — which refuses an event for
@@ -173,7 +180,7 @@ func TestBodyRunCacheConcurrentDropper(t *testing.T) {
 	if err := sv.StartJob(bodySpec(id), nil); err != nil {
 		t.Fatal(err)
 	}
-	// The feeder runs until enough of its events were accepted; a Body
+	// The feeder runs until enough of its events were accepted; a body
 	// stuck on a dropped registration has all of them refused after the
 	// first drop, and runs out of rounds instead.
 	want := uint64(200)
@@ -204,7 +211,7 @@ func TestBodyRunCacheConcurrentDropper(t *testing.T) {
 		}
 	}()
 
-	var b Body
+	var b body
 	var accepted uint64
 	rounds := 0
 	for ; accepted < want && rounds < maxRounds; rounds++ {
@@ -213,7 +220,7 @@ func TestBodyRunCacheConcurrentDropper(t *testing.T) {
 			{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: tm},
 			{Kind: wire.EventJobFinish, JobID: id, Time: tm},
 		} {
-			err := sv.StageEvent(e, &b)
+			err := stageEvent(sv, e, &b)
 			switch {
 			case err == nil:
 				accepted++
@@ -228,7 +235,7 @@ func TestBodyRunCacheConcurrentDropper(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if err := sv.Commit(); err != nil {
+	if err := sv.wal.CommitAll(); err != nil {
 		t.Fatal(err)
 	}
 	if accepted < want {

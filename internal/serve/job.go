@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/nurd"
 	"repro/internal/simulator"
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -245,25 +243,6 @@ func (j *jobState) handle(e wire.Event) error {
 // errDropped marks a benignly ignored event (late heartbeat/finish for a
 // terminated task); shards count these instead of surfacing them.
 var errDropped = fmt.Errorf("serve: event dropped")
-
-// RecycleAfterIngest settles ownership of ev's feature slice after the
-// Ingest that consumed it returned err. The pooled slice is recycled when
-// the server did not retain it: heartbeats hand their slice to the task
-// state on success (and on WAL append failures, the one rejection that
-// retains the in-memory observation), every other kind never retains
-// features, and a rejected event of any kind was never stored. Either way
-// ev is stripped of the slice and its pool tag, so a reused loop Event can
-// never carry a stale reference into a later recycle decision. Exported
-// for the wire front ends (internal/servehttp) that drive pooled decode.
-func RecycleAfterIngest(ev *wire.Event, err error) {
-	retained := ev.Kind == wire.EventHeartbeat && (err == nil ||
-		errors.Is(err, wal.ErrFailed) || errors.Is(err, wal.ErrClosed))
-	if ev.Pooled && ev.Features != nil && !retained {
-		wire.PutObservation(ev.Features)
-	}
-	ev.Features = nil
-	ev.Pooled = false
-}
 
 // inView reports whether task ts has a row in the checkpoint view at horizon
 // tau, and on which side, exactly as simulator.At decides it: finished iff

@@ -38,7 +38,7 @@ func TestFinishedJobHoldsNoViews(t *testing.T) {
 		if err := sv.StartJob(SpecFor(sims[i], uint64(i+1)), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.IngestBatch(JobEvents(jobs[i], sims[i])); err != nil {
+		if err := ingestBatch(sv, JobEvents(jobs[i], sims[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

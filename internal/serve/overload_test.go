@@ -463,57 +463,98 @@ func TestNonPositiveBoundsMeanDefault(t *testing.T) {
 	}
 }
 
-// TestStageBatchSkipsShedStopsAtError drives the one batch loop behind
-// Server.IngestBatch through a fake stager that sheds the heartbeat at
-// index k and fails for real at index m > k: every event after k up to m
-// must still be staged, the loop must stop at m, and commit must run
-// exactly once whether or not the batch errored. A loop that breaks on
-// ErrShed stages only 0..k and fails the staged-set check: one shed
-// heartbeat would silently drop every event after it.
+// TestStageBatchSkipsShedStopsAtError drives Feed, which stages a body as
+// one batch, over a body of n frames on a logged server: the frame at index
+// k is a heartbeat for a job whose shard queue is held full, so it is shed;
+// the frame at index m > k, when armed, is an event for an unknown job.
+// Every frame after k up to m must still apply, Feed must stop at m, and it
+// must commit exactly once — one log write — whether or not the body
+// failed. A commit that fails (a wedged filesystem) outranks the frame's
+// error. A loop that breaks on ErrShed applies only 0..k-1 and fails the
+// applied-set check: one shed heartbeat would silently drop every frame
+// after it.
 func TestStageBatchSkipsShedStopsAtError(t *testing.T) {
 	const n, k, m = 8, 2, 5
-	events := make([]wire.Event, n)
-	for i := range events {
-		events[i] = wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: i}
-	}
-	boom := errors.New("boom")
 	for _, tc := range []struct {
-		name      string
-		failAt    int // -1: no real error
-		commitErr error
-		wantTasks []int
-		wantErr   error
+		name    string
+		failAt  int // -1: no real error
+		wedge   bool
+		applied int
+		wantErr error
 	}{
-		{"shed then error", m, nil, []int{0, 1, 2, 3, 4, 5}, boom},
-		{"shed only", -1, nil, []int{0, 1, 2, 3, 4, 5, 6, 7}, nil},
-		{"commit error wins", m, wal.ErrFailed, []int{0, 1, 2, 3, 4, 5}, wal.ErrFailed},
+		{"shed then error", m, false, m - 1, ErrUnknownJob},
+		{"shed only", -1, false, n - 1, nil},
+		{"commit error wins", m, true, m - 1, wal.ErrFailed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var staged []int
-			commits := 0
-			err := StageBatch(events,
-				func(e wire.Event) error {
-					staged = append(staged, e.TaskID)
-					switch e.TaskID {
-					case k:
-						return ErrShed
-					case tc.failAt:
-						return boom
-					}
-					return nil
-				},
-				func() error { commits++; return tc.commitErr })
-			if !reflect.DeepEqual(staged, tc.wantTasks) {
-				t.Errorf("staged events %v, want %v", staged, tc.wantTasks)
+			fs := waltest.NewMemFS()
+			cfg := cheapCfg(2)
+			cfg.IngestQueue = 1
+			sv, log, _, err := Recover("wal", cfg, wal.Options{FS: fs, SyncEvery: time.Hour})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if commits != 1 {
-				t.Errorf("commit ran %d times, want exactly 1", commits)
+			defer log.Close()
+			// Job a's shard is held full; job b and the unknown job u
+			// share the other shard.
+			a, b := uint64(1), uint64(2)
+			for sv.reg.shardFor(b) == sv.reg.shardFor(a) {
+				b++
+			}
+			u := b + 1
+			for sv.reg.shardFor(u) != sv.reg.shardFor(b) {
+				u++
+			}
+			for _, id := range []uint64{a, b} {
+				if err := sv.StartJob(pipelineSpec(id), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var body bytes.Buffer
+			ww := wire.NewWriter(&body)
+			for i := 0; i < n; i++ {
+				e := wire.Event{Kind: wire.EventTaskStart, JobID: b, TaskID: i, Time: float64(i)}
+				switch i {
+				case k:
+					e = wire.Event{Kind: wire.EventHeartbeat, JobID: a, TaskID: 0, Time: 1, Features: []float64{1, 1}}
+				case tc.failAt:
+					e.JobID = u
+				}
+				if err := ww.WriteEvent(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			full := sv.reg.shardFor(a)
+			occupy(full)
+			defer free(full)
+			if tc.wedge {
+				fs.SetBudget(fs.TotalWritten())
+			}
+			mark := len(fs.Journal)
+			fed, err := sv.Feed(wire.NewReader(&body), nil)
+
+			rep, rerr := sv.Report(b)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if rep.Started != tc.applied || fed.Events != tc.applied || fed.Shed != 1 {
+				t.Errorf("%d of job b's starts applied, Feed counts %+v; want %d events and 1 shed",
+					rep.Started, fed, tc.applied)
+			}
+			writes := 0
+			for _, op := range fs.Journal[mark:] {
+				if op.Kind == waltest.OpWrite {
+					writes++
+				}
+			}
+			if writes != 1 {
+				t.Errorf("Feed wrote the log %d times, want exactly 1 commit", writes)
 			}
 			if !errors.Is(err, tc.wantErr) {
 				t.Errorf("got error %v, want %v", err, tc.wantErr)
 			}
 			if errors.Is(err, ErrShed) {
-				t.Errorf("a shed heartbeat surfaced as the batch's error: %v", err)
+				t.Errorf("a shed heartbeat surfaced as the body's error: %v", err)
 			}
 		})
 	}

@@ -38,7 +38,7 @@ func Recover(dir string, cfg Config, opts wal.Options) (*Server, *wal.WAL, wal.R
 			continue
 		}
 		s := NewServer(cfg)
-		err = s.replay(rc)
+		_, err = s.Feed(wire.NewReader(rc), nil)
 		rc.Close()
 		if err != nil {
 			continue
@@ -50,8 +50,12 @@ func Recover(dir string, cfg Config, opts wal.Options) (*Server, *wal.WAL, wal.R
 		sv = NewServer(cfg)
 	}
 
+	// The tail applies frame by frame through Feed's step; nothing is
+	// logged yet, so there is nothing to commit.
+	var tail body
+	var fed Fed
 	scan, err := wal.ScanDir(opts.FS, dir, floor, true, &rst, func(lsn uint64, kind wire.FrameKind, payload []byte) error {
-		if err := sv.apply(kind, payload); err != nil {
+		if err := sv.step(kind, payload, &tail, admitAll, &fed); err != nil {
 			return fmt.Errorf("serve: recover: LSN %d: %w", lsn, err)
 		}
 		rst.RecordsApplied++

@@ -136,7 +136,7 @@ func TestIngestNotBlockedByInflightRefit(t *testing.T) {
 
 	// Release the fit and close the stream: the drain applies everything.
 	close(gate)
-	if err := sv.FinishJob(1, 100); err != nil {
+	if err := finishJob(sv, 1, 100); err != nil {
 		t.Fatal(err)
 	}
 	st = sv.Stats()
@@ -233,7 +233,7 @@ func TestWarmServingMatchesOfflineWarm(t *testing.T) {
 		if err := sv.StartJob(spec, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.IngestBatch(JobEvents(jobs[i], sims[i])); err != nil {
+		if err := ingestBatch(sv, JobEvents(jobs[i], sims[i])); err != nil {
 			t.Fatal(err)
 		}
 		spec.RefitMode = wire.RefitWarm
@@ -352,10 +352,10 @@ func TestSnapshotRestoreWithPendingRefit(t *testing.T) {
 	if err := svA.StartJob(spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := svA.IngestBatch(events); err != nil {
+	if err := ingestBatch(svA, events); err != nil {
 		t.Fatal(err)
 	}
-	if err := svC.IngestBatch(events[cut:]); err != nil {
+	if err := ingestBatch(svC, events[cut:]); err != nil {
 		t.Fatal(err)
 	}
 	repA, _ := svA.Report(spec.JobID)
@@ -390,7 +390,7 @@ func TestConcurrentRefitsAcrossJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := sv.IngestBatch(JobEvents(jobs[i], sims[i])); err != nil {
+			if err := ingestBatch(sv, JobEvents(jobs[i], sims[i])); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -447,7 +447,7 @@ func TestPredictorPanicContained(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := sv.FinishJob(id, 100); err != nil {
+		if err := finishJob(sv, id, 100); err != nil {
 			t.Fatal(err)
 		}
 	}

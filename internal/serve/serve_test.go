@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -31,6 +32,22 @@ func testJobs(t testing.TB, cfg trace.GenConfig, n int) ([]*trace.Job, []*simula
 		sims[i] = s
 	}
 	return jobs, sims
+}
+
+// ingestBatch is servetest.IngestBatch (see servetest's package comment for
+// why package serve keeps a copy): events as one wire body through Feed.
+func ingestBatch(sv *Server, events []wire.Event) error {
+	var body bytes.Buffer
+	if err := wire.WriteDump(&body, nil, events); err != nil {
+		return err
+	}
+	_, err := sv.Feed(wire.NewReader(&body), nil)
+	return err
+}
+
+// finishJob closes a job's stream at time t.
+func finishJob(sv *Server, jobID uint64, t float64) error {
+	return sv.Ingest(wire.Event{Kind: wire.EventJobFinish, JobID: jobID, Time: t})
 }
 
 // nurdSeed applies experiments.Run's per-(job, method) seed derivation to
@@ -83,7 +100,7 @@ func TestServerMatchesOffline(t *testing.T) {
 				wg.Add(1)
 				go func(ji int) {
 					defer wg.Done()
-					errs[ji] = sv.IngestBatch(JobEvents(jobs[ji], sims[ji]))
+					errs[ji] = ingestBatch(sv, JobEvents(jobs[ji], sims[ji]))
 				}(ji)
 			}
 			wg.Wait()
@@ -163,7 +180,7 @@ func TestCheckpointBoundaries(t *testing.T) {
 	if err := sv.StartJob(SpecFor(sim, 1), rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(JobEvents(job, sim)); err != nil {
+	if err := ingestBatch(sv, JobEvents(job, sim)); err != nil {
 		t.Fatal(err)
 	}
 	// The recorder sees exactly the gated checkpoints the offline replay
@@ -207,7 +224,7 @@ func TestTerminationDropsLateEvents(t *testing.T) {
 	if err := sv.StartJob(SpecFor(sim, 1), &flagAll{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(JobEvents(job, sim)); err != nil {
+	if err := ingestBatch(sv, JobEvents(job, sim)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := sv.Report(job.ID)
@@ -254,7 +271,7 @@ func TestQueryVerdicts(t *testing.T) {
 	cut := 0
 	for _, frac := range []float64{0.2, 0.3, 0.4, 0.5} {
 		next := int(frac * float64(len(events)))
-		if err := sv.IngestBatch(events[cut:next]); err != nil {
+		if err := ingestBatch(sv, events[cut:next]); err != nil {
 			t.Fatal(err)
 		}
 		cut = next
@@ -286,13 +303,13 @@ func TestQueryVerdicts(t *testing.T) {
 	if modeled == 0 {
 		t.Error("no running task ever had a model-backed prediction mid-stream")
 	}
-	if _, err := sv.IsStraggler(job.ID, 0); err != nil {
+	if _, err := sv.Query(job.ID, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sv.Query(12345, []int{0}); err == nil {
 		t.Error("query for unknown job should fail")
 	}
-	if err := sv.IngestBatch(events[cut:]); err != nil {
+	if err := ingestBatch(sv, events[cut:]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -339,7 +356,7 @@ func TestEventValidation(t *testing.T) {
 	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskFinish, JobID: job.ID, TaskID: 0, Latency: 1}); err == nil {
 		t.Error("duplicate finish should fail")
 	}
-	if err := sv.FinishJob(job.ID, job.Makespan()); err != nil {
+	if err := finishJob(sv, job.ID, job.Makespan()); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: job.ID, TaskID: 1}); err == nil {
@@ -400,7 +417,7 @@ func TestServerBudget(t *testing.T) {
 		t.Fatalf("job cap: %v (want ErrOverloaded)", err)
 	}
 	// Dropping job 1 frees its slot and 10 tasks.
-	if err := sv.FinishJob(1, 1); err != nil {
+	if err := finishJob(sv, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.DropJob(1); err != nil {
@@ -438,7 +455,7 @@ func TestPredictorFailureClosesJob(t *testing.T) {
 	// wedge the shard or fail the stream (which may carry other jobs'
 	// events) — the job is closed as failed and the rest of its events
 	// drain as drops.
-	if err := sv.IngestBatch(JobEvents(job, sim)); err != nil {
+	if err := ingestBatch(sv, JobEvents(job, sim)); err != nil {
 		t.Fatalf("stream after predictor failure must drain cleanly: %v", err)
 	}
 	rep, err := sv.Report(job.ID)
@@ -484,7 +501,7 @@ func TestDropJob(t *testing.T) {
 	if err := sv.DropJob(jobs[0].ID); err == nil {
 		t.Error("dropping a live job should fail")
 	}
-	if err := sv.IngestBatch(JobEvents(jobs[0], sims[0])); err != nil {
+	if err := ingestBatch(sv, JobEvents(jobs[0], sims[0])); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.DropJob(jobs[0].ID); err != nil {

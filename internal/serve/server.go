@@ -288,18 +288,6 @@ func (sv *Server) commit(lsn uint64) error {
 	return sv.wal.Commit(lsn)
 }
 
-// Commit is the acknowledgment barrier for StageJob and StageEvent: it
-// returns once every mutation staged before the call, by any caller, is in
-// the write-ahead log. A front end that stages a request body frame by
-// frame calls it once, before it writes any reply. Without a WAL it is a
-// no-op.
-func (sv *Server) Commit() error {
-	if sv.wal == nil {
-		return nil
-	}
-	return sv.wal.CommitAll()
-}
-
 // StartJob registers a job. pred supplies the job's predictor; nil uses the
 // server's Config.NewPredictor factory. The spec fills in unset monitoring
 // defaults (10 checkpoints, 4% warmup, p90 quantile) before validation.
@@ -309,14 +297,6 @@ func (sv *Server) StartJob(spec wire.JobSpec, pred simulator.Predictor) error {
 		return err
 	}
 	return sv.commit(lsn)
-}
-
-// StageJob is StartJob minus the wait for the write-ahead log: the job is
-// registered and its record staged, and the caller must not acknowledge it
-// until Commit returns.
-func (sv *Server) StageJob(spec wire.JobSpec, pred simulator.Predictor) error {
-	_, err := sv.stageJob(spec, pred)
-	return err
 }
 
 func (sv *Server) stageJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, error) {
@@ -368,61 +348,23 @@ func (sv *Server) Ingest(e wire.Event) error {
 	return sv.commit(lsn)
 }
 
-// StageEvent is Ingest minus the wait for the write-ahead log: the event is
-// applied and its record staged, and the caller must not acknowledge it
-// until Commit returns. b, when non-nil, is the Body the event belongs to:
-// the event is logged as the frame b's reader last decoded when that frame
-// is the event's, and a run of one job's events looks the job up once.
-func (sv *Server) StageEvent(e wire.Event, b *Body) error {
-	_, err := sv.reg.shardFor(e.JobID).ingest(e, b)
-	return err
-}
-
-// IngestBatch applies a batch of events in order, stopping at the first
-// error, and commits what it applied to the write-ahead log once, before it
-// returns either way (see StageBatch for the shed rule).
-func (sv *Server) IngestBatch(events []wire.Event) error {
-	var b Body
-	return StageBatch(events, func(e wire.Event) error { return sv.StageEvent(e, &b) }, sv.Commit)
-}
-
-// StageBatch is the one batch loop behind Server.IngestBatch, taking the
-// stage and commit steps as functions so its tests can drive it through a
-// fake stager: it stages each event in order, stops at the first error, and
-// calls commit exactly once before it returns either way; a commit error
-// wins.
-// Heartbeats shed under overload (ErrShed) are skipped, not errors:
-// shedding is policy, and aborting the batch would turn one coalesced
-// observation into the loss of every event after it.
-func StageBatch(events []wire.Event, stage func(wire.Event) error, commit func() error) error {
-	var err error
-	for i := range events {
-		if serr := stage(events[i]); serr != nil && !errors.Is(serr, ErrShed) {
-			err = fmt.Errorf("event %d: %w", i, serr)
-			break
-		}
-	}
-	if cerr := commit(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// FinishJob closes a job's stream at the given time, firing every remaining
-// checkpoint boundary.
-func (sv *Server) FinishJob(jobID uint64, t float64) error {
-	return sv.Ingest(wire.Event{Kind: wire.EventJobFinish, JobID: jobID, Time: t})
-}
-
 // DropJob discards a finished job's state and releases its registration
 // budget.
 func (sv *Server) DropJob(jobID uint64) error {
-	numTasks, lsn, err := sv.reg.shardFor(jobID).dropJob(jobID)
+	lsn, err := sv.dropJob(jobID)
 	if err != nil {
 		return err
 	}
-	sv.release(numTasks)
 	return sv.commit(lsn)
+}
+
+func (sv *Server) dropJob(jobID uint64) (uint64, error) {
+	numTasks, lsn, err := sv.reg.shardFor(jobID).dropJob(jobID)
+	if err != nil {
+		return 0, err
+	}
+	sv.release(numTasks)
+	return lsn, nil
 }
 
 // Query answers a batched per-task straggler query against the job's
@@ -439,15 +381,6 @@ func (sv *Server) Query(jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 // read-only with the server's degraded-query view; treat it as immutable.
 func (sv *Server) QueryAppend(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 	return sv.reg.shardFor(jobID).query(dst, jobID, taskIDs)
-}
-
-// IsStraggler answers a single-task query.
-func (sv *Server) IsStraggler(jobID uint64, taskID int) (bool, error) {
-	vs, err := sv.Query(jobID, []int{taskID})
-	if err != nil {
-		return false, err
-	}
-	return vs[0].Straggler, nil
 }
 
 // Report summarizes one job's serving run.

@@ -1,9 +1,9 @@
 // Package servetest provides the workload and oracle helpers the serving
 // stack's black-box suites share: seeded trace jobs with their prepared
-// replays, model-free predictors, a cheap server Config, and the
-// timing-free core of a JobReport that the bit-identity tests compare. It
-// is the one copy for every package that tests serve from outside
-// (internal/wal, internal/servehttp).
+// replays, model-free predictors, a cheap server Config, a batch ingest
+// through Feed, and the timing-free core of a JobReport that the
+// bit-identity tests compare. It is the one copy for every package that
+// tests serve from outside (internal/wal, internal/servehttp).
 //
 // Package serve's own white-box tests keep their own copy of these
 // helpers: they are `package serve`, and importing servetest — which
@@ -12,6 +12,7 @@
 package servetest
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/serve"
@@ -92,6 +93,24 @@ func AllTaskIDs(n int) []int {
 		ids[i] = i - 1
 	}
 	return ids
+}
+
+// IngestBatch applies events in order as one wire body through Feed: it
+// stops at the first error and commits what it applied once, before it
+// returns either way.
+func IngestBatch(sv *serve.Server, events []wire.Event) error {
+	var body bytes.Buffer
+	if err := wire.WriteDump(&body, nil, events); err != nil {
+		return err
+	}
+	_, err := sv.Feed(wire.NewReader(&body), nil)
+	return err
+}
+
+// FinishJob closes a job's stream at time t, firing every remaining
+// checkpoint boundary.
+func FinishJob(sv *serve.Server, jobID uint64, t float64) error {
+	return sv.Ingest(wire.Event{Kind: wire.EventJobFinish, JobID: jobID, Time: t})
 }
 
 // ReportCore strips the wall-clock timing fields from a JobReport, leaving

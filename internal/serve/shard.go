@@ -22,7 +22,7 @@ var ErrUnknownJob = errors.New("unknown job")
 // shard owns a disjoint subset of the jobs. The shard mutex guards only the
 // job map; counters are atomics and each job's state has its own lock, so
 // the hot ingest path takes the shard lock at most once (for lookup, which
-// a Body's run of one job's events skips) and a slow model refit in one job
+// a body's run of one job's events skips) and a slow model refit in one job
 // never stalls ingest or queries for its shard-mates — there is no global
 // lock anywhere, and no long-held one either. Lock order is always shard.mu
 // before jobState.mu, and the shard lock is never held across a predictor
@@ -119,42 +119,11 @@ func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, e
 	return lsn, nil
 }
 
-// Body is what one feeder's consecutive StageEvent calls share — a POST
-// /ingest body's, a replayed dump's, an IngestBatch's. It keeps two things:
-//
-//   - the wire.Reader the events decode from, when there is one, so an
-//     event's log record is the frame it arrived as (wire.Reader.FrameOf),
-//     copied, not encoded and checksummed a second time;
-//   - the job the previous event went to, so a run of one job's events
-//     looks the job up once, not once per event. The job lock re-validates
-//     it: a job DropJob has since removed is defunct, and the event falls
-//     back to the registry, which knows the job's new registration or
-//     answers ErrUnknownJob.
-//
-// The zero Body has no reader: its events are encoded. A Body is one
-// goroutine's, for one Server.
-type Body struct {
-	rd  *wire.Reader
-	job *jobState
-}
-
-// NewBody returns the Body of a stream of events decoded from rd, each
-// staged before the next is read.
-func NewBody(rd *wire.Reader) *Body { return &Body{rd: rd} }
-
-// frameOf returns e's frame as received, or nil when e is to be encoded.
-func (b *Body) frameOf(e *wire.Event) []byte {
-	if b == nil || b.rd == nil {
-		return nil
-	}
-	return b.rd.FrameOf(e)
-}
-
 // lockJob returns jobID's job with its lock held, or false when the job is
 // not registered (or was dropped before its lock was taken). b, when
 // non-nil, supplies the job the previous event went to and remembers this
 // one.
-func (s *shard) lockJob(jobID uint64, b *Body) (*jobState, bool) {
+func (s *shard) lockJob(jobID uint64, b *body) (*jobState, bool) {
 	if b != nil && b.job != nil && b.job.spec.JobID == jobID {
 		b.job.mu.Lock()
 		if !b.job.defunct {
@@ -183,7 +152,7 @@ func (s *shard) lockJob(jobID uint64, b *Body) (*jobState, bool) {
 // ingest applies one event to its job, then folds the job's counter deltas
 // into the shard. It returns the LSN of the event's staged WAL record (0
 // when nothing was logged); the caller commits it before acknowledging.
-func (s *shard) ingest(e wire.Event, b *Body) (uint64, error) {
+func (s *shard) ingest(e wire.Event, b *body) (uint64, error) {
 	if !s.queue.tryAcquire() {
 		// Queue full. Shed heartbeats before touching any state — a shed
 		// event must leave no trace (not applied, not counted, not logged)

@@ -42,7 +42,7 @@ func (sv *Server) Snapshot(w io.Writer) error {
 }
 
 // RestoreServer builds a server from a wire stream — a snapshot, a trace
-// dump, a checkpoint base — by applying its frames in order. cfg follows
+// dump, a checkpoint base — by feeding it its frames (Feed). cfg follows
 // NewServer's defaulting; it need not match the snapshotted server's (shard
 // count is a concurrency knob, not state), but its predictor factory must be
 // behavior-equivalent for the restored models to be faithful (see
@@ -51,58 +51,8 @@ func (sv *Server) Snapshot(w io.Writer) error {
 // a live server at the same point of the stream.
 func RestoreServer(r io.Reader, cfg Config) (*Server, error) {
 	sv := NewServer(cfg)
-	if err := sv.replay(r); err != nil {
+	if _, err := sv.Feed(wire.NewReader(r), nil); err != nil {
 		return nil, fmt.Errorf("serve: restore: %w", err)
 	}
 	return sv, nil
-}
-
-// replay applies every frame of the wire stream r.
-func (sv *Server) replay(r io.Reader) error {
-	wr := wire.NewReader(r)
-	for {
-		kind, payload, err := wr.NextFrame()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := sv.apply(kind, payload); err != nil {
-			return err
-		}
-	}
-}
-
-// apply applies one spec, event or drop frame exactly as the live server
-// applied the mutation it records: restore, recovery's base and its log
-// tail all go through here. A frame that decodes but does not apply means
-// the stream is not one a server accepted, and fails.
-func (sv *Server) apply(kind wire.FrameKind, payload []byte) error {
-	switch kind {
-	case wire.FrameSpec:
-		sp, err := wire.DecodeSpecPayload(payload)
-		if err != nil {
-			return err
-		}
-		return sv.StartJob(sp, nil)
-	case wire.FrameEvent:
-		// Pooled decode, as the HTTP ingest loop does: a heartbeat's
-		// replaced observation goes back to the pool, not to the GC.
-		var ev wire.Event
-		if err := wire.DecodeEventInto(payload, &ev, true); err != nil {
-			return err
-		}
-		err := sv.Ingest(ev)
-		RecycleAfterIngest(&ev, err)
-		return err
-	case wire.FrameDrop:
-		jobID, err := wire.DecodeDropPayload(payload)
-		if err != nil {
-			return err
-		}
-		return sv.DropJob(jobID)
-	default:
-		return fmt.Errorf("%w: frame kind %d where a spec, event or drop belongs", wire.ErrCorrupt, kind)
-	}
 }

@@ -30,11 +30,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 				{Kind: wire.EventHeartbeat, JobID: id, TaskID: tid, Time: float64(tid) + 0.5, Tick: 1, Features: []float64{1, 2}},
 				{Kind: wire.EventTaskFinish, JobID: id, TaskID: tid, Time: float64(tid) + 3, Latency: 3},
 			}
-			if err := sv.IngestBatch(evs); err != nil {
+			if err := ingestBatch(sv, evs); err != nil {
 				f.Fatal(err)
 			}
 		}
-		if err := sv.FinishJob(id, 20); err != nil {
+		if err := finishJob(sv, id, 20); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -25,6 +25,15 @@ func durable(t testing.TB, cfg Config) *Server {
 	return sv
 }
 
+// isStraggler answers a single-task query.
+func isStraggler(sv *Server, jobID uint64, taskID int) (bool, error) {
+	vs, err := sv.Query(jobID, []int{taskID})
+	if err != nil {
+		return false, err
+	}
+	return vs[0].Straggler, nil
+}
+
 // allTaskIDs returns 0..n-1 plus one out-of-range probe.
 func allTaskIDs(n int) []int {
 	ids := make([]int, n+1)
@@ -99,7 +108,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 	svA := NewServer(Config{Shards: 4})
 	start(svA)
 	for i := range streams {
-		if err := svA.IngestBatch(streams[i]); err != nil {
+		if err := ingestBatch(svA, streams[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +117,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 	svB := durable(t, Config{Shards: 4})
 	start(svB)
 	for i := range streams {
-		if err := svB.IngestBatch(streams[i][:len(streams[i])/2]); err != nil {
+		if err := ingestBatch(svB, streams[i][:len(streams[i])/2]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +154,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 
 	// Finish the interrupted streams on the revived server.
 	for i := range streams {
-		if err := svC.IngestBatch(streams[i][len(streams[i])/2:]); err != nil {
+		if err := ingestBatch(svC, streams[i][len(streams[i])/2:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,11 +191,11 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 			t.Errorf("job %d: final verdicts diverge after restore", i)
 		}
 		for _, tid := range []int{0, specs[i].NumTasks - 1} {
-			sA, err := svA.IsStraggler(specs[i].JobID, tid)
+			sA, err := isStraggler(svA, specs[i].JobID, tid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sC, err := svC.IsStraggler(specs[i].JobID, tid)
+			sC, err := isStraggler(svC, specs[i].JobID, tid)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +227,7 @@ func TestSnapshotOfFinishedServer(t *testing.T) {
 		if err := sv.StartJob(SpecFor(sims[i], s), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.IngestBatch(JobEvents(jobs[i], sims[i])); err != nil {
+		if err := ingestBatch(sv, JobEvents(jobs[i], sims[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +260,7 @@ func TestSnapshotOfFinishedServer(t *testing.T) {
 	// The snapshot is itself a durable stream: a logging server that loads
 	// it snapshots to the same bytes (no state is lost in the round-trip).
 	again := durable(t, Config{Shards: 5})
-	if err := again.replay(bytes.NewReader(snap1.Bytes())); err != nil {
+	if _, err := again.Feed(wire.NewReader(bytes.NewReader(snap1.Bytes())), nil); err != nil {
 		t.Fatal(err)
 	}
 	var snap2 bytes.Buffer
@@ -321,7 +330,7 @@ func TestRestoreRejectsBadStreams(t *testing.T) {
 	if err := sv.StartJob(SpecFor(sims[0], 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(JobEvents(jobs[0], sims[0])); err != nil {
+	if err := ingestBatch(sv, JobEvents(jobs[0], sims[0])); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -407,7 +416,7 @@ func TestSnapshotStalledWriterDoesNotBlockIngest(t *testing.T) {
 	if err := sv.StartJob(SpecFor(sims[0], 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(events[:len(events)/2]); err != nil {
+	if err := ingestBatch(sv, events[:len(events)/2]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -417,7 +426,7 @@ func TestSnapshotStalledWriterDoesNotBlockIngest(t *testing.T) {
 	<-w.entered // the checkpoint is taken and its base is being streamed
 
 	ingested := make(chan error, 1)
-	go func() { ingested <- sv.IngestBatch(events[len(events)/2:]) }()
+	go func() { ingested <- ingestBatch(sv, events[len(events)/2:]) }()
 	select {
 	case err := <-ingested:
 		if err != nil {
@@ -445,7 +454,7 @@ func TestSnapshotMidStreamIsIngestable(t *testing.T) {
 	if err := sv.StartJob(SpecFor(sims[0], 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(events[:len(events)/3]); err != nil {
+	if err := ingestBatch(sv, events[:len(events)/3]); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -456,7 +465,7 @@ func TestSnapshotMidStreamIsIngestable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.IngestBatch(events[len(events)/3:]); err != nil {
+	if err := ingestBatch(restored, events[len(events)/3:]); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := restored.Report(jobs[0].ID)

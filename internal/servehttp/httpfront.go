@@ -10,15 +10,16 @@ package servehttp
 //
 // Routes:
 //
-//	POST /ingest    body: wire stream (header + spec/event frames).
-//	                Specs register jobs through the server's predictor
-//	                factory; events stream in body order. Responds with
-//	                JSON counts; on error, the counts applied before it.
-//	                Either reply is written only after everything the body
-//	                applied is in the write-ahead log: frames are staged as
-//	                they decode and committed once, one log write per
-//	                stream the body touched. An event's log record is the
-//	                frame as it arrived, CRC included, checked once.
+//	POST /ingest    body: wire stream (header + spec/event/drop frames),
+//	                applied by serve.Server.Feed. Specs register jobs
+//	                through the server's predictor factory, events stream
+//	                in body order, drops discard finished jobs. Responds
+//	                with JSON counts; on error, the counts applied before
+//	                it. Either reply is written only after everything the
+//	                body applied is in the write-ahead log: frames are
+//	                staged as they decode and committed once, one log
+//	                write per body. An event's log record is the frame as
+//	                it arrived, CRC included, checked once.
 //	GET  /query     ?job=ID&tasks=0,1,2 — batched verdicts as JSON, the
 //	                hot read: pooled scratch and a hand-written encoder
 //	                (verdictjson.go) in place of encoding/json.
@@ -67,23 +68,16 @@ import (
 	"sync"
 
 	"repro/internal/serve"
-	"repro/internal/simulator"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
-// Backend is the serving surface the HTTP front (and Replay) consume. *serve.Server implements it; tests substitute fakes through it,
-// so the front stays transport-only.
+// Backend is the serving surface the HTTP front consumes: *serve.Server
+// implements it, and a test fakes it to serve a verdict no real job yields.
 type Backend interface {
-	StartJob(spec wire.JobSpec, pred simulator.Predictor) error
-	// StageJob and StageEvent are StartJob and serve.Server.Ingest minus
-	// the wait for the write-ahead log; nothing they applied may be
-	// acknowledged until Commit returns. POST /ingest stages a whole body
-	// and commits once, Replay commits each event; both stage every event
-	// of a stream through the stream's serve.Body.
-	StageJob(spec wire.JobSpec, pred simulator.Predictor) error
-	StageEvent(e wire.Event, b *serve.Body) error
-	Commit() error
+	// Feed applies a request body's frames; POST /ingest is Feed plus the
+	// reply (see serve.Server.Feed).
+	Feed(rd *wire.Reader, admit func(sheddable bool) bool) (serve.Fed, error)
 	// QueryAppend appends one verdict per task ID to dst and returns the
 	// extended slice. GET /query hands it a pooled slab, so the verdicts
 	// must be copies the backend never touches again.
@@ -106,9 +100,11 @@ const maxIngestBody = 1 << 30
 
 // IngestResult is the JSON response of POST /ingest.
 type IngestResult struct {
-	// Specs and Events count the frames applied (on error: before it).
+	// Specs, Events and Drops count the frames applied (on error: before
+	// it).
 	Specs  int `json:"specs"`
 	Events int `json:"events"`
+	Drops  int `json:"drops,omitempty"`
 	// Shed counts heartbeat frames refused by load shedding (saturated
 	// ingest queue or empty rate-limit bucket). Shed frames do not fail the
 	// batch; a client that must deliver an observation resends it, but the
@@ -214,10 +210,10 @@ func errBody(code int, err error) string {
 	return "internal server error"
 }
 
-// errCode classifies a serving error for transport. decodeErr marks errors
-// raised while reading the request body, where anything unrecognized is the
+// errCode classifies a serving error for transport. readErr marks the
+// request body's own read failure, where anything unrecognized is the
 // transport's fault (400), not a server-side protocol violation (422).
-func errCode(err error, decodeErr bool) int {
+func errCode(err error, readErr bool) int {
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.Is(err, serve.ErrUnknownJob):
@@ -232,9 +228,10 @@ func errCode(err error, decodeErr bool) int {
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, wire.ErrBadMagic), errors.Is(err, wire.ErrVersion),
-		errors.Is(err, wire.ErrTruncated), errors.Is(err, wire.ErrCorrupt):
+		errors.Is(err, wire.ErrTruncated), errors.Is(err, wire.ErrCorrupt),
+		errors.Is(err, io.ErrNoProgress):
 		return http.StatusBadRequest
-	case decodeErr:
+	case readErr:
 		return http.StatusBadRequest
 	default:
 		return http.StatusUnprocessableEntity
@@ -254,88 +251,46 @@ func (f *front) ingest(w http.ResponseWriter, r *http.Request) {
 	// an empty bucket only sheds heartbeats (recorded in res.Shed); every
 	// other frame runs the bucket negative and the debt is settled here, at
 	// the next request's admission.
-	var client string
+	var admit func(sheddable bool) bool
 	if f.limits != nil {
-		client = clientID(r)
+		client := clientID(r)
 		if wait, ok := f.limits.admit(client); !ok {
 			writeErrJSON(w, http.StatusTooManyRequests, wait,
 				IngestResult{Error: fmt.Sprintf("rate limit: client %q exceeds %g frames/s; retry after %ds", client, f.limits.rate, wait)})
 			return
 		}
+		admit = func(sheddable bool) bool { return f.limits.charge(client, sheddable) }
 	}
-	wr := wire.NewReader(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	body := serve.NewBody(wr)
-	var res IngestResult
-	// One wire.Event reused across the batch; NextInto draws its feature slices
-	// from the ingest observation pool and serve.RecycleAfterIngest returns each
-	// one the server did not retain, so a steady heartbeat stream ingests
-	// without per-event heap allocation.
-	var ev wire.Event
-	var err error
-	var decodeErr bool
-	for {
-		var sp *wire.JobSpec
-		if sp, err = wr.NextInto(&ev); err != nil {
-			decodeErr = err != io.EOF
-			break
-		}
-		if sp != nil {
-			f.charge(client, false)
-			if err = f.sv.StageJob(*sp, nil); err != nil {
-				break
-			}
-			res.Specs++
-			continue
-		}
-		if ev.Kind == wire.EventHeartbeat {
-			if !f.charge(client, true) {
-				res.Shed++
-				serve.RecycleAfterIngest(&ev, serve.ErrShed) // never ingested
-				continue
-			}
-		} else {
-			f.charge(client, false)
-		}
-		err = f.sv.StageEvent(ev, body)
-		serve.RecycleAfterIngest(&ev, err)
-		if errors.Is(err, serve.ErrShed) {
-			// Shed by the shard's ingest queue: counted, batch continues.
-			// Shedding is the overload policy working, not a failure.
-			res.Shed++
-			continue
-		}
-		if err != nil {
-			break
-		}
-		res.Events++
-	}
-	// One acknowledgment per body, so one log write per stream it touched:
-	// whatever the frames above applied is committed before any reply, the
-	// 200 and the mid-body error (which reports the counts applied before
-	// it) alike. A log that cannot take the write outranks either; a body
-	// that applied nothing has nothing to acknowledge and keeps its own
-	// answer.
-	if res.Specs+res.Events > 0 {
-		if cerr := f.sv.Commit(); cerr != nil {
-			err, decodeErr = cerr, false
-		}
-	}
-	if err == io.EOF {
+	src := &bodySource{r: http.MaxBytesReader(w, r.Body, maxIngestBody)}
+	// Feed stages every frame as it applies and commits once, so whatever
+	// the body applied is in the write-ahead log before any reply — the 200
+	// and the mid-body error (which reports the counts applied before it)
+	// alike.
+	fed, err := f.sv.Feed(wire.NewReader(src), admit)
+	res := IngestResult{Specs: fed.Specs, Events: fed.Events, Drops: fed.Drops, Shed: fed.Shed}
+	if err == nil {
 		writeJSON(w, http.StatusOK, res)
 		return
 	}
-	code := errCode(err, decodeErr)
+	code := errCode(err, src.err != nil && errors.Is(err, src.err))
 	res.Error = errBody(code, err)
 	writeErrJSON(w, code, f.retryHint(code), res)
 }
 
-// charge pays one rate-limit token for a frame (no-op without a limiter).
-// False means the frame must be shed — only possible for sheddable frames.
-func (f *front) charge(client string, sheddable bool) bool {
-	if f.limits == nil {
-		return true
+// bodySource is a request body that remembers how its reading failed: a
+// body the front cannot read is the client's fault (400), never a protocol
+// violation (422), whatever the error.
+type bodySource struct {
+	r   io.Reader
+	err error
+}
+
+func (s *bodySource) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF {
+		s.err = err
 	}
-	return f.limits.charge(client, sheddable)
+	return n, err
 }
 
 // jobParam parses the mandatory ?job= query parameter.

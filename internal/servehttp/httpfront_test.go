@@ -2,7 +2,9 @@ package servehttp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -396,7 +398,7 @@ func TestSnapshotMidStreamAbort(t *testing.T) {
 	if err := sv.StartJob(serve.SpecFor(sims[0], 3), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(serve.JobEvents(jobs[0], sims[0])); err != nil {
+	if err := servetest.IngestBatch(sv, serve.JobEvents(jobs[0], sims[0])); err != nil {
 		t.Fatal(err)
 	}
 	var full bytes.Buffer
@@ -620,12 +622,10 @@ func TestIngestBodyLimitIs413(t *testing.T) {
 		{"on a frame boundary", wire.HeaderLen + 5*frame, 5},
 	} {
 		wr := wire.NewReader(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), int64(tc.limit)))
-		var ev wire.Event
 		n := 0
 		var err error
 		for ; err == nil; n++ {
-			_, err = wr.NextInto(&ev)
-			serve.RecycleAfterIngest(&ev, serve.ErrShed)
+			_, _, err = wr.NextFrame()
 		}
 		if n--; n != tc.wantFrames {
 			t.Errorf("limit %s: %d frames before the error, want %d", tc.name, n, tc.wantFrames)
@@ -706,5 +706,155 @@ func TestIngestBodyAcrossDrop(t *testing.T) {
 		if rep.Done || rep.Started != 1 {
 			t.Fatalf("new registration: done %v, %d started", rep.Done, rep.Started)
 		}
+	}
+}
+
+// dropFrame encodes a drop of jobID, the frame DropJob logs.
+func dropFrame(jobID uint64) []byte {
+	return wire.AppendFrame(nil, wire.FrameDrop, binary.LittleEndian.AppendUint64(nil, jobID))
+}
+
+// drained waits until sv's refit pipeline is empty, so its Stats are final.
+func drained(t testing.TB, sv *serve.Server) serve.Stats {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := sv.Stats()
+		if st.RefitQueue+st.RefitInflight+st.RefitLag == 0 {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("refit pipeline never drained: %v", st)
+		}
+	}
+}
+
+// TestIngestDropFrame: a drop frame travels through POST /ingest like any
+// other. One body registers jobs 3 and 4, streams and finishes both, drops
+// both and registers 3 again with events of its new life: the reply counts
+// the drops, a recovery of the log rebuilds the live server, and the job
+// left dropped answers the typed 404. A body holding only a drop is in the
+// log — synced, at SyncEvery 0 — before its 200.
+func TestIngestDropFrame(t *testing.T) {
+	const again, gone = 3, 4
+	spec := func(id, seed uint64) wire.JobSpec {
+		return wire.JobSpec{JobID: id, Schema: []string{"cpu"}, NumTasks: 2, TauStra: 10,
+			Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: seed}
+	}
+	life := func(id uint64) []wire.Event {
+		return []wire.Event{
+			{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1},
+			{Kind: wire.EventTaskStart, JobID: id, TaskID: 1, Time: 2},
+			{Kind: wire.EventHeartbeat, JobID: id, TaskID: 0, Time: 30, Tick: 1, Features: []float64{3}},
+			{Kind: wire.EventHeartbeat, JobID: id, TaskID: 1, Time: 30, Tick: 1, Features: []float64{5}},
+			{Kind: wire.EventTaskFinish, JobID: id, TaskID: 0, Time: 40, Latency: 39},
+		}
+	}
+	body := wire.AppendHeader(nil)
+	frame := func(b []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = b
+	}
+	for _, id := range []uint64{again, gone} {
+		frame(wire.EncodeSpec(body, spec(id, 1)))
+		for _, e := range life(id) {
+			frame(wire.EncodeEvent(body, e))
+		}
+		frame(wire.EncodeEvent(body, wire.Event{Kind: wire.EventJobFinish, JobID: id, Time: 50}))
+		body = append(body, dropFrame(id)...)
+	}
+	frame(wire.EncodeSpec(body, spec(again, 2)))
+	for _, e := range life(again)[:3] {
+		frame(wire.EncodeEvent(body, e))
+	}
+
+	fs := waltest.NewMemFS()
+	opts := wal.Options{FS: fs}
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	ts := httptest.NewServer(NewHandler(sv))
+	defer ts.Close()
+	resp, res := postIngest(t, ts, bytes.NewReader(body))
+	if resp.StatusCode != http.StatusOK || res.Specs != 3 || res.Events != 15 || res.Drops != 2 {
+		t.Fatalf("POST /ingest: %s %+v, want 200 with 3 specs, 15 events, 2 drops", resp.Status, res)
+	}
+
+	for _, path := range []string{fmt.Sprintf("/query?job=%d&tasks=0", gone), fmt.Sprintf("/report?job=%d", gone)} {
+		var res IngestResult
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNotFound || !strings.Contains(res.Error, serve.ErrUnknownJob.Error()) {
+			t.Errorf("GET %s of the dropped job: %d %q (%v), want 404 naming %q",
+				path, resp.StatusCode, res.Error, err, serve.ErrUnknownJob)
+		}
+	}
+
+	image := opts
+	image.FS = waltest.FSAt(fs.Journal, fs.TotalWritten(), true)
+	rec, recLog, _, err := serve.Recover("wal", servetest.CheapConfig(2), image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recLog.Close()
+	rep, err := rec.Report(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := sv.Report(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(servetest.CoreOf(rep), servetest.CoreOf(live)) || rep.Spec.Seed != 2 {
+		t.Errorf("recovered job %d:\n %+v\nlive:\n %+v", again, servetest.CoreOf(rep), servetest.CoreOf(live))
+	}
+	liveV, err := sv.Query(again, servetest.AllTaskIDs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recV, err := rec.Query(again, servetest.AllTaskIDs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(liveV, recV) {
+		t.Errorf("recovered verdicts %+v, live %+v", recV, liveV)
+	}
+	if _, err := rec.Report(gone); !errors.Is(err, serve.ErrUnknownJob) {
+		t.Errorf("recovered server reports the dropped job: %v", err)
+	}
+	// Queries served, refit wall times and the log's own counters are not
+	// in the log.
+	core := func(st serve.Stats) serve.Stats {
+		st.Queries, st.RefitTotal, st.RefitMax, st.WAL = 0, 0, 0, nil
+		return st
+	}
+	if a, b := core(drained(t, sv)), core(drained(t, rec)); !reflect.DeepEqual(a, b) {
+		t.Errorf("recovered stats differ:\n live %v\n recovered %v", a, b)
+	}
+
+	// A body of one drop frame: the finished job's drop is synced before
+	// the 200, so a power loss right after the reply keeps it.
+	if _, res := postIngest(t, ts, wireBody(t, nil, []wire.Event{{Kind: wire.EventJobFinish, JobID: again, Time: 60}})); res.Error != "" {
+		t.Fatal(res.Error)
+	}
+	resp, res = postIngest(t, ts, bytes.NewReader(append(wire.AppendHeader(nil), dropFrame(again)...)))
+	if resp.StatusCode != http.StatusOK || res != (IngestResult{Drops: 1}) {
+		t.Fatalf("POST /ingest of one drop: %s %+v, want 200 with 1 drop", resp.Status, res)
+	}
+	image.FS = waltest.FSAt(fs.Journal, fs.TotalWritten(), true)
+	rec2, recLog2, _, err := serve.Recover("wal", servetest.CheapConfig(2), image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recLog2.Close()
+	if ids := rec2.JobIDs(); len(ids) != 0 {
+		t.Errorf("after a power loss, the acknowledged drop is gone: jobs %v registered", ids)
 	}
 }

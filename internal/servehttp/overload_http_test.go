@@ -169,7 +169,7 @@ func TestStatsHTTPRefitFields(t *testing.T) {
 		if err := sv.StartJob(serve.SpecFor(sims[i], s), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.IngestBatch(serve.JobEvents(jobs[i], sims[i])); err != nil {
+		if err := servetest.IngestBatch(sv, serve.JobEvents(jobs[i], sims[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

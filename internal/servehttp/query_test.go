@@ -301,7 +301,7 @@ func midRunServer(t testing.TB, seed uint64, tasks ...int) (*serve.Server, []*tr
 				break
 			}
 		}
-		if err := sv.IngestBatch(events[:cut]); err != nil {
+		if err := servetest.IngestBatch(sv, events[:cut]); err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, js[0])

@@ -3,12 +3,10 @@ package servehttp
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 	"repro/internal/serve/servetest"
@@ -34,12 +32,17 @@ func jobDump(t testing.TB, n int, seed uint64) ([]wire.JobSpec, []wire.Event, []
 	return specs, events, dump.Bytes()
 }
 
+// feedDump applies a dump the in-process way: one Feed, no admission.
+func feedDump(sv *serve.Server, dump []byte) (serve.Fed, error) {
+	return sv.Feed(wire.NewReader(bytes.NewReader(dump)), nil)
+}
+
 // replayInto replays dump into a fresh server with the given shard count and
 // requires every element to be applied.
 func replayInto(t testing.TB, shards int, specs []wire.JobSpec, events []wire.Event, dump []byte) *serve.Server {
 	t.Helper()
 	sv := serve.NewServer(serve.Config{Shards: shards})
-	st, err := Replay(sv, bytes.NewReader(dump), 0)
+	st, err := feedDump(sv, dump)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestReplayDeterminism(t *testing.T) {
 // TestDumpAsIngestBodyMatchesReplay: a dump file is a valid POST /ingest
 // body, so a remote server loads one in a single request (curl
 // --data-binary @dump.wire .../ingest) and ends exactly where an in-process
-// Replay does — the front adds transport, not behavior.
+// Feed does — the front adds transport, not behavior.
 func TestDumpAsIngestBodyMatchesReplay(t *testing.T) {
 	specs, events, dump := jobDump(t, 2, 53)
 	direct := replayInto(t, 2, specs, events, dump)
@@ -133,68 +136,15 @@ func TestReplayErrors(t *testing.T) {
 	if err := wire.WriteDump(&noSpec, nil, events); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(noSpec.Bytes()), 0); err == nil {
+	if _, err := feedDump(serve.NewServer(serve.Config{Shards: 1}), noSpec.Bytes()); err == nil {
 		t.Error("replay of a dump without specs should fail on the first event")
 	}
 
 	// A flipped payload byte: checksum failure.
 	mut := append([]byte(nil), dump...)
 	mut[len(mut)/2] ^= 0x01
-	if _, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(mut), 0); err == nil {
+	if _, err := feedDump(serve.NewServer(serve.Config{Shards: 1}), mut); err == nil {
 		t.Error("replay of a corrupted dump should fail")
-	}
-}
-
-// TestReplayStatsRate pins the Rate guard: empty dumps, single-event dumps,
-// and degenerate wall times must yield a finite rate — never Inf or NaN.
-func TestReplayStatsRate(t *testing.T) {
-	// Constructed degenerate stats.
-	for _, tc := range []struct {
-		st   ReplayStats
-		want float64
-	}{
-		{ReplayStats{Events: 10, Wall: 0}, 0},
-		{ReplayStats{Events: 10, Wall: -time.Second}, 0},
-		{ReplayStats{Events: 0, Wall: time.Second}, 0},
-		{ReplayStats{Events: 10, Wall: 2 * time.Second}, 5},
-	} {
-		got := tc.st.Rate()
-		if math.IsInf(got, 0) || math.IsNaN(got) {
-			t.Fatalf("Rate(%+v) = %v: not finite", tc.st, got)
-		}
-		if got != tc.want {
-			t.Errorf("Rate(%+v) = %v, want %v", tc.st, got, tc.want)
-		}
-	}
-
-	// An empty dump (header only) replays to zero events in ~zero wall time.
-	var empty bytes.Buffer
-	if err := wire.WriteDump(&empty, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(empty.Bytes()), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := st.Rate(); r != 0 || math.IsNaN(r) {
-		t.Errorf("empty dump Rate() = %v, want 0", r)
-	}
-
-	// A single-event dump: one spec, the stream's first event.
-	specs, events, _ := jobDump(t, 1, 59)
-	var one bytes.Buffer
-	if err := wire.WriteDump(&one, specs, events[:1]); err != nil {
-		t.Fatal(err)
-	}
-	st, err = Replay(serve.NewServer(serve.Config{Shards: 1}), bytes.NewReader(one.Bytes()), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Events != 1 {
-		t.Fatalf("single-event dump applied %d events", st.Events)
-	}
-	if r := st.Rate(); math.IsInf(r, 0) || math.IsNaN(r) || r < 0 {
-		t.Errorf("single-event dump Rate() = %v: not a finite non-negative rate", r)
 	}
 }
 
@@ -202,8 +152,8 @@ func TestReplayStatsRate(t *testing.T) {
 // heartbeats per checkpoint interval — so tasks' current observations are
 // repeatedly replaced between boundaries, exercising recycle-on-replace of
 // never-captured slices while captured ones feed refit history — once
-// through the pooled Replay path and once through in-process IngestBatch
-// with freshly allocated events. Reports and verdicts must be identical:
+// through the pooled Feed path and once through in-process Ingest with
+// freshly allocated events. Reports and verdicts must be identical:
 // pooling moves allocations, never bytes.
 func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 	jobs, sims := servetest.SmallJobs(t, 2, 137)
@@ -245,7 +195,7 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	pooledSv := serve.NewServer(serve.Config{Shards: 2})
-	if _, err := Replay(pooledSv, bytes.NewReader(dump.Bytes()), 0); err != nil {
+	if _, err := feedDump(pooledSv, dump.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,17 +205,15 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// IngestBatch events carry caller-allocated slices (pooled tag unset);
+	// Ingested events carry caller-allocated slices (pooled tag unset);
 	// clone the features so the two servers share no memory at all.
-	fresh := make([]wire.Event, len(events))
-	for i, e := range events {
+	for _, e := range events {
 		if e.Features != nil {
 			e.Features = append([]float64(nil), e.Features...)
 		}
-		fresh[i] = e
-	}
-	if err := directSv.IngestBatch(fresh); err != nil {
-		t.Fatal(err)
+		if err := directSv.Ingest(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for _, sp := range specs {

@@ -219,7 +219,7 @@ func TestOneBodyOneWritePerStream(t *testing.T) {
 	}
 
 	mark = len(fs.Journal)
-	if err := sv.IngestBatch(starts(ids[1:], 32, 64)); err != nil {
+	if err := servetest.IngestBatch(sv, starts(ids[1:], 32, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if w, s := segOps(fs, mark, waltest.OpWrite), segOps(fs, mark, waltest.OpSync); w != 1 || s != 1 {
@@ -411,9 +411,11 @@ func TestCommitWritesSiblingsLowerStage(t *testing.T) {
 	}
 	defer log.Close()
 	ids := []uint64{1, 2}
-	if err := sv.StageJob(commitSpec(ids[0]), nil); err != nil { // A: LSN 1, staged
+	var first bytes.Buffer
+	if err := wire.WriteDump(&first, []wire.JobSpec{commitSpec(ids[0])}, nil); err != nil {
 		t.Fatal(err)
 	}
+	pw, aDone := halfSent(t, servehttp.NewHandler(sv), first.Bytes(), func() bool { return len(sv.JobIDs()) == 1 }) // A: LSN 1, staged
 	if got := recordsOnFS(t, fs); got != 0 {
 		t.Fatalf("a staged, uncommitted record is already on the filesystem (%d records)", got)
 	}
@@ -423,12 +425,37 @@ func TestCommitWritesSiblingsLowerStage(t *testing.T) {
 	if got := recordsOnFS(t, fs); got != 2 {
 		t.Fatalf("B acknowledged with %d records on the filesystem, want 2: A's lower LSN was left staged", got)
 	}
-	if err := sv.Commit(); err != nil { // A's own commit finds nothing left to write
-		t.Fatal(err)
+	pw.Close() // A's own commit finds nothing left to write
+	if code := <-aDone; code != http.StatusOK {
+		t.Fatalf("A answered %d", code)
 	}
 	if w := segOps(fs, 0, waltest.OpWrite); w != 2 {
 		t.Errorf("%d segment writes for the header and one write of both records, want 2", w)
 	}
+}
+
+// halfSent posts a body to h whose first bytes have arrived and whose end
+// has not: it writes first to the request's pipe and returns once applied
+// reports them applied. The handler then waits on the pipe with what it
+// applied staged and not committed; closing the pipe ends the body, and
+// the returned channel delivers the reply's status.
+func halfSent(t *testing.T, h http.Handler, first []byte, applied func() bool) (*io.PipeWriter, <-chan int) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	done := make(chan int, 1)
+	go func() {
+		code, _ := postBody(t, h, pr)
+		done <- code
+	}()
+	if _, err := pw.Write(first); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !applied(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the body's first frames were never applied")
+		}
+	}
+	return pw, done
 }
 
 // TestStalledUploadDoesNotDelaySibling: client A sends half a body and
@@ -525,14 +552,18 @@ func TestCheckpointCommitsStagedFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
+	var first bytes.Buffer
+	ww := wire.NewWriter(&first)
 	for _, id := range []uint64{1, 2} { // staged, never committed by their client
-		if err := sv.StageJob(commitSpec(id), nil); err != nil {
+		if err := ww.WriteSpec(commitSpec(id)); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.StageEvent(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1}, nil); err != nil {
+		if err := ww.WriteEvent(wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: 0, Time: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	pw, done := halfSent(t, servehttp.NewHandler(sv), first.Bytes(), func() bool { return sv.Stats().Events == 2 })
+	defer func() { pw.Close(); <-done }()
 	if _, _, err := sv.CheckpointWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +650,7 @@ func TestStageCommitConcurrent(t *testing.T) {
 			case 1:
 				for len(evs) > 0 {
 					n := min(64, len(evs))
-					if err := sv.IngestBatch(evs[:n]); err != nil {
+					if err := servetest.IngestBatch(sv, evs[:n]); err != nil {
 						errs <- err
 						return
 					}

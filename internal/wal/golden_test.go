@@ -81,7 +81,7 @@ func writeLogDir(t testing.TB, dir string) {
 		}
 	}
 	post(feed[:third])
-	if err := sv.FinishJob(dropped, last); err != nil {
+	if err := servetest.FinishJob(sv, dropped, last); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.DropJob(dropped); err != nil {

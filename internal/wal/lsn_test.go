@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/serve/servetest"
-	"repro/internal/servehttp"
 	"repro/internal/simulator"
 	"repro/internal/wal"
 	"repro/internal/wal/waltest"
@@ -32,7 +31,7 @@ import (
 // header stripped, the log is the dump: its event frames byte for byte, and
 // its spec frames as StartJob registered them (Checkpoints, WarmFrac,
 // StragglerQuantile and RefitMode defaulted). A checkpoint's base is the same
-// frames behind one stream header, and replaying it through servehttp.Replay
+// frames behind one stream header, and feeding it to a fresh server
 // rebuilds the never-crashed server's reports and verdicts.
 func TestLogIsItsDump(t *testing.T) {
 	specs, streams := walWorkload(t, 3, 151)
@@ -49,7 +48,7 @@ func TestLogIsItsDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := servehttp.Replay(sv, bytes.NewReader(dump.Bytes()), 0)
+	st, err := sv.Feed(wire.NewReader(bytes.NewReader(dump.Bytes())), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +139,11 @@ func TestLogIsItsDump(t *testing.T) {
 			filepath.Base(base), len(b), wire.HeaderLen+len(want))
 	}
 	restored := serve.NewServer(servetest.CheapConfig(3))
-	if _, err := servehttp.Replay(restored, bytes.NewReader(b), 0); err != nil {
+	if _, err := restored.Feed(wire.NewReader(bytes.NewReader(b)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := ref.diff(captureState(t, restored, specs)); d != "" {
-		t.Fatalf("the base replayed through servehttp.Replay: %s", d)
+		t.Fatalf("the base fed to a fresh server: %s", d)
 	}
 }
 
@@ -162,7 +161,7 @@ func (l ledger) truncate(lsn uint64) {
 
 // issue drives one round of every write call against sv and its log, job
 // IDs from base on, recording each returned LSN's frame: the Server's
-// StartJob, IngestBatch, Ingest, FinishJob and DropJob (whose LSNs, with one
+// StartJob, a Feed, Ingest, a job finish and DropJob (whose LSNs, with one
 // feeder, are NextLSN as each call begins), then the log's own AppendSpec,
 // AppendEvent, StageSpec, StageEvent and StageDrop.
 func (l ledger) issue(t *testing.T, sv *serve.Server, wlog *wal.WAL, base uint64) {
@@ -210,7 +209,7 @@ func (l ledger) issue(t *testing.T, sv *serve.Server, wlog *wal.WAL, base uint64
 		{Kind: wire.EventTaskFinish, JobID: base, TaskID: 0, Time: 5, Latency: 4},
 	}
 	lsn = wlog.NextLSN()
-	must(sv.IngestBatch(batch))
+	must(servetest.IngestBatch(sv, batch))
 	for i, ev := range batch {
 		l[lsn+uint64(i)] = eventFrame(ev)
 	}
@@ -218,7 +217,7 @@ func (l ledger) issue(t *testing.T, sv *serve.Server, wlog *wal.WAL, base uint64
 	lsn = wlog.NextLSN()
 	record(lsn, sv.Ingest(ev), eventFrame(ev))
 	lsn = wlog.NextLSN()
-	record(lsn, sv.FinishJob(base, 9), eventFrame(wire.Event{Kind: wire.EventJobFinish, JobID: base, Time: 9}))
+	record(lsn, servetest.FinishJob(sv, base, 9), eventFrame(wire.Event{Kind: wire.EventJobFinish, JobID: base, Time: 9}))
 	lsn = wlog.NextLSN()
 	record(lsn, sv.DropJob(base), dropFrame(base))
 

@@ -1,11 +1,11 @@
 package wal
 
 // wal.go is the serving layer's write-ahead log: every accepted mutation —
-// StartJob, Ingest (including the benignly dropped late events, which still
-// move counters), FinishJob, DropJob — is given its LSN as one CRC-framed
-// wire record of a rotating segment file before the owning lock is
-// released, and is in that file before it is acknowledged, so a crash
-// between checkpoints loses nothing that was acknowledged.
+// a registration, an event (a job's finish and the benignly dropped late
+// events, which still move counters, included), a drop — is given its LSN
+// as one CRC-framed wire record of a rotating segment file before the
+// owning lock is released, and is in that file before it is acknowledged,
+// so a crash between checkpoints loses nothing that was acknowledged.
 //
 // The log is one stream of rotating segment files, log-<stamp>.seg, and a
 // segment is a dump: the wire stream header, a wire.FrameSegHeader, then the

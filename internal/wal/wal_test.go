@@ -62,7 +62,7 @@ func TestWALLogsAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		want++
-		if err := sv.IngestBatch(streams[i]); err != nil {
+		if err := servetest.IngestBatch(sv, streams[i]); err != nil {
 			t.Fatal(err)
 		}
 		want += len(streams[i])
@@ -137,7 +137,7 @@ func TestCheckpointWALRetires(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sv.IngestBatch(streams[0]); err != nil {
+	if err := servetest.IngestBatch(sv, streams[0]); err != nil {
 		t.Fatal(err)
 	}
 	if st := wlog.Stats(); st.Segments < 2 {
@@ -147,7 +147,7 @@ func TestCheckpointWALRetires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(streams[1][:len(streams[1])/2]); err != nil {
+	if err := servetest.IngestBatch(sv, streams[1][:len(streams[1])/2]); err != nil {
 		t.Fatal(err)
 	}
 	// Second checkpoint: the first generation is kept as fallback, so
@@ -164,7 +164,7 @@ func TestCheckpointWALRetires(t *testing.T) {
 	}
 	// Third checkpoint: the first generation is pruned, the second becomes
 	// the fallback, and every segment below its floor retires.
-	if err := sv.IngestBatch(streams[1][len(streams[1])/2:]); err != nil {
+	if err := servetest.IngestBatch(sv, streams[1][len(streams[1])/2:]); err != nil {
 		t.Fatal(err)
 	}
 	path3, retired, err := sv.CheckpointWAL()
@@ -256,12 +256,12 @@ func TestCheckpointCompactsDrops(t *testing.T) {
 				{Kind: wire.EventTaskStart, JobID: sp.JobID, TaskID: tid, Time: float64(tid)},
 				{Kind: wire.EventHeartbeat, JobID: sp.JobID, TaskID: tid, Time: 20, Tick: 1, Features: []float64{float64(tid)}},
 			}
-			if err := sv.IngestBatch(evs); err != nil {
+			if err := servetest.IngestBatch(sv, evs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if finish {
-			if err := sv.FinishJob(sp.JobID, 100); err != nil {
+			if err := servetest.FinishJob(sv, sp.JobID, 100); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -306,7 +306,7 @@ func TestCheckpointCompactsDrops(t *testing.T) {
 	if err := sv.DropJob(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.FinishJob(1, 100); err != nil {
+	if err := servetest.FinishJob(sv, 1, 100); err != nil {
 		t.Fatal(err)
 	}
 	second, _, err := sv.CheckpointWAL()
@@ -368,7 +368,7 @@ func TestCheckpointLeaksNothing(t *testing.T) {
 		if err := sv.StartJob(specs[i], nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.IngestBatch(streams[i]); err != nil {
+		if err := servetest.IngestBatch(sv, streams[i]); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := sv.CheckpointWAL(); err != nil {
@@ -452,7 +452,7 @@ func TestRecoverErrors(t *testing.T) {
 	if err := sv.StartJob(specs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(streams[0]); err != nil {
+	if err := servetest.IngestBatch(sv, streams[0]); err != nil {
 		t.Fatal(err)
 	}
 	wlog.Close()
@@ -639,7 +639,7 @@ func TestWALStatsHTTP(t *testing.T) {
 				if err := sv.StartJob(specs[0], nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := sv.IngestBatch(streams[0]); err != nil {
+				if err := servetest.IngestBatch(sv, streams[0]); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -722,7 +722,7 @@ func TestWALGroupCommitLag(t *testing.T) {
 	if err := sv.StartJob(specs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(streams[0][:10]); err != nil {
+	if err := servetest.IngestBatch(sv, streams[0][:10]); err != nil {
 		t.Fatal(err)
 	}
 	st := wlog.Stats()
@@ -755,7 +755,7 @@ func TestIngestRejectsUnloggableEvent(t *testing.T) {
 	if err := sv.StartJob(specs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(streams[0][:4]); err != nil {
+	if err := servetest.IngestBatch(sv, streams[0][:4]); err != nil {
 		t.Fatal(err)
 	}
 	before, lsnBefore := sv.Stats(), wlog.NextLSN()
@@ -771,67 +771,6 @@ func TestIngestRejectsUnloggableEvent(t *testing.T) {
 	}
 	if got := wlog.NextLSN(); got != lsnBefore {
 		t.Errorf("rejected event consumed LSN %d", got-1)
-	}
-}
-
-// TestReplayFromSkips: a dump replayed into a recovered server resumes past
-// the mutations the WAL already holds — the nurdserve -wal -replay path.
-func TestReplayFromSkips(t *testing.T) {
-	specs, streams := walWorkload(t, 2, 79)
-	var all []wire.Event
-	all = append(all, serve.MergeStreams(streams...)...)
-	var dump bytes.Buffer
-	if err := wire.WriteDump(&dump, specs, all); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: the whole dump into a fresh server.
-	ref := serve.NewServer(servetest.CheapConfig(1))
-	if _, err := servehttp.Replay(ref, bytes.NewReader(dump.Bytes()), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted: half the dump under a WAL, crash, recover, resume with
-	// servehttp.Replay skipping to the recovered position.
-	dir := t.TempDir()
-	sv, wlog, _, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(specs) + len(all)/2
-	for i := range specs {
-		if err := sv.StartJob(specs[i], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sv.IngestBatch(all[:half-len(specs)]); err != nil {
-		t.Fatal(err)
-	}
-	wlog.Close()
-	sv2, wal2, rst, err := serve.Recover(dir, servetest.CheapConfig(1), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	if got := int(rst.NextLSN) - 1; got != half {
-		t.Fatalf("recovered %d mutations, want %d", got, half)
-	}
-	st, err := servehttp.Replay(sv2, bytes.NewReader(dump.Bytes()), int(rst.NextLSN)-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Specs != 0 || st.Events != len(all)-(half-len(specs)) {
-		t.Errorf("resumed replay applied %d specs / %d events", st.Specs, st.Events)
-	}
-	for i := range specs {
-		want, _ := ref.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
-		got, err := sv2.Query(specs[i].JobID, servetest.AllTaskIDs(specs[i].NumTasks))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("job %d: resumed-replay verdicts diverge from uninterrupted replay", specs[i].JobID)
-		}
 	}
 }
 
@@ -863,7 +802,7 @@ func FuzzWALRecover(f *testing.F) {
 			{Kind: wire.EventHeartbeat, JobID: 1, TaskID: tid, Time: float64(tid) + 0.5, Tick: 1, Features: []float64{1, 2}},
 			{Kind: wire.EventTaskFinish, JobID: 1, TaskID: tid, Time: float64(tid) + 3, Latency: 3},
 		}
-		if err := sv.IngestBatch(evs); err != nil {
+		if err := servetest.IngestBatch(sv, evs); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -874,7 +813,7 @@ func FuzzWALRecover(f *testing.F) {
 		f.Fatal(err)
 	}
 	baseName := "wal/" + filepath.Base(basePath)
-	if err := sv.FinishJob(1, 20); err != nil {
+	if err := servetest.FinishJob(sv, 1, 20); err != nil {
 		f.Fatal(err)
 	}
 	if err := sv.DropJob(1); err != nil {
@@ -1003,7 +942,7 @@ func TestWALAutoCheckpointTimer(t *testing.T) {
 	if err := sv.StartJob(specs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.IngestBatch(streams[0]); err != nil {
+	if err := servetest.IngestBatch(sv, streams[0]); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -1051,7 +990,7 @@ func TestVerifyWALReadOnly(t *testing.T) {
 		if err := sv.StartJob(specs[i], nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.IngestBatch(streams[i]); err != nil {
+		if err := servetest.IngestBatch(sv, streams[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

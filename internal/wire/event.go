@@ -70,7 +70,7 @@ type Event struct {
 	// task's current observation until the next heartbeat, so callers must
 	// not reuse or mutate it afterwards (allocate per event, as
 	// trace.Job.ObservedFeatures does, or draw from the ingest observation
-	// pool via Reader.NextInto, which tags the Event so the Server can
+	// pool via DecodeEventInto, which tags the Event so the Server can
 	// recycle the slice once it provably has no readers).
 	Features []float64
 	// Latency is the finished task's true execution duration (TaskFinish).

@@ -8,11 +8,11 @@ import "sync"
 // task's previous observation to the garbage collector when the next
 // heartbeat replaced it — at serving rates that is one short-lived
 // allocation per event on the hottest path in the system. The observation
-// pool closes the loop: the wire front ends (HTTP ingest, in-process
-// replay) draw feature slices from obsPool via Reader.NextInto, and a
+// pool closes the loop: serve.Server.Feed, the one loop every stream goes
+// through, draws feature slices from obsPool via DecodeEventInto, and a
 // slice is returned exactly when it provably has no readers:
 //
-//   - at the front end, when Ingest did not retain it (a rejected
+//   - in Feed, when the ingest did not retain it (a rejected or shed
 //     heartbeat, or a non-heartbeat event that carried features), and
 //   - inside jobState.handle, when a newer heartbeat replaces a task's
 //     current observation that no checkpoint view ever captured.

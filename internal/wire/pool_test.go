@@ -8,7 +8,7 @@ import (
 )
 
 // TestNextIntoMatchesNext pins the pooled decode path to the allocating
-// one: same dump, element by element, identical specs and events — the only
+// one (next, in wire_test.go): same dump, element by element, identical specs and events — the only
 // difference is the provenance tag.
 func TestNextIntoMatchesNext(t *testing.T) {
 	specs, events := goldenElements()
@@ -21,7 +21,7 @@ func TestNextIntoMatchesNext(t *testing.T) {
 	pooled := NewReader(bytes.NewReader(dump.Bytes()))
 	var ev Event
 	for n := 0; ; n++ {
-		wantSp, wantEv, wantErr := plain.Next()
+		wantSp, wantEv, wantErr := next(plain)
 		gotSp, gotErr := pooled.NextInto(&ev)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("element %d: Next err %v, NextInto err %v", n, wantErr, gotErr)

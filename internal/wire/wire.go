@@ -625,8 +625,8 @@ const readerBufLen = 4096
 // The Reader owns one buffer, refilled from the source one Read at a time,
 // and hands out each frame's payload where it lies in that buffer: a payload
 // (NextFrame's, or anything aliasing it, FrameOf's frame included) is valid
-// exactly until the next call on the Reader. Next and NextInto copy what
-// they keep — decoded specs and feature slices never alias the buffer. A
+// exactly until the next call on the Reader. NextInto copies what it keeps
+// — decoded specs and feature slices never alias the buffer. A
 // call returns the moment the frame it needs is complete and never reads
 // ahead of need, so frames already received are never held back by a
 // source that has stalled.
@@ -752,44 +752,16 @@ func (wr *Reader) FrameOf(ev *Event) []byte {
 	return f
 }
 
-// Next returns the next element of a spec/event stream (a trace dump or an
-// ingest body): exactly one of the two results is non-nil. io.EOF marks a
-// clean end of stream. WAL-only frames (drops, segment headers) are rejected
-// here; serve.RestoreServer applies drops too.
-func (wr *Reader) Next() (*JobSpec, *Event, error) {
-	kind, payload, err := wr.NextFrame()
-	if err != nil {
-		return nil, nil, err
-	}
-	switch kind {
-	case FrameSpec:
-		sp, err := DecodeSpecPayload(payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &sp, nil, nil
-	case FrameEvent:
-		// The feature slice is allocated fresh, so the Event is safe to hand
-		// to a Server, which retains Features as the task's observation.
-		// NextInto is the pooled variant for ingest loops.
-		ev, err := DecodeEventPayload(payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, &ev, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: frame kind %d in a spec/event stream", ErrCorrupt, kind)
-	}
-}
-
-// NextInto is Next for allocation-disciplined ingest loops: event elements
-// decode into the caller's Event (reused across iterations) with the
-// feature slice drawn from the ingest observation pool instead of the heap;
-// spec elements are returned exactly as Next returns them, and (sp != nil)
-// distinguishes the two. Because the Event is pool-tagged, the caller MUST
-// settle its ownership before the next NextInto call: pass it to Ingest and
-// then serve.RecycleAfterIngest (the ingest loops), or recycle it directly
-// when it is not ingested. On an error *ev is zero and holds no pooled slice.
+// NextInto returns the next element of a spec/event stream (a trace dump),
+// decoding an event into the caller's Event (reused across iterations) with
+// the feature slice drawn from the ingest observation pool instead of the
+// heap; a spec element is returned instead, and (sp != nil) distinguishes
+// the two. io.EOF marks a clean end of stream; any other frame kind is
+// rejected. Because the Event is pool-tagged, the caller MUST settle its
+// ownership before the next NextInto call (PutObservation when it
+// keeps nothing). On an error *ev is zero and holds no pooled slice.
+// Servers apply streams with serve.Server.Feed, which reads NextFrame; this
+// is the decode-only walk the benchmark's wire layer times.
 func (wr *Reader) NextInto(ev *Event) (*JobSpec, error) {
 	kind, payload, err := wr.NextFrame()
 	if err != nil {

@@ -80,7 +80,7 @@ func TestWireGolden(t *testing.T) {
 	var gotSpecs []JobSpec
 	var gotEvents []Event
 	for {
-		sp, ev, err := wr.Next()
+		sp, ev, err := next(wr)
 		if err == io.EOF {
 			break
 		}
@@ -143,12 +143,38 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// next is the allocating walk NextInto is pinned to: the next element of a
+// spec/event stream, exactly one of the two results non-nil, each decoded
+// fresh from NextFrame's payload.
+func next(wr *Reader) (*JobSpec, *Event, error) {
+	kind, payload, err := wr.NextFrame()
+	if err != nil {
+		return nil, nil, err
+	}
+	switch kind {
+	case FrameSpec:
+		sp, err := DecodeSpecPayload(payload)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &sp, nil, nil
+	case FrameEvent:
+		ev, err := DecodeEventPayload(payload)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, &ev, nil
+	default:
+		return nil, nil, fmt.Errorf("%w: frame kind %d in a spec/event stream", ErrCorrupt, kind)
+	}
+}
+
 // decodeAll consumes a stream, returning the element count and first error.
 func decodeAll(b []byte) (int, error) {
 	wr := NewReader(bytes.NewReader(b))
 	n := 0
 	for {
-		_, _, err := wr.Next()
+		_, _, err := next(wr)
 		if err == io.EOF {
 			return n, nil
 		}

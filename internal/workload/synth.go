@@ -332,7 +332,7 @@ func AppendItemWire(dst []byte, it *Item, hostile bool) ([]byte, error) {
 // WriteWire streams the workload as one wire dump in timeline order: the
 // stream header followed by every item's frame. With hostile=false the
 // injection overlay is dropped entirely and the dump is clean — fully
-// replayable via servehttp.Replay / POST /ingest. With hostile=true the overlay's
+// replayable via nurdserve -replay / POST /ingest. With hostile=true the overlay's
 // frames are included, corrupted exactly as the open-loop driver would send
 // them; such a dump is for determinism checks and front-end hardening tests,
 // not for replay.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/serve"
-	"repro/internal/servehttp"
 	"repro/internal/wire"
 )
 
@@ -159,7 +158,7 @@ func TestCleanWireReplayable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sv := serve.NewServer(serve.Config{Shards: 2})
-	st, err := servehttp.Replay(sv, bytes.NewReader(buf.Bytes()), 0)
+	st, err := sv.Feed(wire.NewReader(bytes.NewReader(buf.Bytes())), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestHostileWireRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		rd := wire.NewReader(bytes.NewReader(frame))
-		_, _, err = rd.Next()
+		_, _, err = rd.NextFrame()
 		if it.Malformed() {
 			if err == nil {
 				t.Fatalf("item %d flagged malformed but decoded cleanly", i)

@@ -182,6 +182,52 @@ func TestOneHomePerName(t *testing.T) {
 	}
 }
 
+// TestOneFrameLoop keeps one loop applying wire streams: serve.Server.Feed
+// is how POST /ingest, nurdserve -replay, RestoreServer and recovery apply
+// one. So outside the codec, non-test code under internal/ and cmd/ reads
+// no element loop of its own — NextInto stays in wire, for the benchmark's
+// codec layer — and reads raw frames only where a layer owns them: the
+// log's scan, Feed, and -replay's skip past what a recovery already holds.
+func TestOneFrameLoop(t *testing.T) {
+	allowed := map[string]map[string]bool{
+		"NextInto":  {"internal/wire": true},
+		"NextFrame": {"internal/wire": true, "internal/wal": true, "internal/serve": true, "cmd/nurdserve": true},
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			checked++
+			dir := filepath.ToSlash(filepath.Dir(path))
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && allowed[sel.Sel.Name] != nil && !allowed[sel.Sel.Name][dir] {
+					t.Errorf("%s: %s outside the one frame loop; apply a stream with serve.Server.Feed",
+						fset.Position(call.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no files checked under internal/ and cmd/")
+	}
+}
+
 // TestCIStepNamesParse guards ci.yml against the defect that once made it
 // invalid YAML and so silently disabled every CI gate: a plain (unquoted)
 // step name holding ": " or opening with a YAML indicator character. The
