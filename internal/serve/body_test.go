@@ -22,7 +22,7 @@ import (
 // stageEvent stages e through b as Feed's step does, leaving the commit to
 // the caller.
 func stageEvent(sv *Server, e wire.Event, b *body) error {
-	_, err := sv.reg.shardFor(e.JobID).ingest(e, b)
+	_, err := sv.reg.shardFor(e.JobID).ingest(&e, b)
 	return err
 }
 

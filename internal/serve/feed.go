@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -23,15 +22,27 @@ type Fed struct {
 // body is what one stream's consecutive frames share: the wire.Reader they
 // come from, when there is one, so an event's log record is the frame it
 // arrived as (wire.Reader.FrameOf), not encoded and checksummed again; the
-// job the previous event went to, so a run of one job's events looks the job
-// up once — the job lock re-validates it, and a job dropped since is defunct
-// and sends the event back to the registry; and the Event each event frame
-// decodes into. A body without a reader has its events encoded. A body is
-// one goroutine's, for one Server.
+// job the previous event went to and its shard, so a run of one job's events
+// hashes and looks the job up once — the job lock re-validates it, and a job
+// dropped since is defunct and sends the event back to the registry; and the
+// Event each event frame decodes into, with the feature buffer it reuses
+// (the task's own row takes a copy). A body without a reader has its events
+// encoded. A body is one goroutine's, for one Server.
 type body struct {
-	rd  *wire.Reader
-	job *jobState
-	ev  wire.Event
+	rd   *wire.Reader
+	job  *jobState
+	sh   *shard
+	ev   wire.Event
+	feat []float64
+}
+
+// shardOf returns jobID's shard: the previous event's when jobID is that
+// event's job, the registry's otherwise.
+func (b *body) shardOf(r *registry, jobID uint64) *shard {
+	if b.job != nil && b.job.spec.JobID == jobID {
+		return b.sh
+	}
+	return r.shardFor(jobID)
 }
 
 // frameOf returns e's frame as received, or nil when e is to be encoded.
@@ -101,19 +112,18 @@ func (sv *Server) step(kind wire.FrameKind, payload []byte, b *body, admit func(
 		}
 		fed.Specs++
 	case wire.FrameEvent:
-		// Pooled decode: a feature slice the server does not keep goes back
-		// to the pool, not to the GC.
 		ev := &b.ev
-		if err := wire.DecodeEventInto(payload, ev, true); err != nil {
+		if err := wire.DecodeEventInto(payload, ev, b.feat); err != nil {
 			return err
 		}
-		var err error
-		if !admit(ev.Kind == wire.EventHeartbeat) {
-			err = ErrShed
-		} else {
-			_, err = sv.reg.shardFor(ev.JobID).ingest(*ev, b)
+		if cap(ev.Features) > cap(b.feat) {
+			b.feat = ev.Features
 		}
-		recycleAfterIngest(ev, err)
+		if !admit(ev.Kind == wire.EventHeartbeat) {
+			fed.Shed++
+			return nil
+		}
+		_, err := b.shardOf(sv.reg, ev.JobID).ingest(ev, b)
 		switch {
 		case errors.Is(err, ErrShed):
 			fed.Shed++
@@ -140,21 +150,3 @@ func (sv *Server) step(kind wire.FrameKind, payload []byte, b *body, admit func(
 
 // admitAll is the admission of callers that charge nothing.
 func admitAll(bool) bool { return true }
-
-// recycleAfterIngest settles ownership of ev's feature slice after the
-// ingest that consumed it returned err. The pooled slice is recycled when
-// the server did not retain it: heartbeats hand their slice to the task
-// state on success (and on WAL append failures, the one rejection that
-// retains the in-memory observation), every other kind never retains
-// features, and a rejected or shed event of any kind was never stored.
-// Either way ev is stripped of the slice and its pool tag, so the reused
-// Event can never carry a stale reference into a later recycle decision.
-func recycleAfterIngest(ev *wire.Event, err error) {
-	retained := ev.Kind == wire.EventHeartbeat && (err == nil ||
-		errors.Is(err, wal.ErrFailed) || errors.Is(err, wal.ErrClosed))
-	if ev.Pooled && ev.Features != nil && !retained {
-		wire.PutObservation(ev.Features)
-	}
-	ev.Features = nil
-	ev.Pooled = false
-}

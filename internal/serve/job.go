@@ -13,18 +13,14 @@ import (
 
 // taskState tracks one task of a streamed job.
 type taskState struct {
-	started  bool
-	start    float64
-	features []float64 // latest heartbeat observation
-	// pooled marks features as drawn from the ingest observation pool
-	// (Event.Pooled provenance, see wire/pool.go); only such slices may be
-	// recycled when a newer heartbeat replaces them.
-	pooled bool
-	// captured marks features as aliased into a checkpoint view (snapshot
-	// appends the slice to FinishedX/RunningX). A captured slice is never
-	// recycled: the view's fit reads it on a refit worker after the job lock
-	// is released.
-	captured   bool
+	started bool
+	start   float64
+	// features is the task's feature row as its latest heartbeat observed
+	// it: nil until the first heartbeat, which allocates it at schema width,
+	// and overwritten in place by every later one. Nothing else aliases it —
+	// a checkpoint view copies it, and a heartbeat's own slice stays its
+	// sender's — so it changes only under the job lock.
+	features   []float64
 	finished   bool
 	latency    float64
 	terminated bool
@@ -127,7 +123,7 @@ func newJobState(spec wire.JobSpec, pred simulator.Predictor) *jobState {
 // firing, which only terminates tasks; termination-dependent *drop*
 // decisions stay in the apply phase below, after boundaries fire, exactly
 // as the offline protocol orders them.
-func (j *jobState) handle(e wire.Event) error {
+func (j *jobState) handle(e *wire.Event) error {
 	if j.done {
 		if j.failed {
 			// The job was closed by a predictor failure, not by the caller;
@@ -218,17 +214,10 @@ func (j *jobState) handle(e wire.Event) error {
 		// checkpoint, and the streamed protocol must see the same training
 		// rows to stay equivalent. Pipelines that freeze features at
 		// completion simply stop heartbeating, which degrades gracefully.
-		//
-		// The replaced observation is recycled into the ingest pool when it
-		// came from there and no checkpoint view captured it — the replace
-		// happens under the job lock, after any WAL append or query that
-		// read it, so a never-captured slice provably has no readers left.
-		if ts.pooled && !ts.captured && ts.features != nil {
-			wire.PutObservation(ts.features)
+		if ts.features == nil {
+			ts.features = make([]float64, len(j.spec.Schema))
 		}
-		ts.features = e.Features
-		ts.pooled = e.Pooled
-		ts.captured = false
+		copy(ts.features, e.Features)
 	case wire.EventTaskFinish:
 		if ts.terminated {
 			return errDropped
@@ -272,7 +261,9 @@ func (j *jobState) viewCounts(k int) (finished, running int) {
 
 // snapshot materializes checkpoint k's view of the job — tasks in ID order,
 // per-task features as most recently observed — into slices sized by
-// viewCounts' result for the same k.
+// viewCounts' result for the same k. The rows are copies, cut from one
+// buffer per view, so the fit that reads them on a refit worker, off the job
+// lock, never shares memory with a task row a later heartbeat overwrites.
 func (j *jobState) snapshot(k, finished, running int) *simulator.Checkpoint {
 	tau := j.spec.TauRun(k)
 	cp := &simulator.Checkpoint{
@@ -292,23 +283,24 @@ func (j *jobState) snapshot(k, finished, running int) *simulator.Checkpoint {
 		cp.FinishedX = make([][]float64, 0, finished)
 		cp.FinishedY = make([]float64, 0, finished)
 	}
+	width := len(j.spec.Schema)
+	rows := make([]float64, (finished+running)*width)
 	for id := range j.tasks {
 		ts := &j.tasks[id]
 		in, fin := ts.inView(tau)
 		if !in {
 			continue
 		}
-		// Either branch aliases ts.features into the view, which the fit
-		// reads off the job lock: the slice is now permanently ineligible
-		// for pool recycling.
-		ts.captured = true
+		row := rows[:width:width]
+		rows = rows[width:]
+		copy(row, ts.features)
 		if fin {
 			cp.FinishedIDs = append(cp.FinishedIDs, id)
-			cp.FinishedX = append(cp.FinishedX, ts.features)
+			cp.FinishedX = append(cp.FinishedX, row)
 			cp.FinishedY = append(cp.FinishedY, ts.latency)
 		} else {
 			cp.RunningIDs = append(cp.RunningIDs, id)
-			cp.RunningX = append(cp.RunningX, ts.features)
+			cp.RunningX = append(cp.RunningX, row)
 			cp.RunningElapsed = append(cp.RunningElapsed, tau-ts.start)
 		}
 	}
@@ -336,7 +328,7 @@ func (j *jobState) fireCheckpoint() {
 	j.nextCP++
 	j.checkpoint = k
 	// The warm gate reads the counts alone: a boundary it turns away builds
-	// no view and marks no observation captured, so those stay recyclable.
+	// no view.
 	finished, running := j.viewCounts(k)
 	if finished < j.warm || running == 0 {
 		return

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
@@ -583,75 +585,207 @@ func TestConcurrentManyJobs(t *testing.T) {
 	}
 }
 
-// TestUngatedBoundaryCapturesNothing: a boundary the warm gate turns away
-// hands the predictor nothing, so it must also keep nothing — no pending
-// view, no observation marked captured — and the pooled slice a task held
-// across it goes back to the pool when the next heartbeat replaces it. A
-// gated boundary still captures what it shows the predictor.
-func TestUngatedBoundaryCapturesNothing(t *testing.T) {
+// rowReader is a predictor that reads every row of each view it is shown,
+// twice, yielding between the passes: both reads must agree, and no value
+// may postdate the view's horizon — the feeder's heartbeats carry their own
+// time as every feature. It flags nothing.
+type rowReader struct {
+	t     *testing.T
+	views atomic.Int64
+}
+
+func (*rowReader) Name() string { return "row-reader" }
+func (*rowReader) Reset()       {}
+func (r *rowReader) Predict(cp *simulator.Checkpoint) ([]bool, error) {
+	r.views.Add(1)
+	sum := func() (s float64) {
+		for _, rows := range [][][]float64{cp.FinishedX, cp.RunningX} {
+			for _, row := range rows {
+				for _, v := range row {
+					if v > cp.TauRun {
+						r.t.Errorf("view %d (tau %v) holds a feature observed at %v", cp.Index, cp.TauRun, v)
+						return s
+					}
+					s += v
+				}
+			}
+		}
+		return s
+	}
+	first := sum()
+	runtime.Gosched()
+	if second := sum(); first != second {
+		r.t.Errorf("view %d changed during its fit: row sum %v, then %v", cp.Index, first, second)
+	}
+	return make([]bool, len(cp.RunningIDs)), nil
+}
+
+// TestOverwriteVersusFit runs three parts at once on one job served by a
+// real refit pool: a feeder whose heartbeats overwrite every task's row
+// across all ten checkpoint boundaries (reusing one Features slice), the
+// fits reading each view's rows on refit workers, and a querier reading
+// verdicts. A view that aliased a task row would change under its fit; the
+// race detector sees that even when the values happen to agree.
+func TestOverwriteVersusFit(t *testing.T) {
+	const tasks, steps = 16, 200
+	spec := wire.JobSpec{JobID: 1, Schema: []string{"a", "b", "c"}, NumTasks: tasks, TauStra: 50,
+		StragglerQuantile: 0.9, Horizon: 100, Checkpoints: 10, WarmFrac: 0.1, Seed: 1}
+	pred := &rowReader{t: t}
+	sv := NewServer(Config{Shards: 1})
+	if err := sv.StartJob(spec, pred); err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(e wire.Event) {
+		e.JobID = spec.JobID
+		if err := sv.Ingest(e); err != nil {
+			t.Error(err)
+		}
+	}
+	for id := 0; id < tasks; id++ {
+		ingest(wire.Event{Kind: wire.EventTaskStart, TaskID: id, Time: 0})
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ids := make([]int, tasks)
+		for i := range ids {
+			ids[i] = i
+		}
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			vs, err := sv.Query(spec.JobID, ids)
+			if err != nil || len(vs) != tasks {
+				t.Errorf("query: %d verdicts, %v", len(vs), err)
+				return
+			}
+			for i, v := range vs {
+				if v.TaskID != i || !v.Known {
+					t.Errorf("verdict %d: %+v", i, v)
+					return
+				}
+			}
+		}
+	}()
+	f := make([]float64, len(spec.Schema))
+	for step := 1; step <= steps; step++ {
+		tm := float64(step) / 2
+		for id := 0; id < tasks; id++ {
+			for i := range f {
+				f[i] = tm
+			}
+			ingest(wire.Event{Kind: wire.EventHeartbeat, TaskID: id, Time: tm, Tick: int(tm / 10), Features: f})
+		}
+		if step == 2 {
+			// Enough finished rows to open the warm gate from boundary 1 on.
+			for id := 0; id < 4; id++ {
+				ingest(wire.Event{Kind: wire.EventTaskFinish, TaskID: id, Time: tm, Latency: tm})
+			}
+		}
+	}
+	ingest(wire.Event{Kind: wire.EventJobFinish, Time: steps})
+	close(done)
+	wg.Wait()
+	if n := pred.views.Load(); n != int64(spec.Checkpoints) {
+		t.Errorf("the fits read %d views, want one per boundary (%d)", n, spec.Checkpoints)
+	}
+}
+
+// heldPredictor holds each fit until release is closed, so a view stays
+// pending while the test feeds more events; it flags nothing.
+type heldPredictor struct{ release chan struct{} }
+
+func (heldPredictor) Name() string { return "held" }
+func (heldPredictor) Reset()       {}
+func (h heldPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
+	<-h.release
+	return make([]bool, len(cp.RunningIDs)), nil
+}
+
+// TestViewRowsAreCopies: a checkpoint view owns its rows, and a task its
+// row. A boundary the warm gate turns away builds no view and leaves nothing
+// pending; a gated one captures a view whose slices are sized exactly and
+// whose rows stay as captured while heartbeats overwrite the tasks' rows
+// during the fit. An in-process Ingest whose caller then overwrites its
+// Features slice leaves the task's row as ingested.
+func TestViewRowsAreCopies(t *testing.T) {
 	spec := wire.JobSpec{JobID: 1, Schema: []string{"a", "b"}, NumTasks: 4, TauStra: 50,
 		StragglerQuantile: 0.9, Horizon: 100, Checkpoints: 10, WarmFrac: 0.25, Seed: 1}
-	// sync.Pool drops a quarter of its Puts under the race detector, so the
-	// recycle is looked for over a few fresh jobs; without the detector the
-	// first finds it.
-	for attempt := 1; ; attempt++ {
-		rec := &recorder{}
-		j := newJobState(spec, rec)
-		feed := func(e wire.Event) {
-			t.Helper()
-			e.JobID = spec.JobID
-			if err := j.handle(e); err != nil {
-				t.Fatal(err)
-			}
+	release := make(chan struct{})
+	j := newJobState(spec, heldPredictor{release: release})
+	j.pool = newRefitPool(1)
+	feed := func(e wire.Event) {
+		t.Helper()
+		e.JobID = spec.JobID
+		if err := j.handle(&e); err != nil {
+			t.Fatal(err)
 		}
-		held := []float64{1, 2} // as the pooled decode path would have drawn it
-		for id := 0; id < 3; id++ {
-			feed(wire.Event{Kind: wire.EventTaskStart, TaskID: id, Time: 0})
-		}
-		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 0, Time: 5, Tick: 1, Features: held, Pooled: true})
-		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 1, Time: 6, Tick: 1, Features: []float64{0, 0}, Pooled: true})
+	}
+	for id := 0; id < 3; id++ {
+		feed(wire.Event{Kind: wire.EventTaskStart, TaskID: id, Time: 0})
+	}
+	feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 0, Time: 5, Tick: 1, Features: []float64{1, 2}})
+	feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 1, Time: 6, Tick: 1, Features: []float64{0, 0}})
 
-		// Time 15 crosses boundary 1 (tau 10) with two running rows and
-		// nothing finished: below the warm count of 2. The same heartbeat
-		// then replaces task 0's observation.
-		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 0, Time: 15, Tick: 2, Features: []float64{3, 4}, Pooled: true})
-		if j.checkpoint != 1 || len(rec.cps) != 0 || j.pending != nil {
-			t.Fatalf("boundary 1: checkpoint %d, %d views shown, pending %v; want 1, 0, none", j.checkpoint, len(rec.cps), j.pending != nil)
-		}
-		for id := range j.tasks {
-			if j.tasks[id].captured {
-				t.Fatalf("task %d captured by a boundary that built no view", id)
-			}
-		}
-		recycled := wire.GetObservation(2)
-		if &recycled[0] != &held[0] {
-			if attempt < 20 {
-				continue
-			}
-			t.Fatal("the observation replaced after an ungated boundary never came back from the pool")
-		}
+	// Time 15 crosses boundary 1 (tau 10) with two running rows and nothing
+	// finished: below the warm count of 2.
+	feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 0, Time: 15, Tick: 2, Features: []float64{3, 4}})
+	if j.checkpoint != 1 || j.pending != nil || j.pool.lag.Load() != 0 {
+		t.Fatalf("boundary 1: checkpoint %d, pending %v, refit lag %d; want 1, none, 0", j.checkpoint, j.pending != nil, j.pool.lag.Load())
+	}
 
-		// Boundary 2 (tau 20) sees two finished rows and one running: gated.
-		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 1, Time: 16, Tick: 2, Features: []float64{5, 6}, Pooled: true})
-		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 2, Time: 16, Tick: 2, Features: []float64{7, 8}, Pooled: true})
-		feed(wire.Event{Kind: wire.EventTaskFinish, TaskID: 1, Time: 17, Latency: 17})
-		feed(wire.Event{Kind: wire.EventTaskFinish, TaskID: 2, Time: 18, Latency: 18})
-		feed(wire.Event{Kind: wire.EventTaskStart, TaskID: 3, Time: 25})
-		// The pool-less job fits inline and applies at once: the view is
-		// shown and, applied, no longer kept.
-		if len(rec.cps) != 1 || j.pending != nil {
-			t.Fatalf("boundary 2: %d views shown, pending %v; want 1, none", len(rec.cps), j.pending != nil)
+	// Boundary 2 (tau 20) sees two finished rows and one running: gated.
+	feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 1, Time: 16, Tick: 2, Features: []float64{5, 6}})
+	feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: 2, Time: 16, Tick: 2, Features: []float64{7, 8}})
+	feed(wire.Event{Kind: wire.EventTaskFinish, TaskID: 1, Time: 17, Latency: 17})
+	feed(wire.Event{Kind: wire.EventTaskFinish, TaskID: 2, Time: 18, Latency: 18})
+	feed(wire.Event{Kind: wire.EventTaskStart, TaskID: 3, Time: 25})
+	cp := j.pending
+	if cp == nil {
+		t.Fatal("boundary 2 left no view pending")
+	}
+	if len(cp.FinishedIDs) != 2 || cap(cp.FinishedX) != 2 || len(cp.RunningIDs) != 1 || cap(cp.RunningElapsed) != 1 {
+		t.Errorf("boundary 2 view: %d finished (cap %d), %d running (cap %d); want each slice sized exactly",
+			len(cp.FinishedIDs), cap(cp.FinishedX), len(cp.RunningIDs), cap(cp.RunningElapsed))
+	}
+	// The fit is held; every task in the view heartbeats again before
+	// boundary 3 (tau 30).
+	for id := 0; id < 3; id++ {
+		feed(wire.Event{Kind: wire.EventHeartbeat, TaskID: id, Time: 26, Tick: 3, Features: []float64{-1, -1}})
+	}
+	if want := [][]float64{{5, 6}, {7, 8}}; fmt.Sprint(cp.FinishedX) != fmt.Sprint(want) {
+		t.Errorf("pending view's finished rows %v after later heartbeats, captured %v", cp.FinishedX, want)
+	}
+	if want := [][]float64{{3, 4}}; fmt.Sprint(cp.RunningX) != fmt.Sprint(want) {
+		t.Errorf("pending view's running rows %v after later heartbeats, captured %v", cp.RunningX, want)
+	}
+	close(release)
+	feed(wire.Event{Kind: wire.EventJobFinish, Time: 40})
+
+	sv := NewServer(cheapCfg(1))
+	if err := sv.StartJob(spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	f := []float64{1, 2}
+	for _, e := range []wire.Event{
+		{Kind: wire.EventTaskStart, JobID: 1, TaskID: 0, Time: 0},
+		{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 0, Time: 5, Tick: 1, Features: f},
+	} {
+		if err := sv.Ingest(e); err != nil {
+			t.Fatal(err)
 		}
-		cp := rec.cps[0]
-		if len(cp.FinishedIDs) != 2 || cap(cp.FinishedX) != 2 || len(cp.RunningIDs) != 1 || cap(cp.RunningElapsed) != 1 {
-			t.Errorf("boundary 2 view: %d finished (cap %d), %d running (cap %d); want each slice sized exactly",
-				len(cp.FinishedIDs), cap(cp.FinishedX), len(cp.RunningIDs), cap(cp.RunningElapsed))
-		}
-		for id := 0; id < 3; id++ {
-			if !j.tasks[id].captured {
-				t.Errorf("task %d is in a kept view but not marked captured", id)
-			}
-		}
-		return
+	}
+	f[0], f[1] = -1, -1
+	ij, _ := sv.reg.shardFor(1).lookup(1)
+	ij.mu.Lock()
+	row := fmt.Sprint(ij.tasks[0].features)
+	ij.mu.Unlock()
+	if row != "[1 2]" {
+		t.Errorf("task row %s after the caller overwrote its heartbeat's slice, ingested [1 2]", row)
 	}
 }

@@ -339,9 +339,10 @@ func (sv *Server) stageJob(spec wire.JobSpec, pred simulator.Predictor) (uint64,
 // Ingest applies one lifecycle event. Events of one job must arrive in
 // non-decreasing Time order; different jobs' events may be ingested
 // concurrently from many goroutines. With a WAL attached the event's
-// record is written before Ingest returns.
+// record is written before Ingest returns. The server copies e.Features, so
+// the caller may reuse the slice once Ingest returns.
 func (sv *Server) Ingest(e wire.Event) error {
-	lsn, err := sv.reg.shardFor(e.JobID).ingest(e, nil)
+	lsn, err := sv.reg.shardFor(e.JobID).ingest(&e, nil)
 	if err != nil {
 		return err
 	}

@@ -122,7 +122,7 @@ func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, e
 // lockJob returns jobID's job with its lock held, or false when the job is
 // not registered (or was dropped before its lock was taken). b, when
 // non-nil, supplies the job the previous event went to and remembers this
-// one.
+// one and its shard.
 func (s *shard) lockJob(jobID uint64, b *body) (*jobState, bool) {
 	if b != nil && b.job != nil && b.job.spec.JobID == jobID {
 		b.job.mu.Lock()
@@ -144,7 +144,7 @@ func (s *shard) lockJob(jobID uint64, b *body) (*jobState, bool) {
 		return nil, false
 	}
 	if b != nil {
-		b.job = j
+		b.job, b.sh = j, s
 	}
 	return j, true
 }
@@ -152,7 +152,7 @@ func (s *shard) lockJob(jobID uint64, b *body) (*jobState, bool) {
 // ingest applies one event to its job, then folds the job's counter deltas
 // into the shard. It returns the LSN of the event's staged WAL record (0
 // when nothing was logged); the caller commits it before acknowledging.
-func (s *shard) ingest(e wire.Event, b *body) (uint64, error) {
+func (s *shard) ingest(e *wire.Event, b *body) (uint64, error) {
 	if !s.queue.tryAcquire() {
 		// Queue full. Shed heartbeats before touching any state — a shed
 		// event must leave no trace (not applied, not counted, not logged)
@@ -196,7 +196,7 @@ func (s *shard) ingest(e wire.Event, b *body) (uint64, error) {
 	var lsn uint64
 	var walErr error
 	if s.wal != nil && accepted {
-		lsn, walErr = s.wal.StageEvent(&e, b.frameOf(&e)...)
+		lsn, walErr = s.wal.StageEvent(e, b.frameOf(e)...)
 	}
 	termDelta := j.terminated - termBefore
 	refitDelta := j.refits - refitsBefore

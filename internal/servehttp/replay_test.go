@@ -149,12 +149,13 @@ func TestReplayErrors(t *testing.T) {
 }
 
 // TestPooledReplayMatchesDirectIngest streams a workload with several
-// heartbeats per checkpoint interval — so tasks' current observations are
-// repeatedly replaced between boundaries, exercising recycle-on-replace of
-// never-captured slices while captured ones feed refit history — once
-// through the pooled Feed path and once through in-process Ingest with
-// freshly allocated events. Reports and verdicts must be identical:
-// pooling moves allocations, never bytes.
+// heartbeats per checkpoint interval — so tasks' rows are overwritten
+// repeatedly between boundaries while copies of them feed refit history —
+// once through Feed, which decodes every event into one buffer its body
+// reuses (the name is from the observation pool that path once drew from),
+// and once through in-process Ingest with freshly allocated events. Reports
+// and verdicts must be identical: reusing buffers moves allocations, never
+// bytes.
 func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 	jobs, sims := servetest.SmallJobs(t, 2, 137)
 	var specs []wire.JobSpec
@@ -168,8 +169,8 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 		}
 		// Interleave an extra mid-interval heartbeat after each original
 		// one: same task, same tick, slightly later time, perturbed copy of
-		// the features. The later observation replaces the earlier in both
-		// servers; only the pooled server recycles the replaced slice.
+		// the features. The later observation overwrites the earlier in both
+		// servers.
 		var dense []wire.Event
 		for _, e := range evs {
 			dense = append(dense, e)
@@ -205,8 +206,7 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Ingested events carry caller-allocated slices (pooled tag unset);
-	// clone the features so the two servers share no memory at all.
+	// Clone the features so the two servers share no memory at all.
 	for _, e := range events {
 		if e.Features != nil {
 			e.Features = append([]float64(nil), e.Features...)

@@ -11,7 +11,7 @@ import (
 // walk, one bounds-checked read per field. It stays as the oracle the
 // straight-line decoder is held to — decoded value and error class — and is
 // not to be optimized.
-func refDecodeEventInto(p []byte, ev *Event, pooled bool) error {
+func refDecodeEventInto(p []byte, ev *Event, buf []float64) error {
 	d := Dec{B: p}
 	*ev = Event{}
 	k := d.U8()
@@ -25,9 +25,8 @@ func refDecodeEventInto(p []byte, ev *Event, pooled bool) error {
 	ev.Tick = int(d.I64())
 	ev.Latency = d.F64()
 	if n := d.Count(MaxWireFeatures, "features"); n > 0 && d.Need(8*n) {
-		if pooled {
-			ev.Features = GetObservation(n)
-			ev.Pooled = true
+		if cap(buf) >= n {
+			ev.Features = buf[:n]
 		} else {
 			ev.Features = make([]float64, n)
 		}
@@ -71,30 +70,31 @@ func sameEventBits(a, b *Event) bool {
 }
 
 // checkEventDecode holds DecodeEventInto to the reference walk on payload p,
-// pooled and not: the same error class, on success the same event bit for
-// bit, on failure a zero event — nothing drawn from the pool is left on it.
+// with no buffer, one too small for most events and one that holds any the
+// tests build: the same error class, on success the same event bit for bit
+// with the features in the buffer whenever it holds them, on failure a zero
+// event.
 func checkEventDecode(t testing.TB, p []byte) {
 	t.Helper()
-	for _, pooled := range []bool{false, true} {
+	for _, size := range []int{-1, 1, 512} {
+		var buf, refBuf []float64
+		if size >= 0 {
+			buf, refBuf = make([]float64, 0, size), make([]float64, 0, size)
+		}
 		var got, want Event
-		gotErr := DecodeEventInto(p, &got, pooled)
-		wantErr := refDecodeEventInto(p, &want, pooled)
+		gotErr := DecodeEventInto(p, &got, buf)
+		wantErr := refDecodeEventInto(p, &want, refBuf)
 		if g, w := errClass(t, gotErr), errClass(t, wantErr); g != w {
-			t.Fatalf("payload %x (pooled %v): error %q (%v), reference %q (%v)", p, pooled, g, gotErr, w, wantErr)
+			t.Fatalf("payload %x (buffer %d): error %q (%v), reference %q (%v)", p, size, g, gotErr, w, wantErr)
 		}
 		if gotErr != nil {
 			if !sameEventBits(&got, &Event{}) {
-				t.Fatalf("payload %x (pooled %v): failed decode left %+v on the event", p, pooled, got)
+				t.Fatalf("payload %x (buffer %d): failed decode left %+v on the event", p, size, got)
 			}
 		} else if !sameEventBits(&got, &want) {
-			t.Fatalf("payload %x (pooled %v): decoded %+v, reference %+v", p, pooled, got, want)
-		}
-		// The walk draws its slice before it sees trailing bytes, so it may
-		// hold one even when it fails.
-		for _, ev := range []*Event{&got, &want} {
-			if ev.Pooled {
-				PutObservation(ev.Features)
-			}
+			t.Fatalf("payload %x (buffer %d): decoded %+v, reference %+v", p, size, got, want)
+		} else if n := len(got.Features); n > 0 && n <= cap(buf) && &got.Features[0] != &buf[:1][0] {
+			t.Fatalf("payload %x (buffer %d): %d features decoded into a fresh slice, not the buffer", p, size, n)
 		}
 	}
 }

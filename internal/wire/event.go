@@ -1,10 +1,9 @@
 // Package wire is the serving stack's bottom layer: the versioned,
 // length-prefixed, checksummed binary frame format plus the plain data
-// types that travel in it (Event, JobSpec, RefitMode) and the ingest
-// observation pool the pooled decode path draws from. It imports no other
-// internal package — everything above (WAL segments, the serving node, the
-// HTTP front) speaks this format, and the layering test
-// pins the independence.
+// types that travel in it (Event, JobSpec, RefitMode) and the observation
+// pool NextInto draws from. It imports no other internal package —
+// everything above (WAL segments, the serving node, the HTTP front) speaks
+// this format, and the layering test pins the independence.
 package wire
 
 import (
@@ -66,21 +65,14 @@ type Event struct {
 	// observation belongs to); informational for other kinds.
 	Tick int
 	// Features carries the monitored feature vector of a heartbeat. The
-	// Server takes ownership of the slice at Ingest: it is retained as the
-	// task's current observation until the next heartbeat, so callers must
-	// not reuse or mutate it afterwards (allocate per event, as
-	// trace.Job.ObservedFeatures does, or draw from the ingest observation
-	// pool via DecodeEventInto, which tags the Event so the Server can
-	// recycle the slice once it provably has no readers).
+	// Server copies it at Ingest into the task's own feature row, so the
+	// caller may reuse or overwrite the slice once Ingest returns.
 	Features []float64
 	// Latency is the finished task's true execution duration (TaskFinish).
 	Latency float64
 	// Pooled marks Features as drawn from the package observation pool
-	// (set only by the pooled wire-decode path, never by callers). Only
-	// pooled slices are ever recycled: in-process callers keep the
-	// documented allocate-per-event contract and their slices are never
-	// returned to the pool, so a caller that (illegally or historically)
-	// reuses its own buffers cannot corrupt pooled memory.
+	// (set only by NextInto, never by callers), so the walk's caller knows
+	// to hand the slice back with PutObservation.
 	Pooled bool
 }
 

@@ -2,27 +2,17 @@ package wire
 
 import "sync"
 
-// Ingest allocation discipline.
+// The observation pool.
 //
-// Every heartbeat used to allocate a fresh []float64 at decode and leak the
-// task's previous observation to the garbage collector when the next
-// heartbeat replaced it — at serving rates that is one short-lived
-// allocation per event on the hottest path in the system. The observation
-// pool closes the loop: serve.Server.Feed, the one loop every stream goes
-// through, draws feature slices from obsPool via DecodeEventInto, and a
-// slice is returned exactly when it provably has no readers:
-//
-//   - in Feed, when the ingest did not retain it (a rejected or shed
-//     heartbeat, or a non-heartbeat event that carried features), and
-//   - inside jobState.handle, when a newer heartbeat replaces a task's
-//     current observation that no checkpoint view ever captured.
-//
-// Provenance is tracked end to end: only slices tagged pooled (set by the
-// pooled decode path alone) are ever recycled, and a pooled slice aliased
-// into a checkpoint view (taskState.captured) is permanently off limits —
-// the view's fit reads it on a refit worker, off the job lock. Everything
-// else — queries, WAL encoding — copies or finishes reading under the job
-// lock before the replacement that would recycle the slice can run.
+// NextInto draws each decoded event's feature slice from obsPool and tags
+// the Event Pooled; its caller returns the slice with PutObservation once
+// nothing reads it. Only the benchmark's decode-only wire layer walks a
+// stream that way. The server does not use the pool: serve.Server.Feed
+// decodes every event into one buffer its body reuses (DecodeEventInto's
+// buf), and a task keeps its features in a row it owns, which each
+// heartbeat overwrites and each checkpoint view copies. The pool, the
+// Pooled tag and NextInto are to go together once that layer times
+// NextFrame plus DecodeEventInto instead.
 
 // MaxPooledObs bounds the capacity of slices kept by the pool so one
 // oversized (yet wire-legal) frame cannot pin large buffers for the

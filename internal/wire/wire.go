@@ -298,15 +298,16 @@ func AppendEventPayload(e *Enc, ev *Event) { e.B = appendEventPayload(e.B, ev) }
 
 func DecodeEventPayload(p []byte) (Event, error) {
 	var ev Event
-	err := DecodeEventInto(p, &ev, false)
+	err := DecodeEventInto(p, &ev, nil)
 	return ev, err
 }
 
-// DecodeEventInto decodes an event payload into *ev. With pooled set the
-// feature slice is drawn from the ingest observation pool and the event is
-// tagged for recycling (see pool.go); otherwise it is allocated fresh.
-// Every check runs before the slice is drawn, so a failed decode leaves *ev
-// zero and holds nothing from the pool.
+// DecodeEventInto decodes an event payload into *ev. The features decode
+// into buf's backing array when its capacity holds them, and into a fresh
+// slice otherwise, so a caller that decodes frame after frame passes the same
+// buffer back and allocates only when a wider event arrives; ev.Features then
+// aliases buf until the next call. Every check runs before a feature is
+// written, so a failed decode leaves *ev zero and buf untouched.
 //
 // The payload is fixed-layout, so it decodes with two length checks and
 // straight-line loads instead of a Dec walk; the error classes and their
@@ -314,7 +315,7 @@ func DecodeEventPayload(p []byte) (Event, error) {
 // payload is truncated, an unknown kind is corrupt whatever follows it, a
 // short head is truncated, an oversized count is corrupt before a short body
 // is truncated, and bytes past the last feature are corrupt.
-func DecodeEventInto(p []byte, ev *Event, pooled bool) error {
+func DecodeEventInto(p []byte, ev *Event, buf []float64) error {
 	*ev = Event{}
 	if len(p) > 0 && p[0] > uint8(EventJobFinish) {
 		return fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, p[0])
@@ -342,9 +343,8 @@ func DecodeEventInto(p []byte, ev *Event, pooled bool) error {
 	if n == 0 {
 		return nil
 	}
-	if pooled {
-		ev.Features = GetObservation(n)
-		ev.Pooled = true
+	if cap(buf) >= n {
+		ev.Features = buf[:n]
 	} else {
 		ev.Features = make([]float64, n)
 	}
@@ -754,14 +754,15 @@ func (wr *Reader) FrameOf(ev *Event) []byte {
 
 // NextInto returns the next element of a spec/event stream (a trace dump),
 // decoding an event into the caller's Event (reused across iterations) with
-// the feature slice drawn from the ingest observation pool instead of the
+// the feature slice drawn from the observation pool (pool.go) instead of the
 // heap; a spec element is returned instead, and (sp != nil) distinguishes
 // the two. io.EOF marks a clean end of stream; any other frame kind is
 // rejected. Because the Event is pool-tagged, the caller MUST settle its
 // ownership before the next NextInto call (PutObservation when it
 // keeps nothing). On an error *ev is zero and holds no pooled slice.
-// Servers apply streams with serve.Server.Feed, which reads NextFrame; this
-// is the decode-only walk the benchmark's wire layer times.
+// Servers apply streams with serve.Server.Feed, which reads NextFrame and
+// decodes into a buffer of its own; this is the decode-only walk the
+// benchmark's wire layer times.
 func (wr *Reader) NextInto(ev *Event) (*JobSpec, error) {
 	kind, payload, err := wr.NextFrame()
 	if err != nil {
@@ -775,7 +776,21 @@ func (wr *Reader) NextInto(ev *Event) (*JobSpec, error) {
 		}
 		return &sp, nil
 	case FrameEvent:
-		return nil, DecodeEventInto(payload, ev, true)
+		// Draw from the pool only when the count and the length agree, the
+		// shape every decodable event has, so a hostile count draws nothing.
+		var buf []float64
+		if len(payload) > eventHeadLen {
+			n := int(binary.LittleEndian.Uint32(payload[41:]))
+			if n <= MaxWireFeatures && len(payload) == eventHeadLen+8*n {
+				buf = GetObservation(n)
+			}
+		}
+		if err := DecodeEventInto(payload, ev, buf); err != nil {
+			PutObservation(buf)
+			return nil, err
+		}
+		ev.Pooled = buf != nil
+		return nil, nil
 	default:
 		return nil, fmt.Errorf("%w: frame kind %d in a spec/event stream", ErrCorrupt, kind)
 	}
