@@ -432,6 +432,7 @@ func benchRefit(b *testing.B, cfg nurd.Config) {
 	cfg.Seed = benchSeed
 	b.ResetTimer()
 	refits := 0
+	var warmFits uint64
 	for i := 0; i < b.N; i++ {
 		m := nurd.New(cfg)
 		if err := m.Init(views[0].FinishedX, views[0].RunningX); err != nil {
@@ -443,6 +444,13 @@ func benchRefit(b *testing.B, cfg nurd.Config) {
 			}
 			refits++
 		}
+		warmFits, _ = m.RefitCounts()
+	}
+	// CI gates warm against scratch ms/refit: a warm configuration that fell
+	// back to scratch fits, or a scratch one that warm-started, would make the
+	// ratio meaningless.
+	if (cfg.WarmRounds > 0) != (warmFits > 0) {
+		b.Fatalf("WarmRounds %d, but the last sequence warm-started %d of %d refits", cfg.WarmRounds, warmFits, len(views))
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(refits), "ms/refit")
 }

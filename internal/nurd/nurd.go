@@ -87,12 +87,12 @@ func DefaultConfig() Config {
 // per checkpoint for the extended ensemble to track the drifting finished-set
 // distribution (seed-trace F1 within a small epsilon of scratch refits —
 // test-enforced in internal/serve) at a third of a scratch fit's trees. That
-// is half of h_t's cost, not a third of the refit's: on the benchmark's mean
-// view (~110 rows x 15 columns, bench --trace 1) a 16-tree extension is
-// 0.34 ms against 0.65 ms for the 50-tree scratch fit, and the propensity fit
-// both modes share is about 0.2 ms on top of either (six Newton iterations),
-// so a warm refit costs a little over half a scratch one (0.57 at 300 tasks,
-// BENCH_serve_refit.json).
+// is not a third of the refit's cost: an extension also pays the presort and
+// the predictions of the trees it keeps, and the propensity fit both modes
+// share comes on top of either, so a warm refit costs well over a third of a
+// scratch one (bench --trace 1 reads gbt.extend_ms_per_view against
+// gbt.fit_ms_per_view; BenchmarkRefitWarm against BenchmarkRefitScratch the
+// whole refit).
 const DefaultWarmRounds = 16
 
 // DefaultWarmConfig returns DefaultConfig with warm-started refits enabled
@@ -278,9 +278,8 @@ func (m *Model) checkTrain(finX [][]float64, finY []float64) error {
 }
 
 // fitPropensity refits g_t on the finished-vs-running split; both refit
-// strategies share it: on the benchmark's mean view its six Newton
-// iterations take about 0.2 ms (go test ./internal/linmodel -bench
-// FitLogistic), beside h_t's 0.34 ms to extend and 0.65 ms to fit.
+// strategies share it (its cost: go test ./internal/linmodel -bench
+// FitLogistic).
 // The log-feature matrix, its labels and the fit's working memory live in
 // m.prop and are reused, so from the second refit on only the fitted model is
 // allocated.

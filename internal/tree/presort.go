@@ -14,12 +14,15 @@ import (
 // of that range per feature, and splitting it is a stable partition of each
 // list, which keeps both halves in order for the children.
 //
-// With uniform weights (gbt's case) the scan divides only for a candidate
-// that could still win: a side's weight is its row count, so a bound on the
-// gain needs only products with reciprocals tabled here once, and a
-// candidate whose bound is below the running best by more than its rounding
-// error is skipped. The rest get the exact gain, so the trees are those of
-// dividing at every candidate: the first in scan order with the largest gain.
+// With uniform weights (gbt's case) the scan prunes a candidate by the
+// between-group form of its gain. A side's weight is its row count, so a cut
+// of an m-row node that puts L rows left with prefix sum S, and R = m-L right,
+// gains (S - L·T/m)²·m/(L·R) for node total T. bestSplit tables L·T/m and
+// L·R/m once per node for all its features; a candidate then costs a
+// subtraction, two multiplies and one compare against the running best,
+// lowered by more than the rounding error of either side. The rest get the exact gain,
+// so the trees are those of dividing at every candidate: the first in scan
+// order with the largest gain.
 //
 // The order is total: ascending by value, NaN after +Inf, ties (and NaNs)
 // by row index. A threshold is the midpoint of two neighbouring values and
@@ -44,7 +47,8 @@ type Presorted struct {
 	leaves  []int32 // per row: ordinal of the leaf it ended in
 	nodes   []node
 	feats   []int     // candidate features of the node being split
-	inv     []float64 // inv[k] = 1/k, rounded: the uniform scan's bound
+	lmu, lr []float64 // per cut of the node being split: L·T/m and L·R/m
+	prune   bool      // the uniform scan may prune: see pruneSafe
 	nleaves int32
 
 	y, w []float64
@@ -63,6 +67,7 @@ func Presort(X [][]float64) (*Presorted, error) {
 			return nil, fmt.Errorf("%w: row %d has %d columns, row 0 has %d", ErrRaggedRows, i, len(row), d)
 		}
 	}
+	tables := make([]float64, 2*n) // a node offers at most n-1 cuts
 	p := &Presorted{
 		n: n, d: d,
 		cols:    make([]float64, d*n),
@@ -72,10 +77,8 @@ func Presort(X [][]float64) (*Presorted, error) {
 		left:    make([]uint8, n),
 		leaves:  make([]int32, n),
 		feats:   make([]int, d),
-		inv:     make([]float64, n+1),
-	}
-	for k := 1; k <= n; k++ {
-		p.inv[k] = 1 / float64(k)
+		lmu:     tables[:n:n],
+		lr:      tables[n:],
 	}
 	for i, row := range X {
 		for j, v := range row {
@@ -172,6 +175,7 @@ func (p *Presorted) Grow(y, w []float64, cfg Config) (*Regressor, error) {
 		return nil, err
 	}
 	p.y, p.w, p.cfg = y, w, cfg
+	p.prune = w == nil && pruneSafe(y)
 	if p.nodes == nil {
 		// A tree has at most 2n-1 nodes (every leaf holds a row) and at
 		// most 2^(MaxDepth+1)-1; sizing the table once keeps a fit's
@@ -268,16 +272,25 @@ func (p *Presorted) grow(lo, hi, depth int) int32 {
 // order within each side. Which side a row takes is a coin toss to the branch
 // predictor, so every row is stored to both sides and only the side it
 // belongs to advances (the left cursor never passes the read position).
+//
+// It is kept out of line: inlined into grow, whose recursion keeps many
+// values live, the loop's cursors were spilled to the stack and reloaded on
+// every row.
+//
+//go:noinline
 func (p *Presorted) partition(list []int32) {
+	// Locals, or the stores through list make the compiler reload both
+	// fields on every row.
+	left, scratch := p.left, p.scratch
 	nl, nr := 0, 0
 	for _, i := range list {
-		l := int(p.left[i])
+		l := int(left[i])
 		list[nl] = i
-		p.scratch[nr] = i
+		scratch[nr] = i
 		nl += l
 		nr += 1 - l
 	}
-	copy(list[nl:], p.scratch[:nr])
+	copy(list[nl:], scratch[:nr])
 }
 
 // bestSplit scans candidate features for the split of rows [lo,hi)
@@ -294,6 +307,9 @@ func (p *Presorted) bestSplit(lo, hi int, totW, totWY float64) (feat int, thr fl
 
 	b := best{gain: 1e-12}
 	parent := totWY * totWY / totW
+	if p.w == nil {
+		tableCuts(p.lmu, p.lr, hi-lo, p.cfg.MinLeaf, totWY)
+	}
 	for _, j := range features {
 		col, ord := p.cols[j*p.n:(j+1)*p.n], p.lists[j*p.n+lo:j*p.n+hi]
 		if p.w == nil {
@@ -317,7 +333,8 @@ type best struct {
 // scanUniform scans one feature's order of a node with unit weights, where
 // cut k puts exactly the k+1 rows ord[:k+1] left and m-k-1 right. MinLeaf
 // admits the cuts minLeaf-1 .. m-minLeaf-1; grow calls this only when m ≥
-// MinSplit ≥ 2·MinLeaf, so there is at least one.
+// MinSplit ≥ 2·MinLeaf, so there is at least one. Cut k is entry t =
+// k-minLeaf+1 of the node's tables (tableCuts).
 func (p *Presorted) scanUniform(b *best, j int, col []float64, ord []int32, totWY, parent float64) {
 	y := p.y
 	m, minLeaf := len(ord), p.cfg.MinLeaf
@@ -326,29 +343,16 @@ func (p *Presorted) scanUniform(b *best, j int, col []float64, ord []int32, totW
 		leftWY += y[i]
 	}
 	cuts := ord[minLeaf-1 : m-minLeaf]
-	inv := p.inv[minLeaf : minLeaf+len(cuts)] // cut minLeaf-1+t: 1/L = inv[t], 1/R = inv[len-1-t]
-	// Both terms scaled alone, so cut cannot overflow where their sum would.
-	const shrink = 1 - 1e-12
+	lmu, lr := p.lmu[:len(cuts)], p.lr[:len(cuts)]
 	bestGain := b.gain
-	cut := parent*shrink + bestGain*shrink
+	c := pruneBelow(bestGain, parent, p.prune)
 	for t := 0; t < len(cuts); t++ {
 		// Advance to the next cut the bound cannot rule out, in a loop of its
 		// own: kept apart from the exact path below, it runs ~8% faster
-		// (BenchmarkGrow). A candidate wins only if fl(s-parent) > bestGain,
-		// s = fl(ql/L + qr/R); rounding is monotone, so then s >
-		// parent+bestGain exactly. The bound computes the same two
-		// non-negative quotients with rounded reciprocals, within 6u of s
-		// (u = 2^-53), while cut sits 1e-12 below parent+bestGain: so
-		// bound < cut proves the candidate loses. Subnormal terms err by
-		// ~1e-323, nothing beside a margin of at least 1e-12·bestGain ≥ 1e-24;
-		// an overflowed or NaN term makes the bound +Inf or NaN, which fails <
-		// and takes the exact path.
-		var ql, qr float64
+		// (BenchmarkGrow).
 		for ; t < len(cuts); t++ {
 			leftWY += y[cuts[t]]
-			rightWY := totWY - leftWY
-			ql, qr = leftWY*leftWY, rightWY*rightWY
-			if !(ql*inv[t]+qr*inv[len(inv)-1-t] < cut) {
+			if !prunes(leftWY, lmu[t], c, lr[t]) {
 				break
 			}
 		}
@@ -361,17 +365,85 @@ func (p *Presorted) scanUniform(b *best, j int, col []float64, ord []int32, totW
 			continue
 		}
 		// Gain = sum(w y)^2/W reduction relative to parent.
-		gain := ql/float64(k+1) + qr/float64(m-k-1) - parent
+		rightWY := totWY - leftWY
+		gain := leftWY*leftWY/float64(k+1) + rightWY*rightWY/float64(m-k-1) - parent
 		if gain > bestGain {
 			mid := (x + next) / 2
 			if math.IsNaN(mid) || math.IsInf(mid, 0) {
 				continue // a NaN or infinite neighbour, or a sum that overflows
 			}
 			bestGain = gain
-			cut = parent*shrink + bestGain*shrink
+			c = pruneBelow(bestGain, parent, p.prune)
 			*b = best{gain: gain, feat: j, thr: mid, ok: true}
 		}
 	}
+}
+
+// The uniform scan's bound. Write S and T for a cut's prefix sum and its
+// node's total as the scan holds them, L and R = m-L for the sides' row
+// counts, P = T²/m, and G = S²/L + (T-S)²/R - P, exactly; then G =
+// D²·m/(L·R) with D = S - L·T/m. A candidate wins only if its computed gain
+// g exceeds the running best B (B ≥ 1e-12). Let u = 2^-53.
+//   - g rounds S² and (T-S)² before dividing, sums and subtracts the parent:
+//     it is within about 8u·(P+G) of G.
+//   - prunes computes D with lmu = L·T/m (two roundings, each relative to
+//     L·|T|/m) and squares it; against lr = L·R/m (three roundings) the
+//     difference from G is within about 3u·G + 2u·√(L/R)·(G+P), since
+//     |D|·|T|/R = √(G·P)·√(L/R).
+//   - pruneBelow sets c = B·(1-1e-9) - 1e-9·P. For m < 2^31, √(L/R) < 2^15.5,
+//     so both errors together stay below 1e-11·(B+P) near G ≈ B, well inside
+//     the margin: a pruned candidate has G < B - 8u·(P+G), so g ≤ B and it
+//     loses. A negative c prunes nothing.
+//   - Subnormal results err by about 1e-323 absolutely, nothing beside a
+//     margin of at least 1e-9·B·lr ≥ 5e-22.
+//   - Overflow would break the argument: with huge targets c·lr can round
+//     to +Inf and prune a cut whose gain is +Inf too. pruneSafe bounds the
+//     targets so that D² and the exact terms stay finite; a node's sums are
+//     never larger than the tree's, so one pass per Grow suffices. A tree
+//     that fails it scans with c = 0, which prunes nothing: d² < 0 is false.
+
+// pruneSafe reports whether Σ|y| is below 1e150 (a NaN or ±Inf target is
+// not): then every prefix sum, D and L·T/m is below 2e150 in magnitude and
+// their squares are finite.
+func pruneSafe(y []float64) bool {
+	s := 0.0
+	for _, v := range y {
+		s += math.Abs(v)
+	}
+	return s < 1e150
+}
+
+// tableCuts fills lmu[t] = L·(T/m) and lr[t] = L·R·(1/m) for the cuts of an
+// m-row node with target total T, cut t putting L = minLeaf+t rows left and R
+// = m-L right. It multiplies by 1/m rather than divide per cut.
+func tableCuts(lmu, lr []float64, m, minLeaf int, T float64) {
+	mf := float64(m)
+	mu, invM := T/mf, 1/mf
+	lmu, lr = lmu[:m-2*minLeaf+1], lr[:m-2*minLeaf+1]
+	for t := range lmu {
+		l := float64(minLeaf + t)
+		lmu[t] = l * mu
+		lr[t] = l * (mf - l) * invM
+	}
+}
+
+// pruneBelow is the threshold c under which a candidate's between-group sum
+// of squares proves that it cannot beat best; 0, which prunes nothing, when
+// the tree is not pruneSafe.
+func pruneBelow(best, parent float64, safe bool) float64 {
+	if !safe {
+		return 0
+	}
+	const margin = 1e-9
+	return best*(1-margin) - margin*parent
+}
+
+// prunes reports whether the cut with prefix sum s and tables lmu, lr cannot
+// beat the best behind threshold c. D's sign does not matter; taking lmu - s
+// leaves s in its register, where s - lmu cost the scan two moves per cut.
+func prunes(s, lmu, c, lr float64) bool {
+	d := lmu - s
+	return d*d < c*lr
 }
 
 // scanWeighted scans one feature's order of a node with per-row weights.

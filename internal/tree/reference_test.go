@@ -166,8 +166,16 @@ func (b *builder) bestSplit(idx []int, totW, totWY float64) (feat int, thr float
 // column wins is rounding noise on both sides and cannot be compared. A
 // whole copy ties bit for bit instead, and pins "the first feature wins".
 func diffCase(seed uint64) (X [][]float64, y, w []float64, cfg Config) {
+	return diffCaseRows(seed, 0)
+}
+
+// diffCaseRows is diffCase with n rows in place of the drawn count when n >
+// 0. The count is drawn either way, so the rest of the stream is the same.
+func diffCaseRows(seed uint64, n int) (X [][]float64, y, w []float64, cfg Config) {
 	rng := stats.NewRNG(seed)
-	n := 2 + rng.Intn(260)
+	if drawn := 2 + rng.Intn(260); n <= 0 {
+		n = drawn
+	}
 	d := 1 + rng.Intn(8)
 	kinds, src := make([]int, d), make([]int, d)
 	for j := range kinds {
@@ -259,16 +267,27 @@ func TestFitMatchesSortPerNodeReference(t *testing.T) {
 }
 
 // TestGrowMatchesReferenceAtExtremeTargets runs the differential oracle
-// where the uniform scan's division-free bound is nearest to being wrong:
-// targets whose squared prefix sums underflow or overflow (alone, or beside
-// ordinary ones), whole-number targets whose gains tie exactly, a NaN or
-// infinite target, and MinLeaf from 1 to half the rows.
+// where the uniform scan's bound is nearest to being wrong: targets whose
+// squared prefix sums underflow or overflow (alone, or beside ordinary ones),
+// Σ|y| on either side of pruneSafe's 1e150, whole-number targets whose gains
+// tie exactly, a parent that dwarfs every gain, a NaN or infinite target, a
+// 4 096-row node (the bound's error grows with √(L/R)), and MinLeaf from 1
+// to half the rows.
 func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 	scale := func(s float64) func([]float64) {
 		return func(y []float64) {
 			for i := range y {
 				y[i] *= s
 			}
+		}
+	}
+	sumTo := func(s float64) func([]float64) { // Σ|y| = s, to rounding
+		return func(y []float64) {
+			sum := 0.0
+			for _, v := range y {
+				sum += math.Abs(v)
+			}
+			scale(s / sum)(y)
 		}
 	}
 	for _, tc := range []struct {
@@ -305,11 +324,24 @@ func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 		{"NaN", func(y []float64) { y[len(y)/3] = math.NaN() }, false},
 		{"+Inf", func(y []float64) { y[len(y)/2] = math.Inf(1) }, false},
 		{"-Inf", func(y []float64) { y[0] = math.Inf(-1) }, false},
+		{"sum|y| just below 1e150", sumTo(0.999e150), true},
+		{"sum|y| just above 1e150", sumTo(1.001e150), true},
+		{"offset 1e8", func(y []float64) { // quantised, so that every prefix sum is exact in any order
+			for i := range y {
+				y[i] = math.Round(y[i]*1024)/1024 + 1e8
+			}
+		}, true},
+		{"4096 rows", nil, true}, // diffCase's own targets, five seeds
 	} {
-		split := 0
-		for seed := uint64(1); seed <= 40; seed++ {
-			X, y, _, _ := diffCase(seed)
-			tc.apply(y)
+		split, rows, seeds := 0, 0, uint64(40)
+		if tc.apply == nil {
+			rows, seeds = 4096, 5
+		}
+		for seed := uint64(1); seed <= seeds; seed++ {
+			X, y, _, _ := diffCaseRows(seed, rows)
+			if tc.apply != nil {
+				tc.apply(y)
+			}
 			n := len(X)
 			for _, minLeaf := range []int{1, 3, n / 2} {
 				cfg := Config{MaxDepth: 4, MinLeaf: minLeaf}
@@ -333,7 +365,7 @@ func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 		if tc.split && split == 0 {
 			t.Errorf("%s: no case grew a split: the comparison has gone vacuous", tc.name)
 		}
-		t.Logf("%s: %d of 120 trees split", tc.name, split)
+		t.Logf("%s: %d of %d trees split", tc.name, split, 3*seeds)
 	}
 }
 
