@@ -484,26 +484,29 @@ func sameBits(a, b []float64) bool {
 }
 
 // BenchmarkFitLogistic times one propensity-shaped fit (balanced, the
-// penalty nurd's g_t uses) and reports nanoseconds and Newton iterations
-// per fit:
+// penalty nurd's g_t uses) at the Google width (15 features) and the Alibaba
+// width (4), and reports nanoseconds, Newton iterations and passes over the
+// data per fit:
 //
 //	go test ./internal/linmodel -run '^$' -bench FitLogistic -cpu 1
 func BenchmarkFitLogistic(b *testing.B) {
 	cfg := LogisticConfig{L2: 3e-2, Balanced: true}
-	for _, n := range []int{110, 320} {
-		const d = 15
-		X, y := caseData(stats.NewRNG(uint64(n)), n, d, 1)
-		flat := flatten(X)
-		b.Run(fmt.Sprintf("%dx%d", n, d), func(b *testing.B) {
-			var scratch LogisticScratch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := FitLogisticFlat(flat, d, y, cfg, &scratch); err != nil {
-					b.Fatal(err)
+	for _, d := range []int{15, 4} {
+		for _, n := range []int{110, 320} {
+			X, y := caseData(stats.NewRNG(uint64(n)), n, d, 1)
+			flat := flatten(X)
+			b.Run(fmt.Sprintf("%dx%d", n, d), func(b *testing.B) {
+				var scratch LogisticScratch
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := FitLogisticFlat(flat, d, y, cfg, &scratch); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/fit")
-			b.ReportMetric(float64(scratch.iters), "iters/fit")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/fit")
+				b.ReportMetric(float64(scratch.iters), "iters/fit")
+				b.ReportMetric(float64(scratch.passes), "passes/fit")
+			})
+		}
 	}
 }

@@ -44,8 +44,14 @@ type Logistic struct {
 // its zero value is ready to use. Not safe for concurrent use — each fitting
 // caller (e.g. a nurd.Model refitting its propensity model) owns its own.
 type LogisticScratch struct {
-	z   []float64 // standardized training matrix plus a column of ones, row-major
+	// The standardized training matrix plus a column of ones, column-major:
+	// for n rows, column j is zc[j*n : (j+1)*n]. A gradient component is a
+	// sum down one of these columns, a Hessian entry a sum down two.
+	zc  []float64
 	sw  []float64 // per-row sample weight
+	r   []float64 // per-row gradient factor sw*(p-y) of the last pass
+	v   []float64 // per-row curvature sw*p*(1-p) of the last pass
+	vz  []float64 // per-row margin z, then v times one column of zc
 	h   []float64 // Hessian, upper triangle; its lower triangle holds the Cholesky factor
 	g   []float64 // gradient
 	dir []float64 // Newton direction
@@ -112,6 +118,11 @@ func FitLogistic(X [][]float64, y []float64, cfg LogisticConfig) (*Logistic, err
 // gives the Newton direction from the last accepted point, and a trial
 // whose loss rose by more than rounding halves the step. The fit stops at
 // the gradTol / maxPasses rule above.
+//
+// The rows are standardized once per fit into a column-major copy, so that
+// each pass sums down columns: every gradient component and Hessian entry
+// builds up in a register, in row order, with the roundings of a row-by-row
+// update and so with its bits (see pass).
 func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratch *LogisticScratch) (*Logistic, error) {
 	n := len(y)
 	if n == 0 {
@@ -139,59 +150,7 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 		scratch = &LogisticScratch{}
 	}
 	s := scratch
-	nf := float64(n)
-
-	// Column statistics and the standardized copy, the operations of
-	// vecmath.ColumnStats and vecmath.Standardize in their order.
-	mean := make([]float64, d)
-	std := make([]float64, d)
-	for i := 0; i < n; i++ {
-		row := X[i*d : i*d+d]
-		for j := range mean {
-			mean[j] += row[j]
-		}
-	}
-	for j := range mean {
-		mean[j] /= nf
-	}
-	for i := 0; i < n; i++ {
-		row := X[i*d : i*d+d]
-		for j := range std {
-			dv := row[j] - mean[j]
-			std[j] += dv * dv
-		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / nf)
-		if std[j] == 0 {
-			std[j] = 1
-		}
-	}
-	// The intercept is one more weight, on a column of ones.
-	m := d + 1
-	s.z, s.sw, s.h = grow(s.z, n*m), grow(s.sw, n), grow(s.h, m*m)
-	s.g, s.dir, s.at, s.x = grow(s.g, m), grow(s.dir, m), grow(s.at, m), grow(s.x, m)
-	for i := 0; i < n; i++ {
-		row, zrow := X[i*d:i*d+d], s.z[i*m:i*m+m]
-		for j := range row {
-			zrow[j] = (row[j] - mean[j]) / std[j]
-		}
-		zrow[d] = 1
-	}
-
-	// Sample weights: 1, or the two balanced class weights.
-	w0, w1 := 1.0, 1.0
-	if n0 := nf - n1; cfg.Balanced && n0 > 0 && n1 > 0 {
-		w0, w1 = nf/(2*n0), nf/(2*n1)
-	}
-	totW := 0.0
-	for i, v := range y {
-		s.sw[i] = w0
-		if v == 1 {
-			s.sw[i] = w1
-		}
-		totW += s.sw[i]
-	}
+	mean, std, totW := s.load(X, d, y, n1, cfg)
 
 	at, x, dir := s.at, s.x, s.dir
 	clear(at)
@@ -218,20 +177,101 @@ func FitLogisticFlat(X []float64, d int, y []float64, cfg LogisticConfig, scratc
 	return &Logistic{W: append([]float64(nil), at[:d]...), B: at[d], Mean: mean, Std: std}, nil
 }
 
-// pass evaluates F at theta = (w, b) over the rows of s.z, returns it, and
-// leaves the gradient in s.g and the Hessian's upper triangle in s.h.
+// load sizes s for a fit of the len(y) x d row-major X with n1 positive
+// labels: it standardizes X into the columns of s.zc, appends the column of
+// ones, sets the sample weights s.sw, and returns the column means and
+// standard deviations and the total sample weight.
+func (s *LogisticScratch) load(X []float64, d int, y []float64, n1 float64, cfg LogisticConfig) (mean, std []float64, totW float64) {
+	n := len(y)
+	nf := float64(n)
+
+	// Column statistics and the standardized copy, the operations of
+	// vecmath.ColumnStats and vecmath.Standardize in their order.
+	mean = make([]float64, d)
+	std = make([]float64, d)
+	for i := 0; i < n; i++ {
+		row := X[i*d : i*d+d]
+		for j := range mean {
+			mean[j] += row[j]
+		}
+	}
+	for j := range mean {
+		mean[j] /= nf
+	}
+	for i := 0; i < n; i++ {
+		row := X[i*d : i*d+d]
+		for j := range std {
+			dv := row[j] - mean[j]
+			std[j] += dv * dv
+		}
+	}
+	for j := range std {
+		std[j] = math.Sqrt(std[j] / nf)
+		if std[j] == 0 {
+			std[j] = 1
+		}
+	}
+	// The intercept is one more weight, on a column of ones.
+	m := d + 1
+	s.zc, s.sw, s.r, s.v, s.vz, s.h = grow(s.zc, n*m), grow(s.sw, n), grow(s.r, n), grow(s.v, n), grow(s.vz, n), grow(s.h, m*m)
+	s.g, s.dir, s.at, s.x = grow(s.g, m), grow(s.dir, m), grow(s.at, m), grow(s.x, m)
+	for j, mu := range mean {
+		col, sd := s.zc[j*n:][:n], std[j]
+		for i := range col {
+			col[i] = (X[i*d+j] - mu) / sd
+		}
+	}
+	ones := s.zc[d*n:][:n]
+	for i := range ones {
+		ones[i] = 1
+	}
+
+	// Sample weights: 1, or the two balanced class weights.
+	w0, w1 := 1.0, 1.0
+	if n0 := nf - n1; cfg.Balanced && n0 > 0 && n1 > 0 {
+		w0, w1 = nf/(2*n0), nf/(2*n1)
+	}
+	for i, v := range y {
+		s.sw[i] = w0
+		if v == 1 {
+			s.sw[i] = w1
+		}
+		totW += s.sw[i]
+	}
+	return mean, std, totW
+}
+
+// pass evaluates F at theta = (w, b) over the columns of s.zc, returns it,
+// and leaves the gradient in s.g and the Hessian's upper triangle in s.h.
+//
+// The margins z_i come first, four columns at a time, then one loop over the
+// rows computes each row's loss term and its gradient and curvature factors
+// r_i and v_i. The gradient and the Hessian then go column by column:
+// component j is sum_i r_i*z_ij and entry (j, k) sum_i (v_i*z_ij)*z_ik, each
+// added from 0 in row order in a register of its own (sums). These are the
+// operands, roundings and order of updating every entry row by row, so the
+// bits are the same, without a load and a store of each entry per row.
 func (s *LogisticScratch) pass(theta, y []float64, l2, totW float64) float64 {
-	m := len(theta)
+	m, n := len(theta), len(y)
+	zc, r, v, vz, sw := s.zc[:m*n], s.r[:n], s.v[:n], s.vz[:n], s.sw[:n]
 	h, g := s.h[:m*m], s.g[:m]
-	clear(h)
-	clear(g)
+	col := func(j int) []float64 { return zc[j*n:][:n] }
+
+	// z_i = 0 + theta_0*z_i0 + theta_1*z_i1 + ..., left to right.
+	clear(vz)
+	j := 0
+	for ; j+4 <= m; j += 4 {
+		margin4(vz, theta[j:j+4], col(j), col(j+1), col(j+2), col(j+3))
+	}
+	for ; j < m; j++ {
+		t, c := theta[j], col(j)
+		for i, z := range vz {
+			vz[i] = z + t*c[i]
+		}
+	}
 	loss := 0.0
 	for i, yi := range y {
-		zr := s.z[i*m:][:m]
-		z := 0.0
-		for j, t := range theta {
-			z += t * zr[j]
-		}
+		z := vz[i]
 		// The probability, the loss term and the curvature p(1-p), all
 		// from one e = Exp(-|z|).
 		e := math.Exp(-math.Abs(z))
@@ -242,32 +282,89 @@ func (s *LogisticScratch) pass(theta, y []float64, l2, totW float64) float64 {
 		} else {
 			lse += z
 		}
-		sw := s.sw[i]
-		loss += sw * (lse - yi*z)
-		r, v := sw*(p-yi), sw*e*q*q
-		for j, a := range zr {
-			g[j] += r * a
-			va := v * a
-			zk := zr[j:]
-			hr := h[j*m+j:][:len(zk)]
-			for k, c := range zk {
-				hr[k] += va * c
-			}
-		}
+		w := sw[i]
+		loss += w * (lse - yi*z)
+		r[i], v[i] = w*(p-yi), w*e*q*q
 	}
+
+	sums(g, r, zc, 0)
 	ridge := 0.0
 	for j := 0; j < m; j++ {
+		c := col(j)
+		for i, vi := range v {
+			vz[i] = vi * c[i]
+		}
+		hj := h[j*m:][:m]
+		sums(hj, vz, zc, j)
 		for k := j; k < m; k++ {
-			h[j*m+k] /= totW
+			hj[k] /= totW
 		}
 		g[j] /= totW
 		if j < m-1 {
-			h[j*m+j] += l2
+			hj[j] += l2
 			g[j] += l2 * theta[j]
 			ridge += theta[j] * theta[j]
 		}
 	}
 	return loss/totW + 0.5*l2*ridge
+}
+
+// margin4 adds t[0]*c0[i] + ... + t[3]*c3[i] to z[i], left to right.
+func margin4(z, t, c0, c1, c2, c3 []float64) {
+	t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
+	c0, c1, c2, c3 = c0[:len(z)], c1[:len(z)], c2[:len(z)], c3[:len(z)]
+	for i, zi := range z {
+		z[i] = zi + t0*c0[i] + t1*c1[i] + t2*c2[i] + t3*c3[i]
+	}
+}
+
+// sums sets dst[k] = sum_i a_i*c_ik for the columns k = lo..len(dst)-1 of
+// the column-major zc, each added from 0 in row order: in tiles of four
+// columns, then one of two, then one.
+func sums(dst, a, zc []float64, lo int) {
+	n, k := len(a), lo
+	col := func(k int) []float64 { return zc[k*n:][:n] }
+	for ; k+4 <= len(dst); k += 4 {
+		dst[k], dst[k+1], dst[k+2], dst[k+3] = sums4(a, col(k), col(k+1), col(k+2), col(k+3))
+	}
+	if k+2 <= len(dst) {
+		dst[k], dst[k+1] = sums2(a, col(k), col(k+1))
+		k += 2
+	}
+	if k < len(dst) {
+		dst[k] = sums1(a, col(k))
+	}
+}
+
+// sums4 returns sum_i a_i*c_i for four columns c, each in its own register.
+func sums4(a, c0, c1, c2, c3 []float64) (s0, s1, s2, s3 float64) {
+	c0, c1, c2, c3 = c0[:len(a)], c1[:len(a)], c2[:len(a)], c3[:len(a)]
+	for i, x := range a {
+		s0 += x * c0[i]
+		s1 += x * c1[i]
+		s2 += x * c2[i]
+		s3 += x * c3[i]
+	}
+	return s0, s1, s2, s3
+}
+
+// sums2 is sums4 over two columns.
+func sums2(a, c0, c1 []float64) (s0, s1 float64) {
+	c0, c1 = c0[:len(a)], c1[:len(a)]
+	for i, x := range a {
+		s0 += x * c0[i]
+		s1 += x * c1[i]
+	}
+	return s0, s1
+}
+
+// sums1 is sums4 over one column.
+func sums1(a, c0 []float64) (s0 float64) {
+	c0 = c0[:len(a)]
+	for i, x := range a {
+		s0 += x * c0[i]
+	}
+	return s0
 }
 
 // newtonDir sets s.dir to H^-1 g, factoring the Hessian in s.h (upper
