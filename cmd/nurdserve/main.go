@@ -43,9 +43,13 @@
 // recovered from a WAL refit with the mode their specs recorded, whatever
 // the flag says today.
 //
+// -pprof <addr> serves net/http/pprof's profiles on addr, on a listener and
+// mux of their own, never on the wire front's; it is off when empty.
+//
 // Usage:
 //
 //	nurdserve -listen :8080                       # serve external traffic
+//	nurdserve -listen :8080 -pprof 127.0.0.1:6060 # ... and profile it live
 //	nurdserve -listen :8080 -refit-mode warm      # warm-started refits
 //	nurdserve -listen :0 -replay google-8.wire    # load a dump, then serve it
 //	nurdserve -replay google-8.wire               # load a dump, print, exit
@@ -61,6 +65,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"time"
 
@@ -83,6 +88,7 @@ func main() {
 		ckptBytes = flag.Int64("wal-checkpoint-bytes", 64<<20, "automatic WAL checkpoint once this many bytes were appended since the last one (0 disables the size trigger)")
 		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure and print the recoverable LSN, then exit (no server is started)")
 		refitMode = flag.String("refit-mode", "scratch", "checkpoint refit strategy: scratch (bit-identical to the offline Table 3 path) or warm (warm-started incremental boosting, several times cheaper per refit)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off)")
 	)
 	flag.IntVar(&cfg.Shards, "shards", 0, "server shards (0 = default)")
 	// Overload-control knobs (see the README's "Overload behavior").
@@ -103,13 +109,35 @@ func main() {
 	}
 	if *walVerify != "" {
 		err = runWALVerify(*walVerify, os.Stdout)
-	} else {
+	} else if err = servePprof(*pprofAddr); err == nil {
 		err = serveMode(*listen, *replay, cfg, *walDir, wopts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nurdserve:", err)
 		os.Exit(1)
 	}
+}
+
+// servePprof serves net/http/pprof's handlers on addr from a goroutine, on a
+// listener and mux of their own: the wire front's mux never carries them.
+// An empty addr serves nothing.
+func servePprof(addr string) error {
+	if addr == "" {
+		return nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("pprof: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	fmt.Fprintf(os.Stderr, "nurdserve: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	go http.Serve(ln, mux)
+	return nil
 }
 
 // runWALVerify prints the offline verifier's report for dir: the newest

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"math"
 	"net"
+	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -470,5 +473,82 @@ func TestReplayStatsRate(t *testing.T) {
 	}
 	if r := st.Rate(); math.IsInf(r, 0) || math.IsNaN(r) || r < 0 {
 		t.Errorf("single-event dump Rate() = %v: not a finite non-negative rate", r)
+	}
+}
+
+// TestMain runs the command itself when asked to: a test that needs a live
+// nurdserve process re-executes this binary with runMainEnv set and the
+// command's flags as its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+const runMainEnv = "NURDSERVE_TEST_RUN_MAIN"
+
+// TestPprofHasItsOwnListener: -pprof serves the profiles on a listener of
+// its own — /debug/pprof/cmdline answers there — and the -listen front does
+// not carry them.
+func TestPprofHasItsOwnListener(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-listen", "127.0.0.1:0", "-pprof", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	// The two listeners announce themselves on stderr.
+	addrs := make(chan [2]string, 1)
+	go func() {
+		var pp, front string
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			line := sc.Text()
+			if _, rest, ok := strings.Cut(line, "pprof on http://"); ok {
+				pp = strings.TrimSuffix(rest, "/debug/pprof/")
+			} else if _, rest, ok := strings.Cut(line, " on http://"); ok {
+				front = rest
+			}
+			if pp != "" && front != "" {
+				addrs <- [2]string{pp, front}
+				break
+			}
+		}
+		io.Copy(io.Discard, stderr)
+	}()
+	var a [2]string
+	select {
+	case a = <-addrs:
+	case <-time.After(20 * time.Second):
+		t.Fatal("nurdserve never announced both listeners")
+	}
+	if a[0] == a[1] {
+		t.Fatalf("pprof and the front share %s", a[0])
+	}
+	for _, tc := range []struct {
+		addr, path string
+		want       int
+	}{
+		{a[0], "/debug/pprof/cmdline", http.StatusOK},
+		{a[1], "/debug/pprof/", http.StatusNotFound},
+		{a[1], "/stats", http.StatusOK},
+	} {
+		resp, err := http.Get("http://" + tc.addr + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s%s: %d, want %d", tc.addr, tc.path, resp.StatusCode, tc.want)
+		}
 	}
 }

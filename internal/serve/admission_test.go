@@ -7,6 +7,7 @@ package serve
 // past its bound, loses no event and logs exactly the accepted stream.
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"sync"
@@ -346,4 +347,118 @@ func TestAdmissionStress(t *testing.T) {
 		w2.Close()
 		w.Close()
 	}
+}
+
+// TestRunsAndAdmissionDoNotDeadlock: a run holds its job lock across frames, so
+// with an ingest queue of one slot two feeders of one job can each hold what
+// the other needs — one the job lock, the other the slot — unless a run ends
+// before its next event waits for a slot. Two feeders post interleaved
+// bodies for job J while a third posts to job K on the same shard; all
+// three must finish, every frame accepted or (a heartbeat) shed, with the
+// log holding exactly the accepted events. Meant for -race.
+func TestRunsAndAdmissionDoNotDeadlock(t *testing.T) {
+	fs := waltest.NewMemFS()
+	cfg := cheapCfg(1)
+	cfg.IngestQueue = 1
+	sv, w, _, err := Recover("wal", cfg, wal.Options{FS: fs, SyncEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const tasks = 120
+	for _, id := range []uint64{1, 2} {
+		sp := pipelineSpec(id)
+		sp.NumTasks, sp.Horizon = 2*tasks, 1e6
+		if err := sv.StartJob(sp, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A feeder's stream starts, heartbeats and finishes its own tasks, in
+	// bodies of 64 frames: J's two feeders take the even and the odd tasks,
+	// K's takes all of K's.
+	bodies := func(id uint64, first, stride int) (out [][]byte) {
+		var evs []wire.Event
+		for i := first; i < 2*tasks; i += stride {
+			evs = append(evs, wire.Event{Kind: wire.EventTaskStart, JobID: id, TaskID: i, Time: float64(i)})
+			for k := 1; k <= 3; k++ {
+				evs = append(evs, wire.Event{Kind: wire.EventHeartbeat, JobID: id, TaskID: i, Time: float64(i + k),
+					Features: []float64{float64(k), float64(i)}})
+			}
+		}
+		for i := first; i < 2*tasks; i += stride {
+			evs = append(evs, wire.Event{Kind: wire.EventTaskFinish, JobID: id, TaskID: i, Time: float64(2*tasks + i), Latency: 5})
+		}
+		for len(evs) > 0 {
+			var buf bytes.Buffer
+			n := min(64, len(evs))
+			if err := wire.WriteDump(&buf, nil, evs[:n]); err != nil {
+				t.Fatal(err)
+			}
+			out, evs = append(out, buf.Bytes()), evs[n:]
+		}
+		return out
+	}
+	type result struct {
+		fed Fed
+		err error
+	}
+	results := make(chan result, 3)
+	for _, f := range []struct {
+		id            uint64
+		first, stride int
+	}{{1, 0, 2}, {1, 1, 2}, {2, 0, 1}} {
+		bs := bodies(f.id, f.first, f.stride)
+		go func() {
+			var r result
+			for _, b := range bs {
+				fed, err := sv.Feed(wire.NewReader(bytes.NewReader(b)), nil)
+				r.fed.Events += fed.Events
+				r.fed.Shed += fed.Shed
+				if err != nil {
+					r.err = err
+					break
+				}
+			}
+			results <- r
+		}()
+	}
+	var events, shed int
+	deadline := time.After(30 * time.Second)
+	for i := 0; i < 3; i++ {
+		select {
+		case r := <-results:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			events, shed = events+r.fed.Events, shed+r.fed.Shed
+		case <-deadline:
+			t.Fatal("feeders still running after 30s: a run and an admission wait deadlocked")
+		}
+	}
+	want := 2 * 2 * tasks * 5 // J's and K's tasks, 5 frames each
+	st := sv.Stats()
+	if events+shed != want || st.Events != uint64(events) || st.Overload.ShedHeartbeats != uint64(shed) {
+		t.Fatalf("%d events accepted and %d shed of %d frames; stats count %d and %d", events, shed, want, st.Events, st.Overload.ShedHeartbeats)
+	}
+	if st.Overload.ShedFinishes != 0 || st.Overload.IngestQueueDepth != 0 {
+		t.Fatalf("%d finishes shed, queue depth %d", st.Overload.ShedFinishes, st.Overload.IngestQueueDepth)
+	}
+	for _, id := range []uint64{1, 2} {
+		rep, err := sv.Report(id)
+		if err != nil || rep.Started != 2*tasks {
+			t.Fatalf("job %d: %d started (err %v), want %d", id, rep.Started, err, 2*tasks)
+		}
+	}
+	if err := w.CommitAll(); err != nil {
+		t.Fatal(err)
+	}
+	revived, w2, _, err := Recover("wal", cfg, wal.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got := revived.Stats().Events; got != uint64(events) {
+		t.Fatalf("recovered %d events, %d were accepted", got, events)
+	}
+	t.Logf("%d events accepted, %d heartbeats shed, %d waits", events, shed, st.Overload.IngestWaits)
 }

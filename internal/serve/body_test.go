@@ -19,10 +19,13 @@ import (
 	"repro/internal/wire"
 )
 
-// stageEvent stages e through b as Feed's step does, leaving the commit to
-// the caller.
+// stageEvent stages e through b as a run of one, as Server.Ingest does,
+// leaving the commit to the caller.
 func stageEvent(sv *Server, e wire.Event, b *body) error {
-	_, err := sv.reg.shardFor(e.JobID).ingest(&e, b)
+	err := sv.reg.shardFor(e.JobID).ingest(&e, b)
+	if eerr := b.end(nil); err == nil {
+		err = eerr
+	}
 	return err
 }
 

@@ -50,12 +50,13 @@ func Recover(dir string, cfg Config, opts wal.Options) (*Server, *wal.WAL, wal.R
 		sv = NewServer(cfg)
 	}
 
-	// The tail applies frame by frame through Feed's step; nothing is
-	// logged yet, so there is nothing to commit.
+	// The tail applies frame by frame through Feed's step, each event a run
+	// of one; nothing is logged yet, so there is nothing to stage or commit.
 	var tail body
-	var fed Fed
 	scan, err := wal.ScanDir(opts.FS, dir, floor, true, &rst, func(lsn uint64, kind wire.FrameKind, payload []byte) error {
-		if err := sv.step(kind, payload, &tail, admitAll, &fed); err != nil {
+		err := sv.step(kind, payload, &tail, admitAll)
+		tail.end(nil)
+		if err != nil {
 			return fmt.Errorf("serve: recover: LSN %d: %w", lsn, err)
 		}
 		rst.RecordsApplied++

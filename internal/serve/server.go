@@ -342,11 +342,15 @@ func (sv *Server) stageJob(spec wire.JobSpec, pred simulator.Predictor) (uint64,
 // record is written before Ingest returns. The server copies e.Features, so
 // the caller may reuse the slice once Ingest returns.
 func (sv *Server) Ingest(e wire.Event) error {
-	lsn, err := sv.reg.shardFor(e.JobID).ingest(&e, nil)
+	var b body // a run of one
+	err := sv.reg.shardFor(e.JobID).ingest(&e, &b)
+	if eerr := b.end(nil); err == nil {
+		err = eerr
+	}
 	if err != nil {
 		return err
 	}
-	return sv.commit(lsn)
+	return sv.commit(b.lsn)
 }
 
 // DropJob discards a finished job's state and releases its registration

@@ -21,12 +21,14 @@ var ErrUnknownJob = errors.New("unknown job")
 
 // shard owns a disjoint subset of the jobs. The shard mutex guards only the
 // job map; counters are atomics and each job's state has its own lock, so
-// the hot ingest path takes the shard lock at most once (for lookup, which
-// a body's run of one job's events skips) and a slow model refit in one job
-// never stalls ingest or queries for its shard-mates — there is no global
-// lock anywhere, and no long-held one either. Lock order is always shard.mu
-// before jobState.mu, and the shard lock is never held across a predictor
-// call.
+// the hot ingest path takes the shard lock at most once per run of one job's
+// buffered events (for lookup, which a body's next run of the same job
+// skips), takes the job lock once per run and folds the run's counters into
+// the atomics once, and a slow model refit in one job never stalls ingest or
+// queries for its shard-mates — there is no global lock anywhere, and no
+// long-held one either: a run holds its job lock only across frames already
+// received. Lock order is always shard.mu before jobState.mu, and the shard
+// lock is never held across a predictor call.
 type shard struct {
 	mu   sync.Mutex
 	jobs map[uint64]*jobState
@@ -38,17 +40,18 @@ type shard struct {
 
 	// wal, when non-nil, receives one record per accepted mutation, staged
 	// (given its LSN and its place in the log) before the owning lock (s.mu
-	// for start/drop, the job's mu for events) is released — the ordering
-	// that makes log replay reproduce the live apply order. The write itself
-	// is the Server's commit, after the lock is gone. The log is one stream
-	// shared by every shard: a stage takes the log's one lock, inside the
-	// job or shard lock and never the reverse, and holds it only to copy
-	// the record onto the stage and count its LSN. Set once by
-	// Server.attachWAL before any traffic.
+	// for start/drop, the job's mu for a run of events) is released — the
+	// ordering that makes log replay reproduce the live apply order. The
+	// write itself is the Server's commit, after the lock is gone. The log
+	// is one stream shared by every shard: a stage takes the log's one
+	// lock, inside the job or shard lock and never the reverse, once per
+	// record or once per run, and holds it only to copy the records onto
+	// the stage and count their LSNs. Set once by Server.attachWAL before
+	// any traffic.
 	wal *wal.WAL
 
-	// queue is the bounded ingest admission queue: every ingest holds one
-	// slot for its duration. When full, heartbeats are shed before any
+	// queue is the bounded ingest admission queue: every event holds one
+	// slot while it applies. When full, heartbeats are shed before any
 	// state is touched (see overload.go) and every other event class
 	// waits for a slot. degradedAfter, when positive, bounds how long a
 	// query waits for a job lock before answering from the stale published
@@ -119,21 +122,21 @@ func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, e
 	return lsn, nil
 }
 
-// lockJob returns jobID's job with its lock held, or false when the job is
-// not registered (or was dropped before its lock was taken). b, when
-// non-nil, supplies the job the previous event went to and remembers this
-// one and its shard.
-func (s *shard) lockJob(jobID uint64, b *body) (*jobState, bool) {
-	if b != nil && b.job != nil && b.job.spec.JobID == jobID {
+// lockJob takes jobID's job lock and remembers the job and this shard in b,
+// or reports false when the job is not registered (or was dropped before its
+// lock was taken). When jobID is the job b's previous event went to, the
+// lookup is skipped.
+func (s *shard) lockJob(jobID uint64, b *body) bool {
+	if b.job != nil && b.job.spec.JobID == jobID {
 		b.job.mu.Lock()
 		if !b.job.defunct {
-			return b.job, true
+			return true
 		}
 		b.job.mu.Unlock()
 	}
 	j, ok := s.lookup(jobID)
 	if !ok {
-		return nil, false
+		return false
 	}
 	j.mu.Lock()
 	if j.defunct {
@@ -141,100 +144,74 @@ func (s *shard) lockJob(jobID uint64, b *body) (*jobState, bool) {
 		// already in the WAL, so this event must not be applied or counted
 		// — recovery could never reproduce it.
 		j.mu.Unlock()
-		return nil, false
+		return false
 	}
-	if b != nil {
-		b.job, b.sh = j, s
-	}
-	return j, true
+	b.job, b.sh = j, s
+	return true
 }
 
-// ingest applies one event to its job, then folds the job's counter deltas
-// into the shard. It returns the LSN of the event's staged WAL record (0
-// when nothing was logged); the caller commits it before acknowledging.
-func (s *shard) ingest(e *wire.Event, b *body) (uint64, error) {
+// ingest applies one event to its job inside b's run (see body): the first
+// event of a run takes the job lock, and body.end stages the run's WAL
+// records, releases the lock and folds the job's counter deltas into the
+// shard. The caller ends the run; ingest ends it itself only to open one on
+// another job, before waiting for an admission slot, and after an event that
+// arrived without its frame, whose record is encoded on the spot.
+func (s *shard) ingest(e *wire.Event, b *body) error {
 	if !s.queue.tryAcquire() {
 		// Queue full. Shed heartbeats before touching any state — a shed
 		// event must leave no trace (not applied, not counted, not logged)
 		// so recovery replays exactly the accepted stream. Everything else
 		// carries labels or protocol structure and waits for a slot
-		// instead: backpressure, never loss.
+		// instead: backpressure, never loss. No lock is held across the
+		// wait: the run ends first.
 		if e.Kind == wire.EventHeartbeat {
 			s.shedHeartbeats.Add(1)
-			return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrShed)
+			return fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrShed)
+		}
+		if err := b.end(nil); err != nil {
+			return err
 		}
 		s.ingestWaits.Add(1)
 		s.queue.acquire()
 	}
 	defer s.queue.release()
-	j, ok := s.lockJob(e.JobID, b)
-	if !ok {
-		return 0, fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
+	if !b.open || b.job.spec.JobID != e.JobID {
+		if err := b.end(nil); err != nil {
+			return err
+		}
+		if !s.lockJob(e.JobID, b) {
+			return fmt.Errorf("serve: event %s for job %d: %w", e.Kind, e.JobID, ErrUnknownJob)
+		}
+		b.open, b.before = true, countsOf(b.job)
 	}
 	// Reject events the wire format could not round-trip *before* touching
 	// any state. Only the in-process path can produce them (the decoder
 	// bounds features already), and applying such an event while refusing
 	// to log it would fork the live state from the recoverable state.
 	if len(e.Features) > wire.MaxWireFeatures {
-		j.mu.Unlock()
-		return 0, fmt.Errorf("serve: event %s for job %d: %d features exceed the wire cap %d",
+		return fmt.Errorf("serve: event %s for job %d: %d features exceed the wire cap %d",
 			e.Kind, e.JobID, len(e.Features), wire.MaxWireFeatures)
 	}
-	termBefore, refitsBefore, durBefore, wasDone := j.terminated, j.refits, j.refitDur, j.done
-	reclassifiedBefore := j.reclassified
-	err := j.handle(e)
-	dropped := errors.Is(err, errDropped)
 	// Rejected events leave no trace, counters included: handle validates
 	// before mutating, so an erroring ingest is invisible to the WAL and
-	// must be invisible to Stats too.
-	accepted := err == nil || dropped
-	// Accepted mutations (clean applies and benign drops, which still move
-	// counters) are staged before the job lock is released, so the WAL's
-	// per-job record order is exactly the apply order. A failed stage
-	// surfaces as the ingest error: the mutation is applied in memory but
-	// will never be durable, so it must not be acknowledged.
-	var lsn uint64
-	var walErr error
-	if s.wal != nil && accepted {
-		lsn, walErr = s.wal.StageEvent(e, b.frameOf(e)...)
+	// to Stats too. Accepted ones — clean applies and benign drops, which
+	// still move counters — are staged before the job lock is released, so
+	// the WAL's per-job record order is exactly the apply order.
+	if err := b.job.handle(e); err != nil {
+		if !errors.Is(err, errDropped) {
+			return err
+		}
+		b.dropped++
 	}
-	termDelta := j.terminated - termBefore
-	refitDelta := j.refits - refitsBefore
-	durDelta := j.refitDur - durBefore
-	// Applying a refit inside handle can reclassify earlier-accepted
-	// finishes of freshly terminated tasks as drops, on top of the event's
-	// own benign drop.
-	droppedDelta := j.reclassified - reclassifiedBefore
-	if dropped {
-		droppedDelta++
+	b.events++
+	if s.wal != nil {
+		if f := b.frameOf(e); f != nil {
+			b.frames = append(b.frames, f)
+		} else {
+			return b.end(e)
+		}
 	}
-	maxDur := j.refitMax
-	nowDone := j.done
-	j.mu.Unlock()
-
-	if accepted {
-		s.events.Add(1)
-	}
-	if droppedDelta > 0 {
-		s.dropped.Add(droppedDelta)
-	}
-	if termDelta > 0 {
-		s.terminations.Add(uint64(termDelta))
-	}
-	if refitDelta > 0 {
-		s.refits.Add(uint64(refitDelta))
-		s.refitDur.Add(int64(durDelta))
-		atomicMax(&s.refitMax, int64(maxDur))
-	}
-	if !wasDone && nowDone {
-		// One increment per closure, whichever path closed it (job-finish
-		// or predictor failure).
-		s.finished.Add(1)
-	}
-	if dropped || err == nil {
-		return lsn, walErr
-	}
-	return 0, err
+	return nil
 }
 
 // atomicMax raises v to at least x.

@@ -41,6 +41,12 @@ const stageLimit = 64 << 10
 func (w *WAL) stage(sp *wire.JobSpec, ev *wire.Event, frame []byte, jobID uint64) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.stageLocked(sp, ev, frame, jobID)
+}
+
+// stageLocked is stage with mu held. Rotation drops and retakes mu; it is
+// held again when this returns.
+func (w *WAL) stageLocked(sp *wire.JobSpec, ev *wire.Event, frame []byte, jobID uint64) (uint64, error) {
 	if w.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -180,6 +186,26 @@ func (w *WAL) StageSpec(sp *wire.JobSpec) (uint64, error) { return w.stage(sp, n
 // logged as it is; without one, ev is encoded.
 func (w *WAL) StageEvent(ev *wire.Event, frame ...byte) (uint64, error) {
 	return w.stage(nil, ev, frame, 0)
+}
+
+// StageFrames stages a run of accepted Ingests, each as the event frame it
+// arrived as (see StageEvent), under one hold of the log's lock. Every record
+// takes stage's own steps in order — its LSN, rotation, the early write at
+// stageLimit — so the log holds the same bytes whether a run's records are
+// staged together or one by one. It returns the LSN of the last record
+// staged and how many were: on an error, the records before the failing one
+// stay staged.
+func (w *WAL) StageFrames(frames [][]byte) (lsn uint64, n int, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, f := range frames {
+		l, err := w.stageLocked(nil, nil, f, 0)
+		if err != nil {
+			return lsn, n, err
+		}
+		lsn, n = l, n+1
+	}
+	return lsn, n, nil
 }
 
 // StageDrop stages an accepted DropJob.

@@ -11,6 +11,7 @@ package wal_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/serve"
@@ -90,11 +92,12 @@ func segOps(fs *waltest.MemFS, from, kind int) int {
 }
 
 // TestBodyFedDirectoryMatchesEventFed is the staged path's differential
-// oracle: one single-feeder feed through per-event Ingest and through
-// request bodies must leave the same files with the same bytes — segment
-// cuts, stamps and chain links included — while the body-fed log pays at
-// most one write per body, plus what rotation and the early-write cap
-// force.
+// oracle: one single-feeder feed through per-event Ingest, through request
+// bodies (runs of many frames) and through the same bodies read one byte at
+// a time (runs of one) must leave the same files with the same bytes —
+// segment cuts, stamps and chain links included — while the body-fed log
+// pays at most one write per body, plus what rotation and the early-write
+// cap force.
 func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 	feed, _ := tortureFeed(t, 20, 137)
 	for _, tc := range []struct {
@@ -137,6 +140,39 @@ func TestBodyFedDirectoryMatchesEventFed(t *testing.T) {
 			}
 			if err := log.Close(); err != nil {
 				t.Fatal(err)
+			}
+
+			// The same bodies through a source that returns one byte per
+			// Read: no frame is ever whole before the one being read, so
+			// every run has length 1, and the log must not change.
+			byByte := waltest.NewMemFS()
+			opts.FS = byByte
+			sv, log, _, err = serve.Recover("wal", tortureCfg(4), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h = servehttp.NewHandler(sv)
+			fed := 0
+			for i := range bodies {
+				code, res := postBody(t, h, iotest.OneByteReader(bytes.NewReader(bodies[i])))
+				if code != http.StatusOK || res.Specs+res.Events != sizes[i] {
+					t.Fatalf("one byte per Read, body %d: %d, %d specs + %d events of %d frames (%s)", i, code, res.Specs, res.Events, sizes[i], res.Error)
+				}
+				fed += res.Events
+			}
+			if got := sv.Stats().Events; got != uint64(fed) {
+				t.Fatalf("one byte per Read: Feed applied %d events, Stats counts %d", fed, got)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(byByte.Files) != len(byEvent.Files) {
+				t.Fatalf("directory fed one byte per Read holds %d files, event-fed %d", len(byByte.Files), len(byEvent.Files))
+			}
+			for name, want := range byEvent.Files {
+				if got := byByte.Files[name]; !bytes.Equal(got, want) {
+					t.Fatalf("%s differs: %d bytes fed one byte per Read, %d event-fed", name, len(got), len(want))
+				}
 			}
 
 			if len(byBody.Files) != len(byEvent.Files) {
@@ -539,6 +575,65 @@ func TestStalledUploadDoesNotDelaySibling(t *testing.T) {
 	}
 }
 
+// TestStalledUploadReleasesItsRun: client A sends job J's spec and three
+// events and stalls mid-body. A run holds J's lock only across frames already
+// received, so while A waits for the rest: a query and a report of J answer
+// at once, the report counts the three events, and another client's commit
+// finds A's records staged and puts them on the filesystem.
+func TestStalledUploadReleasesItsRun(t *testing.T) {
+	fs := waltest.NewMemFS()
+	sv, log, _, err := serve.Recover("wal", servetest.CheapConfig(2), wal.Options{SyncEvery: time.Hour, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	const j, k = 1, 2
+	var first bytes.Buffer
+	evs := []wire.Event{
+		{Kind: wire.EventTaskStart, JobID: j, TaskID: 0, Time: 1},
+		{Kind: wire.EventTaskStart, JobID: j, TaskID: 1, Time: 1},
+		{Kind: wire.EventTaskStart, JobID: j, TaskID: 2, Time: 2},
+	}
+	sp := commitSpec(j)
+	sp.NumTasks = len(evs)
+	if err := wire.WriteDump(&first, []wire.JobSpec{sp}, evs); err != nil {
+		t.Fatal(err)
+	}
+	pw, aDone := halfSent(t, servehttp.NewHandler(sv), first.Bytes(), func() bool { return sv.Stats().Events == 3 })
+
+	answered := make(chan error, 1)
+	go func() {
+		if _, err := sv.Query(j, []int{0, 1, 2}); err != nil {
+			answered <- err
+			return
+		}
+		rep, err := sv.Report(j)
+		if err == nil && rep.Started != len(evs) {
+			err = fmt.Errorf("the report counts %d started tasks, want %d", rep.Started, len(evs))
+		}
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a query of the stalled body's job waits for the upload: its run kept the job lock")
+	}
+
+	if err := sv.StartJob(commitSpec(k), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := recordsOnFS(t, fs); got != 2+len(evs) {
+		t.Errorf("another client committed with %d records on the filesystem, want A's %d and its own", got, 1+len(evs))
+	}
+	pw.Close()
+	if code := <-aDone; code != http.StatusOK {
+		t.Fatalf("A answered %d", code)
+	}
+}
+
 // TestCheckpointCommitsStagedFirst: a checkpoint taken while a client is
 // mid-body serializes that body's applied prefix into the snapshot. Those
 // records must be in the log before the snapshot can be recovered from —
@@ -742,5 +837,86 @@ func TestStageEventDoesNotAllocate(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("staging a %s record: %.0f allocations, want 0", ev.Kind, allocs)
 		}
+	}
+}
+
+// TestStageFramesMatchesOneByOne: StageFrames takes a run's records under
+// one hold of the lock and still leaves the directory staging them one by
+// one leaves — the same segment cuts, stamps and early writes — with runs
+// of every length from 1 to 40 crossing the rotation threshold and the
+// early-write cap mid-run. A run staged on a wedged log stops at the
+// failing record and reports the records before it.
+func TestStageFramesMatchesOneByOne(t *testing.T) {
+	var frames [][]byte
+	for i := 0; i < 3000; i++ {
+		ev := wire.Event{Kind: wire.EventHeartbeat, JobID: 3, TaskID: i % 50, Time: float64(i), Tick: 1, Features: make([]float64, i%17)}
+		f, err := wire.EncodeEvent(nil, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	dir := func(batched bool) *waltest.MemFS {
+		fs := waltest.NewMemFS()
+		_, log, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{SegmentBytes: 100 << 10, SyncEvery: time.Hour, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := 0, 1; i < len(frames); i, k = i+k, k%40+1 {
+			run := frames[i:min(i+k, len(frames))]
+			if !batched {
+				for _, f := range run {
+					if _, err := log.StageEvent(nil, f...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				continue
+			}
+			before := log.NextLSN()
+			lsn, n, err := log.StageFrames(run)
+			if err != nil || n != len(run) || lsn != before+uint64(n)-1 {
+				t.Fatalf("run of %d at frame %d: last LSN %d, %d staged, %v; want %d, %d", len(run), i, lsn, n, err, before+uint64(len(run))-1, len(run))
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	one, batched := dir(false), dir(true)
+	if creates := segOps(one, 0, waltest.OpCreate); creates < 3 || segOps(one, 0, waltest.OpWrite) <= 2*creates {
+		t.Fatalf("%d segments, %d writes: the runs crossed too few rotations or early writes", creates, segOps(one, 0, waltest.OpWrite))
+	}
+	for name, want := range one.Files {
+		if got := batched.Files[name]; !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes staged as runs, %d one by one", name, len(got), len(want))
+		}
+	}
+	if len(batched.Files) != len(one.Files) {
+		t.Fatalf("%d files staged as runs, %d one by one", len(batched.Files), len(one.Files))
+	}
+	if w1, wb := segOps(one, 0, waltest.OpWrite), segOps(batched, 0, waltest.OpWrite); w1 != wb {
+		t.Errorf("%d segment writes staged as runs, %d one by one", wb, w1)
+	}
+
+	// The rotation threshold is crossed inside the run, on a filesystem that
+	// accepts no more bytes: the records before the rotating one stay
+	// staged and are counted; the error is the wedge.
+	fs := waltest.NewMemFS()
+	_, log, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{SegmentBytes: 4 << 10, SyncEvery: time.Hour, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if _, _, err := log.StageFrames(frames[:1]); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetBudget(fs.TotalWritten())
+	lsn, n, err := log.StageFrames(frames[1:200])
+	if !errors.Is(err, wal.ErrFailed) || n == 0 || n >= 199 || lsn != uint64(1+n) {
+		t.Fatalf("wedged mid-run: last LSN %d, %d of 199 staged, %v", lsn, n, err)
+	}
+	if _, n, err := log.StageFrames(frames[200:210]); !errors.Is(err, wal.ErrFailed) || n != 0 {
+		t.Fatalf("run on a wedged log: %d staged, %v", n, err)
 	}
 }

@@ -23,8 +23,9 @@ package wal
 // only after that, so an acknowledged mutation survives a process crash.
 // LSNs are assigned and written in order under one lock, so when a record is
 // in the file every lower LSN is too: a crash leaves a prefix of the log. A
-// request body's records are staged one by one and committed once, before
-// the reply; a single in-process mutation is the one-record case of the same
+// request body's records are staged a run at a time — consecutive frames of
+// one job, under one hold of the log's lock — and committed once, before the
+// reply; a single in-process mutation is the one-record case of the same
 // path.
 //
 // What is staged is already applied in memory, so a query can see a
@@ -105,8 +106,11 @@ type WAL struct {
 	syncedLSN uint64
 
 	// mu covers the LSN counter, the open segment, the staged frames and
-	// the other counters; staging a record takes exactly this one lock.
-	// seq, the next LSN to assign, is a plain integer: only stage advances
+	// the other counters; staging takes exactly this one lock, once per
+	// call: a lone record (stage) or a run of one job's event frames
+	// (StageFrames), whose records take their LSNs in one hold (rotation
+	// aside, which drops and retakes it). seq, the next LSN to assign, is a
+	// plain integer: only stage advances
 	// it, under mu, and NextLSN, Stats, CommitAll, the checkpoint's cut and
 	// its policy read it under mu too.
 	mu           sync.Mutex

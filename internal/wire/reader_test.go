@@ -221,3 +221,76 @@ func TestReaderNoProgress(t *testing.T) {
 type stuckReader struct{}
 
 func (stuckReader) Read([]byte) (int, error) { return 0, nil }
+
+// countingReader counts the Reads that reach its source.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestFrameBufferedHoldsARun: a NextFrame that FrameBuffered reported whole
+// never reads the source, so every frame of a run of buffered ones — held
+// as NextFrame handed them out, uncopied — is still the slice walk's frame
+// when the run ends, whatever the source's Read sizes. Delivered in one
+// Read, a stream is one run.
+func TestFrameBufferedHoldsARun(t *testing.T) {
+	for name, stream := range goldenStreams(t) {
+		want, _ := sliceFrames(stream)
+		for _, src := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"bytes.Reader", func(r io.Reader) io.Reader { return r }},
+			{"OneByteReader", iotest.OneByteReader},
+			{"HalfReader", iotest.HalfReader},
+			{"DataErrReader", iotest.DataErrReader},
+		} {
+			c := &countingReader{r: src.wrap(bytes.NewReader(stream))}
+			wr := NewReader(c)
+			var run []rawFrame // payloads alias the reader's buffer
+			from, runs := 0, 0
+			check := func() {
+				for i, f := range run {
+					if w := want[from+i]; f.kind != w.kind || !bytes.Equal(f.payload, w.payload) {
+						t.Fatalf("%s via %s: frame %d changed before its run ended", name, src.name, from+i)
+					}
+				}
+				if len(run) > 0 {
+					runs++
+				}
+				from += len(run)
+				run = run[:0]
+			}
+			for {
+				buffered := wr.FrameBuffered()
+				if !buffered {
+					check()
+				}
+				reads := c.reads
+				kind, payload, err := wr.NextFrame()
+				if buffered && c.reads != reads {
+					t.Fatalf("%s via %s: NextFrame read the source for a buffered frame", name, src.name)
+				}
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s via %s: %v", name, src.name, err)
+				}
+				run = append(run, rawFrame{kind, payload})
+			}
+			check()
+			if from != len(want) {
+				t.Fatalf("%s via %s: %d frames, want %d", name, src.name, from, len(want))
+			}
+			if src.name == "bytes.Reader" && len(stream) <= readerBufLen && runs != 1 {
+				t.Errorf("%s: a stream read in one Read made %d runs, want 1", name, runs)
+			}
+		}
+	}
+}

@@ -625,11 +625,13 @@ const readerBufLen = 4096
 // The Reader owns one buffer, refilled from the source one Read at a time,
 // and hands out each frame's payload where it lies in that buffer: a payload
 // (NextFrame's, or anything aliasing it, FrameOf's frame included) is valid
-// exactly until the next call on the Reader. NextInto copies what it keeps
-// — decoded specs and feature slices never alias the buffer. A
-// call returns the moment the frame it needs is complete and never reads
-// ahead of need, so frames already received are never held back by a
-// source that has stalled.
+// until the next call that reads from the source, which may move the
+// buffer's unread bytes. A call whose frame FrameBuffered reported whole
+// reads nothing and moves nothing, so a caller may hold a run of buffered
+// frames and use them together. NextInto copies what it keeps — decoded
+// specs and feature slices never alias the buffer. A call returns the moment
+// the frame it needs is complete and never reads ahead of need, so frames
+// already received are never held back by a source that has stalled.
 type Reader struct {
 	r      io.Reader
 	buf    []byte // buf[pos:end] is read but not yet consumed
@@ -731,11 +733,23 @@ func (wr *Reader) NextFrame() (FrameKind, []byte, error) {
 	return kind, payload, nil
 }
 
+// FrameBuffered reports whether the next frame is already whole in the
+// buffer, so that NextFrame returns it, or its decode error, without reading
+// from the source: every frame returned so far stays valid across that call.
+// Before the stream header has been read it reports false.
+func (wr *Reader) FrameBuffered() bool {
+	if !wr.headed || wr.end-wr.pos < 5 {
+		return false
+	}
+	n := binary.LittleEndian.Uint32(wr.buf[wr.pos+1:])
+	return n <= MaxFramePayload && wr.end-wr.pos >= 5+int(n)+4
+}
+
 // FrameOf returns the frame the last call on the Reader decoded, header
 // through CRC, when it can be ev's: an event frame of ev's encoded length
 // whose event kind and job are ev's. Otherwise it returns nil. The frame
-// aliases the Reader's buffer and is valid until the next call on the
-// Reader.
+// aliases the Reader's buffer and is valid until the next call that reads
+// from the source.
 //
 // The format is canonical (encode(decode(b)) == b, which FuzzWireDecode
 // checks), so for an event the last call decoded and nobody has changed
