@@ -31,7 +31,6 @@ const splitmixGamma = 0x9e3779b97f4a7c15
 // index 0..n-1. It is immutable after construction and safe for concurrent
 // use.
 type Ring struct {
-	nodes  int
 	points []ringPoint // ascending by hash
 }
 
@@ -46,7 +45,7 @@ func NewRing(n int) *Ring {
 	if n < 1 {
 		panic("cluster: ring needs at least one node")
 	}
-	r := &Ring{nodes: n, points: make([]ringPoint, 0, n*VNodesPerNode)}
+	r := &Ring{points: make([]ringPoint, 0, n*VNodesPerNode)}
 	for node := 0; node < n; node++ {
 		// Each (node, vnode) pair owns a distinct input — the pairs are
 		// enumerated, then pushed through one splitmix64 step (gamma
@@ -67,9 +66,6 @@ func NewRing(n int) *Ring {
 	})
 	return r
 }
-
-// Nodes returns the node count the ring was built for.
-func (r *Ring) Nodes() int { return r.nodes }
 
 // Node maps a job ID to its owning node: the job's hash point walks
 // clockwise to the first virtual point at or past it (wrapping at the top).

@@ -180,48 +180,6 @@ func TestExtendRejectsRaggedRows(t *testing.T) {
 	}
 }
 
-// Regression: FeatureImportance(ncols) with ncols smaller than the training
-// width used to silently drop the split mass of every feature beyond it;
-// the result must be widened to cover the ensemble's max split feature and
-// the shares must match the correctly-sized call.
-func TestFeatureImportanceClampsWidth(t *testing.T) {
-	rng := stats.NewRNG(11)
-	n, d := 300, 5
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		X[i] = make([]float64, d)
-		for j := range X[i] {
-			X[i][j] = rng.Normal(0, 1)
-		}
-		y[i] = 3*X[i][d-1] + rng.Normal(0, 0.1) // split mass lives on the last feature
-	}
-	m, err := FitRegressor(X, y, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.MaxFeature() != d-1 {
-		t.Fatalf("MaxFeature %d, want %d (dominant last feature)", m.MaxFeature(), d-1)
-	}
-	want := m.FeatureImportance(d)
-	got := m.FeatureImportance(1) // too narrow: must widen, not truncate
-	if len(got) != d {
-		t.Fatalf("FeatureImportance(1) has %d entries, want widened to %d", len(got), d)
-	}
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("share[%d] = %v with narrow ncols, %v with full width", j, got[j], want[j])
-		}
-	}
-	sum := 0.0
-	for _, v := range got {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("importance sums to %v, want 1", sum)
-	}
-}
-
 // Compile must not share mutable state with the source model: growing the
 // source afterwards (warm refit) leaves the compiled artifact unchanged.
 func TestFlatImmutableAfterExtend(t *testing.T) {

@@ -95,45 +95,6 @@ func (m *Model) PredictBatch(X [][]float64) []float64 {
 	return out
 }
 
-// MaxFeature returns the largest feature index any tree splits on, or -1
-// for an ensemble with no splits.
-func (m *Model) MaxFeature() int {
-	max := -1
-	for _, t := range m.Trees {
-		if mf := t.MaxFeature(); mf > max {
-			max = mf
-		}
-	}
-	return max
-}
-
-// FeatureImportance returns per-feature split frequencies over the
-// ensemble, normalized to sum to 1 (all zeros if no splits occurred).
-// ncols is validated against the ensemble's max split feature: a caller
-// width smaller than the training width used to silently drop the split
-// mass of every feature beyond it (skewing the normalized shares), so the
-// result is widened to max(ncols, MaxFeature()+1) and always accounts for
-// every split.
-func (m *Model) FeatureImportance(ncols int) []float64 {
-	if need := m.MaxFeature() + 1; ncols < need {
-		ncols = need
-	}
-	imp := make([]float64, ncols)
-	for _, t := range m.Trees {
-		t.AddFeatureImportance(imp)
-	}
-	total := 0.0
-	for _, v := range imp {
-		total += v
-	}
-	if total > 0 {
-		for i := range imp {
-			imp[i] /= total
-		}
-	}
-	return imp
-}
-
 // PredictProb maps the raw output through the logistic function; it is only
 // meaningful for models fitted with FitClassifier.
 func (m *Model) PredictProb(x []float64) float64 {

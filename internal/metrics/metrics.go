@@ -45,15 +45,6 @@ func (c Confusion) FNR() float64 {
 	return float64(c.FN) / float64(den)
 }
 
-// Precision returns TP/(TP+FP), or 0 when nothing was predicted positive.
-func (c Confusion) Precision() float64 {
-	den := c.TP + c.FP
-	if den == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(den)
-}
-
 // F1 returns the harmonic mean of precision and recall.
 func (c Confusion) F1() float64 {
 	den := 2*c.TP + c.FP + c.FN

@@ -17,9 +17,6 @@ func TestRatesKnown(t *testing.T) {
 	if got := c.FNR(); got != 0.2 {
 		t.Fatalf("FNR %v", got)
 	}
-	if got := c.Precision(); got != 0.8 {
-		t.Fatalf("precision %v", got)
-	}
 	if got := c.F1(); math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("F1 %v", got)
 	}
@@ -27,7 +24,7 @@ func TestRatesKnown(t *testing.T) {
 
 func TestRatesEmptyDenominators(t *testing.T) {
 	var c Confusion
-	if c.TPR() != 0 || c.FPR() != 0 || c.FNR() != 0 || c.F1() != 0 || c.Precision() != 0 {
+	if c.TPR() != 0 || c.FPR() != 0 || c.FNR() != 0 || c.F1() != 0 {
 		t.Fatal("zero confusion should yield zero rates")
 	}
 }
@@ -82,7 +79,7 @@ func TestMacroAverage(t *testing.T) {
 func TestF1BoundsProperty(t *testing.T) {
 	f := func(tp, fp, tn, fn uint8) bool {
 		c := Confusion{TP: int(tp), FP: int(fp), TN: int(tn), FN: int(fn)}
-		for _, v := range []float64{c.TPR(), c.FPR(), c.FNR(), c.F1(), c.Precision()} {
+		for _, v := range []float64{c.TPR(), c.FPR(), c.FNR(), c.F1()} {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
 			}
@@ -100,7 +97,7 @@ func TestF1HarmonicMeanProperty(t *testing.T) {
 		if c.TP == 0 {
 			return true
 		}
-		p, r := c.Precision(), c.TPR()
+		p, r := float64(c.TP)/float64(c.TP+c.FP), c.TPR()
 		want := 2 * p * r / (p + r)
 		return math.Abs(c.F1()-want) < 1e-12
 	}

@@ -453,12 +453,3 @@ func logFeaturesInto(x, out []float64) []float64 {
 	}
 	return out
 }
-
-// IsStraggler applies the threshold test of Algorithm 1 line 17.
-func (m *Model) IsStraggler(x []float64, tauStra float64) (bool, error) {
-	p, err := m.Predict(x)
-	if err != nil {
-		return false, err
-	}
-	return p.Adjusted >= tauStra, nil
-}

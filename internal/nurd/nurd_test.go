@@ -187,32 +187,6 @@ func TestNCDisablesCalibration(t *testing.T) {
 	}
 }
 
-func TestIsStragglerThreshold(t *testing.T) {
-	fin, run, finY := split(60, 30, 3, 2, 7)
-	m := New(DefaultConfig())
-	if err := m.Init(fin, run); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Update(fin, finY, run); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := m.Predict(run[0])
-	below, err := m.IsStraggler(run[0], p.Adjusted+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if below {
-		t.Fatal("threshold above adjusted prediction must not flag")
-	}
-	above, err := m.IsStraggler(run[0], p.Adjusted-1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !above {
-		t.Fatal("threshold below adjusted prediction must flag")
-	}
-}
-
 func TestLogFeaturesMonotoneProperty(t *testing.T) {
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
@@ -522,9 +496,6 @@ func TestPredictRejectsRowsNarrowerThanPropensity(t *testing.T) {
 		}
 		if _, err := m.PredictBatch([][]float64{run[0], narrow}, nil); !errors.Is(err, linmodel.ErrRowWidth) {
 			t.Errorf("PredictBatch with a %d-column row: err = %v, want linmodel.ErrRowWidth", len(narrow), err)
-		}
-		if _, err := m.IsStraggler(narrow, 1); err == nil {
-			t.Errorf("IsStraggler on a %d-column row: no error", len(narrow))
 		}
 	}
 	// Below the trees' own width the ensemble's error still comes first.

@@ -134,9 +134,6 @@ func TestLifecycleErrors(t *testing.T) {
 	if _, err := m.Predict(run[0]); err == nil {
 		t.Error("Predict before Update must error")
 	}
-	if _, err := m.IsStraggler(run[0], 1); err == nil {
-		t.Error("IsStraggler before Update must error")
-	}
 	if err := m.Init(fin, run); err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,9 @@ func (s *scaledFit) transform(X [][]float64) [][]float64 {
 
 // All returns one instance of every detector in the paper's Table 3 order,
 // constructed with the defaults used throughout the evaluation. seed drives
-// the stochastic detectors (IFOREST, MCD, CBLOF, LSCP, XGBOD).
+// the stochastic detectors (IFOREST, MCD, CBLOF, LSCP, XGBOD). This is the
+// one table of the detectors and their hyperparameters: predictor builds its
+// Table 3 rows from it and picks each fit's detector from it by name.
 func All(seed uint64) []Detector {
 	return []Detector{
 		NewABOD(10),

@@ -7,48 +7,14 @@ import (
 	"repro/internal/simulator"
 )
 
-// OutlierNames lists the fourteen detectors in Table 3 order.
-func OutlierNames() []string {
-	return []string{
-		"ABOD", "CBLOF", "HBOS", "IFOREST", "KNN", "LOF", "MCD",
-		"OCSVM", "PCA", "SOS", "LSCP", "COF", "SOD", "XGBOD",
-	}
-}
-
-// newDetector constructs a fresh detector by Table 3 name.
+// newDetector constructs a fresh detector by its Table 3 name.
 func newDetector(name string, seed uint64) (outlier.Detector, error) {
-	switch name {
-	case "ABOD":
-		return outlier.NewABOD(10), nil
-	case "CBLOF":
-		return outlier.NewCBLOF(8, 0.9, 5, seed), nil
-	case "HBOS":
-		return outlier.NewHBOS(10), nil
-	case "IFOREST":
-		return outlier.NewIForest(100, 256, seed), nil
-	case "KNN":
-		return outlier.NewKNN(5), nil
-	case "LOF":
-		return outlier.NewLOF(10), nil
-	case "MCD":
-		return outlier.NewMCD(0.75, seed), nil
-	case "OCSVM":
-		return outlier.NewOCSVM(0.1, 30, seed), nil
-	case "PCA":
-		return outlier.NewPCA(0.9), nil
-	case "SOS":
-		return outlier.NewSOS(4.5), nil
-	case "LSCP":
-		return outlier.NewLSCP([]int{5, 10, 15, 20}, 10, seed), nil
-	case "COF":
-		return outlier.NewCOF(10), nil
-	case "SOD":
-		return outlier.NewSOD(10, 8, 0.8), nil
-	case "XGBOD":
-		return outlier.NewXGBOD(seed), nil
-	default:
-		return nil, fmt.Errorf("predictor: unknown detector %q", name)
+	for _, d := range outlier.All(seed) {
+		if d.Name() == name {
+			return d, nil
+		}
 	}
+	return nil, fmt.Errorf("predictor: unknown detector %q", name)
 }
 
 // OutlierPredictor runs one unsupervised detector under the protocol of the

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/gbt"
 	"repro/internal/nurd"
+	"repro/internal/outlier"
 	"repro/internal/simulator"
 )
 
@@ -31,8 +32,8 @@ func AllFactories() []Factory {
 			return NewGBTR(seed)
 		}},
 	}
-	for _, name := range OutlierNames() {
-		name := name
+	for _, d := range outlier.All(0) {
+		name := d.Name()
 		fs = append(fs, Factory{Name: name, New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
 			return NewOutlier(name, 0.1, seed)
 		}})

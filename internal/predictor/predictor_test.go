@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/outlier"
 	"repro/internal/simulator"
 	"repro/internal/trace"
 )
@@ -181,13 +182,17 @@ func TestUnknownDetectorName(t *testing.T) {
 }
 
 func TestOutlierNamesMatchFactories(t *testing.T) {
-	names := OutlierNames()
-	if len(names) != 14 {
-		t.Fatalf("%d outlier names, want 14", len(names))
+	fs := AllFactories()
+	if len(fs) < 15 {
+		t.Fatalf("%d factories, want GBTR and the fourteen detectors first", len(fs))
 	}
-	for _, n := range names {
-		if _, err := newDetector(n, 1); err != nil {
-			t.Fatalf("detector %q: %v", n, err)
+	for i, d := range outlier.All(1) {
+		if fs[1+i].Name != d.Name() {
+			t.Fatalf("factory %d is %q, want detector %q", 1+i, fs[1+i].Name, d.Name())
+		}
+		got, err := newDetector(d.Name(), 1)
+		if err != nil || got.Name() != d.Name() {
+			t.Fatalf("detector %q: got %v, %v", d.Name(), got, err)
 		}
 	}
 }

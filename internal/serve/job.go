@@ -61,10 +61,7 @@ type jobState struct {
 	// acknowledge a mutation recovery can never replay.
 	defunct bool
 
-	// pool is the owning shard's refit worker pool, set when the job is
-	// registered. Nil only for bare jobStates in unit tests,
-	// which then fit synchronously inline (capture, fit, and apply at the
-	// same boundary — the pre-pipeline behavior).
+	// pool is the owning shard's refit worker pool.
 	pool *refitPool
 
 	// refitCh is non-nil while a captured checkpoint view's fit is pending
@@ -98,11 +95,12 @@ type jobState struct {
 	stale        atomic.Pointer[staleView]
 }
 
-func newJobState(spec wire.JobSpec, pred simulator.Predictor) *jobState {
+func newJobState(spec wire.JobSpec, pred simulator.Predictor, pool *refitPool) *jobState {
 	pred.Reset()
 	return &jobState{
 		spec:   spec,
 		pred:   pred,
+		pool:   pool,
 		tasks:  make([]taskState, spec.NumTasks),
 		nextCP: 1,
 		warm:   simulator.WarmCount(spec.NumTasks, spec.WarmFrac),
@@ -339,18 +337,11 @@ func (j *jobState) fireCheckpoint() {
 // startRefit hands a captured view to the refit pipeline. The caller holds
 // j.mu and has already applied any previous refit, so the predictor is idle
 // and the worker takes exclusive ownership of it until the result lands.
-// Bare jobStates without a pool (unit tests) fit inline, which applies the
-// verdicts at the same boundary — the pre-pipeline synchronous behavior.
 func (j *jobState) startRefit(cp *simulator.Checkpoint) {
 	ch := make(chan refitResult, 1)
 	j.refitCh = ch
 	j.pending = cp
 	t := refitTask{pred: j.pred, cp: cp, ch: ch}
-	if j.pool == nil {
-		t.run()
-		j.applyRefit()
-		return
-	}
 	j.pool.lag.Add(1)
 	if !j.pool.enqueue(t) {
 		// Refit queue at its bound: run the fit here, on the ingesting
@@ -361,7 +352,7 @@ func (j *jobState) startRefit(cp *simulator.Checkpoint) {
 		// fit latency. That is the backpressure that keeps the queue from
 		// growing without limit.
 		j.pool.inlineFits.Add(1)
-		t.run()
+		ch <- t.fit()
 	}
 }
 
@@ -380,11 +371,9 @@ func (j *jobState) applyRefit() {
 	res := <-j.refitCh
 	cp := j.pending
 	j.refitCh, j.pending = nil, nil
-	if j.pool != nil {
-		j.pool.lag.Add(-1)
-		j.pool.warmFits.Add(res.warm)
-		j.pool.scratchFits.Add(res.scratch)
-	}
+	j.pool.lag.Add(-1)
+	j.pool.warmFits.Add(res.warm)
+	j.pool.scratchFits.Add(res.scratch)
 	j.refits++
 	j.refitDur += res.dur
 	if res.dur > j.refitMax {

@@ -3,11 +3,10 @@ package serve
 // refit.go is the asynchronous refit pipeline: the machinery that moves model
 // training off the ingest path.
 //
-// Before this pipeline, a checkpoint boundary crossing refitted the job's
-// models synchronously inside the per-job lock (~50ms per refit at 300
-// tasks), stalling that job's ingest and queries while the model trained. Now
-// a boundary crossing only captures the training view (O(tasks)) and hands it
-// to the owning shard's bounded worker pool; the fit runs outside every lock,
+// A refit takes ~50ms at 300 tasks; run inside the per-job lock it would
+// stall that job's ingest and queries while the model trained. So a boundary
+// crossing only captures the training view (O(tasks)) and hands it to the
+// owning shard's bounded worker pool; the fit runs outside every lock,
 // and its outcome — the terminations it orders and the new model — is applied
 // at the *next* boundary crossing, under the job lock, before the next view
 // is captured.
@@ -63,15 +62,10 @@ type refitTask struct {
 	ch   chan<- refitResult
 }
 
-// run executes the fit and delivers the result (always exactly one send).
-func (t refitTask) run() { t.ch <- t.fit() }
-
 // fit executes the fit and returns its outcome without delivering it.
-// A panicking predictor is contained to its own job: before the pipeline,
-// Predict ran on the ingesting goroutine where a panic could at least be
-// recovered by the transport; on a detached pool worker it would kill the
-// whole multi-tenant process, so it is converted into the existing
-// fail-the-job error path instead.
+// A panicking predictor is contained to its own job: on a detached pool
+// worker a panic would kill the whole multi-tenant process, so it is
+// converted into the fail-the-job error path instead.
 func (t refitTask) fit() refitResult {
 	var warm0, scratch0 uint64
 	if rc, ok := t.pred.(refitCounter); ok {

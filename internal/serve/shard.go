@@ -108,8 +108,7 @@ func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, e
 	if _, ok := s.jobs[spec.JobID]; ok {
 		return 0, fmt.Errorf("serve: job %d already registered", spec.JobID)
 	}
-	j := newJobState(spec, pred)
-	j.pool = s.pool
+	j := newJobState(spec, pred, s.pool)
 	j.staleEnabled = s.degradedAfter > 0
 	var lsn uint64
 	if s.wal != nil {

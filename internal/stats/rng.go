@@ -225,12 +225,3 @@ func (r *RNG) SampleInto(idx []int, k int) []int {
 	}
 	return idx[:k]
 }
-
-// Bootstrap returns n indices drawn uniformly from [0, n) with replacement.
-func (r *RNG) Bootstrap(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = r.Intn(n)
-	}
-	return out
-}

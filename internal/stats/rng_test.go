@@ -200,15 +200,6 @@ func TestSamplePanicsWhenKTooLarge(t *testing.T) {
 	NewRNG(1).Sample(2, 3)
 }
 
-func TestBootstrapRange(t *testing.T) {
-	r := NewRNG(37)
-	for _, v := range r.Bootstrap(40) {
-		if v < 0 || v >= 40 {
-			t.Fatalf("bootstrap index out of range: %d", v)
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := NewRNG(41)
 	child := r.Split()

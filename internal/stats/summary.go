@@ -109,43 +109,9 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Percentile returns the p-th percentile (0-100) of xs.
-func Percentile(xs []float64, p float64) float64 {
-	return Quantile(xs, p/100)
-}
-
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 {
 	return Quantile(xs, 0.5)
-}
-
-// Summary holds basic descriptive statistics for a sample.
-type Summary struct {
-	N    int
-	Mean float64
-	Std  float64
-	Min  float64
-	P50  float64
-	P90  float64
-	P99  float64
-	Max  float64
-}
-
-// Summarize computes a Summary of xs. It panics on an empty slice.
-func Summarize(xs []float64) Summary {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return Summary{
-		N:    len(s),
-		Mean: Mean(s),
-		Std:  StdDev(s),
-		Min:  s[0],
-		P50:  quantileSorted(s, 0.5),
-		P90:  quantileSorted(s, 0.9),
-		P99:  quantileSorted(s, 0.99),
-		Max:  s[len(s)-1],
-	}
 }
 
 // Histogram bins xs into nbins equal-width bins over [min, max] and returns

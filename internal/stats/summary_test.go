@@ -98,23 +98,6 @@ func TestPercentileMedian(t *testing.T) {
 	if Median(xs) != 5 {
 		t.Fatalf("median %v", Median(xs))
 	}
-	if Percentile(xs, 50) != 5 {
-		t.Fatalf("p50 %v", Percentile(xs, 50))
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	s := Summarize(xs)
-	if s.N != 101 || s.Min != 0 || s.Max != 100 {
-		t.Fatalf("bad summary %+v", s)
-	}
-	if math.Abs(s.P50-50) > 1e-9 || math.Abs(s.P90-90) > 1e-9 {
-		t.Fatalf("bad percentiles %+v", s)
-	}
 }
 
 func TestHistogramCounts(t *testing.T) {

@@ -216,16 +216,6 @@ func (t *Regressor) AdjustLeaves(fn func(leaf int, value float64) float64) {
 	}
 }
 
-// AddFeatureImportance accumulates each feature's split count into imp
-// (a crude but standard importance measure; callers normalize).
-func (t *Regressor) AddFeatureImportance(imp []float64) {
-	for i := range t.nodes {
-		if f := t.nodes[i].feature; f >= 0 && f < len(imp) {
-			imp[f]++
-		}
-	}
-}
-
 // ScaleLeaves multiplies every leaf value by c (used to undo target
 // standardization after boosting with a scale-sensitive loss).
 func (t *Regressor) ScaleLeaves(c float64) {

@@ -42,11 +42,6 @@ func TestAddSubScaleAXPY(t *testing.T) {
 	if s := Scale(a, 3); s[0] != 3 || s[1] != 6 {
 		t.Fatalf("scale %v", s)
 	}
-	y := []float64{1, 1}
-	AXPY(y, 2, a)
-	if y[0] != 3 || y[1] != 5 {
-		t.Fatalf("axpy %v", y)
-	}
 }
 
 func TestDistances(t *testing.T) {

@@ -57,16 +57,6 @@ func Scale(a []float64, c float64) []float64 {
 	return out
 }
 
-// AXPY adds c*x into y in place (y += c*x).
-func AXPY(y []float64, c float64, x []float64) {
-	if len(y) != len(x) {
-		panic("vecmath: AXPY length mismatch")
-	}
-	for i := range y {
-		y[i] += c * x[i]
-	}
-}
-
 // SqDist returns the squared Euclidean distance between a and b.
 func SqDist(a, b []float64) float64 {
 	if len(a) != len(b) {

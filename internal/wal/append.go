@@ -6,7 +6,8 @@ package wal
 // a replayed dump) is logged as that frame, copied as received: the reader
 // checked its CRC, and the format is canonical, so encoding the event again
 // would give the same bytes at the price of a second CRC. Every other
-// record is encoded there (wire.EncodeSpec, wire.EncodeEvent, a FrameDrop).
+// record is encoded by wire (wire.EncodeSpec, wire.EncodeEvent,
+// wire.EncodeDrop).
 // Commit writes what is staged through an LSN (one Write) and, with
 // SyncEvery == 0, waits for an fsync that covers it. A caller acknowledges
 // only after Commit; the single-record Append* calls are
@@ -14,7 +15,6 @@ package wal
 // travels alone or as one of a request body's hundreds.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -29,24 +29,23 @@ import (
 const stageLimit = 64 << 10
 
 // stage appends one record's frame to the staged bytes — a FrameSpec from
-// sp, a FrameEvent from ev (frame itself when the caller has ev's frame as
-// received), a FrameDrop of jobID — and returns the record's
-// LSN. Nothing is acknowledgeable until Commit(lsn) returns. The frame
-// carries no LSN: recovery derives it as the segment's stamp plus the
-// frame's ordinal, which holds because LSNs are assigned and frames staged
-// in one order under mu, and a segment is stamped with the LSN its first
-// record gets. An encode error aborts before an LSN is consumed: a record
-// that cannot round-trip must never reach the log, where it would poison
-// every future recovery.
-func (w *WAL) stage(sp *wire.JobSpec, ev *wire.Event, frame []byte, jobID uint64) (uint64, error) {
+// sp, a FrameEvent from ev, or else frame, a complete frame the caller
+// holds — and returns the record's LSN. Nothing is acknowledgeable until
+// Commit(lsn) returns. The frame carries no LSN: recovery derives it as the
+// segment's stamp plus the frame's ordinal, which holds because LSNs are
+// assigned and frames staged in one order under mu, and a segment is
+// stamped with the LSN its first record gets. An encode error aborts before
+// an LSN is consumed: a record that cannot round-trip must never reach the
+// log, where it would poison every future recovery.
+func (w *WAL) stage(sp *wire.JobSpec, ev *wire.Event, frame []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.stageLocked(sp, ev, frame, jobID)
+	return w.stageLocked(sp, ev, frame)
 }
 
 // stageLocked is stage with mu held. Rotation drops and retakes mu; it is
 // held again when this returns.
-func (w *WAL) stageLocked(sp *wire.JobSpec, ev *wire.Event, frame []byte, jobID uint64) (uint64, error) {
+func (w *WAL) stageLocked(sp *wire.JobSpec, ev *wire.Event, frame []byte) (uint64, error) {
 	if w.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -58,14 +57,10 @@ func (w *WAL) stageLocked(sp *wire.JobSpec, ev *wire.Event, frame []byte, jobID 
 	switch {
 	case sp != nil:
 		w.staged, err = wire.EncodeSpec(w.staged, *sp)
-	case frame != nil:
-		w.staged = append(w.staged, frame...)
 	case ev != nil:
 		w.staged, err = wire.EncodeEvent(w.staged, *ev)
 	default:
-		var p [8]byte
-		binary.LittleEndian.PutUint64(p[:], jobID)
-		w.staged = wire.AppendFrame(w.staged, wire.FrameDrop, p[:])
+		w.staged = append(w.staged, frame...)
 	}
 	if err != nil {
 		return 0, err
@@ -178,28 +173,25 @@ func (w *WAL) committed(lsn uint64, err error) (uint64, error) {
 }
 
 // StageSpec stages an accepted StartJob (the defaulted, validated spec).
-func (w *WAL) StageSpec(sp *wire.JobSpec) (uint64, error) { return w.stage(sp, nil, nil, 0) }
+func (w *WAL) StageSpec(sp *wire.JobSpec) (uint64, error) { return w.stage(sp, nil, nil) }
 
-// StageEvent stages an accepted Ingest, job finishes included, as the event
-// frame it arrived as. A caller that holds that frame — header, payload and
-// CRC, as wire.Reader.FrameOf returns it for ev — passes it, and it is
-// logged as it is; without one, ev is encoded.
-func (w *WAL) StageEvent(ev *wire.Event, frame ...byte) (uint64, error) {
-	return w.stage(nil, ev, frame, 0)
-}
+// StageEvent stages an accepted Ingest, job finishes included, encoding ev.
+// An event that arrived as a frame is staged as that frame by StageFrames.
+func (w *WAL) StageEvent(ev *wire.Event) (uint64, error) { return w.stage(nil, ev, nil) }
 
 // StageFrames stages a run of accepted Ingests, each as the event frame it
-// arrived as (see StageEvent), under one hold of the log's lock. Every record
-// takes stage's own steps in order — its LSN, rotation, the early write at
-// stageLimit — so the log holds the same bytes whether a run's records are
-// staged together or one by one. It returns the LSN of the last record
+// arrived as (header, payload and CRC, as wire.Reader.FrameOf returns it),
+// under one hold of the log's lock. Every record takes stage's own steps in
+// order — its LSN, rotation, the early write at stageLimit — so the log
+// holds the same bytes whether a run's records are staged together or one
+// by one. It returns the LSN of the last record
 // staged and how many were: on an error, the records before the failing one
 // stay staged.
 func (w *WAL) StageFrames(frames [][]byte) (lsn uint64, n int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, f := range frames {
-		l, err := w.stageLocked(nil, nil, f, 0)
+		l, err := w.stageLocked(nil, nil, f)
 		if err != nil {
 			return lsn, n, err
 		}
@@ -209,7 +201,10 @@ func (w *WAL) StageFrames(frames [][]byte) (lsn uint64, n int, err error) {
 }
 
 // StageDrop stages an accepted DropJob.
-func (w *WAL) StageDrop(jobID uint64) (uint64, error) { return w.stage(nil, nil, nil, jobID) }
+func (w *WAL) StageDrop(jobID uint64) (uint64, error) {
+	var b [5 + 8 + 4]byte // frame header, job ID, CRC
+	return w.stage(nil, nil, wire.EncodeDrop(b[:0], jobID))
+}
 
 // AppendSpec logs an accepted StartJob: StageSpec, then Commit.
 func (w *WAL) AppendSpec(sp *wire.JobSpec) (uint64, error) { return w.committed(w.StageSpec(sp)) }

@@ -842,7 +842,8 @@ func TestStageEventDoesNotAllocate(t *testing.T) {
 
 // TestStageFramesMatchesOneByOne: StageFrames takes a run's records under
 // one hold of the lock and still leaves the directory staging them one by
-// one leaves — the same segment cuts, stamps and early writes — with runs
+// one (runs of one) leaves — the same segment cuts, stamps and early
+// writes — with runs
 // of every length from 1 to 40 crossing the rotation threshold and the
 // early-write cap mid-run. A run staged on a wedged log stops at the
 // failing record and reports the records before it.
@@ -865,8 +866,8 @@ func TestStageFramesMatchesOneByOne(t *testing.T) {
 		for i, k := 0, 1; i < len(frames); i, k = i+k, k%40+1 {
 			run := frames[i:min(i+k, len(frames))]
 			if !batched {
-				for _, f := range run {
-					if _, err := log.StageEvent(nil, f...); err != nil {
+				for j := range run {
+					if _, _, err := log.StageFrames(run[j : j+1]); err != nil {
 						t.Fatal(err)
 					}
 				}

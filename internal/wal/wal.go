@@ -319,9 +319,6 @@ func (w *WAL) NextLSN() uint64 {
 	return w.seq
 }
 
-// Dir returns the WAL directory.
-func (w *WAL) Dir() string { return w.dir }
-
 // Close writes what is staged, then syncs and closes the log. Appends after
 // Close fail with ErrClosed.
 func (w *WAL) Close() error {

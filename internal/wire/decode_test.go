@@ -115,9 +115,7 @@ func TestEventDecodeMatchesReference(t *testing.T) {
 	)
 	var payloads [][]byte
 	for i := range events {
-		var e Enc
-		AppendEventPayload(&e, &events[i])
-		payloads = append(payloads, e.B)
+		payloads = append(payloads, appendEventPayload(nil, &events[i]))
 	}
 	withCount := func(p []byte, n uint32) []byte {
 		q := append([]byte(nil), p...)

@@ -129,12 +129,6 @@ func (e *Enc) U64(v uint64) {
 }
 func (e *Enc) I64(v int64)   { e.U64(uint64(v)) }
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
-func (e *Enc) Floats(v []float64) {
-	e.U32(uint32(len(v)))
-	for _, f := range v {
-		e.F64(f)
-	}
-}
 func (e *Enc) Str(s string) {
 	e.U16(uint16(len(s)))
 	e.B = append(e.B, s...)
@@ -225,20 +219,6 @@ func (d *Dec) Count(max int, what string) int {
 	return int(n)
 }
 
-// floats decodes a counted float64 slice (nil for an empty count, matching
-// the in-memory convention for absent feature vectors).
-func (d *Dec) Floats(max int, what string) []float64 {
-	n := d.Count(max, what)
-	if n == 0 || !d.Need(8*n) {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
-	}
-	return out
-}
-
 func (d *Dec) Str(maxLen int) string {
 	n := int(d.U16())
 	if d.err != nil {
@@ -293,8 +273,6 @@ func appendEventPayload(dst []byte, ev *Event) []byte {
 	}
 	return dst
 }
-
-func AppendEventPayload(e *Enc, ev *Event) { e.B = appendEventPayload(e.B, ev) }
 
 func DecodeEventPayload(p []byte) (Event, error) {
 	var ev Event
@@ -450,10 +428,8 @@ func DecodeSegHeaderPayload(p []byte) (SegHeader, error) {
 	return h, d.Finish()
 }
 
-// AppendDropPayload / DecodeDropPayload carry a DropJob WAL record
-// (FrameDrop): just the job ID.
-func AppendDropPayload(e *Enc, jobID uint64) { e.U64(jobID) }
-
+// DecodeDropPayload reads a DropJob WAL record's payload (FrameDrop, as
+// EncodeDrop writes it): just the job ID.
 func DecodeDropPayload(p []byte) (uint64, error) {
 	d := Dec{B: p}
 	jobID := d.U64()
@@ -540,6 +516,11 @@ func EncodeSpec(dst []byte, sp JobSpec) ([]byte, error) {
 		return dst, err
 	}
 	return sealFrame(e.B, len(dst)), nil
+}
+
+// EncodeDrop appends a DropJob of jobID to dst as one complete frame.
+func EncodeDrop(dst []byte, jobID uint64) []byte {
+	return sealFrame(binary.LittleEndian.AppendUint64(openFrame(dst, FrameDrop), jobID), len(dst))
 }
 
 // AppendHeader appends the stream header (magic + version) to dst.

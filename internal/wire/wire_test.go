@@ -143,6 +143,29 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeDropRoundTrip: EncodeDrop appends one whole FrameDrop behind
+// what dst holds, its payload decodes to the job ID, and FrameJobID reads
+// the same ID without decoding.
+func TestEncodeDropRoundTrip(t *testing.T) {
+	for _, id := range []uint64{0, 7, 1<<63 + 5, math.MaxUint64} {
+		prefix := []byte("held")
+		b := EncodeDrop(prefix, id)
+		if !bytes.Equal(b[:len(prefix)], prefix) {
+			t.Fatalf("job %d: EncodeDrop changed the bytes before its frame", id)
+		}
+		kind, payload, n, err := DecodeFrame(b[len(prefix):])
+		if err != nil || kind != FrameDrop || len(prefix)+n != len(b) {
+			t.Fatalf("job %d: frame kind %d, %d of %d bytes, %v; want one whole drop frame", id, kind, n, len(b)-len(prefix), err)
+		}
+		if got, err := DecodeDropPayload(payload); err != nil || got != id {
+			t.Errorf("DecodeDropPayload = %d, %v; want %d", got, err, id)
+		}
+		if got, err := FrameJobID(kind, payload); err != nil || got != id {
+			t.Errorf("FrameJobID = %d, %v; want %d", got, err, id)
+		}
+	}
+}
+
 // next is the allocating walk NextInto is pinned to: the next element of a
 // spec/event stream, exactly one of the two results non-nil, each decoded
 // fresh from NextFrame's payload.
@@ -319,10 +342,8 @@ func TestWireHostileCounts(t *testing.T) {
 	}
 	// Trailing garbage inside a checksummed payload (CRC valid, extra
 	// bytes after the last field) must be rejected as non-canonical.
-	var e2 Enc
-	AppendEventPayload(&e2, &Event{Kind: EventTaskStart, JobID: 3})
-	e2.U8(0xAA)
-	frame = AppendFrame(AppendHeader(nil), FrameEvent, e2.B)
+	p := append(appendEventPayload(nil, &Event{Kind: EventTaskStart, JobID: 3}), 0xAA)
+	frame = AppendFrame(AppendHeader(nil), FrameEvent, p)
 	if _, err := decodeAll(frame); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("trailing payload bytes: %v (want ErrCorrupt)", err)
 	}
@@ -484,9 +505,7 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		case FrameDrop:
 			if jobID, err := DecodeDropPayload(payload); err == nil {
-				var e Enc
-				AppendDropPayload(&e, jobID)
-				if !bytes.Equal(AppendFrame(nil, kind, e.B), data[:n]) {
+				if !bytes.Equal(EncodeDrop(nil, jobID), data[:n]) {
 					t.Fatalf("drop record re-encode diverges from input")
 				}
 			}

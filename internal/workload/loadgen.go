@@ -39,12 +39,6 @@ type Options struct {
 	// Speedup compresses virtual time onto the wall clock: 2 runs a
 	// scenario in half its virtual duration. 0 or negative defaults to 1.
 	Speedup float64
-	// MaxBatch caps the frames coalesced into one request (default 256).
-	MaxBatch int
-	// Window caps the virtual time one request may span (default 0.05 s):
-	// elements further apart are sent in separate requests so batching
-	// cannot smear the arrival schedule.
-	Window float64
 	// Retry429 resends a request refused with a whole-request 429 (nothing
 	// applied — rate-limit or budget refusals are atomic), honoring its
 	// Retry-After hint up to retryCap per attempt and retryMax attempts.
@@ -56,6 +50,12 @@ type Options struct {
 }
 
 const (
+	// maxBatch caps the frames coalesced into one request.
+	maxBatch = 256
+	// window caps the virtual seconds one request may span: elements
+	// further apart are sent in separate requests so batching cannot smear
+	// the arrival schedule.
+	window = 0.05
 	// queryTasks is how many task IDs one probe queries.
 	queryTasks = 4
 	// retryMax and retryCap bound Retry429's resends: attempts per request,
@@ -64,21 +64,7 @@ const (
 	retryCap = time.Second
 )
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.Speedup <= 0 {
-		out.Speedup = 1
-	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 256
-	}
-	if out.Window <= 0 {
-		out.Window = 0.05
-	}
-	return out
-}
-
-// PostResult is a target's view of one ingest response.
+// PostResult is one ingest response, as the load driver reads it.
 type PostResult struct {
 	// Status is the HTTP status code.
 	Status int
@@ -95,31 +81,12 @@ type PostResult struct {
 	Err string
 }
 
-// Target abstracts where batches are posted, so tests can drive an
-// in-process front end and the CLI a remote one through the same path.
-type Target interface {
-	// Post sends one wire-encoded body to the ingest endpoint on behalf of
-	// the named scenario client (the rate-limit principal; targets that
-	// cannot convey it may ignore it). A non-2xx status is returned in
-	// PostResult, not as an error; error means the request could not be
-	// completed at all (transport failure).
-	Post(client string, body []byte) (PostResult, error)
-}
-
-// QueryResult is a target's view of one verdict-query response.
+// QueryResult is one verdict-query response, as the load driver reads it.
 type QueryResult struct {
 	// Status is the HTTP status code.
 	Status int
 	// Verdicts carries the answered batch on 2xx.
 	Verdicts []serve.TaskVerdict
-}
-
-// QueryTarget is implemented by targets that can also answer verdict
-// queries and fetch job reports (HTTPTarget does); the query prober and the
-// accuracy scorer need it.
-type QueryTarget interface {
-	Query(jobID uint64, tasks []int) (QueryResult, error)
-	Report(jobID uint64) (*serve.JobReport, int, error)
 }
 
 // HTTPTarget posts to a serving front end over HTTP.
@@ -137,10 +104,13 @@ func (t *HTTPTarget) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Post implements Target. The scenario client's name travels as
-// X-Nurd-Client, the front end's rate-limit principal, so per-client
-// token buckets see scenario lanes as distinct clients even though every
-// lane shares one source address.
+// Post sends one wire-encoded body to /ingest on behalf of the named
+// scenario client. A non-2xx status is returned in PostResult, not as an
+// error; an error means the request could not be completed at all
+// (transport failure). The client's name travels as X-Nurd-Client, the
+// front end's rate-limit principal, so per-client token buckets see
+// scenario lanes as distinct clients even though every lane shares one
+// source address.
 func (t *HTTPTarget) Post(client string, body []byte) (PostResult, error) {
 	req, err := http.NewRequest(http.MethodPost, t.BaseURL+"/ingest", bytes.NewReader(body))
 	if err != nil {
@@ -168,7 +138,7 @@ func (t *HTTPTarget) Post(client string, body []byte) (PostResult, error) {
 	}, nil
 }
 
-// Query implements QueryTarget.
+// Query asks /query for the verdicts of tasks of job jobID.
 func (t *HTTPTarget) Query(jobID uint64, tasks []int) (QueryResult, error) {
 	ids := make([]string, len(tasks))
 	for i, id := range tasks {
@@ -187,23 +157,23 @@ func (t *HTTPTarget) Query(jobID uint64, tasks []int) (QueryResult, error) {
 	return qr, nil
 }
 
-// Report implements QueryTarget: the job's JobReport, or a nil report with
-// the non-2xx status.
-func (t *HTTPTarget) Report(jobID uint64) (*serve.JobReport, int, error) {
+// Report fetches the job's JobReport from /report: nil, without an error,
+// on a non-2xx status.
+func (t *HTTPTarget) Report(jobID uint64) (*serve.JobReport, error) {
 	resp, err := t.httpClient().Get(fmt.Sprintf("%s/report?job=%d", t.BaseURL, jobID))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if resp.StatusCode >= 300 {
-		return nil, resp.StatusCode, nil
+		return nil, nil
 	}
 	var rep serve.JobReport
 	if err := json.Unmarshal(body, &rep); err != nil {
-		return nil, resp.StatusCode, err
+		return nil, err
 	}
-	return &rep, resp.StatusCode, nil
+	return &rep, nil
 }
 
 // Report is the JSON result of one open-loop load run.
@@ -264,8 +234,7 @@ type Report struct {
 	ThrottledEvents int `json:"throttled_events"`
 	LostEvents      int `json:"lost_events"`
 
-	// Query-prober results (zero unless the scenario sets QueryRate and
-	// the target implements QueryTarget).
+	// Query-prober results (zero unless the scenario sets QueryRate).
 	// QueryMisses are 404s — probes that raced their job's (possibly
 	// lagging) registration; StaleQueries counts degraded-mode answers
 	// (any verdict flagged Stale).
@@ -296,7 +265,7 @@ type request struct {
 // buildLane slices one client's items into requests: frames coalesce into a
 // shared request until the batch cap or the virtual-time window is hit, and
 // malformed frames always travel alone.
-func buildLane(items []*Item, opts Options) ([]request, error) {
+func buildLane(items []*Item, maxBatch int, window float64) ([]request, error) {
 	var reqs []request
 	cur := -1 // index into reqs of the open batch, -1 when none
 	for _, it := range items {
@@ -309,7 +278,7 @@ func buildLane(items []*Item, opts Options) ([]request, error) {
 			cur = -1
 			continue
 		}
-		if cur < 0 || reqs[cur].frames >= opts.MaxBatch || it.At-reqs[cur].due > opts.Window {
+		if cur < 0 || reqs[cur].frames >= maxBatch || it.At-reqs[cur].due > window {
 			reqs = append(reqs, request{due: it.At, body: wire.AppendHeader(nil)})
 			cur = len(reqs) - 1
 		}
@@ -356,8 +325,10 @@ func (ls *laneStats) fail(msg string) {
 // rate accounting. The timeline is prepared (batched and wire-encoded)
 // before the clock starts, so synthesis and encoding cost never pollute the
 // measured schedule.
-func Run(wl *Workload, tgt Target, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
+func Run(wl *Workload, tgt *HTTPTarget, opts Options) (*Report, error) {
+	if opts.Speedup <= 0 {
+		opts.Speedup = 1
+	}
 
 	// Partition items into per-client lanes, preserving timeline order.
 	lanes := make([][]*Item, len(wl.Spec.Clients))
@@ -371,7 +342,7 @@ func Run(wl *Workload, tgt Target, opts Options) (*Report, error) {
 		if len(items) == 0 {
 			continue
 		}
-		reqs, err := buildLane(items, opts)
+		reqs, err := buildLane(items, maxBatch, window)
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +351,7 @@ func Run(wl *Workload, tgt Target, opts Options) (*Report, error) {
 	}
 
 	// clientName maps lane index back to its scenario client's name (the
-	// rate-limit principal the target conveys).
+	// rate-limit principal Post conveys).
 	clientNames := make([]string, 0, len(laneReqs))
 	for ci, items := range lanes {
 		if len(items) > 0 {
@@ -393,13 +364,11 @@ func Run(wl *Workload, tgt Target, opts Options) (*Report, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	if wl.Spec.QueryRate > 0 {
-		if qt, ok := tgt.(QueryTarget); ok {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				runProber(wl, qt, opts, start, &qs)
-			}()
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runProber(wl, tgt, opts, start, &qs)
+		}()
 	}
 	for li, reqs := range laneReqs {
 		wg.Add(1)
@@ -579,7 +548,7 @@ type queryStats struct {
 // like ingest requests. Under overload this is the lane that must stay
 // fast: queries take no ingest-queue slot and, in degraded mode, not even
 // the job lock.
-func runProber(wl *Workload, qt QueryTarget, opts Options, start time.Time, qs *queryStats) {
+func runProber(wl *Workload, tgt *HTTPTarget, opts Options, start time.Time, qs *queryStats) {
 	type probeJob struct {
 		at     float64
 		id     uint64
@@ -614,7 +583,7 @@ func runProber(wl *Workload, qt QueryTarget, opts Options, start time.Time, qs *
 		for i := range ids {
 			ids[i] = i
 		}
-		res, err := qt.Query(pj.id, ids)
+		res, err := tgt.Query(pj.id, ids)
 		lat := time.Since(wallDue)
 		if lat < 0 {
 			lat = 0

@@ -162,17 +162,16 @@ func TestBuildLaneBatching(t *testing.T) {
 			lane = append(lane, &wl.Items[i])
 		}
 	}
-	o := Options{MaxBatch: 4, Window: 0.5}
-	opts := o.withDefaults()
-	reqs, err := buildLane(lane, opts)
+	const maxBatch = 4
+	reqs, err := buildLane(lane, maxBatch, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
 	for i, r := range reqs {
 		total += r.frames
-		if r.frames > opts.MaxBatch {
-			t.Fatalf("request %d carries %d frames, cap is %d", i, r.frames, opts.MaxBatch)
+		if r.frames > maxBatch {
+			t.Fatalf("request %d carries %d frames, cap is %d", i, r.frames, maxBatch)
 		}
 		if r.malformed && r.frames != 1 {
 			t.Fatalf("request %d is malformed but batched %d frames", i, r.frames)

@@ -21,20 +21,19 @@ type JobScore struct {
 	Confusion metrics.Confusion
 }
 
-// ScoreJobs fetches every completed job's report from the target and scores
+// ScoreJobs fetches every completed job's report from tgt and scores
 // its terminated set against wl.Truth. Jobs that are unknown (dropped, or
 // their registration was throttled away), still streaming, or failed are
 // skipped — accuracy is only defined over completed runs. The result maps
 // job ID to its score.
-func ScoreJobs(qt QueryTarget, wl *Workload) (map[uint64]JobScore, error) {
+func ScoreJobs(tgt *HTTPTarget, wl *Workload) (map[uint64]JobScore, error) {
 	scores := make(map[uint64]JobScore, len(wl.Truth))
 	for id, truth := range wl.Truth {
-		rep, status, err := qt.Report(id)
+		rep, err := tgt.Report(id)
 		if err != nil {
 			return nil, fmt.Errorf("workload: report for job %d: %w", id, err)
 		}
 		if rep == nil || !rep.Done || rep.Failed {
-			_ = status
 			continue
 		}
 		c := rep.Confusion(truth)
