@@ -367,17 +367,23 @@ func benchPredictSetup(b *testing.B) (*gbt.Model, [][]float64) {
 	return m, rows
 }
 
-// BenchmarkPredictTree is the per-tree batched predict the serving layer
-// rode before the flat engine: every row walks each tree's own node slice.
-// Reports ns/row; CI gates BenchmarkPredictFlat against it as a same-run
-// ratio (flat must be well under per-tree time — hardware-independent).
+// BenchmarkPredictTree times the per-tree branching walk, Init + Σ LR·
+// tree.Regressor.Predict(x) in tree order: the reference the flat engine
+// reproduces bit for bit, which no production code calls. Every row walks
+// each tree's own node slice. Reports ns/row; CI gates BenchmarkPredictFlat
+// against it as a same-run ratio (flat must be well under per-tree time —
+// hardware-independent).
 func BenchmarkPredictTree(b *testing.B) {
 	m, rows := benchPredictSetup(b)
 	out := make([]float64, len(rows))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r, x := range rows {
-			out[r] = m.Predict(x)
+			f := m.Init
+			for _, t := range m.Trees {
+				f += m.LR * t.Predict(x)
+			}
+			out[r] = f
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")

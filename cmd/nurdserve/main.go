@@ -12,11 +12,12 @@
 // to a write-ahead log in dir before it is acknowledged, and on start the
 // server automatically recovers by replaying the newest checkpoint base and
 // then the log past its floor. The log is one stream of rotating segment
-// files and checkpoints itself on a time and/or size policy
-// (-wal-checkpoint-every / -wal-checkpoint-bytes): a checkpoint compacts the
-// log into base-<floor>.dump, a plain dump of every live job's spec and
-// event frames, so the retained log and recovery time stay bounded without
-// operator action. GET /snapshot streams such a base (it is itself a dump
+// files and checkpoints itself once -wal-checkpoint-bytes have been appended
+// since the last checkpoint: a checkpoint compacts the log into
+// base-<floor>.dump, a plain dump of every live job's spec and event frames,
+// and retires the segments it covers, so the retained segments stay bounded
+// without operator action. It does not bound recovery time: a base keeps
+// every live job's frames, and only drops shrink what a recovery replays. GET /snapshot streams such a base (it is itself a dump
 // -replay loads), so it needs -wal: without one it answers 409. Counters
 // the log does not carry — queries served, refit wall times — start from
 // zero after a recovery.
@@ -84,8 +85,7 @@ func main() {
 		replay    = flag.String("replay", "", "wire-format trace dump to load in-process before -listen opens (tracegen -format wire)")
 		walDir    = flag.String("wal", "", "write-ahead log directory (must exist); enables durable serving with automatic recovery on start")
 		syncEvery = flag.Duration("wal-sync", 2*time.Millisecond, "WAL group-commit fsync interval (0 = fsync every append)")
-		ckptEvery = flag.Duration("wal-checkpoint-every", time.Minute, "automatic WAL checkpoint period (0 disables the time trigger)")
-		ckptBytes = flag.Int64("wal-checkpoint-bytes", 64<<20, "automatic WAL checkpoint once this many bytes were appended since the last one (0 disables the size trigger)")
+		ckptBytes = flag.Int64("wal-checkpoint-bytes", 64<<20, "automatic WAL checkpoint once this many bytes were appended since the last one (0 disables automatic checkpoints)")
 		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure and print the recoverable LSN, then exit (no server is started)")
 		refitMode = flag.String("refit-mode", "scratch", "checkpoint refit strategy: scratch (bit-identical to the offline Table 3 path) or warm (warm-started incremental boosting, several times cheaper per refit)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off)")
@@ -104,7 +104,6 @@ func main() {
 	}
 	wopts := wal.Options{
 		SyncEvery:       *syncEvery,
-		CheckpointEvery: *ckptEvery,
 		CheckpointBytes: *ckptBytes,
 	}
 	if *walVerify != "" {

@@ -190,10 +190,9 @@ func main() {
 	durable, wlog, _, err := serve.Recover(walDir, warmCfg, wal.Options{
 		SyncEvery: 2 * time.Millisecond, // group-commit fsync window
 		// Checkpoints are automatic: a background policy compacts the log
-		// into a new base and retires covered segments on a wall-clock
-		// period and/or after so many appended bytes — no operator has to
-		// remember to call CheckpointWAL.
-		CheckpointEvery: 200 * time.Millisecond,
+		// into a new base and retires covered segments after so many
+		// appended bytes — no operator has to remember to call
+		// CheckpointWAL.
 		CheckpointBytes: 256 << 10,
 	})
 	if err != nil {
@@ -342,7 +341,7 @@ func main() {
 	// multi-lane "overload" scenario: heartbeats over budget are SHED
 	// (coalesced into the next accepted observation; finishes always get
 	// through, they carry labels), whole-request rejections come back as
-	// 429s with load-aware Retry-After hints the driver honors. The crucial
+	// 429s whose Retry-After (the bucket's refill wait) the driver honors. The crucial
 	// durability property: a shed event leaves NO trace — not applied, not
 	// counted, not logged — so the WAL records exactly the accepted stream,
 	// and a crash-recovery of the shedding server reproduces its state as

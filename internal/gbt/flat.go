@@ -21,19 +21,19 @@ var ErrRowWidth = errors.New("gbt: row narrower than the ensemble's max split fe
 // slices, and PredictBatch walks task-major (all rows through tree t before
 // tree t+1) so each tree's nodes stay cache-hot across the whole batch.
 //
-// Compilation preserves bit-identity with the per-tree path: each row's
-// output accumulates as Init + sum over trees of LR*leaf in tree order —
-// exactly the float operation order of Model.Predict — so verdicts, F1, and
-// reports are unchanged, only faster.
+// Flat is the only way a fitted ensemble predicts. Each row's output
+// accumulates as Init + sum over trees of LR*leaf in tree order, so it is
+// bit-identical to walking the source trees one by one with
+// tree.Regressor.Predict (on non-NaN features; see the traversal note), the
+// branching reference the tests compare against.
 //
 // A Flat is immutable after Compile and safe for concurrent use.
 type Flat struct {
-	init     float64
-	lr       float64
-	logistic bool
-	nodes    tree.SoA
-	roots    []int32 // root node index of each tree, in boosting order
-	maxFeat  int     // largest feature index any node splits on; -1 if none
+	init    float64
+	lr      float64
+	nodes   tree.SoA
+	roots   []int32 // root node index of each tree, in boosting order
+	maxFeat int     // largest feature index any node splits on; -1 if none
 }
 
 // Compile flattens the fitted ensemble into a Flat inference engine. The
@@ -45,9 +45,8 @@ func (m *Model) Compile() *Flat {
 		total += t.NumNodes()
 	}
 	f := &Flat{
-		init:     m.Init,
-		lr:       m.LR,
-		logistic: m.Logistic,
+		init: m.Init,
+		lr:   m.LR,
 		nodes: tree.SoA{
 			Feature:   make([]int32, 0, total),
 			Threshold: make([]float64, 0, total),
@@ -66,16 +65,6 @@ func (m *Model) Compile() *Flat {
 	}
 	return f
 }
-
-// NumTrees reports how many trees were compiled in.
-func (f *Flat) NumTrees() int { return len(f.roots) }
-
-// NumNodes reports the total node count of the flat table.
-func (f *Flat) NumNodes() int { return f.nodes.Len() }
-
-// MaxFeature returns the largest feature index any compiled node splits on,
-// or -1 for an ensemble with no splits.
-func (f *Flat) MaxFeature() int { return f.maxFeat }
 
 // CheckWidth returns ErrRowWidth (wrapped with the widths) when rows of n
 // columns are too narrow to traverse the compiled ensemble.
@@ -112,10 +101,8 @@ func flatStep(thr float64, xf float64, l, r int32) int32 {
 	return (l &^ mask) | (r & mask)
 }
 
-// Predict returns the compiled ensemble's raw prediction for x,
-// bit-identical to Model.Predict on the source model (non-NaN features;
-// see the traversal note). x must have at least MaxFeature()+1 columns
-// (see CheckWidth).
+// Predict returns the compiled ensemble's raw prediction for x. x must be
+// wide enough for every split feature (see CheckWidth).
 func (f *Flat) Predict(x []float64) float64 {
 	feat := f.nodes.Feature
 	// Reslicing to len(feat) lets the compiler prove the per-node bounds
@@ -184,8 +171,8 @@ func (f *Flat) PredictBatchInto(X [][]float64, out []float64) []float64 {
 	return out
 }
 
-// PredictProb maps the raw output through the logistic function; like
-// Model.PredictProb it is only meaningful for classifier ensembles.
+// PredictProb maps the raw output through the logistic function; it is only
+// meaningful for ensembles fitted with FitClassifier.
 func (f *Flat) PredictProb(x []float64) float64 {
 	return sigmoid(f.Predict(x))
 }

@@ -9,18 +9,38 @@ import (
 	"repro/internal/stats"
 )
 
+// walkTrees is the per-tree reference walk the compiled engine must
+// reproduce: Init plus LR times each tree's branching prediction, summed in
+// tree order.
+func walkTrees(m *Model, x []float64) float64 {
+	f := m.Init
+	for _, t := range m.Trees {
+		f += m.LR * t.Predict(x)
+	}
+	return f
+}
+
+// walkRows is walkTrees over every row of X.
+func walkRows(m *Model, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = walkTrees(m, x)
+	}
+	return out
+}
+
 // requireBitIdentical checks that the compiled flat engine reproduces the
 // per-tree path bit-for-bit on every row, through Predict, PredictBatch,
 // and a scratch-reusing PredictBatchInto pass.
 func requireBitIdentical(t *testing.T, m *Model, X [][]float64) {
 	t.Helper()
 	f := m.Compile()
-	if f.NumTrees() != len(m.Trees) {
-		t.Fatalf("compiled %d trees, model has %d", f.NumTrees(), len(m.Trees))
+	if len(f.roots) != len(m.Trees) {
+		t.Fatalf("compiled %d trees, model has %d", len(f.roots), len(m.Trees))
 	}
 	want := make([]float64, len(X))
 	for i, x := range X {
-		want[i] = m.Predict(x)
+		want[i] = walkTrees(m, x)
 		if got := f.Predict(x); math.Float64bits(got) != math.Float64bits(want[i]) {
 			t.Fatalf("row %d: flat Predict %v, per-tree %v", i, got, want[i])
 		}
@@ -40,7 +60,7 @@ func requireBitIdentical(t *testing.T, m *Model, X [][]float64) {
 	}
 	if m.Logistic {
 		for i, x := range X {
-			if got, want := f.PredictProb(x), m.PredictProb(x); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := f.PredictProb(x), sigmoid(walkTrees(m, x)); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("row %d: flat PredictProb %v, per-tree %v", i, got, want)
 			}
 		}
@@ -126,7 +146,7 @@ func TestFlatBitIdenticalProperty(t *testing.T) {
 }
 
 // An ensemble with no splits (constant target) compiles to leaf-only trees;
-// MaxFeature is -1 and any row width, even zero, passes CheckWidth.
+// its max split feature is -1 and any row width, even zero, passes CheckWidth.
 func TestFlatConstantModel(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}, {5}, {6}}
 	y := []float64{7, 7, 7, 7, 7, 7}
@@ -135,14 +155,14 @@ func TestFlatConstantModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := m.Compile()
-	if f.MaxFeature() != -1 {
-		t.Fatalf("MaxFeature %d for split-free ensemble, want -1", f.MaxFeature())
+	if f.maxFeat != -1 {
+		t.Fatalf("max split feature %d for split-free ensemble, want -1", f.maxFeat)
 	}
 	if err := f.CheckWidth(0); err != nil {
 		t.Fatalf("CheckWidth(0) on split-free ensemble: %v", err)
 	}
-	if got := f.Predict(nil); math.Float64bits(got) != math.Float64bits(m.Predict(nil)) {
-		t.Fatalf("flat %v, per-tree %v", got, m.Predict(nil))
+	if got := f.Predict(nil); math.Float64bits(got) != math.Float64bits(walkTrees(m, nil)) {
+		t.Fatalf("flat %v, per-tree %v", got, walkTrees(m, nil))
 	}
 }
 
@@ -153,14 +173,14 @@ func TestFlatCheckWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := m.Compile()
-	if f.MaxFeature() < 0 {
+	if f.maxFeat < 0 {
 		t.Fatal("expected at least one split")
 	}
-	if err := f.CheckWidth(f.MaxFeature()); !errors.Is(err, ErrRowWidth) {
-		t.Fatalf("CheckWidth(%d) = %v, want ErrRowWidth", f.MaxFeature(), err)
+	if err := f.CheckWidth(f.maxFeat); !errors.Is(err, ErrRowWidth) {
+		t.Fatalf("CheckWidth(%d) = %v, want ErrRowWidth", f.maxFeat, err)
 	}
-	if err := f.CheckWidth(f.MaxFeature() + 1); err != nil {
-		t.Fatalf("CheckWidth(%d) = %v, want nil", f.MaxFeature()+1, err)
+	if err := f.CheckWidth(f.maxFeat + 1); err != nil {
+		t.Fatalf("CheckWidth(%d) = %v, want nil", f.maxFeat+1, err)
 	}
 }
 

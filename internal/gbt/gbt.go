@@ -68,37 +68,14 @@ func (c *Config) normalize() {
 
 // Model is a fitted boosted ensemble. Raw output is
 // init + lr * sum_i tree_i(x); interpretation (latency, log-odds) depends on
-// the loss used at fit time.
+// the loss used at fit time. A Model predicts through its compiled engine
+// (Compile).
 type Model struct {
 	Init  float64
 	LR    float64
 	Trees []*tree.Regressor
-	// Logistic records whether Predict output is a log-odds score.
+	// Logistic records whether the raw output is a log-odds score.
 	Logistic bool
-}
-
-// Predict returns the raw ensemble output for x.
-func (m *Model) Predict(x []float64) float64 {
-	f := m.Init
-	for _, t := range m.Trees {
-		f += m.LR * t.Predict(x)
-	}
-	return f
-}
-
-// PredictBatch returns raw outputs for all rows of X.
-func (m *Model) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = m.Predict(x)
-	}
-	return out
-}
-
-// PredictProb maps the raw output through the logistic function; it is only
-// meaningful for models fitted with FitClassifier.
-func (m *Model) PredictProb(x []float64) float64 {
-	return sigmoid(m.Predict(x))
 }
 
 func sigmoid(z float64) float64 {
@@ -135,7 +112,7 @@ func fitNewton(X [][]float64, n int, init float64, loss lossFuncs, cfg Config) (
 // boostRounds appends cfg.NumTrees Newton-boosted trees to m, starting from
 // the current per-row predictions f (which it advances in place). The loop is
 // shared by the scratch fitters and Model.Extend; cfg.LearningRate must equal
-// m.LR, since Predict applies one shrinkage factor to every tree.
+// m.LR, since the ensemble applies one shrinkage factor to every tree.
 //
 // X does not change between rounds, only the targets do, so its columns are
 // sorted once (tree.Presort) and every round grows from that order.
@@ -236,8 +213,7 @@ func (m *Model) Extend(X [][]float64, y []float64, rounds int, cfg Config) (*Mod
 	cfg.NumTrees = rounds
 	// The initial residual pass predicts every training row through the
 	// inherited ensemble — the dominant cost of a warm refit. Compile once
-	// and walk task-major; bit-identical to per-row out.Predict. Rows are
-	// width-checked first: this pass runs before boostRounds' tree.Presort
+	// and walk task-major. Rows are width-checked first: this pass runs before boostRounds' tree.Presort
 	// gets a chance to reject ragged rows.
 	flat := out.Compile()
 	for i, x := range X {

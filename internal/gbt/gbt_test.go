@@ -23,7 +23,7 @@ func makeRegressionData(n int, noise float64, seed uint64) ([][]float64, []float
 func mse(m *Model, X [][]float64, y []float64) float64 {
 	s := 0.0
 	for i, x := range X {
-		d := m.Predict(x) - y[i]
+		d := walkTrees(m, x) - y[i]
 		s += d * d
 	}
 	return s / float64(len(X))
@@ -76,7 +76,7 @@ func TestRegressorDeterministic(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		x := X[i]
-		if a.Predict(x) != b.Predict(x) {
+		if walkTrees(a, x) != walkTrees(b, x) {
 			t.Fatal("same seed produced different models")
 		}
 	}
@@ -99,9 +99,10 @@ func TestClassifierSeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := m.Compile()
 	correct := 0
 	for i, x := range X {
-		p := m.PredictProb(x)
+		p := f.PredictProb(x)
 		if p < 0 || p > 1 {
 			t.Fatalf("probability out of range: %v", p)
 		}
@@ -156,12 +157,12 @@ func TestTobitRecoversCensoredSignal(t *testing.T) {
 	}
 	// At x = 1.9 the true mean is 19.5, far above the censor point.
 	xq := []float64{1.9}
-	if tob.Predict(xq) <= naive.Predict(xq) {
+	if walkTrees(tob, xq) <= walkTrees(naive, xq) {
 		t.Fatalf("tobit (%v) should exceed naive censored regression (%v) in the censored region",
-			tob.Predict(xq), naive.Predict(xq))
+			walkTrees(tob, xq), walkTrees(naive, xq))
 	}
-	if tob.Predict(xq) <= c {
-		t.Fatalf("tobit prediction %v did not extrapolate past the censor point %v", tob.Predict(xq), c)
+	if walkTrees(tob, xq) <= c {
+		t.Fatalf("tobit prediction %v did not extrapolate past the censor point %v", walkTrees(tob, xq), c)
 	}
 }
 
@@ -204,9 +205,9 @@ func TestPredictBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := m.PredictBatch(X)
+	batch := m.Compile().PredictBatch(X)
 	for i, x := range X {
-		if batch[i] != m.Predict(x) {
+		if batch[i] != walkTrees(m, x) {
 			t.Fatalf("batch[%d] mismatch", i)
 		}
 	}
@@ -243,7 +244,7 @@ func TestExtendDeterministic(t *testing.T) {
 		t.Fatal("two Extend runs with identical inputs diverged")
 	}
 	for i, x := range X {
-		if a.Predict(x) != b.Predict(x) {
+		if walkTrees(a, x) != walkTrees(b, x) {
 			t.Fatalf("row %d: predictions diverge between identical extensions", i)
 		}
 	}
@@ -282,7 +283,7 @@ func TestExtendZeroRoundsNoOp(t *testing.T) {
 			len(out.Trees), len(base.Trees))
 	}
 	for i, x := range X {
-		if out.Predict(x) != base.Predict(x) {
+		if walkTrees(out, x) != walkTrees(base, x) {
 			t.Fatalf("row %d: zero-round extension changed predictions", i)
 		}
 	}
@@ -309,7 +310,7 @@ func TestExtendTracksNewData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := base.PredictBatch(X)
+	before := walkRows(base, X)
 	ext, err := base.Extend(X, y, 25, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +319,7 @@ func TestExtendTracksNewData(t *testing.T) {
 		t.Fatalf("extension did not reduce MSE on the updated set: %v vs %v",
 			mse(ext, X, y), mse(base, X, y))
 	}
-	after := base.PredictBatch(X)
+	after := walkRows(base, X)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("row %d: Extend mutated the previous model", i)

@@ -49,7 +49,7 @@ func predictHash(m *Model, X [][]float64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, x := range X {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(m.Predict(x)))
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(walkTrees(m, x)))
 		h.Write(b[:])
 	}
 	return h.Sum64()

@@ -25,9 +25,6 @@ func New(points [][]float64) (*Index, error) {
 	return &Index{points: points}, nil
 }
 
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return len(ix.points) }
-
 // Point returns the i-th indexed point.
 func (ix *Index) Point(i int) []float64 { return ix.points[i] }
 

@@ -10,14 +10,6 @@ type Confusion struct {
 	TP, FP, TN, FN int
 }
 
-// Add accumulates other into c.
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // TPR returns the true-positive rate (recall), or 0 with no positives.
 func (c Confusion) TPR() float64 {
 	den := c.TP + c.FN

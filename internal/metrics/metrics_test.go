@@ -36,14 +36,6 @@ func TestTPRPlusFNR(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, TN: 3, FN: 4}
-	a.Add(Confusion{TP: 10, FP: 20, TN: 30, FN: 40})
-	if a.TP != 11 || a.FP != 22 || a.TN != 33 || a.FN != 44 {
-		t.Fatalf("add result %+v", a)
-	}
-}
-
 func TestFromSets(t *testing.T) {
 	pred := []bool{true, true, false, false}
 	truth := []bool{true, false, true, false}

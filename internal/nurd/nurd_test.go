@@ -367,8 +367,16 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		if m.Compiled() == nil {
 			t.Fatalf("checkpoint %d: no compiled engine after refit", ckpt)
 		}
-		if got, want := m.Compiled().NumTrees(), m.LatencyModelTrees(); got != want {
-			t.Fatalf("checkpoint %d: compiled %d trees, model has %d", ckpt, got, want)
+		// The published engine is the current ensemble: it reproduces the
+		// per-tree walk over every tree of m.h, bit for bit.
+		for i, got := range m.Compiled().PredictBatch(run2) {
+			want := m.h.Init
+			for _, tr := range m.h.Trees {
+				want += m.h.LR * tr.Predict(run2[i])
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("checkpoint %d row %d: compiled engine %v, per-tree walk over %d trees %v", ckpt, i, got, len(m.h.Trees), want)
+			}
 		}
 		batch, err := m.PredictBatch(run2, &scratch)
 		if err != nil {
@@ -401,7 +409,7 @@ func TestPredictRejectsNarrowRows(t *testing.T) {
 	if err := m.Update(fin, finY, run); err != nil {
 		t.Fatal(err)
 	}
-	if m.Compiled().MaxFeature() < 1 {
+	if m.Compiled().CheckWidth(1) == nil {
 		t.Skip("ensemble split on too few features to form a narrow row")
 	}
 	narrow := []float64{1}
@@ -484,8 +492,8 @@ func TestPredictRejectsRowsNarrowerThanPropensity(t *testing.T) {
 	if err := m.Update(fin, finY, run); err != nil {
 		t.Fatal(err)
 	}
-	if mf := m.Compiled().MaxFeature(); mf != 0 {
-		t.Fatalf("ensemble splits up to column %d, want column 0 only", mf)
+	if c := m.Compiled(); c.CheckWidth(0) == nil || c.CheckWidth(1) != nil {
+		t.Fatal("ensemble does not split on column 0 alone")
 	}
 	if _, err := m.Predict(run[0]); err != nil {
 		t.Fatalf("full-width row: %v", err)

@@ -157,7 +157,7 @@ type XGBOD struct {
 	scaledFit
 	Seed  uint64
 	pool  []Detector
-	model *gbt.Model
+	model *gbt.Flat
 	// labels are supplied before Fit; len must match Fit's X.
 	labels []float64
 }
@@ -205,7 +205,7 @@ func (d *XGBOD) Fit(X [][]float64) error {
 		if err != nil {
 			return err
 		}
-		d.model = m
+		d.model = m.Compile()
 	}
 	return nil
 }

@@ -81,9 +81,6 @@ func (m *ElkanNoto) ProbPositive(x []float64) float64 {
 	return stats.Clip(p, 0, 1)
 }
 
-// C exposes the estimated label-frequency constant (for tests).
-func (m *ElkanNoto) C() float64 { return m.c }
-
 // BaggingConfig controls PU-BG.
 type BaggingConfig struct {
 	// Rounds is the number of bagged classifiers.

@@ -30,7 +30,7 @@ func TestElkanNotoSeparates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := m.C(); c <= 0 || c > 1 {
+	if c := m.c; c <= 0 || c > 1 {
 		t.Fatalf("label-frequency constant %v outside (0,1]", c)
 	}
 	// Unlabeled positives should receive clearly higher positive

@@ -78,12 +78,8 @@ const (
 // RetryAfterOutageSeconds is the Retry-After hint for 503 responses: a
 // wedged or closed write-ahead log (disk full, I/O error, shutdown) clears
 // on operator timescales, not queue-drain timescales, so the hint is long
-// and fixed — unlike transient 429 throttling, whose hint tracks live load
-// (Server.RetryHint).
+// and fixed.
 const RetryAfterOutageSeconds = 30
-
-// MaxRetryHintSeconds caps the load-derived transient back-off hint.
-const MaxRetryHintSeconds = 10
 
 // OverloadStats is the overload-control taxonomy, aggregated across shards
 // (and, for the rate-limit counters, the HTTP front). All counters are
@@ -122,16 +118,13 @@ type OverloadStats struct {
 	// refit queue was at its bound; RefitQueueBound is that bound.
 	InlineRefits    uint64
 	RefitQueueBound int
-	// RetryHintSeconds is the current load-derived Retry-After hint
-	// attached to transient 429 responses (see Server.RetryHint).
-	RetryHintSeconds int
 }
 
 // String renders the taxonomy compactly.
 func (o OverloadStats) String() string {
-	return fmt.Sprintf("shed_hb=%d shed_finish=%d waits=%d queue=%d/%d rate_limited=%d rate_shed=%d degraded=%d inline_refits=%d retry_hint=%ds",
+	return fmt.Sprintf("shed_hb=%d shed_finish=%d waits=%d queue=%d/%d rate_limited=%d rate_shed=%d degraded=%d inline_refits=%d",
 		o.ShedHeartbeats, o.ShedFinishes, o.IngestWaits, o.IngestQueueDepth, o.IngestQueueBound,
-		o.RateLimited, o.RateShedHeartbeats, o.DegradedQueries, o.InlineRefits, o.RetryHintSeconds)
+		o.RateLimited, o.RateShedHeartbeats, o.DegradedQueries, o.InlineRefits)
 }
 
 // admission is a shard's bounded ingest queue. n counts the calls holding a

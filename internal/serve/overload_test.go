@@ -5,9 +5,9 @@ package serve
 // finishes never shed), the no-WAL-trace property that keeps recovery
 // equivalence intact under shedding, the refit-queue inline fallback,
 // degraded queries (staleness flags, and their survival across
-// snapshot/restore and WAL recovery), and the load-derived retry hint.
-// The HTTP-visible halves of the taxonomy — per-client rate limiting and
-// the two Retry-After classes — are pinned by the servehttp test suite.
+// snapshot/restore and WAL recovery). The HTTP-visible halves of the
+// taxonomy — per-client rate limiting and the Retry-After hints — are
+// pinned by the servehttp test suite.
 
 import (
 	"bytes"
@@ -419,26 +419,6 @@ func TestStaleViewSurvivesWALRecovery(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("degraded answers diverge after recovery:\n want %+v\n  got %+v", want, got)
 	}
-}
-
-// TestRetryHintTracksLoad: the 429 hint grows with queue occupancy — 1s on
-// an idle server, MaxRetryHintSeconds when a queue is at its bound.
-func TestRetryHintTracksLoad(t *testing.T) {
-	sv := NewServer(Config{Shards: 1, IngestQueue: 2})
-	if got := sv.RetryHint(); got != 1 {
-		t.Fatalf("idle hint %d, want 1", got)
-	}
-	s := sv.reg.shardFor(1)
-	occupy(s)
-	occupy(s)
-	if got := sv.RetryHint(); got != MaxRetryHintSeconds {
-		t.Fatalf("full-queue hint %d, want %d", got, MaxRetryHintSeconds)
-	}
-	free(s)
-	if got := sv.RetryHint(); got <= 1 || got >= MaxRetryHintSeconds {
-		t.Fatalf("half-queue hint %d, want strictly between 1 and %d", got, MaxRetryHintSeconds)
-	}
-	free(s)
 }
 
 // TestNonPositiveBoundsMeanDefault: a bound below 1 — zero or negative —

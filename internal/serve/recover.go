@@ -78,8 +78,8 @@ func Recover(dir string, cfg Config, opts wal.Options) (*Server, *wal.WAL, wal.R
 // CheckpointWAL compacts the write-ahead log into a new base and retires
 // the segments it covers (see wal.Checkpoint); it reads the log, not the
 // server, so it takes no job lock. The automatic checkpoint policy
-// (wal.Options.CheckpointEvery / CheckpointBytes) runs the same compaction
-// on its triggers; explicit calls serialize with it. Returns the base path
+// (wal.Options.CheckpointBytes) runs the same compaction on its size
+// trigger; explicit calls serialize with it. Returns the base path
 // and how many segments were retired.
 func (sv *Server) CheckpointWAL() (string, int, error) {
 	if sv.wal == nil {

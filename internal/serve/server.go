@@ -178,29 +178,6 @@ func orDefault(v *int, def int) {
 	}
 }
 
-// RetryHint derives the transient back-off hint (seconds) attached to 429
-// responses from live load: 1s when queues are idle, rising toward
-// MaxRetryHintSeconds as the fullest shard's ingest or refit queue
-// approaches its bound. Outage (503) responses use the fixed, longer
-// RetryAfterOutageSeconds instead — a wedged WAL clears on operator
-// timescales, not queue-drain timescales.
-func (sv *Server) RetryHint() int {
-	var occ float64
-	sv.reg.each(func(s *shard) {
-		if o := float64(s.queue.depth()) / float64(s.queue.bound); o > occ {
-			occ = o
-		}
-		q, _ := s.pool.depths()
-		if o := float64(q) / float64(s.pool.maxQueue); o > occ {
-			occ = o
-		}
-	})
-	if occ > 1 {
-		occ = 1
-	}
-	return 1 + int(occ*float64(MaxRetryHintSeconds-1)+0.5)
-}
-
 // reserve claims budget for one numTasks-task job, failing with
 // ErrOverloaded if either cap would be exceeded. Claims go through a CAS
 // loop, not add-then-check, so two registrations racing for one counter's
@@ -400,7 +377,6 @@ func (sv *Server) Stats() Stats {
 	sv.reg.each(func(s *shard) { s.addStats(&st) })
 	st.Overload.IngestQueueBound = sv.cfg.IngestQueue
 	st.Overload.RefitQueueBound = sv.cfg.RefitQueue
-	st.Overload.RetryHintSeconds = sv.RetryHint()
 	if sv.wal != nil {
 		w := sv.wal.Stats()
 		st.WAL = &w

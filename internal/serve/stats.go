@@ -121,8 +121,8 @@ type Stats struct {
 	// ensemble extension vs full scratch fit).
 	WarmFits, ScratchFits uint64
 	// Overload is the overload-control taxonomy: shed counts by class,
-	// queue depths and bounds, rate-limit rejections, degraded-query count,
-	// and the current load-derived Retry-After hint (see overload.go).
+	// queue depths and bounds, rate-limit rejections and the degraded-query
+	// count (see overload.go).
 	Overload OverloadStats
 	// WAL carries the write-ahead log's counters (segments, next LSN,
 	// group-commit backlog, checkpoints) when the server runs with one; nil

@@ -40,10 +40,12 @@ package servehttp
 // by per-client rate limiting (Config.ClientRate), are 429; a wedged or
 // closed write-ahead log is 503 (wal.ErrFailed/wal.ErrClosed — retry after
 // the operator intervenes). 429 and 503 responses carry a Retry-After
-// header (seconds) — 429 hints are load-aware (serve.Server.RetryHint tracks
-// queue occupancy; rate-limit refusals hint the client's own bucket
-// deficit), while 503 carries the fixed, longer serve.RetryAfterOutageSeconds
-// because an outage clears on operator timescales. Heartbeat frames shed
+// header (seconds): a rate-limit refusal hints the wait until the client's
+// own bucket refills, capped at maxRetryAfterSeconds; a budget refusal
+// carries a fixed budgetRetryAfterSeconds, since only a drop frees budget
+// and no queue drain does; a 503 carries the fixed, longer
+// serve.RetryAfterOutageSeconds because an outage clears on operator
+// timescales. Heartbeat frames shed
 // under overload (serve.ErrShed, or an empty rate-limit bucket) do NOT fail the
 // batch: they are counted in IngestResult.Shed and the batch continues —
 // shedding is policy, not an error. Protocol violations the server rejects
@@ -84,7 +86,6 @@ type Backend interface {
 	QueryAppend(dst []serve.TaskVerdict, jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error)
 	Report(jobID uint64) (*serve.JobReport, error)
 	Stats() serve.Stats
-	RetryHint() int
 	Config() serve.Config
 	// Snapshot streams the backend's durable image (serve.ErrNoWAL without
 	// a write-ahead log); GET /snapshot serves it.
@@ -172,7 +173,7 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 // back off on a hint instead of hammering an overloaded front end — without
 // it, RFC-compliant retry loops default to immediate retry and amplify the
 // overload they are reacting to. retryAfter is the hint in seconds (0 =
-// no header); callers derive it per class with front.retryHint.
+// no header); callers derive it per class with retryHint.
 func writeErrJSON(w http.ResponseWriter, code, retryAfter int, v any) {
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
@@ -180,14 +181,20 @@ func writeErrJSON(w http.ResponseWriter, code, retryAfter int, v any) {
 	writeJSON(w, code, v)
 }
 
-// retryHint picks the Retry-After value for an error class: transient
-// throttling (429) tracks live queue occupancy, so a client that obeys the
-// hint naturally backs off harder as the server fills; an outage (503) gets
-// the fixed, longer operator-timescale hint. Everything else carries none.
-func (f *front) retryHint(code int) int {
+// budgetRetryAfterSeconds is the Retry-After hint of a 429 for a used-up
+// registration budget (serve.ErrOverloaded). Budget returns only when a job
+// is dropped, which no wait on the server's side brings about, so the hint
+// is the shortest one and fixed.
+const budgetRetryAfterSeconds = 1
+
+// retryHint picks the Retry-After value for an error class: a budget 429
+// gets budgetRetryAfterSeconds, an outage (503) the fixed, longer
+// operator-timescale hint. Everything else carries none. (A rate-limit 429
+// carries its bucket's own refill wait; see clientLimiter.admit.)
+func retryHint(code int) int {
 	switch code {
 	case http.StatusTooManyRequests:
-		return f.sv.RetryHint()
+		return budgetRetryAfterSeconds
 	case http.StatusServiceUnavailable:
 		return serve.RetryAfterOutageSeconds
 	}
@@ -274,7 +281,7 @@ func (f *front) ingest(w http.ResponseWriter, r *http.Request) {
 	}
 	code := errCode(err, src.err != nil && errors.Is(err, src.err))
 	res.Error = errBody(code, err)
-	writeErrJSON(w, code, f.retryHint(code), res)
+	writeErrJSON(w, code, retryHint(code), res)
 }
 
 // bodySource is a request body that remembers how its reading failed: a
@@ -362,7 +369,7 @@ func (f *front) query(w http.ResponseWriter, r *http.Request) {
 	}
 	if sc.vs, err = f.sv.QueryAppend(sc.vs[:0], id, sc.ids); err != nil {
 		code := errCode(err, false)
-		writeErrJSON(w, code, f.retryHint(code), IngestResult{Error: errBody(code, err)})
+		writeErrJSON(w, code, retryHint(code), IngestResult{Error: errBody(code, err)})
 		return
 	}
 	if sc.out, err = appendVerdicts(sc.out[:0], sc.vs); err != nil {
@@ -381,7 +388,7 @@ func (f *front) report(w http.ResponseWriter, r *http.Request) {
 	rep, err := f.sv.Report(id)
 	if err != nil {
 		code := errCode(err, false)
-		writeErrJSON(w, code, f.retryHint(code), IngestResult{Error: errBody(code, err)})
+		writeErrJSON(w, code, retryHint(code), IngestResult{Error: errBody(code, err)})
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)

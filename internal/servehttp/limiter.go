@@ -12,8 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/serve"
 )
 
 // maxRateClients bounds the per-client bucket map so a client-id-spinning
@@ -21,6 +19,9 @@ import (
 // evicted (a full bucket, by refill, so eviction never forgives debt that
 // matters).
 const maxRateClients = 4096
+
+// maxRetryAfterSeconds caps a rate-limit 429's Retry-After hint.
+const maxRetryAfterSeconds = 10
 
 // clientLimiter is the HTTP front's per-client token-bucket rate limiter.
 // Each ingest frame costs one token; buckets refill at rate tokens/s up to
@@ -95,8 +96,8 @@ func (l *clientLimiter) evictLocked() {
 
 // admit is the request-start gate: ok when the client's bucket holds at
 // least one token. When refused, retryAfter is the whole seconds (at least
-// 1) until the bucket — debt included — refills to one token, a per-client
-// load-aware hint.
+// 1, at most maxRetryAfterSeconds) until the bucket — debt included —
+// refills to one token.
 func (l *clientLimiter) admit(client string) (retryAfter int, ok bool) {
 	l.mu.Lock()
 	b := l.bucketLocked(client)
@@ -111,8 +112,8 @@ func (l *clientLimiter) admit(client string) (retryAfter int, ok bool) {
 	if wait < 1 {
 		wait = 1
 	}
-	if wait > serve.MaxRetryHintSeconds {
-		wait = serve.MaxRetryHintSeconds
+	if wait > maxRetryAfterSeconds {
+		wait = maxRetryAfterSeconds
 	}
 	return wait, false
 }

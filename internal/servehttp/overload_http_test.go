@@ -2,9 +2,9 @@ package servehttp
 
 // overload_http_test.go pins the HTTP-visible halves of the overload-control
 // taxonomy (see serve/overload.go): per-client token-bucket rate limiting
-// and the two Retry-After classes — transient 429s whose hint tracks live
-// load, durability-outage 503s whose hint is the fixed operator-timescale
-// constant. The in-process halves (shedding order, WAL-trace absence,
+// and the Retry-After hints — a rate-limit 429's bucket refill wait, and a
+// durability-outage 503's fixed operator-timescale constant (the budget
+// 429's fixed hint is TestHTTP429RetryAfter's). The in-process halves (shedding order, WAL-trace absence,
 // inline refits, degraded queries) live with package serve's own tests.
 
 import (
@@ -46,7 +46,8 @@ func ingestAs(t *testing.T, ts *httptest.Server, client string, body io.Reader) 
 }
 
 // TestRateLimitPerClient pins the token-bucket contract: refusal is atomic
-// at request start (429, NOTHING applied, load-aware Retry-After in 1..10),
+// at request start (429, NOTHING applied, Retry-After the bucket's refill
+// wait in 1..10),
 // mid-batch an empty bucket sheds only heartbeats, other frames run the
 // bucket into debt, and clients are limited independently.
 func TestRateLimitPerClient(t *testing.T) {
@@ -81,7 +82,7 @@ func TestRateLimitPerClient(t *testing.T) {
 	}
 
 	// The bucket is now deep in debt: the next request is refused
-	// atomically with a load-aware hint.
+	// atomically with the bucket's refill wait as its hint.
 	resp, res = ingestAs(t, ts, "a", wireBody(t, nil, []wire.Event{
 		{Kind: wire.EventTaskFinish, JobID: 1, TaskID: 0, Time: 5, Latency: 5}}))
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -91,8 +92,8 @@ func TestRateLimitPerClient(t *testing.T) {
 		t.Fatalf("429 applied something: %+v (refusal must be atomic)", res)
 	}
 	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 || ra > serve.MaxRetryHintSeconds {
-		t.Fatalf("429 Retry-After %q, want integer in [1,%d]", resp.Header.Get("Retry-After"), serve.MaxRetryHintSeconds)
+	if err != nil || ra < 1 || ra > maxRetryAfterSeconds {
+		t.Fatalf("429 Retry-After %q, want integer in [1,%d]", resp.Header.Get("Retry-After"), maxRetryAfterSeconds)
 	}
 
 	// A different client has its own bucket.

@@ -48,11 +48,6 @@ type Config struct {
 	RNG *stats.RNG
 }
 
-// DefaultConfig returns the growth parameters used by the boosting defaults.
-func DefaultConfig() Config {
-	return Config{MaxDepth: 3, MinLeaf: 5, MinSplit: 10}
-}
-
 func (c *Config) normalize() error {
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 3
@@ -100,7 +95,9 @@ func Fit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, error
 	return p.Grow(y, w, cfg)
 }
 
-// Predict returns the tree's prediction for x. x must have at least
+// Predict returns the tree's prediction for x. It is the branching
+// reference walk: programs predict through gbt.Flat, and tests compare the
+// compiled walk against this one. x must have at least
 // MaxFeature()+1 columns (NumCols() — the training width — always
 // suffices); shorter rows are a caller bug. Width-checked entry points
 // with typed errors live one layer up (gbt.Flat.CheckWidth, nurd.Model),
@@ -120,16 +117,7 @@ func (t *Regressor) Predict(x []float64) float64 {
 	}
 }
 
-// PredictBatch predicts for each row of X.
-func (t *Regressor) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = t.Predict(x)
-	}
-	return out
-}
-
-// NumNodes reports the node count (for tests and diagnostics).
+// NumNodes reports the node count.
 func (t *Regressor) NumNodes() int { return len(t.nodes) }
 
 // NumCols reports the training-set width the tree was fitted on.
@@ -160,9 +148,6 @@ type SoA struct {
 	Left      []int32
 	Right     []int32
 }
-
-// Len reports the number of nodes in the table.
-func (s *SoA) Len() int { return len(s.Feature) }
 
 // AppendSoA appends the tree's node table to s, rebasing child indices to
 // their absolute positions in the destination, and returns the index of the

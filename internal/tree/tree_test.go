@@ -10,10 +10,13 @@ import (
 	"repro/internal/stats"
 )
 
+// smallConfig grows shallow trees with small leaves.
+var smallConfig = Config{MaxDepth: 3, MinLeaf: 5, MinSplit: 10}
+
 func TestFitConstantTarget(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{5, 5, 5, 5}
-	tr, err := Fit(X, y, nil, DefaultConfig())
+	tr, err := Fit(X, y, nil, smallConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +140,13 @@ func TestWeightedFitPullsPrediction(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil, nil, nil, DefaultConfig()); err == nil {
+	if _, err := Fit(nil, nil, nil, smallConfig); err == nil {
 		t.Fatal("expected error on empty input")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, nil, DefaultConfig()); err == nil {
+	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, nil, smallConfig); err == nil {
 		t.Fatal("expected error on length mismatch")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1}, []float64{1, 2}, DefaultConfig()); err == nil {
+	if _, err := Fit([][]float64{{1}}, []float64{1}, []float64{1, 2}, smallConfig); err == nil {
 		t.Fatal("expected error on weight mismatch")
 	}
 }
@@ -209,27 +212,6 @@ func TestScaleLeaves(t *testing.T) {
 	tr.ScaleLeaves(3)
 	if got := tr.Predict([]float64{0}); math.Abs(got-3*before) > 1e-12 {
 		t.Fatalf("scaled prediction %v, want %v", got, 3*before)
-	}
-}
-
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := stats.NewRNG(5)
-	var X [][]float64
-	var y []float64
-	for i := 0; i < 100; i++ {
-		x := []float64{rng.Float64()}
-		X = append(X, x)
-		y = append(y, x[0]*x[0])
-	}
-	tr, err := Fit(X, y, nil, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := tr.PredictBatch(X)
-	for i, x := range X {
-		if batch[i] != tr.Predict(x) {
-			t.Fatalf("batch[%d] mismatch", i)
-		}
 	}
 }
 
@@ -350,8 +332,8 @@ func TestAppendSoAMatchesPredict(t *testing.T) {
 			}
 		}
 	}
-	if s.Len() != total {
-		t.Fatalf("SoA holds %d nodes, trees total %d", s.Len(), total)
+	if len(s.Feature) != total {
+		t.Fatalf("SoA holds %d nodes, trees total %d", len(s.Feature), total)
 	}
 }
 

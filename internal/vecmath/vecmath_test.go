@@ -36,12 +36,6 @@ func TestAddSubScaleAXPY(t *testing.T) {
 	if s := Sub(b, a); s[0] != 2 || s[1] != 3 {
 		t.Fatalf("sub %v", s)
 	}
-	if s := Add(a, b); s[0] != 4 || s[1] != 7 {
-		t.Fatalf("add %v", s)
-	}
-	if s := Scale(a, 3); s[0] != 3 || s[1] != 6 {
-		t.Fatalf("scale %v", s)
-	}
 }
 
 func TestDistances(t *testing.T) {

@@ -36,27 +36,6 @@ func Sub(a, b []float64) []float64 {
 	return out
 }
 
-// Add returns a + b as a new slice.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("vecmath: Add length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Scale returns c*a as a new slice.
-func Scale(a []float64, c float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = c * a[i]
-	}
-	return out
-}
-
 // SqDist returns the squared Euclidean distance between a and b.
 func SqDist(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -60,7 +60,7 @@ func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 		w.bg.Add(1)
 		go w.flushLoop()
 	}
-	if opts.CheckpointEvery > 0 || opts.CheckpointBytes > 0 {
+	if opts.CheckpointBytes > 0 {
 		w.bg.Add(1)
 		go w.checkpointLoop()
 	}
@@ -86,7 +86,7 @@ func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 //     still chains to the retained log.
 //
 // A checkpoint with no record since the previous one returns that base.
-// The automatic policy (Options.CheckpointEvery / CheckpointBytes) calls
+// The automatic policy (Options.CheckpointBytes) calls
 // this too; whole checkpoints serialize. Returns the base path and how many
 // segments were retired.
 func (w *WAL) Checkpoint() (string, int, error) {

@@ -10,8 +10,7 @@ import (
 // Options sizes a WAL. Every field has a caller that sets it off its zero
 // value: SegmentBytes and FS are the torture suites' only handles on
 // rotation and faults; SyncEvery is set by the benchmark and by nurdserve's
-// -wal-sync; CheckpointEvery and CheckpointBytes are a deployment's
-// recovery-time policy.
+// -wal-sync; CheckpointBytes by nurdserve's -wal-checkpoint-bytes.
 type Options struct {
 	// SegmentBytes is the rotation threshold: once the open segment holds at
 	// least this many bytes the next append lands in a fresh segment. 0
@@ -25,15 +24,13 @@ type Options struct {
 	// acknowledged records to power loss (a process crash loses nothing
 	// either way — records reach the OS before they are acknowledged).
 	SyncEvery time.Duration
-	// CheckpointEvery arms the automatic checkpoint policy's wall-clock
-	// trigger: a background goroutine compacts the log into a new base
-	// (exactly like Server.CheckpointWAL) at this period. 0 disables the
-	// timer.
-	CheckpointEvery time.Duration
-	// CheckpointBytes arms the automatic checkpoint policy's size trigger:
-	// a checkpoint is taken once this many bytes have been appended since
-	// the previous checkpoint, bounding both recovery time and retained log
-	// size under sustained traffic. 0 disables the size trigger.
+	// CheckpointBytes arms the automatic checkpoint policy: a background
+	// goroutine compacts the log into a new base (exactly like
+	// Server.CheckpointWAL) once this many bytes have been appended since
+	// the previous checkpoint, so the segments kept beside the bases stay
+	// bounded under sustained traffic. It does not bound recovery time: a
+	// base keeps every live job's frames, and only drops shrink what a
+	// recovery replays. 0 disables the policy.
 	CheckpointBytes int64
 	// FS overrides the filesystem (fault injection in tests). nil = OS.
 	FS FS

@@ -52,9 +52,8 @@ package wal
 // wire dump of the spec and event frames of every job not dropped below the
 // floor — and the covered segments retire (open.go). It reads the log, never
 // the server, so it takes no job lock. Checkpointing is automatic:
-// Options.CheckpointEvery (wall clock) and CheckpointBytes (appended bytes
-// since the last checkpoint) arm a background policy; Server.CheckpointWAL
-// remains for explicit control.
+// Options.CheckpointBytes (appended bytes since the last checkpoint) arms a
+// background policy; Server.CheckpointWAL remains for explicit control.
 //
 // The filesystem is abstracted behind FS so the crash-injection torture
 // harness can kill the log at every byte offset; production code uses the

@@ -144,10 +144,6 @@ type Dec struct {
 	err error
 }
 
-// Err reports the latched decode error (nil while the payload is still
-// decoding cleanly); Finish additionally demands full consumption.
-func (d *Dec) Err() error { return d.err }
-
 func (d *Dec) Fail(err error) {
 	if d.err == nil {
 		d.err = err

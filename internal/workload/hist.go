@@ -64,9 +64,6 @@ func (h *Hist) RecordSeconds(sec float64) {
 	h.total++
 }
 
-// Count returns the number of recorded observations.
-func (h *Hist) Count() uint64 { return h.total }
-
 // Merge folds o into h (bucket-exact: both share the fixed boundaries).
 func (h *Hist) Merge(o *Hist) {
 	for i := range h.counts {

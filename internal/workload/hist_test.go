@@ -71,8 +71,8 @@ func TestHistEdges(t *testing.T) {
 	h.RecordSeconds(1e-9)       // underflow (below 1µs)
 	h.RecordSeconds(5e4)        // overflow (above 1000s)
 	h.Record(10 * time.Millisecond)
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
+	if h.total != 5 {
+		t.Fatalf("total = %d, want 5", h.total)
 	}
 	if q := h.Quantile(0.01); q >= histMinSeconds {
 		t.Errorf("underflow mass reported %v, want < %v", q, histMinSeconds)
@@ -106,8 +106,8 @@ func TestHistMerge(t *testing.T) {
 		}
 	}
 	a.Merge(&b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d, want %d", a.Count(), all.Count())
+	if a.total != all.total {
+		t.Fatalf("merged count %d, want %d", a.total, all.total)
 	}
 	for _, q := range []float64{0.1, 0.5, 0.95, 0.99, 0.999} {
 		if a.Quantile(q) != all.Quantile(q) {

@@ -208,8 +208,8 @@ type Report struct {
 
 	// Error taxonomy. Rejected429 counts transient overload rejections and
 	// Rejected503 durability outages — separate classes because their
-	// Retry-After semantics differ (load-tracking hint vs fixed
-	// operator-timescale hint; hints seen at all are counted in
+	// Retry-After semantics differ (a bucket refill wait or a fixed 1 s
+	// vs a fixed operator-timescale hint; hints seen at all are counted in
 	// RetryAfterSeen). BadFrameRejects counts 400s earned by injected
 	// malformed frames (expected in hostile scenarios); Errors counts
 	// everything unexpected, with FirstError carrying the first message
