@@ -269,7 +269,7 @@ func TestRefitWarmExtends(t *testing.T) {
 	if err := m.Refit(fin[:60], finY[:60], run); err != nil {
 		t.Fatal(err)
 	}
-	base := m.LatencyModelTrees()
+	base := m.latencyModelTrees()
 	if base != cfg.GBT.NumTrees {
 		t.Fatalf("first refit grew %d trees, want a full scratch fit of %d", base, cfg.GBT.NumTrees)
 	}
@@ -277,7 +277,7 @@ func TestRefitWarmExtends(t *testing.T) {
 		if err := m.Refit(fin, finY, run); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.LatencyModelTrees(), base+i*cfg.WarmRounds; got != want {
+		if got, want := m.latencyModelTrees(), base+i*cfg.WarmRounds; got != want {
 			t.Fatalf("refit %d: ensemble has %d trees, want %d", i, got, want)
 		}
 	}
@@ -302,7 +302,7 @@ func TestRefitWarmBudgetFallsBackToScratch(t *testing.T) {
 		if err := m.Refit(fin, finY, run); err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, m.LatencyModelTrees())
+		sizes = append(sizes, m.latencyModelTrees())
 	}
 	nt, wr := cfg.GBT.NumTrees, cfg.WarmRounds
 	want := []int{nt, nt + wr, nt, nt + wr} // scratch, extend, budget-fallback scratch, extend
@@ -355,7 +355,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	if err := m.Init(fin, run); err != nil {
 		t.Fatal(err)
 	}
-	if m.Compiled() != nil {
+	if m.compiled() != nil {
 		t.Fatal("compiled engine before first Update")
 	}
 	var scratch PredictScratch
@@ -364,12 +364,12 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		if err := m.Refit(fin2, finY2, run2); err != nil {
 			t.Fatal(err)
 		}
-		if m.Compiled() == nil {
+		if m.compiled() == nil {
 			t.Fatalf("checkpoint %d: no compiled engine after refit", ckpt)
 		}
 		// The published engine is the current ensemble: it reproduces the
 		// per-tree walk over every tree of m.h, bit for bit.
-		for i, got := range m.Compiled().PredictBatch(run2) {
+		for i, got := range m.compiled().PredictBatch(run2) {
 			want := m.h.Init
 			for _, tr := range m.h.Trees {
 				want += m.h.LR * tr.Predict(run2[i])
@@ -409,7 +409,7 @@ func TestPredictRejectsNarrowRows(t *testing.T) {
 	if err := m.Update(fin, finY, run); err != nil {
 		t.Fatal(err)
 	}
-	if m.Compiled().CheckWidth(1) == nil {
+	if m.compiled().CheckWidth(1) == nil {
 		t.Skip("ensemble split on too few features to form a narrow row")
 	}
 	narrow := []float64{1}
@@ -492,7 +492,7 @@ func TestPredictRejectsRowsNarrowerThanPropensity(t *testing.T) {
 	if err := m.Update(fin, finY, run); err != nil {
 		t.Fatal(err)
 	}
-	if c := m.Compiled(); c.CheckWidth(0) == nil || c.CheckWidth(1) != nil {
+	if c := m.compiled(); c.CheckWidth(0) == nil || c.CheckWidth(1) != nil {
 		t.Fatal("ensemble does not split on column 0 alone")
 	}
 	if _, err := m.Predict(run[0]); err != nil {

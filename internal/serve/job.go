@@ -425,8 +425,9 @@ func (j *jobState) refreshStale() {
 		return
 	}
 	sv := &staleView{checkpoint: j.checkpoint, verdicts: make([]TaskVerdict, len(j.tasks))}
+	preds := make([]nurd.Prediction, 0, j.running())
 	for id := range j.tasks {
-		v := j.verdict(id)
+		v := j.verdict(id, &preds)
 		v.Stale = true
 		v.AsOfCheckpoint = j.checkpoint
 		sv.verdicts[id] = v
@@ -464,8 +465,15 @@ type nurdModel interface {
 	Model() *nurd.Model
 }
 
-// verdict answers one query against the job's current state.
-func (j *jobState) verdict(taskID int) TaskVerdict {
+// running counts the tasks that have started and neither finished nor been
+// terminated: the most predictions one pass over the tasks can make.
+func (j *jobState) running() int { return j.started - j.finished - j.terminated }
+
+// verdict answers one query against the job's current state. A running
+// task's Prediction is appended to *preds and the verdict points at that
+// cell: a caller that gives *preds room for every prediction it may need
+// pays one allocation for all of them, and no cell moves once pointed at.
+func (j *jobState) verdict(taskID int, preds *[]nurd.Prediction) TaskVerdict {
 	v := TaskVerdict{TaskID: taskID}
 	if taskID < 0 || taskID >= len(j.tasks) {
 		return v
@@ -496,7 +504,8 @@ func (j *jobState) verdict(taskID int) TaskVerdict {
 	if err != nil {
 		return v
 	}
-	v.Prediction = &pr
+	*preds = append(*preds, pr)
+	v.Prediction = &(*preds)[len(*preds)-1]
 	v.Straggler = pr.Adjusted >= j.spec.TauStra
 	return v
 }

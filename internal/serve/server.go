@@ -359,8 +359,10 @@ func (sv *Server) Query(jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 // per task ID to dst and returns the extended slice, so a caller that
 // queries in a loop (the HTTP front) reuses one slab instead of allocating
 // a pointer-bearing slice per call. The appended verdicts are copies — no
-// later server activity changes them — but a non-nil Prediction is shared
-// read-only with the server's degraded-query view; treat it as immutable.
+// later server activity changes them. A non-nil Prediction points into one
+// slab the call allocated for all of its predictions on the live path, and
+// into the job's stale view (shared with every degraded query) on the
+// degraded path; treat it as immutable either way.
 func (sv *Server) QueryAppend(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 	return sv.reg.shardFor(jobID).query(dst, jobID, taskIDs)
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/nurd"
 	"repro/internal/simulator"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -255,8 +256,16 @@ func (s *shard) query(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVer
 	} else if s.degradedAfter <= 0 {
 		j.mu.Lock()
 	}
+	// One slab holds every prediction this call makes: at most one per
+	// running task asked about, so a job with no published model or no
+	// running task allocates none. (A task ID repeated past that grows the
+	// slab; the cells already pointed at stay where they are.)
+	var preds []nurd.Prediction
+	if j.pub != nil {
+		preds = make([]nurd.Prediction, 0, min(len(taskIDs), j.running()))
+	}
 	for _, id := range taskIDs {
-		dst = append(dst, j.verdict(id))
+		dst = append(dst, j.verdict(id, &preds))
 	}
 	j.mu.Unlock()
 	s.queries.Add(uint64(len(taskIDs)))

@@ -21,8 +21,12 @@ package servehttp
 //	                write per body. An event's log record is the frame as
 //	                it arrived, CRC included, checked once.
 //	GET  /query     ?job=ID&tasks=0,1,2 — batched verdicts as JSON, the
-//	                hot read: pooled scratch and a hand-written encoder
-//	                (verdictjson.go) in place of encoding/json.
+//	                hot read: one pass over the raw query string
+//	                (queryArgs, no url.Values), pooled scratch, one
+//	                Prediction slab per call from the server and a
+//	                hand-written encoder (verdictjson.go) in place of
+//	                encoding/json; a call allocates a constant number of
+//	                times, whatever the task count.
 //	GET  /report    ?job=ID — the job's JobReport as JSON.
 //	GET  /stats     server-wide Stats as JSON. Servers running with a WAL
 //	                include a "WAL" object (segments, next_lsn, appends,
@@ -82,7 +86,10 @@ type Backend interface {
 	Feed(rd *wire.Reader, admit func(sheddable bool) bool) (serve.Fed, error)
 	// QueryAppend appends one verdict per task ID to dst and returns the
 	// extended slice. GET /query hands it a pooled slab, so the verdicts
-	// must be copies the backend never touches again.
+	// must be copies the backend never touches again. A non-nil
+	// Prediction points into the call's own prediction slab on the live
+	// path and into the job's stale view on the degraded one; either way
+	// it is read-only, and GET /query drops it when it clears the slab.
 	QueryAppend(dst []serve.TaskVerdict, jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error)
 	Report(jobID uint64) (*serve.JobReport, error)
 	Stats() serve.Stats
@@ -300,9 +307,41 @@ func (s *bodySource) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// queryArgs returns the job and tasks parameters of a raw query string,
+// what url.ParseQuery(raw) followed by Get("job") and Get("tasks") returns,
+// in one pass that builds no map: pairs split on '&'; a pair holding ';' or
+// a bad escape is dropped; the first surviving occurrence of a key wins; and
+// only a pair holding '%' or '+' is unescaped.
+func queryArgs(raw string) (job, tasks string) {
+	var haveJob, haveTasks bool
+	for raw != "" && !(haveJob && haveTasks) {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if strings.IndexByte(pair, '%') >= 0 || strings.IndexByte(pair, '+') >= 0 {
+			var err error
+			if key, err = url.QueryUnescape(key); err != nil {
+				continue
+			}
+			if value, err = url.QueryUnescape(value); err != nil {
+				continue
+			}
+		}
+		switch {
+		case key == "job" && !haveJob:
+			job, haveJob = value, true
+		case key == "tasks" && !haveTasks:
+			tasks, haveTasks = value, true
+		}
+	}
+	return job, tasks
+}
+
 // jobParam parses the mandatory ?job= query parameter.
-func jobParam(q url.Values) (uint64, error) {
-	raw := q.Get("job")
+func jobParam(raw string) (uint64, error) {
 	if raw == "" {
 		return 0, fmt.Errorf("missing job parameter")
 	}
@@ -311,6 +350,46 @@ func jobParam(q url.Values) (uint64, error) {
 		return 0, fmt.Errorf("bad job parameter %q", raw)
 	}
 	return id, nil
+}
+
+// plainTaskID parses the task ID at the front of a tasks list when it is a
+// plain decimal of at most 18 digits — every ID a client sends in practice,
+// and too short to overflow an int — ending the list or followed by ','.
+// It returns the ID and its length; anything else (signs, spaces, longer or
+// empty elements) reports false and is left to strconv.Atoi.
+func plainTaskID(list string) (id, n int, ok bool) {
+	for n < len(list) && n <= 18 {
+		d := list[n] - '0'
+		if d > 9 {
+			break
+		}
+		id = id*10 + int(d)
+		n++
+	}
+	ok = n > 0 && n <= 18 && (n == len(list) || list[n] == ',')
+	return id, n, ok
+}
+
+// appendTaskIDs appends the IDs of a comma-separated tasks list to dst in
+// one walk: plainTaskID reads a plain element, and any other element is
+// strconv.Atoi(strings.TrimSpace(element)), whose failure is the error.
+func appendTaskIDs(dst []int, list string) ([]int, error) {
+	for {
+		id, n, ok := plainTaskID(list)
+		if !ok {
+			s, _, _ := strings.Cut(list, ",")
+			var err error
+			if id, err = strconv.Atoi(strings.TrimSpace(s)); err != nil {
+				return dst, fmt.Errorf("bad task id %q", s)
+			}
+			n = len(s)
+		}
+		dst = append(dst, id)
+		if n == len(list) {
+			return dst, nil
+		}
+		list = list[n+1:]
+	}
 }
 
 // queryScratch is one GET /query call's working storage — the parsed task
@@ -343,29 +422,21 @@ func (sc *queryScratch) release() {
 }
 
 func (f *front) query(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	id, err := jobParam(q)
+	rawJob, rawTasks := queryArgs(r.URL.RawQuery)
+	id, err := jobParam(rawJob)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, IngestResult{Error: err.Error()})
 		return
 	}
-	rawTasks := q.Get("tasks")
 	if rawTasks == "" {
 		writeJSON(w, http.StatusBadRequest, IngestResult{Error: "missing tasks parameter"})
 		return
 	}
 	sc := queryScratchPool.Get().(*queryScratch)
 	defer sc.release()
-	sc.ids = sc.ids[:0]
-	for rest, more := rawTasks, true; more; {
-		var s string
-		s, rest, more = strings.Cut(rest, ",")
-		tid, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, IngestResult{Error: fmt.Sprintf("bad task id %q", s)})
-			return
-		}
-		sc.ids = append(sc.ids, tid)
+	if sc.ids, err = appendTaskIDs(sc.ids[:0], rawTasks); err != nil {
+		writeJSON(w, http.StatusBadRequest, IngestResult{Error: err.Error()})
+		return
 	}
 	if sc.vs, err = f.sv.QueryAppend(sc.vs[:0], id, sc.ids); err != nil {
 		code := errCode(err, false)
@@ -380,7 +451,8 @@ func (f *front) query(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *front) report(w http.ResponseWriter, r *http.Request) {
-	id, err := jobParam(r.URL.Query())
+	rawJob, _ := queryArgs(r.URL.RawQuery)
+	id, err := jobParam(rawJob)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, IngestResult{Error: err.Error()})
 		return

@@ -275,11 +275,112 @@ func TestQueryParseTable(t *testing.T) {
 	}
 }
 
+// TestReportParseTable pins GET /report's job parameter rules — the same
+// reader /query uses — to the statuses and bodies the url.Values handler
+// answered (recorded from it, job 7 registered with no events).
+func TestReportParseTable(t *testing.T) {
+	sv := serve.NewServer(servetest.CheapConfig(1))
+	if err := sv.StartJob(servetest.PipelineSpec(7), nil); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sv.Report(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := string(b) + "\n"
+	refused := func(msg string) string {
+		return `{"specs":0,"events":0,"error":"` + msg + `"}` + "\n"
+	}
+	h := NewHandler(sv)
+	for _, tc := range []struct {
+		raw  string
+		code int
+		body string
+	}{
+		{"job=7", 200, report},
+		{"", 400, refused("missing job parameter")},
+		{"tasks=1", 400, refused("missing job parameter")},
+		{"job=", 400, refused("missing job parameter")},
+		{"job=x", 400, refused(`bad job parameter \"x\"`)},
+		{"job=-1", 400, refused(`bad job parameter \"-1\"`)},
+		{"job=7&job=8", 200, report},
+		{"job=8&job=7", 404, refused("serve: report for job 8: unknown job")},
+		{"job=&job=7", 400, refused("missing job parameter")},
+		{"job=%37", 200, report},
+		{"jo%62=7", 200, report},
+		{"job=+7", 400, refused(`bad job parameter \" 7\"`)},
+		{"job=7+", 400, refused(`bad job parameter \"7 \"`)},
+		{"job=7;x=1", 400, refused("missing job parameter")},
+		{"x=1;y=2&job=7", 200, report},
+		{"job=%3", 400, refused("missing job parameter")},
+		{"job=%3&job=7", 200, report},
+		{"job=%zz7&job=8", 404, refused("serve: report for job 8: unknown job")},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/report", RawQuery: tc.raw}})
+		if rec.Code != tc.code || rec.Body.String() != tc.body {
+			t.Errorf("GET /report?%s: %d %q, want %d %q", tc.raw, rec.Code, rec.Body.String(), tc.code, tc.body)
+		}
+	}
+}
+
+// atoiTaskIDs is the task-list walk appendTaskIDs is held to: the handler's
+// loop before the plain-decimal fast path.
+func atoiTaskIDs(list string) ([]int, error) {
+	var ids []int
+	for rest, more := list, true; more; {
+		var s string
+		s, rest, more = strings.Cut(rest, ",")
+		id, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return ids, fmt.Errorf("bad task id %q", s)
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
+// FuzzQueryArgs holds GET /query's parse stage to its oracles: for any raw
+// query string, queryArgs returns what url.ParseQuery followed by
+// Get("job") and Get("tasks") returns, and appendTaskIDs reads that tasks
+// value as the strings.Cut + strconv.Atoi walk does, IDs and error alike.
+func FuzzQueryArgs(f *testing.F) {
+	for _, raw := range []string{
+		"", "job=7&tasks=1,2", "tasks=1,2&job=7", "job=7&tasks=1%2C2", "job=7&tasks=+1+,2",
+		"job=7&tasks=1&tasks=2", "job=7&tasks=&tasks=2", "job=7&tasks=1%2&tasks=3",
+		"job=7;x&tasks=1", "jo%62=7&task%73=1", "job&tasks", "=7&&job==7", "job=%zz&job=8",
+		"job=%E2%82%AC&tasks=%ff", "job=7+&tasks=%20",
+		"job=7&tasks=0,1,22,333,007,-4,+5,%206,1_0,0x1,", "job=7&tasks=,,",
+		"job=7&tasks=123456789012345678,1234567890123456789,99999999999999999999",
+		"job=7&tasks=9223372036854775807,-9223372036854775808,9223372036854775808",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw)
+		job, tasks := queryArgs(raw)
+		if job != q.Get("job") || tasks != q.Get("tasks") {
+			t.Fatalf("queryArgs(%q) = %q, %q; url.ParseQuery reads %q, %q", raw, job, tasks, q.Get("job"), q.Get("tasks"))
+		}
+		got, err := appendTaskIDs(nil, tasks)
+		want, wantErr := atoiTaskIDs(tasks)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("appendTaskIDs(%q) = %v, %v; the Atoi walk reads %v, %v", tasks, got, err, want, wantErr)
+		}
+	})
+}
+
 // midRunServer registers one NURD-predicted job per given task count and
-// feeds each its stream up to checkpoint tick 4 of 10, where a model has
-// been published and a good share of tasks is still running: the state /query exists
-// to be asked about.
-func midRunServer(t testing.TB, seed uint64, tasks ...int) (*serve.Server, []*trace.Job) {
+// feeds each its stream up to checkpoint tick lastTick of 10. At tick 4 a
+// model has been published and a good share of tasks is still running: the
+// state /query exists to be asked about. At tick 0 tasks run but no
+// checkpoint has fired, so no model is published and every Prediction is
+// null.
+func midRunServer(t testing.TB, seed uint64, lastTick int, tasks ...int) (*serve.Server, []*trace.Job) {
 	t.Helper()
 	sv := serve.NewServer(serve.Config{Shards: 2})
 	var jobs []*trace.Job
@@ -296,7 +397,7 @@ func midRunServer(t testing.TB, seed uint64, tasks ...int) (*serve.Server, []*tr
 		events := serve.JobEvents(js[0], sims[0])
 		cut := len(events)
 		for k := range events {
-			if events[k].Tick > 4 {
+			if events[k].Tick > lastTick {
 				cut = k
 				break
 			}
@@ -309,24 +410,23 @@ func midRunServer(t testing.TB, seed uint64, tasks ...int) (*serve.Server, []*tr
 	return sv, jobs
 }
 
-// TestQueryHandlerAllocs: a whole-job query allocates a small constant plus
-// what jobState.verdict allocates per *running* task — the *nurd.Prediction
-// it returns; nurd.Model.Predict's log-feature row is on its stack — and
-// nothing else that grows with the task count: no id strings, no verdict
-// slice, no encoder state, no output buffer.
+// TestQueryHandlerAllocs: a whole-job query allocates a small constant,
+// whatever the number of tasks and of running ones: the call's Prediction
+// slab (one cell per running task asked about, one allocation for all) and
+// the Content-Type header entry. No url.Values, no id strings, no verdict
+// slice, no per-verdict Prediction, no encoder state, no output buffer.
 //
-// Measured on the 100-task fixture (26 running): 31 allocations per call
-// (26 + 5: url.Values' map, its two value slices and an unescape, and the
-// Content-Type header entry); 57 while Predict allocated the log-feature
-// row, 72 and 13.8 KB before the append-style encoder (a second ParseQuery,
-// strings.Split's 100 strings, the 100-verdict slice and encoding/json's
-// buffer on top). A second allocation per running task adds 26 and fails the
-// bound, one per task 100.
+// Measured on the 100-task fixture (28 running): 2 allocations per call; 33
+// (28 + 5: url.Values' map, its two value slices and an unescape, and the
+// Content-Type header entry) while jobState.verdict allocated each running
+// task's Prediction and the parameters went through url.ParseQuery, and 72
+// and 13.8 KB before the append-style encoder. Any per-task allocation adds
+// at least 28 and fails the bound.
 func TestQueryHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	sv, jobs := midRunServer(t, 91, 100)
+	sv, jobs := midRunServer(t, 91, 4, 100)
 	job := jobs[0]
 	vs, err := sv.Query(job.ID, servetest.AllTaskIDs(job.NumTasks())[1:])
 	if err != nil {
@@ -355,11 +455,53 @@ func TestQueryHandlerAllocs(t *testing.T) {
 	if w.code != http.StatusOK || !bytes.Equal(w.buf.Bytes(), want) {
 		t.Fatalf("whole-job query answered %d, body equal to encoding/json's: %v", w.code, bytes.Equal(w.buf.Bytes(), want))
 	}
-	const fixed, slack = 5, 3 // measured; see above
-	if limit := float64(running + fixed + slack); allocs > limit {
-		t.Errorf("whole-job query of %d tasks (%d running): %.0f allocations per call, want <= %.0f", len(vs), running, allocs, limit)
+	const limit = 4 // measured 2; see above
+	if allocs > limit {
+		t.Errorf("whole-job query of %d tasks (%d running): %.0f allocations per call, want <= %d", len(vs), running, allocs, limit)
 	}
 	t.Logf("%d tasks, %d running: %.0f allocations per call", len(vs), running, allocs)
+}
+
+// BenchmarkQueryHandler prices one whole-job GET /query through NewHandler
+// — parse, answer, encode — on the 100-task fixture in its two shapes: no
+// model published yet (every Prediction null), and mid run with 26 of 100
+// tasks running under a published model. One op is one call, so ns/op and
+// allocs/op read per call.
+func BenchmarkQueryHandler(b *testing.B) {
+	for _, shape := range []struct {
+		name     string
+		lastTick int
+	}{{"no-model", 0}, {"mid-run", 4}} {
+		b.Run(shape.name, func(b *testing.B) {
+			sv, jobs := midRunServer(b, 91, shape.lastTick, 100)
+			ids := servetest.AllTaskIDs(jobs[0].NumTasks())[1:]
+			vs, err := sv.Query(jobs[0].ID, ids)
+			if err != nil {
+				b.Fatal(err)
+			}
+			running := 0
+			for _, v := range vs {
+				if v.Prediction != nil {
+					running++
+				}
+			}
+			if (running > 0) != (shape.lastTick > 0) {
+				b.Fatalf("%s: %d of %d verdicts carry a prediction", shape.name, running, len(vs))
+			}
+			h := NewHandler(sv)
+			req := queryRequest(jobs[0].ID, ids)
+			w := &memWriter{hdr: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.reset()
+				h.ServeHTTP(w, req)
+			}
+			if w.code != http.StatusOK {
+				b.Fatalf("%s: answered %d", shape.name, w.code)
+			}
+		})
+	}
 }
 
 // BenchmarkEncodeVerdicts prices the two encoders per appended byte (the
@@ -368,7 +510,7 @@ func TestQueryHandlerAllocs(t *testing.T) {
 // the same answer before any model is published (every Prediction null —
 // the shape the benchmark's query sweep asks for).
 func BenchmarkEncodeVerdicts(b *testing.B) {
-	sv, jobs := midRunServer(b, 91, 100)
+	sv, jobs := midRunServer(b, 91, 4, 100)
 	midRun, err := sv.Query(jobs[0].ID, servetest.AllTaskIDs(jobs[0].NumTasks())[1:])
 	if err != nil {
 		b.Fatal(err)
@@ -409,7 +551,7 @@ func BenchmarkEncodeVerdicts(b *testing.B) {
 // for the pooled scratch: a buffer returned to the pool before Write
 // finished, or two calls sharing a slab, shows as a wrong body or a race.
 func TestQueryConcurrentBodiesMatchSerial(t *testing.T) {
-	sv, jobs := midRunServer(t, 57, 30, 47, 64, 90)
+	sv, jobs := midRunServer(t, 57, 4, 30, 47, 64, 90)
 	h := NewHandler(sv)
 	reqs := make([]*http.Request, len(jobs))
 	want := make([][]byte, len(jobs))

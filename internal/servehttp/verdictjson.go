@@ -33,15 +33,9 @@ func appendVerdicts(dst []byte, vs []serve.TaskVerdict) ([]byte, error) {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"TaskID":`...)
-		dst = strconv.AppendInt(dst, int64(v.TaskID), 10)
-		dst = append(dst, `,"Known":`...)
-		dst = strconv.AppendBool(dst, v.Known)
-		dst = append(dst, `,"Finished":`...)
-		dst = strconv.AppendBool(dst, v.Finished)
-		dst = append(dst, `,"Flagged":`...)
-		dst = strconv.AppendBool(dst, v.Flagged)
-		dst = append(dst, `,"FlaggedAt":`...)
-		dst = strconv.AppendInt(dst, int64(v.FlaggedAt), 10)
+		dst = appendInt(dst, v.TaskID)
+		dst = append(dst, flagRuns[b2i(v.Known)|b2i(v.Finished)<<1|b2i(v.Flagged)<<2]...)
+		dst = appendInt(dst, v.FlaggedAt)
 		if p := v.Prediction; p == nil {
 			dst = append(dst, `,"Prediction":null`...)
 		} else {
@@ -69,11 +63,44 @@ func appendVerdicts(dst []byte, vs []serve.TaskVerdict) ([]byte, error) {
 		}
 		if v.AsOfCheckpoint != 0 {
 			dst = append(dst, `,"AsOfCheckpoint":`...)
-			dst = strconv.AppendInt(dst, int64(v.AsOfCheckpoint), 10)
+			dst = appendInt(dst, v.AsOfCheckpoint)
 		}
 		dst = append(dst, '}')
 	}
 	return append(dst, "]\n"...), nil
+}
+
+// flagRuns holds the run between a verdict's TaskID and FlaggedAt values,
+// `,"Known":…,"Finished":…,"Flagged":…,"FlaggedAt":`, for each of the eight
+// settings of its three booleans, indexed Known | Finished<<1 | Flagged<<2.
+var flagRuns = func() (runs [8]string) {
+	for i := range runs {
+		runs[i] = `,"Known":` + strconv.FormatBool(i&1 != 0) + `,"Finished":` + strconv.FormatBool(i&2 != 0) +
+			`,"Flagged":` + strconv.FormatBool(i&4 != 0) + `,"FlaggedAt":`
+	}
+	return runs
+}()
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// appendInt appends n in decimal: digit by digit below 1000 (every task ID
+// of a job of up to 1000 tasks, every checkpoint index) and through strconv
+// otherwise.
+func appendInt(dst []byte, n int) []byte {
+	switch {
+	case n < 0 || n >= 1000:
+		return strconv.AppendInt(dst, int64(n), 10)
+	case n < 10:
+		return append(dst, byte('0'+n))
+	case n < 100:
+		return append(dst, byte('0'+n/10), byte('0'+n%10))
+	}
+	return append(dst, byte('0'+n/100), byte('0'+n/10%10), byte('0'+n%10))
 }
 
 // appendFloat appends f under encoding/json's float64 rule (the ES6

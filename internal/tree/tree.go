@@ -98,7 +98,7 @@ func Fit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, error
 // Predict returns the tree's prediction for x. It is the branching
 // reference walk: programs predict through gbt.Flat, and tests compare the
 // compiled walk against this one. x must have at least
-// MaxFeature()+1 columns (NumCols() — the training width — always
+// MaxFeature()+1 columns (numCols() — the training width — always
 // suffices); shorter rows are a caller bug. Width-checked entry points
 // with typed errors live one layer up (gbt.Flat.CheckWidth, nurd.Model),
 // keeping this innermost walk branch-light.
@@ -120,8 +120,8 @@ func (t *Regressor) Predict(x []float64) float64 {
 // NumNodes reports the node count.
 func (t *Regressor) NumNodes() int { return len(t.nodes) }
 
-// NumCols reports the training-set width the tree was fitted on.
-func (t *Regressor) NumCols() int { return t.ncols }
+// numCols reports the training-set width the tree was fitted on.
+func (t *Regressor) numCols() int { return t.ncols }
 
 // MaxFeature returns the largest feature index any node splits on, or -1
 // for a tree with no splits. Rows at least MaxFeature()+1 wide are safe to
@@ -168,8 +168,8 @@ func (t *Regressor) AppendSoA(s *SoA) int32 {
 	return base
 }
 
-// Depth returns the maximum depth of the tree (a lone leaf has depth 0).
-func (t *Regressor) Depth() int {
+// depth returns the maximum depth of the tree (a lone leaf has depth 0).
+func (t *Regressor) depth() int {
 	var rec func(i int32) int
 	rec = func(i int32) int {
 		n := &t.nodes[i]

@@ -94,7 +94,7 @@ func TestDepthBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := tr.Depth(); d > depth {
+		if d := tr.depth(); d > depth {
 			t.Fatalf("depth %d exceeds bound %d", d, depth)
 		}
 	}
@@ -321,8 +321,8 @@ func TestAppendSoAMatchesPredict(t *testing.T) {
 	total := 0
 	for _, f := range trees {
 		total += f.tr.NumNodes()
-		if mf := f.tr.MaxFeature(); mf >= f.tr.NumCols() {
-			t.Fatalf("MaxFeature %d >= NumCols %d", mf, f.tr.NumCols())
+		if mf := f.tr.MaxFeature(); mf >= f.tr.numCols() {
+			t.Fatalf("MaxFeature %d >= numCols %d", mf, f.tr.numCols())
 		}
 		for i := 0; i < 50; i++ {
 			x := []float64{rng.Normal(0, 2), rng.Normal(0, 2), rng.Normal(0, 2)}

@@ -270,7 +270,7 @@ func appendEventPayload(dst []byte, ev *Event) []byte {
 	return dst
 }
 
-func DecodeEventPayload(p []byte) (Event, error) {
+func decodeEventPayload(p []byte) (Event, error) {
 	var ev Event
 	err := DecodeEventInto(p, &ev, nil)
 	return ev, err

@@ -126,7 +126,7 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		case FrameEvent:
-			ev, err := DecodeEventPayload(payload)
+			ev, err := decodeEventPayload(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func next(wr *Reader) (*JobSpec, *Event, error) {
 		}
 		return &sp, nil, nil
 	case FrameEvent:
-		ev, err := DecodeEventPayload(payload)
+		ev, err := decodeEventPayload(payload)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -494,7 +494,7 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		case FrameEvent:
 			checkEventDecode(t, payload)
-			if ev, err := DecodeEventPayload(payload); err == nil {
+			if ev, err := decodeEventPayload(payload); err == nil {
 				re, err := EncodeEvent(nil, ev)
 				if err != nil {
 					t.Fatalf("re-encoding decoded event: %v", err)

@@ -9,12 +9,12 @@ import (
 // TestScenarioFilesPinned: the checked-in spec files under
 // examples/scenarios/ are the canonical serialized forms of the builtins —
 // byte-for-byte. A drift in either direction fails here; regenerate with
-// MarshalIndentJSON when a builtin legitimately changes.
+// marshalIndentJSON when a builtin legitimately changes.
 func TestScenarioFilesPinned(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "scenarios")
 	for _, name := range ScenarioNames() {
 		ws, _ := Builtin(name)
-		want, err := ws.MarshalIndentJSON()
+		want, err := ws.marshalIndentJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,8 +35,8 @@ func TestScenarioFilesPinned(t *testing.T) {
 			t.Fatalf("LoadSpec(%s): %v", path, err)
 		}
 		builtin, _ := Builtin(name)
-		a, _ := ws.MarshalIndentJSON()
-		b, _ := builtin.MarshalIndentJSON()
+		a, _ := ws.marshalIndentJSON()
+		b, _ := builtin.marshalIndentJSON()
 		if string(a) != string(b) {
 			t.Errorf("%s: file-loaded spec differs from builtin", name)
 		}

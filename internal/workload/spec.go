@@ -286,8 +286,8 @@ func (ws *WorkloadSpec) Validate() error {
 	return nil
 }
 
-// MarshalIndentJSON renders the spec as the canonical scenario-file form.
-func (ws *WorkloadSpec) MarshalIndentJSON() ([]byte, error) {
+// marshalIndentJSON renders the spec as the canonical scenario-file form.
+func (ws *WorkloadSpec) marshalIndentJSON() ([]byte, error) {
 	b, err := json.MarshalIndent(ws, "", "  ")
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("builtin %q missing", name)
 		}
-		data, err := ws.MarshalIndentJSON()
+		data, err := ws.marshalIndentJSON()
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", name, err)
 		}
@@ -24,7 +24,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
-		data2, err := back.MarshalIndentJSON()
+		data2, err := back.marshalIndentJSON()
 		if err != nil {
 			t.Fatalf("%s: re-marshal: %v", name, err)
 		}

@@ -20,15 +20,9 @@ import (
 // (package.Func or package.Type.Method), that no program calls, each for a
 // stated reason: a test reads state through it.
 var reachAllowed = map[string]string{
-	"serve.Server.Budget":                     "TestWALBudgetAfterRecovery and FuzzWALRecover cross-check the budget counters against the recovered job set",
-	"serve.Server.DropJob":                    "the WAL goldens (writeLogDir), TestWALBudgetAfterRecovery and FuzzSnapshotRestore drop jobs in process; /ingest drops arrive as drop frames through Feed",
-	"nurd.Model.Compiled":                     "TestPredictBatchMatchesPredict pins that a published model carries its flat engine",
-	"nurd.Model.LatencyModelTrees":            "TestRefitWarmExtends reads the latency ensemble's size that the warm-refit budget bounds",
-	"tree.Regressor.Depth":                    "TestDepthBound checks the grown tree against MaxDepth",
-	"tree.Regressor.NumCols":                  "TestAppendSoAMatchesPredict checks the split features against the training width",
-	"tree.Regressor.Predict":                  "the branching reference walk: the gbt and tree bit-identity tests and BenchmarkPredictTree, which CI's flat inference gate times, compare the compiled walk against it",
-	"wire.DecodeEventPayload":                 "TestWireRoundTrip and FuzzWireDecode decode an event payload into a fresh Event",
-	"workload.WorkloadSpec.MarshalIndentJSON": "TestScenarioFilesPinned and TestSpecJSONRoundTrip render the canonical scenario file",
+	"serve.Server.Budget":    "TestWALBudgetAfterRecovery and FuzzWALRecover cross-check the budget counters against the recovered job set",
+	"serve.Server.DropJob":   "the WAL goldens (writeLogDir), TestWALBudgetAfterRecovery and FuzzSnapshotRestore drop jobs in process; /ingest drops arrive as drop frames through Feed",
+	"tree.Regressor.Predict": "the branching reference walk: the gbt and tree bit-identity tests and BenchmarkPredictTree, which CI's flat inference gate times, compare the compiled walk against it",
 }
 
 // listedPkg is the part of `go list -json` output the reach test reads.
