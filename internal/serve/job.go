@@ -426,11 +426,11 @@ func (j *jobState) refreshStale() {
 	}
 	sv := &staleView{checkpoint: j.checkpoint, verdicts: make([]TaskVerdict, len(j.tasks))}
 	preds := make([]nurd.Prediction, 0, j.running())
-	for id := range j.tasks {
-		v := j.verdict(id, &preds)
+	for id := range sv.verdicts {
+		v := &sv.verdicts[id]
+		j.answer(v, id, &preds)
 		v.Stale = true
 		v.AsOfCheckpoint = j.checkpoint
-		sv.verdicts[id] = v
 	}
 	j.stale.Store(sv)
 }
@@ -469,45 +469,36 @@ type nurdModel interface {
 // terminated: the most predictions one pass over the tasks can make.
 func (j *jobState) running() int { return j.started - j.finished - j.terminated }
 
-// verdict answers one query against the job's current state. A running
-// task's Prediction is appended to *preds and the verdict points at that
-// cell: a caller that gives *preds room for every prediction it may need
-// pays one allocation for all of them, and no cell moves once pointed at.
-func (j *jobState) verdict(taskID int, preds *[]nurd.Prediction) TaskVerdict {
-	v := TaskVerdict{TaskID: taskID}
+// answer writes the verdict of one query against the job's current state
+// into *v, every field of it, so v may be a reused slot. A running task's
+// Prediction is appended to *preds and the verdict points at that cell: a
+// caller that gives *preds room for every prediction it may need pays one
+// allocation for all of them, and no cell moves once pointed at.
+func (j *jobState) answer(v *TaskVerdict, taskID int, preds *[]nurd.Prediction) {
 	if taskID < 0 || taskID >= len(j.tasks) {
-		return v
+		*v = TaskVerdict{TaskID: taskID}
+		return
 	}
 	ts := &j.tasks[taskID]
-	v.Known = ts.started
-	v.Finished = ts.finished
-	v.Flagged = ts.terminated
-	v.FlaggedAt = ts.flaggedAt
-	if ts.terminated {
+	*v = TaskVerdict{TaskID: taskID, Known: ts.started, Finished: ts.finished, Flagged: ts.terminated, FlaggedAt: ts.flaggedAt}
+	switch {
+	case ts.terminated:
 		v.Straggler = true
-		return v
-	}
-	if ts.finished {
+	case ts.finished:
 		v.Straggler = ts.latency >= j.spec.TauStra
-		return v
+	case !ts.started || ts.features == nil || j.pub == nil:
+		// Queries are answered from the published model — the generation
+		// whose refit outcome has been applied — never from the live
+		// predictor, which a pool worker may be training concurrently.
+	default:
+		pr, err := j.pub.Predict(ts.features)
+		if err != nil {
+			return
+		}
+		*preds = append(*preds, pr)
+		v.Prediction = &(*preds)[len(*preds)-1]
+		v.Straggler = pr.Adjusted >= j.spec.TauStra
 	}
-	if !ts.started || ts.features == nil {
-		return v
-	}
-	// Queries are answered from the published model — the generation whose
-	// refit outcome has been applied — never from the live predictor, which
-	// a pool worker may be training concurrently.
-	if j.pub == nil {
-		return v
-	}
-	pr, err := j.pub.Predict(ts.features)
-	if err != nil {
-		return v
-	}
-	*preds = append(*preds, pr)
-	v.Prediction = &(*preds)[len(*preds)-1]
-	v.Straggler = pr.Adjusted >= j.spec.TauStra
-	return v
 }
 
 // report summarizes the job.

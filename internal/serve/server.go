@@ -358,7 +358,8 @@ func (sv *Server) Query(jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 // QueryAppend is Query into caller-owned storage: it appends one verdict
 // per task ID to dst and returns the extended slice, so a caller that
 // queries in a loop (the HTTP front) reuses one slab instead of allocating
-// a pointer-bearing slice per call. The appended verdicts are copies — no
+// a pointer-bearing slice per call. dst grows once, and each live verdict is
+// written in place in its slot. The appended verdicts are copies — no
 // later server activity changes them. A non-nil Prediction points into one
 // slab the call allocated for all of its predictions on the live path, and
 // into the job's stale view (shared with every degraded query) on the

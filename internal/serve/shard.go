@@ -225,12 +225,14 @@ func atomicMax(v *atomic.Int64, x int64) {
 }
 
 // query appends a batch of per-task verdicts for one job to dst and returns
-// the extended slice; the verdicts are copies, so a caller may reuse dst
-// across calls. With degraded queries enabled, a query that cannot take the
-// job lock within degradedAfter is answered from the job's stale published
-// view (last applied generation, Stale-flagged) instead of queueing behind
-// whatever holds the lock — a refit drain, an ingest burst — so query
-// latency stays bounded under overload. Jobs with no published view yet (no
+// the extended slice. dst grows once, and on the live path each verdict is
+// written straight into its slot (jobState.answer); the verdicts are copies
+// of server state, so a caller may reuse dst across calls. With degraded
+// queries enabled, a query that cannot take the job lock within
+// degradedAfter is answered from the job's stale published view (last
+// applied generation, Stale-flagged) instead of queueing behind whatever
+// holds the lock — a refit drain, an ingest burst — so query latency stays
+// bounded under overload. Jobs with no published view yet (no
 // refit has applied) fall through to the blocking path: there is nothing
 // stale to serve, and pre-warmup locks are never held long.
 func (s *shard) query(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
@@ -264,8 +266,10 @@ func (s *shard) query(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVer
 	if j.pub != nil {
 		preds = make([]nurd.Prediction, 0, min(len(taskIDs), j.running()))
 	}
-	for _, id := range taskIDs {
-		dst = append(dst, j.verdict(id, &preds))
+	n := len(dst)
+	dst = dst[:n+len(taskIDs)]
+	for i, id := range taskIDs {
+		j.answer(&dst[n+i], id, &preds)
 	}
 	j.mu.Unlock()
 	s.queries.Add(uint64(len(taskIDs)))

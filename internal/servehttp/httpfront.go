@@ -22,21 +22,30 @@ package servehttp
 //	                it arrived, CRC included, checked once.
 //	GET  /query     ?job=ID&tasks=0,1,2 — batched verdicts as JSON, the
 //	                hot read: one pass over the raw query string
-//	                (queryArgs, no url.Values), pooled scratch, one
-//	                Prediction slab per call from the server and a
-//	                hand-written encoder (verdictjson.go) in place of
-//	                encoding/json; a call allocates a constant number of
-//	                times, whatever the task count.
+//	                (queryArgs, no url.Values), pooled scratch the server
+//	                writes each verdict into in place, one Prediction slab
+//	                per call and a hand-written encoder (verdictjson.go) in
+//	                place of encoding/json, which writes an answer-less
+//	                verdict as its ID plus one precomputed tail; a call
+//	                allocates a constant number of times, whatever the
+//	                task count.
 //	GET  /report    ?job=ID — the job's JobReport as JSON.
 //	GET  /stats     server-wide Stats as JSON. Servers running with a WAL
 //	                include a "WAL" object (segments, next_lsn, appends,
-//	                pending_bytes, fsync_lag_ns, retired_segments) so
-//	                operators can watch durability lag alongside traffic.
+//	                pending_bytes, fsync_lag_ns, retired_segments, wedged)
+//	                so operators can watch durability lag alongside
+//	                traffic.
 //	GET  /snapshot  a checkpoint's base as a binary wire stream: a dump of
 //	                every live job's spec and event frames, loadable by
 //	                RestoreServer, nurdserve -replay or POST /ingest.
 //	                Needs a write-ahead log: a server without one (no
 //	                -wal) answers 409.
+//	GET  /healthz   liveness: 200 whenever the process serves HTTP.
+//	GET  /readyz    readiness: 503 with Retry-After
+//	                serve.RetryAfterOutageSeconds while the write-ahead
+//	                log is wedged (Stats().WAL.Wedged), 200 otherwise.
+//	                Recovery is done by construction: nurdserve builds
+//	                this handler only after serve.Recover returns.
 //
 // Error mapping: malformed wire bodies and unparseable parameters are 400;
 // events or queries for unregistered jobs are 404 (serve.ErrUnknownJob);
@@ -85,8 +94,9 @@ type Backend interface {
 	// reply (see serve.Server.Feed).
 	Feed(rd *wire.Reader, admit func(sheddable bool) bool) (serve.Fed, error)
 	// QueryAppend appends one verdict per task ID to dst and returns the
-	// extended slice. GET /query hands it a pooled slab, so the verdicts
-	// must be copies the backend never touches again. A non-nil
+	// extended slice, writing each verdict in place in dst's spare
+	// capacity. GET /query hands it a pooled slab, so the verdicts must be
+	// copies the backend never touches again. A non-nil
 	// Prediction points into the call's own prediction slab on the live
 	// path and into the job's stale view on the degraded one; either way
 	// it is read-only, and GET /query drops it when it clears the slab.
@@ -135,6 +145,8 @@ func NewHandler(sv Backend) http.Handler {
 	mux.HandleFunc("/report", f.report)
 	mux.HandleFunc("/stats", f.stats)
 	mux.HandleFunc("/snapshot", f.snapshot)
+	mux.HandleFunc("/healthz", healthz)
+	mux.HandleFunc("/readyz", f.readyz)
 	return mux
 }
 
@@ -475,6 +487,22 @@ func (f *front) stats(w http.ResponseWriter, r *http.Request) {
 		st.Overload.RateShedHeartbeats = f.limits.shedHB.Load()
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// probeOK is the body of a passing /healthz or /readyz probe.
+var probeOK = []byte("{\"status\":\"ok\"}\n")
+
+func healthz(w http.ResponseWriter, _ *http.Request) {
+	writeBody(w, http.StatusOK, probeOK)
+}
+
+func (f *front) readyz(w http.ResponseWriter, _ *http.Request) {
+	if st := f.sv.Stats(); st.WAL != nil && st.WAL.Wedged {
+		code := http.StatusServiceUnavailable
+		writeErrJSON(w, code, serve.RetryAfterOutageSeconds, IngestResult{Error: errBody(code, wal.ErrFailed)})
+		return
+	}
+	writeBody(w, http.StatusOK, probeOK)
 }
 
 // snapshotWriter tracks whether any response byte was attempted: once a

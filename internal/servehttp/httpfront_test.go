@@ -502,6 +502,61 @@ func TestServerFaultBodiesRedacted(t *testing.T) {
 	}
 }
 
+// TestHealthAndReadiness: a healthy server answers 200 on /healthz and
+// /readyz, with and without a write-ahead log. Once a failed log write
+// wedges the WAL, /healthz still answers 200 (the process serves), while
+// /readyz answers 503 with the outage Retry-After, and /stats shows the
+// wedge.
+func TestHealthAndReadiness(t *testing.T) {
+	probe := func(ts *httptest.Server, path string) *http.Response {
+		t.Helper()
+		var body map[string]any
+		return getJSON(t, ts, path, &body)
+	}
+	plain := httptest.NewServer(NewHandler(serve.NewServer(servetest.CheapConfig(1))))
+	defer plain.Close()
+	fs := waltest.NewMemFS()
+	sv, wlog, _, err := serve.Recover("wal", servetest.CheapConfig(1), wal.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	logged := httptest.NewServer(NewHandler(sv))
+	defer logged.Close()
+	for _, ts := range []*httptest.Server{plain, logged} {
+		for _, path := range []string{"/healthz", "/readyz"} {
+			if resp := probe(ts, path); resp.StatusCode != http.StatusOK {
+				t.Errorf("healthy server: GET %s answered %s", path, resp.Status)
+			}
+		}
+	}
+
+	spec := wire.JobSpec{JobID: 7, Schema: []string{"cpu"}, NumTasks: 2, TauStra: 10,
+		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 7}
+	if err := sv.StartJob(spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetBudget(fs.TotalWritten()) // every further WAL write fails
+	if resp, res := postIngest(t, logged, wireBody(t, nil, []wire.Event{
+		{Kind: wire.EventTaskStart, JobID: 7, TaskID: 0, Time: 1}})); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest against a failing WAL: %s (%s)", resp.Status, res.Error)
+	}
+	if resp := probe(logged, "/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("wedged WAL: GET /healthz answered %s, want 200", resp.Status)
+	}
+	resp := probe(logged, "/readyz")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("wedged WAL: GET /readyz answered %s, want 503", resp.Status)
+	}
+	if got, want := resp.Header.Get("Retry-After"), strconv.Itoa(serve.RetryAfterOutageSeconds); got != want {
+		t.Errorf("wedged WAL: /readyz Retry-After %q, want %q", got, want)
+	}
+	var st serve.Stats
+	if resp := getJSON(t, logged, "/stats", &st); resp.StatusCode != http.StatusOK || st.WAL == nil || !st.WAL.Wedged {
+		t.Errorf("wedged WAL: /stats answered %s with WAL %+v, want wedged", resp.Status, st.WAL)
+	}
+}
+
 // TestHTTP429RetryAfter: every ErrOverloaded→429 response must carry a
 // Retry-After back-off hint, the fixed budgetRetryAfterSeconds: budget
 // returns only when a job is dropped, so no load reading changes it.

@@ -114,6 +114,18 @@ func TestAppendVerdictsMatchesEncodingJSON(t *testing.T) {
 	for _, f := range formatRuleFloats {
 		table = append(table, []serve.TaskVerdict{{TaskID: 1, Known: true, Prediction: pred(f)}, {TaskID: 2, Prediction: pred(-f)}})
 	}
+	// The answer-less tail table (FlaggedAt 0 to 9) across its whole
+	// domain and past both edges: each setting of the four booleans at
+	// FlaggedAt -1, 0, 1, 9, 10 and 1000, with no Prediction, not Stale
+	// and AsOfCheckpoint 0.
+	for bits := 0; bits < 16; bits++ {
+		for _, at := range []int{-1, 0, 1, 9, 10, 1000} {
+			table = append(table, []serve.TaskVerdict{{
+				TaskID: bits*1000 + at, Known: bits&1 != 0, Finished: bits&2 != 0, Flagged: bits&4 != 0,
+				Straggler: bits&8 != 0, FlaggedAt: at,
+			}})
+		}
+	}
 	for _, vs := range table {
 		checkAgainstEncodingJSON(t, vs)
 	}
@@ -464,9 +476,11 @@ func TestQueryHandlerAllocs(t *testing.T) {
 
 // BenchmarkQueryHandler prices one whole-job GET /query through NewHandler
 // — parse, answer, encode — on the 100-task fixture in its two shapes: no
-// model published yet (every Prediction null), and mid run with 26 of 100
-// tasks running under a published model. One op is one call, so ns/op and
-// allocs/op read per call.
+// model published yet (every Prediction null), and mid run with 28 of 100
+// verdicts carrying a Prediction under a published model. One op is one
+// call, so ns/op and allocs/op read per call; ns/verdict divides by the
+// verdicts a call answers, and predicted/verdict is the share of them that
+// carry a Prediction (the rest take the encoder's answer-less path).
 func BenchmarkQueryHandler(b *testing.B) {
 	for _, shape := range []struct {
 		name     string
@@ -500,6 +514,8 @@ func BenchmarkQueryHandler(b *testing.B) {
 			if w.code != http.StatusOK {
 				b.Fatalf("%s: answered %d", shape.name, w.code)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/verdict")
+			b.ReportMetric(float64(running)/float64(len(vs)), "predicted/verdict")
 		})
 	}
 }

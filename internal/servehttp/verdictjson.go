@@ -34,7 +34,11 @@ func appendVerdicts(dst []byte, vs []serve.TaskVerdict) ([]byte, error) {
 		}
 		dst = append(dst, `{"TaskID":`...)
 		dst = appendInt(dst, v.TaskID)
-		dst = append(dst, flagRuns[b2i(v.Known)|b2i(v.Finished)<<1|b2i(v.Flagged)<<2]...)
+		if v.Prediction == nil && !v.Stale && v.AsOfCheckpoint == 0 && uint(v.FlaggedAt) < answerlessFlaggedAts {
+			dst = append(dst, answerlessTails[flagBits(v)*answerlessFlaggedAts+v.FlaggedAt]...)
+			continue
+		}
+		dst = append(dst, flagRuns[flagBits(v)&7]...)
 		dst = appendInt(dst, v.FlaggedAt)
 		if p := v.Prediction; p == nil {
 			dst = append(dst, `,"Prediction":null`...)
@@ -68,6 +72,31 @@ func appendVerdicts(dst []byte, vs []serve.TaskVerdict) ([]byte, error) {
 		dst = append(dst, '}')
 	}
 	return append(dst, "]\n"...), nil
+}
+
+// answerlessFlaggedAts bounds the FlaggedAt values answerlessTails holds:
+// 0, a task never flagged, and the first nine checkpoint indices. Any other
+// value takes the general path.
+const answerlessFlaggedAts = 10
+
+// answerlessTails holds everything after the TaskID of an answer-less
+// verdict — no Prediction, not Stale, AsOfCheckpoint 0: on the live path,
+// every verdict of a job with no published model and every finished or
+// flagged task's — from `,"Known":` to the closing brace, for each setting of the four booleans
+// and each FlaggedAt below answerlessFlaggedAts, indexed
+// flagBits*answerlessFlaggedAts + FlaggedAt.
+var answerlessTails = func() (tails [16 * answerlessFlaggedAts]string) {
+	for i := range tails {
+		bits, at := i/answerlessFlaggedAts, i%answerlessFlaggedAts
+		tails[i] = flagRuns[bits&7] + strconv.Itoa(at) + `,"Prediction":null,"Straggler":` + strconv.FormatBool(bits&8 != 0) + `}`
+	}
+	return tails
+}()
+
+// flagBits packs a verdict's booleans as Known | Finished<<1 | Flagged<<2 |
+// Straggler<<3: the low three bits index flagRuns, all four answerlessTails.
+func flagBits(v *serve.TaskVerdict) int {
+	return b2i(v.Known) | b2i(v.Finished)<<1 | b2i(v.Flagged)<<2 | b2i(v.Straggler)<<3
 }
 
 // flagRuns holds the run between a verdict's TaskID and FlaggedAt values,

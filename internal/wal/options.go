@@ -76,6 +76,9 @@ type Stats struct {
 	// its next trigger).
 	Checkpoints        uint64 `json:"checkpoints"`
 	CheckpointFailures uint64 `json:"checkpoint_failures"`
+	// Wedged reports a latched write or fsync failure (ErrFailed): every
+	// later append fails until the server is recovered from the directory.
+	Wedged bool `json:"wedged"`
 }
 
 // Stats reports the WAL's counters.
@@ -84,6 +87,7 @@ func (w *WAL) Stats() Stats {
 		RetiredSegments:    w.retired.Load(),
 		Checkpoints:        w.ckpts.Load(),
 		CheckpointFailures: w.ckptFails.Load(),
+		Wedged:             w.Err() != nil,
 	}
 	w.mu.Lock()
 	st.NextLSN = w.seq

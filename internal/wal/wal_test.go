@@ -678,13 +678,13 @@ func TestWALStatsHTTP(t *testing.T) {
 			check: func(t *testing.T, w map[string]any) {
 				for _, key := range []string{"segments", "next_lsn", "appends",
 					"bytes", "syncs", "pending_bytes", "fsync_lag_ns", "retired_segments",
-					"checkpoints", "checkpoint_failures"} {
+					"checkpoints", "checkpoint_failures", "wedged"} {
 					if _, ok := w[key]; !ok {
 						t.Errorf("stats missing %q", key)
 					}
 				}
-				if len(w) != 10 {
-					t.Errorf("stats carry %d keys, want the 10 above: %v", len(w), w)
+				if len(w) != 11 {
+					t.Errorf("stats carry %d keys, want the 11 above: %v", len(w), w)
 				}
 				if got := w["checkpoints"].(float64); got != 1 {
 					t.Errorf("checkpoints = %v, want 1", got)
