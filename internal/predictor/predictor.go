@@ -215,39 +215,31 @@ func (p *NURDPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 		anneal = 1 + annealKappa*(1-cp.TauRun/cp.TauStra)
 	}
 	bar := cp.TauStra * anneal
-	type cand struct {
-		idx    int
-		margin float64
-	}
-	var cands []cand
 	// One task-major pass through the compiled flat ensemble, bit-identical
 	// to per-row Predict; the scratch buffers persist across checkpoints.
 	preds, err := p.model.PredictBatch(cp.RunningX, &p.scratch)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]bool, len(cp.RunningX))
 	for i := range cp.RunningX {
 		pr := preds[i]
 		id := cp.RunningIDs[i]
 		switch {
 		case pr.Adjusted >= strongMargin*bar:
-			// Far over the bar: candidate immediately.
-			cands = append(cands, cand{i, pr.Adjusted / bar})
+			// Far over the bar: flag immediately.
+			out[i] = true
 		case pr.Adjusted >= bar:
 			// Borderline: require consecutive confirmation so measurement
 			// noise cannot trigger an irreversible termination.
 			p.streak[id]++
-			if p.streak[id] >= p.confirm {
-				cands = append(cands, cand{i, pr.Adjusted / bar})
-			}
+			out[i] = p.streak[id] >= p.confirm
 		default:
 			p.streak[id] = 0
 		}
-	}
-	out := make([]bool, len(cp.RunningX))
-	for _, c := range cands {
-		out[c.idx] = true
-		p.flagged++
+		if out[i] {
+			p.flagged++
+		}
 	}
 	return out, nil
 }

@@ -35,6 +35,8 @@ package servehttp
 //	                pending_bytes, fsync_lag_ns, retired_segments, wedged)
 //	                so operators can watch durability lag alongside
 //	                traffic.
+//	GET  /metrics   the same view as /stats in the Prometheus text
+//	                format, one metric per field (metrics.go).
 //	GET  /snapshot  a checkpoint's base as a binary wire stream: a dump of
 //	                every live job's spec and event frames, loadable by
 //	                RestoreServer, nurdserve -replay or POST /ingest.
@@ -144,6 +146,7 @@ func NewHandler(sv Backend) http.Handler {
 	mux.HandleFunc("/query", f.query)
 	mux.HandleFunc("/report", f.report)
 	mux.HandleFunc("/stats", f.stats)
+	mux.HandleFunc("/metrics", f.metrics)
 	mux.HandleFunc("/snapshot", f.snapshot)
 	mux.HandleFunc("/healthz", healthz)
 	mux.HandleFunc("/readyz", f.readyz)
@@ -479,6 +482,11 @@ func (f *front) report(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *front) stats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, f.statsView())
+}
+
+// statsView is the server-wide view GET /stats and GET /metrics serve.
+func (f *front) statsView() serve.Stats {
 	st := f.sv.Stats()
 	if f.limits != nil {
 		// Rate limiting is enforced at this front, so its counters live
@@ -486,7 +494,7 @@ func (f *front) stats(w http.ResponseWriter, r *http.Request) {
 		st.Overload.RateLimited = f.limits.rejected.Load()
 		st.Overload.RateShedHeartbeats = f.limits.shedHB.Load()
 	}
-	writeJSON(w, http.StatusOK, st)
+	return st
 }
 
 // probeOK is the body of a passing /healthz or /readyz probe.

@@ -167,14 +167,14 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 		for k := range evs {
 			evs[k].JobID = sp.JobID
 		}
-		// Interleave an extra mid-interval heartbeat after each original
-		// one: same task, same tick, slightly later time, perturbed copy of
-		// the features. The later observation overwrites the earlier in both
-		// servers.
-		var dense []wire.Event
+		// Add an extra mid-interval heartbeat for each original one: same
+		// task, same tick, slightly later time, perturbed copy of the
+		// features. The later observation overwrites the earlier in both
+		// servers. The extras are in send order among themselves, so
+		// MergeStreams interleaves them with the job's stream.
+		var extras []wire.Event
 		for _, e := range evs {
-			dense = append(dense, e)
-			// No extras on the final tick: they would sort after the
+			// No extras on the final tick: they would come after the
 			// job-finish event, which rejects the stream.
 			if e.Kind != wire.EventHeartbeat || e.Features == nil || e.Tick >= sp.Checkpoints {
 				continue
@@ -185,9 +185,9 @@ func TestPooledReplayMatchesDirectIngest(t *testing.T) {
 			for j := range extra.Features {
 				extra.Features[j] *= 1.0000001
 			}
-			dense = append(dense, extra)
+			extras = append(extras, extra)
 		}
-		streams = append(streams, dense)
+		streams = append(streams, evs, extras)
 	}
 	events := serve.MergeStreams(streams...)
 

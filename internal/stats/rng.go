@@ -27,11 +27,18 @@ type RNG struct {
 // NewRNG returns a generator deterministically derived from seed. Two RNGs
 // with the same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
-	s := splitmix64(seed)
-	inc := splitmix64(s) | 1 // stream increment must be odd
-	r := &RNG{state: s, inc: inc}
-	r.Uint64() // warm up so nearby seeds diverge immediately
+	// Small enough to inline, so a caller whose generator does not escape
+	// (trace.Job.ObservedFeaturesInto draws one per observation) keeps it on
+	// its stack.
+	r := new(RNG)
+	r.seed(seed)
 	return r
+}
+
+func (r *RNG) seed(seed uint64) {
+	r.state = splitmix64(seed)
+	r.inc = splitmix64(r.state) | 1 // stream increment must be odd
+	r.Uint64()                      // warm up so nearby seeds diverge immediately
 }
 
 // Split returns a new RNG whose stream is independent of (but

@@ -411,11 +411,18 @@ const ObsNoise = 0.25
 // feature vector under multiplicative noise, deterministic in
 // (job, task, t).
 func (j *Job) ObservedFeatures(i, t int) []float64 {
+	return j.ObservedFeaturesInto(make([]float64, len(j.Tasks[i].Features)), i, t)
+}
+
+// ObservedFeaturesInto writes ObservedFeatures(i, t) into the first
+// len(Tasks[i].Features) elements of dst and returns that prefix, so a
+// caller observing many (task, tick) pairs can fill one slab.
+func (j *Job) ObservedFeaturesInto(dst []float64, i, t int) []float64 {
 	base := j.Tasks[i].Features
 	rng := stats.NewRNG(j.noiseSeed ^ uint64(i)*0x9e3779b97f4a7c15 ^ uint64(t)*0xbf58476d1ce4e5b9)
-	out := make([]float64, len(base))
+	dst = dst[:len(base)]
 	for k, v := range base {
-		out[k] = v * (1 + rng.Normal(0, ObsNoise))
+		dst[k] = v * (1 + rng.Normal(0, ObsNoise))
 	}
-	return out
+	return dst
 }

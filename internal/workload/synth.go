@@ -7,15 +7,17 @@ package workload
 // clients never disturbs another client's stream — and phase two sorts the
 // merged arrivals, assigns job IDs in arrival order, and generates each
 // job's content (trace tasks, simulator schedule, serve spec, lifecycle
-// events). Event times inside a job stay job-relative (the serving clock is
-// per-job virtual time); the timeline's send schedule is absolute:
-// item.At = job arrival + event's job-relative time.
+// events) as one run of items already in send order; the timeline is the
+// merge of those runs. Event times inside a job stay job-relative (the
+// serving clock is per-job virtual time); the timeline's send schedule is
+// absolute: item.At = job arrival + event's job-relative time.
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/serve"
 	"repro/internal/simulator"
@@ -87,8 +89,23 @@ type arrival struct {
 // depends only on (spec, spec.Seed): same inputs, byte-identical timeline,
 // regardless of GOMAXPROCS or prior RNG use.
 func Synthesize(ws *WorkloadSpec) (*Workload, error) {
-	if err := ws.Validate(); err != nil {
+	wl, runs, err := synthesizeRuns(ws)
+	if err != nil {
 		return nil, err
+	}
+	wl.Items = serve.MergeRuns(runs, func(a, b *Item) bool { return a.At < b.At })
+	wl.Span = wl.Items[len(wl.Items)-1].At
+	return wl, nil
+}
+
+// synthesizeRuns is Synthesize before the merge: the workload without its
+// Items, and one run of items per job in arrival order. A job's run is in
+// ascending At: its spec at arrival, then its events in stream order (event
+// times are non-negative), each corrupted copy right behind its clean item
+// at the same At.
+func synthesizeRuns(ws *WorkloadSpec) (*Workload, [][]Item, error) {
+	if err := ws.Validate(); err != nil {
+		return nil, nil, err
 	}
 	mode := trace.ModeGoogle
 	if ws.Trace == "alibaba" {
@@ -125,26 +142,29 @@ func Synthesize(ws *WorkloadSpec) (*Workload, error) {
 		}
 	}
 	if len(arrivals) == 0 {
-		return nil, fmt.Errorf("workload: %s: no arrivals in %v virtual seconds (rates too low)", ws.Name, ws.Duration)
+		return nil, nil, fmt.Errorf("workload: %s: no arrivals in %v virtual seconds (rates too low)", ws.Name, ws.Duration)
 	}
-	sort.SliceStable(arrivals, func(i, j int) bool {
-		if arrivals[i].at != arrivals[j].at {
-			return arrivals[i].at < arrivals[j].at
+	// (client, seq) is unique, so this order is total and needs no
+	// stability.
+	slices.SortFunc(arrivals, func(a, b arrival) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if arrivals[i].client != arrivals[j].client {
-			return arrivals[i].client < arrivals[j].client
+		if c := cmp.Compare(a.client, b.client); c != 0 {
+			return c
 		}
-		return arrivals[i].seq < arrivals[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 
 	// Phase two: generate content in arrival order. Job IDs are 1-based
 	// arrival ranks, so a scenario's job IDs are stable and human-readable.
 	wl := &Workload{Spec: ws, Truth: make(map[uint64][]bool, len(arrivals))}
+	runs := make([][]Item, len(arrivals))
 	for rank, a := range arrivals {
 		id := uint64(rank + 1)
 		job, err := trace.GenJob(mode, id, a.genSeed, a.ntasks, a.profile)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Rescale the job's virtual timeline so its makespan equals the
 		// drawn target duration. Scaling every start and latency together
@@ -159,16 +179,17 @@ func Synthesize(ws *WorkloadSpec) (*Workload, error) {
 		}
 		sim, err := simulator.New(job, simulator.DefaultConfig())
 		if err != nil {
-			return nil, fmt.Errorf("workload: %s: job %d: %w", ws.Name, id, err)
+			return nil, nil, fmt.Errorf("workload: %s: job %d: %w", ws.Name, id, err)
 		}
 		sp := serve.SpecFor(sim, a.preSeed)
 		if err := sp.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		events := serve.JobEvents(job, sim)
 
 		spec := sp // heap copy per job; items alias it
-		wl.Items = append(wl.Items, Item{At: a.at, Client: a.client, Spec: &spec})
+		run := make([]Item, 0, 1+len(events))
+		run = append(run, Item{At: a.at, Client: a.client, Spec: &spec})
 		wl.Jobs++
 		truth := make([]bool, len(job.Tasks))
 		for i := range job.Tasks {
@@ -179,7 +200,7 @@ func Synthesize(ws *WorkloadSpec) (*Workload, error) {
 		mrate := ws.Clients[a.client].MalformedRate
 		for i := range events {
 			it := Item{At: a.at + events[i].Time, Client: a.client, Event: &events[i]}
-			wl.Items = append(wl.Items, it)
+			run = append(run, it)
 			wl.Events++
 			if mrate > 0 && crng.Bernoulli(mrate) {
 				// Malformed injection is an OVERLAY: a corrupted COPY rides
@@ -191,14 +212,13 @@ func Synthesize(ws *WorkloadSpec) (*Workload, error) {
 				bad := it
 				bad.CorruptXOR = byte(1 + crng.Intn(255))
 				bad.CorruptPos = uint32(crng.Uint64())
-				wl.Items = append(wl.Items, bad)
+				run = append(run, bad)
 				wl.Malformed++
 			}
 		}
+		runs[rank] = run
 	}
-	sort.SliceStable(wl.Items, func(i, j int) bool { return wl.Items[i].At < wl.Items[j].At })
-	wl.Span = wl.Items[len(wl.Items)-1].At
-	return wl, nil
+	return wl, runs, nil
 }
 
 // clampTasks rounds a job-size draw into the supported task-count range.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -200,4 +201,86 @@ func TestHostileWireRejected(t *testing.T) {
 	if bad != wl.Malformed || good != wl.Jobs+wl.Events {
 		t.Errorf("decoded %d good / %d bad, synthesis claims %d / %d", good, bad, wl.Jobs+wl.Events, wl.Malformed)
 	}
+}
+
+// TestSynthesizeMergeMatchesStableSort: the merged timeline is the stable
+// sort by At of the per-job runs laid end to end, the order the old sort of
+// the whole timeline gave. Besides the builtins it runs a spec built for
+// ties: two constant-rate clients arrive at the same instants, and
+// corrupted copies share their clean item's At.
+func TestSynthesizeMergeMatchesStableSort(t *testing.T) {
+	client := func(name string, process string, mrate float64) ClientSpec {
+		return ClientSpec{
+			Name:          name,
+			Arrival:       ArrivalSpec{Process: process, Rate: 1},
+			JobTasks:      DistSpec{Dist: DistLogNormal, Mu: 3.5, Sigma: 0.4, Min: 10, Max: 80},
+			JobDuration:   typicalDuration(),
+			FarFraction:   0.5,
+			MalformedRate: mrate,
+		}
+	}
+	ties := &WorkloadSpec{Name: "ties", Seed: 7, Duration: 10, Trace: "alibaba", Clients: []ClientSpec{
+		client("twin-a", ArrivalConstant, 0.2),
+		client("twin-b", ArrivalConstant, 0.05),
+		client("poisson", ArrivalPoisson, 0.1),
+	}}
+	specs := []*WorkloadSpec{ties}
+	for _, name := range ScenarioNames() {
+		ws, _ := Builtin(name)
+		specs = append(specs, ws)
+	}
+	for _, ws := range specs {
+		wl, err := Synthesize(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, runs, err := synthesizeRuns(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Item
+		for _, r := range runs {
+			want = append(want, r...)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+		if !reflect.DeepEqual(wl.Items, want) {
+			t.Fatalf("%s: merged timeline differs from the stable sort of its runs", ws.Name)
+		}
+		if ws != ties {
+			continue
+		}
+		specTies, copyTies := 0, 0
+		for i := 1; i < len(want); i++ {
+			switch a, b := &want[i-1], &want[i]; {
+			case a.At != b.At:
+			case a.Spec != nil && b.Spec != nil:
+				specTies++
+			case b.Malformed():
+				copyTies++
+			}
+		}
+		if specTies == 0 || copyTies == 0 {
+			t.Fatalf("ties spec tied %d specs and %d corrupted copies; want both", specTies, copyTies)
+		}
+	}
+}
+
+// BenchmarkSynthesize expands the built-in diurnal scenario: the set-up
+// every load run and the benchmark pay before they send a frame.
+func BenchmarkSynthesize(b *testing.B) {
+	ws, _ := Builtin("diurnal")
+	b.ReportAllocs()
+	events := 0
+	for i := 0; i < b.N; i++ {
+		wl, err := Synthesize(ws)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = wl.Events
+	}
+	if events == 0 {
+		b.Fatal("diurnal synthesized no events")
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+	b.ReportMetric(float64(events), "events/op")
 }
