@@ -26,7 +26,7 @@
 //
 //	nurdserve -listen 127.0.0.1:8081 -shards 1 &
 //	nurdserve -listen 127.0.0.1:8082 -shards 1 -client-rate 600 -ingest-queue 1 \
-//	    -refit-queue 1 -degraded-after 2ms &
+//	    -degraded-after 2ms &
 //	nurdload -scenario overload -speedup 6 -baseline-url http://127.0.0.1:8081 \
 //	    -url http://127.0.0.1:8082 -overload-check 100 -f1-eps 0.1
 package main
@@ -36,11 +36,9 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
 	"strings"
 
-	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -135,18 +133,15 @@ func run(a runArgs) error {
 }
 
 // runResult bundles one overload-check run's client-side report with the
-// server's own view of it: the /stats overload taxonomy and per-job accuracy.
+// server's per-job accuracy.
 type runResult struct {
-	Name     string
-	Report   *workload.Report
-	Stats    *serve.Stats
-	StatsErr error
-	Scores   map[uint64]workload.JobScore
+	Name   string
+	Report *workload.Report
+	Scores map[uint64]workload.JobScore
 }
 
-// runScored drives the workload against the front end at url, then fetches
-// its /stats and scores every completed job against the workload's ground
-// truth.
+// runScored drives the workload against the front end at url, then scores
+// every completed job against the workload's ground truth.
 func runScored(name string, wl *workload.Workload, url string, opts workload.Options) (*runResult, error) {
 	fmt.Fprintf(os.Stderr, "== %s (%s) ==\n", name, url)
 	tgt := &workload.HTTPTarget{BaseURL: url}
@@ -156,30 +151,10 @@ func runScored(name string, wl *workload.Workload, url string, opts workload.Opt
 	}
 	fmt.Fprintln(os.Stderr, rep.String())
 	res := &runResult{Name: name, Report: rep}
-	res.Stats, res.StatsErr = fetchStats(url)
 	if res.Scores, err = workload.ScoreJobs(tgt, wl); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// fetchStats pulls the server-side overload taxonomy after a run; the
-// overload gate checks it (the shed-finish invariant) in addition to the
-// harness's own client-side accounting.
-func fetchStats(url string) (*serve.Stats, error) {
-	resp, err := http.Get(url + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("stats returned %s", resp.Status)
-	}
-	var st serve.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // overloadVerdict is the JSON shape -overload-check emits: both runs'
@@ -199,8 +174,7 @@ type overloadVerdict struct {
 
 // runOverloadCheck is the dual-run overload proof: the same workload against
 // a healthy server (-baseline-url) and against a starved one (-url). The gate
-// asserts the starved run actually shed, lost nothing it acknowledged,
-// never shed a finish (per both servers' /stats, which must answer), kept
+// asserts the starved run actually shed, lost nothing it acknowledged, kept
 // query p99 within -overload-check times baseline, and (with -f1-eps)
 // stayed within epsilon of baseline accuracy on the jobs both runs
 // completed.
@@ -249,12 +223,6 @@ func runOverloadCheck(a runArgs, wl *workload.Workload, opts workload.Options) e
 		}
 		if r.Report.LostEvents > 0 {
 			failf("%s: %d events acknowledged-but-lost (2xx remainder must be zero)", r.Name, r.Report.LostEvents)
-		}
-		switch {
-		case r.StatsErr != nil:
-			failf("%s: /stats unavailable, so the shed-finish invariant is unchecked: %v", r.Name, r.StatsErr)
-		case r.Stats.Overload.ShedFinishes > 0:
-			failf("%s: server shed %d finishes — finishes carry labels and must never be shed", r.Name, r.Stats.Overload.ShedFinishes)
 		}
 	}
 	if over.Report.Queries == 0 {

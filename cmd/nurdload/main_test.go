@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -82,28 +81,6 @@ func TestRunFailsOnUnexpectedErrors(t *testing.T) {
 	}
 }
 
-// TestOverloadCheckNeedsStats: under -overload-check a front end whose
-// /stats does not answer fails the gate instead of skipping the
-// shed-finish check.
-func TestOverloadCheckNeedsStats(t *testing.T) {
-	if testing.Short() {
-		t.Skip("open-loop runs sleep on the wall clock")
-	}
-	_, base := frontEnd(t, serve.Config{Shards: 1})
-	mux := http.NewServeMux()
-	mux.Handle("/", servehttp.NewHandler(serve.NewServer(serve.Config{Shards: 1})))
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "gone", http.StatusInternalServerError)
-	})
-	noStats := httptest.NewServer(mux)
-	defer noStats.Close()
-	err := run(runArgs{scenario: "smoke", speedup: 20, baselineURL: base, url: noStats.URL,
-		overCheck: 1e9, out: filepath.Join(t.TempDir(), "v.json")})
-	if err == nil || !strings.Contains(err.Error(), "overload: /stats unavailable") {
-		t.Fatalf("got %v, want a gate failure naming the overload server's /stats", err)
-	}
-}
-
 // TestOverloadCheckGate drives the overload proof end to end against two
 // front ends configured like CI's two nurdserve processes: it passes when
 // the -url server is starved, and fails with "shed nothing" when both are
@@ -113,7 +90,7 @@ func TestOverloadCheckGate(t *testing.T) {
 		t.Skip("open-loop runs sleep on the wall clock")
 	}
 	healthy := serve.Config{Shards: 1}
-	starved := serve.Config{Shards: 1, ClientRate: 600, IngestQueue: 1, RefitQueue: 1, DegradedAfter: 2 * time.Millisecond}
+	starved := serve.Config{Shards: 1, ClientRate: 600, IngestQueue: 1, DegradedAfter: 2 * time.Millisecond}
 	check := func(urlCfg serve.Config) error {
 		_, base := frontEnd(t, healthy)
 		_, url := frontEnd(t, urlCfg)

@@ -15,25 +15,14 @@ import (
 )
 
 func main() {
-	facs := []predictor.Factory{
-		{Name: "GBTR", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return predictor.NewGBTR(seed)
-		}},
-		{Name: "LOF", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return predictor.NewOutlier("LOF", 0.1, seed)
-		}},
-		{Name: "PU-EN", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return predictor.NewPUEN(seed)
-		}},
-		{Name: "Grabit", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return predictor.NewGrabit(seed)
-		}},
-		{Name: "Wrangler", New: func(s *simulator.Sim, seed uint64) simulator.Predictor {
-			return predictor.NewWrangler(s, seed)
-		}},
-		{Name: "NURD", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return predictor.NewNURD(seed)
-		}},
+	// The rows are AllFactories' own, so each method is built as in
+	// Table 3: the NURD rows take the dataset's confirmation requirement.
+	keep := map[string]bool{"GBTR": true, "LOF": true, "PU-EN": true, "Grabit": true, "Wrangler": true, "NURD": true}
+	var facs []predictor.Factory
+	for _, f := range predictor.AllFactories() {
+		if keep[f.Name] {
+			facs = append(facs, f)
+		}
 	}
 	ev, err := experiments.Run(experiments.GoogleSpec(8, 2024), facs, simulator.DefaultConfig(), 2024)
 	if err != nil {

@@ -245,23 +245,10 @@ func (m *Model) setLatencyModel(h *gbt.Model) {
 	m.hc = h.Compile()
 }
 
-// compiled exposes the flat engine backing Predict (nil before the first
-// Update); tests pin that published models always carry one.
-func (m *Model) compiled() *gbt.Flat { return m.hc }
-
 // RefitCounts reports how many refits warm-started the latency model vs
 // fitted it from scratch (serving telemetry; the split is deterministic given
 // the sequence of training views).
 func (m *Model) RefitCounts() (warm, scratch uint64) { return m.warmFits, m.scratchFits }
-
-// latencyModelTrees reports the current size of the latency ensemble (0
-// before the first Update), the quantity the warm-refit budget bounds.
-func (m *Model) latencyModelTrees() int {
-	if m.h == nil {
-		return 0
-	}
-	return len(m.h.Trees)
-}
 
 // checkTrain validates a checkpoint's training inputs.
 func (m *Model) checkTrain(finX [][]float64, finY []float64) error {

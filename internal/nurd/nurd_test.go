@@ -548,3 +548,16 @@ func TestPredictDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// compiled exposes the flat engine backing Predict (nil before the first
+// Update): published models always carry one.
+func (m *Model) compiled() *gbt.Flat { return m.hc }
+
+// latencyModelTrees reports the current size of the latency ensemble (0
+// before the first Update), the quantity the warm-refit budget bounds.
+func (m *Model) latencyModelTrees() int {
+	if m.h == nil {
+		return 0
+	}
+	return len(m.h.Trees)
+}

@@ -116,14 +116,11 @@ func confirmFor(s *simulator.Sim) int {
 // borderline positives flicker and are suppressed.
 type NURDPredictor struct {
 	cfg     nurd.Config
-	seed    uint64
 	model   *nurd.Model
 	name    string
 	confirm int
 	// streak counts consecutive positive verdicts per task ID.
 	streak map[int]int
-	// flagged counts terminations issued so far (for the flag budget).
-	flagged int
 	// scratch holds PredictBatch's reusable buffers; a predictor is driven
 	// by one goroutine at a time (the simulator loop or a refit worker), so
 	// unsynchronized reuse is safe.
@@ -134,7 +131,7 @@ type NURDPredictor struct {
 func NewNURD(seed uint64) *NURDPredictor {
 	cfg := nurd.DefaultConfig()
 	cfg.Seed = seed
-	return &NURDPredictor{cfg: cfg, seed: seed, name: "NURD", confirm: 2}
+	return &NURDPredictor{cfg: cfg, name: "NURD", confirm: 2}
 }
 
 // NewNURDNC returns the no-calibration ablation (w = z).
@@ -142,7 +139,7 @@ func NewNURDNC(seed uint64) *NURDPredictor {
 	cfg := nurd.DefaultConfig()
 	cfg.Calibrate = false
 	cfg.Seed = seed
-	return &NURDPredictor{cfg: cfg, seed: seed, name: "NURD-NC", confirm: 2}
+	return &NURDPredictor{cfg: cfg, name: "NURD-NC", confirm: 2}
 }
 
 // NewNURDWith returns an adapter with a custom configuration (ablations).
@@ -152,7 +149,7 @@ func NewNURDWith(name string, cfg nurd.Config, confirm int) *NURDPredictor {
 	if confirm < 1 {
 		confirm = 1
 	}
-	return &NURDPredictor{cfg: cfg, seed: cfg.Seed, name: name, confirm: confirm}
+	return &NURDPredictor{cfg: cfg, name: name, confirm: confirm}
 }
 
 // Name implements simulator.Predictor.
@@ -162,7 +159,6 @@ func (p *NURDPredictor) Name() string { return p.name }
 func (p *NURDPredictor) Reset() {
 	p.model = nil
 	p.streak = nil
-	p.flagged = 0
 }
 
 // Model exposes the underlying nurd.Model after the first checkpoint
@@ -236,9 +232,6 @@ func (p *NURDPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 			out[i] = p.streak[id] >= p.confirm
 		default:
 			p.streak[id] = 0
-		}
-		if out[i] {
-			p.flagged++
 		}
 	}
 	return out, nil

@@ -343,17 +343,7 @@ func (j *jobState) startRefit(cp *simulator.Checkpoint) {
 	j.pending = cp
 	t := refitTask{pred: j.pred, cp: cp, ch: ch}
 	j.pool.lag.Add(1)
-	if !j.pool.enqueue(t) {
-		// Refit queue at its bound: run the fit here, on the ingesting
-		// goroutine, holding only this job's lock. The result lands in the
-		// buffered channel and is applied at the next boundary exactly as a
-		// pooled fit would be — identical stream position, identical
-		// determinism — at the cost of this one ingest call absorbing the
-		// fit latency. That is the backpressure that keeps the queue from
-		// growing without limit.
-		j.pool.inlineFits.Add(1)
-		ch <- t.fit()
-	}
+	j.pool.enqueue(t)
 }
 
 // applyRefit applies the pending refit's outcome under the job lock:

@@ -21,11 +21,11 @@ package serve
 //	                          labels and protocol structure — and instead
 //	                          wait in line, each handed the next freed
 //	                          slot (backpressure).
-//	refit queue (per shard)   bounded by count. At the bound a new fit
-//	                          runs inline on the ingesting goroutine
-//	                          (counted, and applied at the same stream
-//	                          position a pooled fit would be) instead of
-//	                          growing the queue without limit.
+//	refit queue (per shard)   no bound of its own: a job queues its next
+//	                          view only after applying its previous fit,
+//	                          so the queue holds at most one view per job,
+//	                          and ingest waits on a fit only at that job's
+//	                          next boundary (jobState.applyRefit).
 //	degraded queries          a query that cannot take the job lock within
 //	                          Config.DegradedAfter is answered from the
 //	                          last published generation's precomputed
@@ -62,18 +62,12 @@ import (
 // not counted, and not logged.
 var ErrShed = errors.New("event shed under overload")
 
-// Overload-control defaults. The ingest bound is per shard and counts
+// DefaultIngestQueue is the per-shard ingest admission bound. It counts
 // admitted-but-unfinished ingest calls, so it needs to cover only a burst of
-// concurrent requests, not a backlog; the refit bound covers the pool queue,
-// whose depth is already naturally limited to the shard's job population.
-// Both defaults are far above what steady traffic reaches — they exist to
-// bound the pathological case, not to shape the normal one.
-const (
-	// DefaultIngestQueue is the per-shard ingest admission bound.
-	DefaultIngestQueue = 256
-	// DefaultRefitQueue is the per-shard refit queue bound.
-	DefaultRefitQueue = 64
-)
+// concurrent requests, not a backlog; it is far above what steady traffic
+// reaches — it exists to bound the pathological case, not to shape the
+// normal one.
+const DefaultIngestQueue = 256
 
 // RetryAfterOutageSeconds is the Retry-After hint for 503 responses: a
 // wedged or closed write-ahead log (disk full, I/O error, shutdown) clears
@@ -90,10 +84,6 @@ type OverloadStats struct {
 	// features supersede older ones wholesale) or dropped outright if none
 	// arrives.
 	ShedHeartbeats uint64
-	// ShedFinishes is structurally zero — finishes carry labels and are
-	// never shed. The counter exists so the invariant is observable, not
-	// assumed.
-	ShedFinishes uint64
 	// IngestWaits counts non-sheddable events (starts, finishes,
 	// job-finishes) that had to wait for an ingest-queue slot: backpressure
 	// applied instead of shedding.
@@ -114,17 +104,13 @@ type OverloadStats struct {
 	// published view because the job lock was not free within
 	// Config.DegradedAfter.
 	DegradedQueries uint64
-	// InlineRefits counts fits run on the ingest path because the shard's
-	// refit queue was at its bound; RefitQueueBound is that bound.
-	InlineRefits    uint64
-	RefitQueueBound int
 }
 
 // String renders the taxonomy compactly.
 func (o OverloadStats) String() string {
-	return fmt.Sprintf("shed_hb=%d shed_finish=%d waits=%d queue=%d/%d rate_limited=%d rate_shed=%d degraded=%d inline_refits=%d",
-		o.ShedHeartbeats, o.ShedFinishes, o.IngestWaits, o.IngestQueueDepth, o.IngestQueueBound,
-		o.RateLimited, o.RateShedHeartbeats, o.DegradedQueries, o.InlineRefits)
+	return fmt.Sprintf("shed_hb=%d waits=%d queue=%d/%d rate_limited=%d rate_shed=%d degraded=%d",
+		o.ShedHeartbeats, o.IngestWaits, o.IngestQueueDepth, o.IngestQueueBound,
+		o.RateLimited, o.RateShedHeartbeats, o.DegradedQueries)
 }
 
 // admission is a shard's bounded ingest queue. n counts the calls holding a

@@ -3,7 +3,7 @@ package serve
 // overload_test.go pins the overload-control contracts from overload.go:
 // the shedding priority order (heartbeats shed, label-bearing events wait,
 // finishes never shed), the no-WAL-trace property that keeps recovery
-// equivalence intact under shedding, the refit-queue inline fallback,
+// equivalence intact under shedding, the refit queue's one view per job,
 // degraded queries (staleness flags, and their survival across
 // snapshot/restore and WAL recovery). The HTTP-visible halves of the
 // taxonomy — per-client rate limiting and the Retry-After hints — are
@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,8 +36,7 @@ func free(s *shard)   { s.queue.release() }
 
 // TestShedPriorityOrder: with the ingest queue full, a heartbeat is shed
 // immediately (ErrShed, before any state is touched) while a finish — which
-// carries a ground-truth label — waits for a slot instead. ShedFinishes
-// must stay zero: the counter exists to make the invariant observable.
+// carries a ground-truth label — waits for a slot instead.
 func TestShedPriorityOrder(t *testing.T) {
 	sv := NewServer(Config{Shards: 1, IngestQueue: 1})
 	if err := sv.StartJob(pipelineSpec(1), nil); err != nil {
@@ -74,9 +74,8 @@ func TestShedPriorityOrder(t *testing.T) {
 	}
 
 	over := sv.Stats().Overload
-	if over.ShedHeartbeats != 1 || over.ShedFinishes != 0 || over.IngestWaits != 1 {
-		t.Fatalf("taxonomy: shed_hb=%d shed_finish=%d waits=%d, want 1/0/1",
-			over.ShedHeartbeats, over.ShedFinishes, over.IngestWaits)
+	if over.ShedHeartbeats != 1 || over.IngestWaits != 1 {
+		t.Fatalf("taxonomy: shed_hb=%d waits=%d, want 1/1", over.ShedHeartbeats, over.IngestWaits)
 	}
 	// The shed heartbeat left no trace in the event counters either.
 	if st := sv.Stats(); st.Events != 2 {
@@ -146,41 +145,64 @@ func TestShedLeavesNoWALTrace(t *testing.T) {
 	}
 }
 
-// TestRefitQueueSaturationInline: when the refit queue is at its bound, the
-// overflow fit runs inline on the ingesting goroutine (counted) and its
-// result still lands at the next boundary crossing, exactly like a pooled
-// fit.
-func TestRefitQueueSaturationInline(t *testing.T) {
-	gate1 := make(chan struct{})
+// gatedFlagger blocks inside Predict until its gate is closed, then flags
+// every running task whose first feature is at least min.
+type gatedFlagger struct {
+	gate <-chan struct{}
+	min  float64
+}
+
+func (p *gatedFlagger) Name() string { return "gated-flagger" }
+func (p *gatedFlagger) Reset()       {}
+func (p *gatedFlagger) Predict(cp *simulator.Checkpoint) ([]bool, error) {
+	<-p.gate
+	out := make([]bool, len(cp.RunningIDs))
+	for i, x := range cp.RunningX {
+		out[i] = x[0] >= p.min
+	}
+	return out, nil
+}
+
+// TestRefitQueueHoldsOneViewPerJob: the refit queue has no count bound of
+// its own. With both of a shard's workers stalled, 65 more jobs cross a
+// boundary (more than the 64 views a shard once queued before fitting
+// inline): every crossing returns, so no fit ran on the ingesting
+// goroutine, and all 65 views wait in the queue. Once the workers run,
+// each job's next boundary applies its verdicts exactly as on a server
+// whose fits never stalled, and captures one new view per job.
+func TestRefitQueueHoldsOneViewPerJob(t *testing.T) {
+	const queued = 65
+	const jobs = refitWorkers + queued
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	defer open()
 	closed := make(chan struct{})
 	close(closed)
-	cfg := Config{Shards: 1, RefitQueue: 1,
-		NewPredictor: func(sp wire.JobSpec) simulator.Predictor {
-			if sp.JobID <= refitWorkers {
-				return &gatedPredictor{gate: gate1} // stalls a worker
+	server := func(gate <-chan struct{}) *Server {
+		sv := NewServer(Config{Shards: 1, NewPredictor: func(sp wire.JobSpec) simulator.Predictor {
+			return &gatedFlagger{gate: gate, min: float64(3 + sp.JobID%5)}
+		}})
+		for id := uint64(1); id <= jobs; id++ {
+			if err := sv.StartJob(pipelineSpec(id), nil); err != nil {
+				t.Fatal(err)
 			}
-			return &gatedPredictor{gate: closed} // instant
-		}}
-	sv := NewServer(cfg)
-	for id := uint64(1); id <= refitWorkers+2; id++ {
-		if err := sv.StartJob(pipelineSpec(id), nil); err != nil {
-			t.Fatal(err)
+			pipelineWarmup(t, sv, id, 2)
 		}
-		pipelineWarmup(t, sv, id, 2)
+		return sv
 	}
-	pool := sv.reg.shardFor(1).pool
-	cross := func(id uint64, tm float64) {
-		t.Helper()
-		if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: id, TaskID: 2, Time: tm,
-			Features: []float64{2, 1}}); err != nil {
-			t.Fatal(err)
-		}
+	cross := func(sv *Server, id uint64, tm float64) error {
+		return sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: id, TaskID: 2, Time: tm,
+			Features: []float64{2, 1}})
 	}
-	// Jobs 1 and 2 cross their first boundary: their fits start on the
-	// shard's two workers and stall on the gate. Each must be executing
-	// (not queued) before the next crossing, or it would fill the queue.
+	stalled, ref := server(gate), server(closed)
+	pool := stalled.reg.shardFor(1).pool
+
+	// Jobs 1 and 2 cross first; each fit must be executing, not queued,
+	// before the next job crosses.
 	for id := uint64(1); id <= refitWorkers; id++ {
-		cross(id, 11)
+		if err := cross(stalled, id, 11); err != nil {
+			t.Fatal(err)
+		}
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			if q, infl := pool.depths(); q == 0 && infl == int(id) {
@@ -192,26 +214,67 @@ func TestRefitQueueSaturationInline(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// Job 3's fit queues behind them (bound 1: the queue is now full); job
-	// 4's enqueue is refused and the fit runs inline, synchronously, on
-	// this goroutine.
-	queued, inline := uint64(refitWorkers+1), uint64(refitWorkers+2)
-	cross(queued, 11)
-	cross(inline, 11)
-	if got := sv.Stats().Overload.InlineRefits; got != 1 {
-		t.Fatalf("inline_refits=%d after a saturated enqueue, want 1", got)
+	crossed := make(chan error, 1)
+	go func() {
+		for id := uint64(refitWorkers + 1); id <= jobs; id++ {
+			if err := cross(stalled, id, 11); err != nil {
+				crossed <- err
+				return
+			}
+		}
+		crossed <- nil
+	}()
+	select {
+	case err := <-crossed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a boundary crossing did not return with both workers stalled: a fit ran on the ingesting goroutine")
 	}
-	// The inline fit's outcome applies at job 4's next boundary, exactly
-	// like a pooled one.
-	cross(inline, 21)
-	rep, err := sv.Report(inline)
-	if err != nil {
-		t.Fatal(err)
+	if st := stalled.Stats(); st.RefitQueue != queued || st.RefitInflight != refitWorkers || st.RefitLag != jobs {
+		t.Fatalf("stalled workers: refit queue %d, inflight %d, lag %d; want %d/%d/%d",
+			st.RefitQueue, st.RefitInflight, st.RefitLag, queued, refitWorkers, jobs)
 	}
-	if rep.Generation != 1 {
-		t.Fatalf("job %d generation=%d after its inline fit applied, want 1", inline, rep.Generation)
+
+	open()
+	for id := uint64(1); id <= jobs; id++ {
+		if err := cross(ref, id, 11); err != nil {
+			t.Fatal(err)
+		}
 	}
-	close(gate1) // release the stalled workers before the server drains
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for id := uint64(1); id <= jobs; id++ {
+		for _, sv := range []*Server{stalled, ref} {
+			if err := cross(sv, id, 21); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := stalled.Query(id, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Query(id, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("job %d: verdicts after the stalled fit applied differ:\n got %+v\nwant %+v", id, got, want)
+		}
+		rep, err := stalled.Report(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Generation != 1 || rep.Terminated == 0 {
+			t.Fatalf("job %d: generation %d, %d terminated after its first fit applied; want 1 and some",
+				id, rep.Generation, rep.Terminated)
+		}
+	}
+	// Each second boundary applied one fit and captured one view: one
+	// captured view per job, never two.
+	if lag := stalled.Stats().RefitLag; lag != jobs {
+		t.Fatalf("refit lag %d after every job's second boundary, want %d (one view per job)", lag, jobs)
+	}
 }
 
 // degradedServer builds a 1-shard server with degraded queries enabled and
@@ -427,18 +490,14 @@ func TestStaleViewSurvivesWALRecovery(t *testing.T) {
 // bound of 0.
 func TestNonPositiveBoundsMeanDefault(t *testing.T) {
 	for _, v := range []int{0, -1} {
-		sv := NewServer(Config{Shards: 1, IngestQueue: v, RefitQueue: v, MaxJobs: v, MaxTasks: v})
+		sv := NewServer(Config{Shards: 1, IngestQueue: v, MaxJobs: v, MaxTasks: v})
 		cfg := sv.Config()
-		if cfg.IngestQueue != DefaultIngestQueue || cfg.RefitQueue != DefaultRefitQueue ||
-			cfg.MaxJobs != DefaultMaxJobs || cfg.MaxTasks != DefaultMaxTasks {
-			t.Errorf("bounds %d: resolved ingest=%d refit=%d jobs=%d tasks=%d, want %d/%d/%d/%d", v,
-				cfg.IngestQueue, cfg.RefitQueue, cfg.MaxJobs, cfg.MaxTasks,
-				DefaultIngestQueue, DefaultRefitQueue, DefaultMaxJobs, DefaultMaxTasks)
+		if cfg.IngestQueue != DefaultIngestQueue || cfg.MaxJobs != DefaultMaxJobs || cfg.MaxTasks != DefaultMaxTasks {
+			t.Errorf("bounds %d: resolved ingest=%d jobs=%d tasks=%d, want %d/%d/%d", v,
+				cfg.IngestQueue, cfg.MaxJobs, cfg.MaxTasks, DefaultIngestQueue, DefaultMaxJobs, DefaultMaxTasks)
 		}
-		over := sv.Stats().Overload
-		if over.IngestQueueBound != DefaultIngestQueue || over.RefitQueueBound != DefaultRefitQueue {
-			t.Errorf("bounds %d: stats report ingest=%d refit=%d, want %d/%d", v,
-				over.IngestQueueBound, over.RefitQueueBound, DefaultIngestQueue, DefaultRefitQueue)
+		if got := sv.Stats().Overload.IngestQueueBound; got != DefaultIngestQueue {
+			t.Errorf("bounds %d: stats report ingest bound %d, want %d", v, got, DefaultIngestQueue)
 		}
 	}
 }

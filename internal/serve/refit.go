@@ -6,7 +6,7 @@ package serve
 // A refit takes ~50ms at 300 tasks; run inside the per-job lock it would
 // stall that job's ingest and queries while the model trained. So a boundary
 // crossing only captures the training view (O(tasks)) and hands it to the
-// owning shard's bounded worker pool; the fit runs outside every lock,
+// owning shard's worker pool; the fit runs outside every lock,
 // and its outcome — the terminations it orders and the new model — is applied
 // at the *next* boundary crossing, under the job lock, before the next view
 // is captured.
@@ -90,59 +90,43 @@ func (t refitTask) predict() (verdicts []bool, err error) {
 	return t.pred.Predict(t.cp)
 }
 
-// refitPool is one shard's bounded refit worker pool. Workers are spawned on
-// demand up to the configured bound and exit when the queue drains, so an
-// idle server holds no pipeline goroutines and servers need no explicit
-// shutdown. The queue's depth is naturally limited to the shard's job
-// population (each job has at most one captured-but-unapplied view at a
-// time), and additionally bounded by count (maxQueue, from
-// Config.RefitQueue): a shard whose job population outruns its workers hits
-// the bound and the overflow fit runs inline on the ingesting goroutine
-// (see jobState.startRefit) instead of growing the queue without limit.
+// refitPool is one shard's refit worker pool. Workers are spawned on demand
+// up to refitWorkers and exit when the queue drains, so an idle server holds
+// no pipeline goroutines and servers need no explicit shutdown. The queue
+// needs no bound of its own: its only producer, jobState.startRefit, runs
+// after applyRefit has received the job's previous fit, so the queue holds
+// at most one task per registered job, and the view that task carries is
+// held by the job (jobState.pending) until its next boundary in any case.
 type refitPool struct {
 	mu       sync.Mutex
 	queue    []refitTask
 	workers  int
-	maxQueue int // queue bound, at least 1
 	inflight int
 
 	// lag counts captured-but-unapplied refits across the shard's jobs (the
 	// generation lag queries can observe); warmFits/scratchFits accumulate
-	// fit-strategy counts as results are applied; inlineFits counts fits
-	// that ran on the ingest path because the queue was at its bound.
-	// Atomics so Stats reads and job-lock-holding updates never contend on
-	// the pool mutex.
+	// fit-strategy counts as results are applied. Atomics so Stats reads
+	// and job-lock-holding updates never contend on the pool mutex.
 	lag                   atomic.Int64
 	warmFits, scratchFits atomic.Uint64
-	inlineFits            atomic.Uint64
 }
 
 // refitWorkers bounds each shard's refit pool: up to two fits of one
 // shard's jobs run at once, so a server runs at most 2 × Shards.
 const refitWorkers = 2
 
-func newRefitPool(maxQueue int) *refitPool {
-	return &refitPool{maxQueue: maxQueue}
-}
-
-// enqueue queues one fit and ensures a worker will pick it up, unless the
-// queue is at its count bound — then it reports false and the caller runs
-// the fit itself. Never blocks: backpressure comes from the
-// apply-at-next-boundary protocol (a job cannot capture a second view until
-// its first is applied) plus the inline fallback, not from queue waits.
-func (p *refitPool) enqueue(t refitTask) bool {
+// enqueue queues one fit and ensures a worker will pick it up. Never
+// blocks: backpressure comes from the apply-at-next-boundary protocol (a job
+// cannot capture a second view until its first is applied), not from queue
+// waits.
+func (p *refitPool) enqueue(t refitTask) {
 	p.mu.Lock()
-	if len(p.queue) >= p.maxQueue {
-		p.mu.Unlock()
-		return false
-	}
 	p.queue = append(p.queue, t)
 	if p.workers < refitWorkers {
 		p.workers++
 		go p.work()
 	}
 	p.mu.Unlock()
-	return true
 }
 
 // work drains the queue, exiting when it is empty.

@@ -473,13 +473,11 @@ func TestPredictorPanicContained(t *testing.T) {
 // used to decrement inflight after the send, so the receiver could win the
 // race and read 1.
 func TestRefitGaugesDropBeforeDelivery(t *testing.T) {
-	p := newRefitPool(1)
+	p := new(refitPool)
 	cp := &simulator.Checkpoint{}
 	for i := 0; i < 2000; i++ {
 		ch := make(chan refitResult, 1)
-		if !p.enqueue(refitTask{pred: &flagAll{}, cp: cp, ch: ch}) {
-			t.Fatal("drained queue refused a fit")
-		}
+		p.enqueue(refitTask{pred: &flagAll{}, cp: cp, ch: ch})
 		<-ch
 		if q, in := p.depths(); q != 0 || in != 0 {
 			t.Fatalf("fit %d delivered with queue=%d inflight=%d still counted", i, q, in)

@@ -717,7 +717,7 @@ func TestViewRowsAreCopies(t *testing.T) {
 	spec := wire.JobSpec{JobID: 1, Schema: []string{"a", "b"}, NumTasks: 4, TauStra: 50,
 		StragglerQuantile: 0.9, Horizon: 100, Checkpoints: 10, WarmFrac: 0.25, Seed: 1}
 	release := make(chan struct{})
-	j := newJobState(spec, heldPredictor{release: release}, newRefitPool(1))
+	j := newJobState(spec, heldPredictor{release: release}, new(refitPool))
 	feed := func(e wire.Event) {
 		t.Helper()
 		e.JobID = spec.JobID

@@ -85,11 +85,6 @@ type Config struct {
 	// slot. Values below 1 mean DefaultIngestQueue. See overload.go for the
 	// shedding policy and its recovery-equivalence argument.
 	IngestQueue int
-	// RefitQueue bounds each shard's refit pool queue by count. At the
-	// bound a new fit runs inline on the ingesting goroutine (counted in
-	// OverloadStats.InlineRefits) instead of growing the queue. Values
-	// below 1 mean DefaultRefitQueue.
-	RefitQueue int
 	// ClientRate, when positive, arms per-client token-bucket rate
 	// limiting on the HTTP front end: each ingest frame costs one token,
 	// refilled at ClientRate tokens/s up to a burst of 2*ClientRate.
@@ -164,7 +159,6 @@ func NewServer(cfg Config) *Server {
 	orDefault(&cfg.MaxJobs, DefaultMaxJobs)
 	orDefault(&cfg.MaxTasks, DefaultMaxTasks)
 	orDefault(&cfg.IngestQueue, DefaultIngestQueue)
-	orDefault(&cfg.RefitQueue, DefaultRefitQueue)
 	if cfg.RefitMode == wire.RefitModeDefault {
 		cfg.RefitMode = wire.RefitScratch
 	}
@@ -379,7 +373,6 @@ func (sv *Server) Stats() Stats {
 	var st Stats
 	sv.reg.each(func(s *shard) { s.addStats(&st) })
 	st.Overload.IngestQueueBound = sv.cfg.IngestQueue
-	st.Overload.RefitQueueBound = sv.cfg.RefitQueue
 	if sv.wal != nil {
 		w := sv.wal.Stats()
 		st.WAL = &w

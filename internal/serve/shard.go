@@ -72,11 +72,8 @@ type shard struct {
 	refitMax     atomic.Int64
 	finished     atomic.Int64 // jobs whose stream has closed
 
-	// Overload taxonomy (see OverloadStats). shedFinishes is structurally
-	// zero — it exists so the finishes-are-never-shed invariant is
-	// observable rather than assumed.
+	// Overload taxonomy (see OverloadStats).
 	shedHeartbeats atomic.Uint64
-	shedFinishes   atomic.Uint64
 	ingestWaits    atomic.Uint64
 	degraded       atomic.Uint64
 }
@@ -85,7 +82,7 @@ type shard struct {
 func newShard(cfg Config) *shard {
 	return &shard{
 		jobs:          make(map[uint64]*jobState),
-		pool:          newRefitPool(cfg.RefitQueue),
+		pool:          new(refitPool),
 		queue:         newAdmission(cfg.IngestQueue),
 		degradedAfter: cfg.DegradedAfter,
 	}
@@ -352,9 +349,7 @@ func (s *shard) addStats(st *Stats) {
 	st.WarmFits += s.pool.warmFits.Load()
 	st.ScratchFits += s.pool.scratchFits.Load()
 	st.Overload.ShedHeartbeats += s.shedHeartbeats.Load()
-	st.Overload.ShedFinishes += s.shedFinishes.Load()
 	st.Overload.IngestWaits += s.ingestWaits.Load()
 	st.Overload.DegradedQueries += s.degraded.Load()
-	st.Overload.InlineRefits += s.pool.inlineFits.Load()
 	st.Overload.IngestQueueDepth += s.queue.depth()
 }

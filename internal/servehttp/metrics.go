@@ -57,8 +57,6 @@ var metrics = []metric{
 		value: func(s *serve.Stats) float64 { return float64(s.ScratchFits) }},
 	{name: "nurd_shed_heartbeats_total", kind: "counter", help: "Heartbeats shed at saturated ingest queues.",
 		value: func(s *serve.Stats) float64 { return float64(s.Overload.ShedHeartbeats) }},
-	{name: "nurd_shed_finishes_total", kind: "counter", help: "Finishes shed; zero by construction.",
-		value: func(s *serve.Stats) float64 { return float64(s.Overload.ShedFinishes) }},
 	{name: "nurd_ingest_waits_total", kind: "counter", help: "Non-sheddable events that waited for an ingest-queue slot.",
 		value: func(s *serve.Stats) float64 { return float64(s.Overload.IngestWaits) }},
 	{name: "nurd_ingest_queue_slots", kind: "gauge", help: "Ingest-queue slots held, over all shards.",
@@ -71,10 +69,6 @@ var metrics = []metric{
 		value: func(s *serve.Stats) float64 { return float64(s.Overload.RateShedHeartbeats) }},
 	{name: "nurd_degraded_verdicts_total", kind: "counter", help: "Task verdicts answered from the stale published view.",
 		value: func(s *serve.Stats) float64 { return float64(s.Overload.DegradedQueries) }},
-	{name: "nurd_inline_refits_total", kind: "counter", help: "Fits run on the ingest path because the refit queue was full.",
-		value: func(s *serve.Stats) float64 { return float64(s.Overload.InlineRefits) }},
-	{name: "nurd_refit_queue_bound_views", kind: "gauge", help: "Refit-queue slots per shard.",
-		value: func(s *serve.Stats) float64 { return float64(s.Overload.RefitQueueBound) }},
 	{name: "nurd_wal_segments", kind: "gauge", help: "Live log segment files.", wal: true,
 		value: func(s *serve.Stats) float64 { return float64(s.WAL.Segments) }},
 	{name: "nurd_wal_next_lsn", kind: "gauge", help: "Next log sequence number to assign.", wal: true,

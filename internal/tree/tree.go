@@ -97,11 +97,11 @@ func Fit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, error
 
 // Predict returns the tree's prediction for x. It is the branching
 // reference walk: programs predict through gbt.Flat, and tests compare the
-// compiled walk against this one. x must have at least
-// MaxFeature()+1 columns (numCols() — the training width — always
-// suffices); shorter rows are a caller bug. Width-checked entry points
-// with typed errors live one layer up (gbt.Flat.CheckWidth, nurd.Model),
-// keeping this innermost walk branch-light.
+// compiled walk against this one. x must have at least MaxFeature()+1
+// columns (the training width always suffices); shorter rows are a caller
+// bug. Width-checked entry points with typed errors live one layer up
+// (gbt.Flat.CheckWidth, nurd.Model), keeping this innermost walk
+// branch-light.
 func (t *Regressor) Predict(x []float64) float64 {
 	i := int32(0)
 	for {
@@ -119,9 +119,6 @@ func (t *Regressor) Predict(x []float64) float64 {
 
 // NumNodes reports the node count.
 func (t *Regressor) NumNodes() int { return len(t.nodes) }
-
-// numCols reports the training-set width the tree was fitted on.
-func (t *Regressor) numCols() int { return t.ncols }
 
 // MaxFeature returns the largest feature index any node splits on, or -1
 // for a tree with no splits. Rows at least MaxFeature()+1 wide are safe to
@@ -166,26 +163,6 @@ func (t *Regressor) AppendSoA(s *SoA) int32 {
 		s.Right = append(s.Right, n.right+base)
 	}
 	return base
-}
-
-// depth returns the maximum depth of the tree (a lone leaf has depth 0).
-func (t *Regressor) depth() int {
-	var rec func(i int32) int
-	rec = func(i int32) int {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return 0
-		}
-		l, r := rec(n.left), rec(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return rec(0)
 }
 
 // AdjustLeaves replaces each leaf value with fn(leafIndex, currentValue).

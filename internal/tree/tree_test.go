@@ -501,3 +501,26 @@ func searchedCandidates(t *Regressor, X [][]float64, cfg Config) int {
 	}
 	return total
 }
+
+// depth returns the maximum depth of the tree (a lone leaf has depth 0).
+func (t *Regressor) depth() int {
+	var rec func(i int32) int
+	rec = func(i int32) int {
+		n := &t.nodes[i]
+		if n.feature < 0 {
+			return 0
+		}
+		l, r := rec(n.left), rec(n.right)
+		if l > r {
+			return l + 1
+		}
+		return r + 1
+	}
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	return rec(0)
+}
+
+// numCols reports the training-set width the tree was fitted on.
+func (t *Regressor) numCols() int { return t.ncols }

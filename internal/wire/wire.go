@@ -270,12 +270,6 @@ func appendEventPayload(dst []byte, ev *Event) []byte {
 	return dst
 }
 
-func decodeEventPayload(p []byte) (Event, error) {
-	var ev Event
-	err := DecodeEventInto(p, &ev, nil)
-	return ev, err
-}
-
 // DecodeEventInto decodes an event payload into *ev. The features decode
 // into buf's backing array when its capacity holds them, and into a fresh
 // slice otherwise, so a caller that decodes frame after frame passes the same

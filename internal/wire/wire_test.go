@@ -520,3 +520,10 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	})
 }
+
+// decodeEventPayload decodes one event payload into a fresh Event.
+func decodeEventPayload(p []byte) (Event, error) {
+	var ev Event
+	err := DecodeEventInto(p, &ev, nil)
+	return ev, err
+}

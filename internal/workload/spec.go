@@ -286,15 +286,6 @@ func (ws *WorkloadSpec) Validate() error {
 	return nil
 }
 
-// marshalIndentJSON renders the spec as the canonical scenario-file form.
-func (ws *WorkloadSpec) marshalIndentJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(ws, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
 // ParseSpec decodes and validates a scenario from JSON bytes. Unknown fields
 // are rejected: a typo in a scenario file must fail loudly, not silently run
 // the default.

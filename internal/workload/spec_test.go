@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -124,4 +125,13 @@ func TestLoadSpecBuiltin(t *testing.T) {
 	if _, err := LoadSpec("no-such-scenario-or-file.json"); err == nil {
 		t.Error("LoadSpec of a missing name should fail")
 	}
+}
+
+// marshalIndentJSON renders the spec as the canonical scenario-file form.
+func (ws *WorkloadSpec) marshalIndentJSON() ([]byte, error) {
+	b, err := json.MarshalIndent(ws, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }

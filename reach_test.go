@@ -2,6 +2,7 @@ package repro
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -35,25 +37,24 @@ type listedPkg struct {
 
 // goListDeps lists the packages of the module in dir and all their
 // dependencies, dependencies first, with the export data of each.
-func goListDeps(t *testing.T, dir string) []listedPkg {
-	t.Helper()
+func goListDeps(dir string) ([]listedPkg, error) {
 	cmd := exec.Command("go", "list", "-deps", "-export", "-json", "./...")
 	cmd.Dir = dir
 	out, err := cmd.Output()
 	if err != nil {
 		if ee, ok := err.(*exec.ExitError); ok {
-			t.Fatalf("go list in %s: %v\n%s", dir, err, ee.Stderr)
+			return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, ee.Stderr)
 		}
-		t.Fatalf("go list in %s: %v", dir, err)
+		return nil, fmt.Errorf("go list in %s: %v", dir, err)
 	}
 	var pkgs []listedPkg
 	dec := json.NewDecoder(strings.NewReader(string(out)))
 	for {
 		var p listedPkg
 		if err := dec.Decode(&p); err == io.EOF {
-			return pkgs
+			return pkgs, nil
 		} else if err != nil {
-			t.Fatalf("go list in %s: %v", dir, err)
+			return nil, fmt.Errorf("go list in %s: %v", dir, err)
 		}
 		pkgs = append(pkgs, p)
 	}
@@ -72,30 +73,67 @@ func qualifiedName(fn *types.Func) string {
 	return fn.Pkg().Name() + "." + rt.(*types.Named).Obj().Name() + "." + fn.Name()
 }
 
-// TestEveryExportedFuncIsReached keeps internal/ from carrying exported API
-// that only tests call. It type-checks the non-test files of both modules
-// (this one and bench/) with go/types, packages in `go list -deps` order so
-// a repro/... import resolves to the package already checked (every other
-// import comes from the toolchain's export data), and fails on an exported
-// func or method declared under internal/ (bar the servetest and waltest
-// helpers) that no non-test file refers to. A method counts as reached when
-// its receiver type implements an interface holding a method of that name:
-// it is then callable through the interface (container/heap calls Less, an
-// error's Error runs inside fmt) without any file naming it.
-func TestEveryExportedFuncIsReached(t *testing.T) {
+// modules is the non-test code of both modules (this one and bench/),
+// type-checked once per test process and shared by the reach tests.
+type modules struct {
+	fset *token.FileSet
+	// pkgs are this module's packages under internal/ and cmd/, bar the
+	// servetest and waltest helpers: the code whose declarations the reach
+	// tests hold to having a use.
+	pkgs []checkedPkg
+	// used holds every object a non-test file of either module refers to,
+	// by its origin (a generic type's fields and methods once, not per
+	// instance), and every embedded field a promoted selection passes
+	// through.
+	used map[types.Object]bool
+	// ifaces is every interface a checked package can name: those it spells
+	// out and those its imports declare.
+	ifaces []*types.Interface
+}
+
+type checkedPkg struct {
+	rel    string // import path below repro/
+	syntax []*ast.File
+	info   *types.Info
+}
+
+var (
+	loadOnce sync.Once
+	loaded   *modules
+	loadErr  error
+)
+
+// loadModules type-checks the non-test files of both modules with go/types,
+// packages in `go list -deps` order so a repro/... import resolves to the
+// package already checked (every other import comes from the toolchain's
+// export data).
+func loadModules(t *testing.T) *modules {
+	t.Helper()
+	loadOnce.Do(func() { loaded, loadErr = checkModules() })
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return loaded
+}
+
+func checkModules() (*modules, error) {
 	var pkgs []listedPkg
 	seen := map[string]bool{}
 	for _, dir := range []string{".", "bench"} {
-		for _, p := range goListDeps(t, dir) {
+		listed, err := goListDeps(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
 			if !seen[p.ImportPath] {
 				seen[p.ImportPath] = true
 				pkgs = append(pkgs, p)
 			}
 		}
 	}
-	fset := token.NewFileSet()
+	m := &modules{fset: token.NewFileSet(), used: map[types.Object]bool{}}
 	exports := map[string]string{}
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	gc := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(exports[path])
 	})
 	checked := map[string]*types.Package{}
@@ -105,20 +143,15 @@ func TestEveryExportedFuncIsReached(t *testing.T) {
 		}
 		return gc.Import(path)
 	})
-
-	used := map[*types.Func]bool{}
-	declared := map[*types.Func]token.Pos{}
-	var ifaces []*types.Interface
 	noteIface := func(typ types.Type) {
 		if named, ok := typ.(*types.Named); ok && named.TypeParams().Len() > 0 {
 			return
 		}
 		if it, ok := typ.Underlying().(*types.Interface); ok && it.IsMethodSet() && it.NumMethods() > 0 {
-			ifaces = append(ifaces, it)
+			m.ifaces = append(m.ifaces, it)
 		}
 	}
 	noteIface(types.Universe.Lookup("error").Type())
-	files := 0
 	for _, p := range pkgs {
 		if p.ImportPath != "repro" && !strings.HasPrefix(p.ImportPath, "repro/") {
 			exports[p.ImportPath] = p.Export
@@ -126,26 +159,37 @@ func TestEveryExportedFuncIsReached(t *testing.T) {
 		}
 		var syntax []*ast.File
 		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			syntax = append(syntax, f)
 		}
-		files += len(syntax)
 		info := &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
-		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, syntax, info)
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, m.fset, syntax, info)
 		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
 		for _, obj := range info.Uses {
-			if fn, ok := obj.(*types.Func); ok {
-				used[fn.Origin()] = true
+			m.used[origin(obj)] = true
+		}
+		// A promoted selection (x.f where f belongs to an embedded field)
+		// uses every embedded field on its path without naming one.
+		for _, sel := range info.Selections {
+			typ := sel.Recv()
+			for _, i := range sel.Index()[:len(sel.Index())-1] {
+				st, ok := deref(typ).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				m.used[origin(st.Field(i))] = true
+				typ = st.Field(i).Type()
 			}
 		}
 		for _, tv := range info.Types {
@@ -154,22 +198,14 @@ func TestEveryExportedFuncIsReached(t *testing.T) {
 			}
 		}
 		rel := strings.TrimPrefix(p.ImportPath, "repro/")
-		if !strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "internal/serve/servetest") || strings.HasPrefix(rel, "internal/wal/waltest") {
-			continue
-		}
-		for _, f := range syntax {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-					declared[info.Defs[fd.Name].(*types.Func)] = fd.Pos()
-				}
-			}
+		if (strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) &&
+			!strings.HasPrefix(rel, "internal/serve/servetest") && !strings.HasPrefix(rel, "internal/wal/waltest") {
+			m.pkgs = append(m.pkgs, checkedPkg{rel: rel, syntax: syntax, info: info})
 		}
 	}
-	if files == 0 {
-		t.Fatal("type-checked no files")
+	if len(m.pkgs) == 0 {
+		return nil, fmt.Errorf("type-checked no package under internal/ or cmd/")
 	}
-	// Every interface a checked package can name: those it spells out (in
-	// info.Types) and those its imports declare.
 	visited := map[*types.Package]bool{}
 	var visit func(*types.Package)
 	visit = func(pkg *types.Package) {
@@ -189,44 +225,101 @@ func TestEveryExportedFuncIsReached(t *testing.T) {
 	for _, pkg := range checked {
 		visit(pkg)
 	}
-	satisfies := func(fn *types.Func) bool {
-		recv := fn.Type().(*types.Signature).Recv()
-		if recv == nil {
-			return false
-		}
-		rt := recv.Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		if rt.(*types.Named).TypeParams().Len() > 0 {
-			return false // Implements is unspecified on a generic type
-		}
-		for _, it := range ifaces {
-			for i := 0; i < it.NumMethods(); i++ {
-				if it.Method(i).Name() == fn.Name() &&
-					(types.Implements(rt, it) || types.Implements(types.NewPointer(rt), it)) {
-					return true
-				}
-			}
-		}
+	return m, nil
+}
+
+// origin maps a field or method of a generic type's instance to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+func deref(typ types.Type) types.Type {
+	if p, ok := typ.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return typ
+}
+
+// satisfies reports whether method fn is callable through an interface: its
+// receiver type implements an interface holding a method of that name
+// (container/heap calls Less, an error's Error runs inside fmt) without any
+// file naming it.
+func (m *modules) satisfies(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
 		return false
 	}
+	rt, ok := deref(recv.Type()).(*types.Named)
+	if !ok || rt.TypeParams().Len() > 0 {
+		return false // Implements is unspecified on a generic type
+	}
+	for _, it := range m.ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() &&
+				(types.Implements(rt, it) || types.Implements(types.NewPointer(rt), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
-	wd, _ := os.Getwd()
+// reached reports whether a non-test file uses obj, or, for a method,
+// whether an interface can call it.
+func (m *modules) reached(obj types.Object) bool {
+	if m.used[obj] {
+		return true
+	}
+	fn, ok := obj.(*types.Func)
+	return ok && m.satisfies(fn)
+}
+
+// at renders obj's position relative to the working directory.
+func (m *modules) at(obj types.Object) string {
+	at := m.fset.Position(obj.Pos())
+	if wd, err := os.Getwd(); err == nil {
+		if rel, err := filepath.Rel(wd, at.Filename); err == nil {
+			at.Filename = rel
+		}
+	}
+	return at.String()
+}
+
+// TestEveryExportedFuncIsReached keeps internal/ from carrying exported API
+// that only tests call: it fails on an exported func or method declared
+// under internal/ (bar the servetest and waltest helpers) that no non-test
+// file of either module refers to and no interface can call.
+func TestEveryExportedFuncIsReached(t *testing.T) {
+	m := loadModules(t)
 	var unreached []string
 	flagged := map[string]bool{}
-	for fn, pos := range declared {
-		if used[fn] || satisfies(fn) {
+	for _, p := range m.pkgs {
+		if !strings.HasPrefix(p.rel, "internal/") {
 			continue
 		}
-		name := qualifiedName(fn)
-		flagged[name] = true
-		if reachAllowed[name] == "" {
-			at := fset.Position(pos)
-			if rel, err := filepath.Rel(wd, at.Filename); err == nil {
-				at.Filename = rel
+		for _, f := range p.syntax {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				if m.reached(fn) {
+					continue
+				}
+				name := qualifiedName(fn)
+				flagged[name] = true
+				if reachAllowed[name] == "" {
+					unreached = append(unreached, name+" ("+m.at(fn)+")")
+				}
 			}
-			unreached = append(unreached, name+" ("+at.String()+")")
 		}
 	}
 	sort.Strings(unreached)
@@ -237,6 +330,57 @@ func TestEveryExportedFuncIsReached(t *testing.T) {
 		if !flagged[name] {
 			t.Errorf("reachAllowed names %s, which is not an unreached exported func under internal/; drop the entry", name)
 		}
+	}
+}
+
+// TestEveryDeclarationIsReached holds the rest of internal/ and cmd/ to
+// having a use outside tests: every unexported func and method, every
+// struct field, and every package-level const and var. A field counts as
+// used where a selector or a keyed literal names it, or where a promoted
+// selection passes through it (an embedded field). It has no allowlist:
+// code that only a test needs lives in that package's _test.go files.
+func TestEveryDeclarationIsReached(t *testing.T) {
+	m := loadModules(t)
+	var unreached []string
+	for _, p := range m.pkgs {
+		for id, obj := range p.info.Defs {
+			if obj == nil || id.Name == "_" || m.reached(obj) {
+				continue
+			}
+			var what string
+			switch o := obj.(type) {
+			case *types.Func:
+				sig := o.Type().(*types.Signature)
+				if o.Exported() || (sig.Recv() == nil && (o.Name() == "main" || o.Name() == "init")) {
+					continue
+				}
+				if sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+					continue // an interface's method: its implementations are checked
+				}
+				what = "func " + qualifiedName(o)
+			case *types.Var:
+				switch {
+				case o.IsField():
+					what = "field " + o.Name()
+				case o.Parent() == o.Pkg().Scope():
+					what = "var " + o.Pkg().Name() + "." + o.Name()
+				default:
+					continue
+				}
+			case *types.Const:
+				if o.Parent() != o.Pkg().Scope() {
+					continue
+				}
+				what = "const " + o.Pkg().Name() + "." + o.Name()
+			default:
+				continue
+			}
+			unreached = append(unreached, what+" ("+m.at(obj)+")")
+		}
+	}
+	sort.Strings(unreached)
+	for _, u := range unreached {
+		t.Errorf("%s is used by no program; delete it, or move it to the _test.go file that needs it", u)
 	}
 }
 
