@@ -25,8 +25,7 @@
 // prober's rate comes from the scenario's query_rate):
 //
 //	nurdserve -listen 127.0.0.1:8081 -shards 1 &
-//	nurdserve -listen 127.0.0.1:8082 -shards 1 -client-rate 600 -ingest-queue 1 \
-//	    -degraded-after 2ms &
+//	nurdserve -listen 127.0.0.1:8082 -shards 1 -client-rate 600 -ingest-queue 1 &
 //	nurdload -scenario overload -speedup 6 -baseline-url http://127.0.0.1:8081 \
 //	    -url http://127.0.0.1:8082 -overload-check 100 -f1-eps 0.1
 package main

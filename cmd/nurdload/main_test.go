@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 	"repro/internal/servehttp"
@@ -90,7 +89,7 @@ func TestOverloadCheckGate(t *testing.T) {
 		t.Skip("open-loop runs sleep on the wall clock")
 	}
 	healthy := serve.Config{Shards: 1}
-	starved := serve.Config{Shards: 1, ClientRate: 600, IngestQueue: 1, DegradedAfter: 2 * time.Millisecond}
+	starved := serve.Config{Shards: 1, ClientRate: 600, IngestQueue: 1}
 	check := func(urlCfg serve.Config) error {
 		_, base := frontEnd(t, healthy)
 		_, url := frontEnd(t, urlCfg)

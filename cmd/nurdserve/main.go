@@ -94,7 +94,6 @@ func main() {
 	// Overload-control knobs (see the README's "Overload behavior").
 	flag.IntVar(&cfg.IngestQueue, "ingest-queue", 0, "per-shard ingest queue bound; heartbeats shed (429-class) when full, label-bearing events wait (< 1 = default)")
 	flag.Float64Var(&cfg.ClientRate, "client-rate", 0, "per-client token-bucket refill in frames/s on the HTTP front, burst 2x (0 = no rate limiting)")
-	flag.DurationVar(&cfg.DegradedAfter, "degraded-after", 0, "serve stale flagged verdicts when a job lock is not free within this (0 = queries always wait)")
 	flag.Parse()
 	var err error
 	if cfg.RefitMode, err = wire.ParseRefitMode(*refitMode); err != nil {

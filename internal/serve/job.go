@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/nurd"
@@ -85,14 +84,6 @@ type jobState struct {
 
 	// warmFits / scratchFits split refits by fit strategy.
 	warmFits, scratchFits uint64
-
-	// stale is the degraded-query view: every task's verdict as of the last
-	// applied refit, precomputed under j.mu and read lock-free by queries
-	// that gave up waiting for the lock (see shard.query). Maintained only
-	// when staleEnabled (Config.DegradedAfter > 0) — building it costs one
-	// model prediction per running task per refit.
-	staleEnabled bool
-	stale        atomic.Pointer[staleView]
 }
 
 func newJobState(spec wire.JobSpec, pred simulator.Predictor, pool *refitPool) *jobState {
@@ -188,11 +179,6 @@ func (j *jobState) handle(e *wire.Event) error {
 		// DropJob's reclamation) see every checkpoint's outcome applied.
 		j.applyRefit()
 		j.done = true
-		// Final refresh at close: the stream is complete, so the degraded
-		// view converges to the exact final verdicts (still Stale-flagged —
-		// the caller took the degraded path, and staleness is a property of
-		// the path, not the data's age).
-		j.refreshStale()
 		return nil
 	}
 	switch e.Kind {
@@ -403,26 +389,6 @@ func (j *jobState) applyRefit() {
 		j.terminated++
 	}
 	j.publish()
-	j.refreshStale()
-}
-
-// refreshStale recomputes the degraded-query view from the freshly
-// published generation. Caller holds j.mu. No-op unless the owning server
-// enabled degraded queries — the view costs one prediction per running task
-// per refresh.
-func (j *jobState) refreshStale() {
-	if !j.staleEnabled {
-		return
-	}
-	sv := &staleView{checkpoint: j.checkpoint, verdicts: make([]TaskVerdict, len(j.tasks))}
-	preds := make([]nurd.Prediction, 0, j.running())
-	for id := range sv.verdicts {
-		v := &sv.verdicts[id]
-		j.answer(v, id, &preds)
-		v.Stale = true
-		v.AsOfCheckpoint = j.checkpoint
-	}
-	j.stale.Store(sv)
 }
 
 // publish swaps the query-visible model to the predictor's current one. The

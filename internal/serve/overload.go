@@ -26,11 +26,10 @@ package serve
 //	                          so the queue holds at most one view per job,
 //	                          and ingest waits on a fit only at that job's
 //	                          next boundary (jobState.applyRefit).
-//	degraded queries          a query that cannot take the job lock within
-//	                          Config.DegradedAfter is answered from the
-//	                          last published generation's precomputed
-//	                          verdicts, flagged Stale, instead of queueing
-//	                          behind a refit or an ingest burst.
+//	queries                   no queue and no bound: a query takes its
+//	                          job's lock and answers live, waiting only on
+//	                          what holds that lock (a run of that job's
+//	                          events, or a boundary that applies a fit).
 //
 // Shedding happens before lookup, validation, or logging, so a shed event
 // leaves no trace anywhere: not in state, not in counters, not in the WAL.
@@ -51,7 +50,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrShed reports an event refused by load shedding: the shard's ingest
@@ -100,17 +98,13 @@ type OverloadStats struct {
 	// only /stats responses carry them — in-process Stats() reports 0).
 	RateLimited        uint64
 	RateShedHeartbeats uint64
-	// DegradedQueries counts task verdicts answered from the stale
-	// published view because the job lock was not free within
-	// Config.DegradedAfter.
-	DegradedQueries uint64
 }
 
 // String renders the taxonomy compactly.
 func (o OverloadStats) String() string {
-	return fmt.Sprintf("shed_hb=%d waits=%d queue=%d/%d rate_limited=%d rate_shed=%d degraded=%d",
+	return fmt.Sprintf("shed_hb=%d waits=%d queue=%d/%d rate_limited=%d rate_shed=%d",
 		o.ShedHeartbeats, o.IngestWaits, o.IngestQueueDepth, o.IngestQueueBound,
-		o.RateLimited, o.RateShedHeartbeats, o.DegradedQueries)
+		o.RateLimited, o.RateShedHeartbeats)
 }
 
 // admission is a shard's bounded ingest queue. n counts the calls holding a
@@ -182,36 +176,3 @@ func (a *admission) release() {
 
 // depth is the number of slots held.
 func (a *admission) depth() int { return int(min(a.n.Load(), a.bound)) }
-
-// lockWithin tries to take mu, giving up after d. It spins on TryLock with
-// short sleeps rather than arming a timer per query: d is a few
-// milliseconds, and the common case (lock free, or freed within a sleep or
-// two) must stay allocation-free on the query path.
-func lockWithin(mu *sync.Mutex, d time.Duration) bool {
-	if mu.TryLock() {
-		return true
-	}
-	deadline := time.Now().Add(d)
-	wait := 50 * time.Microsecond
-	for {
-		time.Sleep(wait)
-		if mu.TryLock() {
-			return true
-		}
-		if !time.Now().Before(deadline) {
-			return false
-		}
-		if wait < time.Millisecond {
-			wait *= 2
-		}
-	}
-}
-
-// staleView is a job's precomputed degraded-query answer: every task's
-// verdict as of the last applied refit, swapped in atomically
-// so the degraded path reads it without any lock. Built only when
-// Config.DegradedAfter enables degraded queries.
-type staleView struct {
-	checkpoint int
-	verdicts   []TaskVerdict // indexed by TaskID; each has Stale set
-}

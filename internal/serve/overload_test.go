@@ -3,9 +3,8 @@ package serve
 // overload_test.go pins the overload-control contracts from overload.go:
 // the shedding priority order (heartbeats shed, label-bearing events wait,
 // finishes never shed), the no-WAL-trace property that keeps recovery
-// equivalence intact under shedding, the refit queue's one view per job,
-// degraded queries (staleness flags, and their survival across
-// snapshot/restore and WAL recovery). The HTTP-visible halves of the
+// equivalence intact under shedding, and the refit queue's one view per
+// job. The HTTP-visible halves of the
 // taxonomy — per-client rate limiting and the Retry-After hints — are
 // pinned by the servehttp test suite.
 
@@ -274,213 +273,6 @@ func TestRefitQueueHoldsOneViewPerJob(t *testing.T) {
 	// captured view per job, never two.
 	if lag := stalled.Stats().RefitLag; lag != jobs {
 		t.Fatalf("refit lag %d after every job's second boundary, want %d (one view per job)", lag, jobs)
-	}
-}
-
-// degradedServer builds a 1-shard server with degraded queries enabled and
-// one fully closed job (the close refreshes the stale view), logging to a
-// write-ahead log so it can be snapshotted.
-func degradedServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	sv := durable(t, cfg)
-	if err := sv.StartJob(pipelineSpec(1), nil); err != nil {
-		t.Fatal(err)
-	}
-	pipelineWarmup(t, sv, 1, 2)
-	if err := sv.Ingest(wire.Event{Kind: wire.EventJobFinish, JobID: 1, Time: 100}); err != nil {
-		t.Fatal(err)
-	}
-	return sv
-}
-
-// jobOf fetches a job's state for white-box lock holding.
-func jobOf(sv *Server, id uint64) *jobState {
-	j, _ := sv.reg.shardFor(id).lookup(id)
-	return j
-}
-
-// stripStale clears the degraded-path markers so content can be compared
-// against a live answer.
-func stripStale(vs []TaskVerdict) []TaskVerdict {
-	out := make([]TaskVerdict, len(vs))
-	copy(out, vs)
-	for i := range out {
-		out[i].Stale, out[i].AsOfCheckpoint = false, 0
-	}
-	return out
-}
-
-// TestDegradedQueryServesStale: with the job lock held past DegradedAfter,
-// queries answer from the last published view — every verdict flagged
-// Stale with its AsOfCheckpoint — instead of waiting, and the content
-// matches what a live query reports once the lock frees.
-func TestDegradedQueryServesStale(t *testing.T) {
-	sv := degradedServer(t, Config{Shards: 1, DegradedAfter: time.Millisecond})
-	j := jobOf(sv, 1)
-	j.mu.Lock()
-	probe := []int{0, 1, 5, 99} // 99 is out of range: still answered, still stale
-	stale, err := sv.Query(1, probe)
-	if err != nil {
-		j.mu.Unlock()
-		t.Fatal(err)
-	}
-	j.mu.Unlock()
-	for i, v := range stale {
-		if !v.Stale {
-			t.Fatalf("verdict %d under a held lock is not stale: %+v", i, v)
-		}
-		if v.AsOfCheckpoint != pipelineSpec(1).Checkpoints {
-			t.Fatalf("verdict %d stale as of checkpoint %d, want %d (job closed)",
-				i, v.AsOfCheckpoint, pipelineSpec(1).Checkpoints)
-		}
-	}
-	if got := sv.Stats().Overload.DegradedQueries; got != uint64(len(probe)) {
-		t.Fatalf("degraded=%d, want %d", got, len(probe))
-	}
-	live, err := sv.Query(1, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range live {
-		if v.Stale {
-			t.Fatalf("verdict with a free lock is stale: %+v", v)
-		}
-	}
-	if !reflect.DeepEqual(stripStale(stale), live) {
-		t.Fatalf("stale content differs from live:\n stale %+v\n  live %+v", stale, live)
-	}
-}
-
-// TestQueryAppendReusedDstDoesNotAliasStaleView: the degraded arm copies
-// verdicts out of the published view into the caller's slab, so a caller
-// that scribbles over its reused dst (the HTTP front clears its slab before
-// pooling it) cannot change what the next degraded query answers.
-func TestQueryAppendReusedDstDoesNotAliasStaleView(t *testing.T) {
-	sv := degradedServer(t, Config{Shards: 1, DegradedAfter: time.Millisecond})
-	j := jobOf(sv, 1)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	probe := []int{0, 1, 5, 99}
-	dst, err := sv.QueryAppend(make([]TaskVerdict, 0, 2), 1, probe) // grows past its capacity
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]TaskVerdict(nil), dst...)
-	for i := range dst {
-		if !dst[i].Stale {
-			t.Fatalf("verdict %d under a held lock is not stale: %+v", i, dst[i])
-		}
-		dst[i] = TaskVerdict{TaskID: -7, Known: !dst[i].Known, AsOfCheckpoint: -1}
-	}
-	got, err := sv.QueryAppend(dst[:0], 1, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &dst[0] {
-		t.Error("QueryAppend reallocated a dst that had room")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("degraded answer changed after the caller mutated its dst:\n want %+v\n  got %+v", want, got)
-	}
-	// Appending keeps what the caller already holds.
-	both, err := sv.QueryAppend(got, 1, probe[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(both, append(append([]TaskVerdict(nil), want...), want[:2]...)) {
-		t.Fatalf("QueryAppend onto a non-empty dst: %+v", both)
-	}
-}
-
-// TestStaleViewSurvivesSnapshotRestore: the degraded-query view is never
-// serialized — a restored server rebuilds it by replaying the stream, so
-// degraded answers (staleness flags included) survive snapshot/restore.
-func TestStaleViewSurvivesSnapshotRestore(t *testing.T) {
-	cfg := Config{Shards: 1, DegradedAfter: time.Millisecond}
-	sv := degradedServer(t, cfg)
-	var snap bytes.Buffer
-	if err := sv.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreServer(bytes.NewReader(snap.Bytes()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := []int{0, 1, 5}
-	j := jobOf(sv, 1)
-	j.mu.Lock()
-	want, err := sv.Query(1, probe)
-	j.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rj := jobOf(restored, 1)
-	rj.mu.Lock()
-	got, err := restored.Query(1, probe)
-	rj.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("degraded answers diverge after restore:\n want %+v\n  got %+v", want, got)
-	}
-}
-
-// TestStaleViewSurvivesWALRecovery: same property through a crash — the
-// recovered server serves the same flagged-stale answers under lock
-// contention as the one that died.
-func TestStaleViewSurvivesWALRecovery(t *testing.T) {
-	fs := waltest.NewMemFS()
-	cfg := cheapCfg(1)
-	cfg.DegradedAfter = time.Millisecond
-	sv, _, _, err := Recover("wal", cfg, wal.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := wire.JobSpec{JobID: 1, Schema: []string{"cpu"}, NumTasks: 4, TauStra: 10,
-		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: 1}
-	if err := sv.StartJob(spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := sv.Ingest(wire.Event{Kind: wire.EventTaskStart, JobID: 1, TaskID: i, Time: 0}); err != nil {
-			t.Fatal(err)
-		}
-		if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: i, Time: 1, Features: []float64{1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sv.Ingest(wire.Event{Kind: wire.EventJobFinish, JobID: 1, Time: 100}); err != nil {
-		t.Fatal(err)
-	}
-	probe := []int{0, 1, 2, 3}
-	j := jobOf(sv, 1)
-	j.mu.Lock()
-	want, err := sv.Query(1, probe)
-	j.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	revived, wal2, _, err := Recover("wal", cfg, wal.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	rj := jobOf(revived, 1)
-	rj.mu.Lock()
-	got, err := revived.Query(1, probe)
-	rj.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range got {
-		if !v.Stale {
-			t.Fatalf("recovered degraded answer not flagged stale: %+v", v)
-		}
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("degraded answers diverge after recovery:\n want %+v\n  got %+v", want, got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/nurd"
 	"repro/internal/predictor"
 	"repro/internal/simulator"
 	"repro/internal/trace"
@@ -313,6 +315,69 @@ func TestQueryVerdicts(t *testing.T) {
 	}
 	if err := ingestBatch(sv, events[cut:]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueryAppendAppendsCopies: QueryAppend appends to the caller's slice —
+// growing it once when it lacks room, writing into the room it has without
+// reallocating, keeping what it already holds — and every verdict, its
+// Prediction included, is a copy: a caller that scribbles over its reused
+// slice (the HTTP front clears its slab before pooling it) cannot change the
+// next answer.
+func TestQueryAppendAppendsCopies(t *testing.T) {
+	sv := NewServer(Config{Shards: 1})
+	if err := sv.StartJob(pipelineSpec(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	pipelineWarmup(t, sv, 1, 2)
+	// A heartbeat past the third boundary applies the first two fits, so
+	// the running tasks carry predictions.
+	if err := sv.Ingest(wire.Event{Kind: wire.EventHeartbeat, JobID: 1, TaskID: 7, Time: 35, Features: []float64{7, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	probe := []int{0, 1, 5, 7, 99} // 99 is out of range: still answered
+	want, err := sv.Query(1, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predicted := 0
+	for _, v := range want {
+		if v.Prediction != nil {
+			predicted++
+		}
+	}
+	if predicted == 0 {
+		t.Fatalf("no verdict carries a prediction: %+v", want)
+	}
+	dst, err := sv.QueryAppend(make([]TaskVerdict, 0, 2), 1, probe) // grows past its capacity
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dst, want) {
+		t.Fatalf("QueryAppend into a short slice:\n want %+v\n  got %+v", want, dst)
+	}
+	for i := range dst {
+		if p := dst[i].Prediction; p != nil {
+			*p = nurd.Prediction{Latency: -1}
+		}
+		dst[i] = TaskVerdict{TaskID: -7, Known: !dst[i].Known}
+	}
+	got, err := sv.QueryAppend(dst[:0], 1, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &dst[0] {
+		t.Error("QueryAppend reallocated a slice that had room")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("answer changed after the caller scribbled over its slice:\n want %+v\n  got %+v", want, got)
+	}
+	both, err := sv.QueryAppend(got, 1, probe[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(both, append(append([]TaskVerdict(nil), want...), want[:2]...)) {
+		t.Fatalf("QueryAppend onto a non-empty slice: %+v", both)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/nurd"
 	"repro/internal/predictor"
@@ -92,12 +91,6 @@ type Config struct {
 	// the remote host. Only the HTTP front enforces this — in-process
 	// callers are trusted. 0 disables.
 	ClientRate float64
-	// DegradedAfter, when positive, enables degraded queries: a query that
-	// cannot take the job lock within this duration is answered from the
-	// last published generation's precomputed verdicts, flagged Stale,
-	// instead of queueing behind a refit or an ingest burst. 0 disables
-	// (queries always wait for the lock).
-	DegradedAfter time.Duration
 }
 
 // DefaultConfig returns a NURD-serving configuration.
@@ -352,12 +345,11 @@ func (sv *Server) Query(jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 // QueryAppend is Query into caller-owned storage: it appends one verdict
 // per task ID to dst and returns the extended slice, so a caller that
 // queries in a loop (the HTTP front) reuses one slab instead of allocating
-// a pointer-bearing slice per call. dst grows once, and each live verdict is
+// a pointer-bearing slice per call. dst grows once, and each verdict is
 // written in place in its slot. The appended verdicts are copies — no
 // later server activity changes them. A non-nil Prediction points into one
-// slab the call allocated for all of its predictions on the live path, and
-// into the job's stale view (shared with every degraded query) on the
-// degraded path; treat it as immutable either way.
+// slab the call allocated for all of its predictions; treat it as
+// immutable.
 func (sv *Server) QueryAppend(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 	return sv.reg.shardFor(jobID).query(dst, jobID, taskIDs)
 }

@@ -54,11 +54,8 @@ type shard struct {
 	// queue is the bounded ingest admission queue: every event holds one
 	// slot while it applies. When full, heartbeats are shed before any
 	// state is touched (see overload.go) and every other event class
-	// waits for a slot. degradedAfter, when positive, bounds how long a
-	// query waits for a job lock before answering from the stale published
-	// view.
-	queue         *admission
-	degradedAfter time.Duration
+	// waits for a slot.
+	queue *admission
 
 	// Counters accumulate as events happen (not derived from live jobs) so
 	// they survive DropJob's reclamation of per-job state. Durations are in
@@ -75,16 +72,14 @@ type shard struct {
 	// Overload taxonomy (see OverloadStats).
 	shedHeartbeats atomic.Uint64
 	ingestWaits    atomic.Uint64
-	degraded       atomic.Uint64
 }
 
 // newShard builds one shard from a resolved Config (NewServer's).
 func newShard(cfg Config) *shard {
 	return &shard{
-		jobs:          make(map[uint64]*jobState),
-		pool:          new(refitPool),
-		queue:         newAdmission(cfg.IngestQueue),
-		degradedAfter: cfg.DegradedAfter,
+		jobs:  make(map[uint64]*jobState),
+		pool:  new(refitPool),
+		queue: newAdmission(cfg.IngestQueue),
 	}
 }
 
@@ -107,7 +102,6 @@ func (s *shard) startJob(spec wire.JobSpec, pred simulator.Predictor) (uint64, e
 		return 0, fmt.Errorf("serve: job %d already registered", spec.JobID)
 	}
 	j := newJobState(spec, pred, s.pool)
-	j.staleEnabled = s.degradedAfter > 0
 	var lsn uint64
 	if s.wal != nil {
 		var err error
@@ -222,39 +216,16 @@ func atomicMax(v *atomic.Int64, x int64) {
 }
 
 // query appends a batch of per-task verdicts for one job to dst and returns
-// the extended slice. dst grows once, and on the live path each verdict is
-// written straight into its slot (jobState.answer); the verdicts are copies
-// of server state, so a caller may reuse dst across calls. With degraded
-// queries enabled, a query that cannot take the job lock within
-// degradedAfter is answered from the job's stale published view (last
-// applied generation, Stale-flagged) instead of queueing behind whatever
-// holds the lock — a refit drain, an ingest burst — so query latency stays
-// bounded under overload. Jobs with no published view yet (no
-// refit has applied) fall through to the blocking path: there is nothing
-// stale to serve, and pre-warmup locks are never held long.
+// the extended slice. dst grows once, and each verdict is written straight
+// into its slot (jobState.answer) under the job lock; the verdicts are
+// copies of server state, so a caller may reuse dst across calls.
 func (s *shard) query(dst []TaskVerdict, jobID uint64, taskIDs []int) ([]TaskVerdict, error) {
 	j, ok := s.lookup(jobID)
 	if !ok {
 		return dst, fmt.Errorf("serve: query for job %d: %w", jobID, ErrUnknownJob)
 	}
 	dst = slices.Grow(dst, len(taskIDs))
-	if s.degradedAfter > 0 && !lockWithin(&j.mu, s.degradedAfter) {
-		if sv := j.stale.Load(); sv != nil {
-			for _, id := range taskIDs {
-				if id >= 0 && id < len(sv.verdicts) {
-					dst = append(dst, sv.verdicts[id])
-				} else {
-					dst = append(dst, TaskVerdict{TaskID: id, Stale: true, AsOfCheckpoint: sv.checkpoint})
-				}
-			}
-			s.degraded.Add(uint64(len(taskIDs)))
-			s.queries.Add(uint64(len(taskIDs)))
-			return dst, nil
-		}
-		j.mu.Lock()
-	} else if s.degradedAfter <= 0 {
-		j.mu.Lock()
-	}
+	j.mu.Lock()
 	// One slab holds every prediction this call makes: at most one per
 	// running task asked about, so a job with no published model or no
 	// running task allocates none. (A task ID repeated past that grows the
@@ -350,6 +321,5 @@ func (s *shard) addStats(st *Stats) {
 	st.ScratchFits += s.pool.scratchFits.Load()
 	st.Overload.ShedHeartbeats += s.shedHeartbeats.Load()
 	st.Overload.IngestWaits += s.ingestWaits.Load()
-	st.Overload.DegradedQueries += s.degraded.Load()
 	st.Overload.IngestQueueDepth += s.queue.depth()
 }

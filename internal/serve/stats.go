@@ -30,14 +30,6 @@ type TaskVerdict struct {
 	// tasks, the true latency test for finished ones, and the model's
 	// adjusted-latency test for running ones.
 	Straggler bool
-	// Stale marks a degraded-mode answer: the job's lock was not free
-	// within Config.DegradedAfter, so this verdict was served from the last
-	// published generation's precomputed view instead of live state.
-	// AsOfCheckpoint is the checkpoint that view reflects. Staleness is
-	// bounded by one refit application; clients needing a live answer
-	// retry.
-	Stale          bool `json:",omitempty"`
-	AsOfCheckpoint int  `json:",omitempty"`
 }
 
 // JobReport summarizes one job's serving run.
@@ -121,8 +113,7 @@ type Stats struct {
 	// ensemble extension vs full scratch fit).
 	WarmFits, ScratchFits uint64
 	// Overload is the overload-control taxonomy: shed counts by class,
-	// queue depths and bounds, rate-limit rejections and the degraded-query
-	// count (see overload.go).
+	// queue depths and bounds, and rate-limit rejections (see overload.go).
 	Overload OverloadStats
 	// WAL carries the write-ahead log's counters (segments, next LSN,
 	// group-commit backlog, checkpoints) when the server runs with one; nil

@@ -99,9 +99,8 @@ type Backend interface {
 	// extended slice, writing each verdict in place in dst's spare
 	// capacity. GET /query hands it a pooled slab, so the verdicts must be
 	// copies the backend never touches again. A non-nil
-	// Prediction points into the call's own prediction slab on the live
-	// path and into the job's stale view on the degraded one; either way
-	// it is read-only, and GET /query drops it when it clears the slab.
+	// Prediction points into the call's own prediction slab; it is
+	// read-only, and GET /query drops it when it clears the slab.
 	QueryAppend(dst []serve.TaskVerdict, jobID uint64, taskIDs []int) ([]serve.TaskVerdict, error)
 	Report(jobID uint64) (*serve.JobReport, error)
 	Stats() serve.Stats

@@ -67,8 +67,6 @@ var metrics = []metric{
 		value: func(s *serve.Stats) float64 { return float64(s.Overload.RateLimited) }},
 	{name: "nurd_rate_shed_heartbeats_total", kind: "counter", help: "Heartbeats shed mid-body at an empty token bucket.",
 		value: func(s *serve.Stats) float64 { return float64(s.Overload.RateShedHeartbeats) }},
-	{name: "nurd_degraded_verdicts_total", kind: "counter", help: "Task verdicts answered from the stale published view.",
-		value: func(s *serve.Stats) float64 { return float64(s.Overload.DegradedQueries) }},
 	{name: "nurd_wal_segments", kind: "gauge", help: "Live log segment files.", wal: true,
 		value: func(s *serve.Stats) float64 { return float64(s.WAL.Segments) }},
 	{name: "nurd_wal_next_lsn", kind: "gauge", help: "Next log sequence number to assign.", wal: true,

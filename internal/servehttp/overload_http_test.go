@@ -5,7 +5,7 @@ package servehttp
 // and the Retry-After hints — a rate-limit 429's bucket refill wait, and a
 // durability-outage 503's fixed operator-timescale constant (the budget
 // 429's fixed hint is TestHTTP429RetryAfter's). The in-process halves (shedding order, WAL-trace absence,
-// inline refits, degraded queries) live with package serve's own tests.
+// the refit queue's one view per job) live with package serve's own tests.
 
 import (
 	"encoding/json"

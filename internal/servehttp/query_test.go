@@ -58,17 +58,14 @@ var formatRuleFloats = []float64{
 }
 
 // randomVerdict draws a verdict covering every field state: nil and
-// non-nil Prediction, Stale/AsOfCheckpoint set and unset, negative and
-// huge task IDs, and floats from the rule table or from random bits.
+// non-nil Prediction, negative and huge task IDs, and floats from the rule
+// table or from random bits.
 func randomVerdict(rng *rand.Rand) serve.TaskVerdict {
 	flip := func() bool { return rng.Intn(2) == 0 }
 	ids := []int{0, 1, -1, 7, 99, 12345, math.MaxInt64, math.MinInt64, -1 << 31}
 	v := serve.TaskVerdict{
 		TaskID: ids[rng.Intn(len(ids))], Known: flip(), Finished: flip(), Flagged: flip(),
-		FlaggedAt: rng.Intn(12) - 1, Straggler: flip(), Stale: flip(),
-	}
-	if flip() {
-		v.AsOfCheckpoint = rng.Intn(21) - 10
+		FlaggedAt: rng.Intn(12) - 1, Straggler: flip(),
 	}
 	if flip() {
 		cell := func() float64 {
@@ -92,8 +89,8 @@ func randomVerdict(rng *rand.Rand) serve.TaskVerdict {
 func TestAppendVerdictsMatchesEncodingJSON(t *testing.T) {
 	// The oracle below only sees fields the cases set; a new omitempty
 	// field would slip past it, so the shapes are counted too.
-	if v, p := reflect.TypeOf(serve.TaskVerdict{}).NumField(), reflect.TypeOf(nurd.Prediction{}).NumField(); v != 9 || p != 4 {
-		t.Fatalf("TaskVerdict has %d fields and Prediction %d; appendVerdicts writes 9 and 4 — teach it the new one, then update this count", v, p)
+	if v, p := reflect.TypeOf(serve.TaskVerdict{}).NumField(), reflect.TypeOf(nurd.Prediction{}).NumField(); v != 7 || p != 4 {
+		t.Fatalf("TaskVerdict has %d fields and Prediction %d; appendVerdicts writes 7 and 4 — teach it the new one, then update this count", v, p)
 	}
 	pred := func(f float64) *nurd.Prediction {
 		return &nurd.Prediction{Latency: f, Propensity: 0.25, Weight: 1, Adjusted: f}
@@ -106,18 +103,15 @@ func TestAppendVerdictsMatchesEncodingJSON(t *testing.T) {
 		{{TaskID: -1}, {TaskID: math.MaxInt64}, {TaskID: math.MinInt64}},
 		{{TaskID: 1, Known: true, Finished: true, Straggler: true}},
 		{{TaskID: 2, Known: true, Flagged: true, FlaggedAt: 4, Straggler: true}},
-		{{TaskID: 5, Stale: true}, {TaskID: 5, AsOfCheckpoint: 3}, {TaskID: 5, Stale: true, AsOfCheckpoint: 10}},
-		{{TaskID: 6, AsOfCheckpoint: -2, FlaggedAt: -1}},
 		{{TaskID: 8, Known: true, Prediction: &nurd.Prediction{}}},
-		{{TaskID: 9, Known: true, Prediction: &nurd.Prediction{Latency: 12.5, Propensity: 0.3, Weight: 0.3, Adjusted: 41.666666666666664}, Straggler: true, Stale: true, AsOfCheckpoint: 7}},
+		{{TaskID: 9, Known: true, Prediction: &nurd.Prediction{Latency: 12.5, Propensity: 0.3, Weight: 0.3, Adjusted: 41.666666666666664}, Straggler: true}},
 	}
 	for _, f := range formatRuleFloats {
 		table = append(table, []serve.TaskVerdict{{TaskID: 1, Known: true, Prediction: pred(f)}, {TaskID: 2, Prediction: pred(-f)}})
 	}
 	// The answer-less tail table (FlaggedAt 0 to 9) across its whole
 	// domain and past both edges: each setting of the four booleans at
-	// FlaggedAt -1, 0, 1, 9, 10 and 1000, with no Prediction, not Stale
-	// and AsOfCheckpoint 0.
+	// FlaggedAt -1, 0, 1, 9, 10 and 1000, with no Prediction.
 	for bits := 0; bits < 16; bits++ {
 		for _, at := range []int{-1, 0, 1, 9, 10, 1000} {
 			table = append(table, []serve.TaskVerdict{{
@@ -166,8 +160,8 @@ func FuzzAppendVerdicts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, taskID int64, flags uint16, a, b, c, d uint64) {
 		bit := func(i uint) bool { return flags>>i&1 == 1 }
 		v := serve.TaskVerdict{
-			TaskID: int(taskID), Known: bit(0), Finished: bit(1), Flagged: bit(2), Straggler: bit(3), Stale: bit(4),
-			FlaggedAt: int(flags >> 8 & 0xf), AsOfCheckpoint: int(flags>>12) - 4,
+			TaskID: int(taskID), Known: bit(0), Finished: bit(1), Flagged: bit(2), Straggler: bit(3),
+			FlaggedAt: int(flags >> 8 & 0xf),
 		}
 		if bit(5) {
 			v.Prediction = &nurd.Prediction{

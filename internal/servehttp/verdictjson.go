@@ -34,7 +34,7 @@ func appendVerdicts(dst []byte, vs []serve.TaskVerdict) ([]byte, error) {
 		}
 		dst = append(dst, `{"TaskID":`...)
 		dst = appendInt(dst, v.TaskID)
-		if v.Prediction == nil && !v.Stale && v.AsOfCheckpoint == 0 && uint(v.FlaggedAt) < answerlessFlaggedAts {
+		if v.Prediction == nil && uint(v.FlaggedAt) < answerlessFlaggedAts {
 			dst = append(dst, answerlessTails[flagBits(v)*answerlessFlaggedAts+v.FlaggedAt]...)
 			continue
 		}
@@ -62,13 +62,6 @@ func appendVerdicts(dst []byte, vs []serve.TaskVerdict) ([]byte, error) {
 		}
 		dst = append(dst, `,"Straggler":`...)
 		dst = strconv.AppendBool(dst, v.Straggler)
-		if v.Stale {
-			dst = append(dst, `,"Stale":true`...)
-		}
-		if v.AsOfCheckpoint != 0 {
-			dst = append(dst, `,"AsOfCheckpoint":`...)
-			dst = appendInt(dst, v.AsOfCheckpoint)
-		}
 		dst = append(dst, '}')
 	}
 	return append(dst, "]\n"...), nil
@@ -80,11 +73,10 @@ func appendVerdicts(dst []byte, vs []serve.TaskVerdict) ([]byte, error) {
 const answerlessFlaggedAts = 10
 
 // answerlessTails holds everything after the TaskID of an answer-less
-// verdict — no Prediction, not Stale, AsOfCheckpoint 0: on the live path,
-// every verdict of a job with no published model and every finished or
-// flagged task's — from `,"Known":` to the closing brace, for each setting of the four booleans
-// and each FlaggedAt below answerlessFlaggedAts, indexed
-// flagBits*answerlessFlaggedAts + FlaggedAt.
+// verdict — no Prediction: every verdict of a job with no published model
+// and every finished or flagged task's — from `,"Known":` to the closing
+// brace, for each setting of the four booleans and each FlaggedAt below
+// answerlessFlaggedAts, indexed flagBits*answerlessFlaggedAts + FlaggedAt.
 var answerlessTails = func() (tails [16 * answerlessFlaggedAts]string) {
 	for i := range tails {
 		bits, at := i/answerlessFlaggedAts, i%answerlessFlaggedAts

@@ -196,7 +196,7 @@ func (p *Presorted) Grow(y, w []float64, cfg Config) (*Regressor, error) {
 		p.feats[j] = j
 	}
 	p.grow(0, p.n, 0)
-	return &Regressor{nodes: slices.Clone(p.nodes), ncols: p.d}, nil
+	return &Regressor{nodes: slices.Clone(p.nodes)}, nil
 }
 
 // Leaves returns, for each training row, the ordinal (as AdjustLeaves

@@ -32,7 +32,7 @@ func refFit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, er
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	t := &Regressor{ncols: ncols}
+	t := &Regressor{}
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
@@ -102,7 +102,7 @@ func (b *builder) grow(idx []int, depth int) int32 {
 
 // bestSplit scans candidate features for the split minimizing weighted SSE.
 func (b *builder) bestSplit(idx []int, totW, totWY float64) (feat int, thr float64, ok bool) {
-	ncols := b.tree.ncols
+	ncols := len(b.X[0])
 	features := make([]int, ncols)
 	for j := range features {
 		features[j] = j

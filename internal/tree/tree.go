@@ -79,7 +79,6 @@ type node struct {
 // Regressor is a fitted regression tree.
 type Regressor struct {
 	nodes []node
-	ncols int
 }
 
 // Fit grows a regression tree on X, y (optionally with per-sample weights;

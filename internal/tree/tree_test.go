@@ -289,8 +289,9 @@ func TestAppendSoAMatchesPredict(t *testing.T) {
 	rng := stats.NewRNG(42)
 	var s SoA
 	type fitted struct {
-		tr   *Regressor
-		root int32
+		tr    *Regressor
+		root  int32
+		width int // columns of the tree's training set
 	}
 	var trees []fitted
 	for k := 0; k < 5; k++ {
@@ -305,7 +306,7 @@ func TestAppendSoAMatchesPredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees = append(trees, fitted{tr, tr.AppendSoA(&s)})
+		trees = append(trees, fitted{tr, tr.AppendSoA(&s), len(X[0])})
 	}
 	walk := func(x []float64, root int32) float64 {
 		i := root
@@ -321,8 +322,8 @@ func TestAppendSoAMatchesPredict(t *testing.T) {
 	total := 0
 	for _, f := range trees {
 		total += f.tr.NumNodes()
-		if mf := f.tr.MaxFeature(); mf >= f.tr.numCols() {
-			t.Fatalf("MaxFeature %d >= numCols %d", mf, f.tr.numCols())
+		if mf := f.tr.MaxFeature(); mf >= f.width {
+			t.Fatalf("MaxFeature %d >= training width %d", mf, f.width)
 		}
 		for i := 0; i < 50; i++ {
 			x := []float64{rng.Normal(0, 2), rng.Normal(0, 2), rng.Normal(0, 2)}
@@ -496,7 +497,7 @@ func searchedCandidates(t *Regressor, X [][]float64, cfg Config) int {
 	total := 0
 	for i, m := range rows {
 		if depth[i] < cfg.MaxDepth && m >= cfg.MinSplit {
-			total += t.ncols * max(0, m-2*cfg.MinLeaf+1)
+			total += len(X[0]) * max(0, m-2*cfg.MinLeaf+1)
 		}
 	}
 	return total
@@ -521,6 +522,3 @@ func (t *Regressor) depth() int {
 	}
 	return rec(0)
 }
-
-// numCols reports the training-set width the tree was fitted on.
-func (t *Regressor) numCols() int { return t.ncols }

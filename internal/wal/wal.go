@@ -115,7 +115,6 @@ type WAL struct {
 	mu           sync.Mutex
 	seq          uint64
 	f            File   // open segment; nil until the first append (lazy)
-	stamp        uint64 // open segment's name stamp
 	lastLSN      uint64 // last LSN staged (recovered or live): the next segment header's chain link
 	writtenLSN   uint64 // highest LSN whose frame is in the file
 	segBytes     int64  // bytes in the open segment
@@ -194,7 +193,6 @@ func (w *WAL) createSegmentLocked() error {
 		return w.fail(fmt.Errorf("serve/wal: segment header: %w", err))
 	}
 	w.f = f
-	w.stamp = stamp
 	w.segBytes = int64(len(hdr))
 	w.pending += int64(len(hdr))
 	if w.pendingSince.IsZero() {

@@ -81,14 +81,6 @@ type PostResult struct {
 	Err string
 }
 
-// QueryResult is one verdict-query response, as the load driver reads it.
-type QueryResult struct {
-	// Status is the HTTP status code.
-	Status int
-	// Verdicts carries the answered batch on 2xx.
-	Verdicts []serve.TaskVerdict
-}
-
 // HTTPTarget posts to a serving front end over HTTP.
 type HTTPTarget struct {
 	// Client is the HTTP client (nil uses http.DefaultClient).
@@ -107,10 +99,11 @@ func (t *HTTPTarget) httpClient() *http.Client {
 // Post sends one wire-encoded body to /ingest on behalf of the named
 // scenario client. A non-2xx status is returned in PostResult, not as an
 // error; an error means the request could not be completed at all
-// (transport failure). The client's name travels as X-Nurd-Client, the
-// front end's rate-limit principal, so per-client token buckets see
-// scenario lanes as distinct clients even though every lane shares one
-// source address.
+// (transport failure), or a 2xx reply's body could not be read or decoded —
+// its counts are unknown, so the request is neither acknowledged nor lost.
+// The client's name travels as X-Nurd-Client, the front end's rate-limit
+// principal, so per-client token buckets see scenario lanes as distinct
+// clients even though every lane shares one source address.
 func (t *HTTPTarget) Post(client string, body []byte) (PostResult, error) {
 	req, err := http.NewRequest(http.MethodPost, t.BaseURL+"/ingest", bytes.NewReader(body))
 	if err != nil {
@@ -126,8 +119,14 @@ func (t *HTTPTarget) Post(client string, body []byte) (PostResult, error) {
 	}
 	defer resp.Body.Close()
 	var res servehttp.IngestResult
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	_ = json.Unmarshal(msg, &res) // non-JSON bodies leave zero counts
+	msg, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	if err == nil {
+		err = json.Unmarshal(msg, &res)
+	}
+	if err != nil && resp.StatusCode < 300 {
+		return PostResult{}, fmt.Errorf("ingest reply (status %d): %w", resp.StatusCode, err)
+	}
+	// A non-2xx body that is not JSON leaves zero counts.
 	return PostResult{
 		Status:     resp.StatusCode,
 		Specs:      res.Specs,
@@ -138,23 +137,21 @@ func (t *HTTPTarget) Post(client string, body []byte) (PostResult, error) {
 	}, nil
 }
 
-// Query asks /query for the verdicts of tasks of job jobID.
-func (t *HTTPTarget) Query(jobID uint64, tasks []int) (QueryResult, error) {
+// Query asks /query for the verdicts of tasks of job jobID and returns the
+// response's status. The body is drained unread; an error means the request
+// or that drain failed.
+func (t *HTTPTarget) Query(jobID uint64, tasks []int) (int, error) {
 	ids := make([]string, len(tasks))
 	for i, id := range tasks {
 		ids[i] = strconv.Itoa(id)
 	}
 	resp, err := t.httpClient().Get(fmt.Sprintf("%s/query?job=%d&tasks=%s", t.BaseURL, jobID, strings.Join(ids, ",")))
 	if err != nil {
-		return QueryResult{}, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	qr := QueryResult{Status: resp.StatusCode}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode < 300 {
-		_ = json.Unmarshal(body, &qr.Verdicts)
-	}
-	return qr, nil
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
 }
 
 // Report fetches the job's JobReport from /report: nil, without an error,
@@ -236,12 +233,10 @@ type Report struct {
 
 	// Query-prober results (zero unless the scenario sets QueryRate).
 	// QueryMisses are 404s — probes that raced their job's (possibly
-	// lagging) registration; StaleQueries counts degraded-mode answers
-	// (any verdict flagged Stale).
-	Queries      int `json:"queries"`
-	QueryMisses  int `json:"query_misses"`
-	StaleQueries int `json:"stale_queries"`
-	QueryErrors  int `json:"query_errors"`
+	// lagging) registration.
+	Queries     int `json:"queries"`
+	QueryMisses int `json:"query_misses"`
+	QueryErrors int `json:"query_errors"`
 
 	// Latency is per-request ingest latency measured from each request's
 	// DUE time (open loop: queue delay is inside, coordinated omission is
@@ -489,7 +484,6 @@ func Run(wl *Workload, tgt *HTTPTarget, opts Options) (*Report, error) {
 	}
 	rep.Queries = qs.queries
 	rep.QueryMisses = qs.misses
-	rep.StaleQueries = qs.stale
 	rep.QueryErrors = qs.errors
 	rep.QueryLatency = qs.latency.report(qs.maxLat)
 	rep.WallSeconds = wall.Seconds()
@@ -537,7 +531,6 @@ type queryStats struct {
 	maxLat  float64
 	queries int
 	misses  int
-	stale   int
 	errors  int
 }
 
@@ -546,8 +539,7 @@ type queryStats struct {
 // wall rate scales with Speedup), round-robin over the jobs whose
 // registration is due by each probe's time, measured from due time exactly
 // like ingest requests. Under overload this is the lane that must stay
-// fast: queries take no ingest-queue slot and, in degraded mode, not even
-// the job lock.
+// fast: queries take no ingest-queue slot, only their job's lock.
 func runProber(wl *Workload, tgt *HTTPTarget, opts Options, start time.Time, qs *queryStats) {
 	type probeJob struct {
 		at     float64
@@ -583,7 +575,7 @@ func runProber(wl *Workload, tgt *HTTPTarget, opts Options, start time.Time, qs 
 		for i := range ids {
 			ids[i] = i
 		}
-		res, err := tgt.Query(pj.id, ids)
+		status, err := tgt.Query(pj.id, ids)
 		lat := time.Since(wallDue)
 		if lat < 0 {
 			lat = 0
@@ -596,20 +588,13 @@ func runProber(wl *Workload, tgt *HTTPTarget, opts Options, start time.Time, qs 
 		switch {
 		case err != nil:
 			qs.errors++
-		case res.Status == http.StatusNotFound:
+		case status == http.StatusNotFound:
 			// The job's spec send is behind schedule (or its lane was
 			// throttled): a miss, not an error — the prober's schedule is
 			// independent of the ingest lanes' fate by design.
 			qs.misses++
-		case res.Status >= 300:
+		case status >= 300:
 			qs.errors++
-		default:
-			for _, v := range res.Verdicts {
-				if v.Stale {
-					qs.stale++
-					break
-				}
-			}
 		}
 	}
 }
@@ -630,8 +615,8 @@ func (r *Report) String() string {
 		r.AckedSpecs, r.AckedEvents, r.Rejected429, r.Rejected503, r.RetryAfterSeen, r.Retries, r.BadFrameRejects, r.Malformed, r.Errors,
 		r.ShedEvents, r.ThrottledEvents, r.LostEvents)
 	if r.Queries > 0 {
-		s += fmt.Sprintf("\n  queries %d (misses %d, stale %d, errors %d): p50 %.2fms p99 %.2fms max %.2fms",
-			r.Queries, r.QueryMisses, r.StaleQueries, r.QueryErrors,
+		s += fmt.Sprintf("\n  queries %d (misses %d, errors %d): p50 %.2fms p99 %.2fms max %.2fms",
+			r.Queries, r.QueryMisses, r.QueryErrors,
 			r.QueryLatency.P50, r.QueryLatency.P99, r.QueryLatency.Max)
 	}
 	return s

@@ -2,8 +2,11 @@ package workload
 
 import (
 	"encoding/json"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -292,4 +295,51 @@ func TestLoadgenShedTaxonomy(t *testing.T) {
 		}
 	}
 	finite(t, "macro F1", MacroF1(scores, ids))
+}
+
+// TestPostUnreadableReplyIsAnError: a 2xx /ingest reply whose body cannot be
+// decoded or read in full carries no counts, so Post reports an error and Run
+// books the request under errors, not as lost events (which the overload gate
+// reads as a served-traffic integrity failure). A non-2xx body that is not
+// JSON still reads as zero counts.
+func TestPostUnreadableReplyIsAnError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		switch r.Header.Get("X-Nurd-Client") {
+		case "cut":
+			w.Header().Set("Content-Length", "64")
+			io.WriteString(w, `{"specs":1}`) // whole JSON, cut short of its length
+		case "down":
+			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, "upstream down")
+		default:
+			io.WriteString(w, "{")
+		}
+	}))
+	defer ts.Close()
+	tgt := &HTTPTarget{Client: ts.Client(), BaseURL: ts.URL}
+	for _, client := range []string{"", "cut"} {
+		if res, err := tgt.Post(client, nil); err == nil {
+			t.Errorf("client %q: Post of a 200 with an unreadable body: %+v, want an error", client, res)
+		}
+	}
+	res, err := tgt.Post("down", nil)
+	if err != nil || res.Status != http.StatusServiceUnavailable || res.Events != 0 || res.Err != "" {
+		t.Errorf("503 with a plain-text body: %+v, %v; want the status, zero counts, no error", res, err)
+	}
+
+	ws, _ := Builtin("smoke")
+	ws.Duration = 2
+	wl, err := Synthesize(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(wl, tgt, Options{Speedup: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != rep.Requests || rep.LostEvents != 0 || !strings.Contains(rep.FirstError, "ingest reply") {
+		t.Fatalf("every reply was an undecodable 200: errors %d of %d requests, lost %d, first error %q; want all errors, none lost",
+			rep.Errors, rep.Requests, rep.LostEvents, rep.FirstError)
+	}
 }

@@ -27,6 +27,13 @@ var reachAllowed = map[string]string{
 	"tree.Regressor.Predict": "the branching reference walk: the gbt and tree bit-identity tests and BenchmarkPredictTree, which CI's flat inference gate times, compare the compiled walk against it",
 }
 
+// unreadAllowed exempts unexported struct fields, by qualified name
+// (package.Type.field), that programs only store to, each for a stated
+// reason: a test reads the stored value.
+var unreadAllowed = map[string]string{
+	"linmodel.LogisticScratch.iters": "TestFitLogisticDampsOvershoot and BenchmarkFitLogistic's iters/fit metric read the Newton iteration count of the last fit",
+}
+
 // listedPkg is the part of `go list -json` output the reach test reads.
 type listedPkg struct {
 	ImportPath string
@@ -84,8 +91,12 @@ type modules struct {
 	// used holds every object a non-test file of either module refers to,
 	// by its origin (a generic type's fields and methods once, not per
 	// instance), and every embedded field a promoted selection passes
-	// through.
+	// through. A store to an unexported field or package-level var (see
+	// stores) is not a reference to it.
 	used map[types.Object]bool
+	// fieldOwner names the struct type that declares each field of a
+	// checked package's named struct types, for qualified names.
+	fieldOwner map[*types.Var]*types.TypeName
 	// ifaces is every interface a checked package can name: those it spells
 	// out and those its imports declare.
 	ifaces []*types.Interface
@@ -131,7 +142,7 @@ func checkModules() (*modules, error) {
 			}
 		}
 	}
-	m := &modules{fset: token.NewFileSet(), used: map[types.Object]bool{}}
+	m := &modules{fset: token.NewFileSet(), used: map[types.Object]bool{}, fieldOwner: map[*types.Var]*types.TypeName{}}
 	exports := map[string]string{}
 	gc := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(exports[path])
@@ -176,8 +187,22 @@ func checkModules() (*modules, error) {
 			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
-		for _, obj := range info.Uses {
-			m.used[origin(obj)] = true
+		stored := stores(syntax, info)
+		for id, obj := range info.Uses {
+			if !stored[id] || !storeIsNoUse(obj) {
+				m.used[origin(obj)] = true
+			}
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					m.fieldOwner[st.Field(i)] = tn
+				}
+			}
 		}
 		// A promoted selection (x.f where f belongs to an embedded field)
 		// uses every embedded field on its path without naming one.
@@ -238,6 +263,58 @@ func origin(obj types.Object) types.Object {
 		return o.Origin()
 	}
 	return obj
+}
+
+// stores collects the identifiers that name what a statement or literal
+// stores to: the target of =, of an op-assign and of ++ or --, when it is a
+// name or a selector, and the keys of a struct literal.
+func stores(files []*ast.File, info *types.Info) map[*ast.Ident]bool {
+	stored := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		for p, ok := e.(*ast.ParenExpr); ok; p, ok = e.(*ast.ParenExpr) {
+			e = p.X
+		}
+		switch x := e.(type) {
+		case *ast.Ident:
+			stored[x] = true
+		case *ast.SelectorExpr:
+			stored[x.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.CompositeLit:
+				if tv, ok := info.Types[n]; ok {
+					if _, ok := tv.Type.Underlying().(*types.Struct); ok {
+						for _, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								target(kv.Key)
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return stored
+}
+
+// storeIsNoUse reports whether a store to obj does not count as its use:
+// obj is an unexported struct field or package-level var. An exported field
+// can be read by reflection (encoding/json), so every mention counts.
+func storeIsNoUse(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && !v.Exported() && (v.IsField() || (v.Pkg() != nil && v.Parent() == v.Pkg().Scope()))
 }
 
 func deref(typ types.Type) types.Type {
@@ -336,12 +413,17 @@ func TestEveryExportedFuncIsReached(t *testing.T) {
 // TestEveryDeclarationIsReached holds the rest of internal/ and cmd/ to
 // having a use outside tests: every unexported func and method, every
 // struct field, and every package-level const and var. A field counts as
-// used where a selector or a keyed literal names it, or where a promoted
-// selection passes through it (an embedded field). It has no allowlist:
-// code that only a test needs lives in that package's _test.go files.
+// used where a selector names it, or where a promoted selection passes
+// through it (an embedded field); an exported field also where a keyed
+// literal or a store names it. An unexported field or package-level var
+// has to be read: a store to it (=, an op-assign, ++ or --, a struct
+// literal's key) is no use. Code that only a test needs lives in that
+// package's _test.go files; a stored field only a test reads goes in
+// unreadAllowed with that test.
 func TestEveryDeclarationIsReached(t *testing.T) {
 	m := loadModules(t)
 	var unreached []string
+	flagged := map[string]bool{}
 	for _, p := range m.pkgs {
 		for id, obj := range p.info.Defs {
 			if obj == nil || id.Name == "_" || m.reached(obj) {
@@ -361,7 +443,15 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 			case *types.Var:
 				switch {
 				case o.IsField():
-					what = "field " + o.Name()
+					name := o.Pkg().Name() + "." + o.Name()
+					if tn := m.fieldOwner[o]; tn != nil {
+						name = o.Pkg().Name() + "." + tn.Name() + "." + o.Name()
+					}
+					flagged[name] = true
+					if unreadAllowed[name] != "" {
+						continue
+					}
+					what = "field " + name
 				case o.Parent() == o.Pkg().Scope():
 					what = "var " + o.Pkg().Name() + "." + o.Name()
 				default:
@@ -381,6 +471,11 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	sort.Strings(unreached)
 	for _, u := range unreached {
 		t.Errorf("%s is used by no program; delete it, or move it to the _test.go file that needs it", u)
+	}
+	for name := range unreadAllowed {
+		if !flagged[name] {
+			t.Errorf("unreadAllowed names %s, which is not an unread field under internal/ or cmd/; drop the entry", name)
+		}
 	}
 }
 
