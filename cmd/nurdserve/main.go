@@ -64,10 +64,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/serve"
@@ -75,6 +77,12 @@ import (
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
+
+// lifecycle logs the server's lifecycle transitions as slog text records on
+// stderr, one stable message and stable keys each (README "Lifecycle log").
+// Errors that end the process are plain "nurdserve: ..." lines, and the
+// replay's per-job table goes to stdout.
+var lifecycle = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func main() {
 	// The server-shape flags bind straight into the serve.Config the server
@@ -132,7 +140,7 @@ func servePprof(addr string) error {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	fmt.Fprintf(os.Stderr, "nurdserve: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	lifecycle.Info("pprof", "url", fmt.Sprintf("http://%s/debug/pprof/", ln.Addr()))
 	go http.Serve(ln, mux)
 	return nil
 }
@@ -196,7 +204,13 @@ func serveMode(listen, replay string, cfg serve.Config, walDir string, wopts wal
 	if wlog != nil {
 		defer wlog.Close()
 		recovered = int(rst.NextLSN) - 1
-		fmt.Fprintf(os.Stderr, "nurdserve: wal %s: recovered %d mutations (%v)\n", walDir, recovered, rst)
+		base := ""
+		if rst.SnapshotPath != "" {
+			base = filepath.Base(rst.SnapshotPath)
+		}
+		lifecycle.Info("wal recovered", "dir", walDir, "mutations", recovered,
+			"base", base, "floor", rst.SnapshotLSN, "segments", rst.SegmentsScanned,
+			"applied", rst.RecordsApplied, "skipped", rst.RecordsSkipped, "torn", rst.TornTail)
 	}
 	if replay != "" {
 		if err := loadDump(sv, replay, recovered); err != nil {
@@ -210,7 +224,7 @@ func serveMode(listen, replay string, cfg serve.Config, walDir string, wopts wal
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "nurdserve: serving %d shards on http://%s\n", sv.NumShards(), ln.Addr())
+	lifecycle.Info("serving", "shards", sv.NumShards(), "url", fmt.Sprintf("http://%s", ln.Addr()))
 	return http.Serve(ln, servehttp.NewHandler(sv))
 }
 
@@ -264,7 +278,8 @@ func loadDump(sv *serve.Server, path string, skip int) error {
 	}
 	defer f.Close()
 	if skip > 0 {
-		fmt.Fprintf(os.Stderr, "nurdserve: resuming replay at element %d (the WAL already holds the rest)\n", skip)
+		// The WAL already holds the dump's first skip elements.
+		lifecycle.Info("resuming replay", "element", skip)
 	}
 	st, err := feedDump(sv, f, skip)
 	if err != nil {
@@ -277,7 +292,7 @@ func loadDump(sv *serve.Server, path string, skip int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "nurdserve: checkpointed to %s (%d segments retired)\n", snap, retired)
+		lifecycle.Info("checkpointed", "base", snap, "retired", retired)
 	}
 	fmt.Printf("%8s %6s %6s %6s %6s %7s %10s %5s\n",
 		"job", "cp", "start", "finis", "term", "refits", "refit-mean", "done")

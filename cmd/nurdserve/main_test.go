@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -512,11 +513,11 @@ func TestPprofHasItsOwnListener(t *testing.T) {
 		var pp, front string
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
-			line := sc.Text()
-			if _, rest, ok := strings.Cut(line, "pprof on http://"); ok {
-				pp = strings.TrimSuffix(rest, "/debug/pprof/")
-			} else if _, rest, ok := strings.Cut(line, " on http://"); ok {
-				front = rest
+			switch msg, attrs := parseRecord(sc.Text()); msg {
+			case "pprof":
+				pp = strings.TrimSuffix(strings.TrimPrefix(attrs["url"], "http://"), "/debug/pprof/")
+			case "serving":
+				front = strings.TrimPrefix(attrs["url"], "http://")
 			}
 			if pp != "" && front != "" {
 				addrs <- [2]string{pp, front}
@@ -550,5 +551,142 @@ func TestPprofHasItsOwnListener(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("GET %s%s: %d, want %d", tc.addr, tc.path, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// parseRecord splits one slog text record into its message and its other
+// attributes (time and level dropped), unquoting quoted values. A line that
+// is not a record has no message.
+func parseRecord(line string) (msg string, attrs map[string]string) {
+	attrs = map[string]string{}
+	for line != "" {
+		key, rest, ok := strings.Cut(line, "=")
+		if !ok {
+			return "", nil
+		}
+		val := rest
+		if strings.HasPrefix(rest, `"`) {
+			q, err := strconv.QuotedPrefix(rest)
+			if err != nil {
+				return "", nil
+			}
+			val, _ = strconv.Unquote(q)
+			rest = rest[len(q):]
+		} else {
+			val, rest, _ = strings.Cut(rest, " ")
+			rest = " " + rest
+		}
+		attrs[key] = val
+		line = strings.TrimPrefix(rest, " ")
+	}
+	msg = attrs["msg"]
+	delete(attrs, "msg")
+	delete(attrs, "time")
+	delete(attrs, "level")
+	return msg, attrs
+}
+
+// TestLifecycleTableMatchesEmitted holds README's "Lifecycle log" table to
+// what nurdserve writes on stderr: a -wal -replay run, then a rerun that
+// resumes the replay and goes on to serve with -pprof, emit every message
+// in the table, each with exactly the keys the table lists, and nothing
+// else.
+func TestLifecycleTableMatchesEmitted(t *testing.T) {
+	dir := t.TempDir()
+	dump, _ := writeDump(t)
+	emitted := map[string]string{}
+	record := func(line string) string {
+		msg, attrs := parseRecord(line)
+		if msg == "" {
+			t.Errorf("stderr line %q is not a slog text record", line)
+			return ""
+		}
+		keys := make([]string, 0, len(attrs))
+		for k := range attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		got := strings.Join(keys, " ")
+		if prev, ok := emitted[msg]; ok && prev != got {
+			t.Errorf("%q emitted with keys %q and %q", msg, prev, got)
+		}
+		emitted[msg] = got
+		return msg
+	}
+	run := func(args ...string) *exec.Cmd {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		return cmd
+	}
+
+	first := run("-wal", dir, "-replay", dump)
+	var stderr bytes.Buffer
+	first.Stderr = &stderr
+	if err := first.Run(); err != nil {
+		t.Fatalf("first run: %v\n%s", err, stderr.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+		record(line)
+	}
+
+	second := run("-wal", dir, "-replay", dump, "-listen", "127.0.0.1:0", "-pprof", "127.0.0.1:0")
+	pipe, err := second.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		second.Process.Kill()
+		second.Wait()
+	}()
+	lines := make(chan string)
+	go func() {
+		sc := bufio.NewScanner(pipe)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+	timeout := time.After(20 * time.Second)
+	for serving := false; !serving; {
+		select {
+		case line, ok := <-lines:
+			if !ok {
+				t.Fatal("the second run exited before it served")
+			}
+			serving = record(line) == "serving"
+		case <-timeout:
+			t.Fatal("the second run never announced that it serves")
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n### Lifecycle log\n")
+	if !ok {
+		t.Fatal(`README has no "### Lifecycle log" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	listed := map[string]string{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 5 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		var keys []string
+		for i, k := range strings.Split(cells[2], "`") {
+			if i%2 == 1 {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		listed[strings.Trim(strings.TrimSpace(cells[1]), "`")] = strings.Join(keys, " ")
+	}
+	if !reflect.DeepEqual(listed, emitted) {
+		t.Errorf("README lists\n %v\nnurdserve emits\n %v", listed, emitted)
 	}
 }

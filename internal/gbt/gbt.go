@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/stats"
 	"repro/internal/tree"
@@ -92,42 +93,60 @@ func sigmoid(z float64) float64 {
 type lossFuncs func(f []float64, g, h []float64)
 
 // fitNewton runs the shared boosting loop.
-func fitNewton(X [][]float64, n int, init float64, loss lossFuncs, cfg Config) (*Model, error) {
-	if n == 0 {
+func fitNewton(X [][]float64, init float64, loss lossFuncs, cfg Config) (*Model, error) {
+	if len(X) == 0 {
 		return nil, fmt.Errorf("gbt: empty training set")
 	}
 	cfg.normalize()
 	rng := stats.NewRNG(cfg.Seed ^ 0x9bdb)
 	m := &Model{Init: init, LR: cfg.LearningRate}
-	f := make([]float64, n)
-	for i := range f {
-		f[i] = init
+	start := func(f []float64) {
+		for i := range f {
+			f[i] = init
+		}
 	}
-	if err := boostRounds(m, X, n, f, loss, cfg, rng); err != nil {
+	if err := boostRounds(m, X, start, loss, cfg, rng); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// boostRounds appends cfg.NumTrees Newton-boosted trees to m, starting from
-// the current per-row predictions f (which it advances in place). The loop is
-// shared by the scratch fitters and Model.Extend; cfg.LearningRate must equal
-// m.LR, since the ensemble applies one shrinkage factor to every tree.
+// fitScratch is the working memory of one boosting fit: the presorted
+// matrix, and per row the predictions, gradients, Hessians and negated
+// gradients, and per leaf the gradient and Hessian sums. A fit borrows one
+// from fitPool and returns it, so a fit allocates the model it publishes and
+// nothing per row once the pool holds a scratch as large as its matrix, and
+// no model keeps a fit's working memory after the fit.
+type fitScratch struct {
+	sorted        tree.Presorted
+	f, g, h, negG []float64
+	leafG, leafH  []float64
+}
+
+var fitPool = sync.Pool{New: func() any { return new(fitScratch) }}
+
+// boostRounds appends cfg.NumTrees Newton-boosted trees to m. start fills the
+// per-row predictions the first round starts from (the rounds then advance
+// them in place). The loop is shared by the scratch fitters and Model.Extend;
+// cfg.LearningRate must equal m.LR, since the ensemble applies one shrinkage
+// factor to every tree.
 //
 // X does not change between rounds, only the targets do, so its columns are
-// sorted once (tree.Presort) and every round grows from that order.
-func boostRounds(m *Model, X [][]float64, n int, f []float64, loss lossFuncs, cfg Config, rng *stats.RNG) error {
-	g := make([]float64, n)
-	h := make([]float64, n)
-	negG := make([]float64, n)
-	sorted, err := tree.Presort(X)
-	if err != nil {
+// sorted once (tree.Presorted.Reset) and every round grows from that order.
+func boostRounds(m *Model, X [][]float64, start func(f []float64), loss lossFuncs, cfg Config, rng *stats.RNG) error {
+	s := fitPool.Get().(*fitScratch)
+	defer fitPool.Put(s)
+	if err := s.sorted.Reset(X); err != nil {
 		return err
 	}
-	leaves := sorted.Leaves() // per row: ordinal of its leaf in the round's tree
-	// Per leaf (a tree on n rows has at most n); leafG ends a round holding
-	// the leaf's value.
-	leafG, leafH := make([]float64, n), make([]float64, n)
+	// Per row, and per leaf (a tree on n rows has at most n); leafG ends a
+	// round holding the leaf's value.
+	for _, buf := range []*[]float64{&s.f, &s.g, &s.h, &s.negG, &s.leafG, &s.leafH} {
+		*buf = slices.Grow((*buf)[:0], len(X))[:len(X)]
+	}
+	f, g, h, negG, leafG, leafH := s.f, s.g, s.h, s.negG, s.leafG, s.leafH
+	start(f)
+	leaves := s.sorted.Leaves() // per row: ordinal of its leaf in the round's tree
 	m.Trees = slices.Grow(m.Trees, cfg.NumTrees)
 	for round := 0; round < cfg.NumTrees; round++ {
 		loss(f, g, h)
@@ -138,7 +157,7 @@ func boostRounds(m *Model, X [][]float64, n int, f []float64, loss lossFuncs, cf
 		if tcfg.RNG == nil && tcfg.FeatureFrac > 0 && tcfg.FeatureFrac < 1 {
 			tcfg.RNG = rng.Split()
 		}
-		tr, err := sorted.Grow(negG, nil, tcfg)
+		tr, err := s.sorted.Grow(negG, nil, tcfg)
 		if err != nil {
 			return err
 		}
@@ -213,15 +232,15 @@ func (m *Model) Extend(X [][]float64, y []float64, rounds int, cfg Config) (*Mod
 	cfg.NumTrees = rounds
 	// The initial residual pass predicts every training row through the
 	// inherited ensemble — the dominant cost of a warm refit. Compile once
-	// and walk task-major. Rows are width-checked first: this pass runs before boostRounds' tree.Presort
-	// gets a chance to reject ragged rows.
+	// and walk task-major. Rows are width-checked first: the pass indexes
+	// each row at the ensemble's split features.
 	flat := out.Compile()
 	for i, x := range X {
 		if err := flat.CheckWidth(len(x)); err != nil {
 			return nil, fmt.Errorf("gbt: Extend row %d: %w", i, err)
 		}
 	}
-	f := flat.PredictBatchInto(X, nil)
+	start := func(f []float64) { flat.PredictBatchInto(X, f) }
 	loss := func(f []float64, g, h []float64) {
 		for i := range f {
 			g[i] = f[i] - y[i]
@@ -229,7 +248,7 @@ func (m *Model) Extend(X [][]float64, y []float64, rounds int, cfg Config) (*Mod
 		}
 	}
 	rng := stats.NewRNG(cfg.Seed ^ 0x9bdb ^ uint64(len(m.Trees))*0x9e3779b97f4a7c15)
-	if err := boostRounds(out, X, len(X), f, loss, cfg, rng); err != nil {
+	if err := boostRounds(out, X, start, loss, cfg, rng); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -247,7 +266,7 @@ func FitRegressor(X [][]float64, y []float64, cfg Config) (*Model, error) {
 			h[i] = 1
 		}
 	}
-	return fitNewton(X, len(X), init, loss, cfg)
+	return fitNewton(X, init, loss, cfg)
 }
 
 // FitClassifier fits a logistic-loss boosted classifier. y must be 0/1.
@@ -271,7 +290,7 @@ func FitClassifier(X [][]float64, y []float64, cfg Config) (*Model, error) {
 			h[i] = math.Max(pi*(1-pi), 1e-6)
 		}
 	}
-	m, err := fitNewton(X, len(X), init, loss, cfg)
+	m, err := fitNewton(X, init, loss, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +353,7 @@ func FitTobit(X [][]float64, y []float64, censored []bool, sigma float64, cfg Co
 			h[i] = hh
 		}
 	}
-	m, err := fitNewton(X, len(X), 0, loss, cfg)
+	m, err := fitNewton(X, 0, loss, cfg)
 	if err != nil {
 		return nil, err
 	}

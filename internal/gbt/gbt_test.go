@@ -3,6 +3,7 @@ package gbt
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/stats"
@@ -352,7 +353,17 @@ func TestExtendRejectsLogistic(t *testing.T) {
 // fitted tree itself (its struct and its node table) per round — however
 // many rows the matrix has and however many nodes the trees grow. A split
 // finder that sorts, allocates per node, or keeps per-round maps fails it.
+//
+// It also gates the bytes: after warm-up a fit allocates only the model it
+// publishes (the Model, its slice of trees, and per tree the Regressor and
+// its node table), since its working memory comes from fitPool. The bound
+// allows 1 KiB beside the model for what another toolchain's escape analysis
+// may put on the heap (an RNG, a closure); a buffer that silently stops being
+// reused adds at least a byte per row, and fails at 3 000 rows.
 func TestFitAllocationsBoundedPerTree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
 	const perFit, perTree = 24, 2
 	for _, tc := range []struct{ rows, depth, trees int }{
 		{100, 3, 50},
@@ -364,9 +375,10 @@ func TestFitAllocationsBoundedPerTree(t *testing.T) {
 		cfg.NumTrees = tc.trees
 		cfg.Tree.MaxDepth = tc.depth
 		nodes := 0
+		var m *Model
 		got := testing.AllocsPerRun(3, func() {
-			m, err := FitRegressor(X, y, cfg)
-			if err != nil {
+			var err error
+			if m, err = FitRegressor(X, y, cfg); err != nil {
 				t.Fatal(err)
 			}
 			nodes = m.Trees[len(m.Trees)-1].NumNodes()
@@ -377,5 +389,44 @@ func TestFitAllocationsBoundedPerTree(t *testing.T) {
 		} else {
 			t.Logf("%d rows, depth %d, %d trees (last has %d nodes): %.0f allocations", tc.rows, tc.depth, tc.trees, nodes, got)
 		}
+		if bytes, model := fitBytes(t, X, y, cfg), modelBytes(m); bytes > model+1<<10 {
+			t.Errorf("%d rows, depth %d, %d trees: %d bytes per warmed fit, its model takes %d", tc.rows, tc.depth, tc.trees, bytes, model)
+		} else {
+			t.Logf("%d rows, depth %d, %d trees: %d bytes per warmed fit, its model takes %d", tc.rows, tc.depth, tc.trees, bytes, model)
+		}
 	}
+}
+
+// fitBytes is the heap one FitRegressor(X, y, cfg) allocates once fitPool
+// holds a scratch for it: the least of three averages over four fits, since a
+// collection can empty the pool mid-run.
+func fitBytes(t *testing.T, X [][]float64, y []float64, cfg Config) uint64 {
+	best := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 4; i++ {
+			if _, err := FitRegressor(X, y, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/4)
+	}
+	return best
+}
+
+// modelBytes is the heap m occupies as a fit allocates it, each block rounded
+// up to its allocation size class: the Model (48 bytes), its slice of trees,
+// and per tree a 24-byte Regressor and a node table of 32 bytes per node (an
+// int, two float64s and two int32s).
+func modelBytes(m *Model) uint64 {
+	// Appending n bytes to a nil slice allocates exactly n bytes rounded up to
+	// their size class, and reports that as its capacity.
+	class := func(n int) uint64 { return uint64(cap(append([]byte(nil), make([]byte, n)...))) }
+	total := class(48) + class(8*cap(m.Trees))
+	for _, tr := range m.Trees {
+		total += class(24) + class(32*tr.NumNodes())
+	}
+	return total
 }

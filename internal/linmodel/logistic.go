@@ -41,8 +41,9 @@ type Logistic struct {
 }
 
 // LogisticScratch holds the reusable buffers of a FitLogisticFlat caller;
-// its zero value is ready to use. Not safe for concurrent use — each fitting
-// caller (e.g. a nurd.Model refitting its propensity model) owns its own.
+// its zero value is ready to use. Not safe for concurrent use: one fit at a
+// time owns it. nurd's refits borrow one from a pool for the length of a fit,
+// so no model keeps one between refits.
 type LogisticScratch struct {
 	// The standardized training matrix plus a column of ones, column-major:
 	// for n rows, column j is zc[j*n : (j+1)*n]. A gradient component is a

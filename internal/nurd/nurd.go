@@ -16,6 +16,7 @@ package nurd
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/gbt"
 	"repro/internal/linmodel"
@@ -105,7 +106,10 @@ func DefaultWarmConfig() Config {
 
 // Model is a NURD predictor for one job. Construct with New, call Init once
 // with the initial finished/running split, then Update+Predict at each
-// checkpoint.
+// checkpoint. Between refits a Model holds its fitted models and nothing of
+// the fits that made them: a refit borrows its working memory from pools
+// (gbt's fit scratch, propPool here) and returns it before it returns, so a
+// finished job's model keeps only what Predict reads.
 type Model struct {
 	cfg Config
 
@@ -117,16 +121,6 @@ type Model struct {
 	h  *gbt.Model         // latency predictor
 	hc *gbt.Flat          // h compiled into the flat SoA engine; replaced with h
 	g  *linmodel.Logistic // propensity model
-
-	// prop holds fitPropensity's reusable buffers: the log-feature training
-	// matrix (row-major), its labels, and the logistic fit's scratch. Only a
-	// refit touches it, and a model is refitted by one goroutine at a time; a
-	// shallow copy published for queries shares the buffers but never reads
-	// them.
-	prop struct {
-		x, y []float64
-		fit  linmodel.LogisticScratch
-	}
 
 	// warmFits / scratchFits count how the latency model was refitted
 	// (Extend vs FitRegressor); serving telemetry reads them via RefitCounts.
@@ -264,12 +258,21 @@ func (m *Model) checkTrain(finX [][]float64, finY []float64) error {
 	return nil
 }
 
+// propScratch is fitPropensity's working memory: the log-feature training
+// matrix (row-major), its labels, and the logistic fit's scratch.
+type propScratch struct {
+	x, y []float64
+	fit  linmodel.LogisticScratch
+}
+
+var propPool = sync.Pool{New: func() any { return new(propScratch) }}
+
 // fitPropensity refits g_t on the finished-vs-running split; both refit
 // strategies share it (its cost: go test ./internal/linmodel -bench
 // FitLogistic).
-// The log-feature matrix, its labels and the fit's working memory live in
-// m.prop and are reused, so from the second refit on only the fitted model is
-// allocated.
+// The log-feature matrix, its labels and the fit's working memory come from
+// propPool and go back to it, so once the pool holds a scratch as large as
+// the split only the fitted model is allocated, and no model keeps them.
 func (m *Model) fitPropensity(finX, runX [][]float64) error {
 	if len(runX) == 0 {
 		// Nothing running: keep the previous propensity model if any; a nil
@@ -277,7 +280,8 @@ func (m *Model) fitPropensity(finX, runX [][]float64) error {
 		return nil
 	}
 	n, d := len(finX)+len(runX), len(finX[0])
-	s := &m.prop
+	s := propPool.Get().(*propScratch)
+	defer propPool.Put(s)
 	if cap(s.x) < n*d {
 		s.x = make([]float64, n*d)
 	}

@@ -422,12 +422,15 @@ func TestPredictRejectsNarrowRows(t *testing.T) {
 }
 
 // TestRefitPropensityAllocations: from the second Refit of one model on, the
-// propensity half of a refit reuses the model's buffers — it allocates the
-// fitted logistic model and nothing per row (the [][]float64 path made two
-// slices per row: its log features and their standardised copy) — and the
-// refit as a whole allocates no more for four times the rows than the
-// latency fit's own row-independent bookkeeping.
+// propensity half of a refit reuses pooled buffers — it allocates the fitted
+// logistic model and nothing per row (the [][]float64 path made two slices
+// per row: its log features and their standardised copy) — and the refit as
+// a whole allocates no more for four times the rows than the latency fit's
+// own row-independent bookkeeping.
 func TestRefitPropensityAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
 	refitAllocs := func(nFin, nRun int) float64 {
 		fin, run, finY := split(nFin, nRun, 15, 1, 21)
 		m := New(DefaultWarmConfig())

@@ -51,6 +51,9 @@ type Presorted struct {
 	prune   bool      // the uniform scan may prune: see pruneSafe
 	nleaves int32
 
+	keys []uint64 // sortRows' merge space
+	rows []int32
+
 	y, w []float64
 	cfg  Config
 }
@@ -58,38 +61,52 @@ type Presorted struct {
 // Presort copies X column-major and sorts each feature's rows. It returns
 // an error for an empty matrix and ErrRaggedRows when rows differ in width.
 func Presort(X [][]float64) (*Presorted, error) {
+	p := &Presorted{}
+	if err := p.Reset(X); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reset makes p the presorted form of X, as Presort does, in p's own buffers:
+// it allocates only where X is larger than every matrix p held before, so a
+// caller that fits matrix after matrix (gbt's pooled fit scratch) reuses one
+// value. The zero Presorted is ready to Reset.
+func (p *Presorted) Reset(X [][]float64) error {
 	if len(X) == 0 {
-		return nil, fmt.Errorf("tree: empty training set")
+		return fmt.Errorf("tree: empty training set")
 	}
 	n, d := len(X), len(X[0])
 	for i, row := range X {
 		if len(row) != d {
-			return nil, fmt.Errorf("%w: row %d has %d columns, row 0 has %d", ErrRaggedRows, i, len(row), d)
+			return fmt.Errorf("%w: row %d has %d columns, row 0 has %d", ErrRaggedRows, i, len(row), d)
 		}
 	}
-	tables := make([]float64, 2*n) // a node offers at most n-1 cuts
-	p := &Presorted{
-		n: n, d: d,
-		cols:    make([]float64, d*n),
-		order:   make([]int32, d*n),
-		lists:   make([]int32, (d+1)*n),
-		scratch: make([]int32, n),
-		left:    make([]uint8, n),
-		leaves:  make([]int32, n),
-		feats:   make([]int, d),
-		lmu:     tables[:n:n],
-		lr:      tables[n:],
-	}
+	p.n, p.d = n, d
+	p.cols, p.order = resize(p.cols, d*n), resize(p.order, d*n)
+	p.lists, p.scratch = resize(p.lists, (d+1)*n), resize(p.scratch, n)
+	p.left, p.leaves = resize(p.left, n), resize(p.leaves, n)
+	p.feats = resize(p.feats, d)
+	p.lmu, p.lr = resize(p.lmu, n), resize(p.lr, n) // a node offers at most n-1 cuts
+	p.keys, p.rows = resize(p.keys, 2*n), resize(p.rows, 2*n)
 	for i, row := range X {
 		for j, v := range row {
 			p.cols[j*n+i] = v
 		}
 	}
-	keys, rows := make([]uint64, 2*n), make([]int32, 2*n)
 	for j := 0; j < d; j++ {
-		sortRows(p.cols[j*n:(j+1)*n], p.order[j*n:(j+1)*n], keys, rows)
+		sortRows(p.cols[j*n:(j+1)*n], p.order[j*n:(j+1)*n], p.keys, p.rows)
 	}
-	return p, nil
+	return nil
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // sortRows fills ord with the rows of col in the order Presorted documents:
@@ -176,14 +193,14 @@ func (p *Presorted) Grow(y, w []float64, cfg Config) (*Regressor, error) {
 	}
 	p.y, p.w, p.cfg = y, w, cfg
 	p.prune = w == nil && pruneSafe(y)
-	if p.nodes == nil {
-		// A tree has at most 2n-1 nodes (every leaf holds a row) and at
-		// most 2^(MaxDepth+1)-1; sizing the table once keeps a fit's
-		// allocation count independent of how many nodes its trees grow.
-		most := 2*p.n - 1
-		if cfg.MaxDepth < 30 && 1<<(cfg.MaxDepth+1)-1 < most {
-			most = 1<<(cfg.MaxDepth+1) - 1
-		}
+	// A tree has at most 2n-1 nodes (every leaf holds a row) and at most
+	// 2^(MaxDepth+1)-1; sizing the table for that keeps a fit's allocation
+	// count independent of how many nodes its trees grow.
+	most := 2*p.n - 1
+	if cfg.MaxDepth < 30 && 1<<(cfg.MaxDepth+1)-1 < most {
+		most = 1<<(cfg.MaxDepth+1) - 1
+	}
+	if cap(p.nodes) < most {
 		p.nodes = make([]node, 0, most)
 	}
 	p.nodes, p.nleaves = p.nodes[:0], 0
@@ -307,16 +324,15 @@ func (p *Presorted) bestSplit(lo, hi int, totW, totWY float64) (feat int, thr fl
 
 	b := best{gain: 1e-12}
 	parent := totWY * totWY / totW
-	if p.w == nil {
-		tableCuts(p.lmu, p.lr, hi-lo, p.cfg.MinLeaf, totWY)
-	}
-	for _, j := range features {
-		col, ord := p.cols[j*p.n:(j+1)*p.n], p.lists[j*p.n+lo:j*p.n+hi]
-		if p.w == nil {
-			p.scanUniform(&b, j, col, ord, totWY, parent)
-		} else {
-			p.scanWeighted(&b, j, col, ord, totW, totWY, parent)
+	if p.w != nil {
+		for _, j := range features {
+			p.scanWeighted(&b, j, p.cols[j*p.n:(j+1)*p.n], p.lists[j*p.n+lo:j*p.n+hi], totW, totWY, parent)
 		}
+		return b.feat, b.thr, b.ok
+	}
+	tableCuts(p.lmu, p.lr, hi-lo, p.cfg.MinLeaf, totWY)
+	for g := 0; g < len(features); g += lanes {
+		p.scanLanes(&b, features[g:min(g+lanes, len(features))], lo, hi, totWY, parent)
 	}
 	return b.feat, b.thr, b.ok
 }
@@ -330,51 +346,101 @@ type best struct {
 	ok   bool
 }
 
-// scanUniform scans one feature's order of a node with unit weights, where
-// cut k puts exactly the k+1 rows ord[:k+1] left and m-k-1 right. MinLeaf
-// admits the cuts minLeaf-1 .. m-minLeaf-1; grow calls this only when m ≥
-// MinSplit ≥ 2·MinLeaf, so there is at least one. Cut k is entry t =
-// k-minLeaf+1 of the node's tables (tableCuts).
-func (p *Presorted) scanUniform(b *best, j int, col []float64, ord []int32, totWY, parent float64) {
-	y := p.y
-	m, minLeaf := len(ord), p.cfg.MinLeaf
-	leftWY := 0.0
-	for _, i := range ord[:minLeaf-1] {
-		leftWY += y[i]
+// lanes is how many features the uniform scan walks at once.
+const lanes = 4
+
+// scanLanes scans the orders of one to four features js of a node with unit
+// weights, in lockstep: cut k puts exactly the k+1 rows ord[:k+1] of a
+// feature's order left and m-k-1 right. MinLeaf admits the cuts minLeaf-1 ..
+// m-minLeaf-1; grow calls this only when m ≥ MinSplit ≥ 2·MinLeaf, so there
+// is at least one. Cut k is entry t = k-minLeaf+1 of the node's tables
+// (tableCuts), which the features share.
+//
+// Each lane's prefix sum is a chain of adds of its own, so four chains
+// overlap where one feature's scan waits on its single chain, and one table
+// load and one c·lr product serve four bound tests. A group of fewer than four
+// features repeats its last one; the copies prune exactly as it does and are
+// never scored. Each lane keeps its own first candidate with the largest gain
+// (strict >), and the lanes are then reduced into b in feature order (strict
+// >), so the winner is the sequential scan's: the first in scan order with the
+// largest gain. The bound's threshold is the best over every lane, which is
+// sound for all of them: a cut it prunes is below a gain some candidate has,
+// so it is below the winner's.
+func (p *Presorted) scanLanes(b *best, js []int, lo, hi int, totWY, parent float64) {
+	var ls [lanes]struct {
+		col  []float64
+		ord  []int32
+		best best
 	}
-	cuts := ord[minLeaf-1 : m-minLeaf]
-	lmu, lr := p.lmu[:len(cuts)], p.lr[:len(cuts)]
-	bestGain := b.gain
-	c := pruneBelow(bestGain, parent, p.prune)
-	for t := 0; t < len(cuts); t++ {
-		// Advance to the next cut the bound cannot rule out, in a loop of its
-		// own: kept apart from the exact path below, it runs ~8% faster
-		// (BenchmarkGrow).
-		for ; t < len(cuts); t++ {
-			leftWY += y[cuts[t]]
-			if !prunes(leftWY, lmu[t], c, lr[t]) {
+	for l := range ls {
+		j := js[min(l, len(js)-1)]
+		ls[l].col, ls[l].ord = p.cols[j*p.n:(j+1)*p.n], p.lists[j*p.n+lo:j*p.n+hi]
+		ls[l].best = best{gain: b.gain}
+	}
+	y := p.y
+	m, minLeaf := hi-lo, p.cfg.MinLeaf
+	var s0, s1, s2, s3 float64
+	for k := 0; k < minLeaf-1; k++ {
+		s0 += y[ls[0].ord[k]]
+		s1 += y[ls[1].ord[k]]
+		s2 += y[ls[2].ord[k]]
+		s3 += y[ls[3].ord[k]]
+	}
+	n := m - 2*minLeaf + 1
+	c0, c1 := ls[0].ord[minLeaf-1:][:n], ls[1].ord[minLeaf-1:][:n]
+	c2, c3 := ls[2].ord[minLeaf-1:][:n], ls[3].ord[minLeaf-1:][:n]
+	lmu, lr := p.lmu[:n], p.lr[:n]
+	top := b.gain
+	c := pruneBelow(top, parent, p.prune)
+	for t := 0; t < n; t++ {
+		// Advance to the next cut the bound cannot rule out in every lane, in
+		// a loop of its own: kept apart from the exact path below, it runs
+		// faster (BenchmarkGrow). A uint32 index loads without a separate
+		// sign extension.
+		for ; t < n; t++ {
+			s0 += y[uint32(c0[t])]
+			s1 += y[uint32(c1[t])]
+			s2 += y[uint32(c2[t])]
+			s3 += y[uint32(c3[t])]
+			u, cl := lmu[t], c*lr[t]
+			d0, d1, d2, d3 := u-s0, u-s1, u-s2, u-s3
+			if !(d0*d0 < cl && d1*d1 < cl && d2*d2 < cl && d3*d3 < cl) {
 				break
 			}
 		}
-		if t == len(cuts) {
+		if t == n {
 			break
 		}
 		k := minLeaf - 1 + t
-		x, next := col[cuts[t]], col[ord[k+1]]
-		if x == next {
-			continue
-		}
-		// Gain = sum(w y)^2/W reduction relative to parent.
-		rightWY := totWY - leftWY
-		gain := leftWY*leftWY/float64(k+1) + rightWY*rightWY/float64(m-k-1) - parent
-		if gain > bestGain {
-			mid := (x + next) / 2
-			if math.IsNaN(mid) || math.IsInf(mid, 0) {
-				continue // a NaN or infinite neighbour, or a sum that overflows
+		sums := [lanes]float64{s0, s1, s2, s3}
+		for l := range js {
+			ln, s := &ls[l], sums[l]
+			if prunes(s, lmu[t], c, lr[t]) {
+				continue
 			}
-			bestGain = gain
-			c = pruneBelow(bestGain, parent, p.prune)
-			*b = best{gain: gain, feat: j, thr: mid, ok: true}
+			x, next := ln.col[ln.ord[k]], ln.col[ln.ord[k+1]]
+			if x == next {
+				continue
+			}
+			// Gain = sum(w y)^2/W reduction relative to parent.
+			rightWY := totWY - s
+			gain := s*s/float64(k+1) + rightWY*rightWY/float64(m-k-1) - parent
+			if gain > ln.best.gain {
+				mid := (x + next) / 2
+				if math.IsNaN(mid) || math.IsInf(mid, 0) {
+					continue // a NaN or infinite neighbour, or a sum that overflows
+				}
+				ln.best = best{gain: gain, feat: js[l], thr: mid, ok: true}
+				if gain > top {
+					top = gain
+					c = pruneBelow(top, parent, p.prune)
+				}
+			}
+		}
+	}
+	for l := range js {
+		if ls[l].best.gain > b.gain {
+			*b = ls[l].best
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // random nodes (6-66 and 2 000-5 000 rows, MinLeaf 1-3, targets normal,
 // large-mean with a tiny spread, whole, or log-normal, scaled by 1e-150 to
 // 1e190), no cut that prunes at a threshold may have an exact gain, computed
-// as scanUniform computes it, above that threshold. Each cut is tried at its
+// as scanLanes computes it, above that threshold. Each cut is tried at its
 // own gain, one ulp below it, ×(1-1e-12), ×(1-1e-10) and a random multiple
 // of it from 0 to 2. Removing pruneBelow's margin, or letting pruneSafe pass every tree,
 // fails it.
@@ -48,7 +48,7 @@ func TestPruneNeverDropsAWinner(t *testing.T) {
 			y[i] *= scale
 		}
 		// The node total is summed in index order and the prefix sums in a
-		// feature's order, as grow and scanUniform do.
+		// feature's order, as grow and scanLanes do.
 		totWY := 0.0
 		for _, v := range y {
 			totWY += v

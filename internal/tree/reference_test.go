@@ -264,6 +264,118 @@ func TestFitMatchesSortPerNodeReference(t *testing.T) {
 	if split < 300 {
 		t.Errorf("only %d of %d cases grew a split: the comparison has gone vacuous", split, cases)
 	}
+
+	// The uniform scan's lane edge cases (laneCase), at MinLeaf 1-4.
+	const laneCases = 360
+	split, tied := 0, 0
+	for seed := uint64(1); seed <= laneCases; seed++ {
+		minLeaf := 1 + int(seed%4)
+		X, refX, y, copies := laneCase(seed, minLeaf)
+		cfg := Config{MaxDepth: 1 + int(seed%5), MinLeaf: minLeaf}
+		want, err := refFit(refX, y, nil, cfg)
+		if err != nil {
+			t.Fatalf("lane seed %d: reference: %v", seed, err)
+		}
+		got, err := Fit(X, y, nil, cfg)
+		if err != nil {
+			t.Fatalf("lane seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(nodeBits(want), nodeBits(got)) {
+			t.Errorf("lane seed %d (n=%d d=%d MinLeaf=%d): trees differ\nreference %+v\npresorted %+v",
+				seed, len(X), len(X[0]), minLeaf, want.nodes, got.nodes)
+		}
+		if want.NumNodes() > 1 {
+			split++
+		}
+		if copies[got.nodes[0].feature] {
+			tied++
+		}
+	}
+	if split < laneCases/2 || tied < laneCases/4 {
+		t.Errorf("%d of %d lane cases grew a split, %d split the root on a column with a later copy: the comparison has gone vacuous",
+			split, laneCases, tied)
+	}
+	t.Logf("lane cases: %d of %d split, %d at the root on a column with a later copy", split, laneCases, tied)
+}
+
+// laneCase draws a matrix for the four-lane uniform scan's edge cases, and
+// the same matrix for the reference, unweighted targets, and which columns a
+// later column copies:
+//   - widths 1-9, so every group size, its padded lanes included;
+//   - columns that copy an earlier one, in their own lane group or an earlier
+//     group, whole or negated. A copy ties its original bit for bit at the
+//     same cut, a negated copy (with whole-number targets, whose sums are
+//     exact) at the mirrored cut, which a later lane can reach first; the
+//     targets follow one copied column, so the ties decide splits and the
+//     earlier feature must win them;
+//   - whole-number targets, normal ones, and whole ones scaled past
+//     pruneSafe's 1e150, where the lanes prune nothing;
+//   - when minLeaf > 1, up to minLeaf-1 NaN, +Inf and -Inf cells per column.
+//     The reference's sort has no place for NaN, so refX holds +Inf there:
+//     both sort it after every finite value, send it right, and with fewer
+//     such cells than minLeaf at either end no admissible cut touches them.
+func laneCase(seed uint64, minLeaf int) (X, refX [][]float64, y []float64, copies []bool) {
+	rng := stats.NewRNG(seed ^ 0x1a4e)
+	n, d := 8+rng.Intn(120), 1+int(seed%9)
+	kind := int(seed/9) % 3 // targets: whole, normal, whole past pruneSafe
+	src, sign := make([]int, d), make([]float64, d)
+	copies = make([]bool, d)
+	for j := range src {
+		src[j], sign[j] = j, 1
+		if j > 0 && rng.Bernoulli(0.6) {
+			src[j] = rng.Intn(j)
+			for src[src[j]] != src[j] { // copy the original, not a copy
+				src[j] = src[src[j]]
+			}
+			copies[src[j]] = true
+			if kind == 0 && rng.Bernoulli(0.5) {
+				sign[j] = -1
+			}
+		}
+	}
+	follow := rng.Intn(d) // the column the targets follow
+	follow = src[follow]
+	X, refX, y = make([][]float64, n), make([][]float64, n), make([]float64, n)
+	for i := range X {
+		X[i] = make([]float64, d)
+		for j := range X[i] {
+			if src[j] == j {
+				X[i][j] = rng.Normal(0, float64(1+j))
+			}
+		}
+	}
+	for j := 0; j < d && minLeaf > 1; j++ {
+		if src[j] != j {
+			continue
+		}
+		for k := rng.Intn(minLeaf); k > 0; k-- {
+			X[rng.Intn(n)][j] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
+	}
+	for i, row := range X {
+		for j := range row {
+			row[j] = sign[j] * row[src[j]]
+		}
+		refX[i] = make([]float64, d)
+		for j, v := range row {
+			if v != v {
+				v = math.Inf(1)
+			}
+			refX[i][j] = v
+		}
+		v := row[follow]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			v = 0
+		}
+		y[i] = math.Round(3*v + rng.Normal(0, 1))
+		switch kind {
+		case 1:
+			y[i] = 3*v + rng.Normal(0, 1)
+		case 2:
+			y[i] *= 1e151
+		}
+	}
+	return X, refX, y, copies
 }
 
 // TestGrowMatchesReferenceAtExtremeTargets runs the differential oracle
@@ -366,6 +478,40 @@ func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 			t.Errorf("%s: no case grew a split: the comparison has gone vacuous", tc.name)
 		}
 		t.Logf("%s: %d of %d trees split", tc.name, split, 3*seeds)
+	}
+
+	// The lane scan's edge cases (laneCase: widths 1-9, ties within and across
+	// lane groups) with its targets as drawn and scaled so that the longer
+	// prefix sums' squares overflow; without NaN or ±Inf cells, so that
+	// MinLeaf 1 keeps the reference exact.
+	for _, s := range []float64{1, 1e153} {
+		split := 0
+		for seed := uint64(1); seed <= 90; seed++ {
+			X, _, y, _ := laneCase(seed, 1)
+			scale(s)(y)
+			for _, minLeaf := range []int{1, 2, 3, 4, len(X) / 2} {
+				cfg := Config{MaxDepth: 4, MinLeaf: minLeaf}
+				want, err := refFit(X, y, nil, cfg)
+				if err != nil {
+					t.Fatalf("lanes ×%g seed %d: reference: %v", s, seed, err)
+				}
+				got, err := Fit(X, y, nil, cfg)
+				if err != nil {
+					t.Fatalf("lanes ×%g seed %d: %v", s, seed, err)
+				}
+				if !reflect.DeepEqual(nodeBits(want), nodeBits(got)) {
+					t.Errorf("lanes ×%g seed %d (n=%d d=%d MinLeaf=%d): trees differ\nreference %+v\npresorted %+v",
+						s, seed, len(X), len(X[0]), minLeaf, want.nodes, got.nodes)
+				}
+				if want.NumNodes() > 1 {
+					split++
+				}
+			}
+		}
+		if split == 0 {
+			t.Errorf("lanes ×%g: no case grew a split: the comparison has gone vacuous", s)
+		}
+		t.Logf("lanes ×%g: %d of %d trees split", s, split, 5*90)
 	}
 }
 
