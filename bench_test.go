@@ -330,85 +330,6 @@ func BenchmarkGBTFit(b *testing.B) {
 	}
 }
 
-// benchPredictSetup fits a warm-grown ensemble (the shape serving carries
-// after a run of Extend refits) over a realistic monitoring width, plus a
-// batch of running-task rows to predict.
-func benchPredictSetup(b *testing.B) (*gbt.Model, [][]float64) {
-	b.Helper()
-	rng := stats.NewRNG(benchSeed)
-	n, d := 1500, 15
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		X[i] = make([]float64, d)
-		for j := range X[i] {
-			X[i][j] = rng.Normal(0, 1)
-		}
-		y[i] = X[i][0]*3 + X[i][1] - 2*X[i][7] + rng.Normal(0, 0.2)
-	}
-	cfg := gbt.DefaultConfig()
-	cfg.Seed = benchSeed
-	m, err := gbt.FitRegressor(X, y, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		if m, err = m.Extend(X, y, 8, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rows := make([][]float64, 512)
-	for i := range rows {
-		rows[i] = make([]float64, d)
-		for j := range rows[i] {
-			rows[i][j] = rng.Normal(0, 1)
-		}
-	}
-	return m, rows
-}
-
-// BenchmarkPredictTree times the per-tree branching walk, Init + Σ LR·
-// tree.Regressor.Predict(x) in tree order: the reference the flat engine
-// reproduces bit for bit, which no production code calls. Every row walks
-// each tree's own node slice. Reports ns/row; CI gates BenchmarkPredictFlat
-// against it as a same-run ratio (flat must be well under per-tree time —
-// hardware-independent).
-func BenchmarkPredictTree(b *testing.B) {
-	m, rows := benchPredictSetup(b)
-	out := make([]float64, len(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r, x := range rows {
-			f := m.Init
-			for _, t := range m.Trees {
-				f += m.LR * t.Predict(x)
-			}
-			out[r] = f
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
-	sink = out[0]
-}
-
-// BenchmarkPredictFlat is the compiled path: the same ensemble flattened
-// into one contiguous SoA node table, batch walked task-major with a
-// reused scratch buffer (exactly what nurd.Model.PredictBatch runs per
-// checkpoint). Bit-identical outputs, fewer cache misses, no allocation.
-func BenchmarkPredictFlat(b *testing.B) {
-	m, rows := benchPredictSetup(b)
-	f := m.Compile()
-	var out []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = f.PredictBatchInto(rows, out)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
-	sink = out[0]
-}
-
-// sink defeats dead-code elimination of benchmark predict loops.
-var sink float64
-
 // benchRefit measures the per-refit latency of NURD's checkpoint refit over
 // a full job's gated checkpoint sequence (the hot path the serving layer's
 // async pipeline runs on its workers): at each checkpoint the models are

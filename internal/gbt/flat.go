@@ -4,76 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/tree"
 )
 
-// ErrRowWidth reports a feature row too narrow for the compiled ensemble:
-// some tree splits on a feature index the row does not have. Width-checked
-// entry points (Flat.CheckWidth, nurd.Model.Predict) return it instead of
-// letting the traversal panic.
+// ErrRowWidth reports a feature row too narrow for the ensemble: some tree
+// splits on a feature index the row does not have. Width-checked entry
+// points (Model.CheckWidth, nurd.Model.Predict) return it instead of letting
+// the traversal panic.
 var ErrRowWidth = errors.New("gbt: row narrower than the ensemble's max split feature")
 
-// Flat is a fitted Model compiled into one contiguous struct-of-arrays node
-// table: every tree's nodes packed into parallel feature/threshold/value/
-// left/right slices, with per-tree root offsets delimiting the trees. A
-// predict walk touches five flat arrays instead of len(Trees) separate node
-// slices, and PredictBatch walks task-major (all rows through tree t before
-// tree t+1) so each tree's nodes stay cache-hot across the whole batch.
-//
-// Flat is the only way a fitted ensemble predicts. Each row's output
-// accumulates as Init + sum over trees of LR*leaf in tree order, so it is
-// bit-identical to walking the source trees one by one with
-// tree.Regressor.Predict (on non-NaN features; see the traversal note), the
-// branching reference the tests compare against.
-//
-// A Flat is immutable after Compile and safe for concurrent use.
-type Flat struct {
-	init    float64
-	lr      float64
-	nodes   tree.SoA
-	roots   []int32 // root node index of each tree, in boosting order
-	maxFeat int     // largest feature index any node splits on; -1 if none
-}
-
-// Compile flattens the fitted ensemble into a Flat inference engine. The
-// model must not be mutated afterwards (published gbt models are already
-// immutable by convention; Extend copies).
-func (m *Model) Compile() *Flat {
-	total := 0
-	for _, t := range m.Trees {
-		total += t.NumNodes()
-	}
-	f := &Flat{
-		init: m.Init,
-		lr:   m.LR,
-		nodes: tree.SoA{
-			Feature:   make([]int32, 0, total),
-			Threshold: make([]float64, 0, total),
-			Value:     make([]float64, 0, total),
-			Left:      make([]int32, 0, total),
-			Right:     make([]int32, 0, total),
-		},
-		roots:   make([]int32, 0, len(m.Trees)),
-		maxFeat: -1,
-	}
-	for _, t := range m.Trees {
-		f.roots = append(f.roots, t.AppendSoA(&f.nodes))
-		if mf := t.MaxFeature(); mf > f.maxFeat {
-			f.maxFeat = mf
-		}
-	}
-	return f
-}
-
 // CheckWidth returns ErrRowWidth (wrapped with the widths) when rows of n
-// columns are too narrow to traverse the compiled ensemble.
-func (f *Flat) CheckWidth(n int) error {
-	if n <= f.maxFeat {
-		return fmt.Errorf("%w: %d columns, need at least %d", ErrRowWidth, n, f.maxFeat+1)
+// columns are too narrow to traverse the ensemble.
+func (m *Model) CheckWidth(n int) error {
+	if n < m.width {
+		return fmt.Errorf("%w: %d columns, need at least %d", ErrRowWidth, n, m.width)
 	}
 	return nil
 }
+
+// Compile returns m: a fitted Model is already its flat node table, so there
+// is nothing to compile. It is kept for the benchmark's gbt.compile_us probe
+// (bench/layers.go) until that metric is renamed.
+func (m *Model) Compile() *Model { return m }
 
 // Traversal note. The walk selects children with sign-bit arithmetic
 // instead of a compare-and-branch:
@@ -92,8 +43,8 @@ func (f *Flat) CheckWidth(n int) error {
 // matching <=) on equality, negative iff x > thr, and the correct infinity
 // when x is ±Inf. A NaN feature walks an unspecified but deterministic
 // child (the comparison form, which is also what the fit itself uses to
-// place a NaN training cell, always goes right); both Flat entry points
-// share this step, so flat results are self-consistent on any input. The
+// place a NaN training cell, always goes right); both Model entry points
+// share this step, so their results are self-consistent on any input. The
 // fit side of NaN handling — a total presort order, NaN after +Inf — is
 // documented on tree.Presorted.
 func flatStep(thr float64, xf float64, l, r int32) int32 {
@@ -101,18 +52,18 @@ func flatStep(thr float64, xf float64, l, r int32) int32 {
 	return (l &^ mask) | (r & mask)
 }
 
-// Predict returns the compiled ensemble's raw prediction for x. x must be
-// wide enough for every split feature (see CheckWidth).
-func (f *Flat) Predict(x []float64) float64 {
-	feat := f.nodes.Feature
+// Predict returns the ensemble's raw prediction for x. x must be wide
+// enough for every split feature (see CheckWidth).
+func (m *Model) Predict(x []float64) float64 {
+	feat := m.nodes.Feature
 	// Reslicing to len(feat) lets the compiler prove the per-node bounds
 	// checks away after the feat[i] check.
-	thr := f.nodes.Threshold[:len(feat)]
-	val := f.nodes.Value[:len(feat)]
-	left := f.nodes.Left[:len(feat)]
-	right := f.nodes.Right[:len(feat)]
-	out := f.init
-	for _, root := range f.roots {
+	thr := m.nodes.Threshold[:len(feat)]
+	val := m.nodes.Value[:len(feat)]
+	left := m.nodes.Left[:len(feat)]
+	right := m.nodes.Right[:len(feat)]
+	out := m.Init
+	for _, root := range m.roots {
 		i := root
 		for {
 			ft := feat[i]
@@ -121,15 +72,15 @@ func (f *Flat) Predict(x []float64) float64 {
 			}
 			i = flatStep(thr[i], x[ft], left[i], right[i])
 		}
-		out += f.lr * val[i]
+		out += m.LR * val[i]
 	}
 	return out
 }
 
 // PredictBatch predicts for each row of X. Equivalent to calling Predict
 // per row (bit-identical) but walks task-major for cache locality.
-func (f *Flat) PredictBatch(X [][]float64) []float64 {
-	return f.PredictBatchInto(X, nil)
+func (m *Model) PredictBatch(X [][]float64) []float64 {
+	return m.PredictBatchInto(X, nil)
 }
 
 // PredictBatchInto is PredictBatch with a caller-owned scratch buffer: out
@@ -139,23 +90,23 @@ func (f *Flat) PredictBatch(X [][]float64) []float64 {
 //
 // The walk is task-major — every row advances through tree t before any row
 // touches tree t+1 — but each row's accumulator still applies Init and the
-// per-tree LR*leaf terms in tree order, so results are bit-identical to the
-// per-tree path.
-func (f *Flat) PredictBatchInto(X [][]float64, out []float64) []float64 {
+// per-tree LR*leaf terms in tree order, so results are bit-identical to
+// Predict.
+func (m *Model) PredictBatchInto(X [][]float64, out []float64) []float64 {
 	if cap(out) < len(X) {
 		out = make([]float64, len(X))
 	} else {
 		out = out[:len(X)]
 	}
 	for i := range out {
-		out[i] = f.init
+		out[i] = m.Init
 	}
-	feat := f.nodes.Feature
-	thr := f.nodes.Threshold[:len(feat)]
-	val := f.nodes.Value[:len(feat)]
-	left := f.nodes.Left[:len(feat)]
-	right := f.nodes.Right[:len(feat)]
-	for _, root := range f.roots {
+	feat := m.nodes.Feature
+	thr := m.nodes.Threshold[:len(feat)]
+	val := m.nodes.Value[:len(feat)]
+	left := m.nodes.Left[:len(feat)]
+	right := m.nodes.Right[:len(feat)]
+	for _, root := range m.roots {
 		for r, x := range X {
 			i := root
 			for {
@@ -165,7 +116,7 @@ func (f *Flat) PredictBatchInto(X [][]float64, out []float64) []float64 {
 				}
 				i = flatStep(thr[i], x[ft], left[i], right[i])
 			}
-			out[r] += f.lr * val[i]
+			out[r] += m.LR * val[i]
 		}
 	}
 	return out
@@ -173,6 +124,6 @@ func (f *Flat) PredictBatchInto(X [][]float64, out []float64) []float64 {
 
 // PredictProb maps the raw output through the logistic function; it is only
 // meaningful for ensembles fitted with FitClassifier.
-func (f *Flat) PredictProb(x []float64) float64 {
-	return sigmoid(f.Predict(x))
+func (m *Model) PredictProb(x []float64) float64 {
+	return sigmoid(m.Predict(x))
 }

@@ -11,6 +11,11 @@
 // Trees are grown on negative gradients; leaf values are then replaced by
 // Newton steps -G/(H+lambda), which reduces to the mean residual for squared
 // loss.
+//
+// A fitted Model is one flat node table: every round's tree grows straight
+// into the model's struct-of-arrays table (tree.SoA), and predictions walk
+// that table, task-major over a batch, with a branch-free child select.
+// There is no per-tree object and no compile step, so a model exists once.
 package gbt
 
 import (
@@ -68,16 +73,26 @@ func (c *Config) normalize() {
 }
 
 // Model is a fitted boosted ensemble. Raw output is
-// init + lr * sum_i tree_i(x); interpretation (latency, log-odds) depends on
-// the loss used at fit time. A Model predicts through its compiled engine
-// (Compile).
+// Init + LR * sum_i tree_i(x), summed in tree order; interpretation (latency,
+// log-odds) depends on the loss used at fit time. Every tree's nodes live in
+// one contiguous node table, delimited by per-tree root offsets, so a
+// predict walk touches five flat arrays (see Predict).
+//
+// A Model is immutable once a fitter returns it, and safe for concurrent
+// use: Extend copies the table before it appends.
 type Model struct {
-	Init  float64
-	LR    float64
-	Trees []*tree.Regressor
+	Init float64
+	LR   float64
 	// Logistic records whether the raw output is a log-odds score.
 	Logistic bool
+
+	nodes tree.SoA
+	roots []int32 // root node index of each tree, in boosting order
+	width int     // columns a row needs: 1 + the largest split feature, 0 with no split
 }
+
+// NumTrees reports how many trees the ensemble holds.
+func (m *Model) NumTrees() int { return len(m.roots) }
 
 func sigmoid(z float64) float64 {
 	if z >= 0 {
@@ -131,6 +146,10 @@ var fitPool = sync.Pool{New: func() any { return new(fitScratch) }}
 // cfg.LearningRate must equal m.LR, since the ensemble applies one shrinkage
 // factor to every tree.
 //
+// m's node table and roots are first copied into arrays with room for every
+// round (tree.Config.NodeBound nodes per tree), so the rounds append without
+// reallocating and arrays m shares with another model are never written.
+//
 // X does not change between rounds, only the targets do, so its columns are
 // sorted once (tree.Presorted.Reset) and every round grows from that order.
 func boostRounds(m *Model, X [][]float64, start func(f []float64), loss lossFuncs, cfg Config, rng *stats.RNG) error {
@@ -147,7 +166,8 @@ func boostRounds(m *Model, X [][]float64, start func(f []float64), loss lossFunc
 	f, g, h, negG, leafG, leafH := s.f, s.g, s.h, s.negG, s.leafG, s.leafH
 	start(f)
 	leaves := s.sorted.Leaves() // per row: ordinal of its leaf in the round's tree
-	m.Trees = slices.Grow(m.Trees, cfg.NumTrees)
+	m.nodes = m.nodes.WithRoom(cfg.NumTrees * cfg.Tree.NodeBound(len(X)))
+	m.roots = append(make([]int32, 0, len(m.roots)+cfg.NumTrees), m.roots...)
 	for round := 0; round < cfg.NumTrees; round++ {
 		loss(f, g, h)
 		for i := range g {
@@ -157,50 +177,58 @@ func boostRounds(m *Model, X [][]float64, start func(f []float64), loss lossFunc
 		if tcfg.RNG == nil && tcfg.FeatureFrac > 0 && tcfg.FeatureFrac < 1 {
 			tcfg.RNG = rng.Split()
 		}
-		tr, err := s.sorted.Grow(negG, nil, tcfg)
+		root, err := s.sorted.Grow(&m.nodes, negG, nil, tcfg)
 		if err != nil {
 			return err
 		}
 		// Newton leaf refit over the FULL data: value_j = -G_j/(H_j+lambda),
-		// G and H summed in ascending row order.
+		// G and H summed in ascending row order. Leaf j is the tree's j-th
+		// leaf in node order, which is how Leaves numbers them.
 		clear(leafG)
 		clear(leafH)
 		for i, leaf := range leaves {
 			leafG[leaf] += g[i]
 			leafH[leaf] += h[i]
 		}
-		tr.AdjustLeaves(func(leaf int, old float64) float64 {
+		value, leaf := m.nodes.Value[root:], 0
+		for k, ft := range m.nodes.Feature[root:] {
+			if ft >= 0 {
+				m.width = max(m.width, int(ft)+1)
+				continue
+			}
 			v := -leafG[leaf] / (leafH[leaf] + cfg.Lambda)
 			if leafH[leaf]+cfg.Lambda <= 0 {
 				v = 0
 			}
-			leafG[leaf] = v
-			return v
-		})
+			leafG[leaf], value[k] = v, v
+			leaf++
+		}
 		for i, leaf := range leaves {
 			f[i] += cfg.LearningRate * leafG[leaf]
 		}
-		m.Trees = append(m.Trees, tr)
+		m.roots = append(m.roots, root)
 	}
 	return nil
 }
 
 // Extend continues boosting from an existing squared-error ensemble: it fits
 // `rounds` additional trees against the residuals of m's predictions on the
-// (possibly updated) training set and returns a new Model — m itself is never
-// mutated, so published ensembles stay immutable while their successors are
-// trained. Extending by zero rounds is a no-op that returns an equivalent
-// copy. The result is deterministic given the same previous model, data, and
-// cfg.Seed (the extension RNG is derived from the seed and the current
-// ensemble size, so successive extensions of one model draw distinct but
-// reproducible column-sample streams).
+// (possibly updated) training set and returns a new Model whose node table is
+// a copy of m's, sized once for the new rounds, with their trees appended —
+// m itself is never mutated, so published ensembles stay immutable while
+// their successors are trained. Extending by zero rounds returns an
+// equivalent model that shares m's (immutable) arrays. The result is
+// deterministic given the same previous model, data, and cfg.Seed (the
+// extension RNG is derived from the seed and the current ensemble size, so
+// successive extensions of one model draw distinct but reproducible
+// column-sample streams).
 //
 // Extend is the warm-start primitive behind incremental checkpoint refits
 // (nurd.Model.Refit): refitting 10-20 rounds on top of the previous
 // checkpoint's ensemble costs a fraction of a full scratch fit while tracking
 // the drifting training distribution. Callers enforce their own tree budget
 // by choosing rounds (or falling back to a scratch fit when
-// len(m.Trees)+rounds would exceed it). Logistic-loss ensembles are refused:
+// m.NumTrees()+rounds would exceed it). Logistic-loss ensembles are refused:
 // their leaf values are log-odds steps and squared-error residual boosting
 // would corrupt them.
 func (m *Model) Extend(X [][]float64, y []float64, rounds int, cfg Config) (*Model, error) {
@@ -213,11 +241,7 @@ func (m *Model) Extend(X [][]float64, y []float64, rounds int, cfg Config) (*Mod
 	if len(y) != len(X) {
 		return nil, fmt.Errorf("gbt: %d targets for %d rows", len(y), len(X))
 	}
-	out := &Model{
-		Init:  m.Init,
-		LR:    m.LR,
-		Trees: append(make([]*tree.Regressor, 0, len(m.Trees)+rounds), m.Trees...),
-	}
+	out := &Model{Init: m.Init, LR: m.LR, nodes: m.nodes, roots: m.roots, width: m.width}
 	if rounds == 0 {
 		return out, nil
 	}
@@ -231,23 +255,22 @@ func (m *Model) Extend(X [][]float64, y []float64, rounds int, cfg Config) (*Mod
 	cfg.LearningRate = out.LR // one shrinkage factor across old and new trees
 	cfg.NumTrees = rounds
 	// The initial residual pass predicts every training row through the
-	// inherited ensemble — the dominant cost of a warm refit. Compile once
-	// and walk task-major. Rows are width-checked first: the pass indexes
-	// each row at the ensemble's split features.
-	flat := out.Compile()
+	// inherited ensemble, task-major — the dominant cost of a warm refit.
+	// Rows are width-checked first: the pass indexes each row at the
+	// ensemble's split features.
 	for i, x := range X {
-		if err := flat.CheckWidth(len(x)); err != nil {
+		if err := m.CheckWidth(len(x)); err != nil {
 			return nil, fmt.Errorf("gbt: Extend row %d: %w", i, err)
 		}
 	}
-	start := func(f []float64) { flat.PredictBatchInto(X, f) }
+	start := func(f []float64) { m.PredictBatchInto(X, f) }
 	loss := func(f []float64, g, h []float64) {
 		for i := range f {
 			g[i] = f[i] - y[i]
 			h[i] = 1
 		}
 	}
-	rng := stats.NewRNG(cfg.Seed ^ 0x9bdb ^ uint64(len(m.Trees))*0x9e3779b97f4a7c15)
+	rng := stats.NewRNG(cfg.Seed ^ 0x9bdb ^ uint64(m.NumTrees())*0x9e3779b97f4a7c15)
 	if err := boostRounds(out, X, start, loss, cfg, rng); err != nil {
 		return nil, err
 	}
@@ -359,8 +382,10 @@ func FitTobit(X [][]float64, y []float64, censored []bool, sigma float64, cfg Co
 	}
 	// Map the ensemble back to the original target scale.
 	m.Init = m.Init*spread + shift
-	for _, t := range m.Trees {
-		t.ScaleLeaves(spread)
+	for i, ft := range m.nodes.Feature {
+		if ft < 0 {
+			m.nodes.Value[i] *= spread
+		}
 	}
 	return m, nil
 }

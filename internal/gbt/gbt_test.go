@@ -1,10 +1,12 @@
 package gbt
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -100,10 +102,9 @@ func TestClassifierSeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := m.Compile()
 	correct := 0
 	for i, x := range X {
-		p := f.PredictProb(x)
+		p := m.PredictProb(x)
 		if p < 0 || p > 1 {
 			t.Fatalf("probability out of range: %v", p)
 		}
@@ -206,7 +207,7 @@ func TestPredictBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := m.Compile().PredictBatch(X)
+	batch := m.PredictBatch(X)
 	for i, x := range X {
 		if batch[i] != walkTrees(m, x) {
 			t.Fatalf("batch[%d] mismatch", i)
@@ -279,26 +280,25 @@ func TestExtendZeroRoundsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Trees) != len(base.Trees) || out.Init != base.Init || out.LR != base.LR {
+	if out.NumTrees() != base.NumTrees() || out.Init != base.Init || out.LR != base.LR {
 		t.Fatalf("zero-round extension changed the model shape: %d trees vs %d",
-			len(out.Trees), len(base.Trees))
+			out.NumTrees(), base.NumTrees())
 	}
 	for i, x := range X {
 		if walkTrees(out, x) != walkTrees(base, x) {
 			t.Fatalf("row %d: zero-round extension changed predictions", i)
 		}
 	}
-	// The copy must not alias the original's tree slice: a later real
-	// extension of out leaves base untouched.
+	// A later real extension of out leaves base untouched.
 	grown, err := out.Extend(X, y, 5, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grown.Trees) != len(base.Trees)+5 {
-		t.Fatalf("extension added %d trees, want 5", len(grown.Trees)-len(base.Trees))
+	if grown.NumTrees() != base.NumTrees()+5 {
+		t.Fatalf("extension added %d trees, want 5", grown.NumTrees()-base.NumTrees())
 	}
-	if len(base.Trees) != 50 {
-		t.Fatalf("extension mutated the base model (%d trees)", len(base.Trees))
+	if base.NumTrees() != 50 {
+		t.Fatalf("extension mutated the base model (%d trees)", base.NumTrees())
 	}
 }
 
@@ -349,64 +349,78 @@ func TestExtendRejectsLogistic(t *testing.T) {
 }
 
 // TestFitAllocationsBoundedPerTree gates the fit's allocation count: one
-// FitRegressor allocates a fixed set of buffers for the whole fit plus the
-// fitted tree itself (its struct and its node table) per round — however
-// many rows the matrix has and however many nodes the trees grow. A split
-// finder that sorts, allocates per node, or keeps per-round maps fails it.
+// FitRegressor allocates a fixed set of buffers for the whole fit and
+// nothing per round — however many rows the matrix has and however many
+// nodes the trees grow, since every tree grows into the model's node table,
+// sized once for NodeBound nodes per round. A split finder that sorts,
+// allocates per node or per tree, or keeps per-round maps fails it.
 //
 // It also gates the bytes: after warm-up a fit allocates only the model it
-// publishes (the Model, its slice of trees, and per tree the Regressor and
-// its node table), since its working memory comes from fitPool. The bound
-// allows 1 KiB beside the model for what another toolchain's escape analysis
-// may put on the heap (an RNG, a closure); a buffer that silently stops being
-// reused adds at least a byte per row, and fails at 3 000 rows.
+// publishes (the Model, its node table and its roots), since its working
+// memory comes from fitPool, and so does an Extend, which copies the
+// inherited table into its own and predicts the residual pass through the
+// base model. The bound allows 1 KiB beside the model for what another
+// toolchain's escape analysis may put on the heap (an RNG, a closure); a
+// buffer that silently stops being reused adds at least a byte per row, and
+// fails at 3 000 rows; a second copy of the inherited ensemble fails the
+// Extend case.
 func TestFitAllocationsBoundedPerTree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
-	const perFit, perTree = 24, 2
-	for _, tc := range []struct{ rows, depth, trees int }{
-		{100, 3, 50},
-		{100, 3, 10},
-		{3000, 7, 50},
+	const perFit, perTree = 10, 0
+	for _, tc := range []struct{ rows, depth, trees, extend int }{
+		{100, 3, 50, 0},
+		{100, 3, 10, 0},
+		{3000, 7, 50, 0},
+		{150, 3, 50, 8}, // Extend a fit on 100 of the rows by 8 rounds on all 150
 	} {
 		X, y := makeRegressionData(tc.rows, 0.3, 11)
 		cfg := DefaultConfig()
 		cfg.NumTrees = tc.trees
 		cfg.Tree.MaxDepth = tc.depth
-		nodes := 0
+		name := fmt.Sprintf("%d rows, depth %d, %d trees", tc.rows, tc.depth, tc.trees)
+		rounds := tc.trees
+		fit := func() (*Model, error) { return FitRegressor(X, y, cfg) }
+		if tc.extend > 0 {
+			base, err := FitRegressor(X[:100], y[:100], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name = fmt.Sprintf("Extend by %d rounds on %d rows of a %d-tree fit on 100, depth %d", tc.extend, tc.rows, tc.trees, tc.depth)
+			rounds = tc.extend
+			fit = func() (*Model, error) { return base.Extend(X, y, tc.extend, cfg) }
+		}
 		var m *Model
 		got := testing.AllocsPerRun(3, func() {
 			var err error
-			if m, err = FitRegressor(X, y, cfg); err != nil {
+			if m, err = fit(); err != nil {
 				t.Fatal(err)
 			}
-			nodes = m.Trees[len(m.Trees)-1].NumNodes()
 		})
-		if limit := float64(perFit + perTree*tc.trees); got > limit {
-			t.Errorf("%d rows, depth %d, %d trees (last has %d nodes): %.0f allocations, limit %.0f",
-				tc.rows, tc.depth, tc.trees, nodes, got, limit)
+		if limit := float64(perFit + perTree*rounds); got > limit {
+			t.Errorf("%s (%d nodes): %.0f allocations, limit %.0f", name, len(m.nodes.Feature), got, limit)
 		} else {
-			t.Logf("%d rows, depth %d, %d trees (last has %d nodes): %.0f allocations", tc.rows, tc.depth, tc.trees, nodes, got)
+			t.Logf("%s (%d nodes): %.0f allocations", name, len(m.nodes.Feature), got)
 		}
-		if bytes, model := fitBytes(t, X, y, cfg), modelBytes(m); bytes > model+1<<10 {
-			t.Errorf("%d rows, depth %d, %d trees: %d bytes per warmed fit, its model takes %d", tc.rows, tc.depth, tc.trees, bytes, model)
+		if bytes, model := fitBytes(t, fit), modelBytes(m); bytes > model+1<<10 {
+			t.Errorf("%s: %d bytes per warmed fit, its model takes %d", name, bytes, model)
 		} else {
-			t.Logf("%d rows, depth %d, %d trees: %d bytes per warmed fit, its model takes %d", tc.rows, tc.depth, tc.trees, bytes, model)
+			t.Logf("%s: %d bytes per warmed fit, its model takes %d", name, bytes, model)
 		}
 	}
 }
 
-// fitBytes is the heap one FitRegressor(X, y, cfg) allocates once fitPool
-// holds a scratch for it: the least of three averages over four fits, since a
-// collection can empty the pool mid-run.
-func fitBytes(t *testing.T, X [][]float64, y []float64, cfg Config) uint64 {
+// fitBytes is the heap one fit() allocates once fitPool holds a scratch for
+// it: the least of three averages over four fits, since a collection can
+// empty the pool mid-run.
+func fitBytes(t *testing.T, fit func() (*Model, error)) uint64 {
 	best := uint64(math.MaxUint64)
 	for try := 0; try < 3; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 4; i++ {
-			if _, err := FitRegressor(X, y, cfg); err != nil {
+			if _, err := fit(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -417,16 +431,13 @@ func fitBytes(t *testing.T, X [][]float64, y []float64, cfg Config) uint64 {
 }
 
 // modelBytes is the heap m occupies as a fit allocates it, each block rounded
-// up to its allocation size class: the Model (48 bytes), its slice of trees,
-// and per tree a 24-byte Regressor and a node table of 32 bytes per node (an
-// int, two float64s and two int32s).
+// up to its allocation size class: the Model, and its five node arrays and
+// its roots at their capacity.
 func modelBytes(m *Model) uint64 {
 	// Appending n bytes to a nil slice allocates exactly n bytes rounded up to
 	// their size class, and reports that as its capacity.
 	class := func(n int) uint64 { return uint64(cap(append([]byte(nil), make([]byte, n)...))) }
-	total := class(48) + class(8*cap(m.Trees))
-	for _, tr := range m.Trees {
-		total += class(24) + class(32*tr.NumNodes())
-	}
-	return total
+	s := &m.nodes
+	return class(int(unsafe.Sizeof(*m))) + class(4*cap(s.Feature)) + class(8*cap(s.Threshold)) +
+		class(8*cap(s.Value)) + class(4*cap(s.Left)) + class(4*cap(s.Right)) + class(4*cap(m.roots))
 }

@@ -118,9 +118,8 @@ type Model struct {
 	delta float64
 	ready bool
 
-	h  *gbt.Model         // latency predictor
-	hc *gbt.Flat          // h compiled into the flat SoA engine; replaced with h
-	g  *linmodel.Logistic // propensity model
+	h *gbt.Model         // latency predictor
+	g *linmodel.Logistic // propensity model
 
 	// warmFits / scratchFits count how the latency model was refitted
 	// (Extend vs FitRegressor); serving telemetry reads them via RefitCounts.
@@ -186,7 +185,7 @@ func (m *Model) Update(finX [][]float64, finY []float64, runX [][]float64) error
 	if err != nil {
 		return fmt.Errorf("nurd: fitting latency model: %w", err)
 	}
-	m.setLatencyModel(h)
+	m.h = h
 	m.scratchFits++
 	return m.fitPropensity(finX, runX)
 }
@@ -211,7 +210,7 @@ func (m *Model) Refit(finX [][]float64, finY []float64, runX [][]float64) error 
 		}
 		budget = 8 * nt
 	}
-	if len(m.h.Trees)+m.cfg.WarmRounds > budget {
+	if m.h.NumTrees()+m.cfg.WarmRounds > budget {
 		return m.Update(finX, finY, runX)
 	}
 	if err := m.checkTrain(finX, finY); err != nil {
@@ -223,20 +222,9 @@ func (m *Model) Refit(finX [][]float64, finY []float64, runX [][]float64) error 
 	if err != nil {
 		return fmt.Errorf("nurd: extending latency model: %w", err)
 	}
-	m.setLatencyModel(h)
+	m.h = h
 	m.warmFits++
 	return m.fitPropensity(finX, runX)
-}
-
-// setLatencyModel installs a freshly fitted ensemble and compiles it into
-// the flat SoA engine every query rides. Compilation happens here — on the
-// refit path, off the ingest/query hot paths — so published models always
-// carry a ready compiled artifact; because the fit itself is deterministic
-// given the training view, snapshot/WAL recovery replays the same fits and
-// regenerates bit-identical compiled engines for every generation.
-func (m *Model) setLatencyModel(h *gbt.Model) {
-	m.h = h
-	m.hc = h.Compile()
 }
 
 // RefitCounts reports how many refits warm-started the latency model vs
@@ -327,8 +315,8 @@ type Prediction struct {
 	Adjusted float64
 }
 
-// Predict evaluates one running task (Algorithm 1 lines 13-16) through the
-// compiled flat engine. A row too narrow for either model returns a typed
+// Predict evaluates one running task (Algorithm 1 lines 13-16) through h_t's
+// flat node table. A row too narrow for either model returns a typed
 // error before any model is evaluated instead of panicking inside one:
 // errors.Is gbt.ErrRowWidth below the ensemble's max split feature,
 // linmodel.ErrRowWidth below g_t's width.
@@ -339,7 +327,7 @@ func (m *Model) Predict(x []float64) (Prediction, error) {
 	if err := m.checkWidth(len(x)); err != nil {
 		return Prediction{}, fmt.Errorf("nurd: %w", err)
 	}
-	p := Prediction{Latency: m.hc.Predict(x), Propensity: 1}
+	p := Prediction{Latency: m.h.Predict(x), Propensity: 1}
 	if m.g != nil {
 		// The trace schemas are at most 15 columns wide, so the log-feature
 		// row of a verdict lives on the stack; wider rows fall back to make.
@@ -353,7 +341,7 @@ func (m *Model) Predict(x []float64) (Prediction, error) {
 // would index past. The trees may split on few columns, so a row they accept
 // can still be too narrow for g_t, which reads every column it was fitted on.
 func (m *Model) checkWidth(n int) error {
-	if err := m.hc.CheckWidth(n); err != nil {
+	if err := m.h.CheckWidth(n); err != nil {
 		return err
 	}
 	if m.g != nil {
@@ -390,8 +378,8 @@ type PredictScratch struct {
 }
 
 // PredictBatch evaluates every running row of X, bit-identical to calling
-// Predict per row but with one task-major pass through the compiled flat
-// ensemble and no per-row allocations (buffers live in scratch and are
+// Predict per row but with one task-major pass through h_t's flat node
+// table and no per-row allocations (buffers live in scratch and are
 // reused across calls; the returned slice aliases scratch and is only valid
 // until the next call). scratch may be nil for a one-shot call.
 func (m *Model) PredictBatch(X [][]float64, scratch *PredictScratch) ([]Prediction, error) {
@@ -406,7 +394,7 @@ func (m *Model) PredictBatch(X [][]float64, scratch *PredictScratch) ([]Predicti
 	if scratch == nil {
 		scratch = &PredictScratch{}
 	}
-	scratch.lat = m.hc.PredictBatchInto(X, scratch.lat)
+	scratch.lat = m.h.PredictBatchInto(X, scratch.lat)
 	if cap(scratch.preds) < len(X) {
 		scratch.preds = make([]Prediction, len(X))
 	}

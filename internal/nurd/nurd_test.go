@@ -343,9 +343,11 @@ func TestRefitWarmDeterministic(t *testing.T) {
 	}
 }
 
-// PredictBatch must be bit-identical to per-row Predict — same flat engine,
-// same accumulation order — with the scratch reused across checkpoints, and
-// every fitted model (scratch or warm) must carry a compiled engine.
+// PredictBatch must be bit-identical to per-row Predict — same node table,
+// same accumulation order — with the scratch reused across checkpoints,
+// after scratch and warm refits alike. That the table's sign-bit walk
+// reproduces a per-tree branching walk is gbt's TestFlatBitIdenticalProperty,
+// extended models included.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Calibrate = true
@@ -355,28 +357,14 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	if err := m.Init(fin, run); err != nil {
 		t.Fatal(err)
 	}
-	if m.compiled() != nil {
-		t.Fatal("compiled engine before first Update")
+	if m.h != nil {
+		t.Fatal("latency model before first Update")
 	}
 	var scratch PredictScratch
 	for ckpt := 0; ckpt < 3; ckpt++ {
 		fin2, run2, finY2 := split(80+20*ckpt, 40, 5, 1.0, 21+uint64(ckpt))
 		if err := m.Refit(fin2, finY2, run2); err != nil {
 			t.Fatal(err)
-		}
-		if m.compiled() == nil {
-			t.Fatalf("checkpoint %d: no compiled engine after refit", ckpt)
-		}
-		// The published engine is the current ensemble: it reproduces the
-		// per-tree walk over every tree of m.h, bit for bit.
-		for i, got := range m.compiled().PredictBatch(run2) {
-			want := m.h.Init
-			for _, tr := range m.h.Trees {
-				want += m.h.LR * tr.Predict(run2[i])
-			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("checkpoint %d row %d: compiled engine %v, per-tree walk over %d trees %v", ckpt, i, got, len(m.h.Trees), want)
-			}
 		}
 		batch, err := m.PredictBatch(run2, &scratch)
 		if err != nil {
@@ -409,7 +397,7 @@ func TestPredictRejectsNarrowRows(t *testing.T) {
 	if err := m.Update(fin, finY, run); err != nil {
 		t.Fatal(err)
 	}
-	if m.compiled().CheckWidth(1) == nil {
+	if m.h.CheckWidth(1) == nil {
 		t.Skip("ensemble split on too few features to form a narrow row")
 	}
 	narrow := []float64{1}
@@ -495,7 +483,7 @@ func TestPredictRejectsRowsNarrowerThanPropensity(t *testing.T) {
 	if err := m.Update(fin, finY, run); err != nil {
 		t.Fatal(err)
 	}
-	if c := m.compiled(); c.CheckWidth(0) == nil || c.CheckWidth(1) != nil {
+	if m.h.CheckWidth(0) == nil || m.h.CheckWidth(1) != nil {
 		t.Fatal("ensemble does not split on column 0 alone")
 	}
 	if _, err := m.Predict(run[0]); err != nil {
@@ -552,15 +540,11 @@ func TestPredictDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// compiled exposes the flat engine backing Predict (nil before the first
-// Update): published models always carry one.
-func (m *Model) compiled() *gbt.Flat { return m.hc }
-
 // latencyModelTrees reports the current size of the latency ensemble (0
 // before the first Update), the quantity the warm-refit budget bounds.
 func (m *Model) latencyModelTrees() int {
 	if m.h == nil {
 		return 0
 	}
-	return len(m.h.Trees)
+	return m.h.NumTrees()
 }

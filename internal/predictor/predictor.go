@@ -211,7 +211,7 @@ func (p *NURDPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 		anneal = 1 + annealKappa*(1-cp.TauRun/cp.TauStra)
 	}
 	bar := cp.TauStra * anneal
-	// One task-major pass through the compiled flat ensemble, bit-identical
+	// One task-major pass through h_t's flat node table, bit-identical
 	// to per-row Predict; the scratch buffers persist across checkpoints.
 	preds, err := p.model.PredictBatch(cp.RunningX, &p.scratch)
 	if err != nil {
@@ -273,7 +273,7 @@ func (p *GBTR) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 		return nil, fmt.Errorf("gbtr: %w", err)
 	}
 	out := make([]bool, len(cp.RunningX))
-	for i, lat := range m.Compile().PredictBatch(cp.RunningX) {
+	for i, lat := range m.PredictBatch(cp.RunningX) {
 		out[i] = lat >= cp.TauStra
 	}
 	return out, nil

@@ -132,7 +132,7 @@ func (p *GrabitPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 		return nil, fmt.Errorf("grabit: %w", err)
 	}
 	out := make([]bool, len(cp.RunningX))
-	for i, lat := range m.Compile().PredictBatch(cp.RunningX) {
+	for i, lat := range m.PredictBatch(cp.RunningX) {
 		out[i] = lat >= cp.TauStra
 	}
 	return out, nil

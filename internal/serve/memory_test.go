@@ -8,14 +8,16 @@ import (
 )
 
 // maxFinishedJobHeap bounds the heap a finished job retains, averaged over
-// 200 Google jobs at the default config. Measured at 96 KiB per job (task
+// 200 Google jobs at the default config. Measured at 80 KiB per job (task
 // states with their last observations, the fitted models and the report
-// state); the bound leaves 20 % headroom. The 167 KiB this once read was not
-// only those: ~78 KiB of it was the propensity fit's working memory, which
-// every model kept between refits until fits borrowed it from a pool, and a
-// job that keeps it again (174 KiB) fails the bound, as does one that kept
-// every checkpoint view it trained on.
-const maxFinishedJobHeap = 115 << 10
+// state); the bound leaves 20 % headroom. A job keeps one copy of h_t, its
+// node table: it read 96 KiB while every model was kept twice, as per-tree
+// node slices and as the flat table compiled from them. The 167 KiB this
+// once read held ~78 KiB of the propensity fit's working memory, which every
+// model kept between refits until fits borrowed it from a pool; a job that
+// keeps it again fails the bound, as does one that kept every checkpoint
+// view it trained on.
+const maxFinishedJobHeap = 96 << 10
 
 // TestFinishedJobHoldsNoViews streams 200 Google jobs to completion and
 // measures the heap the server retains per finished job after two GCs. The

@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Presorted is a training matrix prepared for exact greedy split finding: a
@@ -27,10 +26,10 @@ import (
 // The order is total: ascending by value, NaN after +Inf, ties (and NaNs)
 // by row index. A threshold is the midpoint of two neighbouring values and
 // is only placed where that midpoint is finite, so never next to a NaN or
-// an infinity; growth and Predict both send a NaN cell right (x <= threshold
-// is false), +Inf right and -Inf left. A matrix with NaN or ±Inf cells
+// an infinity; growth sends a NaN cell right (x <= threshold is false), +Inf
+// right and -Inf left, as a walk comparing x <= threshold does. A matrix with NaN or ±Inf cells
 // therefore fits deterministically, and every threshold of a fitted tree is
-// finite (gbt.Flat's arithmetic child select relies on that).
+// finite (gbt.Model's arithmetic child select relies on that).
 //
 // The targets and weights are arguments of Grow, so boosting rounds — which
 // change only the targets — share one Presorted. Grow reuses the value's
@@ -41,11 +40,11 @@ type Presorted struct {
 	order []int32   // order[j*n:(j+1)*n]: rows ascending by feature j
 
 	// Working state of the tree being grown.
-	lists   []int32 // a copy of order, then the index-order list; permuted by splits
-	scratch []int32 // right-hand rows of the list being partitioned
-	left    []uint8 // per row: 1 if it goes left at the split being applied
-	leaves  []int32 // per row: ordinal of the leaf it ended in
-	nodes   []node
+	lists   []int32   // a copy of order, then the index-order list; permuted by splits
+	scratch []int32   // right-hand rows of the list being partitioned
+	left    []uint8   // per row: 1 if it goes left at the split being applied
+	leaves  []int32   // per row: ordinal of the leaf it ended in
+	s       *SoA      // the table the tree grows into
 	feats   []int     // candidate features of the node being split
 	lmu, lr []float64 // per cut of the node being split: L·T/m and L·R/m
 	prune   bool      // the uniform scan may prune: see pruneSafe
@@ -179,31 +178,23 @@ func sortRows(col []float64, ord []int32, keys []uint64, rows []int32) {
 }
 
 // Grow grows a regression tree on the presorted matrix with targets y and
-// optional per-row weights w (nil for uniform). It returns ErrBadConfig
-// when cfg cannot drive growth.
-func (p *Presorted) Grow(y, w []float64, cfg Config) (*Regressor, error) {
+// optional per-row weights w (nil for uniform), appends its nodes to s and
+// returns the index of its root. It appends at most cfg.NodeBound(rows)
+// nodes, so a table with that much room does not reallocate. It returns
+// ErrBadConfig when cfg cannot drive growth.
+func (p *Presorted) Grow(s *SoA, y, w []float64, cfg Config) (int32, error) {
 	if len(y) != p.n {
-		return nil, fmt.Errorf("tree: %d targets for %d rows", len(y), p.n)
+		return 0, fmt.Errorf("tree: %d targets for %d rows", len(y), p.n)
 	}
 	if w != nil && len(w) != p.n {
-		return nil, fmt.Errorf("tree: %d weights for %d rows", len(w), p.n)
+		return 0, fmt.Errorf("tree: %d weights for %d rows", len(w), p.n)
 	}
 	if err := cfg.normalize(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	p.y, p.w, p.cfg = y, w, cfg
+	p.y, p.w, p.cfg, p.s = y, w, cfg, s
 	p.prune = w == nil && pruneSafe(y)
-	// A tree has at most 2n-1 nodes (every leaf holds a row) and at most
-	// 2^(MaxDepth+1)-1; sizing the table for that keeps a fit's allocation
-	// count independent of how many nodes its trees grow.
-	most := 2*p.n - 1
-	if cfg.MaxDepth < 30 && 1<<(cfg.MaxDepth+1)-1 < most {
-		most = 1<<(cfg.MaxDepth+1) - 1
-	}
-	if cap(p.nodes) < most {
-		p.nodes = make([]node, 0, most)
-	}
-	p.nodes, p.nleaves = p.nodes[:0], 0
+	p.nleaves = 0
 	idx := p.lists[p.d*p.n:]
 	copy(p.lists, p.order)
 	for i := range idx {
@@ -212,17 +203,20 @@ func (p *Presorted) Grow(y, w []float64, cfg Config) (*Regressor, error) {
 	for j := range p.feats {
 		p.feats[j] = j
 	}
-	p.grow(0, p.n, 0)
-	return &Regressor{nodes: slices.Clone(p.nodes)}, nil
+	root := p.grow(0, p.n, 0)
+	p.s = nil
+	return root, nil
 }
 
-// Leaves returns, for each training row, the ordinal (as AdjustLeaves
-// counts leaves) of the leaf the last Grow put it in. The slice is
-// overwritten by the next Grow.
+// Leaves returns, for each training row, the ordinal of the leaf the last
+// Grow put it in, counting the tree's leaves in node order from its root.
+// The slice is overwritten by the next Grow.
 func (p *Presorted) Leaves() []int32 { return p.leaves }
 
 // grow builds the subtree over rows [lo,hi) of every list and returns its
-// node index. Nodes are numbered in preorder, leaves in the order they close.
+// node index. Nodes are appended in preorder and leaves close in the same
+// order, so a leaf's ordinal is its rank among the tree's leaves in node
+// order.
 func (p *Presorted) grow(lo, hi, depth int) int32 {
 	idx := p.lists[p.d*p.n+lo : p.d*p.n+hi]
 	sumW, sumWY := 0.0, 0.0
@@ -241,8 +235,7 @@ func (p *Presorted) grow(lo, hi, depth int) int32 {
 	if sumW > 0 {
 		mean = sumWY / sumW
 	}
-	id := int32(len(p.nodes))
-	p.nodes = append(p.nodes, node{feature: -1, value: mean})
+	id := p.s.appendLeaf(mean)
 
 	nl := 0
 	feat, thr, ok := 0, 0.0, false
@@ -260,7 +253,7 @@ func (p *Presorted) grow(lo, hi, depth int) int32 {
 			nl += int(l)
 		}
 		// The midpoint of two adjacent floats can round onto the upper one,
-		// so the sides are counted by the comparison Predict will make.
+		// so the sides are counted by the comparison a walk will make.
 		ok = nl >= p.cfg.MinLeaf && len(idx)-nl >= p.cfg.MinLeaf
 	}
 	if !ok {
@@ -280,8 +273,8 @@ func (p *Presorted) grow(lo, hi, depth int) int32 {
 	p.partition(idx)
 	l := p.grow(lo, lo+nl, depth+1)
 	r := p.grow(lo+nl, hi, depth+1)
-	nd := &p.nodes[id]
-	nd.feature, nd.threshold, nd.left, nd.right = feat, thr, l, r
+	s := p.s
+	s.Feature[id], s.Threshold[id], s.Left[id], s.Right[id] = int32(feat), thr, l, r
 	return id
 }
 

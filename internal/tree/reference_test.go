@@ -11,9 +11,11 @@ import (
 )
 
 // refFit is the sort-per-node Fit this package shipped before the presorted
-// split finder, moved here verbatim (only Fit is renamed) as the oracle the
-// presorted finder is compared against, node table for node table.
-func refFit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, error) {
+// split finder, moved here as the oracle the presorted finder is compared
+// against, node table for node table. Only Fit is renamed, and it builds the
+// one-tree table Fit now returns instead of the node slice of the retired
+// Regressor.
+func refFit(X [][]float64, y []float64, w []float64, cfg Config) (*SoA, error) {
 	if len(X) == 0 {
 		return nil, fmt.Errorf("tree: empty training set")
 	}
@@ -32,7 +34,7 @@ func refFit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, er
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	t := &Regressor{}
+	t := &SoA{}
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
@@ -47,7 +49,7 @@ type builder struct {
 	y    []float64
 	w    []float64
 	cfg  Config
-	tree *Regressor
+	tree *SoA
 }
 
 func (b *builder) weight(i int) float64 {
@@ -69,8 +71,7 @@ func (b *builder) grow(idx []int, depth int) int32 {
 	if sumW > 0 {
 		mean = sumWY / sumW
 	}
-	id := int32(len(b.tree.nodes))
-	b.tree.nodes = append(b.tree.nodes, node{feature: -1, value: mean})
+	id := b.tree.appendLeaf(mean)
 
 	if depth >= b.cfg.MaxDepth || len(idx) < b.cfg.MinSplit {
 		return id
@@ -92,11 +93,11 @@ func (b *builder) grow(idx []int, depth int) int32 {
 	}
 	l := b.grow(left, depth+1)
 	r := b.grow(right, depth+1)
-	n := &b.tree.nodes[id]
-	n.feature = feat
-	n.threshold = thr
-	n.left = l
-	n.right = r
+	t := b.tree
+	t.Feature[id] = int32(feat)
+	t.Threshold[id] = thr
+	t.Left[id] = l
+	t.Right[id] = r
 	return id
 }
 
@@ -252,12 +253,12 @@ func TestFitMatchesSortPerNodeReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("seed %d (n=%d d=%d cfg=%+v): trees differ\nreference %+v\npresorted %+v",
-				seed, len(X), len(X[0]), cfg, want.nodes, got.nodes)
+				seed, len(X), len(X[0]), cfg, *want, *got)
 		}
 		if cfg.FeatureFrac > 0 && refCfg.RNG.Uint64() != gotCfg.RNG.Uint64() {
 			t.Errorf("seed %d: feature subsampling consumed different RNG draws", seed)
 		}
-		if want.NumNodes() > 1 {
+		if len(want.Feature) > 1 {
 			split++
 		}
 	}
@@ -282,12 +283,12 @@ func TestFitMatchesSortPerNodeReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(nodeBits(want), nodeBits(got)) {
 			t.Errorf("lane seed %d (n=%d d=%d MinLeaf=%d): trees differ\nreference %+v\npresorted %+v",
-				seed, len(X), len(X[0]), minLeaf, want.nodes, got.nodes)
+				seed, len(X), len(X[0]), minLeaf, *want, *got)
 		}
-		if want.NumNodes() > 1 {
+		if len(want.Feature) > 1 {
 			split++
 		}
-		if copies[got.nodes[0].feature] {
+		if copies[got.Feature[0]] {
 			tied++
 		}
 	}
@@ -467,9 +468,9 @@ func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 				}
 				if !reflect.DeepEqual(nodeBits(want), nodeBits(got)) {
 					t.Errorf("%s seed %d (n=%d MinLeaf=%d): trees differ\nreference %+v\npresorted %+v",
-						tc.name, seed, n, minLeaf, want.nodes, got.nodes)
+						tc.name, seed, n, minLeaf, *want, *got)
 				}
-				if want.NumNodes() > 1 {
+				if len(want.Feature) > 1 {
 					split++
 				}
 			}
@@ -501,9 +502,9 @@ func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 				}
 				if !reflect.DeepEqual(nodeBits(want), nodeBits(got)) {
 					t.Errorf("lanes ×%g seed %d (n=%d d=%d MinLeaf=%d): trees differ\nreference %+v\npresorted %+v",
-						s, seed, len(X), len(X[0]), minLeaf, want.nodes, got.nodes)
+						s, seed, len(X), len(X[0]), minLeaf, *want, *got)
 				}
-				if want.NumNodes() > 1 {
+				if len(want.Feature) > 1 {
 					split++
 				}
 			}
@@ -517,10 +518,10 @@ func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 
 // nodeBits is t's node table with every float as its bits, so that two
 // tables with NaN leaf values compare equal under reflect.DeepEqual.
-func nodeBits(t *Regressor) [][5]uint64 {
-	out := make([][5]uint64, len(t.nodes))
-	for i, nd := range t.nodes {
-		out[i] = [5]uint64{uint64(nd.feature), math.Float64bits(nd.threshold), math.Float64bits(nd.value), uint64(nd.left), uint64(nd.right)}
+func nodeBits(t *SoA) [][5]uint64 {
+	out := make([][5]uint64, len(t.Feature))
+	for i := range out {
+		out[i] = [5]uint64{uint64(t.Feature[i]), math.Float64bits(t.Threshold[i]), math.Float64bits(t.Value[i]), uint64(t.Left[i]), uint64(t.Right[i])}
 	}
 	return out
 }

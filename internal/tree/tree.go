@@ -5,12 +5,11 @@
 // sorts each feature of a training matrix once, and any number of trees
 // grow from that order without sorting again (see Presorted).
 //
-// A fitted Regressor is not a pointer-chasing structure: nodes live in a
-// single index-based slice (children are int32 indices into it), so a
-// predict walk touches one contiguous allocation. AppendSoA exposes that
-// table as parallel struct-of-arrays slices, which is how gbt compiles a
-// whole fitted ensemble into one contiguous flat node table (gbt.Flat) for
-// cache-friendly batched inference.
+// A tree is not a pointer-chasing structure: Grow appends its nodes to a
+// caller's SoA, a struct-of-arrays node table whose child links are absolute
+// int32 indices into the same table, and returns the root's index. gbt grows
+// every tree of an ensemble into one such table, and that table is the
+// fitted gbt.Model: it predicts by walking it, with no second copy.
 package tree
 
 import (
@@ -67,76 +66,30 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// node is one tree node; leaves have feature == -1.
-type node struct {
-	feature   int
-	threshold float64
-	value     float64 // leaf prediction
-	left      int32   // child indices into Regressor.nodes
-	right     int32
-}
-
-// Regressor is a fitted regression tree.
-type Regressor struct {
-	nodes []node
-}
-
 // Fit grows a regression tree on X, y (optionally with per-sample weights;
-// pass nil for uniform). It returns an error for empty or mismatched input:
-// ErrRaggedRows when rows differ in width, ErrBadConfig when cfg cannot
-// drive growth. Fit is Presort followed by one Grow; callers growing many
-// trees on one matrix (gbt's boosting rounds) presort once themselves.
-func Fit(X [][]float64, y []float64, w []float64, cfg Config) (*Regressor, error) {
+// pass nil for uniform) and returns it as a one-tree table, its root at 0.
+// It returns an error for empty or mismatched input: ErrRaggedRows when rows
+// differ in width, ErrBadConfig when cfg cannot drive growth. Fit is Presort
+// followed by one Grow; callers growing many trees on one matrix (gbt's
+// boosting rounds) presort once themselves.
+func Fit(X [][]float64, y []float64, w []float64, cfg Config) (*SoA, error) {
 	p, err := Presort(X)
 	if err != nil {
 		return nil, err
 	}
-	return p.Grow(y, w, cfg)
-}
-
-// Predict returns the tree's prediction for x. It is the branching
-// reference walk: programs predict through gbt.Flat, and tests compare the
-// compiled walk against this one. x must have at least MaxFeature()+1
-// columns (the training width always suffices); shorter rows are a caller
-// bug. Width-checked entry points with typed errors live one layer up
-// (gbt.Flat.CheckWidth, nurd.Model), keeping this innermost walk
-// branch-light.
-func (t *Regressor) Predict(x []float64) float64 {
-	i := int32(0)
-	for {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return n.value
-		}
-		if x[n.feature] <= n.threshold {
-			i = n.left
-		} else {
-			i = n.right
-		}
+	s := new(SoA).WithRoom(cfg.NodeBound(len(X)))
+	if _, err := p.Grow(&s, y, w, cfg); err != nil {
+		return nil, err
 	}
-}
-
-// NumNodes reports the node count.
-func (t *Regressor) NumNodes() int { return len(t.nodes) }
-
-// MaxFeature returns the largest feature index any node splits on, or -1
-// for a tree with no splits. Rows at least MaxFeature()+1 wide are safe to
-// Predict even if narrower than the training width.
-func (t *Regressor) MaxFeature() int {
-	max := -1
-	for i := range t.nodes {
-		if f := t.nodes[i].feature; f > max {
-			max = f
-		}
-	}
-	return max
+	return &s, nil
 }
 
 // SoA is a struct-of-arrays node table: parallel slices with one entry per
 // node, leaves marked by Feature < 0 with the prediction in Value. Child
-// indices are absolute positions in the same table, so many trees can share
-// one contiguous SoA with per-tree root offsets — gbt.Flat compiles a whole
-// fitted ensemble this way for cache-friendly batched traversal.
+// indices are absolute positions in the same table, so many trees share one
+// table, each delimited by the root index Grow returned for it. A tree's
+// nodes are contiguous and numbered in preorder from its root; its leaves'
+// children are 0 and never read.
 type SoA struct {
 	Feature   []int32
 	Threshold []float64
@@ -145,44 +98,40 @@ type SoA struct {
 	Right     []int32
 }
 
-// AppendSoA appends the tree's node table to s, rebasing child indices to
-// their absolute positions in the destination, and returns the index of the
-// appended root. Traversal from that root visits exactly the same nodes in
-// the same order as Predict, so compiled predictions are bit-identical.
-func (t *Regressor) AppendSoA(s *SoA) int32 {
-	base := int32(len(s.Feature))
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		s.Feature = append(s.Feature, int32(n.feature))
-		s.Threshold = append(s.Threshold, n.threshold)
-		s.Value = append(s.Value, n.value)
-		// Leaves keep zero children; rebased they point at the tree's own
-		// root, but Feature < 0 stops the walk before they are read.
-		s.Left = append(s.Left, n.left+base)
-		s.Right = append(s.Right, n.right+base)
-	}
-	return base
-}
-
-// AdjustLeaves replaces each leaf value with fn(leafIndex, currentValue).
-// Gradient boosting with non-squared losses uses this to apply per-leaf
-// Newton steps after growing the tree on gradients.
-func (t *Regressor) AdjustLeaves(fn func(leaf int, value float64) float64) {
-	leaf := 0
-	for i := range t.nodes {
-		if t.nodes[i].feature < 0 {
-			t.nodes[i].value = fn(leaf, t.nodes[i].value)
-			leaf++
-		}
+// WithRoom returns a copy of s whose arrays take n more nodes before an
+// append reallocates; s itself is not modified.
+func (s *SoA) WithRoom(n int) SoA {
+	return SoA{
+		Feature:   withRoom(s.Feature, n),
+		Threshold: withRoom(s.Threshold, n),
+		Value:     withRoom(s.Value, n),
+		Left:      withRoom(s.Left, n),
+		Right:     withRoom(s.Right, n),
 	}
 }
 
-// ScaleLeaves multiplies every leaf value by c (used to undo target
-// standardization after boosting with a scale-sensitive loss).
-func (t *Regressor) ScaleLeaves(c float64) {
-	for i := range t.nodes {
-		if t.nodes[i].feature < 0 {
-			t.nodes[i].value *= c
-		}
+func withRoom[T any](x []T, n int) []T { return append(make([]T, 0, len(x)+n), x...) }
+
+// appendLeaf appends a leaf predicting value and returns its index.
+func (s *SoA) appendLeaf(value float64) int32 {
+	id := int32(len(s.Feature))
+	s.Feature = append(s.Feature, -1)
+	s.Threshold = append(s.Threshold, 0)
+	s.Value = append(s.Value, value)
+	s.Left = append(s.Left, 0)
+	s.Right = append(s.Right, 0)
+	return id
+}
+
+// NodeBound is the most nodes one Grow on n rows under c appends: at most
+// 2n-1 (every leaf holds a row) and at most 2^(MaxDepth+1)-1. Sizing a table
+// for it keeps a fit's allocation count independent of how many nodes its
+// trees grow.
+func (c Config) NodeBound(n int) int {
+	_ = c.normalize() // only MaxDepth is read, and it is defaulted before any error
+	most := 2*n - 1
+	if c.MaxDepth < 30 && 1<<(c.MaxDepth+1)-1 < most {
+		most = 1<<(c.MaxDepth+1) - 1
 	}
+	return most
 }

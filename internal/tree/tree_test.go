@@ -20,11 +20,11 @@ func TestFitConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Predict([]float64{2.5}); got != 5 {
+	if got := tr.predict([]float64{2.5}); got != 5 {
 		t.Fatalf("constant prediction %v, want 5", got)
 	}
-	if tr.NumNodes() != 1 {
-		t.Fatalf("constant tree should be a single leaf, has %d nodes", tr.NumNodes())
+	if len(tr.Feature) != 1 {
+		t.Fatalf("constant tree should be a single leaf, has %d nodes", len(tr.Feature))
 	}
 }
 
@@ -45,10 +45,10 @@ func TestFitRecoversStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Predict([]float64{1}); math.Abs(got) > 1e-9 {
+	if got := tr.predict([]float64{1}); math.Abs(got) > 1e-9 {
 		t.Fatalf("left prediction %v, want 0", got)
 	}
-	if got := tr.Predict([]float64{9}); math.Abs(got-10) > 1e-9 {
+	if got := tr.predict([]float64{9}); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("right prediction %v, want 10", got)
 	}
 }
@@ -72,10 +72,10 @@ func TestFitPicksInformativeFeature(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Predictions must follow feature 1, not feature 0.
-	if tr.Predict([]float64{0, 0.9}) < 0.5 {
+	if tr.predict([]float64{0, 0.9}) < 0.5 {
 		t.Fatal("tree failed to split on the informative feature")
 	}
-	if tr.Predict([]float64{0, 0.1}) > -0.5 {
+	if tr.predict([]float64{0, 0.1}) > -0.5 {
 		t.Fatal("tree failed to split on the informative feature")
 	}
 }
@@ -115,10 +115,11 @@ func TestMinLeafRespected(t *testing.T) {
 	}
 	// With MinLeaf 20 over 100 points, at most 5 leaves.
 	leaves := 0
-	tr.AdjustLeaves(func(leaf int, v float64) float64 {
-		leaves++
-		return v
-	})
+	for _, f := range tr.Feature {
+		if f < 0 {
+			leaves++
+		}
+	}
 	if leaves > 5 {
 		t.Fatalf("%d leaves violate MinLeaf=20 over n=100", leaves)
 	}
@@ -134,7 +135,7 @@ func TestWeightedFitPullsPrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Weighted mean = (0+0+18)/4 = 4.5.
-	if got := tr.Predict([]float64{1}); math.Abs(got-4.5) > 1e-9 {
+	if got := tr.predict([]float64{1}); math.Abs(got-4.5) > 1e-9 {
 		t.Fatalf("weighted mean %v, want 4.5", got)
 	}
 }
@@ -151,26 +152,29 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
-// leafIndex walks x down t and returns the ordinal (in node-array order, as
-// AdjustLeaves counts) of the leaf it lands in: the oracle for
-// Presorted.Leaves and AdjustLeaves' numbering.
-func leafIndex(t *Regressor, x []float64) int {
-	// Map node index -> leaf ordinal.
-	target := int32(0)
-	for {
-		n := &t.nodes[target]
-		if n.feature < 0 {
-			break
-		}
-		if x[n.feature] <= n.threshold {
-			target = n.left
+// leaf walks x down the tree rooted at root with the branching comparison
+// the grower splits rows by, and returns the index of the leaf it lands in.
+func (s *SoA) leaf(root int32, x []float64) int32 {
+	i := root
+	for s.Feature[i] >= 0 {
+		if x[s.Feature[i]] <= s.Threshold[i] {
+			i = s.Left[i]
 		} else {
-			target = n.right
+			i = s.Right[i]
 		}
 	}
+	return i
+}
+
+// predict is the prediction for x of the one-tree table Fit returns.
+func (s *SoA) predict(x []float64) float64 { return s.Value[s.leaf(0, x)] }
+
+// leafIndex walks x down the one-tree table t and returns the ordinal (in
+// node order) of the leaf it lands in: the oracle for Presorted.Leaves.
+func leafIndex(t *SoA, x []float64) int {
 	leaf := 0
-	for i := int32(0); i < target; i++ {
-		if t.nodes[i].feature < 0 {
+	for _, f := range t.Feature[:t.leaf(0, x)] {
+		if f < 0 {
 			leaf++
 		}
 	}
@@ -190,28 +194,21 @@ func TestLeafIndexConsistentWithAdjust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tag each leaf with its ordinal, then check leafIndex agrees with the
-	// value found by Predict.
-	tr.AdjustLeaves(func(leaf int, v float64) float64 { return float64(leaf) })
-	for i := 0; i < 50; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		if got, want := leafIndex(tr, x), int(tr.Predict(x)); got != want {
-			t.Fatalf("LeafIndex %d != tagged leaf %d", got, want)
+	// Tag each leaf with its ordinal in node order, as gbt's Newton step
+	// assigns leaf values, then check leafIndex agrees with the value found by
+	// the walk.
+	leaf := 0.0
+	for i, f := range tr.Feature {
+		if f < 0 {
+			tr.Value[i] = leaf
+			leaf++
 		}
 	}
-}
-
-func TestScaleLeaves(t *testing.T) {
-	X := [][]float64{{0}, {1}}
-	y := []float64{2, 4}
-	tr, err := Fit(X, y, nil, Config{MaxDepth: 1, MinLeaf: 1, MinSplit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tr.Predict([]float64{0})
-	tr.ScaleLeaves(3)
-	if got := tr.Predict([]float64{0}); math.Abs(got-3*before) > 1e-12 {
-		t.Fatalf("scaled prediction %v, want %v", got, 3*before)
+	for i := 0; i < 50; i++ {
+		x := []float64{rng.Float64(), rng.Float64()}
+		if got, want := leafIndex(tr, x), int(tr.predict(x)); got != want {
+			t.Fatalf("LeafIndex %d != tagged leaf %d", got, want)
+		}
 	}
 }
 
@@ -239,7 +236,7 @@ func TestPredictionsWithinTargetRangeProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < 20; i++ {
-			p := tr.Predict([]float64{rng.Normal(0, 3), rng.Normal(0, 3)})
+			p := tr.predict([]float64{rng.Normal(0, 3), rng.Normal(0, 3)})
 			if p < lo-1e-9 || p > hi+1e-9 {
 				return false
 			}
@@ -283,18 +280,17 @@ func TestFitRejectsFeatureFracWithoutRNG(t *testing.T) {
 	}
 }
 
-// AppendSoA must reproduce the tree's traversal exactly: same leaf, bit-for-
-// bit the same value, for several trees packed into one shared table.
-func TestAppendSoAMatchesPredict(t *testing.T) {
+// Trees grown one after another into one shared table must each walk
+// exactly as the same tree grown alone: the same nodes, their child indices
+// shifted by the root, and bit-for-bit the same value at every leaf. A table
+// sized by NodeBound takes every tree without reallocating.
+func TestGrowAppendsToSharedTable(t *testing.T) {
 	rng := stats.NewRNG(42)
-	var s SoA
-	type fitted struct {
-		tr    *Regressor
-		root  int32
-		width int // columns of the tree's training set
-	}
-	var trees []fitted
-	for k := 0; k < 5; k++ {
+	cfg := Config{MaxDepth: 4, MinLeaf: 2, MinSplit: 4}
+	const trees = 5
+	s := new(SoA).WithRoom(trees * cfg.NodeBound(99))
+	feature := &s.Feature[:1][0]
+	for k := 0; k < trees; k++ {
 		n := 40 + rng.Intn(60)
 		X := make([][]float64, n)
 		y := make([]float64, n)
@@ -302,39 +298,38 @@ func TestAppendSoAMatchesPredict(t *testing.T) {
 			X[i] = []float64{rng.Normal(0, 1), rng.Normal(0, 1), rng.Normal(0, 1)}
 			y[i] = X[i][0]*2 - X[i][1] + rng.Normal(0, 0.1)
 		}
-		tr, err := Fit(X, y, nil, Config{MaxDepth: 4, MinLeaf: 2, MinSplit: 4})
+		alone, err := Fit(X, y, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees = append(trees, fitted{tr, tr.AppendSoA(&s), len(X[0])})
-	}
-	walk := func(x []float64, root int32) float64 {
-		i := root
-		for s.Feature[i] >= 0 {
-			if x[s.Feature[i]] <= s.Threshold[i] {
-				i = s.Left[i]
-			} else {
-				i = s.Right[i]
-			}
+		p, err := Presort(X)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return s.Value[i]
-	}
-	total := 0
-	for _, f := range trees {
-		total += f.tr.NumNodes()
-		if mf := f.tr.MaxFeature(); mf >= f.width {
-			t.Fatalf("MaxFeature %d >= training width %d", mf, f.width)
+		root, err := p.Grow(&s, y, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(root)+len(alone.Feature) != len(s.Feature) {
+			t.Fatalf("tree %d: root %d and %d nodes, table holds %d", k, root, len(alone.Feature), len(s.Feature))
+		}
+		for i := range alone.Feature {
+			at := root + int32(i)
+			if s.Feature[at] != alone.Feature[i] || s.Threshold[at] != alone.Threshold[i] ||
+				s.Feature[at] >= 0 && (s.Left[at] != alone.Left[i]+root || s.Right[at] != alone.Right[i]+root) {
+				t.Fatalf("tree %d node %d differs from the tree grown alone", k, i)
+			}
 		}
 		for i := 0; i < 50; i++ {
 			x := []float64{rng.Normal(0, 2), rng.Normal(0, 2), rng.Normal(0, 2)}
-			want := f.tr.Predict(x)
-			if got := walk(x, f.root); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("SoA walk %v, tree Predict %v", got, want)
+			want := alone.predict(x)
+			if got := s.Value[s.leaf(root, x)]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("tree %d: shared-table walk %v, alone %v", k, got, want)
 			}
 		}
 	}
-	if len(s.Feature) != total {
-		t.Fatalf("SoA holds %d nodes, trees total %d", len(s.Feature), total)
+	if &s.Feature[0] != feature {
+		t.Fatal("the table reallocated within its NodeBound room")
 	}
 }
 
@@ -360,8 +355,8 @@ func TestPresortOrderIsTotal(t *testing.T) {
 
 // TestFitWithNaNAndInfCells: wire admits NaN and ±Inf features and they reach
 // the fit. Such a matrix must fit to the same tree every time, place only
-// finite thresholds, and put each training row in the leaf Predict finds for
-// it (NaN and +Inf right, -Inf left).
+// finite thresholds, and put each training row in the leaf the branching walk
+// finds for it (NaN and +Inf right, -Inf left).
 func TestFitWithNaNAndInfCells(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := stats.NewRNG(seed)
@@ -394,28 +389,28 @@ func TestFitWithNaNAndInfCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := p.Grow(y, nil, cfg)
-		if err != nil {
+		var a SoA
+		if _, err := p.Grow(&a, y, nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 		for i, leaf := range p.Leaves() {
-			if got := leafIndex(a, X[i]); got != int(leaf) {
-				t.Fatalf("seed %d: row %d grown into leaf %d, Predict walks to leaf %d", seed, i, leaf, got)
+			if got := leafIndex(&a, X[i]); got != int(leaf) {
+				t.Fatalf("seed %d: row %d grown into leaf %d, the walk reaches leaf %d", seed, i, leaf, got)
 			}
 		}
 		b, err := Fit(X, y, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a, b) {
+		if !reflect.DeepEqual(&a, b) {
 			t.Fatalf("seed %d: two fits of one matrix differ", seed)
 		}
-		if a.NumNodes() < 3 {
+		if len(a.Feature) < 3 {
 			t.Fatalf("seed %d: no split found among the finite cells", seed)
 		}
-		for _, nd := range a.nodes {
-			if nd.feature >= 0 && (math.IsNaN(nd.threshold) || math.IsInf(nd.threshold, 0)) {
-				t.Fatalf("seed %d: split on feature %d at threshold %v", seed, nd.feature, nd.threshold)
+		for i, f := range a.Feature {
+			if thr := a.Threshold[i]; f >= 0 && (math.IsNaN(thr) || math.IsInf(thr, 0)) {
+				t.Fatalf("seed %d: split on feature %d at threshold %v", seed, f, thr)
 			}
 		}
 	}
@@ -455,16 +450,20 @@ func BenchmarkGrow(b *testing.B) {
 	}
 	candidates := 0
 	for _, y := range ys {
-		t, err := p.Grow(y, nil, cfg)
-		if err != nil {
+		var t SoA
+		if _, err := p.Grow(&t, y, nil, cfg); err != nil {
 			b.Fatal(err)
 		}
-		candidates += searchedCandidates(t, X, cfg)
+		candidates += searchedCandidates(&t, X, cfg)
 	}
+	// One table with room for an op's trees, emptied before each op, as a
+	// fitted model's table is sized once for its rounds.
+	s := new(SoA).WithRoom(rounds * cfg.NodeBound(n))
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
+		s = SoA{s.Feature[:0], s.Threshold[:0], s.Value[:0], s.Left[:0], s.Right[:0]}
 		for _, y := range ys {
-			if _, err := p.Grow(y, nil, cfg); err != nil {
+			if _, err := p.Grow(&s, y, nil, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -475,22 +474,21 @@ func BenchmarkGrow(b *testing.B) {
 // searchedCandidates counts the (feature, cut) pairs that growing t on X
 // offered the split rule: every node growth searched, a node at depth below
 // MaxDepth with at least MinSplit rows, offers d·(m-2·MinLeaf+1).
-func searchedCandidates(t *Regressor, X [][]float64, cfg Config) int {
+func searchedCandidates(t *SoA, X [][]float64, cfg Config) int {
 	if err := cfg.normalize(); err != nil {
 		panic(err)
 	}
-	rows, depth := make([]int, len(t.nodes)), make([]int, len(t.nodes))
+	rows, depth := make([]int, len(t.Feature)), make([]int, len(t.Feature))
 	for _, x := range X {
 		for i, dep := int32(0), 0; ; dep++ {
 			rows[i], depth[i] = rows[i]+1, dep
-			nd := t.nodes[i]
-			if nd.feature < 0 {
+			if t.Feature[i] < 0 {
 				break
 			}
-			if x[nd.feature] <= nd.threshold {
-				i = nd.left
+			if x[t.Feature[i]] <= t.Threshold[i] {
+				i = t.Left[i]
 			} else {
-				i = nd.right
+				i = t.Right[i]
 			}
 		}
 	}
@@ -503,22 +501,15 @@ func searchedCandidates(t *Regressor, X [][]float64, cfg Config) int {
 	return total
 }
 
-// depth returns the maximum depth of the tree (a lone leaf has depth 0).
-func (t *Regressor) depth() int {
+// depth returns the maximum depth of the one-tree table (a lone leaf has
+// depth 0).
+func (t *SoA) depth() int {
 	var rec func(i int32) int
 	rec = func(i int32) int {
-		n := &t.nodes[i]
-		if n.feature < 0 {
+		if t.Feature[i] < 0 {
 			return 0
 		}
-		l, r := rec(n.left), rec(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	if len(t.nodes) == 0 {
-		return 0
+		return 1 + max(rec(t.Left[i]), rec(t.Right[i]))
 	}
 	return rec(0)
 }

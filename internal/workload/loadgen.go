@@ -154,17 +154,28 @@ func (t *HTTPTarget) Query(jobID uint64, tasks []int) (int, error) {
 	return resp.StatusCode, err
 }
 
+// maxReportBytes bounds the /report body Report reads.
+const maxReportBytes = 8 << 20
+
 // Report fetches the job's JobReport from /report: nil, without an error,
-// on a non-2xx status.
+// on a non-2xx status. A 2xx body is decoded only when read in full: one cut
+// off mid-read returns an error wrapping the read's, and one longer than
+// maxReportBytes an error of its own.
 func (t *HTTPTarget) Report(jobID uint64) (*serve.JobReport, error) {
 	resp, err := t.httpClient().Get(fmt.Sprintf("%s/report?job=%d", t.BaseURL, jobID))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if resp.StatusCode >= 300 {
 		return nil, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxReportBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("report reply: %w", err)
+	}
+	if len(body) > maxReportBytes {
+		return nil, fmt.Errorf("report reply: body longer than %d bytes", maxReportBytes)
 	}
 	var rep serve.JobReport
 	if err := json.Unmarshal(body, &rep); err != nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -341,5 +342,35 @@ func TestPostUnreadableReplyIsAnError(t *testing.T) {
 	if rep.Errors != rep.Requests || rep.LostEvents != 0 || !strings.Contains(rep.FirstError, "ingest reply") {
 		t.Fatalf("every reply was an undecodable 200: errors %d of %d requests, lost %d, first error %q; want all errors, none lost",
 			rep.Errors, rep.Requests, rep.LostEvents, rep.FirstError)
+	}
+}
+
+// TestReportUnreadableReplyIsAnError: a 200 /report reply dropped mid-body
+// returns an error that errors.Is finds the transport's cut in, and a body
+// over the read limit is an error of its own — not the decode of a
+// truncated prefix, which for this padded body would have succeeded.
+func TestReportUnreadableReplyIsAnError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("job") == "2" {
+			io.WriteString(w, `{"job":2}`)
+			io.WriteString(w, strings.Repeat(" ", maxReportBytes))
+			return
+		}
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"job\":1,")
+		buf.Flush()
+		conn.Close()
+	}))
+	defer ts.Close()
+	tgt := &HTTPTarget{Client: ts.Client(), BaseURL: ts.URL}
+	if rep, err := tgt.Report(1); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("reply dropped mid-body: %+v, %v; want an error wrapping io.ErrUnexpectedEOF", rep, err)
+	}
+	if rep, err := tgt.Report(2); err == nil || !strings.Contains(err.Error(), "longer than") {
+		t.Errorf("reply over the read limit: %+v, %v; want an over-limit error", rep, err)
 	}
 }

@@ -22,9 +22,8 @@ import (
 // (package.Func or package.Type.Method), that no program calls, each for a
 // stated reason: a test reads state through it.
 var reachAllowed = map[string]string{
-	"serve.Server.Budget":    "TestWALBudgetAfterRecovery and FuzzWALRecover cross-check the budget counters against the recovered job set",
-	"serve.Server.DropJob":   "the WAL goldens (writeLogDir), TestWALBudgetAfterRecovery and FuzzSnapshotRestore drop jobs in process; /ingest drops arrive as drop frames through Feed",
-	"tree.Regressor.Predict": "the branching reference walk: the gbt and tree bit-identity tests and BenchmarkPredictTree, which CI's flat inference gate times, compare the compiled walk against it",
+	"serve.Server.Budget":  "TestWALBudgetAfterRecovery and FuzzWALRecover cross-check the budget counters against the recovered job set",
+	"serve.Server.DropJob": "the WAL goldens (writeLogDir), TestWALBudgetAfterRecovery and FuzzSnapshotRestore drop jobs in process; /ingest drops arrive as drop frames through Feed",
 }
 
 // unreadAllowed exempts unexported struct fields, by qualified name
