@@ -404,7 +404,7 @@ func BenchmarkFullReplayNURD(b *testing.B) {
 	b.ResetTimer()
 	var f1 float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulator.Evaluate(sim, predictor.NewNURD(benchSeed))
+		res, err := simulator.Evaluate(sim, predictor.NewNURD())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -92,7 +92,7 @@ func TestRunMatchesTable3NURD(t *testing.T) {
 				t.Fatalf("nurdrun printed %q, the Table 3 NURD scores %q\n%s", got, want, out.String())
 			}
 			if tc.name == "alibaba" {
-				if two := evaluate(t, path, func(*simulator.Sim) simulator.Predictor { return predictor.NewNURD(seed) }); two == want {
+				if two := evaluate(t, path, func(*simulator.Sim) simulator.Predictor { return predictor.NewNURD() }); two == want {
 					t.Fatalf("two confirmations also score %q: this job no longer tells the two NURDs apart", two)
 				}
 			}

@@ -39,7 +39,7 @@ func main() {
 		job.ID, job.NumTasks(), sim.NumStragglers(), sim.TauStra())
 
 	// 3. NURD, with the paper's hyperparameters.
-	nurd := predictor.NewNURD(42)
+	nurd := predictor.NewNURD()
 	res, err := simulator.Evaluate(sim, nurd)
 	if err != nil {
 		log.Fatal(err)

@@ -28,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := simulator.Evaluate(sim, predictor.NewNURD(uint64(n)))
+		res, err := simulator.Evaluate(sim, predictor.NewNURD())
 		if err != nil {
 			log.Fatal(err)
 		}

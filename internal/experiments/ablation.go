@@ -36,7 +36,6 @@ func nurdVariant(label string, mutate func(*nurd.Config), confirm int) predictor
 		Name: label,
 		New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
 			cfg := nurd.DefaultConfig()
-			cfg.Seed = seed
 			mutate(&cfg)
 			return predictor.NewNURDWith(label, cfg, confirm)
 		},

@@ -13,10 +13,10 @@ import (
 func smallFactories() []predictor.Factory {
 	return []predictor.Factory{
 		{Name: "GBTR", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return predictor.NewGBTR(seed)
+			return predictor.NewGBTR()
 		}},
 		{Name: "NURD", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return predictor.NewNURD(seed)
+			return predictor.NewNURD()
 		}},
 	}
 }

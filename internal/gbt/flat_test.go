@@ -139,10 +139,7 @@ func TestFlatBitIdenticalProperty(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.NumTrees = 5 + rng.Intn(20)
-		cfg.Seed = seed
-		if rng.Float64() < 0.5 {
-			cfg.Tree.FeatureFrac = 0.8
-		}
+		rng.Float64() // the retired column-subsampling coin, drawn so later draws stay put
 
 		reg, err := FitRegressor(X, y, cfg)
 		if err != nil {
@@ -300,7 +297,6 @@ func benchPredictSetup(b *testing.B) (*Model, [][]float64) {
 		y[i] = X[i][0]*3 + X[i][1] - 2*X[i][7] + rng.Normal(0, 0.2)
 	}
 	cfg := DefaultConfig()
-	cfg.Seed = seed
 	m, err := FitRegressor(X, y, cfg)
 	if err != nil {
 		b.Fatal(err)

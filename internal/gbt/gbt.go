@@ -38,7 +38,8 @@ type Config struct {
 	Lambda float64
 	// Tree holds the base-learner growth parameters.
 	Tree tree.Config
-	// Seed drives column subsampling (Tree.FeatureFrac).
+	// Seed is read by nothing: a boosted fit draws no random numbers. It
+	// stays only because bench/layers.go still sets it.
 	Seed uint64
 }
 
@@ -113,14 +114,13 @@ func fitNewton(X [][]float64, init float64, loss lossFuncs, cfg Config) (*Model,
 		return nil, fmt.Errorf("gbt: empty training set")
 	}
 	cfg.normalize()
-	rng := stats.NewRNG(cfg.Seed ^ 0x9bdb)
 	m := &Model{Init: init, LR: cfg.LearningRate}
 	start := func(f []float64) {
 		for i := range f {
 			f[i] = init
 		}
 	}
-	if err := boostRounds(m, X, start, loss, cfg, rng); err != nil {
+	if err := boostRounds(m, X, start, loss, cfg); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -152,7 +152,7 @@ var fitPool = sync.Pool{New: func() any { return new(fitScratch) }}
 //
 // X does not change between rounds, only the targets do, so its columns are
 // sorted once (tree.Presorted.Reset) and every round grows from that order.
-func boostRounds(m *Model, X [][]float64, start func(f []float64), loss lossFuncs, cfg Config, rng *stats.RNG) error {
+func boostRounds(m *Model, X [][]float64, start func(f []float64), loss lossFuncs, cfg Config) error {
 	s := fitPool.Get().(*fitScratch)
 	defer fitPool.Put(s)
 	if err := s.sorted.Reset(X); err != nil {
@@ -173,11 +173,7 @@ func boostRounds(m *Model, X [][]float64, start func(f []float64), loss lossFunc
 		for i := range g {
 			negG[i] = -g[i]
 		}
-		tcfg := cfg.Tree
-		if tcfg.RNG == nil && tcfg.FeatureFrac > 0 && tcfg.FeatureFrac < 1 {
-			tcfg.RNG = rng.Split()
-		}
-		root, err := s.sorted.Grow(&m.nodes, negG, nil, tcfg)
+		root, err := s.sorted.Grow(&m.nodes, negG, cfg.Tree)
 		if err != nil {
 			return err
 		}
@@ -217,11 +213,9 @@ func boostRounds(m *Model, X [][]float64, start func(f []float64), loss lossFunc
 // a copy of m's, sized once for the new rounds, with their trees appended —
 // m itself is never mutated, so published ensembles stay immutable while
 // their successors are trained. Extending by zero rounds returns an
-// equivalent model that shares m's (immutable) arrays. The result is
-// deterministic given the same previous model, data, and cfg.Seed (the
-// extension RNG is derived from the seed and the current ensemble size, so
-// successive extensions of one model draw distinct but reproducible
-// column-sample streams).
+// equivalent model that shares m's (immutable) arrays. The result is a
+// function of the previous model, the data and cfg alone: a boosted fit
+// draws no random numbers, so no seed enters it.
 //
 // Extend is the warm-start primitive behind incremental checkpoint refits
 // (nurd.Model.Refit): refitting 10-20 rounds on top of the previous
@@ -270,8 +264,7 @@ func (m *Model) Extend(X [][]float64, y []float64, rounds int, cfg Config) (*Mod
 			h[i] = 1
 		}
 	}
-	rng := stats.NewRNG(cfg.Seed ^ 0x9bdb ^ uint64(m.NumTrees())*0x9e3779b97f4a7c15)
-	if err := boostRounds(out, X, start, loss, cfg, rng); err != nil {
+	if err := boostRounds(out, X, start, loss, cfg); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -57,23 +57,18 @@ func predictHash(m *Model, X [][]float64) uint64 {
 
 // TestFitBitsPinned pins every fitter's predictions, bit for bit, to the
 // values the sort-per-node split finder produced (hashes recorded on the
-// commit before the presorted finder replaced it; the column-sampled row on
-// the commit before row subsampling was deleted). A change that moves any
+// commit before the presorted finder replaced it). A change that moves any
 // of them has changed which trees a fit grows, and with that every verdict
 // the serving stack's equivalence tests compare.
 func TestFitBitsPinned(t *testing.T) {
 	X, y, label, censored := pinData()
 	full := DefaultConfig()
-	full.Seed = 7
-	sampled := full
-	sampled.Tree.FeatureFrac = 0.5
 	for _, sub := range []struct {
 		name string
 		cfg  Config
 		want [4]uint64 // FitRegressor, Extend, FitClassifier, FitTobit
 	}{
 		{"full", full, [4]uint64{0xf958c37a952796b0, 0x541d2f0b9aca139b, 0x91104d4e22802a82, 0x73158a714e899e9f}},
-		{"featurefrac0.5", sampled, [4]uint64{0xba0cf6ba04e6a85a, 0xfc714ff5446d1204, 0x2795d08d96a95898, 0x90901d8a63646c28}},
 	} {
 		reg, err := FitRegressor(X[:120], y[:120], sub.cfg)
 		if err != nil {

@@ -42,22 +42,25 @@ type Config struct {
 	// (the paper's Figure 2 likewise shows NURD is not yet ahead "at the
 	// very beginning" of a job).
 	MinFinishedFrac float64
-	// Seed drives the GBT's stochastic components.
+	// Seed is read by nothing: the latency model's boosted fits draw no
+	// random numbers. It stays only because bench/layers.go still sets it.
 	Seed uint64
 	// WarmRounds, when positive, makes Refit warm-start the latency model:
 	// instead of refitting h_t from scratch, checkpoint k's ensemble extends
 	// checkpoint k-1's by WarmRounds additional boosting rounds fitted
 	// against the updated finished set's residuals (gbt.Model.Extend). 0
 	// (the default) keeps every refit a full scratch fit — the paper's
-	// Table 3 path, bit-identical checkpoint by checkpoint.
+	// Table 3 path, bit-identical checkpoint by checkpoint. The extended
+	// ensemble is bounded by warmBudget.
 	WarmRounds int
-	// WarmMaxTrees bounds the warm-started ensemble. An extension that would
-	// exceed it falls back to one scratch refit (re-shrinking the ensemble to
-	// GBT.NumTrees), after which extensions resume — both the fallback
-	// decision and the resulting model are deterministic functions of the
-	// training views. 0 means 8x GBT.NumTrees.
-	WarmMaxTrees int
 }
+
+// warmBudget bounds a warm-started ensemble at this many times
+// GBT.NumTrees. An extension that would exceed it falls back to one scratch
+// refit (re-shrinking the ensemble to GBT.NumTrees), after which extensions
+// resume — both the fallback decision and the resulting model are
+// deterministic functions of the training views.
+const warmBudget = 8
 
 // DefaultConfig returns the paper's hyperparameters.
 func DefaultConfig() Config {
@@ -179,9 +182,7 @@ func (m *Model) Update(finX [][]float64, finY []float64, runX [][]float64) error
 	if err := m.checkTrain(finX, finY); err != nil {
 		return err
 	}
-	gcfg := m.cfg.GBT
-	gcfg.Seed = m.cfg.Seed
-	h, err := gbt.FitRegressor(finX, finY, gcfg)
+	h, err := gbt.FitRegressor(finX, finY, m.cfg.GBT)
 	if err != nil {
 		return fmt.Errorf("nurd: fitting latency model: %w", err)
 	}
@@ -194,7 +195,7 @@ func (m *Model) Update(finX [][]float64, finY []float64, runX [][]float64) error
 // warm-starts the latency model from the previous checkpoint's ensemble when
 // the configuration enables it (Config.WarmRounds > 0) and a previous model
 // exists. The first gated checkpoint always fits from scratch; when an
-// extension would push the ensemble past the WarmMaxTrees budget, one scratch
+// extension would push the ensemble past the warmBudget bound, one scratch
 // refit re-shrinks it and extensions resume. With WarmRounds 0 Refit is
 // exactly Update, so the scratch configuration stays bit-identical to the
 // paper's Table 3 path.
@@ -202,23 +203,17 @@ func (m *Model) Refit(finX [][]float64, finY []float64, runX [][]float64) error 
 	if m.cfg.WarmRounds <= 0 || m.h == nil {
 		return m.Update(finX, finY, runX)
 	}
-	budget := m.cfg.WarmMaxTrees
-	if budget <= 0 {
-		nt := m.cfg.GBT.NumTrees
-		if nt <= 0 {
-			nt = gbt.DefaultConfig().NumTrees
-		}
-		budget = 8 * nt
+	nt := m.cfg.GBT.NumTrees
+	if nt <= 0 {
+		nt = gbt.DefaultConfig().NumTrees
 	}
-	if m.h.NumTrees()+m.cfg.WarmRounds > budget {
+	if m.h.NumTrees()+m.cfg.WarmRounds > warmBudget*nt {
 		return m.Update(finX, finY, runX)
 	}
 	if err := m.checkTrain(finX, finY); err != nil {
 		return err
 	}
-	gcfg := m.cfg.GBT
-	gcfg.Seed = m.cfg.Seed
-	h, err := m.h.Extend(finX, finY, m.cfg.WarmRounds, gcfg)
+	h, err := m.h.Extend(finX, finY, m.cfg.WarmRounds, m.cfg.GBT)
 	if err != nil {
 		return fmt.Errorf("nurd: extending latency model: %w", err)
 	}

@@ -287,12 +287,13 @@ func TestRefitWarmExtends(t *testing.T) {
 }
 
 // TestRefitWarmBudgetFallsBackToScratch: an extension that would exceed
-// WarmMaxTrees re-shrinks the ensemble with one scratch fit, then resumes
-// extending.
+// warmBudget times GBT.NumTrees re-shrinks the ensemble with one scratch fit,
+// then resumes extending.
 func TestRefitWarmBudgetFallsBackToScratch(t *testing.T) {
 	fin, run, finY := split(100, 50, 4, 2, 13)
 	cfg := DefaultWarmConfig()
-	cfg.WarmMaxTrees = cfg.GBT.NumTrees + cfg.WarmRounds // room for exactly one extension
+	// A budget of 8·2 = 16 trees: room for exactly one extension by 14.
+	cfg.GBT.NumTrees, cfg.WarmRounds = 2, 14
 	m := New(cfg)
 	if err := m.Init(fin, run); err != nil {
 		t.Fatal(err)
@@ -305,7 +306,7 @@ func TestRefitWarmBudgetFallsBackToScratch(t *testing.T) {
 		sizes = append(sizes, m.latencyModelTrees())
 	}
 	nt, wr := cfg.GBT.NumTrees, cfg.WarmRounds
-	want := []int{nt, nt + wr, nt, nt + wr} // scratch, extend, budget-fallback scratch, extend
+	want := []int{nt, nt + wr, nt, nt + wr} // 2, 16, 2, 16: scratch, extend, budget-fallback scratch, extend
 	for i := range want {
 		if sizes[i] != want[i] {
 			t.Fatalf("refit %d: %d trees, want %d (sizes %v)", i, sizes[i], want[i], sizes)

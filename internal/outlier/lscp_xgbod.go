@@ -155,6 +155,8 @@ func zscores(s []float64) []float64 {
 // available at a checkpoint.
 type XGBOD struct {
 	scaledFit
+	// Seed drives the pool's isolation forest; the boosted classifier draws
+	// no random numbers.
 	Seed  uint64
 	pool  []Detector
 	model *gbt.Model
@@ -200,7 +202,6 @@ func (d *XGBOD) Fit(X [][]float64) error {
 		aug := d.augment(X)
 		cfg := gbt.DefaultConfig()
 		cfg.NumTrees = 30
-		cfg.Seed = d.Seed
 		m, err := gbt.FitClassifier(aug, d.labels, cfg)
 		if err != nil {
 			return err

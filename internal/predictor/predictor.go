@@ -29,7 +29,7 @@ type Factory struct {
 func AllFactories() []Factory {
 	fs := []Factory{
 		{Name: "GBTR", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return NewGBTR(seed)
+			return NewGBTR()
 		}},
 	}
 	for _, d := range outlier.All(0) {
@@ -49,7 +49,7 @@ func AllFactories() []Factory {
 			return NewTobit()
 		}},
 		Factory{Name: "Grabit", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
-			return NewGrabit(seed)
+			return NewGrabit()
 		}},
 		Factory{Name: "CoxPH", New: func(_ *simulator.Sim, seed uint64) simulator.Predictor {
 			return NewCoxPH()
@@ -58,12 +58,12 @@ func AllFactories() []Factory {
 			return NewWrangler(s, seed)
 		}},
 		Factory{Name: "NURD-NC", New: func(s *simulator.Sim, seed uint64) simulator.Predictor {
-			p := NewNURDNC(seed)
+			p := NewNURDNC()
 			p.confirm = confirmFor(s)
 			return p
 		}},
 		Factory{Name: "NURD", New: func(s *simulator.Sim, seed uint64) simulator.Predictor {
-			p := NewNURD(seed)
+			p := NewNURD()
 			p.confirm = confirmFor(s)
 			return p
 		}},
@@ -127,18 +127,16 @@ type NURDPredictor struct {
 	scratch nurd.PredictScratch
 }
 
-// NewNURD returns the full method with calibration.
-func NewNURD(seed uint64) *NURDPredictor {
-	cfg := nurd.DefaultConfig()
-	cfg.Seed = seed
-	return &NURDPredictor{cfg: cfg, name: "NURD", confirm: 2}
+// NewNURD returns the full method with calibration. Its fits draw no
+// random numbers, so it takes no seed.
+func NewNURD() *NURDPredictor {
+	return &NURDPredictor{cfg: nurd.DefaultConfig(), name: "NURD", confirm: 2}
 }
 
 // NewNURDNC returns the no-calibration ablation (w = z).
-func NewNURDNC(seed uint64) *NURDPredictor {
+func NewNURDNC() *NURDPredictor {
 	cfg := nurd.DefaultConfig()
 	cfg.Calibrate = false
-	cfg.Seed = seed
 	return &NURDPredictor{cfg: cfg, name: "NURD-NC", confirm: 2}
 }
 
@@ -247,13 +245,12 @@ const strongMargin = 1.3
 
 // GBTR is the supervised baseline: gradient-boosted regression fit on
 // finished tasks only, with no reweighting; a running task is flagged when
-// its raw latency prediction crosses tau_stra.
-type GBTR struct {
-	seed uint64
-}
+// its raw latency prediction crosses tau_stra. Its fit draws no random
+// numbers, so it takes no seed.
+type GBTR struct{}
 
 // NewGBTR constructs the baseline.
-func NewGBTR(seed uint64) *GBTR { return &GBTR{seed: seed} }
+func NewGBTR() *GBTR { return &GBTR{} }
 
 // Name implements simulator.Predictor.
 func (p *GBTR) Name() string { return "GBTR" }
@@ -266,9 +263,7 @@ func (p *GBTR) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 	if len(cp.FinishedX) == 0 {
 		return make([]bool, len(cp.RunningIDs)), nil
 	}
-	cfg := gbt.DefaultConfig()
-	cfg.Seed = p.seed
-	m, err := gbt.FitRegressor(cp.FinishedX, cp.FinishedY, cfg)
+	m, err := gbt.FitRegressor(cp.FinishedX, cp.FinishedY, gbt.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("gbtr: %w", err)
 	}

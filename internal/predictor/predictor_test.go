@@ -78,7 +78,7 @@ func TestPredictorsHandleVerdictShape(t *testing.T) {
 
 func TestNURDGateDefersEarly(t *testing.T) {
 	sim := testSim(t, 7)
-	p := NewNURD(3)
+	p := NewNURD()
 	p.Reset()
 	// Build a synthetic checkpoint with almost nothing finished: the gate
 	// must defer (all-false) rather than predict from a starved model.
@@ -129,8 +129,8 @@ func TestNURDBeatsNaiveBaselines(t *testing.T) {
 		}
 		return res.Final.F1()
 	}
-	nurdF1 := f1(NewNURD(1))
-	gbtrF1 := f1(NewGBTR(1))
+	nurdF1 := f1(NewNURD())
+	gbtrF1 := f1(NewGBTR())
 	lofF1 := f1(NewOutlier("LOF", 0.1, 1))
 	if nurdF1 <= gbtrF1 {
 		t.Fatalf("NURD %v <= GBTR %v", nurdF1, gbtrF1)
@@ -156,11 +156,11 @@ func TestNURDNCHasHigherFPR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, err := simulator.Evaluate(sim, NewNURD(uint64(i)))
+		rn, err := simulator.Evaluate(sim, NewNURD())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := simulator.Evaluate(sim, NewNURDNC(uint64(i)))
+		rc, err := simulator.Evaluate(sim, NewNURDNC())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,13 +105,12 @@ func (p *TobitPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 	return out, nil
 }
 
-// GrabitPredictor adapts the boosted Tobit model (gbt.FitTobit).
-type GrabitPredictor struct {
-	seed uint64
-}
+// GrabitPredictor adapts the boosted Tobit model (gbt.FitTobit). Its fit
+// draws no random numbers, so it takes no seed.
+type GrabitPredictor struct{}
 
 // NewGrabit constructs the adapter.
-func NewGrabit(seed uint64) *GrabitPredictor { return &GrabitPredictor{seed: seed} }
+func NewGrabit() *GrabitPredictor { return &GrabitPredictor{} }
 
 // Name implements simulator.Predictor.
 func (p *GrabitPredictor) Name() string { return "Grabit" }
@@ -125,9 +124,7 @@ func (p *GrabitPredictor) Predict(cp *simulator.Checkpoint) ([]bool, error) {
 	if len(X) == 0 || len(cp.FinishedX) == 0 {
 		return make([]bool, len(cp.RunningIDs)), nil
 	}
-	cfg := gbt.DefaultConfig()
-	cfg.Seed = p.seed
-	m, err := gbt.FitTobit(X, y, cens, 0, cfg)
+	m, err := gbt.FitTobit(X, y, cens, 0, gbt.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("grabit: %w", err)
 	}

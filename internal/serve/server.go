@@ -46,7 +46,7 @@ type Config struct {
 	Shards int
 	// NewPredictor builds a predictor for jobs registered without an
 	// explicit one. The default constructs the paper's NURD configuration
-	// seeded from the JobSpec, with the per-dataset confirmation rule.
+	// with the per-dataset confirmation rule.
 	//
 	// RestoreServer and Recover also rebuild every job's predictor through
 	// this factory (a snapshot carries the accepted stream, not model
@@ -54,9 +54,11 @@ type Config struct {
 	// StartJob must supply an equivalent factory here for restores to be
 	// faithful. The factory
 	// must be deterministic: given the same spec and the same sequence of
-	// checkpoint views, it must issue the same verdicts (true of every
-	// predictor in this repository — model fits draw from a fresh
-	// spec-seeded RNG per refit).
+	// checkpoint views, it must issue the same verdicts. That is true of
+	// every predictor in this repository: the boosted fits of NURD, GBTR,
+	// Grabit and XGBOD use no seed, and the fits that draw random numbers
+	// (Wrangler's SVM, PU-BG, XGBOD's isolation forest and the other
+	// randomized detectors) seed a fresh RNG from the spec's Seed.
 	NewPredictor func(spec wire.JobSpec) simulator.Predictor
 	// MaxJobs bounds the number of concurrently registered (not yet
 	// dropped) jobs; registrations beyond it fail with ErrOverloaded.
@@ -104,7 +106,8 @@ func DefaultConfig() Config {
 }
 
 // NewNURDPredictor is the default per-job predictor factory: the paper's
-// NURD with the spec's seed and the per-dataset confirmation requirement.
+// NURD with the per-dataset confirmation requirement. NURD's fits draw no
+// random numbers, so the spec's Seed is not read.
 // Specs registered in RefitWarm mode get the warm-refit configuration, so
 // restores rebuild warm-mode jobs with warm-mode fits (the mode travels with
 // the spec through the WAL).
@@ -115,7 +118,6 @@ func NewNURDPredictor(spec wire.JobSpec) simulator.Predictor {
 		cfg = nurd.DefaultWarmConfig()
 		name = "NURD-warm"
 	}
-	cfg.Seed = spec.Seed
 	return predictor.NewNURDWith(name, cfg, predictor.ConfirmFor(spec.Schema))
 }
 

@@ -3,9 +3,10 @@ package serve
 // snapshot.go is the server's durable image: a plain wire dump of the
 // accepted stream. A job's state is a deterministic function of its spec and
 // its accepted events — every refit trains on the view built at its
-// boundary, with a fresh seeded RNG — so replaying those frames through a
-// fresh server rebuilds every job bit for bit (TestSnapshotRestoreEquivalence,
-// and the WAL's crash-at-any-byte sweeps). The write-ahead log already holds
+// boundary, and a fit that draws random numbers seeds them from the spec —
+// so replaying those frames through a fresh server rebuilds every job bit
+// for bit (TestSnapshotRestoreEquivalence, and the WAL's crash-at-any-byte
+// sweeps). The write-ahead log already holds
 // the frames; a checkpoint compacts it into a base (wal.Checkpoint), and a
 // snapshot is that base.
 

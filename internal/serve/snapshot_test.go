@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nurd"
+	"repro/internal/predictor"
 	"repro/internal/simulator"
 	"repro/internal/wal"
 	"repro/internal/wal/waltest"
@@ -73,17 +75,35 @@ func coreOf(r *JobReport) reportCore {
 // on the restored server), and warm mode additionally proves the
 // extended-ensemble chain replays bit-identically. The restore config
 // deliberately omits the mode — the snapshot's specs carry it.
+//
+// warm_fallback crosses the warm budget: its factory's NURD boosts 2 trees
+// and extends by 14, a budget of 16, so a job's third fit falls back to a
+// scratch fit. The restore gets the same factory, and some job of the
+// never-died server must report that fallback.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
-	for _, mode := range []wire.RefitMode{wire.RefitScratch, wire.RefitWarm} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	tinyWarm := func(spec wire.JobSpec) simulator.Predictor {
+		cfg := nurd.DefaultWarmConfig()
+		cfg.GBT.NumTrees, cfg.WarmRounds = 2, 14
+		return predictor.NewNURDWith("NURD-warm", cfg, predictor.ConfirmFor(spec.Schema))
+	}
+	for _, tc := range []struct {
+		name         string
+		mode         wire.RefitMode
+		newPredictor func(wire.JobSpec) simulator.Predictor
+	}{
+		{"scratch", wire.RefitScratch, nil},
+		{"warm", wire.RefitWarm, nil},
+		{"warm_fallback", wire.RefitWarm, tinyWarm},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			testSnapshotRestoreEquivalence(t, mode)
+			testSnapshotRestoreEquivalence(t, tc.mode, tc.newPredictor)
 		})
 	}
 }
 
-func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
+func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode, newPredictor func(wire.JobSpec) simulator.Predictor) {
 	const n = 3
 	jobs, sims := smallJobs(t, n, 31)
 	specs := make([]wire.JobSpec, n)
@@ -105,7 +125,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 	}
 
 	// The uninterrupted reference.
-	svA := NewServer(Config{Shards: 4})
+	svA := NewServer(Config{Shards: 4, NewPredictor: newPredictor})
 	start(svA)
 	for i := range streams {
 		if err := ingestBatch(svA, streams[i]); err != nil {
@@ -114,7 +134,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 	}
 
 	// The interrupted run: half the stream, snapshot, crash.
-	svB := durable(t, Config{Shards: 4})
+	svB := durable(t, Config{Shards: 4, NewPredictor: newPredictor})
 	start(svB)
 	for i := range streams {
 		if err := ingestBatch(svB, streams[i][:len(streams[i])/2]); err != nil {
@@ -138,7 +158,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 
 	// Revival — deliberately at a different shard count: shard layout is a
 	// concurrency knob, not serving state.
-	svC, err := RestoreServer(bytes.NewReader(snap.Bytes()), Config{Shards: 3})
+	svC, err := RestoreServer(bytes.NewReader(snap.Bytes()), Config{Shards: 3, NewPredictor: newPredictor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +179,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 		}
 	}
 
+	fellBack := 0
 	for i := range jobs {
 		repA, err := svA.Report(specs[i].JobID)
 		if err != nil {
@@ -167,6 +188,9 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 		repC, err := svC.Report(specs[i].JobID)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if repA.ScratchFits >= 2 {
+			fellBack++ // in warm mode only the first fit and a budget fallback fit from scratch
 		}
 		if !reflect.DeepEqual(coreOf(repA), coreOf(repC)) {
 			t.Errorf("job %d: restored outcome diverges:\n uninterrupted %+v\n restored      %+v",
@@ -203,6 +227,10 @@ func testSnapshotRestoreEquivalence(t *testing.T, mode wire.RefitMode) {
 				t.Errorf("job %d task %d: IsStraggler %v != %v", i, tid, sA, sC)
 			}
 		}
+	}
+
+	if newPredictor != nil && fellBack == 0 {
+		t.Error("no job reports two scratch fits: no warm refit fell back at the budget")
 	}
 
 	// Cumulative traffic counters rebuilt by the replay: the restored

@@ -12,7 +12,8 @@ import (
 
 // SpecFor derives a JobSpec from a prepared offline replay: the monitoring
 // schedule and thresholds a control plane would know at submission. seed
-// seeds the job's predictor when the server constructs one.
+// becomes the spec's Seed, which the default NURD factory does not read
+// (wire.JobSpec.Seed says which predictors do).
 func SpecFor(sim *simulator.Sim, seed uint64) wire.JobSpec {
 	job := sim.Job
 	return wire.JobSpec{

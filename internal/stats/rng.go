@@ -41,12 +41,6 @@ func (r *RNG) seed(seed uint64) {
 	r.Uint64()                      // warm up so nearby seeds diverge immediately
 }
 
-// Split returns a new RNG whose stream is independent of (but
-// deterministically derived from) the receiver. It advances the receiver.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0x9e3779b97f4a7c15)
-}
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -212,17 +206,11 @@ func (r *RNG) Shuffle(p []int) {
 // Sample returns k distinct indices drawn uniformly from [0, n) without
 // replacement. It panics if k > n.
 func (r *RNG) Sample(n, k int) []int {
-	return slices.Clone(r.SampleInto(make([]int, n), k))
-}
-
-// SampleInto is Sample(len(idx), k) in a caller-owned buffer: it overwrites
-// idx and returns its first k elements, consuming the same draws as Sample.
-func (r *RNG) SampleInto(idx []int, k int) []int {
-	n := len(idx)
 	if k > n {
 		panic("stats: Sample requires k <= n")
 	}
 	// Partial Fisher-Yates over an index array.
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -230,5 +218,5 @@ func (r *RNG) SampleInto(idx []int, k int) []int {
 		j := i + r.Intn(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	return idx[:k]
+	return slices.Clone(idx[:k])
 }

@@ -200,21 +200,6 @@ func TestSamplePanicsWhenKTooLarge(t *testing.T) {
 	NewRNG(1).Sample(2, 3)
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := NewRNG(41)
-	child := r.Split()
-	// The child stream should not replicate the parent's continuation.
-	same := 0
-	for i := 0; i < 64; i++ {
-		if r.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split stream overlaps parent %d times", same)
-	}
-}
-
 func TestBernoulliProbability(t *testing.T) {
 	r := NewRNG(43)
 	hits := 0

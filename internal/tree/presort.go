@@ -13,15 +13,15 @@ import (
 // of that range per feature, and splitting it is a stable partition of each
 // list, which keeps both halves in order for the children.
 //
-// With uniform weights (gbt's case) the scan prunes a candidate by the
-// between-group form of its gain. A side's weight is its row count, so a cut
-// of an m-row node that puts L rows left with prefix sum S, and R = m-L right,
-// gains (S - L·T/m)²·m/(L·R) for node total T. bestSplit tables L·T/m and
-// L·R/m once per node for all its features; a candidate then costs a
-// subtraction, two multiplies and one compare against the running best,
-// lowered by more than the rounding error of either side. The rest get the exact gain,
-// so the trees are those of dividing at every candidate: the first in scan
-// order with the largest gain.
+// Every row weighs the same, so the scan prunes a candidate by the
+// between-group form of its gain: a cut of an m-row node that puts L rows
+// left with prefix sum S, and R = m-L right, gains (S - L·T/m)²·m/(L·R) for
+// node total T. bestSplit tables L·T/m and L·R/m once per node for all its
+// features; a candidate then costs a subtraction, two multiplies and one
+// compare against the running best, lowered by more than the rounding error
+// of either side. The rest get the exact gain, so the trees are those of
+// dividing at every candidate: the first in scan order with the largest
+// gain.
 //
 // The order is total: ascending by value, NaN after +Inf, ties (and NaNs)
 // by row index. A threshold is the midpoint of two neighbouring values and
@@ -31,8 +31,8 @@ import (
 // therefore fits deterministically, and every threshold of a fitted tree is
 // finite (gbt.Model's arithmetic child select relies on that).
 //
-// The targets and weights are arguments of Grow, so boosting rounds — which
-// change only the targets — share one Presorted. Grow reuses the value's
+// The targets are an argument of Grow, so boosting rounds — which change
+// only the targets — share one Presorted. Grow reuses the value's
 // working buffers: a Presorted must not be used from two goroutines at once.
 type Presorted struct {
 	n, d  int
@@ -45,16 +45,15 @@ type Presorted struct {
 	left    []uint8   // per row: 1 if it goes left at the split being applied
 	leaves  []int32   // per row: ordinal of the leaf it ended in
 	s       *SoA      // the table the tree grows into
-	feats   []int     // candidate features of the node being split
 	lmu, lr []float64 // per cut of the node being split: L·T/m and L·R/m
-	prune   bool      // the uniform scan may prune: see pruneSafe
+	prune   bool      // the scan may prune: see pruneSafe
 	nleaves int32
 
 	keys []uint64 // sortRows' merge space
 	rows []int32
 
-	y, w []float64
-	cfg  Config
+	y   []float64
+	cfg Config
 }
 
 // Presort copies X column-major and sorts each feature's rows. It returns
@@ -85,7 +84,6 @@ func (p *Presorted) Reset(X [][]float64) error {
 	p.cols, p.order = resize(p.cols, d*n), resize(p.order, d*n)
 	p.lists, p.scratch = resize(p.lists, (d+1)*n), resize(p.scratch, n)
 	p.left, p.leaves = resize(p.left, n), resize(p.leaves, n)
-	p.feats = resize(p.feats, d)
 	p.lmu, p.lr = resize(p.lmu, n), resize(p.lr, n) // a node offers at most n-1 cuts
 	p.keys, p.rows = resize(p.keys, 2*n), resize(p.rows, 2*n)
 	for i, row := range X {
@@ -177,31 +175,22 @@ func sortRows(col []float64, ord []int32, keys []uint64, rows []int32) {
 	copy(ord, sr)
 }
 
-// Grow grows a regression tree on the presorted matrix with targets y and
-// optional per-row weights w (nil for uniform), appends its nodes to s and
-// returns the index of its root. It appends at most cfg.NodeBound(rows)
-// nodes, so a table with that much room does not reallocate. It returns
-// ErrBadConfig when cfg cannot drive growth.
-func (p *Presorted) Grow(s *SoA, y, w []float64, cfg Config) (int32, error) {
+// Grow grows a regression tree on the presorted matrix with targets y,
+// appends its nodes to s and returns the index of its root. It appends at
+// most cfg.NodeBound(rows) nodes, so a table with that much room does not
+// reallocate.
+func (p *Presorted) Grow(s *SoA, y []float64, cfg Config) (int32, error) {
 	if len(y) != p.n {
 		return 0, fmt.Errorf("tree: %d targets for %d rows", len(y), p.n)
 	}
-	if w != nil && len(w) != p.n {
-		return 0, fmt.Errorf("tree: %d weights for %d rows", len(w), p.n)
-	}
-	if err := cfg.normalize(); err != nil {
-		return 0, err
-	}
-	p.y, p.w, p.cfg, p.s = y, w, cfg, s
-	p.prune = w == nil && pruneSafe(y)
+	cfg.normalize()
+	p.y, p.cfg, p.s = y, cfg, s
+	p.prune = pruneSafe(y)
 	p.nleaves = 0
 	idx := p.lists[p.d*p.n:]
 	copy(p.lists, p.order)
 	for i := range idx {
 		idx[i] = int32(i)
-	}
-	for j := range p.feats {
-		p.feats[j] = j
 	}
 	root := p.grow(0, p.n, 0)
 	p.s = nil
@@ -219,28 +208,16 @@ func (p *Presorted) Leaves() []int32 { return p.leaves }
 // order.
 func (p *Presorted) grow(lo, hi, depth int) int32 {
 	idx := p.lists[p.d*p.n+lo : p.d*p.n+hi]
-	sumW, sumWY := 0.0, 0.0
-	if p.w == nil {
-		sumW = float64(len(idx))
-		for _, i := range idx {
-			sumWY += p.y[i]
-		}
-	} else {
-		for _, i := range idx {
-			sumW += p.w[i]
-			sumWY += p.w[i] * p.y[i]
-		}
+	sum := 0.0
+	for _, i := range idx {
+		sum += p.y[i]
 	}
-	mean := 0.0
-	if sumW > 0 {
-		mean = sumWY / sumW
-	}
-	id := p.s.appendLeaf(mean)
+	id := p.s.appendLeaf(sum / float64(len(idx)))
 
 	nl := 0
 	feat, thr, ok := 0, 0.0, false
 	if depth < p.cfg.MaxDepth && len(idx) >= p.cfg.MinSplit {
-		feat, thr, ok = p.bestSplit(lo, hi, sumW, sumWY)
+		feat, thr, ok = p.bestSplit(lo, hi, sum)
 	}
 	if ok {
 		col := p.cols[feat*p.n : (feat+1)*p.n]
@@ -303,29 +280,14 @@ func (p *Presorted) partition(list []int32) {
 	copy(list[nl:], scratch[:nr])
 }
 
-// bestSplit scans candidate features for the split of rows [lo,hi)
-// minimizing weighted SSE.
-func (p *Presorted) bestSplit(lo, hi int, totW, totWY float64) (feat int, thr float64, ok bool) {
-	features := p.feats
-	if p.cfg.FeatureFrac > 0 && p.cfg.FeatureFrac < 1 { // normalize checked the RNG
-		k := int(p.cfg.FeatureFrac*float64(p.d) + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		features = p.cfg.RNG.SampleInto(p.feats, k)
-	}
-
+// bestSplit scans every feature for the split of rows [lo,hi), whose
+// targets sum to tot, minimizing SSE.
+func (p *Presorted) bestSplit(lo, hi int, tot float64) (feat int, thr float64, ok bool) {
 	b := best{gain: 1e-12}
-	parent := totWY * totWY / totW
-	if p.w != nil {
-		for _, j := range features {
-			p.scanWeighted(&b, j, p.cols[j*p.n:(j+1)*p.n], p.lists[j*p.n+lo:j*p.n+hi], totW, totWY, parent)
-		}
-		return b.feat, b.thr, b.ok
-	}
-	tableCuts(p.lmu, p.lr, hi-lo, p.cfg.MinLeaf, totWY)
-	for g := 0; g < len(features); g += lanes {
-		p.scanLanes(&b, features[g:min(g+lanes, len(features))], lo, hi, totWY, parent)
+	parent := tot * tot / float64(hi-lo)
+	tableCuts(p.lmu, p.lr, hi-lo, p.cfg.MinLeaf, tot)
+	for j := 0; j < p.d; j += lanes {
+		p.scanLanes(&b, j, min(lanes, p.d-j), lo, hi, tot, parent)
 	}
 	return b.feat, b.thr, b.ok
 }
@@ -339,11 +301,11 @@ type best struct {
 	ok   bool
 }
 
-// lanes is how many features the uniform scan walks at once.
+// lanes is how many features the scan walks at once.
 const lanes = 4
 
-// scanLanes scans the orders of one to four features js of a node with unit
-// weights, in lockstep: cut k puts exactly the k+1 rows ord[:k+1] of a
+// scanLanes scans the orders of the nj (one to four) features j0, j0+1, ...
+// of a node in lockstep: cut k puts exactly the k+1 rows ord[:k+1] of a
 // feature's order left and m-k-1 right. MinLeaf admits the cuts minLeaf-1 ..
 // m-minLeaf-1; grow calls this only when m ≥ MinSplit ≥ 2·MinLeaf, so there
 // is at least one. Cut k is entry t = k-minLeaf+1 of the node's tables
@@ -359,14 +321,14 @@ const lanes = 4
 // largest gain. The bound's threshold is the best over every lane, which is
 // sound for all of them: a cut it prunes is below a gain some candidate has,
 // so it is below the winner's.
-func (p *Presorted) scanLanes(b *best, js []int, lo, hi int, totWY, parent float64) {
+func (p *Presorted) scanLanes(b *best, j0, nj, lo, hi int, tot, parent float64) {
 	var ls [lanes]struct {
 		col  []float64
 		ord  []int32
 		best best
 	}
 	for l := range ls {
-		j := js[min(l, len(js)-1)]
+		j := j0 + min(l, nj-1)
 		ls[l].col, ls[l].ord = p.cols[j*p.n:(j+1)*p.n], p.lists[j*p.n+lo:j*p.n+hi]
 		ls[l].best = best{gain: b.gain}
 	}
@@ -406,7 +368,7 @@ func (p *Presorted) scanLanes(b *best, js []int, lo, hi int, totWY, parent float
 		}
 		k := minLeaf - 1 + t
 		sums := [lanes]float64{s0, s1, s2, s3}
-		for l := range js {
+		for l := 0; l < nj; l++ {
 			ln, s := &ls[l], sums[l]
 			if prunes(s, lmu[t], c, lr[t]) {
 				continue
@@ -415,15 +377,15 @@ func (p *Presorted) scanLanes(b *best, js []int, lo, hi int, totWY, parent float
 			if x == next {
 				continue
 			}
-			// Gain = sum(w y)^2/W reduction relative to parent.
-			rightWY := totWY - s
-			gain := s*s/float64(k+1) + rightWY*rightWY/float64(m-k-1) - parent
+			// Gain = sum(y)^2/count reduction relative to parent.
+			right := tot - s
+			gain := s*s/float64(k+1) + right*right/float64(m-k-1) - parent
 			if gain > ln.best.gain {
 				mid := (x + next) / 2
 				if math.IsNaN(mid) || math.IsInf(mid, 0) {
 					continue // a NaN or infinite neighbour, or a sum that overflows
 				}
-				ln.best = best{gain: gain, feat: js[l], thr: mid, ok: true}
+				ln.best = best{gain: gain, feat: j0 + l, thr: mid, ok: true}
 				if gain > top {
 					top = gain
 					c = pruneBelow(top, parent, p.prune)
@@ -431,14 +393,14 @@ func (p *Presorted) scanLanes(b *best, js []int, lo, hi int, totWY, parent float
 			}
 		}
 	}
-	for l := range js {
+	for l := 0; l < nj; l++ {
 		if ls[l].best.gain > b.gain {
 			*b = ls[l].best
 		}
 	}
 }
 
-// The uniform scan's bound. Write S and T for a cut's prefix sum and its
+// The scan's bound. Write S and T for a cut's prefix sum and its
 // node's total as the scan holds them, L and R = m-L for the sides' row
 // counts, P = T²/m, and G = S²/L + (T-S)²/R - P, exactly; then G =
 // D²·m/(L·R) with D = S - L·T/m. A candidate wins only if its computed gain
@@ -503,40 +465,4 @@ func pruneBelow(best, parent float64, safe bool) float64 {
 func prunes(s, lmu, c, lr float64) bool {
 	d := lmu - s
 	return d*d < c*lr
-}
-
-// scanWeighted scans one feature's order of a node with per-row weights.
-func (p *Presorted) scanWeighted(b *best, j int, col []float64, ord []int32, totW, totWY, parent float64) {
-	y, w := p.y, p.w
-	m, minLeaf := len(ord), p.cfg.MinLeaf
-	// Prefix sums over the sorted order.
-	leftW, leftWY := 0.0, 0.0
-	next := col[ord[0]]
-	for k := 0; k < m-1; k++ {
-		i := ord[k]
-		leftW += w[i]
-		leftWY += w[i] * y[i]
-		x := next
-		next = col[ord[k+1]]
-		if x == next {
-			continue
-		}
-		if k+1 < minLeaf || m-k-1 < minLeaf {
-			continue
-		}
-		rightW := totW - leftW
-		rightWY := totWY - leftWY
-		if leftW <= 0 || rightW <= 0 {
-			continue
-		}
-		// Gain = sum(w y)^2/W reduction relative to parent.
-		gain := leftWY*leftWY/leftW + rightWY*rightWY/rightW - parent
-		if gain > b.gain {
-			mid := (x + next) / 2
-			if math.IsNaN(mid) || math.IsInf(mid, 0) {
-				continue // a NaN or infinite neighbour, or a sum that overflows
-			}
-			*b = best{gain: gain, feat: j, thr: mid, ok: true}
-		}
-	}
 }

@@ -12,18 +12,16 @@ import (
 
 // refFit is the sort-per-node Fit this package shipped before the presorted
 // split finder, moved here as the oracle the presorted finder is compared
-// against, node table for node table. Only Fit is renamed, and it builds the
+// against, node table for node table. Only Fit is renamed, it builds the
 // one-tree table Fit now returns instead of the node slice of the retired
-// Regressor.
-func refFit(X [][]float64, y []float64, w []float64, cfg Config) (*SoA, error) {
+// Regressor, and per-row weights and column subsampling are gone with the
+// grower's.
+func refFit(X [][]float64, y []float64, cfg Config) (*SoA, error) {
 	if len(X) == 0 {
 		return nil, fmt.Errorf("tree: empty training set")
 	}
 	if len(y) != len(X) {
 		return nil, fmt.Errorf("tree: %d targets for %d rows", len(y), len(X))
-	}
-	if w != nil && len(w) != len(X) {
-		return nil, fmt.Errorf("tree: %d weights for %d rows", len(w), len(X))
 	}
 	ncols := len(X[0])
 	for i, row := range X {
@@ -31,15 +29,13 @@ func refFit(X [][]float64, y []float64, w []float64, cfg Config) (*SoA, error) {
 			return nil, fmt.Errorf("%w: row %d has %d columns, row 0 has %d", ErrRaggedRows, i, len(row), ncols)
 		}
 	}
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
+	cfg.normalize()
 	t := &SoA{}
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
 	}
-	b := &builder{X: X, y: y, w: w, cfg: cfg, tree: t}
+	b := &builder{X: X, y: y, cfg: cfg, tree: t}
 	b.grow(idx, 0)
 	return t, nil
 }
@@ -47,36 +43,22 @@ func refFit(X [][]float64, y []float64, w []float64, cfg Config) (*SoA, error) {
 type builder struct {
 	X    [][]float64
 	y    []float64
-	w    []float64
 	cfg  Config
 	tree *SoA
 }
 
-func (b *builder) weight(i int) float64 {
-	if b.w == nil {
-		return 1
-	}
-	return b.w[i]
-}
-
 // grow recursively builds the subtree over idx and returns its node index.
 func (b *builder) grow(idx []int, depth int) int32 {
-	sumW, sumWY := 0.0, 0.0
+	sum := 0.0
 	for _, i := range idx {
-		wi := b.weight(i)
-		sumW += wi
-		sumWY += wi * b.y[i]
+		sum += b.y[i]
 	}
-	mean := 0.0
-	if sumW > 0 {
-		mean = sumWY / sumW
-	}
-	id := b.tree.appendLeaf(mean)
+	id := b.tree.appendLeaf(sum / float64(len(idx)))
 
 	if depth >= b.cfg.MaxDepth || len(idx) < b.cfg.MinSplit {
 		return id
 	}
-	feat, thr, ok := b.bestSplit(idx, sumW, sumWY)
+	feat, thr, ok := b.bestSplit(idx, sum)
 	if !ok {
 		return id
 	}
@@ -101,49 +83,32 @@ func (b *builder) grow(idx []int, depth int) int32 {
 	return id
 }
 
-// bestSplit scans candidate features for the split minimizing weighted SSE.
-func (b *builder) bestSplit(idx []int, totW, totWY float64) (feat int, thr float64, ok bool) {
-	ncols := len(b.X[0])
-	features := make([]int, ncols)
-	for j := range features {
-		features[j] = j
-	}
-	if b.cfg.FeatureFrac > 0 && b.cfg.FeatureFrac < 1 && b.cfg.RNG != nil {
-		k := int(b.cfg.FeatureFrac*float64(ncols) + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		features = b.cfg.RNG.Sample(ncols, k)
-	}
-
+// bestSplit scans every feature for the split minimizing SSE.
+func (b *builder) bestSplit(idx []int, tot float64) (feat int, thr float64, ok bool) {
 	bestGain := 1e-12
 	type pair struct {
-		x, y, w float64
+		x, y float64
 	}
 	buf := make([]pair, len(idx))
-	for _, j := range features {
+	m := float64(len(idx))
+	for j := range b.X[0] {
 		for k, i := range idx {
-			buf[k] = pair{x: b.X[i][j], y: b.y[i], w: b.weight(i)}
+			buf[k] = pair{x: b.X[i][j], y: b.y[i]}
 		}
 		sort.Slice(buf, func(a, c int) bool { return buf[a].x < buf[c].x })
 		// Prefix sums over the sorted order.
-		leftW, leftWY := 0.0, 0.0
+		left := 0.0
 		for k := 0; k < len(buf)-1; k++ {
-			leftW += buf[k].w
-			leftWY += buf[k].w * buf[k].y
+			left += buf[k].y
 			if buf[k].x == buf[k+1].x {
 				continue
 			}
 			if k+1 < b.cfg.MinLeaf || len(buf)-k-1 < b.cfg.MinLeaf {
 				continue
 			}
-			rightW := totW - leftW
-			rightWY := totWY - leftWY
-			if leftW <= 0 || rightW <= 0 {
-				continue
-			}
-			// Gain = sum(w y)^2/W reduction relative to parent.
-			gain := leftWY*leftWY/leftW + rightWY*rightWY/rightW - totWY*totWY/totW
+			right := tot - left
+			// Gain = sum(y)^2/count reduction relative to parent.
+			gain := left*left/float64(k+1) + right*right/(m-float64(k+1)) - tot*tot/m
 			if gain > bestGain {
 				bestGain = gain
 				feat = j
@@ -157,8 +122,8 @@ func (b *builder) bestSplit(idx []int, totW, totWY float64) (feat int, thr float
 
 // diffCase draws one seeded training problem for the differential test:
 // continuous columns, columns quantised to 3/10/100 levels (ties inside
-// every node), constant and duplicated columns, nil and non-nil weights,
-// and growth limits from "split everything" to "can never split".
+// every node), constant and duplicated columns, and growth limits from
+// "split everything" to "can never split".
 //
 // A copied column is copied whole. Two different columns that cut a node
 // into the same two row sets, with different ties below the cut, have gains
@@ -166,13 +131,13 @@ func (b *builder) bestSplit(idx []int, totW, totWY float64) (feat int, thr float
 // presorted row order add the tied rows up in different orders, so which
 // column wins is rounding noise on both sides and cannot be compared. A
 // whole copy ties bit for bit instead, and pins "the first feature wins".
-func diffCase(seed uint64) (X [][]float64, y, w []float64, cfg Config) {
+func diffCase(seed uint64) (X [][]float64, y []float64, cfg Config) {
 	return diffCaseRows(seed, 0)
 }
 
 // diffCaseRows is diffCase with n rows in place of the drawn count when n >
 // 0. The count is drawn either way, so the rest of the stream is the same.
-func diffCaseRows(seed uint64, n int) (X [][]float64, y, w []float64, cfg Config) {
+func diffCaseRows(seed uint64, n int) (X [][]float64, y []float64, cfg Config) {
 	rng := stats.NewRNG(seed)
 	if drawn := 2 + rng.Intn(260); n <= 0 {
 		n = drawn
@@ -211,12 +176,11 @@ func diffCaseRows(seed uint64, n int) (X [][]float64, y, w []float64, cfg Config
 		}
 	}
 	if seed%2 == 1 {
-		w = make([]float64, n)
-		for i := range w {
-			w[i] = rng.Float64() * 3
-			if rng.Bernoulli(0.05) {
-				w[i] = 0
-			}
+		// Per-row weights were drawn here while the grower took them. The
+		// draws stay, so the growth limits below keep their values.
+		for i := 0; i < n; i++ {
+			rng.Float64()
+			rng.Bernoulli(0.05)
 		}
 	}
 	cfg = Config{
@@ -225,38 +189,30 @@ func diffCaseRows(seed uint64, n int) (X [][]float64, y, w []float64, cfg Config
 		MinSplit: []int{0, 2, 10, n, n + 1}[rng.Intn(5)],
 	}
 	if seed%3 == 0 {
-		cfg.FeatureFrac = []float64{0.3, 0.5, 0.9, 1}[rng.Intn(4)]
+		rng.Intn(4) // the retired column-subsampling fraction's draw
 	}
-	return X, y, w, cfg
+	return X, y, cfg
 }
 
 // TestFitMatchesSortPerNodeReference is the differential oracle: over seeded
 // matrices the presorted finder must grow the reference's tree node for node
-// (same features, thresholds, values and child indices), and with feature
-// subsampling must consume the same RNG draws in the same order.
+// (same features, thresholds, values and child indices).
 func TestFitMatchesSortPerNodeReference(t *testing.T) {
 	const cases = 600
 	split := 0
 	for seed := uint64(1); seed <= cases; seed++ {
-		X, y, w, cfg := diffCase(seed)
-		refCfg, gotCfg := cfg, cfg
-		if cfg.FeatureFrac > 0 {
-			refCfg.RNG, gotCfg.RNG = stats.NewRNG(seed), stats.NewRNG(seed)
-		}
-		want, err := refFit(X, y, w, refCfg)
+		X, y, cfg := diffCase(seed)
+		want, err := refFit(X, y, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		got, err := Fit(X, y, w, gotCfg)
+		got, err := Fit(X, y, nil, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("seed %d (n=%d d=%d cfg=%+v): trees differ\nreference %+v\npresorted %+v",
 				seed, len(X), len(X[0]), cfg, *want, *got)
-		}
-		if cfg.FeatureFrac > 0 && refCfg.RNG.Uint64() != gotCfg.RNG.Uint64() {
-			t.Errorf("seed %d: feature subsampling consumed different RNG draws", seed)
 		}
 		if len(want.Feature) > 1 {
 			split++
@@ -273,7 +229,7 @@ func TestFitMatchesSortPerNodeReference(t *testing.T) {
 		minLeaf := 1 + int(seed%4)
 		X, refX, y, copies := laneCase(seed, minLeaf)
 		cfg := Config{MaxDepth: 1 + int(seed%5), MinLeaf: minLeaf}
-		want, err := refFit(refX, y, nil, cfg)
+		want, err := refFit(refX, y, cfg)
 		if err != nil {
 			t.Fatalf("lane seed %d: reference: %v", seed, err)
 		}
@@ -451,14 +407,14 @@ func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 			rows, seeds = 4096, 5
 		}
 		for seed := uint64(1); seed <= seeds; seed++ {
-			X, y, _, _ := diffCaseRows(seed, rows)
+			X, y, _ := diffCaseRows(seed, rows)
 			if tc.apply != nil {
 				tc.apply(y)
 			}
 			n := len(X)
 			for _, minLeaf := range []int{1, 3, n / 2} {
 				cfg := Config{MaxDepth: 4, MinLeaf: minLeaf}
-				want, err := refFit(X, y, nil, cfg)
+				want, err := refFit(X, y, cfg)
 				if err != nil {
 					t.Fatalf("%s seed %d: reference: %v", tc.name, seed, err)
 				}
@@ -492,7 +448,7 @@ func TestGrowMatchesReferenceAtExtremeTargets(t *testing.T) {
 			scale(s)(y)
 			for _, minLeaf := range []int{1, 2, 3, 4, len(X) / 2} {
 				cfg := Config{MaxDepth: 4, MinLeaf: minLeaf}
-				want, err := refFit(X, y, nil, cfg)
+				want, err := refFit(X, y, cfg)
 				if err != nil {
 					t.Fatalf("lanes ×%g seed %d: reference: %v", s, seed, err)
 				}

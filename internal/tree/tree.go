@@ -15,22 +15,16 @@ package tree
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/stats"
 )
 
-// Typed fit errors, errors.Is-matchable through every wrapping layer.
-var (
-	// ErrRaggedRows reports a training matrix whose rows differ in width.
-	// Without this check a short row panics with index-out-of-range deep
-	// inside split scanning — possibly on a background refit worker.
-	ErrRaggedRows = errors.New("tree: ragged training rows")
-	// ErrBadConfig reports a Config that cannot drive growth (for example
-	// feature subsampling requested without an RNG).
-	ErrBadConfig = errors.New("tree: invalid config")
-)
+// ErrRaggedRows reports a training matrix whose rows differ in width,
+// errors.Is-matchable through every wrapping layer. Without this check a
+// short row panics with index-out-of-range deep inside split scanning —
+// possibly on a background refit worker.
+var ErrRaggedRows = errors.New("tree: ragged training rows")
 
-// Config controls tree growth.
+// Config controls tree growth. Every split considers every feature, and
+// every row weighs the same.
 type Config struct {
 	// MaxDepth bounds tree depth (a lone leaf has depth 0). Zero or negative
 	// selects the default of 3, so a single-leaf tree cannot be requested
@@ -40,14 +34,9 @@ type Config struct {
 	MinLeaf int
 	// MinSplit is the minimum number of samples required to attempt a split.
 	MinSplit int
-	// FeatureFrac, if in (0,1), considers a random subset of features at each
-	// split (column subsampling). Requires RNG.
-	FeatureFrac float64
-	// RNG drives feature subsampling; may be nil when FeatureFrac is 0 or 1.
-	RNG *stats.RNG
 }
 
-func (c *Config) normalize() error {
+func (c *Config) normalize() {
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 3
 	}
@@ -57,28 +46,24 @@ func (c *Config) normalize() error {
 	if c.MinSplit < 2*c.MinLeaf {
 		c.MinSplit = 2 * c.MinLeaf
 	}
-	if c.FeatureFrac < 0 || c.FeatureFrac > 1 {
-		return fmt.Errorf("%w: FeatureFrac %v outside [0, 1]", ErrBadConfig, c.FeatureFrac)
-	}
-	if c.FeatureFrac > 0 && c.FeatureFrac < 1 && c.RNG == nil {
-		return fmt.Errorf("%w: FeatureFrac %v requires an RNG", ErrBadConfig, c.FeatureFrac)
-	}
-	return nil
 }
 
-// Fit grows a regression tree on X, y (optionally with per-sample weights;
-// pass nil for uniform) and returns it as a one-tree table, its root at 0.
-// It returns an error for empty or mismatched input: ErrRaggedRows when rows
-// differ in width, ErrBadConfig when cfg cannot drive growth. Fit is Presort
-// followed by one Grow; callers growing many trees on one matrix (gbt's
-// boosting rounds) presort once themselves.
+// Fit grows a regression tree on X, y and returns it as a one-tree table,
+// its root at 0. It returns an error for empty or mismatched input, and
+// ErrRaggedRows when rows differ in width. Rows are unweighted: w must be
+// nil (the parameter stays for bench/layers.go, which passes nil). Fit is
+// Presort followed by one Grow; callers growing many trees on one matrix
+// (gbt's boosting rounds) presort once themselves.
 func Fit(X [][]float64, y []float64, w []float64, cfg Config) (*SoA, error) {
+	if w != nil {
+		return nil, fmt.Errorf("tree: per-row weights are not supported")
+	}
 	p, err := Presort(X)
 	if err != nil {
 		return nil, err
 	}
 	s := new(SoA).WithRoom(cfg.NodeBound(len(X)))
-	if _, err := p.Grow(&s, y, w, cfg); err != nil {
+	if _, err := p.Grow(&s, y, cfg); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -128,7 +113,7 @@ func (s *SoA) appendLeaf(value float64) int32 {
 // for it keeps a fit's allocation count independent of how many nodes its
 // trees grow.
 func (c Config) NodeBound(n int) int {
-	_ = c.normalize() // only MaxDepth is read, and it is defaulted before any error
+	c.normalize()
 	most := 2*n - 1
 	if c.MaxDepth < 30 && 1<<(c.MaxDepth+1)-1 < most {
 		most = 1<<(c.MaxDepth+1) - 1

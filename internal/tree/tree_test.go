@@ -125,21 +125,6 @@ func TestMinLeafRespected(t *testing.T) {
 	}
 }
 
-func TestWeightedFitPullsPrediction(t *testing.T) {
-	// Two clusters at the same x: weights decide the leaf mean.
-	X := [][]float64{{1}, {1}, {1}}
-	y := []float64{0, 0, 9}
-	w := []float64{1, 1, 2}
-	tr, err := Fit(X, y, w, Config{MaxDepth: 1, MinLeaf: 1, MinSplit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weighted mean = (0+0+18)/4 = 4.5.
-	if got := tr.predict([]float64{1}); math.Abs(got-4.5) > 1e-9 {
-		t.Fatalf("weighted mean %v, want 4.5", got)
-	}
-}
-
 func TestFitErrors(t *testing.T) {
 	if _, err := Fit(nil, nil, nil, smallConfig); err == nil {
 		t.Fatal("expected error on empty input")
@@ -147,8 +132,8 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, nil, smallConfig); err == nil {
 		t.Fatal("expected error on length mismatch")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1}, []float64{1, 2}, smallConfig); err == nil {
-		t.Fatal("expected error on weight mismatch")
+	if _, err := Fit([][]float64{{1}}, []float64{1}, []float64{1}, smallConfig); err == nil {
+		t.Fatal("expected error on per-row weights, which trees do not take")
 	}
 }
 
@@ -260,26 +245,6 @@ func TestFitRejectsRaggedRows(t *testing.T) {
 	}
 }
 
-// Regression: FeatureFrac in (0,1) with a nil RNG used to silently fit
-// without subsampling instead of failing fast; Fit must reject the config
-// with ErrBadConfig so the misconfiguration surfaces at the boundary.
-func TestFitRejectsFeatureFracWithoutRNG(t *testing.T) {
-	X := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
-	y := []float64{1, 2, 3, 4}
-	_, err := Fit(X, y, nil, Config{MaxDepth: 3, MinLeaf: 1, MinSplit: 2, FeatureFrac: 0.5})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Fit with FeatureFrac and nil RNG: err = %v, want ErrBadConfig", err)
-	}
-	if _, err := Fit(X, y, nil, Config{MaxDepth: 3, MinLeaf: 1, MinSplit: 2, FeatureFrac: 1.5, RNG: stats.NewRNG(1)}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Fit with FeatureFrac 1.5: err = %v, want ErrBadConfig", err)
-	}
-	// The boundary values 0 and 1 mean "no subsampling" and stay legal
-	// without an RNG.
-	if _, err := Fit(X, y, nil, Config{MaxDepth: 3, MinLeaf: 1, MinSplit: 2, FeatureFrac: 1}); err != nil {
-		t.Fatalf("Fit with FeatureFrac 1: %v", err)
-	}
-}
-
 // Trees grown one after another into one shared table must each walk
 // exactly as the same tree grown alone: the same nodes, their child indices
 // shifted by the root, and bit-for-bit the same value at every leaf. A table
@@ -306,7 +271,7 @@ func TestGrowAppendsToSharedTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root, err := p.Grow(&s, y, nil, cfg)
+		root, err := p.Grow(&s, y, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +355,7 @@ func TestFitWithNaNAndInfCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		var a SoA
-		if _, err := p.Grow(&a, y, nil, cfg); err != nil {
+		if _, err := p.Grow(&a, y, cfg); err != nil {
 			t.Fatal(err)
 		}
 		for i, leaf := range p.Leaves() {
@@ -451,7 +416,7 @@ func BenchmarkGrow(b *testing.B) {
 	candidates := 0
 	for _, y := range ys {
 		var t SoA
-		if _, err := p.Grow(&t, y, nil, cfg); err != nil {
+		if _, err := p.Grow(&t, y, cfg); err != nil {
 			b.Fatal(err)
 		}
 		candidates += searchedCandidates(&t, X, cfg)
@@ -463,7 +428,7 @@ func BenchmarkGrow(b *testing.B) {
 	for it := 0; it < b.N; it++ {
 		s = SoA{s.Feature[:0], s.Threshold[:0], s.Value[:0], s.Left[:0], s.Right[:0]}
 		for _, y := range ys {
-			if _, err := p.Grow(&s, y, nil, cfg); err != nil {
+			if _, err := p.Grow(&s, y, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -475,9 +440,7 @@ func BenchmarkGrow(b *testing.B) {
 // offered the split rule: every node growth searched, a node at depth below
 // MaxDepth with at least MinSplit rows, offers d·(m-2·MinLeaf+1).
 func searchedCandidates(t *SoA, X [][]float64, cfg Config) int {
-	if err := cfg.normalize(); err != nil {
-		panic(err)
-	}
+	cfg.normalize()
 	rows, depth := make([]int, len(t.Feature)), make([]int, len(t.Feature))
 	for _, x := range X {
 		for i, dep := int32(0), 0; ; dep++ {

@@ -104,9 +104,12 @@ type JobSpec struct {
 	// WarmFrac is the finished fraction required before predictions start
 	// (the paper waits for 4%).
 	WarmFrac float64
-	// Seed drives the job's predictor when the Server constructs one through
-	// its Config.NewPredictor factory (ignored for explicitly supplied
-	// predictors).
+	// Seed reaches the Server's Config.NewPredictor factory with the spec
+	// (ignored for explicitly supplied predictors). The default factory's
+	// NURD reads nothing of it: the boosted fits of NURD, GBTR, Grabit and
+	// XGBOD draw no random numbers. The fits that do draw from it are
+	// Wrangler's SVM and sampling, PU-EN, PU-BG and the randomized outlier
+	// detectors, XGBOD's isolation forest among them.
 	Seed uint64
 	// RefitMode selects the job's checkpoint refit strategy (scratch vs
 	// warm-started incremental boosting; see refit.go). RefitModeDefault is
